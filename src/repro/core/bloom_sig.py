@@ -64,6 +64,23 @@ class BloomSignature:
             child_sid(parent_sid, position, self.fanout)
         )
 
+    def check_block(self, parent_path: Sequence[int], wanted: int) -> int:
+        """:meth:`check_entry` for every entry whose bit is set in
+        ``wanted`` (bit ``p − 1`` = position ``p``), as a mask."""
+        if self._empty:
+            return 0
+        parent_sid = sid_of_path(parent_path, self.fanout)
+        passed = 0
+        rest = wanted
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if self.bloom.might_contain(
+                child_sid(parent_sid, bit.bit_length(), self.fanout)
+            ):
+                passed |= bit
+        return passed
+
     def check_path(self, path: Sequence[int]) -> bool:
         if not path:
             return not self._empty
@@ -96,6 +113,13 @@ class BloomConjunction:
             signature.check_entry(parent_path, position)
             for signature in self.signatures
         )
+
+    def check_block(self, parent_path: Sequence[int], wanted: int) -> int:
+        for signature in self.signatures:
+            if not wanted:
+                break
+            wanted = signature.check_block(parent_path, wanted)
+        return wanted
 
     def check_path(self, path: Sequence[int]) -> bool:
         return all(

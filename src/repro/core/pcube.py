@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.core.counted import CountedSignature
 from repro.core.generation import generate_cuboid_signatures
 from repro.core.ops import intersect_all
+from repro.core.sid import sid_of_path
 from repro.obs.trace import COVER, Tracer
 from repro.core.signature import Signature
 from repro.core.store import (
@@ -45,6 +46,9 @@ class EmptyReader:
     def check_entry(self, parent_path, position) -> bool:
         return False
 
+    def check_block(self, parent_path, wanted: int) -> int:
+        return 0
+
     def check_path(self, path) -> bool:
         return False
 
@@ -65,11 +69,15 @@ class SignatureAdapter:
         self.signature = signature
 
     def check_entry(self, parent_path, position) -> bool:
-        from repro.core.sid import sid_of_path
-
         return self.signature.check_bit(
             sid_of_path(parent_path, self.signature.fanout), position
         )
+
+    def check_block(self, parent_path, wanted: int) -> int:
+        bits = self.signature.node(
+            sid_of_path(parent_path, self.signature.fanout)
+        )
+        return wanted & bits.mask if bits is not None else 0
 
     def check_path(self, path) -> bool:
         return self.signature.check_path(path)

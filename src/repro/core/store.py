@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.bitmap.bitarray import BitArray
 from repro.btree.btree import BPlusTree
 from repro.core.partial import PartialSignature, decompose, retrieval_refs
+from repro.core.sid import sid_of_path
 from repro.obs.trace import DEGRADED, Tracer
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cell
@@ -732,8 +733,6 @@ class CellSignatureReader:
         for each candidate entry: the parent node was necessarily checked
         before (the search descends), so one bit suffices.
         """
-        from repro.core.sid import sid_of_path
-
         parent_sid = sid_of_path(parent_path, self.fanout)
         resident = self._ensure_node(parent_path, parent_sid)
         if resident is None:
@@ -742,6 +741,27 @@ class CellSignatureReader:
             return False
         bits = self._nodes.get(parent_sid)
         return bits is not None and bits.get(position - 1)
+
+    def check_block(
+        self, parent_path: Sequence[int], wanted: int
+    ) -> int | None:
+        """The whole-node form of :meth:`check_entry`: which of the
+        ``wanted`` entries (bit ``p − 1`` = 1-based position ``p``) of the
+        node at ``parent_path`` contain data of this cell.
+
+        One residency check — hence exactly the partial loads the first
+        ``check_entry`` on this node would issue — then one mask AND.
+        Returns ``None`` when the node is unresolvable; the caller then
+        asks :meth:`check_entry` per wanted entry, which answers each one
+        conservatively (and counts it) as before.
+        """
+        parent_sid = sid_of_path(parent_path, self.fanout)
+        resident = self._ensure_node(parent_path, parent_sid)
+        if resident is None:
+            return None
+        if not resident:
+            return 0
+        return wanted & self._nodes[parent_sid].mask
 
     def check_path(self, path: Sequence[int]) -> bool:
         """Whether the entry addressed by a full path contains cell data."""
@@ -799,6 +819,20 @@ class AssembledReader:
         return all(
             reader.check_entry(parent_path, position) for reader in self.readers
         )
+
+    def check_block(
+        self, parent_path: Sequence[int], wanted: int
+    ) -> int | None:
+        """Member *k* sees only the entries that passed members < *k*, and
+        is not consulted at all once none did — the same partial loads the
+        per-entry short-circuit issues."""
+        for reader in self.readers:
+            if not wanted:
+                break
+            wanted = reader.check_block(parent_path, wanted)
+            if wanted is None:
+                return None
+        return wanted
 
     def check_path(self, path: Sequence[int]) -> bool:
         return all(reader.check_path(path) for reader in self.readers)

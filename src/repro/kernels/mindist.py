@@ -5,9 +5,12 @@ rectangles and returns plain Python floats.  The vectorized path
 accumulates per dimension in the exact order of the scalar reference —
 ``total = 0.0; for d: total += term_d`` — because Python's ``sum()`` folds
 left-to-right from 0 and float addition is not associative.  Term
-expressions keep the reference's grouping too (``w * delta * delta`` is
-``(w·Δ)·Δ``, ``w * (x - t) ** 2`` is ``w·(Δ²)``), so both backends agree
-bit-for-bit and heap orders (hence counted I/O) never diverge.
+expressions keep the reference's grouping too: a rectangle bound is
+``w * delta * delta`` = ``(w·Δ)·Δ`` and a point score is
+``w * (delta * delta)`` = ``w·(Δ·Δ)`` in *both* arms.  The square is
+always a multiply, never ``** 2``: C ``pow`` is not correctly rounded and
+differs from ``Δ·Δ`` in the last ulp for some inputs.  So both backends
+agree bit-for-bit and heap orders (hence counted I/O) never diverge.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ from repro.kernels.backend import np, using_numpy
 Rows = Sequence[Sequence[float]]
 
 
+def _is_matrix(rows: Rows) -> bool:
+    return np is not None and isinstance(rows, np.ndarray)
+
+
 def _matrix(rows: Rows):
     """A float64 (n, d) matrix over a non-empty block of same-width rows.
 
@@ -26,9 +33,38 @@ def _matrix(rows: Rows):
     :class:`repro.cube.columnar.ColumnarProjection`) passes through
     without a copy — the point of handing matrices down the stack.
     """
-    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+    if _is_matrix(rows) and rows.dtype == np.float64:
         return rows
     return np.asarray(rows, dtype=np.float64)
+
+
+def as_rows(tuples: Sequence[tuple[float, ...]]) -> Rows:
+    """A block of same-width float tuples in the backend's row
+    representation: a float64 matrix under ``numpy``, the list itself
+    under ``python``.  Callers that evaluate one block through several
+    kernels convert once and hand the rows on."""
+    if len(tuples) == 0 or not using_numpy():
+        return tuples
+    return _matrix(tuples)
+
+
+def row_tuples(
+    rows: Rows, indices: Sequence[int] | None = None
+) -> list[tuple[float, ...]]:
+    """Rows (all, or those at ``indices``) as tuples of Python floats."""
+    if _is_matrix(rows):
+        picked = rows if indices is None else rows[list(indices)]
+        return [tuple(row) for row in picked.tolist()]
+    if indices is None:
+        return [tuple(row) for row in rows]
+    return [tuple(rows[i]) for i in indices]
+
+
+def project_rows(rows: Rows, dims: Sequence[int]) -> Rows:
+    """The columns ``dims`` of every row (a subspace projection)."""
+    if _is_matrix(rows):
+        return rows[:, list(dims)]
+    return [tuple(row[d] for d in dims) for row in rows]
 
 
 # --------------------------------------------------------------------------- #
@@ -99,7 +135,7 @@ def wsd_score_block(
     if len(rows) == 0 or not using_numpy():
         return [
             sum(
-                w * (x - t) ** 2
+                w * ((x - t) * (x - t))
                 for w, x, t in zip(weights, row, target)
             )
             for row in rows
@@ -169,7 +205,8 @@ def separable_score_block(
                 if kind == "linear":
                     total += coeff * value
                 else:
-                    total += coeff * (value - target) ** 2
+                    delta = value - target
+                    total += coeff * (delta * delta)
             out.append(total)
         return out
     x = _matrix(rows)
@@ -267,24 +304,30 @@ def mindist_block(
 # --------------------------------------------------------------------------- #
 
 
-def transform_points_block(
-    rows: Rows, query_point: Sequence[float]
-) -> list[tuple[float, ...]]:
-    """``transform_point`` over a block of points (exact: |x−q| per dim)."""
+def transform_points_rows(rows: Rows, query_point: Sequence[float]) -> Rows:
+    """``|x − q|`` per row, in the backend's row representation — what a
+    caller hands straight on to :func:`sum_block` and a domination mask
+    without a round trip through tuples."""
     if len(rows) == 0 or not using_numpy():
         return [
             tuple(abs(x - q) for x, q in zip(row, query_point))
             for row in rows
         ]
-    x = _matrix(rows)
-    q = np.asarray(query_point, dtype=np.float64)
-    return [tuple(row) for row in np.abs(x - q).tolist()]
+    return np.abs(_matrix(rows) - np.asarray(query_point, dtype=np.float64))
 
 
-def transform_rect_lowers_block(
-    lows: Rows, highs: Rows, query_point: Sequence[float]
+def transform_points_block(
+    rows: Rows, query_point: Sequence[float]
 ) -> list[tuple[float, ...]]:
-    """``transform_rect_lower`` over a block of rectangles."""
+    """``transform_point`` over a block of points (exact: |x−q| per dim)."""
+    return row_tuples(transform_points_rows(rows, query_point))
+
+
+def transform_rect_lowers_rows(
+    lows: Rows, highs: Rows, query_point: Sequence[float]
+) -> Rows:
+    """Low corners of the rectangles' images under ``x ↦ |x − q|``, in the
+    backend's row representation (see :func:`transform_points_rows`)."""
 
     def scalar(row_lo, row_hi):
         corner = []
@@ -302,5 +345,11 @@ def transform_rect_lowers_block(
     lo = _matrix(lows)
     hi = _matrix(highs)
     q = np.asarray(query_point, dtype=np.float64)
-    corner = np.where(q < lo, lo - q, np.where(q > hi, q - hi, 0.0))
-    return [tuple(row) for row in corner.tolist()]
+    return np.where(q < lo, lo - q, np.where(q > hi, q - hi, 0.0))
+
+
+def transform_rect_lowers_block(
+    lows: Rows, highs: Rows, query_point: Sequence[float]
+) -> list[tuple[float, ...]]:
+    """``transform_rect_lower`` over a block of rectangles."""
+    return row_tuples(transform_rect_lowers_rows(lows, highs, query_point))

@@ -23,15 +23,16 @@ from __future__ import annotations
 import heapq
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from itertools import repeat
+from typing import Callable, Iterator, Protocol, Sequence
 
 from repro.kernels.dominate import DominationBuffer
-from repro.kernels.mindist import sum_block
+from repro.kernels.mindist import project_rows, row_tuples, sum_block
 from repro.obs.trace import EXPAND, REPORT, Tracer
 from repro.query.ranking import RankingFunction
 from repro.query.stats import QueryStats
 from repro.rtree.geometry import Rect
-from repro.rtree.node import RTreeNode
+from repro.rtree.node import NodeBlock, RTreeNode
 from repro.rtree.rtree import RTree
 from repro.storage.buffer import BufferPool
 from repro.storage.counters import SBLOCK
@@ -41,6 +42,14 @@ class BooleanReader(Protocol):
     """What Algorithm 1 needs from a signature reader."""
 
     def check_entry(self, parent_path: Sequence[int], position: int) -> bool: ...
+
+    def check_block(
+        self, parent_path: Sequence[int], wanted: int
+    ) -> int | None:
+        """``check_entry`` for a whole node: of the entries in ``wanted``
+        (bit ``p − 1`` = position ``p``), the mask of those that may hold
+        data; ``None`` when the node cannot be resolved and every entry
+        must be asked through ``check_entry`` instead."""
 
     def check_path(self, path: Sequence[int]) -> bool: ...
 
@@ -98,6 +107,131 @@ class HeapEntry:
         return f"HeapEntry(key={self.key:.4g}, {what}, path={self.path})"
 
 
+def _child_entry(
+    parent_path: tuple[int, ...],
+    block: NodeBlock,
+    index: int,
+    key: float,
+    seq: int,
+    tie: tuple[float, ...],
+) -> HeapEntry:
+    """The heap entry of child ``index`` of an expanded node."""
+    child = block.entries[index]
+    path = parent_path + (block.slots[index] + 1,)
+    point = block.low_tuples[index]
+    if block.leaf:
+        return HeapEntry(key, seq, path, tid=child.tid, point=point, tie=tie)
+    return HeapEntry(
+        key, seq, path, node=child.child, point=point, rect=child.mbr, tie=tie
+    )
+
+
+class PrunedRun:
+    """The children one expansion pruned by one arm, not yet heap entries.
+
+    Most pruned entries are never looked at again, so an expansion records
+    what is needed to build them — the parent's path, its block, the
+    block's keys and tie rows, the ``seq`` of child 0 and which children
+    were pruned — and :meth:`entries` builds exactly the entries the
+    search would have pushed.
+    """
+
+    __slots__ = ("parent_path", "block", "keys", "ties", "first_seq", "indices")
+
+    def __init__(
+        self,
+        parent_path: tuple[int, ...],
+        block: NodeBlock,
+        keys: list[float],
+        ties,
+        first_seq: int,
+        indices: list[int],
+    ) -> None:
+        self.parent_path = parent_path
+        self.block = block
+        self.keys = keys
+        self.ties = ties
+        self.first_seq = first_seq
+        self.indices = indices
+
+    def entries(self) -> list[HeapEntry]:
+        ties = (
+            row_tuples(self.ties, self.indices)
+            if self.ties is not None
+            else repeat(())
+        )
+        return [
+            _child_entry(
+                self.parent_path,
+                self.block,
+                index,
+                self.keys[index],
+                self.first_seq + index,
+                tie,
+            )
+            for index, tie in zip(self.indices, ties)
+        ]
+
+
+class PrunedList:
+    """``b_list`` / ``d_list``: pruned entries in the order they were pruned.
+
+    Reads like a list of :class:`HeapEntry` (length, truth, iteration,
+    indexing, equality, ``a_list + pruned``).  Entries pruned at a
+    pop are appended as they are; the children pruned by an expansion
+    arrive as one :class:`PrunedRun` and become entries on the first read,
+    in place, so later reads see the same objects.
+    """
+
+    __slots__ = ("_items", "_length", "_has_runs")
+
+    def __init__(self, entries: Sequence[HeapEntry] = ()) -> None:
+        self._items: list = list(entries)
+        self._length = len(self._items)
+        self._has_runs = False
+
+    def append(self, entry: HeapEntry) -> None:
+        self._items.append(entry)
+        self._length += 1
+
+    def add_run(self, run: PrunedRun) -> None:
+        self._items.append(run)
+        self._length += len(run.indices)
+        self._has_runs = True
+
+    def _entries(self) -> list[HeapEntry]:
+        if self._has_runs:
+            entries: list[HeapEntry] = []
+            for item in self._items:
+                if type(item) is PrunedRun:
+                    entries.extend(item.entries())
+                else:
+                    entries.append(item)
+            self._items = entries
+            self._has_runs = False
+        return self._items
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[HeapEntry]:
+        return iter(self._entries())
+
+    def __getitem__(self, index):
+        return self._entries()[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PrunedList):
+            other = other._entries()
+        return self._entries() == other
+
+    def __radd__(self, other) -> list[HeapEntry]:
+        return list(other) + self._entries()
+
+    def __repr__(self) -> str:
+        return f"PrunedList({self._length} entries)"
+
+
 @dataclass
 class SearchState:
     """Everything a query leaves behind for incremental follow-ups.
@@ -111,8 +245,8 @@ class SearchState:
 
     heap: list[HeapEntry] = field(default_factory=list)
     results: list[HeapEntry] = field(default_factory=list)
-    b_list: list[HeapEntry] = field(default_factory=list)
-    d_list: list[HeapEntry] = field(default_factory=list)
+    b_list: PrunedList = field(default_factory=PrunedList)
+    d_list: PrunedList = field(default_factory=PrunedList)
     seq: int = 0
 
     def next_seq(self) -> int:
@@ -164,13 +298,19 @@ class SkylineStrategy:
     def point_key(self, point: Sequence[float]) -> float:
         return sum(self._project(point))
 
-    def block_point_keys(
-        self, points: Sequence[Sequence[float]]
-    ) -> list[float]:
-        return sum_block([self._project(p) for p in points])
+    def evaluate(self, block: NodeBlock):
+        """Keys, dominated mask and tie rows for a node's children at once.
 
-    def block_node_keys(self, rects: Sequence[Rect]) -> list[float]:
-        return sum_block([self._project(r.lows) for r in rects])
+        Leaf points and inner low corners alike are the ``lows`` rows: the
+        low corner is both the heap key's argument and the domination
+        probe.  The verdicts hold for the whole expansion because the
+        skyline buffer only grows at pops.
+        """
+        if self.subspace is None:
+            rows, ties = block.lows, block.low_tuples
+        else:
+            rows = ties = project_rows(block.lows, self.subspace)
+        return sum_block(rows), self._buffer.dominates_block(rows), ties
 
     def node_tie(self, rect: Rect) -> tuple[float, ...]:
         return self._project(rect.lows)
@@ -189,11 +329,6 @@ class SkylineStrategy:
         probe = entry.point
         assert probe is not None
         return self._buffer.dominates_point(self._project(probe))
-
-    def prune_block(self, entries: Sequence[HeapEntry]) -> list[bool]:
-        return self._buffer.dominates_block(
-            [self._project(e.point) for e in entries]
-        )
 
     def add_result(self, entry: HeapEntry) -> bool:
         assert entry.point is not None
@@ -220,13 +355,18 @@ class TopKStrategy:
     def point_key(self, point: Sequence[float]) -> float:
         return self.fn.score(point)
 
-    def block_point_keys(
-        self, points: Sequence[Sequence[float]]
-    ) -> list[float]:
-        return self.fn.score_block(points)
-
-    def block_node_keys(self, rects: Sequence[Rect]) -> list[float]:
-        return self.fn.lower_bound_block(rects)
+    def evaluate(self, block: NodeBlock):
+        """Scores (leaf) or region lower bounds (inner node) for a node's
+        children, and which of them the current k-th score already beats;
+        no tie rows — every tie is ``()``."""
+        if block.leaf:
+            keys = self.fn.score_block(block.lows)
+        else:
+            keys = self.fn.lower_bound_rows(block.lows, block.highs)
+        if len(self.scores) < self.k:
+            return keys, [False] * len(keys), None
+        worst = self.scores[-1]
+        return keys, [key >= worst for key in keys], None
 
     def node_tie(self, rect: Rect) -> tuple[float, ...]:
         return ()  # top-k correctness is tie-order independent (≥ tests)
@@ -237,12 +377,6 @@ class TopKStrategy:
     def prune(self, entry: HeapEntry) -> bool:
         """At least k discovered objects score no worse than the bound."""
         return len(self.scores) >= self.k and entry.key >= self.scores[-1]
-
-    def prune_block(self, entries: Sequence[HeapEntry]) -> list[bool]:
-        if len(self.scores) < self.k:
-            return [False] * len(entries)
-        worst = self.scores[-1]
-        return [e.key >= worst for e in entries]
 
     def add_result(self, entry: HeapEntry) -> bool:
         if len(self.scores) >= self.k and entry.key >= self.scores[-1]:
@@ -260,32 +394,6 @@ class TopKStrategy:
 
 
 Strategy = SkylineStrategy | TopKStrategy
-
-
-# Third-party strategies only have to implement the scalar protocol
-# (point_key / node_key / prune); the batch entry points below fall back to
-# per-item loops when the block methods are absent.
-
-
-def _batch_point_keys(strategy, points: list) -> list[float]:
-    method = getattr(strategy, "block_point_keys", None)
-    if method is not None:
-        return method(points)
-    return [strategy.point_key(p) for p in points]
-
-
-def _batch_node_keys(strategy, rects: list[Rect]) -> list[float]:
-    method = getattr(strategy, "block_node_keys", None)
-    if method is not None:
-        return method(rects)
-    return [strategy.node_key(r) for r in rects]
-
-
-def _batch_prune(strategy, entries: list[HeapEntry]) -> list[bool]:
-    method = getattr(strategy, "prune_block", None)
-    if method is not None:
-        return method(entries)
-    return [strategy.prune(e) for e in entries]
 
 
 def make_root_state(rtree: RTree, strategy: Strategy) -> SearchState:
@@ -413,77 +521,73 @@ def run_algorithm1(
             if tracer is not None:
                 tracer.event(EXPAND, path=entry.path, heap=len(heap))
 
-            # Batch the expansion: keys for all live children in one kernel
-            # call, then one block domination test.  Entry construction
-            # stays in slot order, so ``seq`` is assigned to every live
-            # child exactly as the per-child loop did; the prune decisions
-            # are order-independent within one expansion because the
-            # skyline buffer / top-k scores only change at pops.
-            live = list(node.live_entries())
-            leaf_points = [
-                child.mbr.lows for _, child in live if child.is_leaf_entry
-            ]
-            inner_rects = [
-                child.mbr for _, child in live if not child.is_leaf_entry
-            ]
-            leaf_keys = iter(
-                _batch_point_keys(strategy, leaf_points) if leaf_points else ()
-            )
-            inner_keys = iter(
-                _batch_node_keys(strategy, inner_rects) if inner_rects else ()
-            )
-            children: list[HeapEntry] = []
-            for slot, child in live:
-                child_path = entry.path + (slot + 1,)
-                if child.is_leaf_entry:
-                    point = child.mbr.lows
-                    child_entry = HeapEntry(
-                        key=next(leaf_keys),
-                        seq=state.next_seq(),
-                        path=child_path,
-                        tid=child.tid,
-                        point=point,
-                        tie=strategy.point_tie(point),
-                    )
-                else:
-                    child_entry = HeapEntry(
-                        key=next(inner_keys),
-                        seq=state.next_seq(),
-                        path=child_path,
-                        node=child.child,
-                        point=child.mbr.lows,
-                        rect=child.mbr,
-                        tie=strategy.node_tie(child.mbr),
-                    )
-                children.append(child_entry)
-            pruned = _batch_prune(strategy, children) if children else []
-            for (slot, _), child_entry, is_pruned in zip(
-                live, children, pruned
-            ):
-                if is_pruned:
-                    stats.dominance_pruned += 1
-                    if tracer is not None:
+            # One block evaluation per expanded node: the strategy sees
+            # all live children at once (keys and the preference arm), the
+            # reader sees the preference arm's survivors at once (the
+            # boolean arm), and only children that pass both become heap
+            # entries.  Every live child still consumes one ``seq``, in
+            # slot order, whatever happens to it.
+            block = node.block()
+            first_seq = state.seq + 1
+            state.seq += len(block)
+            keys, pruned, ties = strategy.evaluate(block)
+            parent_path = entry.path
+            bits = block.bits
+            alive = [i for i, gone in enumerate(pruned) if not gone]
+            survivors, filtered = alive, []
+            if reader is not None and alive:
+                wanted = 0
+                for i in alive:
+                    wanted |= bits[i]
+                passed = reader.check_block(parent_path, wanted)
+                if passed is None:
+                    # The reader cannot resolve this node: ask entry by
+                    # entry, which answers (and counts) conservatively.
+                    passed = 0
+                    for i in alive:
+                        if reader.check_entry(parent_path, block.slots[i] + 1):
+                            passed |= bits[i]
+                if passed != wanted:
+                    survivors = [i for i in alive if passed & bits[i]]
+                    filtered = [i for i in alive if not passed & bits[i]]
+            n_dominated = len(block) - len(alive)
+            stats.dominance_pruned += n_dominated
+            stats.boolean_pruned += len(filtered)
+            if tracer is not None:
+                arms = dict.fromkeys(filtered, "bool")
+                for i, slot in enumerate(block.slots):
+                    arm = "pref" if pruned[i] else arms.get(i)
+                    if arm is not None:
                         tracer.prune(
-                            "pref",
-                            path=child_entry.path,
-                            key=child_entry.key,
+                            arm, path=parent_path + (slot + 1,), key=keys[i]
                         )
-                    if keep_lists:
-                        state.d_list.append(child_entry)
-                    continue
-                if reader is not None and not reader.check_entry(
-                    entry.path, slot + 1
-                ):
-                    stats.boolean_pruned += 1
-                    if tracer is not None:
-                        tracer.prune(
-                            "bool",
-                            path=child_entry.path,
-                            key=child_entry.key,
+            if keep_lists:
+                if n_dominated:
+                    state.d_list.add_run(
+                        PrunedRun(
+                            parent_path,
+                            block,
+                            keys,
+                            ties,
+                            first_seq,
+                            [i for i, gone in enumerate(pruned) if gone],
                         )
-                    if keep_lists:
-                        state.b_list.append(child_entry)
-                    continue
-                heapq.heappush(heap, child_entry)
+                    )
+                if filtered:
+                    state.b_list.add_run(
+                        PrunedRun(
+                            parent_path, block, keys, ties, first_seq, filtered
+                        )
+                    )
+            survivor_ties = (
+                row_tuples(ties, survivors) if ties is not None else repeat(())
+            )
+            for i, tie in zip(survivors, survivor_ties):
+                heapq.heappush(
+                    heap,
+                    _child_entry(
+                        parent_path, block, i, keys[i], first_seq + i, tie
+                    ),
+                )
             stats.note_heap(len(heap))
     return state

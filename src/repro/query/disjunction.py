@@ -59,6 +59,20 @@ class AnyOfReader:
             for reader in self.readers
         )
 
+    def check_block(self, parent_path, wanted: int) -> int | None:
+        """Member *k* sees only the entries every member < *k* rejected —
+        the per-entry ``any`` short-circuit, a node at a time."""
+        passed = 0
+        for reader in self.readers:
+            if not wanted:
+                break
+            got = reader.check_block(parent_path, wanted)
+            if got is None:
+                return None
+            passed |= got
+            wanted &= ~got
+        return passed
+
     def check_path(self, path) -> bool:
         return any(reader.check_path(path) for reader in self.readers)
 

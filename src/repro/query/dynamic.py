@@ -26,12 +26,14 @@ from repro.kernels.dominate import DominationBuffer, dominated_mask
 from repro.kernels.mindist import (
     sum_block,
     transform_points_block,
-    transform_rect_lowers_block,
+    transform_points_rows,
+    transform_rect_lowers_rows,
 )
 from repro.query.algorithm1 import HeapEntry, SearchState, run_algorithm1
 from repro.query.predicates import BooleanPredicate
 from repro.query.stats import QueryStats
 from repro.rtree.geometry import Rect
+from repro.rtree.node import NodeBlock
 from repro.rtree.rtree import RTree
 from repro.storage.buffer import BufferPool
 from repro.storage.counters import SBLOCK
@@ -89,19 +91,16 @@ class DynamicSkylineStrategy:
     def point_key(self, point: Sequence[float]) -> float:
         return sum(transform_point(point, self.query_point))
 
-    def block_point_keys(
-        self, points: Sequence[Sequence[float]]
-    ) -> list[float]:
-        return sum_block(transform_points_block(points, self.query_point))
-
-    def block_node_keys(self, rects: Sequence[Rect]) -> list[float]:
-        return sum_block(
-            transform_rect_lowers_block(
-                [r.lows for r in rects],
-                [r.highs for r in rects],
-                self.query_point,
+    def evaluate(self, block: NodeBlock):
+        """Keys, dominated mask and tie rows for a node's children: the
+        ``|x − q|`` image is computed once and serves all three."""
+        if block.leaf:
+            image = transform_points_rows(block.lows, self.query_point)
+        else:
+            image = transform_rect_lowers_rows(
+                block.lows, block.highs, self.query_point
             )
-        )
+        return sum_block(image), self._buffer.dominates_block(image), image
 
     def node_tie(self, rect: Rect) -> tuple[float, ...]:
         return transform_rect_lower(rect, self.query_point)
@@ -120,11 +119,6 @@ class DynamicSkylineStrategy:
 
     def prune(self, entry: HeapEntry) -> bool:
         return self._buffer.dominates_point(self._probe(entry))
-
-    def prune_block(self, entries: Sequence[HeapEntry]) -> list[bool]:
-        return self._buffer.dominates_block(
-            [self._probe(e) for e in entries]
-        )
 
     def add_result(self, entry: HeapEntry) -> bool:
         assert entry.point is not None

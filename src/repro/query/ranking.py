@@ -34,12 +34,25 @@ class RankingFunction(ABC):
     def score_block(self, points: Sequence[Sequence[float]]) -> list[float]:
         """``[score(p) for p in points]`` — overridden with a batch kernel
         where the formula vectorizes bit-identically; this default keeps
-        arbitrary subclasses (e.g. :class:`MonotoneFunction`) correct."""
-        return [self.score(p) for p in points]
+        arbitrary subclasses (e.g. :class:`MonotoneFunction`) correct.
+        ``points`` may be a float64 matrix; the scalar protocol always
+        sees tuples of Python floats, so user callables compute with the
+        same arithmetic whichever backend gathered the rows."""
+        return [self.score(p) for p in mindist.row_tuples(points)]
 
-    def lower_bound_block(self, rects: Sequence[Rect]) -> list[float]:
-        """``[lower_bound(r) for r in rects]`` (see :meth:`score_block`)."""
-        return [self.lower_bound(r) for r in rects]
+    def lower_bound_rows(
+        self,
+        lows: Sequence[Sequence[float]],
+        highs: Sequence[Sequence[float]],
+    ) -> list[float]:
+        """``lower_bound`` over rectangles given as ``lows``/``highs`` rows
+        (see :meth:`score_block`)."""
+        return [
+            self.lower_bound(Rect(lo, hi))
+            for lo, hi in zip(
+                mindist.row_tuples(lows), mindist.row_tuples(highs)
+            )
+        ]
 
 
 class LinearFunction(RankingFunction):
@@ -66,12 +79,8 @@ class LinearFunction(RankingFunction):
     def score_block(self, points: Sequence[Sequence[float]]) -> list[float]:
         return mindist.linear_score_block(self.weights, points)
 
-    def lower_bound_block(self, rects: Sequence[Rect]) -> list[float]:
-        return mindist.linear_lower_bound_block(
-            self.weights,
-            [r.lows for r in rects],
-            [r.highs for r in rects],
-        )
+    def lower_bound_rows(self, lows, highs) -> list[float]:
+        return mindist.linear_lower_bound_block(self.weights, lows, highs)
 
     def __repr__(self) -> str:
         return f"LinearFunction({list(self.weights)})"
@@ -105,8 +114,10 @@ class WeightedSquaredDistance(RankingFunction):
         self.weights = tuple(float(w) for w in weights)
 
     def score(self, point: Sequence[float]) -> float:
+        # ``delta * delta``, not ``** 2``: pow() can differ from the
+        # multiply (which the block kernels use) in the last ulp.
         return sum(
-            w * (x - t) ** 2
+            w * ((x - t) * (x - t))
             for w, x, t in zip(self.weights, point, self.target)
         )
 
@@ -127,12 +138,9 @@ class WeightedSquaredDistance(RankingFunction):
     def score_block(self, points: Sequence[Sequence[float]]) -> list[float]:
         return mindist.wsd_score_block(self.weights, self.target, points)
 
-    def lower_bound_block(self, rects: Sequence[Rect]) -> list[float]:
+    def lower_bound_rows(self, lows, highs) -> list[float]:
         return mindist.wsd_lower_bound_block(
-            self.weights,
-            self.target,
-            [r.lows for r in rects],
-            [r.highs for r in rects],
+            self.weights, self.target, lows, highs
         )
 
     def __repr__(self) -> str:
@@ -179,7 +187,8 @@ class SeparableFunction(RankingFunction):
             if kind == "linear":
                 total += coeff * value
             else:
-                total += coeff * (value - target) ** 2
+                delta = value - target
+                total += coeff * (delta * delta)
         return total
 
     def lower_bound(self, rect: Rect) -> float:
@@ -201,12 +210,8 @@ class SeparableFunction(RankingFunction):
     def score_block(self, points: Sequence[Sequence[float]]) -> list[float]:
         return mindist.separable_score_block(self.terms, points)
 
-    def lower_bound_block(self, rects: Sequence[Rect]) -> list[float]:
-        return mindist.separable_lower_bound_block(
-            self.terms,
-            [r.lows for r in rects],
-            [r.highs for r in rects],
-        )
+    def lower_bound_rows(self, lows, highs) -> list[float]:
+        return mindist.separable_lower_bound_block(self.terms, lows, highs)
 
     def __repr__(self) -> str:
         return f"SeparableFunction({self.terms!r})"

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.kernels import backend as kernel_backend
 from repro.obs.trace import Tracer
 from repro.query.algorithm1 import (
+    PrunedList,
     SearchState,
     SkylineStrategy,
     TopKStrategy,
@@ -528,9 +529,10 @@ class QuerySession:
                     resume_state = SearchState()
                     if mode == "drill":
                         # still fail the stronger BP
-                        resume_state.b_list = kept_list
+                        resume_state.b_list = PrunedList(kept_list)
                     else:
-                        resume_state.d_list = kept_list  # still dominated
+                        # still dominated
+                        resume_state.d_list = PrunedList(kept_list)
                     resume_state.seq = max(
                         (entry.seq for entry in carried), default=0
                     )

@@ -2,11 +2,14 @@
 
 :class:`PredicateStats` is the optimizer-statistics half of the routing
 signal: per-dimension value histograms and derived boolean-cell
-cardinalities, rebuilt lazily from the (snapshot's) relation whenever a new
-epoch is observed — an epoch publish is exactly a maintenance commit, so
-the histograms track the committed data without any hook into the epoch
-manager.  The refresh scans with *private* counters: gathering statistics
-must never show up in any query's paper-comparable disk-access counts.
+cardinalities, brought up to date lazily whenever a new epoch is observed —
+an epoch publish is exactly a maintenance commit, so the histograms track
+the committed data without any hook into the epoch manager.  A refresh
+folds in the rows appended and tombstoned since the last one
+(:meth:`~repro.cube.relation.Relation.changes_since`); only the first
+refresh, or one against a different relation, scans — with *private*
+counters: gathering statistics must never show up in any query's
+paper-comparable disk-access counts.
 
 :class:`CostBook` is the observed half: an EWMA of per-strategy execution
 costs, bucketed by estimated candidate count (the feature the paper's
@@ -44,6 +47,8 @@ class PredicateStats:
         self._histograms: dict[str, dict[object, int]] = {}
         self._rows = 0
         self._token: object = _UNREFRESHED
+        #: The relation's change mark as of the last refresh.
+        self._mark: tuple | None = None
         self.refreshes = 0
 
     # -- refresh ------------------------------------------------------- #
@@ -53,17 +58,50 @@ class PredicateStats:
 
         Epoch-bearing sessions refresh once per published epoch; live
         sessions (``epoch is None``) refresh when the relation grew.
-        Either way the scan happens under the lock, so concurrent workers
-        pay for at most one rebuild per epoch.
+        Either way the refresh happens under the lock, so concurrent
+        workers pay for at most one per epoch.
         """
         token = epoch if epoch is not None else ("live", len(relation))
         with self._lock:
             if token == self._token:
                 return
-            self._refresh_locked(relation)
+            if not self._fold_locked(relation):
+                self._rescan_locked(relation)
             self._token = token
+            self.refreshes += 1
 
-    def _refresh_locked(self, relation) -> None:
+    def _fold_locked(self, relation) -> bool:
+        """Apply the relation's changes since the last refresh to the
+        histograms; ``False`` when there is nothing to start from."""
+        changes = (
+            relation.changes_since(self._mark)
+            if self._mark is not None
+            else None
+        )
+        if changes is None:
+            return False
+        self._mark, appended, tombstoned = changes
+        positions = [
+            (self._histograms[dim], relation.schema.boolean_position(dim))
+            for dim in relation.schema.boolean_dims
+        ]
+        for tid in appended:
+            row = relation.bool_row(tid)
+            for bucket, position in positions:
+                value = row[position]
+                bucket[value] = bucket.get(value, 0) + 1
+        for tid in tombstoned:
+            row = relation.bool_row(tid)
+            for bucket, position in positions:
+                value = row[position]
+                if bucket[value] == 1:
+                    del bucket[value]  # as a rescan would never see it
+                else:
+                    bucket[value] -= 1
+        self._rows += len(appended) - len(tombstoned)
+        return True
+
+    def _rescan_locked(self, relation) -> None:
         scratch = IOCounters()  # statistics I/O never taints query counters
         histograms: dict[str, dict[object, int]] = {
             dim: {} for dim in relation.schema.boolean_dims
@@ -82,7 +120,7 @@ class PredicateStats:
                 bucket[value] = bucket.get(value, 0) + 1
         self._histograms = histograms
         self._rows = rows
-        self.refreshes += 1
+        self._mark = relation.mark()
 
     # -- estimates ------------------------------------------------------ #
 

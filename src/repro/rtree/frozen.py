@@ -28,7 +28,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from repro.kernels import backend as kernel_backend
 from repro.rtree.geometry import Rect
+from repro.rtree.node import NodeBlock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rtree.rtree import RTree
@@ -57,7 +59,7 @@ class FrozenEntry:
 class FrozenRNode:
     """An immutable R-tree node sharing its page id with the live node."""
 
-    __slots__ = ("node_id", "page_id", "level", "_slots", "_mbr")
+    __slots__ = ("node_id", "page_id", "level", "_slots", "_mbr", "_block")
 
     def __init__(
         self,
@@ -73,6 +75,7 @@ class FrozenRNode:
         self._mbr = (
             Rect.union_all([entry.mbr for _, entry in slots]) if slots else None
         )
+        self._block: NodeBlock | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -83,6 +86,21 @@ class FrozenRNode:
 
     def live_count(self) -> int:
         return len(self._slots)
+
+    def block(self) -> NodeBlock:
+        """The columnar view of the children, built on first use and kept.
+
+        Safe to keep because a frozen node never changes: maintenance
+        rewrites a node by freezing a *new* ``FrozenRNode`` and shares only
+        untouched ones, so a cached view can never describe stale entries.
+        Concurrent readers may both build it; the views are equal and the
+        last store wins.  A view built for the other kernel backend (the
+        switch is process-wide and tests flip it) is rebuilt.
+        """
+        block = self._block
+        if block is None or block.backend != kernel_backend():
+            block = self._block = NodeBlock(self)
+        return block
 
     def mbr(self) -> Rect:
         if self._mbr is None:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
+from repro.kernels import backend as kernel_backend
+from repro.kernels.mindist import as_rows
 from repro.rtree.geometry import Point, Rect
 
 
@@ -45,6 +47,53 @@ class Entry:
         if self.is_leaf_entry:
             return f"Entry(tid={self.tid}, mbr={self.mbr})"
         return f"Entry(child=node#{self.child.node_id}, mbr={self.mbr})"
+
+
+class NodeBlock:
+    """A columnar view of one node's live children, in slot order.
+
+    Algorithm 1 evaluates a whole expansion from it: ``lows`` / ``highs``
+    are the children's MBR corners in the kernel backend's row
+    representation (see :func:`repro.kernels.mindist.as_rows`), so keys,
+    domination masks and transforms are one kernel call each, and
+    ``bits[i]`` is child ``i``'s bit in its parent's signature node
+    (``1 << slot``), so the boolean arm is one mask test.  ``low_tuples``
+    are the same corners as the tuples the entries already hold — what a
+    materialised heap entry carries as its point.
+
+    The view is a function of the node's entries alone; ``backend`` records
+    which row representation it was built for.
+    """
+
+    __slots__ = (
+        "backend",
+        "leaf",
+        "slots",
+        "entries",
+        "bits",
+        "low_tuples",
+        "lows",
+        "highs",
+    )
+
+    def __init__(self, node) -> None:
+        live = list(node.live_entries())
+        self.backend = kernel_backend()
+        self.leaf = node.is_leaf
+        self.slots = [slot for slot, _ in live]
+        self.entries = [entry for _, entry in live]
+        self.bits = [1 << slot for slot in self.slots]
+        self.low_tuples = [entry.mbr.lows for entry in self.entries]
+        self.lows = as_rows(self.low_tuples)
+        # A data point's MBR is degenerate: one matrix serves both corners.
+        self.highs = (
+            self.lows
+            if self.leaf
+            else as_rows([entry.mbr.highs for entry in self.entries])
+        )
+
+    def __len__(self) -> int:
+        return len(self.slots)
 
 
 class RTreeNode:
@@ -96,6 +145,11 @@ class RTreeNode:
         for index, entry in enumerate(self.entries):
             if entry is not None:
                 yield index, entry
+
+    def block(self) -> NodeBlock:
+        """The columnar view of the live children — rebuilt per call, as a
+        live node's entries change under maintenance."""
+        return NodeBlock(self)
 
     def add_entry(self, entry: Entry) -> int:
         """Place ``entry`` in the first free slot; return the 0-based slot.

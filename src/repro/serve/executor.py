@@ -499,6 +499,11 @@ class QueryExecutor:
                 self._serve(item)
             finally:
                 self._queue.task_done()
+                # Let go of the ticket before blocking in ``get()``: a
+                # local kept across the wait would pin the finished query's
+                # result and search state until the *next* request arrives,
+                # and free them on that request's clock.
+                item = None
 
     def _preflight(self, ticket: Ticket) -> None:
         """Abort queued-but-doomed tickets before paying for a pin.

@@ -170,3 +170,22 @@ def test_mixed_kinds_complete_and_aggregate(system):
     assert stats["submitted"] == stats["completed"] == 3
     assert stats["failed"] == 0
     assert stats["epochs_served"] == {system.epochs.current_epoch: 3}
+
+
+def test_finished_result_is_collectable_while_worker_idles(system):
+    """The worker must not hold the last ticket across its blocking
+    ``get()``: the answer (and its whole search state) would then live
+    until the next request and be freed on that request's clock."""
+    import gc
+    import weakref
+
+    with QueryExecutor(system, threads=1) as executor:
+        ticket = executor.skyline()
+        result = ticket.result(timeout=30.0)
+        probe = weakref.ref(result)
+        del ticket, result
+        deadline = time.perf_counter() + 30.0
+        while probe() is not None and time.perf_counter() < deadline:
+            gc.collect()
+            time.sleep(0.01)  # the worker may still be inside task_done()
+        assert probe() is None

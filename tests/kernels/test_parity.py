@@ -9,7 +9,7 @@ manufactures the exact ties where ordering bugs would hide.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kernels.backend import NUMPY, PYTHON, np, use_backend
@@ -109,7 +109,15 @@ def test_linear_lower_bound_parity(block):
     assert scalar == vector
 
 
+# pow(Δ, 2) != Δ·Δ in the last ulp for these inputs (found by hypothesis
+# during PR 11); every arm squares by multiplying, so they must agree.
 @given(rect_blocks())
+@example(
+    block=(
+        ([(-778950.7699998809,)], [(-778950.7699998809,)]),
+        (-999669.0,),
+    )
+)
 def test_wsd_parity(block):
     (lows, highs), target = block
     weights = tuple((d + 1) / 8 for d in range(len(target)))
@@ -126,6 +134,12 @@ def test_wsd_parity(block):
 
 
 @given(rect_blocks())
+@example(
+    block=(
+        ([(0.0, 0.375)], [(0.0, 1.0)]),
+        (0.0, 2.1309737344068661e-13),
+    )
+)
 def test_separable_parity(block):
     (lows, highs), target = block
     terms = [
@@ -157,6 +171,71 @@ def test_mindist_and_transform_parity(block):
         lambda: mindist.transform_rect_lowers_block(lows, highs, point)
     )
     assert scalar == vector
+
+
+@given(point_blocks(min_dims=2), st.data())
+def test_rows_round_trip_and_feed_every_kernel(rows, data):
+    """``as_rows`` is the representation block callers hand from kernel to
+    kernel: whatever it is under a backend, it must read back as the same
+    tuples, project and gather like them, and feed the other kernels to
+    the same bits as the tuples would."""
+    dims = len(rows[0]) if rows else 2
+    subspace = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=dims - 1),
+            min_size=1,
+            max_size=dims,
+            unique=True,
+        )
+    )
+    picks = data.draw(
+        st.lists(st.integers(min_value=0, max_value=max(len(rows) - 1, 0)))
+        if rows
+        else st.just([])
+    )
+    query_point = tuple(0.5 for _ in range(dims))
+
+    def run():
+        block = mindist.as_rows(rows)
+        projected = mindist.project_rows(block, subspace)
+        image = mindist.transform_points_rows(block, query_point)
+        buffer = DominationBuffer(dims, points=rows[: len(rows) // 2])
+        return (
+            mindist.row_tuples(block),
+            mindist.row_tuples(block, picks),
+            mindist.row_tuples(projected),
+            mindist.sum_block(projected),
+            mindist.row_tuples(image),
+            mindist.sum_block(image),
+            buffer.dominates_block(block),
+        )
+
+    scalar, vector = both_backends(run)
+    assert scalar == vector
+    assert scalar[0] == [tuple(map(float, row)) for row in rows]
+    assert scalar[1] == [scalar[0][i] for i in picks]
+    assert scalar[2] == [tuple(r[d] for d in subspace) for r in scalar[0]]
+    assert scalar[6] == DominationBuffer(
+        dims, points=rows[: len(rows) // 2], use_numpy=False
+    ).dominates_block(rows)
+
+
+@given(rect_blocks())
+def test_rect_lowers_rows_parity(block):
+    (lows, highs), point = block
+
+    def run():
+        image = mindist.transform_rect_lowers_rows(
+            mindist.as_rows(lows), mindist.as_rows(highs), point
+        )
+        return mindist.row_tuples(image), mindist.sum_block(image)
+
+    scalar, vector = both_backends(run)
+    assert scalar == vector
+    with use_backend(PYTHON):
+        assert scalar[0] == mindist.transform_rect_lowers_block(
+            lows, highs, point
+        )
 
 
 def test_matrix_input_matches_tuple_input():

@@ -1,0 +1,633 @@
+"""Differential suite for Algorithm 1's block expansion.
+
+``run_algorithm1`` evaluates one expanded node as a block and keeps pruned
+children as runs.  :func:`reference_algorithm1` below is the per-child
+expansion it replaced — one heap entry, one ``strategy.prune`` and one
+``reader.check_entry`` per live child, through the scalar protocol only —
+kept here as the oracle.  Both must leave behind the same answers, the same
+:class:`QueryStats`, the same counted I/O and the same search state down
+to ``seq`` and ``tie``, on both kernel backends, for fresh, drill-down and
+roll-up queries, with healthy and with unreadable signatures.
+"""
+
+import heapq
+import math
+import random
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.data.fixtures import build_sweep_system, small_config, sweep_config
+from repro.data.synthetic import generate_relation
+from repro.data.workload import sample_predicate
+from repro.kernels.backend import BACKENDS, np, use_backend
+from repro.query.algorithm1 import (
+    HeapEntry,
+    PrunedList,
+    PrunedRun,
+    SearchState,
+    SkylineStrategy,
+    TopKStrategy,
+    make_root_state,
+    run_algorithm1,
+)
+from repro.query.dynamic import DynamicSkylineStrategy
+from repro.query.ranking import (
+    LinearFunction,
+    MonotoneFunction,
+    SeparableFunction,
+    WeightedSquaredDistance,
+)
+from repro.query.stats import QueryStats
+from repro.rtree.rtree import RTree
+from repro.storage.buffer import BufferPool
+from repro.storage.counters import SBLOCK
+from repro.storage.disk import SimulatedDisk
+from repro.storage.faults import FaultPlan, FaultRule, FaultyDisk
+from repro.system import build_system
+
+backends = pytest.mark.parametrize(
+    "backend",
+    [
+        pytest.param(
+            name,
+            marks=pytest.mark.skipif(
+                name == "numpy" and np is None, reason="numpy not importable"
+            ),
+        )
+        for name in BACKENDS
+    ],
+)
+
+
+# --------------------------------------------------------------------------- #
+# the oracle: per-child expansion
+# --------------------------------------------------------------------------- #
+
+
+def reference_algorithm1(
+    rtree,
+    strategy,
+    stats,
+    reader=None,
+    verifier=None,
+    pool=None,
+    block_category=SBLOCK,
+    state=None,
+    keep_lists=True,
+    tracer=None,
+    ticker=None,
+):
+    """Algorithm 1 with every child handled on its own."""
+    if state is None:
+        state = make_root_state(rtree, strategy)
+    heap = state.heap
+    heapq.heapify(heap)
+    stats.note_heap(len(heap))
+    while heap:
+        if ticker is not None:
+            ticker()
+        entry = heapq.heappop(heap)
+        if strategy.finished(entry.key):
+            heapq.heappush(heap, entry)
+            break
+        if strategy.prune(entry):
+            stats.dominance_pruned += 1
+            if keep_lists:
+                state.d_list.append(entry)
+            continue
+        if reader is not None and not reader.check_path(entry.path):
+            stats.boolean_pruned += 1
+            if keep_lists:
+                state.b_list.append(entry)
+            continue
+        if entry.is_tuple:
+            if verifier is not None:
+                stats.verified += 1
+                if not verifier(entry.tid):
+                    stats.verify_failed += 1
+                    continue
+            if strategy.add_result(entry):
+                state.results.append(entry)
+                stats.results += 1
+            continue
+        node = entry.node
+        if pool is not None:
+            pool.get(node.page_id, block_category, stats.counters)
+        else:
+            rtree.disk.read(node.page_id, block_category, stats.counters)
+        stats.nodes_expanded += 1
+        for slot, child in node.live_entries():
+            path = entry.path + (slot + 1,)
+            if child.is_leaf_entry:
+                point = child.mbr.lows
+                child_entry = HeapEntry(
+                    key=strategy.point_key(point),
+                    seq=state.next_seq(),
+                    path=path,
+                    tid=child.tid,
+                    point=point,
+                    tie=strategy.point_tie(point),
+                )
+            else:
+                child_entry = HeapEntry(
+                    key=strategy.node_key(child.mbr),
+                    seq=state.next_seq(),
+                    path=path,
+                    node=child.child,
+                    point=child.mbr.lows,
+                    rect=child.mbr,
+                    tie=strategy.node_tie(child.mbr),
+                )
+            if strategy.prune(child_entry):
+                stats.dominance_pruned += 1
+                if keep_lists:
+                    state.d_list.append(child_entry)
+                continue
+            if reader is not None and not reader.check_entry(
+                entry.path, slot + 1
+            ):
+                stats.boolean_pruned += 1
+                if keep_lists:
+                    state.b_list.append(child_entry)
+                continue
+            heapq.heappush(heap, child_entry)
+        stats.note_heap(len(heap))
+    return state
+
+
+@contextmanager
+def per_child_expansion():
+    """Route every session / dynamic-skyline search through the oracle."""
+    with (
+        mock.patch("repro.query.session.run_algorithm1", reference_algorithm1),
+        mock.patch("repro.query.dynamic.run_algorithm1", reference_algorithm1),
+    ):
+        yield
+
+
+def flat(entries):
+    return [
+        (
+            e.key,
+            e.seq,
+            e.path,
+            e.tid,
+            e.point,
+            e.tie,
+            None if e.node is None else e.node.node_id,
+            None if e.rect is None else (e.rect.lows, e.rect.highs),
+        )
+        for e in entries
+    ]
+
+
+def state_facts(state):
+    return {
+        "results": flat(state.results),
+        "heap": flat(state.heap),
+        "b_list": flat(state.b_list),
+        "d_list": flat(state.d_list),
+        "seq": state.seq,
+    }
+
+
+def stats_facts(stats):
+    return {
+        "io": stats.counters.snapshot(),
+        "pool": (stats.pool_hits, stats.pool_misses),
+        "peak_heap": stats.peak_heap,
+        "nodes_expanded": stats.nodes_expanded,
+        "results": stats.results,
+        "boolean_pruned": stats.boolean_pruned,
+        "dominance_pruned": stats.dominance_pruned,
+        "verified": stats.verified,
+        "verify_failed": stats.verify_failed,
+        "fault_retries": stats.fault_retries,
+        "failed_loads": stats.failed_loads,
+        "degraded_checks": stats.degraded_checks,
+        "breaker_skips": stats.breaker_skips,
+        "degraded": stats.degraded,
+        "tier": stats.tier,
+    }
+
+
+def result_facts(result):
+    return {
+        "tids": result.tids,
+        "scores": result.scores,
+        "stats": stats_facts(result.stats),
+        "state": state_facts(result.state),
+    }
+
+
+# --------------------------------------------------------------------------- #
+# full queries: kinds × conjuncts × backends × {fresh, drill-down, roll-up}
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def system():
+    return build_sweep_system(3_000, fanout=12, cardinality=6, seed=41)
+
+
+def _soft_max(point):
+    # Non-decreasing in every coordinate; pow and log are exactly where
+    # numpy scalars and Python floats could part ways.
+    return math.log1p(sum(x**1.5 for x in point)) + max(point)
+
+
+QUERIES = {
+    "skyline": ("skyline", {}),
+    "subspace": ("skyline", {"preference_by": ("N1", "N3")}),
+    "topk-linear": ("topk", {"fn": LinearFunction([0.6, -0.2, 0.9]), "k": 12}),
+    "topk-wsd": (
+        "topk",
+        {
+            "fn": WeightedSquaredDistance([0.3, 0.7, 0.5], [1.0, 0.5, 2.0]),
+            "k": 12,
+        },
+    ),
+    "topk-separable": (
+        "topk",
+        {
+            "fn": SeparableFunction(
+                [
+                    (0, "linear", 0.8, 0.0),
+                    (1, "squared", 1.5, 0.4),
+                    (2, "linear", -0.3, 0.0),
+                ]
+            ),
+            "k": 12,
+        },
+    ),
+    "topk-scalar-only": (
+        "topk",
+        {"fn": MonotoneFunction(_soft_max, "soft-max"), "k": 12},
+    ),
+    "dynamic": ("dynamic_skyline", {"query_point": (0.4, 0.6, 0.5)}),
+}
+
+
+def run_query(system, name, predicate):
+    kind, kwargs = QUERIES[name]
+    engine = system.engine
+    if kind == "skyline":
+        return engine.skyline(predicate, **kwargs)
+    if kind == "topk":
+        return engine.topk(kwargs["fn"], kwargs["k"], predicate)
+    return engine.dynamic_skyline(kwargs["query_point"], predicate)
+
+
+def predicate_for(system, n_conjuncts, seed=5):
+    return sample_predicate(
+        system.relation, n_conjuncts, random.Random(seed)
+    )
+
+
+@backends
+@pytest.mark.parametrize("n_conjuncts", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_fresh_query_matches_per_child_expansion(
+    system, backend, name, n_conjuncts
+):
+    predicate = predicate_for(system, n_conjuncts)
+    with use_backend(backend):
+        got = run_query(system, name, predicate)
+        with per_child_expansion():
+            want = run_query(system, name, predicate)
+    assert result_facts(got) == result_facts(want)
+    # Both arms really ran (an early-terminating top-k may never reach a
+    # k-th score to prune with).
+    if n_conjuncts:
+        assert got.stats.boolean_pruned > 0
+    if QUERIES[name][0] != "topk":
+        assert got.stats.dominance_pruned > 0
+
+
+RESUMABLE = sorted(
+    name for name, (kind, _) in QUERIES.items() if kind != "dynamic_skyline"
+)
+
+
+@backends
+@pytest.mark.parametrize("n_conjuncts", [1, 2, 3])
+@pytest.mark.parametrize("name", RESUMABLE)
+def test_drill_down_and_roll_up_match_per_child_expansion(
+    system, backend, name, n_conjuncts
+):
+    """Lemma 2 reads the previous query's lists: runs materialised on
+    demand must rebuild the same heap the eager entries did."""
+    stronger = predicate_for(system, n_conjuncts)
+    dim, value = list(stronger)[-1]
+    weaker = stronger.roll_up(dim)
+
+    def follow_ups():
+        engine = system.engine
+        drilled = engine.drill_down(run_query(system, name, weaker), dim, value)
+        rolled = engine.roll_up(run_query(system, name, stronger), dim)
+        return result_facts(drilled), result_facts(rolled)
+
+    with use_backend(backend):
+        got = follow_ups()
+        with per_child_expansion():
+            want = follow_ups()
+    assert got == want
+
+
+# --------------------------------------------------------------------------- #
+# readers: conjunction short-circuit and unreadable partials
+# --------------------------------------------------------------------------- #
+
+
+def _search(system, runner, predicate, strategy):
+    stats = QueryStats()
+    pool = BufferPool(system.rtree.disk, capacity=4096)
+    reader = system.pcube.reader_for_predicate(
+        predicate.conjuncts, pool, stats.counters
+    )
+    state = runner(system.rtree, strategy, stats, reader=reader, pool=pool)
+    return reader, stats, state
+
+
+@pytest.fixture(scope="module")
+def paged_system():
+    """128-byte pages spread every cell's signature over ~25 partials, so a
+    member consulted once too often shows up as an extra SSIG load."""
+    relation = generate_relation(
+        sweep_config(3_000, cardinality=6, seed=41),
+        disk=SimulatedDisk(page_size=128),
+    )
+    return build_system(relation, fanout=12)
+
+
+@backends
+@pytest.mark.parametrize("seed", [9, 10, 11])
+@pytest.mark.parametrize("n_conjuncts", [2, 3])
+def test_assembled_reader_issues_the_same_partial_loads(
+    paged_system, backend, n_conjuncts, seed
+):
+    """Member k of a conjunction is consulted only while some wanted child
+    passed the members before it — per member, not just in total."""
+    system = paged_system
+    predicate = predicate_for(system, n_conjuncts, seed=seed)
+    with use_backend(backend):
+        reader, stats, state = _search(
+            system, run_algorithm1, predicate, SkylineStrategy(3)
+        )
+        ref_reader, ref_stats, ref_state = _search(
+            system, reference_algorithm1, predicate, SkylineStrategy(3)
+        )
+    assert len(reader.readers) == n_conjuncts
+    assert all(r.loads > 1 for r in reader.readers)
+    assert [r.loads for r in reader.readers] == [
+        r.loads for r in ref_reader.readers
+    ]
+    assert [sorted(r._loaded_refs) for r in reader.readers] == [
+        sorted(r._loaded_refs) for r in ref_reader.readers
+    ]
+    assert stats.counters.snapshot() == ref_stats.counters.snapshot()
+    assert state_facts(state) == state_facts(ref_state)
+
+
+def _faulty_system():
+    # Small pages: a cell has many partials, so one can be lost while the
+    # nodes held by the others still resolve.
+    disk = FaultyDisk(SimulatedDisk(page_size=128))
+    system = build_system(generate_relation(small_config(), disk=disk), fanout=8)
+    return disk, system
+
+
+@backends
+@pytest.mark.faults
+@pytest.mark.parametrize("lost_read", [0, 1, 4])
+@pytest.mark.parametrize("n_conjuncts", [1, 2])
+def test_unreadable_partial_takes_the_conservative_path(
+    backend, n_conjuncts, lost_read
+):
+    """A corrupt partial makes the block test answer ``None`` for the nodes
+    it held; the search then asks entry by entry, exactly as the per-child
+    expansion did: same answers, same ``degraded_checks``, same DBOOL
+    probes.  ``lost_read`` picks which signature read is lost — a root
+    partial (everything unresolvable) or a deeper one (a subtree)."""
+
+    def degraded_run(patched):
+        disk, system = _faulty_system()
+        predicate = sample_predicate(
+            system.relation, n_conjuncts, random.Random(3)
+        )
+        baseline = system.engine.skyline(predicate)
+        disk.plan = FaultPlan(
+            [
+                FaultRule(
+                    kind="corrupt", tag="pcube:sig", after=lost_read, count=1
+                )
+            ]
+        )
+        with patched():
+            degraded = system.engine.skyline(predicate)
+        assert disk.fault_counts["corrupt"] == 1
+        return baseline, degraded
+
+    @contextmanager
+    def unpatched():
+        yield
+
+    with use_backend(backend):
+        baseline, got = degraded_run(unpatched)
+        _, want = degraded_run(per_child_expansion)
+    assert got.tids == baseline.tids
+    assert got.stats.degraded and got.stats.degraded_checks > 0
+    assert got.stats.dbool > baseline.stats.dbool
+    assert result_facts(got) == result_facts(want)
+
+
+def test_check_block_answers_none_when_unresolvable():
+    disk, system = _faulty_system()
+    predicate = sample_predicate(system.relation, 1, random.Random(3))
+    disk.plan = FaultPlan([FaultRule(kind="corrupt", tag="pcube:sig", count=1)])
+    reader = system.pcube.reader_for_predicate(predicate.conjuncts)
+    assert reader.degraded
+    assert reader.check_block((), 0b11) is None
+    assert reader.degraded_checks == 0  # only per-entry answers count
+    assert reader.check_entry((), 1) is True  # conservative at the root
+    assert reader.degraded_checks == 1
+
+
+def test_check_block_agrees_with_check_entry(system):
+    """Every reader's whole-node test is its per-entry test, as a mask."""
+    from repro.core.bloom_sig import BloomConjunction, BloomSignature
+    from repro.core.pcube import EmptyReader
+    from repro.query.disjunction import reader_for_dnf
+
+    rng = random.Random(17)
+    one = predicate_for(system, 1, seed=2)
+    two = predicate_for(system, 2, seed=4)
+    cells = [
+        system.pcube.store.load_full_signature(cell)
+        for cell in two.atomic_cells()
+    ]
+    readers = [
+        system.pcube.reader_for_predicate(one.conjuncts),
+        system.pcube.reader_for_predicate(two.conjuncts),
+        system.pcube.reader_for_predicate(two.conjuncts, eager=True),
+        reader_for_dnf(system.pcube, [one, two]),
+        BloomSignature.from_signature(cells[0]),
+        BloomConjunction([BloomSignature.from_signature(c) for c in cells]),
+        EmptyReader(),
+    ]
+    fanout = system.rtree.max_entries
+    paths = [(), (1,), (2,), (1, 1), (fanout, 1)]
+    for reader in readers:
+        for path in paths:
+            wanted = rng.getrandbits(fanout)
+            expected = sum(
+                1 << (position - 1)
+                for position in range(1, fanout + 1)
+                if wanted >> (position - 1) & 1
+                and reader.check_entry(path, position)
+            )
+            assert reader.check_block(path, wanted) == expected, (reader, path)
+
+
+# --------------------------------------------------------------------------- #
+# pruned lists
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def leaf_block():
+    rng = random.Random(8)
+    tree = RTree(dims=2, max_entries=8)
+    for tid in range(8):
+        tree.insert(tid, (rng.random(), rng.random()))
+    assert tree.root.is_leaf
+    return tree.root.block()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.none(),  # one entry pruned at a pop
+            st.lists(
+                st.integers(min_value=0, max_value=7),
+                min_size=1,
+                max_size=8,
+                unique=True,
+            ).map(sorted),  # one expansion's pruned children
+        ),
+        max_size=12,
+    ),
+    st.integers(min_value=0, max_value=12),
+)
+def test_runs_materialise_in_append_order(leaf_block, appends, read_after):
+    """Whatever the interleaving of pop-time entries and expansion runs —
+    and wherever a read falls between them — the list reads in the order
+    things were pruned, and an entry once read keeps its identity."""
+    keys = [float(i) for i in range(len(leaf_block))]
+    pruned = PrunedList()
+    expected = []  # (seq, path) in append order
+    seen = []
+    seq = 0
+    for step, item in enumerate(appends):
+        if step == read_after:
+            seen = list(pruned)
+        if item is None:
+            seq += 1
+            pruned.append(HeapEntry(0.5, seq, (9, seq), tid=100 + seq))
+            expected.append((seq, (9, seq)))
+        else:
+            parent = (step + 1,)
+            pruned.add_run(
+                PrunedRun(parent, leaf_block, keys, None, seq + 1, item)
+            )
+            expected.extend(
+                (seq + 1 + i, parent + (leaf_block.slots[i] + 1,))
+                for i in item
+            )
+            seq += len(leaf_block)
+    assert len(pruned) == len(expected)
+    assert bool(pruned) == bool(expected)
+    assert [(e.seq, e.path) for e in pruned] == expected
+    assert all(a is b for a, b in zip(seen, pruned))
+    assert [id(e) for e in pruned] == [id(e) for e in pruned]
+    if expected:
+        assert pruned[0].seq == expected[0][0]
+        assert pruned[-1].path == expected[-1][1]
+    head = [HeapEntry(0.0, 0, ())]
+    assert (head + pruned)[1:] == list(pruned)
+    assert pruned == list(pruned)
+
+
+def test_live_node_blocks_are_rebuilt_and_frozen_ones_kept():
+    system = build_sweep_system(600, fanout=8, seed=3)
+    live_root = system.rtree.root
+    assert live_root.block() is not live_root.block()
+    system.enable_epochs()
+    snapshot = system.pin_snapshot()
+    try:
+        frozen_root = snapshot.rtree.root
+        block = frozen_root.block()
+        assert frozen_root.block() is block
+        assert block.slots == [s for s, _ in frozen_root.live_entries()]
+        other = next(name for name in BACKENDS if name != block.backend)
+        if other == "numpy" and np is None:
+            return
+        with use_backend(other):
+            rebuilt = frozen_root.block()
+            assert rebuilt is not block and rebuilt.backend == other
+    finally:
+        system.unpin_snapshot(snapshot)
+
+
+def test_resumed_state_accepts_runs_on_top_of_carried_entries(system):
+    """A resume hands ``run_algorithm1`` lists that already hold entries;
+    new runs land behind them."""
+    first = run_algorithm1(system.rtree, SkylineStrategy(3), QueryStats())
+    carried = list(first.d_list)[:5]
+    resume = SearchState()
+    resume.d_list = PrunedList(carried)
+    resume.heap = list(first.results)
+    resume.seq = first.seq
+    second = run_algorithm1(
+        system.rtree, SkylineStrategy(3), QueryStats(), state=resume
+    )
+    assert list(second.d_list)[:5] == carried
+    assert {e.tid for e in second.results} == {e.tid for e in first.results}
+
+
+@backends
+def test_topk_and_dynamic_strategies_direct(system, backend):
+    """Strategy-level: ``evaluate`` equals the scalar protocol row by row,
+    leaf and inner blocks alike."""
+    with use_backend(backend):
+        root = system.rtree.root
+        leaf = root
+        while not leaf.is_leaf:
+            leaf = next(e.child for _, e in leaf.live_entries())
+        for node in (root, leaf):
+            block = node.block()
+            for strategy in (
+                SkylineStrategy(3),
+                SkylineStrategy(3, subspace=(2, 0)),
+                TopKStrategy(LinearFunction([0.5, -1.0, 0.25]), 3),
+                DynamicSkylineStrategy((0.2, 0.9, 0.5)),
+            ):
+                keys, pruned, ties = strategy.evaluate(block)
+                assert pruned == [False] * len(block)
+                for i, child in enumerate(block.entries):
+                    if block.leaf:
+                        key = strategy.point_key(child.mbr.lows)
+                        tie = strategy.point_tie(child.mbr.lows)
+                    else:
+                        key = strategy.node_key(child.mbr)
+                        tie = strategy.node_tie(child.mbr)
+                    assert keys[i] == key
+                    if ties is None:
+                        assert tie == ()
+                    else:
+                        assert tuple(float(v) for v in ties[i]) == tie
