@@ -34,7 +34,7 @@ from repro.obs.trace import Span, TraceEvent, Tracer
 from repro.cube.cuboid import Cell, Cuboid
 from repro.cube.relation import Relation
 from repro.cube.schema import Schema
-from repro.query.engine import PreferenceEngine, QueryResult
+from repro.query.session import QueryResult, QuerySession
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import (
     LinearFunction,
@@ -61,8 +61,8 @@ __all__ = [
     "MonotoneFunction",
     "PCube",
     "PCubeSystem",
-    "PreferenceEngine",
     "QueryResult",
+    "QuerySession",
     "QueryStats",
     "RankingFunction",
     "Relation",

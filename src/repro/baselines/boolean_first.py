@@ -64,6 +64,37 @@ def _posting_length_estimate(
     return len(relation) / max(1, distinct)
 
 
+def _index_plan_dim(
+    relation: Relation,
+    indexes: dict[str, BPlusTree],
+    predicate: BooleanPredicate,
+) -> str | None:
+    """The conjunct whose index scan beats a table scan, if any does.
+
+    A textbook cost comparison on optimizer-style estimates; ``None``
+    (table scan) when the predicate is empty or there are no postings to
+    use — callers pass ``indexes={}`` when the B+-trees are absent or do
+    not cover the relation they are answering over.
+    """
+    if not indexes or predicate.is_empty():
+        return None
+    best_dim: str | None = None
+    best_estimate = float("inf")
+    for dim, _ in predicate:
+        estimate = _posting_length_estimate(relation, indexes[dim])
+        if estimate < best_estimate:
+            best_estimate = estimate
+            best_dim = dim
+    index = indexes[best_dim]
+    index_pages = best_estimate / max(1, index.order // 2) + index.height()
+    # Cardenas' formula: expected distinct pages hit by k uniform tids.
+    n_pages = relation.heap_page_count()
+    heap_pages_touched = n_pages * (
+        1.0 - (1.0 - 1.0 / n_pages) ** best_estimate
+    )
+    return best_dim if index_pages + heap_pages_touched < n_pages else None
+
+
 def select_tuples(
     relation: Relation,
     indexes: dict[str, BPlusTree],
@@ -72,6 +103,11 @@ def select_tuples(
     ticker=None,
 ) -> list[int]:
     """Boolean selection via the cheaper of index scan and table scan.
+
+    This is the one "scan the relation, test the predicate" loop: the
+    boolean-first engine, the naive engine and the serving fallback all
+    select through it (the latter two with ``indexes={}``, which always
+    takes the table-scan arm).
 
     ``ticker`` (the serving executor's deadline/cancel probe) fires once
     per tuple considered, so routed deadlines apply inside the scan.  When
@@ -82,49 +118,12 @@ def select_tuples(
     work vectorized.
     """
     use_vector = ticker is None and using_numpy()
-    if predicate.is_empty():
-        if use_vector:
-            projection = relation.columnar()
-            pages = [
-                np.asarray(page, dtype=np.int64)
-                for page in relation.scan_pages(stats.counters, BTABLE)
-            ]
-            if not pages:
-                return []
-            tids = np.concatenate(pages)
-            return tids[projection.live[tids]].tolist()
-        selected_all: list[int] = []
-        for tid in relation.scan(stats.counters, BTABLE):
-            if ticker is not None:
-                ticker()
-            selected_all.append(tid)
-        return selected_all
-
-    # --- cost the two plans with optimizer-style estimates -------------- #
-    best_dim: str | None = None
-    best_estimate = float("inf")
-    for dim, _ in predicate:
-        estimate = _posting_length_estimate(relation, indexes[dim])
-        if estimate < best_estimate:
-            best_estimate = estimate
-            best_dim = dim
-    assert best_dim is not None
-    index = indexes[best_dim]
-    index_pages = best_estimate / max(1, index.order // 2) + index.height()
-    # Cardenas' formula: expected distinct pages hit by k uniform tids.
-    n_pages = relation.heap_page_count()
-    heap_pages_touched = n_pages * (
-        1.0 - (1.0 - 1.0 / n_pages) ** best_estimate
-    )
-    index_plan_cost = index_pages + heap_pages_touched
-    scan_plan_cost = float(n_pages)
-
     conjuncts = predicate.conjuncts
-    if index_plan_cost < scan_plan_cost:
+    index_dim = _index_plan_dim(relation, indexes, predicate)
+    if index_dim is not None:
         # Index scan on the most selective dimension, verify the rest.
-        value = conjuncts[best_dim]
-        candidate_tids = index.search(
-            value, counters=stats.counters, category=BINDEX
+        candidate_tids = indexes[index_dim].search(
+            conjuncts[index_dim], counters=stats.counters, category=BINDEX
         )
         ordered = sorted(candidate_tids)
         keep: list[bool] | None = None
@@ -161,7 +160,7 @@ def select_tuples(
             ):
                 selected.append(tid)
         return selected
-    # Table scan.
+    # Table scan (an empty predicate has no conjuncts: every live row).
     if use_vector:
         projection = relation.columnar()
         match = projection.match_mask(conjuncts)
@@ -186,16 +185,30 @@ def select_tuples(
     return selected
 
 
-def _gather_points(relation: Relation, tids: Sequence[int]):
-    """Preference points for the selected tids.
+def _gather_points(
+    relation: Relation,
+    tids: Sequence[int],
+    ticker,
+    subspace: Sequence[int] | None = None,
+):
+    """Preference points for the selected tids, projected onto the
+    ``subspace`` positions when a ``preference by`` names some.
 
-    On the numpy backend this is a columnar gather returning the float64
-    matrix itself — downstream kernels (``score_block``, SFS) take it
-    without per-row tuple copies.  Scalar backend: exact-float tuples.
+    Where :func:`select_tuples` ran vectorised (numpy backend, no ticker)
+    this is a columnar gather returning the float64 matrix itself —
+    downstream kernels (``score_block``, SFS) take it without per-row
+    tuple copies.  Otherwise exact-float tuples, fetched per tid: under a
+    serving ticker nothing else touches the projection, and rebuilding it
+    after every write to gather a few hundred rows costs more than the
+    scan that selected them.
     """
-    if using_numpy() and tids:
-        return relation.columnar().pref_block(tids)
-    return [relation.pref_point(tid) for tid in tids]
+    if ticker is None and using_numpy() and tids:
+        block = relation.columnar().pref_block(tids)
+        return block if subspace is None else block[:, list(subspace)]
+    points = [relation.pref_point(tid) for tid in tids]
+    if subspace is None:
+        return points
+    return [tuple(point[d] for d in subspace) for point in points]
 
 
 def boolean_first_skyline(
@@ -203,21 +216,21 @@ def boolean_first_skyline(
     indexes: dict[str, BPlusTree],
     predicate: BooleanPredicate,
     ticker=None,
+    subspace: Sequence[int] | None = None,
 ) -> tuple[list[int], QueryStats]:
-    """Boolean-then-preference skyline."""
+    """Boolean-then-preference skyline, reported in SFS order — which is
+    Algorithm 1's ``(Σ point, point, tid)``."""
     stats = QueryStats()
     stats.kernel_backend = kernel_backend()
     started = time.perf_counter()
     candidates = select_tuples(relation, indexes, predicate, stats, ticker)
     stats.note_heap(len(candidates))
-    gathered = _gather_points(relation, candidates)
-    if using_numpy() and candidates:
-        # ``gathered`` is the columnar matrix; hand it to SFS directly.
-        tids = sfs_skyline(
-            list(zip(candidates, gathered)), matrix=gathered
-        )
-    else:
-        tids = sfs_skyline(list(zip(candidates, gathered)))
+    gathered = _gather_points(relation, candidates, ticker, subspace)
+    # A columnar matrix goes to SFS as it is, next to the (tid, row) pairs.
+    tids = sfs_skyline(
+        list(zip(candidates, gathered)),
+        matrix=None if isinstance(gathered, list) else gathered,
+    )
     stats.results = len(tids)
     stats.elapsed_seconds = time.perf_counter() - started
     return tids, stats
@@ -237,7 +250,7 @@ def boolean_first_topk(
     started = time.perf_counter()
     candidates = select_tuples(relation, indexes, predicate, stats, ticker)
     stats.note_heap(len(candidates))
-    scores = fn.score_block(_gather_points(relation, candidates))
+    scores = fn.score_block(_gather_points(relation, candidates, ticker))
     best = heapq.nsmallest(k, zip(scores, candidates))
     ranked = [(tid, score) for score, tid in best]
     stats.results = len(ranked)

@@ -27,11 +27,17 @@ _SFS_CHUNK = 1024
 def sfs_skyline(points: Points, matrix=None) -> list[int]:
     """Sort-first skyline: presort by a monotone score, filter once.
 
-    After sorting by ``sum(point)`` no later point can dominate an earlier
-    one, so a single pass comparing against the accumulated skyline is
-    complete.  The sort key and the domination filter both run through the
-    batch kernels; the ``(Σ point, tid)`` order is backend-invariant
-    because ``sum_block`` reproduces ``sum()`` bit-for-bit.
+    After sorting by ``(sum(point), point)`` no later point can dominate
+    an earlier one, so a single pass comparing against the accumulated
+    skyline is complete.  The point itself breaks sum ties for the reason
+    :class:`~repro.query.algorithm1.HeapEntry` gives: float sums can
+    collapse a dominating pair into one key, and only the lexicographic
+    order then keeps the dominator first.  It also makes the report order
+    ``(Σ point, point, tid)`` — Algorithm 1's — so an engine built on SFS
+    answers with the signature engine's list, not just its set.  The sort
+    key and the domination filter both run through the batch kernels; the
+    order is backend-invariant because ``sum_block`` reproduces ``sum()``
+    bit-for-bit.
 
     ``matrix`` optionally carries the same coordinates as a float64
     ``(n, d)`` ndarray aligned with ``points`` (a columnar gather), so the
@@ -56,7 +62,7 @@ def sfs_skyline(points: Points, matrix=None) -> list[int]:
         )
         tids = np.asarray([tid for tid, _ in points], dtype=np.int64)
         keys = np.asarray(sum_block(x), dtype=np.float64)
-        order = np.lexsort((tids, keys))
+        order = np.lexsort((tids, *x.T[::-1], keys))
         sorted_x = x[order]
         sorted_tids = tids[order].tolist()
         buffer = DominationBuffer(x.shape[1])
@@ -84,7 +90,8 @@ def sfs_skyline(points: Points, matrix=None) -> list[int]:
     ordered = [
         item
         for _, item in sorted(
-            zip(keys, points), key=lambda kv: (kv[0], kv[1][0])
+            zip(keys, points),
+            key=lambda kv: (kv[0], tuple(kv[1][1]), kv[1][0]),
         )
     ]
     buffer = DominationBuffer(len(ordered[0][1]))

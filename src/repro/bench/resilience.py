@@ -1,15 +1,14 @@
 """Fault-free overhead of the serving resilience plumbing.
 
 The resilience layer (deadline-budgeted retries, the per-(cell, SID)
-breaker board, shed checks, degradation dispatch — see
+breaker board, shed checks — see
 :mod:`repro.serve.resilience`) sits on the hot path of *every* query, so
 its cost when nothing is failing is the price of being prepared.  This
 micro-sweep measures that price directly, paired on one machine in one
 process:
 
 * **bare** — the executor stripped back to plain concurrent serving:
-  ``Resilience(breaker_threshold=0, shed=False,
-  degradation=DegradationPolicy(allow_boolean_first=False))``;
+  ``Resilience(breaker_threshold=0, shed=False)``;
 * **resilient** — the default-on configuration every deployment gets.
 
 Both serve the same seeded fault-free workload over a warm shared pool;
@@ -31,7 +30,7 @@ from typing import Any, Sequence
 from repro.bench.serving import DEFAULT_READ_LATENCY, _build_workload
 from repro.data.fixtures import build_sweep_system
 from repro.serve.executor import QueryExecutor
-from repro.serve.resilience import DegradationPolicy, Resilience
+from repro.serve.resilience import Resilience
 from repro.storage.buffer import BufferPool
 
 RESILIENCE_SCHEMA = "repro.resilience-bench/v1"
@@ -43,12 +42,8 @@ DEFAULT_QUERIES = 24
 DEFAULT_REPEATS = 5
 
 #: The stripped-back executor configuration the overhead is measured
-#: against — breakers off, shedding off, no boolean-first tier.
-BARE = Resilience(
-    breaker_threshold=0,
-    degradation=DegradationPolicy(allow_boolean_first=False),
-    shed=False,
-)
+#: against — breakers off, shedding off.
+BARE = Resilience(breaker_threshold=0, shed=False)
 
 
 def run_resilience_benchmark(

@@ -5,7 +5,7 @@ best-first branch-and-bound over the R-tree whose ``prune`` procedure
 combines *preference pruning* (skyline domination or top-k score bounds)
 with *boolean pruning* (signature bit tests), maintaining the ``result``,
 ``b_list`` and ``d_list`` needed for Lemma 2's incremental drill-down /
-roll-up (:mod:`repro.query.engine`).
+roll-up (:mod:`repro.query.session`).
 """
 
 from repro.query.predicates import BooleanPredicate
@@ -21,15 +21,15 @@ from repro.query.skyline import skyline_signature
 from repro.query.topk import topk_signature
 from repro.query.dynamic import dynamic_skyline_signature
 from repro.query.hull import lower_hull_signature
-from repro.query.engine import PreferenceEngine, QueryResult
+from repro.query.session import QueryResult, QuerySession
 from repro.query.sql import SQLSyntaxError, execute as execute_sql, parse_query
 
 __all__ = [
     "BooleanPredicate",
     "LinearFunction",
     "MonotoneFunction",
-    "PreferenceEngine",
     "QueryResult",
+    "QuerySession",
     "QueryStats",
     "RankingFunction",
     "SumFunction",

@@ -17,41 +17,25 @@ Two assembly modes, mirroring the conjunctive ones:
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 from repro.core.ops import union_all
 from repro.core.pcube import EmptyReader, PCube, SignatureAdapter
+from repro.core.store import AssembledReader
 from repro.cube.relation import Relation
-from repro.query.algorithm1 import (
-    SearchState,
-    SkylineStrategy,
-    TopKStrategy,
-    run_algorithm1,
-)
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import RankingFunction
 from repro.query.stats import QueryStats
 from repro.rtree.rtree import RTree
 from repro.storage.buffer import BufferPool
-from repro.storage.counters import SBLOCK
 
 
-class AnyOfReader:
-    """Disjunction of boolean-prune readers (lazy OR)."""
+class AnyOfReader(AssembledReader):
+    """Disjunction of boolean-prune readers (lazy OR).
 
-    def __init__(self, readers: Sequence) -> None:
-        if not readers:
-            raise ValueError("AnyOfReader needs at least one reader")
-        self.readers = list(readers)
-
-    @property
-    def load_seconds(self) -> float:
-        return sum(reader.load_seconds for reader in self.readers)
-
-    @property
-    def loads(self) -> int:
-        return sum(reader.loads for reader in self.readers)
+    Load time and the fault counters aggregate over the members exactly
+    as for the conjunction it derives from; only the bit tests differ.
+    """
 
     def check_entry(self, parent_path, position) -> bool:
         return any(
@@ -92,11 +76,14 @@ def reader_for_dnf(
     pool: BufferPool | None = None,
     counters=None,
     eager: bool = False,
+    **plumbing,
 ):
     """A boolean-prune reader for ``disjunct_1 OR disjunct_2 OR ...``.
 
-    Returns ``None`` when some disjunct is the empty conjunction ``φ``
-    (the disjunction is then a tautology: no pruning possible).
+    ``plumbing`` (tracer, retry budget, breaker board, epoch) is handed to
+    every per-disjunct ``reader_for_predicate`` unchanged.  Returns
+    ``None`` when some disjunct is the empty conjunction ``φ`` (the
+    disjunction is then a tautology: no pruning possible).
     """
     if not disjuncts:
         raise ValueError("reader_for_dnf needs at least one disjunct")
@@ -105,7 +92,7 @@ def reader_for_dnf(
     readers = []
     for disjunct in disjuncts:
         reader = pcube.reader_for_predicate(
-            disjunct.conjuncts, pool, counters, eager=eager
+            disjunct.conjuncts, pool, counters, eager=eager, **plumbing
         )
         if isinstance(reader, EmptyReader):
             continue  # an unsatisfiable disjunct contributes nothing
@@ -122,36 +109,6 @@ def reader_for_dnf(
     return AnyOfReader(readers)
 
 
-def _run_dnf(
-    relation: Relation,
-    rtree: RTree,
-    pcube: PCube,
-    disjuncts: Sequence[BooleanPredicate],
-    strategy,
-    pool: BufferPool | None,
-    eager: bool,
-) -> tuple[SearchState, QueryStats]:
-    stats = QueryStats()
-    if pool is None:
-        pool = BufferPool(rtree.disk, capacity=4096)
-    started = time.perf_counter()
-    reader = reader_for_dnf(
-        pcube, disjuncts, pool, stats.counters, eager=eager
-    )
-    state = run_algorithm1(
-        rtree,
-        strategy,
-        stats,
-        reader=reader,
-        pool=pool,
-        block_category=SBLOCK,
-    )
-    stats.elapsed_seconds = time.perf_counter() - started
-    if reader is not None:
-        stats.sig_load_seconds = reader.load_seconds
-    return state, stats
-
-
 def skyline_dnf(
     relation: Relation,
     rtree: RTree,
@@ -161,16 +118,12 @@ def skyline_dnf(
     eager_assembly: bool = False,
 ) -> tuple[list[int], QueryStats]:
     """Skyline over the union of the disjuncts' subsets."""
-    state, stats = _run_dnf(
-        relation,
-        rtree,
-        pcube,
-        disjuncts,
-        SkylineStrategy(dims=rtree.dims),
-        pool,
-        eager_assembly,
-    )
-    return [e.tid for e in state.results if e.tid is not None], stats
+    from repro.query.session import QuerySession
+
+    result = QuerySession(
+        relation, rtree, pcube, pool=pool, eager_assembly=eager_assembly
+    ).skyline_dnf(disjuncts)
+    return result.tids, result.stats
 
 
 def topk_dnf(
@@ -184,14 +137,9 @@ def topk_dnf(
     eager_assembly: bool = False,
 ) -> tuple[list[tuple[int, float]], QueryStats]:
     """Top-k over the union of the disjuncts' subsets."""
-    state, stats = _run_dnf(
-        relation,
-        rtree,
-        pcube,
-        disjuncts,
-        TopKStrategy(fn, k),
-        pool,
-        eager_assembly,
-    )
-    ranked = [(e.tid, e.key) for e in state.results if e.tid is not None]
-    return ranked, stats
+    from repro.query.session import QuerySession
+
+    result = QuerySession(
+        relation, rtree, pcube, pool=pool, eager_assembly=eager_assembly
+    ).topk_dnf(fn, k, disjuncts)
+    return list(zip(result.tids, result.scores)), result.stats

@@ -16,12 +16,10 @@ both the heap key and the domination probe.
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 from repro.core.pcube import PCube
 from repro.cube.relation import Relation
-from repro.kernels import backend as kernel_backend
 from repro.kernels.dominate import DominationBuffer, dominated_mask
 from repro.kernels.mindist import (
     sum_block,
@@ -29,14 +27,13 @@ from repro.kernels.mindist import (
     transform_points_rows,
     transform_rect_lowers_rows,
 )
-from repro.query.algorithm1 import HeapEntry, SearchState, run_algorithm1
+from repro.query.algorithm1 import HeapEntry, SearchState
 from repro.query.predicates import BooleanPredicate
 from repro.query.stats import QueryStats
 from repro.rtree.geometry import Rect
 from repro.rtree.node import NodeBlock
 from repro.rtree.rtree import RTree
 from repro.storage.buffer import BufferPool
-from repro.storage.counters import SBLOCK
 
 
 def transform_point(
@@ -143,35 +140,12 @@ def dynamic_skyline_signature(
     Returns the tuples not dynamically dominated (w.r.t. ``query_point``)
     within the predicate's subset, with the usual stats.
     """
-    if len(query_point) != rtree.dims:
-        raise ValueError(
-            f"query point has {len(query_point)} dims, tree has {rtree.dims}"
-        )
-    stats = QueryStats()
-    stats.kernel_backend = kernel_backend()
-    if pool is None:
-        pool = BufferPool(rtree.disk, capacity=4096)
-    started = time.perf_counter()
-    reader = None
-    if predicate is not None and not predicate.is_empty():
-        reader = pcube.reader_for_predicate(
-            predicate.conjuncts, pool, stats.counters
-        )
-    strategy = DynamicSkylineStrategy(query_point)
-    state = run_algorithm1(
-        rtree,
-        strategy,
-        stats,
-        reader=reader,
-        pool=pool,
-        block_category=SBLOCK,
-        ticker=ticker,
-    )
-    stats.elapsed_seconds = time.perf_counter() - started
-    if reader is not None:
-        stats.sig_load_seconds = reader.load_seconds
-    tids = [entry.tid for entry in state.results if entry.tid is not None]
-    return tids, stats, state
+    from repro.query.session import QuerySession
+
+    result = QuerySession(
+        relation, rtree, pcube, pool=pool, ticker=ticker
+    ).dynamic_skyline(query_point, predicate)
+    return result.tids, result.stats, result.state
 
 
 def naive_dynamic_skyline(

@@ -19,84 +19,44 @@ edge's inward normal); split until no point lies below any edge.
 
 from __future__ import annotations
 
-import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.pcube import PCube
 from repro.cube.relation import Relation
-from repro.kernels import backend as kernel_backend
-from repro.query.algorithm1 import TopKStrategy, run_algorithm1
 from repro.query.predicates import BooleanPredicate
-from repro.query.ranking import LinearFunction
 from repro.query.stats import QueryStats
 from repro.rtree.rtree import RTree
 from repro.storage.buffer import BufferPool
-from repro.storage.counters import SBLOCK
 
 #: Tolerance for "strictly below the edge" tests.
 _EPSILON = 1e-12
 
 
-def lower_hull_signature(
-    relation: Relation,
-    rtree: RTree,
-    pcube: PCube,
-    predicate: BooleanPredicate | None = None,
-    pool: BufferPool | None = None,
-    ticker=None,
-) -> tuple[list[int], QueryStats]:
-    """The lower-left convex hull of the predicate's subset (2-D only).
+Vertex = tuple[int, tuple[float, float]]
 
-    Returns hull-vertex tids ordered by increasing x (ties broken towards
-    smaller y), plus stats aggregated over every extreme-point search.
-    Collinear interior points are not reported.
+
+def lower_hull_chain(
+    extreme: Callable[[Sequence[float]], Vertex | None]
+) -> list[int]:
+    """The quickhull recursion over an extreme-point oracle.
+
+    ``extreme(weights)`` returns the ``(tid, (x, y))`` minimising the
+    linear function with those weights over the subset (``None`` when the
+    subset is empty) — one top-1 search in
+    :meth:`repro.query.session.QuerySession.lower_hull`.  Returns the hull
+    vertices ordered by increasing x (ties broken towards smaller y);
+    collinear interior points are not reported.
     """
-    if rtree.dims != 2:
-        raise ValueError("lower_hull_signature supports 2-D preference spaces")
-    stats = QueryStats()
-    stats.kernel_backend = kernel_backend()
-    if pool is None:
-        pool = BufferPool(rtree.disk, capacity=4096)
-    started = time.perf_counter()
-    reader = None
-    if predicate is not None and not predicate.is_empty():
-        reader = pcube.reader_for_predicate(
-            predicate.conjuncts, pool, stats.counters
-        )
-
-    def extreme(weights: Sequence[float]) -> tuple[int, tuple[float, float]] | None:
-        """argmin of a linear function over the subset (one top-1 search)."""
-        strategy = TopKStrategy(LinearFunction(weights), k=1)
-        state = run_algorithm1(
-            rtree,
-            strategy,
-            stats,
-            reader=reader,
-            pool=pool,
-            block_category=SBLOCK,
-            keep_lists=False,
-            ticker=ticker,
-        )
-        if not state.results:
-            return None
-        entry = state.results[0]
-        assert entry.tid is not None and entry.point is not None
-        return entry.tid, (entry.point[0], entry.point[1])
-
     # Axis extremes with a slight pull towards the other axis so that ties
     # resolve to the hull's corner points.
     left = extreme((1.0, 1e-9))
     bottom = extreme((1e-9, 1.0))
     if left is None or bottom is None:
-        stats.elapsed_seconds = time.perf_counter() - started
-        return [], stats
+        return []
 
-    hull: list[tuple[int, tuple[float, float]]] = []
+    hull: list[Vertex] = []
 
-    def expand(
-        a: tuple[int, tuple[float, float]],
-        b: tuple[int, tuple[float, float]],
-    ) -> None:
+    def expand(a: Vertex, b: Vertex) -> None:
         """Emit the hull chain between established vertices a and b."""
         (_, (ax, ay)), (_, (bx, by)) = a, b
         # Inward normal of the edge a→b for a lower-left chain: both
@@ -123,12 +83,29 @@ def lower_hull_signature(
     if left[1] != bottom[1]:
         expand(left, bottom)
         hull.append(bottom)
+    return [tid for tid, _ in hull]
 
-    stats.elapsed_seconds = time.perf_counter() - started
-    stats.results = len(hull)
-    if reader is not None:
-        stats.sig_load_seconds = reader.load_seconds
-    return [tid for tid, _ in hull], stats
+
+def lower_hull_signature(
+    relation: Relation,
+    rtree: RTree,
+    pcube: PCube,
+    predicate: BooleanPredicate | None = None,
+    pool: BufferPool | None = None,
+    ticker=None,
+) -> tuple[list[int], QueryStats]:
+    """The lower-left convex hull of the predicate's subset (2-D only).
+
+    Returns hull-vertex tids ordered by increasing x (ties broken towards
+    smaller y), plus stats aggregated over every extreme-point search.
+    Collinear interior points are not reported.
+    """
+    from repro.query.session import QuerySession
+
+    result = QuerySession(
+        relation, rtree, pcube, pool=pool, ticker=ticker
+    ).lower_hull(predicate)
+    return result.tids, result.stats
 
 
 def naive_lower_hull(

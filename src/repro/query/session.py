@@ -1,16 +1,39 @@
-"""Query sessions: one query surface, bindable to live or snapshot state.
+"""Query sessions: the one place a signature-method query is set up and run.
 
-A :class:`QuerySession` owns no mutable state of its own — it binds a
-(relation, R-tree, P-Cube) triple, a buffer-pool policy and optional
-serving hooks (epoch tag, cancellation ticker), and every query method
-produces a fresh :class:`~repro.query.engine.QueryResult`.  The same class
+The paper presents Algorithm 1 as *one* framework whose query kinds differ
+only in the preference-pruning strategy (Section V; Section VII adds
+dynamic skylines and convex hulls "easily").  :class:`QuerySession` is that
+framework's single driver: :meth:`QuerySession._run` builds the per-query
+context — stats, buffer pool, retry budget, breaker-aware signature reader,
+trace spans, ticker — runs the search and stamps the outcome, and every
+kind only hands it what differs: a
+:class:`~repro.query.algorithm1.SkylineStrategy` (optionally over a
+``preference by`` subspace), a :class:`~repro.query.algorithm1.TopKStrategy`,
+a :class:`~repro.query.dynamic.DynamicSkylineStrategy`, the hull's repeated
+top-1 searches on one reader, a DNF reader instead of a conjunctive one, or
+a resumed :class:`~repro.query.algorithm1.SearchState` for Lemma 2
+drill-down / roll-up (Section V-C):
+
+* drill-down (stronger predicate): ``c_heap = result ∪ d_list`` — entries
+  that failed the *old* boolean predicate keep failing the stronger one, so
+  ``b_list`` stays pruned; entries dominated by old results must be
+  reconsidered because their dominators may now fail the new predicate;
+* roll-up (weaker predicate): ``c_heap = result ∪ b_list`` — old results
+  still qualify, so everything they dominated stays dominated, while
+  boolean-pruned entries may now qualify.
+
+Top-k searches terminate early and may leave pending heap entries; those
+are carried over too (they were neither pruned nor reported).
+
+A session owns no mutable state of its own — it binds a (relation, R-tree,
+P-Cube) triple, a buffer-pool policy and optional serving hooks, and every
+query method produces a fresh :class:`QueryResult`.  The same class
 therefore serves two deployments:
 
 * **live / cold-pool** — bound to the live structures with no shared pool;
   each query runs on a private :class:`~repro.storage.buffer.BufferPool`,
   so disk-access counts stay a pure function of the query (the
-  paper-comparable mode :class:`~repro.query.engine.PreferenceEngine`
-  exposes).
+  paper-comparable mode; ``PCubeSystem.engine`` is such a session).
 * **snapshot / shared-pool** — built via :meth:`QuerySession.for_snapshot`
   from a pinned :class:`~repro.core.epoch.Snapshot`, usually with a shared
   pool.  Shared pools are accessed through a per-query
@@ -19,6 +42,12 @@ therefore serves two deployments:
   the ticker (the serving executor's deadline/cancel probe) is invoked on
   every Algorithm 1 heap pop.
 
+A session answers by signature only: its tiers are ``signature`` and
+``conservative`` (decided by its reader), and a
+:class:`~repro.storage.errors.StorageFault` that escapes the conservative
+readers propagates.  Handing such a query to another engine is the job of
+the one fallback chain (:mod:`repro.route.fallback`).
+
 Because snapshots are immutable and pools are thread-safe, any number of
 sessions — and any number of queries on one session — may run concurrently
 from different threads.
@@ -26,11 +55,10 @@ from different threads.
 
 from __future__ import annotations
 
-import heapq
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.kernels import backend as kernel_backend
 from repro.obs.trace import Tracer
@@ -41,17 +69,18 @@ from repro.query.algorithm1 import (
     TopKStrategy,
     run_algorithm1,
 )
+from repro.query.disjunction import reader_for_dnf
+from repro.query.dynamic import DynamicSkylineStrategy
+from repro.query.hull import lower_hull_chain
 from repro.query.predicates import BooleanPredicate
-from repro.query.ranking import RankingFunction
+from repro.query.ranking import LinearFunction, RankingFunction
 from repro.query.stats import QueryStats
-from repro.rtree.geometry import dominates
 from repro.storage.buffer import BufferPool, PoolView
-from repro.storage.counters import BTABLE, SBLOCK
-from repro.storage.errors import StorageFault
+from repro.storage.counters import SBLOCK
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.epoch import Snapshot
-    from repro.serve.resilience import BreakerBoard, DegradationPolicy
+    from repro.serve.resilience import BreakerBoard
 
 
 @dataclass
@@ -59,14 +88,16 @@ class QueryResult:
     """A completed query plus the state follow-up queries resume from.
 
     ``resumable`` marks whether ``state`` really carries Lemma 2 search
-    state: results produced by Algorithm 1 are resumable; answers served
-    by a routed baseline engine or replayed from the result cache are not
-    (their ``state`` is empty, and drilling down from them would silently
-    return nothing).
+    state for :meth:`QuerySession.drill_down` / :meth:`QuerySession.roll_up`:
+    conjunctive skyline / top-k results produced by Algorithm 1 are
+    resumable; dynamic skylines, hulls, DNF queries, answers served by a
+    scan or baseline engine and answers replayed from the result cache are
+    not (drilling down from them would silently return nothing).
     """
 
     kind: str  # "skyline" | "topk" | "dynamic_skyline" | "lower_hull"
-    predicate: BooleanPredicate
+    #: The conjunction queried — or, for a DNF query, its disjuncts.
+    predicate: BooleanPredicate | tuple[BooleanPredicate, ...]
     tids: list[int]
     scores: list[float] | None
     stats: QueryStats
@@ -78,6 +109,10 @@ class QueryResult:
 
     def __len__(self) -> int:
         return len(self.tids)
+
+
+def _span(tracer: Tracer | None, name: str, **attrs):
+    return tracer.span(name, **attrs) if tracer is not None else nullcontext()
 
 
 class QuerySession:
@@ -106,13 +141,6 @@ class QuerySession:
         breakers: A :class:`~repro.serve.resilience.BreakerBoard` shared
             across the serving deployment; partial loads consult it and an
             open breaker short-circuits straight to the degraded path.
-        degradation: Enables the tier-3 boolean-first fallback: a
-            :class:`~repro.serve.resilience.DegradationPolicy` whose
-            ``allow_boolean_first`` is true makes skyline/top-k queries
-            answer via a signature-free relation scan when even the search
-            structures fault, instead of propagating the storage error.
-            ``None`` (the default, and the paper-comparable mode) keeps
-            tiers 1–2 only.
     """
 
     def __init__(
@@ -127,7 +155,6 @@ class QuerySession:
         ticker: Callable[[], None] | None = None,
         deadline_at: float | None = None,
         breakers: "BreakerBoard | None" = None,
-        degradation: "DegradationPolicy | None" = None,
     ) -> None:
         self.relation = relation
         self.rtree = rtree
@@ -139,7 +166,6 @@ class QuerySession:
         self.ticker = ticker
         self.deadline_at = deadline_at
         self.breakers = breakers
-        self.degradation = degradation
         # Router-owned assembled-signature memo (a ResultCache); attached
         # per query by QueryRouter.route, never set for unrouted sessions.
         self.signature_memo = None
@@ -154,7 +180,6 @@ class QuerySession:
         ticker: Callable[[], None] | None = None,
         deadline_at: float | None = None,
         breakers: "BreakerBoard | None" = None,
-        degradation: "DegradationPolicy | None" = None,
     ) -> "QuerySession":
         """Bind a session to a pinned snapshot's frozen structures.
 
@@ -169,27 +194,22 @@ class QuerySession:
             pool_capacity=pool_capacity,
             eager_assembly=eager_assembly,
             epoch=snapshot.epoch,
+            ticker=ticker,
             deadline_at=deadline_at,
             breakers=breakers,
-            degradation=degradation,
-        ).with_ticker(ticker)
-
-    def with_ticker(self, ticker: Callable[[], None] | None) -> "QuerySession":
-        """Set the cancellation probe (chainable; used by the executor)."""
-        self.ticker = ticker
-        return self
+        )
 
     # ------------------------------------------------------------------ #
     # pool policy
     # ------------------------------------------------------------------ #
 
-    def _query_pool(self) -> BufferPool | PoolView:
+    def query_pool(self) -> BufferPool | PoolView:
         """Cold private pool, or a per-query view of the shared one."""
         if self.pool is None:
             return BufferPool(self.rtree.disk, capacity=self.pool_capacity)
         return PoolView(self.pool)
 
-    def _finish_pool(self, pool: BufferPool | PoolView, stats: QueryStats) -> None:
+    def finish_pool(self, pool: BufferPool | PoolView, stats: QueryStats) -> None:
         """Record this query's buffer delta and drop any leftover pins."""
         stats.pool_hits = pool.hits
         stats.pool_misses = pool.misses
@@ -197,8 +217,361 @@ class QuerySession:
             pool.release()
 
     # ------------------------------------------------------------------ #
-    # standard queries
+    # the query kinds: what each hands the runner
     # ------------------------------------------------------------------ #
+
+    def subspace(
+        self, preference_by: tuple[str, ...] | None
+    ) -> tuple[int, ...] | None:
+        """The preference positions a ``preference by`` list names."""
+        if preference_by is None:
+            return None
+        return tuple(
+            self.relation.schema.preference_position(name)
+            for name in preference_by
+        )
+
+    def _skyline_strategy(
+        self, preference_by: tuple[str, ...] | None
+    ) -> SkylineStrategy:
+        return SkylineStrategy(
+            self.rtree.dims, subspace=self.subspace(preference_by)
+        )
+
+    def skyline(
+        self,
+        predicate: BooleanPredicate | None = None,
+        preference_by: tuple[str, ...] | None = None,
+        tracer: Tracer | None = None,
+        keep_lists: bool = True,
+    ) -> QueryResult:
+        """A standard skyline query (Algorithm 1 from the root).
+
+        ``preference_by`` restricts the skyline to a subset of preference
+        dimensions by name (Section III's ``preference by N'1, ..., N'j``).
+        Pass a :class:`~repro.obs.trace.Tracer` to capture the span tree
+        and prune/load events of the execution.  ``keep_lists=False`` skips
+        the Lemma 2 lists (saves memory; the result cannot be resumed).
+        """
+        return self._answer(
+            "skyline",
+            predicate or BooleanPredicate(),
+            self._skyline_strategy(preference_by),
+            tracer,
+            keep_lists=keep_lists,
+            resumable=keep_lists,
+            preference_by=preference_by,
+        )
+
+    def topk(
+        self,
+        fn: RankingFunction,
+        k: int,
+        predicate: BooleanPredicate | None = None,
+        tracer: Tracer | None = None,
+        keep_lists: bool = True,
+    ) -> QueryResult:
+        """A standard top-k query (Section V-B): best-first by the lower
+        bound of ``fn`` over each node, k-th-score preference pruning."""
+        return self._answer(
+            "topk",
+            predicate or BooleanPredicate(),
+            TopKStrategy(fn, k),
+            tracer,
+            keep_lists=keep_lists,
+            resumable=keep_lists,
+            fn=fn,
+            k=k,
+        )
+
+    def dynamic_skyline(
+        self,
+        query_point: Sequence[float],
+        predicate: BooleanPredicate | None = None,
+        tracer: Tracer | None = None,
+    ) -> QueryResult:
+        """A dynamic skyline query (Section VII extension): the skyline in
+        the ``|x − query_point|`` space."""
+        if len(query_point) != self.rtree.dims:
+            raise ValueError(
+                f"query point has {len(query_point)} dims, "
+                f"tree has {self.rtree.dims}"
+            )
+        return self._answer(
+            "dynamic_skyline",
+            predicate or BooleanPredicate(),
+            DynamicSkylineStrategy(query_point),
+            tracer,
+            resumable=False,
+        )
+
+    def lower_hull(
+        self,
+        predicate: BooleanPredicate | None = None,
+        tracer: Tracer | None = None,
+    ) -> QueryResult:
+        """A 2-D lower-left convex hull query (Section VII extension):
+        hull-vertex tids by increasing x, stats aggregated over every
+        extreme-point search (each one a top-1 run on the same reader)."""
+        if self.rtree.dims != 2:
+            raise ValueError("lower_hull supports 2-D preference spaces")
+        predicate = predicate or BooleanPredicate()
+
+        def search(algorithm1, reader, stats):
+            def extreme(weights):
+                found = algorithm1(
+                    TopKStrategy(LinearFunction(weights), k=1),
+                    keep_lists=False,
+                ).results
+                if not found:
+                    return None
+                return found[0].tid, (found[0].point[0], found[0].point[1])
+
+            return lower_hull_chain(extreme)
+
+        tids, stats = self._run("lower_hull", predicate, search, tracer)
+        stats.results = len(tids)
+        return QueryResult(
+            kind="lower_hull",
+            predicate=predicate,
+            tids=tids,
+            scores=None,
+            stats=stats,
+            state=SearchState(),
+            resumable=False,
+        )
+
+    def skyline_dnf(
+        self,
+        disjuncts: Sequence[BooleanPredicate],
+        tracer: Tracer | None = None,
+    ) -> QueryResult:
+        """Skyline over the union of the disjuncts' subsets (signature
+        union, paper Fig. 3b; see :mod:`repro.query.disjunction`)."""
+        return self._answer(
+            "skyline",
+            tuple(disjuncts),
+            self._skyline_strategy(None),
+            tracer,
+            resumable=False,
+        )
+
+    def topk_dnf(
+        self,
+        fn: RankingFunction,
+        k: int,
+        disjuncts: Sequence[BooleanPredicate],
+        tracer: Tracer | None = None,
+    ) -> QueryResult:
+        """Top-k over the union of the disjuncts' subsets."""
+        return self._answer(
+            "topk",
+            tuple(disjuncts),
+            TopKStrategy(fn, k),
+            tracer,
+            resumable=False,
+            fn=fn,
+            k=k,
+        )
+
+    # ------------------------------------------------------------------ #
+    # incremental queries (Lemma 2)
+    # ------------------------------------------------------------------ #
+
+    def drill_down(
+        self,
+        previous: QueryResult,
+        dim: str,
+        value: Any,
+        tracer: Tracer | None = None,
+    ) -> QueryResult:
+        """Strengthen the previous query's predicate by one conjunct."""
+        self._check_resumable(previous)
+        state = previous.state
+        return self._resume(
+            previous,
+            previous.predicate.drill_down(dim, value),
+            "drill",
+            state.results + state.d_list + state.heap,
+            state.b_list,
+            {id(entry) for entry in state.d_list},
+            tracer,
+        )
+
+    def roll_up(
+        self, previous: QueryResult, dim: str, tracer: Tracer | None = None
+    ) -> QueryResult:
+        """Relax the previous query's predicate by removing one conjunct."""
+        self._check_resumable(previous)
+        state = previous.state
+        return self._resume(
+            previous,
+            previous.predicate.roll_up(dim),
+            "roll",
+            state.results + state.b_list + state.heap,
+            state.d_list,
+            frozenset(),
+            tracer,
+        )
+
+    @staticmethod
+    def _check_resumable(previous: QueryResult) -> None:
+        if not previous.resumable:
+            raise ValueError(
+                f"cannot drill-down/roll-up from this {previous.kind!r} "
+                f"result (served by {previous.stats.tier!r}): only "
+                "conjunctive skyline / top-k answers produced by Algorithm 1 "
+                "keep Lemma 2 search state; re-run the query from scratch"
+            )
+
+    def _resume(
+        self, previous, predicate, mode, carried, kept, dominated, tracer
+    ) -> QueryResult:
+        strategy = (
+            self._skyline_strategy(previous.preference_by)
+            if previous.kind == "skyline"
+            else TopKStrategy(previous.fn, previous.k)
+        )
+        return self._answer(
+            previous.kind,
+            predicate,
+            strategy,
+            tracer,
+            resume=(mode, carried, list(kept), dominated),
+            fn=previous.fn,
+            k=previous.k,
+            preference_by=previous.preference_by,
+        )
+
+    @staticmethod
+    def _resume_state(resume, reader, stats, tracer) -> SearchState:
+        """Rebuild the candidate heap from a previous query's lists.
+
+        Carried entries are pre-filtered with the new predicate's
+        signature, as the paper suggests, to keep the rebuilt heap small
+        (failures go straight to the new ``b_list``).
+        """
+        mode, carried, kept_list, dominated = resume
+        state = SearchState()
+        if mode == "drill":
+            state.b_list = PrunedList(kept_list)  # still fail the stronger BP
+        else:
+            state.d_list = PrunedList(kept_list)  # still dominated
+        state.seq = max((entry.seq for entry in carried), default=0)
+        with _span(tracer, "resume:prefilter", mode=mode):
+            for entry in carried:
+                if reader is None or reader.check_path(entry.path):
+                    state.heap.append(entry)
+                    continue
+                state.b_list.append(entry)
+                stats.boolean_pruned += 1
+                if tracer is not None:
+                    # A carried entry the old query already
+                    # preference-pruned that the new signature rejects too
+                    # fails both arms.
+                    arm = "both" if id(entry) in dominated else "bool"
+                    tracer.prune(arm, path=entry.path, key=entry.key)
+        return state
+
+    # ------------------------------------------------------------------ #
+    # the runner
+    # ------------------------------------------------------------------ #
+
+    def _answer(
+        self,
+        kind: str,
+        predicate,
+        strategy,
+        tracer: Tracer | None,
+        resume=None,
+        keep_lists: bool = True,
+        **result_fields,
+    ) -> QueryResult:
+        """One Algorithm 1 search (fresh or resumed) → a :class:`QueryResult`."""
+
+        def search(algorithm1, reader, stats):
+            state = None
+            if resume is not None:
+                state = self._resume_state(resume, reader, stats, tracer)
+            return algorithm1(strategy, state, keep_lists)
+
+        final_state, stats = self._run(
+            kind, predicate, search, tracer, incremental=resume is not None
+        )
+        reported = [e for e in final_state.results if e.tid is not None]
+        return QueryResult(
+            kind=kind,
+            predicate=predicate,
+            tids=[e.tid for e in reported],
+            scores=[e.key for e in reported] if kind == "topk" else None,
+            stats=stats,
+            state=final_state,
+            **result_fields,
+        )
+
+    def _run(
+        self,
+        kind: str,
+        predicate,
+        search: Callable,
+        tracer: Tracer | None,
+        incremental: bool = False,
+    ) -> tuple[Any, QueryStats]:
+        """Set up one signature-method query, run ``search``, stamp it.
+
+        ``search(algorithm1, reader, stats)`` is the kind-specific part:
+        ``algorithm1(strategy, state=None, keep_lists=True)`` runs (or
+        resumes) Algorithm 1 on this query's reader, pool, stats, tracer
+        and ticker, as many times as the kind needs.  Returns ``search``'s
+        value and the stamped stats; a storage fault the conservative
+        readers cannot absorb propagates.
+        """
+        stats = QueryStats()
+        stats.epoch = self.epoch
+        stats.kernel_backend = kernel_backend()
+        budget = self._budget()
+        pool = self.query_pool()
+        reader = None
+        if tracer is not None and tracer.counters is None:
+            tracer.counters = stats.counters
+        span_attrs = {"predicate": repr(predicate), "incremental": incremental}
+        if self.epoch is not None:
+            span_attrs["epoch"] = self.epoch
+        try:
+            with _span(tracer, f"query:{kind}", **span_attrs):
+                started = time.perf_counter()
+                with _span(tracer, "reader:setup"):
+                    reader = self._reader(predicate, pool, stats, tracer, budget)
+
+                def algorithm1(strategy, state=None, keep_lists=True):
+                    return run_algorithm1(
+                        self.rtree,
+                        strategy,
+                        stats,
+                        reader=reader,
+                        pool=pool,
+                        block_category=SBLOCK,
+                        state=state,
+                        keep_lists=keep_lists,
+                        tracer=tracer,
+                        ticker=self.ticker,
+                    )
+
+                outcome = search(algorithm1, reader, stats)
+                stats.elapsed_seconds = time.perf_counter() - started
+        finally:
+            self.finish_pool(pool, stats)
+            if reader is not None:
+                stats.sig_load_seconds = reader.load_seconds
+                stats.fault_retries = getattr(reader, "retries", 0)
+                stats.failed_loads = getattr(reader, "failed_loads", 0)
+                stats.degraded_checks = getattr(reader, "degraded_checks", 0)
+                stats.breaker_skips = getattr(reader, "breaker_skips", 0)
+                stats.degraded = bool(getattr(reader, "degraded", False))
+        # Tiers 1-2 are the reader's doing: it either pruned with every
+        # partial it wanted or answered some bit tests conservatively.
+        stats.tier = "conservative" if stats.degraded else "signature"
+        return outcome, stats
 
     def _budget(self):
         """The retry budget for one query starting now (or ``None``)."""
@@ -208,11 +581,22 @@ class QuerySession:
 
         return RetryBudget(self.deadline_at)
 
-    def _reader(
-        self, predicate: BooleanPredicate, pool, stats, tracer=None, budget=None
-    ):
-        if predicate.is_empty():
+    def _reader(self, predicate, pool, stats, tracer, budget):
+        """The boolean-prune reader: conjunctive, or any-of for a DNF."""
+        conjunctive = isinstance(predicate, BooleanPredicate)
+        if conjunctive and predicate.is_empty():
             return None
+        plumbing = {
+            "eager": self.eager_assembly,
+            "tracer": tracer,
+            "budget": budget,
+            "breakers": self.breakers,
+            "epoch": self.epoch,
+        }
+        if not conjunctive:
+            return reader_for_dnf(
+                self.pcube, predicate, pool, stats.counters, **plumbing
+            )
         memo = self.signature_memo
         memo_key: tuple[str, ...] | None = None
         if memo is not None and self.eager_assembly and self.epoch is not None:
@@ -223,14 +607,7 @@ class QuerySession:
             if cached is not None:
                 return cached
         reader = self.pcube.reader_for_predicate(
-            predicate.conjuncts,
-            pool,
-            stats.counters,
-            eager=self.eager_assembly,
-            tracer=tracer,
-            budget=budget,
-            breakers=self.breakers,
-            epoch=self.epoch,
+            predicate.conjuncts, pool, stats.counters, **plumbing
         )
         if memo_key is not None and self._memoizable(reader):
             memo.put_signature(memo_key, self.epoch, reader)
@@ -249,460 +626,4 @@ class QuerySession:
             return False
         return not getattr(reader, "degraded", False) and not getattr(
             reader, "failed_loads", 0
-        )
-
-    def skyline(
-        self,
-        predicate: BooleanPredicate | None = None,
-        preference_by: tuple[str, ...] | None = None,
-        tracer: Tracer | None = None,
-    ) -> QueryResult:
-        """A standard skyline query (Algorithm 1 from the root).
-
-        ``preference_by`` restricts the skyline to a subset of preference
-        dimensions by name (Section III's ``preference by N'1, ..., N'j``).
-        Pass a :class:`~repro.obs.trace.Tracer` to capture the span tree
-        and prune/load events of the execution.
-        """
-        predicate = predicate or BooleanPredicate()
-        return self._run(
-            "skyline",
-            predicate,
-            state=None,
-            preference_by=preference_by,
-            tracer=tracer,
-        )
-
-    def topk(
-        self,
-        fn: RankingFunction,
-        k: int,
-        predicate: BooleanPredicate | None = None,
-        tracer: Tracer | None = None,
-    ) -> QueryResult:
-        """A standard top-k query."""
-        predicate = predicate or BooleanPredicate()
-        return self._run(
-            "topk", predicate, state=None, fn=fn, k=k, tracer=tracer
-        )
-
-    def dynamic_skyline(
-        self,
-        query_point,
-        predicate: BooleanPredicate | None = None,
-    ) -> QueryResult:
-        """A dynamic skyline query (Section VII extension): the skyline in
-        the ``|x − query_point|`` space."""
-        from repro.query.dynamic import dynamic_skyline_signature
-
-        predicate = predicate or BooleanPredicate()
-        pool = self._query_pool()
-        tids, stats, state = dynamic_skyline_signature(
-            self.relation,
-            self.rtree,
-            self.pcube,
-            query_point,
-            predicate,
-            pool=pool,
-            ticker=self.ticker,
-        )
-        stats.epoch = self.epoch
-        self._stamp_tier(stats)
-        self._finish_pool(pool, stats)
-        return QueryResult(
-            kind="dynamic_skyline",
-            predicate=predicate,
-            tids=tids,
-            scores=None,
-            stats=stats,
-            state=state,
-        )
-
-    def lower_hull(
-        self, predicate: BooleanPredicate | None = None
-    ) -> QueryResult:
-        """A 2-D lower-left convex hull query (Section VII extension)."""
-        from repro.query.hull import lower_hull_signature
-
-        predicate = predicate or BooleanPredicate()
-        pool = self._query_pool()
-        tids, stats = lower_hull_signature(
-            self.relation,
-            self.rtree,
-            self.pcube,
-            predicate,
-            pool=pool,
-            ticker=self.ticker,
-        )
-        stats.epoch = self.epoch
-        self._stamp_tier(stats)
-        self._finish_pool(pool, stats)
-        return QueryResult(
-            kind="lower_hull",
-            predicate=predicate,
-            tids=tids,
-            scores=None,
-            stats=stats,
-            state=SearchState(),
-        )
-
-    # ------------------------------------------------------------------ #
-    # incremental queries (Lemma 2)
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _check_incremental(previous: QueryResult) -> None:
-        if previous.kind not in ("skyline", "topk"):
-            raise ValueError(
-                f"drill-down/roll-up resume {previous.kind!r} queries is not "
-                "supported; only skyline and topk keep Lemma 2 state"
-            )
-        if previous.stats.tier == "boolean-first":
-            raise ValueError(
-                "cannot drill-down/roll-up from a boolean-first degraded "
-                "result: the scan fallback keeps no Lemma 2 search state; "
-                "re-run the query from scratch"
-            )
-        if not previous.resumable:
-            raise ValueError(
-                "cannot drill-down/roll-up from a routed or cached result: "
-                "it carries no Lemma 2 search state; re-run the query "
-                "through the session (or router) from scratch"
-            )
-
-    def drill_down(
-        self,
-        previous: QueryResult,
-        dim: str,
-        value: Any,
-        tracer: Tracer | None = None,
-    ) -> QueryResult:
-        """Strengthen the previous query's predicate by one conjunct."""
-        self._check_incremental(previous)
-        predicate = previous.predicate.drill_down(dim, value)
-        carried = (
-            previous.state.results
-            + previous.state.d_list
-            + previous.state.heap
-        )
-        dominated = {id(entry) for entry in previous.state.d_list}
-        return self._run(
-            previous.kind,
-            predicate,
-            state=("drill", carried, list(previous.state.b_list), dominated),
-            fn=previous.fn,
-            k=previous.k,
-            preference_by=previous.preference_by,
-            tracer=tracer,
-        )
-
-    def roll_up(
-        self, previous: QueryResult, dim: str, tracer: Tracer | None = None
-    ) -> QueryResult:
-        """Relax the previous query's predicate by removing one conjunct."""
-        self._check_incremental(previous)
-        predicate = previous.predicate.roll_up(dim)
-        carried = (
-            previous.state.results
-            + previous.state.b_list
-            + previous.state.heap
-        )
-        return self._run(
-            previous.kind,
-            predicate,
-            state=("roll", carried, list(previous.state.d_list), frozenset()),
-            fn=previous.fn,
-            k=previous.k,
-            preference_by=previous.preference_by,
-            tracer=tracer,
-        )
-
-    # ------------------------------------------------------------------ #
-    # shared runner
-    # ------------------------------------------------------------------ #
-
-    def _stamp_tier(self, stats: QueryStats) -> None:
-        """Record which degradation tier answered (tiers 1–2; the scan
-        fallback stamps tier 3 itself)."""
-        stats.tier = "conservative" if stats.degraded else "signature"
-
-    def _run(
-        self,
-        kind: str,
-        predicate: BooleanPredicate,
-        state,
-        fn: RankingFunction | None = None,
-        k: int | None = None,
-        preference_by: tuple[str, ...] | None = None,
-        tracer: Tracer | None = None,
-    ) -> QueryResult:
-        try:
-            return self._run_signature(
-                kind,
-                predicate,
-                state,
-                fn=fn,
-                k=k,
-                preference_by=preference_by,
-                tracer=tracer,
-            )
-        except StorageFault as fault:
-            if (
-                self.degradation is None
-                or not self.degradation.allow_boolean_first
-                or kind not in ("skyline", "topk")
-            ):
-                raise
-            # Tier 3: even the search structures fault — answer exactly
-            # from a signature-free relation scan, chaining the storage
-            # error so callers can see what forced the fallback.
-            try:
-                return self._run_boolean_first(
-                    kind,
-                    predicate,
-                    fn=fn,
-                    k=k,
-                    preference_by=preference_by,
-                    tracer=tracer,
-                    cause=fault,
-                )
-            except StorageFault as exc:
-                raise exc from fault
-
-    def _run_signature(
-        self,
-        kind: str,
-        predicate: BooleanPredicate,
-        state,
-        fn: RankingFunction | None = None,
-        k: int | None = None,
-        preference_by: tuple[str, ...] | None = None,
-        tracer: Tracer | None = None,
-    ) -> QueryResult:
-        stats = QueryStats()
-        stats.epoch = self.epoch
-        stats.kernel_backend = kernel_backend()
-        budget = self._budget()
-        pool = self._query_pool()
-        reader = None
-        if tracer is not None and tracer.counters is None:
-            tracer.counters = stats.counters
-        span_attrs = {
-            "predicate": repr(predicate),
-            "incremental": state is not None,
-        }
-        if self.epoch is not None:
-            span_attrs["epoch"] = self.epoch
-        query_span = (
-            tracer.span(f"query:{kind}", **span_attrs)
-            if tracer is not None
-            else nullcontext()
-        )
-        try:
-            with query_span:
-                started = time.perf_counter()
-                with (
-                    tracer.span("reader:setup")
-                    if tracer is not None
-                    else nullcontext()
-                ):
-                    reader = self._reader(
-                        predicate, pool, stats, tracer, budget=budget
-                    )
-                if kind == "skyline":
-                    subspace = None
-                    if preference_by is not None:
-                        subspace = tuple(
-                            self.relation.schema.preference_position(name)
-                            for name in preference_by
-                        )
-                    strategy: SkylineStrategy | TopKStrategy = SkylineStrategy(
-                        self.rtree.dims, subspace=subspace
-                    )
-                else:
-                    assert fn is not None and k is not None
-                    strategy = TopKStrategy(fn, k)
-
-                resume_state: SearchState | None = None
-                if state is not None:
-                    mode, carried, kept_list, dominated = state
-                    resume_state = SearchState()
-                    if mode == "drill":
-                        # still fail the stronger BP
-                        resume_state.b_list = PrunedList(kept_list)
-                    else:
-                        # still dominated
-                        resume_state.d_list = PrunedList(kept_list)
-                    resume_state.seq = max(
-                        (entry.seq for entry in carried), default=0
-                    )
-                    with (
-                        tracer.span("resume:prefilter", mode=mode)
-                        if tracer is not None
-                        else nullcontext()
-                    ):
-                        for entry in carried:
-                            # Pre-filter with the new predicate's signature,
-                            # as the paper suggests, to keep the rebuilt heap
-                            # small.
-                            if reader is not None and not reader.check_path(
-                                entry.path
-                            ):
-                                resume_state.b_list.append(entry)
-                                stats.boolean_pruned += 1
-                                if tracer is not None:
-                                    # A carried entry the old query already
-                                    # preference-pruned that the new
-                                    # signature rejects too fails both arms.
-                                    arm = (
-                                        "both"
-                                        if id(entry) in dominated
-                                        else "bool"
-                                    )
-                                    tracer.prune(
-                                        arm, path=entry.path, key=entry.key
-                                    )
-                            else:
-                                resume_state.heap.append(entry)
-
-                final_state = run_algorithm1(
-                    self.rtree,
-                    strategy,
-                    stats,
-                    reader=reader,
-                    pool=pool,
-                    block_category=SBLOCK,
-                    state=resume_state,
-                    tracer=tracer,
-                    ticker=self.ticker,
-                )
-                stats.elapsed_seconds = time.perf_counter() - started
-        finally:
-            self._finish_pool(pool, stats)
-            if reader is not None:
-                stats.sig_load_seconds = reader.load_seconds
-                stats.fault_retries = getattr(reader, "retries", 0)
-                stats.failed_loads = getattr(reader, "failed_loads", 0)
-                stats.degraded_checks = getattr(reader, "degraded_checks", 0)
-                stats.breaker_skips = getattr(reader, "breaker_skips", 0)
-                stats.degraded = bool(getattr(reader, "degraded", False))
-        self._stamp_tier(stats)
-
-        tids = [e.tid for e in final_state.results if e.tid is not None]
-        scores = (
-            [e.key for e in final_state.results if e.tid is not None]
-            if kind == "topk"
-            else None
-        )
-        return QueryResult(
-            kind=kind,
-            predicate=predicate,
-            tids=tids,
-            scores=scores,
-            stats=stats,
-            state=final_state,
-            fn=fn,
-            k=k,
-            preference_by=preference_by,
-        )
-
-    # ------------------------------------------------------------------ #
-    # tier 3: signature-free boolean-first fallback
-    # ------------------------------------------------------------------ #
-
-    def _run_boolean_first(
-        self,
-        kind: str,
-        predicate: BooleanPredicate,
-        fn: RankingFunction | None = None,
-        k: int | None = None,
-        preference_by: tuple[str, ...] | None = None,
-        tracer: Tracer | None = None,
-        cause: Exception | None = None,
-    ) -> QueryResult:
-        """Answer a skyline/top-k exactly without touching any signature
-        or R-tree page: scan the (snapshot's) relation, filter by the
-        predicate, run the preference step in memory.
-
-        Results are reported in Algorithm 1's best-first order — skyline
-        candidates sorted by ``(Σ projected coords, projected point, tid)``
-        with BBS-style domination against already-reported points, top-k by
-        ascending ``(score, tid)`` — so a degraded answer is byte-identical
-        to the serial engine's.  The scan is counted (``BTABLE``) and the
-        ticker still fires per tuple, so deadlines and cancellation apply.
-        """
-        stats = QueryStats()
-        stats.epoch = self.epoch
-        stats.tier = "boolean-first"
-        stats.degraded = True
-        span_attrs: dict[str, Any] = {
-            "predicate": repr(predicate),
-            "tier": "boolean-first",
-        }
-        if cause is not None:
-            span_attrs["cause"] = type(cause).__name__
-        if self.epoch is not None:
-            span_attrs["epoch"] = self.epoch
-        fallback_span = (
-            tracer.span(f"query:{kind}:boolean-first", **span_attrs)
-            if tracer is not None
-            else nullcontext()
-        )
-        with fallback_span:
-            started = time.perf_counter()
-            empty = predicate.is_empty()
-            candidates: list[int] = []
-            for tid in self.relation.scan(stats.counters, BTABLE):
-                if self.ticker is not None:
-                    self.ticker()
-                if empty or predicate.matches(self.relation, tid):
-                    candidates.append(tid)
-            stats.note_heap(len(candidates))
-            scores: list[float] | None = None
-            if kind == "skyline":
-                subspace: tuple[int, ...] | None = None
-                if preference_by is not None:
-                    subspace = tuple(
-                        self.relation.schema.preference_position(name)
-                        for name in preference_by
-                    )
-
-                def project(point) -> tuple[float, ...]:
-                    if subspace is None:
-                        return tuple(point)
-                    return tuple(point[d] for d in subspace)
-
-                projected = sorted(
-                    ((tid, project(self.relation.pref_point(tid))) for tid in candidates),
-                    key=lambda item: (sum(item[1]), item[1], item[0]),
-                )
-                result_points: list[tuple[float, ...]] = []
-                tids: list[int] = []
-                for tid, point in projected:
-                    if any(dominates(s, point) for s in result_points):
-                        stats.dominance_pruned += 1
-                        continue
-                    result_points.append(point)
-                    tids.append(tid)
-            else:
-                assert fn is not None and k is not None
-                scored = (
-                    (fn.score(self.relation.pref_point(tid)), tid)
-                    for tid in candidates
-                )
-                best = heapq.nsmallest(k, scored)
-                tids = [tid for _, tid in best]
-                scores = [score for score, _ in best]
-            stats.results = len(tids)
-            stats.elapsed_seconds = time.perf_counter() - started
-        return QueryResult(
-            kind=kind,
-            predicate=predicate,
-            tids=tids,
-            scores=scores,
-            stats=stats,
-            state=SearchState(),
-            fn=fn,
-            k=k,
-            preference_by=preference_by,
         )

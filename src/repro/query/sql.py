@@ -11,7 +11,7 @@ The paper writes preference queries as::
     preference by N1, N2, ..., Nj
 
 This module parses exactly that surface (case-insensitive, whitespace
-tolerant) and executes it on a :class:`~repro.query.engine.PreferenceEngine`.
+tolerant) and executes it on a :class:`~repro.query.session.QuerySession`.
 ``ORDER BY`` accepts any sum of per-dimension terms — ``price``,
 ``0.5 * mileage``, ``(price - 15000)^2``, ``0.3*(mileage - 30000)^2`` —
 covering the paper's Example 1 and Figure 13 function families; the mix is
@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.query.engine import PreferenceEngine, QueryResult
+from repro.query.session import QueryResult, QuerySession
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import SeparableFunction
 
@@ -195,7 +195,7 @@ def parse_query(text: str) -> ParsedQuery:
     return parsed
 
 
-def execute(engine: PreferenceEngine, text: str) -> QueryResult:
+def execute(engine: QuerySession, text: str) -> QueryResult:
     """Parse and run a query against a built system."""
     parsed = parse_query(text)
     schema = engine.relation.schema

@@ -2,20 +2,16 @@
 
 from __future__ import annotations
 
-import time
-from contextlib import nullcontext
-
 from repro.core.pcube import PCube
-from repro.kernels import backend as kernel_backend
-from repro.obs.trace import Tracer
 from repro.cube.relation import Relation
-from repro.query.algorithm1 import SearchState, TopKStrategy, run_algorithm1
+from repro.obs.trace import Tracer
+from repro.query.algorithm1 import SearchState
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import RankingFunction
+from repro.query.session import QuerySession
 from repro.query.stats import QueryStats
 from repro.rtree.rtree import RTree
 from repro.storage.buffer import BufferPool
-from repro.storage.counters import SBLOCK
 
 
 def topk_signature(
@@ -39,48 +35,7 @@ def topk_signature(
         ``(tid, score)`` in non-decreasing score order (ties arbitrary), of
         length ``min(k, |qualifying tuples|)``.
     """
-    stats = QueryStats()
-    stats.kernel_backend = kernel_backend()
-    if pool is None:
-        pool = BufferPool(rtree.disk, capacity=4096)
-    if tracer is not None and tracer.counters is None:
-        tracer.counters = stats.counters
-    query_span = (
-        tracer.span("query:topk", k=k) if tracer is not None else nullcontext()
-    )
-    with query_span:
-        started = time.perf_counter()
-        reader = None
-        if predicate is not None and not predicate.is_empty():
-            with (
-                tracer.span("reader:setup")
-                if tracer is not None
-                else nullcontext()
-            ):
-                reader = pcube.reader_for_predicate(
-                    predicate.conjuncts,
-                    pool,
-                    stats.counters,
-                    eager=eager_assembly,
-                    tracer=tracer,
-                )
-        strategy = TopKStrategy(fn, k)
-        state = run_algorithm1(
-            rtree,
-            strategy,
-            stats,
-            reader=reader,
-            pool=pool,
-            block_category=SBLOCK,
-            keep_lists=keep_lists,
-            tracer=tracer,
-        )
-        stats.elapsed_seconds = time.perf_counter() - started
-    if reader is not None:
-        stats.sig_load_seconds = reader.load_seconds
-    ranked = [
-        (entry.tid, entry.key)
-        for entry in state.results
-        if entry.tid is not None
-    ]
-    return ranked, stats, state
+    result = QuerySession(
+        relation, rtree, pcube, pool=pool, eager_assembly=eager_assembly
+    ).topk(fn, k, predicate, tracer, keep_lists=keep_lists)
+    return list(zip(result.tids, result.scores)), result.stats, result.state

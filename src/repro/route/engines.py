@@ -5,12 +5,14 @@ answer exactly or raise :class:`~repro.route.fallback.StrategyUnsupported`
 when the query shape is outside its contract.  The contracts:
 
 * ``signature`` — Algorithm 1 with P-Cube boolean pruning, via the
-  session's own signature path (tiers 1–2 of the PR-5 degradation chain
-  included).  Supports every query shape.
+  session (its reader-decided ``signature`` / ``conservative`` tiers
+  included).  Supports every query shape, and is the only engine for
+  dynamic skylines and hulls.
 * ``boolean-first`` — the Section VI-A baseline: B+-tree/table-scan
-  selection, then the preference step in memory.  Uses the live B+-trees
-  when their postings still cover the snapshot's rows, else the session's
-  index-free scan path; always exact.
+  selection, then the preference step in memory, reported in Algorithm
+  1's order.  Uses the live B+-trees when their postings still cover the
+  snapshot's rows, else a table scan; always exact.  With an index-less
+  context it is the serving fallback when the search structures fault.
 * ``domination-first`` — BBS + minimal probing (*Ranking* for top-k).
   No preference-subspace support (the baseline searches full space).
 * ``index-merge`` — the [14] baseline: top-k only, and only while the
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field
 from repro.baselines.boolean_first import (
     boolean_first_skyline,
     boolean_first_topk,
+    select_tuples,
 )
 from repro.baselines.domination_first import (
     domination_first_skyline,
@@ -45,7 +48,6 @@ from repro.query.predicates import BooleanPredicate
 from repro.query.session import QueryResult, QuerySession
 from repro.query.stats import QueryStats
 from repro.route.fallback import StrategyUnsupported
-from repro.storage.counters import BTABLE
 
 #: Engine names, in default preference order (naive always last).
 SIGNATURE = "signature"
@@ -66,11 +68,12 @@ STRATEGY_ORDER = (
 class RouteRequest:
     """One query, as the router sees it."""
 
-    kind: str  # "skyline" | "topk"
+    kind: str  # "skyline" | "topk" | "dynamic_skyline" | "lower_hull"
     predicate: BooleanPredicate
     fn: object | None = None
     k: int | None = None
     preference_by: tuple[str, ...] | None = None
+    query_point: tuple[float, ...] | None = None
     tracer: object | None = None
 
 
@@ -114,15 +117,6 @@ def canonicalize(result: QueryResult) -> QueryResult:
     return result
 
 
-def _subspace(session: QuerySession, preference_by) -> tuple[int, ...] | None:
-    if preference_by is None:
-        return None
-    return tuple(
-        session.relation.schema.preference_position(name)
-        for name in preference_by
-    )
-
-
 def _wrap(
     session: QuerySession,
     request: RouteRequest,
@@ -163,52 +157,47 @@ def run_signature(
             preference_by=request.preference_by,
             tracer=request.tracer,
         )
-    return session.topk(
-        request.fn, request.k, request.predicate, tracer=request.tracer
-    )
+    if request.kind == "topk":
+        return session.topk(
+            request.fn, request.k, request.predicate, tracer=request.tracer
+        )
+    if request.kind == "dynamic_skyline":
+        return session.dynamic_skyline(
+            request.query_point, request.predicate, tracer=request.tracer
+        )
+    return session.lower_hull(request.predicate, tracer=request.tracer)
 
 
 def run_boolean_first(
     session: QuerySession, request: RouteRequest, ctx: EngineContext
 ) -> QueryResult:
-    """Boolean selection first, preference step in memory."""
-    if (
-        ctx.indexes_cover(session.relation)
-        and request.preference_by is None
-    ):
-        if request.kind == "skyline":
-            tids, stats = boolean_first_skyline(
-                session.relation,
-                ctx.indexes,
-                request.predicate,
-                ticker=session.ticker,
-            )
-            return _wrap(session, request, tids, None, stats, BOOLEAN_FIRST)
-        ranked, stats = boolean_first_topk(
-            session.relation,
-            ctx.indexes,
-            request.fn,
-            request.k,
+    """Boolean selection first, preference step in memory.
+
+    Postings that are absent or do not cover the snapshot's rows are not
+    offered to the selection, which then scans the table.
+    """
+    relation = session.relation
+    indexes = ctx.indexes if ctx.indexes_cover(relation) else {}
+    if request.kind == "skyline":
+        tids, stats = boolean_first_skyline(
+            relation,
+            indexes,
             request.predicate,
             ticker=session.ticker,
+            subspace=session.subspace(request.preference_by),
         )
-        tids = [tid for tid, _ in ranked]
-        scores = [score for _, score in ranked]
-        return _wrap(session, request, tids, scores, stats, BOOLEAN_FIRST)
-    # No (usable) indexes: the session's exact index-free scan path.  This
-    # is a routed *choice* here, not a degradation, so the degraded flag
-    # the tier-3 fallback stamps is cleared.
-    result = session._run_boolean_first(
-        request.kind,
+        return _wrap(session, request, tids, None, stats, BOOLEAN_FIRST)
+    ranked, stats = boolean_first_topk(
+        relation,
+        indexes,
+        request.fn,
+        request.k,
         request.predicate,
-        fn=request.fn,
-        k=request.k,
-        preference_by=request.preference_by,
-        tracer=request.tracer,
+        ticker=session.ticker,
     )
-    result.stats.degraded = False
-    result.resumable = False
-    return result
+    tids = [tid for tid, _ in ranked]
+    scores = [score for _, score in ranked]
+    return _wrap(session, request, tids, scores, stats, BOOLEAN_FIRST)
 
 
 def run_domination_first(
@@ -219,7 +208,7 @@ def run_domination_first(
         raise StrategyUnsupported(
             DOMINATION_FIRST, "no preference-subspace support"
         )
-    pool = session._query_pool()
+    pool = session.query_pool()
     if request.kind == "skyline":
         tids, stats, _ = domination_first_skyline(
             session.relation,
@@ -228,7 +217,7 @@ def run_domination_first(
             pool=pool,
             ticker=session.ticker,
         )
-        session._finish_pool(pool, stats)
+        session.finish_pool(pool, stats)
         return _wrap(session, request, tids, None, stats, DOMINATION_FIRST)
     ranked, stats, _ = ranking_topk(
         session.relation,
@@ -239,7 +228,7 @@ def run_domination_first(
         pool=pool,
         ticker=session.ticker,
     )
-    session._finish_pool(pool, stats)
+    session.finish_pool(pool, stats)
     tids = [tid for tid, _ in ranked]
     scores = [score for _, score in ranked]
     return _wrap(session, request, tids, scores, stats, DOMINATION_FIRST)
@@ -256,7 +245,7 @@ def run_index_merge(
             INDEX_MERGE,
             "B+-tree postings do not cover this snapshot's rows",
         )
-    pool = session._query_pool()
+    pool = session.query_pool()
     ranked, stats = index_merge_topk(
         session.relation,
         session.rtree,
@@ -267,7 +256,7 @@ def run_index_merge(
         pool=pool,
         ticker=session.ticker,
     )
-    session._finish_pool(pool, stats)
+    session.finish_pool(pool, stats)
     tids = [tid for tid, _ in ranked]
     scores = [score for _, score in ranked]
     return _wrap(session, request, tids, scores, stats, INDEX_MERGE)
@@ -278,17 +267,14 @@ def run_naive(
 ) -> QueryResult:
     """Ground truth: counted scan, literal domination / full sort."""
     stats = QueryStats()
-    predicate = request.predicate
-    empty = predicate.is_empty()
-    candidates: list[tuple[int, tuple]] = []
-    for tid in session.relation.scan(stats.counters, BTABLE):
-        if session.ticker is not None:
-            session.ticker()
-        if empty or predicate.matches(session.relation, tid):
-            candidates.append((tid, session.relation.pref_point(tid)))
-    stats.note_heap(len(candidates))
+    relation = session.relation
+    selected = select_tuples(
+        relation, {}, request.predicate, stats, session.ticker
+    )
+    stats.note_heap(len(selected))
+    candidates = [(tid, relation.pref_point(tid)) for tid in selected]
     if request.kind == "skyline":
-        subspace = _subspace(session, request.preference_by)
+        subspace = session.subspace(request.preference_by)
         if subspace is not None:
             candidates = [
                 (tid, tuple(point[d] for d in subspace))

@@ -1,18 +1,25 @@
-"""The ordered fallback chain: try engines until one answers.
+"""The one fallback chain: try engines in order until one answers.
 
-The router never *needs* a particular engine — every strategy in
+No query *needs* a particular engine — every strategy in
 :mod:`repro.route.engines` returns exact answers — so a strategy that
 cannot serve a query (:class:`StrategyUnsupported`), faults on storage
 (:class:`~repro.storage.errors.StorageFault`) or exceeds its slice of the
 deadline (:class:`StrategyTimeout`) simply hands the query to the next
 engine in the chain.  What cannot be retried is a lapsed *overall*
-deadline or a cancellation: those abort the query exactly as they would
-without routing.
+deadline or a cancellation: those abort the query.
+
+Both serving modes run through :meth:`FallbackExecutor.run`.  The
+unrouted executor hands it the fixed chain ``(signature, boolean-first)``
+for skylines and top-k (``(signature,)`` for dynamic skylines and hulls)
+with an index-less context; the router hands it its cost-ordered chain.
+This is the only place a storage fault moves a query to another engine:
+the session itself answers by signature or lets the fault propagate.
 
 Deadline slicing: a session with ``deadline_at`` set gives each attempt an
 equal share of the *remaining* budget (``remaining / engines left``), so
 one pathological engine cannot starve the rest of the chain.  The last
-engine always gets everything that is left.
+engine always gets everything that is left, and without a deadline the
+session's ticker is handed through untouched.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ class FallbackExecutor:
     def __init__(self, engines: dict[str, Callable]) -> None:
         self.engines = engines
 
-    def execute(
+    def run(
         self,
         chain: list[str],
         session: "QuerySession",
@@ -73,64 +80,82 @@ class FallbackExecutor:
         """Returns ``(result, failed_attempts)``.
 
         ``failed_attempts`` lists ``(strategy, error)`` for every engine
-        tried before the one that answered.  Exhausting the chain re-raises
-        the last error; an empty chain raises :class:`StrategyUnsupported`.
+        tried before the one that answered (``chain[len(failed_attempts)]``).
+        The result's ``stats.fallbacks`` counts them, and ``stats.degraded``
+        is set when any of them was a storage fault — the answer is exact,
+        but it was not the healthy path that produced it.  Exhausting the
+        chain re-raises the last error, chained ``from`` the first one so
+        callers see what started the hand-over; an empty chain raises
+        :class:`StrategyUnsupported`.
         """
-        from repro.serve.executor import QueryCancelled, QueryTimeout
-
         if not chain:
             raise StrategyUnsupported(
                 "router", f"no engine supports this {request.kind} query"
             )
         failures: list[tuple[str, Exception]] = []
+        faulted = False
         base_ticker = session.ticker
         deadline_at = session.deadline_at
-        last_error: Exception | None = None
         try:
             for position, name in enumerate(chain):
-                now = time.perf_counter()
-                if deadline_at is not None and now > deadline_at:
-                    raise QueryTimeout(
-                        f"{request.kind} query exceeded its deadline "
-                        f"(after {len(failures)} fallback attempt(s))"
-                    )
                 remaining_engines = len(chain) - position
-                attempt_deadline = deadline_at
-                if deadline_at is not None and remaining_engines > 1:
-                    attempt_deadline = (
-                        now + (deadline_at - now) / remaining_engines
-                    )
-                session.ticker = self._attempt_ticker(
-                    name, base_ticker, attempt_deadline, deadline_at
-                )
+                if deadline_at is not None:
+                    now = time.perf_counter()
+                    if now > deadline_at:
+                        from repro.serve.executor import QueryTimeout
+
+                        raise QueryTimeout(
+                            f"{request.kind} query exceeded its deadline "
+                            f"(after {len(failures)} fallback attempt(s))"
+                        )
+                    if remaining_engines > 1:
+                        session.ticker = self._attempt_ticker(
+                            name,
+                            base_ticker,
+                            now + (deadline_at - now) / remaining_engines,
+                        )
+                    else:
+                        session.ticker = base_ticker
+                # Only these three hand the query on; anything else an
+                # engine raises — the overall deadline, a cancellation —
+                # aborts it.
                 try:
                     result = self.engines[name](session, request, ctx)
-                except StrategyUnsupported as exc:
+                except (StrategyUnsupported, StrategyTimeout) as exc:
                     failures.append((name, exc))
-                    last_error = exc
-                except StrategyTimeout as exc:
-                    failures.append((name, exc))
-                    last_error = exc
                 except StorageFault as exc:
                     failures.append((name, exc))
-                    last_error = exc
-                except (QueryTimeout, QueryCancelled):
-                    raise  # the overall budget/caller aborted: no fallback
+                    faulted = True
                 else:
-                    result.stats.route = name
                     result.stats.fallbacks = len(failures)
+                    result.stats.degraded |= faulted
                     return result, failures
-            assert last_error is not None
-            raise last_error
         finally:
             session.ticker = base_ticker
+        first, last = failures[0][1], failures[-1][1]
+        if last is first:
+            raise last
+        raise last from first
+
+    def execute(
+        self,
+        chain: list[str],
+        session: "QuerySession",
+        request: "RouteRequest",
+        ctx: "EngineContext",
+    ) -> tuple["QueryResult", list[tuple[str, Exception]]]:
+        """:meth:`run` for a *routed* query: also stamps ``stats.route``
+        with the engine that answered.  Unrouted reads keep ``route``
+        unset — it is how every stat surface tells the two modes apart."""
+        result, failures = self.run(chain, session, request, ctx)
+        result.stats.route = chain[len(failures)]
+        return result, failures
 
     @staticmethod
     def _attempt_ticker(
         strategy: str,
         base_ticker: Callable[[], None] | None,
-        attempt_deadline: float | None,
-        overall_deadline: float | None,
+        attempt_deadline: float,
     ) -> Callable[[], None]:
         """Compose the session ticker with this attempt's deadline slice.
 
@@ -141,11 +166,7 @@ class FallbackExecutor:
         def tick() -> None:
             if base_ticker is not None:
                 base_ticker()
-            if (
-                attempt_deadline is not None
-                and attempt_deadline != overall_deadline
-                and time.perf_counter() > attempt_deadline
-            ):
+            if time.perf_counter() > attempt_deadline:
                 raise StrategyTimeout(strategy)
 
         return tick

@@ -18,8 +18,10 @@ concrete.  For every skyline/top-k query the router:
    :class:`~repro.route.fallback.FallbackExecutor` (unsupported shapes,
    storage faults and per-attempt deadline slices fall through; overall
    deadline/cancellation abort);
-5. canonicalises the answer, feeds the observed cost back into the book,
-   and caches the canonical bytes under the epoch-keyed key.
+5. canonicalises the answer, feeds the observed cost back into the book
+   when the first-choice engine served it (a fallback's I/O describes
+   neither engine's healthy cost), and caches the canonical bytes under
+   the epoch-keyed key.
 
 Every engine is exact, so the router's contract is strong: *the answer is
 byte-identical to naive regardless of the route taken* — the differential
@@ -66,23 +68,15 @@ class RoutingPolicy:
 
     Attributes:
         cache: Enable the epoch-keyed result cache (and signature memo).
-        cache_capacity / signature_cache_capacity: LRU bounds.
         forced: Pin every query to one engine — no fallback chain, an
             unsupported shape raises.  (Benchmark "pinned" series, tests.)
         forced_chain: Use exactly this chain, in order, skipping engines
             that do not support the query shape.  (Fallback-edge tests.)
-        slice_deadlines: Give each attempt an equal share of the remaining
-            deadline instead of letting the first engine spend it all.
-        ewma_alpha: The cost book's smoothing factor.
     """
 
     cache: bool = True
-    cache_capacity: int = 512
-    signature_cache_capacity: int = 64
     forced: str | None = None
     forced_chain: tuple[str, ...] | None = None
-    slice_deadlines: bool = True
-    ewma_alpha: float = 0.4
 
 
 class QueryRouter:
@@ -111,15 +105,8 @@ class QueryRouter:
         )
         self.breakers = breakers
         self.predicate_stats = PredicateStats()
-        self.costs = CostBook(alpha=self.policy.ewma_alpha)
-        self.cache = (
-            ResultCache(
-                capacity=self.policy.cache_capacity,
-                signature_capacity=self.policy.signature_cache_capacity,
-            )
-            if self.policy.cache
-            else None
-        )
+        self.costs = CostBook()
+        self.cache = ResultCache() if self.policy.cache else None
         self.stats = RouterStats()
         self.fallback = FallbackExecutor(ENGINES)
 
@@ -321,13 +308,14 @@ class QueryRouter:
         result.stats.cache_outcome = cache_outcome
 
         # -- learn + cache ---------------------------------------------- #
-        estimate = self.predicate_stats.cardinality(predicate)
-        self.costs.observe(
-            kind,
-            result.stats.route,
-            candidate_bucket(estimate),
-            float(result.stats.total_io()),
-        )
+        if not failures:
+            estimate = self.predicate_stats.cardinality(predicate)
+            self.costs.observe(
+                kind,
+                result.stats.route,
+                candidate_bucket(estimate),
+                float(result.stats.total_io()),
+            )
         self.stats.note_served(
             chain, result.stats.route, failures, cache_outcome
         )

@@ -29,7 +29,6 @@ from repro.serve.executor import (
 from repro.serve.resilience import (
     BreakerBoard,
     CircuitBreaker,
-    DegradationPolicy,
     Resilience,
     RetryBudget,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "AdmissionFull",
     "BreakerBoard",
     "CircuitBreaker",
-    "DegradationPolicy",
     "Finding",
     "QueryCancelled",
     "QueryExecutor",

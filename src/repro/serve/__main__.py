@@ -168,7 +168,7 @@ def run_health(threads: int, n_queries: int, seed: int) -> int:
     The fault plan fires transient read errors and one permanent
     corruption against the signature pages, so the report shows retries,
     degraded loads, breaker activity and the quarantine backlog — while
-    the degradation chain must keep every skyline/top-k answer
+    the conservative readers and the fallback chain must keep every answer
     byte-identical to the serial engine's.
     """
     problems: list[str] = []

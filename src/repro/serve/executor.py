@@ -20,10 +20,15 @@ The serving pipeline, front to back:
 * The executor is **resilient by default** (see
   :mod:`repro.serve.resilience`): sessions run with deadline-budgeted
   storage retries, partial loads consult a shared per-(cell, SID)
-  :class:`~repro.serve.resilience.BreakerBoard`, skyline/top-k queries may
-  fall back to the exact boolean-first tier when even the search
-  structures fault, and queued tickets whose deadline already lapsed are
-  **shed** (:class:`QueryShed`) instead of wasting a worker.
+  :class:`~repro.serve.resilience.BreakerBoard`, and queued tickets whose
+  deadline already lapsed are **shed** (:class:`QueryShed`) instead of
+  wasting a worker.
+* Every per-kind query runs down **one fallback chain**
+  (:mod:`repro.route.fallback`): the router's cost-ordered chain when
+  routing is on, else the fixed ``signature → boolean-first`` chain, whose
+  exact table scan answers skylines and top-k when even the search
+  structures fault (dynamic skylines and hulls have no scan engine and
+  surface the fault).
 
 Results carry their epoch and queue wait in ``stats`` (and on the query
 span when a tracer is attached), and the executor aggregates fleet-level
@@ -42,6 +47,15 @@ from repro.obs.trace import Tracer
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import RankingFunction
 from repro.query.session import QueryResult, QuerySession
+from repro.route.engines import (
+    BOOLEAN_FIRST,
+    ENGINES,
+    SIGNATURE,
+    EngineContext,
+    RouteRequest,
+)
+from repro.route.fallback import FallbackExecutor
+from repro.route.router import QueryRouter, RoutingPolicy
 from repro.serve.resilience import Resilience
 from repro.serve.stats import ServingStats
 from repro.storage.buffer import BufferPool
@@ -217,15 +231,16 @@ class QueryExecutor:
             deadline).
         eager_assembly: Forwarded to every query session.
         resilience: The :class:`~repro.serve.resilience.Resilience` knobs
-            (breaker threshold, degradation chain, shedding).  ``None``
-            (the default) uses the default-on configuration; pass e.g.
+            (breaker threshold, shedding).  ``None`` (the default) uses
+            the default-on configuration; pass e.g.
             ``Resilience(breaker_threshold=0, shed=False)`` to strip the
             machinery back to PR-4 behaviour.
         routing: Opt-in adaptive routing.  ``True`` attaches a
             :class:`~repro.route.QueryRouter` with the default
             :class:`~repro.route.RoutingPolicy`; pass a policy to
             configure it; ``None``/``False`` (the default) serves every
-            skyline/top-k through the signature path exactly as before.
+            skyline/top-k by signature, falling back to the boolean-first
+            scan only on a storage fault.
             Routed answers are canonicalised (skyline tids ascending,
             top-k sorted by ``(score, tid)``) and byte-identical to the
             unrouted engine's answer *sets*.
@@ -263,10 +278,13 @@ class QueryExecutor:
             # closes its breakers immediately — snapshot sessions also heal
             # via epoch comparison, but only once a newer epoch publishes.
             system.pcube.store.on_cell_rebuilt = self.breakers.reset
+        # The unrouted chain: no B+-trees offered, so its boolean-first
+        # engine is the index-free table scan (postings are never
+        # maintained and may be stale for the pinned snapshot).
+        self._chain = FallbackExecutor(ENGINES)
+        self._chain_ctx = EngineContext()
         self.router = None
         if routing:
-            from repro.route import QueryRouter, RoutingPolicy
-
             policy = routing if isinstance(routing, RoutingPolicy) else None
             self.router = QueryRouter.for_system(
                 system, policy=policy, breakers=self.breakers
@@ -403,6 +421,37 @@ class QueryExecutor:
             ticket._finish(None, error)
         return len(evicted)
 
+    def _submit_request(
+        self, request: RouteRequest, deadline: float | None
+    ) -> Ticket:
+        return self.submit(
+            request.kind,
+            lambda session: self._answer(session, request),
+            deadline=deadline,
+            tracer=request.tracer,
+        )
+
+    def _answer(
+        self, session: QuerySession, request: RouteRequest
+    ) -> QueryResult:
+        """One query down the one chain: the router's for the kinds it
+        routes, else the fixed ``signature → boolean-first`` one (just
+        ``signature`` for the kinds no scan engine answers)."""
+        routable = request.kind in ("skyline", "topk")
+        if routable and self.router is not None:
+            return self.router.route(
+                session,
+                request.kind,
+                predicate=request.predicate,
+                fn=request.fn,
+                k=request.k,
+                preference_by=request.preference_by,
+                tracer=request.tracer,
+            )
+        chain = (SIGNATURE, BOOLEAN_FIRST) if routable else (SIGNATURE,)
+        result, _ = self._chain.run(chain, session, request, self._chain_ctx)
+        return result
+
     def skyline(
         self,
         predicate: BooleanPredicate | None = None,
@@ -410,27 +459,14 @@ class QueryExecutor:
         deadline: float | None = None,
         tracer: Tracer | None = None,
     ) -> Ticket:
-        if self.router is not None:
-            router = self.router
-            return self.submit(
+        return self._submit_request(
+            RouteRequest(
                 "skyline",
-                lambda session: router.route(
-                    session,
-                    "skyline",
-                    predicate=predicate,
-                    preference_by=preference_by,
-                    tracer=tracer,
-                ),
-                deadline=deadline,
+                predicate or BooleanPredicate(),
+                preference_by=preference_by,
                 tracer=tracer,
-            )
-        return self.submit(
-            "skyline",
-            lambda session: session.skyline(
-                predicate, preference_by=preference_by, tracer=tracer
             ),
-            deadline=deadline,
-            tracer=tracer,
+            deadline,
         )
 
     def topk(
@@ -441,26 +477,11 @@ class QueryExecutor:
         deadline: float | None = None,
         tracer: Tracer | None = None,
     ) -> Ticket:
-        if self.router is not None:
-            router = self.router
-            return self.submit(
-                "topk",
-                lambda session: router.route(
-                    session,
-                    "topk",
-                    predicate=predicate,
-                    fn=fn,
-                    k=k,
-                    tracer=tracer,
-                ),
-                deadline=deadline,
-                tracer=tracer,
-            )
-        return self.submit(
-            "topk",
-            lambda session: session.topk(fn, k, predicate, tracer=tracer),
-            deadline=deadline,
-            tracer=tracer,
+        return self._submit_request(
+            RouteRequest(
+                "topk", predicate or BooleanPredicate(), fn=fn, k=k, tracer=tracer
+            ),
+            deadline,
         )
 
     def dynamic_skyline(
@@ -468,22 +489,29 @@ class QueryExecutor:
         query_point: Sequence[float],
         predicate: BooleanPredicate | None = None,
         deadline: float | None = None,
+        tracer: Tracer | None = None,
     ) -> Ticket:
-        return self.submit(
-            "dynamic_skyline",
-            lambda session: session.dynamic_skyline(query_point, predicate),
-            deadline=deadline,
+        return self._submit_request(
+            RouteRequest(
+                "dynamic_skyline",
+                predicate or BooleanPredicate(),
+                query_point=tuple(query_point),
+                tracer=tracer,
+            ),
+            deadline,
         )
 
     def lower_hull(
         self,
         predicate: BooleanPredicate | None = None,
         deadline: float | None = None,
+        tracer: Tracer | None = None,
     ) -> Ticket:
-        return self.submit(
-            "lower_hull",
-            lambda session: session.lower_hull(predicate),
-            deadline=deadline,
+        return self._submit_request(
+            RouteRequest(
+                "lower_hull", predicate or BooleanPredicate(), tracer=tracer
+            ),
+            deadline,
         )
 
     # ------------------------------------------------------------------ #
@@ -550,7 +578,6 @@ class QueryExecutor:
                         ticker=ticket._ticker,
                         deadline_at=ticket.deadline_at,
                         breakers=self.breakers,
-                        degradation=self.resilience.degradation,
                     )
                     if ticket.tracer is not None:
                         with ticket.tracer.span(

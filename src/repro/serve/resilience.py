@@ -1,4 +1,4 @@
-"""Serving resilience: retry budgets, circuit breakers, degradation tiers.
+"""Serving resilience: retry budgets, circuit breakers, load shedding.
 
 The PR-1 fault machinery (retries, quarantine, conservative readers) and
 the PR-4 concurrent executor compose here into a serving layer that
@@ -14,18 +14,19 @@ degrades instead of falling over:
   opens and readers jump straight to the degraded path with zero I/O on
   the bad pages; the next published epoch moves it to *half-open*, one
   probe tests the (possibly rebuilt) cell, and success closes it again;
-* :class:`DegradationPolicy` names the ordered chain of *exact* answer
-  paths — shared-pool signature engine → conservative degraded readers →
-  a signature-free boolean-first scan — and each query's result is
-  stamped with the tier that actually produced it;
 * overload control lives in the executor itself: a queued ticket that can
   no longer meet its deadline is evicted instead of wasting a worker,
   failing fast with :class:`~repro.serve.executor.QueryShed` (queue depth
   and retry-after hint attached for client-side backoff).
 
-Everything here is exactness-preserving: a lower tier answers the same
-bytes at higher I/O cost, and a breaker or shed never silently drops a
-query — it fails it with a typed error the caller can react to.
+What a query does once loads fail or are short-circuited is not decided
+here: the reader answers the affected bit tests conservatively (tier
+``conservative``, in :mod:`repro.core.store`), and a fault that escapes
+even that hands the query down the one fallback chain
+(:mod:`repro.route.fallback`).  Everything stays exactness-preserving: a
+lower tier answers the same bytes at higher I/O cost, and a breaker or
+shed never silently drops a query — it fails it with a typed error the
+caller can react to.
 """
 
 from __future__ import annotations
@@ -35,12 +36,6 @@ import time
 from dataclasses import dataclass
 
 from repro.storage.faults import DeterministicClock
-
-#: Tier names, in degradation order.  Every tier returns exact answers.
-TIER_SIGNATURE = "signature"
-TIER_CONSERVATIVE = "conservative"
-TIER_BOOLEAN_FIRST = "boolean-first"
-TIERS = (TIER_SIGNATURE, TIER_CONSERVATIVE, TIER_BOOLEAN_FIRST)
 
 
 class RetryBudget:
@@ -250,39 +245,6 @@ class BreakerBoard:
             }
 
 
-# ---------------------------------------------------------------------- #
-# the degradation chain
-# ---------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class DegradationPolicy:
-    """Which exact-answer fallbacks a session may take, in order.
-
-    The chain (every tier returns byte-identical answers, only the I/O
-    profile changes):
-
-    1. ``signature`` — the shared-pool signature engine, Algorithm 1 with
-       full boolean pruning (the fault-free fast path);
-    2. ``conservative`` — the same search with degraded readers: partials
-       that stay unreadable (or are short-circuited by an open breaker)
-       answer conservatively, leaf checks resolve exactly against the base
-       relation — lost pruning, never lost correctness;
-    3. ``boolean-first`` — the signature-free last resort for skyline and
-       top-k when even the search structures fault (e.g. unreadable R-tree
-       pages): scan the (snapshot's) relation, filter by the predicate,
-       and run the preference step in memory, reporting in Algorithm 1's
-       best-first order so results stay comparable bit for bit.
-
-    ``allow_boolean_first=False`` stops the chain after tier 2: storage
-    faults that escape the conservative readers then propagate as typed
-    errors (dynamic-skyline and hull queries always behave this way — no
-    scan fallback reproduces their search order).
-    """
-
-    allow_boolean_first: bool = True
-
-
 @dataclass(frozen=True)
 class Resilience:
     """One knob object for everything this module adds to the executor.
@@ -290,20 +252,12 @@ class Resilience:
     Attributes:
         breaker_threshold: Consecutive (cell, ref-SID) load failures before
             the circuit opens.  ``0`` disables breakers entirely.
-        degradation: The fallback chain policy (``None`` disables the
-            boolean-first tier; conservative readers are built into the
-            store and cannot be disabled).
         shed: Evict queued tickets whose deadline already passed, failing
             them with :class:`QueryShed` instead of running them.
     """
 
     breaker_threshold: int = 3
-    degradation: DegradationPolicy | None = None
     shed: bool = True
-
-    def __post_init__(self) -> None:
-        if self.degradation is None:
-            object.__setattr__(self, "degradation", DegradationPolicy())
 
     def build_board(self) -> BreakerBoard | None:
         if self.breaker_threshold < 1:
@@ -315,13 +269,8 @@ __all__ = [
     "BreakerBoard",
     "CircuitBreaker",
     "CLOSED",
-    "DegradationPolicy",
     "HALF_OPEN",
     "OPEN",
     "Resilience",
     "RetryBudget",
-    "TIER_BOOLEAN_FIRST",
-    "TIER_CONSERVATIVE",
-    "TIER_SIGNATURE",
-    "TIERS",
 ]

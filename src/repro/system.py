@@ -2,7 +2,7 @@
 
 Bundles the base relation, the shared R-tree partition template, the P-Cube
 signature store, the baseline B+-tree indexes and a
-:class:`~repro.query.engine.PreferenceEngine`, all over one simulated disk —
+:class:`~repro.query.session.QuerySession`, all over one simulated disk —
 the configuration every experiment and example runs against.
 """
 
@@ -19,7 +19,7 @@ from repro.core.integrity import ConsistencyReport
 from repro.core.pcube import PCube
 from repro.core.wal import MaintenanceWAL, PendingOp
 from repro.cube.relation import Relation
-from repro.query.engine import PreferenceEngine
+from repro.query.session import QuerySession
 from repro.query.stats import MaintenanceStats
 from repro.rtree.bulk import bulk_load
 from repro.rtree.rtree import RTree, fanout_for_page
@@ -43,7 +43,7 @@ class PCubeSystem:
     rtree: RTree
     pcube: PCube
     indexes: dict[str, BPlusTree]
-    engine: PreferenceEngine
+    engine: QuerySession
     timings: BuildTimings = field(default_factory=BuildTimings)
     wal: MaintenanceWAL | None = None
     maintenance_stats: MaintenanceStats = field(
@@ -391,7 +391,7 @@ def build_system(
         indexes = build_boolean_indexes(relation, disk=disk)
         timings.btree_seconds = time.perf_counter() - started
 
-    engine = PreferenceEngine(
+    engine = QuerySession(
         relation,
         rtree,
         pcube,

@@ -7,9 +7,12 @@ import time
 
 import pytest
 
+from repro.baselines.naive import naive_skyline
 from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
-from repro.query.session import QuerySession
+from repro.query.disjunction import matches_dnf
+from repro.query.dynamic import naive_dynamic_skyline
+from repro.query.hull import naive_lower_hull
 from repro.serve.executor import (
     AdmissionFull,
     QueryExecutor,
@@ -21,7 +24,6 @@ from repro.serve.resilience import (
     HALF_OPEN,
     OPEN,
     BreakerBoard,
-    DegradationPolicy,
     Resilience,
     RetryBudget,
 )
@@ -132,16 +134,11 @@ def test_breaker_board_rejects_nonpositive_threshold():
 
 def test_resilience_defaults_enable_the_full_chain():
     knobs = Resilience()
-    assert knobs.degradation is not None
-    assert knobs.degradation.allow_boolean_first
     assert knobs.shed
     assert knobs.build_board() is not None
-    bare = Resilience(
-        breaker_threshold=0,
-        degradation=DegradationPolicy(allow_boolean_first=False),
-        shed=False,
-    )
-    assert not bare.degradation.allow_boolean_first
+    bare = Resilience(breaker_threshold=0, shed=False)
+    assert not bare.shed
+    assert bare.build_board() is None
 
 
 # ---------------------------------------------------------------------- #
@@ -287,9 +284,13 @@ def test_boolean_first_fallback_is_byte_identical_to_serial(faulty, rng):
     for result in (sky, topk):
         assert result.stats.tier == "boolean-first"
         assert result.stats.degraded
+        assert result.stats.fallbacks == 1
+        assert result.stats.route is None  # unrouted: the fixed chain
+        assert not result.resumable
     stats = executor.stats.snapshot()
     assert stats["tiers"] == {"boolean-first": 2}
     assert stats["degraded_queries"] == 2
+    assert stats["routed"] == 0
 
 
 def test_degraded_fallback_chains_the_original_storage_fault(faulty, rng):
@@ -297,20 +298,15 @@ def test_degraded_fallback_chains_the_original_storage_fault(faulty, rng):
     the fault that forced the fallback as its ``__cause__``."""
     disk, system = faulty
     predicate = sample_predicate(system.relation, 1, rng)
-    session = QuerySession(
-        system.relation,
-        system.rtree,
-        system.pcube,
-        degradation=DegradationPolicy(),
-    )
     disk.plan = FaultPlan(
         [
             FaultRule(kind="corrupt", tag="rtree", count=1),
             FaultRule(kind="transient", tag="heap", count=50),
         ]
     )
-    with pytest.raises(TransientIOError) as excinfo:
-        session.skyline(predicate)
+    with QueryExecutor(system, threads=1) as executor:
+        with pytest.raises(TransientIOError) as excinfo:
+            executor.skyline(predicate).result(timeout=30.0)
     assert isinstance(excinfo.value.__cause__, CorruptPageError)
 
 
@@ -327,18 +323,15 @@ def test_paper_mode_propagates_search_structure_faults(faulty, rng):
 def test_boolean_first_results_refuse_incremental_resume(faulty, rng):
     disk, system = faulty
     predicate = sample_predicate(system.relation, 1, rng)
-    session = QuerySession(
-        system.relation,
-        system.rtree,
-        system.pcube,
-        degradation=DegradationPolicy(),
-    )
     disk.plan = FaultPlan([FaultRule(kind="corrupt", tag="rtree", count=1)])
-    degraded = session.skyline(predicate)
+    with QueryExecutor(system, threads=1) as executor:
+        degraded = executor.skyline(predicate).result(timeout=30.0)
     assert degraded.stats.tier == "boolean-first"
     dim = next(iter(system.relation.schema.boolean_dims))
     with pytest.raises(ValueError, match="boolean-first"):
-        session.drill_down(degraded, dim, system.relation.bool_value(0, dim))
+        system.engine.drill_down(
+            degraded, dim, system.relation.bool_value(0, dim)
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -376,6 +369,79 @@ def test_open_breaker_short_circuits_without_reprobing(faulty, rng):
     stats = executor.stats.snapshot()
     assert stats["breaker_skips"] >= 1
     assert stats["tiers"]["conservative"] == 2
+
+
+QUERY_POINT = (0.4, 0.6)
+
+
+def _naive_answer(relation, kind, predicate, disjuncts):
+    """Ground truth for the kinds that have no routed engine."""
+    points = [
+        (tid, relation.pref_point(tid))
+        for tid in relation.tids()
+        if (
+            matches_dnf(relation, disjuncts, tid)
+            if kind == "skyline_dnf"
+            else predicate.matches(relation, tid)
+        )
+    ]
+    if kind == "dynamic_skyline":
+        return sorted(naive_dynamic_skyline(points, QUERY_POINT))
+    if kind == "lower_hull":
+        return naive_lower_hull(points)
+    return sorted(naive_skyline(points))
+
+
+@pytest.mark.parametrize("kind", ["dynamic_skyline", "lower_hull", "skyline_dnf"])
+def test_every_signature_kind_reports_a_degraded_reader(faulty, rng, kind):
+    """One runner stamps every kind: a corrupt signature page under a
+    dynamic skyline, a hull or a DNF skyline is a ``conservative`` /
+    ``degraded`` / ``failed_loads == 1`` read counted by the serving
+    stats, and the breaker it opens spares the next such query the page."""
+    disk, system = faulty
+    predicate = sample_predicate(system.relation, 1, rng)
+    disjuncts = [predicate, sample_predicate(system.relation, 2, rng)]
+
+    def submit(executor):
+        if kind == "dynamic_skyline":
+            return executor.dynamic_skyline(QUERY_POINT, predicate)
+        if kind == "lower_hull":
+            return executor.lower_hull(predicate)
+        return executor.submit(
+            "skyline", lambda session: session.skyline_dnf(disjuncts)
+        )
+
+    expected = _naive_answer(system.relation, kind, predicate, disjuncts)
+    disk.plan = FaultPlan(
+        [FaultRule(kind="corrupt", tag="pcube:sig", count=1)]
+    )
+    with QueryExecutor(
+        system, threads=1, resilience=Resilience(breaker_threshold=1)
+    ) as executor:
+        first = submit(executor).result(timeout=30.0)
+        assert first.stats.tier == "conservative"
+        assert first.stats.degraded
+        assert first.stats.failed_loads == 1
+        assert first.stats.degraded_checks >= 1
+        assert executor.breakers.open_count() == 1
+
+        (_, _, bad_page), = disk.injected
+        probe = FaultRule(
+            kind="slow", page_id=bad_page, probability=0.0, count=None
+        )
+        disk.plan = FaultPlan([probe])
+        second = submit(executor).result(timeout=30.0)
+        assert second.stats.breaker_skips >= 1
+        assert second.stats.failed_loads == 0
+        assert second.stats.tier == "conservative"
+        assert probe.seen == 0  # zero reads of the bad page
+        stats = executor.stats.snapshot()
+    for result in (first, second):
+        tids = result.tids if kind == "lower_hull" else sorted(result.tids)
+        assert tids == expected
+    assert stats["degraded_queries"] == 2
+    assert stats["failed_loads"] == 1
+    assert stats["tiers"] == {"conservative": 2}
 
 
 def test_cell_rebuild_hook_closes_breakers_live(faulty, rng):

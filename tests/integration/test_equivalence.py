@@ -19,9 +19,17 @@ from repro.cube.relation import Relation
 from repro.cube.schema import Schema
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
+from repro.kernels.backend import BACKENDS, use_backend
+from repro.query.disjunction import matches_dnf, skyline_dnf
+from repro.query.dynamic import dynamic_skyline_signature, naive_dynamic_skyline
+from repro.query.hull import lower_hull_signature, naive_lower_hull
 from repro.query.predicates import BooleanPredicate
+from repro.query.ranking import WeightedSquaredDistance
+from repro.query.session import QuerySession
 from repro.query.skyline import skyline_signature
 from repro.query.topk import topk_signature
+from repro.route.engines import canonicalize
+from repro.serve.executor import QueryExecutor
 from repro.system import build_system
 
 
@@ -31,6 +39,106 @@ def qualifying_points(relation, predicate):
         for tid in relation.tids()
         if predicate.matches(relation, tid)
     ]
+
+
+def _facts(tids, scores, stats):
+    summary = stats.summary()
+    del summary["elapsed_seconds"]
+    return list(tids), scores, summary, stats.counters.snapshot()
+
+
+def _answer(result):
+    result = canonicalize(result)
+    return result.tids, result.scores
+
+
+def assert_surfaces_agree(system, predicate, disjuncts, fn):
+    """One read path: for every signature-method kind, the function API,
+    ``system.engine``, a snapshot session and the unrouted executor return
+    the same lists with the same accounting on cold pools — and the routed
+    executor the same answer in canonical order.  Returns the answers."""
+    relation, rtree, pcube = system.relation, system.rtree, system.pcube
+    dims = relation.schema.n_preference
+    names = relation.schema.preference_dims
+    subspace = (names[0], names[-1])
+    wsd = WeightedSquaredDistance([0.4] * dims, [1.0 + d for d in range(dims)])
+    point = [0.35] * dims
+
+    def ranked(call):
+        pairs, stats, _ = call
+        return [t for t, _ in pairs], [s for _, s in pairs], stats
+
+    def plain(call):
+        return call[0], None, call[1]
+
+    # kind -> (function API facts, session method name, its arguments)
+    kinds = {
+        "skyline": (
+            plain(skyline_signature(relation, rtree, pcube, predicate)),
+            "skyline", (predicate,), {},
+        ),
+        "subspace": (
+            plain(skyline_signature(
+                relation, rtree, pcube, predicate, preference_by=subspace
+            )),
+            "skyline", (predicate,), {"preference_by": subspace},
+        ),
+        "topk-linear": (
+            ranked(topk_signature(relation, rtree, pcube, fn, 10, predicate)),
+            "topk", (fn, 10, predicate), {},
+        ),
+        "topk-wsd": (
+            ranked(topk_signature(relation, rtree, pcube, wsd, 10, predicate)),
+            "topk", (wsd, 10, predicate), {},
+        ),
+        "dynamic": (
+            plain(dynamic_skyline_signature(
+                relation, rtree, pcube, point, predicate
+            )),
+            "dynamic_skyline", (point, predicate), {},
+        ),
+        "dnf": (
+            plain(skyline_dnf(relation, rtree, pcube, disjuncts)),
+            "skyline_dnf", (disjuncts,), {},
+        ),
+    }
+    if dims == 2:
+        kinds["hull"] = (
+            plain(lower_hull_signature(relation, rtree, pcube, predicate)),
+            "lower_hull", (predicate,), {},
+        )
+
+    answers = {}
+    snapshot = system.pin_snapshot()
+    try:
+        for name, (function_api, method, args, kwargs) in kinds.items():
+            want = _facts(*function_api)
+
+            def run(session):
+                return getattr(session, method)(*args, **kwargs)
+
+            def served(routing):
+                with QueryExecutor(system, threads=1, routing=routing) as ex:
+                    if method == "skyline_dnf":
+                        return ex.submit("skyline", run).result(timeout=30.0)
+                    return getattr(ex, method)(*args, **kwargs).result(
+                        timeout=30.0
+                    )
+
+            for surface, result in (
+                ("engine", run(system.engine)),
+                ("snapshot", run(QuerySession.for_snapshot(snapshot))),
+                ("executor", served(False)),
+            ):
+                got = _facts(result.tids, result.scores, result.stats)
+                assert got == want, (name, surface)
+                assert result.stats.route is None
+            reference = run(system.engine)
+            assert _answer(served(True)) == _answer(reference), name
+            answers[name] = want[0]
+    finally:
+        system.unpin_snapshot(snapshot)
+    return answers
 
 
 @pytest.mark.parametrize(
@@ -55,10 +163,15 @@ def test_all_methods_agree(distribution, n_preference, fanout):
     )
     relation = generate_relation(config)
     system = build_system(relation, fanout=fanout)
+    system.enable_epochs()
     rng = random.Random(99)
 
-    for n_conjuncts in (1, 2):
-        predicate = sample_predicate(relation, n_conjuncts, rng)
+    for n_conjuncts in (0, 1, 2):
+        predicate = (
+            sample_predicate(relation, n_conjuncts, rng)
+            if n_conjuncts
+            else BooleanPredicate()
+        )
         truth = qualifying_points(relation, predicate)
         expected_sky = sorted(naive_skyline(truth))
 
@@ -96,6 +209,33 @@ def test_all_methods_agree(distribution, n_preference, fanout):
             )[0]],
         ):
             assert [round(s, 9) for s in method_scores] == expected_topk
+
+        # Every surface of the one read path, on both kernel backends,
+        # against the same ground truth.
+        disjuncts = [
+            sample_predicate(relation, 1, rng),
+            sample_predicate(relation, 2, rng),
+        ]
+        union = [
+            (tid, relation.pref_point(tid))
+            for tid in relation.tids()
+            if matches_dnf(relation, disjuncts, tid)
+        ]
+        per_backend = []
+        for backend in BACKENDS:
+            with use_backend(backend):
+                per_backend.append(
+                    assert_surfaces_agree(system, predicate, disjuncts, fn)
+                )
+        answers = per_backend[0]
+        assert all(other == answers for other in per_backend[1:])
+        assert sorted(answers["skyline"]) == expected_sky
+        assert sorted(answers["dnf"]) == sorted(naive_skyline(union))
+        assert sorted(answers["dynamic"]) == sorted(
+            naive_dynamic_skyline(truth, [0.35] * n_preference)
+        )
+        if n_preference == 2:
+            assert answers["hull"] == naive_lower_hull(truth)
 
 
 @settings(

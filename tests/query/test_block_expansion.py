@@ -161,10 +161,10 @@ def reference_algorithm1(
 
 @contextmanager
 def per_child_expansion():
-    """Route every session / dynamic-skyline search through the oracle."""
-    with (
-        mock.patch("repro.query.session.run_algorithm1", reference_algorithm1),
-        mock.patch("repro.query.dynamic.run_algorithm1", reference_algorithm1),
+    """Route every signature-method search through the oracle (the
+    session's runner is the one caller of ``run_algorithm1``)."""
+    with mock.patch(
+        "repro.query.session.run_algorithm1", reference_algorithm1
     ):
         yield
 

@@ -36,6 +36,7 @@ from repro.route import (
     RoutingPolicy,
     StrategyTimeout,
     StrategyUnsupported,
+    candidate_bucket,
 )
 from repro.serve.executor import (
     QueryCancelled,
@@ -166,6 +167,75 @@ def test_storage_fault_edge_domination_to_naive(faulty):
     assert stats["unsupported"] == 0
     assert stats["strategy_timeouts"] == 0
     disk.plan = FaultPlan()
+
+
+def test_executor_routed_fault_reaches_the_router(faulty):
+    """The same edge through an *executor-built* session: there is one
+    chain, so a corrupt R-tree page under a routed executor is a fallback
+    the router sees — not one swallowed inside the signature engine."""
+    disk, system = faulty
+    predicate = sample_predicate(system.relation, 1, random.Random(7))
+    expected = _reference(system, predicate)
+
+    with QueryExecutor(
+        system, threads=1, routing=RoutingPolicy(cache=False)
+    ) as executor:
+        router = executor.router
+        assert router.chain_for(
+            "skyline", predicate, None, system.relation
+        )[:2] == ["signature", "boolean-first"]
+        disk.plan = FaultPlan(
+            [FaultRule(kind="corrupt", tag="rtree", count=1)]
+        )
+        result = executor.skyline(predicate).result(timeout=30.0)
+        assert result.stats.route == "boolean-first"
+        assert result.stats.tier == "boolean-first"
+        assert result.stats.fallbacks == 1
+        assert result.stats.degraded
+        assert result.tids == sorted(expected.tids)
+
+        stats = router.stats.snapshot()
+        assert stats["fell_back"] == 1
+        assert stats["strategy_faults"] == 1
+        assert stats["fallback_edges"] == {"signature->boolean-first": 1}
+        assert stats["routed"] == sum(stats["served_by"].values()) == 1
+        serving = executor.stats.snapshot()
+        assert serving["fell_back"] == 1
+        assert serving["degraded_queries"] == 1
+
+        # The scan's I/O describes neither engine's healthy cost.
+        assert router.costs.snapshot()["observations"] == 0
+    disk.plan = FaultPlan()
+
+
+def test_cost_book_learns_only_from_first_choice_answers(faulty):
+    """A transient R-tree fault hands one query to the scan and heals: the
+    book must skip the fallback and take the next, healthy signature
+    answer as that entry's first observation."""
+    disk, system = faulty
+    predicate = sample_predicate(system.relation, 1, random.Random(7))
+    with QueryExecutor(
+        system, threads=1, routing=RoutingPolicy(cache=False)
+    ) as executor:
+        router = executor.router
+        disk.plan = FaultPlan(
+            [FaultRule(kind="transient", tag="rtree", count=1)]
+        )
+        fallen = executor.skyline(predicate).result(timeout=30.0)
+        assert fallen.stats.route == "boolean-first"
+        assert fallen.stats.fallbacks == 1
+        assert router.costs.snapshot()["observations"] == 0
+
+        healthy = executor.skyline(predicate).result(timeout=30.0)
+        assert healthy.stats.route == "signature"
+        assert healthy.stats.fallbacks == 0
+        assert not healthy.stats.degraded
+        assert healthy.tids == fallen.tids
+        assert router.costs.snapshot() == {"observations": 1, "entries": 1}
+        estimate = router.predicate_stats.cardinality(predicate)
+        assert router.costs.estimate(
+            "skyline", "signature", candidate_bucket(estimate)
+        ) == float(healthy.stats.total_io())
 
 
 def test_storage_fault_two_hop_chain(faulty):

@@ -48,14 +48,14 @@ def test_public_callables_are_documented():
 
 
 def test_engine_methods_documented():
-    from repro.query.engine import PreferenceEngine
+    from repro.query.session import QuerySession
 
     for name, member in inspect.getmembers(
-        PreferenceEngine, predicate=inspect.isfunction
+        QuerySession, predicate=inspect.isfunction
     ):
         if name.startswith("_"):
             continue
-        assert member.__doc__, f"PreferenceEngine.{name} lacks a docstring"
+        assert member.__doc__, f"QuerySession.{name} lacks a docstring"
 
 
 def test_quickstart_snippet_runs():
