@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--routing",
         action="store_true",
-        help="run the adaptive-routing sweep (pinned engines vs routed "
+        help="run the routing sweep (pinned engines vs routed "
         "cold/warm vs the served path over a Zipfian workload; writes "
         "BENCH_routing.json by default)",
     )

@@ -101,10 +101,6 @@ class Relation:
         self.rows_per_page = max(1, self.disk.page_size // self._row_bytes)
         self._page_ids: list[int] = []
         self._tombstones: set[int] = set()
-        # (epoch, tid) per tombstone, in the order they were set — the
-        # delete half of :meth:`changes_since`.  Never pruned: it is what
-        # lets a reader that pins nothing catch up without a rescan.
-        self._tombstone_log: list[tuple[int, int]] = []
         #: Reports the epoch a mutation should be stamped with.  The epoch
         #: manager installs itself here; stand-alone relations stay at 0.
         self.epoch_clock: Callable[[], int] = _epoch_zero
@@ -208,7 +204,6 @@ class Relation:
             epoch = self.epoch_clock()
             if epoch > 0:
                 self._tombstone_epoch[tid] = epoch
-            self._tombstone_log.append((epoch, tid))
             self._mutation_stamp += 1
         self._tombstones.add(tid)
 
@@ -323,42 +318,6 @@ class Relation:
         """A read-only view of the relation as of ``epoch``."""
         return RelationView(self, epoch)
 
-    def mark(self, epoch: int | None = None) -> tuple:
-        """Where the row set stands as of ``epoch`` (``None``: now) — the
-        argument a later :meth:`changes_since` starts from."""
-        return self.changes_since((self, 0, 0, 0), epoch)[0]
-
-    def changes_since(
-        self, mark: tuple, epoch: int | None = None
-    ) -> tuple[tuple, range, list[int]] | None:
-        """What happened to the row set between ``mark`` and ``epoch``.
-
-        Returns ``(new_mark, appended, tombstoned)``: the tids appended in
-        between (live or not) and the tids tombstoned in between, so that
-        *rows at mark + appended − tombstoned* is the live set at
-        ``epoch``.  Preference overwrites move no row in or out and are not
-        reported.  ``None`` when ``mark`` belongs to another relation or to
-        a later point than ``epoch`` — the caller must start over.
-        """
-        base, mark_epoch, rows_seen, log_seen = mark
-        if base is not self:
-            return None
-        if mark_epoch is None:
-            if epoch is not None:
-                return None
-        elif epoch is not None and epoch < mark_epoch:
-            return None
-        rows = len(self) if epoch is None else self._len_at(epoch)
-        log = self._tombstone_log
-        stop = log_seen
-        while stop < len(log) and (epoch is None or log[stop][0] <= epoch):
-            stop += 1
-        return (
-            (self, epoch, rows, stop),
-            range(rows_seen, rows),
-            [tid for _, tid in log[log_seen:stop]],
-        )
-
     def _len_at(self, epoch: int) -> int:
         """Row count visible at ``epoch``.
 
@@ -446,15 +405,6 @@ class RelationView:
 
     def __len__(self) -> int:
         return self._base._len_at(self.epoch)
-
-    def mark(self) -> tuple:
-        return self._base.mark(self.epoch)
-
-    def changes_since(
-        self, mark: tuple
-    ) -> tuple[tuple, range, list[int]] | None:
-        """:meth:`Relation.changes_since`, up to this view's epoch."""
-        return self._base.changes_since(mark, self.epoch)
 
     def is_live(self, tid: int) -> bool:
         return self._base._is_live_at(tid, self.epoch)

@@ -72,7 +72,7 @@ def zipfian_workload(
     from them under a Zipf(``s``) popularity law: a few hot templates
     dominate, a long tail appears once or twice.  That is the regime where
     an epoch-keyed result cache pays (every repeat at a stable epoch is a
-    hit) while the tail still exercises the routing decision itself.
+    hit) while the tail still exercises the engines themselves.
 
     Each entry is ``{"kind", "predicate", "fn", "k", "template"}`` with
     ``fn``/``k`` ``None`` for skylines; ``template`` indexes the template

@@ -73,8 +73,17 @@ def lower_hull_chain(
         if candidate_value >= edge_value - _EPSILON or cid in (a[0], b[0]):
             return  # nothing strictly below: a→b is a hull edge
         expand(a, candidate)
+        at = len(hull)
         hull.append(candidate)
         expand(candidate, b)
+        # When several points tie on this split's extreme the search may
+        # return a middle one: a boundary point, but interior to the edge
+        # the two halves have now found around it.  It is a vertex only if
+        # the chain turns at it.
+        (_, (px, py)) = hull[at - 1]
+        (_, (nx, ny)) = hull[at + 1] if at + 1 < len(hull) else b
+        if (cx - px) * (ny - py) - (cy - py) * (nx - px) <= _EPSILON:
+            del hull[at]
 
     hull.append(left)
     # Distinct extreme coordinates imply left.x < bottom.x and

@@ -1,11 +1,11 @@
-"""Adaptive query routing: per-query engine choice, fallback, result cache.
+"""Result cache, fallback chain and the five exact engines.
 
-The package answers the ROADMAP item "no single access method wins
-everywhere": :class:`QueryRouter` picks among the five exact engines per
-query using selectivity statistics plus observed per-strategy costs, falls
-back down an ordered chain when an engine cannot serve, and memoizes
-canonicalised answers in an epoch-keyed :class:`ResultCache`.  See
-DESIGN.md §12.
+Every served skyline / top-k runs down one fixed chain
+(:data:`SERVING_CHAIN`: signature, then the exact scans), handed to the
+next engine by :class:`FallbackExecutor` when one cannot serve.
+:class:`QueryRouter` puts an epoch-keyed :class:`ResultCache` of
+canonicalised answers in front of that chain; the other engines stay as
+pinned references (``RoutingPolicy.chain``).  See DESIGN.md §12.
 """
 
 from repro.route.cache import APEX, CachedAnswer, ResultCache, result_key
@@ -15,11 +15,13 @@ from repro.route.engines import (
     ENGINES,
     INDEX_MERGE,
     NAIVE,
+    SERVING_CHAIN,
     SIGNATURE,
     STRATEGY_ORDER,
     EngineContext,
     RouteRequest,
     canonicalize,
+    chain_for,
     supports,
 )
 from repro.route.fallback import (
@@ -28,36 +30,30 @@ from repro.route.fallback import (
     StrategyUnsupported,
 )
 from repro.route.router import QueryRouter, RoutingPolicy
-from repro.route.stats import (
-    CostBook,
-    PredicateStats,
-    RouterStats,
-    candidate_bucket,
-)
+from repro.route.stats import RouterStats
 
 __all__ = [
     "APEX",
     "BOOLEAN_FIRST",
     "CachedAnswer",
-    "CostBook",
     "DOMINATION_FIRST",
     "ENGINES",
     "EngineContext",
     "FallbackExecutor",
     "INDEX_MERGE",
     "NAIVE",
-    "PredicateStats",
     "QueryRouter",
     "ResultCache",
     "RouteRequest",
     "RouterStats",
     "RoutingPolicy",
+    "SERVING_CHAIN",
     "SIGNATURE",
     "STRATEGY_ORDER",
     "StrategyTimeout",
     "StrategyUnsupported",
-    "candidate_bucket",
     "canonicalize",
+    "chain_for",
     "result_key",
     "supports",
 ]

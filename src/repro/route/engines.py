@@ -11,8 +11,8 @@ when the query shape is outside its contract.  The contracts:
 * ``boolean-first`` — the Section VI-A baseline: B+-tree/table-scan
   selection, then the preference step in memory, reported in Algorithm
   1's order.  Uses the live B+-trees when their postings still cover the
-  snapshot's rows, else a table scan; always exact.  With an index-less
-  context it is the serving fallback when the search structures fault.
+  snapshot's rows, else a table scan; always exact.  It is the serving
+  fallback when the search structures fault.
 * ``domination-first`` — BBS + minimal probing (*Ranking* for top-k).
   No preference-subspace support (the baseline searches full space).
 * ``index-merge`` — the [14] baseline: top-k only, and only while the
@@ -20,6 +20,9 @@ when the query shape is outside its contract.  The contracts:
   maintained; a snapshot containing later inserts would silently lose
   answers, so staleness is *unsupported*, never silently wrong).
 * ``naive`` — the ground-truth scan; supports everything, always last.
+
+Default serving, routed or not, runs :data:`SERVING_CHAIN`; the other two
+engines are reachable only through a pinned ``RoutingPolicy.chain``.
 
 Answers are canonicalised (:func:`canonicalize`) before the router caches
 or returns them: skylines as ascending tids, top-k sorted by
@@ -30,7 +33,7 @@ differs in *reporting* order, never in the answer set/scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.baselines.boolean_first import (
     boolean_first_skyline,
@@ -62,6 +65,10 @@ STRATEGY_ORDER = (
     INDEX_MERGE,
     NAIVE,
 )
+#: The chain every served skyline / top-k runs down, routed or not: the
+#: paper's method, then the exact scans that survive a faulted search
+#: structure (naive is the backstop that needs nothing but the heap).
+SERVING_CHAIN = (SIGNATURE, BOOLEAN_FIRST, NAIVE)
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,8 @@ class EngineContext:
     postings have never seen, making index-backed plans unsound.
     """
 
-    indexes: dict = field(default_factory=dict)
-    indexes_rows: int = 0
+    indexes: dict
+    indexes_rows: int
 
     def indexes_cover(self, relation) -> bool:
         return bool(self.indexes) and len(relation) <= self.indexes_rows
@@ -104,6 +111,18 @@ def supports(
     if strategy == DOMINATION_FIRST:
         return preference_by is None
     return True
+
+
+def chain_for(
+    names: tuple[str, ...], request: RouteRequest, ctx: EngineContext, relation
+) -> list[str]:
+    """``names`` in order, without the engines that cannot serve this
+    request's shape — dynamic skylines and hulls keep ``signature`` only."""
+    return [
+        name
+        for name in names
+        if supports(name, request.kind, request.preference_by, ctx, relation)
+    ]
 
 
 def canonicalize(result: QueryResult) -> QueryResult:

@@ -8,12 +8,12 @@ deadline (:class:`StrategyTimeout`) simply hands the query to the next
 engine in the chain.  What cannot be retried is a lapsed *overall*
 deadline or a cancellation: those abort the query.
 
-Both serving modes run through :meth:`FallbackExecutor.run`.  The
-unrouted executor hands it the fixed chain ``(signature, boolean-first)``
-for skylines and top-k (``(signature,)`` for dynamic skylines and hulls)
-with an index-less context; the router hands it its cost-ordered chain.
-This is the only place a storage fault moves a query to another engine:
-the session itself answers by signature or lets the fault propagate.
+Both serving modes run through :meth:`FallbackExecutor.run` with the same
+chain and the same context: :data:`~repro.route.engines.SERVING_CHAIN`
+for skylines and top-k (``(signature,)`` for dynamic skylines and hulls).
+Any other chain is a pinned ``RoutingPolicy.chain``.  This is the only
+place a storage fault moves a query to another engine: the session itself
+answers by signature or lets the fault propagate.
 
 Deadline slicing: a session with ``deadline_at`` set gives each attempt an
 equal share of the *remaining* budget (``remaining / engines left``), so

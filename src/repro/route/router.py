@@ -1,63 +1,54 @@
-"""The adaptive query router: per-query engine choice + result cache.
+"""The query router: an epoch-keyed result cache in front of the one chain.
 
-The ROADMAP's "no single access method wins everywhere" item, made
-concrete.  For every skyline/top-k query the router:
+There is no per-query engine choice.  The paper's claim is that the
+signature method beats both baseline orders, and a learner that picked
+among them per query was measured to do no better than always-signature on
+any served workload (DESIGN.md §12), so a routed query runs the same
+:data:`~repro.route.engines.SERVING_CHAIN` an unrouted one does.  What
+routing adds, for every skyline/top-k query:
 
-1. refreshes :class:`~repro.route.stats.PredicateStats` if the session's
-   epoch is new (an epoch publish is a maintenance commit — the one event
-   that can change selectivities), and reclaims dead-epoch cache entries;
-2. consults the :class:`~repro.route.cache.ResultCache` — unless the
-   breaker board has a breaker open on any of the predicate's cells, in
-   which case the lookup is *bypassed* so traffic keeps exercising (and
-   healing) the real path;
-3. builds an ordered engine chain: supported engines sorted by predicted
-   cost — the :class:`~repro.route.stats.CostBook` EWMA of observed
-   counted I/O where available, deterministic optimizer-style priors
-   otherwise — with naive always last;
-4. runs the chain through the
+1. reclaim of dead-epoch cache entries, then a lookup in the
+   :class:`~repro.route.cache.ResultCache` — unless the breaker board has
+   a breaker open on any of the predicate's cells, in which case the
+   lookup is *bypassed* so traffic keeps exercising (and healing) the real
+   path;
+2. on a miss, the assembled-signature memo, and the chain — the serving
+   chain, or the policy's pinned one — run through the
    :class:`~repro.route.fallback.FallbackExecutor` (unsupported shapes,
    storage faults and per-attempt deadline slices fall through; overall
    deadline/cancellation abort);
-5. canonicalises the answer, feeds the observed cost back into the book
-   when the first-choice engine served it (a fallback's I/O describes
-   neither engine's healthy cost), and caches the canonical bytes under
-   the epoch-keyed key.
+3. the answer in canonical order, stamped with the engine that served it
+   and cached under the epoch-keyed key.
 
 Every engine is exact, so the router's contract is strong: *the answer is
 byte-identical to naive regardless of the route taken* — the differential
-harness asserts precisely this for forced strategies, forced fallbacks and
+harness asserts precisely this for pinned engines, forced fallbacks and
 cache-warm/cold replays.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
+from repro.query.algorithm1 import SearchState
 from repro.query.predicates import BooleanPredicate
 from repro.query.session import QueryResult, QuerySession
 from repro.query.stats import QueryStats
 from repro.route.cache import CachedAnswer, ResultCache, result_key
 from repro.route.engines import (
     ENGINES,
-    NAIVE,
-    STRATEGY_ORDER,
+    SERVING_CHAIN,
     EngineContext,
     RouteRequest,
     canonicalize,
-    supports,
+    chain_for,
 )
 from repro.route.fallback import FallbackExecutor, StrategyUnsupported
-from repro.route.stats import (
-    CostBook,
-    PredicateStats,
-    RouterStats,
-    candidate_bucket,
-)
+from repro.route.stats import RouterStats
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.query.algorithm1 import SearchState  # noqa: F401
     from repro.serve.resilience import BreakerBoard
     from repro.system import PCubeSystem
 
@@ -68,44 +59,34 @@ class RoutingPolicy:
 
     Attributes:
         cache: Enable the epoch-keyed result cache (and signature memo).
-        forced: Pin every query to one engine — no fallback chain, an
-            unsupported shape raises.  (Benchmark "pinned" series, tests.)
-        forced_chain: Use exactly this chain, in order, skipping engines
-            that do not support the query shape.  (Fallback-edge tests.)
+        chain: Pin every query to exactly this chain, in order, instead of
+            the serving chain; engines that do not support the query shape
+            are skipped, and a query none of them supports raises.  One
+            name pins one engine.  (Benchmark "pinned" series, fallback-edge
+            tests.)
     """
 
     cache: bool = True
-    forced: str | None = None
-    forced_chain: tuple[str, ...] | None = None
+    chain: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        for name in self.chain or ():
+            if name not in ENGINES:
+                raise ValueError(f"unknown strategy {name!r}")
 
 
 class QueryRouter:
-    """Chooses an engine per query; shared by all workers of an executor."""
+    """Result cache + chain runner; shared by all workers of an executor."""
 
     def __init__(
         self,
-        relation,
-        indexes: dict | None = None,
-        indexes_rows: int = 0,
+        ctx: EngineContext,
         policy: RoutingPolicy | None = None,
         breakers: "BreakerBoard | None" = None,
     ) -> None:
         self.policy = policy if policy is not None else RoutingPolicy()
-        if (
-            self.policy.forced is not None
-            and self.policy.forced not in ENGINES
-        ):
-            raise ValueError(f"unknown strategy {self.policy.forced!r}")
-        for name in self.policy.forced_chain or ():
-            if name not in ENGINES:
-                raise ValueError(f"unknown strategy {name!r}")
-        self.relation = relation
-        self.ctx = EngineContext(
-            indexes=indexes or {}, indexes_rows=indexes_rows
-        )
+        self.ctx = ctx
         self.breakers = breakers
-        self.predicate_stats = PredicateStats()
-        self.costs = CostBook()
         self.cache = ResultCache() if self.policy.cache else None
         self.stats = RouterStats()
         self.fallback = FallbackExecutor(ENGINES)
@@ -117,86 +98,8 @@ class QueryRouter:
         policy: RoutingPolicy | None = None,
         breakers: "BreakerBoard | None" = None,
     ) -> "QueryRouter":
-        return cls(
-            system.relation,
-            indexes=system.indexes,
-            indexes_rows=system.indexes_rows,
-            policy=policy,
-            breakers=breakers,
-        )
-
-    # ------------------------------------------------------------------ #
-    # the chain
-    # ------------------------------------------------------------------ #
-
-    def chain_for(
-        self,
-        kind: str,
-        predicate: BooleanPredicate,
-        preference_by: tuple[str, ...] | None,
-        relation,
-    ) -> list[str]:
-        """Supported engines, cheapest-predicted first, naive last."""
-        if self.policy.forced is not None:
-            return [self.policy.forced]
-        candidates = [
-            name
-            for name in (self.policy.forced_chain or STRATEGY_ORDER)
-            if supports(name, kind, preference_by, self.ctx, relation)
-        ]
-        if self.policy.forced_chain is not None:
-            return candidates
-        estimate = self.predicate_stats.cardinality(predicate)
-        bucket = candidate_bucket(estimate)
-        priors = self._priors(predicate, estimate, relation)
-        order = {name: rank for rank, name in enumerate(STRATEGY_ORDER)}
-
-        def predicted(name: str) -> float:
-            observed = self.costs.estimate(kind, name, bucket)
-            return observed if observed is not None else priors[name]
-
-        ranked = sorted(
-            (name for name in candidates if name != NAIVE),
-            key=lambda name: (predicted(name), order[name]),
-        )
-        if NAIVE in candidates:
-            ranked.append(NAIVE)  # ground truth backstops every chain
-        return ranked
-
-    def _priors(
-        self, predicate: BooleanPredicate, estimate: float, relation
-    ) -> dict[str, float]:
-        """Deterministic optimizer-style page-cost priors.
-
-        Crude on purpose — they only seed the order until the cost book
-        has observations — but shaped like the paper's regimes: very
-        selective predicates favour boolean-first (few heap pages), the
-        empty predicate makes domination ≈ signature (both are plain BBS),
-        and any non-empty predicate makes domination-first pay minimal
-        probing's per-candidate random accesses — which Figure 9 shows
-        scaling with the *relation*, not the answer, because BBS surfaces
-        (and probes) candidates regardless of whether they qualify.
-        """
-        pages = max(1, relation.heap_page_count())
-        empty = predicate.is_empty()
-        # Cardenas: expected distinct heap pages hit by `estimate` tids.
-        touched = pages * (1.0 - (1.0 - 1.0 / pages) ** estimate)
-        signature = 3.0 + 0.15 * touched
-        if empty:
-            boolean_first = float(pages)
-            domination = signature
-        else:
-            boolean_first = min(
-                float(pages), 3.0 + estimate / 64.0 + touched
-            )
-            domination = signature + 0.5 * len(relation)
-        return {
-            "signature": signature,
-            "boolean-first": boolean_first,
-            "domination-first": domination,
-            "index-merge": 3.0 + estimate / 64.0 + 0.3 * touched,
-            "naive": pages + 1.0,
-        }
+        ctx = EngineContext(system.indexes, system.indexes_rows)
+        return cls(ctx, policy, breakers)
 
     # ------------------------------------------------------------------ #
     # serving
@@ -217,8 +120,6 @@ class QueryRouter:
         epoch: int,
         elapsed: float,
     ) -> QueryResult:
-        from repro.query.algorithm1 import SearchState
-
         stats = QueryStats()
         stats.epoch = epoch
         stats.route = answer.strategy
@@ -249,7 +150,7 @@ class QueryRouter:
         preference_by: tuple[str, ...] | None = None,
         tracer=None,
     ) -> QueryResult:
-        """Answer one query via the best engine (or the cache)."""
+        """Answer one query from the cache, or down the chain."""
         started = time.perf_counter()
         predicate = predicate or BooleanPredicate()
         request = RouteRequest(
@@ -260,9 +161,6 @@ class QueryRouter:
             preference_by=preference_by,
             tracer=tracer,
         )
-        relation = session.relation
-        self.predicate_stats.ensure(relation, session.epoch)
-
         # -- cache lookup (epoch-keyed; bypassed on open breakers) ------- #
         cache_outcome: str | None = None
         key = None
@@ -297,7 +195,9 @@ class QueryRouter:
             )
 
         # -- run the chain ---------------------------------------------- #
-        chain = self.chain_for(kind, predicate, preference_by, relation)
+        pinned = self.policy.chain
+        names = SERVING_CHAIN if pinned is None else pinned
+        chain = chain_for(names, request, self.ctx, session.relation)
         try:
             result, failures = self.fallback.execute(
                 chain, session, request, self.ctx
@@ -307,15 +207,6 @@ class QueryRouter:
         canonicalize(result)
         result.stats.cache_outcome = cache_outcome
 
-        # -- learn + cache ---------------------------------------------- #
-        if not failures:
-            estimate = self.predicate_stats.cardinality(predicate)
-            self.costs.observe(
-                kind,
-                result.stats.route,
-                candidate_bucket(estimate),
-                float(result.stats.total_io()),
-            )
         self.stats.note_served(
             chain, result.stats.route, failures, cache_outcome
         )
@@ -340,21 +231,11 @@ class QueryRouter:
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> dict:
-        """The ``--health`` view: decisions, cache state, statistics."""
+        """The ``--health`` view: policy, route tallies, cache state."""
         return {
-            "policy": {
-                "cache": self.policy.cache,
-                "forced": self.policy.forced,
-                "forced_chain": (
-                    list(self.policy.forced_chain)
-                    if self.policy.forced_chain is not None
-                    else None
-                ),
-            },
+            "policy": asdict(self.policy),
             "routing": self.stats.snapshot(),
             "cache": self.cache.snapshot() if self.cache is not None else None,
-            "predicate_stats": self.predicate_stats.snapshot(),
-            "costs": self.costs.snapshot(),
         }
 
 

@@ -24,11 +24,10 @@ The serving pipeline, front to back:
   deadline already lapsed are **shed** (:class:`QueryShed`) instead of
   wasting a worker.
 * Every per-kind query runs down **one fallback chain**
-  (:mod:`repro.route.fallback`): the router's cost-ordered chain when
-  routing is on, else the fixed ``signature → boolean-first`` chain, whose
-  exact table scan answers skylines and top-k when even the search
-  structures fault (dynamic skylines and hulls have no scan engine and
-  surface the fault).
+  (:mod:`repro.route.fallback`), the same with routing on or off:
+  :data:`~repro.route.engines.SERVING_CHAIN`, whose exact scans answer
+  skylines and top-k when even the search structures fault (dynamic
+  skylines and hulls have no scan engine and surface the fault).
 
 Results carry their epoch and queue wait in ``stats`` (and on the query
 span when a tracer is attached), and the executor aggregates fleet-level
@@ -48,11 +47,11 @@ from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import RankingFunction
 from repro.query.session import QueryResult, QuerySession
 from repro.route.engines import (
-    BOOLEAN_FIRST,
     ENGINES,
-    SIGNATURE,
+    SERVING_CHAIN,
     EngineContext,
     RouteRequest,
+    chain_for,
 )
 from repro.route.fallback import FallbackExecutor
 from repro.route.router import QueryRouter, RoutingPolicy
@@ -235,12 +234,13 @@ class QueryExecutor:
             the default-on configuration; pass e.g.
             ``Resilience(breaker_threshold=0, shed=False)`` to strip the
             machinery back to PR-4 behaviour.
-        routing: Opt-in adaptive routing.  ``True`` attaches a
+        routing: Opt-in result cache.  ``True`` attaches a
             :class:`~repro.route.QueryRouter` with the default
-            :class:`~repro.route.RoutingPolicy`; pass a policy to
-            configure it; ``None``/``False`` (the default) serves every
-            skyline/top-k by signature, falling back to the boolean-first
-            scan only on a storage fault.
+            :class:`~repro.route.RoutingPolicy` (epoch-keyed result cache,
+            assembled-signature memo, breaker bypass) in front of the
+            serving chain; pass a policy to turn the cache off or pin
+            another chain; ``None``/``False`` (the default) runs every
+            query straight down the serving chain.
             Routed answers are canonicalised (skyline tids ascending,
             top-k sorted by ``(score, tid)``) and byte-identical to the
             unrouted engine's answer *sets*.
@@ -278,16 +278,16 @@ class QueryExecutor:
             # closes its breakers immediately — snapshot sessions also heal
             # via epoch comparison, but only once a newer epoch publishes.
             system.pcube.store.on_cell_rebuilt = self.breakers.reset
-        # The unrouted chain: no B+-trees offered, so its boolean-first
-        # engine is the index-free table scan (postings are never
-        # maintained and may be stale for the pinned snapshot).
+        # One context for both modes.  The B+-tree postings are never
+        # maintained after build; the engines take them only while they
+        # cover the pinned snapshot's rows, and scan the table otherwise.
         self._chain = FallbackExecutor(ENGINES)
-        self._chain_ctx = EngineContext()
+        self._ctx = EngineContext(system.indexes, system.indexes_rows)
         self.router = None
         if routing:
             policy = routing if isinstance(routing, RoutingPolicy) else None
-            self.router = QueryRouter.for_system(
-                system, policy=policy, breakers=self.breakers
+            self.router = QueryRouter(
+                self._ctx, policy=policy, breakers=self.breakers
             )
         self.stats = ServingStats()
         self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
@@ -434,11 +434,10 @@ class QueryExecutor:
     def _answer(
         self, session: QuerySession, request: RouteRequest
     ) -> QueryResult:
-        """One query down the one chain: the router's for the kinds it
-        routes, else the fixed ``signature → boolean-first`` one (just
-        ``signature`` for the kinds no scan engine answers)."""
-        routable = request.kind in ("skyline", "topk")
-        if routable and self.router is not None:
+        """One query down the serving chain (just ``signature`` for the
+        kinds no scan engine answers) — through the router's result cache
+        for the kinds it caches."""
+        if self.router is not None and request.kind in ("skyline", "topk"):
             return self.router.route(
                 session,
                 request.kind,
@@ -448,8 +447,8 @@ class QueryExecutor:
                 preference_by=request.preference_by,
                 tracer=request.tracer,
             )
-        chain = (SIGNATURE, BOOLEAN_FIRST) if routable else (SIGNATURE,)
-        result, _ = self._chain.run(chain, session, request, self._chain_ctx)
+        chain = chain_for(SERVING_CHAIN, request, self._ctx, session.relation)
+        result, _ = self._chain.run(chain, session, request, self._ctx)
         return result
 
     def skyline(

@@ -52,8 +52,8 @@ class PCubeSystem:
     epochs: EpochManager | None = None
     # Row count the B+-tree postings were built over.  The postings are
     # never maintained after build, so index-backed plans are only sound
-    # while the relation has not grown past this mark (the router's
-    # freshness gate).
+    # while the relation has not grown past this mark
+    # (``EngineContext.indexes_cover``).
     indexes_rows: int = 0
 
     @property

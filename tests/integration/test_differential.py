@@ -219,7 +219,7 @@ def test_differential_router_forced_strategies(rows, conjuncts):
     ]
     for name in STRATEGY_ORDER:
         router = QueryRouter.for_system(
-            system, policy=RoutingPolicy(forced=name, cache=False)
+            system, policy=RoutingPolicy(chain=(name,), cache=False)
         )
         if name != "index-merge":  # top-k only
             result = router.route(session, "skyline", predicate=predicate)

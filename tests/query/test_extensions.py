@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cube.relation import Relation
@@ -261,6 +261,9 @@ def test_lower_hull_single_point():
         max_size=40,
     )
 )
+# Three points tie on the first split's extreme and the search returns the
+# middle one, (2, 2): collinear-interior on the edge (1, 3)-(3, 1).
+@example(raw=[(0, 5), (0, 5), (1, 3), (2, 2), (3, 1), (5, 0)])
 def test_lower_hull_property(raw):
     """Small grids (heavy ties / collinearity) against the naive chain."""
     schema = Schema(("A",), ("X", "Y"))

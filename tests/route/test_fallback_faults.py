@@ -32,11 +32,12 @@ from repro.route import (
     ENGINES,
     FallbackExecutor,
     QueryRouter,
+    SERVING_CHAIN,
     RouteRequest,
     RoutingPolicy,
     StrategyTimeout,
     StrategyUnsupported,
-    candidate_bucket,
+    chain_for,
 )
 from repro.serve.executor import (
     QueryCancelled,
@@ -72,7 +73,7 @@ def _session(system):
 def _reference(system, predicate):
     """Fault-free ground truth via the naive engine on a clean chain."""
     router = QueryRouter.for_system(
-        system, policy=RoutingPolicy(forced="naive", cache=False)
+        system, policy=RoutingPolicy(chain=("naive",), cache=False)
     )
     return router.route(_session(system), "skyline", predicate=predicate)
 
@@ -80,9 +81,9 @@ def _reference(system, predicate):
 def test_unsupported_edge_index_merge_to_naive(faulty):
     """Edge 1: ``StrategyUnsupported`` — index-merge never serves skylines.
 
-    The router's ``chain_for`` filters this statically, so the runtime
-    raise is exercised through the executor directly (an unfiltered
-    chain), exactly as a mis-stated forced chain would reach it.
+    ``chain_for`` filters this statically, so the runtime raise is
+    exercised through the executor directly (an unfiltered chain),
+    exactly as a mis-stated pinned chain would reach it.
     """
     _, system = faulty
     predicate = sample_predicate(system.relation, 1, random.Random(3))
@@ -123,19 +124,19 @@ def test_unsupported_edge_stale_postings(faulty):
 
     executor = FallbackExecutor(ENGINES)
     router = QueryRouter.for_system(system, policy=RoutingPolicy(cache=False))
+    request = RouteRequest(kind="topk", predicate=predicate, fn=fn, k=5)
     result, failures = executor.execute(
-        ["index-merge", "naive"],
-        session,
-        RouteRequest(kind="topk", predicate=predicate, fn=fn, k=5),
-        router.ctx,
+        ["index-merge", "naive"], session, request, router.ctx
     )
     assert isinstance(failures[0][1], StrategyUnsupported)
     assert "cover" in failures[0][1].reason
     assert result.stats.route == "naive"
 
-    # And the full router never offers index-merge for this snapshot.
-    chain = router.chain_for("topk", predicate, None, session.relation)
-    assert "index-merge" not in chain
+    # And a pinned chain never offers index-merge for this snapshot.
+    chain = chain_for(
+        ("index-merge", "naive"), request, router.ctx, session.relation
+    )
+    assert chain == ["naive"]
 
 
 def test_storage_fault_edge_domination_to_naive(faulty):
@@ -151,7 +152,7 @@ def test_storage_fault_edge_domination_to_naive(faulty):
     router = QueryRouter.for_system(
         system,
         policy=RoutingPolicy(
-            forced_chain=("domination-first", "naive"), cache=False
+            chain=("domination-first", "naive"), cache=False
         ),
     )
     result = router.route(_session(system), "skyline", predicate=predicate)
@@ -181,8 +182,11 @@ def test_executor_routed_fault_reaches_the_router(faulty):
         system, threads=1, routing=RoutingPolicy(cache=False)
     ) as executor:
         router = executor.router
-        assert router.chain_for(
-            "skyline", predicate, None, system.relation
+        assert chain_for(
+            SERVING_CHAIN,
+            RouteRequest(kind="skyline", predicate=predicate),
+            router.ctx,
+            system.relation,
         )[:2] == ["signature", "boolean-first"]
         disk.plan = FaultPlan(
             [FaultRule(kind="corrupt", tag="rtree", count=1)]
@@ -202,16 +206,12 @@ def test_executor_routed_fault_reaches_the_router(faulty):
         serving = executor.stats.snapshot()
         assert serving["fell_back"] == 1
         assert serving["degraded_queries"] == 1
-
-        # The scan's I/O describes neither engine's healthy cost.
-        assert router.costs.snapshot()["observations"] == 0
     disk.plan = FaultPlan()
 
 
-def test_cost_book_learns_only_from_first_choice_answers(faulty):
+def test_transient_fault_falls_back_once_then_signature_serves(faulty):
     """A transient R-tree fault hands one query to the scan and heals: the
-    book must skip the fallback and take the next, healthy signature
-    answer as that entry's first observation."""
+    next read of the same query is a healthy signature answer."""
     disk, system = faulty
     predicate = sample_predicate(system.relation, 1, random.Random(7))
     with QueryExecutor(
@@ -224,18 +224,17 @@ def test_cost_book_learns_only_from_first_choice_answers(faulty):
         fallen = executor.skyline(predicate).result(timeout=30.0)
         assert fallen.stats.route == "boolean-first"
         assert fallen.stats.fallbacks == 1
-        assert router.costs.snapshot()["observations"] == 0
+        assert fallen.stats.degraded
 
         healthy = executor.skyline(predicate).result(timeout=30.0)
         assert healthy.stats.route == "signature"
         assert healthy.stats.fallbacks == 0
         assert not healthy.stats.degraded
         assert healthy.tids == fallen.tids
-        assert router.costs.snapshot() == {"observations": 1, "entries": 1}
-        estimate = router.predicate_stats.cardinality(predicate)
-        assert router.costs.estimate(
-            "skyline", "signature", candidate_bucket(estimate)
-        ) == float(healthy.stats.total_io())
+        stats = router.stats.snapshot()
+        assert stats["served_by"] == {"boolean-first": 1, "signature": 1}
+        assert stats["chosen"] == {"signature": 2}
+        assert stats["fell_back"] == 1
 
 
 def test_storage_fault_two_hop_chain(faulty):
@@ -251,7 +250,7 @@ def test_storage_fault_two_hop_chain(faulty):
     router = QueryRouter.for_system(
         system,
         policy=RoutingPolicy(
-            forced_chain=("signature", "domination-first", "naive"),
+            chain=("signature", "domination-first", "naive"),
             cache=False,
         ),
     )
@@ -284,7 +283,7 @@ def test_timeout_edge_slice_expires_overall_survives(faulty):
     router = QueryRouter.for_system(
         system,
         policy=RoutingPolicy(
-            forced_chain=("domination-first", "naive"), cache=False
+            chain=("domination-first", "naive"), cache=False
         ),
     )
     session = QuerySession.for_snapshot(

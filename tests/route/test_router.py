@@ -1,23 +1,27 @@
-"""QueryRouter unit behaviour: chains, priors, learning, bypass, stats."""
+"""QueryRouter unit behaviour: the one chain, pinning, bypass, stats."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.data.workload import sample_linear_function, sample_predicate
 from repro.query.predicates import BooleanPredicate
 from repro.query.session import QuerySession
 from repro.route import (
     NAIVE,
+    SERVING_CHAIN,
     STRATEGY_ORDER,
-    CostBook,
-    PredicateStats,
     QueryRouter,
+    RouteRequest,
     RouterStats,
     RoutingPolicy,
     StrategyTimeout,
     StrategyUnsupported,
-    candidate_bucket,
+    chain_for,
 )
+from repro.serve.executor import QueryExecutor
 from repro.serve.resilience import BreakerBoard
 from repro.storage.errors import TransientIOError
 from repro.system import build_system
@@ -36,6 +40,10 @@ def _session(system):
     return QuerySession.for_snapshot(system.pin_snapshot())
 
 
+def _shape(kind, preference_by=None):
+    return RouteRequest(kind, BooleanPredicate(), preference_by=preference_by)
+
+
 def _predicate(relation, n=1):
     dims = relation.schema.boolean_dims[:n]
     return BooleanPredicate(
@@ -48,13 +56,13 @@ def _predicate(relation, n=1):
 
 def test_unknown_forced_strategy_rejected(routed):
     with pytest.raises(ValueError, match="unknown strategy"):
-        QueryRouter.for_system(routed, policy=RoutingPolicy(forced="grep"))
+        QueryRouter.for_system(routed, policy=RoutingPolicy(chain=("grep",)))
 
 
 def test_unknown_forced_chain_member_rejected(routed):
     with pytest.raises(ValueError, match="unknown strategy"):
         QueryRouter.for_system(
-            routed, policy=RoutingPolicy(forced_chain=("naive", "bogus"))
+            routed, policy=RoutingPolicy(chain=("naive", "bogus"))
         )
 
 
@@ -64,114 +72,131 @@ def test_unknown_forced_chain_member_rejected(routed):
 def test_chain_always_ends_with_naive(routed):
     router = QueryRouter.for_system(routed)
     for kind in ("skyline", "topk"):
-        chain = router.chain_for(
-            kind, _predicate(routed.relation), None, routed.relation
+        chain = chain_for(
+            SERVING_CHAIN, _shape(kind), router.ctx, routed.relation
         )
-        assert chain[-1] == NAIVE
-        assert len(set(chain)) == len(chain)
+        assert chain == ["signature", "boolean-first", "naive"]
+    # No scan engine answers these: the chain is the signature engine.
+    for kind in ("dynamic_skyline", "lower_hull"):
+        assert chain_for(
+            SERVING_CHAIN, _shape(kind), router.ctx, routed.relation
+        ) == ["signature"]
 
 
 def test_forced_chain_is_supports_filtered(routed):
     router = QueryRouter.for_system(
-        routed, policy=RoutingPolicy(forced_chain=("index-merge", "naive"))
+        routed, policy=RoutingPolicy(chain=("index-merge", "naive"))
     )
     # index-merge never serves skylines: filtered out, order preserved.
-    assert router.chain_for(
-        "skyline", BooleanPredicate(), None, routed.relation
+    pinned = router.policy.chain
+    assert chain_for(
+        pinned, _shape("skyline"), router.ctx, routed.relation
     ) == ["naive"]
-    assert router.chain_for(
-        "topk", BooleanPredicate(), None, routed.relation
+    assert chain_for(
+        pinned, _shape("topk"), router.ctx, routed.relation
     ) == ["index-merge", "naive"]
+    session = _session(routed)
+    served = router.route(session, "skyline", predicate=BooleanPredicate())
+    assert served.stats.route == "naive"
+    assert served.stats.fallbacks == 0
+
+
+def test_pinned_engine_that_cannot_serve_the_shape_raises(routed):
+    router = QueryRouter.for_system(
+        routed, policy=RoutingPolicy(chain=("index-merge",), cache=False)
+    )
+    with pytest.raises(StrategyUnsupported):
+        router.route(_session(routed), "skyline", predicate=BooleanPredicate())
 
 
 def test_domination_excluded_for_preference_subspace(routed):
     router = QueryRouter.for_system(routed)
     subspace = (routed.relation.schema.preference_dims[0],)
-    chain = router.chain_for(
-        "skyline", BooleanPredicate(), subspace, routed.relation
+    chain = chain_for(
+        STRATEGY_ORDER, _shape("skyline", subspace), router.ctx, routed.relation
     )
     assert "domination-first" not in chain
     assert chain[-1] == NAIVE
 
 
-def test_priors_empty_predicate_ties_domination_to_signature(routed):
-    router = QueryRouter.for_system(routed)
-    rows = len(routed.relation)
-    empty = router._priors(BooleanPredicate(), float(rows), routed.relation)
-    assert empty["domination-first"] == empty["signature"]
-    selective = router._priors(
-        _predicate(routed.relation), 5.0, routed.relation
-    )
-    # Non-empty predicate: minimal probing scales with the relation.
-    assert selective["domination-first"] > selective["signature"]
-    assert selective["boolean-first"] < selective["naive"]
+# -- one chain, no per-epoch work ---------------------------------------- #
 
 
-def test_cost_book_observations_reorder_the_chain(routed):
-    """A strategy observed to be far cheaper moves to the chain's head."""
-    router = QueryRouter.for_system(routed)
-    predicate = _predicate(routed.relation)
-    estimate = router.predicate_stats.cardinality(predicate)
-    bucket = candidate_bucket(estimate)
-    baseline = router.chain_for(
-        "skyline", predicate, None, routed.relation
-    )
-    # Teach the book that whatever ranked last (before naive) is free.
-    slowest = baseline[-2]
-    router.costs.observe("skyline", slowest, bucket, 0.0)
-    for name in baseline[:-2]:
-        router.costs.observe("skyline", name, bucket, 1e6)
-    relearned = router.chain_for(
-        "skyline", predicate, None, routed.relation
-    )
-    assert relearned[0] == slowest
-    assert relearned[-1] == NAIVE
+def _stream(relation, rng, n):
+    """Seeded skylines / top-k over one- and two-conjunct predicates."""
+    for index in range(n):
+        predicate = sample_predicate(relation, 1 + index % 2, rng)
+        if index % 3 == 1:
+            fn = sample_linear_function(relation.schema.n_preference, rng)
+            yield "topk", {"fn": fn, "k": 5, "predicate": predicate}
+        else:
+            yield "skyline", {"predicate": predicate}
+
+
+def test_routed_and_unrouted_run_the_same_chain(routed, monkeypatch):
+    """Both modes hand the *same* ``SERVING_CHAIN`` object and the same
+    context to the chain runner; fault-free, every routed miss is served by
+    ``signature`` and costs exactly what the unrouted read costs — the
+    first read after each publish included (no per-epoch statistics work
+    hides in the read)."""
+    handed = []
+
+    def recording(names, request, ctx, relation):
+        handed.append((names, ctx))
+        return chain_for(names, request, ctx, relation)
+
+    monkeypatch.setattr("repro.serve.executor.chain_for", recording)
+    monkeypatch.setattr("repro.route.router.chain_for", recording)
+
+    rng = random.Random(29)
+    schema = routed.relation.schema
+    with QueryExecutor(routed, threads=1, routing=True) as cached, (
+        QueryExecutor(routed, threads=1)
+    ) as plain:
+        assert cached.router.ctx is cached._ctx
+        reads = misses = 0
+        for kind, kwargs in _stream(routed.relation, rng, 18):
+            published = reads % 6 in (3, 5)
+            if reads % 6 == 3:
+                routed.insert(
+                    tuple(
+                        routed.relation.bool_value(0, dim)
+                        for dim in schema.boolean_dims
+                    ),
+                    tuple(rng.random() for _ in schema.preference_dims),
+                )
+            elif reads % 6 == 5:
+                routed.delete(reads)
+            got = getattr(cached, kind)(**kwargs).result(timeout=30.0)
+            want = getattr(plain, kind)(**kwargs).result(timeout=30.0)
+            reads += 1
+            assert got.stats.route == "signature"
+            assert want.stats.route is None
+            assert got.stats.epoch == want.stats.epoch
+            assert sorted(got.tids) == sorted(want.tids)
+            if got.stats.cache_outcome == "hit":
+                assert not published
+                continue
+            misses += 1
+            assert got.stats.fallbacks == want.stats.fallbacks == 0
+            assert (
+                got.stats.counters.snapshot()
+                == want.stats.counters.snapshot()
+            )
+            assert (
+                got.stats.pool_hits + got.stats.pool_misses
+                == want.stats.pool_hits + want.stats.pool_misses
+            )
+        view = cached.router.stats.snapshot()
+    assert view["served_by"] == view["chosen"] == {"signature": misses}
+    assert view["cache_misses"] == misses >= 6
+    assert view["fell_back"] == 0
+    assert len(handed) == reads + misses
+    assert all(names is SERVING_CHAIN for names, _ in handed)
+    assert {id(ctx) for _, ctx in handed} == {id(cached._ctx), id(plain._ctx)}
 
 
 # -- statistics ---------------------------------------------------------- #
-
-
-def test_predicate_stats_refresh_once_per_epoch(routed):
-    router = QueryRouter.for_system(routed)
-    session = _session(routed)
-    predicate = _predicate(routed.relation)
-    router.route(session, "skyline", predicate=predicate)
-    router.route(session, "skyline", predicate=predicate)
-    assert router.predicate_stats.refreshes == 1
-    assert router.predicate_stats.rows == len(routed.relation)
-
-
-def test_predicate_stats_exact_for_one_conjunct(routed):
-    stats = PredicateStats()
-    stats.ensure(routed.relation, epoch=None)
-    relation = routed.relation
-    dim = relation.schema.boolean_dims[0]
-    value = relation.bool_value(0, dim)
-    exact = sum(
-        1 for tid in relation.tids() if relation.bool_value(tid, dim) == value
-    )
-    predicate = BooleanPredicate({dim: value})
-    assert stats.cardinality(predicate) == exact
-    assert stats.value_count(dim, value) == exact
-
-
-def test_candidate_bucket_log2():
-    assert candidate_bucket(0.0) == 0
-    assert candidate_bucket(1.0) == 0
-    assert candidate_bucket(2.0) == 1
-    assert candidate_bucket(1000.0) == 9
-
-
-def test_cost_book_ewma_and_nearest_bucket():
-    book = CostBook(alpha=0.5)
-    book.observe("skyline", "signature", 4, 100.0)
-    book.observe("skyline", "signature", 4, 200.0)
-    assert book.estimate("skyline", "signature", 4) == 150.0
-    # Unseen bucket: nearest same-(kind, strategy) bucket generalises.
-    assert book.estimate("skyline", "signature", 9) == 150.0
-    assert book.estimate("topk", "signature", 4) is None
-    with pytest.raises(ValueError):
-        CostBook(alpha=0.0)
 
 
 def test_router_stats_error_classification():
@@ -274,14 +299,8 @@ def test_snapshot_structure(routed):
     session = _session(routed)
     router.route(session, "skyline", predicate=_predicate(routed.relation))
     view = router.snapshot()
-    assert set(view) == {
-        "policy",
-        "routing",
-        "cache",
-        "predicate_stats",
-        "costs",
-    }
+    assert set(view) == {"policy", "routing", "cache"}
+    assert view["policy"] == {"cache": True, "chain": None}
     assert view["routing"]["routed"] == 1
     assert view["cache"]["stores"] == 1
-    assert view["predicate_stats"]["rows"] == len(routed.relation)
     assert STRATEGY_ORDER[-1] == NAIVE
