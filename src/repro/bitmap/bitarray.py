@@ -135,20 +135,31 @@ class BitArray:
             yield low.bit_length() - 1
             mask ^= low
 
+    def _run_ends(self) -> int:
+        """A mask with bit ``i`` set where positions ``i`` and ``i + 1``
+        differ — a run ends at ``i`` (the last run's end is not marked)."""
+        mask = self._mask
+        return (mask ^ (mask >> 1)) & ((1 << max(self.nbits - 1, 0)) - 1)
+
+    def run_count(self) -> int:
+        """How many runs :meth:`runs` yields."""
+        return self._run_ends().bit_count() + 1 if self.nbits else 0
+
     def runs(self) -> Iterator[tuple[bool, int]]:
         """Yield maximal ``(bit_value, run_length)`` runs, low bits first."""
         if self.nbits == 0:
             return
-        current = bool(self._mask & 1)
-        length = 0
-        for pos in range(self.nbits):
-            bit = bool(self._mask >> pos & 1)
-            if bit == current:
-                length += 1
-            else:
-                yield current, length
-                current, length = bit, 1
-        yield current, length
+        value = bool(self._mask & 1)
+        ends = self._run_ends()
+        start = 0
+        while ends:
+            low = ends & -ends
+            end = low.bit_length()
+            yield value, end - start
+            start = end
+            value = not value
+            ends ^= low
+        yield value, self.nbits - start
 
     # ------------------------------------------------------------------ #
     # bitwise combination (same width required)

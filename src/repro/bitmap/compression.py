@@ -50,6 +50,11 @@ def write_varint(value: int, out: bytearray) -> None:
             return
 
 
+def varint_len(value: int) -> int:
+    """How many bytes :func:`write_varint` spends on ``value``."""
+    return max(1, (value.bit_length() + 6) // 7)
+
+
 def read_varint(data: bytes, offset: int) -> tuple[int, int]:
     """Read an unsigned LEB128 varint; return ``(value, new_offset)``."""
     result = 0
@@ -68,12 +73,20 @@ def read_varint(data: bytes, offset: int) -> tuple[int, int]:
 
 
 # --------------------------------------------------------------------------- #
-# codec implementations: encode/decode bodies (nbits handled by the frame)
+# codec implementations: encode/decode bodies (nbits handled by the frame),
+# plus each body's length worked out from the mask without encoding it
 # --------------------------------------------------------------------------- #
+
+#: Below this width every sparse gap and every run length is one varint byte.
+_ONE_BYTE_WIDTH = 128
 
 
 def _raw_encode(bits: BitArray) -> bytes:
     return bits.to_bytes()
+
+
+def _raw_len(bits: BitArray) -> int:
+    return (bits.nbits + 7) // 8
 
 
 def _raw_decode(nbits: int, body: bytes) -> BitArray:
@@ -94,6 +107,18 @@ def _sparse_encode(bits: BitArray) -> bytes:
         write_varint(pos - previous, out)  # gaps are >= 1, varint friendly
         previous = pos
     return bytes(out)
+
+
+def _sparse_len(bits: BitArray) -> int:
+    count = bits.count()
+    if bits.nbits < _ONE_BYTE_WIDTH:
+        return varint_len(count) + count
+    length = varint_len(count)
+    previous = -1
+    for pos in bits.positions():
+        length += varint_len(pos - previous)
+        previous = pos
+    return length
 
 
 def _sparse_decode(nbits: int, body: bytes) -> BitArray:
@@ -124,6 +149,12 @@ def _rle_encode(bits: BitArray) -> bytes:
     for _, length in runs:
         write_varint(length, out)
     return bytes(out)
+
+
+def _rle_len(bits: BitArray) -> int:
+    if bits.nbits < _ONE_BYTE_WIDTH:
+        return 1 + bits.run_count()
+    return 1 + sum(varint_len(length) for _, length in bits.runs())
 
 
 def _rle_decode(nbits: int, body: bytes) -> BitArray:
@@ -190,6 +221,28 @@ def _wah_encode(bits: BitArray) -> bytes:
     return pack_words(words, 4)
 
 
+def _wah_len(bits: BitArray) -> int:
+    mask = bits.mask
+    chunk_mask = (1 << _WAH_WORD) - 1
+    max_fill = (1 << 30) - 1
+    words = 0
+    fill = -1  # the chunk value of the open fill run, -1 when none is open
+    fill_chunks = 0
+    for i in range((bits.nbits + _WAH_WORD - 1) // _WAH_WORD):
+        chunk = (mask >> (i * _WAH_WORD)) & chunk_mask
+        if chunk == fill:
+            fill_chunks += 1
+            continue
+        words += (fill_chunks + max_fill - 1) // max_fill
+        if chunk == 0 or chunk == chunk_mask:
+            fill, fill_chunks = chunk, 1
+        else:
+            fill, fill_chunks = -1, 0
+            words += 1
+    words += (fill_chunks + max_fill - 1) // max_fill
+    return 4 * words
+
+
 def _wah_decode(nbits: int, body: bytes) -> BitArray:
     if len(body) % 4:
         raise CodecError("wah body is not word aligned")
@@ -232,21 +285,26 @@ CODECS = {
 
 _BY_ID = {cid: (name, enc, dec) for name, (cid, enc, dec) in CODECS.items()}
 
+#: codec name -> length of the body ``encode`` would produce.
+_BODY_LEN = {
+    "raw": _raw_len,
+    "sparse": _sparse_len,
+    "rle": _rle_len,
+    "wah": _wah_len,
+}
+
 
 def compress(bits: BitArray, codec: str = "adaptive") -> bytes:
     """Compress a bit array into a self-describing blob.
 
-    ``codec="adaptive"`` encodes with every codec and keeps the smallest
-    result — the per-node adaptive choice the paper argues for.
+    ``codec="adaptive"`` keeps the smallest of the four encodings — the
+    per-node adaptive choice the paper argues for — and, on a tie, the
+    first in :data:`CODECS` order.  Only the winner is encoded: every frame
+    spends the same bytes on the codec id and the width, so the smallest
+    body, computed from the mask, is the smallest blob.
     """
     if codec == "adaptive":
-        best: bytes | None = None
-        for name in CODECS:
-            candidate = compress(bits, name)
-            if best is None or len(candidate) < len(best):
-                best = candidate
-        assert best is not None
-        return best
+        codec = min(CODECS, key=lambda name: _BODY_LEN[name](bits))
     try:
         codec_id, encode, _ = CODECS[codec]
     except KeyError:

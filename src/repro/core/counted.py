@@ -13,6 +13,14 @@ tuples below.  A bit is set iff its count is positive, so
 with no access to other tuples' paths.  The memory overhead is one small int
 per set bit — still far below a per-cell index — and the bitmap view stays
 available for storage at any time.
+
+The O(depth) covers the store as well as the counts: :meth:`dirty_sids`
+names the nodes a moved path touched, and the cell's rewrite compresses
+only those, taking every other node's blob from the cell's current pages
+(:meth:`repro.core.store.SignatureStore.put_signature`).  What is still
+O(cell) per dirty cell is the copy-on-write :meth:`copy` under an epoch
+snapshot, the :meth:`to_signature` view, and re-packing the blobs into
+fresh pages.
 """
 
 from __future__ import annotations
@@ -132,7 +140,9 @@ class CountedSignature:
         return signature
 
     def dirty_sids(self, path: Sequence[int]) -> list[int]:
-        """The node SIDs a path touches (ancestors of the leaf slot)."""
+        """The node SIDs a path touches (ancestors of the leaf slot): the
+        only nodes whose bit arrays adding or removing ``path`` can change,
+        hence the only ones a rewrite must compress again."""
         base = self.fanout + 1
         sids = [0]
         sid = 0

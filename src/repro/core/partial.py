@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.bitmap.bitarray import BitArray
 from repro.bitmap.compression import compress, decompress
@@ -102,16 +102,27 @@ def decompose(
     signature: Signature,
     page_size: int,
     codec: str = "adaptive",
+    reuse: Mapping[int, bytes] | None = None,
 ) -> list[PartialSignature]:
     """Split a signature into page-sized partials (the paper's algorithm).
 
     Returns partials in creation order; the first is always referenced by
     the root SID 0 (the one loaded unconditionally at query start).
+
+    ``reuse`` maps node SIDs to blobs the caller vouches for — each must be
+    what ``compress(signature.node(sid), codec)`` would return (a
+    maintenance rewrite passes the cell's stored blobs minus the nodes on
+    its changed paths).  Those nodes are not compressed again; the packing
+    below runs over blobs either way, so the partials are the same bytes.
     """
-    compressed = {
-        sid: compress(signature.node(sid), codec)  # type: ignore[arg-type]
-        for sid in signature.node_sids()
-    }
+    if reuse is None:
+        reuse = {}
+    compressed: dict[int, bytes] = {}
+    for sid in signature.node_sids():
+        blob = reuse.get(sid)
+        if blob is None:
+            blob = compress(signature.node(sid), codec)  # type: ignore[arg-type]
+        compressed[sid] = blob
     if not compressed:
         return [PartialSignature(ref_sid=0, blobs={})]
 
@@ -139,6 +150,10 @@ def decompose(
     # itself, the first BFS step packs it unconditionally.
     for seed in _bfs_sids(signature, 0):
         pack_from(seed)
+        if len(coded) == len(compressed):
+            # Every node is in a partial; a later seed could only re-walk
+            # its fully coded subtree and pack nothing.
+            break
     return partials
 
 

@@ -305,8 +305,11 @@ class PCube(ReaderFactory):
             (one-dimensional) cuboids, as in the paper's experiments.
         codec: Bitmap codec for stored signatures.
         tag: Page-tag prefix for space accounting.
-        maintainable: Keep counted signatures in memory so incremental
-            updates run in O(path length) per affected cell.
+        maintainable: Keep counted signatures in memory so an incremental
+            update moves counts, and compresses signature nodes, only along
+            the changed paths of each affected cell; every other node of the
+            cell keeps the blob already on its pages (the rewrite still
+            re-packs the cell's partials and writes them to fresh pages).
     """
 
     def __init__(
@@ -335,6 +338,11 @@ class PCube(ReaderFactory):
         # Cells whose counted signature is shared with a published epoch
         # snapshot and must be copied before the next in-place mutation.
         self._shared_counted: set[Cell] = set()
+        # cell -> node SIDs whose counts moved since the cell's partials
+        # were last stored.  Entries leave only when a rewrite of the cell
+        # commits, so a rewrite that follows a faulted one compresses the
+        # union of both writes' paths.
+        self._pending_sids: dict[Cell, set[int]] = {}
         self._built = False
 
     # ------------------------------------------------------------------ #
@@ -407,6 +415,17 @@ class PCube(ReaderFactory):
             self._shared_counted.discard(cell)
         return counted
 
+    def _put(
+        self,
+        cell: Cell,
+        signature: Signature,
+        dirty_sids: set[int] | None = None,
+    ) -> None:
+        """Store a cell's signature; once the rewrite has committed, the
+        pages hold every node of ``signature`` and nothing is pending."""
+        self.store.put_signature(cell, signature, dirty_sids)
+        self._pending_sids.pop(cell, None)
+
     def rebuild_cell(self, cell: Cell) -> Signature:
         """Regenerate a (quarantined) cell's signature from base data.
 
@@ -448,7 +467,7 @@ class PCube(ReaderFactory):
                 signature = Signature.from_paths(
                     (paths[tid] for tid in tids), self.fanout
                 )
-                self.store.put_signature(cell, signature)
+                self._put(cell, signature)
                 self.store.clear_quarantine(cell)
                 if self.maintainable:
                     counted = CountedSignature(self.fanout)
@@ -479,10 +498,12 @@ class PCube(ReaderFactory):
         For every changed tuple and every materialised cuboid, the tuple's
         cell is updated: the old path's counts are removed, the new path's
         added; bits flip exactly when counts cross zero.  Dirty cells are
-        then re-decomposed and re-stored once, in cell-id order (the WAL
-        relies on that determinism to replay an interrupted store phase),
-        with ``on_cell_stored`` invoked after each cell commits.  Returns
-        the dirty cells.
+        then re-stored once, in cell-id order (the WAL relies on that
+        determinism to replay an interrupted store phase), with
+        ``on_cell_stored`` invoked after each cell commits.  A cell's
+        rewrite compresses only the nodes on its changed paths and reads
+        the rest back from its current pages (see
+        :meth:`SignatureStore.put_signature`).  Returns the dirty cells.
 
         The counted updates touch no disk page; the first disk access of
         this method is the first cell's rewrite.  Crash recovery leans on
@@ -501,13 +522,20 @@ class PCube(ReaderFactory):
             for cuboid in self.cuboids:
                 cell = cuboid.cell_for(self.relation, change.tid)
                 counted = self._writable_counted(cell)
+                pending = self._pending_sids.setdefault(cell, set())
                 if change.old_path is not None:
+                    pending.update(counted.dirty_sids(change.old_path))
                     counted.remove_path(change.old_path)
                 if change.new_path is not None:
+                    pending.update(counted.dirty_sids(change.new_path))
                     counted.add_path(change.new_path)
                 dirty.add(cell)
         for cell in sorted(dirty, key=lambda c: c.cell_id):
-            self.store.put_signature(cell, self._counted[cell].to_signature())
+            self._put(
+                cell,
+                self._counted[cell].to_signature(),
+                self._pending_sids[cell],
+            )
             if on_cell_stored is not None:
                 on_cell_stored(cell)
         return dirty
@@ -529,11 +557,12 @@ class PCube(ReaderFactory):
 
         The WAL replay path: the counted signatures are fully post-op once
         the changes record is durable, so re-deriving the bitmap from them
-        and rewriting the cell is idempotent.  Falls back to a full
-        recompute when no counted state is available."""
+        and rewriting the cell is idempotent — every node is compressed
+        afresh, whatever the interrupted rewrite left on the pages.  Falls
+        back to a full recompute when no counted state is available."""
         counted = self._counted.get(cell)
         if counted is not None:
-            self.store.put_signature(cell, counted.to_signature())
+            self._put(cell, counted.to_signature())
             self.store.clear_quarantine(cell)
         else:
             self.recompute_cell(cell)
@@ -558,7 +587,7 @@ class PCube(ReaderFactory):
         signature = Signature.from_paths(
             (paths[tid] for tid in tids), self.fanout
         )
-        self.store.put_signature(cell, signature)
+        self._put(cell, signature)
         if self.maintainable:
             counted = CountedSignature(self.fanout)
             for tid in tids:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from repro.bitmap.bitarray import BitArray
 from repro.btree.btree import BPlusTree
@@ -136,11 +136,51 @@ class SignatureStore:
     # writing
     # ------------------------------------------------------------------ #
 
-    def put_signature(self, cell: Cell, signature: Signature) -> int:
-        """Decompose and store a full cell signature; returns #partials."""
-        partials = decompose(signature, self.disk.page_size, self.codec)
+    def put_signature(
+        self,
+        cell: Cell,
+        signature: Signature,
+        dirty_sids: Collection[int] | None = None,
+    ) -> int:
+        """Decompose and store a full cell signature; returns #partials.
+
+        ``dirty_sids`` makes the rewrite a read-modify-write: the caller
+        states that, since the cell was last stored, only these nodes' bit
+        arrays may have changed, so every other node keeps the blob it has
+        on the cell's current pages and only the dirty nodes are compressed
+        (:func:`~repro.core.partial.decompose` packs the same bytes either
+        way).  Without it — or when an old partial cannot be read — every
+        node is compressed afresh.
+        """
+        reuse = None if dirty_sids is None else self._stored_blobs(cell)
+        if reuse:
+            for sid in dirty_sids:
+                reuse.pop(sid, None)
+        partials = decompose(
+            signature, self.disk.page_size, self.codec, reuse=reuse
+        )
         self.replace_partials(cell, partials)
         return len(partials)
+
+    def _stored_blobs(self, cell: Cell) -> dict[int, bytes] | None:
+        """Every node blob on the cell's current pages — the read half of a
+        maintenance read-modify-write: one counted, checksum-verified
+        ``SSIG`` read per partial.
+
+        ``None`` when any of them is unreadable: the stored signature is a
+        rebuildable cache, so the rewrite then recompresses every node (and
+        replaces the damaged page) instead of failing the write.  Not
+        retried and not quarantined — the pages are about to be replaced.
+        A :class:`~repro.storage.faults.SimulatedCrash` is not a storage
+        fault and propagates like at every other crash point.
+        """
+        blobs: dict[int, bytes] = {}
+        try:
+            for page_id in self._directory.get(cell.cell_id, {}).values():
+                blobs.update(self.disk.read(page_id, SSIG).blobs)
+        except (StorageFault, PageFault):
+            return None
+        return blobs
 
     def replace_partials(
         self, cell: Cell, partials: Sequence[PartialSignature]

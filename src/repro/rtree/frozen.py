@@ -8,15 +8,17 @@ duck-type exactly the read surface Algorithm 1 and the boolean fallback
 use — ``root``, ``disk``, ``live_entries()``, ``live_count()``, ``mbr()``,
 ``entry_at()`` — and nothing mutable.
 
-Freezing is cheap because it is copy-on-write at node granularity: the live
-tree records which node pages were rewritten since the last freeze
-(:attr:`RTree._touched_nodes`), and :func:`freeze` reuses any previous
-frozen subtree whose node is untouched *and* whose frozen children were
-themselves reused (a descendant can change without its ancestors being
-rewritten — MBR-preserving leaf updates stop the upward adjustment early —
-so reuse is decided bottom-up by child identity, not by the touched set
-alone).  After ``reset`` or bulk adoption node ids are re-minted, so the
-tree's ``generation`` is bumped and sharing across the boundary is refused.
+Freezing is copy-on-write at node granularity and costs the changed paths,
+not the tree: the live tree records every node whose page was written or
+freed since the last freeze together with its ancestors
+(:attr:`RTree._touched_nodes` — a descendant can change without its
+ancestors being rewritten, since MBR-preserving leaf updates stop the upward
+adjustment early, so the ancestors are recorded explicitly), and
+:func:`freeze` builds new frozen nodes for exactly those.  Every other
+subtree is returned as the previous snapshot's object — cached
+:class:`~repro.rtree.node.NodeBlock` included — without being visited.
+After ``reset`` or bulk adoption node ids are re-minted, so the tree's
+``generation`` is bumped and sharing across the boundary is refused.
 
 Frozen nodes keep the live tree's page ids.  Pages are never reused by the
 simulated disk and the epoch manager defers frees until no older reader
@@ -128,14 +130,6 @@ class FrozenRTree:
         self.disk = disk
         self.generation = generation
         self._size = size
-        self._by_node_id: dict[int, FrozenRNode] = {}
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            self._by_node_id[node.node_id] = node
-            for _, entry in node.live_entries():
-                if entry.child is not None:
-                    stack.append(entry.child)
 
     def __len__(self) -> int:
         return self._size
@@ -144,7 +138,14 @@ class FrozenRTree:
         return self.root.level + 1
 
     def node_count(self) -> int:
-        return len(self._by_node_id)
+        count = 0
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            count += 1
+            if not node.is_leaf:
+                stack.extend(entry.child for _, entry in node.live_entries())
+        return count
 
     def all_paths(self) -> dict[int, tuple[int, ...]]:
         """Every tuple's root-based path of 1-based slots at this epoch
@@ -183,45 +184,46 @@ class FrozenRTree:
 
 def freeze(tree: "RTree", previous: FrozenRTree | None = None) -> FrozenRTree:
     """Produce an immutable snapshot of ``tree``, sharing unchanged
-    subtrees with ``previous`` when both come from the same generation.
+    subtrees with ``previous`` — the snapshot the last freeze of this tree
+    returned — when both come from the same generation.
 
     Consumes the tree's touched-node set: after freezing, the tree starts
     accumulating touches for the *next* snapshot.
     """
-    reuse: dict[int, FrozenRNode] = {}
-    if previous is not None and previous.generation == tree.generation:
-        reuse = previous._by_node_id
     touched = tree._touched_nodes
+    # node id -> previous frozen node, for the children of every previous
+    # frozen node whose id is touched.  An untouched live node met below a
+    # touched one is there: the parent it had at the last freeze is either
+    # its parent now, or lost it since — and losing a child writes or frees
+    # a node, which records it and the ancestors it had (``RTree._touch``),
+    # so the walk from the previous root through touched ids reaches it.
+    prior: dict[int, FrozenRNode] = {}
+    if previous is not None and previous.generation == tree.generation:
+        prior[previous.root.node_id] = previous.root
+        stack = [previous.root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf or node.node_id not in touched:
+                continue
+            for _, entry in node.live_entries():
+                prior[entry.child.node_id] = entry.child
+                stack.append(entry.child)
 
     def _freeze(node) -> FrozenRNode:
+        if node.node_id not in touched:
+            shared = prior.get(node.node_id)
+            if shared is not None:
+                return shared
         if node.is_leaf:
-            prior = reuse.get(node.node_id)
-            if prior is not None and node.node_id not in touched:
-                return prior
             slots = [
                 (slot, FrozenEntry(entry.mbr, tid=entry.tid))
                 for slot, entry in node.live_entries()
             ]
-            return FrozenRNode(node.node_id, node.page_id, node.level, slots)
-        frozen_children = [
-            (slot, entry, _freeze(entry.child))
-            for slot, entry in node.live_entries()
-        ]
-        prior = reuse.get(node.node_id)
-        if prior is not None and node.node_id not in touched:
-            prior_children = {
-                entry.child.node_id: entry.child
-                for _, entry in prior.live_entries()
-            }
-            if len(prior_children) == len(frozen_children) and all(
-                child is prior_children.get(child.node_id)
-                for _, _, child in frozen_children
-            ):
-                return prior
-        slots = [
-            (slot, FrozenEntry(entry.mbr, child=child))
-            for slot, entry, child in frozen_children
-        ]
+        else:
+            slots = [
+                (slot, FrozenEntry(entry.mbr, child=_freeze(entry.child)))
+                for slot, entry in node.live_entries()
+            ]
         return FrozenRNode(node.node_id, node.page_id, node.level, slots)
 
     root = _freeze(tree.root)

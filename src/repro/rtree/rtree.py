@@ -111,10 +111,11 @@ class RTree:
         #: ``disk.free`` — the epoch manager defers them until no pinned
         #: snapshot can still be traversing the node.
         self.free_hook: Callable[[int], None] | None = None
-        #: Node ids whose pages were (re)written since the last freeze.
-        #: :func:`repro.rtree.frozen.freeze` consumes and clears this to
-        #: decide which frozen subtrees of the previous snapshot it may
-        #: share structurally.
+        #: Ids of the nodes whose pages were written or freed since the
+        #: last freeze, and of every ancestor they had at that moment (see
+        #: :meth:`_touch`).  :func:`repro.rtree.frozen.freeze` consumes and
+        #: clears this: it rebuilds exactly these nodes and shares every
+        #: other subtree of the previous snapshot without visiting it.
         self._touched_nodes: set[int] = set()
         #: Bumped whenever node ids are re-minted wholesale (``reset``,
         #: bulk adoption) — frozen snapshots from another generation must
@@ -134,19 +135,39 @@ class RTree:
         self._next_node_id += 1
         node.page_id = self.disk.allocate(self.tag, size=_NODE_HEADER_BYTES)
         self.disk.write(node.page_id, node, size=_NODE_HEADER_BYTES)
-        self._touched_nodes.add(node.node_id)
+        self._touch(node)
         return node
+
+    def _touch(self, node: RTreeNode | None) -> None:
+        """Record that ``node`` changed, up to the root.
+
+        A frozen node holds its frozen children, so a change below forces a
+        new frozen copy of every ancestor even when their own pages were
+        not rewritten (an MBR-preserving leaf update stops
+        :meth:`_adjust_upward` early).  The walk stops at the first node
+        already recorded: its ancestors were recorded with it, and a node
+        that changes parent is always followed by a write of the new
+        parent, which records the new chain.
+        """
+        touched = self._touched_nodes
+        while node is not None and node.node_id not in touched:
+            touched.add(node.node_id)
+            node = node.parent
 
     def _sync_page(self, node: RTreeNode) -> None:
         size = _NODE_HEADER_BYTES + node.live_count() * entry_bytes(self.dims)
         assert node.page_id is not None
         self.disk.write(node.page_id, node, size=size)
-        self._touched_nodes.add(node.node_id)
+        self._touch(node)
 
     def _free_node(self, node: RTreeNode) -> None:
         assert node.page_id is not None
         self._free_page(node.page_id)
         node.page_id = None
+        # Its children (re-inserted orphans, or the new root) leave a node
+        # the next freeze will not find in the tree: recording it here is
+        # what lets freeze find their frozen counterparts under it.
+        self._touch(node)
 
     def _free_page(self, page_id: int) -> None:
         if self.free_hook is not None:

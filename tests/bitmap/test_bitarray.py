@@ -136,3 +136,18 @@ def test_runs_cover_width_exactly(data):
     # runs alternate
     for (v1, _), (v2, _) in zip(runs, runs[1:]):
         assert v1 != v2
+
+
+@given(bit_sets)
+def test_runs_match_the_position_by_position_walk(data):
+    nbits, xs, _ = data
+    bits = BitArray.from_positions(nbits, xs)
+    expected = []
+    for pos in range(nbits):
+        value = pos in xs
+        if expected and expected[-1][0] == value:
+            expected[-1][1] += 1
+        else:
+            expected.append([value, 1])
+    assert list(bits.runs()) == [(value, length) for value, length in expected]
+    assert bits.run_count() == len(expected)

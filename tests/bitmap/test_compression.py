@@ -139,3 +139,62 @@ def test_roundtrip_property(bits, codec):
 def test_adaptive_is_minimal_property(bits):
     adaptive_len = len(compress(bits, "adaptive"))
     assert adaptive_len == min(len(compress(bits, c)) for c in CODECS)
+
+
+# --------------------------------------------------------------------------- #
+# adaptive encodes only the winner: same bytes as encoding all four
+# --------------------------------------------------------------------------- #
+
+
+def encode_all_and_keep_smallest(bits):
+    """The adaptive codec as first written: every codec encodes, the first
+    strictly smallest blob in ``CODECS`` order wins."""
+    best = None
+    for name in CODECS:
+        candidate = compress(bits, name)
+        if best is None or len(candidate) < len(best):
+            best = candidate
+    return best
+
+
+def shaped_masks(nbits, draw_positions):
+    """Random, all-zero, all-one and single-run masks of one width."""
+    masks = [0, (1 << nbits) - 1, sum(1 << pos for pos in draw_positions)]
+    if nbits:
+        low, high = min(draw_positions, default=0), max(draw_positions, default=0)
+        masks.append(((1 << (high - low + 1)) - 1) << low)
+    return masks
+
+
+widths_and_positions = st.integers(min_value=0, max_value=200).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.integers(min_value=0, max_value=max(n - 1, 0)))
+        if n
+        else st.just(set()),
+    )
+)
+
+
+@given(widths_and_positions)
+def test_adaptive_is_byte_identical_to_encoding_every_codec(data):
+    nbits, positions = data
+    for mask in shaped_masks(nbits, positions):
+        bits = BitArray(nbits, mask)
+        assert compress(bits, "adaptive") == encode_all_and_keep_smallest(bits)
+
+
+@pytest.mark.parametrize("bits", SAMPLES)
+def test_adaptive_byte_identity_on_wide_samples(bits):
+    # Widths past 127 take multi-byte gaps and run lengths.
+    assert compress(bits, "adaptive") == encode_all_and_keep_smallest(bits)
+
+
+def test_adaptive_byte_identity_on_every_node_of_a_built_cube(small_system):
+    store = small_system.pcube.store
+    nodes = 0
+    for page in store.disk.pages("pcube:sig"):
+        for blob in page.payload.blobs.values():
+            assert blob == encode_all_and_keep_smallest(decompress(blob))
+            nodes += 1
+    assert nodes > 1000

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.query.session import QuerySession
+from tests.rtree.test_frozen import frozen_nodes
 
 pytestmark = pytest.mark.concurrent
 
@@ -159,4 +162,58 @@ def test_maintenance_unchanged_without_epochs(fresh_system):
     bool_row, pref_row = _origin_rows(system)
     tid, _ = system.insert(bool_row, pref_row)
     system.delete(tid)
+    assert system.verify_consistency().ok
+
+
+def test_publish_rebuilds_the_written_paths_and_leaves_pinned_epochs_alone(
+    fresh_system,
+):
+    """Each epoch's frozen tree shares every unwritten subtree with the one
+    before it, a reader pinned three epochs back still walks exactly the
+    tree it pinned, and every epoch equals a from-scratch freeze."""
+    rng = random.Random(17)
+    system = fresh_system(n_tuples=900)
+    epochs = system.enable_epochs()
+    pinned = system.pin_snapshot()
+    pinned_nodes = frozen_nodes(pinned.rtree.root)
+    pinned_shape = {
+        node_id: [
+            (slot, entry.mbr, entry.tid, id(entry.child))
+            for slot, entry in node.live_entries()
+        ]
+        for node_id, node in pinned_nodes.items()
+    }
+    pinned_paths = pinned.rtree.all_paths()
+    reference = QuerySession.for_snapshot(pinned).skyline()
+
+    previous = pinned.rtree
+    for step in range(30):
+        if step % 3 == 2:
+            system.delete(rng.choice(sorted(system.relation.live_tids())))
+        else:
+            bool_row, pref_row = _origin_rows(system)
+            system.insert(bool_row, tuple(rng.random() for _ in pref_row))
+        current = epochs.current.rtree
+        before, after = frozen_nodes(previous.root), frozen_nodes(current.root)
+        rebuilt = [n for n, node in after.items() if node is not before.get(n)]
+        # A single-tuple write rebuilds a few root-to-leaf paths, not ~300 nodes.
+        assert 0 < len(rebuilt) <= 6 * current.height()
+        assert len(after) - len(rebuilt) > len(after) // 2
+        assert current.all_paths() == system.rtree.all_paths()
+        assert current.node_count() == system.rtree.node_count()
+        previous = current
+
+    # The pinned epoch: same node objects, same slots, same answers.
+    assert frozen_nodes(pinned.rtree.root).keys() == pinned_nodes.keys()
+    for node_id, node in frozen_nodes(pinned.rtree.root).items():
+        assert node is pinned_nodes[node_id]
+        assert [
+            (slot, entry.mbr, entry.tid, id(entry.child))
+            for slot, entry in node.live_entries()
+        ] == pinned_shape[node_id]
+    assert pinned.rtree.all_paths() == pinned_paths
+    again = QuerySession.for_snapshot(pinned).skyline()
+    assert again.tids == reference.tids
+    assert again.stats.counters.snapshot() == reference.stats.counters.snapshot()
+    system.unpin_snapshot(pinned)
     assert system.verify_consistency().ok

@@ -11,8 +11,24 @@ from repro.core.maintenance import (
     merge_changes,
     update_tuple,
 )
+from repro.core.sid import ancestor_sids
 from repro.core.signature import Signature
+from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.rtree.rtree import PathChange
+from repro.storage.disk import SimulatedDisk
+from repro.storage.errors import TornWriteError
+from repro.storage.faults import (
+    FaultPlan,
+    FaultRule,
+    FaultyDisk,
+    SimulatedCrash,
+)
+from repro.system import build_system
+from tests.core.test_store import (
+    count_compressions,
+    from_scratch_bytes,
+    stored_bytes,
+)
 
 
 def verify_all_signatures(system, alive=None):
@@ -324,3 +340,216 @@ def test_delete_tombstones_the_relation_row(system):
     # Row data is retained so late readers (and recovery) can still group it.
     assert len(system.relation) == 300
     assert system.relation.bool_row(10) is not None
+
+
+# --------------------------------------------------------------------------- #
+# the read-modify-write rewrite: same pages, work along the changed paths
+# --------------------------------------------------------------------------- #
+
+
+def from_scratch(system, cell):
+    """What a whole-cell decompose of the live counts would store."""
+    return from_scratch_bytes(
+        system.pcube.store, system.pcube.counted_of(cell).to_signature()
+    )
+
+
+def system_on(disk, with_wal=True, n_tuples=400):
+    relation = generate_relation(
+        SyntheticConfig(
+            n_tuples=n_tuples, n_boolean=2, cardinality=3, n_preference=2, seed=5
+        ),
+        disk=disk,
+    )
+    return build_system(
+        relation, fanout=6, rtree_method="insert", with_wal=with_wal
+    )
+
+
+def run_op_stream(system, rng, n_ops, after_each):
+    """Seeded inserts / deletes / updates / batches through the system's
+    WAL-protected drivers; ``after_each(dirty cells)`` runs after every op.
+    Returns how many ops reorganised the tree (moved a tuple other than the
+    one written)."""
+    reorganised = 0
+    moved = []  # tuples whose path changed, per op
+    real_apply = system.pcube.apply_changes
+
+    def spying_apply(changes, on_cell_stored=None):
+        moved.append(len({change.tid for change in changes}))
+        return real_apply(changes, on_cell_stored)
+
+    system.pcube.apply_changes = spying_apply
+    try:
+        for _ in range(n_ops):
+            live = sorted(system.relation.live_tids())
+            action = rng.random()
+            written = 1
+            if action < 0.4 or len(live) < 20:
+                _, dirty = system.insert(
+                    system.relation.bool_row(rng.choice(live)),
+                    (rng.random(), rng.random()),
+                )
+            elif action < 0.7:
+                dirty = system.delete(rng.choice(live))
+            elif action < 0.9:
+                dirty = system.update(
+                    rng.choice(live), (rng.random(), rng.random())
+                )
+            else:
+                written = 5
+                _, dirty = system.insert_batch(
+                    [
+                        (
+                            system.relation.bool_row(rng.choice(live)),
+                            (rng.random(), rng.random()),
+                        )
+                        for _ in range(written)
+                    ]
+                )
+            reorganised += moved[-1] > written
+            after_each(dirty)
+    finally:
+        del system.pcube.apply_changes
+    return reorganised
+
+
+@pytest.mark.parametrize("page_size", [4096, 128])
+def test_rewritten_partials_equal_a_from_scratch_decompose(page_size):
+    """4 096-byte pages keep each cell in one partial; 128-byte pages spread
+    it over many, with packing boundaries that move when a blob changes
+    length."""
+    system = system_on(SimulatedDisk(page_size=page_size))
+    system.enable_epochs()
+    height_before = system.rtree.height()
+    nodes_before = system.rtree.node_count()
+    most_partials = 0
+
+    def check(dirty):
+        nonlocal most_partials
+        assert dirty
+        for cell in dirty:
+            assert stored_bytes(system.pcube.store, cell) == from_scratch(system, cell), cell
+            most_partials = max(most_partials, system.pcube.store.n_partials(cell))
+        report = system.verify_consistency()
+        assert report.ok, report.problems
+
+    reorganised = run_op_stream(system, random.Random(11), 160, check)
+    # The stream split nodes, condensed the tree and re-inserted entries.
+    assert reorganised >= 10
+    assert system.rtree.node_count() != nodes_before
+    assert system.rtree.height() >= height_before
+    assert (most_partials == 1) == (page_size == 4096)
+    assert not system.pcube._pending_sids
+
+
+def test_a_write_compresses_no_more_than_its_dirty_sids(monkeypatch):
+    system = system_on(SimulatedDisk())
+    fanout = system.pcube.fanout
+    compressed = count_compressions(monkeypatch)
+    budget = 0
+    real_apply = system.pcube.apply_changes
+
+    def budgeting_apply(changes, on_cell_stored=None):
+        nonlocal budget
+        sids: dict = {}
+        for change in changes:
+            for cuboid in system.pcube.cuboids:
+                cell = cuboid.cell_for(system.relation, change.tid)
+                for path in (change.old_path, change.new_path):
+                    if path is not None:
+                        sids.setdefault(cell, set()).update(
+                            ancestor_sids(path[:-1], fanout)
+                        )
+        budget = sum(len(cell_sids) for cell_sids in sids.values())
+        return real_apply(changes, on_cell_stored)
+
+    monkeypatch.setattr(system.pcube, "apply_changes", budgeting_apply)
+    rng = random.Random(3)
+    for _ in range(40):
+        del compressed[:]
+        _, dirty = system.insert(
+            system.relation.bool_row(rng.randrange(400)),
+            (rng.random(), rng.random()),
+        )
+        stored_nodes = sum(
+            system.pcube.counted_of(cell).n_nodes() for cell in dirty
+        )
+        assert 0 < len(compressed) <= budget
+        # A whole-cell recompress would be an order of magnitude more.
+        assert budget < stored_nodes
+        for cell in dirty:
+            assert stored_bytes(system.pcube.store, cell) == from_scratch(system, cell)
+
+
+@pytest.mark.parametrize("kind", ["corrupt", "transient"])
+def test_unreadable_old_partial_costs_a_recompress_not_the_write(kind):
+    disk = FaultyDisk(SimulatedDisk())
+    system = system_on(disk)
+    rule = FaultRule(kind=kind, op="read", tag="pcube:sig", count=1)
+    disk.plan = FaultPlan([rule])
+    _, dirty = system.insert((1, 2), (0.5, 0.5))
+    assert rule.fired == 1
+    disk.plan = FaultPlan()
+    assert not system.pcube.store.quarantined_cells()
+    for cell in dirty:
+        assert stored_bytes(system.pcube.store, cell) == from_scratch(system, cell)
+        assert not system.pcube.store.reader(cell).degraded
+    report = system.verify_consistency()
+    assert report.ok, report.problems
+
+
+def test_crash_on_the_old_partial_read_is_recoverable():
+    disk = FaultyDisk(SimulatedDisk())
+    system = system_on(disk)
+    twin = system_on(SimulatedDisk())
+    twin.insert((1, 2), (0.5, 0.5))
+    # The second dirty cell's read-back: one cell committed, two did not.
+    disk.plan = FaultPlan(
+        [FaultRule(kind="crash", op="read", tag="pcube:sig", after=1, count=1)]
+    )
+    with pytest.raises(SimulatedCrash):
+        system.insert((1, 2), (0.5, 0.5))
+    disk.plan = FaultPlan()
+    assert system.recover() == "replayed"
+    assert not system.pcube._pending_sids
+    report = system.verify_consistency()
+    assert report.ok, report.problems
+    for cuboid in system.pcube.cuboids:
+        for cell in cuboid.group(system.relation):
+            assert stored_bytes(system.pcube.store, cell) == stored_bytes(twin.pcube.store, cell)
+
+
+def test_rewrite_after_a_faulted_rewrite_stores_both_writes_nodes():
+    """The pending-SID rule: without a WAL nobody replays the faulted
+    rewrite, so the next write to the cell must also compress the nodes the
+    first one moved."""
+    disk = FaultyDisk(SimulatedDisk())
+    system = system_on(disk, with_wal=False)
+    bool_row = (1, 2)
+    disk.plan = FaultPlan(
+        [FaultRule(kind="torn", op="allocate", tag="pcube:sig", count=1)]
+    )
+    with pytest.raises(TornWriteError):
+        system.insert(bool_row, (0.01, 0.01))
+    disk.plan = FaultPlan()
+    first_cell = min(
+        (
+            cuboid.cell_for(system.relation, len(system.relation) - 1)
+            for cuboid in system.pcube.cuboids
+        ),
+        key=lambda cell: cell.cell_id,
+    )
+    # The counts moved, the pages did not: the cell's store is one write behind.
+    assert stored_bytes(system.pcube.store, first_cell) != from_scratch(system, first_cell)
+    pending_after_fault = set(system.pcube._pending_sids[first_cell])
+    assert pending_after_fault
+
+    tid, dirty = system.insert(bool_row, (0.99, 0.99))
+    assert system.rtree.path_of(tid)[:-1] != system.rtree.path_of(tid - 1)[:-1]
+    assert first_cell in dirty
+    for cell in dirty:
+        assert stored_bytes(system.pcube.store, cell) == from_scratch(system, cell)
+    assert not system.pcube._pending_sids
+    report = system.verify_consistency()
+    assert report.ok, report.problems

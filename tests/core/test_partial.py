@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import partial as partial_module
 from repro.core.partial import (
     PartialSignature,
     decompose,
@@ -155,3 +156,107 @@ def test_protocol_completeness_property(paths):
             ref in partials and sid in partials[ref]
             for ref in retrieval_refs(node_path, FANOUT)
         )
+
+
+# --------------------------------------------------------------------------- #
+# blob reuse and early exit: same bytes, less work
+# --------------------------------------------------------------------------- #
+
+
+def as_bytes(partials):
+    """Everything a stored partial is: reference, blob order, blob bytes, size."""
+    return [
+        (p.ref_sid, list(p.blobs.items()), p.size_bytes) for p in partials
+    ]
+
+
+def reference_decompose(signature, page_size, codec="adaptive"):
+    """The packing loop as first written — every node compressed, every BFS
+    seed tried — kept here as the oracle for the reuse input and the early
+    exit."""
+    compressed = {
+        sid: partial_module.compress(signature.node(sid), codec)
+        for sid in signature.node_sids()
+    }
+    if not compressed:
+        return [PartialSignature(ref_sid=0, blobs={})]
+    coded: set[int] = set()
+    partials = []
+    for seed in partial_module._bfs_sids(signature, 0):
+        blobs: dict[int, bytes] = {}
+        size = partial_module._PART_HEADER_BYTES
+        for sid in partial_module._bfs_sids(signature, seed):
+            if sid in coded:
+                continue
+            cost = partial_module._NODE_OVERHEAD_BYTES + len(compressed[sid])
+            if blobs and size + cost > page_size:
+                break
+            blobs[sid] = compressed[sid]
+            coded.add(sid)
+            size += cost
+        if blobs:
+            partials.append(
+                PartialSignature(ref_sid=seed, blobs=blobs, size_bytes=size)
+            )
+    return partials
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    path_sets,
+    st.sampled_from([32, 48, 64, 4096]),
+    st.sampled_from(["adaptive", "raw"]),
+    st.randoms(use_true_random=False),
+)
+def test_decompose_with_reused_blobs_is_byte_identical(
+    paths, page_size, codec, rng
+):
+    signature = Signature.from_paths(paths, FANOUT)
+    expected = reference_decompose(signature, page_size, codec)
+    assert as_bytes(decompose(signature, page_size, codec)) == as_bytes(expected)
+    stored = {sid: blob for p in expected for sid, blob in p.blobs.items()}
+    reuse = {sid: blob for sid, blob in stored.items() if rng.random() < 0.7}
+    assert as_bytes(
+        decompose(signature, page_size, codec, reuse=reuse)
+    ) == as_bytes(expected)
+
+
+def test_reused_nodes_are_not_compressed_again(monkeypatch):
+    signature = Signature.from_paths(
+        [(a, b, c) for a in (1, 2, 3) for b in (1, 2) for c in (1, 2)], FANOUT
+    )
+    stored = {
+        sid: blob
+        for p in decompose(signature, page_size=48)
+        for sid, blob in p.blobs.items()
+    }
+    changed = {0, sid_of_path((2,), FANOUT), sid_of_path((2, 1), FANOUT)}
+    compressed = []
+    real = partial_module.compress
+
+    def counting(bits, codec="adaptive"):
+        compressed.append(bits)
+        return real(bits, codec)
+
+    monkeypatch.setattr(partial_module, "compress", counting)
+    reuse = {sid: blob for sid, blob in stored.items() if sid not in changed}
+    decompose(signature, page_size=48, reuse=reuse)
+    assert len(compressed) == len(changed)
+
+
+def test_decompose_stops_seeding_once_every_node_is_coded(monkeypatch):
+    signature = Signature.from_paths(
+        [(a, b, c) for a in (1, 2, 3) for b in (1, 2) for c in (1, 2)], FANOUT
+    )
+    walks = []
+    real = partial_module._bfs_sids
+
+    def counting(sig, start_sid):
+        walks.append(start_sid)
+        return real(sig, start_sid)
+
+    monkeypatch.setattr(partial_module, "_bfs_sids", counting)
+    (only,) = decompose(signature, page_size=4096)
+    assert set(only.blobs) == set(signature.node_sids())
+    # The seed enumeration and the first pack — not one walk per node.
+    assert walks == [0, 0]

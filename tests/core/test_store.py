@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.core import partial as partial_module
+from repro.core.partial import decompose
+from repro.core.sid import ancestor_sids
 from repro.core.signature import Signature
 from repro.core.store import (
     AssembledReader,
@@ -14,7 +17,12 @@ from repro.storage.buffer import BufferPool
 from repro.storage.counters import SSIG, IOCounters
 from repro.storage.disk import SimulatedDisk
 from repro.storage.errors import TornWriteError
-from repro.storage.faults import FaultPlan, FaultRule, FaultyDisk
+from repro.storage.faults import (
+    FaultPlan,
+    FaultRule,
+    FaultyDisk,
+    SimulatedCrash,
+)
 
 FANOUT = 4
 CELL = Cell(("A",), ("a1",))
@@ -274,3 +282,113 @@ def test_reader_degraded_mode_uses_exact_fallback():
     assert reader.check_path((1, 2))
     assert not reader.check_path((1, 3))  # exact, not conservative
     assert probed == [(1, 2), (1, 3)]
+
+
+# --------------------------------------------------------------------------- #
+# read-modify-write rewrites (put_signature(dirty_sids=...))
+# --------------------------------------------------------------------------- #
+
+
+def stored_bytes(store, cell):
+    """The cell's partials as they sit on the pages, uncounted."""
+    return [
+        (partial.ref_sid, list(partial.blobs.items()), partial.size_bytes)
+        for partial in (
+            store.disk.peek(page_id).payload
+            for page_id in store.refs_for(cell).values()
+        )
+    ]
+
+
+def from_scratch_bytes(store, signature):
+    return [
+        (partial.ref_sid, list(partial.blobs.items()), partial.size_bytes)
+        for partial in decompose(signature, store.disk.page_size, store.codec)
+    ]
+
+
+def count_compressions(monkeypatch):
+    compressed = []
+    real = partial_module.compress
+
+    def counting(bits, codec="adaptive"):
+        compressed.append(bits)
+        return real(bits, codec)
+
+    monkeypatch.setattr(partial_module, "compress", counting)
+    return compressed
+
+
+def grown_signature():
+    """``wide_signature`` plus one tuple on a new leaf, and what that path
+    dirtied."""
+    signature = wide_signature()
+    new_path = (2, 3, 1)
+    signature.add_path(new_path)
+    return signature, set(ancestor_sids(new_path[:-1], FANOUT))
+
+
+def test_rewrite_compresses_only_dirty_nodes_and_stores_the_same_bytes(
+    store, disk, monkeypatch
+):
+    store.put_signature(CELL, wide_signature())
+    old_partials = store.n_partials(CELL)
+    assert old_partials > 1
+    signature, dirty = grown_signature()
+    reads_before = disk.counters.get(SSIG)
+    compressed = count_compressions(monkeypatch)
+    store.put_signature(CELL, signature, dirty_sids=dirty)
+    assert len(compressed) == len(dirty) < signature.n_nodes()
+    # One counted read per old partial, nothing else.
+    assert disk.counters.get(SSIG) - reads_before == old_partials
+    assert stored_bytes(store, CELL) == from_scratch_bytes(store, signature)
+    assert store.load_full_signature(CELL) == signature
+
+
+def test_rewrite_of_a_new_cell_with_dirty_sids_compresses_everything(
+    store, monkeypatch
+):
+    signature, dirty = grown_signature()
+    compressed = count_compressions(monkeypatch)
+    store.put_signature(OTHER, signature, dirty_sids=dirty)
+    assert len(compressed) == signature.n_nodes()
+    assert stored_bytes(store, OTHER) == from_scratch_bytes(store, signature)
+
+
+@pytest.mark.parametrize("kind", ["corrupt", "transient"])
+def test_rewrite_recompresses_when_an_old_partial_is_unreadable(
+    kind, monkeypatch
+):
+    disk = FaultyDisk(SimulatedDisk(page_size=48))
+    store = SignatureStore(disk, fanout=FANOUT, codec="raw")
+    store.put_signature(CELL, wide_signature())
+    signature, dirty = grown_signature()
+    # The second old partial's read fails: blobs already read are dropped too.
+    rule = FaultRule(kind=kind, tag="pcube:sig", after=1, count=1)
+    disk.plan = FaultPlan([rule])
+    compressed = count_compressions(monkeypatch)
+    store.put_signature(CELL, signature, dirty_sids=dirty)
+    assert rule.fired == 1
+    assert len(compressed) == signature.n_nodes()
+    assert not store.is_quarantined(CELL)
+    assert stored_bytes(store, CELL) == from_scratch_bytes(store, signature)
+    assert store.load_full_signature(CELL) == signature
+    reader = store.reader(CELL)
+    assert not reader.degraded
+
+
+def test_crash_on_the_old_partial_read_leaves_the_old_generation():
+    disk = FaultyDisk(SimulatedDisk(page_size=48))
+    store = SignatureStore(disk, fanout=FANOUT, codec="raw")
+    old = wide_signature()
+    store.put_signature(CELL, old)
+    pages_before = disk.page_count("pcube:sig")
+    signature, dirty = grown_signature()
+    disk.plan = FaultPlan(
+        [FaultRule(kind="crash", op="read", tag="pcube:sig", count=1)]
+    )
+    with pytest.raises(SimulatedCrash):
+        store.put_signature(CELL, signature, dirty_sids=dirty)
+    assert disk.page_count("pcube:sig") == pages_before
+    assert store.recover() == 0  # the rewrite never opened a journal entry
+    assert store.load_full_signature(CELL) == old
