@@ -21,10 +21,14 @@ page granularity.  Page ids are monotonic and never reused, which is what
 lets epoch snapshots hold references to pages whose physical free is merely
 deferred.
 
-``read_latency`` models the device: when positive, every read sleeps that
-many seconds *outside* the page-table lock.  ``time.sleep`` releases the
-GIL, so a thread pool genuinely overlaps simulated I/O waits — the effect
-the serving benchmark measures.
+``read_latency`` models the device: when positive, every read is charged
+that many seconds through the disk's :class:`DeviceClock`, *outside* the
+page-table lock.  ``time.sleep`` overshoots (0.32 ms for 0.2 ms on the
+reference host), so the clock carries each thread's overshoot as a debt the
+next read repays: the time charged sums to reads × latency, not to whatever
+the host's timer adds.  The sleep releases the GIL, so a thread pool
+genuinely overlaps simulated I/O waits — the effect the serving benchmark
+measures.
 """
 
 from __future__ import annotations
@@ -42,13 +46,36 @@ class PageFault(KeyError):
     """Raised when reading or freeing a page id that was never allocated."""
 
 
+class DeviceClock:
+    """The one place ``repro.storage`` sleeps: real waits that sum exactly.
+
+    Each thread keeps the amount its sleeps have overshot so far; a charge
+    sleeps only what the thread still owes and is skipped while the debt
+    covers it.  Call it with no lock held.
+    """
+
+    def __init__(self, sleep=time.sleep, clock=time.perf_counter) -> None:
+        self._sleep = sleep
+        self.clock = clock
+        self._debt = threading.local()
+
+    def charge(self, seconds: float, since: float | None = None) -> None:
+        """Spend ``seconds`` of modelled device time on the calling thread,
+        counted from ``since`` (a :attr:`clock` reading; default: now)."""
+        started = self.clock() if since is None else since
+        debt = getattr(self._debt, "seconds", 0.0)
+        if seconds > debt:
+            self._sleep(seconds - debt)
+        self._debt.seconds = debt + (self.clock() - started) - seconds
+
+
 class SimulatedDisk:
     """An append-allocated page store with tagged I/O accounting.
 
     Args:
         page_size: Transfer unit in bytes; structures that must fit a page
             (partial signatures, index nodes) size themselves against this.
-        read_latency: Seconds slept per read (default 0 — counting only).
+        read_latency: Seconds charged per read (default 0 — counting only).
             Used by the serving benchmark to model a device whose waits
             concurrent queries can overlap.
     """
@@ -67,6 +94,8 @@ class SimulatedDisk:
         self._pages: dict[int, Page] = {}
         self._next_id = 0
         self._lock = threading.Lock()
+        #: Charges ``read_latency`` (and the fault layer's latency spikes).
+        self.device = DeviceClock()
         #: Disk-wide counters; reads may also record into caller-supplied
         #: counters (per-query accounting).
         self.counters = IOCounters()
@@ -148,6 +177,8 @@ class SimulatedDisk:
         :class:`~repro.storage.errors.CorruptPageError` (the transfer still
         counts — the bytes moved, they were just wrong).
         """
+        latency = self.read_latency
+        started = self.device.clock() if latency > 0.0 else 0.0
         with self._lock:
             try:
                 page = self._pages[page_id]
@@ -156,8 +187,8 @@ class SimulatedDisk:
         self.counters.record(category)
         if counters is not None:
             counters.record(category)
-        if self.read_latency > 0.0:
-            time.sleep(self.read_latency)
+        if latency > 0.0:
+            self.device.charge(latency, started)
         page.verify()
         return page.payload
 

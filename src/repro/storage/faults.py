@@ -34,7 +34,6 @@ later read detects as :class:`~repro.storage.errors.CorruptPageError`.
 from __future__ import annotations
 
 import random
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
@@ -325,8 +324,9 @@ class FaultyDisk:
       :class:`TornWriteError` before the operation, modelling a rewrite
       interrupted part-way; ``transient`` rules raise
       :class:`TransientIOError`.
-    * any op — ``slow`` rules stall the access for ``rule.delay`` real
-      seconds and then let it proceed (a latency spike, not a failure);
+    * any op — ``slow`` rules charge ``rule.delay`` seconds to the inner
+      disk's device clock and then let the access proceed (a latency spike,
+      not a failure);
       ``crash`` rules raise :class:`SimulatedCrash` before the
       operation: the process is dead and only already-durable pages
       survive.  A rule with ``probability=0.0`` and ``count=None`` never
@@ -371,7 +371,7 @@ class FaultyDisk:
             if rule.kind == "transient":
                 raise TransientIOError(f"transient allocation fault ({tag!r})")
             if rule.kind == "slow":
-                time.sleep(rule.delay)
+                self.inner.device.charge(rule.delay)
         return self.inner.allocate(tag, size, payload)
 
     def write(self, page_id: int, payload: Any, size: int | None = None) -> None:
@@ -385,7 +385,7 @@ class FaultyDisk:
             if rule.kind == "transient":
                 raise TransientIOError(f"transient write fault on page {page_id}")
             if rule.kind == "slow":
-                time.sleep(rule.delay)
+                self.inner.device.charge(rule.delay)
         self.inner.write(page_id, payload, size)
 
     def read(
@@ -407,7 +407,7 @@ class FaultyDisk:
             if rule.kind == "corrupt":
                 self._corrupt(page)
             if rule.kind == "slow":
-                time.sleep(rule.delay)
+                self.inner.device.charge(rule.delay)
         return self.inner.read(page_id, category, counters)
 
     # -- transparent delegation ---------------------------------------- #
@@ -415,6 +415,14 @@ class FaultyDisk:
     @property
     def page_size(self) -> int:
         return self.inner.page_size
+
+    @property
+    def read_latency(self) -> float:
+        return self.inner.read_latency
+
+    @read_latency.setter
+    def read_latency(self, seconds: float) -> None:
+        self.inner.read_latency = seconds
 
     @property
     def counters(self) -> IOCounters:
