@@ -18,6 +18,13 @@ The concurrency model is single-writer / many-readers:
   ``E+1`` and therefore *invisible* to every reader still pinned at ``E`` —
   the in-memory analogue of an uncommitted WAL record.  Recovery re-runs
   under a fresh ``write()`` and publishes when it completes.
+* Each publish also records *what it wrote* — one ``(tid, boolean row, new
+  preference row | None for a delete)`` per written tuple — in a bounded
+  per-epoch delta log, atomically with installing the snapshot; the result
+  cache carries answers across the epochs that provably left them alone
+  (:meth:`EpochManager.deltas_between`, DESIGN.md §12).  A publisher that
+  cannot say what it wrote, the publish after an abandoned write and an
+  epoch off the log all read as ``None``: assume everything changed.
 
 Reclamation: pages logically freed during the build of epoch ``W`` may
 still be traversed by readers pinned at epochs ``< W``, so their physical
@@ -36,7 +43,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.rtree.frozen import FrozenRTree, freeze
 from repro.storage.disk import PageFault
@@ -48,6 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cube.cuboid import Cell
     from repro.cube.relation import Relation, RelationView
     from repro.rtree.rtree import RTree
+
+
+#: Epochs the delta log remembers; an older delta reads as "unknown".
+DELTA_LOG_EPOCHS = 64
 
 
 @dataclass(frozen=True)
@@ -103,6 +114,11 @@ class EpochManager:
         self._deferred: list[tuple[int, int]] = []
         # Horizon the version maps were last pruned to (writer path only).
         self._pruned_horizon = 0
+        # epoch -> the rows its publish wrote (absent: unknown).  An
+        # abandoned write left rows no write set names, so the next publish
+        # records "unknown" whatever it is handed.
+        self._deltas: dict[int, tuple] = {}
+        self._unlogged_writes = False
         relation.epoch_clock = self._clock
         rtree.free_hook = self._defer_free
         pcube.store.free_hook = self._defer_free
@@ -201,6 +217,7 @@ class EpochManager:
                     self._building = None
                     if self.stats.published == published_before:
                         self.stats.abandoned += 1
+                        self._unlogged_writes = True
 
     @contextmanager
     def exclusive(self) -> Iterator[Snapshot]:
@@ -219,11 +236,12 @@ class EpochManager:
         with self._writer_lock:
             yield self._current
 
-    def publish(self) -> Snapshot:
+    def publish(self, written: Sequence[tuple] | None = None) -> Snapshot:
         """Atomically install the building epoch as the current snapshot.
 
         Must be called inside :meth:`write`, after the operation's WAL
         commit — the snapshot then reflects exactly the committed state.
+        ``written``: the op's complete write set; ``None``: it cannot say.
         """
         with self._lock:
             if self._building is None:
@@ -232,6 +250,10 @@ class EpochManager:
         snapshot = self._build_snapshot(epoch)
         with self._lock:
             self._current = snapshot
+            if written is not None and not self._unlogged_writes:
+                self._deltas[epoch] = tuple(written)
+            self._unlogged_writes = False
+            self._deltas.pop(epoch - DELTA_LOG_EPOCHS, None)
             # Keep stamping any further mutations of this op past the
             # published epoch, in case the driver does trailing cleanup.
             self._building = epoch + 1
@@ -249,6 +271,15 @@ class EpochManager:
             )
             self._pruned_horizon = horizon
         return snapshot
+
+    def deltas_between(self, after: int, upto: int) -> list[tuple] | None:
+        """Every row written by the epochs in ``(after, upto]``, oldest
+        first — or ``None`` when any of them is unknown or off the log."""
+        with self._lock:
+            deltas = [self._deltas.get(e) for e in range(after + 1, upto + 1)]
+        if None in deltas:
+            return None
+        return [row for delta in deltas for row in delta]
 
     def _build_snapshot(self, epoch: int) -> Snapshot:
         previous = getattr(self, "_current", None)

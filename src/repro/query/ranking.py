@@ -31,6 +31,11 @@ class RankingFunction(ABC):
         implementations below are all exact minima over the rectangle.
         """
 
+    def cache_token(self) -> tuple | None:
+        """A hashable value that determines this function completely (the
+        result cache keys on it), or ``None``: opaque, never cached."""
+        return None
+
     def score_block(self, points: Sequence[Sequence[float]]) -> list[float]:
         """``[score(p) for p in points]`` — overridden with a batch kernel
         where the formula vectorizes bit-identically; this default keeps
@@ -81,6 +86,9 @@ class LinearFunction(RankingFunction):
 
     def lower_bound_rows(self, lows, highs) -> list[float]:
         return mindist.linear_lower_bound_block(self.weights, lows, highs)
+
+    def cache_token(self) -> tuple:
+        return ("linear", self.weights)
 
     def __repr__(self) -> str:
         return f"LinearFunction({list(self.weights)})"
@@ -142,6 +150,9 @@ class WeightedSquaredDistance(RankingFunction):
         return mindist.wsd_lower_bound_block(
             self.weights, self.target, lows, highs
         )
+
+    def cache_token(self) -> tuple:
+        return ("wsd", self.target, self.weights)
 
     def __repr__(self) -> str:
         return (
@@ -212,6 +223,9 @@ class SeparableFunction(RankingFunction):
 
     def lower_bound_rows(self, lows, highs) -> list[float]:
         return mindist.separable_lower_bound_block(self.terms, lows, highs)
+
+    def cache_token(self) -> tuple:
+        return ("separable", tuple(self.terms))
 
     def __repr__(self) -> str:
         return f"SeparableFunction({self.terms!r})"

@@ -98,7 +98,10 @@ class QueryStats:
             (``None`` when the query ran unrouted).
         fallbacks: How many engines failed before ``route`` answered.
         cache_outcome: The router cache's verdict — ``"hit"``, ``"miss"``,
-            ``"bypass"`` (breaker-forced) or ``None`` (cache not consulted).
+            ``"bypass"`` (open breaker, or a ranking function with no cache
+            token) or ``None`` (cache not consulted).
+        cache_computed_epoch: On a hit, the epoch the served answer was
+            computed at (older than ``epoch`` when it was carried).
         kernel_backend: Which batch-kernel backend (``"python"`` /
             ``"numpy"``) executed the query's hot loops, stamped by the
             query entry points.  A CPU implementation detail, so — like the
@@ -106,8 +109,9 @@ class QueryStats:
             I/O is backend-invariant by construction.
 
     The serving-side attributes (``epoch``, ``queue_wait_seconds``,
-    ``pool_hits``, ``pool_misses``, the routing trio ``route`` /
-    ``fallbacks`` / ``cache_outcome``, and ``kernel_backend``) are
+    ``pool_hits``, ``pool_misses``, the routing fields ``route`` /
+    ``fallbacks`` / ``cache_outcome`` / ``cache_computed_epoch``, and
+    ``kernel_backend``) are
     deliberately *not* part of :meth:`summary`, which feeds
     paper-comparable benchmark baselines.
     """
@@ -135,6 +139,7 @@ class QueryStats:
     route: str | None = None
     fallbacks: int = 0
     cache_outcome: str | None = None
+    cache_computed_epoch: int | None = None
     kernel_backend: str | None = None
 
     def note_heap(self, size: int) -> None:

@@ -1,28 +1,35 @@
-"""The epoch-keyed result cache (and the assembled-signature memo).
+"""The result cache: epoch-keyed, plus carry of entries a write cannot change.
 
-Soundness rests on one fact from the epoch design (DESIGN.md §8): a
-snapshot's contents are immutable and fully determined by its epoch, and
-every maintenance commit publishes a *new* epoch.  Keying every entry by
-``(epoch, kind, cell, pref-subspace, digest)`` therefore makes staleness
-structurally impossible — a query at epoch E can only ever see entries
-computed at epoch E, and an epoch publish (however small its touched cell
-set) simply shifts traffic to keys no writer has ever populated.  Explicit
-invalidation (:meth:`ResultCache.on_epoch`) is purely a memory-reclamation
-concern: dropping entries below the newest observed epoch bounds the cache
-to live traffic.
+A snapshot is fully determined by its epoch (DESIGN.md §9), so an entry
+keyed ``(epoch, kind, cell, pref-subspace, digest)`` is exact for readers
+pinned there.  A publish does not empty the cache: it *names what it wrote*
+(``EpochManager.publish``), and the first lookup at a newer epoch
+(:meth:`ResultCache.on_epoch`) re-keys to it every entry that **every**
+delta in between provably leaves unchanged, and drops the rest.  Per
+written row ``(tid, boolean row, new point | None)`` (proofs: DESIGN.md §12):
 
-Two further rules keep cached serving byte-identical to computed serving:
+* **cell test** — the row fails the entry's predicate: keep.
+* **answer test**, for a row in the cell: (1) the tid is a member — drop;
+  (2) delete of a non-member — keep (a skyline non-member had a dominator
+  in the skyline, which dominates whatever it dominated); (3) a new point a
+  cached skyline member dominates on the entry's subspace — keep (it can
+  neither enter nor evict); (4) a new point scoring strictly worse than the
+  k-th of a *full* top-k — keep.  Strict only: an equal point, a tied k-th
+  and a top-k shorter than k (any tuple of the cell enters it) drop.
+* **unknown ⇒ drop** — a publisher that named no rows (recovery, quarantine
+  repair), the publish after an abandoned write, a delta off the bounded
+  log, a cache with no delta source.
 
-* only *canonicalised* answers are stored (the router sorts every answer
-  into a strategy-independent order before caching), so a warm hit returns
-  the same bytes as the cold run that populated it;
-* lookups are bypassed — not merely missed — while the breaker board has
-  a breaker open on any cell of the predicate: an open breaker means the
-  cell's storage is suspect and the next answer should re-exercise (and
-  possibly heal) the real path rather than mask it.
+A ``put`` from a reader pinned below the reconciled epoch is judged by the
+same rule.  The signature memo stays purely epoch-keyed: a signature
+changes with R-tree paths (a node split) even when no answer does.
 
-Live sessions (``epoch is None``) are never cached: without an epoch there
-is no invalidation token, and a mutable relation could serve stale bytes.
+Cached serving stays byte-identical to computed serving because only
+*canonicalised* answers are stored, and lookups are bypassed — not merely
+missed — while a breaker is open on any cell of the predicate (suspect
+storage should be re-exercised, not masked) or when the ranking function
+has no ``cache_token()``.  Live sessions (``epoch is None``) are never
+cached: without an epoch there is no invalidation token.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.query.predicates import BooleanPredicate
+from repro.rtree.geometry import dominates
 
 #: Key component for the empty predicate (the apex "cell").
 APEX = "φ"
@@ -39,12 +47,44 @@ APEX = "φ"
 
 @dataclass(frozen=True)
 class CachedAnswer:
-    """One canonicalised answer: the tids/scores bytes plus provenance."""
+    """One canonicalised answer, its provenance, what the carry tests read."""
 
     tids: tuple[int, ...]
     scores: tuple[float, ...] | None
     strategy: str
     tier: str | None
+    #: The epoch the answer was computed at (carries do not move it).
+    computed_epoch: int | None = None
+    #: The predicate as ``(boolean position, value)`` pairs.
+    conjuncts: tuple[tuple[int, object], ...] | None = None
+    fn: object | None = None
+    k: int | None = None
+    #: Skylines: compared preference positions, members' points on them.
+    subspace: tuple[int, ...] | None = None
+    points: tuple[tuple[float, ...], ...] = ()
+
+    def verdict(self, rows) -> str:
+        """``carried``, or the test that dropped it (module docstring)."""
+        if self.conjuncts is None:
+            return "dropped_cell"
+        for tid, bool_row, point in rows:
+            if any(bool_row[at] != value for at, value in self.conjuncts):
+                continue
+            if self.scores is not None and len(self.scores) < max(self.k, 1):
+                return "dropped_cell"  # the whole cell is the answer
+            if tid in self.tids:
+                return "dropped_answer"
+            if point is None:
+                continue
+            if self.scores is not None:
+                if not self.fn.score(point) > self.scores[-1]:
+                    return "dropped_answer"
+                continue
+            if self.subspace is not None:
+                point = tuple(point[d] for d in self.subspace)
+            if not any(dominates(member, point) for member in self.points):
+                return "dropped_answer"
+        return "carried"
 
 
 def result_key(
@@ -54,18 +94,20 @@ def result_key(
     fn,
     k: int | None,
     epoch: int,
-) -> tuple:
-    """The ``(epoch, kind, cell, pref-subspace, digest)`` cache key.
+) -> tuple | None:
+    """The ``(epoch, kind, cell, pref-subspace, digest)`` cache key, or
+    ``None`` for a ranking function that cannot be keyed.
 
     The digest folds in everything else that determines the answer bytes:
     the full conjunction (the cell id alone collapses distinct multi-dim
-    predicates), the ranking function's parameters (via its ``repr``) and
-    ``k``.
+    predicates), the ranking function's ``cache_token()`` and ``k``.
     """
+    token = fn.cache_token() if fn is not None else ()
+    if token is None:
+        return None
     cell = APEX if predicate.is_empty() else predicate.cell().cell_id
     pref = ",".join(preference_by) if preference_by else "*"
-    digest = f"{predicate!r}|{fn!r}|k={k}"
-    return (epoch, kind, cell, pref, digest)
+    return (epoch, kind, cell, pref, (repr(predicate), token, k))
 
 
 class ResultCache:
@@ -96,6 +138,11 @@ class ResultCache:
         self.evicted = 0
         self.signature_hits = 0
         self.signature_misses = 0
+        # Newest epoch on_epoch has reconciled to; no entry is keyed below.
+        self._reconciled = 0
+        self._carry_outcomes = dict.fromkeys(
+            ("carried", "dropped_cell", "dropped_answer", "flushed_unknown"), 0
+        )
 
     # -- results -------------------------------------------------------- #
 
@@ -109,8 +156,13 @@ class ResultCache:
             self.hits += 1
             return answer
 
-    def put(self, key: tuple, answer: CachedAnswer) -> None:
+    def put(self, key: tuple, answer: CachedAnswer, deltas=None) -> None:
         with self._lock:
+            if self._reconciled and key[0] < self._reconciled:  # an old pin
+                key = self._carry(key, answer, self._reconciled, deltas, {})
+                if key is None:
+                    self.invalidated += 1
+                    return
             self._entries[key] = answer
             self._entries.move_to_end(key)
             self.stores += 1
@@ -151,23 +203,40 @@ class ResultCache:
 
     # -- invalidation --------------------------------------------------- #
 
-    def on_epoch(self, epoch: int) -> int:
-        """Drop every entry from epochs older than ``epoch``.
+    def _carry(self, key, answer, epoch, deltas, rows_since) -> tuple | None:
+        """``key`` at ``epoch`` if every delta since spares it, else None."""
+        if key[0] not in rows_since:  # one lookup per entry epoch
+            rows_since[key[0]] = deltas(key[0], epoch) if deltas else None
+        rows = rows_since[key[0]]
+        outcome = "flushed_unknown" if rows is None else answer.verdict(rows)
+        self._carry_outcomes[outcome] += 1
+        return (epoch, *key[1:]) if outcome == "carried" else None
 
-        Correctness never needs this (stale epochs are unreachable keys);
-        it reclaims the memory dead epochs pin.  Returns entries dropped.
-        """
+    def on_epoch(self, epoch: int, deltas=None) -> int:
+        """Reconcile to ``epoch``; returns the entries dropped.  O(1) unless
+        ``epoch`` is newer than any seen: then every older entry is carried
+        or dropped (module docstring; ``deltas`` is
+        ``EpochManager.deltas_between``) and older memo entries dropped."""
+        if epoch <= self._reconciled:
+            return 0
         with self._lock:
-            dead = [key for key in self._entries if key[0] < epoch]
-            for key in dead:
-                del self._entries[key]
-            dead_signatures = [
-                key for key in self._signatures if key[0] < epoch
-            ]
-            for key in dead_signatures:
+            if epoch <= self._reconciled:
+                return 0
+            before = len(self._entries) + len(self._signatures)
+            rows_since: dict = {}
+            entries: "OrderedDict[tuple, CachedAnswer]" = OrderedDict()
+            for key, answer in self._entries.items():
+                if key[0] < epoch:
+                    key = self._carry(key, answer, epoch, deltas, rows_since)
+                if key is not None:
+                    entries[key] = answer
+            self._entries = entries
+            for key in [key for key in self._signatures if key[0] < epoch]:
                 del self._signatures[key]
-            self.invalidated += len(dead) + len(dead_signatures)
-            return len(dead) + len(dead_signatures)
+            self._reconciled = epoch
+            dropped = before - len(entries) - len(self._signatures)
+            self.invalidated += dropped
+            return dropped
 
     def __len__(self) -> int:
         with self._lock:
@@ -183,6 +252,7 @@ class ResultCache:
                 "stores": self.stores,
                 "bypassed": self.bypassed,
                 "invalidated": self.invalidated,
+                **self._carry_outcomes,
                 "evicted": self.evicted,
                 "signature_entries": len(self._signatures),
                 "signature_hits": self.signature_hits,

@@ -1,4 +1,4 @@
-"""The query router: an epoch-keyed result cache in front of the one chain.
+"""The query router: the result cache in front of the one chain.
 
 There is no per-query engine choice.  The paper's claim is that the
 signature method beats both baseline orders, and a learner that picked
@@ -7,18 +7,19 @@ any served workload (DESIGN.md §12), so a routed query runs the same
 :data:`~repro.route.engines.SERVING_CHAIN` an unrouted one does.  What
 routing adds, for every skyline/top-k query:
 
-1. reclaim of dead-epoch cache entries, then a lookup in the
-   :class:`~repro.route.cache.ResultCache` — unless the breaker board has
-   a breaker open on any of the predicate's cells, in which case the
-   lookup is *bypassed* so traffic keeps exercising (and healing) the real
-   path;
+1. on the first query after a publish, the cache's reconcile to the
+   reader's epoch (:mod:`repro.route.cache`: entries the deltas in between
+   provably cannot change are carried, the rest dropped, unknown ⇒ drop),
+   then a lookup — *bypassed* while a breaker is open on any of the
+   predicate's cells, so traffic keeps exercising (and healing) the real
+   path, or when the ranking function has no cache token;
 2. on a miss, the assembled-signature memo, and the chain — the serving
    chain, or the policy's pinned one — run through the
    :class:`~repro.route.fallback.FallbackExecutor` (unsupported shapes,
    storage faults and per-attempt deadline slices fall through; overall
    deadline/cancellation abort);
 3. the answer in canonical order, stamped with the engine that served it
-   and cached under the epoch-keyed key.
+   and cached under the epoch-keyed key with what the carry tests read.
 
 Every engine is exact, so the router's contract is strong: *the answer is
 byte-identical to naive regardless of the route taken* — the differential
@@ -83,10 +84,12 @@ class QueryRouter:
         ctx: EngineContext,
         policy: RoutingPolicy | None = None,
         breakers: "BreakerBoard | None" = None,
+        deltas=None,
     ) -> None:
         self.policy = policy if policy is not None else RoutingPolicy()
         self.ctx = ctx
         self.breakers = breakers
+        self.deltas = deltas  # EpochManager.deltas_between; None: flush-all
         self.cache = ResultCache() if self.policy.cache else None
         self.stats = RouterStats()
         self.fallback = FallbackExecutor(ENGINES)
@@ -99,7 +102,11 @@ class QueryRouter:
         breakers: "BreakerBoard | None" = None,
     ) -> "QueryRouter":
         ctx = EngineContext(system.indexes, system.indexes_rows)
-        return cls(ctx, policy, breakers)
+
+        def deltas(after: int, upto: int):  # epochs may be enabled later
+            return system.epochs and system.epochs.deltas_between(after, upto)
+
+        return cls(ctx, policy, breakers, deltas)
 
     # ------------------------------------------------------------------ #
     # serving
@@ -125,6 +132,7 @@ class QueryRouter:
         stats.route = answer.strategy
         stats.tier = answer.tier
         stats.cache_outcome = "hit"
+        stats.cache_computed_epoch = answer.computed_epoch
         stats.results = len(answer.tids)
         stats.elapsed_seconds = elapsed
         return QueryResult(
@@ -161,7 +169,7 @@ class QueryRouter:
             preference_by=preference_by,
             tracer=tracer,
         )
-        # -- cache lookup (epoch-keyed; bypassed on open breakers) ------- #
+        # -- cache lookup (bypassed: open breaker, untokened function) -- #
         cache_outcome: str | None = None
         key = None
         cacheable = (
@@ -170,14 +178,15 @@ class QueryRouter:
             and kind in ("skyline", "topk")
         )
         if cacheable:
-            self.cache.on_epoch(session.epoch)
-            if self._breaker_bypass(predicate):
-                cache_outcome = "bypass"
-                self.cache.note_bypass()
-            else:
+            self.cache.on_epoch(session.epoch, self.deltas)
+            if not self._breaker_bypass(predicate):
                 key = result_key(
                     kind, predicate, preference_by, fn, k, session.epoch
                 )
+            if key is None:
+                cache_outcome = "bypass"
+                self.cache.note_bypass()
+            else:
                 answer = self.cache.get(key)
                 if answer is not None:
                     self.stats.note_hit()
@@ -212,19 +221,40 @@ class QueryRouter:
         )
         if key is not None:
             self.cache.put(
-                key,
-                CachedAnswer(
-                    tids=tuple(result.tids),
-                    scores=(
-                        tuple(result.scores)
-                        if result.scores is not None
-                        else None
-                    ),
-                    strategy=result.stats.route,
-                    tier=result.stats.tier,
-                ),
+                key, self._cached(session, request, result), self.deltas
             )
         return result
+
+    @staticmethod
+    def _cached(
+        session: QuerySession, request: RouteRequest, result: QueryResult
+    ) -> CachedAnswer:
+        """The canonical answer plus what the carry tests read."""
+        relation = session.relation
+        subspace = session.subspace(request.preference_by)
+        points = [
+            relation.pref_point(tid)
+            for tid in (result.tids if request.kind == "skyline" else ())
+        ]
+        if subspace is not None:
+            points = [tuple(point[d] for d in subspace) for point in points]
+        return CachedAnswer(
+            tids=tuple(result.tids),
+            scores=(
+                tuple(result.scores) if result.scores is not None else None
+            ),
+            strategy=result.stats.route,
+            tier=result.stats.tier,
+            computed_epoch=session.epoch,
+            conjuncts=tuple(
+                (relation.schema.boolean_position(dim), value)
+                for dim, value in request.predicate
+            ),
+            fn=request.fn,
+            k=request.k,
+            subspace=subspace,
+            points=tuple(points),
+        )
 
     # ------------------------------------------------------------------ #
     # observability

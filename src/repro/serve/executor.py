@@ -287,7 +287,10 @@ class QueryExecutor:
         if routing:
             policy = routing if isinstance(routing, RoutingPolicy) else None
             self.router = QueryRouter(
-                self._ctx, policy=policy, breakers=self.breakers
+                self._ctx,
+                policy=policy,
+                breakers=self.breakers,
+                deltas=self.epochs.deltas_between,
             )
         self.stats = ServingStats()
         self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)

@@ -89,15 +89,28 @@ class PCubeSystem:
         assert self.epochs is not None
         self.epochs.unpin(snapshot)
 
-    def _maintain(self, op):
-        """Run one maintenance driver, publishing an epoch on success."""
+    def _maintain(self, op, written=None):
+        """Run one maintenance driver, publishing an epoch on success.
+
+        ``written(result)`` names the tids the op wrote; the publish logs
+        their rows as the epoch's delta (``None``: the op cannot say).
+        """
         if self.epochs is None:
             return op()
         with self.epochs.write():
             result = op()
             # The driver has WAL-committed by now; the snapshot therefore
             # reflects exactly the committed state.
-            self.epochs.publish()
+            relation = self.relation
+            self.epochs.publish(
+                written
+                and [
+                    (tid, relation.bool_row(tid), relation.pref_point(tid))
+                    if relation.is_live(tid)
+                    else (tid, relation.bool_row(tid), None)
+                    for tid in written(result)
+                ]
+            )
             return result
 
     # ------------------------------------------------------------------ #
@@ -123,7 +136,8 @@ class PCubeSystem:
             lambda: maintenance.insert_tuple(
                 self.relation, self.rtree, self.pcube, bool_row, pref_row,
                 wal=self.wal,
-            )
+            ),
+            written=lambda result: (result[0],),
         )
 
     def insert_batch(self, rows):
@@ -131,7 +145,8 @@ class PCubeSystem:
         return self._maintain(
             lambda: maintenance.insert_batch(
                 self.relation, self.rtree, self.pcube, rows, wal=self.wal
-            )
+            ),
+            written=lambda result: result[0],
         )
 
     def delete(self, tid: int):
@@ -139,7 +154,8 @@ class PCubeSystem:
         return self._maintain(
             lambda: maintenance.delete_tuple(
                 self.relation, self.rtree, self.pcube, tid, wal=self.wal
-            )
+            ),
+            written=lambda _: (tid,),
         )
 
     def update(self, tid: int, new_pref_row: tuple):
@@ -148,7 +164,8 @@ class PCubeSystem:
             lambda: maintenance.update_tuple(
                 self.relation, self.rtree, self.pcube, tid, new_pref_row,
                 wal=self.wal,
-            )
+            ),
+            written=lambda _: (tid,),
         )
 
     # ------------------------------------------------------------------ #

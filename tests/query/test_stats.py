@@ -102,12 +102,15 @@ def test_routing_fields_never_leak_into_summary():
     stats.route = "signature"
     stats.fallbacks = 2
     stats.cache_outcome = "hit"
+    stats.cache_computed_epoch = 3
     assert set(stats.summary()) == CLEAN_SUMMARY_KEYS
 
     stats.degraded = True
     keys = set(stats.summary())
     assert keys == CLEAN_SUMMARY_KEYS | DEGRADED_BLOCK_KEYS
-    assert {"route", "fallbacks", "cache_outcome"}.isdisjoint(keys)
+    assert {
+        "route", "fallbacks", "cache_outcome", "cache_computed_epoch"
+    }.isdisjoint(keys)
 
 
 def test_routing_fields_default_unset():
