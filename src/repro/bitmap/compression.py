@@ -123,7 +123,7 @@ def _sparse_len(bits: BitArray) -> int:
 
 def _sparse_decode(nbits: int, body: bytes) -> BitArray:
     count, offset = read_varint(body, 0)
-    bits = BitArray(nbits)
+    mask = 0
     position = -1
     for _ in range(count):
         gap, offset = read_varint(body, offset)
@@ -132,10 +132,10 @@ def _sparse_decode(nbits: int, body: bytes) -> BitArray:
         position += gap
         if position >= nbits:
             raise CodecError("sparse position beyond declared width")
-        bits.set(position)
+        mask |= 1 << position
     if offset != len(body):
         raise CodecError("trailing bytes after sparse body")
-    return bits
+    return BitArray(nbits, mask)
 
 
 def _rle_encode(bits: BitArray) -> bytes:

@@ -6,7 +6,10 @@ disk page; the B+-tree maps ``(cell_id, ref_sid)`` to that page.  At query
 time a :class:`CellSignatureReader` starts from the root-referenced partial
 and loads further partials only when the search requests a node that is not
 resident yet (Section IV-B.2's retrieval protocol) — every load is counted
-under ``SSIG`` and timed for the Figure 15 breakdown.
+under ``SSIG`` and timed for the Figure 15 breakdown.  A loaded partial
+stays compressed; the reader decompresses a node when a bit of it is first
+tested (nodes are compressed individually so that they can be,
+Section IV-B.1), and most nodes of a partial never are.
 
 Fault tolerance (the Diamond-Dicing contract: OLAP structures are
 rebuildable caches over the base relation, so a lost or corrupt signature
@@ -33,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from repro.bitmap.bitarray import BitArray
+from repro.bitmap.compression import decompress
 from repro.btree.btree import BPlusTree
 from repro.core.partial import PartialSignature, decompose, retrieval_refs
 from repro.core.sid import sid_of_path
@@ -78,7 +82,109 @@ class RewriteJournalEntry:
     committed: bool = False
 
 
-class SignatureStore:
+class _DirectoryReads:
+    """The read side of a ``cell_id -> {ref_sid -> page_id}`` directory —
+    the live one (:class:`SignatureStore`) or an epoch's snapshot of it
+    (:class:`StoreView`); both provide ``_directory``, ``disk``,
+    ``fanout``, ``retry_policy`` and ``fault_stats``."""
+
+    def has_cell(self, cell: Cell) -> bool:
+        return cell.cell_id in self._directory
+
+    def n_partials(self, cell: Cell) -> int:
+        return len(self._directory.get(cell.cell_id, {}))
+
+    def load_partial(
+        self,
+        cell: Cell,
+        ref_sid: int,
+        pool: BufferPool | None = None,
+        counters: IOCounters | None = None,
+        on_retry: Callable[[int, Exception], None] | None = None,
+        budget: "RetryBudget | None" = None,
+    ) -> PartialSignature | None:
+        """Load one partial by (cell, ref) — one counted ``SSIG`` page read.
+
+        Returns ``None`` when the cell has no partial with that reference.
+        Transient faults are retried under the store's
+        :attr:`retry_policy`; with a ``budget`` (the serving ticket's
+        remaining deadline) retries whose backoff would outspend it are
+        skipped.  A read that keeps failing (or a detected corruption)
+        propagates as a typed storage fault for the caller's degraded
+        path.  The index descent itself is served from the directory
+        (equivalent to a pinned B+-tree root path); tests exercise the
+        counted B+-tree separately.
+        """
+        refs = self._directory.get(cell.cell_id)
+        if refs is None or ref_sid not in refs:
+            return None
+        page_id = refs[ref_sid]
+
+        def read_once() -> PartialSignature:
+            if pool is not None:
+                return pool.get(page_id, SSIG, counters)
+            return self.disk.read(page_id, SSIG, counters)
+
+        def count_retry(attempt: int, exc: Exception) -> None:
+            self.fault_stats.retries += 1
+            if on_retry is not None:
+                on_retry(attempt, exc)
+
+        deadline = (
+            budget.clock_deadline(self.retry_policy.clock)
+            if budget is not None
+            else None
+        )
+        try:
+            return self.retry_policy.call(
+                read_once, on_retry=count_retry, deadline=deadline
+            )
+        except StorageFault:
+            self.fault_stats.transient_errors += 1
+            raise
+
+    def load_full_signature(
+        self,
+        cell: Cell,
+        pool: BufferPool | None = None,
+        counters: IOCounters | None = None,
+    ) -> Signature:
+        """Load and reassemble every partial of a cell (counted)."""
+        signature = Signature(self.fanout)
+        refs = self._directory.get(cell.cell_id, {})
+        for ref_sid in sorted(refs):
+            partial = self.load_partial(cell, ref_sid, pool, counters)
+            if partial is None:
+                raise MissingPartialError(cell.cell_id, ref_sid)
+            for sid, bits in partial.decode().items():
+                signature.set_node(sid, bits)
+        return signature
+
+    def reader(
+        self,
+        cell: Cell,
+        pool: BufferPool | None = None,
+        counters: IOCounters | None = None,
+        fallback: "BooleanFallback | None" = None,
+        tracer: Tracer | None = None,
+        budget: "RetryBudget | None" = None,
+        breakers: "BreakerBoard | None" = None,
+        epoch: int | None = None,
+    ) -> "CellSignatureReader":
+        return CellSignatureReader(
+            self,
+            cell,
+            pool,
+            counters,
+            fallback,
+            tracer,
+            budget=budget,
+            breakers=breakers,
+            epoch=epoch,
+        )
+
+
+class SignatureStore(_DirectoryReads):
     """Partial signatures on disk, indexed by (cell id, ref SID).
 
     Args:
@@ -292,103 +398,12 @@ class SignatureStore:
     # reading
     # ------------------------------------------------------------------ #
 
-    def has_cell(self, cell: Cell) -> bool:
-        return cell.cell_id in self._directory
-
     def cells(self) -> list[str]:
         return sorted(self._directory)
 
-    def n_partials(self, cell: Cell) -> int:
-        return len(self._directory.get(cell.cell_id, {}))
-
-    def load_partial(
-        self,
-        cell: Cell,
-        ref_sid: int,
-        pool: BufferPool | None = None,
-        counters: IOCounters | None = None,
-        on_retry: Callable[[int, Exception], None] | None = None,
-        budget: "RetryBudget | None" = None,
-    ) -> PartialSignature | None:
-        """Load one partial by (cell, ref) — one counted ``SSIG`` page read.
-
-        Returns ``None`` when the cell has no partial with that reference.
-        Transient faults are retried under the store's
-        :attr:`retry_policy`; with a ``budget`` (the serving ticket's
-        remaining deadline) retries whose backoff would outspend it are
-        skipped.  A read that keeps failing (or a detected corruption)
-        propagates as a typed storage fault for the caller's degraded
-        path.  The index descent itself is served from the directory
-        (equivalent to a pinned B+-tree root path); tests exercise the
-        counted B+-tree separately.
-        """
-        refs = self._directory.get(cell.cell_id)
-        if refs is None or ref_sid not in refs:
-            return None
-        page_id = refs[ref_sid]
-
-        def read_once() -> PartialSignature:
-            if pool is not None:
-                return pool.get(page_id, SSIG, counters)
-            return self.disk.read(page_id, SSIG, counters)
-
-        def count_retry(attempt: int, exc: Exception) -> None:
-            self.fault_stats.retries += 1
-            if on_retry is not None:
-                on_retry(attempt, exc)
-
-        deadline = (
-            budget.clock_deadline(self.retry_policy.clock)
-            if budget is not None
-            else None
-        )
-        try:
-            return self.retry_policy.call(
-                read_once, on_retry=count_retry, deadline=deadline
-            )
-        except StorageFault:
-            self.fault_stats.transient_errors += 1
-            raise
-
-    def load_full_signature(
-        self,
-        cell: Cell,
-        pool: BufferPool | None = None,
-        counters: IOCounters | None = None,
-    ) -> Signature:
-        """Load and reassemble every partial of a cell (counted)."""
-        signature = Signature(self.fanout)
-        refs = self._directory.get(cell.cell_id, {})
-        for ref_sid in sorted(refs):
-            partial = self.load_partial(cell, ref_sid, pool, counters)
-            if partial is None:
-                raise MissingPartialError(cell.cell_id, ref_sid)
-            for sid, bits in partial.decode().items():
-                signature.set_node(sid, bits)
-        return signature
-
-    def reader(
-        self,
-        cell: Cell,
-        pool: BufferPool | None = None,
-        counters: IOCounters | None = None,
-        fallback: "BooleanFallback | None" = None,
-        tracer: Tracer | None = None,
-        budget: "RetryBudget | None" = None,
-        breakers: "BreakerBoard | None" = None,
-        epoch: int | None = None,
-    ) -> "CellSignatureReader":
-        return CellSignatureReader(
-            self,
-            cell,
-            pool,
-            counters,
-            fallback,
-            tracer,
-            budget=budget,
-            breakers=breakers,
-            epoch=epoch,
-        )
+    #: Bound on this class too: the e2e span recorder wraps the methods it
+    #: times through ``cls.__dict__``.
+    load_partial = _DirectoryReads.load_partial
 
     def index_height(self) -> int:
         return self._index.height()
@@ -457,7 +472,7 @@ class SignatureStore:
         return entries
 
 
-class StoreView:
+class StoreView(_DirectoryReads):
     """The signature store as one epoch saw it — a read-only projection.
 
     Serves :meth:`load_partial` / :meth:`load_full_signature` lookups from
@@ -486,87 +501,9 @@ class StoreView:
     def is_quarantined(self, cell: Cell) -> bool:
         return self._base.is_quarantined(cell)
 
-    def has_cell(self, cell: Cell) -> bool:
-        return cell.cell_id in self._directory
-
-    def n_partials(self, cell: Cell) -> int:
-        return len(self._directory.get(cell.cell_id, {}))
-
-    def load_partial(
-        self,
-        cell: Cell,
-        ref_sid: int,
-        pool: BufferPool | None = None,
-        counters: IOCounters | None = None,
-        on_retry: Callable[[int, Exception], None] | None = None,
-        budget: "RetryBudget | None" = None,
-    ) -> PartialSignature | None:
-        refs = self._directory.get(cell.cell_id)
-        if refs is None or ref_sid not in refs:
-            return None
-        page_id = refs[ref_sid]
-
-        def read_once() -> PartialSignature:
-            if pool is not None:
-                return pool.get(page_id, SSIG, counters)
-            return self.disk.read(page_id, SSIG, counters)
-
-        def count_retry(attempt: int, exc: Exception) -> None:
-            self.fault_stats.retries += 1
-            if on_retry is not None:
-                on_retry(attempt, exc)
-
-        deadline = (
-            budget.clock_deadline(self.retry_policy.clock)
-            if budget is not None
-            else None
-        )
-        try:
-            return self.retry_policy.call(
-                read_once, on_retry=count_retry, deadline=deadline
-            )
-        except StorageFault:
-            self.fault_stats.transient_errors += 1
-            raise
-
-    def load_full_signature(
-        self,
-        cell: Cell,
-        pool: BufferPool | None = None,
-        counters: IOCounters | None = None,
-    ) -> Signature:
-        signature = Signature(self.fanout)
-        refs = self._directory.get(cell.cell_id, {})
-        for ref_sid in sorted(refs):
-            partial = self.load_partial(cell, ref_sid, pool, counters)
-            if partial is None:
-                raise MissingPartialError(cell.cell_id, ref_sid)
-            for sid, bits in partial.decode().items():
-                signature.set_node(sid, bits)
-        return signature
-
-    def reader(
-        self,
-        cell: Cell,
-        pool: BufferPool | None = None,
-        counters: IOCounters | None = None,
-        fallback: "BooleanFallback | None" = None,
-        tracer: Tracer | None = None,
-        budget: "RetryBudget | None" = None,
-        breakers: "BreakerBoard | None" = None,
-        epoch: int | None = None,
-    ) -> "CellSignatureReader":
-        return CellSignatureReader(
-            self,
-            cell,
-            pool,
-            counters,
-            fallback,
-            tracer,
-            budget=budget,
-            breakers=breakers,
-            epoch=epoch,
-        )
+    #: Bound on this class too: the e2e span recorder wraps the methods it
+    #: times through ``cls.__dict__``.
+    load_partial = _DirectoryReads.load_partial
 
 
 #: Exact boolean resolver used in conservative mode: ``(cell, path,
@@ -576,11 +513,16 @@ BooleanFallback = Callable[[Cell, tuple[int, ...], "IOCounters | None"], bool]
 
 
 class CellSignatureReader:
-    """A lazily loaded view of one cell's signature.
+    """A lazily loaded, lazily decoded view of one cell's signature.
 
     Bit tests trigger partial loads per the paper's retrieval protocol; the
     cumulative wall-clock time spent loading is recorded in
     :attr:`load_seconds` (Figure 15 reports it against total query time).
+    Residency is decided on the loaded partials' blobs; a node is
+    decompressed by the first bit test that reaches its SID and kept for
+    the query.  A blob that does not decode therefore raises its
+    ``CodecError`` from that bit test — the page checksum covers the
+    blobs, so this is a writer bug and is not degraded around.
 
     When a partial is unreadable after retries the reader degrades instead
     of failing: the unresolvable refs are remembered, the cell is
@@ -613,6 +555,8 @@ class CellSignatureReader:
         self.breakers = breakers
         self.epoch = epoch
         self.fanout = store.fanout
+        #: The loaded partials' nodes, compressed, and those tested so far.
+        self._blobs: dict[int, bytes] = {}
         self._nodes: dict[int, BitArray] = {}
         self._loaded_refs: set[int] = set()
         self._known_missing: set[int] = set()
@@ -705,7 +649,7 @@ class CellSignatureReader:
         if self.breakers is not None:
             self.breakers.record_success(self.cell.cell_id, ref_sid)
         self._loaded_refs.add(ref_sid)
-        self._nodes.update(partial.decode())
+        self._blobs.update(partial.blobs)
         self.loads += 1
         elapsed = time.perf_counter() - started
         self.load_seconds += elapsed
@@ -725,7 +669,7 @@ class CellSignatureReader:
         Follows the retrieval protocol: probe the partials referenced by
         each ancestor from the root downward until the node shows up.
         """
-        if node_sid in self._nodes:
+        if node_sid in self._blobs:
             return True
         unresolved = False
         for ref in retrieval_refs(node_path, self.fanout):
@@ -735,11 +679,18 @@ class CellSignatureReader:
             if outcome is None:
                 unresolved = True
                 continue
-            if outcome and node_sid in self._nodes:
+            if outcome and node_sid in self._blobs:
                 return True
-        if node_sid in self._nodes:
+        if node_sid in self._blobs:
             return True
         return None if unresolved else False
+
+    def _bits(self, sid: int) -> BitArray:
+        """The resident node ``sid``, decompressed on its first use."""
+        bits = self._nodes.get(sid)
+        if bits is None:
+            bits = self._nodes[sid] = decompress(self._blobs[sid])
+        return bits
 
     # ------------------------------------------------------------------ #
     # bit tests (the query-time interface)
@@ -779,8 +730,7 @@ class CellSignatureReader:
             return self._conservative(tuple(parent_path) + (position,))
         if not resident:
             return False
-        bits = self._nodes.get(parent_sid)
-        return bits is not None and bits.get(position - 1)
+        return self._bits(parent_sid).get(position - 1)
 
     def check_block(
         self, parent_path: Sequence[int], wanted: int
@@ -801,7 +751,7 @@ class CellSignatureReader:
             return None
         if not resident:
             return 0
-        return wanted & self._nodes[parent_sid].mask
+        return wanted & self._bits(parent_sid).mask
 
     def check_path(self, path: Sequence[int]) -> bool:
         """Whether the entry addressed by a full path contains cell data."""
@@ -809,7 +759,7 @@ class CellSignatureReader:
             resident = self._ensure_node((), 0)
             if resident is None:
                 return self._conservative(())
-            return bool(resident and self._nodes.get(0) and self._nodes[0].any())
+            return bool(resident) and self._bits(0).any()
         return self.check_entry(tuple(path[:-1]), path[-1])
 
 

@@ -8,7 +8,8 @@ in-memory skyline filters once skylines grow.
 
 Tie semantics are inherited, not reimplemented: these kernels only answer
 "is this probe dominated", while the PR-2 lexicographic tie-break lives in
-``HeapEntry.__lt__`` on the exact same float tuples both backends produce.
+the search heap's ``(key, tie, seq)`` order (``HeapEntry.__lt__``) on the
+exact same float tuples both backends produce.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from repro.rtree.geometry import dominates
 #: Buffer rows compared per chunk when probing one point (lets the common
 #: "dominated early" case exit without scanning the whole buffer).
 _PROBE_CHUNK = 512
+#: Up to this many buffer rows a point probe is a plain loop over the
+#: tuples: the numpy scan's fixed per-call cost only pays off beyond it.
+_SCALAR_PROBE = 8
 #: Element budget for (buffer, probes, dims) broadcast tensors.
 _TENSOR_BUDGET = 1 << 20
 #: First dominator-chunk size for block probes (most probes die here).
@@ -80,20 +84,21 @@ class DominationBuffer:
         self._arr[self._n] = point
         self._n += 1
 
-    def dominates_point(self, probe: Sequence[float]) -> bool:
-        """Whether any buffered point dominates ``probe``."""
-        if not self._points:
-            return False
-        if not self._numpy:
-            return any(dominates(s, probe) for s in self._points)
-        arr, n = self._arr, self._n
-        for start in range(0, n, _PROBE_CHUNK):
+    def dominates_point(self, probe: Sequence[float], since: int = 0) -> bool:
+        """Whether any point buffered at index ``since`` or later dominates
+        ``probe`` (a caller that has tested the first ``since`` points
+        already asks only about the rest)."""
+        n = len(self._points)
+        if n - since <= _SCALAR_PROBE or not self._numpy:
+            points = self._points[since:] if since else self._points
+            return any(dominates(s, probe) for s in points)
+        arr = self._arr
+        for start in range(since, n, _PROBE_CHUNK):
             block = arr[start : min(start + _PROBE_CHUNK, n)]
-            le = np.ones(len(block), dtype=bool)
-            lt = np.zeros(len(block), dtype=bool)
-            for d in range(self.dims):
-                col = block[:, d]
-                v = probe[d]
+            col, v = block[:, 0], probe[0]
+            le, lt = col <= v, col < v
+            for d in range(1, self.dims):
+                col, v = block[:, d], probe[d]
                 le &= col <= v
                 lt |= col < v
             le &= lt
@@ -116,16 +121,21 @@ class DominationBuffer:
                 for probe in probes
             ]
         p = np.asarray(probes, dtype=np.float64)
-        out = np.zeros(m, dtype=bool)
         arr, n = self._arr, self._n
         # Escalating chunks with probe compression: the scalar loop
         # short-circuits after a handful of comparisons for a typical
         # dominated probe, so the vector path starts with a small buffer
-        # prefix (which kills most probes in one cheap op), drops the
-        # dead, and grows the chunk as survivors thin out.
-        alive = np.arange(m)
-        start = 0
-        chunk = _SEED_CHUNK
+        # prefix (which kills most probes in one cheap op, on the probe
+        # matrix as it is — most buffers end there), drops the dead, and
+        # grows the chunk as survivors thin out.
+        out = _block_dominates(arr[: min(_SEED_CHUNK, n)], p, self.dims)
+        if n <= _SEED_CHUNK:
+            return out.tolist()
+        alive = (~out).nonzero()[0]
+        start = _SEED_CHUNK
+        chunk = max(
+            _SEED_CHUNK * 4, _TENSOR_BUDGET // max(1, alive.size * self.dims)
+        )
         while start < n and alive.size:
             stop = min(start + chunk, n)
             hit = _block_dominates(
@@ -150,9 +160,11 @@ def _block_dominates(block, probes, dims, other=None):
     the whole stack, while d boolean matrix ops stream at memory speed.
     ``other`` optionally masks (block, probe) pairs allowed to dominate.
     """
-    le = np.ones((len(block), len(probes)), dtype=bool)
-    lt = np.zeros_like(le)
-    for d in range(dims):
+    bd = block[:, 0][:, None]
+    pd = probes[:, 0][None, :]
+    le = bd <= pd
+    lt = bd < pd
+    for d in range(1, dims):
         bd = block[:, d][:, None]
         pd = probes[:, d][None, :]
         le &= bd <= pd

@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Callable, Iterator, Protocol, Sequence
 
 from repro.kernels.dominate import DominationBuffer
@@ -71,9 +71,20 @@ class HeapEntry:
     plus somewhere-< implies lexicographically-<.  Node entries use the low
     corner, which is componentwise ≤ every contained point, so dominating
     chains pop first inductively.
+
+    ``vetted`` is set on a child that an expansion of the running search
+    tested with both arms before pushing it: the strategy's
+    ``evaluated()`` mark at that moment.  Such an entry is not sent
+    through ``check_path`` again at its pop (a reader answers a bit the
+    same way twice) and its preference test looks only at results found
+    since the mark.  ``None`` — the root, every entry of a resumed heap,
+    children of a node the reader could not resolve — means the pop
+    tests it in full.
     """
 
-    __slots__ = ("key", "tie", "seq", "path", "node", "tid", "point", "rect")
+    __slots__ = (
+        "key", "tie", "seq", "path", "node", "tid", "point", "rect", "vetted"
+    )
 
     def __init__(
         self,
@@ -86,6 +97,7 @@ class HeapEntry:
         rect: Rect | None = None,
         tie: tuple[float, ...] = (),
     ) -> None:
+        self.vetted: int | None = None
         self.key = key
         self.tie = tie
         self.seq = seq
@@ -312,6 +324,10 @@ class SkylineStrategy:
             rows = ties = project_rows(block.lows, self.subspace)
         return sum_block(rows), self._buffer.dominates_block(rows), ties
 
+    def evaluated(self) -> int:
+        """How many skyline points ``evaluate`` tests against right now."""
+        return len(self._buffer)
+
     def node_tie(self, rect: Rect) -> tuple[float, ...]:
         return self._project(rect.lows)
 
@@ -324,8 +340,11 @@ class SkylineStrategy:
         Every entry carries a probe point: a tuple entry its data point, a
         node entry its MBR's low corner.  Dominating the (projected) low
         corner dominates the whole (projected) region, so one check covers
-        both cases.
+        both cases.  A vetted entry's tie row is that projected probe, and
+        only the points added since its evaluation can be news.
         """
+        if entry.vetted is not None:
+            return self._buffer.dominates_point(entry.tie, entry.vetted)
         probe = entry.point
         assert probe is not None
         return self._buffer.dominates_point(self._project(probe))
@@ -367,6 +386,9 @@ class TopKStrategy:
             return keys, [False] * len(keys), None
         worst = self.scores[-1]
         return keys, [key >= worst for key in keys], None
+
+    def evaluated(self) -> int:
+        return 0  # ``prune`` is one comparison with the current k-th score
 
     def node_tie(self, rect: Rect) -> tuple[float, ...]:
         return ()  # top-k correctness is tie-order independent (≥ tests)
@@ -463,7 +485,13 @@ def run_algorithm1(
     ):
         if state is None:
             state = make_root_state(rtree, strategy)
-        heap = state.heap
+        # The loop's heap holds ``(key, tie, seq, entry)`` so ``heapq``
+        # compares in C — ``seq`` is unique, the entry itself is never
+        # compared, and the order is ``HeapEntry.__lt__``'s.  Marks left
+        # by an earlier run say nothing about this strategy and reader.
+        for entry in state.heap:
+            entry.vetted = None
+        heap = [(e.key, e.tie, e.seq, e) for e in state.heap]
         heapq.heapify(heap)
         stats.note_heap(len(heap))
 
@@ -472,122 +500,133 @@ def run_algorithm1(
         if tracer is not None
         else nullcontext()
     )
-    with search_span:
-        while heap:
-            if ticker is not None:
-                ticker()
-            entry = heapq.heappop(heap)
-            if strategy.finished(entry.key):
-                heapq.heappush(heap, entry)  # keep it for incremental reuse
-                break
-            # --- prune procedure (paper lines 14-20): preference then
-            # boolean.
-            if strategy.prune(entry):
-                stats.dominance_pruned += 1
-                if tracer is not None:
-                    tracer.prune("pref", path=entry.path, key=entry.key)
-                if keep_lists:
-                    state.d_list.append(entry)
-                continue
-            if reader is not None and not reader.check_path(entry.path):
-                stats.boolean_pruned += 1
-                if tracer is not None:
-                    tracer.prune("bool", path=entry.path, key=entry.key)
-                if keep_lists:
-                    state.b_list.append(entry)
-                continue
-
-            if entry.is_tuple:
-                if verifier is not None:
-                    stats.verified += 1
-                    if not verifier(entry.tid):
-                        stats.verify_failed += 1
-                        continue
-                if strategy.add_result(entry):
-                    state.results.append(entry)
-                    stats.results += 1
+    try:
+        with search_span:
+            while heap:
+                if ticker is not None:
+                    ticker()
+                item = heapq.heappop(heap)
+                entry = item[3]
+                if strategy.finished(entry.key):
+                    heapq.heappush(heap, item)  # keep it for incremental reuse
+                    break
+                # --- prune procedure (paper lines 14-20): preference then
+                # boolean.  A vetted entry passed both when its parent was
+                # expanded: only results found since can prune it, and its
+                # bit is not tested again.
+                if strategy.prune(entry):
+                    stats.dominance_pruned += 1
                     if tracer is not None:
-                        tracer.event(REPORT, tid=entry.tid, key=entry.key)
-                continue
+                        tracer.prune("pref", path=entry.path, key=entry.key)
+                    if keep_lists:
+                        state.d_list.append(entry)
+                    continue
+                if (
+                    reader is not None
+                    and entry.vetted is None
+                    and not reader.check_path(entry.path)
+                ):
+                    stats.boolean_pruned += 1
+                    if tracer is not None:
+                        tracer.prune("bool", path=entry.path, key=entry.key)
+                    if keep_lists:
+                        state.b_list.append(entry)
+                    continue
 
-            # --- expand the node: one counted R-tree block read.
-            node = entry.node
-            assert node is not None and node.page_id is not None
-            if pool is not None:
-                pool.get(node.page_id, block_category, stats.counters)
-            else:
-                rtree.disk.read(node.page_id, block_category, stats.counters)
-            stats.nodes_expanded += 1
-            if tracer is not None:
-                tracer.event(EXPAND, path=entry.path, heap=len(heap))
+                if entry.is_tuple:
+                    if verifier is not None:
+                        stats.verified += 1
+                        if not verifier(entry.tid):
+                            stats.verify_failed += 1
+                            continue
+                    if strategy.add_result(entry):
+                        state.results.append(entry)
+                        stats.results += 1
+                        if tracer is not None:
+                            tracer.event(REPORT, tid=entry.tid, key=entry.key)
+                    continue
 
-            # One block evaluation per expanded node: the strategy sees
-            # all live children at once (keys and the preference arm), the
-            # reader sees the preference arm's survivors at once (the
-            # boolean arm), and only children that pass both become heap
-            # entries.  Every live child still consumes one ``seq``, in
-            # slot order, whatever happens to it.
-            block = node.block()
-            first_seq = state.seq + 1
-            state.seq += len(block)
-            keys, pruned, ties = strategy.evaluate(block)
-            parent_path = entry.path
-            bits = block.bits
-            alive = [i for i, gone in enumerate(pruned) if not gone]
-            survivors, filtered = alive, []
-            if reader is not None and alive:
-                wanted = 0
-                for i in alive:
-                    wanted |= bits[i]
-                passed = reader.check_block(parent_path, wanted)
-                if passed is None:
-                    # The reader cannot resolve this node: ask entry by
-                    # entry, which answers (and counts) conservatively.
-                    passed = 0
+                # --- expand the node: one counted R-tree block read.
+                node = entry.node
+                assert node is not None and node.page_id is not None
+                if pool is not None:
+                    pool.get(node.page_id, block_category, stats.counters)
+                else:
+                    rtree.disk.read(node.page_id, block_category, stats.counters)
+                stats.nodes_expanded += 1
+                if tracer is not None:
+                    tracer.event(EXPAND, path=entry.path, heap=len(heap))
+
+                # One block evaluation per expanded node: the strategy sees
+                # all live children at once (keys and the preference arm),
+                # the reader sees the preference arm's survivors at once
+                # (the boolean arm), and only children that pass both become
+                # heap entries.  Every live child still consumes one
+                # ``seq``, in slot order, whatever happens to it.
+                block = node.block()
+                first_seq = state.seq + 1
+                state.seq += len(block)
+                vetted = strategy.evaluated()
+                keys, pruned, ties = strategy.evaluate(block)
+                parent_path = entry.path
+                bits = block.bits
+                alive, dominated = range(len(block)), ()
+                if True in pruned:
+                    dominated = list(compress(alive, pruned))
+                    alive = [i for i in alive if not pruned[i]]
+                survivors, filtered = alive, ()
+                if reader is not None and alive:
+                    wanted = 0
                     for i in alive:
-                        if reader.check_entry(parent_path, block.slots[i] + 1):
-                            passed |= bits[i]
-                if passed != wanted:
-                    survivors = [i for i in alive if passed & bits[i]]
-                    filtered = [i for i in alive if not passed & bits[i]]
-            n_dominated = len(block) - len(alive)
-            stats.dominance_pruned += n_dominated
-            stats.boolean_pruned += len(filtered)
-            if tracer is not None:
-                arms = dict.fromkeys(filtered, "bool")
-                for i, slot in enumerate(block.slots):
-                    arm = "pref" if pruned[i] else arms.get(i)
-                    if arm is not None:
-                        tracer.prune(
-                            arm, path=parent_path + (slot + 1,), key=keys[i]
+                        wanted |= bits[i]
+                    passed = reader.check_block(parent_path, wanted)
+                    if passed is None:
+                        # The reader cannot resolve this node: ask entry by
+                        # entry, which answers (and counts) conservatively —
+                        # and the children it lets through are tested again
+                        # at their pop, as every entry used to be.
+                        vetted = None
+                        passed = 0
+                        for i in alive:
+                            if reader.check_entry(parent_path, block.slots[i] + 1):
+                                passed |= bits[i]
+                    if passed != wanted:
+                        survivors = [i for i in alive if passed & bits[i]]
+                        filtered = [i for i in alive if not passed & bits[i]]
+                stats.dominance_pruned += len(dominated)
+                stats.boolean_pruned += len(filtered)
+                if tracer is not None:
+                    arms = dict.fromkeys(filtered, "bool")
+                    for i, slot in enumerate(block.slots):
+                        arm = "pref" if pruned[i] else arms.get(i)
+                        if arm is not None:
+                            tracer.prune(
+                                arm, path=parent_path + (slot + 1,), key=keys[i]
+                            )
+                if keep_lists:
+                    if dominated:
+                        state.d_list.add_run(
+                            PrunedRun(
+                                parent_path, block, keys, ties, first_seq, dominated
+                            )
                         )
-            if keep_lists:
-                if n_dominated:
-                    state.d_list.add_run(
-                        PrunedRun(
-                            parent_path,
-                            block,
-                            keys,
-                            ties,
-                            first_seq,
-                            [i for i, gone in enumerate(pruned) if gone],
+                    if filtered:
+                        state.b_list.add_run(
+                            PrunedRun(
+                                parent_path, block, keys, ties, first_seq, filtered
+                            )
                         )
-                    )
-                if filtered:
-                    state.b_list.add_run(
-                        PrunedRun(
-                            parent_path, block, keys, ties, first_seq, filtered
-                        )
-                    )
-            survivor_ties = (
-                row_tuples(ties, survivors) if ties is not None else repeat(())
-            )
-            for i, tie in zip(survivors, survivor_ties):
-                heapq.heappush(
-                    heap,
-                    _child_entry(
-                        parent_path, block, i, keys[i], first_seq + i, tie
-                    ),
+                survivor_ties = (
+                    row_tuples(ties, survivors) if ties is not None else repeat(())
                 )
-            stats.note_heap(len(heap))
+                for i, tie in zip(survivors, survivor_ties):
+                    seq = first_seq + i
+                    child = _child_entry(parent_path, block, i, keys[i], seq, tie)
+                    child.vetted = vetted
+                    heapq.heappush(heap, (keys[i], tie, seq, child))
+                stats.note_heap(len(heap))
+    finally:
+        # Whatever ended the loop — a finished top-k, a raising ticker, a
+        # storage fault — ``state.heap`` is the pending entries, as a heap.
+        state.heap[:] = [item[3] for item in heap]
     return state

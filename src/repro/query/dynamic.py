@@ -99,6 +99,9 @@ class DynamicSkylineStrategy:
             )
         return sum_block(image), self._buffer.dominates_block(image), image
 
+    def evaluated(self) -> int:
+        return len(self._buffer)
+
     def node_tie(self, rect: Rect) -> tuple[float, ...]:
         return transform_rect_lower(rect, self.query_point)
 
@@ -115,6 +118,8 @@ class DynamicSkylineStrategy:
         return transform_rect_lower(entry.rect, self.query_point)
 
     def prune(self, entry: HeapEntry) -> bool:
+        if entry.vetted is not None:  # its tie row is its probe
+            return self._buffer.dominates_point(entry.tie, entry.vetted)
         return self._buffer.dominates_point(self._probe(entry))
 
     def add_result(self, entry: HeapEntry) -> bool:

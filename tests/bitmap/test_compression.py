@@ -121,6 +121,38 @@ def test_sparse_position_overflow_rejected():
         decompress(bytes([1, 2, 1, 5]))
 
 
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (bytes([1, 8, 2, 3, 0]), "gap of zero"),  # second gap is 0
+        (bytes([1, 8, 1, 9]), "beyond declared width"),  # position 8 of 8
+        (bytes([1, 8, 2, 3]), "truncated varint"),  # count 2, one gap
+        (bytes([1, 8, 1, 0x83]), "truncated varint"),  # gap's last byte gone
+        (bytes([1, 8, 1, 3, 7]), "trailing bytes"),
+    ],
+)
+def test_sparse_malformed_bodies_rejected(blob, message):
+    with pytest.raises(CodecError, match=message):
+        decompress(blob)
+
+
+@pytest.mark.parametrize("nbits", [1, 127, 128, 204])
+def test_sparse_roundtrip_around_the_one_byte_gap_width(nbits):
+    """Widths on both sides of the 128-bit line where a gap stops fitting
+    one varint byte; the decoder builds the mask without ``BitArray.set``."""
+    samples = [
+        BitArray(nbits),
+        BitArray.ones(nbits),
+        BitArray.from_positions(nbits, [nbits - 1]),
+        BitArray.from_positions(nbits, [0, nbits - 1]),
+        BitArray.from_positions(nbits, range(0, nbits, 3)),
+    ]
+    for bits in samples:
+        decoded = decompress(compress(bits, "sparse"))
+        assert decoded == bits
+        assert (decoded.nbits, decoded.mask) == (bits.nbits, bits.mask)
+
+
 bit_arrays = st.integers(min_value=1, max_value=300).flatmap(
     lambda n: st.builds(
         BitArray.from_positions,

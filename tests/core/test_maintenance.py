@@ -424,17 +424,24 @@ def test_rewritten_partials_equal_a_from_scratch_decompose(page_size):
     height_before = system.rtree.height()
     nodes_before = system.rtree.node_count()
     most_partials = 0
+    n_ops, audit_every, ops_done = 160, 16, 0
 
     def check(dirty):
-        nonlocal most_partials
+        nonlocal most_partials, ops_done
         assert dirty
         for cell in dirty:
             assert stored_bytes(system.pcube.store, cell) == from_scratch(system, cell), cell
             most_partials = max(most_partials, system.pcube.store.n_partials(cell))
-        report = system.verify_consistency()
-        assert report.ok, report.problems
+        # Byte identity is asserted on every dirty cell after every op; the
+        # whole-system audit (every cell of every cuboid re-derived) runs on
+        # every 16th op and after the last.
+        ops_done += 1
+        if ops_done % audit_every == 0 or ops_done == n_ops:
+            report = system.verify_consistency()
+            assert report.ok, report.problems
 
-    reorganised = run_op_stream(system, random.Random(11), 160, check)
+    reorganised = run_op_stream(system, random.Random(11), n_ops, check)
+    assert ops_done == n_ops
     # The stream split nodes, condensed the tree and re-inserted entries.
     assert reorganised >= 10
     assert system.rtree.node_count() != nodes_before

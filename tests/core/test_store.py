@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.bitmap.compression import CodecError
 from repro.core import partial as partial_module
+from repro.core import store as store_module
 from repro.core.partial import decompose
-from repro.core.sid import ancestor_sids
+from repro.core.sid import ancestor_sids, path_of_sid
 from repro.core.signature import Signature
 from repro.core.store import (
     AssembledReader,
@@ -109,6 +111,87 @@ def test_reader_lazy_loading_on_demand(store):
     assert reader.loads > loads_before
     assert reader.loads <= store.n_partials(CELL)
     assert counters.get(SSIG) == reader.loads
+
+
+def count_decompressions(monkeypatch):
+    decoded = []
+    real = store_module.decompress
+
+    def counting(blob):
+        decoded.append(blob)
+        return real(blob)
+
+    monkeypatch.setattr(store_module, "decompress", counting)
+    return decoded
+
+
+def test_reader_decodes_a_node_on_its_first_bit_test_only(store, monkeypatch):
+    """Loading a partial decodes nothing; each SID is decompressed once,
+    by the first bit test that touches it, whichever form the test takes."""
+    store.put_signature(CELL, wide_signature())
+    decoded = count_decompressions(monkeypatch)
+    reader = store.reader(CELL)
+    assert reader.loads == 1 and decoded == []
+    assert reader.check_entry((), 1)
+    assert len(decoded) == 1
+    assert reader.check_block((), 0b1111) == 0b0111
+    assert reader.check_path(()) and not reader.check_path((4,))
+    assert len(decoded) == 1  # the root node, every time
+    assert reader.check_path((1, 1, 1))  # asks node (1, 1) for its bit 1
+    assert reader.check_block((1, 1), 0b1111) == 0b0011
+    assert sorted(reader._nodes) == sorted(
+        sid for sid in reader._blobs if path_of_sid(sid, FANOUT) in ((), (1, 1))
+    )
+    assert len(decoded) == len(reader._nodes) == 2 < len(reader._blobs)
+    # Absent nodes answer from residency alone.
+    assert not reader.check_entry((4,), 1)
+    assert len(decoded) == 2
+
+
+def test_reader_meets_an_undecodable_blob_at_its_first_touch(store, disk):
+    """A blob that does not decode (page re-sealed: the checksum passes)
+    neither fails the load nor degrades the reader; the first bit test on
+    that SID raises, tests on other nodes answer, the eager reassembly
+    raises as it always did."""
+    signature = wide_signature()
+    store.put_signature(CELL, signature)
+    page = disk.peek(store.refs_for(CELL)[0])
+    sid = max(page.payload.blobs)
+    assert sid != 0
+    page.payload.blobs[sid] = b"\xff\x00\xff"
+    page.seal()
+    reader = store.reader(CELL)
+    assert reader.loads == 1 and not reader.degraded
+    assert reader.check_entry((), 1) == signature.check_path((1,))
+    with pytest.raises(CodecError):
+        reader.check_entry(path_of_sid(sid, FANOUT), 1)
+    with pytest.raises(CodecError):
+        reader.check_block(path_of_sid(sid, FANOUT), 0b1)
+    assert not reader.degraded and not store.is_quarantined(CELL)
+    with pytest.raises(CodecError):
+        store.load_full_signature(CELL)
+
+
+def test_one_partial_loader_serves_the_store_and_its_views(store):
+    """``load_partial`` stays defined on both classes (the e2e span
+    recorder wraps them through ``cls.__dict__``) and is the same loader."""
+    assert (
+        vars(SignatureStore)["load_partial"]
+        is vars(store_module.StoreView)["load_partial"]
+    )
+    store.put_signature(CELL, wide_signature())
+    view = store.view(store.directory_snapshot())
+    deferred = []
+    store.free_hook = deferred.append  # what the epoch manager does
+    store.put_signature(CELL, Signature.from_paths([(1, 1)], FANOUT))
+    assert len(deferred) == view.n_partials(CELL)
+    # The view still resolves the partials of the directory it was given.
+    assert view.n_partials(CELL) > store.n_partials(CELL) == 1
+    counters = IOCounters()
+    assert view.load_full_signature(CELL, counters=counters) == wide_signature()
+    assert counters.get(SSIG) == view.n_partials(CELL)
+    assert view.load_partial(OTHER, 0) is None
+    assert view.reader(CELL).check_path((3, 2, 2))
 
 
 def test_reader_results_match_signature(store):

@@ -1,5 +1,7 @@
 """Failure injection: the error paths must fail loudly, never corrupt."""
 
+import random
+
 import pytest
 
 from repro.bitmap.bitarray import BitArray
@@ -154,3 +156,98 @@ def test_corruption_degrades_then_rebuild_restores(
     assert healed.tids == baseline.tids
     assert not healed.stats.degraded
     assert healed.stats.ssig == baseline.stats.ssig
+
+
+# ---------------------------------------------------------------------- #
+# a stored blob that does not decode (a writer bug, not a storage fault)
+# ---------------------------------------------------------------------- #
+
+
+def _garble_blob(system, cell, sid):
+    """Overwrite one node blob of ``cell`` with bytes no codec produces and
+    re-seal the page, so its checksum passes."""
+    for page_id in system.pcube.store.refs_for(cell).values():
+        page = system.disk.peek(page_id)
+        if sid in page.payload.blobs:
+            page.payload.blobs[sid] = b"\xff\x00\xff"
+            page.seal()
+            page.verify()
+            return
+    raise AssertionError(f"cell {cell} stores no node {sid}")
+
+
+def _undecodable_fixture():
+    """A 2 000-tuple system, a one-conjunct predicate, and two SIDs of its
+    cell: one the skyline search bit-tests, one it never touches."""
+    from repro.data.fixtures import build_sweep_system
+    from repro.query.algorithm1 import SkylineStrategy, run_algorithm1
+    from repro.query.stats import QueryStats
+
+    system = build_sweep_system(2_000, fanout=12, cardinality=6, seed=41)
+    predicate = sample_predicate(system.relation, 1, random.Random(5))
+    (cell,) = predicate.atomic_cells()
+    reader = system.pcube.reader_for_predicate(predicate.conjuncts)
+    run_algorithm1(
+        system.rtree,
+        SkylineStrategy(system.rtree.dims),
+        QueryStats(),
+        reader=reader,
+    )
+    tested = set(reader._nodes)
+    stored = set(system.pcube.signature_of(cell).node_sids())
+    assert tested < stored
+    return system, predicate, cell, max(tested), max(stored - tested)
+
+
+def test_undecodable_blob_fails_the_query_that_touches_it_and_no_other():
+    """Nodes are decoded on their first bit test, so a blob that does not
+    decode surfaces there — as a ``CodecError`` out of the signature
+    attempt (also through the serving chain: it is not a storage fault and
+    is not degraded around) — and a search that never tests the node
+    answers exactly."""
+    from repro.baselines.naive import naive_skyline
+    from repro.bitmap.compression import CodecError
+    from repro.serve.executor import QueryExecutor
+
+    system, predicate, cell, tested_sid, untested_sid = _undecodable_fixture()
+    expected = sorted(
+        naive_skyline(
+            (tid, system.relation.pref_point(tid))
+            for tid in system.relation.live_tids()
+            if predicate.matches(system.relation, tid)
+        )
+    )
+    _garble_blob(system, cell, untested_sid)
+    healthy = system.engine.skyline(predicate)
+    assert sorted(healthy.tids) == expected
+    assert not healthy.stats.degraded and healthy.stats.tier == "signature"
+
+    _garble_blob(system, cell, tested_sid)
+    with pytest.raises(CodecError):
+        system.engine.skyline(predicate)
+    assert not system.pcube.store.is_quarantined(cell)
+    with QueryExecutor(system) as executor:
+        with pytest.raises(CodecError):
+            executor.skyline(predicate=predicate).result(timeout=30.0)
+
+
+def test_undecodable_blob_is_found_and_healed_by_the_audits():
+    """The audits reassemble whole signatures (``load_full_signature``
+    decodes every node), so they see the blob wherever it sits: the
+    consistency check reports the cell unreadable, the scrubber's invariant
+    sweep rebuilds it from the base relation."""
+    from repro.serve.scrub import Scrubber
+
+    system, predicate, cell, _, untested_sid = _undecodable_fixture()
+    baseline = system.engine.skyline(predicate).tids
+    _garble_blob(system, cell, untested_sid)
+    report = system.verify_consistency()
+    assert [p for p in report.problems if "unreadable" in p and "CodecError" in p]
+    assert len(report.problems) == 1
+
+    findings = Scrubber(system).run_pass()
+    assert [(f.kind, f.subject, f.repaired) for f in findings] == [
+        ("invariant", cell.cell_id, True)
+    ]
+    assert system.verify_consistency().ok
+    assert system.engine.skyline(predicate).tids == baseline

@@ -8,16 +8,21 @@ arbitrary finite floats and from a coarse grid (``i / 8``) that
 manufactures the exact ties where ordering bugs would hide.
 """
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kernels.backend import NUMPY, PYTHON, np, use_backend
 from repro.kernels.dominate import (
+    _SCALAR_PROBE,
+    _SEED_CHUNK,
     DominationBuffer,
     dominated_mask,
     prefix_dominated_mask,
 )
+from repro.rtree.geometry import dominates
 from repro.kernels import mindist
 
 pytestmark = [
@@ -25,12 +30,13 @@ pytestmark = [
     pytest.mark.skipif(np is None, reason="parity needs the numpy backend"),
 ]
 
+# Tie-prone grid: duplicates and exact per-dimension equality.
+grid = st.integers(min_value=0, max_value=8).map(lambda i: i / 8)
 coords = st.one_of(
     st.floats(
         min_value=-1e6, max_value=1e6, allow_nan=False, width=64
     ),
-    # Tie-prone grid: duplicates and exact per-dimension equality.
-    st.integers(min_value=0, max_value=8).map(lambda i: i / 8),
+    grid,
 )
 
 
@@ -316,3 +322,76 @@ def test_buffer_escalation_covers_long_buffers():
             True,
             False,
         ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(grid, grid, grid), min_size=1, max_size=20),
+    st.tuples(grid, grid, grid),
+    st.data(),
+)
+def test_dominates_point_since_matches_the_scalar_suffix_scan(
+    buffered, probe, data
+):
+    """``dominates_point(p, since)`` looks at ``points[since:]`` only, on
+    both backends and on both sides of the plain-loop / numpy switch-over
+    (``since == len`` and ``since > len`` see nothing)."""
+    since = data.draw(st.integers(min_value=0, max_value=len(buffered) + 2))
+    expected = any(dominates(s, probe) for s in buffered[since:])
+    for use_numpy in (False, True):
+        buffer = DominationBuffer(3, points=buffered, use_numpy=use_numpy)
+        assert buffer.dominates_point(probe, since) is expected
+        assert buffer.dominates_point(buffered[0], len(buffered)) is False
+
+
+@pytest.mark.parametrize(
+    "n_buffered", [1, _SCALAR_PROBE, _SCALAR_PROBE + 1, 17, 600]
+)
+def test_dominates_point_since_at_every_offset(n_buffered):
+    """Seeded: every ``since`` over buffers of 1 row, the switch-over
+    length and its successor, 17 rows and 600 rows (two numpy chunks),
+    with exact ties — an equal point never dominates."""
+    rng = random.Random(n_buffered)
+    points = [
+        (rng.randrange(6) / 4, rng.randrange(6) / 4) for _ in range(n_buffered)
+    ]
+    probes = [points[0], points[-1], (0.0, 0.0), (1.25, 1.25), (0.5, 1.0)]
+    offsets = {
+        0,
+        1,
+        n_buffered // 2,
+        max(0, n_buffered - _SCALAR_PROBE - 1),  # one row past the plain loop
+        n_buffered - 1,
+        n_buffered,
+        n_buffered + 3,
+    }
+    for use_numpy in (False, True):
+        buffer = DominationBuffer(2, points=points, use_numpy=use_numpy)
+        for since in offsets:
+            for probe in probes:
+                assert buffer.dominates_point(probe, since) is any(
+                    dominates(s, probe) for s in points[since:]
+                ), (use_numpy, since, probe)
+
+
+@pytest.mark.parametrize("n_probes", [1, 64])
+@pytest.mark.parametrize("n_buffered", [1, _SEED_CHUNK, _SEED_CHUNK + 1, 600])
+def test_dominates_block_matches_the_scalar_oracle(n_buffered, n_probes):
+    """The first chunk runs on the whole probe matrix and is the answer
+    when the buffer fits in it; longer buffers go on with the survivors."""
+    rng = random.Random(1000 * n_buffered + n_probes)
+    # An anti-correlated staircase keeps most probes alive past the first
+    # chunk; the grid manufactures exact ties.
+    points = [
+        (i / n_buffered, 1.0 - i / n_buffered, rng.randrange(4) / 4)
+        for i in range(n_buffered)
+    ]
+    probes = [
+        (rng.random(), rng.random(), rng.randrange(4) / 4)
+        for _ in range(n_probes - 1)
+    ] + [points[-1]]
+    expected = [any(dominates(s, p) for s in points) for p in probes]
+    for use_numpy in (False, True):
+        buffer = DominationBuffer(3, points=points, use_numpy=use_numpy)
+        assert buffer.dominates_block(probes) == expected
+        assert buffer.dominates_block(np.asarray(probes)) == expected

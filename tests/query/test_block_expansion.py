@@ -631,3 +631,317 @@ def test_topk_and_dynamic_strategies_direct(system, backend):
                         assert tie == ()
                     else:
                         assert tuple(float(v) for v in ties[i]) == tie
+
+
+# --------------------------------------------------------------------------- #
+# each piece of work once: lazy decode, vetted entries, the tuple heap
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def system_2k():
+    return build_sweep_system(2_000, fanout=12, cardinality=6, seed=41)
+
+
+class Watched:
+    """What the searches of one query did: per ``run_algorithm1`` call the
+    paths its initial heap held and the paths it sent through
+    ``reader.check_path``; over the whole query the ``HeapEntry.__lt__``
+    calls made inside the searches, the blobs the readers decompressed and
+    the (reader, SID) pairs they bit-tested."""
+
+    def __init__(self):
+        self.initial_paths = []
+        self.checked_paths = []
+        self.lt_calls = 0
+        self.decoded = []
+        self.tested = set()
+        self.readers = []
+
+
+@contextmanager
+def watching(runner):
+    """Run every signature-method search of the block through ``runner``
+    (``run_algorithm1`` or the per-child oracle) under a :class:`Watched`."""
+    from repro.core import store as store_module
+    from repro.core.store import CellSignatureReader
+
+    watched = Watched()
+    real_decompress = store_module.decompress
+    real_ensure = CellSignatureReader._ensure_node
+    real_lt = HeapEntry.__lt__
+
+    def decompress(blob):
+        watched.decoded.append(blob)
+        return real_decompress(blob)
+
+    def ensure_node(self, node_path, node_sid):
+        resident = real_ensure(self, node_path, node_sid)
+        if resident:
+            watched.tested.add((id(self), node_sid))
+            if self not in watched.readers:
+                watched.readers.append(self)
+        return resident
+
+    def counted_lt(self, other):
+        watched.lt_calls += 1
+        return real_lt(self, other)
+
+    def search(rtree, strategy, stats, reader=None, state=None, **kwargs):
+        watched.initial_paths.append(
+            [()] if state is None else [e.path for e in state.heap]
+        )
+        checked = []
+        watched.checked_paths.append(checked)
+        real_check_path = reader.check_path
+
+        def check_path(path):
+            checked.append(tuple(path))
+            return real_check_path(path)
+
+        reader.check_path = check_path
+        try:
+            with mock.patch.object(HeapEntry, "__lt__", counted_lt):
+                return runner(
+                    rtree, strategy, stats, reader=reader, state=state, **kwargs
+                )
+        finally:
+            del reader.check_path
+
+    with (
+        mock.patch.object(store_module, "decompress", decompress),
+        mock.patch.object(CellSignatureReader, "_ensure_node", ensure_node),
+        mock.patch("repro.query.session.run_algorithm1", search),
+    ):
+        yield watched
+
+
+ONCE = ["skyline", "topk-linear", "dynamic"]
+
+
+@pytest.mark.parametrize("n_conjuncts", [1, 2])
+@pytest.mark.parametrize("name", ONCE)
+def test_fresh_read_decodes_what_it_tests_and_vets_an_entry_once(
+    system_2k, name, n_conjuncts
+):
+    predicate = predicate_for(system_2k, n_conjuncts)
+    with watching(run_algorithm1) as got:
+        result = run_query(system_2k, name, predicate)
+    with watching(reference_algorithm1) as want:
+        reference = run_query(system_2k, name, predicate)
+    assert result_facts(result) == result_facts(reference)
+    # One decompression per distinct SID bit-tested, fewer than the loaded
+    # partials hold: a return to whole-partial decode fails here.
+    assert len(got.readers) == n_conjuncts
+    assert len(got.decoded) == len(got.tested)
+    assert got.tested == {
+        (id(r), sid) for r in got.readers for sid in r._nodes
+    }
+    assert len(got.tested) < sum(len(r._blobs) for r in got.readers)
+    # Only the root takes the pop-time bit test; every other entry was
+    # pushed by an expansion that had tested it.  The oracle re-tests each
+    # popped entry that survives the preference arm.
+    assert got.checked_paths == [[()]]
+    assert len(want.checked_paths[0]) > 1
+    assert all(e.vetted is not None for e in result.state.results)
+    assert all(e.vetted is not None for e in result.state.heap)
+    # The loop's heap is ordered by C tuple comparison.
+    assert got.lt_calls == 0 < want.lt_calls
+
+
+@pytest.mark.parametrize("n_conjuncts", [1, 2])
+@pytest.mark.parametrize("name", ["skyline", "topk-linear"])
+def test_resumed_read_retests_exactly_the_carried_entries(
+    system_2k, name, n_conjuncts
+):
+    """Drill-down and roll-up start from a carried heap: those entries
+    were vetted — if at all — against another run's reader and results,
+    so each one that reaches the boolean arm is tested there, once, as the
+    oracle tests it; no entry pushed by this run's expansions is."""
+    system = system_2k
+    stronger = predicate_for(system, n_conjuncts + 1)
+    dim, value = list(stronger)[-1]
+    weaker = stronger.roll_up(dim)
+
+    def follow_ups(runner):
+        # The oracle resumes only from states the oracle left: it does not
+        # reset the marks ``run_algorithm1`` leaves on its entries.
+        engine = system.engine
+        with mock.patch("repro.query.session.run_algorithm1", runner):
+            coarse = run_query(system, name, weaker)
+            fine = run_query(system, name, stronger)
+        return (
+            lambda: engine.drill_down(coarse, dim, value),
+            lambda: engine.roll_up(fine, dim),
+        )
+
+    for got_run, want_run in zip(
+        follow_ups(run_algorithm1), follow_ups(reference_algorithm1)
+    ):
+        with watching(run_algorithm1) as got:
+            result = got_run()
+        with watching(reference_algorithm1) as want:
+            reference = want_run()
+        assert result_facts(result) == result_facts(reference)
+        (initial,), (checked,) = got.initial_paths, got.checked_paths
+        assert got.initial_paths == want.initial_paths
+        assert len(set(initial)) == len(initial) > 1
+        carried = set(initial)
+        assert checked and set(checked) <= carried
+        assert checked == [p for p in want.checked_paths[0] if p in carried]
+        assert got.lt_calls == 0 < want.lt_calls
+        assert len(got.decoded) == len(got.tested)
+
+
+def _is_heap(entries):
+    return all(
+        not entries[i] < entries[(i - 1) // 2] for i in range(1, len(entries))
+    )
+
+
+@backends
+@pytest.mark.parametrize("stop_at", [1, 2, 40])
+@pytest.mark.parametrize("name", ["skyline", "topk-linear"])
+def test_a_raising_ticker_leaves_the_heap_the_oracle_leaves(
+    system_2k, backend, name, stop_at
+):
+    """The loop orders ``(key, tie, seq, entry)`` tuples, but what a run
+    leaves in ``state.heap`` — however it ends — is the pending
+    ``HeapEntry`` list, arranged as ``heapq`` over the entries arranges it."""
+
+    class Stop(Exception):
+        pass
+
+    def interrupted(runner):
+        strategy = (
+            SkylineStrategy(3)
+            if name == "skyline"
+            else TopKStrategy(QUERIES[name][1]["fn"], 12)
+        )
+        state = make_root_state(system_2k.rtree, strategy)
+        heap = state.heap
+        reader = system_2k.pcube.reader_for_predicate(
+            predicate_for(system_2k, 2).conjuncts
+        )
+        pops = iter(range(1, stop_at + 1))
+
+        def ticker():
+            if next(pops) == stop_at:
+                raise Stop
+
+        with pytest.raises(Stop):
+            runner(
+                system_2k.rtree,
+                strategy,
+                QueryStats(),
+                reader=reader,
+                state=state,
+                ticker=ticker,
+            )
+        assert state.heap is heap
+        return state
+
+    with use_backend(backend):
+        got = interrupted(run_algorithm1)
+        want = interrupted(reference_algorithm1)
+    assert all(type(entry) is HeapEntry for entry in got.heap)
+    assert _is_heap(got.heap)
+    assert len(got.heap) == len(want.heap) and (stop_at == 1 or got.heap)
+    assert state_facts(got) == state_facts(want)
+
+
+def test_a_finished_topk_leaves_a_resumable_entry_heap(system_2k):
+    result = system_2k.engine.topk(
+        LinearFunction([0.6, 0.2, 0.9]), 3, predicate_for(system_2k, 1)
+    )
+    heap = result.state.heap
+    assert heap and all(type(entry) is HeapEntry for entry in heap)
+    assert _is_heap(heap)
+
+
+#: ``(degraded_checks, counted I/O, tids)`` of the degraded skyline below as
+#: measured at the commit before entries were vetted (38d2e5b), per
+#: ``(exact fallback?, which signature read is lost)``.
+DEGRADED_BEFORE_VETTING = {
+    (False, 0): (121, {"SSIG": 10, "SBLOCK": 34}, [1186, 347, 825, 195]),
+    (False, 2): (17, {"SSIG": 8, "SBLOCK": 19}, [508, 942, 591]),
+    (True, 0): (
+        300,
+        {"SSIG": 10, "SBLOCK": 71, "DBOOL": 134},
+        [844, 747, 264, 195],
+    ),
+    (True, 2): (
+        75,
+        {"SSIG": 10, "SBLOCK": 51, "DBOOL": 75},
+        [844, 747, 264, 195],
+    ),
+}
+
+
+@backends
+@pytest.mark.faults
+@pytest.mark.parametrize("lost_read", [0, 2])
+@pytest.mark.parametrize("exact", [False, True], ids=["no-fallback", "fallback"])
+def test_degraded_read_keeps_its_pop_time_tests(backend, exact, lost_read):
+    """Children let through by a block the reader could not resolve are
+    unvetted: their pop-time test still runs and still counts — every
+    unresolvable bit answered ``True`` (no fallback) or from the base
+    relation (``DBOOL`` probes) — so a degraded read reports what it
+    reported before entries were vetted, and what the oracle reports."""
+    from repro.core.store import AssembledReader, CellSignatureReader
+
+    def degraded_search(runner):
+        disk, system = _faulty_system()
+        predicate = sample_predicate(system.relation, 2, random.Random(3))
+        stats = QueryStats()
+        pool = BufferPool(system.rtree.disk, capacity=4096)
+        disk.plan = FaultPlan(
+            [FaultRule(kind="corrupt", tag="pcube:sig", after=lost_read, count=1)]
+        )
+        reader = AssembledReader(
+            [
+                CellSignatureReader(
+                    system.pcube.store,
+                    cell,
+                    pool,
+                    stats.counters,
+                    fallback=system.pcube.boolean_fallback if exact else None,
+                )
+                for cell in predicate.atomic_cells()
+            ]
+        )
+        unresolved = set()
+        resolve = reader.check_block
+
+        def check_block(parent_path, wanted):
+            passed = resolve(parent_path, wanted)
+            if passed is None:
+                unresolved.add(tuple(parent_path))
+            return passed
+
+        reader.check_block = check_block
+        state = runner(
+            system.rtree, SkylineStrategy(2), stats, reader=reader, pool=pool
+        )
+        assert disk.fault_counts["corrupt"] == 1
+        if runner is run_algorithm1:
+            # Vetted: pushed by an expansion whose block the reader resolved.
+            assert unresolved
+            assert all(
+                (e.vetted is None) == (e.path[:-1] in unresolved)
+                for e in state.results
+            )
+        return reader, stats, state
+
+    with use_backend(backend):
+        reader, stats, state = degraded_search(run_algorithm1)
+        ref_reader, ref_stats, ref_state = degraded_search(reference_algorithm1)
+    assert reader.degraded and reader.failed_loads == 1
+    assert (
+        reader.degraded_checks,
+        stats.counters.snapshot(),
+        [e.tid for e in state.results],
+    ) == DEGRADED_BEFORE_VETTING[exact, lost_read]
+    assert reader.degraded_checks == ref_reader.degraded_checks
+    assert stats_facts(stats) == stats_facts(ref_stats)
+    assert state_facts(state) == state_facts(ref_state)
