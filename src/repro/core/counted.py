@@ -15,17 +15,20 @@ per set bit — still far below a per-cell index — and the bitmap view stays
 available for storage at any time.
 
 The O(depth) covers the store as well as the counts: :meth:`dirty_sids`
-names the nodes a moved path touched, and the cell's rewrite compresses
-only those, taking every other node's blob from the cell's current pages
-(:meth:`repro.core.store.SignatureStore.put_signature`).  What is still
-O(cell) per dirty cell is the copy-on-write :meth:`copy` under an epoch
-snapshot, the :meth:`to_signature` view, and re-packing the blobs into
-fresh pages.
+names the nodes a moved path touched, and the cell's rewrite asks
+:meth:`node` for the bit arrays of only those, taking every other node's
+blob from the cell's current pages
+(:meth:`repro.core.store.SignatureStore.put_signature`).  Copy-on-write
+under an epoch snapshot is per node: :meth:`copy` shares the node dicts and
+a write copies the ones on its path.  What a dirty cell still pays in its
+size is all C-level and flat — one shallow dict copy, one sort of its SIDs,
+one pass over its blob lengths (:func:`repro.core.partial.pack`) and one
+page fingerprint.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.bitmap.bitarray import BitArray
 from repro.core.signature import Signature
@@ -34,7 +37,7 @@ from repro.core.signature import Signature
 class CountedSignature:
     """A signature whose set bits carry tuple counts."""
 
-    __slots__ = ("fanout", "_counts")
+    __slots__ = ("fanout", "_counts", "_owned")
 
     def __init__(self, fanout: int) -> None:
         if fanout < 2:
@@ -42,6 +45,9 @@ class CountedSignature:
         self.fanout = fanout
         # sid -> {1-based child position -> count > 0}
         self._counts: dict[int, dict[int, int]] = {}
+        # SIDs whose node dict no other signature shares; ``None`` until the
+        # first :meth:`copy` (every node is private).
+        self._owned: set[int] | None = None
 
     @classmethod
     def from_paths(
@@ -61,13 +67,19 @@ class CountedSignature:
         if not path:
             raise ValueError("a tuple path cannot be empty")
         base = self.fanout + 1
+        counts, owned = self._counts, self._owned
         sid = 0
         for component in path:
             if not 1 <= component <= self.fanout:
                 raise ValueError(
                     f"path component {component} outside [1, {self.fanout}]"
                 )
-            node = self._counts.setdefault(sid, {})
+            node = counts.get(sid)
+            if node is None or (owned is not None and sid not in owned):
+                # New here, or still shared with a copy: make it our own.
+                node = counts[sid] = dict(node or ())
+                if owned is not None:
+                    owned.add(sid)
             node[component] = node.get(component, 0) + 1
             sid = sid * base + component
 
@@ -81,18 +93,22 @@ class CountedSignature:
         if not path:
             raise ValueError("a tuple path cannot be empty")
         base = self.fanout + 1
+        counts, owned = self._counts, self._owned
         sid = 0
         for component in path:
-            node = self._counts.get(sid)
+            node = counts.get(sid)
             if node is None or component not in node:
                 raise KeyError(
                     f"path {tuple(path)} is not counted in this signature"
                 )
+            if owned is not None and sid not in owned:
+                node = counts[sid] = dict(node)
+                owned.add(sid)
             node[component] -= 1
             if node[component] == 0:
                 del node[component]
                 if not node:
-                    del self._counts[sid]
+                    del counts[sid]
             sid = sid * base + component
 
     def move_path(
@@ -103,13 +119,14 @@ class CountedSignature:
         self.add_path(new_path)
 
     def copy(self) -> "CountedSignature":
-        """An independent deep copy (copy-on-write under epoch snapshots:
-        a published snapshot keeps the original, maintenance mutates the
-        copy)."""
+        """An independent copy (copy-on-write under epoch snapshots: a
+        published snapshot keeps the original, maintenance mutates the
+        copy).  The node dicts are shared; from here on either side copies
+        a node the first time it writes to it."""
         duplicate = CountedSignature(self.fanout)
-        duplicate._counts = {
-            sid: dict(node) for sid, node in self._counts.items()
-        }
+        duplicate._counts = dict(self._counts)
+        duplicate._owned = set()
+        self._owned = set()
         return duplicate
 
     # ------------------------------------------------------------------ #
@@ -129,14 +146,27 @@ class CountedSignature:
     def n_nodes(self) -> int:
         return len(self._counts)
 
+    def node_sids(self) -> Iterator[int]:
+        """SIDs of all represented nodes, like :meth:`Signature.node_sids`."""
+        return iter(self._counts)
+
+    def node(self, sid: int) -> BitArray | None:
+        """The bit array of node ``sid`` (``None`` = all zeroes), like
+        :meth:`Signature.node` — what the store compresses for a dirty
+        node, without a bitmap of the rest of the cell."""
+        positions = self._counts.get(sid)
+        if positions is None:
+            return None
+        mask = 0
+        for position in positions:
+            mask |= 1 << position - 1
+        return BitArray(self.fanout, mask)
+
     def to_signature(self) -> Signature:
-        """The bitmap view (what gets compressed and stored)."""
+        """The whole bitmap view (what a from-scratch store compresses)."""
         signature = Signature(self.fanout)
-        for sid, node in self._counts.items():
-            bits = BitArray(self.fanout)
-            for position in node:
-                bits.set(position - 1)
-            signature.set_node(sid, bits)
+        for sid in self._counts:
+            signature.set_node(sid, self.node(sid))
         return signature
 
     def dirty_sids(self, path: Sequence[int]) -> list[int]:

@@ -12,6 +12,13 @@ Paper Section IV-B.1 ("Compressing and Decomposing Signature"):
 * every partial signature corresponds to a subtree and is referenced by the
   SID of that subtree's root.
 
+The packer needs no tree for that.  SIDs are numerals with digits ``1..M``
+in base ``B = M + 1`` (:mod:`repro.core.sid`), so a deeper node has a larger
+SID and siblings order by position: breadth-first order *is* ascending SID
+order.  The descendants of a seed one level further down are exactly the
+SIDs in ``[low * B + 1, high * B + M]`` (``low = high = seed`` to start) —
+one contiguous range of the sorted SIDs per depth, found by bisection.
+
 Retrieval (Section IV-B.2): to find the partial that encodes a requested
 node ``n``, walk the ancestors of ``n`` from the first level downward and
 load the partial referenced by the first ancestor whose partial is not yet
@@ -21,14 +28,17 @@ partial containing ``n``.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.bitmap.bitarray import BitArray
 from repro.bitmap.compression import compress, decompress
 from repro.core.signature import Signature
-from repro.core.sid import ancestor_sids, child_sid
+from repro.core.sid import ancestor_sids
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.counted import CountedSignature
 
 #: Fixed overhead per partial signature (cell reference, root SID, count).
 _PART_HEADER_BYTES = 16
@@ -69,70 +79,71 @@ class PartialSignature:
     def checksum_bytes(self) -> bytes:
         """Content fingerprint for page checksums (storage integrity).
 
-        Covers the reference SID, the logical size and every compressed node
-        blob, so any bit of damage to a stored partial is detectable.
+        Covers the reference SID, the logical size, every node SID and
+        every compressed node blob (in SID order), so any bit of damage to a
+        stored partial is detectable.
         """
-        parts = [b"partial", str(self.ref_sid).encode(), str(self.size_bytes).encode()]
-        for sid in sorted(self.blobs):
-            parts.append(str(sid).encode() + b"=" + self.blobs[sid])
-        return b"\x1f".join(parts)
+        sids = sorted(self.blobs)
+        head = f"partial\x1f{self.ref_sid}\x1f{self.size_bytes}\x1f{sids}"
+        return b"\x1f".join([head.encode(), *map(self.blobs.__getitem__, sids)])
 
     def __contains__(self, sid: int) -> bool:
         return sid in self.blobs
 
 
-def _bfs_sids(signature: Signature, start_sid: int) -> Iterator[int]:
-    """Breadth-first SIDs of represented nodes in the subtree at ``start_sid``."""
-    if signature.node(start_sid) is None:
-        return
-    queue = deque([start_sid])
-    while queue:
-        sid = queue.popleft()
+def compress_nodes(
+    signature: Signature | CountedSignature,
+    sids: Iterable[int],
+    codec: str = "adaptive",
+) -> dict[int, bytes]:
+    """The compressed bit array of every represented node among ``sids``."""
+    blobs: dict[int, bytes] = {}
+    for sid in sids:
         bits = signature.node(sid)
-        if bits is None:
-            continue
-        yield sid
-        for position in bits.positions():
-            child = child_sid(sid, position + 1, signature.fanout)
-            if signature.node(child) is not None:
-                queue.append(child)
+        if bits is not None:
+            blobs[sid] = compress(bits, codec)
+    return blobs
+
+
+def _subtree_sids(order: Sequence[int], seed: int, fanout: int) -> Iterator[int]:
+    """Breadth-first SIDs of the subtree at ``seed`` among the ascending
+    SIDs ``order``: one contiguous slice per depth."""
+    base = fanout + 1
+    low = high = seed
+    while low <= order[-1]:
+        yield from order[bisect_left(order, low) : bisect_right(order, high)]
+        low, high = low * base + 1, high * base + fanout
 
 
 def decompose(
-    signature: Signature,
-    page_size: int,
-    codec: str = "adaptive",
-    reuse: Mapping[int, bytes] | None = None,
+    signature: Signature, page_size: int, codec: str = "adaptive"
 ) -> list[PartialSignature]:
-    """Split a signature into page-sized partials (the paper's algorithm).
+    """Split a signature into page-sized partials (the paper's algorithm):
+    compress every node, then :func:`pack` the blobs."""
+    blobs = compress_nodes(signature, signature.node_sids(), codec)
+    return pack(blobs, page_size, signature.fanout)
+
+
+def pack(
+    compressed: Mapping[int, bytes], page_size: int, fanout: int
+) -> list[PartialSignature]:
+    """Pack one cell's compressed nodes (SID -> blob) into partials.
 
     Returns partials in creation order; the first is always referenced by
-    the root SID 0 (the one loaded unconditionally at query start).
-
-    ``reuse`` maps node SIDs to blobs the caller vouches for — each must be
-    what ``compress(signature.node(sid), codec)`` would return (a
-    maintenance rewrite passes the cell's stored blobs minus the nodes on
-    its changed paths).  Those nodes are not compressed again; the packing
-    below runs over blobs either way, so the partials are the same bytes.
+    the root SID 0 (the one loaded unconditionally at query start).  The
+    build and the maintenance rewrite both end here, so a cell's pages
+    depend only on its blobs, never on how they were come by.
     """
-    if reuse is None:
-        reuse = {}
-    compressed: dict[int, bytes] = {}
-    for sid in signature.node_sids():
-        blob = reuse.get(sid)
-        if blob is None:
-            blob = compress(signature.node(sid), codec)  # type: ignore[arg-type]
-        compressed[sid] = blob
     if not compressed:
         return [PartialSignature(ref_sid=0, blobs={})]
-
+    order = sorted(compressed)
     coded: set[int] = set()
     partials: list[PartialSignature] = []
 
     def pack_from(seed: int) -> None:
         blobs: dict[int, bytes] = {}
         size = _PART_HEADER_BYTES
-        for sid in _bfs_sids(signature, seed):
+        for sid in _subtree_sids(order, seed, fanout):
             if sid in coded:
                 continue
             cost = _NODE_OVERHEAD_BYTES + len(compressed[sid])
@@ -147,8 +158,8 @@ def decompose(
     # Seeds in breadth-first order over the whole tree guarantee that every
     # node ends up in a partial referenced by one of its ancestors (or by
     # itself, in the degenerate case): when the seed reaches the node
-    # itself, the first BFS step packs it unconditionally.
-    for seed in _bfs_sids(signature, 0):
+    # itself, the first step packs it unconditionally.
+    for seed in order:
         pack_from(seed)
         if len(coded) == len(compressed):
             # Every node is in a partial; a later seed could only re-walk

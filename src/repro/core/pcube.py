@@ -306,10 +306,11 @@ class PCube(ReaderFactory):
         codec: Bitmap codec for stored signatures.
         tag: Page-tag prefix for space accounting.
         maintainable: Keep counted signatures in memory so an incremental
-            update moves counts, and compresses signature nodes, only along
-            the changed paths of each affected cell; every other node of the
-            cell keeps the blob already on its pages (the rewrite still
-            re-packs the cell's partials and writes them to fresh pages).
+            update copies count nodes, builds bit arrays and compresses them
+            only along the changed paths of each affected cell; every other
+            node of the cell keeps its shared counts and the blob already on
+            its pages (the rewrite still packs the cell's blobs, by sorted
+            SID, into fresh pages).
     """
 
     def __init__(
@@ -398,7 +399,8 @@ class PCube(ReaderFactory):
         Returns a point-in-time copy of the counted map for the snapshot
         and marks every entry shared; the next in-place mutation of a
         shared entry (see :meth:`_writable_counted`) works on a private
-        copy, leaving the snapshot's object untouched.
+        :meth:`CountedSignature.copy` — itself copy-on-write per node —
+        leaving the snapshot's object untouched.
         """
         self._shared_counted = set(self._counted)
         return dict(self._counted)
@@ -418,7 +420,7 @@ class PCube(ReaderFactory):
     def _put(
         self,
         cell: Cell,
-        signature: Signature,
+        signature: Signature | CountedSignature,
         dirty_sids: set[int] | None = None,
     ) -> None:
         """Store a cell's signature; once the rewrite has committed, the
@@ -500,9 +502,10 @@ class PCube(ReaderFactory):
         added; bits flip exactly when counts cross zero.  Dirty cells are
         then re-stored once, in cell-id order (the WAL relies on that
         determinism to replay an interrupted store phase), with
-        ``on_cell_stored`` invoked after each cell commits.  A cell's
-        rewrite compresses only the nodes on its changed paths and reads
-        the rest back from its current pages (see
+        ``on_cell_stored`` invoked after each cell commits.  The store is
+        handed the counted signature itself: a cell's rewrite asks it for
+        the bit arrays of the nodes on the changed paths only, and reads
+        the rest back from the cell's current pages (see
         :meth:`SignatureStore.put_signature`).  Returns the dirty cells.
 
         The counted updates touch no disk page; the first disk access of
@@ -531,11 +534,7 @@ class PCube(ReaderFactory):
                     counted.add_path(change.new_path)
                 dirty.add(cell)
         for cell in sorted(dirty, key=lambda c: c.cell_id):
-            self._put(
-                cell,
-                self._counted[cell].to_signature(),
-                self._pending_sids[cell],
-            )
+            self._put(cell, self._counted[cell], self._pending_sids[cell])
             if on_cell_stored is not None:
                 on_cell_stored(cell)
         return dirty

@@ -38,7 +38,12 @@ from typing import TYPE_CHECKING, Callable, Collection, Sequence
 from repro.bitmap.bitarray import BitArray
 from repro.bitmap.compression import decompress
 from repro.btree.btree import BPlusTree
-from repro.core.partial import PartialSignature, decompose, retrieval_refs
+from repro.core.partial import (
+    PartialSignature,
+    compress_nodes,
+    pack,
+    retrieval_refs,
+)
 from repro.core.sid import sid_of_path
 from repro.obs.trace import DEGRADED, Tracer
 from repro.core.signature import Signature
@@ -50,6 +55,7 @@ from repro.storage.errors import StorageFault
 from repro.storage.faults import FaultStats, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.counted import CountedSignature
     from repro.serve.resilience import BreakerBoard, RetryBudget
 
 
@@ -245,26 +251,33 @@ class SignatureStore(_DirectoryReads):
     def put_signature(
         self,
         cell: Cell,
-        signature: Signature,
+        signature: Signature | CountedSignature,
         dirty_sids: Collection[int] | None = None,
     ) -> int:
-        """Decompose and store a full cell signature; returns #partials.
+        """Pack and store a full cell signature; returns #partials.
+
+        ``signature`` only has to answer ``node(sid)``, ``node_sids()``,
+        ``n_nodes()`` and ``fanout`` — maintenance hands over the counted
+        signature itself, so no bitmap of the whole cell is ever built.
 
         ``dirty_sids`` makes the rewrite a read-modify-write: the caller
         states that, since the cell was last stored, only these nodes' bit
-        arrays may have changed, so every other node keeps the blob it has
-        on the cell's current pages and only the dirty nodes are compressed
-        (:func:`~repro.core.partial.decompose` packs the same bytes either
-        way).  Without it — or when an old partial cannot be read — every
-        node is compressed afresh.
+        arrays may have changed, so the blobs on the cell's current pages
+        are patched — each dirty node compressed again, or dropped if it
+        vanished — and packed (:func:`~repro.core.partial.pack` yields the
+        same bytes as a from-scratch :func:`~repro.core.partial.decompose`).
+        Without it, when an old partial cannot be read, or when the patched
+        pages do not hold exactly the signature's nodes (the statement was
+        wrong), every node is compressed afresh.
         """
-        reuse = None if dirty_sids is None else self._stored_blobs(cell)
-        if reuse:
+        blobs = None if dirty_sids is None else self._stored_blobs(cell)
+        if blobs:
             for sid in dirty_sids:
-                reuse.pop(sid, None)
-        partials = decompose(
-            signature, self.disk.page_size, self.codec, reuse=reuse
-        )
+                blobs.pop(sid, None)
+            blobs.update(compress_nodes(signature, dirty_sids, self.codec))
+        if not blobs or len(blobs) != signature.n_nodes():
+            blobs = compress_nodes(signature, signature.node_sids(), self.codec)
+        partials = pack(blobs, self.disk.page_size, self.fanout)
         self.replace_partials(cell, partials)
         return len(partials)
 

@@ -5,9 +5,16 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.bitmap.bitarray import BitArray
 from repro.core.counted import CountedSignature
+from repro.core.integrity import iter_cell_checks
+from repro.core.sid import ancestor_sids
 from repro.core.signature import Signature
+from repro.data.synthetic import SyntheticConfig, generate_relation
+from repro.storage.disk import SimulatedDisk
+from repro.system import build_system
 
 
 def test_add_then_view():
@@ -117,3 +124,158 @@ def test_interleaved_stress():
             counted.add_path(path)
             alive.append(path)
     assert counted.to_signature() == Signature.from_paths(alive, 6)
+
+
+# --------------------------------------------------------------------------- #
+# per-node copy-on-write: a copy shares node dicts, nobody sees the other's
+# writes
+# --------------------------------------------------------------------------- #
+
+COW_FANOUT = 3
+# Tuple paths of one tree all end at the leaf level.
+cow_paths = st.lists(
+    st.integers(min_value=1, max_value=COW_FANOUT), min_size=3, max_size=3
+).map(tuple)
+picks = st.integers(min_value=0, max_value=1_000)
+
+
+def counts_of(paths, fanout):
+    """``sid -> {position -> count}`` of a path multiset, from scratch."""
+    counts: dict = {}
+    for path in paths:
+        for sid, component in zip(ancestor_sids(path, fanout), path):
+            node = counts.setdefault(sid, {})
+            node[component] = node.get(component, 0) + 1
+    return counts
+
+
+class CopyOnWriteMachine(RuleBasedStateMachine):
+    """A counted signature and copies of it (and of the copies), each beside
+    the path multiset it should hold; any of them may be written to or
+    copied at any step."""
+
+    def __init__(self):
+        super().__init__()
+        self.signatures = [CountedSignature(COW_FANOUT)]
+        self.models: list[list[tuple]] = [[]]
+
+    def pick(self, which):
+        index = which % len(self.signatures)
+        return self.signatures[index], self.models[index]
+
+    @rule(which=picks, path=cow_paths)
+    def add(self, which, path):
+        counted, model = self.pick(which)
+        counted.add_path(path)
+        model.append(path)
+
+    @rule(which=picks, victim=picks)
+    def remove(self, which, victim):
+        counted, model = self.pick(which)
+        if model:
+            counted.remove_path(model.pop(victim % len(model)))
+
+    @rule(which=picks, victim=picks, path=cow_paths)
+    def move(self, which, victim, path):
+        counted, model = self.pick(which)
+        if model:
+            counted.move_path(model.pop(victim % len(model)), path)
+            model.append(path)
+
+    @rule(which=picks)
+    def copy(self, which):
+        counted, model = self.pick(which)
+        self.signatures.append(counted.copy())
+        self.models.append(list(model))
+
+    @rule(which=picks, path=cow_paths)
+    def remove_uncounted(self, which, path):
+        """On a throwaway copy: the removal may move counts on its way to
+        the uncounted node, and none of that may reach the original."""
+        counted, model = self.pick(which)
+        if path not in model:
+            with pytest.raises(KeyError):
+                counted.copy().remove_path(path)
+
+    @invariant()
+    def every_signature_equals_its_model(self):
+        for counted, model in zip(self.signatures, self.models):
+            expected = counts_of(model, COW_FANOUT)
+            assert counted._counts == expected
+            assert counted == CountedSignature.from_paths(model, COW_FANOUT)
+            assert counted.n_nodes() == len(expected)
+            assert set(counted.node_sids()) == set(expected)
+            bitmap = counted.to_signature()
+            assert bitmap == Signature.from_paths(model, COW_FANOUT)
+            for sid, node in expected.items():
+                bits = BitArray.from_positions(
+                    COW_FANOUT, (position - 1 for position in node)
+                )
+                assert counted.node(sid) == bitmap.node(sid) == bits
+            assert counted.node(10**6) is None
+
+
+CopyOnWriteMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+test_copy_on_write_is_exact = CopyOnWriteMachine.TestCase
+
+
+def test_a_copy_copies_only_the_nodes_it_writes():
+    paths = [(a, b, c) for a in (1, 2, 3) for b in (1, 2, 3) for c in (1, 2)]
+    original = CountedSignature.from_paths(paths, 4)
+    frozen = counts_of(paths, 4)
+    duplicate = original.copy()
+    assert all(
+        duplicate._counts[sid] is node for sid, node in original._counts.items()
+    )
+    duplicate.move_path((2, 1, 1), (2, 1, 3))
+    touched = set(duplicate.dirty_sids((2, 1, 1)))
+    for sid, node in original._counts.items():
+        assert (duplicate._counts[sid] is node) == (sid not in touched)
+    assert original._counts == frozen
+    # The original copies on its own first write too: the duplicate still
+    # holds the shared dicts.
+    original.add_path((1, 1, 1))
+    assert duplicate.count(0, 1) == 6 and original.count(0, 1) == 7
+
+
+def test_a_pinned_snapshot_keeps_its_counts_through_later_writes():
+    relation = generate_relation(
+        SyntheticConfig(
+            n_tuples=400, n_boolean=2, cardinality=3, n_preference=2, seed=5
+        ),
+        disk=SimulatedDisk(),
+    )
+    system = build_system(relation, fanout=6, rtree_method="insert")
+    system.enable_epochs()
+    pinned = system.pin_snapshot()
+    paths = pinned.rtree.all_paths()
+    rng = random.Random(4)
+    for step in range(20):
+        live = sorted(system.relation.live_tids())
+        if step % 3 == 0:
+            system.delete(rng.choice(live))
+        elif step % 3 == 1:
+            system.update(rng.choice(live), (rng.random(), rng.random()))
+        else:
+            system.insert(
+                system.relation.bool_row(rng.choice(live)),
+                (rng.random(), rng.random()),
+            )
+    problems = [
+        problem
+        for _, found in iter_cell_checks(
+            pinned.relation,
+            paths,
+            system.pcube.cuboids,
+            system.pcube.fanout,
+            pinned.store.load_full_signature,
+            pinned.counted.get,
+        )
+        for problem in found
+    ]
+    system.unpin_snapshot(pinned)
+    assert problems == []
+    report = system.verify_consistency()
+    assert report.ok, report.problems

@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+from repro.bitmap.bitarray import BitArray
+from repro.core import counted as counted_module
+from repro.core.counted import CountedSignature
 from repro.core.maintenance import (
     delete_tuple,
     insert_batch,
@@ -487,6 +490,117 @@ def test_a_write_compresses_no_more_than_its_dirty_sids(monkeypatch):
         assert budget < stored_nodes
         for cell in dirty:
             assert stored_bytes(system.pcube.store, cell) == from_scratch(system, cell)
+
+
+def test_a_write_touches_only_the_nodes_on_its_path(monkeypatch):
+    """Under an epoch snapshot, per dirty cell: count dicts copied, bit
+    arrays built and blobs compressed are bounded by the dirty SIDs — never
+    by the cell's ~520 nodes — and no whole-cell bitmap is built."""
+    system = system_on(SimulatedDisk(), n_tuples=2000)
+    system.enable_epochs()
+    pcube = system.pcube
+    compressed = count_compressions(monkeypatch)
+    built = []
+
+    class CountingBitArray(BitArray):
+        def __init__(self, nbits, mask=0):
+            built.append(mask)
+            super().__init__(nbits, mask)
+
+    monkeypatch.setattr(counted_module, "BitArray", CountingBitArray)
+    bitmaps = []
+    real_view = CountedSignature.to_signature
+    monkeypatch.setattr(
+        CountedSignature,
+        "to_signature",
+        lambda self: bitmaps.append(self) or real_view(self),
+    )
+    puts = {}
+    real_put = pcube.store.put_signature
+
+    def recording_put(cell, signature, dirty_sids=None):
+        puts[cell] = (signature, set(dirty_sids))
+        return real_put(cell, signature, dirty_sids)
+
+    monkeypatch.setattr(pcube.store, "put_signature", recording_put)
+    rng = random.Random(8)
+    for step in range(40):
+        del compressed[:], built[:]
+        puts.clear()
+        before = dict(pcube._counted)
+        live = sorted(system.relation.live_tids())
+        if step % 3 == 0:
+            _, dirty = system.insert(
+                system.relation.bool_row(rng.choice(live)),
+                (rng.random(), rng.random()),
+            )
+        elif step % 3 == 1:
+            dirty = system.update(rng.choice(live), (rng.random(), rng.random()))
+        else:
+            dirty = system.delete(rng.choice(live))
+        assert not bitmaps
+        assert set(puts) == dirty
+        represented = 0
+        for cell in dirty:
+            counted, dirty_sids = puts[cell]
+            assert counted is pcube.counted_of(cell) is not before[cell]
+            # Copied or created: on the changed paths; everything else is
+            # still the dict the previous epoch's snapshot holds.
+            assert counted._owned <= dirty_sids
+            for sid, node in counted._counts.items():
+                if sid not in dirty_sids:
+                    assert node is before[cell]._counts[sid]
+            assert len(dirty_sids) < counted.n_nodes() / 10
+            represented += len(dirty_sids & set(counted.node_sids()))
+        assert len(built) == len(compressed) == represented
+        for cell in dirty:
+            assert stored_bytes(pcube.store, cell) == from_scratch(system, cell)
+        del bitmaps[:]  # the oracle's own views
+    report = system.verify_consistency()
+    assert report.ok, report.problems
+
+
+def test_a_stored_node_set_that_is_not_the_claimed_one_costs_a_recompress(
+    monkeypatch,
+):
+    """The rewrite trusts the pages for every node off the changed paths.
+    If they do not hold exactly those nodes — here one was stripped and the
+    page sealed again, so the read-back verifies — patching cannot be right
+    and the whole cell is compressed afresh."""
+    system = system_on(SimulatedDisk())
+    pcube = system.pcube
+    cell = sorted(pcube._counted, key=lambda c: c.cell_id)[0]
+    bool_row = next(
+        system.relation.bool_row(tid)
+        for tid in system.relation.live_tids()
+        if cell.matches(system.relation, tid)
+    )
+    (page_id,) = pcube.store.refs_for(cell).values()
+    page = system.disk.peek(page_id)
+    stripped = max(page.payload.blobs)  # a leaf-level node
+    del page.payload.blobs[stripped]
+    page.seal()
+    compressed = count_compressions(monkeypatch)
+    _, dirty = system.insert(bool_row, (0.999, 0.999))
+    assert cell in dirty
+    assert stripped not in pcube.counted_of(cell).dirty_sids(
+        system.rtree.all_paths()[len(system.relation) - 1]
+    )
+    assert len(compressed) >= pcube.counted_of(cell).n_nodes()
+    for dirty_cell in dirty:
+        assert stored_bytes(pcube.store, dirty_cell) == from_scratch(system, dirty_cell)
+    report = system.verify_consistency()
+    assert report.ok, report.problems
+
+
+@pytest.mark.parametrize("how", ["restore_cell", "rebuild_cell", "recompute_cell"])
+def test_recovery_rewrites_trust_no_stored_blob(how, monkeypatch):
+    system = system_on(SimulatedDisk())
+    cell = sorted(system.pcube._counted, key=lambda c: c.cell_id)[0]
+    compressed = count_compressions(monkeypatch)
+    getattr(system.pcube, how)(cell)
+    assert len(compressed) == system.pcube.counted_of(cell).n_nodes()
+    assert stored_bytes(system.pcube.store, cell) == from_scratch(system, cell)
 
 
 @pytest.mark.parametrize("kind", ["corrupt", "transient"])

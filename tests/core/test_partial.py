@@ -1,18 +1,25 @@
 """Decomposition into page-sized partials and the retrieval protocol."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitmap.compression import compress
 from repro.core import partial as partial_module
+from repro.core.counted import CountedSignature
 from repro.core.partial import (
     PartialSignature,
     decompose,
     reassemble,
     retrieval_refs,
 )
-from repro.core.sid import ancestor_sids, sid_of_path
+from repro.core.sid import ancestor_sids, child_sid, sid_of_path
 from repro.core.signature import Signature
+from repro.core.store import SignatureStore
+from repro.storage.disk import SimulatedDisk
+from tests.core.test_store import CELL, count_compressions, stored_bytes
 
 FANOUT = 4
 
@@ -135,6 +142,31 @@ def test_decode_roundtrips_bits():
         assert bits == signature.node(sid)
 
 
+def test_fingerprint_covers_ref_size_sids_and_every_blob_byte():
+    blobs = {0: b"\x00\x04\x03", 1: b"\x00\x04\x01", 7: b"\x00\x04\x08"}
+    partial = PartialSignature(ref_sid=0, blobs=blobs)
+    fingerprint = partial.checksum_bytes()
+    reordered = PartialSignature(ref_sid=0, blobs=dict(reversed(blobs.items())))
+    assert reordered.checksum_bytes() == fingerprint
+    damaged = [
+        PartialSignature(ref_sid=1, blobs=blobs),
+        PartialSignature(ref_sid=0, blobs=blobs, size_bytes=partial.size_bytes + 1),
+        PartialSignature(ref_sid=0, blobs={0: blobs[0], 1: blobs[1], 8: blobs[7]}),
+        PartialSignature(ref_sid=0, blobs={0: blobs[0], 1: blobs[1]}),
+        PartialSignature(ref_sid=0, blobs={0: blobs[0], 1: blobs[7], 7: blobs[1]}),
+    ]
+    for sid, blob in blobs.items():
+        for index in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[index] ^= 0x10
+            damaged.append(
+                PartialSignature(ref_sid=0, blobs={**blobs, sid: bytes(flipped)})
+            )
+    fingerprints = {other.checksum_bytes() for other in damaged}
+    assert fingerprint not in fingerprints
+    assert len(fingerprints) == len(damaged)
+
+
 @settings(max_examples=40, deadline=None)
 @given(path_sets, st.sampled_from([32, 48, 64, 4096]))
 def test_reassembly_roundtrip_property(paths, page_size):
@@ -159,7 +191,7 @@ def test_protocol_completeness_property(paths):
 
 
 # --------------------------------------------------------------------------- #
-# blob reuse and early exit: same bytes, less work
+# the packer against the tree walk it replaced; rewrites from stored blobs
 # --------------------------------------------------------------------------- #
 
 
@@ -170,22 +202,37 @@ def as_bytes(partials):
     ]
 
 
+def bfs_sids(signature, start_sid):
+    """Breadth-first SIDs of the subtree at ``start_sid``, by walking the
+    signature tree bit by bit — what ``decompose`` did before it packed from
+    sorted SIDs.  Lives here so the oracle shares nothing with ``pack``."""
+    if signature.node(start_sid) is None:
+        return
+    queue = deque([start_sid])
+    while queue:
+        sid = queue.popleft()
+        yield sid
+        for position in signature.node(sid).positions():
+            child = child_sid(sid, position + 1, signature.fanout)
+            if signature.node(child) is not None:
+                queue.append(child)
+
+
 def reference_decompose(signature, page_size, codec="adaptive"):
     """The packing loop as first written — every node compressed, every BFS
-    seed tried — kept here as the oracle for the reuse input and the early
-    exit."""
+    seed tried, every subtree walked through the bit arrays."""
     compressed = {
-        sid: partial_module.compress(signature.node(sid), codec)
+        sid: compress(signature.node(sid), codec)
         for sid in signature.node_sids()
     }
     if not compressed:
         return [PartialSignature(ref_sid=0, blobs={})]
     coded: set[int] = set()
     partials = []
-    for seed in partial_module._bfs_sids(signature, 0):
+    for seed in bfs_sids(signature, 0):
         blobs: dict[int, bytes] = {}
         size = partial_module._PART_HEADER_BYTES
-        for sid in partial_module._bfs_sids(signature, seed):
+        for sid in bfs_sids(signature, seed):
             if sid in coded:
                 continue
             cost = partial_module._NODE_OVERHEAD_BYTES + len(compressed[sid])
@@ -201,62 +248,157 @@ def reference_decompose(signature, page_size, codec="adaptive"):
     return partials
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    path_sets,
-    st.sampled_from([32, 48, 64, 4096]),
-    st.sampled_from(["adaptive", "raw"]),
-    st.randoms(use_true_random=False),
-)
-def test_decompose_with_reused_blobs_is_byte_identical(
-    paths, page_size, codec, rng
-):
-    signature = Signature.from_paths(paths, FANOUT)
-    expected = reference_decompose(signature, page_size, codec)
-    assert as_bytes(decompose(signature, page_size, codec)) == as_bytes(expected)
-    stored = {sid: blob for p in expected for sid, blob in p.blobs.items()}
-    reuse = {sid: blob for sid, blob in stored.items() if rng.random() < 0.7}
-    assert as_bytes(
-        decompose(signature, page_size, codec, reuse=reuse)
-    ) == as_bytes(expected)
+PAGE_SIZES = [32, 48, 64, 128, 4096]
+CODECS = ["adaptive", "raw"]
 
 
-def test_reused_nodes_are_not_compressed_again(monkeypatch):
-    signature = Signature.from_paths(
-        [(a, b, c) for a in (1, 2, 3) for b in (1, 2) for c in (1, 2)], FANOUT
+@st.composite
+def trees(draw):
+    """(fanout, tuple paths): fan-out 2 / 4 / 64, leaves at depth 1-4."""
+    fanout = draw(st.sampled_from([2, 4, 64]))
+    component = st.integers(min_value=1, max_value=fanout)
+    depth = draw(st.integers(min_value=1, max_value=4))
+    paths = draw(
+        st.sets(
+            st.lists(component, min_size=depth, max_size=depth).map(tuple),
+            max_size=40,
+        )
     )
-    stored = {
-        sid: blob
-        for p in decompose(signature, page_size=48)
-        for sid, blob in p.blobs.items()
-    }
-    changed = {0, sid_of_path((2,), FANOUT), sid_of_path((2, 1), FANOUT)}
-    compressed = []
-    real = partial_module.compress
-
-    def counting(bits, codec="adaptive"):
-        compressed.append(bits)
-        return real(bits, codec)
-
-    monkeypatch.setattr(partial_module, "compress", counting)
-    reuse = {sid: blob for sid, blob in stored.items() if sid not in changed}
-    decompose(signature, page_size=48, reuse=reuse)
-    assert len(compressed) == len(changed)
+    return fanout, paths
 
 
-def test_decompose_stops_seeding_once_every_node_is_coded(monkeypatch):
+@settings(max_examples=150, deadline=None)
+@given(trees(), st.sampled_from(PAGE_SIZES), st.sampled_from(CODECS))
+def test_decompose_is_byte_identical_to_the_tree_walk(tree, page_size, codec):
+    fanout, paths = tree
+    signature = Signature.from_paths(paths, fanout)
+    assert as_bytes(decompose(signature, page_size, codec)) == as_bytes(
+        reference_decompose(signature, page_size, codec)
+    )
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("page_size", PAGE_SIZES)
+@pytest.mark.parametrize("fanout", [2, 4, 64])
+def test_decompose_of_a_full_tree_matches_the_tree_walk(fanout, page_size, codec):
+    """Dense trees of depth 3: many seeds, and at the small pages budgets
+    that run out in the middle of a level."""
+    width = range(1, min(fanout, 4) + 1)
+    signature = Signature.from_paths(
+        [(a, b, c) for a in width for b in width for c in (1, fanout)], fanout
+    )
+    partials = decompose(signature, page_size, codec)
+    assert as_bytes(partials) == as_bytes(
+        reference_decompose(signature, page_size, codec)
+    )
+    if page_size in (32, 4096):
+        assert (len(partials) == 1) == (page_size == 4096)
+
+
+def test_a_page_budget_that_breaks_mid_level_resumes_at_the_first_child():
+    """Raw fan-out-4 blobs cost 4 bytes a node: a 32-byte page holds the
+    root and three of its four children; the fourth waits for its own seed,
+    after the first child's subtree."""
+    signature = Signature.from_paths(
+        [(a, b) for a in (1, 2, 3, 4) for b in (1, 2)], FANOUT
+    )
+    partials = decompose(signature, page_size=32, codec="raw")
+    assert [(p.ref_sid, list(p.blobs)) for p in partials] == [
+        (0, [0, 1, 2, 3]),
+        (4, [4]),
+    ]
+    assert as_bytes(partials) == as_bytes(
+        reference_decompose(signature, page_size=32, codec="raw")
+    )
+
+
+def test_a_seed_whose_subtree_is_already_coded_references_no_partial():
+    """The root's partial takes the first level and the subtree of child 1
+    whole; seed 1 then finds nothing left to pack and seed 2 carries on."""
+    signature = Signature.from_paths(
+        [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 1, 1)], FANOUT
+    )
+    one, two, three = (sid_of_path((a,), FANOUT) for a in (1, 2, 3))
+    partials = decompose(signature, page_size=16 + 5 * 4, codec="raw")
+    assert [p.ref_sid for p in partials] == [0, two, three]
+    assert list(partials[0].blobs) == [0, one, two, three, sid_of_path((1, 1), FANOUT)]
+    assert as_bytes(partials) == as_bytes(
+        reference_decompose(signature, page_size=16 + 5 * 4, codec="raw")
+    )
+
+
+def test_decompose_makes_one_pass_when_the_cell_fits_a_page(monkeypatch):
     signature = Signature.from_paths(
         [(a, b, c) for a in (1, 2, 3) for b in (1, 2) for c in (1, 2)], FANOUT
     )
     walks = []
-    real = partial_module._bfs_sids
+    real = partial_module._subtree_sids
 
-    def counting(sig, start_sid):
-        walks.append(start_sid)
-        return real(sig, start_sid)
+    def counting(order, seed, fanout):
+        walks.append((seed, list(real(order, seed, fanout))))
+        return iter(walks[-1][1])
 
-    monkeypatch.setattr(partial_module, "_bfs_sids", counting)
+    monkeypatch.setattr(partial_module, "_subtree_sids", counting)
     (only,) = decompose(signature, page_size=4096)
-    assert set(only.blobs) == set(signature.node_sids())
-    # The seed enumeration and the first pack — not one walk per node.
-    assert walks == [0, 0]
+    assert list(only.blobs) == sorted(signature.node_sids())
+    # The root's subtree is the whole sorted list, walked once — no seed
+    # enumeration beside it and no walk per node after it.
+    assert walks == [(0, sorted(signature.node_sids()))]
+
+
+def moved(paths, fanout, rng, n_moves):
+    """``paths`` after ``n_moves`` single-tuple removals / additions, as a
+    counted signature, and the SIDs those moves dirtied."""
+    counted = CountedSignature.from_paths(paths, fanout)
+    alive = sorted(paths)
+    dirty: set[int] = set()
+    for _ in range(n_moves):
+        if alive and rng.random() < 0.5:
+            path = alive.pop(rng.randrange(len(alive)))
+            counted.remove_path(path)
+        else:
+            depth = len(alive[0]) if alive else 2
+            path = tuple(rng.randint(1, fanout) for _ in range(depth))
+            counted.add_path(path)
+            alive.append(path)
+        dirty.update(counted.dirty_sids(path))
+    return counted, dirty
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    trees(),
+    st.sampled_from(PAGE_SIZES),
+    st.sampled_from(CODECS),
+    st.randoms(use_true_random=False),
+    st.integers(min_value=1, max_value=4),
+)
+def test_rewrite_from_stored_blobs_is_byte_identical(
+    tree, page_size, codec, rng, n_moves
+):
+    """The store's read-modify-write — stored blobs patched along the dirty
+    SIDs, nodes added and removed, blobs that change length — ends on the
+    pages a from-scratch tree walk of the new signature would write."""
+    fanout, paths = tree
+    store = SignatureStore(SimulatedDisk(page_size=page_size), fanout, codec=codec)
+    store.put_signature(CELL, Signature.from_paths(paths, fanout))
+    counted, dirty = moved(paths, fanout, rng, n_moves)
+    store.put_signature(CELL, counted, dirty_sids=dirty)
+    assert stored_bytes(store, CELL) == as_bytes(
+        reference_decompose(counted.to_signature(), page_size, codec)
+    )
+
+
+def test_reused_nodes_are_not_compressed_again(monkeypatch):
+    paths = [(a, b, c) for a in (1, 2, 3) for b in (1, 2) for c in (1, 2)]
+    store = SignatureStore(SimulatedDisk(page_size=48), FANOUT)
+    store.put_signature(CELL, Signature.from_paths(paths, FANOUT))
+    counted = CountedSignature.from_paths(paths, FANOUT)
+    counted.move_path((2, 1, 1), (2, 1, 3))
+    changed = {0, sid_of_path((2,), FANOUT), sid_of_path((2, 1), FANOUT)}
+    compressed = count_compressions(monkeypatch)
+    store.put_signature(CELL, counted, dirty_sids=changed)
+    assert len(compressed) == len(changed)
+    assert stored_bytes(store, CELL) == as_bytes(
+        reference_decompose(counted.to_signature(), page_size=48)
+    )
