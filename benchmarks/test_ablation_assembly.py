@@ -1,9 +1,21 @@
-"""Ablation: eager recursive intersection vs lazy AND assembly.
+"""Ablation: the on-demand recursive intersection vs its two neighbours.
 
-DESIGN.md design decision: the paper's recursive intersection (Fig. 3) is
-exact and prunes maximally; a lazy AND view skips the up-front assembly but
-admits internal-node false positives that cost extra block reads.  This
-bench quantifies the trade on multi-predicate CoverType queries.
+Paper Fig. 3 assembles a multi-predicate signature with a *recursive*
+intersection.  The serving reader (:class:`~repro.core.store.AssembledReader`)
+evaluates it on demand over the stored partials; this bench sets it, on
+multi-predicate CoverType queries, against
+
+* the **oracle** — :func:`~repro.core.ops.intersect_all` over the members'
+  full signatures, materialised up front (every partial of every cell
+  loaded: the most a query could pay in ``SSig``, the fewest blocks it can
+  read); and
+* the **plain AND** — the members' bits and-ed node by node with no look
+  below, built here (no query runs it): internal-node false positives cost
+  a block read per level down to the leaves.
+
+Asserted per query: the on-demand reader reads exactly the oracle's blocks,
+loads no more partials than the oracle, and its blocks plus partial loads
+stay under the plain AND's.
 """
 
 import random
@@ -11,56 +23,118 @@ import random
 import pytest
 
 from benchmarks.conftest import covertype_predicates, print_table
+from repro.core.ops import intersect_all
+from repro.core.pcube import SignatureAdapter
+from repro.core.store import MemberReaders
+from repro.query.algorithm1 import SkylineStrategy, run_algorithm1
 from repro.query.skyline import skyline_signature
+from repro.query.stats import QueryStats
+from repro.storage.buffer import BufferPool
+
+
+class PlainAnd(MemberReaders):
+    """The members' bits, and-ed: member *k* sees only what passed the
+    members before it; nothing is looked up below the node asked about."""
+
+    def check_entry(self, parent_path, position):
+        return all(r.check_entry(parent_path, position) for r in self.readers)
+
+    def check_block(self, parent_path, wanted):
+        for reader in self.readers:
+            if not wanted:
+                break
+            wanted = reader.check_block(parent_path, wanted)
+            if wanted is None:
+                return None
+        return wanted
+
+    def check_path(self, path):
+        return all(reader.check_path(path) for reader in self.readers)
+
+
+def _skyline_with(system, make_reader):
+    stats = QueryStats()
+    pool = BufferPool(system.rtree.disk, capacity=4096)
+    reader = make_reader(pool, stats.counters)
+    state = run_algorithm1(
+        system.rtree,
+        SkylineStrategy(system.rtree.dims),
+        stats,
+        reader=reader,
+        pool=pool,
+    )
+    return [entry.tid for entry in state.results], stats
 
 
 @pytest.fixture(scope="module")
 def assembly_comparison(covertype_system):
     system = covertype_system
+    store = system.pcube.store
     rng = random.Random(17)
     rows = []
     for trial in range(4):
         chain = covertype_predicates(system, rng)
         for predicate in chain[1:]:
-            lazy_tids, lazy_stats, _ = skyline_signature(
-                system.relation,
-                system.rtree,
-                system.pcube,
-                predicate,
-                eager_assembly=False,
+            cells = predicate.atomic_cells()
+            tids, on_demand, _ = skyline_signature(
+                system.relation, system.rtree, system.pcube, predicate
             )
-            eager_tids, eager_stats, _ = skyline_signature(
-                system.relation,
-                system.rtree,
-                system.pcube,
-                predicate,
-                eager_assembly=True,
+            oracle_tids, oracle = _skyline_with(
+                system,
+                lambda pool, counters: SignatureAdapter(
+                    intersect_all(
+                        [
+                            store.load_full_signature(cell, pool, counters)
+                            for cell in cells
+                        ]
+                    )
+                ),
             )
-            assert set(lazy_tids) == set(eager_tids)
-            rows.append((len(predicate), lazy_stats, eager_stats))
+            plain_tids, plain = _skyline_with(
+                system,
+                lambda pool, counters: PlainAnd(
+                    [store.reader(cell, pool, counters) for cell in cells]
+                ),
+            )
+            assert tids == oracle_tids == plain_tids
+            rows.append((len(predicate), on_demand, oracle, plain))
     return rows
 
 
-def test_ablation_lazy_vs_eager_assembly(assembly_comparison, covertype_system, benchmark):
+def test_ablation_on_demand_vs_oracle_vs_plain_and(
+    assembly_comparison, covertype_system, benchmark
+):
     table = []
-    for n_preds, lazy_stats, eager_stats in assembly_comparison:
+    for n_preds, on_demand, oracle, plain in assembly_comparison:
         table.append(
             [
                 n_preds,
-                lazy_stats.sblock,
-                eager_stats.sblock,
-                lazy_stats.ssig,
-                eager_stats.ssig,
+                plain.sblock,
+                oracle.sblock,
+                on_demand.sblock,
+                plain.ssig,
+                oracle.ssig,
+                on_demand.ssig,
             ]
         )
-        # Exactness of eager intersection can only reduce block reads ...
-        assert eager_stats.sblock <= lazy_stats.sblock
-        # ... at the price of loading the full signatures up front.
-        assert eager_stats.ssig >= lazy_stats.ssig
+        # Exactly the recursive intersection's pruning ...
+        assert on_demand.sblock == oracle.sblock <= plain.sblock
+        # ... without loading the members' full signatures ...
+        assert on_demand.ssig <= oracle.ssig
+        # ... and the partials the look-ahead loads are paid for in blocks.
+        assert on_demand.sblock + on_demand.ssig <= plain.sblock + plain.ssig
     print_table(
-        "Ablation: lazy AND vs eager recursive intersection "
-        "(CoverType twin skylines)",
-        ["#preds", "lazy SBlock", "eager SBlock", "lazy SSig", "eager SSig"],
+        "Ablation: plain AND vs intersect_all oracle vs on-demand "
+        "intersection (CoverType twin skylines)",
+        [
+            "#preds",
+            "AND SBlock",
+            "oracle SBlock",
+            "on-demand SBlock",
+            "AND SSig",
+            "oracle SSig",
+            "on-demand SSig",
+        ],
         table,
     )
 
@@ -72,6 +146,5 @@ def test_ablation_lazy_vs_eager_assembly(assembly_comparison, covertype_system, 
             covertype_system.rtree,
             covertype_system.pcube,
             predicate,
-            eager_assembly=True,
         )
     )

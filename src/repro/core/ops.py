@@ -10,12 +10,17 @@ multi-dimensional boolean predicate needs its signature *assembled* online:
   non-empty; otherwise the bit is cleared (the paper's example clears the
   root's first bit because the two cells share no tuple under node N1).
 
-The recursion is what makes intersection exact.  A *lazy* AND (bit tests
-answered by and-ing the inputs on demand, no child look-ahead) admits false
-positives at internal nodes — both cells have data under the node but no
-common tuple — which cost extra block reads but are always caught at the
-leaf level, where a slot bit refers to one concrete tuple.  The query layer
-can use either; the ablation benchmark compares them.
+The recursion is what makes intersection exact.  A *plain* AND (bit tests
+answered by and-ing the inputs, no child look-ahead) admits false positives
+at internal nodes — both cells have data under the node but no common tuple
+— and each one costs the search a block read per level down to the leaves,
+where a slot bit refers to one concrete tuple (on the e2e relation: 138–185
+node expansions for a 2-conjunct read against 10–11, EXPERIMENTS.md "PR 20").
+Queries run the recursive operator, evaluated on demand over the stored
+partials by :class:`repro.core.store.AssembledReader`; the functions here
+work on whole in-memory signatures and are its differential oracle
+(:func:`intersect_all`) and the upper bound it must stay under
+(:class:`LazyIntersection`) in tests, the assembly ablation and the audit.
 """
 
 from __future__ import annotations
@@ -114,12 +119,11 @@ def intersect_all(signatures: Sequence[Signature]) -> Signature:
 
 
 class LazyIntersection:
-    """A view that answers bit tests by and-ing the inputs on demand.
+    """The plain AND: bit tests answered by and-ing the inputs.
 
     Conservative (never misses data) but may report 1 at internal nodes
-    whose exact intersection is empty; exact at leaf slots.  Used by the
-    query layer when eager assembly is disabled, and by the assembly
-    ablation benchmark.
+    whose exact intersection is empty; exact at leaf slots.  No query runs
+    it — it is the upper bound the exact intersection is compared with.
     """
 
     def __init__(self, signatures: Sequence[Signature]) -> None:

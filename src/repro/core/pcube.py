@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.counted import CountedSignature
 from repro.core.generation import generate_cuboid_signatures
-from repro.core.ops import intersect_all
 from repro.core.sid import sid_of_path
 from repro.obs.trace import COVER, Tracer
 from repro.core.signature import Signature
@@ -26,7 +25,6 @@ from repro.cube.relation import Relation
 from repro.rtree.rtree import PathChange, RTree
 from repro.storage.buffer import BufferPool
 from repro.storage.counters import IOCounters
-from repro.storage.errors import StorageFault
 
 if TYPE_CHECKING:
     from repro.serve.resilience import BreakerBoard, RetryBudget
@@ -55,7 +53,7 @@ class EmptyReader:
 
 class SignatureAdapter:
     """Expose an in-memory :class:`Signature` with the reader interface
-    (used by the eager-assembly mode and by tests)."""
+    (the differential oracle in tests, benchmarks and the audit)."""
 
     load_seconds = 0.0
     loads = 0
@@ -92,9 +90,9 @@ class ReaderFactory:
     ``rtree`` (live tree or :class:`~repro.rtree.frozen.FrozenRTree`),
     ``relation`` (live relation or
     :class:`~repro.cube.relation.RelationView`), ``cuboids`` and
-    ``fanout`` — so the same cover choice, lazy/eager assembly and
-    degraded-mode fallback serve both the single-query and the
-    snapshot-isolated concurrent paths.
+    ``fanout`` — so the same cover choice, assembly and degraded-mode
+    fallback serve both the single-query and the snapshot-isolated
+    concurrent paths.
     """
 
     def materialised_cell(self, cell: Cell) -> bool:
@@ -106,7 +104,6 @@ class ReaderFactory:
         cells: Sequence[Cell],
         pool: BufferPool | None = None,
         counters: IOCounters | None = None,
-        eager: bool = False,
         tracer: Tracer | None = None,
         budget: "RetryBudget | None" = None,
         breakers: "BreakerBoard | None" = None,
@@ -114,13 +111,12 @@ class ReaderFactory:
     ):
         """A boolean-prune reader for the conjunction of ``cells``.
 
-        Single materialised cells read lazily from the store.  Conjunctions
-        combine per-cell readers with a lazy AND by default; with
-        ``eager=True`` the full signatures are loaded and intersected with
-        the exact recursive operator up front (paper Fig. 3), trading load
-        cost for maximal pruning.  A ``tracer`` is handed down to every
-        per-cell reader (partial-load events) and receives one ``cover``
-        event describing the assembly decision.
+        Every cell reads lazily from the store; a conjunction of several is
+        an :class:`~repro.core.store.AssembledReader` — the paper's exact
+        recursive intersection (Fig. 3) evaluated on demand, to the leaf
+        depth of this tree.  A ``tracer`` is handed down to every per-cell
+        reader (partial-load events) and receives one ``cover`` event naming
+        the cells assembled.
         """
         if not cells:
             raise ValueError("reader_for_cells needs at least one cell")
@@ -141,23 +137,7 @@ class ReaderFactory:
                     return EmptyReader()
                 resolved.append(atom)
         if tracer is not None:
-            tracer.event(
-                COVER,
-                cells=[cell.cell_id for cell in resolved],
-                eager=eager,
-            )
-        if eager:
-            try:
-                signatures = [
-                    self.store.load_full_signature(cell, pool, counters)
-                    for cell in resolved
-                ]
-                return SignatureAdapter(intersect_all(signatures))
-            except StorageFault:
-                # Eager assembly needs every partial; if any is unreadable,
-                # fall through to the lazy readers, whose conservative mode
-                # keeps the query correct.
-                pass
+            tracer.event(COVER, cells=[cell.cell_id for cell in resolved])
         readers = [
             CellSignatureReader(
                 self.store,
@@ -174,7 +154,7 @@ class ReaderFactory:
         ]
         if len(readers) == 1:
             return readers[0]
-        return AssembledReader(readers)
+        return AssembledReader(readers, self.rtree.root.level)
 
     def cover_for_dims(
         self, conjuncts: dict
@@ -184,9 +164,10 @@ class ReaderFactory:
         The paper materialises only atomic cuboids but points at partial
         materialisation of low-dimensional cuboids ([19], [12]).  When
         multi-dimensional cuboids are materialised, a query should prefer
-        them: one (A,B)-cell signature prunes strictly better than the
-        lazy AND of the A-cell and B-cell signatures.  Greedy set cover by
-        descending cuboid width picks such cells.
+        them: one (A,B)-cell signature prunes exactly like the assembled
+        intersection of the A-cell and B-cell signatures and loads fewer
+        partials.  Greedy set cover by descending cuboid width picks such
+        cells.
 
         Returns ``None`` when some needed cell provably holds no tuples —
         i.e. the whole conjunction is empty.
@@ -224,7 +205,6 @@ class ReaderFactory:
         conjuncts: dict,
         pool: BufferPool | None = None,
         counters: IOCounters | None = None,
-        eager: bool = False,
         tracer: Tracer | None = None,
         budget: "RetryBudget | None" = None,
         breakers: "BreakerBoard | None" = None,
@@ -243,7 +223,6 @@ class ReaderFactory:
             cover,
             pool,
             counters,
-            eager,
             tracer,
             budget=budget,
             breakers=breakers,

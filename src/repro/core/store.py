@@ -776,18 +776,14 @@ class CellSignatureReader:
         return self.check_entry(tuple(path[:-1]), path[-1])
 
 
-class AssembledReader:
-    """Conjunction of several cell readers (lazy AND).
+class MemberReaders:
+    """Several per-cell readers answering as one: ``load_seconds`` /
+    ``loads`` and the fault counters aggregate over the members, and the
+    group is degraded as soon as any member is."""
 
-    Exact at leaf slots; conservative at internal nodes (see
-    :mod:`repro.core.ops`).  ``load_seconds``/``loads`` and the fault
-    counters aggregate over the underlying readers; the conjunction is
-    degraded as soon as any member is.
-    """
-
-    def __init__(self, readers: Sequence[CellSignatureReader]) -> None:
+    def __init__(self, readers: Sequence) -> None:
         if not readers:
-            raise ValueError("AssembledReader needs at least one reader")
+            raise ValueError(f"{type(self).__name__} needs at least one reader")
         self.readers = list(readers)
 
     @property
@@ -818,24 +814,102 @@ class AssembledReader:
     def degraded(self) -> bool:
         return any(reader.degraded for reader in self.readers)
 
+
+class AssembledReader(MemberReaders):
+    """Conjunction of several cell readers: the paper's recursive
+    intersection (Section IV-B.2, Fig. 3), answered on demand.
+
+    A bit is set iff it is set in every member **and**, above the leaf
+    level, the intersection of the child subtrees is non-empty — bit for
+    bit what :func:`repro.core.ops.intersect_all` computes from the full
+    signatures, but evaluated per query and only where the search asks:
+    :meth:`_nonempty` looks ahead below a candidate child, stops at the
+    first witness and is memoised, so each node of each member is decoded
+    at most once per query.  Every bit still goes through the members'
+    ``check_*`` methods (partial loads, retries, breakers, quarantine).  A
+    node some member cannot resolve counts as non-empty during look-ahead
+    — no fallback probe, no ``degraded_checks`` — and meets the members'
+    conservative path when the search expands it.
+
+    Args:
+        readers: One reader per cell of the conjunction.
+        leaf_depth: Path length of the R-tree's leaf nodes
+            (``rtree.root.level``): bits there denote tuples, are exact as
+            they stand and end the look-ahead.
+    """
+
+    def __init__(
+        self, readers: Sequence[CellSignatureReader], leaf_depth: int
+    ) -> None:
+        super().__init__(readers)
+        self.leaf_depth = leaf_depth
+        #: Per query: node path -> AND of the members' masks (``None`` =
+        #: unresolvable), and node path -> is its exact intersection non-empty.
+        self._masks: dict[tuple[int, ...], int | None] = {}
+        self._nonempty_memo: dict[tuple[int, ...], bool] = {}
+
+    def _mask(self, path: tuple[int, ...]) -> int | None:
+        """The plain AND of the members' bits at the node at ``path``;
+        member *k* sees only what passed members < *k* and is not consulted
+        once nothing did.  ``None`` when a consulted member cannot resolve
+        the node."""
+        try:
+            return self._masks[path]
+        except KeyError:
+            pass
+        mask: int | None = -1  # every entry wanted
+        for reader in self.readers:
+            mask = reader.check_block(path, mask)
+            if not mask:  # unresolvable, or provably empty
+                break
+        self._masks[path] = mask
+        return mask
+
+    def _nonempty(self, path: tuple[int, ...]) -> bool:
+        """Whether the exact intersection has data under the node at
+        ``path`` (Fig. 3's recursion, first witness wins)."""
+        known = self._nonempty_memo.get(path)
+        if known is None:
+            mask = self._mask(path)
+            if mask is None or len(path) >= self.leaf_depth:
+                known = mask != 0
+            else:
+                known = False
+                while mask and not known:
+                    low = mask & -mask
+                    mask ^= low
+                    known = self._nonempty(path + (low.bit_length(),))
+            self._nonempty_memo[path] = known
+        return known
+
     def check_entry(self, parent_path: Sequence[int], position: int) -> bool:
         return all(
             reader.check_entry(parent_path, position) for reader in self.readers
+        ) and (
+            len(parent_path) >= self.leaf_depth
+            or self._nonempty(tuple(parent_path) + (position,))
         )
 
     def check_block(
         self, parent_path: Sequence[int], wanted: int
     ) -> int | None:
-        """Member *k* sees only the entries that passed members < *k*, and
-        is not consulted at all once none did — the same partial loads the
-        per-entry short-circuit issues."""
-        for reader in self.readers:
-            if not wanted:
-                break
-            wanted = reader.check_block(parent_path, wanted)
-            if wanted is None:
-                return None
-        return wanted
+        path = tuple(parent_path)
+        mask = self._mask(path)
+        if mask is None:
+            return None
+        passed = wanted & mask
+        if len(path) < self.leaf_depth:
+            pending = passed
+            while pending:
+                low = pending & -pending
+                pending ^= low
+                if not self._nonempty(path + (low.bit_length(),)):
+                    passed ^= low
+        return passed
 
     def check_path(self, path: Sequence[int]) -> bool:
-        return all(reader.check_path(path) for reader in self.readers)
+        if path:
+            return self.check_entry(tuple(path[:-1]), path[-1])
+        return all(
+            reader.check_path(()) for reader in self.readers
+        ) and self._nonempty(())

@@ -6,22 +6,18 @@ the paper's own example assembles the ``(A=a2 OR B=b2)`` signature.  This
 module processes predicates in disjunctive normal form: a list of
 conjunctive :class:`~repro.query.predicates.BooleanPredicate` disjuncts.
 
-Two assembly modes, mirroring the conjunctive ones:
-
-* **lazy** — an any-of reader over the per-disjunct readers: exact at leaf
-  slots, conservative at internal nodes;
-* **eager** — materialise each disjunct's exact signature (recursive
-  intersection over its cover) and fold them with the paper's union
-  operator; maximal pruning, higher load cost.
+The union is answered on demand by an any-of reader over the
+per-disjunct readers, each of them exact (a multi-cell disjunct is an
+:class:`~repro.core.store.AssembledReader`), so a bit is set exactly where
+:func:`repro.core.ops.union_all` of the disjuncts' full signatures sets it.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.ops import union_all
-from repro.core.pcube import EmptyReader, PCube, SignatureAdapter
-from repro.core.store import AssembledReader
+from repro.core.pcube import EmptyReader, PCube
+from repro.core.store import MemberReaders
 from repro.cube.relation import Relation
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import RankingFunction
@@ -30,12 +26,8 @@ from repro.rtree.rtree import RTree
 from repro.storage.buffer import BufferPool
 
 
-class AnyOfReader(AssembledReader):
-    """Disjunction of boolean-prune readers (lazy OR).
-
-    Load time and the fault counters aggregate over the members exactly
-    as for the conjunction it derives from; only the bit tests differ.
-    """
+class AnyOfReader(MemberReaders):
+    """Disjunction of boolean-prune readers (OR on demand)."""
 
     def check_entry(self, parent_path, position) -> bool:
         return any(
@@ -75,7 +67,6 @@ def reader_for_dnf(
     disjuncts: Sequence[BooleanPredicate],
     pool: BufferPool | None = None,
     counters=None,
-    eager: bool = False,
     **plumbing,
 ):
     """A boolean-prune reader for ``disjunct_1 OR disjunct_2 OR ...``.
@@ -92,18 +83,13 @@ def reader_for_dnf(
     readers = []
     for disjunct in disjuncts:
         reader = pcube.reader_for_predicate(
-            disjunct.conjuncts, pool, counters, eager=eager, **plumbing
+            disjunct.conjuncts, pool, counters, **plumbing
         )
         if isinstance(reader, EmptyReader):
             continue  # an unsatisfiable disjunct contributes nothing
         readers.append(reader)
     if not readers:
         return EmptyReader()
-    if eager:
-        # Every eager reader is a SignatureAdapter; fold with the paper's
-        # union operator into one exact signature (Fig. 3b).
-        signatures = [reader.signature for reader in readers]
-        return SignatureAdapter(union_all(signatures))
     if len(readers) == 1:
         return readers[0]
     return AnyOfReader(readers)
@@ -115,14 +101,13 @@ def skyline_dnf(
     pcube: PCube,
     disjuncts: Sequence[BooleanPredicate],
     pool: BufferPool | None = None,
-    eager_assembly: bool = False,
 ) -> tuple[list[int], QueryStats]:
     """Skyline over the union of the disjuncts' subsets."""
     from repro.query.session import QuerySession
 
-    result = QuerySession(
-        relation, rtree, pcube, pool=pool, eager_assembly=eager_assembly
-    ).skyline_dnf(disjuncts)
+    result = QuerySession(relation, rtree, pcube, pool=pool).skyline_dnf(
+        disjuncts
+    )
     return result.tids, result.stats
 
 
@@ -134,12 +119,11 @@ def topk_dnf(
     k: int,
     disjuncts: Sequence[BooleanPredicate],
     pool: BufferPool | None = None,
-    eager_assembly: bool = False,
 ) -> tuple[list[tuple[int, float]], QueryStats]:
     """Top-k over the union of the disjuncts' subsets."""
     from repro.query.session import QuerySession
 
-    result = QuerySession(
-        relation, rtree, pcube, pool=pool, eager_assembly=eager_assembly
-    ).topk_dnf(fn, k, disjuncts)
+    result = QuerySession(relation, rtree, pcube, pool=pool).topk_dnf(
+        fn, k, disjuncts
+    )
     return list(zip(result.tids, result.scores)), result.stats

@@ -127,8 +127,6 @@ class QuerySession:
             (the default) gives every query a fresh cold pool of
             ``pool_capacity`` pages instead.
         pool_capacity: Cold-pool size when ``pool`` is ``None``.
-        eager_assembly: Exact recursive intersection for multi-predicate
-            signatures instead of the lazy AND.
         epoch: Stamped onto every result's ``stats.epoch`` and the query
             span (serving observability); ``None`` for live sessions.
         ticker: Invoked once per Algorithm 1 heap pop; raises to abort the
@@ -150,7 +148,6 @@ class QuerySession:
         pcube,
         pool: BufferPool | None = None,
         pool_capacity: int = 4096,
-        eager_assembly: bool = False,
         epoch: int | None = None,
         ticker: Callable[[], None] | None = None,
         deadline_at: float | None = None,
@@ -161,14 +158,10 @@ class QuerySession:
         self.pcube = pcube
         self.pool = pool
         self.pool_capacity = pool_capacity
-        self.eager_assembly = eager_assembly
         self.epoch = epoch
         self.ticker = ticker
         self.deadline_at = deadline_at
         self.breakers = breakers
-        # Router-owned assembled-signature memo (a ResultCache); attached
-        # per query by QueryRouter.route, never set for unrouted sessions.
-        self.signature_memo = None
 
     @classmethod
     def for_snapshot(
@@ -176,7 +169,6 @@ class QuerySession:
         snapshot: "Snapshot",
         pool: BufferPool | None = None,
         pool_capacity: int = 4096,
-        eager_assembly: bool = False,
         ticker: Callable[[], None] | None = None,
         deadline_at: float | None = None,
         breakers: "BreakerBoard | None" = None,
@@ -192,7 +184,6 @@ class QuerySession:
             snapshot.pcube,
             pool=pool,
             pool_capacity=pool_capacity,
-            eager_assembly=eager_assembly,
             epoch=snapshot.epoch,
             ticker=ticker,
             deadline_at=deadline_at,
@@ -587,7 +578,6 @@ class QuerySession:
         if conjunctive and predicate.is_empty():
             return None
         plumbing = {
-            "eager": self.eager_assembly,
             "tracer": tracer,
             "budget": budget,
             "breakers": self.breakers,
@@ -597,33 +587,6 @@ class QuerySession:
             return reader_for_dnf(
                 self.pcube, predicate, pool, stats.counters, **plumbing
             )
-        memo = self.signature_memo
-        memo_key: tuple[str, ...] | None = None
-        if memo is not None and self.eager_assembly and self.epoch is not None:
-            memo_key = tuple(
-                f"{dim}={value!r}" for dim, value in predicate
-            )
-            cached = memo.get_signature(memo_key, self.epoch)
-            if cached is not None:
-                return cached
-        reader = self.pcube.reader_for_predicate(
+        return self.pcube.reader_for_predicate(
             predicate.conjuncts, pool, stats.counters, **plumbing
-        )
-        if memo_key is not None and self._memoizable(reader):
-            memo.put_signature(memo_key, self.epoch, reader)
-        return reader
-
-    @staticmethod
-    def _memoizable(reader) -> bool:
-        """Only clean, stateless assembled readers may be shared across
-        queries: :class:`~repro.core.pcube.SignatureAdapter` (an immutable
-        assembled signature) and :class:`~repro.core.pcube.EmptyReader`.
-        Lazy readers count per-query I/O and degraded readers carry fault
-        state, so neither is safe to reuse."""
-        from repro.core.pcube import EmptyReader, SignatureAdapter
-
-        if not isinstance(reader, (SignatureAdapter, EmptyReader)):
-            return False
-        return not getattr(reader, "degraded", False) and not getattr(
-            reader, "failed_loads", 0
         )

@@ -19,7 +19,6 @@ def skyline_signature(
     pcube: PCube,
     predicate: BooleanPredicate | None = None,
     pool: BufferPool | None = None,
-    eager_assembly: bool = False,
     keep_lists: bool = True,
     preference_by: tuple[str, ...] | None = None,
     tracer: Tracer | None = None,
@@ -34,8 +33,6 @@ def skyline_signature(
         predicate: Boolean conjunction; ``None``/empty disables boolean
             pruning (plain BBS behaviour, still I/O optimal).
         pool: Buffer pool; a fresh (cold) one is created when omitted.
-        eager_assembly: Assemble multi-predicate signatures with the exact
-            recursive intersection up front instead of the lazy AND.
         keep_lists: Maintain the Lemma 2 lists for drill-down / roll-up.
         preference_by: Optional subset of preference-dimension *names* to
             compute the skyline over (Section III's ``preference by N'1,
@@ -44,7 +41,5 @@ def skyline_signature(
     Returns:
         ``(tids, stats, state)`` — skyline tids in discovery (key) order.
     """
-    result = QuerySession(
-        relation, rtree, pcube, pool=pool, eager_assembly=eager_assembly
-    ).skyline(predicate, preference_by, tracer, keep_lists=keep_lists)
+    result = QuerySession(relation, rtree, pcube, pool=pool).skyline(predicate, preference_by, tracer, keep_lists=keep_lists)
     return result.tids, result.stats, result.state

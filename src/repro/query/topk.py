@@ -22,7 +22,6 @@ def topk_signature(
     k: int,
     predicate: BooleanPredicate | None = None,
     pool: BufferPool | None = None,
-    eager_assembly: bool = False,
     keep_lists: bool = True,
     tracer: Tracer | None = None,
 ) -> tuple[list[tuple[int, float]], QueryStats, SearchState]:
@@ -35,7 +34,5 @@ def topk_signature(
         ``(tid, score)`` in non-decreasing score order (ties arbitrary), of
         length ``min(k, |qualifying tuples|)``.
     """
-    result = QuerySession(
-        relation, rtree, pcube, pool=pool, eager_assembly=eager_assembly
-    ).topk(fn, k, predicate, tracer, keep_lists=keep_lists)
+    result = QuerySession(relation, rtree, pcube, pool=pool).topk(fn, k, predicate, tracer, keep_lists=keep_lists)
     return list(zip(result.tids, result.scores)), result.stats, result.state

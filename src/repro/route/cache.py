@@ -21,8 +21,7 @@ written row ``(tid, boolean row, new point | None)`` (proofs: DESIGN.md §12):
   log, a cache with no delta source.
 
 A ``put`` from a reader pinned below the reconciled epoch is judged by the
-same rule.  The signature memo stays purely epoch-keyed: a signature
-changes with R-tree paths (a node split) even when no answer does.
+same rule.
 
 Cached serving stays byte-identical to computed serving because only
 *canonicalised* answers are stored, and lookups are bypassed — not merely
@@ -111,33 +110,20 @@ def result_key(
 
 
 class ResultCache:
-    """A thread-safe LRU of canonicalised skyline/top-k answers.
+    """A thread-safe LRU of canonicalised skyline/top-k answers."""
 
-    Also hosts the *signature memo*: assembled multi-cell signatures
-    (the eager-assembly intersection product) keyed ``(cells, epoch)``,
-    so repeated popular-cell traffic skips the intersection work.  The
-    memo is only populated from queries that already paid the assembly
-    I/O — consulting it never changes a cache-cold query's counters.
-    """
-
-    def __init__(
-        self, capacity: int = 512, signature_capacity: int = 64
-    ) -> None:
-        if capacity < 1 or signature_capacity < 0:
+    def __init__(self, capacity: int = 512) -> None:
+        if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.signature_capacity = signature_capacity
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, CachedAnswer]" = OrderedDict()
-        self._signatures: "OrderedDict[tuple, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.bypassed = 0
         self.invalidated = 0
         self.evicted = 0
-        self.signature_hits = 0
-        self.signature_misses = 0
         # Newest epoch on_epoch has reconciled to; no entry is keyed below.
         self._reconciled = 0
         self._carry_outcomes = dict.fromkeys(
@@ -174,33 +160,6 @@ class ResultCache:
         with self._lock:
             self.bypassed += 1
 
-    # -- the signature memo --------------------------------------------- #
-
-    def get_signature(self, cells: tuple[str, ...], epoch: int):
-        if self.signature_capacity == 0:
-            return None
-        with self._lock:
-            key = (epoch, cells)
-            signature = self._signatures.get(key)
-            if signature is None:
-                self.signature_misses += 1
-                return None
-            self._signatures.move_to_end(key)
-            self.signature_hits += 1
-            return signature
-
-    def put_signature(
-        self, cells: tuple[str, ...], epoch: int, signature
-    ) -> None:
-        if self.signature_capacity == 0:
-            return
-        with self._lock:
-            key = (epoch, cells)
-            self._signatures[key] = signature
-            self._signatures.move_to_end(key)
-            while len(self._signatures) > self.signature_capacity:
-                self._signatures.popitem(last=False)
-
     # -- invalidation --------------------------------------------------- #
 
     def _carry(self, key, answer, epoch, deltas, rows_since) -> tuple | None:
@@ -216,13 +175,13 @@ class ResultCache:
         """Reconcile to ``epoch``; returns the entries dropped.  O(1) unless
         ``epoch`` is newer than any seen: then every older entry is carried
         or dropped (module docstring; ``deltas`` is
-        ``EpochManager.deltas_between``) and older memo entries dropped."""
+        ``EpochManager.deltas_between``)."""
         if epoch <= self._reconciled:
             return 0
         with self._lock:
             if epoch <= self._reconciled:
                 return 0
-            before = len(self._entries) + len(self._signatures)
+            before = len(self._entries)
             rows_since: dict = {}
             entries: "OrderedDict[tuple, CachedAnswer]" = OrderedDict()
             for key, answer in self._entries.items():
@@ -231,10 +190,8 @@ class ResultCache:
                 if key is not None:
                     entries[key] = answer
             self._entries = entries
-            for key in [key for key in self._signatures if key[0] < epoch]:
-                del self._signatures[key]
             self._reconciled = epoch
-            dropped = before - len(entries) - len(self._signatures)
+            dropped = before - len(entries)
             self.invalidated += dropped
             return dropped
 
@@ -254,7 +211,4 @@ class ResultCache:
                 "invalidated": self.invalidated,
                 **self._carry_outcomes,
                 "evicted": self.evicted,
-                "signature_entries": len(self._signatures),
-                "signature_hits": self.signature_hits,
-                "signature_misses": self.signature_misses,
             }

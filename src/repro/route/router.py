@@ -197,22 +197,14 @@ class QueryRouter:
                         time.perf_counter() - started,
                     )
                 cache_outcome = "miss"
-            # Let healthy eager-assembly queries reuse memoized assembled
-            # signatures (bypass keeps even the memo off the path).
-            session.signature_memo = (
-                self.cache if cache_outcome == "miss" else None
-            )
 
         # -- run the chain ---------------------------------------------- #
         pinned = self.policy.chain
         names = SERVING_CHAIN if pinned is None else pinned
         chain = chain_for(names, request, self.ctx, session.relation)
-        try:
-            result, failures = self.fallback.execute(
-                chain, session, request, self.ctx
-            )
-        finally:
-            session.signature_memo = None
+        result, failures = self.fallback.execute(
+            chain, session, request, self.ctx
+        )
         canonicalize(result)
         result.stats.cache_outcome = cache_outcome
 

@@ -228,7 +228,6 @@ class QueryExecutor:
         default_deadline: Seconds from submission after which queries time
             out unless a per-submit deadline overrides it (``None`` — no
             deadline).
-        eager_assembly: Forwarded to every query session.
         resilience: The :class:`~repro.serve.resilience.Resilience` knobs
             (breaker threshold, shedding).  ``None`` (the default) uses
             the default-on configuration; pass e.g.
@@ -237,7 +236,7 @@ class QueryExecutor:
         routing: Opt-in result cache.  ``True`` attaches a
             :class:`~repro.route.QueryRouter` with the default
             :class:`~repro.route.RoutingPolicy` (epoch-keyed result cache,
-            assembled-signature memo, breaker bypass) in front of the
+            breaker bypass) in front of the
             serving chain; pass a policy to turn the cache off or pin
             another chain; ``None``/``False`` (the default) runs every
             query straight down the serving chain.
@@ -256,7 +255,6 @@ class QueryExecutor:
         pool: BufferPool | None = None,
         pool_capacity: int = 4096,
         default_deadline: float | None = None,
-        eager_assembly: bool = False,
         resilience: Resilience | None = None,
         routing=None,
     ) -> None:
@@ -270,7 +268,6 @@ class QueryExecutor:
             else BufferPool(system.rtree.disk, capacity=pool_capacity)
         )
         self.default_deadline = default_deadline
-        self.eager_assembly = eager_assembly
         self.resilience = resilience if resilience is not None else Resilience()
         self.breakers = self.resilience.build_board()
         if self.breakers is not None:
@@ -576,7 +573,6 @@ class QueryExecutor:
                     session = QuerySession.for_snapshot(
                         snapshot,
                         pool=self.pool,
-                        eager_assembly=self.eager_assembly,
                         ticker=ticket._ticker,
                         deadline_at=ticket.deadline_at,
                         breakers=self.breakers,

@@ -295,7 +295,9 @@ class PCubeSystem:
         * the R-tree indexes exactly the live tids;
         * per cell: the stored signature equals one rebuilt from the live
           members' R-tree paths, and (when maintainable) the counted
-          signature's counts match a fresh re-count;
+          signature's counts match a fresh re-count; a materialised
+          multi-dimensional cell also equals, bit for bit, the on-demand
+          assembly of its atomic cells (the lattice rule);
         * the store holds no cell outside the cuboids' group-bys, none of
           its cells is quarantined, and its B+-tree index mirrors the
           directory exactly.
@@ -344,7 +346,6 @@ def build_system(
     maintainable: bool = True,
     with_indexes: bool = True,
     pool_capacity: int = 4096,
-    eager_assembly: bool = False,
     with_wal: bool = True,
     wal_segment_bytes: int | None = None,
 ) -> PCubeSystem:
@@ -362,7 +363,7 @@ def build_system(
         maintainable: Keep counted signatures for incremental updates.
         with_indexes: Also build the per-dimension B+-trees the baselines
             need (skippable when only the Signature method runs).
-        pool_capacity / eager_assembly: Engine configuration.
+        pool_capacity: Pages in each query's cold buffer pool.
         with_wal: Attach a :class:`MaintenanceWAL` so the system's
             ``insert`` / ``insert_batch`` / ``delete`` / ``update`` methods
             run crash-safe (costs nothing until an operation journals).
@@ -408,13 +409,7 @@ def build_system(
         indexes = build_boolean_indexes(relation, disk=disk)
         timings.btree_seconds = time.perf_counter() - started
 
-    engine = QuerySession(
-        relation,
-        rtree,
-        pcube,
-        pool_capacity=pool_capacity,
-        eager_assembly=eager_assembly,
-    )
+    engine = QuerySession(relation, rtree, pcube, pool_capacity=pool_capacity)
     maintenance_stats = MaintenanceStats()
     wal_kwargs = (
         {} if wal_segment_bytes is None

@@ -100,9 +100,10 @@ def test_queries_agree_across_materialisations(rich_system):
         assert set(tids) == expected
 
 
-def test_wider_cover_prunes_at_least_as_well(rich_system):
-    """One (A1,A2) signature vs the lazy AND of two atomic ones: the
-    materialised conjunction can only reduce block reads."""
+def test_wider_cover_reads_the_same_blocks_on_fewer_partials(rich_system):
+    """One (A1,A2) signature vs the assembled intersection of two atomic
+    ones: the same bits, so the same blocks — the materialised conjunction
+    saves partial loads, not pruning."""
     relation, rtree, pcube = rich_system
     atomic_only = PCube.build(
         relation,
@@ -123,7 +124,57 @@ def test_wider_cover_prunes_at_least_as_well(rich_system):
         _, atomic_stats, _ = skyline_signature(
             relation, rtree, atomic_only, predicate
         )
-        assert rich_stats.sblock <= atomic_stats.sblock
+        assert rich_stats.sblock == atomic_stats.sblock
+        assert rich_stats.ssig <= atomic_stats.ssig
+
+
+def test_audit_holds_assembled_equal_to_generated_for_every_pair(rich_system):
+    """The lattice rule of the audit (ROADMAP item 7): for every
+    materialised (A1, A2) cell, the on-demand assembly of the A1 and A2
+    cells sets exactly the generated signature's bits."""
+    from repro.bitmap.bitarray import BitArray
+    from repro.core.integrity import iter_cell_checks, lattice_problems
+    from repro.core.ops import LazyIntersection
+    from repro.core.signature import Signature
+
+    relation, rtree, pcube = rich_system
+    checked = [
+        (cell, problems)
+        for cell, problems in iter_cell_checks(
+            relation,
+            rtree.all_paths(),
+            pcube.cuboids,
+            pcube.fanout,
+            pcube.signature_of,
+            pcube.counted_of,
+        )
+    ]
+    pairs = [cell for cell, _ in checked if len(cell.dims) == 2]
+    assert len(pairs) == 16
+    assert all(not problems for _, problems in checked)
+
+    # What the rule catches: a stored pair signature that is the plain AND
+    # of its factors (a superset: inner-node false positives), and one that
+    # lost a node.
+    leaf_depth = rtree.root.level
+    caught = 0
+    for cell in pairs:
+        atoms = [pcube.signature_of(atom) for atom in cell.atoms()]
+        generated = pcube.signature_of(cell)
+        assert lattice_problems(cell, generated, atoms, leaf_depth) == []
+        plain = Signature(pcube.fanout)
+        for sid in atoms[0].node_sids():
+            if atoms[1].node(sid) is not None:
+                plain.set_node(sid, atoms[0].node(sid) & atoms[1].node(sid))
+        lazy = LazyIntersection(atoms)
+        assert all(lazy.check_path(path) for path in generated.tuple_paths())
+        if plain != generated:
+            assert lattice_problems(cell, plain, atoms, leaf_depth)
+            caught += 1
+        pruned = generated.copy()
+        pruned.set_node(max(generated.node_sids()), BitArray(pcube.fanout))
+        assert lattice_problems(cell, pruned, atoms, leaf_depth)
+    assert caught > 0
 
 
 def test_maintenance_covers_multidim_cuboids(rich_system):

@@ -49,7 +49,7 @@ def test_reader_for_single_cell(system):
         assert reader.check_path(path)
 
 
-def test_reader_for_conjunction_lazy(system):
+def test_reader_for_conjunction_is_exact_at_tuples(system):
     cells = [Cell(("A1",), (1,)), Cell(("A2",), (2,))]
     reader = system.pcube.reader_for_cells(cells)
     conjunction = Cell(("A1", "A2"), (1, 2))
@@ -59,17 +59,25 @@ def test_reader_for_conjunction_lazy(system):
         assert reader.check_path(paths[tid]) == expected
 
 
-def test_reader_for_conjunction_eager_equals_recursive_intersection(system):
-    cells = [Cell(("A1",), (0,)), Cell(("A2",), (3,))]
-    reader = system.pcube.reader_for_cells(cells, eager=True)
-    assert isinstance(reader, SignatureAdapter)
+def test_reader_for_conjunction_equals_recursive_intersection(system):
+    """The assembled reader answers every node of the tree with the bits of
+    the paper's recursive intersection, to the tree's own leaf depth."""
     from repro.core.ops import intersect
+    from tests.core.test_assembled_reader import node_paths
 
+    cells = [Cell(("A1",), (0,)), Cell(("A2",), (3,))]
+    reader = system.pcube.reader_for_cells(cells)
+    assert reader.leaf_depth == system.rtree.root.level
     expected = intersect(
         expected_signature(system, cells[0]),
         expected_signature(system, cells[1]),
     )
-    assert reader.signature == expected
+    oracle = SignatureAdapter(expected)
+    full = (1 << system.rtree.max_entries) - 1
+    paths = node_paths(system)
+    assert len(paths) > expected.n_nodes() > 1
+    for path in paths:
+        assert reader.check_block(path, full) == oracle.check_block(path, full)
 
 
 def test_reader_for_multidim_cell_falls_back_to_atoms(system):

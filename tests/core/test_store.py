@@ -242,16 +242,22 @@ def test_assembled_reader_conjunction(store):
     sig_b = Signature.from_paths([(1, 1), (3, 3)], FANOUT)
     store.put_signature(CELL, sig_a)
     store.put_signature(OTHER, sig_b)
-    reader = AssembledReader([store.reader(CELL), store.reader(OTHER)])
+    reader = AssembledReader([store.reader(CELL), store.reader(OTHER)], 1)
     assert reader.check_path((1, 1))
     assert not reader.check_path((2, 2))
     assert not reader.check_path((3, 3))
     assert reader.loads >= 2
+    # Both cells have data under nodes 1..3 of the root; only node 1 holds a
+    # tuple of both (paper Fig. 3: the other bits are cleared).
+    assert reader.check_block((), 0b1111) == 0b0001
+    assert [reader.check_entry((), p) for p in (1, 2, 3, 4)] == [
+        True, False, False, False
+    ]
 
 
 def test_assembled_reader_requires_readers():
     with pytest.raises(ValueError):
-        AssembledReader([])
+        AssembledReader([], 1)
 
 
 def test_index_height(store):

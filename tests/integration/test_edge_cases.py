@@ -117,7 +117,7 @@ def test_negative_coordinates():
     assert set(result.tids) == expected
 
 
-def test_eager_assembly_engine_mode():
+def test_two_conjunct_skyline_on_a_deep_tree():
     import random
 
     rng = random.Random(5)
@@ -130,7 +130,7 @@ def test_eager_assembly_engine_mode():
         for _ in range(200)
     ]
     relation = Relation(schema, [r[0] for r in rows], [r[1] for r in rows])
-    system = build_system(relation, fanout=4, eager_assembly=True)
+    system = build_system(relation, fanout=4)
     predicate = BooleanPredicate({"A": 1, "B": 2})
     result = system.engine.skyline(predicate)
     expected = set(

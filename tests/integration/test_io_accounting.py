@@ -34,7 +34,7 @@ def test_lemma1_expanded_blocks_contain_qualifying_data(small_system, rng):
         predicate = sample_predicate(relation, 2, rng)
         pool = RecordingPool(small_system.rtree.disk)
         reader = small_system.pcube.reader_for_cells(
-            predicate.atomic_cells(), pool, eager=True
+            predicate.atomic_cells(), pool
         )
         stats = QueryStats()
         run_algorithm1(

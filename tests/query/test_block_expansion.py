@@ -20,6 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ops import intersect_all
+from repro.core.pcube import SignatureAdapter
 from repro.data.fixtures import build_sweep_system, small_config, sweep_config
 from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_predicate
@@ -35,6 +37,7 @@ from repro.query.algorithm1 import (
     run_algorithm1,
 )
 from repro.query.dynamic import DynamicSkylineStrategy
+from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import (
     LinearFunction,
     MonotoneFunction,
@@ -308,6 +311,45 @@ def test_fresh_query_matches_per_child_expansion(
         assert got.stats.dominance_pruned > 0
 
 
+@contextmanager
+def materialised_intersection(system):
+    """Serve every conjunction from the paper's recursive intersection of
+    the members' *full* signatures (Fig. 3), built up front — the exact
+    bits, from code that shares nothing with the serving reader."""
+
+    def reader_for_predicate(conjuncts, *args, **kwargs):
+        cells = BooleanPredicate(conjuncts).atomic_cells()
+        return SignatureAdapter(
+            intersect_all(
+                [system.pcube.store.load_full_signature(c) for c in cells]
+            )
+        )
+
+    with mock.patch.object(
+        system.pcube, "reader_for_predicate", reader_for_predicate
+    ):
+        yield
+
+
+@pytest.mark.parametrize("n_conjuncts", [2, 3])
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_multi_conjunct_read_matches_per_child_expansion_on_exact_bits(
+    system, name, n_conjuncts
+):
+    """The per-child oracle on the materialised intersection: the serving
+    read must leave the same answers, search state (``seq``, visit order,
+    lists) and counters — everything but how the signature was loaded."""
+    predicate = predicate_for(system, n_conjuncts)
+    got = run_query(system, name, predicate)
+    with per_child_expansion(), materialised_intersection(system):
+        want = run_query(system, name, predicate)
+    got_facts, want_facts = result_facts(got), result_facts(want)
+    assert got_facts["stats"]["io"].pop("SSIG") > 0
+    assert "SSIG" not in want_facts["stats"]["io"]
+    assert got_facts["stats"].pop("pool") != want_facts["stats"].pop("pool")
+    assert got_facts == want_facts
+
+
 RESUMABLE = sorted(
     name for name, (kind, _) in QUERIES.items() if kind != "dynamic_skyline"
 )
@@ -473,7 +515,7 @@ def test_check_block_agrees_with_check_entry(system):
     readers = [
         system.pcube.reader_for_predicate(one.conjuncts),
         system.pcube.reader_for_predicate(two.conjuncts),
-        system.pcube.reader_for_predicate(two.conjuncts, eager=True),
+        SignatureAdapter(intersect_all(cells)),
         reader_for_dnf(system.pcube, [one, two]),
         BloomSignature.from_signature(cells[0]),
         BloomConjunction([BloomSignature.from_signature(c) for c in cells]),
@@ -860,9 +902,10 @@ def test_a_finished_topk_leaves_a_resumable_entry_heap(system_2k):
 
 
 #: ``(degraded_checks, counted I/O, tids)`` of the degraded skyline below as
-#: measured at the commit before entries were vetted (38d2e5b), per
-#: ``(exact fallback?, which signature read is lost)``.
-DEGRADED_BEFORE_VETTING = {
+#: measured at the commit before entries were vetted (38d2e5b), when a
+#: conjunction was the plain AND of its members, per ``(exact fallback?,
+#: which signature read is lost)``.
+DEGRADED_PLAIN_AND = {
     (False, 0): (121, {"SSIG": 10, "SBLOCK": 34}, [1186, 347, 825, 195]),
     (False, 2): (17, {"SSIG": 8, "SBLOCK": 19}, [508, 942, 591]),
     (True, 0): (
@@ -877,6 +920,25 @@ DEGRADED_BEFORE_VETTING = {
     ),
 }
 
+#: The same reads on the exact intersection: the same answers and base
+#: relation probes; the look-ahead prunes subtrees the plain AND descended
+#: into (fewer blocks, and fewer conservative answers where those subtrees
+#: held lost nodes) and loads the partials it looks into.
+DEGRADED = {
+    (False, 0): (111, {"SSIG": 12, "SBLOCK": 23}, [1186, 347, 825, 195]),
+    (False, 2): (17, {"SSIG": 14, "SBLOCK": 13}, [508, 942, 591]),
+    (True, 0): (
+        281,
+        {"SSIG": 12, "SBLOCK": 47, "DBOOL": 134},
+        [844, 747, 264, 195],
+    ),
+    (True, 2): (
+        75,
+        {"SSIG": 14, "SBLOCK": 31, "DBOOL": 75},
+        [844, 747, 264, 195],
+    ),
+}
+
 
 @backends
 @pytest.mark.faults
@@ -886,8 +948,8 @@ def test_degraded_read_keeps_its_pop_time_tests(backend, exact, lost_read):
     """Children let through by a block the reader could not resolve are
     unvetted: their pop-time test still runs and still counts — every
     unresolvable bit answered ``True`` (no fallback) or from the base
-    relation (``DBOOL`` probes) — so a degraded read reports what it
-    reported before entries were vetted, and what the oracle reports."""
+    relation (``DBOOL`` probes) — so a degraded read reports what the
+    oracle reports: the plain AND's answers and probes, on fewer blocks."""
     from repro.core.store import AssembledReader, CellSignatureReader
 
     def degraded_search(runner):
@@ -908,7 +970,8 @@ def test_degraded_read_keeps_its_pop_time_tests(backend, exact, lost_read):
                     fallback=system.pcube.boolean_fallback if exact else None,
                 )
                 for cell in predicate.atomic_cells()
-            ]
+            ],
+            system.rtree.root.level,
         )
         unresolved = set()
         resolve = reader.check_block
@@ -941,7 +1004,11 @@ def test_degraded_read_keeps_its_pop_time_tests(backend, exact, lost_read):
         reader.degraded_checks,
         stats.counters.snapshot(),
         [e.tid for e in state.results],
-    ) == DEGRADED_BEFORE_VETTING[exact, lost_read]
+    ) == DEGRADED[exact, lost_read]
+    checks, io, tids = DEGRADED_PLAIN_AND[exact, lost_read]
+    assert reader.degraded_checks <= checks
+    assert stats.sblock < io["SBLOCK"] and stats.dbool == io.get("DBOOL", 0)
+    assert [e.tid for e in state.results] == tids
     assert reader.degraded_checks == ref_reader.degraded_checks
     assert stats_facts(stats) == stats_facts(ref_stats)
     assert state_facts(state) == state_facts(ref_state)

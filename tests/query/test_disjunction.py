@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive import naive_skyline, naive_topk
+from repro.core.ops import intersect_all, union_all
 from repro.core.pcube import EmptyReader, SignatureAdapter
 from repro.cube.relation import Relation
 from repro.cube.schema import Schema
@@ -16,8 +17,11 @@ from repro.query.disjunction import (
     skyline_dnf,
     topk_dnf,
 )
+from repro.query.algorithm1 import SkylineStrategy, run_algorithm1
 from repro.query.predicates import BooleanPredicate
+from repro.query.stats import QueryStats
 from repro.system import build_system
+from tests.core.test_assembled_reader import node_paths
 
 
 def qualifying(system, disjuncts):
@@ -33,8 +37,7 @@ def sample_disjuncts(system, rng, n=2):
     return [sample_predicate(system.relation, 1, rng) for _ in range(n)]
 
 
-@pytest.mark.parametrize("eager", [False, True])
-def test_skyline_dnf_matches_naive(small_system, rng, eager):
+def test_skyline_dnf_matches_naive(small_system, rng):
     for n_disjuncts in (1, 2, 3):
         disjuncts = sample_disjuncts(small_system, rng, n_disjuncts)
         tids, stats = skyline_dnf(
@@ -42,15 +45,13 @@ def test_skyline_dnf_matches_naive(small_system, rng, eager):
             small_system.rtree,
             small_system.pcube,
             disjuncts,
-            eager_assembly=eager,
         )
         expected = set(naive_skyline(qualifying(small_system, disjuncts)))
         assert set(tids) == expected
         assert stats.results == len(expected)
 
 
-@pytest.mark.parametrize("eager", [False, True])
-def test_topk_dnf_matches_naive(small_system, rng, eager):
+def test_topk_dnf_matches_naive(small_system, rng):
     disjuncts = sample_disjuncts(small_system, rng, 2)
     fn = sample_linear_function(2, rng)
     ranked, _ = topk_dnf(
@@ -60,7 +61,6 @@ def test_topk_dnf_matches_naive(small_system, rng, eager):
         fn,
         10,
         disjuncts,
-        eager_assembly=eager,
     )
     expected = naive_topk(qualifying(small_system, disjuncts), fn, 10)
     assert [round(s, 9) for _, s in ranked] == [
@@ -120,39 +120,66 @@ def test_unsatisfiable_disjunct_is_dropped(small_system, rng):
     assert set(tids) == expected
 
 
-def test_eager_reader_is_one_union_signature(small_system, rng):
-    disjuncts = sample_disjuncts(small_system, rng, 2)
-    reader = reader_for_dnf(small_system.pcube, disjuncts, eager=True)
-    assert isinstance(reader, SignatureAdapter)
-    # The union signature admits exactly the union of tuple paths.
-    paths = small_system.rtree.all_paths()
-    for tid in small_system.relation.tids():
-        assert reader.check_path(paths[tid]) == matches_dnf(
-            small_system.relation, disjuncts, tid
+def _union_oracle(pcube, disjuncts):
+    """The paper's operators on full signatures: recursive intersection
+    per disjunct, folded with union (Fig. 3)."""
+    return SignatureAdapter(
+        union_all(
+            [
+                intersect_all(
+                    [
+                        pcube.store.load_full_signature(cell)
+                        for cell in disjunct.atomic_cells()
+                    ]
+                )
+                for disjunct in disjuncts
+            ]
         )
+    )
 
 
-def test_eager_never_reads_more_blocks_than_lazy(small_system, rng):
+def test_dnf_reader_is_the_union_signature_bit_for_bit(small_system, rng):
+    rtree, pcube = small_system.rtree, small_system.pcube
+    full = (1 << rtree.max_entries) - 1
+    paths = node_paths(small_system)
+    for widths in ((1, 1), (2, 1), (2, 2)):
+        disjuncts = [
+            sample_predicate(small_system.relation, n, rng) for n in widths
+        ]
+        reader = reader_for_dnf(pcube, disjuncts)
+        oracle = _union_oracle(pcube, disjuncts)
+        assert isinstance(reader, AnyOfReader)
+        for path in paths:
+            assert reader.check_block(path, full) == oracle.check_block(path, full)
+        # The union signature admits exactly the union of tuple paths.
+        tuple_paths = rtree.all_paths()
+        for tid in small_system.relation.tids():
+            assert reader.check_path(tuple_paths[tid]) == matches_dnf(
+                small_system.relation, disjuncts, tid
+            )
+
+
+def test_dnf_skyline_reads_the_union_signatures_blocks(small_system, rng):
     for _ in range(3):
         disjuncts = [
             sample_predicate(small_system.relation, 2, rng)
             for _ in range(2)
         ]
-        _, lazy_stats = skyline_dnf(
+        tids, stats = skyline_dnf(
             small_system.relation,
             small_system.rtree,
             small_system.pcube,
             disjuncts,
-            eager_assembly=False,
         )
-        _, eager_stats = skyline_dnf(
-            small_system.relation,
+        oracle_stats = QueryStats()
+        state = run_algorithm1(
             small_system.rtree,
-            small_system.pcube,
-            disjuncts,
-            eager_assembly=True,
+            SkylineStrategy(small_system.rtree.dims),
+            oracle_stats,
+            reader=_union_oracle(small_system.pcube, disjuncts),
         )
-        assert eager_stats.sblock <= lazy_stats.sblock
+        assert tids == [entry.tid for entry in state.results]
+        assert stats.sblock == oracle_stats.sblock
 
 
 def test_reader_validation(small_system):
@@ -180,9 +207,8 @@ def test_reader_validation(small_system):
     ),
     v1=st.integers(min_value=0, max_value=2),
     v2=st.integers(min_value=0, max_value=2),
-    eager=st.booleans(),
 )
-def test_dnf_property(rows, v1, v2, eager):
+def test_dnf_property(rows, v1, v2):
     schema = Schema(("A", "B"), ("X", "Y"))
     relation = Relation(
         schema,
@@ -191,8 +217,6 @@ def test_dnf_property(rows, v1, v2, eager):
     )
     system = build_system(relation, fanout=4, with_indexes=False)
     disjuncts = [BooleanPredicate({"A": v1}), BooleanPredicate({"B": v2})]
-    tids, _ = skyline_dnf(
-        relation, system.rtree, system.pcube, disjuncts, eager_assembly=eager
-    )
+    tids, _ = skyline_dnf(relation, system.rtree, system.pcube, disjuncts)
     expected = set(naive_skyline(qualifying(system, disjuncts)))
     assert set(tids) == expected

@@ -5,9 +5,14 @@ import random
 import pytest
 
 from repro.baselines.naive import naive_skyline, naive_topk
+from repro.core.ops import intersect_all
+from repro.core.pcube import SignatureAdapter
+from repro.core.store import AssembledReader
 from repro.data.workload import sample_linear_function, sample_predicate
+from repro.query.algorithm1 import SkylineStrategy, run_algorithm1
 from repro.query.predicates import BooleanPredicate
 from repro.query.skyline import skyline_signature
+from repro.query.stats import QueryStats
 from repro.query.topk import topk_signature
 
 
@@ -38,39 +43,43 @@ def test_skyline_matches_naive(small_system, rng, n_conjuncts):
         assert stats.results == len(expected)
 
 
-@pytest.mark.parametrize("eager", [False, True])
-def test_skyline_lazy_and_eager_assembly_agree(small_system, rng, eager):
-    predicate = sample_predicate(small_system.relation, 2, rng)
-    tids, _, _ = skyline_signature(
-        small_system.relation,
-        small_system.rtree,
-        small_system.pcube,
-        predicate,
-        eager_assembly=eager,
+def _search_with(system, reader):
+    stats = QueryStats()
+    state = run_algorithm1(
+        system.rtree, SkylineStrategy(system.rtree.dims), stats, reader=reader
     )
-    expected = set(naive_skyline(truth_points(small_system, predicate)))
-    assert set(tids) == expected
+    return [entry.tid for entry in state.results], stats
 
 
-def test_eager_assembly_never_reads_more_blocks(small_system, rng):
-    """Exact intersection prunes at least as well as the lazy AND."""
-    for _ in range(5):
-        predicate = sample_predicate(small_system.relation, 2, rng)
-        _, lazy_stats, _ = skyline_signature(
-            small_system.relation,
-            small_system.rtree,
-            small_system.pcube,
-            predicate,
-            eager_assembly=False,
+def test_assembled_skyline_reads_the_exact_intersections_blocks(small_system, rng):
+    """A multi-predicate read expands exactly the nodes a search on the
+    materialised recursive intersection (Fig. 3) expands, never more than
+    the plain AND of the members, and strictly fewer somewhere."""
+    pcube = small_system.pcube
+    saved = 0
+    for n_conjuncts in (2, 2, 2, 3, 3):
+        predicate = sample_predicate(small_system.relation, n_conjuncts, rng)
+        cells = predicate.atomic_cells()
+        tids, stats, _ = skyline_signature(
+            small_system.relation, small_system.rtree, pcube, predicate
         )
-        _, eager_stats, _ = skyline_signature(
-            small_system.relation,
-            small_system.rtree,
-            small_system.pcube,
-            predicate,
-            eager_assembly=True,
+        exact_tids, exact = _search_with(
+            small_system,
+            SignatureAdapter(
+                intersect_all(
+                    [pcube.store.load_full_signature(cell) for cell in cells]
+                )
+            ),
         )
-        assert eager_stats.sblock <= lazy_stats.sblock
+        plain_tids, plain = _search_with(
+            small_system,
+            AssembledReader([pcube.store.reader(cell) for cell in cells], 0),
+        )
+        assert tids == exact_tids == plain_tids
+        assert stats.sblock == exact.sblock <= plain.sblock
+        assert stats.boolean_pruned == exact.boolean_pruned
+        saved += plain.sblock - stats.sblock
+    assert saved > 0
 
 
 def test_skyline_empty_selection(small_system):

@@ -178,29 +178,6 @@ def test_on_epoch_carries_what_the_deltas_cannot_change():
     assert view["invalidated"] == 4
 
 
-def test_signature_memo_epoch_keyed():
-    cache = ResultCache(signature_capacity=2)
-    cells = ("c1", "c2")
-    assert cache.get_signature(cells, epoch=3) is None
-    cache.put_signature(cells, 3, "sig-object")
-    assert cache.get_signature(cells, 3) == "sig-object"
-    assert cache.get_signature(cells, 4) is None  # epoch mismatch
-    cache.on_epoch(4)
-    assert cache.get_signature(cells, 3) is None  # reclaimed
-    view = cache.snapshot()
-    assert view["signature_hits"] == 1
-    assert view["signature_misses"] == 3
-
-
-def test_signature_memo_disabled_at_zero_capacity():
-    cache = ResultCache(signature_capacity=0)
-    cache.put_signature(("c",), 1, "sig")
-    assert cache.get_signature(("c",), 1) is None
-    assert cache.snapshot()["signature_entries"] == 0
-
-
 def test_invalid_capacity_rejected():
     with pytest.raises(ValueError):
         ResultCache(capacity=0)
-    with pytest.raises(ValueError):
-        ResultCache(signature_capacity=-1)
