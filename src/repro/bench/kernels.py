@@ -35,9 +35,10 @@ never mutate):
   scan + ``score_block``) under both a linear and a weighted-squared-
   distance function over the uniform sweep setting.
 * ``kernels_search`` *(gated: never slower)* — BBS and the Ranking
-  method: best-first R-tree search evaluates one node's children per
-  kernel call, so the batch kernels trim the expansion cost but the heap
-  and per-node work remain; the gate is that vectorizing never loses.
+  method: best-first search evaluates one node's children per kernel
+  call.  Its ~130-point anticorrelated skylines sit past the one-pass
+  bound of ``dominates_block``, so this figure is what chose that bound
+  and the point probe's (DESIGN.md §13): wider ones have failed it.
 * ``kernels_memory`` *(ungated)* — the in-memory references on shapes
   that favour the scalar short-circuit (uniform naive skyline) or the
   Python heap (naive top-k): the honest end of the sweep.

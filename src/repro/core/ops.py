@@ -18,9 +18,10 @@ where a slot bit refers to one concrete tuple (on the e2e relation: 138–185
 node expansions for a 2-conjunct read against 10–11, EXPERIMENTS.md "PR 20").
 Queries run the recursive operator, evaluated on demand over the stored
 partials by :class:`repro.core.store.AssembledReader`; the functions here
-work on whole in-memory signatures and are its differential oracle
-(:func:`intersect_all`) and the upper bound it must stay under
-(:class:`LazyIntersection`) in tests, the assembly ablation and the audit.
+work on whole in-memory signatures and no serving path imports them: they
+are kept as the Fig. 3 oracle — :func:`intersect_all` is what tests, the
+assembly ablation and the audit compare the reader with bit for bit (the
+plain-AND upper bound is the same reader at leaf depth 0).
 """
 
 from __future__ import annotations
@@ -116,34 +117,6 @@ def intersect_all(signatures: Sequence[Signature]) -> Signature:
     for signature in signatures[1:]:
         result = intersect(result, signature)
     return result.copy() if len(signatures) == 1 else result
-
-
-class LazyIntersection:
-    """The plain AND: bit tests answered by and-ing the inputs.
-
-    Conservative (never misses data) but may report 1 at internal nodes
-    whose exact intersection is empty; exact at leaf slots.  No query runs
-    it — it is the upper bound the exact intersection is compared with.
-    """
-
-    def __init__(self, signatures: Sequence[Signature]) -> None:
-        if not signatures:
-            raise ValueError("LazyIntersection needs at least one signature")
-        for signature in signatures[1:]:
-            _check_compatible(signatures[0], signature)
-        self.signatures = list(signatures)
-        self.fanout = signatures[0].fanout
-
-    def check_bit(self, parent_sid: int, position: int) -> bool:
-        return all(
-            signature.check_bit(parent_sid, position)
-            for signature in self.signatures
-        )
-
-    def check_path(self, path: Sequence[int]) -> bool:
-        return all(
-            signature.check_path(path) for signature in self.signatures
-        )
 
 
 def _check_compatible(first: Signature, second: Signature) -> None:

@@ -25,10 +25,16 @@ _PROBE_CHUNK = 512
 #: Up to this many buffer rows a point probe is a plain loop over the
 #: tuples: the numpy scan's fixed per-call cost only pays off beyond it.
 _SCALAR_PROBE = 8
+#: Up to this many rows it is one "≤ everywhere" matrix test, strictness
+#: looked at only on a hit; beyond, per-dimension chunks (DESIGN.md §13).
+_ONE_PASS_ROWS = 64
 #: Element budget for (buffer, probes, dims) broadcast tensors.
 _TENSOR_BUDGET = 1 << 20
 #: First dominator-chunk size for block probes (most probes die here).
 _SEED_CHUNK = 16
+#: Up to this many (buffer row, probe) pairs a block probe is one pass over
+#: the whole buffer; beyond, it escalates from ``_SEED_CHUNK`` (§13).
+_ONE_PASS_PAIRS = 4096
 
 
 class DominationBuffer:
@@ -39,7 +45,7 @@ class DominationBuffer:
     a buffer never changes representation mid-query.
     """
 
-    __slots__ = ("dims", "_points", "_arr", "_n", "_numpy")
+    __slots__ = ("dims", "_points", "_arr", "_numpy")
 
     def __init__(
         self,
@@ -53,7 +59,6 @@ class DominationBuffer:
         self._points: list[tuple[float, ...]] = []
         self._numpy = using_numpy() if use_numpy is None else use_numpy
         self._arr = None
-        self._n = 0
         for point in points:
             self.add(point)
 
@@ -70,19 +75,17 @@ class DominationBuffer:
             raise ValueError(
                 f"point has {len(point)} dims, buffer expects {self.dims}"
             )
+        n = len(self._points)
         self._points.append(point)
         if not self._numpy:
             return
         if self._arr is None:
             self._arr = np.empty((16, self.dims), dtype=np.float64)
-        elif self._n == len(self._arr):
-            grown = np.empty(
-                (2 * len(self._arr), self.dims), dtype=np.float64
-            )
-            grown[: self._n] = self._arr[: self._n]
+        elif n == len(self._arr):
+            grown = np.empty((2 * n, self.dims), dtype=np.float64)
+            grown[:n] = self._arr
             self._arr = grown
-        self._arr[self._n] = point
-        self._n += 1
+        self._arr[n] = point
 
     def dominates_point(self, probe: Sequence[float], since: int = 0) -> bool:
         """Whether any point buffered at index ``since`` or later dominates
@@ -92,45 +95,64 @@ class DominationBuffer:
         if n - since <= _SCALAR_PROBE or not self._numpy:
             points = self._points[since:] if since else self._points
             return any(dominates(s, probe) for s in points)
-        arr = self._arr
+        if n - since <= _ONE_PASS_ROWS:
+            # Most probes have no buffered point at or below them in every
+            # dimension; one that does is dominated unless that point is
+            # the probe's equal.
+            rows = self._arr[since:n]
+            below = (rows <= probe).all(axis=1)
+            return bool(below.any()) and bool((rows[below] < probe).any())
+        row = np.asarray([probe], dtype=np.float64)
         for start in range(since, n, _PROBE_CHUNK):
-            block = arr[start : min(start + _PROBE_CHUNK, n)]
-            col, v = block[:, 0], probe[0]
-            le, lt = col <= v, col < v
-            for d in range(1, self.dims):
-                col, v = block[:, d], probe[d]
-                le &= col <= v
-                lt |= col < v
-            le &= lt
-            if bool(le.any()):
+            chunk = self._arr[start : min(start + _PROBE_CHUNK, n)]
+            if _block_dominates(chunk, row, self.dims)[0]:
                 return True
         return False
 
     def dominates_block(
-        self, probes: Sequence[Sequence[float]]
-    ) -> list[bool]:
-        """Per-probe: is it dominated by any buffered point?"""
+        self, probes: Sequence[Sequence[float]], packed: bool = False
+    ) -> list[bool] | int:
+        """Per-probe: is it dominated by any buffered point?
+
+        The verdicts come as a list of bools or — ``packed`` — as one
+        integer, bit ``j`` for probe ``j``: what a caller that only counts
+        and intersects them wants.  Under numpy a block against a small
+        buffer (a BBS expansion: tens of rows either side) is one pass
+        over the whole buffer; an SFS-sized one escalates through growing
+        buffer chunks over the shrinking set of undominated probes.
+        """
         m = len(probes)
-        if m == 0:
-            return []
-        if not self._points:
-            return [False] * m
+        if m == 0 or not self._points:
+            return 0 if packed else [False] * m
         if not self._numpy:
-            return [
+            verdicts = [
                 any(dominates(s, probe) for s in self._points)
                 for probe in probes
             ]
+            if packed:
+                return sum(1 << j for j, hit in enumerate(verdicts) if hit)
+            return verdicts
         p = np.asarray(probes, dtype=np.float64)
-        arr, n = self._arr, self._n
-        # Escalating chunks with probe compression: the scalar loop
-        # short-circuits after a handful of comparisons for a typical
-        # dominated probe, so the vector path starts with a small buffer
-        # prefix (which kills most probes in one cheap op, on the probe
-        # matrix as it is — most buffers end there), drops the dead, and
-        # grows the chunk as survivors thin out.
+        n = len(self._points)
+        if n * m <= _ONE_PASS_PAIRS:
+            out = _block_dominates(self._arr[:n], p, self.dims)
+        else:
+            out = self._escalate(p)
+        if packed:
+            return int.from_bytes(
+                np.packbits(out, bitorder="little").tobytes(), "little"
+            )
+        return out.tolist()
+
+    def _escalate(self, p):
+        """Verdicts by escalating chunks with probe compression: the
+        scalar loop short-circuits after a handful of comparisons for a
+        typical dominated probe, so the vector path starts with a small
+        buffer prefix (which kills most probes in one cheap op, on the
+        probe matrix as it is), drops the dead, and grows the chunk as
+        survivors thin out."""
+        arr, n = self._arr, len(self._points)
         out = _block_dominates(arr[: min(_SEED_CHUNK, n)], p, self.dims)
-        if n <= _SEED_CHUNK:
-            return out.tolist()
         alive = (~out).nonzero()[0]
         start = _SEED_CHUNK
         chunk = max(
@@ -149,7 +171,7 @@ class DominationBuffer:
                 chunk * 4,
                 _TENSOR_BUDGET // max(1, alive.size * self.dims),
             )
-        return out.tolist()
+        return out
 
 
 def _block_dominates(block, probes, dims, other=None):

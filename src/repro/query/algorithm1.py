@@ -23,8 +23,8 @@ from __future__ import annotations
 import heapq
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from typing import Callable, Iterator, Protocol, Sequence
+from itertools import repeat
+from typing import Callable, Iterator, NamedTuple, Protocol, Sequence
 
 from repro.kernels.dominate import DominationBuffer
 from repro.kernels.mindist import project_rows, row_tuples, sum_block
@@ -119,70 +119,69 @@ class HeapEntry:
         return f"HeapEntry(key={self.key:.4g}, {what}, path={self.path})"
 
 
-def _child_entry(
+def mask_indices(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return indices
+
+
+def _child_entries(
     parent_path: tuple[int, ...],
     block: NodeBlock,
-    index: int,
-    key: float,
-    seq: int,
-    tie: tuple[float, ...],
-) -> HeapEntry:
-    """The heap entry of child ``index`` of an expanded node."""
-    child = block.entries[index]
-    path = parent_path + (block.slots[index] + 1,)
-    point = block.low_tuples[index]
-    if block.leaf:
-        return HeapEntry(key, seq, path, tid=child.tid, point=point, tie=tie)
-    return HeapEntry(
-        key, seq, path, node=child.child, point=point, rect=child.mbr, tie=tie
-    )
+    keys: Sequence[float],
+    ties,
+    first_seq: int,
+    mask: int,
+) -> list[HeapEntry]:
+    """The heap entries of the children in index mask ``mask`` of an
+    expanded node, in slot order: the only place that reads keys, tie rows
+    and ``seq`` (``first_seq`` is child 0's) out of an evaluated block."""
+    if not mask:
+        return []
+    indices = mask_indices(mask)
+    tie_rows = row_tuples(ties, indices) if ties is not None else repeat(())
+    entries = []
+    for index, tie in zip(indices, tie_rows):
+        child = block.entries[index]
+        entries.append(
+            HeapEntry(
+                keys[index],
+                first_seq + index,
+                parent_path + (block.slots[index] + 1,),
+                node=child.child,
+                tid=child.tid,
+                point=block.low_tuples[index],
+                rect=None if block.leaf else child.mbr,
+                tie=tie,
+            )
+        )
+    return entries
 
 
-class PrunedRun:
+class PrunedRun(NamedTuple):
     """The children one expansion pruned by one arm, not yet heap entries.
 
     Most pruned entries are never looked at again, so an expansion records
     what is needed to build them — the parent's path, its block, the
-    block's keys and tie rows, the ``seq`` of child 0 and which children
-    were pruned — and :meth:`entries` builds exactly the entries the
-    search would have pushed.
+    block's keys and tie rows, the ``seq`` of child 0 and the index mask
+    of the children this arm pruned — and :meth:`entries` builds exactly
+    the entries the search would have pushed.  The mask is turned into
+    indices there and nowhere else: a served read never does it.
     """
 
-    __slots__ = ("parent_path", "block", "keys", "ties", "first_seq", "indices")
-
-    def __init__(
-        self,
-        parent_path: tuple[int, ...],
-        block: NodeBlock,
-        keys: list[float],
-        ties,
-        first_seq: int,
-        indices: list[int],
-    ) -> None:
-        self.parent_path = parent_path
-        self.block = block
-        self.keys = keys
-        self.ties = ties
-        self.first_seq = first_seq
-        self.indices = indices
+    parent_path: tuple[int, ...]
+    block: NodeBlock
+    keys: Sequence[float]
+    ties: object
+    first_seq: int
+    mask: int
 
     def entries(self) -> list[HeapEntry]:
-        ties = (
-            row_tuples(self.ties, self.indices)
-            if self.ties is not None
-            else repeat(())
-        )
-        return [
-            _child_entry(
-                self.parent_path,
-                self.block,
-                index,
-                self.keys[index],
-                self.first_seq + index,
-                tie,
-            )
-            for index, tie in zip(self.indices, ties)
-        ]
+        return _child_entries(*self)
 
 
 class PrunedList:
@@ -208,7 +207,7 @@ class PrunedList:
 
     def add_run(self, run: PrunedRun) -> None:
         self._items.append(run)
-        self._length += len(run.indices)
+        self._length += run.mask.bit_count()
         self._has_runs = True
 
     def _entries(self) -> list[HeapEntry]:
@@ -294,42 +293,50 @@ class SkylineStrategy:
             len(subspace) if subspace is not None else dims
         )
 
-    @property
-    def result_points(self) -> list[tuple[float, ...]]:
-        """Discovered skyline points (projected), report order."""
-        return self._buffer.points()
-
     def _project(self, point: Sequence[float]) -> tuple[float, ...]:
+        """A point in the space dominance is judged in."""
         if self.subspace is None:
             return tuple(point)
         return tuple(point[d] for d in self.subspace)
 
+    def _corner(self, rect: Rect) -> tuple[float, ...]:
+        """The low corner of a region's image in that space: the heap
+        key's argument, the tie-break and the domination probe at once."""
+        return self._project(rect.lows)
+
     def node_key(self, rect: Rect) -> float:
-        return sum(self._project(rect.lows))
+        return sum(self._corner(rect))
 
     def point_key(self, point: Sequence[float]) -> float:
         return sum(self._project(point))
 
     def evaluate(self, block: NodeBlock):
-        """Keys, dominated mask and tie rows for a node's children at once.
+        """``(keys, dominated, ties)`` for a node's children at once — every
+        strategy's contract: ``keys[i]`` is the heap key of child ``i``
+        (its index in the block), bit ``i`` of the integer ``dominated``
+        says the preference arm prunes it now, and ``ties`` holds the tie
+        rows (``None``: every tie is ``()``), read only for the children
+        that survive or are listed.
 
         Leaf points and inner low corners alike are the ``lows`` rows: the
-        low corner is both the heap key's argument and the domination
-        probe.  The verdicts hold for the whole expansion because the
-        skyline buffer only grows at pops.
+        low corner is the heap key's argument and the domination probe.
+        The verdicts hold for the whole expansion because the buffer only
+        grows at pops.  In the full space the keys are the block's own
+        ``Σ lows``, kept on it.
         """
         if self.subspace is None:
-            rows, ties = block.lows, block.low_tuples
+            rows, ties, keys = block.lows, block.low_tuples, block.low_sums()
         else:
             rows = ties = project_rows(block.lows, self.subspace)
-        return sum_block(rows), self._buffer.dominates_block(rows), ties
+            keys = sum_block(rows)
+        return keys, self._buffer.dominates_block(rows, packed=True), ties
 
     def evaluated(self) -> int:
         """How many skyline points ``evaluate`` tests against right now."""
         return len(self._buffer)
 
     def node_tie(self, rect: Rect) -> tuple[float, ...]:
-        return self._project(rect.lows)
+        return self._corner(rect)
 
     def point_tie(self, point: Sequence[float]) -> tuple[float, ...]:
         return self._project(point)
@@ -337,17 +344,19 @@ class SkylineStrategy:
     def prune(self, entry: HeapEntry) -> bool:
         """Dominated by a discovered skyline point?
 
-        Every entry carries a probe point: a tuple entry its data point, a
-        node entry its MBR's low corner.  Dominating the (projected) low
-        corner dominates the whole (projected) region, so one check covers
-        both cases.  A vetted entry's tie row is that projected probe, and
-        only the points added since its evaluation can be news.
+        Every entry has a probe: a tuple entry its data point, a node
+        entry the low corner of the MBR its parent stored for it —
+        dominating the corner dominates the whole region.  A vetted
+        entry's tie row is that probe, and only the points added since
+        its evaluation can be news.
         """
         if entry.vetted is not None:
             return self._buffer.dominates_point(entry.tie, entry.vetted)
-        probe = entry.point
-        assert probe is not None
-        return self._buffer.dominates_point(self._project(probe))
+        assert entry.point is not None
+        if entry.is_tuple:
+            return self._buffer.dominates_point(self._project(entry.point))
+        assert entry.rect is not None
+        return self._buffer.dominates_point(self._corner(entry.rect))
 
     def add_result(self, entry: HeapEntry) -> bool:
         assert entry.point is not None
@@ -376,16 +385,17 @@ class TopKStrategy:
 
     def evaluate(self, block: NodeBlock):
         """Scores (leaf) or region lower bounds (inner node) for a node's
-        children, and which of them the current k-th score already beats;
-        no tie rows — every tie is ``()``."""
+        children, and the mask of those the current k-th score already
+        beats; no tie rows — every tie is ``()``."""
         if block.leaf:
             keys = self.fn.score_block(block.lows)
         else:
             keys = self.fn.lower_bound_rows(block.lows, block.highs)
         if len(self.scores) < self.k:
-            return keys, [False] * len(keys), None
+            return keys, 0, None
         worst = self.scores[-1]
-        return keys, [key >= worst for key in keys], None
+        beaten = sum(1 << i for i, key in enumerate(keys) if key >= worst)
+        return keys, beaten, None
 
     def evaluated(self) -> int:
         return 0  # ``prune`` is one comparison with the current k-th score
@@ -567,18 +577,13 @@ def run_algorithm1(
                 first_seq = state.seq + 1
                 state.seq += len(block)
                 vetted = strategy.evaluated()
-                keys, pruned, ties = strategy.evaluate(block)
+                keys, dominated, ties = strategy.evaluate(block)
                 parent_path = entry.path
-                bits = block.bits
-                alive, dominated = range(len(block)), ()
-                if True in pruned:
-                    dominated = list(compress(alive, pruned))
-                    alive = [i for i in alive if not pruned[i]]
-                survivors, filtered = alive, ()
+                # Index masks from here on: what one arm prunes is one
+                # ``&`` away, and only the survivors are ever iterated.
+                survivors = alive = block.all_mask & ~dominated
                 if reader is not None and alive:
-                    wanted = 0
-                    for i in alive:
-                        wanted |= bits[i]
+                    wanted = block.slot_mask(alive)
                     passed = reader.check_block(parent_path, wanted)
                     if passed is None:
                         # The reader cannot resolve this node: ask entry by
@@ -587,21 +592,21 @@ def run_algorithm1(
                         # at their pop, as every entry used to be.
                         vetted = None
                         passed = 0
-                        for i in alive:
+                        for i in mask_indices(alive):
                             if reader.check_entry(parent_path, block.slots[i] + 1):
-                                passed |= bits[i]
+                                passed |= 1 << block.slots[i]
                     if passed != wanted:
-                        survivors = [i for i in alive if passed & bits[i]]
-                        filtered = [i for i in alive if not passed & bits[i]]
-                stats.dominance_pruned += len(dominated)
-                stats.boolean_pruned += len(filtered)
+                        survivors = alive & block.index_mask(passed)
+                filtered = alive ^ survivors
+                stats.dominance_pruned += dominated.bit_count()
+                stats.boolean_pruned += filtered.bit_count()
                 if tracer is not None:
-                    arms = dict.fromkeys(filtered, "bool")
                     for i, slot in enumerate(block.slots):
-                        arm = "pref" if pruned[i] else arms.get(i)
-                        if arm is not None:
+                        if not survivors >> i & 1:
                             tracer.prune(
-                                arm, path=parent_path + (slot + 1,), key=keys[i]
+                                "pref" if dominated >> i & 1 else "bool",
+                                path=parent_path + (slot + 1,),
+                                key=keys[i],
                             )
                 if keep_lists:
                     if dominated:
@@ -616,14 +621,11 @@ def run_algorithm1(
                                 parent_path, block, keys, ties, first_seq, filtered
                             )
                         )
-                survivor_ties = (
-                    row_tuples(ties, survivors) if ties is not None else repeat(())
-                )
-                for i, tie in zip(survivors, survivor_ties):
-                    seq = first_seq + i
-                    child = _child_entry(parent_path, block, i, keys[i], seq, tie)
+                for child in _child_entries(
+                    parent_path, block, keys, ties, first_seq, survivors
+                ):
                     child.vetted = vetted
-                    heapq.heappush(heap, (keys[i], tie, seq, child))
+                    heapq.heappush(heap, (child.key, child.tie, child.seq, child))
                 stats.note_heap(len(heap))
     finally:
         # Whatever ended the loop — a finished top-k, a raising ticker, a

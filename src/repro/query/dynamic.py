@@ -20,14 +20,15 @@ from typing import Sequence
 
 from repro.core.pcube import PCube
 from repro.cube.relation import Relation
-from repro.kernels.dominate import DominationBuffer, dominated_mask
+from repro.kernels.dominate import dominated_mask
 from repro.kernels.mindist import (
+    as_rows,
     sum_block,
     transform_points_block,
     transform_points_rows,
     transform_rect_lowers_rows,
 )
-from repro.query.algorithm1 import HeapEntry, SearchState
+from repro.query.algorithm1 import SearchState, SkylineStrategy
 from repro.query.predicates import BooleanPredicate
 from repro.query.stats import QueryStats
 from repro.rtree.geometry import Rect
@@ -63,72 +64,45 @@ def transform_rect_lower(
     return tuple(corner)
 
 
-class DynamicSkylineStrategy:
+class DynamicSkylineStrategy(SkylineStrategy):
     """Skyline domination in the ``|x − q|`` space.
 
     Entries keep their *original* points; the strategy transforms on the
     fly, so the R-tree, signatures and paths are untouched — the point of
-    the Section VII remark.
+    the Section VII remark.  Everything but the transform is the static
+    strategy's: ``prune``'s unvetted branch and ``add_result`` go through
+    the scalar transform per entry (root, resumed and result entries
+    only), an expansion through the block kernels.
     """
 
     def __init__(self, query_point: Sequence[float]) -> None:
         self.query_point = tuple(float(q) for q in query_point)
         if not self.query_point:
             raise ValueError("query point must have at least one dimension")
-        self._buffer = DominationBuffer(len(self.query_point))
+        super().__init__(len(self.query_point))
+        # In the backend's row representation, once per query.
+        self._q = as_rows([self.query_point])[0]
 
-    @property
-    def result_points(self) -> list[tuple[float, ...]]:
-        """Discovered skyline points (transformed), report order."""
-        return self._buffer.points()
-
-    def node_key(self, rect: Rect) -> float:
-        return sum(transform_rect_lower(rect, self.query_point))
-
-    def point_key(self, point: Sequence[float]) -> float:
-        return sum(transform_point(point, self.query_point))
-
-    def evaluate(self, block: NodeBlock):
-        """Keys, dominated mask and tie rows for a node's children: the
-        ``|x − q|`` image is computed once and serves all three."""
-        if block.leaf:
-            image = transform_points_rows(block.lows, self.query_point)
-        else:
-            image = transform_rect_lowers_rows(
-                block.lows, block.highs, self.query_point
-            )
-        return sum_block(image), self._buffer.dominates_block(image), image
-
-    def evaluated(self) -> int:
-        return len(self._buffer)
-
-    def node_tie(self, rect: Rect) -> tuple[float, ...]:
-        return transform_rect_lower(rect, self.query_point)
-
-    def point_tie(self, point: Sequence[float]) -> tuple[float, ...]:
+    def _project(self, point: Sequence[float]) -> tuple[float, ...]:
         return transform_point(point, self.query_point)
 
-    def _probe(self, entry: HeapEntry) -> tuple[float, ...]:
-        assert entry.point is not None
-        if entry.is_tuple:
-            return transform_point(entry.point, self.query_point)
+    def _corner(self, rect: Rect) -> tuple[float, ...]:
         # A node entry carries the MBR its parent stored for it — the
         # interval information the transform needs, with no extra read.
-        assert entry.rect is not None
-        return transform_rect_lower(entry.rect, self.query_point)
+        return transform_rect_lower(rect, self.query_point)
 
-    def prune(self, entry: HeapEntry) -> bool:
-        if entry.vetted is not None:  # its tie row is its probe
-            return self._buffer.dominates_point(entry.tie, entry.vetted)
-        return self._buffer.dominates_point(self._probe(entry))
-
-    def add_result(self, entry: HeapEntry) -> bool:
-        assert entry.point is not None
-        self._buffer.add(transform_point(entry.point, self.query_point))
-        return True
-
-    def finished(self, next_key: float) -> bool:
-        return False
+    def evaluate(self, block: NodeBlock):
+        """``(keys, dominated, ties)`` as ``SkylineStrategy.evaluate`` defines
+        them: the ``|x − q|`` image is computed once per call and serves all
+        three (it depends on ``q``: unlike ``Σ lows``, the block cannot keep it)."""
+        if block.leaf:
+            image = transform_points_rows(block.lows, self._q)
+        else:
+            image = transform_rect_lowers_rows(
+                block.lows, block.highs, self._q
+            )
+        dominated = self._buffer.dominates_block(image, packed=True)
+        return sum_block(image), dominated, image
 
 
 def dynamic_skyline_signature(

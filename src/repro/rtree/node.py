@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.kernels import backend as kernel_backend
-from repro.kernels.mindist import as_rows
+from repro.kernels.mindist import as_rows, sum_block
 from repro.rtree.geometry import Point, Rect
 
 
@@ -55,14 +55,19 @@ class NodeBlock:
     Algorithm 1 evaluates a whole expansion from it: ``lows`` / ``highs``
     are the children's MBR corners in the kernel backend's row
     representation (see :func:`repro.kernels.mindist.as_rows`), so keys,
-    domination masks and transforms are one kernel call each, and
-    ``bits[i]`` is child ``i``'s bit in its parent's signature node
-    (``1 << slot``), so the boolean arm is one mask test.  ``low_tuples``
-    are the same corners as the tuples the entries already hold — what a
-    materialised heap entry carries as its point.
+    domination verdicts and transforms are one kernel call each.
+    ``low_tuples`` are the same corners as the tuples the entries already
+    hold — what a materialised heap entry carries as its point.
 
-    The view is a function of the node's entries alone; ``backend`` records
-    which row representation it was built for.
+    The search names children by *index* in this view, the signature by
+    *slot*: ``all_mask`` is the index mask of every child, ``dense`` says
+    index = slot for all of them (no hole below the last live slot), so
+    that an index mask *is* the slot mask; :meth:`slot_mask` and
+    :meth:`index_mask` translate otherwise.
+
+    The view is a function of the node's entries alone — as is
+    :meth:`low_sums`, kept with it; ``backend`` records which row
+    representation it was built for.
     """
 
     __slots__ = (
@@ -70,10 +75,12 @@ class NodeBlock:
         "leaf",
         "slots",
         "entries",
-        "bits",
+        "all_mask",
+        "dense",
         "low_tuples",
         "lows",
         "highs",
+        "_low_sums",
     )
 
     def __init__(self, node) -> None:
@@ -82,7 +89,8 @@ class NodeBlock:
         self.leaf = node.is_leaf
         self.slots = [slot for slot, _ in live]
         self.entries = [entry for _, entry in live]
-        self.bits = [1 << slot for slot in self.slots]
+        self.all_mask = (1 << len(live)) - 1
+        self.dense = not live or self.slots[-1] == len(live) - 1
         self.low_tuples = [entry.mbr.lows for entry in self.entries]
         self.lows = as_rows(self.low_tuples)
         # A data point's MBR is degenerate: one matrix serves both corners.
@@ -91,9 +99,29 @@ class NodeBlock:
             if self.leaf
             else as_rows([entry.mbr.highs for entry in self.entries])
         )
+        self._low_sums: list[float] | None = None
 
     def __len__(self) -> int:
         return len(self.slots)
+
+    def low_sums(self) -> list[float]:
+        """``Σ lows`` per child (the full-space skyline's heap keys),
+        computed on first use and kept as long as the view is."""
+        if self._low_sums is None:
+            self._low_sums = sum_block(self.lows)
+        return self._low_sums
+
+    def slot_mask(self, indices: int) -> int:
+        """The signature bits (``1 << slot``) of the children in an index mask."""
+        if self.dense:
+            return indices
+        return sum(1 << s for i, s in enumerate(self.slots) if indices >> i & 1)
+
+    def index_mask(self, slots: int) -> int:
+        """The index mask of the children whose signature bit is in ``slots``."""
+        if self.dense:
+            return slots
+        return sum(1 << i for i, s in enumerate(self.slots) if slots >> s & 1)
 
 
 class RTreeNode:

@@ -134,8 +134,9 @@ def test_audit_holds_assembled_equal_to_generated_for_every_pair(rich_system):
     cells sets exactly the generated signature's bits."""
     from repro.bitmap.bitarray import BitArray
     from repro.core.integrity import iter_cell_checks, lattice_problems
-    from repro.core.ops import LazyIntersection
+    from repro.core.pcube import SignatureAdapter
     from repro.core.signature import Signature
+    from repro.core.store import AssembledReader
 
     relation, rtree, pcube = rich_system
     checked = [
@@ -166,7 +167,7 @@ def test_audit_holds_assembled_equal_to_generated_for_every_pair(rich_system):
         for sid in atoms[0].node_sids():
             if atoms[1].node(sid) is not None:
                 plain.set_node(sid, atoms[0].node(sid) & atoms[1].node(sid))
-        lazy = LazyIntersection(atoms)
+        lazy = AssembledReader([SignatureAdapter(atom) for atom in atoms], 0)
         assert all(lazy.check_path(path) for path in generated.tuple_paths())
         if plain != generated:
             assert lattice_problems(cell, plain, atoms, leaf_depth)

@@ -1,17 +1,18 @@
-"""Union / intersection semantics (Fig. 3) and the lazy-AND view."""
+"""Union / intersection semantics (Fig. 3) and the plain-AND upper bound."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ops import (
-    LazyIntersection,
     intersect,
     intersect_all,
     union,
     union_all,
 )
+from repro.core.pcube import SignatureAdapter
 from repro.core.signature import Signature
+from repro.core.store import AssembledReader
 
 FANOUT = 4
 
@@ -28,6 +29,12 @@ path_lists = st.lists(
 
 def sig(paths):
     return Signature.from_paths(paths, FANOUT)
+
+
+def plain_and(*signatures):
+    """The plain AND of the signatures' bits — the upper bound of their
+    intersection: leaf depth 0 means the reader never looks below a bit."""
+    return AssembledReader([SignatureAdapter(s) for s in signatures], 0)
 
 
 def test_union_is_path_union():
@@ -110,10 +117,10 @@ def test_union_intersection_set_semantics(paths_a, paths_b):
 
 @settings(max_examples=40, deadline=None)
 @given(path_lists, path_lists)
-def test_lazy_intersection_is_conservative_and_leaf_exact(paths_a, paths_b):
+def test_plain_and_is_conservative_and_leaf_exact(paths_a, paths_b):
     a, b = sig(paths_a), sig(paths_b)
     exact = intersect(a, b)
-    lazy = LazyIntersection([a, b])
+    lazy = plain_and(a, b)
     shared = set(paths_a) & set(paths_b)
     # Exact on full tuple paths (leaf slots).
     for path in set(paths_a) | set(paths_b):
@@ -126,16 +133,9 @@ def test_lazy_intersection_is_conservative_and_leaf_exact(paths_a, paths_b):
             assert exact.check_path(path[:i])
 
 
-def test_lazy_intersection_validation():
-    with pytest.raises(ValueError):
-        LazyIntersection([])
-    with pytest.raises(ValueError):
-        LazyIntersection([Signature(3), Signature(4)])
-
-
-def test_lazy_intersection_check_bit():
+def test_plain_and_keeps_an_inner_false_positive():
     a = sig([(1, 1)])
     b = sig([(1, 2)])
-    lazy = LazyIntersection([a, b])
-    assert lazy.check_bit(0, 1)  # both have data under node 1 (false pos.)
+    lazy = plain_and(a, b)
+    assert lazy.check_entry((), 1)  # both have data under node 1 (false pos.)
     assert not intersect(a, b).check_bit(0, 1)  # exact clears it

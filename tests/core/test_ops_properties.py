@@ -9,7 +9,7 @@ checks the algebraic laws the assembly layer silently relies on:
 * online assembly is exact — intersecting the atomic cell signatures of a
   conjunction equals the signature generated directly from the merged
   cell's tuple group (the paper's Fig. 3 claim, fuzzed);
-* the lazy AND is conservative at internal nodes but exact on full tuple
+* the plain AND is conservative at internal nodes but exact on full tuple
   paths.
 """
 
@@ -20,13 +20,15 @@ from hypothesis import strategies as st
 
 from repro.core.generation import generate_cuboid_signatures
 from repro.core.ops import (
-    LazyIntersection,
     intersect,
     intersect_all,
     union,
     union_all,
 )
+from repro.core.pcube import SignatureAdapter
+from repro.core.sid import path_of_sid
 from repro.core.signature import Signature
+from repro.core.store import AssembledReader
 from repro.cube.cuboid import Cell, Cuboid
 from repro.cube.relation import Relation
 from repro.cube.schema import Schema
@@ -138,19 +140,24 @@ def test_assembly_equals_direct_generation(rows):
 
 @ALGEBRA_SETTINGS
 @given(rows=rows_strategy)
-def test_lazy_intersection_exact_on_paths(rows):
-    """The lazy AND may over-report internal nodes, never full paths."""
+def test_plain_and_exact_on_paths(rows):
+    """The plain AND (``AssembledReader`` at leaf depth 0: no look-ahead)
+    may over-report internal nodes, never full paths."""
     relation, paths = grown_tree(rows)
     by_a = atomic_signatures(relation, paths, "A")
     by_b = atomic_signatures(relation, paths, "B")
     for sig_a in by_a.values():
         for sig_b in by_b.values():
             exact = intersect(sig_a, sig_b)
-            lazy = LazyIntersection([sig_a, sig_b])
+            lazy = AssembledReader(
+                [SignatureAdapter(sig_a), SignatureAdapter(sig_b)], 0
+            )
             for path in paths.values():
                 assert lazy.check_path(path) == exact.check_path(path)
             # Conservatism: every bit exact keeps, lazy also reports.
             for sid in exact.node_sids():
                 bits = exact.node(sid)
                 for position in bits.positions():
-                    assert lazy.check_bit(sid, position + 1)
+                    assert lazy.check_entry(
+                        path_of_sid(sid, exact.fanout), position + 1
+                    )

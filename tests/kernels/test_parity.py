@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 
 from repro.kernels.backend import NUMPY, PYTHON, np, use_backend
 from repro.kernels.dominate import (
+    _ONE_PASS_PAIRS,
+    _ONE_PASS_ROWS,
+    _PROBE_CHUNK,
     _SCALAR_PROBE,
     _SEED_CHUNK,
     DominationBuffer,
@@ -344,29 +347,47 @@ def test_dominates_point_since_matches_the_scalar_suffix_scan(
         assert buffer.dominates_point(buffered[0], len(buffered)) is False
 
 
-@pytest.mark.parametrize(
-    "n_buffered", [1, _SCALAR_PROBE, _SCALAR_PROBE + 1, 17, 600]
-)
-def test_dominates_point_since_at_every_offset(n_buffered):
-    """Seeded: every ``since`` over buffers of 1 row, the switch-over
-    length and its successor, 17 rows and 600 rows (two numpy chunks),
-    with exact ties — an equal point never dominates."""
-    rng = random.Random(n_buffered)
-    points = [
-        (rng.randrange(6) / 4, rng.randrange(6) / 4) for _ in range(n_buffered)
+def grid_points(rng, dims, n):
+    """``n`` seeded points on the tie-prone ``i / 8`` grid."""
+    return [
+        tuple(rng.randrange(9) / 8 for _ in range(dims)) for _ in range(n)
     ]
-    probes = [points[0], points[-1], (0.0, 0.0), (1.25, 1.25), (0.5, 1.0)]
-    offsets = {
-        0,
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "n_buffered",
+    [
         1,
-        n_buffered // 2,
-        max(0, n_buffered - _SCALAR_PROBE - 1),  # one row past the plain loop
-        n_buffered - 1,
-        n_buffered,
-        n_buffered + 3,
+        _SCALAR_PROBE,
+        _SCALAR_PROBE + 1,
+        _ONE_PASS_ROWS,
+        _ONE_PASS_ROWS + 1,
+        _PROBE_CHUNK + _ONE_PASS_ROWS + 9,
+    ],
+)
+def test_dominates_point_since_at_every_offset(n_buffered, dims):
+    """Seeded: windows ``points[since:]`` on both sides of every regime of
+    the point probe — the plain loop (≤ ``_SCALAR_PROBE`` rows), the one
+    "≤ everywhere" matrix test (≤ ``_ONE_PASS_ROWS``), the per-dimension
+    chunks (one and two of them) — with exact ties: an equal point never
+    dominates, on either backend."""
+    rng = random.Random(10 * n_buffered + dims)
+    points = grid_points(rng, dims, n_buffered)
+    probes = [
+        points[0],
+        points[-1],
+        (0.0,) * dims,
+        (1.0,) * dims,
+        *grid_points(rng, dims, 3),
+    ]
+    offsets = {0, 1, n_buffered // 2, n_buffered, n_buffered + 3} | {
+        max(0, n_buffered - window)
+        for bound in (1, _SCALAR_PROBE, _ONE_PASS_ROWS, _PROBE_CHUNK)
+        for window in (bound, bound + 1)
     }
     for use_numpy in (False, True):
-        buffer = DominationBuffer(2, points=points, use_numpy=use_numpy)
+        buffer = DominationBuffer(dims, points=points, use_numpy=use_numpy)
         for since in offsets:
             for probe in probes:
                 assert buffer.dominates_point(probe, since) is any(
@@ -374,24 +395,46 @@ def test_dominates_point_since_at_every_offset(n_buffered):
                 ), (use_numpy, since, probe)
 
 
-@pytest.mark.parametrize("n_probes", [1, 64])
-@pytest.mark.parametrize("n_buffered", [1, _SEED_CHUNK, _SEED_CHUNK + 1, 600])
-def test_dominates_block_matches_the_scalar_oracle(n_buffered, n_probes):
-    """The first chunk runs on the whole probe matrix and is the answer
-    when the buffer fits in it; longer buffers go on with the survivors."""
-    rng = random.Random(1000 * n_buffered + n_probes)
+@pytest.mark.parametrize("dims", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "n_buffered, n_probes",
+    [
+        (0, 3),
+        (5, 0),
+        (1, 1),
+        (_SEED_CHUNK, 64),
+        (_SEED_CHUNK + 1, 64),
+        # On the one-pass bound, and one pair past it from both sides.
+        (64, _ONE_PASS_PAIRS // 64),
+        (65, _ONE_PASS_PAIRS // 64),
+        (64, _ONE_PASS_PAIRS // 64 + 1),
+        # Past the bound with a buffer that fits the first chunk.
+        (_SEED_CHUNK, _ONE_PASS_PAIRS // _SEED_CHUNK + 1),
+        (600, 64),
+    ],
+)
+def test_dominates_block_matches_the_scalar_oracle(n_buffered, n_probes, dims):
+    """One pass over a small buffer, escalating chunks over a large one:
+    the verdicts — as a list and packed into one integer, bit ``j`` for
+    probe ``j`` — are the scalar reference's on both backends."""
+    rng = random.Random(1000 * n_buffered + 10 * n_probes + dims)
     # An anti-correlated staircase keeps most probes alive past the first
-    # chunk; the grid manufactures exact ties.
+    # chunk; the grid manufactures exact ties and equal points.
     points = [
-        (i / n_buffered, 1.0 - i / n_buffered, rng.randrange(4) / 4)
+        (i / max(1, n_buffered), 1.0 - i / max(1, n_buffered))[:dims]
+        + tuple(rng.randrange(9) / 8 for _ in range(dims - 2))
         for i in range(n_buffered)
     ]
-    probes = [
-        (rng.random(), rng.random(), rng.randrange(4) / 4)
-        for _ in range(n_probes - 1)
-    ] + [points[-1]]
+    probes = grid_points(rng, dims, n_probes)
+    if points and probes:
+        probes[-1] = points[-1]
     expected = [any(dominates(s, p) for s in points) for p in probes]
+    packed = sum(1 << j for j, hit in enumerate(expected) if hit)
     for use_numpy in (False, True):
-        buffer = DominationBuffer(3, points=points, use_numpy=use_numpy)
+        buffer = DominationBuffer(dims, points=points, use_numpy=use_numpy)
         assert buffer.dominates_block(probes) == expected
-        assert buffer.dominates_block(np.asarray(probes)) == expected
+        assert buffer.dominates_block(probes, packed=True) == packed
+        if probes:
+            rows = np.asarray(probes)
+            assert buffer.dominates_block(rows) == expected
+            assert buffer.dominates_block(rows, packed=True) == packed

@@ -13,6 +13,7 @@ roll-up queries, with healthy and with unreadable signatures.
 import heapq
 import math
 import random
+from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
@@ -584,8 +585,9 @@ def test_runs_materialise_in_append_order(leaf_block, appends, read_after):
             expected.append((seq, (9, seq)))
         else:
             parent = (step + 1,)
+            mask = sum(1 << i for i in item)
             pruned.add_run(
-                PrunedRun(parent, leaf_block, keys, None, seq + 1, item)
+                PrunedRun(parent, leaf_block, keys, None, seq + 1, mask)
             )
             expected.extend(
                 (seq + 1 + i, parent + (leaf_block.slots[i] + 1,))
@@ -659,8 +661,8 @@ def test_topk_and_dynamic_strategies_direct(system, backend):
                 TopKStrategy(LinearFunction([0.5, -1.0, 0.25]), 3),
                 DynamicSkylineStrategy((0.2, 0.9, 0.5)),
             ):
-                keys, pruned, ties = strategy.evaluate(block)
-                assert pruned == [False] * len(block)
+                keys, dominated, ties = strategy.evaluate(block)
+                assert dominated == 0
                 for i, child in enumerate(block.entries):
                     if block.leaf:
                         key = strategy.point_key(child.mbr.lows)
@@ -1012,3 +1014,177 @@ def test_degraded_read_keeps_its_pop_time_tests(backend, exact, lost_read):
     assert reader.degraded_checks == ref_reader.degraded_checks
     assert stats_facts(stats) == stats_facts(ref_stats)
     assert state_facts(state) == state_facts(ref_state)
+
+
+# --------------------------------------------------------------------------- #
+# an expansion costs what its survivors cost: one domination pass, kept keys,
+# masks instead of index lists, one heap entry per push
+# --------------------------------------------------------------------------- #
+
+
+@contextmanager
+def counting_expansions():
+    """Count what the reads inside the block did per expansion: calls of
+    ``dominates_block`` (and how many met an empty buffer or exceeded the
+    one-pass bound), ``_block_dominates`` passes, block key sums, pruned
+    runs turned into entries, heap entries built and heap pushes."""
+    import heapq as real_heapq
+    from types import SimpleNamespace
+
+    from repro.kernels import dominate
+    from repro.kernels.dominate import DominationBuffer
+    from repro.query import algorithm1
+    from repro.rtree import node as node_module
+
+    counts = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    real_block = DominationBuffer.dominates_block
+
+    def dominates_block(self, probes, **kwargs):
+        counts["dominates_block"] += 1
+        if len(self) == 0:
+            counts["empty_buffer"] += 1
+        elif len(self) * len(probes) > dominate._ONE_PASS_PAIRS:
+            counts["escalated"] += 1
+        return real_block(self, probes, **kwargs)
+
+    shim = SimpleNamespace(
+        heapify=real_heapq.heapify,
+        heappop=real_heapq.heappop,
+        heappush=counted("pushes", real_heapq.heappush),
+    )
+    with (
+        mock.patch.object(DominationBuffer, "dominates_block", dominates_block),
+        mock.patch.object(
+            dominate, "_block_dominates",
+            counted("passes", dominate._block_dominates),
+        ),
+        mock.patch.object(
+            node_module, "sum_block", counted("key_sums", node_module.sum_block)
+        ),
+        mock.patch.object(
+            PrunedRun, "entries", counted("runs_read", PrunedRun.entries)
+        ),
+        mock.patch.object(
+            HeapEntry, "__init__", counted("entries_built", HeapEntry.__init__)
+        ),
+        mock.patch.object(algorithm1, "heapq", shim),
+    ):
+        yield counts
+
+
+@backends
+@pytest.mark.parametrize("n_conjuncts", [0, 1])
+@pytest.mark.parametrize("name", ["skyline", "subspace", "dynamic"])
+def test_an_expansion_is_one_domination_call_and_one_pass(
+    system, backend, name, n_conjuncts
+):
+    predicate = predicate_for(system, n_conjuncts)
+    with use_backend(backend), counting_expansions() as counts:
+        result = run_query(system, name, predicate)
+    stats = result.stats
+    assert counts["dominates_block"] == stats.nodes_expanded > 1
+    # Buffer × block stays under the one-pass bound on this tree, so every
+    # call that has a buffer to test against is exactly one kernel pass.
+    assert counts["escalated"] == 0 < counts["empty_buffer"]
+    if backend == "numpy":
+        assert counts["passes"] == stats.nodes_expanded - counts["empty_buffer"]
+    # A served read builds the root and what it pushes, and leaves what it
+    # pruned as masks.
+    assert counts["pushes"] > stats.results
+    assert counts["entries_built"] == counts["pushes"] + 1
+    assert counts["runs_read"] == 0
+    # ... and the lists know their length without reading a run.
+    assert len(result.state.d_list) == stats.dominance_pruned > 0
+    assert counts["runs_read"] == 0
+
+
+def test_pruned_runs_become_the_oracles_entries_on_the_first_read(system_2k):
+    """Iterating a list, or resuming from it, is what turns masks into
+    entries — the per-child oracle's entries, in its order."""
+    stronger = predicate_for(system_2k, 2)
+    dim, value = list(stronger)[-1]
+    weaker = stronger.roll_up(dim)
+    with per_child_expansion():
+        reference = run_query(system_2k, "skyline", weaker)
+    with counting_expansions() as counts:
+        result = run_query(system_2k, "skyline", weaker)
+        assert counts["runs_read"] == 0
+        assert flat(result.state.d_list) == flat(reference.state.d_list)
+        d_runs = counts["runs_read"]
+        assert 0 < d_runs <= result.stats.nodes_expanded
+        assert flat(result.state.b_list) == flat(reference.state.b_list)
+        assert counts["runs_read"] > d_runs
+        list(result.state.d_list), list(result.state.b_list)
+        assert counts["runs_read"] <= 2 * result.stats.nodes_expanded
+    with counting_expansions() as counts:
+        fresh = run_query(system_2k, "skyline", weaker)
+        assert counts["runs_read"] == 0
+        drilled = system_2k.engine.drill_down(fresh, dim, value)
+        assert counts["runs_read"] > 0
+    with per_child_expansion():
+        assert result_facts(drilled) == result_facts(
+            system_2k.engine.drill_down(reference, dim, value)
+        )
+
+
+def test_full_space_skyline_keys_are_kept_on_the_frozen_block():
+    """``Σ lows`` is a function of the block: the first skyline on a
+    snapshot sums each block it expands once, the second sums nothing; a
+    live tree's blocks are rebuilt per expansion and so are their sums; a
+    subspace or dynamic skyline's keys are not the block's."""
+    from repro.query.session import QuerySession
+
+    system = build_sweep_system(1_500, fanout=8, seed=3)
+    predicate = predicate_for(system, 1)
+    with counting_expansions() as counts:
+        live = system.engine.skyline(predicate)
+        assert counts["key_sums"] == live.stats.nodes_expanded
+        system.engine.skyline(predicate)
+        assert counts["key_sums"] == 2 * live.stats.nodes_expanded
+    system.enable_epochs()
+    snapshot = system.pin_snapshot()
+    try:
+        session = QuerySession.for_snapshot(snapshot)
+        with counting_expansions() as counts:
+            first = session.skyline(predicate)
+            assert counts["key_sums"] == first.stats.nodes_expanded > 1
+            second = session.skyline(predicate)
+            session.skyline(predicate, preference_by=("N1", "N3"))
+            session.dynamic_skyline((0.4, 0.6, 0.5), predicate)
+            assert counts["key_sums"] == first.stats.nodes_expanded
+        assert result_facts(first) == result_facts(second) == result_facts(live)
+    finally:
+        system.unpin_snapshot(snapshot)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(min_value=0, max_value=11)), st.data())
+def test_block_masks_translate_between_indices_and_slots(live_slots, data):
+    """``slot_mask`` / ``index_mask`` are inverse on a node with holes and
+    the identity on one without; ``all_mask`` has one bit per child."""
+    from repro.rtree.geometry import Rect
+    from repro.rtree.node import Entry, RTreeNode
+
+    node = RTreeNode(0, 0, 12)
+    node.entries = [
+        Entry(Rect.from_point((float(s), 0.0)), tid=s) if s in live_slots else None
+        for s in range(max(live_slots, default=-1) + 1)
+    ]
+    block = node.block()
+    slots = sorted(live_slots)
+    assert block.slots == slots and block.all_mask == (1 << len(slots)) - 1
+    assert block.dense == (slots == list(range(len(slots))))
+    picked = data.draw(st.sets(st.sampled_from(slots))) if slots else set()
+    indices = sum(1 << slots.index(s) for s in picked)
+    wanted = sum(1 << s for s in picked)
+    assert block.slot_mask(indices) == wanted
+    assert block.index_mask(wanted) == indices
+    assert block.slot_mask(block.all_mask) == sum(1 << s for s in slots)
