@@ -49,8 +49,9 @@ def build_boolean_indexes(
     for dim in relation.schema.boolean_dims:
         tree = BPlusTree(order=order, disk=disk, tag=f"{tag}:{dim}")
         position = relation.schema.boolean_position(dim)
-        for tid in relation.tids():
-            tree.insert(relation.bool_row(tid)[position], tid)
+        tree.bulk_insert(
+            (relation.bool_row(tid)[position], tid) for tid in relation.tids()
+        )
         indexes[dim] = tree
     return indexes
 

@@ -19,29 +19,23 @@ for ``--compare`` to gate on.
 from __future__ import annotations
 
 import random
-import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.baselines.boolean_first import (
-    boolean_first_skyline,
-    boolean_first_topk,
-    build_boolean_indexes,
-)
+from repro.baselines.boolean_first import boolean_first_skyline, boolean_first_topk
 from repro.baselines.domination_first import (
     domination_first_skyline,
     ranking_topk,
 )
 from repro.baselines.index_merge import index_merge_topk
-from repro.core.pcube import PCube
 from repro.data.fixtures import N_QUERIES, SWEEP_SIZES, build_sweep_system, sweep_config
 from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
 from repro.query.skyline import skyline_signature
 from repro.query.stats import QueryStats
 from repro.query.topk import topk_signature
-from repro.rtree.rtree import RTree
+from repro.system import build_system
 
 K_VALUES = (10, 20, 50, 100)
 
@@ -106,29 +100,16 @@ def fig05_construction(ctx: BenchContext) -> dict[str, Any]:
     """Construction time vs T (insert-built R-tree vs P-Cube vs B-trees)."""
     series = _series(["B-tree", "P-Cube", "R-tree"])
     for n_tuples in ctx.sizes:
-        relation = generate_relation(sweep_config(n_tuples))
-        started = time.perf_counter()
-        rtree = RTree(
-            dims=relation.schema.n_preference,
-            max_entries=64,
-            disk=relation.disk,
-        )
-        for tid, point in relation.pref_points():
-            rtree.insert(tid, point)
-        rtree_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        PCube.build(relation, rtree, maintainable=False)
-        pcube_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        build_boolean_indexes(relation)
-        btree_seconds = time.perf_counter() - started
-
+        timings = build_system(
+            generate_relation(sweep_config(n_tuples)),
+            fanout=64,
+            rtree_method="insert",
+            maintainable=False,
+        ).timings
         for name, seconds in (
-            ("R-tree", rtree_seconds),
-            ("P-Cube", pcube_seconds),
-            ("B-tree", btree_seconds),
+            ("R-tree", timings.rtree_seconds),
+            ("P-Cube", timings.pcube_seconds),
+            ("B-tree", timings.btree_seconds),
         ):
             series[name]["points"].append(
                 {"x": n_tuples, "wall_ms": seconds * 1e3}

@@ -24,6 +24,8 @@ information.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.bitmap.bitarray import BitArray, pack_words, unpack_words
 
 
@@ -302,7 +304,17 @@ def compress(bits: BitArray, codec: str = "adaptive") -> bytes:
     first in :data:`CODECS` order.  Only the winner is encoded: every frame
     spends the same bytes on the codec id and the width, so the smallest
     body, computed from the mask, is the smallest blob.
+
+    The blob is a pure function of ``(nbits, mask, codec)`` and memoised
+    on it: nine in ten node bit arrays of a build repeat an earlier one
+    (EXPERIMENTS.md, Assumptions row 25).
     """
+    return _encode(bits.nbits, bits.mask, codec)
+
+
+@lru_cache(maxsize=1 << 15)
+def _encode(nbits: int, mask: int, codec: str) -> bytes:
+    bits = BitArray(nbits, mask)
     if codec == "adaptive":
         codec = min(CODECS, key=lambda name: _BODY_LEN[name](bits))
     try:
@@ -310,7 +322,7 @@ def compress(bits: BitArray, codec: str = "adaptive") -> bytes:
     except KeyError:
         raise CodecError(f"unknown codec {codec!r}") from None
     frame = bytearray([codec_id])
-    write_varint(bits.nbits, frame)
+    write_varint(nbits, frame)
     frame += encode(bits)
     return bytes(frame)
 

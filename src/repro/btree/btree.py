@@ -9,7 +9,7 @@ anything totally ordered and of a homogeneous type per tree.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterator
 
 from repro.storage.buffer import BufferPool
@@ -64,6 +64,8 @@ class BPlusTree:
         self.order = order
         self.disk = disk if disk is not None else SimulatedDisk()
         self.tag = tag
+        #: Page id -> node whose write :meth:`bulk_insert` is holding back.
+        self._unsynced: dict[int, _Leaf | _Internal] | None = None
         self.root: _Leaf | _Internal = _Leaf()
         self._register(self.root)
         self._n_entries = 0
@@ -77,6 +79,9 @@ class BPlusTree:
         self._sync(node)
 
     def _sync(self, node: _Leaf | _Internal) -> None:
+        if self._unsynced is not None:
+            self._unsynced[node.page_id] = node
+            return
         per_slot = _KEY_BYTES + _POINTER_BYTES
         size = _NODE_HEADER_BYTES + len(node.keys) * per_slot
         assert node.page_id is not None
@@ -160,9 +165,27 @@ class BPlusTree:
         return sep, right
 
     def bulk_insert(self, pairs) -> None:
-        """Insert many ``(key, value)`` pairs."""
-        for key, value in pairs:
-            self.insert(key, value)
+        """Insert many ``(key, value)`` pairs, writing each node once.
+
+        The same inserts and splits as one :meth:`insert` per pair — so the
+        same nodes, keys and page ids — with each dirtied node's page
+        written when the batch ends; a batch cut short by a fault still
+        writes every node it dirtied (one whose own write fails aside).
+        """
+        self._unsynced = {}
+        try:
+            for key, value in pairs:
+                self.insert(key, value)
+        finally:
+            dirtied, self._unsynced = self._unsynced, None
+            failure: Exception | None = None
+            for node in dirtied.values():
+                try:
+                    self._sync(node)
+                except Exception as exc:  # a storage fault or a simulated crash
+                    failure = failure or exc
+            if failure is not None:
+                raise failure
 
     def delete(self, key: Any, value: Any = _DELETE_ANY) -> int:
         """Remove slots matching ``key`` (and ``value``, when given).
@@ -275,8 +298,3 @@ class BPlusTree:
             if key != previous:
                 previous = key
                 yield key
-
-
-# re-export for callers that only need sorted insertion helpers
-__all__ = ["BPlusTree"]
-del insort

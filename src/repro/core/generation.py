@@ -6,10 +6,11 @@ the cell signature is built by *recursive sorting*: sort the group by the
 first path component, set the distinct components in the root bit array,
 then recurse into each sub-list sharing the same component.
 
-The result is identical to inserting each path bit-by-bit
-(:meth:`repro.core.signature.Signature.from_paths`); the recursive-sort
-formulation is the one the paper gives because it streams well over sorted
-cuboid groups, and we keep it both for fidelity and as a cross-check.
+This module is the *oracle*, not the production path: nothing under
+``src/`` imports it.  The build counts paths instead
+(:meth:`repro.core.pcube.PCube.build`), and
+``tests/core/test_generation.py::test_build_matches_the_oracle`` holds every
+stored cell — bits, pages and counts — against the recursive sort.
 """
 
 from __future__ import annotations

@@ -8,10 +8,9 @@ incremental updates driven by R-tree path changes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.counted import CountedSignature
-from repro.core.generation import generate_cuboid_signatures
 from repro.core.sid import sid_of_path
 from repro.obs.trace import COVER, Tracer
 from repro.core.signature import Signature
@@ -323,7 +322,6 @@ class PCube(ReaderFactory):
         # commits, so a rewrite that follows a faulted one compresses the
         # union of both writes' paths.
         self._pending_sids: dict[Cell, set[int]] = {}
-        self._built = False
 
     # ------------------------------------------------------------------ #
     # construction
@@ -339,29 +337,35 @@ class PCube(ReaderFactory):
         tag: str = "pcube",
         maintainable: bool = True,
     ) -> "PCube":
-        """Generate, compress, decompose and store every cell signature."""
+        """Derive, compress, decompose and store every cell signature.
+
+        Counts first: each cuboid is grouped once and each cell goes through
+        :meth:`_derive`, in first-appearance order, so the pages are a
+        function of the relation and the tree alone.  The paper's recursive
+        sort (Fig. 2b, :mod:`repro.core.generation`) is the oracle tier-1
+        holds every stored cell against, not a second pass here.
+        """
         pcube = cls(relation, rtree, cuboids, codec, tag, maintainable)
         paths = rtree.all_paths()
         for cuboid in pcube.cuboids:
-            signatures = generate_cuboid_signatures(
-                relation, cuboid, paths, pcube.fanout
-            )
-            for cell, signature in signatures.items():
-                pcube.store.put_signature(cell, signature)
-        if maintainable:
-            pcube._rebuild_counts(paths)
-        pcube._built = True
+            for cell, tids in cuboid.group(relation).items():
+                pcube._derive(cell, tids, paths)
         return pcube
 
-    def _rebuild_counts(self, paths: dict[int, tuple[int, ...]]) -> None:
-        """(Re)derive every counted signature in one pass over the data."""
-        self._counted = {}
-        for cuboid in self.cuboids:
-            for cell, tids in cuboid.group(self.relation).items():
-                counted = CountedSignature(self.fanout)
-                for tid in tids:
-                    counted.add_path(paths[tid])
-                self._counted[cell] = counted
+    def _derive(
+        self, cell: Cell, tids: Iterable[int], paths: dict[int, tuple[int, ...]]
+    ) -> CountedSignature:
+        """(Re)derive one cell from its live tuples' paths: count them, store
+        straight from the counts, keep the counts when ``maintainable`` —
+        the one step the build, :meth:`rebuild_all` and
+        :meth:`recompute_cell` share."""
+        counted = CountedSignature.from_paths(
+            (paths[tid] for tid in tids), self.fanout
+        )
+        self._put(cell, counted)
+        if self.maintainable:
+            self._counted[cell] = counted
+        return counted
 
     # ------------------------------------------------------------------ #
     # query-side interface: inherited from ReaderFactory
@@ -442,19 +446,9 @@ class PCube(ReaderFactory):
         for cuboid in self.cuboids:
             groups = cuboid.group(self.relation, include_tombstoned=True)
             for cell in sorted(groups, key=lambda c: c.cell_id):
-                tids = [
-                    tid for tid in groups[cell] if self.relation.is_live(tid)
-                ]
-                signature = Signature.from_paths(
-                    (paths[tid] for tid in tids), self.fanout
-                )
-                self._put(cell, signature)
+                live = filter(self.relation.is_live, groups[cell])
+                self._derive(cell, live, paths)
                 self.store.clear_quarantine(cell)
-                if self.maintainable:
-                    counted = CountedSignature(self.fanout)
-                    for tid in tids:
-                        counted.add_path(paths[tid])
-                    self._counted[cell] = counted
                 stored += 1
         return stored
 
@@ -556,22 +550,14 @@ class PCube(ReaderFactory):
         tree, collect the cell's tuple paths, regenerate.  O(T) per call —
         correct under any mutation, used when ``maintainable=False``.
         """
-        paths = self.rtree.all_paths()
-        tids = [
+        members = (
             tid
             for tid in self.relation.live_tids()
             if cell.matches(self.relation, tid)
-        ]
-        signature = Signature.from_paths(
-            (paths[tid] for tid in tids), self.fanout
         )
-        self._put(cell, signature)
-        if self.maintainable:
-            counted = CountedSignature(self.fanout)
-            for tid in tids:
-                counted.add_path(paths[tid])
-            self._counted[cell] = counted
-        return signature
+        return self._derive(
+            cell, members, self.rtree.all_paths()
+        ).to_signature()
 
     # ------------------------------------------------------------------ #
     # accounting

@@ -476,13 +476,9 @@ class SignatureStore(_DirectoryReads):
         self._index = BPlusTree(
             order=128, disk=self.disk, tag=f"{self.tag}:index"
         )
-        entries = 0
-        for cell_id in sorted(self._directory):
-            refs = self._directory[cell_id]
-            for ref in sorted(refs):
-                self._index.insert((cell_id, ref), refs[ref])
-                entries += 1
-        return entries
+        entries = self.directory_entries()
+        self._index.bulk_insert(entries)
+        return len(entries)
 
 
 class StoreView(_DirectoryReads):

@@ -75,12 +75,14 @@ class Cuboid:
         tids = (
             relation.tids() if include_tombstoned else relation.live_tids()
         )
-        groups: dict[Cell, list[int]] = {}
+        by_values: dict[tuple, list[int]] = {}
         for tid in tids:
             row = relation.bool_row(tid)
-            cell = Cell(self.dims, tuple(row[p] for p in positions))
-            groups.setdefault(cell, []).append(tid)
-        return groups
+            by_values.setdefault(tuple(row[p] for p in positions), []).append(tid)
+        return {
+            Cell(self.dims, values): members
+            for values, members in by_values.items()
+        }
 
     def cell_for(self, relation: Relation, tid: int) -> Cell:
         """The cell of this cuboid that a given tuple belongs to."""

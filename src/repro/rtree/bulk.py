@@ -95,41 +95,29 @@ def bulk_load(
             raise ValueError(f"point for tid {tid} has {len(coords)} dims, expected {dims}")
         point_map[tid] = tuple(float(v) for v in coords)
 
-    # --- leaves ---------------------------------------------------------- #
+    # One level at a time, leaves first.  An item is (the point the tiling
+    # sorts by, the entry's MBR, the tid or child node the entry holds), so
+    # each node's MBR is taken once.
     tid_leaf: dict[int, RTreeNode] = {}
-    leaf_groups = _tile(
-        list(point_map.items()),
-        key_point=lambda item: item[1],
-        dims=dims,
-        capacity=capacity,
-    )
-    level_nodes: list[RTreeNode] = []
-    for group in leaf_groups:
-        leaf = tree._new_node(level=0)
-        for tid, point in group:
-            leaf.add_entry(Entry(Rect.from_point(point), tid=tid))
-            tid_leaf[tid] = leaf
-        tree._sync_page(leaf)
-        level_nodes.append(leaf)
-
-    # --- upper levels ----------------------------------------------------- #
+    items = [(p, Rect.from_point(p), tid) for tid, p in point_map.items()]
     level = 0
-    while len(level_nodes) > 1:
+    while True:
+        nodes: list[RTreeNode] = []
+        for group in _tile(items, lambda item: item[0], dims, capacity):
+            node = tree._new_node(level=level)
+            for _, box, held in group:
+                if level:
+                    node.add_entry(Entry(box, child=held))
+                else:
+                    node.add_entry(Entry(box, tid=held))
+                    tid_leaf[held] = node
+            tree._sync_page(node)
+            nodes.append(node)
+        if len(nodes) == 1:
+            break
+        boxes = [node.mbr() for node in nodes]
+        items = [(box.center(), box, node) for box, node in zip(boxes, nodes)]
         level += 1
-        parent_groups = _tile(
-            level_nodes,
-            key_point=lambda node: node.mbr().center(),
-            dims=dims,
-            capacity=capacity,
-        )
-        parents: list[RTreeNode] = []
-        for group in parent_groups:
-            parent = tree._new_node(level=level)
-            for child in group:
-                parent.add_entry(Entry(child.mbr(), child=child))
-            tree._sync_page(parent)
-            parents.append(parent)
-        level_nodes = parents
 
-    tree._adopt_bulk(level_nodes[0], point_map, tid_leaf)
+    tree._adopt_bulk(nodes[0], point_map, tid_leaf)
     return tree

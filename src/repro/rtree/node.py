@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 from repro.kernels import backend as kernel_backend
 from repro.kernels.mindist import as_rows, sum_block
-from repro.rtree.geometry import Point, Rect
+from repro.rtree.geometry import Rect
 
 
 class Entry:
@@ -185,16 +185,17 @@ class RTreeNode:
         Raises:
             OverflowError: if the node is full — callers split first.
         """
-        for index, existing in enumerate(self.entries):
-            if existing is None:
-                self.entries[index] = entry
-                self._adopt(entry)
-                return index
-        if len(self.entries) >= self._capacity:
+        entries = self.entries
+        if None in entries:
+            index = entries.index(None)
+            entries[index] = entry
+        elif len(entries) >= self._capacity:
             raise OverflowError(f"node #{self.node_id} is full")
-        self.entries.append(entry)
+        else:
+            index = len(entries)
+            entries.append(entry)
         self._adopt(entry)
-        return len(self.entries) - 1
+        return index
 
     def remove_slot(self, slot: int) -> Entry:
         """Free a slot and return the entry that occupied it."""
@@ -287,6 +288,3 @@ def subtree_nodes(node: RTreeNode) -> Iterator[RTreeNode]:
     for _, entry in node.live_entries():
         assert entry.child is not None
         yield from subtree_nodes(entry.child)
-
-
-Pointlike = Point  # re-export convenience for annotations

@@ -669,6 +669,15 @@ class RTree:
         self.root = root
         self._points = points
         self._tid_leaf = tid_leaf
-        self._paths = {
-            tid: tuple_path(leaf, tid) for tid, leaf in tid_leaf.items()
-        }
+        # One top-down walk finds every path; kept in the loader's tid order.
+        found: dict[int, tuple[int, ...]] = {}
+        stack: list[tuple[RTreeNode, tuple[int, ...]]] = [(root, ())]
+        while stack:
+            node, prefix = stack.pop()
+            for slot, entry in node.live_entries():
+                path = prefix + (slot + 1,)
+                if entry.child is None:
+                    found[entry.tid] = path
+                else:
+                    stack.append((entry.child, path))
+        self._paths = {tid: found[tid] for tid in tid_leaf}

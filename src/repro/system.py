@@ -351,6 +351,10 @@ def build_system(
 ) -> PCubeSystem:
     """Build R-tree + P-Cube + baseline indexes over an existing relation.
 
+    Each structure touches each tuple once (DESIGN.md "Build"), and the
+    pages are a function of the relation and the arguments alone;
+    :attr:`PCubeSystem.timings` attributes the wall time per structure.
+
     Args:
         relation: The base table (its disk hosts every structure).
         fanout: R-tree node capacity; derived from the page size and the

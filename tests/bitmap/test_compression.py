@@ -1,9 +1,14 @@
 """Codec roundtrips, framing, adaptive choice and malformed input."""
 
+import sys
+import threading
+from functools import lru_cache
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.bitmap import compression
 from repro.bitmap.bitarray import BitArray
 from repro.bitmap.compression import (
     CODECS,
@@ -230,3 +235,79 @@ def test_adaptive_byte_identity_on_every_node_of_a_built_cube(small_system):
             assert blob == encode_all_and_keep_smallest(decompress(blob))
             nodes += 1
     assert nodes > 1000
+
+
+# --------------------------------------------------------------------------- #
+# the blob memo: compress is a pure function of (nbits, mask, codec)
+# --------------------------------------------------------------------------- #
+
+
+def test_compress_encodes_a_value_once():
+    compression._encode.cache_clear()
+    values = [BitArray(64, 1 << slot) for slot in range(8)]
+    first = [compress(bits) for bits in values]
+    again = [compress(BitArray(64, bits.mask)) for bits in values]
+    assert again == first
+    info = compression._encode.cache_info()
+    assert (info.misses, info.hits) == (8, 8)
+    # The codec is part of the key; a failure is never kept.
+    assert compress(values[0], "raw") != first[0]
+    assert compression._encode.cache_info().misses == 9
+    for _ in range(2):
+        with pytest.raises(CodecError):
+            compress(values[0], "zip")
+    assert compression._encode.cache_info().currsize == 9
+
+
+def tiny_memo(monkeypatch, entries):
+    """The memo at a bound small enough to evict (the shipped bound is a
+    constant; this wraps the same encoder)."""
+    encoder = compression._encode.__wrapped__
+    memo = lru_cache(maxsize=entries)(encoder)
+    monkeypatch.setattr(compression, "_encode", memo)
+    return memo, encoder
+
+
+def test_the_memo_is_bounded_and_eviction_changes_no_blob(monkeypatch):
+    assert compression._encode.cache_info().maxsize == 1 << 15
+    memo, encoder = tiny_memo(monkeypatch, 4)
+    values = [BitArray(70, (1 << slot) | 1) for slot in range(1, 30)]
+    for _ in range(3):
+        for bits in values:
+            assert compress(bits) == encoder(bits.nbits, bits.mask, "adaptive")
+    info = memo.cache_info()
+    assert info.currsize == info.maxsize == 4
+    assert info.misses == 3 * len(values)  # cyclic scan: every entry evicted
+
+
+@pytest.mark.concurrent
+def test_the_memo_returns_equal_bytes_under_two_threads(monkeypatch):
+    memo, encoder = tiny_memo(monkeypatch, 8)  # evicting all the time
+    values = [BitArray(64, (1 << slot) | (1 << (slot * 7) % 64)) for slot in range(40)]
+    expected = {bits.mask: encoder(64, bits.mask, "adaptive") for bits in values}
+    wrong: list[int] = []
+
+    def hammer(order):
+        for _ in range(150):
+            for bits in order:
+                if compress(bits) != expected[bits.mask]:
+                    wrong.append(bits.mask)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [
+            threading.Thread(target=hammer, args=(values,)),
+            threading.Thread(target=hammer, args=(values[::-1],)),
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+            assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    info = memo.cache_info()
+    assert info.hits + info.misses == 2 * 150 * len(values)
+    assert info.currsize <= 8

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree.btree import BPlusTree
+from repro.btree.btree import _KEY_BYTES, _NODE_HEADER_BYTES, _POINTER_BYTES, BPlusTree
 from repro.storage.buffer import BufferPool
-from repro.storage.counters import BINDEX, BTREE, IOCounters
+from repro.storage.counters import ALLOC, BINDEX, BTREE, WRITE, IOCounters
 from repro.storage.disk import SimulatedDisk
+from repro.storage.errors import StorageFault
+from repro.storage.faults import FaultPlan, FaultRule, FaultyDisk, SimulatedCrash
 
 
 def test_empty_tree():
@@ -127,6 +129,112 @@ def test_bulk_insert():
     tree = BPlusTree(order=16)
     tree.bulk_insert((i, i * i) for i in range(50))
     assert tree.search(7) == [49]
+
+
+def tree_nodes(tree):
+    """Every node, pre-order."""
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(getattr(node, "children", ())))
+
+
+def tree_shape(tree):
+    """Node by node: kind, page id, keys, values / child page ids, leaf
+    chain — and what the node's page holds (size, checksum)."""
+    shape = []
+    for node in tree_nodes(tree):
+        page = tree.disk.peek(node.page_id)
+        below = (
+            [child.page_id for child in node.children]
+            if hasattr(node, "children")
+            else (list(node.values), node.next.page_id if node.next else None)
+        )
+        shape.append(
+            (type(node).__name__, node.page_id, list(node.keys), below, page.size, page.checksum)
+        )
+    return shape
+
+
+def assert_pages_hold_their_nodes(tree):
+    for node in tree_nodes(tree):
+        page = tree.disk.peek(node.page_id)
+        assert page.payload is node
+        assert page.size == _NODE_HEADER_BYTES + len(node.keys) * (
+            _KEY_BYTES + _POINTER_BYTES
+        )
+        page.verify()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=128),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=40), st.integers()),
+        max_size=500,
+    ),
+)
+def test_bulk_insert_is_the_same_inserts_with_one_write_per_node(order, pairs):
+    """``bulk_insert`` ≡ one ``insert`` per pair — same nodes, keys, values,
+    page ids, page sizes and checksums — and it writes each node it dirtied
+    exactly once."""
+    one_by_one = BPlusTree(order=order, disk=SimulatedDisk(), tag="bt")
+    written: set[int] = set()
+    real_write = one_by_one.disk.write
+
+    def recording_write(page_id, payload, size=None):
+        written.add(page_id)
+        real_write(page_id, payload, size)
+
+    one_by_one.disk.write = recording_write
+    for key, value in pairs:
+        one_by_one.insert(key, value)
+
+    batched = BPlusTree(order=order, disk=SimulatedDisk(), tag="bt")
+    before = batched.disk.write_counters.snapshot()
+    batched.bulk_insert(iter(pairs))
+    after = batched.disk.write_counters.snapshot()
+
+    assert tree_shape(batched) == tree_shape(one_by_one)
+    assert list(batched.items()) == list(one_by_one.items())
+    assert len(batched) == len(one_by_one) == len(pairs)
+    assert after.get(WRITE, 0) - before.get(WRITE, 0) == len(written)
+    assert after.get(ALLOC, 0) - before.get(ALLOC, 0) == (
+        one_by_one.disk.write_counters.get(ALLOC) - 1
+    )
+    assert_pages_hold_their_nodes(batched)
+    assert batched._unsynced is None
+
+
+@pytest.mark.parametrize("kind", ["crash", "torn", "transient"])
+@pytest.mark.parametrize("op, after", [("allocate", 5), ("write", 3)])
+def test_a_fault_mid_batch_leaves_no_dirtied_node_unwritten(kind, op, after):
+    """Whatever cuts the batch short — an allocation refused in a split, or
+    a page write refused while the batch is being written out — every other
+    dirtied node reaches its page, the fault propagates, and the tree goes
+    back to writing as it inserts."""
+    disk = FaultyDisk(SimulatedDisk())
+    tree = BPlusTree(order=4, disk=disk, tag="bt")
+    rule = FaultRule(kind=kind, op=op, tag="bt", after=after, count=1)
+    disk.plan = FaultPlan([rule])
+    with pytest.raises((SimulatedCrash, StorageFault)):
+        tree.bulk_insert((key % 17, key) for key in range(200))
+    assert rule.fired == 1
+    assert tree._unsynced is None
+    stale = []
+    for node in tree_nodes(tree):
+        page = disk.peek(node.page_id)
+        expected = _NODE_HEADER_BYTES + len(node.keys) * (_KEY_BYTES + _POINTER_BYTES)
+        if page.payload is not node or page.size != expected:
+            stale.append(node.page_id)
+    # An allocation fault interrupts the inserts and loses no write; a write
+    # fault loses exactly the one write it refused.
+    assert len(stale) == (1 if op == "write" else 0)
+    assert (op == "write") == (len(tree) == 200)
+    writes = disk.write_counters.get(WRITE)
+    tree.insert(99, 99)
+    assert disk.write_counters.get(WRITE) > writes
 
 
 @settings(max_examples=50, deadline=None)

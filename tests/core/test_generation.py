@@ -1,19 +1,28 @@
-"""Tuple-oriented generation: the recursive sort equals bit insertion."""
+"""Tuple-oriented generation: the recursive sort equals bit insertion, and
+the build — which counts paths instead — equals the recursive sort."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.counted import CountedSignature
 from repro.core.generation import (
     generate_cuboid_signatures,
     signature_by_recursive_sort,
 )
+from repro.core.pcube import PCube
 from repro.core.signature import Signature
-from repro.cube.cuboid import Cell, Cuboid
+from repro.cube.cuboid import Cell, Cuboid, atomic_cuboids
 from repro.cube.relation import Relation
 from repro.cube.schema import Schema
+from repro.data.synthetic import SyntheticConfig, generate_relation
+from repro.rtree.bulk import bulk_load
+from repro.rtree.rtree import RTree
+from repro.storage.disk import SimulatedDisk
+from tests.core.test_store import from_scratch_bytes, stored_bytes
 
 
 def test_recursive_sort_empty():
@@ -103,3 +112,93 @@ def test_generate_two_dim_cuboid(relation_and_paths):
     cells = set(signatures)
     for tid in relation.tids():
         assert cuboid.cell_for(relation, tid) in cells
+
+
+# --------------------------------------------------------------------------- #
+# the build against its oracle
+# --------------------------------------------------------------------------- #
+
+
+def assert_cube_matches_oracle(pcube, materialises_empty_cells):
+    """Every cell of every cuboid, three ways: the stored bits equal the
+    recursive sort of its live members' paths, the stored pages equal the
+    oracle's ``decompose`` blob for blob, the kept counts equal a fresh
+    count (``None`` when the cube keeps none)."""
+    relation, store = pcube.relation, pcube.store
+    paths = pcube.rtree.all_paths()
+    checked = 0
+    for cuboid in pcube.cuboids:
+        groups = cuboid.group(relation, include_tombstoned=True)
+        for cell, members in groups.items():
+            live = [paths[tid] for tid in members if relation.is_live(tid)]
+            if not live and not materialises_empty_cells:
+                assert not store.has_cell(cell)
+                continue
+            oracle = signature_by_recursive_sort(live, pcube.fanout)
+            assert store.load_full_signature(cell) == oracle, cell
+            assert stored_bytes(store, cell) == from_scratch_bytes(store, oracle), cell
+            counted = pcube.counted_of(cell)
+            if pcube.maintainable:
+                assert counted == CountedSignature.from_paths(live, pcube.fanout), cell
+            else:
+                assert counted is None
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("tree_built_by", ["bulk", "insert"])
+@pytest.mark.parametrize("tombstones", [False, True])
+@pytest.mark.parametrize("maintainable", [True, False])
+@pytest.mark.parametrize("lattice", ["atomic", "pairs"])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_build_matches_the_oracle(seed, lattice, maintainable, tombstones, tree_built_by):
+    """Build, ``rebuild_all`` and ``recompute_cell`` all derive a cell by
+    counting its paths; Fig. 2b's recursive sort, which none of them runs,
+    must agree with what each of them stored."""
+    disk = SimulatedDisk(page_size=128)  # several partials per cell
+    relation = generate_relation(
+        SyntheticConfig(
+            n_tuples=160, n_boolean=3, cardinality=4, n_preference=2, seed=seed
+        ),
+        disk=disk,
+    )
+    if tombstones:
+        rng = random.Random(seed)
+        for tid in rng.sample(range(len(relation)), 40):
+            relation.tombstone(tid)
+        # ... and one cell whose every member is gone.
+        for tid in relation.tids():
+            if relation.bool_row(tid)[0] == 0:
+                relation.tombstone(tid)
+    if tree_built_by == "bulk":
+        rtree = bulk_load(list(relation.pref_points()), dims=2, max_entries=4, disk=disk)
+    else:
+        rtree = RTree(dims=2, max_entries=4, disk=disk)
+        for tid, point in relation.pref_points():
+            rtree.insert(tid, point)
+    dims = relation.schema.boolean_dims
+    cuboids = (
+        atomic_cuboids(dims)
+        if lattice == "atomic"
+        else [Cuboid(pair) for pair in itertools.combinations(dims, 2)]
+    )
+    pcube = PCube.build(relation, rtree, cuboids, maintainable=maintainable)
+    assert_cube_matches_oracle(pcube, materialises_empty_cells=False)
+
+    some_cell = next(iter(cuboids[0].group(relation)))
+    recomputed = pcube.recompute_cell(some_cell)
+    assert recomputed == signature_by_recursive_sort(
+        [
+            rtree.path_of(tid)
+            for tid in relation.live_tids()
+            if some_cell.matches(relation, tid)
+        ],
+        pcube.fanout,
+    )
+    assert_cube_matches_oracle(pcube, materialises_empty_cells=False)
+
+    stored = pcube.rebuild_all()
+    assert stored == sum(
+        len(cuboid.group(relation, include_tombstoned=True)) for cuboid in cuboids
+    )
+    assert_cube_matches_oracle(pcube, materialises_empty_cells=True)

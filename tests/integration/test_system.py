@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.bitmap import compression
+from repro.core import partial as partial_module
+from repro.cube.cuboid import Cuboid
 from repro.data.synthetic import SyntheticConfig, generate_relation
+from repro.rtree.node import RTreeNode, tuple_path
+from repro.storage.counters import ALLOC, WRITE
 from repro.system import build_system
 
 
@@ -23,6 +28,61 @@ def test_build_bulk_default(relation):
     assert system.timings.rtree_seconds > 0
     assert system.timings.pcube_seconds > 0
     assert system.timings.btree_seconds > 0
+
+
+def spy(monkeypatch, owner, name, log, what):
+    """Log ``what(*args)`` of every call to ``owner.name``, then make it."""
+    real = getattr(owner, name)
+
+    def logged(*args, **kwargs):
+        log.append(what(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, logged)
+
+
+def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
+    """Counted, not timed: one grouping per cuboid, one encoder run per
+    distinct node bit array, one MBR per R-tree node, one page write per
+    B+-tree node of the batch, and paths equal to the per-tuple climb."""
+    groupings, asked, boxed = [], [], []
+    spy(monkeypatch, Cuboid, "group", groupings, lambda self, *_, **__: self.dims)
+    spy(
+        monkeypatch,
+        partial_module,
+        "compress",
+        asked,
+        lambda bits, codec="adaptive": (bits.nbits, bits.mask, codec),
+    )
+    spy(monkeypatch, RTreeNode, "mbr", boxed, lambda self: self.node_id)
+    compression._encode.cache_clear()
+    written: dict[int, int] = {}
+    real_write = relation.disk.write
+
+    def recording_write(page_id, payload, size=None):
+        written[page_id] = written.get(page_id, 0) + 1
+        real_write(page_id, payload, size)
+
+    monkeypatch.setattr(relation.disk, "write", recording_write)
+    system = build_system(relation, fanout=8)
+
+    assert sorted(groupings) == sorted(c.dims for c in system.pcube.cuboids)
+    info = compression._encode.cache_info()
+    assert info.misses == len(set(asked)) < len(asked) == info.hits + info.misses
+    # Every node but the root gave its MBR once, to its parent's level.
+    nodes = list(system.rtree.nodes())
+    assert sorted(boxed) == sorted(n.node_id for n in nodes if n is not system.rtree.root)
+    for tid in relation.live_tids():
+        assert system.rtree.path_of(tid) == tuple_path(system.rtree.leaf_of(tid), tid)
+    # A B+-tree node is written once by the batch (its root once more, by
+    # the constructor); an R-tree node when created and when filled.
+    btree_pages = {page.page_id for page in relation.disk.pages("btree:")}
+    assert sum(written[page_id] for page_id in btree_pages) == len(btree_pages) + len(
+        system.indexes
+    )
+    assert all(written[n.page_id] == 2 for n in nodes)
+    counters = relation.disk.write_counters
+    assert counters.get(WRITE) == sum(written.values()) < 2 * counters.get(ALLOC)
 
 
 def test_build_insert_method(relation):
