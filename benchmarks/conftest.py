@@ -24,6 +24,7 @@ import random
 
 import pytest
 
+from repro.bench.report import format_table
 from repro.data.fixtures import (  # noqa: F401 - re-exported for figures
     N_QUERIES,
     SECONDS_PER_IO,
@@ -45,17 +46,8 @@ def fmt_seconds(seconds: float) -> str:
 
 
 def print_table(title: str, headers: list[str], rows: list[list]) -> None:
-    """Print one paper-figure table."""
-    widths = [
-        max(len(str(headers[i])), *(len(str(row[i])) for row in rows))
-        for i in range(len(headers))
-    ]
-    print(f"\n=== {title} ===")
-    print("  " + "  ".join(str(h).rjust(w) for h, w in zip(headers, widths)))
-    for row in rows:
-        print(
-            "  " + "  ".join(str(v).rjust(w) for v, w in zip(row, widths))
-        )
+    """Print one paper-figure table (the bench runner's own layout)."""
+    print("\n" + format_table(title, headers, rows))
 
 
 @pytest.fixture(scope="session")

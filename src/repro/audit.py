@@ -31,7 +31,8 @@ import random
 import sys
 from typing import Any, Sequence
 
-from repro.data.synthetic import SyntheticConfig, generate_relation
+from repro.data.fixtures import build_scenario_system
+from repro.data.workload import apply_op, maintenance_ops
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import (
     FaultPlan,
@@ -39,53 +40,6 @@ from repro.storage.faults import (
     FaultyDisk,
     SimulatedCrash,
 )
-from repro.system import PCubeSystem, build_system
-
-
-def _random_rows(system: PCubeSystem, rng: random.Random, n: int):
-    relation = system.relation
-    rows = []
-    for _ in range(n):
-        template = rng.randrange(len(relation))
-        rows.append(
-            (
-                relation.bool_row(template),
-                tuple(rng.random() for _ in range(relation.schema.n_preference)),
-            )
-        )
-    return rows
-
-
-def run_workload(
-    system: PCubeSystem, rng: random.Random, n_ops: int
-) -> int:
-    """Mixed maintenance workload through the WAL-protected drivers.
-
-    Returns the number of operations that completed (a crash rule ends the
-    workload early, leaving the interrupted operation in the WAL).
-    """
-    completed = 0
-    for _ in range(n_ops):
-        live = [tid for tid in system.relation.live_tids()]
-        kind = rng.choice(("insert", "batch", "delete", "update"))
-        if kind == "insert":
-            bool_row, pref_row = _random_rows(system, rng, 1)[0]
-            system.insert(bool_row, pref_row)
-        elif kind == "batch":
-            system.insert_batch(_random_rows(system, rng, rng.randrange(2, 6)))
-        elif kind == "delete" and len(live) > 10:
-            system.delete(rng.choice(live))
-        else:
-            tid = rng.choice(live)
-            system.update(
-                tid,
-                tuple(
-                    rng.random()
-                    for _ in range(system.relation.schema.n_preference)
-                ),
-            )
-        completed += 1
-    return completed
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -121,11 +75,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     rng = random.Random(args.seed)
     disk = FaultyDisk(SimulatedDisk())
-    config = SyntheticConfig(
-        n_tuples=args.tuples, n_boolean=2, n_preference=2, seed=args.seed
-    )
-    system = build_system(
-        generate_relation(config, disk=disk), fanout=args.fanout
+    system = build_scenario_system(
+        args.tuples, args.seed, fanout=args.fanout, disk=disk
     )
 
     if args.crash_op:
@@ -146,8 +97,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "seed": args.seed,
     }
     try:
-        completed = run_workload(system, rng, args.ops)
-        findings["workload"] = {"completed": completed, "requested": args.ops}
+        # A crash rule ends the workload early, leaving the interrupted
+        # operation in the WAL.
+        for op in maintenance_ops(system.relation, rng, args.ops):
+            apply_op(system, op)
+        findings["workload"] = {"completed": args.ops, "requested": args.ops}
     except SimulatedCrash as crash:
         disk.plan = FaultPlan()
         findings["crash"] = str(crash)

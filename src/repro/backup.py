@@ -44,10 +44,14 @@ from repro.core.checkpoint import (
     CheckpointManager,
     restore_system,
 )
-from repro.data.synthetic import SyntheticConfig, generate_relation
-from repro.data.workload import sample_linear_function, sample_predicate
-from repro.storage.disk import SimulatedDisk
-from repro.system import PCubeSystem, build_system
+from repro.data.fixtures import build_scenario_system
+from repro.data.workload import (
+    apply_op,
+    maintenance_ops,
+    sample_linear_function,
+    sample_predicate,
+)
+from repro.system import PCubeSystem
 
 
 @dataclass
@@ -69,60 +73,11 @@ class Scenario:
     checkpoints: list
 
 
-def _apply(system: PCubeSystem, kind: str, args: tuple) -> None:
-    if kind == "insert":
-        system.insert(*args)
-    elif kind == "insert_batch":
-        system.insert_batch(list(args[0]))
-    elif kind == "delete":
-        system.delete(args[0])
-    else:
-        system.update(*args)
-
-
-def _record_workload(
-    system: PCubeSystem, rng: random.Random, n_ops: int
-) -> list[RecordedOp]:
-    """The audit CLI's mixed workload, with every operation's concrete
-    arguments and commit LSN recorded for later exact re-application."""
-    relation = system.relation
-    n_pref = relation.schema.n_preference
-    history: list[RecordedOp] = []
-
-    def random_row():
-        template = rng.randrange(len(relation))
-        return (
-            relation.bool_row(template),
-            tuple(rng.random() for _ in range(n_pref)),
-        )
-
-    for _ in range(n_ops):
-        live = [tid for tid in relation.live_tids()]
-        kind = rng.choice(("insert", "insert_batch", "delete", "update"))
-        if kind == "insert":
-            args: tuple = random_row()
-        elif kind == "insert_batch":
-            args = ([random_row() for _ in range(rng.randrange(2, 6))],)
-        elif kind == "delete" and len(live) > 10:
-            args = (rng.choice(live),)
-        else:
-            kind = "update"
-            args = (
-                rng.choice(live),
-                tuple(rng.random() for _ in range(n_pref)),
-            )
-        _apply(system, kind, args)
-        history.append(RecordedOp(kind, args, system.wal.last_commit_lsn))
-    return history
-
-
 def build_scenario(args: argparse.Namespace) -> Scenario:
     rng = random.Random(args.seed)
-    config = SyntheticConfig(
-        n_tuples=args.tuples, n_boolean=2, n_preference=2, seed=args.seed
-    )
-    system = build_system(
-        generate_relation(config, disk=SimulatedDisk()),
+    system = build_scenario_system(
+        args.tuples,
+        args.seed,
         fanout=args.fanout,
         wal_segment_bytes=args.segment_bytes,
     )
@@ -132,7 +87,9 @@ def build_scenario(args: argparse.Namespace) -> Scenario:
     remaining = args.ops
     while remaining > 0:
         step = min(args.checkpoint_every, remaining)
-        history.extend(_record_workload(system, rng, step))
+        for op in maintenance_ops(system.relation, rng, step):
+            apply_op(system, op)
+            history.append(RecordedOp(*op, system.wal.last_commit_lsn))
         remaining -= step
         checkpoints.append(manager.create())
     return Scenario(system, manager, history, checkpoints)
@@ -143,16 +100,11 @@ def _reference_system(
 ) -> PCubeSystem:
     """The system as of ``to_lsn``, built by replaying the recorded
     history on a fresh disk — ground truth for restore verification."""
-    config = SyntheticConfig(
-        n_tuples=args.tuples, n_boolean=2, n_preference=2, seed=args.seed
-    )
-    system = build_system(
-        generate_relation(config, disk=SimulatedDisk()), fanout=args.fanout
-    )
+    system = build_scenario_system(args.tuples, args.seed, fanout=args.fanout)
     for op in history:
         if to_lsn is not None and op.commit_lsn > to_lsn:
             break
-        _apply(system, op.kind, op.args)
+        apply_op(system, (op.kind, op.args))
     return system
 
 

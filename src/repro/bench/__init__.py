@@ -6,6 +6,7 @@ emits one ``BENCH_pcube.json``::
     {
       "schema": "repro.bench/v1",
       "seed": 7, "sizes": [...], "n_queries": 5,
+      "fields": {"wall_ms": "timing", "io": "cost", "results": "answer", ...},
       "figures": {
         "fig08": {
           "title": "...",
@@ -20,23 +21,27 @@ emits one ``BENCH_pcube.json``::
       }
     }
 
-Two runs with the same seed produce byte-identical JSON modulo the
-``wall_ms`` fields; everything else is gateable with
-``--compare baseline.json --fail-over pct`` (see :mod:`repro.bench.compare`).
+The other sweeps (:data:`SWEEPS`) keep the ``figures → series → points``
+shape.  Every field of a point is typed where it is emitted — timing, cost
+or answer size (:mod:`repro.bench.harness`) — and the typing travels in the
+report's ``fields`` table.  Two runs with the same seed produce
+byte-identical JSON once :func:`strip_timings` has dropped the timings;
+everything else is gateable with ``--compare baseline.json --fail-over
+pct`` (see :mod:`repro.bench.compare`).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable
 
-from repro.bench.compare import (
-    WALL_FIELDS,
-    Delta,
-    compare_reports,
-    flatten_metrics,
-)
+from repro.bench import durability, resilience, serving
+from repro.bench.compare import Delta, compare_reports, flatten_metrics
+from repro.bench.harness import envelope, strip_timings
+from repro.bench.kernels import run_kernels_benchmark
 from repro.bench.report import format_table, render_report
+from repro.bench.routing import run_routing_benchmark
 from repro.bench.scenarios import SCENARIOS, BenchContext
 from repro.data.fixtures import N_QUERIES, SWEEP_SIZES
 
@@ -45,16 +50,17 @@ SCHEMA = "repro.bench/v1"
 __all__ = [
     "SCENARIOS",
     "SCHEMA",
-    "WALL_FIELDS",
+    "SWEEPS",
     "BenchContext",
     "Delta",
+    "Sweep",
     "compare_reports",
     "dumps_report",
     "flatten_metrics",
     "format_table",
     "render_report",
     "run_benchmarks",
-    "strip_wall",
+    "strip_timings",
 ]
 
 
@@ -75,32 +81,47 @@ def run_benchmarks(
         sizes=tuple(sizes) if sizes is not None else SWEEP_SIZES,
         n_queries=n_queries,
     )
-    report: dict[str, Any] = {
-        "schema": SCHEMA,
-        "seed": ctx.seed,
-        "sizes": list(ctx.sizes),
-        "n_queries": ctx.n_queries,
-        "figures": {},
-    }
-    for name in selected:
-        report["figures"][name] = SCENARIOS[name](ctx)
-    return report
+    return envelope(
+        SCHEMA,
+        ctx.seed,
+        {"sizes": list(ctx.sizes), "n_queries": ctx.n_queries},
+        {name: SCENARIOS[name](ctx) for name in selected},
+    )
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One row of the sweep table ``python -m repro.bench <sweep>`` reads."""
+
+    run: Callable[..., dict[str, Any]]
+    #: Where the report goes without ``--out``.
+    out: str
+    #: Worker-thread counts the runner sweeps, ``None`` if it takes none.
+    threads: tuple[int, ...] | None = None
+
+
+SWEEPS: dict[str, Sweep] = {
+    "figures": Sweep(run_benchmarks, "BENCH_pcube.json"),
+    "serving": Sweep(
+        serving.run_serving_benchmark,
+        "BENCH_serving.json",
+        serving.DEFAULT_THREADS,
+    ),
+    "resilience": Sweep(
+        resilience.run_resilience_benchmark,
+        "BENCH_resilience.json",
+        resilience.DEFAULT_THREADS,
+    ),
+    "durability": Sweep(
+        durability.run_durability_benchmark,
+        "BENCH_durability.json",
+        durability.DEFAULT_THREADS,
+    ),
+    "routing": Sweep(run_routing_benchmark, "BENCH_routing.json"),
+    "kernels": Sweep(run_kernels_benchmark, "BENCH_kernels.json"),
+}
 
 
 def dumps_report(report: dict[str, Any]) -> str:
     """Canonical JSON text: sorted keys, two-space indent, newline-final."""
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def strip_wall(value: Any) -> Any:
-    """A deep copy with every wall-clock field removed — the part of a
-    report that must be byte-identical across same-seed runs."""
-    if isinstance(value, dict):
-        return {
-            key: strip_wall(item)
-            for key, item in value.items()
-            if key not in WALL_FIELDS
-        }
-    if isinstance(value, list):
-        return [strip_wall(item) for item in value]
-    return value

@@ -8,6 +8,10 @@ Examples::
     PYTHONPATH=src python -m repro.bench --sizes 2000,5000 --queries 3 \\
         --compare benchmarks/baselines/bench_smoke_baseline.json \\
         --fail-over 10
+    PYTHONPATH=src python -m repro.bench serving --serving-threads 2,4
+    PYTHONPATH=src python -m repro.bench kernels \\
+        --compare benchmarks/baselines/bench_kernels_baseline.json \\
+        --fail-over 5
 
 Exit status: 0 on success, 1 when ``--compare`` finds a regression over
 ``--fail-over`` percent, 2 on bad usage.
@@ -23,21 +27,10 @@ from typing import Sequence
 
 from repro.bench import (
     SCENARIOS,
+    SWEEPS,
     compare_reports,
     dumps_report,
     render_report,
-    run_benchmarks,
-)
-from repro.bench.durability import (
-    DEFAULT_THREADS as DURABILITY_THREADS,
-    run_durability_benchmark,
-)
-from repro.bench.kernels import run_kernels_benchmark
-from repro.bench.resilience import run_resilience_benchmark
-from repro.bench.routing import run_routing_benchmark
-from repro.bench.serving import (
-    DEFAULT_THREADS as SERVING_THREADS,
-    run_serving_benchmark,
 )
 from repro.data.fixtures import N_QUERIES, SWEEP_SIZES
 
@@ -46,13 +39,38 @@ def _csv(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
+def _ints(text: str) -> list[int]:
+    return [int(item) for item in _csv(text)]
+
+
+def _figures(text: str) -> list[str]:
+    names = _csv(text)
+    unknown = [name for name in names if name not in SCENARIOS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown figures {unknown}; known: {', '.join(SCENARIOS)}"
+        )
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Reproducible P-Cube benchmark runner.",
     )
     parser.add_argument(
+        "sweep",
+        nargs="?",
+        choices=tuple(SWEEPS),
+        default="figures",
+        help="which sweep to run (default: figures): "
+        + "; ".join(
+            f"{name} -> {sweep.out}" for name, sweep in SWEEPS.items()
+        ),
+    )
+    parser.add_argument(
         "--figures",
+        type=_figures,
         default=None,
         help="comma-separated figure names (default: all; see --list)",
     )
@@ -64,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--sizes",
+        type=_ints,
         default=None,
         help="comma-separated sweep sizes (default: "
         + ",".join(str(n) for n in SWEEP_SIZES)
@@ -76,51 +95,17 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"queries averaged per data point (default: {N_QUERIES})",
     )
     parser.add_argument(
-        "--serving",
-        action="store_true",
-        help="run the concurrent-serving throughput sweep instead of the "
-        "figure scenarios (writes BENCH_serving.json by default)",
-    )
-    parser.add_argument(
-        "--resilience",
-        action="store_true",
-        help="run the fault-free resilience-overhead micro-sweep (bare vs "
-        "default-on executor; writes BENCH_resilience.json by default)",
-    )
-    parser.add_argument(
-        "--durability",
-        action="store_true",
-        help="run the durability sweeps (recovery time vs WAL length with "
-        "and without checkpoints; background-scrubber serving overhead; "
-        "writes BENCH_durability.json by default)",
-    )
-    parser.add_argument(
-        "--routing",
-        action="store_true",
-        help="run the routing sweep (pinned engines vs routed "
-        "cold/warm vs the served path over a Zipfian workload; writes "
-        "BENCH_routing.json by default)",
-    )
-    parser.add_argument(
-        "--kernels",
-        action="store_true",
-        help="run the kernel-backend sweep (scalar python vs numpy batch "
-        "kernels; asserts identical answers and counted I/O, gates the "
-        "numpy speedup floor; writes BENCH_kernels.json by default)",
-    )
-    parser.add_argument(
         "--serving-threads",
+        type=_ints,
         default=None,
         metavar="N,N,...",
-        help="worker-thread counts for --serving (default: "
-        + ",".join(str(n) for n in SERVING_THREADS)
-        + ")",
+        help="worker-thread counts for the serving, resilience and "
+        "durability sweeps (default: the sweep's own)",
     )
     parser.add_argument(
         "--out",
         default=None,
-        help="output JSON path (default: BENCH_pcube.json, or "
-        "BENCH_serving.json with --serving)",
+        help="output JSON path (default: the sweep's own, see above)",
     )
     parser.add_argument(
         "--compare",
@@ -133,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="PCT",
-        help="with --compare: exit 1 when any gated metric regresses by "
-        "more than PCT percent",
+        help="with --compare: exit 1 when a counted cost rises by more "
+        "than PCT percent or an answer size changes at all",
     )
     parser.add_argument(
         "--list",
@@ -163,78 +148,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.queries < 1:
         parser.error("--queries must be >= 1")
 
-    if (
-        sum(
-            (
-                args.serving,
-                args.resilience,
-                args.durability,
-                args.routing,
-                args.kernels,
-            )
+    sweep = SWEEPS[args.sweep]
+    options: dict = {"seed": args.seed}
+    if sweep.threads is not None:
+        options["threads"] = args.serving_threads or list(sweep.threads)
+    if args.sweep == "figures":
+        options.update(
+            figures=args.figures, sizes=args.sizes, n_queries=args.queries
         )
-        > 1
-    ):
-        parser.error(
-            "--serving, --resilience, --durability, --routing and "
-            "--kernels are mutually exclusive"
-        )
-    if args.kernels:
-        report = run_kernels_benchmark(seed=args.seed)
-    elif args.routing:
-        report = run_routing_benchmark(seed=args.seed)
-    elif args.serving or args.resilience or args.durability:
-        if args.serving_threads:
-            try:
-                threads = [int(n) for n in _csv(args.serving_threads)]
-            except ValueError:
-                parser.error(
-                    f"--serving-threads must be integers: "
-                    f"{args.serving_threads!r}"
-                )
-        elif args.durability:
-            threads = list(DURABILITY_THREADS)
-        else:
-            threads = list(SERVING_THREADS)
-        if args.resilience:
-            report = run_resilience_benchmark(seed=args.seed, threads=threads)
-        elif args.durability:
-            report = run_durability_benchmark(seed=args.seed, threads=threads)
-        else:
-            report = run_serving_benchmark(seed=args.seed, threads=threads)
-    else:
-        figures = _csv(args.figures) if args.figures else None
-        try:
-            sizes = (
-                [int(n) for n in _csv(args.sizes)] if args.sizes else None
-            )
-        except ValueError:
-            parser.error(f"--sizes must be integers: {args.sizes!r}")
-        try:
-            report = run_benchmarks(
-                figures=figures,
-                seed=args.seed,
-                sizes=sizes,
-                n_queries=args.queries,
-            )
-        except ValueError as exc:  # unknown figure name
-            parser.error(str(exc))
+    report = sweep.run(**options)
 
-    if args.out is not None:
-        default_out = args.out
-    elif args.kernels:
-        default_out = "BENCH_kernels.json"
-    elif args.routing:
-        default_out = "BENCH_routing.json"
-    elif args.durability:
-        default_out = "BENCH_durability.json"
-    elif args.resilience:
-        default_out = "BENCH_resilience.json"
-    elif args.serving:
-        default_out = "BENCH_serving.json"
-    else:
-        default_out = "BENCH_pcube.json"
-    out_path = Path(default_out)
+    out_path = Path(args.out if args.out is not None else sweep.out)
     out_path.write_text(dumps_report(report))
     if not args.quiet:
         text = render_report(report)
@@ -259,8 +183,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"note: {note}")
     if regressions:
         print(
-            f"{len(regressions)} metric(s) regressed over "
-            f"{fail_over:g}% vs {baseline_path}:"
+            f"{len(regressions)} metric(s) moved (a cost by over "
+            f"{fail_over:g}%, or an answer size at all) vs {baseline_path}:"
         )
         for delta in regressions:
             print(f"  REGRESSION {delta.describe()}")

@@ -1,11 +1,13 @@
 """Baseline comparison: the CI regression gate behind ``--compare``.
 
-Only deterministic metrics are gated — io counts, heap peaks, prune counts,
-result counts, materialised sizes.  Wall-clock fields (anything named
-``wall_ms``) are reported for information but never fail the gate by
-default: the runner's point of difference from a profiler is that its
-gateable numbers are pure functions of the seeded input, so a failure means
-*the algorithm changed*, not that the CI machine was busy.
+Only deterministic fields are gated, and which those are is read from the
+current report's ``fields`` table — every sweep types a field where it
+emits it (:mod:`repro.bench.harness`).  Timings are reported for
+information and never fail the gate: the runner's point of difference from
+a profiler is that its gateable numbers are pure functions of the seeded
+input, so a failure means *the algorithm changed*, not that the CI machine
+was busy.  A cost fails when it rises beyond ``--fail-over``; an answer
+size fails on any change, in either direction.
 """
 
 from __future__ import annotations
@@ -13,33 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-#: Fields that vary run-to-run and are excluded from determinism/gating.
-#: Besides raw wall clock this covers the serving sweep's derived
-#: throughput numbers (queries/second, speedup, queue waits) — they all
-#: move with machine load, while the sweep's io counts and result counts
-#: stay gateable.
-WALL_FIELDS = frozenset(
-    {
-        "wall_ms",
-        "qps",
-        "speedup_vs_cold",
-        "queue_wait_ms",
-        "overhead_pct",
-        # Routing-sweep wall derivatives, plus hit_rate: the gate only
-        # flags *increases*, so a hit-rate drop would slip through it
-        # anyway — the routing bench asserts its floor itself and the
-        # gate watches cache_misses (where more is unambiguously worse).
-        "wall_ratio_vs_best_pinned",
-        "hit_rate",
-        # Kernel-bench wall pair and its derivatives: machine-speed facts,
-        # not determinism facts.  The --kernels run gates its own speedup
-        # floor in-process; the compare gate watches io.total / results.
-        "wall_ms_python",
-        "wall_ms_numpy",
-        "speedup",
-        "gate_speedups",
-    }
-)
+from repro.bench.harness import ANSWER, TIMING
 
 #: Float-representation tolerance.  Gated metrics are deterministic
 #: functions of the seeded input, so anything beyond rounding error is a
@@ -70,20 +46,16 @@ class Delta:
         )
 
 
-def flatten_metrics(
-    point: dict[str, Any], include_wall: bool = False
-) -> dict[str, float]:
-    """Dotted metric paths of one series point, minus ``x``."""
+def flatten_metrics(point: dict[str, Any]) -> dict[str, float]:
+    """Dotted paths of one series point's numeric leaves, minus ``x``."""
     flat: dict[str, float] = {}
 
     def walk(prefix: str, value) -> None:
         if isinstance(value, dict):
             for key in sorted(value):
                 walk(f"{prefix}.{key}" if prefix else key, value[key])
-        elif isinstance(value, (int, float)):
-            name = prefix.rsplit(".", 1)[-1]
-            if name != "x" and (include_wall or name not in WALL_FIELDS):
-                flat[prefix] = float(value)
+        elif isinstance(value, (int, float)) and prefix != "x":
+            flat[prefix] = float(value)
 
     walk("", point)
     return flat
@@ -103,15 +75,18 @@ def compare_reports(
     current: dict[str, Any],
     baseline: dict[str, Any],
     fail_over: float = 10.0,
-    include_wall: bool = False,
 ) -> tuple[list[Delta], list[str]]:
     """Diff two reports; return (regressions, notes).
 
-    A metric regresses when it exceeds the baseline by more than
-    ``fail_over`` percent *and* by more than :data:`ABS_SLACK` absolute.
-    Figures/series/points present on only one side are noted, not failed
-    (baselines are expected to lag when scenarios are added).
+    A cost regresses when it exceeds the baseline by more than
+    ``fail_over`` percent *and* by more than :data:`ABS_SLACK` absolute;
+    an answer size when it differs from the baseline by more than
+    :data:`ABS_SLACK` either way.  The kinds are ``current``'s — the
+    baseline may predate the ``fields`` table.  Figures/series/points
+    present on only one side are noted, not failed (baselines are expected
+    to lag when scenarios are added).
     """
+    kinds = current["fields"]
     baseline_points = {
         (fig, series, x): point
         for fig, series, x, point in _iter_points(baseline)
@@ -127,14 +102,22 @@ def compare_reports(
         if base_point is None:
             notes.append(f"{fig}/{series}/x={x}: not in baseline (skipped)")
             continue
-        base_metrics = flatten_metrics(base_point, include_wall)
-        for path, value in flatten_metrics(point, include_wall).items():
+        base_metrics = flatten_metrics(base_point)
+        for path, value in flatten_metrics(point).items():
+            # A nested field (``io.total``) has its top-level name's kind.
+            kind = kinds[path.split(".", 1)[0]]
+            if kind == TIMING:
+                continue
             if path not in base_metrics:
                 notes.append(f"{fig}/{series}/x={x}/{path}: new metric")
                 continue
             base = base_metrics[path]
-            slack = max(abs(base) * fail_over / 100.0, ABS_SLACK)
-            if value - base > slack:
+            if kind == ANSWER:
+                moved = abs(value - base) > ABS_SLACK
+            else:
+                slack = max(abs(base) * fail_over / 100.0, ABS_SLACK)
+                moved = value - base > slack
+            if moved:
                 regressions.append(
                     Delta(f"{fig}/{series}/x={x}/{path}", base, value)
                 )

@@ -18,12 +18,12 @@ measurements:
   path?  The resilience-bench paired pattern: the same seeded workload
   over warm pools, ``bare`` (no scrubber) vs ``scrubbed`` (background
   scrubber at the default throttle), interleaved repeats, median pass.
-  ``overhead_pct`` is wall-clock (excluded from the ``--compare`` gate);
+  ``overhead_pct`` is wall-clock (a timing: never gated);
   the gated contract is that ``io.total`` and ``results`` are identical —
   the scrubber reads via :meth:`~repro.storage.disk.SimulatedDisk.peek`
   and pinned snapshots, never through the query path's counters.
 
-``python -m repro.bench --durability`` writes ``BENCH_durability.json``;
+``python -m repro.bench durability`` writes ``BENCH_durability.json``;
 CI gates it against ``benchmarks/baselines/bench_durability_baseline.json``.
 """
 
@@ -34,14 +34,17 @@ import time
 from typing import Any, Sequence
 
 from repro.backup import answer_fingerprint
-from repro.bench.serving import DEFAULT_READ_LATENCY, _build_workload
+from repro.bench.harness import (
+    READ_LATENCY,
+    Point,
+    empty_series,
+    envelope,
+    paired_sweep,
+    serving_setup,
+)
 from repro.core.checkpoint import CheckpointManager, restore_system
-from repro.data.fixtures import build_sweep_system
-from repro.data.synthetic import SyntheticConfig, generate_relation
-from repro.serve.executor import QueryExecutor
-from repro.storage.buffer import BufferPool
-from repro.storage.disk import SimulatedDisk
-from repro.system import build_system
+from repro.data.fixtures import build_scenario_system
+from repro.data.workload import apply_op, maintenance_ops
 
 DURABILITY_SCHEMA = "repro.durability-bench/v1"
 
@@ -56,35 +59,15 @@ DEFAULT_THREADS = (2, 4)
 DEFAULT_QUERIES = 24
 DEFAULT_REPEATS = 5
 
-
-def _run_workload(system, rng: random.Random, n_ops: int) -> None:
-    """The audit CLI's mixed WAL-protected maintenance workload."""
-    relation = system.relation
-    n_pref = relation.schema.n_preference
-
-    def random_row():
-        template = rng.randrange(len(relation))
-        return (
-            relation.bool_row(template),
-            tuple(rng.random() for _ in range(n_pref)),
-        )
-
-    for _ in range(n_ops):
-        live = [tid for tid in relation.live_tids()]
-        kind = rng.choice(("insert", "batch", "delete", "update"))
-        if kind == "insert":
-            system.insert(*random_row())
-        elif kind == "batch":
-            system.insert_batch(
-                [random_row() for _ in range(rng.randrange(2, 6))]
-            )
-        elif kind == "delete" and len(live) > 10:
-            system.delete(rng.choice(live))
-        else:
-            system.update(
-                rng.choice(live),
-                tuple(rng.random() for _ in range(n_pref)),
-            )
+#: The continuous-scrubbing rate an idle-ish deployment would run: small
+#: work quanta, long naps.  The sweeps are pure CPU, so the duty cycle *is*
+#: the serving overhead.
+SCRUBBING = {
+    "bare": {},
+    "scrubbed": {
+        "scrubbing": dict(pages_per_tick=64, cells_per_tick=4, interval=0.01)
+    },
+}
 
 
 def _recovery_point(
@@ -93,15 +76,10 @@ def _recovery_point(
     seed: int,
     n_tuples: int,
     segment_bytes: int,
-) -> dict[str, Any]:
+) -> Point:
     """Build, journal ``n_ops`` operations, restore, verify, report."""
-    config = SyntheticConfig(
-        n_tuples=n_tuples, n_boolean=2, n_preference=2, seed=seed
-    )
-    system = build_system(
-        generate_relation(config, disk=SimulatedDisk()),
-        fanout=6,
-        wal_segment_bytes=segment_bytes,
+    system = build_scenario_system(
+        n_tuples, seed, wal_segment_bytes=segment_bytes
     )
     manager = CheckpointManager(system)
     manager.create()  # the base image both series restore from
@@ -109,7 +87,8 @@ def _recovery_point(
     done = 0
     while done < n_ops:
         step = min(checkpoint_every or n_ops, n_ops - done)
-        _run_workload(system, rng, step)
+        for op in maintenance_ops(system.relation, rng, step):
+            apply_op(system, op)
         done += step
         # The final chunk stays uncheckpointed so the checkpointed series
         # always has a realistic tail to replay (bounded by the interval).
@@ -124,126 +103,20 @@ def _recovery_point(
             f"restored answers diverge from the live system "
             f"(n_ops={n_ops}, checkpoint_every={checkpoint_every})"
         )
-    return {
-        "x": n_ops,
-        "wall_ms": wall * 1e3,
-        "ops_replayed": result.ops_replayed,
-        "row_pages_read": result.row_pages_read,
-        "fallbacks": result.fallbacks,
-        "record_reads": result.wal_metrics["record_reads"],
-        "seal_reads": result.wal_metrics["seal_reads"],
-        "segments_skipped": result.wal_metrics["segments_skipped"],
-        "segments_scanned": result.wal_metrics["segments_scanned"],
-        "wal_segments": len(system.wal.segments()),
-    }
-
-
-def _scrub_series(
-    seed: int,
-    n_tuples: int,
-    threads: Sequence[int],
-    n_queries: int,
-    repeats: int,
-    read_latency: float,
-    pool_capacity: int,
-) -> tuple[dict[str, Any], dict[str, Any]]:
-    """Paired bare-vs-scrubbed serving sweep; returns (series, stats)."""
-    system = build_sweep_system(n_tuples)
-    system.disk.read_latency = read_latency
-    rng = random.Random(seed)
-    workload = _build_workload(system, rng, n_queries)
-    expected_tids = [
-        getattr(system.engine, kind)(**kwargs).tids
-        for kind, kwargs in workload
-    ]
-
-    def run_pass(scrub: bool, pool, n_threads: int):
-        with QueryExecutor(
-            system,
-            threads=n_threads,
-            queue_depth=2 * len(workload),
-            pool=pool,
-        ) as executor:
-            if scrub:
-                # The continuous-scrubbing rate an idle-ish deployment
-                # would run: small work quanta, long naps.  The sweeps are
-                # pure CPU, so the duty cycle *is* the serving overhead.
-                executor.enable_scrubbing(
-                    pages_per_tick=64, cells_per_tick=4, interval=0.01
-                )
-            started = time.perf_counter()
-            tickets = [
-                getattr(executor, kind)(**kwargs)
-                for kind, kwargs in workload
-            ]
-            results = [ticket.result(timeout=600.0) for ticket in tickets]
-            elapsed = time.perf_counter() - started
-            scrub_stats = (
-                executor.scrubber.stats.snapshot() if scrub else None
-            )
-        for expected, result in zip(expected_tids, results):
-            if result.tids != expected:
-                raise AssertionError(
-                    "durability-bench answer diverges from the serial engine"
-                )
-        return elapsed, results, scrub_stats
-
-    series: dict[str, Any] = {
-        "bare": {"points": []},
-        "scrubbed": {"points": []},
-    }
-    scrub_stats_by_threads: dict[str, Any] = {}
-    for n_threads in threads:
-        pools = {
-            "bare": BufferPool(system.disk, capacity=pool_capacity),
-            "scrubbed": BufferPool(system.disk, capacity=pool_capacity),
-        }
-        for label in pools:  # warm-up
-            run_pass(label == "scrubbed", pools[label], n_threads)
-        outcomes: dict[str, list] = {"bare": [], "scrubbed": []}
-        order = ["bare", "scrubbed"]
-        for round_index in range(repeats):
-            if round_index % 2:
-                order = order[::-1]
-            for label in order:
-                outcomes[label].append(
-                    run_pass(label == "scrubbed", pools[label], n_threads)
-                )
-
-        def median_pass(label: str):
-            ranked = sorted(outcomes[label], key=lambda item: item[0])
-            return ranked[len(ranked) // 2]
-
-        bare_elapsed, bare_results, _ = median_pass("bare")
-        scrub_elapsed, scrub_results, scrub_stats = median_pass("scrubbed")
-        base_point = {
-            "x": n_threads,
-            "wall_ms": bare_elapsed * 1e3,
-            "qps": len(workload) / bare_elapsed,
-            "io": {"total": sum(r.stats.total_io() for r in bare_results)},
-            "results": sum(len(r.tids) for r in bare_results),
-        }
-        scrub_point = {
-            "x": n_threads,
-            "wall_ms": scrub_elapsed * 1e3,
-            "qps": len(workload) / scrub_elapsed,
-            "overhead_pct": (
-                (scrub_elapsed - bare_elapsed) / bare_elapsed * 100
-            ),
-            "io": {"total": sum(r.stats.total_io() for r in scrub_results)},
-            "results": sum(len(r.tids) for r in scrub_results),
-        }
-        if scrub_point["io"] != base_point["io"]:
-            raise AssertionError(
-                "scrubbing changed the query path's I/O "
-                f"({scrub_point['io']} vs {base_point['io']})"
-            )
-        # Pass counts and scan totals move with machine speed — report
-        # them outside the figures so the --compare gate never sees them.
-        scrub_stats_by_threads[str(n_threads)] = scrub_stats
-        series["bare"]["points"].append(base_point)
-        series["scrubbed"]["points"].append(scrub_point)
-    return series, scrub_stats_by_threads
+    return (
+        Point(n_ops)
+        .timing(wall_ms=wall * 1e3)
+        .cost(
+            ops_replayed=result.ops_replayed,
+            row_pages_read=result.row_pages_read,
+            fallbacks=result.fallbacks,
+            record_reads=result.wal_metrics["record_reads"],
+            seal_reads=result.wal_metrics["seal_reads"],
+            segments_skipped=result.wal_metrics["segments_skipped"],
+            segments_scanned=result.wal_metrics["segments_scanned"],
+            wal_segments=len(system.wal.segments()),
+        )
+    )
 
 
 def run_durability_benchmark(
@@ -256,48 +129,42 @@ def run_durability_benchmark(
     threads: Sequence[int] = DEFAULT_THREADS,
     n_queries: int = DEFAULT_QUERIES,
     repeats: int = DEFAULT_REPEATS,
-    read_latency: float = DEFAULT_READ_LATENCY,
-    pool_capacity: int = 65_536,
+    read_latency: float = READ_LATENCY,
 ) -> dict[str, Any]:
     """Both sweeps; returns a ``repro.bench``-shaped report dict."""
-    recovery_series: dict[str, Any] = {
-        "wal_only": {"points": []},
-        "checkpointed": {"points": []},
-    }
+    recovery_series = empty_series("wal_only", "checkpointed")
     for n_ops in recovery_ops:
-        recovery_series["wal_only"]["points"].append(
-            _recovery_point(
-                n_ops, None, seed, recovery_tuples, segment_bytes
+        for name, every in (
+            ("wal_only", None),
+            ("checkpointed", checkpoint_every),
+        ):
+            recovery_series[name]["points"].append(
+                _recovery_point(
+                    n_ops, every, seed, recovery_tuples, segment_bytes
+                )
             )
-        )
-        recovery_series["checkpointed"]["points"].append(
-            _recovery_point(
-                n_ops, checkpoint_every, seed, recovery_tuples, segment_bytes
-            )
-        )
 
-    scrub_series, scrub_stats = _scrub_series(
-        seed,
-        scrub_tuples,
+    scrub_series, scrubbed = paired_sweep(
+        serving_setup(scrub_tuples, seed, n_queries, read_latency),
         threads,
-        n_queries,
         repeats,
-        read_latency,
-        pool_capacity,
+        SCRUBBING,
+        "scrubbing",
     )
 
-    return {
-        "schema": DURABILITY_SCHEMA,
-        "seed": seed,
-        "checkpoint_every": checkpoint_every,
-        "recovery_tuples": recovery_tuples,
-        "segment_bytes": segment_bytes,
-        "scrub_tuples": scrub_tuples,
-        "n_queries": n_queries,
-        "repeats": repeats,
-        "read_latency": read_latency,
-        "scrub_stats": scrub_stats,
-        "figures": {
+    return envelope(
+        DURABILITY_SCHEMA,
+        seed,
+        {
+            "checkpoint_every": checkpoint_every,
+            "recovery_tuples": recovery_tuples,
+            "segment_bytes": segment_bytes,
+            "scrub_tuples": scrub_tuples,
+            "n_queries": n_queries,
+            "repeats": repeats,
+            "read_latency": read_latency,
+        },
+        {
             "recovery": {
                 "title": "Recovery cost vs committed WAL length "
                 f"(T={recovery_tuples}, checkpoint every "
@@ -311,4 +178,11 @@ def run_durability_benchmark(
                 "series": scrub_series,
             },
         },
-    }
+        # Pass counts and scan totals move with machine speed.
+        timings={
+            "scrub_stats": {
+                str(n_threads): served.scrub
+                for n_threads, served in zip(threads, scrubbed)
+            }
+        },
+    )

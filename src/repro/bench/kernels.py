@@ -1,6 +1,6 @@
 """Kernel-backend benchmark: scalar Python vs the numpy batch kernels.
 
-``python -m repro.bench --kernels`` runs a fixed set of hot-path
+``python -m repro.bench kernels`` runs a fixed set of hot-path
 workloads twice — once under ``REPRO_KERNELS=python`` and once under
 ``REPRO_KERNELS=numpy`` — and reports both wall clocks side by side.
 The report makes two claims:
@@ -16,15 +16,16 @@ The report makes two claims:
   assert an aggregate python/numpy wall-clock ratio of at least
   :data:`DEFAULT_MIN_SPEEDUP`; the best-first figure (``kernels_search``)
   asserts that *no point* is slower under numpy and an aggregate of at
-  least :data:`SEARCH_MIN_SPEEDUP`; wall-clock fields themselves
-  (``wall_ms_python``, ``wall_ms_numpy``, ``speedup``) are named into
-  :data:`repro.bench.compare.WALL_FIELDS` so the byte-level gate ignores
-  machine-speed noise.
+  least :data:`SEARCH_MIN_SPEEDUP`; the wall-clock fields themselves
+  (``wall_ms_python``, ``wall_ms_numpy``, ``speedup``) are emitted as
+  timings, so the byte-level gate ignores machine-speed noise.
 
 Workloads (each point is the best of at least :data:`REPEATS` runs per
 backend — more for sub-millisecond points, until :data:`MIN_MEASURE_SECONDS`
 have been timed — on one prebuilt system shared by both backends; queries
-never mutate):
+never mutate; best-of-N, not the paired sweeps' median pass, because each
+point times one deterministic single-threaded call and its floor is a ratio
+of two such — the minimum is the least noisy estimate of either):
 
 * ``kernels_skyline`` *(gated)* — the Boolean-first full-scan skyline
   (columnar scan + chunked SFS) over anticorrelated ``Dp = 2`` data,
@@ -55,6 +56,7 @@ from repro.baselines.boolean_first import (
 )
 from repro.baselines.domination_first import bbs_skyline, ranking_topk
 from repro.baselines.naive import naive_skyline, naive_topk
+from repro.bench.harness import Point, envelope
 from repro.data.fixtures import build_sweep_system, sweep_config
 from repro.data.synthetic import generate_relation
 from repro.kernels.backend import NUMPY, PYTHON, np, use_backend
@@ -70,6 +72,8 @@ DEFAULT_MIN_SPEEDUP = 3.0
 #: in aggregate (first gated run: 1.26-1.38x / 1.44-1.53x on BBS, 1.1x on
 #: the sub-millisecond Ranking point, 1.4x in aggregate).
 SEARCH_MIN_SPEEDUP = 1.15
+#: No single point of the best-first figure may be slower under numpy.
+SEARCH_POINT_MIN_SPEEDUP = 1.0
 #: Fewest repeats per (workload, backend) point; the best one counts.
 REPEATS = 3
 #: Keep repeating a point until this much has been timed, so a point that
@@ -118,14 +122,12 @@ def _measure(
     return best, answer, snapshot
 
 
-def _point(
-    x: int, run: Callable[[], tuple[Any, QueryStats]]
-) -> dict[str, Any]:
+def _point(x: int, run: Callable[[], tuple[Any, QueryStats]]) -> Point:
     """One sweep point: the same workload under both backends.
 
     Asserts backend invariance (identical answer, identical counted I/O)
-    before reporting; the returned dict carries the deterministic gate
-    fields plus the wall-clock pair.
+    before reporting; the point carries the deterministic gate fields
+    plus the wall-clock pair.
     """
     with use_backend(PYTHON):
         python_wall, python_answer, python_io = _measure(run)
@@ -141,14 +143,16 @@ def _point(
             f"counted I/O diverges at x={x}: "
             f"python={python_io}, numpy={numpy_io}"
         )
-    return {
-        "x": x,
-        "wall_ms_python": python_wall * 1e3,
-        "wall_ms_numpy": numpy_wall * 1e3,
-        "speedup": python_wall / numpy_wall if numpy_wall > 0 else 0.0,
-        "io": {"total": float(sum(python_io.values()))},
-        "results": len(python_answer),
-    }
+    return (
+        Point(x)
+        .timing(
+            wall_ms_python=python_wall * 1e3,
+            wall_ms_numpy=numpy_wall * 1e3,
+            speedup=python_wall / numpy_wall if numpy_wall > 0 else 0.0,
+        )
+        .cost(io={"total": float(sum(python_io.values()))})
+        .answer(results=len(python_answer))
+    )
 
 
 def _figure_speedup(figure: dict[str, Any]) -> float:
@@ -169,116 +173,93 @@ def run_kernels_benchmark(
     """The full kernel sweep; returns a ``repro.bench``-shaped report."""
     if np is None:  # pragma: no cover - environment guard
         raise RuntimeError(
-            "--kernels needs numpy importable (there is nothing to "
+            "the kernels sweep needs numpy importable (there is nothing to "
             "compare against otherwise)"
         )
 
-    # ---- gated: skyline hot paths -------------------------------------- #
-    bf_sky_points = []
-    for n_tuples in SKYLINE_SIZES:
-        anti = build_sweep_system(
+    def anticorrelated(n_tuples: int):
+        return build_sweep_system(
             n_tuples, n_preference=2, distribution="anticorrelated"
         )
-        bf_sky_points.append(
-            _point(
-                n_tuples,
-                lambda s=anti: boolean_first_skyline(
-                    s.relation, s.indexes, _EMPTY
-                ),
-            )
-        )
-    anti_memory = list(
-        generate_relation(
-            sweep_config(
-                MEMORY_SKYLINE_SIZE,
-                n_preference=2,
-                distribution="anticorrelated",
-            )
-        ).pref_points()
-    )
-    naive_anti_point = _point(
-        MEMORY_SKYLINE_SIZE, lambda: _stamped(naive_skyline(anti_memory))
-    )
 
-    # ---- gated: top-k hot paths ---------------------------------------- #
-    bf_linear_points = []
-    bf_wsd_points = []
-    topk_systems = {}
-    for n_tuples in TOPK_SIZES:
-        topk_systems[n_tuples] = build_sweep_system(n_tuples)
-        uniform = topk_systems[n_tuples]
-        bf_linear_points.append(
-            _point(
-                n_tuples,
-                lambda s=uniform: boolean_first_topk(
-                    s.relation, s.indexes, _LINEAR, _TOPK_K, _EMPTY
-                ),
-            )
-        )
-        bf_wsd_points.append(
-            _point(
-                n_tuples,
-                lambda s=uniform: boolean_first_topk(
-                    s.relation, s.indexes, _WSD, _TOPK_K, _EMPTY
-                ),
-            )
-        )
+    def points_of(n_tuples: int, **overrides) -> list:
+        """The in-memory references' input: bare preference points."""
+        config = sweep_config(n_tuples, **overrides)
+        return list(generate_relation(config).pref_points())
 
-    # ---- gated (never slower): best-first search ------------------------ #
-    bbs_points = []
-    for n_tuples in SEARCH_SIZES:
-        anti = build_sweep_system(
-            n_tuples, n_preference=2, distribution="anticorrelated"
-        )
-        bbs_points.append(
-            _point(n_tuples, lambda s=anti: bbs_skyline(s.rtree))
-        )
-    ranking_system = topk_systems[TOPK_SIZES[0]]
-    ranking_point = _point(
-        TOPK_SIZES[0], lambda: _ranking(ranking_system)
-    )
+    def one(x: int, run) -> dict[str, list[Point]]:
+        return {"points": [_point(x, run)]}
 
-    # ---- ungated: in-memory references ---------------------------------- #
-    uniform_memory = list(
-        generate_relation(
-            sweep_config(MEMORY_SKYLINE_SIZE, n_preference=2)
-        ).pref_points()
+    def sweep(sizes, build, run) -> dict[str, list[Point]]:
+        """One point per size; a system lives as long as its point."""
+        return {
+            "points": [_point(n, lambda s=build(n): run(s)) for n in sizes]
+        }
+
+    # Shared by both top-k series and the Ranking point.
+    topk_systems = {n: build_sweep_system(n) for n in TOPK_SIZES}
+    anti_memory = points_of(
+        MEMORY_SKYLINE_SIZE, n_preference=2, distribution="anticorrelated"
     )
-    naive_uniform_point = _point(
-        MEMORY_SKYLINE_SIZE,
-        lambda: _stamped(naive_skyline(uniform_memory)),
-    )
-    topk_memory = list(
-        generate_relation(sweep_config(MEMORY_TOPK_SIZE)).pref_points()
-    )
-    naive_topk_point = _point(
-        MEMORY_TOPK_SIZE,
-        lambda: _stamped(naive_topk(topk_memory, _LINEAR, _TOPK_K)),
-    )
+    uniform_memory = points_of(MEMORY_SKYLINE_SIZE, n_preference=2)
+    topk_memory = points_of(MEMORY_TOPK_SIZE)
+
+    def bf_topk(fn):
+        return lambda s: boolean_first_topk(
+            s.relation, s.indexes, fn, _TOPK_K, _EMPTY
+        )
 
     figures = {
+        # gated: the skyline hot paths
         "kernels_skyline": {
             "series": {
-                "boolean-first-anticorrelated": {"points": bf_sky_points},
-                "naive-anticorrelated": {"points": [naive_anti_point]},
+                "boolean-first-anticorrelated": sweep(
+                    SKYLINE_SIZES,
+                    anticorrelated,
+                    lambda s: boolean_first_skyline(
+                        s.relation, s.indexes, _EMPTY
+                    ),
+                ),
+                "naive-anticorrelated": one(
+                    MEMORY_SKYLINE_SIZE,
+                    lambda: _stamped(naive_skyline(anti_memory)),
+                ),
             }
         },
+        # gated: the top-k hot paths
         "kernels_topk": {
             "series": {
-                "boolean-first-linear": {"points": bf_linear_points},
-                "boolean-first-wsd": {"points": bf_wsd_points},
+                "boolean-first-linear": sweep(
+                    TOPK_SIZES, topk_systems.get, bf_topk(_LINEAR)
+                ),
+                "boolean-first-wsd": sweep(
+                    TOPK_SIZES, topk_systems.get, bf_topk(_WSD)
+                ),
             }
         },
+        # gated (never slower): best-first search
         "kernels_search": {
             "series": {
-                "bbs-anticorrelated": {"points": bbs_points},
-                "ranking": {"points": [ranking_point]},
+                "bbs-anticorrelated": sweep(
+                    SEARCH_SIZES, anticorrelated, lambda s: bbs_skyline(s.rtree)
+                ),
+                "ranking": one(
+                    TOPK_SIZES[0],
+                    lambda: _ranking(topk_systems[TOPK_SIZES[0]]),
+                ),
             }
         },
+        # ungated: the in-memory references
         "kernels_memory": {
             "series": {
-                "naive-skyline-uniform": {"points": [naive_uniform_point]},
-                "naive-topk": {"points": [naive_topk_point]},
+                "naive-skyline-uniform": one(
+                    MEMORY_SKYLINE_SIZE,
+                    lambda: _stamped(naive_skyline(uniform_memory)),
+                ),
+                "naive-topk": one(
+                    MEMORY_TOPK_SIZE,
+                    lambda: _stamped(naive_topk(topk_memory, _LINEAR, _TOPK_K)),
+                ),
             }
         },
     }
@@ -298,19 +279,19 @@ def run_kernels_benchmark(
             )
     for series, body in figures["kernels_search"]["series"].items():
         for point in body["points"]:
-            if point["speedup"] < 1.0:
+            if point["speedup"] < SEARCH_POINT_MIN_SPEEDUP:
                 raise AssertionError(
                     f"kernels_search/{series} x={point['x']}: numpy is "
                     f"slower than python ({point['speedup']:.2f}x)"
                 )
 
-    return {
-        "schema": KERNELS_SCHEMA,
-        "seed": seed,
-        "min_speedup": min_speedup,
-        "gate_speedups": gated,
-        "figures": figures,
-    }
+    return envelope(
+        KERNELS_SCHEMA,
+        seed,
+        {"min_speedup": min_speedup},
+        figures,
+        timings={"gate_speedups": gated},
+    )
 
 
 def _ranking(system) -> tuple[Any, QueryStats]:

@@ -29,6 +29,7 @@ from repro.baselines.domination_first import (
     ranking_topk,
 )
 from repro.baselines.index_merge import index_merge_topk
+from repro.bench.harness import Point, empty_series
 from repro.data.fixtures import N_QUERIES, SWEEP_SIZES, build_sweep_system, sweep_config
 from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
@@ -61,11 +62,11 @@ class BenchContext:
         )
 
 
-def averaged_point(x, stats_list: list[QueryStats]) -> dict[str, Any]:
+def averaged_point(x, stats_list: list[QueryStats]) -> Point:
     """One series point: metrics averaged over the query sample.
 
-    ``wall_ms`` is the only nondeterministic field; everything else is a
-    pure function of the seeded input and safe to gate with ``--compare``.
+    ``wall_ms`` is the only timing; everything else is a pure function of
+    the seeded input and gated by ``--compare``.
     """
     n = len(stats_list)
     categories: dict[str, float] = {}
@@ -74,21 +75,21 @@ def averaged_point(x, stats_list: list[QueryStats]) -> dict[str, Any]:
             categories[category] = categories.get(category, 0) + count
     io = {cat: count / n for cat, count in sorted(categories.items())}
     io["total"] = sum(s.total_io() for s in stats_list) / n
-    return {
-        "x": x,
-        "wall_ms": sum(s.elapsed_seconds for s in stats_list) * 1e3 / n,
-        "io": io,
-        "heap_peak": sum(s.peak_heap for s in stats_list) / n,
-        "prune_counts": {
-            "pref": sum(s.dominance_pruned for s in stats_list) / n,
-            "bool": sum(s.boolean_pruned for s in stats_list) / n,
-        },
-        "results": sum(s.results for s in stats_list) / n,
-    }
-
-
-def _series(names: list[str]) -> dict[str, dict[str, list]]:
-    return {name: {"points": []} for name in names}
+    return (
+        Point(x)
+        .timing(
+            wall_ms=sum(s.elapsed_seconds for s in stats_list) * 1e3 / n
+        )
+        .cost(
+            io=io,
+            heap_peak=sum(s.peak_heap for s in stats_list) / n,
+            prune_counts={
+                "pref": sum(s.dominance_pruned for s in stats_list) / n,
+                "bool": sum(s.boolean_pruned for s in stats_list) / n,
+            },
+        )
+        .answer(results=sum(s.results for s in stats_list) / n)
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -98,7 +99,7 @@ def _series(names: list[str]) -> dict[str, dict[str, list]]:
 
 def fig05_construction(ctx: BenchContext) -> dict[str, Any]:
     """Construction time vs T (insert-built R-tree vs P-Cube vs B-trees)."""
-    series = _series(["B-tree", "P-Cube", "R-tree"])
+    series = empty_series("B-tree", "P-Cube", "R-tree")
     for n_tuples in ctx.sizes:
         timings = build_system(
             generate_relation(sweep_config(n_tuples)),
@@ -112,14 +113,14 @@ def fig05_construction(ctx: BenchContext) -> dict[str, Any]:
             ("B-tree", timings.btree_seconds),
         ):
             series[name]["points"].append(
-                {"x": n_tuples, "wall_ms": seconds * 1e3}
+                Point(n_tuples).timing(wall_ms=seconds * 1e3)
             )
     return {"title": "construction time vs T", "series": series}
 
 
 def fig06_size(ctx: BenchContext) -> dict[str, Any]:
     """Materialised size vs T (MB); fully deterministic."""
-    series = _series(["B-tree", "P-Cube", "R-tree"])
+    series = empty_series("B-tree", "P-Cube", "R-tree")
     for n_tuples in ctx.sizes:
         system = ctx.system(n_tuples)
         for name, size_mb in (
@@ -127,14 +128,16 @@ def fig06_size(ctx: BenchContext) -> dict[str, Any]:
             ("P-Cube", system.pcube_size_mb()),
             ("B-tree", system.btree_size_mb()),
         ):
-            series[name]["points"].append({"x": n_tuples, "size_mb": size_mb})
+            series[name]["points"].append(
+                Point(n_tuples).cost(size_mb=size_mb)
+            )
     return {"title": "materialised size vs T (MB)", "series": series}
 
 
 def _skyline_sweep(ctx: BenchContext, tag: str) -> dict[str, Any]:
     """The Figure 8/9/10 loop: N skyline queries per size, three methods."""
     rng = ctx.rng(tag)
-    series = _series(["Boolean", "Domination", "Signature"])
+    series = empty_series("Boolean", "Domination", "Signature")
     for n_tuples in ctx.sizes:
         system = ctx.system(n_tuples)
         samples: dict[str, list[QueryStats]] = {
@@ -196,7 +199,7 @@ def fig13_topk(ctx: BenchContext) -> dict[str, Any]:
     t_size = max(ctx.sizes)
     system = ctx.system(t_size)
     relation = system.relation
-    series = _series(["Boolean", "IndexMerge", "Ranking", "Signature"])
+    series = empty_series("Boolean", "IndexMerge", "Ranking", "Signature")
     for k in K_VALUES:
         samples: dict[str, list[QueryStats]] = {name: [] for name in series}
         for _ in range(ctx.n_queries):

@@ -18,21 +18,25 @@ Reported per point: throughput (``qps``), speedup over cold, queue-wait
 mean, and the deterministic gate fields — ``io.total`` and ``results``
 (identical answers are also *asserted*, not just reported: every mode must
 reproduce the cold baseline's tids exactly).  The throughput fields are
-wall-clock and therefore excluded from the ``--compare`` gate (see
-:data:`repro.bench.compare.WALL_FIELDS`); the ``shared-cold`` series omits
+wall-clock, emitted as timings and therefore never gated (see
+:mod:`repro.bench.harness`); the ``shared-cold`` series omits
 ``io.total`` because two workers missing the same page concurrently both
 (correctly) count a read, making its total interleaving-dependent.
 """
 
 from __future__ import annotations
 
-import random
-import time
 from typing import Any, Sequence
 
-from repro.data.fixtures import build_sweep_system
-from repro.data.workload import sample_linear_function, sample_predicate
-from repro.serve.executor import QueryExecutor
+from repro.bench.harness import (
+    POOL_CAPACITY,
+    READ_LATENCY,
+    empty_series,
+    envelope,
+    serve_pass,
+    served_point,
+    serving_setup,
+)
 from repro.storage.buffer import BufferPool
 
 SERVING_SCHEMA = "repro.serve-bench/v1"
@@ -41,32 +45,6 @@ SERVING_SCHEMA = "repro.serve-bench/v1"
 DEFAULT_THREADS = (1, 2, 4)
 DEFAULT_TUPLES = 5_000
 DEFAULT_QUERIES = 24
-#: Modeled per-read latency (200 µs: far below the 2008 disk the figures
-#: model, but enough to dominate the Python-side work it overlaps).
-DEFAULT_READ_LATENCY = 2e-4
-
-
-def _build_workload(system, rng: random.Random, n_queries: int):
-    """Alternating skyline / top-k submissions (kind, kwargs) — seeded."""
-    relation = system.relation
-    dims = relation.schema.n_preference
-    workload = []
-    for index in range(n_queries):
-        predicate = sample_predicate(relation, 1 + index % 2, rng)
-        if index % 2 == 0:
-            workload.append(("skyline", {"predicate": predicate}))
-        else:
-            workload.append(
-                (
-                    "topk",
-                    {
-                        "fn": sample_linear_function(dims, rng),
-                        "k": 10,
-                        "predicate": predicate,
-                    },
-                )
-            )
-    return workload
 
 
 def run_serving_benchmark(
@@ -74,118 +52,50 @@ def run_serving_benchmark(
     n_tuples: int = DEFAULT_TUPLES,
     threads: Sequence[int] = DEFAULT_THREADS,
     n_queries: int = DEFAULT_QUERIES,
-    read_latency: float = DEFAULT_READ_LATENCY,
-    pool_capacity: int = 65_536,
+    read_latency: float = READ_LATENCY,
 ) -> dict[str, Any]:
     """The full sweep; returns a ``repro.bench``-shaped report dict."""
-    system = build_sweep_system(n_tuples)
-    # The build runs latency-free; only serving pays the modeled device.
-    system.disk.read_latency = read_latency
-    rng = random.Random(seed)
-    workload = _build_workload(system, rng, n_queries)
+    system, workload, cold = serving_setup(  # cold: the paper mode
+        n_tuples, seed, n_queries, read_latency
+    )
+    pool = BufferPool(system.disk, capacity=POOL_CAPACITY)
 
-    # ---- cold-1: the paper mode ---------------------------------------- #
-    started = time.perf_counter()
-    reference = [
-        getattr(system.engine, kind)(**kwargs) for kind, kwargs in workload
-    ]
-    cold_seconds = time.perf_counter() - started
-    cold_qps = len(workload) / cold_seconds
-    expected_tids = [result.tids for result in reference]
-
-    series: dict[str, Any] = {
-        "cold": {
-            "points": [
-                {
-                    "x": 1,
-                    "qps": cold_qps,
-                    "wall_ms": cold_seconds * 1e3,
-                    "speedup_vs_cold": 1.0,
-                    "queue_wait_ms": 0.0,
-                    "io": {
-                        "total": sum(
-                            r.stats.total_io() for r in reference
-                        )
-                    },
-                    "results": sum(len(r.tids) for r in reference),
-                }
-            ]
-        },
-        "shared": {"points": []},
-        "shared-cold": {"points": []},
-    }
-
-    # ---- shared-N: one warm pool, N workers ---------------------------- #
-    pool = BufferPool(system.disk, capacity=pool_capacity)
-
-    def run_pass(n_threads: int) -> tuple[float, list, dict]:
-        with QueryExecutor(
-            system,
-            threads=n_threads,
-            queue_depth=2 * len(workload),
-            pool=pool,
-        ) as executor:
-            started = time.perf_counter()
-            tickets = [
-                getattr(executor, kind)(**kwargs)
-                for kind, kwargs in workload
-            ]
-            results = [ticket.result(timeout=600.0) for ticket in tickets]
-            elapsed = time.perf_counter() - started
-            return elapsed, results, executor.stats.snapshot()
-
-    def check(results, label: str) -> None:
-        for expected, result in zip(expected_tids, results):
-            if result.tids != expected:
-                raise AssertionError(
-                    f"{label} answer diverges from the cold baseline"
-                )
-
-    def point(n_threads, elapsed, results, stats, with_io=True):
-        qps = len(workload) / elapsed
-        entry = {
-            "x": n_threads,
-            "qps": qps,
-            "wall_ms": elapsed * 1e3,
-            "speedup_vs_cold": qps / cold_qps,
-            "queue_wait_ms": stats["queue_wait_mean"] * 1e3,
-            "results": sum(len(r.tids) for r in results),
-        }
-        if with_io:
-            entry["io"] = {
-                "total": sum(r.stats.total_io() for r in results)
-            }
-        return entry
-
-    run_pass(max(threads))  # untimed warm-up: populate the shared pool
-
-    for n_threads in threads:
-        elapsed, results, stats = run_pass(n_threads)
-        check(results, f"shared-{n_threads}")
-        series["shared"]["points"].append(
-            point(n_threads, elapsed, results, stats)
+    def point(label: str, n_threads: int, with_io: bool = True):
+        served = serve_pass(
+            system, workload, cold, f"{label}-{n_threads}", n_threads, pool
+        )
+        return served_point(n_threads, served, with_io).timing(
+            speedup_vs_cold=cold.elapsed / served.elapsed,
+            queue_wait_ms=served.stats["queue_wait_mean"] * 1e3,
         )
 
+    figure = empty_series("cold", "shared", "shared-cold")
+    figure["cold"]["points"].append(
+        served_point(1, cold).timing(speedup_vs_cold=1.0, queue_wait_ms=0.0)
+    )
+    point("warm-up", max(threads))  # untimed: populate the shared pool
+    for n_threads in threads:
+        figure["shared"]["points"].append(point("shared", n_threads))
     for n_threads in threads:
         pool.clear()  # every pass re-reads the working set from "disk"
-        elapsed, results, stats = run_pass(n_threads)
-        check(results, f"shared-cold-{n_threads}")
-        series["shared-cold"]["points"].append(
-            point(n_threads, elapsed, results, stats, with_io=False)
+        figure["shared-cold"]["points"].append(
+            point("shared-cold", n_threads, with_io=False)
         )
 
-    return {
-        "schema": SERVING_SCHEMA,
-        "seed": seed,
-        "n_tuples": n_tuples,
-        "n_queries": n_queries,
-        "read_latency": read_latency,
-        "figures": {
+    return envelope(
+        SERVING_SCHEMA,
+        seed,
+        {
+            "n_tuples": n_tuples,
+            "n_queries": n_queries,
+            "read_latency": read_latency,
+        },
+        {
             "serving": {
                 "title": "Serving throughput vs worker threads "
                 f"(T={n_tuples}, {n_queries} queries, "
                 f"{read_latency * 1e6:.0f}µs/read)",
-                "series": series,
+                "series": figure,
             }
         },
-    }
+    )

@@ -26,7 +26,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.counters import IOCounters
 
 if TYPE_CHECKING:
-    from repro.serve.resilience import BreakerBoard, RetryBudget
+    from repro.core.breakers import BreakerBoard
 
 
 class EmptyReader:
@@ -104,7 +104,7 @@ class ReaderFactory:
         pool: BufferPool | None = None,
         counters: IOCounters | None = None,
         tracer: Tracer | None = None,
-        budget: "RetryBudget | None" = None,
+        deadline_at: float | None = None,
         breakers: "BreakerBoard | None" = None,
         epoch: int | None = None,
     ):
@@ -145,7 +145,7 @@ class ReaderFactory:
                 counters,
                 fallback=self.boolean_fallback,
                 tracer=tracer,
-                budget=budget,
+                deadline_at=deadline_at,
                 breakers=breakers,
                 epoch=epoch,
             )
@@ -205,7 +205,7 @@ class ReaderFactory:
         pool: BufferPool | None = None,
         counters: IOCounters | None = None,
         tracer: Tracer | None = None,
-        budget: "RetryBudget | None" = None,
+        deadline_at: float | None = None,
         breakers: "BreakerBoard | None" = None,
         epoch: int | None = None,
     ):
@@ -223,7 +223,7 @@ class ReaderFactory:
             pool,
             counters,
             tracer,
-            budget=budget,
+            deadline_at=deadline_at,
             breakers=breakers,
             epoch=epoch,
         )

@@ -56,7 +56,7 @@ from repro.storage.faults import FaultStats, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.counted import CountedSignature
-    from repro.serve.resilience import BreakerBoard, RetryBudget
+    from repro.core.breakers import BreakerBoard
 
 
 class MissingPartialError(LookupError):
@@ -107,17 +107,17 @@ class _DirectoryReads:
         pool: BufferPool | None = None,
         counters: IOCounters | None = None,
         on_retry: Callable[[int, Exception], None] | None = None,
-        budget: "RetryBudget | None" = None,
+        deadline_at: float | None = None,
     ) -> PartialSignature | None:
         """Load one partial by (cell, ref) — one counted ``SSIG`` page read.
 
         Returns ``None`` when the cell has no partial with that reference.
         Transient faults are retried under the store's
-        :attr:`retry_policy`; with a ``budget`` (the serving ticket's
-        remaining deadline) retries whose backoff would outspend it are
-        skipped.  A read that keeps failing (or a detected corruption)
-        propagates as a typed storage fault for the caller's degraded
-        path.  The index descent itself is served from the directory
+        :attr:`retry_policy` — the one place a read is retried; with a
+        ``deadline_at`` (the serving ticket's wall-clock deadline) retries
+        whose backoff would outspend the time left are skipped.  A read
+        that keeps failing (or a detected corruption) propagates as a typed
+        storage fault for the caller's degraded path.  The index descent itself is served from the directory
         (equivalent to a pinned B+-tree root path); tests exercise the
         counted B+-tree separately.
         """
@@ -136,14 +136,9 @@ class _DirectoryReads:
             if on_retry is not None:
                 on_retry(attempt, exc)
 
-        deadline = (
-            budget.clock_deadline(self.retry_policy.clock)
-            if budget is not None
-            else None
-        )
         try:
             return self.retry_policy.call(
-                read_once, on_retry=count_retry, deadline=deadline
+                read_once, on_retry=count_retry, deadline_at=deadline_at
             )
         except StorageFault:
             self.fault_stats.transient_errors += 1
@@ -172,22 +167,10 @@ class _DirectoryReads:
         pool: BufferPool | None = None,
         counters: IOCounters | None = None,
         fallback: "BooleanFallback | None" = None,
-        tracer: Tracer | None = None,
-        budget: "RetryBudget | None" = None,
-        breakers: "BreakerBoard | None" = None,
-        epoch: int | None = None,
     ) -> "CellSignatureReader":
-        return CellSignatureReader(
-            self,
-            cell,
-            pool,
-            counters,
-            fallback,
-            tracer,
-            budget=budget,
-            breakers=breakers,
-            epoch=epoch,
-        )
+        """A bare reader of one cell (tests, ablations); a query's reader
+        comes from :meth:`PCube.reader_for_cells` with its plumbing."""
+        return CellSignatureReader(self, cell, pool, counters, fallback)
 
 
 class SignatureStore(_DirectoryReads):
@@ -550,7 +533,7 @@ class CellSignatureReader:
         counters: IOCounters | None,
         fallback: BooleanFallback | None = None,
         tracer: Tracer | None = None,
-        budget: "RetryBudget | None" = None,
+        deadline_at: float | None = None,
         breakers: "BreakerBoard | None" = None,
         epoch: int | None = None,
     ) -> None:
@@ -560,7 +543,7 @@ class CellSignatureReader:
         self.counters = counters
         self.fallback = fallback
         self.tracer = tracer
-        self.budget = budget
+        self.deadline_at = deadline_at
         self.breakers = breakers
         self.epoch = epoch
         self.fanout = store.fanout
@@ -628,7 +611,7 @@ class CellSignatureReader:
                 self.pool,
                 self.counters,
                 on_retry=self._count_retry,
-                budget=self.budget,
+                deadline_at=self.deadline_at,
             )
         except StorageFault as fault:
             if self.breakers is not None:

@@ -27,6 +27,7 @@ from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.rtree.geometry import Rect
 from repro.rtree.node import Entry
 from repro.rtree.rtree import RTree
+from repro.storage.disk import SimulatedDisk
 from repro.system import PCubeSystem, build_system
 
 # --------------------------------------------------------------------- #
@@ -136,6 +137,23 @@ def build_sweep_system(
     """One fully built sweep system (relation + R-tree + P-Cube + indexes)."""
     relation = generate_relation(sweep_config(n_tuples, **overrides))
     return build_system(relation, fanout=fanout)
+
+
+def build_scenario_system(
+    n_tuples: int, seed: int, fanout: int = 6, disk=None, **build_options
+) -> PCubeSystem:
+    """The maintenance scenarios' system (``audit``, ``backup``, the
+    durability sweep's recovery points): Db = Dp = 2 at the default
+    cardinality, small enough to rebuild per invocation, on ``disk`` or a
+    fresh :class:`SimulatedDisk` of its own."""
+    config = SyntheticConfig(
+        n_tuples=n_tuples, n_boolean=2, n_preference=2, seed=seed
+    )
+    if disk is None:
+        disk = SimulatedDisk()
+    return build_system(
+        generate_relation(config, disk=disk), fanout=fanout, **build_options
+    )
 
 
 def small_config() -> SyntheticConfig:

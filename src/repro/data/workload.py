@@ -1,4 +1,12 @@
-"""Query-workload samplers.
+"""Seeded workloads: the one place a query or maintenance stream is drawn.
+
+Samplers first, then the two streams every driver under ``src/repro``
+replays — :func:`read_mix` (the serving sweeps, ``serve --smoke`` /
+``--health``), :func:`zipfian_workload` (the routing sweep) and
+:func:`maintenance_ops` / :func:`apply_op` (``audit``, ``backup``, the
+durability sweep).  A stream is a pure function of the relation and the
+generator it is handed; ``tests/data/test_workload_streams.py`` pins the
+draw order.
 
 Predicates are sampled from *live* cells — pick a random tuple and reuse its
 values on the chosen dimensions — so every sampled query has a non-empty
@@ -11,11 +19,18 @@ parameters") plus the Example 1 style distance-to-target queries.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.cube.relation import Relation
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import LinearFunction, WeightedSquaredDistance
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.system import PCubeSystem
+
+#: Every kind :func:`read_mix` can draw, named as the engine / executor
+#: method that answers it.
+READ_KINDS = ("skyline", "topk", "dynamic_skyline", "lower_hull")
 
 
 def sample_predicate(
@@ -106,3 +121,79 @@ def zipfian_workload(
         dict(templates[rng.choices(range(n_templates), weights)[0]])
         for _ in range(n_queries)
     ]
+
+
+def read_mix(
+    relation: Relation,
+    rng: random.Random,
+    n_queries: int,
+    kinds: Sequence[str] = ("skyline", "topk"),
+) -> list[tuple[str, dict[str, Any]]]:
+    """``n_queries`` reads cycling through ``kinds``, as ``(kind, kwargs)``.
+
+    ``kind`` names the method and ``kwargs`` its arguments on both the
+    serial engine and the executor (``getattr(target, kind)(**kwargs)``),
+    so one list is both the workload and its reference run.  Predicates
+    alternate between one and two conjuncts; a top-k draws its linear
+    function after its predicate, a dynamic skyline its query point.
+    """
+    dims = relation.schema.n_preference
+    workload = []
+    for index in range(n_queries):
+        kwargs: dict[str, Any] = {
+            "predicate": sample_predicate(relation, 1 + index % 2, rng)
+        }
+        kind = kinds[index % len(kinds)]
+        if kind == "topk":
+            kwargs["fn"] = sample_linear_function(dims, rng)
+            kwargs["k"] = 10
+        elif kind == "dynamic_skyline":
+            kwargs["query_point"] = [rng.random() for _ in range(dims)]
+        elif kind not in READ_KINDS:
+            raise ValueError(f"unknown read kind {kind!r}; known: {READ_KINDS}")
+        workload.append((kind, kwargs))
+    return workload
+
+
+def maintenance_ops(
+    relation: Relation, rng: random.Random, n_ops: int
+) -> Iterator[tuple[str, tuple]]:
+    """The mixed write stream — inserts, batches of 2–5, deletes, updates —
+    as ``(kind, args)`` with ``kind`` the :class:`PCubeSystem` method.
+
+    Lazy on purpose: each op is drawn against the relation *as the previous
+    ops left it* (a delete picks among the tuples then live, and turns into
+    an update once ten or fewer are), so apply one before asking for the
+    next.  New rows reuse a random tuple's boolean values.
+    """
+    n_pref = relation.schema.n_preference
+
+    def random_row() -> tuple[tuple, tuple]:
+        template = rng.randrange(len(relation))
+        return (
+            relation.bool_row(template),
+            tuple(rng.random() for _ in range(n_pref)),
+        )
+
+    for _ in range(n_ops):
+        kind = rng.choice(("insert", "insert_batch", "delete", "update"))
+        if kind == "insert":
+            yield kind, random_row()
+        elif kind == "insert_batch":
+            yield kind, ([random_row() for _ in range(rng.randrange(2, 6))],)
+        else:
+            live = list(relation.live_tids())
+            if kind == "delete" and len(live) > 10:
+                yield kind, (rng.choice(live),)
+            else:
+                yield "update", (
+                    rng.choice(live),
+                    tuple(rng.random() for _ in range(n_pref)),
+                )
+
+
+def apply_op(system: "PCubeSystem", op: tuple[str, tuple]) -> None:
+    """Run one :func:`maintenance_ops` entry through the WAL-protected
+    driver it names."""
+    kind, args = op
+    getattr(system, kind)(*args)

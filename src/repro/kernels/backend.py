@@ -12,7 +12,7 @@ bit-identical results:
 The backend is resolved lazily from the ``REPRO_KERNELS`` environment
 variable (default ``numpy`` when numpy is importable) and can be switched
 at runtime with :func:`set_backend` or the :func:`use_backend` context
-manager — the differential tests and ``python -m repro.bench --kernels``
+manager — the differential tests and ``python -m repro.bench kernels``
 run both backends in one process.
 
 Switching applies to kernels *created afterwards*: stateful objects such
@@ -86,7 +86,7 @@ def set_backend(name: str) -> str:
 
 @contextmanager
 def use_backend(name: str) -> Iterator[str]:
-    """Temporarily switch backends (differential tests, ``--kernels``)."""
+    """Temporarily switch backends (differential tests, the ``kernels`` sweep)."""
     previous = set_backend(name)
     try:
         yield backend()

@@ -71,7 +71,7 @@ def reader_for_dnf(
 ):
     """A boolean-prune reader for ``disjunct_1 OR disjunct_2 OR ...``.
 
-    ``plumbing`` (tracer, retry budget, breaker board, epoch) is handed to
+    ``plumbing`` (tracer, ticket deadline, breaker board, epoch) is handed to
     every per-disjunct ``reader_for_predicate`` unchanged.  Returns
     ``None`` when some disjunct is the empty conjunction ``φ`` (the
     disjunction is then a tautology: no pruning possible).

@@ -80,7 +80,7 @@ from repro.storage.counters import SBLOCK
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.epoch import Snapshot
-    from repro.serve.resilience import BreakerBoard
+    from repro.core.breakers import BreakerBoard
 
 
 @dataclass
@@ -136,7 +136,7 @@ class QuerySession:
             (a backoff that would outspend the budget is skipped and the
             fault surfaces immediately); the ticker still enforces the
             deadline itself.
-        breakers: A :class:`~repro.serve.resilience.BreakerBoard` shared
+        breakers: A :class:`~repro.core.breakers.BreakerBoard` shared
             across the serving deployment; partial loads consult it and an
             open breaker short-circuits straight to the degraded path.
     """
@@ -520,7 +520,6 @@ class QuerySession:
         stats = QueryStats()
         stats.epoch = self.epoch
         stats.kernel_backend = kernel_backend()
-        budget = self._budget()
         pool = self.query_pool()
         reader = None
         if tracer is not None and tracer.counters is None:
@@ -532,7 +531,7 @@ class QuerySession:
             with _span(tracer, f"query:{kind}", **span_attrs):
                 started = time.perf_counter()
                 with _span(tracer, "reader:setup"):
-                    reader = self._reader(predicate, pool, stats, tracer, budget)
+                    reader = self._reader(predicate, pool, stats, tracer)
 
                 def algorithm1(strategy, state=None, keep_lists=True):
                     return run_algorithm1(
@@ -564,22 +563,14 @@ class QuerySession:
         stats.tier = "conservative" if stats.degraded else "signature"
         return outcome, stats
 
-    def _budget(self):
-        """The retry budget for one query starting now (or ``None``)."""
-        if self.deadline_at is None:
-            return None
-        from repro.serve.resilience import RetryBudget
-
-        return RetryBudget(self.deadline_at)
-
-    def _reader(self, predicate, pool, stats, tracer, budget):
+    def _reader(self, predicate, pool, stats, tracer):
         """The boolean-prune reader: conjunctive, or any-of for a DNF."""
         conjunctive = isinstance(predicate, BooleanPredicate)
         if conjunctive and predicate.is_empty():
             return None
         plumbing = {
             "tracer": tracer,
-            "budget": budget,
+            "deadline_at": self.deadline_at,
             "breakers": self.breakers,
             "epoch": self.epoch,
         }

@@ -13,8 +13,8 @@ routing adds, for every skyline/top-k query:
    then a lookup — *bypassed* while a breaker is open on any of the
    predicate's cells, so traffic keeps exercising (and healing) the real
    path, or when the ranking function has no cache token;
-2. on a miss, the assembled-signature memo, and the chain — the serving
-   chain, or the policy's pinned one — run through the
+2. on a miss, the chain — the serving chain, or the policy's pinned
+   one — run through the
    :class:`~repro.route.fallback.FallbackExecutor` (unsupported shapes,
    storage faults and per-attempt deadline slices fall through; overall
    deadline/cancellation abort);
@@ -50,7 +50,7 @@ from repro.route.fallback import FallbackExecutor, StrategyUnsupported
 from repro.route.stats import RouterStats
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.serve.resilience import BreakerBoard
+    from repro.core.breakers import BreakerBoard
     from repro.system import PCubeSystem
 
 
@@ -59,7 +59,7 @@ class RoutingPolicy:
     """The router's knobs (one frozen object, shareable across threads).
 
     Attributes:
-        cache: Enable the epoch-keyed result cache (and signature memo).
+        cache: Enable the epoch-keyed result cache.
         chain: Pin every query to exactly this chain, in order, instead of
             the serving chain; engines that do not support the query shape
             are skipped, and a query none of them supports raises.  One

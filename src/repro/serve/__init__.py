@@ -30,7 +30,6 @@ from repro.serve.resilience import (
     BreakerBoard,
     CircuitBreaker,
     Resilience,
-    RetryBudget,
 )
 from repro.serve.scrub import Finding, Scrubber, ScrubStats, Supervisor
 from repro.serve.stats import ServingStats
@@ -45,7 +44,6 @@ __all__ = [
     "QueryShed",
     "QueryTimeout",
     "Resilience",
-    "RetryBudget",
     "ScrubStats",
     "Scrubber",
     "ServingStats",

@@ -34,48 +34,12 @@ import sys
 
 from repro.data.fixtures import small_config
 from repro.data.synthetic import generate_relation
-from repro.data.workload import sample_linear_function, sample_predicate
+from repro.data.workload import READ_KINDS, read_mix
 from repro.query.session import QuerySession
 from repro.serve.executor import QueryExecutor
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import FaultPlan, FaultRule, FaultyDisk
 from repro.system import build_system
-
-
-def _build_workload(system, rng: random.Random, n_queries: int):
-    """(kind, submit-args) pairs, seeded and engine-replayable."""
-    relation = system.relation
-    dims = relation.schema.n_preference
-    workload = []
-    for index in range(n_queries):
-        predicate = sample_predicate(relation, 1 + index % 2, rng)
-        kind = ("skyline", "topk", "dynamic_skyline", "lower_hull")[index % 4]
-        if kind == "skyline":
-            workload.append(("skyline", {"predicate": predicate}))
-        elif kind == "topk":
-            workload.append(
-                (
-                    "topk",
-                    {
-                        "fn": sample_linear_function(dims, rng),
-                        "k": 10,
-                        "predicate": predicate,
-                    },
-                )
-            )
-        elif kind == "dynamic_skyline":
-            workload.append(
-                (
-                    "dynamic_skyline",
-                    {
-                        "query_point": [rng.random() for _ in range(dims)],
-                        "predicate": predicate,
-                    },
-                )
-            )
-        else:
-            workload.append(("lower_hull", {"predicate": predicate}))
-    return workload
 
 
 def _run_serial(system, workload):
@@ -85,32 +49,31 @@ def _run_serial(system, workload):
     ]
 
 
-def _answers_match(serial, concurrent) -> bool:
-    return (
-        serial.tids == concurrent.tids and serial.scores == concurrent.scores
-    )
+def _divergences(executor, workload, serial, what: str) -> list[str]:
+    """Submit the whole workload, then name every answer that is not the
+    serial engine's (same published epoch, so equality is required)."""
+    tickets = [getattr(executor, kind)(**kwargs) for kind, kwargs in workload]
+    problems = []
+    for index, (ticket, expected) in enumerate(zip(tickets, serial)):
+        result = ticket.result(timeout=60.0)
+        if (result.tids, result.scores) != (expected.tids, expected.scores):
+            problems.append(
+                f"query {index} ({workload[index][0]}): {what} answer "
+                f"diverges from the serial engine"
+            )
+    return problems
 
 
 def run_smoke(threads: int, n_queries: int, seed: int) -> int:
-    problems: list[str] = []
     system = build_system(generate_relation(small_config()))
-    rng = random.Random(seed)
-    workload = _build_workload(system, rng, n_queries)
+    workload = read_mix(
+        system.relation, random.Random(seed), n_queries, kinds=READ_KINDS
+    )
     serial = _run_serial(system, workload)
 
     with QueryExecutor(system, threads=threads, queue_depth=2 * n_queries) as executor:
-        # Phase 1: the whole workload concurrently, answers must be
-        # identical to the serial run (same published epoch).
-        tickets = [
-            getattr(executor, kind)(**kwargs) for kind, kwargs in workload
-        ]
-        for index, ticket in enumerate(tickets):
-            result = ticket.result(timeout=60.0)
-            if not _answers_match(serial[index], result):
-                problems.append(
-                    f"query {index} ({workload[index][0]}): concurrent answer "
-                    f"diverges from the serial engine"
-                )
+        # Phase 1: the whole workload concurrently.
+        problems = _divergences(executor, workload, serial, "concurrent")
 
         # Phase 2: pin the current epoch, mutate, and check isolation.
         pinned = system.pin_snapshot()
@@ -171,31 +134,10 @@ def run_health(threads: int, n_queries: int, seed: int) -> int:
     the conservative readers and the fallback chain must keep every answer
     byte-identical to the serial engine's.
     """
-    problems: list[str] = []
     disk = FaultyDisk(SimulatedDisk())
     system = build_system(generate_relation(small_config(), disk=disk))
-    rng = random.Random(seed)
-    relation = system.relation
-    dims = relation.schema.n_preference
-    workload = []
-    for index in range(n_queries):
-        predicate = sample_predicate(relation, 1 + index % 2, rng)
-        if index % 2 == 0:
-            workload.append(("skyline", {"predicate": predicate}))
-        else:
-            workload.append(
-                (
-                    "topk",
-                    {
-                        "fn": sample_linear_function(dims, rng),
-                        "k": 10,
-                        "predicate": predicate,
-                    },
-                )
-            )
-    serial = [
-        getattr(system.engine, kind)(**kwargs) for kind, kwargs in workload
-    ]
+    workload = read_mix(system.relation, random.Random(seed), n_queries)
+    serial = _run_serial(system, workload)
 
     # Arm the faults only after the clean serial reference run.
     disk.plan = FaultPlan(
@@ -217,16 +159,7 @@ def run_health(threads: int, n_queries: int, seed: int) -> int:
         system, threads=threads, queue_depth=2 * n_queries
     ) as executor:
         supervisor = executor.enable_scrubbing(start=False)
-        tickets = [
-            getattr(executor, kind)(**kwargs) for kind, kwargs in workload
-        ]
-        for index, ticket in enumerate(tickets):
-            result = ticket.result(timeout=60.0)
-            if not _answers_match(serial[index], result):
-                problems.append(
-                    f"query {index} ({workload[index][0]}): degraded answer "
-                    f"diverges from the serial engine"
-                )
+        problems = _divergences(executor, workload, serial, "degraded")
         # A full synchronous scrub pass with the fault plan disarmed: the
         # permanent corruption rule damaged a signature page, so the pass
         # must find it, heal the owning cell and leave the audit clean.

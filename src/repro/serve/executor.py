@@ -20,7 +20,7 @@ The serving pipeline, front to back:
 * The executor is **resilient by default** (see
   :mod:`repro.serve.resilience`): sessions run with deadline-budgeted
   storage retries, partial loads consult a shared per-(cell, SID)
-  :class:`~repro.serve.resilience.BreakerBoard`, and queued tickets whose
+  :class:`~repro.core.breakers.BreakerBoard`, and queued tickets whose
   deadline already lapsed are **shed** (:class:`QueryShed`) instead of
   wasting a worker.
 * Every per-kind query runs down **one fallback chain**
@@ -231,8 +231,8 @@ class QueryExecutor:
         resilience: The :class:`~repro.serve.resilience.Resilience` knobs
             (breaker threshold, shedding).  ``None`` (the default) uses
             the default-on configuration; pass e.g.
-            ``Resilience(breaker_threshold=0, shed=False)`` to strip the
-            machinery back to PR-4 behaviour.
+            ``Resilience(breaker_threshold=0, shed=False)`` for plain
+            concurrent serving: no breaker board, no shedding.
         routing: Opt-in result cache.  ``True`` attaches a
             :class:`~repro.route.QueryRouter` with the default
             :class:`~repro.route.RoutingPolicy` (epoch-keyed result cache,

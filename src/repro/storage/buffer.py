@@ -27,22 +27,20 @@ Two deployment modes matter:
 
 The pool registers itself with its disk, which calls :meth:`invalidate`
 whenever a page is freed or rewritten — a maintenance rewrite or
-quarantine-rebuild can therefore never serve a stale cached partial.  An
-optional :class:`~repro.storage.faults.RetryPolicy` makes :meth:`get` retry
-transient read faults with deterministic backoff.
+quarantine-rebuild can therefore never serve a stale cached partial.  The
+pool never retries a failed read: ``load_partial`` is the one place a read
+is retried (:mod:`repro.core.store`), and a retrying pool underneath it
+would retry every partial load twice.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.storage.counters import IOCounters
 from repro.storage.disk import SimulatedDisk
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.storage.faults import RetryPolicy
 
 
 #: Access counts are halved every this many accesses per page of capacity.
@@ -57,8 +55,6 @@ class BufferPool:
         disk: Backing store.
         capacity: Maximum number of resident pages.  ``capacity=0`` disables
             caching (every access is a disk read).
-        retry_policy: When given, transient read faults are retried with
-            bounded backoff before propagating.
 
     Concurrency notes: the cache map, the pin table and the hit/miss
     tallies are guarded by one lock, which is *never held across a disk
@@ -76,13 +72,11 @@ class BufferPool:
         self,
         disk: SimulatedDisk,
         capacity: int = 256,
-        retry_policy: "RetryPolicy | None" = None,
     ) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.disk = disk
         self.capacity = capacity
-        self.retry_policy = retry_policy
         self._cache: OrderedDict[int, Any] = OrderedDict()
         self._pins: dict[int, int] = {}
         # Misses with a disk read in flight (page_id → reader count) and a
@@ -138,12 +132,7 @@ class BufferPool:
             self._inflight[page_id] = self._inflight.get(page_id, 0) + 1
             generation = self._inval_gen.get(page_id, 0)
         try:
-            if self.retry_policy is not None:
-                payload = self.retry_policy.call(
-                    lambda: self.disk.read(page_id, category, counters)
-                )
-            else:
-                payload = self.disk.read(page_id, category, counters)
+            payload = self.disk.read(page_id, category, counters)
         except BaseException:
             with self._lock:
                 self._read_done_locked(page_id)

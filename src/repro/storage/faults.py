@@ -34,6 +34,7 @@ later read detects as :class:`~repro.storage.errors.CorruptPageError`.
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
@@ -93,12 +94,14 @@ class RetryPolicy:
     retry schedules in tests and benchmarks replay bit for bit while
     concurrent retriers in a real deployment would still decorrelate.
 
-    A *deadline* (in the clock's own timeline) turns the policy into a
-    budgeted one: a retry whose backoff would sleep the clock past the
-    deadline is not taken — the transient fault propagates immediately so
-    the caller's degraded path runs while the query can still meet its
-    deadline.  The serving layer derives the deadline from each ticket's
-    remaining time (:class:`repro.serve.resilience.RetryBudget`).
+    A *deadline* turns the policy into a budgeted one.  The serving layer
+    hands :meth:`call` each ticket's wall-clock ``deadline_at``; since
+    backoff is charged to the deterministic clock and never really slept,
+    "never back off past the deadline" means the charged backoff must fit
+    into the wall-clock time the ticket still has when the call starts.  A
+    retry that would outspend it is not taken — the transient fault
+    propagates immediately so the caller's degraded path runs while the
+    query can still meet its deadline.
     """
 
     max_attempts: int = 4
@@ -129,16 +132,23 @@ class RetryPolicy:
         self,
         fn: Callable[[], Any],
         on_retry: Callable[[int, Exception], None] | None = None,
-        deadline: float | None = None,
+        deadline_at: float | None = None,
     ) -> Any:
         """Run ``fn``, retrying on :class:`TransientIOError` with backoff.
 
         Permanent failures (:class:`CorruptPageError`, :class:`PageFault`)
         propagate immediately — retrying cannot fix them.  With a
-        ``deadline`` (clock time), a backoff that would overshoot it is not
-        slept: the fault propagates at once instead, so the total time
-        charged to the clock never exceeds the deadline.
+        ``deadline_at`` (a ``time.perf_counter()`` instant), a backoff that
+        would overshoot the time left is not slept: the fault propagates at
+        once instead, so this call never charges the clock more than the
+        wall-clock time that remained when it started (nothing, for a
+        deadline already lapsed).
         """
+        deadline = (
+            None
+            if deadline_at is None
+            else self.clock.now + max(deadline_at - time.perf_counter(), 0.0)
+        )
         delay = self.base_delay
         for attempt in range(1, self.max_attempts + 1):
             try:

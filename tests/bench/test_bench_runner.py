@@ -17,7 +17,7 @@ from repro.bench import (
     dumps_report,
     flatten_metrics,
     run_benchmarks,
-    strip_wall,
+    strip_timings,
 )
 from repro.bench.__main__ import main
 
@@ -32,19 +32,20 @@ def tiny_report():
 class TestDeterminism:
     def test_same_seed_byte_identical_modulo_wall(self, tiny_report):
         again = run_benchmarks(seed=7, **TINY)
-        assert dumps_report(strip_wall(tiny_report)) == dumps_report(
-            strip_wall(again)
+        assert dumps_report(strip_timings(tiny_report)) == dumps_report(
+            strip_timings(again)
         )
 
     def test_different_seed_changes_workload(self, tiny_report):
         other = run_benchmarks(seed=8, **TINY)
-        assert dumps_report(strip_wall(tiny_report)) != dumps_report(
-            strip_wall(other)
+        assert dumps_report(strip_timings(tiny_report)) != dumps_report(
+            strip_timings(other)
         )
 
-    def test_strip_wall_removes_only_wall_fields(self, tiny_report):
-        stripped = strip_wall(tiny_report)
+    def test_strip_timings_removes_only_timing_fields(self, tiny_report):
+        stripped = strip_timings(tiny_report)
         text = dumps_report(stripped)
+        assert tiny_report["fields"]["wall_ms"] == "timing"
         assert "wall_ms" not in text
         point = stripped["figures"]["fig08"]["series"]["Signature"][
             "points"
@@ -109,7 +110,26 @@ class TestCompare:
         assert regressions[0].path.endswith("io.total")
         assert regressions[0].pct > 10.0
 
-    def test_wall_never_gates_by_default(self, tiny_report):
+    def test_doctored_downward_baseline_trips_gate(self, tiny_report):
+        """A cost that halves passes (lower is better); an answer size
+        that halves is a different answer and fails, whatever
+        ``fail_over`` allows."""
+        baseline = json.loads(dumps_report(tiny_report))
+        point = baseline["figures"]["fig08"]["series"]["Signature"][
+            "points"
+        ][0]
+        point["io"]["total"] *= 2  # current reads half the baseline's pages
+        assert compare_reports(tiny_report, baseline)[0] == []
+        point["results"] *= 2  # ... and returns half its results
+        regressions, _ = compare_reports(
+            tiny_report, baseline, fail_over=1000.0
+        )
+        assert [delta.path for delta in regressions] == [
+            "fig08/Signature/x=300/results"
+        ]
+        assert regressions[0].pct == pytest.approx(-50.0)
+
+    def test_wall_never_gates(self, tiny_report):
         baseline = json.loads(dumps_report(tiny_report))
         for figure in baseline["figures"].values():
             for series in figure["series"].values():
@@ -126,15 +146,13 @@ class TestCompare:
         assert regressions == []
         assert any("not in baseline" in note for note in notes)
 
-    def test_flatten_excludes_wall_and_x(self, tiny_report):
+    def test_flatten_gives_dotted_leaves_minus_x(self, tiny_report):
         point = tiny_report["figures"]["fig08"]["series"]["Signature"][
             "points"
         ][0]
         flat = flatten_metrics(point)
         assert "x" not in flat
-        assert all("wall_ms" not in path for path in flat)
-        assert "io.total" in flat
-        assert flatten_metrics(point, include_wall=True)["wall_ms"] >= 0
+        assert {"io.total", "prune_counts.pref", "wall_ms"} <= set(flat)
 
 
 class TestCli:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 
@@ -13,6 +14,7 @@ from repro.data.workload import sample_linear_function, sample_predicate
 from repro.query.disjunction import matches_dnf
 from repro.query.dynamic import naive_dynamic_skyline
 from repro.query.hull import naive_lower_hull
+from repro.query.session import QuerySession
 from repro.serve.executor import (
     AdmissionFull,
     QueryExecutor,
@@ -25,11 +27,10 @@ from repro.serve.resilience import (
     OPEN,
     BreakerBoard,
     Resilience,
-    RetryBudget,
 )
 from repro.storage.disk import SimulatedDisk
 from repro.storage.errors import CorruptPageError, TransientIOError
-from repro.storage.faults import DeterministicClock, FaultPlan, FaultRule, FaultyDisk
+from repro.storage.faults import FaultPlan, FaultRule, FaultyDisk, RetryPolicy
 from repro.system import build_system
 
 pytestmark = pytest.mark.concurrent
@@ -146,17 +147,68 @@ def test_resilience_defaults_enable_the_full_chain():
 # ---------------------------------------------------------------------- #
 
 
-def test_retry_budget_translates_wall_deadline_to_clock_deadline():
-    clock = DeterministicClock()
-    clock.sleep(2.0)
-    assert RetryBudget(None).remaining() is None
-    assert RetryBudget(None).clock_deadline(clock) is None
-    ahead = RetryBudget(time.perf_counter() + 5.0)
-    deadline = ahead.clock_deadline(clock)
-    assert 2.0 + 4.0 < deadline <= 2.0 + 5.0
-    # A lapsed wall deadline leaves zero backoff budget, never negative.
-    lapsed = RetryBudget(time.perf_counter() - 1.0)
-    assert lapsed.clock_deadline(clock) == clock.now
+def test_retry_policy_translates_wall_deadline_to_clock_budget():
+    def flaky(failures):
+        left = [failures]
+
+        def read():
+            if left[0]:
+                left[0] -= 1
+                raise TransientIOError("injected")
+            return "ok"
+
+        return read
+
+    # No deadline, or one comfortably ahead: the retry is taken and its
+    # backoff charged on top of whatever the shared clock already holds.
+    for deadline_at in (None, time.perf_counter() + 5.0):
+        policy = RetryPolicy(base_delay=0.01)
+        policy.clock.sleep(2.0)
+        assert policy.call(flaky(1), deadline_at=deadline_at) == "ok"
+        assert policy.clock.now == pytest.approx(2.01)
+        assert policy.exhausted_budgets == 0
+    # Less time left than the backoff needs — or a lapsed deadline, which
+    # leaves zero budget, never a negative one: the fault propagates at
+    # once and nothing is charged.
+    for remaining in (0.001, -1.0):
+        policy = RetryPolicy(base_delay=0.01)
+        policy.clock.sleep(2.0)
+        with pytest.raises(TransientIOError):
+            policy.call(
+                flaky(1), deadline_at=time.perf_counter() + remaining
+            )
+        assert policy.clock.now == 2.0
+        assert (policy.retries, policy.exhausted_budgets) == (0, 1)
+
+
+def test_a_session_deadline_reaches_the_one_retry_site(faulty):
+    """``QuerySession(deadline_at=)`` → reader → ``load_partial`` →
+    ``RetryPolicy.call``: with no time left the first transient fault on a
+    partial is not retried — the load degrades at once, the answer does
+    not change — while a session without a deadline retries through it."""
+    disk, system = faulty
+    predicate = sample_predicate(system.relation, 1, random.Random(3))
+    expected = system.engine.skyline(predicate).tids
+    policy = system.pcube.store.retry_policy
+    sig = f"{system.pcube.tag}:sig"
+
+    disk.plan = FaultPlan([FaultRule(kind="transient", tag=sig, count=1)])
+    relaxed = QuerySession(system.relation, system.rtree, system.pcube)
+    result = relaxed.skyline(predicate)
+    assert (policy.retries, policy.exhausted_budgets) == (1, 0)
+    assert result.tids == expected and not result.stats.degraded
+
+    disk.plan = FaultPlan([FaultRule(kind="transient", tag=sig, count=1)])
+    lapsed = QuerySession(
+        system.relation,
+        system.rtree,
+        system.pcube,
+        deadline_at=time.perf_counter() - 1.0,
+    )
+    result = lapsed.skyline(predicate)
+    assert (policy.retries, policy.exhausted_budgets) == (1, 1)
+    assert result.tids == expected
+    assert result.stats.degraded and result.stats.failed_loads == 1
 
 
 # ---------------------------------------------------------------------- #

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.storage.buffer import BufferPool
-from repro.storage.counters import SSIG, IOCounters
+from repro.storage.counters import SSIG
 from repro.storage.disk import PageFault, SimulatedDisk
 from repro.storage.errors import (
     CorruptPageError,
@@ -216,23 +215,6 @@ def test_faulty_disk_torn_write_and_allocate():
         disk.write(ok, 3)
     assert disk.peek(ok).payload == 1  # the torn write never landed
     assert disk.fault_counts["torn"] == 2
-
-
-def test_faulty_disk_retry_through_buffer_pool():
-    disk = FaultyDisk(
-        SimulatedDisk(),
-        FaultPlan([FaultRule(kind="transient", count=2)]),
-    )
-    page_id = disk.allocate("t", payload="v")
-    policy = RetryPolicy(max_attempts=4)
-    pool = BufferPool(disk, capacity=4, retry_policy=policy)
-    counters = IOCounters()
-    assert pool.get(page_id, SSIG, counters) == "v"
-    assert policy.retries == 2
-    assert counters.get(SSIG) == 1
-    # Now cached: no further disk involvement, no further faults possible.
-    assert pool.get(page_id, SSIG, counters) == "v"
-    assert counters.get(SSIG) == 1
 
 
 def test_storage_fault_family():

@@ -5,12 +5,15 @@ space rather than a few hand-picked examples:
 
 * determinism — for a fixed seed, the jittered backoff schedule replays
   bit for bit (tests, benchmarks and the chaos harness depend on it);
-* budget safety — with a deadline, the deterministic clock is *never*
-  charged past it, however the attempts/backoff/jitter knobs are set (the
-  serving guarantee behind :class:`repro.serve.resilience.RetryBudget`).
+* budget safety — with a ticket's wall-clock deadline, one call *never*
+  charges the deterministic clock more than the time the ticket had left,
+  however the attempts/backoff/jitter knobs are set (the serving guarantee
+  :meth:`RetryPolicy.call` gives ``load_partial``).
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -71,19 +74,28 @@ def test_jittered_backoff_replays_bit_for_bit(config, failures):
 @settings(max_examples=120, deadline=None)
 @given(
     config=policies,
-    deadline=st.floats(min_value=0.0, max_value=0.2, allow_nan=False),
+    remaining=st.floats(min_value=-0.1, max_value=0.2, allow_nan=False),
+    already_charged=st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
 )
-def test_budgeted_retries_never_charge_past_the_deadline(config, deadline):
+def test_budgeted_retries_never_charge_past_the_deadline(
+    config, remaining, already_charged
+):
     policy = RetryPolicy(**config)
+    # The clock is the store's, shared by every earlier load: the budget
+    # is what *this* call may add to it.
+    policy.clock.sleep(already_charged)
 
     def always_fails():
         raise TransientIOError("still down")
 
     with pytest.raises(TransientIOError):
-        policy.call(always_fails, deadline=deadline)
+        policy.call(
+            always_fails, deadline_at=time.perf_counter() + remaining
+        )
     # The hard guarantee: however the knobs are set, backoff charged to
-    # the clock fits inside the budget.
-    assert policy.clock.now <= deadline
+    # the clock fits inside the wall-clock time the ticket had left — and
+    # a lapsed deadline leaves zero budget, never a negative one.
+    assert policy.clock.now - already_charged <= max(remaining, 0.0)
     # Accounting is consistent: either the full attempt budget was spent,
     # or exactly one skipped-retry event ended the call early.
     if policy.exhausted_budgets:
