@@ -19,8 +19,8 @@ under the serving benchmark's modeled per-read latency.  Four passes:
   total wall ≤ the best full-coverage pinned engine's wall × 1.1, and
   that every answer is byte-identical to the canonical reference.
 * **served** — the end-to-end path: a ``QueryExecutor(routing=True)``
-  serving the same stream, with the ``ServingStats`` routing counters
-  reconciled exactly against the workload.
+  serving the same stream, with its router's counters reconciled exactly
+  against the workload.
 
 Gate fields (``--compare``): per-series ``io.total`` and ``cache_misses``
 as costs; ``results``, ``covered``, ``routed``, ``hit_rate`` and the
@@ -45,6 +45,7 @@ from repro.route import (
     SIGNATURE,
     STRATEGY_ORDER,
     QueryRouter,
+    RouteRequest,
     RoutingPolicy,
     StrategyUnsupported,
 )
@@ -116,10 +117,9 @@ def _routed_pass(system, snapshot, workload: list[dict], policy) -> _Routed:
         try:
             result = router.route(
                 session,
-                query["kind"],
-                predicate=query["predicate"],
-                fn=query["fn"],
-                k=query["k"],
+                RouteRequest(
+                    query["kind"], query["predicate"], query["fn"], query["k"]
+                ),
             )
         except StrategyUnsupported:
             continue
@@ -254,21 +254,21 @@ def run_routing_benchmark(
                 )
         served = [ticket.result(timeout=600.0) for ticket in tickets]
         served_wall = time.perf_counter() - started
-        serving = executor.stats.snapshot()
+        routed = executor.router.stats.snapshot()
     _check(dict(enumerate(map(_canonical, served))), reference, workload, "served")
-    if serving["routed"] != len(workload):
+    if routed["routed"] != len(workload):
         raise AssertionError(
-            f"ServingStats counted {serving['routed']} routed queries, "
+            f"the router counted {routed['routed']} routed queries, "
             f"expected {len(workload)}"
         )
     cache_total = (
-        serving["cache_hits"]
-        + serving["cache_misses"]
-        + serving["cache_bypassed"]
+        routed["cache_hits"]
+        + routed["cache_misses"]
+        + routed["cache_bypassed"]
     )
     if cache_total != len(workload):
         raise AssertionError(
-            "ServingStats cache outcomes do not reconcile: "
+            "the router's cache outcomes do not reconcile: "
             f"{cache_total} != {len(workload)}"
         )
     series["served"] = {
@@ -276,14 +276,14 @@ def run_routing_benchmark(
             Point(1)
             .timing(wall_ms=served_wall * 1e3)
             .cost(
-                fell_back=serving["fell_back"],
-                cache_misses=serving["cache_misses"],
-                cache_bypassed=serving["cache_bypassed"],
+                fell_back=routed["fell_back"],
+                cache_misses=routed["cache_misses"],
+                cache_bypassed=routed["cache_bypassed"],
             )
             .answer(
                 results=sum(len(r.tids) for r in served),
-                routed=serving["routed"],
-                hit_rate=serving["cache_hits"] / max(1, serving["routed"]),
+                routed=routed["routed"],
+                hit_rate=routed["cache_hits"] / max(1, routed["routed"]),
             )
         ]
     }

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.rtree.frozen import FrozenRTree, freeze
+from repro.storage.counters import Tally
 from repro.storage.disk import PageFault
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,15 +79,16 @@ class Snapshot:
     counted: "dict[Cell, CountedSignature]" = field(repr=False, default=None)
 
 
-@dataclass
-class EpochStats:
-    """Aggregate epoch bookkeeping (surfaced by serving stats and audits)."""
+class EpochStats(Tally):
+    """Aggregate epoch bookkeeping (``--health``'s ``epochs``, audits)."""
 
-    published: int = 0
-    abandoned: int = 0
-    deferred_frees: int = 0
-    reclaimed_pages: int = 0
-    pruned_versions: int = 0
+    ZEROS = dict(
+        published=0,
+        abandoned=0,
+        deferred_frees=0,
+        reclaimed_pages=0,
+        pruned_versions=0,
+    )
 
 
 class EpochManager:
@@ -123,7 +125,7 @@ class EpochManager:
         rtree.free_hook = self._defer_free
         pcube.store.free_hook = self._defer_free
         self._current: Snapshot = self._build_snapshot(epoch=1)
-        self.stats.published += 1
+        self.stats.bump(published=1)
 
     # ------------------------------------------------------------------ #
     # clocks & hooks
@@ -145,7 +147,7 @@ class EpochManager:
                 else self._current.epoch + 1
             )
             self._deferred.append((barrier, page_id))
-            self.stats.deferred_frees += 1
+            self.stats.bump(deferred_frees=1)
 
     # ------------------------------------------------------------------ #
     # reading
@@ -216,7 +218,7 @@ class EpochManager:
                 with self._lock:
                     self._building = None
                     if self.stats.published == published_before:
-                        self.stats.abandoned += 1
+                        self.stats.bump(abandoned=1)
                         self._unlogged_writes = True
 
     @contextmanager
@@ -257,7 +259,7 @@ class EpochManager:
             # Keep stamping any further mutations of this op past the
             # published epoch, in case the driver does trailing cleanup.
             self._building = epoch + 1
-            self.stats.published += 1
+            self.stats.bump(published=1)
             self._reclaim_pages_locked()
             horizon = self._horizon_locked()
         # Version-map pruning mutates dicts the writer's own mutators
@@ -266,8 +268,8 @@ class EpochManager:
         # _writer_lock.  Pins can only attach to the current epoch, so a
         # horizon computed moments ago can lag but never overshoot.
         if horizon > self._pruned_horizon:
-            self.stats.pruned_versions += self.relation.prune_versions(
-                horizon
+            self.stats.bump(
+                pruned_versions=self.relation.prune_versions(horizon)
             )
             self._pruned_horizon = horizon
         return snapshot
@@ -333,7 +335,7 @@ class EpochManager:
                 pass  # recovery may have rebuilt (and freed) wholesale
             freed += 1
         self._deferred = keep
-        self.stats.reclaimed_pages += freed
+        self.stats.bump(reclaimed_pages=freed)
 
     def deferred_free_count(self) -> int:
         with self._lock:

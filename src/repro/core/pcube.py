@@ -420,7 +420,7 @@ class PCube(ReaderFactory):
         """
         signature = self.recompute_cell(cell)
         self.store.clear_quarantine(cell)
-        self.store.fault_stats.rebuilds += 1
+        self.store.fault_stats.bump(rebuilds=1)
         return signature
 
     def rebuild_quarantined(self) -> list[Cell]:

@@ -26,7 +26,8 @@ must never produce a wrong answer, only a slower one):
   cannot be resolved answer ``True`` (losing boolean pruning, preserving
   Algorithm 1's correctness), leaf-level checks are resolved exactly
   against the base relation via a fallback, and the cell is quarantined
-  until :meth:`SignatureStore.rebuild_cell` regenerates it.
+  until :meth:`PCube.rebuild_cell <repro.core.pcube.PCube.rebuild_cell>`
+  regenerates it from the base relation.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class _DirectoryReads:
             return self.disk.read(page_id, SSIG, counters)
 
         def count_retry(attempt: int, exc: Exception) -> None:
-            self.fault_stats.retries += 1
+            self.fault_stats.bump(retries=1)
             if on_retry is not None:
                 on_retry(attempt, exc)
 
@@ -141,7 +142,7 @@ class _DirectoryReads:
                 read_once, on_retry=count_retry, deadline_at=deadline_at
             )
         except StorageFault:
-            self.fault_stats.transient_errors += 1
+            self.fault_stats.bump(transient_errors=1)
             raise
 
     def load_full_signature(
@@ -204,7 +205,7 @@ class SignatureStore(_DirectoryReads):
         # counted B+-tree path.
         self._directory: dict[str, dict[int, int]] = {}
         # cell_id -> (cell, reason) for cells whose partials proved
-        # unreadable; cleared by rebuild_cell().
+        # unreadable; cleared by PCube.rebuild_cell().
         self._quarantined: dict[str, tuple[Cell, str]] = {}
         self._journal: list[RewriteJournalEntry] = []
         #: When set, signature-page frees are routed here instead of
@@ -359,7 +360,7 @@ class SignatureStore(_DirectoryReads):
     def quarantine(self, cell: Cell, reason: object) -> None:
         """Mark a cell's stored signature as unreadable (degraded mode)."""
         if cell.cell_id not in self._quarantined:
-            self.fault_stats.quarantines += 1
+            self.fault_stats.bump(quarantines=1)
         self._quarantined[cell.cell_id] = (cell, repr(reason))
 
     def is_quarantined(self, cell: Cell) -> bool:
@@ -375,20 +376,6 @@ class SignatureStore(_DirectoryReads):
         was_quarantined = self._quarantined.pop(cell.cell_id, None)
         if was_quarantined is not None and self.on_cell_rebuilt is not None:
             self.on_cell_rebuilt(cell.cell_id)
-
-    def rebuild_cell(self, cell: Cell, signature: Signature) -> int:
-        """Store a freshly regenerated signature for a quarantined cell.
-
-        The signature comes from the base relation and the R-tree (see
-        :meth:`PCube.rebuild_cell`); the old — possibly corrupt — pages are
-        freed by the rewrite, and the quarantine is lifted.  Returns the
-        number of partials stored.
-        """
-        self.recover()
-        n_partials = self.put_signature(cell, signature)
-        self.clear_quarantine(cell)
-        self.fault_stats.rebuilds += 1
-        return n_partials
 
     # ------------------------------------------------------------------ #
     # reading
@@ -620,7 +607,7 @@ class CellSignatureReader:
                 )
             self._unreadable_refs.add(ref_sid)
             self.failed_loads += 1
-            self.store.fault_stats.degraded_loads += 1
+            self.store.fault_stats.bump(degraded_loads=1)
             self.store.quarantine(self.cell, fault)
             elapsed = time.perf_counter() - started
             self.load_seconds += elapsed

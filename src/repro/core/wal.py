@@ -370,7 +370,7 @@ class MaintenanceWAL:
             payload=record,
         )
         self._active_bytes += size
-        self.stats.wal_records += 1
+        self.stats.bump(wal_records=1)
         return record["lsn"]
 
     # ------------------------------------------------------------------ #
@@ -437,7 +437,7 @@ class MaintenanceWAL:
         self.last_commit_lsn = self._append(
             {"op_id": op_id, "kind": "commit"}, size=0
         )
-        self.stats.wal_commits += 1
+        self.stats.bump(wal_commits=1)
         if self._open_op == op_id:
             self._open_op = None
             self.pending_since = None
@@ -475,7 +475,7 @@ class MaintenanceWAL:
         )
         self._active_segment = segment + 1
         self._active_bytes = 0
-        self.stats.wal_segments_sealed += 1
+        self.stats.bump(wal_segments_sealed=1)
 
     # ------------------------------------------------------------------ #
     # recovery-side view
@@ -551,7 +551,7 @@ class MaintenanceWAL:
                 )
         self._has_damage = False
         if freed:
-            self.stats.wal_tail_truncated += freed
+            self.stats.bump(wal_tail_truncated=freed)
             # Truncation may have removed the only trace of the open op
             # (or its later records); resync the in-memory view from disk.
             self._next_lsn = 0
@@ -664,7 +664,7 @@ class MaintenanceWAL:
             for page in list(self.disk.pages(self.seal_tag)):
                 if page.payload.get("segment") == segment:
                     self.disk.free(page.page_id)
-            self.stats.wal_segments_pruned += 1
+            self.stats.bump(wal_segments_pruned=1)
         return freed
 
     @classmethod

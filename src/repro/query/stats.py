@@ -12,14 +12,14 @@ from repro.storage.counters import (
     SBLOCK,
     SSIG,
     IOCounters,
+    Tally,
 )
 
 
-@dataclass
-class MaintenanceStats:
+class MaintenanceStats(Tally):
     """Maintenance-side tallies: WAL traffic and crash-recovery work.
 
-    Attributes:
+    Counts:
         wal_records: Intent / changes / cell records journalled.
         wal_commits: Operations whose WAL region was truncated (committed).
         recoveries: ``recover()`` calls that found an interrupted operation.
@@ -34,28 +34,17 @@ class MaintenanceStats:
             made their history redundant.
     """
 
-    wal_records: int = 0
-    wal_commits: int = 0
-    recoveries: int = 0
-    replayed_cells: int = 0
-    reindexes: int = 0
-    rows_repaired: int = 0
-    wal_tail_truncated: int = 0
-    wal_segments_sealed: int = 0
-    wal_segments_pruned: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "wal_records": self.wal_records,
-            "wal_commits": self.wal_commits,
-            "recoveries": self.recoveries,
-            "replayed_cells": self.replayed_cells,
-            "reindexes": self.reindexes,
-            "rows_repaired": self.rows_repaired,
-            "wal_tail_truncated": self.wal_tail_truncated,
-            "wal_segments_sealed": self.wal_segments_sealed,
-            "wal_segments_pruned": self.wal_segments_pruned,
-        }
+    ZEROS = dict(
+        wal_records=0,
+        wal_commits=0,
+        recoveries=0,
+        replayed_cells=0,
+        reindexes=0,
+        rows_repaired=0,
+        wal_tail_truncated=0,
+        wal_segments_sealed=0,
+        wal_segments_pruned=0,
+    )
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 Every served skyline / top-k runs down one fixed chain
 (:data:`SERVING_CHAIN`: signature, then the exact scans), handed to the
-next engine by :class:`FallbackExecutor` when one cannot serve.
+next engine by :func:`run_chain` when one cannot serve.
 :class:`QueryRouter` puts an epoch-keyed :class:`ResultCache` of
 canonicalised answers in front of that chain; the other engines stay as
 pinned references (``RoutingPolicy.chain``).  See DESIGN.md §12.
@@ -20,15 +20,12 @@ from repro.route.engines import (
     STRATEGY_ORDER,
     EngineContext,
     RouteRequest,
+    StrategyUnsupported,
     canonicalize,
     chain_for,
     supports,
 )
-from repro.route.fallback import (
-    FallbackExecutor,
-    StrategyTimeout,
-    StrategyUnsupported,
-)
+from repro.route.fallback import StrategyTimeout, run_chain
 from repro.route.router import QueryRouter, RoutingPolicy
 from repro.route.stats import RouterStats
 
@@ -39,7 +36,6 @@ __all__ = [
     "DOMINATION_FIRST",
     "ENGINES",
     "EngineContext",
-    "FallbackExecutor",
     "INDEX_MERGE",
     "NAIVE",
     "QueryRouter",
@@ -55,5 +51,6 @@ __all__ = [
     "canonicalize",
     "chain_for",
     "result_key",
+    "run_chain",
     "supports",
 ]

@@ -110,7 +110,12 @@ def result_key(
 
 
 class ResultCache:
-    """A thread-safe LRU of canonicalised skyline/top-k answers."""
+    """A thread-safe LRU of canonicalised skyline/top-k answers.
+
+    It counts what happens to its *entries* — stored, evicted, carried or
+    dropped at an epoch change; whether a lookup hit, missed or was
+    bypassed is the router's count (:class:`~repro.route.stats.RouterStats`).
+    """
 
     def __init__(self, capacity: int = 512) -> None:
         if capacity < 1:
@@ -118,16 +123,13 @@ class ResultCache:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, CachedAnswer]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.bypassed = 0
-        self.invalidated = 0
-        self.evicted = 0
         # Newest epoch on_epoch has reconciled to; no entry is keyed below.
         self._reconciled = 0
-        self._carry_outcomes = dict.fromkeys(
-            ("carried", "dropped_cell", "dropped_answer", "flushed_unknown"), 0
+        # ``invalidated`` is the three drop verdicts' sum.
+        self._counts = dict.fromkeys(
+            ("stores", "invalidated", "carried", "dropped_cell",
+             "dropped_answer", "flushed_unknown", "evicted"),
+            0,
         )
 
     # -- results -------------------------------------------------------- #
@@ -135,11 +137,8 @@ class ResultCache:
     def get(self, key: tuple) -> CachedAnswer | None:
         with self._lock:
             answer = self._entries.get(key)
-            if answer is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
+            if answer is not None:
+                self._entries.move_to_end(key)
             return answer
 
     def put(self, key: tuple, answer: CachedAnswer, deltas=None) -> None:
@@ -147,18 +146,14 @@ class ResultCache:
             if self._reconciled and key[0] < self._reconciled:  # an old pin
                 key = self._carry(key, answer, self._reconciled, deltas, {})
                 if key is None:
-                    self.invalidated += 1
+                    self._counts["invalidated"] += 1
                     return
             self._entries[key] = answer
             self._entries.move_to_end(key)
-            self.stores += 1
+            self._counts["stores"] += 1
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.evicted += 1
-
-    def note_bypass(self) -> None:
-        with self._lock:
-            self.bypassed += 1
+                self._counts["evicted"] += 1
 
     # -- invalidation --------------------------------------------------- #
 
@@ -168,7 +163,7 @@ class ResultCache:
             rows_since[key[0]] = deltas(key[0], epoch) if deltas else None
         rows = rows_since[key[0]]
         outcome = "flushed_unknown" if rows is None else answer.verdict(rows)
-        self._carry_outcomes[outcome] += 1
+        self._counts[outcome] += 1
         return (epoch, *key[1:]) if outcome == "carried" else None
 
     def on_epoch(self, epoch: int, deltas=None) -> int:
@@ -192,7 +187,7 @@ class ResultCache:
             self._entries = entries
             self._reconciled = epoch
             dropped = before - len(entries)
-            self.invalidated += dropped
+            self._counts["invalidated"] += dropped
             return dropped
 
     def __len__(self) -> int:
@@ -204,11 +199,5 @@ class ResultCache:
             return {
                 "entries": len(self._entries),
                 "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "bypassed": self.bypassed,
-                "invalidated": self.invalidated,
-                **self._carry_outcomes,
-                "evicted": self.evicted,
+                **self._counts,
             }

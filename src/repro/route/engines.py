@@ -1,8 +1,8 @@
 """The five engines, behind one adapter interface.
 
 Each adapter is ``(session, request, ctx) -> QueryResult`` and must either
-answer exactly or raise :class:`~repro.route.fallback.StrategyUnsupported`
-when the query shape is outside its contract.  The contracts:
+answer exactly or raise :class:`StrategyUnsupported` when the query shape is
+outside its contract.  The contracts:
 
 * ``signature`` — Algorithm 1 with P-Cube boolean pruning, via the
   session (its reader-decided ``signature`` / ``conservative`` tiers
@@ -50,7 +50,6 @@ from repro.query.algorithm1 import SearchState
 from repro.query.predicates import BooleanPredicate
 from repro.query.session import QueryResult, QuerySession
 from repro.query.stats import QueryStats
-from repro.route.fallback import StrategyUnsupported
 
 #: Engine names, in default preference order (naive always last).
 SIGNATURE = "signature"
@@ -71,9 +70,20 @@ STRATEGY_ORDER = (
 SERVING_CHAIN = (SIGNATURE, BOOLEAN_FIRST, NAIVE)
 
 
+class StrategyUnsupported(Exception):
+    """The strategy cannot answer this query shape (e.g. index-merge on a
+    skyline, or B+-tree postings stale for the snapshot's rows)."""
+
+    def __init__(self, strategy: str, reason: str) -> None:
+        super().__init__(f"{strategy}: {reason}")
+        self.strategy = strategy
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class RouteRequest:
-    """One query, as the router sees it."""
+    """One query, described once: the executor builds it, and the router,
+    the chain runner and the engines all read this object."""
 
     kind: str  # "skyline" | "topk" | "dynamic_skyline" | "lower_hull"
     predicate: BooleanPredicate
@@ -136,16 +146,14 @@ def canonicalize(result: QueryResult) -> QueryResult:
     return result
 
 
-def _wrap(
-    session: QuerySession,
+def stateless_result(
     request: RouteRequest,
     tids: list[int],
     scores: list[float] | None,
     stats: QueryStats,
-    tier: str,
 ) -> QueryResult:
-    stats.epoch = session.epoch
-    stats.tier = tier
+    """An answer with no search behind it — a scan engine's, or a cached
+    one: no Lemma 2 lists, so a drill-down from it must re-run."""
     stats.results = len(tids)
     return QueryResult(
         kind=request.kind,
@@ -157,8 +165,21 @@ def _wrap(
         fn=request.fn,
         k=request.k,
         preference_by=request.preference_by,
-        resumable=False,  # no Lemma 2 lists: drill-down must re-run
+        resumable=False,
     )
+
+
+def _wrap(
+    session: QuerySession,
+    request: RouteRequest,
+    tids: list[int],
+    scores: list[float] | None,
+    stats: QueryStats,
+    tier: str,
+) -> QueryResult:
+    stats.epoch = session.epoch
+    stats.tier = tier
+    return stateless_result(request, tids, scores, stats)
 
 
 # --------------------------------------------------------------------- #

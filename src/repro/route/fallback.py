@@ -8,8 +8,8 @@ deadline (:class:`StrategyTimeout`) simply hands the query to the next
 engine in the chain.  What cannot be retried is a lapsed *overall*
 deadline or a cancellation: those abort the query.
 
-Both serving modes run through :meth:`FallbackExecutor.run` with the same
-chain and the same context: :data:`~repro.route.engines.SERVING_CHAIN`
+Both serving modes run through :func:`run_chain` with the same chain and
+the same context: :data:`~repro.route.engines.SERVING_CHAIN`
 for skylines and top-k (``(signature,)`` for dynamic skylines and hulls).
 Any other chain is a pinned ``RoutingPolicy.chain``.  This is the only
 place a storage fault moves a query to another engine: the session itself
@@ -25,23 +25,16 @@ session's ticker is handed through untouched.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
+from repro.query.session import QueryResult, QuerySession
+from repro.route.engines import (
+    ENGINES,
+    EngineContext,
+    RouteRequest,
+    StrategyUnsupported,
+)
 from repro.storage.errors import StorageFault
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.query.session import QueryResult, QuerySession
-    from repro.route.engines import EngineContext, RouteRequest
-
-
-class StrategyUnsupported(Exception):
-    """The strategy cannot answer this query shape (e.g. index-merge on a
-    skyline, or B+-tree postings stale for the snapshot's rows)."""
-
-    def __init__(self, strategy: str, reason: str) -> None:
-        super().__init__(f"{strategy}: {reason}")
-        self.strategy = strategy
-        self.reason = reason
 
 
 class StrategyTimeout(Exception):
@@ -58,115 +51,88 @@ class StrategyTimeout(Exception):
         self.strategy = strategy
 
 
-class FallbackExecutor:
-    """Run a query down an ordered engine chain until one answers.
+def run_chain(
+    chain: list[str],
+    session: QuerySession,
+    request: RouteRequest,
+    ctx: EngineContext,
+) -> tuple[QueryResult, list[tuple[str, Exception]]]:
+    """Run ``request`` down ``chain`` — names in
+    :data:`~repro.route.engines.ENGINES` — until one engine answers.
 
-    Args:
-        engines: Strategy name → adapter callable
-            ``(session, request, ctx) -> QueryResult`` (see
-            :data:`repro.route.engines.ENGINES`).
+    Returns ``(result, failed_attempts)``: ``failed_attempts`` lists
+    ``(strategy, error)`` for every engine tried before the one that
+    answered (``chain[len(failed_attempts)]``).  The result's
+    ``stats.fallbacks`` counts them, and ``stats.degraded`` is set when any
+    of them was a storage fault — the answer is exact, but it was not the
+    healthy path that produced it.  Exhausting the chain re-raises the last
+    error, chained ``from`` the first one so callers see what started the
+    hand-over; an empty chain raises :class:`StrategyUnsupported`.
+    """
+    if not chain:
+        raise StrategyUnsupported(
+            "router", f"no engine supports this {request.kind} query"
+        )
+    failures: list[tuple[str, Exception]] = []
+    faulted = False
+    base_ticker = session.ticker
+    deadline_at = session.deadline_at
+    try:
+        for position, name in enumerate(chain):
+            remaining_engines = len(chain) - position
+            if deadline_at is not None:
+                now = time.perf_counter()
+                if now > deadline_at:
+                    from repro.serve.executor import QueryTimeout
+
+                    raise QueryTimeout(
+                        f"{request.kind} query exceeded its deadline "
+                        f"(after {len(failures)} fallback attempt(s))"
+                    )
+                if remaining_engines > 1:
+                    session.ticker = _attempt_ticker(
+                        name,
+                        base_ticker,
+                        now + (deadline_at - now) / remaining_engines,
+                    )
+                else:
+                    session.ticker = base_ticker
+            # Only these three hand the query on; anything else an engine
+            # raises — the overall deadline, a cancellation — aborts it.
+            try:
+                result = ENGINES[name](session, request, ctx)
+            except (StrategyUnsupported, StrategyTimeout) as exc:
+                failures.append((name, exc))
+            except StorageFault as exc:
+                failures.append((name, exc))
+                faulted = True
+            else:
+                result.stats.fallbacks = len(failures)
+                result.stats.degraded |= faulted
+                return result, failures
+    finally:
+        session.ticker = base_ticker
+    first, last = failures[0][1], failures[-1][1]
+    if last is first:
+        raise last
+    raise last from first
+
+
+def _attempt_ticker(
+    strategy: str,
+    base_ticker: Callable[[], None] | None,
+    attempt_deadline: float,
+) -> Callable[[], None]:
+    """Compose the session ticker with this attempt's deadline slice.
+
+    The base ticker runs first: it owns cancellation and the overall
+    deadline, and those must win over a mere slice expiry.
     """
 
-    def __init__(self, engines: dict[str, Callable]) -> None:
-        self.engines = engines
+    def tick() -> None:
+        if base_ticker is not None:
+            base_ticker()
+        if time.perf_counter() > attempt_deadline:
+            raise StrategyTimeout(strategy)
 
-    def run(
-        self,
-        chain: list[str],
-        session: "QuerySession",
-        request: "RouteRequest",
-        ctx: "EngineContext",
-    ) -> tuple["QueryResult", list[tuple[str, Exception]]]:
-        """Returns ``(result, failed_attempts)``.
-
-        ``failed_attempts`` lists ``(strategy, error)`` for every engine
-        tried before the one that answered (``chain[len(failed_attempts)]``).
-        The result's ``stats.fallbacks`` counts them, and ``stats.degraded``
-        is set when any of them was a storage fault — the answer is exact,
-        but it was not the healthy path that produced it.  Exhausting the
-        chain re-raises the last error, chained ``from`` the first one so
-        callers see what started the hand-over; an empty chain raises
-        :class:`StrategyUnsupported`.
-        """
-        if not chain:
-            raise StrategyUnsupported(
-                "router", f"no engine supports this {request.kind} query"
-            )
-        failures: list[tuple[str, Exception]] = []
-        faulted = False
-        base_ticker = session.ticker
-        deadline_at = session.deadline_at
-        try:
-            for position, name in enumerate(chain):
-                remaining_engines = len(chain) - position
-                if deadline_at is not None:
-                    now = time.perf_counter()
-                    if now > deadline_at:
-                        from repro.serve.executor import QueryTimeout
-
-                        raise QueryTimeout(
-                            f"{request.kind} query exceeded its deadline "
-                            f"(after {len(failures)} fallback attempt(s))"
-                        )
-                    if remaining_engines > 1:
-                        session.ticker = self._attempt_ticker(
-                            name,
-                            base_ticker,
-                            now + (deadline_at - now) / remaining_engines,
-                        )
-                    else:
-                        session.ticker = base_ticker
-                # Only these three hand the query on; anything else an
-                # engine raises — the overall deadline, a cancellation —
-                # aborts it.
-                try:
-                    result = self.engines[name](session, request, ctx)
-                except (StrategyUnsupported, StrategyTimeout) as exc:
-                    failures.append((name, exc))
-                except StorageFault as exc:
-                    failures.append((name, exc))
-                    faulted = True
-                else:
-                    result.stats.fallbacks = len(failures)
-                    result.stats.degraded |= faulted
-                    return result, failures
-        finally:
-            session.ticker = base_ticker
-        first, last = failures[0][1], failures[-1][1]
-        if last is first:
-            raise last
-        raise last from first
-
-    def execute(
-        self,
-        chain: list[str],
-        session: "QuerySession",
-        request: "RouteRequest",
-        ctx: "EngineContext",
-    ) -> tuple["QueryResult", list[tuple[str, Exception]]]:
-        """:meth:`run` for a *routed* query: also stamps ``stats.route``
-        with the engine that answered.  Unrouted reads keep ``route``
-        unset — it is how every stat surface tells the two modes apart."""
-        result, failures = self.run(chain, session, request, ctx)
-        result.stats.route = chain[len(failures)]
-        return result, failures
-
-    @staticmethod
-    def _attempt_ticker(
-        strategy: str,
-        base_ticker: Callable[[], None] | None,
-        attempt_deadline: float,
-    ) -> Callable[[], None]:
-        """Compose the session ticker with this attempt's deadline slice.
-
-        The base ticker runs first: it owns cancellation and the overall
-        deadline, and those must win over a mere slice expiry.
-        """
-
-        def tick() -> None:
-            if base_ticker is not None:
-                base_ticker()
-            if time.perf_counter() > attempt_deadline:
-                raise StrategyTimeout(strategy)
-
-        return tick
+    return tick

@@ -14,10 +14,9 @@ routing adds, for every skyline/top-k query:
    predicate's cells, so traffic keeps exercising (and healing) the real
    path, or when the ranking function has no cache token;
 2. on a miss, the chain — the serving chain, or the policy's pinned
-   one — run through the
-   :class:`~repro.route.fallback.FallbackExecutor` (unsupported shapes,
-   storage faults and per-attempt deadline slices fall through; overall
-   deadline/cancellation abort);
+   one — run through :func:`~repro.route.fallback.run_chain` (unsupported
+   shapes, storage faults and per-attempt deadline slices fall through;
+   overall deadline/cancellation abort);
 3. the answer in canonical order, stamped with the engine that served it
    and cached under the epoch-keyed key with what the carry tests read.
 
@@ -33,7 +32,6 @@ import time
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
-from repro.query.algorithm1 import SearchState
 from repro.query.predicates import BooleanPredicate
 from repro.query.session import QueryResult, QuerySession
 from repro.query.stats import QueryStats
@@ -43,10 +41,12 @@ from repro.route.engines import (
     SERVING_CHAIN,
     EngineContext,
     RouteRequest,
+    StrategyUnsupported,
     canonicalize,
     chain_for,
+    stateless_result,
 )
-from repro.route.fallback import FallbackExecutor, StrategyUnsupported
+from repro.route.fallback import run_chain
 from repro.route.stats import RouterStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,7 +92,6 @@ class QueryRouter:
         self.deltas = deltas  # EpochManager.deltas_between; None: flush-all
         self.cache = ResultCache() if self.policy.cache else None
         self.stats = RouterStats()
-        self.fallback = FallbackExecutor(ENGINES)
 
     @classmethod
     def for_system(
@@ -133,63 +132,40 @@ class QueryRouter:
         stats.tier = answer.tier
         stats.cache_outcome = "hit"
         stats.cache_computed_epoch = answer.computed_epoch
-        stats.results = len(answer.tids)
         stats.elapsed_seconds = elapsed
-        return QueryResult(
-            kind=request.kind,
-            predicate=request.predicate,
-            tids=list(answer.tids),
-            scores=list(answer.scores) if answer.scores is not None else None,
-            stats=stats,
-            state=SearchState(),
-            fn=request.fn,
-            k=request.k,
-            preference_by=request.preference_by,
-            resumable=False,
-        )
+        scores = list(answer.scores) if answer.scores is not None else None
+        return stateless_result(request, list(answer.tids), scores, stats)
 
     def route(
-        self,
-        session: QuerySession,
-        kind: str,
-        predicate: BooleanPredicate | None = None,
-        fn=None,
-        k: int | None = None,
-        preference_by: tuple[str, ...] | None = None,
-        tracer=None,
+        self, session: QuerySession, request: RouteRequest
     ) -> QueryResult:
         """Answer one query from the cache, or down the chain."""
         started = time.perf_counter()
-        predicate = predicate or BooleanPredicate()
-        request = RouteRequest(
-            kind=kind,
-            predicate=predicate,
-            fn=fn,
-            k=k,
-            preference_by=preference_by,
-            tracer=tracer,
-        )
         # -- cache lookup (bypassed: open breaker, untokened function) -- #
         cache_outcome: str | None = None
         key = None
         cacheable = (
             self.cache is not None
             and session.epoch is not None
-            and kind in ("skyline", "topk")
+            and request.kind in ("skyline", "topk")
         )
         if cacheable:
             self.cache.on_epoch(session.epoch, self.deltas)
-            if not self._breaker_bypass(predicate):
+            if not self._breaker_bypass(request.predicate):
                 key = result_key(
-                    kind, predicate, preference_by, fn, k, session.epoch
+                    request.kind,
+                    request.predicate,
+                    request.preference_by,
+                    request.fn,
+                    request.k,
+                    session.epoch,
                 )
             if key is None:
                 cache_outcome = "bypass"
-                self.cache.note_bypass()
             else:
                 answer = self.cache.get(key)
                 if answer is not None:
-                    self.stats.note_hit()
+                    self.stats.bump(routed=1, cache_hits=1)
                     return self._hit_result(
                         request,
                         answer,
@@ -202,10 +178,11 @@ class QueryRouter:
         pinned = self.policy.chain
         names = SERVING_CHAIN if pinned is None else pinned
         chain = chain_for(names, request, self.ctx, session.relation)
-        result, failures = self.fallback.execute(
-            chain, session, request, self.ctx
-        )
+        result, failures = run_chain(chain, session, request, self.ctx)
         canonicalize(result)
+        # Only a routed read carries ``route``: it is how every stat
+        # surface tells the two modes apart.
+        result.stats.route = chain[len(failures)]
         result.stats.cache_outcome = cache_outcome
 
         self.stats.note_served(

@@ -1,21 +1,23 @@
 """Router tallies: which engine served each routed query, and how.
 
-:class:`RouterStats` counts cache outcomes, the engine at the head of each
-chain (``chosen``), the engine that answered (``served_by``) and every
-fallback edge in between.  A routed miss runs the same fixed chain an
-unrouted query does (DESIGN.md §12), so ``chosen`` is ``signature`` for
-every query of an unpinned router.
+:class:`RouterStats` is the one owner of a routed read's lookup outcome and
+route: cache hits / misses / bypasses, the engine at the head of each chain
+(``chosen``), the engine that answered (``served_by``) and every fallback
+edge in between.  A routed miss runs the same fixed chain an unrouted query
+does (DESIGN.md §12), so ``chosen`` is ``signature`` for every query of an
+unpinned router.
 """
 
 from __future__ import annotations
 
-import threading
+from repro.route.fallback import StrategyTimeout, StrategyUnsupported
+from repro.storage.counters import Tally
 
 
-class RouterStats:
-    """Thread-safe tallies of every routing decision (``--health`` view).
+class RouterStats(Tally):
+    """Tallies of every routing decision (``--health``'s ``router.routing``).
 
-    Reconciliation invariants (asserted by the fault tests):
+    Invariants (asserted by the fault tests):
 
     * ``routed == cache_hits + sum(served_by.values())`` — every routed
       query is either a cache hit or ran on exactly one engine;
@@ -24,24 +26,19 @@ class RouterStats:
       individual failed attempts (≥ ``fell_back``).
     """
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.routed = 0
-        self.fell_back = 0
-        self.chosen: dict[str, int] = {}
-        self.served_by: dict[str, int] = {}
-        self.fallback_edges: dict[str, int] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_bypassed = 0
-        self.unsupported = 0
-        self.strategy_faults = 0
-        self.strategy_timeouts = 0
-
-    def note_hit(self) -> None:
-        with self._lock:
-            self.routed += 1
-            self.cache_hits += 1
+    ZEROS = dict(
+        routed=0,
+        fell_back=0,
+        chosen={},
+        served_by={},
+        fallback_edges={},
+        cache_hits=0,
+        cache_misses=0,
+        cache_bypassed=0,
+        unsupported=0,
+        strategy_faults=0,
+        strategy_timeouts=0,
+    )
 
     def note_served(
         self,
@@ -50,45 +47,28 @@ class RouterStats:
         failures: list[tuple[str, Exception]],
         cache_outcome: str | None,
     ) -> None:
-        from repro.route.fallback import StrategyTimeout, StrategyUnsupported
-
-        with self._lock:
-            self.routed += 1
-            self.chosen[chain[0]] = self.chosen.get(chain[0], 0) + 1
-            self.served_by[served] = self.served_by.get(served, 0) + 1
-            if cache_outcome == "miss":
-                self.cache_misses += 1
-            elif cache_outcome == "bypass":
-                self.cache_bypassed += 1
-            if failures:
-                self.fell_back += 1
+        deltas: dict = {
+            "routed": 1,
+            "chosen": {chain[0]: 1},
+            "served_by": {served: 1},
+        }
+        if cache_outcome == "miss":
+            deltas["cache_misses"] = 1
+        elif cache_outcome == "bypass":
+            deltas["cache_bypassed"] = 1
+        if failures:
+            deltas["fell_back"] = 1
             # Failures are the chain's prefix, in order; each one's edge
             # points at the engine tried next.
+            edges = deltas["fallback_edges"] = {}
             for position, (failed, error) in enumerate(failures):
-                follower = chain[position + 1]
-                edge = f"{failed}->{follower}"
-                self.fallback_edges[edge] = (
-                    self.fallback_edges.get(edge, 0) + 1
-                )
+                edge = f"{failed}->{chain[position + 1]}"
+                edges[edge] = edges.get(edge, 0) + 1
                 if isinstance(error, StrategyUnsupported):
-                    self.unsupported += 1
+                    reason = "unsupported"
                 elif isinstance(error, StrategyTimeout):
-                    self.strategy_timeouts += 1
+                    reason = "strategy_timeouts"
                 else:
-                    self.strategy_faults += 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "routed": self.routed,
-                "fell_back": self.fell_back,
-                "chosen": dict(self.chosen),
-                "served_by": dict(self.served_by),
-                "fallback_edges": dict(self.fallback_edges),
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "cache_bypassed": self.cache_bypassed,
-                "unsupported": self.unsupported,
-                "strategy_faults": self.strategy_faults,
-                "strategy_timeouts": self.strategy_timeouts,
-            }
+                    reason = "strategy_faults"
+                deltas[reason] = deltas.get(reason, 0) + 1
+        self.bump(**deltas)

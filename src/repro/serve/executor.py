@@ -47,13 +47,12 @@ from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import RankingFunction
 from repro.query.session import QueryResult, QuerySession
 from repro.route.engines import (
-    ENGINES,
     SERVING_CHAIN,
     EngineContext,
     RouteRequest,
     chain_for,
 )
-from repro.route.fallback import FallbackExecutor
+from repro.route.fallback import run_chain
 from repro.route.router import QueryRouter, RoutingPolicy
 from repro.serve.resilience import Resilience
 from repro.serve.stats import ServingStats
@@ -278,7 +277,6 @@ class QueryExecutor:
         # One context for both modes.  The B+-tree postings are never
         # maintained after build; the engines take them only while they
         # cover the pinned snapshot's rows, and scan the table otherwise.
-        self._chain = FallbackExecutor(ENGINES)
         self._ctx = EngineContext(system.indexes, system.indexes_rows)
         self.router = None
         if routing:
@@ -354,7 +352,7 @@ class QueryExecutor:
                     self._queue.put_nowait(ticket)
                 except queue.Full:
                     self._reject(ticket)
-        self.stats.note_submitted()
+        self.stats.bump(submitted=1)
         return ticket
 
     def _retry_after(self) -> float:
@@ -366,7 +364,7 @@ class QueryExecutor:
         return mean_run * backlog / max(1, len(self._workers))
 
     def _reject(self, ticket: Ticket) -> None:
-        self.stats.note_rejected()
+        self.stats.bump(rejected=1)
         remaining = (
             ticket.deadline_at - time.perf_counter()
             if ticket.deadline_at is not None
@@ -438,18 +436,9 @@ class QueryExecutor:
         kinds no scan engine answers) — through the router's result cache
         for the kinds it caches."""
         if self.router is not None and request.kind in ("skyline", "topk"):
-            return self.router.route(
-                session,
-                request.kind,
-                predicate=request.predicate,
-                fn=request.fn,
-                k=request.k,
-                preference_by=request.preference_by,
-                tracer=request.tracer,
-            )
+            return self.router.route(session, request)
         chain = chain_for(SERVING_CHAIN, request, self._ctx, session.relation)
-        result, _ = self._chain.run(chain, session, request, self._ctx)
-        return result
+        return run_chain(chain, session, request, self._ctx)[0]
 
     def skyline(
         self,
@@ -674,12 +663,11 @@ class QueryExecutor:
         return self.supervisor
 
     def health(self) -> dict:
-        """One operator-facing report of the deployment's resilience state.
-
-        Bundles the serving tallies, the store's fault/recovery counters,
-        the breaker board (``None`` when breakers are disabled) and the
-        current quarantine backlog — what ``python -m repro.serve
-        --health`` prints.
+        """One operator-facing report: every tally's snapshot under its
+        name (``serving``, ``faults``, ``maintenance``, ``epochs``, and the
+        router's and scrubber's inside their reports), plus the breaker
+        board (``None`` when breakers are disabled) and the current
+        quarantine backlog — what ``python -m repro.serve --health`` prints.
         """
         store = self.system.pcube.store
         quarantined = store.quarantined_cells()
@@ -689,6 +677,8 @@ class QueryExecutor:
             "workers": len(self._workers),
             "serving": self.stats.snapshot(),
             "faults": store.fault_stats.snapshot(),
+            "maintenance": self.system.maintenance_stats.snapshot(),
+            "epochs": self.epochs.stats.snapshot(),
             "breakers": (
                 self.breakers.snapshot() if self.breakers is not None else None
             ),

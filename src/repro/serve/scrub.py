@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core import integrity
+from repro.storage.counters import Tally
 from repro.storage.errors import CorruptPageError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,28 +46,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.system import PCubeSystem
 
 
-@dataclass
-class ScrubStats:
+class ScrubStats(Tally):
     """Lifetime tallies of one scrubber instance."""
 
-    passes: int = 0
-    pages_scanned: int = 0
-    cells_verified: int = 0
-    checksum_faults: int = 0
-    invariant_faults: int = 0
-    cells_repaired: int = 0
-    last_pass_seconds: float = 0.0
+    ZEROS = dict(
+        passes=0,
+        pages_scanned=0,
+        cells_verified=0,
+        checksum_faults=0,
+        invariant_faults=0,
+        cells_repaired=0,
+        last_pass_seconds=0.0,
+    )
 
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "passes": self.passes,
-            "pages_scanned": self.pages_scanned,
-            "cells_verified": self.cells_verified,
-            "checksum_faults": self.checksum_faults,
-            "invariant_faults": self.invariant_faults,
-            "cells_repaired": self.cells_repaired,
-            "last_pass_seconds": self.last_pass_seconds,
-        }
+    def note_pass(self, repaired: int, seconds: float) -> None:
+        with self._lock:
+            self._counts["passes"] += 1
+            self._counts["cells_repaired"] += repaired
+            self._counts["last_pass_seconds"] = seconds
 
 
 @dataclass(frozen=True)
@@ -126,10 +123,8 @@ class Scrubber:
         damaged_cells = self._sweep_checksums(findings, throttle)
         damaged_cells |= self._sweep_invariants(findings, throttle)
         repaired = self._heal(damaged_cells, findings)
+        self.stats.note_pass(repaired, time.perf_counter() - started)
         with self._lock:
-            self.stats.passes += 1
-            self.stats.cells_repaired += repaired
-            self.stats.last_pass_seconds = time.perf_counter() - started
             self.findings.extend(findings)
             del self.findings[:-200]  # keep a bounded tail for health()
         return findings
@@ -170,11 +165,10 @@ class Scrubber:
                         repaired=owner is not None and self.repair,
                     )
                 )
-        with self._lock:
-            self.stats.pages_scanned += scanned
-            self.stats.checksum_faults += sum(
-                1 for f in findings if f.kind == "checksum"
-            )
+        self.stats.bump(
+            pages_scanned=scanned,
+            checksum_faults=sum(1 for f in findings if f.kind == "checksum"),
+        )
         return damaged_cells
 
     def _sweep_invariants(
@@ -250,11 +244,10 @@ class Scrubber:
                         repaired=self.repair,
                     )
                 )
-        with self._lock:
-            self.stats.cells_verified += verified
-            self.stats.invariant_faults += sum(
-                1 for f in findings if f.kind == "invariant"
-            )
+        self.stats.bump(
+            cells_verified=verified,
+            invariant_faults=sum(1 for f in findings if f.kind == "invariant"),
+        )
         return damaged
 
     def _heal(self, damaged_cells: set[str], findings: list[Finding]) -> int:

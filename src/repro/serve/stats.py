@@ -4,18 +4,18 @@ Per-query numbers stay in each result's
 :class:`~repro.query.stats.QueryStats`; this module owns the *fleet* view a
 serving deployment watches: admission outcomes, queue-wait distribution
 summary, per-epoch query counts and the shared buffer pool's aggregate
-traffic.  Every mutation happens under one lock, and :meth:`snapshot`
-returns a plain dict so callers never read half-updated tallies.
+traffic.  It is a :class:`~repro.storage.counters.Tally`: every mutation
+happens under one lock, and ``snapshot()`` returns a plain dict so callers
+never read half-updated tallies.
 """
 
 from __future__ import annotations
 
-import threading
-
 from repro.query.stats import QueryStats
+from repro.storage.counters import Tally
 
 
-class ServingStats:
+class ServingStats(Tally):
     """What the :class:`~repro.serve.executor.QueryExecutor` aggregates.
 
     Outcome tallies:
@@ -33,45 +33,34 @@ class ServingStats:
     :class:`~repro.query.stats.QueryStats` and reported by ``--health``):
     ``fault_retries``, ``failed_loads``, ``degraded_checks``,
     ``breaker_skips``, ``degraded_queries`` and the per-tier counts in
-    ``tiers``.
+    ``tiers``.  Which engine served a routed read, and what its cache
+    lookup found, is the router's count
+    (:class:`~repro.route.stats.RouterStats`), not repeated here.
     """
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.submitted = 0
-        self.rejected = 0
-        self.completed = 0
-        self.failed = 0
-        self.timed_out = 0
-        self.cancelled = 0
-        self.shed = 0
-        self.queue_wait_seconds = 0.0
-        self.queue_wait_max = 0.0
-        self.run_seconds = 0.0
-        self.pool_hits = 0
-        self.pool_misses = 0
-        self.total_io = 0
-        self.epochs_served: dict[int, int] = {}
-        self.fault_retries = 0
-        self.failed_loads = 0
-        self.degraded_checks = 0
-        self.breaker_skips = 0
-        self.degraded_queries = 0
-        self.tiers: dict[str, int] = {}
-        self.routed = 0
-        self.fell_back = 0
-        self.routes: dict[str, int] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_bypassed = 0
-
-    def note_submitted(self) -> None:
-        with self._lock:
-            self.submitted += 1
-
-    def note_rejected(self) -> None:
-        with self._lock:
-            self.rejected += 1
+    ZEROS = dict(
+        submitted=0,
+        rejected=0,
+        completed=0,
+        failed=0,
+        timed_out=0,
+        cancelled=0,
+        shed=0,
+        queue_wait_seconds=0.0,
+        queue_wait_max=0.0,
+        queue_wait_mean=0.0,
+        run_seconds=0.0,
+        pool_hits=0,
+        pool_misses=0,
+        total_io=0,
+        epochs_served={},
+        fault_retries=0,
+        failed_loads=0,
+        degraded_checks=0,
+        breaker_skips=0,
+        degraded_queries=0,
+        tiers={},
+    )
 
     def note_finished(
         self,
@@ -88,85 +77,32 @@ class ServingStats:
         increments ``failed`` because no answer was produced.
         """
         with self._lock:
-            if outcome == "completed":
-                self.completed += 1
-            else:
-                self.failed += 1
-                if outcome == "timed_out":
-                    self.timed_out += 1
-                elif outcome == "cancelled":
-                    self.cancelled += 1
-                elif outcome == "shed":
-                    self.shed += 1
-                    self.timed_out += 1
-            self.queue_wait_seconds += queue_wait
-            if queue_wait > self.queue_wait_max:
-                self.queue_wait_max = queue_wait
-            self.run_seconds += run_seconds
+            counts = self._counts
+            counts["completed" if outcome == "completed" else "failed"] += 1
+            if outcome == "shed":
+                counts["shed"] += 1
+                counts["timed_out"] += 1
+            elif outcome in ("timed_out", "cancelled"):
+                counts[outcome] += 1
+            counts["queue_wait_seconds"] += queue_wait
+            if queue_wait > counts["queue_wait_max"]:
+                counts["queue_wait_max"] = queue_wait
+            counts["queue_wait_mean"] = counts["queue_wait_seconds"] / (
+                counts["completed"] + counts["failed"]
+            )
+            counts["run_seconds"] += run_seconds
             if epoch is not None:
-                self.epochs_served[epoch] = (
-                    self.epochs_served.get(epoch, 0) + 1
-                )
+                served = counts["epochs_served"]
+                served[epoch] = served.get(epoch, 0) + 1
             if stats is not None:
-                self.pool_hits += stats.pool_hits
-                self.pool_misses += stats.pool_misses
-                self.total_io += stats.total_io()
-                self.fault_retries += stats.fault_retries
-                self.failed_loads += stats.failed_loads
-                self.degraded_checks += stats.degraded_checks
-                self.breaker_skips += stats.breaker_skips
-                if stats.degraded:
-                    self.degraded_queries += 1
+                counts["pool_hits"] += stats.pool_hits
+                counts["pool_misses"] += stats.pool_misses
+                counts["total_io"] += stats.total_io()
+                counts["fault_retries"] += stats.fault_retries
+                counts["failed_loads"] += stats.failed_loads
+                counts["degraded_checks"] += stats.degraded_checks
+                counts["breaker_skips"] += stats.breaker_skips
+                counts["degraded_queries"] += stats.degraded
                 if stats.tier is not None:
-                    self.tiers[stats.tier] = (
-                        self.tiers.get(stats.tier, 0) + 1
-                    )
-                if stats.route is not None:
-                    self.routed += 1
-                    self.routes[stats.route] = (
-                        self.routes.get(stats.route, 0) + 1
-                    )
-                    if stats.fallbacks:
-                        self.fell_back += 1
-                if stats.cache_outcome == "hit":
-                    self.cache_hits += 1
-                elif stats.cache_outcome == "miss":
-                    self.cache_misses += 1
-                elif stats.cache_outcome == "bypass":
-                    self.cache_bypassed += 1
-
-    def snapshot(self) -> dict:
-        """A consistent point-in-time copy of every tally."""
-        with self._lock:
-            drained = self.completed + self.failed
-            return {
-                "submitted": self.submitted,
-                "rejected": self.rejected,
-                "completed": self.completed,
-                "failed": self.failed,
-                "timed_out": self.timed_out,
-                "cancelled": self.cancelled,
-                "shed": self.shed,
-                "queue_wait_seconds": self.queue_wait_seconds,
-                "queue_wait_max": self.queue_wait_max,
-                "queue_wait_mean": (
-                    self.queue_wait_seconds / drained if drained else 0.0
-                ),
-                "run_seconds": self.run_seconds,
-                "pool_hits": self.pool_hits,
-                "pool_misses": self.pool_misses,
-                "total_io": self.total_io,
-                "epochs_served": dict(self.epochs_served),
-                "fault_retries": self.fault_retries,
-                "failed_loads": self.failed_loads,
-                "degraded_checks": self.degraded_checks,
-                "breaker_skips": self.breaker_skips,
-                "degraded_queries": self.degraded_queries,
-                "tiers": dict(self.tiers),
-                "routed": self.routed,
-                "fell_back": self.fell_back,
-                "routes": dict(self.routes),
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "cache_bypassed": self.cache_bypassed,
-            }
+                    tiers = counts["tiers"]
+                    tiers[stats.tier] = tiers.get(stats.tier, 0) + 1

@@ -113,3 +113,72 @@ class IOCounters:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self)
         return f"IOCounters({inner})"
+
+
+class Tally:
+    """Named counts, declared once, changed under one lock, read as a copy.
+
+    The one holder behind every fleet-level stats class (maintenance, fault,
+    scrub, epoch, router, serving): a subclass is its docstring plus
+    ``ZEROS``, the count names with their zero — ``0`` / ``0.0`` for a
+    scalar, ``{}`` for a labelled count (label → n).  Everything else is
+    derived from that declaration: ``snapshot()`` has exactly those keys
+    (zeros included), a count reads as an attribute, and a name that was not
+    declared is an error where it is used, never a new key.  A subclass
+    whose event is more than additions (a maximum, a last-seen value), or
+    is the per-read hot path, gives it a method that takes ``_lock`` once
+    and updates ``_counts`` in place.  Unlike
+    :class:`IOCounters`, whose categories are open and whose snapshot omits
+    zeros, a tally's key set is fixed — ``--health`` consumers and the
+    benchmark referee read keys by name.
+    """
+
+    ZEROS: dict = {}
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._counts = {
+            name: dict(zero) if isinstance(zero, dict) else zero
+            for name, zero in self.ZEROS.items()
+        }
+
+    def bump(self, **deltas) -> None:
+        """One event: every delta added under one lock acquisition; a dict
+        delta adds label by label."""
+        counts = self._counts
+        with self._lock:
+            for name, delta in deltas.items():
+                if isinstance(delta, dict):
+                    labelled = counts[name]
+                    for label, n in delta.items():
+                        labelled[label] = labelled.get(label, 0) + n
+                else:
+                    counts[name] += delta
+
+    def snapshot(self) -> dict:
+        """A point-in-time copy of every count, labelled counts copied."""
+        with self._lock:
+            return {
+                name: dict(value) if isinstance(value, dict) else value
+                for name, value in self._counts.items()
+            }
+
+    def __getattr__(self, name: str):
+        # Reached only for names that are not real attributes: the counts.
+        if name.startswith("_"):
+            raise AttributeError(name)
+        with self._lock:
+            value = self._counts.get(name)
+        if value is None:
+            raise AttributeError(f"{type(self).__name__} has no count {name!r}")
+        return dict(value) if isinstance(value, dict) else value
+
+    def __setattr__(self, name: str, value) -> None:
+        # ``tally.count += 1`` would read the count and then shadow it with
+        # an unlocked instance attribute no snapshot sees.
+        if name in self.ZEROS:
+            raise AttributeError(
+                f"{type(self).__name__}.{name}: counts change through bump()"
+            )
+        object.__setattr__(self, name, value)
+

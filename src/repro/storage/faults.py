@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.storage.counters import IOCounters
+from repro.storage.counters import IOCounters, Tally
 from repro.storage.disk import PageFault, SimulatedDisk
 from repro.storage.errors import (
     CorruptPageError,
@@ -284,28 +284,19 @@ class CorruptPayload:
         return f"CorruptPayload({type(self.original).__qualname__})"
 
 
-@dataclass
-class FaultStats:
-    """Fault and recovery tallies (robustness-overhead reporting)."""
+class FaultStats(Tally):
+    """Fault and recovery tallies (robustness-overhead reporting); bumped
+    from whichever worker thread hit the fault."""
 
-    transient_errors: int = 0
-    corrupt_pages: int = 0
-    torn_writes: int = 0
-    retries: int = 0
-    degraded_loads: int = 0
-    quarantines: int = 0
-    rebuilds: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "transient_errors": self.transient_errors,
-            "corrupt_pages": self.corrupt_pages,
-            "torn_writes": self.torn_writes,
-            "retries": self.retries,
-            "degraded_loads": self.degraded_loads,
-            "quarantines": self.quarantines,
-            "rebuilds": self.rebuilds,
-        }
+    ZEROS = dict(
+        transient_errors=0,
+        corrupt_pages=0,
+        torn_writes=0,
+        retries=0,
+        degraded_loads=0,
+        quarantines=0,
+        rebuilds=0,
+    )
 
 
 # ---------------------------------------------------------------------- #

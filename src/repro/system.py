@@ -214,7 +214,7 @@ class PCubeSystem:
         return self._maintain(lambda: self._recover_pending(pending))
 
     def _recover_pending(self, pending: PendingOp) -> str:
-        self.maintenance_stats.recoveries += 1
+        self.maintenance_stats.bump(recoveries=1)
         if pending.changes is None:
             outcome = self._recover_reindex(pending)
         else:
@@ -230,21 +230,21 @@ class PCubeSystem:
             # so ``len(relation) - base`` of them are already in; re-page
             # the buffered tail first (appends must stay in tid order),
             # then apply the rest.
-            self.maintenance_stats.rows_repaired += (
-                self.relation.repair_heap()
+            self.maintenance_stats.bump(
+                rows_repaired=self.relation.repair_heap()
             )
             already = len(self.relation) - payload["base"]
             for bool_row, pref_row in payload["rows"][already:]:
                 self.relation.append(bool_row, pref_row)
         elif pending.op == "delete":
             self.relation.tombstone(payload["tid"])
-            self.maintenance_stats.rows_repaired += (
-                self.relation.repair_heap()
+            self.maintenance_stats.bump(
+                rows_repaired=self.relation.repair_heap()
             )
         elif pending.op == "update":
             self.relation.overwrite_pref(payload["tid"], payload["pref_row"])
-            self.maintenance_stats.rows_repaired += (
-                self.relation.repair_heap()
+            self.maintenance_stats.bump(
+                rows_repaired=self.relation.repair_heap()
             )
         else:  # pragma: no cover - begin() only journals the four ops
             raise RuntimeError(f"unknown journalled op {pending.op!r}")
@@ -254,7 +254,7 @@ class PCubeSystem:
         self.rtree.reset(self.relation.pref_points())
         self.pcube.rebuild_all()
         self.pcube.store.reset_index()
-        self.maintenance_stats.reindexes += 1
+        self.maintenance_stats.bump(reindexes=1)
         return "reindexed"
 
     def _recover_replay(self, pending: PendingOp) -> str:
@@ -265,7 +265,7 @@ class PCubeSystem:
                 continue
             self.pcube.restore_cell(cell)
             self.wal.log_cell_stored(pending.op_id, cell.cell_id)
-            self.maintenance_stats.replayed_cells += 1
+            self.maintenance_stats.bump(replayed_cells=1)
         return "replayed"
 
     def repair_quarantined(self) -> list:

@@ -4,14 +4,75 @@
 refactor that moves or renames one would otherwise only fail when the
 benchmark next runs.  This resolves every target the way
 ``SpanRecorder.install`` does and does one install / uninstall round trip.
+
+The referee also reads stats snapshots by key with ``.get(key, 0)``, so a
+renamed key would turn a per-layer figure into a silent zero.  The last test
+runs two quick traced workloads in-process and pins every *counted* figure
+(the timed ones drift with the host) to what the parent of PR 24 printed.
 Read-only use of ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 
+import pytest
+
+from benchmarks.e2e import run as e2e_run
 from benchmarks.e2e.tracing import TARGETS, SpanRecorder
+
+#: ``--quick --trace 1 --seed 7 --seconds 1``: every per-layer metric whose
+#: unit is not a time or a percentage, rounded to 6 places; a counted metric
+#: that is not listed reads 0.  Pure functions of the seed, identical under
+#: both kernel backends.
+COUNTED = {
+    "mixed_rw": {
+        "system.disk_io_per_write": 19.333333,
+        "route.cache_hit_rate": 0.5,
+        "route.io_per_miss": 1.625,
+        "route.share.signature": 1.0,
+        "query.nodes_expanded_per_read": 3.5625,
+        "query.peak_heap_p95": 199,
+        "query.bool_pruned_per_read": 114.8125,
+        "query.dom_pruned_per_read": 55.0625,
+        "query.results_per_read": 14.625,
+        "kernels.calls_per_read": 3.875,
+        "kernels.rows_per_call": 52.822581,
+        "core.sig_loads_per_read": 0.625,
+        "core.cells_rewritten_per_write": 3.0,
+        "core.partials_written_per_write": 3.0,
+        "core.wal_records_per_write": 6.0,
+        "bitmap.compress_calls_per_write": 6.25,
+        "rtree.block_reads_per_read": 3.5625,
+        "storage.disk_reads_per_read": 0.708333,
+        "storage.pool_hit_rate": 0.80597,
+        "storage.pool_gets_per_read": 4.1875,
+        "storage.disk_reads.SSIG": 0.625,
+        "storage.disk_reads.SBLOCK": 0.1875,
+        "storage.disk_writes_per_write": 16.25,
+        "storage.pages_freed_per_write": 3.0,
+    },
+    "routed_zipf": {
+        "route.cache_hit_rate": 0.65,
+        "route.io_per_miss": 1.857143,
+        "route.share.signature": 1.0,
+        "query.nodes_expanded_per_read": 3.1,
+        "query.peak_heap_p95": 19,
+        "query.bool_pruned_per_read": 116.65,
+        "query.dom_pruned_per_read": 36.7,
+        "query.results_per_read": 17.05,
+        "kernels.calls_per_read": 3.4,
+        "kernels.rows_per_call": 53.602941,
+        "core.sig_loads_per_read": 0.4,
+        "rtree.block_reads_per_read": 3.1,
+        "storage.disk_reads_per_read": 0.283333,
+        "storage.pool_hit_rate": 0.814286,
+        "storage.pool_gets_per_read": 3.5,
+        "storage.disk_reads.SSIG": 0.4,
+        "storage.disk_reads.SBLOCK": 0.25,
+    },
+}
 
 
 def _resolve(target):
@@ -46,3 +107,19 @@ def test_install_uninstall_round_trip_restores_originals():
         recorder.uninstall()
     assert not recorder.patched
     assert [_resolve(target) for target in TARGETS] == before
+
+
+@pytest.mark.parametrize("workload", sorted(COUNTED))
+def test_counted_per_layer_figures_are_pinned(workload, tmp_path, monkeypatch):
+    monkeypatch.setattr(e2e_run, "OUT_DIR", tmp_path)
+    args = argparse.Namespace(
+        workload=workload, seed=7, seconds=1.0, trace=1, quick=True
+    )
+    result, details = e2e_run.run(args)
+    assert result["correct"] and not details["problems"]
+    counted = {
+        name: round(metric["value"], 6)
+        for name, metric in result["metrics"].items()
+        if metric["unit"] not in ("ms", "%")
+    }
+    assert counted == {**dict.fromkeys(counted, 0), **COUNTED[workload]}

@@ -172,6 +172,33 @@ def test_mixed_kinds_complete_and_aggregate(system):
     assert stats["epochs_served"] == {system.epochs.current_epoch: 3}
 
 
+def test_health_is_every_tally_verbatim(system):
+    """``health()`` is the dump of the tallies — the same dicts their
+    ``snapshot()`` returns, with ``maintenance`` and ``epochs`` among them
+    and the routing counts under the router only."""
+    with QueryExecutor(system, threads=1, routing=True) as executor:
+        executor.enable_scrubbing(start=False)
+        executor.skyline().result(timeout=30.0)
+        executor.skyline().result(timeout=30.0)  # a hit
+        executor.scrubber.run_pass()
+        health = executor.health()
+        store = system.pcube.store
+        assert health["serving"] == executor.stats.snapshot()
+        assert health["faults"] == store.fault_stats.snapshot()
+        assert health["maintenance"] == system.maintenance_stats.snapshot()
+        assert health["epochs"] == system.epochs.stats.snapshot()
+        routing = executor.router.stats.snapshot()
+        assert health["router"]["routing"] == routing
+        assert (routing["cache_hits"], routing["cache_misses"]) == (1, 1)
+        scrub = executor.scrubber.stats.snapshot()
+        assert scrub.items() <= health["scrubber"].items()
+        assert scrub["passes"] == 1 and health["epochs"]["published"] >= 1
+    assert not {
+        "routed", "fell_back", "routes",
+        "cache_hits", "cache_misses", "cache_bypassed",
+    } & set(health["serving"])
+
+
 def test_finished_result_is_collectable_while_worker_idles(system):
     """The worker must not hold the last ticket across its blocking
     ``get()``: the answer (and its whole search state) would then live

@@ -342,7 +342,7 @@ def test_boolean_first_fallback_is_byte_identical_to_serial(faulty, rng):
     stats = executor.stats.snapshot()
     assert stats["tiers"] == {"boolean-first": 2}
     assert stats["degraded_queries"] == 2
-    assert stats["routed"] == 0
+    assert executor.router is None  # no router, so nothing counts routes
 
 
 def test_degraded_fallback_chains_the_original_storage_fault(faulty, rng):

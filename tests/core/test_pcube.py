@@ -133,6 +133,30 @@ def test_recompute_cell(system):
     assert recomputed == expected_signature(system, cell)
 
 
+def test_rebuild_cell_is_the_one_rebuild_entry_point(system):
+    """A quarantined cell is regenerated from the relation and the R-tree:
+    fresh pages replace the old ones (freed), the quarantine lifts, and the
+    quarantine and the rebuild are each counted once."""
+    pcube, store, disk = system.pcube, system.pcube.store, system.disk
+    cell = Cell(("A1",), (2,))
+    old_pages = set(store.refs_for(cell).values())
+    n_partials = store.n_partials(cell)
+    store.quarantine(cell, "corrupt page")
+    store.quarantine(cell, "again")  # re-quarantining is not double-counted
+    assert store.quarantined_cells() == [cell]
+    assert store.fault_stats.quarantines == 1
+
+    rebuilt = pcube.rebuild_cell(cell)
+    assert rebuilt == expected_signature(system, cell)
+    assert pcube.signature_of(cell) == rebuilt
+    assert not store.is_quarantined(cell)
+    assert store.fault_stats.rebuilds == 1
+    assert store.n_partials(cell) == n_partials
+    assert not old_pages & set(store.refs_for(cell).values())
+    assert not any(disk.exists(page_id) for page_id in old_pages)
+    assert not hasattr(store, "rebuild_cell")
+
+
 def test_apply_changes_requires_maintainable(fresh_system):
     system = fresh_system(n_tuples=100, seed=3, maintainable=False)
     with pytest.raises(RuntimeError):

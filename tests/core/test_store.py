@@ -292,7 +292,9 @@ def test_replace_keeps_index_consistent_with_directory(store):
             assert store._index.search((CELL.cell_id, ref)) == []
 
 
-def test_quarantine_and_rebuild(store):
+def test_quarantine_is_listed_counted_once_and_lifted(store):
+    """The store's half of the contract; the rebuild itself is
+    ``PCube.rebuild_cell`` (``tests/core/test_pcube.py``)."""
     signature = wide_signature()
     store.put_signature(CELL, signature)
     store.quarantine(CELL, "corrupt page")
@@ -301,9 +303,12 @@ def test_quarantine_and_rebuild(store):
     assert store.fault_stats.quarantines == 1
     store.quarantine(CELL, "again")  # re-quarantining is not double-counted
     assert store.fault_stats.quarantines == 1
-    store.rebuild_cell(CELL, signature)
+    rebuilt = []
+    store.on_cell_rebuilt = rebuilt.append
+    store.clear_quarantine(CELL)
+    store.clear_quarantine(CELL)  # lifting twice notifies once
     assert not store.is_quarantined(CELL)
-    assert store.fault_stats.rebuilds == 1
+    assert rebuilt == [CELL.cell_id]
     assert store.load_full_signature(CELL) == signature
 
 

@@ -36,6 +36,7 @@ from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import LinearFunction
 from repro.query.skyline import skyline_signature
 from repro.query.topk import topk_signature
+from repro.route import RouteRequest
 from repro.system import build_system
 
 DIFFERENTIAL_SETTINGS = settings(
@@ -222,11 +223,11 @@ def test_differential_router_forced_strategies(rows, conjuncts):
             system, policy=RoutingPolicy(chain=(name,), cache=False)
         )
         if name != "index-merge":  # top-k only
-            result = router.route(session, "skyline", predicate=predicate)
+            result = router.route(session, RouteRequest("skyline", predicate))
             assert result.tids == expected_sky, name
             assert result.stats.route == name
         result = router.route(
-            session, "topk", predicate=predicate, fn=fn, k=k
+            session, RouteRequest("topk", predicate, fn=fn, k=k)
         )
         scores = [round(score, 9) for score in result.scores]
         assert sorted(scores) == sorted(expected_scores), name
@@ -243,13 +244,7 @@ def test_differential_router_forced_fallback(rows, conjuncts):
     ``StrategyUnsupported`` and the chain degrades to naive — the answer
     must not change, and the fallback must be visible in the stats.
     """
-    from repro.route import (
-        ENGINES,
-        FallbackExecutor,
-        QueryRouter,
-        RouteRequest,
-        RoutingPolicy,
-    )
+    from repro.route import QueryRouter, RoutingPolicy, run_chain
 
     relation = make_relation(rows)
     system = build_system(relation, fanout=4)
@@ -258,14 +253,13 @@ def test_differential_router_forced_fallback(rows, conjuncts):
     expected = _expected_skyline(relation, predicate)
 
     # Bypass the static supports() filter to exercise the runtime raise.
-    executor = FallbackExecutor(ENGINES)
     request = RouteRequest(kind="skyline", predicate=predicate)
     router = QueryRouter.for_system(system, policy=RoutingPolicy(cache=False))
-    result, failures = executor.execute(
+    result, failures = run_chain(
         ["index-merge", "naive"], session, request, router.ctx
     )
     assert [name for name, _ in failures] == ["index-merge"]
-    assert result.stats.route == "naive"
+    assert result.stats.tier == "naive"
     assert result.stats.fallbacks == 1
     assert sorted(result.tids) == expected
 
@@ -285,21 +279,18 @@ def test_differential_router_cache_warm_equals_cold(rows, conjuncts):
     expected = _expected_skyline(relation, predicate)
 
     router = QueryRouter.for_system(system)
-    cold = router.route(session, "skyline", predicate=predicate)
+    cold = router.route(session, RouteRequest("skyline", predicate))
     assert cold.stats.cache_outcome == "miss"
     assert cold.tids == expected
-    warm = router.route(session, "skyline", predicate=predicate)
+    warm = router.route(session, RouteRequest("skyline", predicate))
     assert warm.stats.cache_outcome == "hit"
     assert warm.tids == cold.tids
     assert warm.stats.route == cold.stats.route
 
     fn = LinearFunction((0.5, 1.5))
-    cold_topk = router.route(
-        session, "topk", predicate=predicate, fn=fn, k=4
-    )
-    warm_topk = router.route(
-        session, "topk", predicate=predicate, fn=fn, k=4
-    )
+    topk = RouteRequest("topk", predicate, fn=fn, k=4)
+    cold_topk = router.route(session, topk)
+    warm_topk = router.route(session, topk)
     assert warm_topk.stats.cache_outcome == "hit"
     assert warm_topk.tids == cold_topk.tids
     assert warm_topk.scores == cold_topk.scores
@@ -319,9 +310,9 @@ def test_differential_router_empty_predicate(rows):
     expected = _expected_skyline(relation, predicate)
 
     router = QueryRouter.for_system(system)
-    cold = router.route(session, "skyline", predicate=predicate)
+    cold = router.route(session, RouteRequest("skyline", predicate))
     assert cold.tids == expected
-    warm = router.route(session, "skyline", predicate=predicate)
+    warm = router.route(session, RouteRequest("skyline", predicate))
     assert warm.stats.cache_outcome == "hit"
     assert warm.tids == expected
 
@@ -346,5 +337,5 @@ def test_differential_router_all_boolean_dims_constrained(rows):
     session = _routed_session(system)
     expected = _expected_skyline(relation, predicate)
     router = QueryRouter.for_system(system)
-    result = router.route(session, "skyline", predicate=predicate)
+    result = router.route(session, RouteRequest("skyline", predicate))
     assert result.tids == expected

@@ -17,7 +17,7 @@ from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import LinearFunction
 from repro.query.session import QuerySession
-from repro.route import QueryRouter
+from repro.route import QueryRouter, RouteRequest
 from repro.route.engines import canonicalize
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import (
@@ -63,9 +63,10 @@ class Routed:
 
     def read(self, kind, snapshot=None, **kwargs):
         pinned = snapshot or self.system.pin_snapshot()
+        kwargs.setdefault("predicate", BooleanPredicate())
         try:
             routed = self.router.route(
-                QuerySession.for_snapshot(pinned), kind, **kwargs
+                QuerySession.for_snapshot(pinned), RouteRequest(kind, **kwargs)
             )
             serial = getattr(QuerySession.for_snapshot(pinned), kind)(**kwargs)
             assert (routed.tids, routed.scores) == _bytes(serial), (

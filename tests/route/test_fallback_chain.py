@@ -1,4 +1,4 @@
-"""FallbackExecutor unit behaviour: ordering, deadline slices, restoration."""
+"""``run_chain`` unit behaviour: ordering, deadline slices, restoration."""
 
 from __future__ import annotations
 
@@ -11,10 +11,10 @@ from repro.query.session import QuerySession
 from repro.route import (
     ENGINES,
     EngineContext,
-    FallbackExecutor,
     RouteRequest,
     StrategyTimeout,
     StrategyUnsupported,
+    run_chain,
 )
 from repro.serve.executor import QueryCancelled
 from repro.storage.errors import TransientIOError
@@ -38,21 +38,22 @@ def harness(small_relation):
 def test_empty_chain_raises_unsupported(harness):
     session, request, ctx = harness
     with pytest.raises(StrategyUnsupported, match="no engine supports"):
-        FallbackExecutor(ENGINES).execute([], session, request, ctx)
+        run_chain([], session, request, ctx)
 
 
-def test_exhausted_chain_reraises_last_error(harness):
+def test_exhausted_chain_reraises_last_error(harness, monkeypatch):
     session, request, ctx = harness
 
     def boom(session, request, ctx):
         raise TransientIOError(1, "rtree")
 
-    executor = FallbackExecutor({"a": boom, "b": boom})
+    monkeypatch.setitem(ENGINES, "a", boom)
+    monkeypatch.setitem(ENGINES, "b", boom)
     with pytest.raises(TransientIOError):
-        executor.execute(["a", "b"], session, request, ctx)
+        run_chain(["a", "b"], session, request, ctx)
 
 
-def test_failures_list_preserves_chain_order(harness):
+def test_failures_list_preserves_chain_order(harness, monkeypatch):
     session, request, ctx = harness
 
     def unsupported(session, request, ctx):
@@ -61,16 +62,14 @@ def test_failures_list_preserves_chain_order(harness):
     def faulting(session, request, ctx):
         raise TransientIOError(2, "rtree")
 
-    executor = FallbackExecutor(
-        {"a": unsupported, "b": faulting, "naive": ENGINES["naive"]}
-    )
-    result, failures = executor.execute(
-        ["a", "b", "naive"], session, request, ctx
-    )
+    monkeypatch.setitem(ENGINES, "a", unsupported)
+    monkeypatch.setitem(ENGINES, "b", faulting)
+    result, failures = run_chain(["a", "b", "naive"], session, request, ctx)
     assert [name for name, _ in failures] == ["a", "b"]
     assert isinstance(failures[0][1], StrategyUnsupported)
     assert isinstance(failures[1][1], TransientIOError)
-    assert result.stats.route == "naive"
+    assert result.stats.tier == "naive"
+    assert result.stats.route is None  # stamping it is the router's job
     assert result.stats.fallbacks == 2
 
 
@@ -82,9 +81,7 @@ def test_cancellation_is_never_swallowed(harness):
 
     session.ticker = cancel
     with pytest.raises(QueryCancelled):
-        FallbackExecutor(ENGINES).execute(
-            ["naive"], session, request, ctx
-        )
+        run_chain(["naive"], session, request, ctx)
     # The original ticker is restored even on the abort path.
     assert session.ticker is cancel
 
@@ -94,15 +91,15 @@ def test_ticker_restored_after_success(harness):
     ticks = []
     session.ticker = lambda: ticks.append(1)
     base = session.ticker
-    result, failures = FallbackExecutor(ENGINES).execute(
-        ["naive"], session, request, ctx
-    )
+    result, failures = run_chain(["naive"], session, request, ctx)
     assert failures == []
     assert session.ticker is base
     assert ticks  # the engine really ran through the composed ticker
 
 
-def test_slice_expiry_raises_strategy_timeout_and_chain_continues(harness):
+def test_slice_expiry_raises_strategy_timeout_and_chain_continues(
+    harness, monkeypatch
+):
     """With two engines and an overall budget, the first attempt's slice
     is ``remaining / 2``.  An attempt that ticks inside its slice is
     fine; once the slice lapses the *composed ticker* raises
@@ -117,12 +114,10 @@ def test_slice_expiry_raises_strategy_timeout_and_chain_continues(harness):
         inner_session.ticker()  # now the composed ticker raises
         raise AssertionError("slice expiry did not fire")
 
-    executor = FallbackExecutor({"slow": slow, "naive": ENGINES["naive"]})
-    result, failures = executor.execute(
-        ["slow", "naive"], session, request, ctx
-    )
+    monkeypatch.setitem(ENGINES, "slow", slow)
+    result, failures = run_chain(["slow", "naive"], session, request, ctx)
     assert [name for name, _ in failures] == ["slow"]
     assert isinstance(failures[0][1], StrategyTimeout)
-    assert result.stats.route == "naive"
+    assert result.stats.tier == "naive"
     # The overall deadline was never consumed by the slice mechanism.
     assert session.deadline_at > time.perf_counter() - 0.4

@@ -29,15 +29,13 @@ from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
 from repro.query.session import QuerySession
 from repro.route import (
-    ENGINES,
-    FallbackExecutor,
     QueryRouter,
     SERVING_CHAIN,
     RouteRequest,
     RoutingPolicy,
-    StrategyTimeout,
     StrategyUnsupported,
     chain_for,
+    run_chain,
 )
 from repro.serve.executor import (
     QueryCancelled,
@@ -75,23 +73,22 @@ def _reference(system, predicate):
     router = QueryRouter.for_system(
         system, policy=RoutingPolicy(chain=("naive",), cache=False)
     )
-    return router.route(_session(system), "skyline", predicate=predicate)
+    return router.route(_session(system), RouteRequest("skyline", predicate))
 
 
 def test_unsupported_edge_index_merge_to_naive(faulty):
     """Edge 1: ``StrategyUnsupported`` — index-merge never serves skylines.
 
     ``chain_for`` filters this statically, so the runtime raise is
-    exercised through the executor directly (an unfiltered chain),
+    exercised through ``run_chain`` directly (an unfiltered chain),
     exactly as a mis-stated pinned chain would reach it.
     """
     _, system = faulty
     predicate = sample_predicate(system.relation, 1, random.Random(3))
     expected = _reference(system, predicate)
 
-    executor = FallbackExecutor(ENGINES)
     router = QueryRouter.for_system(system, policy=RoutingPolicy(cache=False))
-    result, failures = executor.execute(
+    result, failures = run_chain(
         ["index-merge", "naive"],
         _session(system),
         RouteRequest(kind="skyline", predicate=predicate),
@@ -101,7 +98,7 @@ def test_unsupported_edge_index_merge_to_naive(faulty):
     name, error = failures[0]
     assert name == "index-merge"
     assert isinstance(error, StrategyUnsupported)
-    assert result.stats.route == "naive"
+    assert result.stats.tier == "naive"
     assert result.stats.fallbacks == 1
     assert sorted(result.tids) == sorted(expected.tids)
 
@@ -122,15 +119,14 @@ def test_unsupported_edge_stale_postings(faulty):
     session = _session(system)
     assert len(session.relation) > system.indexes_rows
 
-    executor = FallbackExecutor(ENGINES)
     router = QueryRouter.for_system(system, policy=RoutingPolicy(cache=False))
     request = RouteRequest(kind="topk", predicate=predicate, fn=fn, k=5)
-    result, failures = executor.execute(
+    result, failures = run_chain(
         ["index-merge", "naive"], session, request, router.ctx
     )
     assert isinstance(failures[0][1], StrategyUnsupported)
     assert "cover" in failures[0][1].reason
-    assert result.stats.route == "naive"
+    assert result.stats.tier == "naive"
 
     # And a pinned chain never offers index-merge for this snapshot.
     chain = chain_for(
@@ -155,7 +151,7 @@ def test_storage_fault_edge_domination_to_naive(faulty):
             chain=("domination-first", "naive"), cache=False
         ),
     )
-    result = router.route(_session(system), "skyline", predicate=predicate)
+    result = router.route(_session(system), RouteRequest("skyline", predicate))
     assert result.stats.route == "naive"
     assert result.stats.fallbacks == 1
     assert sorted(result.tids) == sorted(expected.tids)
@@ -203,9 +199,7 @@ def test_executor_routed_fault_reaches_the_router(faulty):
         assert stats["strategy_faults"] == 1
         assert stats["fallback_edges"] == {"signature->boolean-first": 1}
         assert stats["routed"] == sum(stats["served_by"].values()) == 1
-        serving = executor.stats.snapshot()
-        assert serving["fell_back"] == 1
-        assert serving["degraded_queries"] == 1
+        assert executor.stats.snapshot()["degraded_queries"] == 1
     disk.plan = FaultPlan()
 
 
@@ -254,7 +248,7 @@ def test_storage_fault_two_hop_chain(faulty):
             cache=False,
         ),
     )
-    result = router.route(_session(system), "skyline", predicate=predicate)
+    result = router.route(_session(system), RouteRequest("skyline", predicate))
     assert result.stats.route == "naive"
     assert result.stats.fallbacks == 2
     assert sorted(result.tids) == sorted(expected.tids)
@@ -290,7 +284,7 @@ def test_timeout_edge_slice_expires_overall_survives(faulty):
         system.pin_snapshot(),
         deadline_at=time.perf_counter() + 0.4,
     )
-    result = router.route(session, "skyline", predicate=predicate)
+    result = router.route(session, RouteRequest("skyline", predicate))
     assert result.stats.route == "naive"
     assert result.stats.fallbacks == 1
     assert sorted(result.tids) == sorted(expected.tids)
@@ -312,15 +306,16 @@ def test_overall_deadline_is_never_swallowed(faulty):
         deadline_at=time.perf_counter() - 1.0,  # already lapsed
     )
     with pytest.raises(QueryTimeout):
-        router.route(session, "skyline", predicate=predicate)
+        router.route(session, RouteRequest("skyline", predicate))
 
 
 def test_chaos_storm_routed_executor_reconciles(faulty, rng):
     """The composed storm: transient faults, corruption and latency spikes
     against a *routed* executor.  Every ticket resolves exact-or-typed
-    (the chaos contract), and afterwards the serving counters reconcile
-    exactly: every completed query was routed, every routed query has
-    exactly one cache outcome, and the router's own invariant holds."""
+    (the chaos contract), and afterwards the router's counters reconcile
+    exactly with what the clients saw: every completed query was routed,
+    every routed query has exactly one cache outcome, and the router's own
+    invariant holds."""
     disk, system = faulty
     relation = system.relation
     dims = relation.schema.n_preference
@@ -379,18 +374,16 @@ def test_chaos_storm_routed_executor_reconciles(faulty, rng):
         serving = executor.stats.snapshot()
         router_view = executor.router.snapshot()["routing"]
 
-    # Exact reconciliation between the three stat surfaces.
     assert serving["completed"] == completed
-    assert serving["routed"] == completed
+    assert router_view["routed"] == completed
     assert (
-        serving["cache_hits"]
-        + serving["cache_misses"]
-        + serving["cache_bypassed"]
-        == serving["routed"]
+        router_view["cache_hits"]
+        + router_view["cache_misses"]
+        + router_view["cache_bypassed"]
+        == router_view["routed"]
     )
-    assert serving["fell_back"] <= serving["routed"]
+    assert router_view["fell_back"] <= router_view["routed"]
     assert router_view["routed"] == router_view["cache_hits"] + sum(
         router_view["served_by"].values()
     )
-    assert sum(serving["routes"].values()) == serving["routed"]
     disk.plan = FaultPlan()

@@ -91,9 +91,9 @@ def test_get_put_and_counters():
     hit = cache.get(key)
     assert hit is not None and hit.tids == (1, 2)
     view = cache.snapshot()
-    assert view["hits"] == 1
-    assert view["misses"] == 1
     assert view["stores"] == 1
+    # A lookup's outcome is the router's count (RouterStats), not the cache's.
+    assert not {"hits", "misses", "bypassed"} & set(view)
     assert len(cache) == 1
 
 

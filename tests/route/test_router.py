@@ -96,7 +96,7 @@ def test_forced_chain_is_supports_filtered(routed):
         pinned, _shape("topk"), router.ctx, routed.relation
     ) == ["index-merge", "naive"]
     session = _session(routed)
-    served = router.route(session, "skyline", predicate=BooleanPredicate())
+    served = router.route(session, _shape("skyline"))
     assert served.stats.route == "naive"
     assert served.stats.fallbacks == 0
 
@@ -106,7 +106,7 @@ def test_pinned_engine_that_cannot_serve_the_shape_raises(routed):
         routed, policy=RoutingPolicy(chain=("index-merge",), cache=False)
     )
     with pytest.raises(StrategyUnsupported):
-        router.route(_session(routed), "skyline", predicate=BooleanPredicate())
+        router.route(_session(routed), _shape("skyline"))
 
 
 def test_domination_excluded_for_preference_subspace(routed):
@@ -212,7 +212,7 @@ def test_router_stats_error_classification():
         "miss",
     )
     stats.note_served(chain, "signature", [], "miss")
-    stats.note_hit()
+    stats.bump(routed=1, cache_hits=1)  # what a hit is
     view = stats.snapshot()
     assert view["routed"] == 3
     assert view["fell_back"] == 1
@@ -248,10 +248,10 @@ def test_open_breaker_bypasses_the_cache(routed):
     session = _session(routed)
     predicate = _predicate(routed.relation)
 
-    warm = router.route(session, "skyline", predicate=predicate)
+    warm = router.route(session, RouteRequest("skyline", predicate))
     assert warm.stats.cache_outcome == "miss"
     assert (
-        router.route(session, "skyline", predicate=predicate)
+        router.route(session, RouteRequest("skyline", predicate))
         .stats.cache_outcome
         == "hit"
     )
@@ -260,16 +260,16 @@ def test_open_breaker_bypasses_the_cache(routed):
     # real path runs, and the answer stays byte-identical.
     cell_id = next(iter(predicate.atomic_cells())).cell_id
     breakers.record_failure(cell_id, 0, epoch=session.epoch)
-    bypassed = router.route(session, "skyline", predicate=predicate)
+    bypassed = router.route(session, RouteRequest("skyline", predicate))
     assert bypassed.stats.cache_outcome == "bypass"
     assert bypassed.tids == warm.tids
-    assert router.cache.snapshot()["bypassed"] == 1
+    assert router.stats.snapshot()["cache_bypassed"] == 1
 
     # Unrelated predicates still enjoy the cache.
     other = BooleanPredicate()
-    router.route(session, "skyline", predicate=other)
+    router.route(session, RouteRequest("skyline", other))
     assert (
-        router.route(session, "skyline", predicate=other)
+        router.route(session, RouteRequest("skyline", other))
         .stats.cache_outcome
         == "hit"
     )
@@ -289,14 +289,14 @@ def test_opaque_ranking_function_bypasses_the_cache(fresh_system):
             executor.topk(fn, 5).result(60.0)
             for fn in (by_max, by_first, by_max)
         ]
-        serving = executor.stats.snapshot()
+        routing = executor.health()["router"]["routing"]
         cache = executor.health()["router"]["cache"]
     for fn, result in zip((by_max, by_first, by_max), results):
         assert result.stats.cache_outcome == "bypass"
         assert result.tids == system.engine.topk(fn, 5).tids
     assert results[0].tids != results[1].tids
-    assert serving["cache_bypassed"] == 3 and serving["cache_hits"] == 0
-    assert (cache["bypassed"], cache["stores"], cache["entries"]) == (3, 0, 0)
+    assert routing["cache_bypassed"] == 3 and routing["cache_hits"] == 0
+    assert (cache["stores"], cache["entries"]) == (0, 0)
 
 
 # -- live sessions ------------------------------------------------------- #
@@ -307,8 +307,8 @@ def test_live_sessions_are_never_cached(small_relation):
     router = QueryRouter.for_system(system)
     session = QuerySession(system.relation, system.rtree, system.pcube)
     predicate = _predicate(system.relation)
-    first = router.route(session, "skyline", predicate=predicate)
-    second = router.route(session, "skyline", predicate=predicate)
+    first = router.route(session, RouteRequest("skyline", predicate))
+    second = router.route(session, RouteRequest("skyline", predicate))
     assert first.stats.cache_outcome is None
     assert second.stats.cache_outcome is None
     assert len(router.cache) == 0
@@ -321,14 +321,16 @@ def test_live_sessions_are_never_cached(small_relation):
 def test_snapshot_structure(routed):
     router = QueryRouter.for_system(routed)
     session = _session(routed)
-    router.route(session, "skyline", predicate=_predicate(routed.relation))
+    request = RouteRequest("skyline", _predicate(routed.relation))
+    router.route(session, request)
     view = router.snapshot()
     assert set(view) == {"policy", "routing", "cache"}
     assert view["policy"] == {"cache": True, "chain": None}
     assert view["routing"]["routed"] == 1
     assert view["cache"]["stores"] == 1
-    assert {
-        "hits", "misses", "invalidated",
+    # The cache counts its entries' lifecycle; lookups are the router's.
+    assert set(view["cache"]) == {
+        "entries", "capacity", "stores", "invalidated", "evicted",
         "carried", "dropped_cell", "dropped_answer", "flushed_unknown",
-    } <= set(view["cache"])
+    }
     assert STRATEGY_ORDER[-1] == NAIVE
