@@ -47,12 +47,14 @@ from repro.core.wal import (
     MaintenanceWAL,
     WalCorruptionError,
     apply_committed_op,
-    record_crc,
+    seal_record,
+    verify_record,
 )
 from repro.cube.relation import Relation
 from repro.cube.schema import Schema
 from repro.storage.disk import SimulatedDisk
 from repro.storage.errors import CorruptPageError
+from repro.storage.page import Page
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import PCubeSystem
@@ -79,6 +81,19 @@ class CheckpointInfo:
     n_tombstones: int
     row_pages: tuple[int, ...]
     manifest_page: int
+
+    @classmethod
+    def of(cls, manifest: dict[str, Any], manifest_page: int) -> CheckpointInfo:
+        """The catalog entry a manifest describes."""
+        return cls(
+            checkpoint_id=manifest["checkpoint_id"],
+            epoch=manifest["epoch"],
+            watermark_lsn=manifest["watermark_lsn"],
+            n_rows=manifest["n_rows"],
+            n_tombstones=len(manifest["tombstones"]),
+            row_pages=tuple(manifest["row_pages"]),
+            manifest_page=manifest_page,
+        )
 
 
 @dataclass
@@ -163,12 +178,11 @@ class CheckpointManager:
                 "bools": [relation.bool_row(tid) for tid in tids],
                 "prefs": [relation.pref_point(tid) for tid in tids],
             }
-            chunk["crc"] = record_crc(chunk)
             row_pages.append(
                 disk.allocate(
                     f"{self.tag}:c{checkpoint_id}:rows",
                     size=max(1, len(tids)) * row_bytes,
-                    payload=chunk,
+                    payload=seal_record(chunk),
                 )
             )
         tombstones = sorted(
@@ -197,31 +211,25 @@ class CheckpointManager:
             "signature_cells": sorted(system.pcube.store.cells()),
             "rtree_size": len(system.rtree),
         }
-        manifest["crc"] = record_crc(manifest)
         manifest_page = disk.allocate(
             f"{self.tag}:c{checkpoint_id}:manifest",
             size=_MANIFEST_BYTES + _VALUE_BYTES * len(tombstones),
-            payload=manifest,
+            payload=seal_record(manifest),
         )
-        return CheckpointInfo(
-            checkpoint_id=checkpoint_id,
-            epoch=epoch,
-            watermark_lsn=watermark,
-            n_rows=n_rows,
-            n_tombstones=len(tombstones),
-            row_pages=tuple(row_pages),
-            manifest_page=manifest_page,
-        )
+        return CheckpointInfo.of(manifest, manifest_page)
 
     def _next_id(self) -> int:
-        top = -1
-        for page in self.system.disk.pages(f"{self.tag}:c"):
-            payload = page.payload
-            if isinstance(payload, dict):
-                cid = payload.get("checkpoint_id")
-                if isinstance(cid, int):
-                    top = max(top, cid)
-        return top + 1
+        ids = [cid for _, cid in self._claims() if isinstance(cid, int)]
+        return max(ids, default=-1) + 1
+
+    def _claims(self) -> list[tuple[Page, Any]]:
+        """(page, the checkpoint id it claims) for every checkpoint page
+        holding a dict — valid or not."""
+        return [
+            (page, page.payload.get("checkpoint_id"))
+            for page in self.system.disk.pages(f"{self.tag}:c")
+            if isinstance(page.payload, dict)
+        ]
 
     # ------------------------------------------------------------------ #
     # catalog & housekeeping
@@ -236,12 +244,8 @@ class CheckpointManager:
         disk = self.system.disk
         valid_ids = {info.checkpoint_id for info in self.catalog()}
         freed = 0
-        for page in list(disk.pages(f"{self.tag}:c")):
-            payload = page.payload
-            if (
-                isinstance(payload, dict)
-                and payload.get("checkpoint_id") not in valid_ids
-            ):
+        for page, cid in self._claims():
+            if cid not in valid_ids:
                 disk.free(page.page_id)
                 freed += 1
         return freed
@@ -274,27 +278,10 @@ def catalog_checkpoints(
     for page in disk.pages(f"{tag}:c"):
         if not page.tag.endswith(":manifest"):
             continue
-        try:
-            page.verify()
-        except CorruptPageError:
+        manifest = verify_record(page)
+        if manifest is None:
             continue
-        manifest = page.payload
-        if (
-            not isinstance(manifest, dict)
-            or manifest.get("crc") != record_crc(manifest)
-        ):
-            continue
-        infos.append(
-            CheckpointInfo(
-                checkpoint_id=manifest["checkpoint_id"],
-                epoch=manifest["epoch"],
-                watermark_lsn=manifest["watermark_lsn"],
-                n_rows=manifest["n_rows"],
-                n_tombstones=len(manifest["tombstones"]),
-                row_pages=tuple(manifest["row_pages"]),
-                manifest_page=page.page_id,
-            )
-        )
+        infos.append(CheckpointInfo.of(manifest, page.page_id))
     infos.sort(key=lambda info: info.checkpoint_id)
     return infos
 
@@ -355,23 +342,19 @@ def _restore_from(
 ) -> RestoreResult:
     from repro.system import build_system
 
-    manifest = source_disk.read(info.manifest_page, category)
-    if (
-        not isinstance(manifest, dict)
-        or manifest.get("crc") != record_crc(manifest)
-    ):
+    source_disk.read(info.manifest_page, category)
+    manifest = verify_record(source_disk.peek(info.manifest_page))
+    if manifest is None:
         raise CheckpointError(
             f"checkpoint {info.checkpoint_id}: manifest fails its CRC"
         )
     bools: list[tuple] = []
     prefs: list[tuple] = []
-    pages_read = 0
     for page_id in manifest["row_pages"]:
-        chunk = source_disk.read(page_id, category)
-        pages_read += 1
+        source_disk.read(page_id, category)
+        chunk = verify_record(source_disk.peek(page_id))
         if (
-            not isinstance(chunk, dict)
-            or chunk.get("crc") != record_crc(chunk)
+            chunk is None
             or chunk.get("checkpoint_id") != info.checkpoint_id
             or chunk.get("start") != len(bools)
         ):
@@ -413,7 +396,7 @@ def _restore_from(
         system=system,
         checkpoint=info,
         ops_replayed=len(ops),
-        row_pages_read=pages_read,
+        row_pages_read=len(manifest["row_pages"]),
         wal_metrics=wal_metrics,
     )
 

@@ -24,7 +24,7 @@ Figure 7 benchmarks time.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.pcube import PCube
 from repro.core.wal import MaintenanceWAL
@@ -33,7 +33,7 @@ from repro.cube.relation import Relation
 from repro.rtree.rtree import PathChange, RTree
 
 
-def merge_changes(changes: Sequence[PathChange]) -> list[PathChange]:
+def merge_changes(changes: Iterable[PathChange]) -> list[PathChange]:
     """Collapse a change stream to one record per tuple.
 
     A tuple touched several times keeps its first ``old_path`` and its last
@@ -55,12 +55,45 @@ def merge_changes(changes: Sequence[PathChange]) -> list[PathChange]:
     ]
 
 
-def _cell_logger(
-    wal: MaintenanceWAL | None, op_id: int | None
-) -> "Callable[[Cell], None] | None":
-    if wal is None or op_id is None:
-        return None
-    return lambda cell: wal.log_cell_stored(op_id, cell.cell_id)
+def _journalled(
+    pcube: PCube,
+    wal: MaintenanceWAL | None,
+    op: str,
+    intent: dict,
+    mutate: Callable[[], Iterable[PathChange]],
+) -> set[Cell]:
+    """The one journalled write: begin → ``mutate()`` (relation, then
+    R-tree) → merge → ``log_changes`` → ``apply_changes`` logging each
+    stored cell → ``commit``; returns the dirty cells."""
+    if wal is None:
+        return pcube.apply_changes(merge_changes(mutate()))
+    op_id = wal.begin(op, **intent)
+    changes = merge_changes(mutate())
+    wal.log_changes(op_id, changes)
+    dirty = pcube.apply_changes(
+        changes,
+        on_cell_stored=lambda cell: wal.log_cell_stored(op_id, cell.cell_id),
+    )
+    wal.commit(op_id)
+    return dirty
+
+
+def _insert_rows(
+    relation: Relation, rtree: RTree, pcube: PCube,
+    rows: Sequence[tuple[tuple, tuple]], wal: MaintenanceWAL | None, op: str,
+) -> tuple[list[int], set[Cell]]:
+    """Append and index ``rows`` as one journalled op named ``op``."""
+    tids: list[int] = []
+
+    def mutate() -> Iterator[PathChange]:
+        for bool_row, pref_row in rows:
+            tids.append(relation.append(bool_row, pref_row))
+            yield from rtree.insert(tids[-1], pref_row)
+
+    logged = [(tuple(b), tuple(float(v) for v in p)) for b, p in rows]
+    intent = dict(base=len(relation), rows=logged)
+    dirty = _journalled(pcube, wal, op, intent, mutate)
+    return tids, dirty
 
 
 def insert_tuple(
@@ -71,22 +104,11 @@ def insert_tuple(
     pref_row: tuple,
     wal: MaintenanceWAL | None = None,
 ) -> tuple[int, set[Cell]]:
-    """Insert one tuple end to end; returns (tid, dirty cells)."""
-    op_id = None
-    if wal is not None:
-        op_id = wal.begin(
-            "insert",
-            base=len(relation),
-            rows=[(tuple(bool_row), tuple(float(v) for v in pref_row))],
-        )
-    tid = relation.append(bool_row, pref_row)
-    changes = merge_changes(rtree.insert(tid, pref_row))
-    if wal is not None:
-        wal.log_changes(op_id, changes)
-    dirty = pcube.apply_changes(changes, on_cell_stored=_cell_logger(wal, op_id))
-    if wal is not None:
-        wal.commit(op_id)
-    return tid, dirty
+    """Insert one tuple end to end; returns (tid, dirty cells).  A batch of
+    one row, journalled as ``"insert"``."""
+    row = [(bool_row, pref_row)]
+    tids, dirty = _insert_rows(relation, rtree, pcube, row, wal, "insert")
+    return tids[0], dirty
 
 
 def insert_batch(
@@ -97,29 +119,7 @@ def insert_batch(
     wal: MaintenanceWAL | None = None,
 ) -> tuple[list[int], set[Cell]]:
     """Insert many tuples, patching signatures once at the end."""
-    op_id = None
-    if wal is not None:
-        op_id = wal.begin(
-            "insert_batch",
-            base=len(relation),
-            rows=[
-                (tuple(bool_row), tuple(float(v) for v in pref_row))
-                for bool_row, pref_row in rows
-            ],
-        )
-    all_changes: list[PathChange] = []
-    tids: list[int] = []
-    for bool_row, pref_row in rows:
-        tid = relation.append(bool_row, pref_row)
-        tids.append(tid)
-        all_changes.extend(rtree.insert(tid, pref_row))
-    changes = merge_changes(all_changes)
-    if wal is not None:
-        wal.log_changes(op_id, changes)
-    dirty = pcube.apply_changes(changes, on_cell_stored=_cell_logger(wal, op_id))
-    if wal is not None:
-        wal.commit(op_id)
-    return tids, dirty
+    return _insert_rows(relation, rtree, pcube, rows, wal, "insert_batch")
 
 
 def delete_tuple(
@@ -135,17 +135,12 @@ def delete_tuple(
     needed to patch the right signatures) but drops it from every live-row
     access path; the R-tree and every signature stop referencing it.
     """
-    op_id = None
-    if wal is not None:
-        op_id = wal.begin("delete", tid=tid)
-    relation.tombstone(tid)
-    changes = merge_changes(rtree.delete(tid))
-    if wal is not None:
-        wal.log_changes(op_id, changes)
-    dirty = pcube.apply_changes(changes, on_cell_stored=_cell_logger(wal, op_id))
-    if wal is not None:
-        wal.commit(op_id)
-    return dirty
+
+    def mutate() -> list[PathChange]:
+        relation.tombstone(tid)
+        return rtree.delete(tid)
+
+    return _journalled(pcube, wal, "delete", dict(tid=tid), mutate)
 
 
 def update_tuple(
@@ -165,16 +160,10 @@ def update_tuple(
     """
     if not relation.is_live(tid):
         raise KeyError(f"tid {tid} is not live")
-    op_id = None
-    if wal is not None:
-        op_id = wal.begin(
-            "update", tid=tid, pref_row=tuple(float(v) for v in new_pref_row)
-        )
-    relation.overwrite_pref(tid, new_pref_row)
-    changes = merge_changes(rtree.update(tid, new_pref_row))
-    if wal is not None:
-        wal.log_changes(op_id, changes)
-    dirty = pcube.apply_changes(changes, on_cell_stored=_cell_logger(wal, op_id))
-    if wal is not None:
-        wal.commit(op_id)
-    return dirty
+
+    def mutate() -> list[PathChange]:
+        relation.overwrite_pref(tid, new_pref_row)
+        return rtree.update(tid, new_pref_row)
+
+    intent = dict(tid=tid, pref_row=tuple(float(v) for v in new_pref_row))
+    return _journalled(pcube, wal, "update", intent, mutate)

@@ -17,7 +17,8 @@ Record protocol — one disk page per record, tag ``wal:rec:s<segment>``:
    re-apply its relation-level effect: the rows (and the pre-operation
    relation length, so replay knows which appends already happened) for
    inserts, the tid for deletes, the tid and new preference row for
-   updates.
+   updates.  :func:`replay_intent` is that re-apply, for recovery and
+   restore alike.
 2. ``changes`` — written after the relation and R-tree mutations complete,
    holding the merged :class:`~repro.rtree.rtree.PathChange` records.  Its
    presence is the recovery watershed: counted-signature patching is pure
@@ -30,11 +31,14 @@ Record protocol — one disk page per record, tag ``wal:rec:s<segment>``:
    committed or not; its records are *retained* (they are the archive
    point-in-time restore consumes) instead of freed.
 
-Every record carries a CRC32 over its canonicalised content (``"crc"``).
-Page checksums fingerprint a dict payload by type only (structural payloads
-are legitimately mutated in place elsewhere), so without the per-record CRC
-a torn or bit-flipped record tail would be indistinguishable from a valid
-record.  Replay classifies damage by LSN position:
+Every durable dict record — WAL records, segment seals, checkpoint
+manifests and row chunks — is stamped by :func:`seal_record` with a CRC32
+over its canonicalised content (``"crc"``) and read back through
+:func:`verify_record`.  Page checksums fingerprint a dict payload by type
+only (structural payloads are legitimately mutated in place elsewhere), so
+without the per-record CRC a torn or bit-flipped record tail would be
+indistinguishable from a valid record.  Replay classifies damage by LSN
+position:
 
 * **tail** damage (every unreadable record sits above the highest valid
   LSN) is the signature of a torn final write — :meth:`repair_tail`
@@ -69,12 +73,13 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.query.stats import MaintenanceStats
 from repro.rtree.rtree import PathChange
 from repro.storage.disk import SimulatedDisk
 from repro.storage.errors import CorruptPageError
+from repro.storage.page import Page
 
 #: Nominal on-disk sizes (the simulator accounts space, not bytes-exact
 #: encodings): a fixed record header plus per-item costs.
@@ -84,6 +89,9 @@ _VALUE_BYTES = 8
 
 #: Default segment-rotation threshold: logical record bytes per segment.
 DEFAULT_SEGMENT_BYTES = 4096
+
+#: The op names whose intent appends rows (``base`` + ``rows``).
+_INSERTS = ("insert", "insert_batch")
 
 
 class WalCorruptionError(RuntimeError):
@@ -127,11 +135,17 @@ def record_crc(record: dict[str, Any]) -> int:
     return zlib.crc32(_canonical(content).encode())
 
 
-def _verified_payload(page) -> dict[str, Any] | None:
-    """The record dict a page holds, or ``None`` if it fails verification.
+def seal_record(record: dict[str, Any]) -> dict[str, Any]:
+    """Stamp a durable dict record with its CRC; returns the record."""
+    record["crc"] = record_crc(record)
+    return record
+
+
+def verify_record(page: Page) -> dict[str, Any] | None:
+    """The sealed dict record a page holds, or ``None`` if it is damaged.
 
     Checks both the page checksum (catches a payload replaced wholesale)
-    and the per-record CRC (catches content tampered in place, which the
+    and the record CRC (catches content tampered in place, which the
     type-based page fingerprint of a dict payload cannot see).
     """
     try:
@@ -139,13 +153,13 @@ def _verified_payload(page) -> dict[str, Any] | None:
     except CorruptPageError:
         return None
     record = page.payload
-    if not isinstance(record, dict):
-        return None
-    if not isinstance(record.get("lsn"), int):
-        return None
-    if record.get("crc") != record_crc(record):
-        return None
-    return record
+    if isinstance(record, dict) and record.get("crc") == record_crc(record):
+        return record
+    return None
+
+
+#: A page -> record verdict: :func:`verify_record`, or a counted read of it.
+_Verify = Callable[[Page], "dict[str, Any] | None"]
 
 
 def _encode_change(change: PathChange) -> tuple:
@@ -199,6 +213,110 @@ class SegmentInfo:
     sealed: bool
 
 
+@dataclass
+class _Journal:
+    """What one scan of record pages says: the valid records (LSN order),
+    the damaged page ids, the operations by op id (from their intents, with
+    changes and cells attached), op id -> commit LSN, and each segment's
+    catalog entry (``sealed`` left to the seal pages)."""
+
+    records: list[dict[str, Any]] = field(default_factory=list)
+    damaged: list[int] = field(default_factory=list)
+    ops: dict[int, PendingOp] = field(default_factory=dict)
+    commits: dict[int, int] = field(default_factory=dict)
+    segments: dict[int, SegmentInfo] = field(default_factory=dict)
+
+
+def _classify(pages: Iterable[Page], verify: _Verify = verify_record) -> _Journal:
+    """Group verified record pages into operations — the one classifier.
+
+    A record ``verify`` rejects, or one without an integer LSN, is damaged.
+    """
+    journal = _Journal()
+    valid = []
+    for page in pages:
+        record = verify(page)
+        if record is None or not isinstance(record.get("lsn"), int):
+            journal.damaged.append(page.page_id)
+        else:
+            valid.append((page, record))
+    valid.sort(key=lambda item: item[1]["lsn"])
+    for page, record in valid:
+        journal.records.append(record)
+        op_id, kind, lsn = record["op_id"], record["kind"], record["lsn"]
+        info = journal.segments.setdefault(
+            record["segment"], SegmentInfo(record["segment"], 0, lsn, lsn, 0, False)
+        )
+        info.records += 1
+        info.last_lsn = lsn
+        info.bytes += page.size
+        if kind == "intent":
+            journal.ops[op_id] = PendingOp(
+                op_id=op_id, op=record["op"], payload=dict(record["payload"])
+            )
+        elif kind == "commit":
+            journal.commits[op_id] = lsn
+        elif op_id not in journal.ops:
+            continue  # an intent pruned or damaged: nothing to attach to
+        elif kind == "changes":
+            journal.ops[op_id].changes = [
+                _decode_change(raw) for raw in record["changes"]
+            ]
+        elif kind == "cell":
+            journal.ops[op_id].stored_cells.append(record["cell_id"])
+    return journal
+
+
+def _seal_pages(
+    pages: Iterable[Page], verify: _Verify = verify_record
+) -> tuple[dict[int, dict[str, Any]], list[tuple[int, int | None]]]:
+    """(segment -> valid seal record, damaged ``(page_id, claimed)``).
+
+    A damaged seal's ``segment`` field is reported when still readable:
+    it cannot be *trusted* (restore never skips on it) but it is
+    evidence the segment was once sealed, which reopen uses to keep
+    appending past it rather than into it.
+    """
+    seals: dict[int, dict[str, Any]] = {}
+    damaged: list[tuple[int, int | None]] = []
+    for page in pages:
+        seal = verify(page)
+        if seal is not None:
+            seals[seal["segment"]] = seal
+            continue
+        claimed = (
+            page.payload.get("segment")
+            if isinstance(page.payload, dict)
+            else None
+        )
+        damaged.append(
+            (page.page_id, claimed if isinstance(claimed, int) else None)
+        )
+    return seals, damaged
+
+
+def replay_intent(relation, op: PendingOp | CommittedOp) -> None:
+    """Re-apply an intent's relation-level effect (recovery and restore).
+
+    Idempotent: an insert appends only the rows past the
+    ``len(relation) - base`` already in (a crash may have let some in), and
+    a tombstone or a preference overwrite may be repeated.
+    """
+    payload = op.payload
+    if op.op in _INSERTS:
+        appended = len(relation) - payload["base"]
+        for bool_row, pref_row in payload["rows"][appended:]:
+            relation.append(tuple(bool_row), tuple(pref_row))
+    elif op.op == "delete":
+        relation.tombstone(payload["tid"])
+    elif op.op == "update":
+        relation.overwrite_pref(payload["tid"], tuple(payload["pref_row"]))
+    else:  # pragma: no cover - begin() only journals the four ops
+        raise WalCorruptionError(
+            f"unknown journalled op {op.op!r}", truncatable=False
+        )
+
+
 class MaintenanceWAL:
     """Intent journal for the incremental-maintenance drivers.
 
@@ -226,18 +344,6 @@ class MaintenanceWAL:
         self.tag = tag
         self.stats = stats if stats is not None else MaintenanceStats()
         self.segment_bytes = segment_bytes
-        self._next_lsn = 0
-        self._next_op_id = 0
-        self._active_segment = 0
-        self._active_bytes = 0
-        #: Wall-clock (monotonic) moment the in-flight op journalled its
-        #: intent; ``None`` when no op is open.  The serving supervisor
-        #: uses it to flag stalled maintenance.
-        self.pending_since: float | None = None
-        #: The op currently open (begin succeeded, commit not yet) — the
-        #: in-memory fast path behind :meth:`begin`'s one-in-flight rule.
-        self._open_op: int | None = None
-        self.last_commit_lsn: int | None = None
         self._reopen()
 
     # ------------------------------------------------------------------ #
@@ -261,59 +367,9 @@ class MaintenanceWAL:
     def _segment_tag(self, segment: int) -> str:
         return f"{self.record_tag}:s{segment}"
 
-    @staticmethod
-    def _segment_of_tag(tag: str) -> int | None:
-        _, _, suffix = tag.rpartition(":s")
-        try:
-            return int(suffix)
-        except ValueError:
-            return None
-
-    def _scan(self) -> tuple[list[dict[str, Any]], list[int]]:
-        """(valid records in LSN order, damaged record page ids)."""
-        valid: list[dict[str, Any]] = []
-        damaged: list[int] = []
-        for page in self.disk.pages(self.record_tag):
-            record = _verified_payload(page)
-            if record is None:
-                damaged.append(page.page_id)
-            else:
-                valid.append(record)
-        valid.sort(key=lambda record: record["lsn"])
-        return valid, damaged
-
-    def _seal_pages(
-        self,
-    ) -> tuple[dict[int, dict[str, Any]], list[tuple[int, int | None]]]:
-        """(segment -> valid seal record, damaged ``(page_id, claimed)``).
-
-        A damaged seal's ``segment`` field is reported when still readable:
-        it cannot be *trusted* (restore never skips on it) but it is
-        evidence the segment was once sealed, which reopen uses to keep
-        appending past it rather than into it.
-        """
-        seals: dict[int, dict[str, Any]] = {}
-        damaged: list[tuple[int, int | None]] = []
-        for page in self.disk.pages(self.seal_tag):
-            record: dict[str, Any] | None
-            try:
-                page.verify()
-                record = page.payload
-            except CorruptPageError:
-                record = page.payload if isinstance(page.payload, dict) else None
-            if (
-                not isinstance(record, dict)
-                or record.get("crc") != record_crc(record)
-            ):
-                claimed = (
-                    record.get("segment") if isinstance(record, dict) else None
-                )
-                damaged.append(
-                    (page.page_id, claimed if isinstance(claimed, int) else None)
-                )
-                continue
-            seals[record["segment"]] = record
-        return seals, damaged
+    def _scan(self, tag: str | None = None) -> _Journal:
+        """The record pages under ``tag`` (default: every one), classified."""
+        return _classify(self.disk.pages(tag or self.record_tag))
 
     def _reopen(self) -> None:
         """Rebuild counters and segment state from surviving pages.
@@ -325,44 +381,38 @@ class MaintenanceWAL:
         Damaged records do not fail construction — they block :meth:`begin`
         until :meth:`repair_tail` classifies and clears them.
         """
-        records, damaged = self._scan()
-        seals, damaged_seals = self._seal_pages()
-        self._has_damage = bool(damaged or damaged_seals)
-        segments: set[int] = set(seals)
-        committed: set[int] = set()
-        intents: set[int] = set()
-        for record in records:
-            self._next_lsn = max(self._next_lsn, record["lsn"] + 1)
-            segments.add(record["segment"])
-            op_id = record.get("op_id")
-            if op_id is not None:
-                self._next_op_id = max(self._next_op_id, op_id + 1)
-            if record["kind"] == "commit":
-                committed.add(op_id)
-                self.last_commit_lsn = max(
-                    self.last_commit_lsn or -1, record["lsn"]
-                )
-            elif record["kind"] == "intent":
-                intents.add(op_id)
-        open_ops = intents - committed
-        if open_ops:
-            # begin() forbids more than one; tolerate what the disk says.
-            self._open_op = max(open_ops)
-            self.pending_since = time.monotonic()
-        sealed_top = max(
-            [*seals, *(claim for _, claim in damaged_seals if claim is not None)],
-            default=-1,
+        journal = self._scan()
+        seals, damaged_seals = _seal_pages(self.disk.pages(self.seal_tag))
+        records = journal.records
+        self._has_damage = bool(journal.damaged or damaged_seals)
+        self._next_lsn = records[-1]["lsn"] + 1 if records else 0
+        self._next_op_id = max((r["op_id"] for r in records), default=-1) + 1
+        self.last_commit_lsn: int | None = max(
+            journal.commits.values(), default=None
         )
-        self._active_segment = max(max(segments, default=0), sealed_top + 1)
-        self._active_bytes = sum(
-            page.size - _RECORD_HEADER_BYTES
-            for page in self.disk.pages(self._segment_tag(self._active_segment))
+        # begin() forbids more than one open op; tolerate what the disk says.
+        open_ops = set(journal.ops) - set(journal.commits)
+        #: The op currently open (begin succeeded, commit not yet) — the
+        #: in-memory fast path behind :meth:`begin`'s one-in-flight rule.
+        self._open_op: int | None = max(open_ops, default=None)
+        #: Wall-clock (monotonic) moment the in-flight op journalled its
+        #: intent; ``None`` when no op is open.  The serving supervisor
+        #: uses it to flag stalled maintenance.
+        self.pending_since: float | None = (
+            time.monotonic() if open_ops else None
+        )
+        # Append past every sealed segment, even one whose seal is damaged.
+        sealed = [*seals, *(claim for _, claim in damaged_seals if claim is not None)]
+        self._active_segment = max([0, *journal.segments, *(s + 1 for s in sealed)])
+        active = journal.segments.get(self._active_segment)
+        self._active_bytes = (
+            active.bytes - _RECORD_HEADER_BYTES * active.records if active else 0
         )
 
     def _append(self, record: dict[str, Any], size: int) -> int:
         record["lsn"] = self._next_lsn
         record["segment"] = self._active_segment
-        record["crc"] = record_crc(record)
+        seal_record(record)
         self._next_lsn += 1
         self.disk.allocate(
             self._segment_tag(record["segment"]),
@@ -372,6 +422,21 @@ class MaintenanceWAL:
         self._active_bytes += size
         self.stats.bump(wal_records=1)
         return record["lsn"]
+
+    def _write_seal(self, info: SegmentInfo) -> None:
+        """Write a segment's seal page: its directory entry, which restore
+        reads (one page) to learn the segment's LSN range and skip the
+        whole segment when it falls below a checkpoint watermark."""
+        seal = {
+            "kind": "seal",
+            "segment": info.segment,
+            "first_lsn": info.first_lsn,
+            "last_lsn": info.last_lsn,
+            "records": info.records,
+        }
+        self.disk.allocate(
+            self.seal_tag, size=_RECORD_HEADER_BYTES, payload=seal_record(seal)
+        )
 
     # ------------------------------------------------------------------ #
     # the journalling protocol
@@ -445,34 +510,12 @@ class MaintenanceWAL:
             self._seal_active()
 
     def _seal_active(self) -> None:
-        """Seal the active segment and open the next one.
-
-        The seal page is the segment's directory entry: restore reads it
-        (one page) to learn the segment's LSN range and skip the whole
-        segment when it falls below a checkpoint watermark.
-        """
+        """Seal the active segment and open the next one."""
         segment = self._active_segment
-        lsns = [
-            record["lsn"]
-            for record in (
-                _verified_payload(page)
-                for page in self.disk.pages(self._segment_tag(segment))
-            )
-            if record is not None
-        ]
-        if not lsns:  # pragma: no cover - commit just wrote a record
+        info = self._scan(self._segment_tag(segment)).segments.get(segment)
+        if info is None:  # pragma: no cover - commit just wrote a record
             return
-        seal = {
-            "kind": "seal",
-            "segment": segment,
-            "first_lsn": min(lsns),
-            "last_lsn": max(lsns),
-            "records": len(lsns),
-        }
-        seal["crc"] = record_crc(seal)
-        self.disk.allocate(
-            self.seal_tag, size=_RECORD_HEADER_BYTES, payload=seal
-        )
+        self._write_seal(info)
         self._active_segment = segment + 1
         self._active_bytes = 0
         self.stats.bump(wal_segments_sealed=1)
@@ -495,9 +538,10 @@ class MaintenanceWAL:
         A damaged *seal* page is rebuilt from its segment's surviving
         records (the seal is derived metadata, never the only copy).
         """
-        records, damaged = self._scan()
-        seals, damaged_seals = self._seal_pages()
-        lsns = [record["lsn"] for record in records]
+        journal = self._scan()
+        seals, damaged_seals = _seal_pages(self.disk.pages(self.seal_tag))
+        damaged = journal.damaged
+        lsns = [record["lsn"] for record in journal.records]
         if lsns and lsns[-1] - lsns[0] + 1 != len(lsns):
             raise WalCorruptionError(
                 "WAL interior corruption: the surviving records leave gaps "
@@ -520,47 +564,21 @@ class MaintenanceWAL:
                     pages=[page_id],
                     truncatable=False,
                 )
-        freed = 0
-        for page_id in damaged:
+        doomed = [*damaged, *(page_id for page_id, _ in damaged_seals)]
+        for page_id in doomed:
             self.disk.free(page_id)
-            freed += 1
-        for page_id, _claim in damaged_seals:
-            self.disk.free(page_id)
-            freed += 1
+        freed = len(doomed)
         if damaged_seals:
             # Re-derive the lost seals for segments that still hold records
             # below the active segment.
-            by_segment: dict[int, list[int]] = {}
-            for record in records:
-                by_segment.setdefault(record["segment"], []).append(
-                    record["lsn"]
-                )
-            for segment, seg_lsns in by_segment.items():
-                if segment >= self._active_segment or segment in seals:
-                    continue
-                seal = {
-                    "kind": "seal",
-                    "segment": segment,
-                    "first_lsn": min(seg_lsns),
-                    "last_lsn": max(seg_lsns),
-                    "records": len(seg_lsns),
-                }
-                seal["crc"] = record_crc(seal)
-                self.disk.allocate(
-                    self.seal_tag, size=_RECORD_HEADER_BYTES, payload=seal
-                )
+            for segment, info in journal.segments.items():
+                if segment < self._active_segment and segment not in seals:
+                    self._write_seal(info)
         self._has_damage = False
         if freed:
             self.stats.bump(wal_tail_truncated=freed)
             # Truncation may have removed the only trace of the open op
             # (or its later records); resync the in-memory view from disk.
-            self._next_lsn = 0
-            self._next_op_id = 0
-            self._open_op = None
-            self.pending_since = None
-            self.last_commit_lsn = None
-            self._active_segment = 0
-            self._active_bytes = 0
             self._reopen()
         return freed
 
@@ -570,34 +588,19 @@ class MaintenanceWAL:
         Raises :class:`WalCorruptionError` while damaged records survive —
         :meth:`repair_tail` must classify them first (recovery does).
         """
-        records, damaged = self._scan()
-        if damaged:
+        journal = self._scan()
+        if journal.damaged:
             raise WalCorruptionError(
-                f"{len(damaged)} WAL record page(s) fail their checksums; "
-                "run repair_tail() (recover() does) before reading the WAL",
-                pages=damaged,
+                f"{len(journal.damaged)} WAL record page(s) fail their "
+                "checksums; run repair_tail() (recover() does) before "
+                "reading the WAL",
+                pages=journal.damaged,
                 truncatable=True,
             )
-        ops: dict[int, PendingOp] = {}
-        committed: set[int] = set()
-        for record in records:
-            op_id = record["op_id"]
-            if record["kind"] == "intent":
-                ops[op_id] = PendingOp(
-                    op_id=op_id,
-                    op=record["op"],
-                    payload=dict(record["payload"]),
-                )
-            elif record["kind"] == "commit":
-                committed.add(op_id)
-            elif record["kind"] == "changes":
-                ops[op_id].changes = [
-                    _decode_change(raw) for raw in record["changes"]
-                ]
-            elif record["kind"] == "cell":
-                ops[op_id].stored_cells.append(record["cell_id"])
         open_ops = [
-            pending for op_id, pending in ops.items() if op_id not in committed
+            pending
+            for op_id, pending in journal.ops.items()
+            if op_id not in journal.commits
         ]
         if not open_ops:
             return None
@@ -617,30 +620,12 @@ class MaintenanceWAL:
 
     def segments(self) -> list[SegmentInfo]:
         """Catalog of surviving segments, oldest first (tools/CLI view)."""
-        seals, _ = self._seal_pages()
-        by_segment: dict[int, list[dict[str, Any]]] = {}
-        sizes: dict[int, int] = {}
-        for page in self.disk.pages(self.record_tag):
-            record = _verified_payload(page)
-            if record is None:
-                continue
-            by_segment.setdefault(record["segment"], []).append(record)
-            sizes[record["segment"]] = sizes.get(record["segment"], 0) + page.size
-        catalog = []
-        for segment in sorted(set(by_segment) | set(seals)):
-            records = by_segment.get(segment, [])
-            lsns = [record["lsn"] for record in records]
-            catalog.append(
-                SegmentInfo(
-                    segment=segment,
-                    records=len(records),
-                    first_lsn=min(lsns, default=-1),
-                    last_lsn=max(lsns, default=-1),
-                    bytes=sizes.get(segment, 0),
-                    sealed=segment in seals,
-                )
-            )
-        return catalog
+        seals, _ = _seal_pages(self.disk.pages(self.seal_tag))
+        catalog = self._scan().segments
+        for segment in seals:
+            empty = SegmentInfo(segment, 0, -1, -1, 0, sealed=True)
+            catalog.setdefault(segment, empty).sealed = True
+        return [catalog[segment] for segment in sorted(catalog)]
 
     def prune_upto(self, lsn: int) -> int:
         """Drop sealed segments whose entire range is ``<= lsn``.
@@ -651,16 +636,18 @@ class MaintenanceWAL:
         the surviving LSN run that :meth:`repair_tail` relies on — pruning
         always removes a prefix of the archive.
         """
-        seals, _ = self._seal_pages()
+        seals, _ = _seal_pages(self.disk.pages(self.seal_tag))
         freed = 0
         # Oldest-first, stopping at the first segment that must stay: a
         # later prunable segment behind a kept one would break contiguity.
         for segment in sorted(seals):
             if seals[segment]["last_lsn"] > lsn:
                 break
-            for page in list(self.disk.pages(self._segment_tag(segment))):
-                self.disk.free(page.page_id)
-                freed += 1
+            tag = self._segment_tag(segment)
+            for page in list(self.disk.pages(tag)):
+                if page.tag == tag:  # not segment 10's pages when pruning 1
+                    self.disk.free(page.page_id)
+                    freed += 1
             for page in list(self.disk.pages(self.seal_tag)):
                 if page.payload.get("segment") == segment:
                     self.disk.free(page.page_id)
@@ -689,106 +676,63 @@ class MaintenanceWAL:
         (a torn tail); a committed operation whose intent is unreadable is
         interior corruption and raises :class:`WalCorruptionError`.
         """
-        metrics = {
-            "seal_reads": 0,
-            "record_reads": 0,
-            "segments_skipped": 0,
-            "segments_scanned": 0,
-            "damaged_ignored": 0,
-        }
-        seal_ranges: dict[int, int] = {}
-        for page in list(disk.pages(f"{tag}:seal")):
+
+        def read(page: Page) -> dict[str, Any] | None:
             try:
-                seal = disk.read(page.page_id, category)
-                metrics["seal_reads"] += 1
+                disk.read(page.page_id, category)
             except CorruptPageError:
-                metrics["seal_reads"] += 1
-                continue
-            if isinstance(seal, dict) and seal.get("crc") == record_crc(seal):
-                seal_ranges[seal["segment"]] = seal["last_lsn"]
-        by_segment: dict[int, list[int]] = {}
-        for page in list(disk.pages(f"{tag}:rec")):
-            segment = cls._segment_of_tag(page.tag)
-            if segment is not None:
-                by_segment.setdefault(segment, []).append(page.page_id)
-        records: list[dict[str, Any]] = []
-        damaged = 0
-        for segment in sorted(by_segment):
-            last = seal_ranges.get(segment)
-            if last is not None and last <= after_lsn:
-                metrics["segments_skipped"] += 1
-                continue
-            metrics["segments_scanned"] += 1
-            for page_id in by_segment[segment]:
-                try:
-                    disk.read(page_id, category)
-                except CorruptPageError:
-                    pass  # classified below via the commit/intent pairing
-                metrics["record_reads"] += 1
-                record = _verified_payload(disk.peek(page_id))
-                if record is None:
-                    damaged += 1
-                else:
-                    records.append(record)
-        records.sort(key=lambda record: record["lsn"])
-        intents: dict[int, dict[str, Any]] = {}
-        commits: dict[int, int] = {}
-        for record in records:
-            if record["kind"] == "intent":
-                intents[record["op_id"]] = record
-            elif record["kind"] == "commit":
-                commits[record["op_id"]] = record["lsn"]
+                pass  # verify_record sees the same damage
+            return verify_record(page)
+
+        seal_pages = list(disk.pages(f"{tag}:seal"))
+        seals, _ = _seal_pages(seal_pages, read)
+        # Record pages are in allocation (= LSN, = segment) order.
+        record_pages = list(disk.pages(f"{tag}:rec"))
+        below = {
+            f"{tag}:rec:s{segment}"
+            for segment, seal in seals.items()
+            if seal["last_lsn"] <= after_lsn
+        }
+        scanned = [page for page in record_pages if page.tag not in below]
+        journal = _classify(scanned, read)
         ops: list[CommittedOp] = []
-        for op_id, commit_lsn in sorted(commits.items(), key=lambda kv: kv[1]):
-            if commit_lsn <= after_lsn:
+        for op_id, lsn in sorted(journal.commits.items(), key=lambda kv: kv[1]):
+            if lsn <= after_lsn or (upto_lsn is not None and lsn > upto_lsn):
                 continue
-            if upto_lsn is not None and commit_lsn > upto_lsn:
-                continue
-            intent = intents.get(op_id)
+            intent = journal.ops.get(op_id)
             if intent is None:
                 raise WalCorruptionError(
                     f"WAL interior corruption: operation {op_id} committed "
-                    f"at lsn {commit_lsn} but its intent record is missing "
+                    f"at lsn {lsn} but its intent record is missing "
                     f"or unreadable",
                     truncatable=False,
                 )
-            ops.append(
-                CommittedOp(
-                    op_id=op_id,
-                    op=intent["op"],
-                    payload=dict(intent["payload"]),
-                    commit_lsn=commit_lsn,
-                )
-            )
-        metrics["damaged_ignored"] = damaged
+            ops.append(CommittedOp(op_id, intent.op, intent.payload, lsn))
+        tags = {page.tag for page in record_pages}
+        metrics = {
+            "seal_reads": len(seal_pages),
+            "record_reads": len(scanned),
+            "segments_skipped": len(tags & below),
+            "segments_scanned": len(tags - below),
+            "damaged_ignored": len(journal.damaged),
+        }
         return ops, metrics
 
 
 def apply_committed_op(relation, op: CommittedOp) -> None:
     """Re-apply one archived operation's relation-level effect (restore).
 
-    Mirrors the intent payloads :meth:`MaintenanceWAL.begin` journals; the
-    index structures are rebuilt deterministically afterwards, so only the
-    base-relation effect needs replaying.
+    In commit order an insert finds ``len(relation) == base``; anything else
+    is an out-of-order archive.  The index structures are rebuilt
+    deterministically afterwards, so only the base-relation effect replays.
     """
-    payload = op.payload
-    if op.op in ("insert", "insert_batch"):
-        if payload["base"] != len(relation):
-            raise WalCorruptionError(
-                f"archive replay out of order: op {op.op_id} expects "
-                f"relation length {payload['base']}, found {len(relation)}",
-                truncatable=False,
-            )
-        for bool_row, pref_row in payload["rows"]:
-            relation.append(tuple(bool_row), tuple(pref_row))
-    elif op.op == "delete":
-        relation.tombstone(payload["tid"])
-    elif op.op == "update":
-        relation.overwrite_pref(payload["tid"], tuple(payload["pref_row"]))
-    else:  # pragma: no cover - begin() only journals the four ops
+    if op.op in _INSERTS and op.payload["base"] != len(relation):
         raise WalCorruptionError(
-            f"unknown archived op {op.op!r}", truncatable=False
+            f"archive replay out of order: op {op.op_id} expects "
+            f"relation length {op.payload['base']}, found {len(relation)}",
+            truncatable=False,
         )
+    replay_intent(relation, op)
 
 
 __all__ = [
@@ -799,4 +743,7 @@ __all__ = [
     "WalCorruptionError",
     "apply_committed_op",
     "record_crc",
+    "replay_intent",
+    "seal_record",
+    "verify_record",
 ]

@@ -20,8 +20,8 @@ class MaintenanceStats(Tally):
     """Maintenance-side tallies: WAL traffic and crash-recovery work.
 
     Counts:
-        wal_records: Intent / changes / cell records journalled.
-        wal_commits: Operations whose WAL region was truncated (committed).
+        wal_records: Intent / changes / cell / commit records journalled.
+        wal_commits: Operations whose commit record was appended.
         recoveries: ``recover()`` calls that found an interrupted operation.
         replayed_cells: Cells re-stored by roll-forward replay.
         reindexes: Recoveries that fell back to the full deterministic

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.storage.counters import IOCounters, Tally
-from repro.storage.disk import PageFault, SimulatedDisk
+from repro.storage.disk import SimulatedDisk
 from repro.storage.errors import (
     CorruptPageError,
     StorageFault,
@@ -304,6 +304,21 @@ class FaultStats(Tally):
 # ---------------------------------------------------------------------- #
 
 
+#: (op, kind) -> (error, message) for the faults that raise; ``slow`` and
+#: ``corrupt`` let the access proceed, and a kind without an entry for the
+#: op (``torn`` on a read, ``corrupt`` on a write) does nothing.
+_RAISES: dict[tuple[str, str], tuple[type[Exception], str]] = {
+    ("allocate", "crash"): (SimulatedCrash, "crash before allocation under {tag!r}"),
+    ("allocate", "torn"): (TornWriteError, "torn allocation under tag {tag!r}"),
+    ("allocate", "transient"): (TransientIOError, "transient allocation fault ({tag!r})"),
+    ("write", "crash"): (SimulatedCrash, "crash before write on page {page_id}"),
+    ("write", "torn"): (TornWriteError, "torn write on page {page_id}"),
+    ("write", "transient"): (TransientIOError, "transient write fault on page {page_id}"),
+    ("read", "crash"): (SimulatedCrash, "crash before read of page {page_id}"),
+    ("read", "transient"): (TransientIOError, "transient read fault on page {page_id}"),
+}
+
+
 class FaultyDisk:
     """A :class:`SimulatedDisk` wrapper that injects scheduled faults.
 
@@ -345,48 +360,40 @@ class FaultyDisk:
         #: Chronological injection log: ``(op, kind, page_id)``.
         self.injected: list[tuple[str, str, int | None]] = []
 
-    # -- plan consultation --------------------------------------------- #
+    # -- the one fault dispatch ---------------------------------------- #
 
-    def _consult(self, op: str, tag: str, page_id: int | None) -> FaultRule | None:
+    def _inject(
+        self, op: str, tag: str, page_id: int | None, page: Page | None = None
+    ) -> None:
+        """Consult the plan for one access and act on the rule that fires:
+        raise its error, stall (``slow``) or damage the page (``corrupt``,
+        reads only)."""
         rule = self.plan.next_fault(op, tag, page_id)
-        if rule is not None:
-            self.fault_counts[rule.kind] += 1
-            self.injected.append((op, rule.kind, page_id))
-        return rule
-
-    def _corrupt(self, page: Page) -> None:
-        if not isinstance(page.payload, CorruptPayload):
-            page.payload = CorruptPayload(page.payload)
-        # The checksum is deliberately NOT re-sealed: the mismatch is the
-        # detection signal.
+        if rule is None:
+            return
+        self.fault_counts[rule.kind] += 1
+        self.injected.append((op, rule.kind, page_id))
+        raised = _RAISES.get((op, rule.kind))
+        if raised is not None:
+            error, message = raised
+            raise error(message.format(tag=tag, page_id=page_id))
+        if rule.kind == "slow":
+            self.inner.device.charge(rule.delay)
+        elif rule.kind == "corrupt" and page is not None:
+            if not isinstance(page.payload, CorruptPayload):
+                page.payload = CorruptPayload(page.payload)
+            # The checksum is deliberately NOT re-sealed: the mismatch is
+            # the detection signal.
 
     # -- faultable operations ------------------------------------------ #
 
     def allocate(self, tag: str, size: int | None = None, payload: Any = None) -> int:
-        rule = self._consult("allocate", tag, None)
-        if rule is not None:
-            if rule.kind == "crash":
-                raise SimulatedCrash(f"crash before allocation under {tag!r}")
-            if rule.kind == "torn":
-                raise TornWriteError(f"torn allocation under tag {tag!r}")
-            if rule.kind == "transient":
-                raise TransientIOError(f"transient allocation fault ({tag!r})")
-            if rule.kind == "slow":
-                self.inner.device.charge(rule.delay)
+        self._inject("allocate", tag, None)
         return self.inner.allocate(tag, size, payload)
 
     def write(self, page_id: int, payload: Any, size: int | None = None) -> None:
         tag = self.inner.peek(page_id).tag if self.inner.exists(page_id) else ""
-        rule = self._consult("write", tag, page_id)
-        if rule is not None:
-            if rule.kind == "crash":
-                raise SimulatedCrash(f"crash before write on page {page_id}")
-            if rule.kind == "torn":
-                raise TornWriteError(f"torn write on page {page_id}")
-            if rule.kind == "transient":
-                raise TransientIOError(f"transient write fault on page {page_id}")
-            if rule.kind == "slow":
-                self.inner.device.charge(rule.delay)
+        self._inject("write", tag, page_id)
         self.inner.write(page_id, payload, size)
 
     def read(
@@ -395,20 +402,9 @@ class FaultyDisk:
         category: str,
         counters: IOCounters | None = None,
     ) -> Any:
-        if not self.inner.exists(page_id):
-            raise PageFault(page_id)
-        page = self.inner.peek(page_id)
-        rule = self._consult("read", page.tag, page_id)
-        if rule is not None:
-            if rule.kind == "crash":
-                raise SimulatedCrash(f"crash before read of page {page_id}")
-            if rule.kind == "transient":
-                # The transfer never happened: no access is counted.
-                raise TransientIOError(f"transient read fault on page {page_id}")
-            if rule.kind == "corrupt":
-                self._corrupt(page)
-            if rule.kind == "slow":
-                self.inner.device.charge(rule.delay)
+        page = self.inner.peek(page_id)  # raises PageFault if not allocated
+        # A transient read raises before the transfer: no access is counted.
+        self._inject("read", page.tag, page_id, page)
         return self.inner.read(page_id, category, counters)
 
     # -- transparent delegation ---------------------------------------- #

@@ -17,7 +17,7 @@ from repro.core import integrity, maintenance
 from repro.core.epoch import EpochManager, Snapshot
 from repro.core.integrity import ConsistencyReport
 from repro.core.pcube import PCube
-from repro.core.wal import MaintenanceWAL, PendingOp
+from repro.core.wal import MaintenanceWAL, PendingOp, replay_intent
 from repro.cube.relation import Relation
 from repro.query.session import QuerySession
 from repro.query.stats import MaintenanceStats
@@ -130,41 +130,37 @@ class PCubeSystem:
     # crash-safe maintenance (WAL-protected drivers)
     # ------------------------------------------------------------------ #
 
+    def _drive(self, fn, *args, written):
+        """Run one journalled operation of :mod:`repro.core.maintenance` on
+        this system's structures and WAL, through :meth:`_maintain`."""
+        return self._maintain(
+            lambda: fn(self.relation, self.rtree, self.pcube, *args, wal=self.wal),
+            written,
+        )
+
     def insert(self, bool_row: tuple, pref_row: tuple):
         """WAL-protected single-tuple insert; returns (tid, dirty cells)."""
-        return self._maintain(
-            lambda: maintenance.insert_tuple(
-                self.relation, self.rtree, self.pcube, bool_row, pref_row,
-                wal=self.wal,
-            ),
+        return self._drive(
+            maintenance.insert_tuple, bool_row, pref_row,
             written=lambda result: (result[0],),
         )
 
     def insert_batch(self, rows):
         """WAL-protected batch insert; returns (tids, dirty cells)."""
-        return self._maintain(
-            lambda: maintenance.insert_batch(
-                self.relation, self.rtree, self.pcube, rows, wal=self.wal
-            ),
-            written=lambda result: result[0],
+        return self._drive(
+            maintenance.insert_batch, rows, written=lambda result: result[0]
         )
 
     def delete(self, tid: int):
         """WAL-protected delete; returns the dirty cells."""
-        return self._maintain(
-            lambda: maintenance.delete_tuple(
-                self.relation, self.rtree, self.pcube, tid, wal=self.wal
-            ),
-            written=lambda _: (tid,),
+        return self._drive(
+            maintenance.delete_tuple, tid, written=lambda _: (tid,)
         )
 
     def update(self, tid: int, new_pref_row: tuple):
         """WAL-protected preference update; returns the dirty cells."""
-        return self._maintain(
-            lambda: maintenance.update_tuple(
-                self.relation, self.rtree, self.pcube, tid, new_pref_row,
-                wal=self.wal,
-            ),
+        return self._drive(
+            maintenance.update_tuple, tid, new_pref_row,
             written=lambda _: (tid,),
         )
 
@@ -222,35 +218,12 @@ class PCubeSystem:
         self.wal.commit(pending.op_id)
         return outcome
 
-    def _reapply_relation(self, pending: PendingOp) -> None:
-        """Idempotently re-apply the intent's relation-level effect."""
-        payload = pending.payload
-        if pending.op in ("insert", "insert_batch"):
-            # Rows are buffered in memory before any disk page is touched,
-            # so ``len(relation) - base`` of them are already in; re-page
-            # the buffered tail first (appends must stay in tid order),
-            # then apply the rest.
-            self.maintenance_stats.bump(
-                rows_repaired=self.relation.repair_heap()
-            )
-            already = len(self.relation) - payload["base"]
-            for bool_row, pref_row in payload["rows"][already:]:
-                self.relation.append(bool_row, pref_row)
-        elif pending.op == "delete":
-            self.relation.tombstone(payload["tid"])
-            self.maintenance_stats.bump(
-                rows_repaired=self.relation.repair_heap()
-            )
-        elif pending.op == "update":
-            self.relation.overwrite_pref(payload["tid"], payload["pref_row"])
-            self.maintenance_stats.bump(
-                rows_repaired=self.relation.repair_heap()
-            )
-        else:  # pragma: no cover - begin() only journals the four ops
-            raise RuntimeError(f"unknown journalled op {pending.op!r}")
-
     def _recover_reindex(self, pending: PendingOp) -> str:
-        self._reapply_relation(pending)
+        # Rows are buffered in memory before any disk page is touched, so
+        # re-page the buffered tail first (appends must stay in tid order);
+        # the replay then appends only the rows the crash left out.
+        self.maintenance_stats.bump(rows_repaired=self.relation.repair_heap())
+        replay_intent(self.relation, pending)
         self.rtree.reset(self.relation.pref_points())
         self.pcube.rebuild_all()
         self.pcube.store.reset_index()

@@ -17,6 +17,12 @@ from repro.core.checkpoint import (
     catalog_checkpoints,
     restore_system,
 )
+from repro.core.wal import (
+    MaintenanceWAL,
+    WalCorruptionError,
+    apply_committed_op,
+    seal_record,
+)
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.query.session import QuerySession
 from repro.storage.disk import SimulatedDisk
@@ -215,3 +221,26 @@ def test_restore_skips_checkpoints_past_the_target_lsn():
     assert result.ops_replayed == 0
     reference = make_system()
     assert answer_fingerprint(result.system) == answer_fingerprint(reference)
+
+
+def test_restore_refuses_an_insert_replayed_out_of_order():
+    """An insert intent whose ``base`` is not the relation length restore
+    has reached is an out-of-order archive: replaying it would append at
+    the wrong tids.  The intent below is re-sealed, so only the order
+    check can catch it."""
+    system = make_system()
+    CheckpointManager(system).create()
+    system.insert(system.relation.bool_row(0), (0.41, 0.2))
+    intent = next(
+        page.payload
+        for page in system.disk.pages("wal:rec")
+        if page.payload["kind"] == "intent"
+    )
+    intent["payload"]["base"] += 1
+    seal_record(intent)
+    (op,), _ = MaintenanceWAL.read_committed(system.disk)
+    relation = make_system().relation  # the checkpointed image: base rows
+    with pytest.raises(WalCorruptionError, match="out of order"):
+        apply_committed_op(relation, op)
+    with pytest.raises(CheckpointError, match="out of order"):
+        restore_system(system.disk)

@@ -290,6 +290,18 @@ def test_prune_drops_only_whole_sealed_prefixes(disk):
     assert [op.payload["tid"] for op in ops] == [1, 2]
 
 
+def test_prune_leaves_segments_whose_tag_extends_the_pruned_one(disk):
+    """Pruning segment 1 must not touch segment 10's records: ``wal:rec:s1``
+    is a prefix of ``wal:rec:s10``."""
+    wal = MaintenanceWAL(disk, segment_bytes=1)
+    for tid in range(12):
+        wal.commit(wal.begin("delete", tid=tid))
+    wal.prune_upto(wal.segments()[1].last_lsn)
+    assert [info.records for info in wal.segments()] == [2] * 10
+    ops, _ = MaintenanceWAL.read_committed(disk)
+    assert [op.payload["tid"] for op in ops] == list(range(2, 12))
+
+
 def test_seal_crc_guards_the_segment_directory(disk):
     wal = MaintenanceWAL(disk, segment_bytes=1)
     _run_op(wal)
