@@ -25,11 +25,11 @@ import heapq
 import time
 from typing import Sequence
 
+import numpy as np
+
 from repro.baselines.skyline_algs import sfs_skyline
 from repro.btree.btree import BPlusTree
 from repro.cube.relation import Relation
-from repro.kernels import backend as kernel_backend
-from repro.kernels.backend import np, using_numpy
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import RankingFunction
 from repro.query.stats import QueryStats
@@ -111,14 +111,15 @@ def select_tuples(
     takes the table-scan arm).
 
     ``ticker`` (the serving executor's deadline/cancel probe) fires once
-    per tuple considered, so routed deadlines apply inside the scan.  When
-    no ticker is installed, scans run page-at-a-time against the columnar
-    projection — identical counted ``BTABLE``/``BINDEX`` reads (each heap
-    page is read through :meth:`Relation.scan_pages` exactly where
+    per tuple considered, so routed deadlines apply inside the scan: that
+    is the one reason for the per-row loop.  When no ticker is installed,
+    scans run page-at-a-time against the columnar projection — identical
+    answers and counted ``BTABLE``/``BINDEX`` reads (each heap page is
+    read through :meth:`Relation.scan_pages` exactly where
     :meth:`Relation.scan` would read it), with the per-tuple predicate
     work vectorized.
     """
-    use_vector = ticker is None and using_numpy()
+    use_vector = ticker is None
     conjuncts = predicate.conjuncts
     index_dim = _index_plan_dim(relation, indexes, predicate)
     if index_dim is not None:
@@ -195,15 +196,14 @@ def _gather_points(
     """Preference points for the selected tids, projected onto the
     ``subspace`` positions when a ``preference by`` names some.
 
-    Where :func:`select_tuples` ran vectorised (numpy backend, no ticker)
-    this is a columnar gather returning the float64 matrix itself —
-    downstream kernels (``score_block``, SFS) take it without per-row
-    tuple copies.  Otherwise exact-float tuples, fetched per tid: under a
+    Where :func:`select_tuples` ran vectorised (no ticker) this is a
+    columnar gather returning the float64 matrix itself — downstream
+    kernels (``score_block``, SFS) take it without per-row tuple copies.  Otherwise exact-float tuples, fetched per tid: under a
     serving ticker nothing else touches the projection, and rebuilding it
     after every write to gather a few hundred rows costs more than the
     scan that selected them.
     """
-    if ticker is None and using_numpy() and tids:
+    if ticker is None and tids:
         block = relation.columnar().pref_block(tids)
         return block if subspace is None else block[:, list(subspace)]
     points = [relation.pref_point(tid) for tid in tids]
@@ -222,7 +222,6 @@ def boolean_first_skyline(
     """Boolean-then-preference skyline, reported in SFS order — which is
     Algorithm 1's ``(Σ point, point, tid)``."""
     stats = QueryStats()
-    stats.kernel_backend = kernel_backend()
     started = time.perf_counter()
     candidates = select_tuples(relation, indexes, predicate, stats, ticker)
     stats.note_heap(len(candidates))
@@ -247,7 +246,6 @@ def boolean_first_topk(
 ) -> tuple[list[tuple[int, float]], QueryStats]:
     """Boolean-then-preference top-k."""
     stats = QueryStats()
-    stats.kernel_backend = kernel_backend()
     started = time.perf_counter()
     candidates = select_tuples(relation, indexes, predicate, stats, ticker)
     stats.note_heap(len(candidates))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import time
 
 from repro.cube.relation import Relation
-from repro.kernels import backend as kernel_backend
 from repro.query.algorithm1 import (
     SearchState,
     SkylineStrategy,
@@ -45,7 +44,6 @@ def bbs_skyline(
     Domination method builds on, and the ``BP = φ`` case of every method.
     """
     stats = stats if stats is not None else QueryStats()
-    stats.kernel_backend = kernel_backend()
     if pool is None:
         pool = BufferPool(rtree.disk, capacity=4096)
     started = time.perf_counter()
@@ -103,7 +101,6 @@ def domination_first_skyline(
     precisely why this baseline surfaces (and verifies) so many candidates.
     """
     stats = QueryStats()
-    stats.kernel_backend = kernel_backend()
     if pool is None:
         pool = BufferPool(rtree.disk, capacity=4096)
     started = time.perf_counter()
@@ -138,7 +135,6 @@ def ranking_topk(
 ) -> tuple[list[tuple[int, float]], QueryStats, SearchState]:
     """BBS-style best-first top-k + minimal probing (the *Ranking* method)."""
     stats = QueryStats()
-    stats.kernel_backend = kernel_backend()
     if pool is None:
         pool = BufferPool(rtree.disk, capacity=4096)
     started = time.perf_counter()

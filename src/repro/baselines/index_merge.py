@@ -26,11 +26,12 @@ paid per query; P-Cube's point (Figure 13) is that the signature
 from __future__ import annotations
 
 import time
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.btree.btree import BPlusTree
 from repro.cube.relation import Relation
-from repro.kernels import backend as kernel_backend
-from repro.kernels.backend import np, using_numpy
 from repro.query.algorithm1 import TopKStrategy, run_algorithm1
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import RankingFunction
@@ -48,6 +49,24 @@ def _estimate_posting_pages(
     return expected_posting / max(1, index.order // 2)
 
 
+def intersect_postings(postings: Iterable[Sequence[int]]) -> set[int]:
+    """The tids on every posting list.
+
+    ``postings`` is consumed lazily and left at the first empty
+    intersection, so the posting lists after it are never read — and
+    never counted as ``BINDEX`` pages.
+    """
+    merged = None
+    for posting in postings:
+        arr = np.asarray(posting, dtype=np.int64)
+        merged = (
+            np.unique(arr) if merged is None else np.intersect1d(merged, arr)
+        )
+        if merged.size == 0:
+            break
+    return set(merged.tolist()) if merged is not None else set()
+
+
 def index_merge_topk(
     relation: Relation,
     rtree: RTree,
@@ -60,7 +79,6 @@ def index_merge_topk(
 ) -> tuple[list[tuple[int, float]], QueryStats]:
     """Progressive + selective index-merge top-k."""
     stats = QueryStats()
-    stats.kernel_backend = kernel_backend()
     if pool is None:
         pool = BufferPool(rtree.disk, capacity=4096)
     started = time.perf_counter()
@@ -87,40 +105,12 @@ def index_merge_topk(
 
         if merge_cost <= probe_cost:
             # --- merge: intersect full posting lists ------------------- #
-            # The early break on an empty intersection skips the remaining
-            # posting reads; both backends must break at the same point or
-            # counted BINDEX I/O would diverge.
-            vectorized = using_numpy()
-            membership: set[int] | None = None
-            merged = None
-            for dim, value in conjuncts:
-                posting = indexes[dim].search(
+            qualifying = intersect_postings(
+                indexes[dim].search(
                     value, pool, stats.counters, category=BINDEX
                 )
-                if vectorized:
-                    arr = np.asarray(posting, dtype=np.int64)
-                    merged = (
-                        np.unique(arr)
-                        if merged is None
-                        else np.intersect1d(merged, arr)
-                    )
-                    if merged.size == 0:
-                        break
-                else:
-                    posting_set = set(posting)
-                    membership = (
-                        posting_set
-                        if membership is None
-                        else membership & posting_set
-                    )
-                    if not membership:
-                        break
-            if vectorized:
-                qualifying = (
-                    set(merged.tolist()) if merged is not None else set()
-                )
-            else:
-                qualifying = membership or set()
+                for dim, value in conjuncts
+            )
 
             def verifier(tid: int) -> bool:
                 return tid in qualifying

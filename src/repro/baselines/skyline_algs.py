@@ -10,17 +10,16 @@ naive reference in tests.
 
 from __future__ import annotations
 
-from typing import Sequence
+import numpy as np
 
-from repro.kernels.backend import np, using_numpy
 from repro.kernels.dominate import DominationBuffer, prefix_dominated_mask
 from repro.kernels.mindist import sum_block
 from repro.rtree.geometry import dominates
 
 Points = list[tuple[int, tuple[float, ...]]]
 
-#: SFS filter block size on the numpy backend: each chunk is tested
-#: against the accumulated skyline in one ``dominates_block`` call.
+#: SFS filter block size: each chunk is tested against the accumulated
+#: skyline in one ``dominates_block`` call.
 _SFS_CHUNK = 1024
 
 
@@ -36,14 +35,14 @@ def sfs_skyline(points: Points, matrix=None) -> list[int]:
     ``(Σ point, point, tid)`` — Algorithm 1's — so an engine built on SFS
     answers with the signature engine's list, not just its set.  The sort
     key and the domination filter both run through the batch kernels; the
-    order is backend-invariant because ``sum_block`` reproduces ``sum()``
-    bit-for-bit.
+    order is the per-point sort's because ``sum_block`` reproduces
+    ``sum()`` bit-for-bit.
 
     ``matrix`` optionally carries the same coordinates as a float64
-    ``(n, d)`` ndarray aligned with ``points`` (a columnar gather), so the
-    numpy path never rebuilds it from per-row tuples.
+    ``(n, d)`` ndarray aligned with ``points`` (a columnar gather), so it
+    is never rebuilt from per-row tuples.
 
-    The numpy filter works in chunks rather than per point: a whole chunk
+    The filter works in chunks rather than per point: a whole chunk
     is tested against the skyline-so-far in one block call, and only its
     survivors are checked (scalar, in order) against the few points the
     same chunk has already admitted — equivalent to the sequential pass,
@@ -52,54 +51,36 @@ def sfs_skyline(points: Points, matrix=None) -> list[int]:
     """
     if not points:
         return []
-    if using_numpy():
-        x = (
-            matrix
-            if matrix is not None
-            else np.asarray(
-                [point for _, point in points], dtype=np.float64
-            )
-        )
-        tids = np.asarray([tid for tid, _ in points], dtype=np.int64)
-        keys = np.asarray(sum_block(x), dtype=np.float64)
-        order = np.lexsort((tids, *x.T[::-1], keys))
-        sorted_x = x[order]
-        sorted_tids = tids[order].tolist()
-        buffer = DominationBuffer(x.shape[1])
-        result: list[int] = []
-        for start in range(0, len(sorted_tids), _SFS_CHUNK):
-            block = sorted_x[start : start + _SFS_CHUNK]
-            dead = buffer.dominates_block(block)
-            survivors = [
-                offset for offset, is_dead in enumerate(dead) if not is_dead
-            ]
-            if not survivors:
+    x = (
+        matrix
+        if matrix is not None
+        else np.asarray([point for _, point in points], dtype=np.float64)
+    )
+    tids = np.asarray([tid for tid, _ in points], dtype=np.int64)
+    keys = np.asarray(sum_block(x), dtype=np.float64)
+    order = np.lexsort((tids, *x.T[::-1], keys))
+    sorted_x = x[order]
+    sorted_tids = tids[order].tolist()
+    buffer = DominationBuffer(x.shape[1])
+    result: list[int] = []
+    for start in range(0, len(sorted_tids), _SFS_CHUNK):
+        block = sorted_x[start : start + _SFS_CHUNK]
+        dead = buffer.dominates_block(block)
+        survivors = [
+            offset for offset, is_dead in enumerate(dead) if not is_dead
+        ]
+        if not survivors:
+            continue
+        # Survivors of the buffer test can still be dominated by a point
+        # admitted earlier in this same chunk; by transitivity that equals
+        # "dominated by any earlier survivor", one pairwise upper-triangle
+        # kernel call.
+        in_chunk = prefix_dominated_mask(block[survivors])
+        for offset, is_dead in zip(survivors, in_chunk):
+            if is_dead:
                 continue
-            # Survivors of the buffer test can still be dominated by a
-            # point admitted earlier in this same chunk; by transitivity
-            # that equals "dominated by any earlier survivor", one
-            # pairwise upper-triangle kernel call.
-            in_chunk = prefix_dominated_mask(block[survivors])
-            for offset, is_dead in zip(survivors, in_chunk):
-                if is_dead:
-                    continue
-                buffer.add(tuple(block[offset].tolist()))
-                result.append(sorted_tids[start + offset])
-        return result
-    keys = sum_block([point for _, point in points])
-    ordered = [
-        item
-        for _, item in sorted(
-            zip(keys, points),
-            key=lambda kv: (kv[0], tuple(kv[1][1]), kv[1][0]),
-        )
-    ]
-    buffer = DominationBuffer(len(ordered[0][1]))
-    result = []
-    for tid, point in ordered:
-        if not buffer.dominates_point(point):
-            buffer.add(point)
-            result.append(tid)
+            buffer.add(tuple(block[offset].tolist()))
+            result.append(sorted_tids[start + offset])
     return result
 
 

@@ -1,8 +1,7 @@
 """Vectorized batch primitives for the storage→query hot path.
 
-Three kernel families, each with a scalar reference and a numpy block
-implementation selected by ``REPRO_KERNELS=python|numpy`` (see
-:mod:`repro.kernels.backend`):
+Three kernel families, each evaluating one scalar formula over a numpy
+block:
 
 * :mod:`repro.kernels.dominate` — block-vs-skyline-buffer domination;
 * :mod:`repro.kernels.mindist` — batch heap keys (coordinate sums, linear
@@ -11,27 +10,9 @@ implementation selected by ``REPRO_KERNELS=python|numpy`` (see
 * :mod:`repro.kernels.sigops` — word-parallel AND/OR/popcount over packed
   uint64 signature buffers.
 
-Both backends are bit-identical by construction: vector paths accumulate
-per dimension in the scalar loops' order, comparisons are exact, and the
-Hypothesis parity suite plus the engine differential tests pin it.
+Each agrees bit-for-bit with the one-tuple-at-a-time formula it replaces:
+block paths accumulate per dimension in the scalar loops' order and
+comparisons are exact.  The scalar formulas live in
+``tests/kernels/reference.py``, and the Hypothesis parity suite pins every
+kernel against them.
 """
-
-from repro.kernels.backend import (
-    BACKENDS,
-    NUMPY,
-    PYTHON,
-    backend,
-    set_backend,
-    use_backend,
-    using_numpy,
-)
-
-__all__ = [
-    "BACKENDS",
-    "NUMPY",
-    "PYTHON",
-    "backend",
-    "set_backend",
-    "use_backend",
-    "using_numpy",
-]

@@ -1,22 +1,24 @@
 """Vectorized block-vs-skyline-buffer domination.
 
 Domination (minimising: ≤ everywhere, < somewhere) is pure comparison, so
-the two backends are trivially bit-identical; what the vectorized path buys
-is evaluating a whole buffer (or a whole block of probes) per C call
-instead of per Python iteration — the dominant cost of BBS pops and of the
-in-memory skyline filters once skylines grow.
+the verdicts are exactly the scalar ``any(dominates(s, p) ...)`` scans'
+(``tests/kernels/reference.py``); what the block path buys is evaluating
+a whole buffer (or a whole block of probes) per C call instead of per
+Python iteration — the dominant cost of BBS pops and of the in-memory
+skyline filters once skylines grow.
 
 Tie semantics are inherited, not reimplemented: these kernels only answer
 "is this probe dominated", while the PR-2 lexicographic tie-break lives in
 the search heap's ``(key, tie, seq)`` order (``HeapEntry.__lt__``) on the
-exact same float tuples both backends produce.
+exact float tuples the kernels are handed.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.kernels.backend import np, using_numpy
+import numpy as np
+
 from repro.rtree.geometry import dominates
 
 #: Buffer rows compared per chunk when probing one point (lets the common
@@ -41,23 +43,20 @@ class DominationBuffer:
     """An insertion-ordered buffer of candidate dominators.
 
     The skyline strategies grow one as results are discovered; SFS grows
-    one during its filter pass.  The backend is captured at construction so
-    a buffer never changes representation mid-query.
+    one during its filter pass.  The points are kept twice: as tuples for
+    the plain-loop probe of a short window, and as the rows of a float64
+    matrix for everything else.
     """
 
-    __slots__ = ("dims", "_points", "_arr", "_numpy")
+    __slots__ = ("dims", "_points", "_arr")
 
     def __init__(
-        self,
-        dims: int,
-        points: Sequence[Sequence[float]] = (),
-        use_numpy: bool | None = None,
+        self, dims: int, points: Sequence[Sequence[float]] = ()
     ) -> None:
         if dims < 1:
             raise ValueError("dims must be at least 1")
         self.dims = dims
         self._points: list[tuple[float, ...]] = []
-        self._numpy = using_numpy() if use_numpy is None else use_numpy
         self._arr = None
         for point in points:
             self.add(point)
@@ -77,8 +76,6 @@ class DominationBuffer:
             )
         n = len(self._points)
         self._points.append(point)
-        if not self._numpy:
-            return
         if self._arr is None:
             self._arr = np.empty((16, self.dims), dtype=np.float64)
         elif n == len(self._arr):
@@ -92,7 +89,7 @@ class DominationBuffer:
         ``probe`` (a caller that has tested the first ``since`` points
         already asks only about the rest)."""
         n = len(self._points)
-        if n - since <= _SCALAR_PROBE or not self._numpy:
+        if n - since <= _SCALAR_PROBE:
             points = self._points[since:] if since else self._points
             return any(dominates(s, probe) for s in points)
         if n - since <= _ONE_PASS_ROWS:
@@ -116,22 +113,14 @@ class DominationBuffer:
 
         The verdicts come as a list of bools or — ``packed`` — as one
         integer, bit ``j`` for probe ``j``: what a caller that only counts
-        and intersects them wants.  Under numpy a block against a small
-        buffer (a BBS expansion: tens of rows either side) is one pass
-        over the whole buffer; an SFS-sized one escalates through growing
-        buffer chunks over the shrinking set of undominated probes.
+        and intersects them wants.  A block against a small buffer (a BBS
+        expansion: tens of rows either side) is one pass over the whole
+        buffer; an SFS-sized one escalates through growing buffer chunks
+        over the shrinking set of undominated probes.
         """
         m = len(probes)
         if m == 0 or not self._points:
             return 0 if packed else [False] * m
-        if not self._numpy:
-            verdicts = [
-                any(dominates(s, probe) for s in self._points)
-                for probe in probes
-            ]
-            if packed:
-                return sum(1 << j for j, hit in enumerate(verdicts) if hit)
-            return verdicts
         p = np.asarray(probes, dtype=np.float64)
         n = len(self._points)
         if n * m <= _ONE_PASS_PAIRS:
@@ -208,11 +197,6 @@ def prefix_dominated_mask(points) -> list[bool]:
     n = len(points)
     if n <= 1:
         return [False] * n
-    if not using_numpy():
-        return [
-            any(dominates(points[i], points[j]) for i in range(j))
-            for j in range(n)
-        ]
     x = np.asarray(points, dtype=np.float64)
     earlier = np.tri(n, k=-1, dtype=bool).T  # [i, j] = i < j
     return _block_dominates(x, x, x.shape[1], other=earlier).tolist()
@@ -230,15 +214,6 @@ def dominated_mask(
     n = len(points)
     if n == 0:
         return []
-    if not using_numpy():
-        return [
-            any(
-                dominates(other, point)
-                for other_tid, other in points
-                if other_tid != tid
-            )
-            for tid, point in points
-        ]
     tids = np.asarray([tid for tid, _ in points], dtype=np.int64)
     x = np.asarray([tuple(p) for _, p in points], dtype=np.float64)
     dims = x.shape[1]

@@ -1,29 +1,27 @@
 """Batch lower-bound and score kernels for heap insertion (BBS / top-k).
 
 Every function evaluates one scalar formula over a *block* of points or
-rectangles and returns plain Python floats.  The vectorized path
-accumulates per dimension in the exact order of the scalar reference —
+rectangles and returns plain Python floats.  Each accumulates per
+dimension in the exact order of the scalar formula it replaces —
 ``total = 0.0; for d: total += term_d`` — because Python's ``sum()`` folds
 left-to-right from 0 and float addition is not associative.  Term
-expressions keep the reference's grouping too: a rectangle bound is
+expressions keep the scalar grouping too: a rectangle bound is
 ``w * delta * delta`` = ``(w·Δ)·Δ`` and a point score is
-``w * (delta * delta)`` = ``w·(Δ·Δ)`` in *both* arms.  The square is
-always a multiply, never ``** 2``: C ``pow`` is not correctly rounded and
-differs from ``Δ·Δ`` in the last ulp for some inputs.  So both backends
-agree bit-for-bit and heap orders (hence counted I/O) never diverge.
+``w * (delta * delta)`` = ``w·(Δ·Δ)``.  The square is always a multiply,
+never ``** 2``: C ``pow`` is not correctly rounded and differs from
+``Δ·Δ`` in the last ulp for some inputs.  So a block key equals the
+per-tuple key bit-for-bit, and heap orders (hence counted I/O) are the
+scalar formulas' — ``tests/kernels/reference.py`` keeps those formulas
+and the parity suite pins every kernel against them.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.kernels.backend import np, using_numpy
+import numpy as np
 
 Rows = Sequence[Sequence[float]]
-
-
-def _is_matrix(rows: Rows) -> bool:
-    return np is not None and isinstance(rows, np.ndarray)
 
 
 def _matrix(rows: Rows):
@@ -33,17 +31,16 @@ def _matrix(rows: Rows):
     :class:`repro.cube.columnar.ColumnarProjection`) passes through
     without a copy — the point of handing matrices down the stack.
     """
-    if _is_matrix(rows) and rows.dtype == np.float64:
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
         return rows
     return np.asarray(rows, dtype=np.float64)
 
 
 def as_rows(tuples: Sequence[tuple[float, ...]]) -> Rows:
-    """A block of same-width float tuples in the backend's row
-    representation: a float64 matrix under ``numpy``, the list itself
-    under ``python``.  Callers that evaluate one block through several
-    kernels convert once and hand the rows on."""
-    if len(tuples) == 0 or not using_numpy():
+    """A block of same-width float tuples as a float64 matrix (an empty
+    block stays as it is).  Callers that evaluate one block through
+    several kernels convert once and hand the rows on."""
+    if len(tuples) == 0:
         return tuples
     return _matrix(tuples)
 
@@ -52,7 +49,7 @@ def row_tuples(
     rows: Rows, indices: Sequence[int] | None = None
 ) -> list[tuple[float, ...]]:
     """Rows (all, or those at ``indices``) as tuples of Python floats."""
-    if _is_matrix(rows):
+    if isinstance(rows, np.ndarray):
         picked = rows if indices is None else rows[list(indices)]
         return [tuple(row) for row in picked.tolist()]
     if indices is None:
@@ -62,7 +59,7 @@ def row_tuples(
 
 def project_rows(rows: Rows, dims: Sequence[int]) -> Rows:
     """The columns ``dims`` of every row (a subspace projection)."""
-    if _is_matrix(rows):
+    if isinstance(rows, np.ndarray):
         return rows[:, list(dims)]
     return [tuple(row[d] for d in dims) for row in rows]
 
@@ -74,8 +71,8 @@ def project_rows(rows: Rows, dims: Sequence[int]) -> Rows:
 
 def sum_block(rows: Rows) -> list[float]:
     """``[sum(row) for row in rows]`` — the skyline heap key d(n)."""
-    if len(rows) == 0 or not using_numpy():
-        return [sum(row) for row in rows]
+    if len(rows) == 0:
+        return []
     x = _matrix(rows)
     total = np.zeros(len(rows), dtype=np.float64)
     for d in range(x.shape[1]):
@@ -92,10 +89,8 @@ def linear_score_block(
     weights: Sequence[float], rows: Rows
 ) -> list[float]:
     """``LinearFunction.score`` over a block of points."""
-    if len(rows) == 0 or not using_numpy():
-        return [
-            sum(w * x for w, x in zip(weights, row)) for row in rows
-        ]
+    if len(rows) == 0:
+        return []
     x = _matrix(rows)
     total = np.zeros(len(rows), dtype=np.float64)
     for d, w in enumerate(weights):
@@ -107,14 +102,8 @@ def linear_lower_bound_block(
     weights: Sequence[float], lows: Rows, highs: Rows
 ) -> list[float]:
     """``LinearFunction.lower_bound`` over a block of rectangles."""
-    if len(lows) == 0 or not using_numpy():
-        return [
-            sum(
-                w * (lo if w >= 0 else hi)
-                for w, lo, hi in zip(weights, row_lo, row_hi)
-            )
-            for row_lo, row_hi in zip(lows, highs)
-        ]
+    if len(lows) == 0:
+        return []
     lo = _matrix(lows)
     hi = _matrix(highs)
     total = np.zeros(len(lows), dtype=np.float64)
@@ -132,14 +121,8 @@ def wsd_score_block(
     weights: Sequence[float], target: Sequence[float], rows: Rows
 ) -> list[float]:
     """``WeightedSquaredDistance.score`` over a block of points."""
-    if len(rows) == 0 or not using_numpy():
-        return [
-            sum(
-                w * ((x - t) * (x - t))
-                for w, x, t in zip(weights, row, target)
-            )
-            for row in rows
-        ]
+    if len(rows) == 0:
+        return []
     x = _matrix(rows)
     total = np.zeros(len(rows), dtype=np.float64)
     for d, (w, t) in enumerate(zip(weights, target)):
@@ -156,24 +139,11 @@ def wsd_lower_bound_block(
 ) -> list[float]:
     """``WeightedSquaredDistance.lower_bound`` over a block of rectangles.
 
-    The scalar reference skips in-range dimensions; adding an exact 0.0
+    The scalar formula skips in-range dimensions; adding an exact 0.0
     term instead is bit-identical (x + 0.0 == x for finite x ≥ 0 sums).
     """
-
-    def scalar(row_lo, row_hi):
-        total = 0.0
-        for w, t, lo, hi in zip(weights, target, row_lo, row_hi):
-            if t < lo:
-                delta = lo - t
-            elif t > hi:
-                delta = t - hi
-            else:
-                continue
-            total += w * delta * delta
-        return total
-
-    if len(lows) == 0 or not using_numpy():
-        return [scalar(lo, hi) for lo, hi in zip(lows, highs)]
+    if len(lows) == 0:
+        return []
     lo = _matrix(lows)
     hi = _matrix(highs)
     total = np.zeros(len(lows), dtype=np.float64)
@@ -196,19 +166,8 @@ def separable_score_block(
     terms: Sequence[tuple[int, str, float, float]], rows: Rows
 ) -> list[float]:
     """``SeparableFunction.score`` over a block of points."""
-    if len(rows) == 0 or not using_numpy():
-        out = []
-        for row in rows:
-            total = 0.0
-            for dim, kind, coeff, target in terms:
-                value = row[dim]
-                if kind == "linear":
-                    total += coeff * value
-                else:
-                    delta = value - target
-                    total += coeff * (delta * delta)
-            out.append(total)
-        return out
+    if len(rows) == 0:
+        return []
     x = _matrix(rows)
     total = np.zeros(len(rows), dtype=np.float64)
     for dim, kind, coeff, target in terms:
@@ -227,25 +186,8 @@ def separable_lower_bound_block(
     highs: Rows,
 ) -> list[float]:
     """``SeparableFunction.lower_bound`` over a block of rectangles."""
-
-    def scalar(row_lo, row_hi):
-        total = 0.0
-        for dim, kind, coeff, target in terms:
-            lo, hi = row_lo[dim], row_hi[dim]
-            if kind == "linear":
-                total += coeff * (lo if coeff >= 0 else hi)
-            else:
-                if target < lo:
-                    delta = lo - target
-                elif target > hi:
-                    delta = target - hi
-                else:
-                    delta = 0.0
-                total += coeff * delta * delta
-        return total
-
-    if len(lows) == 0 or not using_numpy():
-        return [scalar(lo, hi) for lo, hi in zip(lows, highs)]
+    if len(lows) == 0:
+        return []
     lo = _matrix(lows)
     hi = _matrix(highs)
     total = np.zeros(len(lows), dtype=np.float64)
@@ -271,21 +213,8 @@ def mindist_block(
     lows: Rows, highs: Rows, point: Sequence[float]
 ) -> list[float]:
     """``geometry.mindist(rect, point)`` over a block of rectangles."""
-
-    def scalar(row_lo, row_hi):
-        total = 0.0
-        for lo, hi, v in zip(row_lo, row_hi, point):
-            if v < lo:
-                delta = lo - v
-            elif v > hi:
-                delta = v - hi
-            else:
-                continue
-            total += delta * delta
-        return total
-
-    if len(lows) == 0 or not using_numpy():
-        return [scalar(lo, hi) for lo, hi in zip(lows, highs)]
+    if len(lows) == 0:
+        return []
     lo = _matrix(lows)
     hi = _matrix(highs)
     total = np.zeros(len(lows), dtype=np.float64)
@@ -305,14 +234,11 @@ def mindist_block(
 
 
 def transform_points_rows(rows: Rows, query_point: Sequence[float]) -> Rows:
-    """``|x − q|`` per row, in the backend's row representation — what a
-    caller hands straight on to :func:`sum_block` and a domination mask
-    without a round trip through tuples."""
-    if len(rows) == 0 or not using_numpy():
-        return [
-            tuple(abs(x - q) for x, q in zip(row, query_point))
-            for row in rows
-        ]
+    """``|x − q|`` per row, as a matrix — what a caller hands straight
+    on to :func:`sum_block` and a domination mask without a round trip
+    through tuples."""
+    if len(rows) == 0:
+        return []
     return np.abs(_matrix(rows) - np.asarray(query_point, dtype=np.float64))
 
 
@@ -326,22 +252,10 @@ def transform_points_block(
 def transform_rect_lowers_rows(
     lows: Rows, highs: Rows, query_point: Sequence[float]
 ) -> Rows:
-    """Low corners of the rectangles' images under ``x ↦ |x − q|``, in the
-    backend's row representation (see :func:`transform_points_rows`)."""
-
-    def scalar(row_lo, row_hi):
-        corner = []
-        for lo, hi, q in zip(row_lo, row_hi, query_point):
-            if q < lo:
-                corner.append(lo - q)
-            elif q > hi:
-                corner.append(q - hi)
-            else:
-                corner.append(0.0)
-        return tuple(corner)
-
-    if len(lows) == 0 or not using_numpy():
-        return [scalar(lo, hi) for lo, hi in zip(lows, highs)]
+    """Low corners of the rectangles' images under ``x ↦ |x − q|``, as a
+    matrix (see :func:`transform_points_rows`)."""
+    if len(lows) == 0:
+        return []
     lo = _matrix(lows)
     hi = _matrix(highs)
     q = np.asarray(query_point, dtype=np.float64)

@@ -7,9 +7,10 @@ a ``(k, W)`` little-endian uint64 matrix and reduce word-parallel; the
 packing round-trips through ``BitArray.to_words()/from_words()`` and
 :func:`bitarray_words` views the packed bytes zero-copy.
 
-Integer bitwise ops in CPython are already C-speed, so the numpy path only
-engages above a small size threshold; both paths are exact and the parity
-suite pins them against each other.
+Integer bitwise ops in CPython are already C-speed, so the word matrix
+only pays above a small size threshold; below it the masks are reduced as
+integers.  Both are exact, and the parity suite pins them against the
+scalar reductions in ``tests/kernels/reference.py``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from functools import reduce
 from operator import and_, or_
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.bitmap.bitarray import BitArray, WORD_BITS, word_count
-from repro.kernels.backend import np, using_numpy
 
 #: Total packed words below which the scalar reduction is simply faster.
 _NUMPY_THRESHOLD = 256
@@ -56,10 +58,7 @@ def or_masks(masks: Sequence[int], nbits: int) -> int:
     """Bitwise OR of integer masks (word-parallel above the threshold)."""
     if not masks:
         return 0
-    if (
-        not using_numpy()
-        or len(masks) * word_count(nbits) < _NUMPY_THRESHOLD
-    ):
+    if len(masks) * word_count(nbits) < _NUMPY_THRESHOLD:
         return reduce(or_, masks)
     matrix = _word_matrix(masks, nbits)
     return _words_to_mask(np.bitwise_or.reduce(matrix, axis=0))
@@ -69,10 +68,7 @@ def and_masks(masks: Sequence[int], nbits: int) -> int:
     """Bitwise AND of one or more integer masks."""
     if not masks:
         raise ValueError("and_masks of an empty sequence")
-    if (
-        not using_numpy()
-        or len(masks) * word_count(nbits) < _NUMPY_THRESHOLD
-    ):
+    if len(masks) * word_count(nbits) < _NUMPY_THRESHOLD:
         return reduce(and_, masks)
     matrix = _word_matrix(masks, nbits)
     return _words_to_mask(np.bitwise_and.reduce(matrix, axis=0))
@@ -83,10 +79,7 @@ def popcount_masks(masks: Iterable[int], nbits: int) -> int:
     masks = list(masks)
     if not masks:
         return 0
-    if (
-        not using_numpy()
-        or len(masks) * word_count(nbits) < _NUMPY_THRESHOLD
-    ):
+    if len(masks) * word_count(nbits) < _NUMPY_THRESHOLD:
         return sum(mask.bit_count() for mask in masks)
     matrix = _word_matrix(masks, nbits)
     return int(np.bitwise_count(matrix).sum())

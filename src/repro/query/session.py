@@ -60,7 +60,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.kernels import backend as kernel_backend
 from repro.obs.trace import Tracer
 from repro.query.algorithm1 import (
     PrunedList,
@@ -519,7 +518,6 @@ class QuerySession:
         """
         stats = QueryStats()
         stats.epoch = self.epoch
-        stats.kernel_backend = kernel_backend()
         pool = self.query_pool()
         reader = None
         if tracer is not None and tracer.counters is None:

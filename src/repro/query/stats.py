@@ -91,16 +91,10 @@ class QueryStats:
             token) or ``None`` (cache not consulted).
         cache_computed_epoch: On a hit, the epoch the served answer was
             computed at (older than ``epoch`` when it was carried).
-        kernel_backend: Which batch-kernel backend (``"python"`` /
-            ``"numpy"``) executed the query's hot loops, stamped by the
-            query entry points.  A CPU implementation detail, so — like the
-            serving-side fields — excluded from :meth:`summary`: counted
-            I/O is backend-invariant by construction.
 
     The serving-side attributes (``epoch``, ``queue_wait_seconds``,
     ``pool_hits``, ``pool_misses``, the routing fields ``route`` /
-    ``fallbacks`` / ``cache_outcome`` / ``cache_computed_epoch``, and
-    ``kernel_backend``) are
+    ``fallbacks`` / ``cache_outcome`` / ``cache_computed_epoch``) are
     deliberately *not* part of :meth:`summary`, which feeds
     paper-comparable benchmark baselines.
     """
@@ -129,7 +123,6 @@ class QueryStats:
     fallbacks: int = 0
     cache_outcome: str | None = None
     cache_computed_epoch: int | None = None
-    kernel_backend: str | None = None
 
     def note_heap(self, size: int) -> None:
         if size > self.peak_heap:

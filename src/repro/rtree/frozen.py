@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.kernels import backend as kernel_backend
 from repro.rtree.geometry import Rect
 from repro.rtree.node import NodeBlock
 
@@ -96,11 +95,10 @@ class FrozenRNode:
         rewrites a node by freezing a *new* ``FrozenRNode`` and shares only
         untouched ones, so a cached view can never describe stale entries.
         Concurrent readers may both build it; the views are equal and the
-        last store wins.  A view built for the other kernel backend (the
-        switch is process-wide and tests flip it) is rebuilt.
+        last store wins.
         """
         block = self._block
-        if block is None or block.backend != kernel_backend():
+        if block is None:
             block = self._block = NodeBlock(self)
         return block
 

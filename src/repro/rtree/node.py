@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.kernels import backend as kernel_backend
 from repro.kernels.mindist import as_rows, sum_block
 from repro.rtree.geometry import Rect
 
@@ -53,9 +52,9 @@ class NodeBlock:
     """A columnar view of one node's live children, in slot order.
 
     Algorithm 1 evaluates a whole expansion from it: ``lows`` / ``highs``
-    are the children's MBR corners in the kernel backend's row
-    representation (see :func:`repro.kernels.mindist.as_rows`), so keys,
-    domination verdicts and transforms are one kernel call each.
+    are the children's MBR corners as float64 matrices (see
+    :func:`repro.kernels.mindist.as_rows`), so keys, domination verdicts
+    and transforms are one kernel call each.
     ``low_tuples`` are the same corners as the tuples the entries already
     hold — what a materialised heap entry carries as its point.
 
@@ -66,12 +65,10 @@ class NodeBlock:
     :meth:`index_mask` translate otherwise.
 
     The view is a function of the node's entries alone — as is
-    :meth:`low_sums`, kept with it; ``backend`` records which row
-    representation it was built for.
+    :meth:`low_sums`, kept with it.
     """
 
     __slots__ = (
-        "backend",
         "leaf",
         "slots",
         "entries",
@@ -85,7 +82,6 @@ class NodeBlock:
 
     def __init__(self, node) -> None:
         live = list(node.live_entries())
-        self.backend = kernel_backend()
         self.leaf = node.is_leaf
         self.slots = [slot for slot, _ in live]
         self.entries = [entry for _, entry in live]

@@ -24,8 +24,7 @@ from benchmarks.e2e.tracing import TARGETS, SpanRecorder
 
 #: ``--quick --trace 1 --seed 7 --seconds 1``: every per-layer metric whose
 #: unit is not a time or a percentage, rounded to 6 places; a counted metric
-#: that is not listed reads 0.  Pure functions of the seed, identical under
-#: both kernel backends.
+#: that is not listed reads 0.  Pure functions of the seed.
 COUNTED = {
     "mixed_rw": {
         "system.disk_io_per_write": 19.333333,

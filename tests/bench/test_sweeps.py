@@ -4,10 +4,9 @@ CI runs each sweep at full size against its committed baseline; this keeps
 their plumbing inside tier-1 — a few hundred tuples, a handful of queries,
 one thread count, one repeat.  What is checked is the harness contract
 every sweep shares (:mod:`repro.bench.harness`), not performance: the
-kernel sweep's speed floors are switched off, and the routing sweep keeps
-the smallest size at which its in-process assertions (routed-cold reads no
-more than the best pinned engine, hit rate ≥ 0.5 — which takes repeats, so
-12 queries over 3 templates) hold.
+routing sweep keeps the smallest size at which its in-process assertions
+(routed-cold reads no more than the best pinned engine, hit rate ≥ 0.5 —
+which takes repeats, so 12 queries over 3 templates) hold.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import pytest
 from repro.bench import SWEEPS, compare_reports, dumps_report, strip_timings
 from repro.bench import kernels
 from repro.bench.harness import ANSWER, COST, TIMING, Point, envelope
-from repro.kernels.backend import np
 
 TOY = {
     "serving": dict(
@@ -41,7 +39,7 @@ TOY = {
     "routing": dict(
         n_tuples=800, n_queries=12, n_templates=3, read_latency=0.0
     ),
-    "kernels": dict(min_speedup=0.0),
+    "kernels": dict(),
 }
 
 TOY_KERNELS = dict(
@@ -52,8 +50,6 @@ TOY_KERNELS = dict(
     MEMORY_TOPK_SIZE=300,
     REPEATS=1,
     MIN_MEASURE_SECONDS=0.0,
-    SEARCH_MIN_SPEEDUP=0.0,
-    SEARCH_POINT_MIN_SPEEDUP=0.0,
 )
 
 
@@ -66,8 +62,6 @@ def _points(report):
 @pytest.mark.parametrize("name", sorted(TOY))
 def test_sweep_at_toy_size(name, monkeypatch):
     if name == "kernels":
-        if np is None:
-            pytest.skip("the kernels sweep compares against numpy")
         for constant, value in TOY_KERNELS.items():
             monkeypatch.setattr(kernels, constant, value)
     sweep = SWEEPS[name]

@@ -19,7 +19,6 @@ from repro.cube.relation import Relation
 from repro.cube.schema import Schema
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
-from repro.kernels.backend import BACKENDS, use_backend
 from repro.query.disjunction import matches_dnf, skyline_dnf
 from repro.query.dynamic import dynamic_skyline_signature, naive_dynamic_skyline
 from repro.query.hull import lower_hull_signature, naive_lower_hull
@@ -210,8 +209,7 @@ def test_all_methods_agree(distribution, n_preference, fanout):
         ):
             assert [round(s, 9) for s in method_scores] == expected_topk
 
-        # Every surface of the one read path, on both kernel backends,
-        # against the same ground truth.
+        # Every surface of the one read path against the same ground truth.
         disjuncts = [
             sample_predicate(relation, 1, rng),
             sample_predicate(relation, 2, rng),
@@ -221,14 +219,7 @@ def test_all_methods_agree(distribution, n_preference, fanout):
             for tid in relation.tids()
             if matches_dnf(relation, disjuncts, tid)
         ]
-        per_backend = []
-        for backend in BACKENDS:
-            with use_backend(backend):
-                per_backend.append(
-                    assert_surfaces_agree(system, predicate, disjuncts, fn)
-                )
-        answers = per_backend[0]
-        assert all(other == answers for other in per_backend[1:])
+        answers = assert_surfaces_agree(system, predicate, disjuncts, fn)
         assert sorted(answers["skyline"]) == expected_sky
         assert sorted(answers["dnf"]) == sorted(naive_skyline(union))
         assert sorted(answers["dynamic"]) == sorted(

@@ -1,20 +1,23 @@
-"""Backend parity: every kernel must agree with its scalar reference
-bit-for-bit.
+"""Kernel parity: every kernel must agree with its scalar formula in
+:mod:`tests.kernels.reference` bit-for-bit.
 
 Counted I/O depends on heap order, heap order depends on float keys, so
-"close enough" is not enough — the numpy paths must reproduce Python's
+"close enough" is not enough — the block kernels must reproduce Python's
 left-fold float arithmetic exactly.  Coordinates are drawn both from
 arbitrary finite floats and from a coarse grid (``i / 8``) that
 manufactures the exact ties where ordering bugs would hide.
 """
 
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.backend import NUMPY, PYTHON, np, use_backend
+from repro.baselines import index_merge, skyline_algs
+from repro.kernels import dominate, mindist, sigops
 from repro.kernels.dominate import (
     _ONE_PASS_PAIRS,
     _ONE_PASS_ROWS,
@@ -22,16 +25,11 @@ from repro.kernels.dominate import (
     _SCALAR_PROBE,
     _SEED_CHUNK,
     DominationBuffer,
-    dominated_mask,
-    prefix_dominated_mask,
 )
 from repro.rtree.geometry import dominates
-from repro.kernels import mindist
+from tests.kernels import reference
 
-pytestmark = [
-    pytest.mark.kernels,
-    pytest.mark.skipif(np is None, reason="parity needs the numpy backend"),
-]
+pytestmark = pytest.mark.kernels
 
 # Tie-prone grid: duplicates and exact per-dimension equality.
 grid = st.integers(min_value=0, max_value=8).map(lambda i: i / 8)
@@ -76,12 +74,30 @@ def rect_blocks(max_dims=4, max_rows=10):
     )
 
 
-def both_backends(fn):
-    with use_backend(PYTHON):
-        scalar = fn()
-    with use_backend(NUMPY):
-        vector = fn()
-    return scalar, vector
+#: Every function and class the oracle defines.
+ORACLE = [
+    name
+    for name, obj in vars(reference).items()
+    if getattr(obj, "__module__", None) == reference.__name__
+]
+#: The product's kernels under the oracle's names.
+PRODUCT = SimpleNamespace(
+    **{
+        name: getattr(module, name)
+        for module in (mindist, dominate, sigops, skyline_algs, index_merge)
+        for name in ORACLE
+        if hasattr(module, name)
+    }
+)
+
+
+def against_oracle(fn):
+    """``fn`` run on the oracle and on the product."""
+    return fn(reference), fn(PRODUCT)
+
+
+def test_every_oracle_function_has_its_product_kernel():
+    assert sorted(vars(PRODUCT)) == sorted(ORACLE)
 
 
 # --------------------------------------------------------------------------- #
@@ -91,7 +107,7 @@ def both_backends(fn):
 
 @given(point_blocks())
 def test_sum_block_parity(rows):
-    scalar, vector = both_backends(lambda: mindist.sum_block(rows))
+    scalar, vector = against_oracle(lambda m: m.sum_block(rows))
     assert scalar == vector
     assert all(isinstance(v, float) for v in vector)
 
@@ -100,8 +116,8 @@ def test_sum_block_parity(rows):
 def test_linear_score_parity(rows):
     dims = len(rows[0]) if rows else 2
     weights = tuple((-1.0) ** d * (d + 1) / 4 for d in range(dims))
-    scalar, vector = both_backends(
-        lambda: mindist.linear_score_block(weights, rows)
+    scalar, vector = against_oracle(
+        lambda m: m.linear_score_block(weights, rows)
     )
     assert scalar == vector
 
@@ -112,8 +128,8 @@ def test_linear_lower_bound_parity(block):
     weights = tuple(
         (-1.0) ** d * (d + 1) / 4 for d in range(len(point))
     )
-    scalar, vector = both_backends(
-        lambda: mindist.linear_lower_bound_block(weights, lows, highs)
+    scalar, vector = against_oracle(
+        lambda m: m.linear_lower_bound_block(weights, lows, highs)
     )
     assert scalar == vector
 
@@ -130,12 +146,12 @@ def test_linear_lower_bound_parity(block):
 def test_wsd_parity(block):
     (lows, highs), target = block
     weights = tuple((d + 1) / 8 for d in range(len(target)))
-    scalar, vector = both_backends(
-        lambda: mindist.wsd_score_block(weights, target, lows)
+    scalar, vector = against_oracle(
+        lambda m: m.wsd_score_block(weights, target, lows)
     )
     assert scalar == vector
-    scalar, vector = both_backends(
-        lambda: mindist.wsd_lower_bound_block(
+    scalar, vector = against_oracle(
+        lambda m: m.wsd_lower_bound_block(
             weights, target, lows, highs
         )
     )
@@ -155,12 +171,12 @@ def test_separable_parity(block):
         (d, "linear" if d % 2 == 0 else "squared", (d + 1) / 4, t)
         for d, t in enumerate(target)
     ]
-    scalar, vector = both_backends(
-        lambda: mindist.separable_score_block(terms, lows)
+    scalar, vector = against_oracle(
+        lambda m: m.separable_score_block(terms, lows)
     )
     assert scalar == vector
-    scalar, vector = both_backends(
-        lambda: mindist.separable_lower_bound_block(terms, lows, highs)
+    scalar, vector = against_oracle(
+        lambda m: m.separable_lower_bound_block(terms, lows, highs)
     )
     assert scalar == vector
 
@@ -168,16 +184,16 @@ def test_separable_parity(block):
 @given(rect_blocks())
 def test_mindist_and_transform_parity(block):
     (lows, highs), point = block
-    scalar, vector = both_backends(
-        lambda: mindist.mindist_block(lows, highs, point)
+    scalar, vector = against_oracle(
+        lambda m: m.mindist_block(lows, highs, point)
     )
     assert scalar == vector
-    scalar, vector = both_backends(
-        lambda: mindist.transform_points_block(lows, point)
+    scalar, vector = against_oracle(
+        lambda m: m.transform_points_block(lows, point)
     )
     assert scalar == vector
-    scalar, vector = both_backends(
-        lambda: mindist.transform_rect_lowers_block(lows, highs, point)
+    scalar, vector = against_oracle(
+        lambda m: m.transform_rect_lowers_block(lows, highs, point)
     )
     assert scalar == vector
 
@@ -185,9 +201,9 @@ def test_mindist_and_transform_parity(block):
 @given(point_blocks(min_dims=2), st.data())
 def test_rows_round_trip_and_feed_every_kernel(rows, data):
     """``as_rows`` is the representation block callers hand from kernel to
-    kernel: whatever it is under a backend, it must read back as the same
-    tuples, project and gather like them, and feed the other kernels to
-    the same bits as the tuples would."""
+    kernel: a matrix in the product, the tuples themselves in the oracle.
+    Either must read back as the same tuples, project and gather like
+    them, and feed the other kernels to the same bits."""
     dims = len(rows[0]) if rows else 2
     subspace = data.draw(
         st.lists(
@@ -204,47 +220,43 @@ def test_rows_round_trip_and_feed_every_kernel(rows, data):
     )
     query_point = tuple(0.5 for _ in range(dims))
 
-    def run():
-        block = mindist.as_rows(rows)
-        projected = mindist.project_rows(block, subspace)
-        image = mindist.transform_points_rows(block, query_point)
-        buffer = DominationBuffer(dims, points=rows[: len(rows) // 2])
+    def run(m):
+        block = m.as_rows(rows)
+        projected = m.project_rows(block, subspace)
+        image = m.transform_points_rows(block, query_point)
+        buffer = m.DominationBuffer(dims, points=rows[: len(rows) // 2])
         return (
-            mindist.row_tuples(block),
-            mindist.row_tuples(block, picks),
-            mindist.row_tuples(projected),
-            mindist.sum_block(projected),
-            mindist.row_tuples(image),
-            mindist.sum_block(image),
+            m.row_tuples(block),
+            m.row_tuples(block, picks),
+            m.row_tuples(projected),
+            m.sum_block(projected),
+            m.row_tuples(image),
+            m.sum_block(image),
             buffer.dominates_block(block),
         )
 
-    scalar, vector = both_backends(run)
+    scalar, vector = against_oracle(run)
     assert scalar == vector
     assert scalar[0] == [tuple(map(float, row)) for row in rows]
     assert scalar[1] == [scalar[0][i] for i in picks]
     assert scalar[2] == [tuple(r[d] for d in subspace) for r in scalar[0]]
-    assert scalar[6] == DominationBuffer(
-        dims, points=rows[: len(rows) // 2], use_numpy=False
-    ).dominates_block(rows)
 
 
 @given(rect_blocks())
 def test_rect_lowers_rows_parity(block):
     (lows, highs), point = block
 
-    def run():
-        image = mindist.transform_rect_lowers_rows(
-            mindist.as_rows(lows), mindist.as_rows(highs), point
+    def run(m):
+        image = m.transform_rect_lowers_rows(
+            m.as_rows(lows), m.as_rows(highs), point
         )
-        return mindist.row_tuples(image), mindist.sum_block(image)
+        return m.row_tuples(image), m.sum_block(image)
 
-    scalar, vector = both_backends(run)
+    scalar, vector = against_oracle(run)
     assert scalar == vector
-    with use_backend(PYTHON):
-        assert scalar[0] == mindist.transform_rect_lowers_block(
-            lows, highs, point
-        )
+    assert scalar[0] == reference.transform_rect_lowers_block(
+        lows, highs, point
+    )
 
 
 def test_matrix_input_matches_tuple_input():
@@ -252,11 +264,10 @@ def test_matrix_input_matches_tuple_input():
     rows = [(0.125, 0.25, 0.5), (0.75, 0.125, 0.375), (0.5, 0.5, 0.5)]
     matrix = np.asarray(rows, dtype=np.float64)
     weights = (0.4, 0.35, 0.25)
-    with use_backend(NUMPY):
-        assert mindist.linear_score_block(
-            weights, matrix
-        ) == mindist.linear_score_block(weights, rows)
-        assert mindist.sum_block(matrix) == mindist.sum_block(rows)
+    assert mindist.linear_score_block(
+        weights, matrix
+    ) == reference.linear_score_block(weights, rows)
+    assert mindist.sum_block(matrix) == reference.sum_block(rows)
 
 
 # --------------------------------------------------------------------------- #
@@ -273,20 +284,15 @@ def test_domination_buffer_parity(rows, data):
     split = data.draw(st.integers(min_value=0, max_value=len(rows)))
     buffered, probes = rows[:split], rows[split:]
 
-    def run(use_numpy):
-        buffer = DominationBuffer(
-            dims, points=buffered, use_numpy=use_numpy
-        )
+    def run(m):
+        buffer = m.DominationBuffer(dims, points=buffered)
         return (
             [buffer.dominates_point(p) for p in probes],
             buffer.dominates_block(probes),
             buffer.points(),
         )
 
-    with use_backend(PYTHON):
-        scalar = run(False)
-    with use_backend(NUMPY):
-        vector = run(True)
+    scalar, vector = against_oracle(run)
     assert scalar == vector
 
 
@@ -298,15 +304,15 @@ def test_dominated_mask_parity(rows, data):
         data.draw(st.integers(min_value=0, max_value=5)) for _ in rows
     ]
     pairs = list(zip(tids, rows))
-    scalar, vector = both_backends(lambda: dominated_mask(pairs))
+    scalar, vector = against_oracle(lambda m: m.dominated_mask(pairs))
     assert scalar == vector
 
 
 @settings(max_examples=60)
 @given(point_blocks(min_dims=2, max_dims=3, max_rows=20))
 def test_prefix_dominated_mask_parity(rows):
-    scalar, vector = both_backends(
-        lambda: prefix_dominated_mask(rows)
+    scalar, vector = against_oracle(
+        lambda m: m.prefix_dominated_mask(rows)
     )
     assert scalar == vector
 
@@ -316,10 +322,8 @@ def test_buffer_escalation_covers_long_buffers():
     dominate the probe except the very last buffered point."""
     staircase = [(float(i), float(2000 - i)) for i in range(2000)]
     probe = (1999.5, 1.5)  # only (1999, 1) dominates it
-    for use_numpy in (False, True):
-        buffer = DominationBuffer(
-            2, points=staircase, use_numpy=use_numpy
-        )
+    for m in (reference, PRODUCT):
+        buffer = m.DominationBuffer(2, points=staircase)
         assert buffer.dominates_point(probe) is True
         assert buffer.dominates_block([probe, (-1.0, -1.0)]) == [
             True,
@@ -336,13 +340,13 @@ def test_buffer_escalation_covers_long_buffers():
 def test_dominates_point_since_matches_the_scalar_suffix_scan(
     buffered, probe, data
 ):
-    """``dominates_point(p, since)`` looks at ``points[since:]`` only, on
-    both backends and on both sides of the plain-loop / numpy switch-over
-    (``since == len`` and ``since > len`` see nothing)."""
+    """``dominates_point(p, since)`` looks at ``points[since:]`` only, in
+    the oracle and the product, on both sides of the plain-loop / matrix
+    switch-over (``since == len`` and ``since > len`` see nothing)."""
     since = data.draw(st.integers(min_value=0, max_value=len(buffered) + 2))
     expected = any(dominates(s, probe) for s in buffered[since:])
-    for use_numpy in (False, True):
-        buffer = DominationBuffer(3, points=buffered, use_numpy=use_numpy)
+    for m in (reference, PRODUCT):
+        buffer = m.DominationBuffer(3, points=buffered)
         assert buffer.dominates_point(probe, since) is expected
         assert buffer.dominates_point(buffered[0], len(buffered)) is False
 
@@ -371,7 +375,7 @@ def test_dominates_point_since_at_every_offset(n_buffered, dims):
     the point probe — the plain loop (≤ ``_SCALAR_PROBE`` rows), the one
     "≤ everywhere" matrix test (≤ ``_ONE_PASS_ROWS``), the per-dimension
     chunks (one and two of them) — with exact ties: an equal point never
-    dominates, on either backend."""
+    dominates."""
     rng = random.Random(10 * n_buffered + dims)
     points = grid_points(rng, dims, n_buffered)
     probes = [
@@ -386,13 +390,13 @@ def test_dominates_point_since_at_every_offset(n_buffered, dims):
         for bound in (1, _SCALAR_PROBE, _ONE_PASS_ROWS, _PROBE_CHUNK)
         for window in (bound, bound + 1)
     }
-    for use_numpy in (False, True):
-        buffer = DominationBuffer(dims, points=points, use_numpy=use_numpy)
-        for since in offsets:
-            for probe in probes:
-                assert buffer.dominates_point(probe, since) is any(
-                    dominates(s, probe) for s in points[since:]
-                ), (use_numpy, since, probe)
+    oracle = reference.DominationBuffer(dims, points=points)
+    buffer = DominationBuffer(dims, points=points)
+    for since in offsets:
+        for probe in probes:
+            assert buffer.dominates_point(
+                probe, since
+            ) is oracle.dominates_point(probe, since), (since, probe)
 
 
 @pytest.mark.parametrize("dims", [1, 2, 3, 4])
@@ -416,7 +420,7 @@ def test_dominates_point_since_at_every_offset(n_buffered, dims):
 def test_dominates_block_matches_the_scalar_oracle(n_buffered, n_probes, dims):
     """One pass over a small buffer, escalating chunks over a large one:
     the verdicts — as a list and packed into one integer, bit ``j`` for
-    probe ``j`` — are the scalar reference's on both backends."""
+    probe ``j`` — are the scalar oracle's."""
     rng = random.Random(1000 * n_buffered + 10 * n_probes + dims)
     # An anti-correlated staircase keeps most probes alive past the first
     # chunk; the grid manufactures exact ties and equal points.
@@ -428,13 +432,143 @@ def test_dominates_block_matches_the_scalar_oracle(n_buffered, n_probes, dims):
     probes = grid_points(rng, dims, n_probes)
     if points and probes:
         probes[-1] = points[-1]
-    expected = [any(dominates(s, p) for s in points) for p in probes]
-    packed = sum(1 << j for j, hit in enumerate(expected) if hit)
-    for use_numpy in (False, True):
-        buffer = DominationBuffer(dims, points=points, use_numpy=use_numpy)
-        assert buffer.dominates_block(probes) == expected
-        assert buffer.dominates_block(probes, packed=True) == packed
-        if probes:
-            rows = np.asarray(probes)
-            assert buffer.dominates_block(rows) == expected
-            assert buffer.dominates_block(rows, packed=True) == packed
+    oracle = reference.DominationBuffer(dims, points=points)
+    expected = oracle.dominates_block(probes)
+    packed = oracle.dominates_block(probes, packed=True)
+    buffer = DominationBuffer(dims, points=points)
+    assert buffer.dominates_block(probes) == expected
+    assert buffer.dominates_block(probes, packed=True) == packed
+    if probes:
+        rows = np.asarray(probes)
+        assert buffer.dominates_block(rows) == expected
+        assert buffer.dominates_block(rows, packed=True) == packed
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_escalation_tests_only_the_probes_the_oracle_leaves_alive(
+    dims, monkeypatch
+):
+    """Past the one-pass bound, each buffer chunk is tested against the
+    probes no earlier chunk dominated — exactly those the oracle finds
+    undominated by the buffer prefix before that chunk — so dead probes
+    cost nothing after the chunk that killed them."""
+    rng = random.Random(dims)
+    n = 600
+    points = [
+        (i / n, 1.0 - i / n, *grid_points(rng, dims - 2, 1)[0])
+        for i in range(n)
+    ]
+    probes = [
+        (i / 64 + 0.001, 1.0 - i / 64 + 0.001, *(1.0,) * (dims - 2))
+        for i in range(64)
+    ]
+    assert n * len(probes) > _ONE_PASS_PAIRS
+    # A small tensor budget keeps the chunks short enough to see several.
+    monkeypatch.setattr(dominate, "_TENSOR_BUDGET", 64)
+    calls = []
+    block_dominates = dominate._block_dominates
+
+    def recording(block, tested, dims, other=None):
+        calls.append((len(block), [tuple(row) for row in tested.tolist()]))
+        return block_dominates(block, tested, dims, other)
+
+    monkeypatch.setattr(dominate, "_block_dominates", recording)
+    verdicts = DominationBuffer(dims, points=points).dominates_block(probes)
+    assert verdicts == reference.DominationBuffer(
+        dims, points=points
+    ).dominates_block(probes)
+    assert len(calls) > 2
+    start = 0
+    for rows, tested in calls:
+        prefix = reference.DominationBuffer(dims, points=points[:start])
+        alive = [p for p in probes if not prefix.dominates_point(p)]
+        assert tested == alive, start
+        start += rows
+    assert start == n or not calls[-1][1]
+
+
+# --------------------------------------------------------------------------- #
+# signature algebra and the baselines' batch paths
+# --------------------------------------------------------------------------- #
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_sigops_parity_on_both_sides_of_the_word_threshold(data):
+    """Few words reduce as integers, many through the uint64 matrix; both
+    give the oracle's ``reduce`` and ``bit_count`` answers."""
+    nbits = data.draw(st.integers(min_value=1, max_value=640))
+    words = (nbits + 63) // 64
+    count = data.draw(
+        st.sampled_from(
+            [1, 2, max(1, sigops._NUMPY_THRESHOLD // words) + 1]
+        )
+    )
+    masks = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=(1 << nbits) - 1),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    for name in ("or_masks", "and_masks", "popcount_masks"):
+        scalar, vector = against_oracle(
+            lambda m: getattr(m, name)(masks, nbits)
+        )
+        assert scalar == vector, name
+
+
+@settings(max_examples=60)
+@given(point_blocks(min_dims=1, max_dims=3, max_rows=40), st.data())
+def test_sfs_skyline_parity(rows, data):
+    """The chunked SFS reports the oracle's skyline in the oracle's order
+    ``(Σ point, point, tid)``, from tuples and from a matrix alike."""
+    tids = data.draw(st.permutations(range(len(rows))))
+    points = list(zip(tids, rows))
+    scalar, vector = against_oracle(lambda m: m.sfs_skyline(points))
+    assert scalar == vector
+    if rows:
+        matrix = np.asarray(rows, dtype=np.float64)
+        assert skyline_algs.sfs_skyline(points, matrix=matrix) == scalar
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@pytest.mark.parametrize("dims", [2, 3])
+def test_sfs_skyline_parity_across_chunks(chunk, dims, monkeypatch):
+    """Chunk boundaries land inside the skyline: a chunk's survivors are
+    filtered against the buffer *and* against each other."""
+    rng = random.Random(100 * chunk + dims)
+    # A staircase (every point on the skyline) plus tie-prone grid noise.
+    rows = [
+        (i / 200, 1.0 - i / 200, *grid_points(rng, 1, 1)[0])[:dims]
+        for i in range(200)
+    ] + grid_points(rng, dims, 300)
+    points = list(enumerate(rows))
+    rng.shuffle(points)
+    monkeypatch.setattr(skyline_algs, "_SFS_CHUNK", chunk)
+    assert skyline_algs.sfs_skyline(points) == reference.sfs_skyline(points)
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=30), max_size=20),
+        max_size=5,
+    )
+)
+def test_intersect_postings_parity(postings):
+    """Same tids, and the same postings read: the product stops at the
+    oracle's first empty intersection, so the lists after it are never
+    fetched (never counted as ``BINDEX`` pages)."""
+
+    def run(m):
+        read = []
+
+        def lazily():
+            for posting in postings:
+                read.append(posting)
+                yield posting
+
+        return m.intersect_postings(lazily()), read
+
+    scalar, vector = against_oracle(run)
+    assert scalar == vector

@@ -6,15 +6,18 @@ expansion it replaced — one heap entry, one ``strategy.prune`` and one
 ``reader.check_entry`` per live child, through the scalar protocol only —
 kept here as the oracle.  Both must leave behind the same answers, the same
 :class:`QueryStats`, the same counted I/O and the same search state down
-to ``seq`` and ``tie``, on both kernel backends, for fresh, drill-down and
-roll-up queries, with healthy and with unreadable signatures.
+to ``seq`` and ``tie``, for fresh, drill-down and roll-up queries, with
+healthy and with unreadable signatures — on the product's kernels and, with
+every kernel swapped for its scalar formula in :mod:`tests.kernels.reference`,
+on the oracle's: bit-exact kernels must give the same searches end to end.
 """
 
 import heapq
 import math
 import random
+import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from unittest import mock
 
 import pytest
@@ -26,7 +29,6 @@ from repro.core.pcube import SignatureAdapter
 from repro.data.fixtures import build_sweep_system, small_config, sweep_config
 from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_predicate
-from repro.kernels.backend import BACKENDS, np, use_backend
 from repro.query.algorithm1 import (
     HeapEntry,
     PrunedList,
@@ -52,19 +54,55 @@ from repro.storage.counters import SBLOCK
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import FaultPlan, FaultRule, FaultyDisk
 from repro.system import build_system
+from tests.kernels import reference
 
-backends = pytest.mark.parametrize(
-    "backend",
-    [
-        pytest.param(
-            name,
-            marks=pytest.mark.skipif(
-                name == "numpy" and np is None, reason="numpy not importable"
-            ),
+
+# --------------------------------------------------------------------------- #
+# the kernels a case runs on: the product's, or the scalar oracle's
+# --------------------------------------------------------------------------- #
+
+
+@contextmanager
+def oracle_kernels():
+    """Every product kernel replaced, wherever a ``repro`` module bound it,
+    by its namesake in :mod:`tests.kernels.reference`.  Frozen nodes build a
+    fresh block per call meanwhile, so no block outlives the swap."""
+    from repro.baselines import index_merge, skyline_algs
+    from repro.kernels import dominate, mindist, sigops
+    from repro.rtree.frozen import FrozenRNode
+    from repro.rtree.node import NodeBlock
+
+    oracle = {
+        name
+        for name, obj in vars(reference).items()
+        if getattr(obj, "__module__", None) == reference.__name__
+    }
+    swaps = {
+        id(getattr(module, name)): getattr(reference, name)
+        for module in (mindist, dominate, sigops, skyline_algs, index_merge)
+        for name in oracle
+        if hasattr(module, name)
+    }
+    with ExitStack() as stack:
+        for module_name, module in list(sys.modules.items()):
+            if not module_name.startswith("repro."):
+                continue
+            for attr, value in list(vars(module).items()):
+                swap = swaps.get(id(value))
+                if swap is not None:
+                    stack.enter_context(mock.patch.object(module, attr, swap))
+        stack.enter_context(
+            mock.patch.object(FrozenRNode, "block", lambda node: NodeBlock(node))
         )
-        for name in BACKENDS
-    ],
-)
+        yield
+
+
+KERNELS = {"numpy": nullcontext, "python": oracle_kernels}
+backends = pytest.mark.parametrize("backend", sorted(KERNELS))
+
+
+def on_kernels(backend):
+    return KERNELS[backend]()
 
 
 # --------------------------------------------------------------------------- #
@@ -229,7 +267,7 @@ def result_facts(result):
 
 
 # --------------------------------------------------------------------------- #
-# full queries: kinds × conjuncts × backends × {fresh, drill-down, roll-up}
+# full queries: kinds × conjuncts × kernels × {fresh, drill-down, roll-up}
 # --------------------------------------------------------------------------- #
 
 
@@ -299,7 +337,7 @@ def test_fresh_query_matches_per_child_expansion(
     system, backend, name, n_conjuncts
 ):
     predicate = predicate_for(system, n_conjuncts)
-    with use_backend(backend):
+    with on_kernels(backend):
         got = run_query(system, name, predicate)
         with per_child_expansion():
             want = run_query(system, name, predicate)
@@ -374,7 +412,7 @@ def test_drill_down_and_roll_up_match_per_child_expansion(
         rolled = engine.roll_up(run_query(system, name, stronger), dim)
         return result_facts(drilled), result_facts(rolled)
 
-    with use_backend(backend):
+    with on_kernels(backend):
         got = follow_ups()
         with per_child_expansion():
             want = follow_ups()
@@ -417,7 +455,7 @@ def test_assembled_reader_issues_the_same_partial_loads(
     passed the members before it — per member, not just in total."""
     system = paged_system
     predicate = predicate_for(system, n_conjuncts, seed=seed)
-    with use_backend(backend):
+    with on_kernels(backend):
         reader, stats, state = _search(
             system, run_algorithm1, predicate, SkylineStrategy(3)
         )
@@ -479,7 +517,7 @@ def test_unreadable_partial_takes_the_conservative_path(
     def unpatched():
         yield
 
-    with use_backend(backend):
+    with on_kernels(backend):
         baseline, got = degraded_run(unpatched)
         _, want = degraded_run(per_child_expansion)
     assert got.tids == baseline.tids
@@ -618,12 +656,6 @@ def test_live_node_blocks_are_rebuilt_and_frozen_ones_kept():
         block = frozen_root.block()
         assert frozen_root.block() is block
         assert block.slots == [s for s, _ in frozen_root.live_entries()]
-        other = next(name for name in BACKENDS if name != block.backend)
-        if other == "numpy" and np is None:
-            return
-        with use_backend(other):
-            rebuilt = frozen_root.block()
-            assert rebuilt is not block and rebuilt.backend == other
     finally:
         system.unpin_snapshot(snapshot)
 
@@ -648,7 +680,7 @@ def test_resumed_state_accepts_runs_on_top_of_carried_entries(system):
 def test_topk_and_dynamic_strategies_direct(system, backend):
     """Strategy-level: ``evaluate`` equals the scalar protocol row by row,
     leaf and inner blocks alike."""
-    with use_backend(backend):
+    with on_kernels(backend):
         root = system.rtree.root
         leaf = root
         while not leaf.is_leaf:
@@ -885,7 +917,7 @@ def test_a_raising_ticker_leaves_the_heap_the_oracle_leaves(
         assert state.heap is heap
         return state
 
-    with use_backend(backend):
+    with on_kernels(backend):
         got = interrupted(run_algorithm1)
         want = interrupted(reference_algorithm1)
     assert all(type(entry) is HeapEntry for entry in got.heap)
@@ -998,7 +1030,7 @@ def test_degraded_read_keeps_its_pop_time_tests(backend, exact, lost_read):
             )
         return reader, stats, state
 
-    with use_backend(backend):
+    with on_kernels(backend):
         reader, stats, state = degraded_search(run_algorithm1)
         ref_reader, ref_stats, ref_state = degraded_search(reference_algorithm1)
     assert reader.degraded and reader.failed_loads == 1
@@ -1087,7 +1119,7 @@ def test_an_expansion_is_one_domination_call_and_one_pass(
     system, backend, name, n_conjuncts
 ):
     predicate = predicate_for(system, n_conjuncts)
-    with use_backend(backend), counting_expansions() as counts:
+    with on_kernels(backend), counting_expansions() as counts:
         result = run_query(system, name, predicate)
     stats = result.stats
     assert counts["dominates_block"] == stats.nodes_expanded > 1
@@ -1096,6 +1128,9 @@ def test_an_expansion_is_one_domination_call_and_one_pass(
     assert counts["escalated"] == 0 < counts["empty_buffer"]
     if backend == "numpy":
         assert counts["passes"] == stats.nodes_expanded - counts["empty_buffer"]
+    else:
+        # The oracle's buffer scans per probe: no product pass at all.
+        assert counts["passes"] == 0
     # A served read builds the root and what it pushes, and leaves what it
     # pruned as masks.
     assert counts["pushes"] > stats.results
