@@ -101,9 +101,7 @@ def assembly_comparison(covertype_system):
     return rows
 
 
-def test_ablation_on_demand_vs_oracle_vs_plain_and(
-    assembly_comparison, covertype_system, benchmark
-):
+def test_ablation_on_demand_vs_oracle_vs_plain_and(assembly_comparison):
     table = []
     for n_preds, on_demand, oracle, plain in assembly_comparison:
         table.append(
@@ -136,15 +134,4 @@ def test_ablation_on_demand_vs_oracle_vs_plain_and(
             "on-demand SSig",
         ],
         table,
-    )
-
-    rng = random.Random(3)
-    predicate = covertype_predicates(covertype_system, rng)[2]
-    benchmark(
-        lambda: skyline_signature(
-            covertype_system.relation,
-            covertype_system.rtree,
-            covertype_system.pcube,
-            predicate,
-        )
     )

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import SWEEP_SIZES, print_table
 from repro.core.bloom_sig import BloomConjunction, BloomSignature
 from repro.core.partial import decompose
 from repro.data.workload import sample_predicate
@@ -20,8 +20,8 @@ N_QUERIES = 5
 
 
 @pytest.fixture(scope="module")
-def bloom_comparison(sweep_systems):
-    system = sweep_systems[min(sweep_systems)]
+def bloom_comparison(bench_context):
+    system = bench_context.system(SWEEP_SIZES[0])
     relation = system.relation
     rng = random.Random(18)
     queries = [sample_predicate(relation, 1, rng) for _ in range(N_QUERIES)]
@@ -69,7 +69,7 @@ def bloom_comparison(sweep_systems):
     return exact_bytes, exact_expanded, per_rate
 
 
-def test_ablation_bloom_signatures(bloom_comparison, sweep_systems, benchmark):
+def test_ablation_bloom_signatures(bloom_comparison):
     exact_bytes, exact_expanded, per_rate = bloom_comparison
     rows = [["exact", f"{exact_bytes / 1024:.1f}KB", exact_expanded, "-"]]
     for fp_rate in FP_RATES:
@@ -94,13 +94,3 @@ def test_ablation_bloom_signatures(bloom_comparison, sweep_systems, benchmark):
     assert loose_bytes < exact_bytes
     # Tighter filters expand fewer (or equal) extra nodes than looser ones.
     assert per_rate[min(FP_RATES)][1] <= per_rate[max(FP_RATES)][1]
-
-    system = sweep_systems[min(sweep_systems)]
-    from repro.cube.cuboid import Cell
-
-    cell_id = system.pcube.store.cells()[0]
-    dim, value = cell_id.split("=")
-    signature = system.pcube.signature_of(Cell((dim,), (int(value),)))
-    benchmark(
-        lambda: BloomSignature.from_signature(signature, fp_rate=0.01)
-    )

@@ -8,15 +8,15 @@ choice — over the real node population of a built P-Cube.
 
 import pytest
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import SWEEP_SIZES, print_table
 from repro.bitmap.compression import CODECS, compress
 from repro.cube.cuboid import Cell
 
 
 @pytest.fixture(scope="module")
-def node_population(sweep_systems):
+def node_population(bench_context):
     """Every node bit array of every cell signature at the smallest size."""
-    system = sweep_systems[min(sweep_systems)]
+    system = bench_context.system(SWEEP_SIZES[0])
     nodes = []
     for cell_id in system.pcube.store.cells():
         dim, value = cell_id.split("=")
@@ -28,7 +28,7 @@ def node_population(sweep_systems):
     return nodes
 
 
-def test_ablation_codec_sizes(node_population, benchmark):
+def test_ablation_codec_sizes(node_population):
     raw_bytes = sum(len(bits.to_bytes()) for bits in node_population)
     rows = []
     sizes = {}
@@ -54,6 +54,3 @@ def test_ablation_codec_sizes(node_population, benchmark):
     assert sizes["adaptive"] < max(
         sizes[codec] for codec in CODECS
     )
-
-    sample = node_population[: min(500, len(node_population))]
-    benchmark(lambda: [compress(bits, "adaptive") for bits in sample])

@@ -57,7 +57,7 @@ def maintenance_timings():
     }
 
 
-def test_ablation_maintenance_strategies(maintenance_timings, benchmark):
+def test_ablation_maintenance_strategies(maintenance_timings):
     rows = []
     for split, (incremental, recompute) in maintenance_timings.items():
         rows.append(
@@ -75,19 +75,4 @@ def test_ablation_maintenance_strategies(maintenance_timings, benchmark):
         f"(T={T:,}, per operation)",
         ["split policy", "counted patch", "recompute cell", "gap"],
         rows,
-    )
-
-    relation = generate_relation(sweep_config(5_000, seed=5))
-    system = build_system(relation, fanout=SWEEP_FANOUT, with_indexes=False)
-    rng = random.Random(6)
-    benchmark.pedantic(
-        lambda: insert_tuple(
-            system.relation,
-            system.rtree,
-            system.pcube,
-            tuple(rng.randrange(100) for _ in range(3)),
-            tuple(rng.random() for _ in range(3)),
-        ),
-        rounds=20,
-        iterations=1,
     )

@@ -76,11 +76,11 @@ def materialization_comparison():
             rich_io / N_QUERIES,
             rich_ssig / N_QUERIES,
         ),
-        "kernel": (relation, rtree, rich, sample_predicate(relation, 2, rng)),
+        "built": (relation, rtree, rich),
     }
 
 
-def test_ablation_materialization_depth(materialization_comparison, benchmark):
+def test_ablation_materialization_depth(materialization_comparison):
     comparison = materialization_comparison
     rows = []
     for name in ("atomic", "rich"):
@@ -110,14 +110,11 @@ def test_ablation_materialization_depth(materialization_comparison, benchmark):
     assert rich_sblock == atomic_sblock
     assert comparison["rich"][3] <= comparison["atomic"][3]
 
-    relation, rtree, rich, predicate = comparison["kernel"]
-    benchmark(lambda: skyline_signature(relation, rtree, rich, predicate))
-
 
 def test_audit_lattice_rule_on_the_rich_cuboids(materialization_comparison):
     """The audit's "assembled ≡ generated for every materialised pair"
     (``core/integrity.py``) over every pair cell of the rich P-Cube."""
-    relation, rtree, rich, _ = materialization_comparison["kernel"]
+    relation, rtree, rich = materialization_comparison["built"]
     pairs = 0
     for cell, problems in iter_cell_checks(
         relation,

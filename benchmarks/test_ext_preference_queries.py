@@ -22,7 +22,7 @@ from repro.storage.counters import DBLOCK
 
 
 @pytest.fixture(scope="module")
-def extension_comparison(sweep_systems):
+def extension_comparison():
     # 2-D system for the hull; rebuild a small 2-D one.
     from benchmarks.conftest import SWEEP_FANOUT, sweep_config
     from repro.data.synthetic import generate_relation
@@ -71,13 +71,11 @@ def extension_comparison(sweep_systems):
         block_category=DBLOCK,
         keep_lists=False,
     )
-    return system, rows, blind_stats, (relation, predicate, query_point)
+    return rows, blind_stats
 
 
-def test_ext_all_preference_queries_share_the_cube(
-    extension_comparison, benchmark
-):
-    system, rows, blind_stats, kernel_args = extension_comparison
+def test_ext_all_preference_queries_share_the_cube(extension_comparison):
+    rows, blind_stats = extension_comparison
     table = [
         [name, stats.sblock, stats.ssig, stats.results]
         for name, stats in rows
@@ -98,10 +96,3 @@ def test_ext_all_preference_queries_share_the_cube(
     # Every query type used the cube (loaded at least one partial).
     for _, stats in rows:
         assert stats.ssig >= 1
-
-    relation, predicate, query_point = kernel_args
-    benchmark(
-        lambda: dynamic_skyline_signature(
-            relation, system.rtree, system.pcube, query_point, predicate
-        )
-    )

@@ -68,7 +68,7 @@ def update_timings():
     return rows
 
 
-def test_fig07_incremental_updates(update_timings, benchmark):
+def test_fig07_incremental_updates(update_timings):
     print_table(
         f"Figure 7: update cost, base T={BASE_T:,} (per inserted tuple)",
         ["#inserted", "one-by-one", "batched", "recompute(total)", "batch gain"],
@@ -90,14 +90,3 @@ def test_fig07_incremental_updates(update_timings, benchmark):
         # ... and batching amortises for non-trivial batches.
         if n_inserts == max(BATCH_SIZES):
             assert per_batched < per_tuple
-
-    system = fresh_system()
-    rng = random.Random(0)
-
-    def one_insert():
-        bool_row, pref_row = random_rows(1, rng)[0]
-        insert_tuple(
-            system.relation, system.rtree, system.pcube, bool_row, pref_row
-        )
-
-    benchmark.pedantic(one_insert, rounds=20, iterations=1)

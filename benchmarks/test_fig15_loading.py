@@ -50,7 +50,7 @@ def loading_sweep(covertype_system):
     return results
 
 
-def test_fig15_signature_loading(loading_sweep, covertype_system, benchmark):
+def test_fig15_signature_loading(loading_sweep):
     rows = []
     for n_preds, stats, load_modeled, total_modeled, stored in loading_sweep:
         share = load_modeled / total_modeled
@@ -82,16 +82,3 @@ def test_fig15_signature_loading(loading_sweep, covertype_system, benchmark):
     # Loading grows with the number of one-dimensional signatures, since
     # only atomic cuboids are materialised.
     assert rows[-1][4] >= rows[0][4]
-
-    import random
-
-    rng = random.Random(1)
-    predicate = covertype_predicates(covertype_system, rng)[3]
-    benchmark(
-        lambda: skyline_signature(
-            covertype_system.relation,
-            covertype_system.rtree,
-            covertype_system.pcube,
-            predicate,
-        )
-    )

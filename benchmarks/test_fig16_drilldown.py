@@ -46,7 +46,7 @@ def drilldown_sweep(covertype_system):
     return results, rollups
 
 
-def test_fig16_drilldown_vs_new(drilldown_sweep, covertype_system, benchmark):
+def test_fig16_drilldown_vs_new(drilldown_sweep):
     drilldown_sweep, rollup_sweep = drilldown_sweep
     rows = []
     for n_preds, drill_stats, fresh_stats in drilldown_sweep:
@@ -91,15 +91,4 @@ def test_fig16_drilldown_vs_new(drilldown_sweep, covertype_system, benchmark):
         "Figure 16 (companion): roll-up vs new query",
         ["#preds", "new I/O", "roll I/O", "roll@5ms"],
         rollup_rows,
-    )
-
-    import random
-
-    rng = random.Random(2)
-    chain = covertype_predicates(covertype_system, rng)
-    base = covertype_system.engine.skyline(chain[1])
-    (dim,) = set(chain[2].dims()) - set(chain[1].dims())
-    value = chain[2].conjuncts[dim]
-    benchmark(
-        lambda: covertype_system.engine.drill_down(base, dim, value)
     )
