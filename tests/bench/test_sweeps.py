@@ -3,7 +3,7 @@
 CI runs each sweep at full size against its committed baseline; this keeps
 their plumbing inside tier-1 — a few hundred tuples, a handful of queries,
 one thread count, one repeat.  What is checked is the harness contract
-every sweep shares (:mod:`repro.bench.harness`), not performance: the
+every sweep shares (:mod:`benchmarks.sweeps.harness`), not performance: the
 routing sweep keeps the smallest size at which its in-process assertions
 (routed-cold reads no more than the best pinned engine, hit rate ≥ 0.5 —
 which takes repeats, so 12 queries over 3 templates) hold.
@@ -15,9 +15,9 @@ import json
 
 import pytest
 
-from repro.bench import SWEEPS, compare_reports, dumps_report, strip_timings
-from repro.bench import kernels
-from repro.bench.harness import ANSWER, COST, TIMING, Point, envelope
+from benchmarks.sweeps import SWEEPS, compare_reports, dumps_report, strip_timings
+from benchmarks.sweeps import kernels
+from benchmarks.sweeps.harness import ANSWER, COST, TIMING, Point, envelope
 
 TOY = {
     "serving": dict(

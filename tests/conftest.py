@@ -6,7 +6,7 @@ the paths ⟨1,1,1⟩ ... ⟨2,2,2⟩, so signature/assembly/maintenance behavio
 can be checked bit for bit against Figures 2-4.
 
 The seeded data sets themselves live in :mod:`repro.data.fixtures`, shared
-with ``benchmarks/conftest.py`` and the ``python -m repro.bench`` runner so
+with ``benchmarks/conftest.py`` and the ``python -m benchmarks.sweeps`` runner so
 every measurement path sees identical inputs; this module only wraps them
 as pytest fixtures.
 """
