@@ -42,6 +42,8 @@ from repro.rtree.geometry import dominates
 
 #: Key component for the empty predicate (the apex "cell").
 APEX = "φ"
+#: The query kinds whose answers are cached.
+CACHED_KINDS = ("skyline", "topk")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,10 @@ routing adds, for every skyline/top-k query:
    provably cannot change are carried, the rest dropped, unknown ⇒ drop),
    then a lookup — *bypassed* while a breaker is open on any of the
    predicate's cells, so traffic keeps exercising (and healing) the real
-   path, or when the ranking function has no cache token;
+   path, or when the ranking function has no cache token.  This half,
+   :meth:`QueryRouter.lookup`, reads no storage and needs no pin: the
+   executor runs it on the submitting thread at the current epoch, so a
+   hit never enters the admission queue;
 2. on a miss, the chain — the serving chain, or the policy's pinned
    one — run through :func:`~repro.route.fallback.run_chain` (unsupported
    shapes, storage faults and per-attempt deadline slices fall through;
@@ -35,7 +38,7 @@ from typing import TYPE_CHECKING
 from repro.query.predicates import BooleanPredicate
 from repro.query.session import QueryResult, QuerySession
 from repro.query.stats import QueryStats
-from repro.route.cache import CachedAnswer, ResultCache, result_key
+from repro.route.cache import CACHED_KINDS, CachedAnswer, ResultCache, result_key
 from repro.route.engines import (
     ENGINES,
     SERVING_CHAIN,
@@ -112,67 +115,67 @@ class QueryRouter:
     # ------------------------------------------------------------------ #
 
     def _breaker_bypass(self, predicate: BooleanPredicate) -> bool:
-        if self.breakers is None or predicate.is_empty():
+        if (
+            self.breakers is None
+            or predicate.is_empty()
+            or not self.breakers.open_count()
+        ):
             return False
         cells = [cell.cell_id for cell in predicate.atomic_cells()]
         if len(predicate) > 1:
             cells.append(predicate.cell().cell_id)
         return any(self.breakers.cell_open(cell_id) for cell_id in cells)
 
-    def _hit_result(
-        self,
-        request: RouteRequest,
-        answer: CachedAnswer,
-        epoch: int,
-        elapsed: float,
-    ) -> QueryResult:
-        stats = QueryStats()
-        stats.epoch = epoch
-        stats.route = answer.strategy
-        stats.tier = answer.tier
-        stats.cache_outcome = "hit"
-        stats.cache_computed_epoch = answer.computed_epoch
-        stats.elapsed_seconds = elapsed
+    def lookup(
+        self, request: RouteRequest, epoch: int | None
+    ) -> tuple[QueryResult | None, tuple | None, str | None]:
+        """The cache half of :meth:`route`: ``(hit, key, outcome)``.
+
+        ``hit`` is the answer (counted here, a hit's only count) or
+        ``None``; ``key`` is what a computed answer is put under (``None``:
+        not cached); ``outcome`` is ``"hit"``, ``"miss"``, ``"bypass"`` or
+        ``None`` (no cache, no epoch, another kind).  It reads no storage,
+        so the executor runs it on the submitting thread.
+        """
+        if self.cache is None or epoch is None or request.kind not in CACHED_KINDS:
+            return None, None, None
+        started = time.perf_counter()
+        self.cache.on_epoch(epoch, self.deltas)
+        if self._breaker_bypass(request.predicate):
+            return None, None, "bypass"
+        key = result_key(
+            request.kind,
+            request.predicate,
+            request.preference_by,
+            request.fn,
+            request.k,
+            epoch,
+        )
+        if key is None:
+            return None, None, "bypass"
+        answer = self.cache.get(key)
+        if answer is None:
+            return None, key, "miss"
+        self.stats.bump(routed=1, cache_hits=1)
+        stats = QueryStats(
+            elapsed_seconds=time.perf_counter() - started,
+            tier=answer.tier,
+            epoch=epoch,
+            route=answer.strategy,
+            cache_outcome="hit",
+            cache_computed_epoch=answer.computed_epoch,
+        )
         scores = list(answer.scores) if answer.scores is not None else None
-        return stateless_result(request, list(answer.tids), scores, stats)
+        hit = stateless_result(request, list(answer.tids), scores, stats)
+        return hit, key, "hit"
 
     def route(
         self, session: QuerySession, request: RouteRequest
     ) -> QueryResult:
         """Answer one query from the cache, or down the chain."""
-        started = time.perf_counter()
-        # -- cache lookup (bypassed: open breaker, untokened function) -- #
-        cache_outcome: str | None = None
-        key = None
-        cacheable = (
-            self.cache is not None
-            and session.epoch is not None
-            and request.kind in ("skyline", "topk")
-        )
-        if cacheable:
-            self.cache.on_epoch(session.epoch, self.deltas)
-            if not self._breaker_bypass(request.predicate):
-                key = result_key(
-                    request.kind,
-                    request.predicate,
-                    request.preference_by,
-                    request.fn,
-                    request.k,
-                    session.epoch,
-                )
-            if key is None:
-                cache_outcome = "bypass"
-            else:
-                answer = self.cache.get(key)
-                if answer is not None:
-                    self.stats.bump(routed=1, cache_hits=1)
-                    return self._hit_result(
-                        request,
-                        answer,
-                        session.epoch,
-                        time.perf_counter() - started,
-                    )
-                cache_outcome = "miss"
+        hit, key, cache_outcome = self.lookup(request, session.epoch)
+        if hit is not None:
+            return hit
 
         # -- run the chain ---------------------------------------------- #
         pinned = self.policy.chain

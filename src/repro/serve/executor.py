@@ -6,6 +6,10 @@ The serving pipeline, front to back:
   :class:`Ticket` on a **bounded admission queue**; a full queue rejects
   the submission immediately (:class:`AdmissionFull`) instead of building
   unbounded backlog — the caller sheds load or retries.
+* With routing on, a skyline/top-k first looks in the result cache on the
+  **submitting thread** (:meth:`~repro.route.QueryRouter.lookup` reads no
+  storage): a hit comes back as an already-finished ticket and never
+  enters the queue; only a miss or bypass is queued.
 * A fixed pool of worker threads drains the queue.  Each worker **pins the
   current epoch snapshot**, binds a
   :class:`~repro.query.session.QuerySession` to it (sharing the executor's
@@ -46,6 +50,7 @@ from repro.obs.trace import Tracer
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import RankingFunction
 from repro.query.session import QueryResult, QuerySession
+from repro.route.cache import CACHED_KINDS
 from repro.route.engines import (
     SERVING_CHAIN,
     EngineContext,
@@ -128,6 +133,12 @@ class AdmissionFull(RuntimeError):
         self.retry_after = retry_after
 
 
+#: The two events every ticket born finished shares: ``done`` is set, and
+#: ``cancel`` never is (:meth:`Ticket.cancel` refuses once done).
+_DONE, _NEVER = threading.Event(), threading.Event()
+_DONE.set()
+
+
 class Ticket:
     """A submitted query: a future for its :class:`QueryResult`.
 
@@ -135,14 +146,17 @@ class Ticket:
     blocks until a worker finishes the query, then returns the
     :class:`~repro.query.session.QueryResult` or raises whatever the query
     raised (:class:`QueryTimeout` / :class:`QueryCancelled` included).
+    A ticket constructed with its ``result`` (a cache hit answered at
+    submission) is born finished.
     """
 
     def __init__(
         self,
         kind: str,
-        run: Callable[[QuerySession], QueryResult],
+        run: Callable[[QuerySession], QueryResult] | None,
         deadline_at: float | None,
         tracer: Tracer | None = None,
+        result: QueryResult | None = None,
     ) -> None:
         self.kind = kind
         self._run = run
@@ -151,10 +165,10 @@ class Ticket:
         self.submitted_at = time.perf_counter()
         self.queue_wait_seconds = 0.0
         self.epoch: int | None = None
-        self._done = threading.Event()
-        self._cancel = threading.Event()
-        self._result: QueryResult | None = None
+        self._result = result
         self._error: BaseException | None = None
+        self._done = threading.Event() if result is None else _DONE
+        self._cancel = threading.Event() if result is None else _NEVER
 
     def cancel(self) -> bool:
         """Request cancellation; returns False if already finished.
@@ -181,11 +195,6 @@ class Ticket:
             raise self._error
         assert self._result is not None
         return self._result
-
-    def exception(self, timeout: float | None = None) -> BaseException | None:
-        if not self._done.wait(timeout):
-            raise TimeoutError(f"{self.kind} ticket still pending")
-        return self._error
 
     def _finish(
         self,
@@ -241,7 +250,8 @@ class QueryExecutor:
             query straight down the serving chain.
             Routed answers are canonicalised (skyline tids ascending,
             top-k sorted by ``(score, tid)``) and byte-identical to the
-            unrouted engine's answer *sets*.
+            unrouted engine's answer *sets*.  A cache hit is answered on
+            the submitting thread (queue wait 0, no pin).
 
     Use as a context manager, or call :meth:`shutdown` explicitly.
     """
@@ -420,22 +430,63 @@ class QueryExecutor:
         return len(evicted)
 
     def _submit_request(
-        self, request: RouteRequest, deadline: float | None
+        self,
+        kind: str,
+        predicate: BooleanPredicate | None,
+        deadline: float | None,
+        tracer: Tracer | None,
+        **shape,
     ) -> Ticket:
+        request = RouteRequest(
+            kind, predicate or BooleanPredicate(), tracer=tracer, **shape
+        )
+        if self.router is not None and kind in CACHED_KINDS and not self._closed:
+            ticket = self._answer_hit(request)
+            if ticket is not None:
+                return ticket
         return self.submit(
-            request.kind,
+            kind,
             lambda session: self._answer(session, request),
             deadline=deadline,
-            tracer=request.tracer,
+            tracer=tracer,
         )
+
+    def _answer_hit(self, request: RouteRequest) -> Ticket | None:
+        """A result-cache hit as a finished ticket, on the submitting thread:
+        no pin, no worker, no queue.  ``None`` on a miss or bypass; the
+        worker's :meth:`~repro.route.QueryRouter.route` then looks again at
+        its pinned epoch (another worker may have put the answer since)."""
+        started = time.perf_counter()
+        epoch = self.epochs.current_epoch
+        tracer = request.tracer
+        if tracer is None:
+            hit = self.router.lookup(request, epoch)[0]
+        else:
+            with tracer.span("route:lookup", kind=request.kind, epoch=epoch) as span:
+                hit, _, span.attrs["cache_outcome"] = self.router.lookup(
+                    request, epoch
+                )
+        if hit is None:
+            return None
+        ticket = Ticket(request.kind, None, None, tracer, result=hit)
+        ticket.epoch = epoch
+        self.stats.bump(submitted=1)
+        self.stats.note_finished(
+            "completed",
+            queue_wait=0.0,
+            run_seconds=time.perf_counter() - started,
+            epoch=epoch,
+            stats=hit.stats,
+        )
+        return ticket
 
     def _answer(
         self, session: QuerySession, request: RouteRequest
     ) -> QueryResult:
-        """One query down the serving chain (just ``signature`` for the
-        kinds no scan engine answers) — through the router's result cache
-        for the kinds it caches."""
-        if self.router is not None and request.kind in ("skyline", "topk"):
+        """One queued query down the serving chain (just ``signature`` for
+        the kinds no scan engine answers) — through the router for the
+        kinds it caches."""
+        if self.router is not None and request.kind in CACHED_KINDS:
             return self.router.route(session, request)
         chain = chain_for(SERVING_CHAIN, request, self._ctx, session.relation)
         return run_chain(chain, session, request, self._ctx)[0]
@@ -448,13 +499,7 @@ class QueryExecutor:
         tracer: Tracer | None = None,
     ) -> Ticket:
         return self._submit_request(
-            RouteRequest(
-                "skyline",
-                predicate or BooleanPredicate(),
-                preference_by=preference_by,
-                tracer=tracer,
-            ),
-            deadline,
+            "skyline", predicate, deadline, tracer, preference_by=preference_by
         )
 
     def topk(
@@ -465,12 +510,7 @@ class QueryExecutor:
         deadline: float | None = None,
         tracer: Tracer | None = None,
     ) -> Ticket:
-        return self._submit_request(
-            RouteRequest(
-                "topk", predicate or BooleanPredicate(), fn=fn, k=k, tracer=tracer
-            ),
-            deadline,
-        )
+        return self._submit_request("topk", predicate, deadline, tracer, fn=fn, k=k)
 
     def dynamic_skyline(
         self,
@@ -480,13 +520,11 @@ class QueryExecutor:
         tracer: Tracer | None = None,
     ) -> Ticket:
         return self._submit_request(
-            RouteRequest(
-                "dynamic_skyline",
-                predicate or BooleanPredicate(),
-                query_point=tuple(query_point),
-                tracer=tracer,
-            ),
+            "dynamic_skyline",
+            predicate,
             deadline,
+            tracer,
+            query_point=tuple(query_point),
         )
 
     def lower_hull(
@@ -495,12 +533,7 @@ class QueryExecutor:
         deadline: float | None = None,
         tracer: Tracer | None = None,
     ) -> Ticket:
-        return self._submit_request(
-            RouteRequest(
-                "lower_hull", predicate or BooleanPredicate(), tracer=tracer
-            ),
-            deadline,
-        )
+        return self._submit_request("lower_hull", predicate, deadline, tracer)
 
     # ------------------------------------------------------------------ #
     # the worker loop

@@ -20,7 +20,8 @@ class ServingStats(Tally):
 
     Outcome tallies:
 
-    * ``submitted`` — tickets accepted into the admission queue;
+    * ``submitted`` — tickets accepted: queued, or (a routed cache hit)
+      answered on the submitting thread with a queue wait of 0;
     * ``rejected`` — submissions refused because the queue was full;
     * ``completed`` / ``failed`` — queries that returned / raised;
     * ``timed_out`` / ``cancelled`` — aborted via the ticker (both also

@@ -104,7 +104,10 @@ class SimulatedDisk:
         self.write_counters = IOCounters()
         #: Buffer pools to notify when a page is freed (weakly held — pools
         #: are usually per-query and must not be kept alive by the disk).
+        #: Readers register pools while a writer notifies: one lock, or a
+        #: writer's walk can meet a set that changed size under it.
         self._pools: "weakref.WeakSet" = weakref.WeakSet()
+        self._pools_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # buffer-pool coordination
@@ -112,10 +115,13 @@ class SimulatedDisk:
 
     def register_pool(self, pool: Any) -> None:
         """Register a buffer pool for free/write invalidation callbacks."""
-        self._pools.add(pool)
+        with self._pools_lock:
+            self._pools.add(pool)
 
     def _notify_invalidated(self, page_id: int) -> None:
-        for pool in list(self._pools):
+        with self._pools_lock:
+            pools = list(self._pools)
+        for pool in pools:
             pool.invalidate(page_id)
 
     # ------------------------------------------------------------------ #

@@ -7,6 +7,8 @@ import time
 
 import pytest
 
+from repro.obs import Tracer
+from repro.query.ranking import SumFunction
 from repro.serve.executor import (
     AdmissionFull,
     QueryCancelled,
@@ -113,8 +115,10 @@ def test_ticker_aborts_a_running_query(system):
             ticket.result(timeout=30.0)
 
 
-def test_submit_after_shutdown_raises(system):
-    executor = QueryExecutor(system, threads=1)
+@pytest.mark.parametrize("routing", [False, True])
+def test_submit_after_shutdown_raises(system, routing):
+    executor = QueryExecutor(system, threads=1, routing=routing)
+    executor.skyline().result(timeout=30.0)  # routed: the next one is a hit
     executor.shutdown()
     with pytest.raises(RuntimeError, match="shut down"):
         executor.skyline()
@@ -197,6 +201,96 @@ def test_health_is_every_tally_verbatim(system):
         "routed", "fell_back", "routes",
         "cache_hits", "cache_misses", "cache_bypassed",
     } & set(health["serving"])
+
+
+def _counting_pins(executor, monkeypatch) -> list:
+    """Record every snapshot pin the executor takes."""
+    pins: list = []
+    pin = executor.epochs.pin
+
+    def counted():
+        pins.append(threading.current_thread().name)
+        return pin()
+
+    monkeypatch.setattr(executor.epochs, "pin", counted)
+    return pins
+
+
+def test_a_cache_hit_never_leaves_the_submitting_thread(system, monkeypatch):
+    """With the one worker parked and the depth-1 queue full, a repeat of
+    a cached query is still answered: at submission, on the caller's
+    thread, with no pin, no queue wait and no admission check — counted."""
+    started, gate = threading.Event(), threading.Event()
+    with QueryExecutor(
+        system, threads=1, queue_depth=1, routing=True
+    ) as executor:
+        computed = executor.skyline().result(timeout=30.0)
+        assert computed.stats.cache_outcome == "miss"
+        pins = _counting_pins(executor, monkeypatch)
+        blocked = executor.submit("block", _blocker(started, gate))
+        assert started.wait(timeout=30.0)
+        queued = executor.topk(SumFunction(2), 5)  # a miss: fills the queue
+        assert pins == ["serve-worker-0"]  # the parked query's pin only
+
+        ticket = executor.skyline()
+        assert ticket.done() and not ticket.cancel()
+        hit = ticket.result(timeout=0)
+        assert hit.tids == computed.tids
+        assert hit.stats.cache_outcome == "hit"
+        assert hit.stats.queue_wait_seconds == 0.0
+        assert ticket.epoch == hit.stats.epoch == executor.epochs.current_epoch
+        assert pins == ["serve-worker-0"]
+        with pytest.raises(AdmissionFull):  # a miss still needs the queue
+            executor.topk(SumFunction(2), 6)
+
+        gate.set()
+        blocked.result(timeout=30.0)
+        queued.result(timeout=30.0)
+        stats = executor.stats.snapshot()
+        routing = executor.router.stats.snapshot()
+    assert stats["submitted"] == 4 and stats["completed"] == 4
+    assert stats["rejected"] == 1 and stats["queue_wait_max"] > 0.0
+    assert routing["routed"] == 3 and routing["cache_hits"] == 1
+    assert routing["cache_misses"] == 2
+
+
+def test_a_queued_miss_looks_again_at_its_pinned_epoch(system):
+    """Two copies of one query queued behind a parked worker both miss at
+    submission; the first computes and caches the answer, and the second
+    is a hit in the worker — one lookup outcome counted per query."""
+    started, gate = threading.Event(), threading.Event()
+    with QueryExecutor(system, threads=1, routing=True) as executor:
+        blocked = executor.submit("block", _blocker(started, gate))
+        assert started.wait(timeout=30.0)
+        first, second = executor.skyline(), executor.skyline()
+        assert not first.done() and not second.done()
+        gate.set()
+        blocked.result(timeout=30.0)
+        outcomes = [
+            ticket.result(timeout=30.0).stats.cache_outcome
+            for ticket in (first, second)
+        ]
+        assert second.result().tids == first.result().tids
+        assert second.queue_wait_seconds > 0.0
+        routing = executor.router.stats.snapshot()
+    assert outcomes == ["miss", "hit"]
+    assert (routing["routed"], routing["cache_hits"]) == (2, 1)
+    assert routing["cache_misses"] == 1
+
+
+def test_a_traced_lookup_is_one_span_on_the_submitting_thread(system):
+    with QueryExecutor(system, threads=1, routing=True) as executor:
+        miss, hit = Tracer(), Tracer()
+        executor.skyline(tracer=miss).result(timeout=30.0)
+        executor.skyline(tracer=hit).result(timeout=30.0)
+    assert [span.name for span in miss.roots] == ["route:lookup", "serve:query"]
+    assert [span.name for span in hit.roots] == ["route:lookup"]
+    assert miss.roots[0].attrs["cache_outcome"] == "miss"
+    assert hit.roots[0].attrs == {
+        "kind": "skyline",
+        "epoch": system.epochs.current_epoch,
+        "cache_outcome": "hit",
+    }
 
 
 def test_finished_result_is_collectable_while_worker_idles(system):

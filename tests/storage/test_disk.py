@@ -114,3 +114,46 @@ def test_write_accounting_is_separate_from_read_counters():
     assert disk.write_counters.get("FREE") == 1
     # Build/maintenance traffic never pollutes the paper's read figures.
     assert disk.counters.total() == 0
+
+
+def test_pools_registered_while_a_writer_notifies():
+    """Readers register per-query pools while the writer invalidates: the
+    writer's walk of the registry must never see it change size."""
+    import sys
+    import threading
+
+    from repro.storage.buffer import BufferPool
+
+    disk = SimulatedDisk()
+    page = disk.allocate("t", payload=0)
+    pools = [BufferPool(disk, capacity=4) for _ in range(50)]
+    errors: list[str] = []
+    done = threading.Event()
+
+    def register():
+        while not done.is_set():
+            pools.append(BufferPool(disk, capacity=4))
+            del pools[100:]
+
+    def notify():
+        try:
+            for value in range(400):
+                disk.write(page, payload=value)
+        except RuntimeError as exc:
+            errors.append(repr(exc))
+        finally:
+            done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fn) for fn in (register, notify)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert errors == []
