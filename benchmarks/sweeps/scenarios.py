@@ -36,9 +36,7 @@ from benchmarks.sweeps.harness import Point, empty_series
 from repro.data.fixtures import N_QUERIES, SWEEP_SIZES, build_sweep_system, sweep_config
 from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
-from repro.query.skyline import skyline_signature
 from repro.query.stats import QueryStats
-from repro.query.topk import topk_signature
 from repro.system import build_system
 
 K_VALUES = (10, 20, 50, 100)
@@ -140,21 +138,19 @@ def fig06_size(ctx: BenchContext) -> dict[str, Any]:
 def skyline_methods(system, predicate) -> dict[str, QueryStats]:
     """One skyline query on every engine of Figures 8-12 and 14, answers
     checked against each other: series name → the engine's stats."""
-    sig_tids, sig_stats, _ = skyline_signature(
-        system.relation, system.rtree, system.pcube, predicate
-    )
+    sig = system.engine.skyline(predicate)
     bool_tids, bool_stats = boolean_first_skyline(
         system.relation, system.indexes, predicate
     )
     dom_tids, dom_stats, _ = domination_first_skyline(
         system.relation, system.rtree, predicate
     )
-    if not set(sig_tids) == set(bool_tids) == set(dom_tids):
+    if not set(sig.tids) == set(bool_tids) == set(dom_tids):
         raise AssertionError(
             f"skyline mismatch at T={len(system.relation)}: {predicate!r}"
         )
     return {
-        "Signature": sig_stats,
+        "Signature": sig.stats,
         "Boolean": bool_stats,
         "Domination": dom_stats,
     }
@@ -164,9 +160,7 @@ def topk_methods(system, fn, k: int, predicate) -> dict[str, QueryStats]:
     """One top-k query on every engine of Figure 13, scores checked against
     each other: series name → the engine's stats."""
     relation = system.relation
-    ranked_sig, sig_stats, _ = topk_signature(
-        relation, system.rtree, system.pcube, fn, k, predicate
-    )
+    sig = system.engine.topk(fn, k, predicate)
     ranked_bool, bool_stats = boolean_first_topk(
         relation, system.indexes, fn, k, predicate
     )
@@ -176,12 +170,12 @@ def topk_methods(system, fn, k: int, predicate) -> dict[str, QueryStats]:
     ranked_merge, merge_stats = index_merge_topk(
         relation, system.rtree, system.indexes, fn, k, predicate
     )
-    reference = [round(score, 9) for _, score in ranked_sig]
+    reference = [round(score, 9) for score in sig.scores]
     for other in (ranked_bool, ranked_rank, ranked_merge):
         if [round(score, 9) for _, score in other] != reference:
             raise AssertionError(f"top-k mismatch at k={k}: {predicate!r}")
     return {
-        "Signature": sig_stats,
+        "Signature": sig.stats,
         "Boolean": bool_stats,
         "Ranking": rank_stats,
         "IndexMerge": merge_stats,

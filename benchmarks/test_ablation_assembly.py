@@ -27,7 +27,6 @@ from repro.core.ops import intersect_all
 from repro.core.pcube import SignatureAdapter
 from repro.core.store import MemberReaders
 from repro.query.algorithm1 import SkylineStrategy, run_algorithm1
-from repro.query.skyline import skyline_signature
 from repro.query.stats import QueryStats
 from repro.storage.buffer import BufferPool
 
@@ -76,9 +75,8 @@ def assembly_comparison(covertype_system):
         chain = covertype_predicates(system, rng)
         for predicate in chain[1:]:
             cells = predicate.atomic_cells()
-            tids, on_demand, _ = skyline_signature(
-                system.relation, system.rtree, system.pcube, predicate
-            )
+            result = system.engine.skyline(predicate)
+            tids, on_demand = result.tids, result.stats
             oracle_tids, oracle = _skyline_with(
                 system,
                 lambda pool, counters: SignatureAdapter(

@@ -18,7 +18,7 @@ from repro.core.pcube import PCube
 from repro.cube.cuboid import Cuboid, atomic_cuboids
 from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_predicate
-from repro.query.skyline import skyline_signature
+from repro.query.session import QuerySession
 from repro.rtree.bulk import bulk_load
 
 T = 20_000
@@ -56,13 +56,13 @@ def materialization_comparison():
     atomic_ssig = rich_ssig = 0
     for _ in range(N_QUERIES):
         predicate = sample_predicate(relation, 2, rng)
-        tids_a, stats_a, _ = skyline_signature(relation, rtree, atomic, predicate)
-        tids_r, stats_r, _ = skyline_signature(relation, rtree, rich, predicate)
-        assert set(tids_a) == set(tids_r)
-        atomic_io += stats_a.sblock
-        rich_io += stats_r.sblock
-        atomic_ssig += stats_a.ssig
-        rich_ssig += stats_r.ssig
+        on_a = QuerySession(relation, rtree, atomic).skyline(predicate)
+        on_r = QuerySession(relation, rtree, rich).skyline(predicate)
+        assert set(on_a.tids) == set(on_r.tids)
+        atomic_io += on_a.stats.sblock
+        rich_io += on_r.stats.sblock
+        atomic_ssig += on_a.stats.ssig
+        rich_ssig += on_r.stats.ssig
     return {
         "atomic": (
             atomic_build,

@@ -12,12 +12,9 @@ import pytest
 
 from benchmarks.conftest import SWEEP_SIZES, print_table
 from repro.data.workload import sample_linear_function, sample_predicate
-from repro.query.dynamic import DynamicSkylineStrategy, dynamic_skyline_signature
-from repro.query.hull import lower_hull_signature
+from repro.query.dynamic import DynamicSkylineStrategy
 from repro.query.algorithm1 import run_algorithm1
-from repro.query.skyline import skyline_signature
 from repro.query.stats import QueryStats
-from repro.query.topk import topk_signature
 from repro.storage.counters import DBLOCK
 
 
@@ -39,25 +36,14 @@ def extension_comparison():
 
     rows = []
 
-    _, sky_stats, _ = skyline_signature(
-        relation, system.rtree, system.pcube, predicate
-    )
-    rows.append(("static skyline", sky_stats))
-
-    _, dyn_stats, _ = dynamic_skyline_signature(
-        relation, system.rtree, system.pcube, query_point, predicate
-    )
-    rows.append(("dynamic skyline", dyn_stats))
-
-    _, topk_stats, _ = topk_signature(
-        relation, system.rtree, system.pcube, fn, 20, predicate
-    )
-    rows.append(("top-20", topk_stats))
-
-    _, hull_stats = lower_hull_signature(
-        relation, system.rtree, system.pcube, predicate
-    )
-    rows.append(("lower hull", hull_stats))
+    engine = system.engine
+    rows.append(("static skyline", engine.skyline(predicate).stats))
+    rows.append((
+        "dynamic skyline",
+        engine.dynamic_skyline(query_point, predicate).stats,
+    ))
+    rows.append(("top-20", engine.topk(fn, 20, predicate).stats))
+    rows.append(("lower hull", engine.lower_hull(predicate).stats))
 
     # The no-signature baseline for the dynamic skyline (predicate-blind
     # search + verification), for the pruning-benefit column.

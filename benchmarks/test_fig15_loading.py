@@ -23,7 +23,6 @@ from benchmarks.conftest import (
     fmt_seconds,
     print_table,
 )
-from repro.query.skyline import skyline_signature
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +34,7 @@ def loading_sweep(covertype_system):
     chain = covertype_predicates(system, rng)
     results = []
     for predicate in chain:
-        _, stats, _ = skyline_signature(
-            system.relation, system.rtree, system.pcube, predicate
-        )
+        stats = system.engine.skyline(predicate).stats
         load_modeled = stats.sig_load_seconds + SECONDS_PER_IO * stats.ssig
         total_modeled = stats.modeled_seconds(SECONDS_PER_IO)
         stored = sum(

@@ -340,3 +340,8 @@ class EpochManager:
     def deferred_free_count(self) -> int:
         with self._lock:
             return len(self._deferred)
+
+    def deferred_pages(self) -> set[int]:
+        """The pages logically freed and still held for pinned readers."""
+        with self._lock:
+            return {page_id for _, page_id in self._deferred}

@@ -206,9 +206,12 @@ def store_directory_problems(
     quarantined: Iterable[Cell],
     directory: Sequence,
     index: Iterable,
+    orphans: Sequence[int],
 ) -> list[str]:
-    """Store-side invariants: no unknown cells, no quarantine residue, and
-    the B+-tree index mirrors the directory exactly."""
+    """Store-side invariants: no unknown cells, no quarantine residue, the
+    B+-tree index mirrors the directory exactly, and no signature page is
+    left that the directory does not reference (``orphans``, deferred epoch
+    frees excluded)."""
     problems = [
         f"store holds unknown cell {cell_id!r}"
         for cell_id in store_cells
@@ -218,6 +221,11 @@ def store_directory_problems(
     if sorted(directory) != sorted(index):
         problems.append(
             "the store's B+-tree index diverges from its directory"
+        )
+    if orphans:
+        problems.append(
+            f"{len(orphans)} signature pages no directory references "
+            f"(first: {list(orphans[:5])})"
         )
     return problems
 

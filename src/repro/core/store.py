@@ -18,9 +18,10 @@ must never produce a wrong answer, only a slower one):
 * :meth:`SignatureStore.load_partial` retries transient read faults with
   bounded, deterministic backoff;
 * :meth:`SignatureStore.replace_partials` is atomic — new pages are
-  allocated first, the directory swap is the commit point, and a journal
-  entry guarantees a fault mid-rewrite leaves the old partials readable
-  (:meth:`SignatureStore.recover` rolls incomplete rewrites back);
+  allocated first and the directory swap is the commit point, so a fault
+  mid-rewrite leaves the old partials readable; a storage fault frees the
+  rewrite's new pages at once, and the pages a crash leaves unreferenced
+  are freed by crash recovery (:meth:`SignatureStore.free_orphans`);
 * when a partial stays unreadable after retries, the owning
   :class:`CellSignatureReader` enters *conservative mode*: bit tests that
   cannot be resolved answer ``True`` (losing boolean pruning, preserving
@@ -33,7 +34,6 @@ must never produce a wrong answer, only a slower one):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from repro.bitmap.bitarray import BitArray
@@ -75,20 +75,6 @@ class MissingPartialError(LookupError):
         self.ref_sid = ref_sid
 
 
-@dataclass
-class RewriteJournalEntry:
-    """One in-flight maintenance rewrite (crash-recovery bookkeeping).
-
-    Uncommitted entries roll back (free the new pages, keep the old ones);
-    committed entries roll forward (free whatever old pages remain).
-    """
-
-    cell_id: str
-    old_refs: dict[int, int]
-    new_pages: list[int] = field(default_factory=list)
-    committed: bool = False
-
-
 class _DirectoryReads:
     """The read side of a ``cell_id -> {ref_sid -> page_id}`` directory —
     the live one (:class:`SignatureStore`) or an epoch's snapshot of it
@@ -118,9 +104,11 @@ class _DirectoryReads:
         ``deadline_at`` (the serving ticket's wall-clock deadline) retries
         whose backoff would outspend the time left are skipped.  A read
         that keeps failing (or a detected corruption) propagates as a typed
-        storage fault for the caller's degraded path.  The index descent itself is served from the directory
-        (equivalent to a pinned B+-tree root path); tests exercise the
-        counted B+-tree separately.
+        storage fault for the caller's degraded path.
+
+        The index descent is served from the directory (equivalent to a
+        pinned B+-tree root path); tests exercise the counted B+-tree
+        separately.
         """
         refs = self._directory.get(cell.cell_id)
         if refs is None or ref_sid not in refs:
@@ -178,7 +166,10 @@ class SignatureStore(_DirectoryReads):
     """Partial signatures on disk, indexed by (cell id, ref SID).
 
     Args:
-        disk, fanout, tag, codec: As before.
+        disk: The device the partials and the (cell, ref) B+-tree live on.
+        fanout: The R-tree fanout the signatures' nodes are sized for.
+        tag: Page-tag prefix (``{tag}:sig``, ``{tag}:index``).
+        codec: Bitmap codec each node is compressed with.
         retry_policy: Bounded-backoff retry for transient read faults;
             defaults to a fresh :class:`RetryPolicy` (deterministic clock,
             no real sleeps).  Pass ``RetryPolicy(max_attempts=1)`` to
@@ -207,7 +198,6 @@ class SignatureStore(_DirectoryReads):
         # cell_id -> (cell, reason) for cells whose partials proved
         # unreadable; cleared by PCube.rebuild_cell().
         self._quarantined: dict[str, tuple[Cell, str]] = {}
-        self._journal: list[RewriteJournalEntry] = []
         #: When set, signature-page frees are routed here instead of
         #: ``disk.free`` — the epoch manager defers them until no pinned
         #: snapshot directory can still reference the page.
@@ -292,66 +282,77 @@ class SignatureStore(_DirectoryReads):
 
         Atomic: the new pages are allocated first, then the directory swaps
         to them in one step (the commit point), then the index is brought in
-        line and the old pages freed.  A journal entry covers the whole
-        rewrite, so a fault at any point leaves either the old or the new
-        partials fully readable — never a mix, never nothing.
+        line and the old pages freed.  A storage fault while allocating
+        frees the pages this rewrite allocated and leaves the old partials
+        current; once the swap has committed, the old pages are freed
+        whatever happens next.  A crash leaves the unreferenced generation
+        on disk for :meth:`free_orphans` (``PCubeSystem.recover``).
         """
-        self.recover()
         cell_id = cell.cell_id
-        existing = dict(self._directory.get(cell_id, {}))
-        journal = RewriteJournalEntry(cell_id=cell_id, old_refs=existing)
-        self._journal.append(journal)
-        # Phase 1: allocate every new page.  A torn fault here propagates
-        # with the directory untouched; recover() frees the orphans.
+        existing = self._directory.get(cell_id, {})
+        # Phase 1: allocate every new page; the directory is untouched.
         refs: dict[int, int] = {}
-        for partial in partials:
-            page_id = self.disk.allocate(
-                f"{self.tag}:sig", size=partial.size_bytes, payload=partial
-            )
-            journal.new_pages.append(page_id)
-            refs[partial.ref_sid] = page_id
-        # Phase 2: commit — one directory swap.
-        journal.committed = True
-        self._directory[cell_id] = refs
-        # Phase 3: keep the B+-tree exactly in line with the directory —
-        # vanished refs are deleted (not left stale), moved refs are
-        # replaced rather than duplicated.
-        for ref in existing:
-            self._index.delete((cell_id, ref))
-        for ref in sorted(refs):
-            self._index.insert((cell_id, ref), refs[ref])
-        # Phase 4: free the replaced pages (registered buffer pools are
-        # told to evict them, so no reader can see a stale partial).  Under
-        # an epoch manager the physical free is deferred instead, because a
-        # pinned snapshot directory may still reference the old pages.
-        for page_id in existing.values():
-            self._free_sig_page(page_id)
-        self._journal.remove(journal)
-
-    def recover(self) -> int:
-        """Resolve interrupted rewrites; returns how many were resolved.
-
-        Called automatically at the start of every rewrite and rebuild; safe
-        to call at any time.
-        """
-        resolved = 0
-        for journal in list(self._journal):
-            if journal.committed:
-                # Roll forward: the directory already points at the new
-                # pages; free whatever old pages were not freed yet.
-                leftovers = journal.old_refs.values()
-            else:
-                # Roll back: the old pages are still current; free the
-                # partially allocated new generation.
-                leftovers = journal.new_pages
-            current = set(self._directory.get(journal.cell_id, {}).values())
-            for page_id in leftovers:
-                if page_id in current:
-                    continue
+        try:
+            for partial in partials:
+                refs[partial.ref_sid] = self.disk.allocate(
+                    f"{self.tag}:sig", size=partial.size_bytes, payload=partial
+                )
+        except StorageFault:
+            for page_id in refs.values():
                 self._free_sig_page(page_id)
-            self._journal.remove(journal)
-            resolved += 1
-        return resolved
+            raise
+        # Phase 2: commit — one directory swap.
+        self._directory[cell_id] = refs
+        try:
+            # Phase 3: keep the B+-tree exactly in line with the directory —
+            # vanished refs are deleted (not left stale), moved refs are
+            # replaced rather than duplicated.
+            for ref in existing:
+                self._index.delete((cell_id, ref))
+            for ref in sorted(refs):
+                self._index.insert((cell_id, ref), refs[ref])
+        finally:
+            # Phase 4: free the replaced pages (registered buffer pools are
+            # told to evict them, so no reader can see a stale partial).
+            # Under an epoch manager the physical free is deferred instead,
+            # because a pinned snapshot directory may still reference them.
+            for page_id in existing.values():
+                self._free_sig_page(page_id)
+
+    def orphan_pages(self, held: Collection[int] = ()) -> list[int]:
+        """Signature pages the directory does not reference and ``held``
+        (the epoch manager's deferred frees) does not name — what a crash
+        mid-rewrite leaves behind."""
+        tag = f"{self.tag}:sig"
+        referenced = {
+            page_id
+            for refs in self._directory.values()
+            for page_id in refs.values()
+        }
+        return sorted(
+            page.page_id
+            for page in self.disk.pages(tag)
+            if page.tag == tag
+            and page.page_id not in referenced
+            and page.page_id not in held
+        )
+
+    def free_orphans(self, held: Collection[int] = ()) -> int:
+        """Free every :meth:`orphan_pages` page; returns how many.
+
+        Crash recovery's sweep, the sibling of :meth:`reset_index`: the
+        directory is authoritative, so a page it does not reference belongs
+        to a rewrite that never committed (or committed without freeing the
+        generation it replaced).  Only safe while no rewrite is in flight —
+        its new pages are unreferenced until its commit point.
+        """
+        orphans = self.orphan_pages(held)
+        for page_id in orphans:
+            try:
+                self.disk.free(page_id)
+            except PageFault:
+                pass
+        return len(orphans)
 
     # ------------------------------------------------------------------ #
     # quarantine & rebuild

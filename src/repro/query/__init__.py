@@ -17,10 +17,6 @@ from repro.query.ranking import (
     WeightedSquaredDistance,
 )
 from repro.query.stats import QueryStats
-from repro.query.skyline import skyline_signature
-from repro.query.topk import topk_signature
-from repro.query.dynamic import dynamic_skyline_signature
-from repro.query.hull import lower_hull_signature
 from repro.query.session import QueryResult, QuerySession
 from repro.query.sql import SQLSyntaxError, execute as execute_sql, parse_query
 
@@ -35,10 +31,6 @@ __all__ = [
     "SumFunction",
     "WeightedSquaredDistance",
     "SQLSyntaxError",
-    "dynamic_skyline_signature",
     "execute_sql",
-    "lower_hull_signature",
     "parse_query",
-    "skyline_signature",
-    "topk_signature",
 ]

@@ -20,9 +20,6 @@ from repro.core.pcube import EmptyReader, PCube
 from repro.core.store import MemberReaders
 from repro.cube.relation import Relation
 from repro.query.predicates import BooleanPredicate
-from repro.query.ranking import RankingFunction
-from repro.query.stats import QueryStats
-from repro.rtree.rtree import RTree
 from repro.storage.buffer import BufferPool
 
 
@@ -93,37 +90,3 @@ def reader_for_dnf(
     if len(readers) == 1:
         return readers[0]
     return AnyOfReader(readers)
-
-
-def skyline_dnf(
-    relation: Relation,
-    rtree: RTree,
-    pcube: PCube,
-    disjuncts: Sequence[BooleanPredicate],
-    pool: BufferPool | None = None,
-) -> tuple[list[int], QueryStats]:
-    """Skyline over the union of the disjuncts' subsets."""
-    from repro.query.session import QuerySession
-
-    result = QuerySession(relation, rtree, pcube, pool=pool).skyline_dnf(
-        disjuncts
-    )
-    return result.tids, result.stats
-
-
-def topk_dnf(
-    relation: Relation,
-    rtree: RTree,
-    pcube: PCube,
-    fn: RankingFunction,
-    k: int,
-    disjuncts: Sequence[BooleanPredicate],
-    pool: BufferPool | None = None,
-) -> tuple[list[tuple[int, float]], QueryStats]:
-    """Top-k over the union of the disjuncts' subsets."""
-    from repro.query.session import QuerySession
-
-    result = QuerySession(relation, rtree, pcube, pool=pool).topk_dnf(
-        fn, k, disjuncts
-    )
-    return list(zip(result.tids, result.scores)), result.stats

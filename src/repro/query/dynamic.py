@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.pcube import PCube
-from repro.cube.relation import Relation
 from repro.kernels.dominate import dominated_mask
 from repro.kernels.mindist import (
     as_rows,
@@ -28,13 +26,9 @@ from repro.kernels.mindist import (
     transform_points_rows,
     transform_rect_lowers_rows,
 )
-from repro.query.algorithm1 import SearchState, SkylineStrategy
-from repro.query.predicates import BooleanPredicate
-from repro.query.stats import QueryStats
+from repro.query.algorithm1 import SkylineStrategy
 from repro.rtree.geometry import Rect
 from repro.rtree.node import NodeBlock
-from repro.rtree.rtree import RTree
-from repro.storage.buffer import BufferPool
 
 
 def transform_point(
@@ -103,28 +97,6 @@ class DynamicSkylineStrategy(SkylineStrategy):
             )
         dominated = self._buffer.dominates_block(image, packed=True)
         return sum_block(image), dominated, image
-
-
-def dynamic_skyline_signature(
-    relation: Relation,
-    rtree: RTree,
-    pcube: PCube,
-    query_point: Sequence[float],
-    predicate: BooleanPredicate | None = None,
-    pool: BufferPool | None = None,
-    ticker=None,
-) -> tuple[list[int], QueryStats, SearchState]:
-    """Dynamic skyline with boolean predicates via signatures.
-
-    Returns the tuples not dynamically dominated (w.r.t. ``query_point``)
-    within the predicate's subset, with the usual stats.
-    """
-    from repro.query.session import QuerySession
-
-    result = QuerySession(
-        relation, rtree, pcube, pool=pool, ticker=ticker
-    ).dynamic_skyline(query_point, predicate)
-    return result.tids, result.stats, result.state
 
 
 def naive_dynamic_skyline(

@@ -21,12 +21,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.core.pcube import PCube
-from repro.cube.relation import Relation
-from repro.query.predicates import BooleanPredicate
-from repro.query.stats import QueryStats
-from repro.rtree.rtree import RTree
-from repro.storage.buffer import BufferPool
 
 #: Tolerance for "strictly below the edge" tests.
 _EPSILON = 1e-12
@@ -93,28 +87,6 @@ def lower_hull_chain(
         expand(left, bottom)
         hull.append(bottom)
     return [tid for tid, _ in hull]
-
-
-def lower_hull_signature(
-    relation: Relation,
-    rtree: RTree,
-    pcube: PCube,
-    predicate: BooleanPredicate | None = None,
-    pool: BufferPool | None = None,
-    ticker=None,
-) -> tuple[list[int], QueryStats]:
-    """The lower-left convex hull of the predicate's subset (2-D only).
-
-    Returns hull-vertex tids ordered by increasing x (ties broken towards
-    smaller y), plus stats aggregated over every extreme-point search.
-    Collinear interior points are not reported.
-    """
-    from repro.query.session import QuerySession
-
-    result = QuerySession(
-        relation, rtree, pcube, pool=pool, ticker=ticker
-    ).lower_hull(predicate)
-    return result.tids, result.stats
 
 
 def naive_lower_hull(

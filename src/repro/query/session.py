@@ -114,6 +114,19 @@ def _span(tracer: Tracer | None, name: str, **attrs):
     return tracer.span(name, **attrs) if tracer is not None else nullcontext()
 
 
+#: A conjunction, or a sequence of conjunctions read as their disjunction.
+Predicate = BooleanPredicate | Sequence[BooleanPredicate] | None
+
+
+def _as_predicate(predicate: Predicate) -> BooleanPredicate | tuple:
+    """``None`` → the empty conjunction; a disjunction → a tuple."""
+    if predicate is None:
+        return BooleanPredicate()
+    if isinstance(predicate, BooleanPredicate):
+        return predicate
+    return tuple(predicate)
+
+
 class QuerySession:
     """A stateless query surface over one version of the system.
 
@@ -230,26 +243,31 @@ class QuerySession:
 
     def skyline(
         self,
-        predicate: BooleanPredicate | None = None,
+        predicate: Predicate = None,
         preference_by: tuple[str, ...] | None = None,
         tracer: Tracer | None = None,
         keep_lists: bool = True,
     ) -> QueryResult:
         """A standard skyline query (Algorithm 1 from the root).
 
-        ``preference_by`` restricts the skyline to a subset of preference
-        dimensions by name (Section III's ``preference by N'1, ..., N'j``).
-        Pass a :class:`~repro.obs.trace.Tracer` to capture the span tree
-        and prune/load events of the execution.  ``keep_lists=False`` skips
-        the Lemma 2 lists (saves memory; the result cannot be resumed).
+        ``predicate`` is a conjunction, or a sequence of conjunctions read
+        as their disjunction (signature union, paper Fig. 3b; see
+        :mod:`repro.query.disjunction`).  ``preference_by`` restricts the
+        skyline to a subset of preference dimensions by name (Section III's
+        ``preference by N'1, ..., N'j``).  Pass a
+        :class:`~repro.obs.trace.Tracer` to capture the span tree and
+        prune/load events of the execution.  ``keep_lists=False`` skips the
+        Lemma 2 lists (saves memory; the result cannot be resumed, nor can
+        a disjunction's).
         """
+        predicate = _as_predicate(predicate)
         return self._answer(
             "skyline",
-            predicate or BooleanPredicate(),
+            predicate,
             self._skyline_strategy(preference_by),
             tracer,
             keep_lists=keep_lists,
-            resumable=keep_lists,
+            resumable=keep_lists and isinstance(predicate, BooleanPredicate),
             preference_by=preference_by,
         )
 
@@ -257,19 +275,21 @@ class QuerySession:
         self,
         fn: RankingFunction,
         k: int,
-        predicate: BooleanPredicate | None = None,
+        predicate: Predicate = None,
         tracer: Tracer | None = None,
         keep_lists: bool = True,
     ) -> QueryResult:
         """A standard top-k query (Section V-B): best-first by the lower
-        bound of ``fn`` over each node, k-th-score preference pruning."""
+        bound of ``fn`` over each node, k-th-score preference pruning.
+        ``predicate`` reads as in :meth:`skyline`."""
+        predicate = _as_predicate(predicate)
         return self._answer(
             "topk",
-            predicate or BooleanPredicate(),
+            predicate,
             TopKStrategy(fn, k),
             tracer,
             keep_lists=keep_lists,
-            resumable=keep_lists,
+            resumable=keep_lists and isinstance(predicate, BooleanPredicate),
             fn=fn,
             k=k,
         )
@@ -329,39 +349,6 @@ class QuerySession:
             stats=stats,
             state=SearchState(),
             resumable=False,
-        )
-
-    def skyline_dnf(
-        self,
-        disjuncts: Sequence[BooleanPredicate],
-        tracer: Tracer | None = None,
-    ) -> QueryResult:
-        """Skyline over the union of the disjuncts' subsets (signature
-        union, paper Fig. 3b; see :mod:`repro.query.disjunction`)."""
-        return self._answer(
-            "skyline",
-            tuple(disjuncts),
-            self._skyline_strategy(None),
-            tracer,
-            resumable=False,
-        )
-
-    def topk_dnf(
-        self,
-        fn: RankingFunction,
-        k: int,
-        disjuncts: Sequence[BooleanPredicate],
-        tracer: Tracer | None = None,
-    ) -> QueryResult:
-        """Top-k over the union of the disjuncts' subsets."""
-        return self._answer(
-            "topk",
-            tuple(disjuncts),
-            TopKStrategy(fn, k),
-            tracer,
-            resumable=False,
-            fn=fn,
-            k=k,
         )
 
     # ------------------------------------------------------------------ #

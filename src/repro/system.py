@@ -188,6 +188,13 @@ class PCubeSystem:
           journalled changes and every cell without a completion record is
           re-stored from its counted signature.
 
+        Every outcome, ``"clean"`` included, first frees the signature
+        pages that neither the store's directory nor a deferred epoch free
+        references (:meth:`~repro.core.store.SignatureStore.free_orphans`):
+        a crash mid-rewrite leaves one generation of them.  It runs under
+        :meth:`_maintain`, the single-writer protocol, because an in-flight
+        rewrite's new pages are unreferenced until its commit point.
+
         The operation is committed only after the work is done, so a crash
         *during* recovery leaves the records in place and a re-run
         converges (every step above is idempotent).
@@ -205,11 +212,20 @@ class PCubeSystem:
             raise RuntimeError("this system was built without a WAL")
         self.wal.repair_tail()
         pending = self.wal.pending()
+        return self._maintain(
+            lambda: self._recover(pending),
+            # A clean recovery frees unreferenced pages and writes no row.
+            (lambda _: ()) if pending is None else None,
+        )
+
+    def _held_pages(self) -> set[int]:
+        """Pages an epoch's deferred free still holds for pinned readers."""
+        return set() if self.epochs is None else self.epochs.deferred_pages()
+
+    def _recover(self, pending: PendingOp | None) -> str:
+        self.pcube.store.free_orphans(self._held_pages())
         if pending is None:
             return "clean"
-        return self._maintain(lambda: self._recover_pending(pending))
-
-    def _recover_pending(self, pending: PendingOp) -> str:
         self.maintenance_stats.bump(recoveries=1)
         if pending.changes is None:
             outcome = self._recover_reindex(pending)
@@ -272,8 +288,9 @@ class PCubeSystem:
           multi-dimensional cell also equals, bit for bit, the on-demand
           assembly of its atomic cells (the lattice rule);
         * the store holds no cell outside the cuboids' group-bys, none of
-          its cells is quarantined, and its B+-tree index mirrors the
-          directory exactly.
+          its cells is quarantined, its B+-tree index mirrors the
+          directory exactly, and it holds no signature page the directory
+          does not reference (deferred epoch frees excepted).
         """
         report = ConsistencyReport()
         problems = report.problems
@@ -305,6 +322,7 @@ class PCubeSystem:
                 self.pcube.store.quarantined_cells(),
                 self.pcube.store.directory_entries(),
                 self.pcube.store.index_entries(),
+                self.pcube.store.orphan_pages(self._held_pages()),
             )
         )
         return report

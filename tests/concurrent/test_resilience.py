@@ -433,7 +433,7 @@ def _naive_answer(relation, kind, predicate, disjuncts):
         for tid in relation.tids()
         if (
             matches_dnf(relation, disjuncts, tid)
-            if kind == "skyline_dnf"
+            if kind == "dnf"
             else predicate.matches(relation, tid)
         )
     ]
@@ -444,7 +444,7 @@ def _naive_answer(relation, kind, predicate, disjuncts):
     return sorted(naive_skyline(points))
 
 
-@pytest.mark.parametrize("kind", ["dynamic_skyline", "lower_hull", "skyline_dnf"])
+@pytest.mark.parametrize("kind", ["dynamic_skyline", "lower_hull", "dnf"])
 def test_every_signature_kind_reports_a_degraded_reader(faulty, rng, kind):
     """One runner stamps every kind: a corrupt signature page under a
     dynamic skyline, a hull or a DNF skyline is a ``conservative`` /
@@ -460,7 +460,7 @@ def test_every_signature_kind_reports_a_degraded_reader(faulty, rng, kind):
         if kind == "lower_hull":
             return executor.lower_hull(predicate)
         return executor.submit(
-            "skyline", lambda session: session.skyline_dnf(disjuncts)
+            "skyline", lambda session: session.skyline(disjuncts)
         )
 
     expected = _naive_answer(system.relation, kind, predicate, disjuncts)

@@ -9,7 +9,7 @@ from repro.core.pcube import EmptyReader, PCube
 from repro.cube.cuboid import Cell, Cuboid
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.query.predicates import BooleanPredicate
-from repro.query.skyline import skyline_signature
+from repro.query.session import QuerySession
 from repro.rtree.bulk import bulk_load
 
 
@@ -87,7 +87,7 @@ def test_queries_agree_across_materialisations(rich_system):
                 "A2": relation.bool_value(anchor, "A2"),
             }
         )
-        tids, stats, _ = skyline_signature(relation, rtree, pcube, predicate)
+        tids = QuerySession(relation, rtree, pcube).skyline(predicate).tids
         expected = set(
             naive_skyline(
                 [
@@ -120,12 +120,10 @@ def test_wider_cover_reads_the_same_blocks_on_fewer_partials(rich_system):
                 "A2": relation.bool_value(anchor, "A2"),
             }
         )
-        _, rich_stats, _ = skyline_signature(relation, rtree, pcube, predicate)
-        _, atomic_stats, _ = skyline_signature(
-            relation, rtree, atomic_only, predicate
-        )
-        assert rich_stats.sblock == atomic_stats.sblock
-        assert rich_stats.ssig <= atomic_stats.ssig
+        rich = QuerySession(relation, rtree, pcube).skyline(predicate)
+        atomic = QuerySession(relation, rtree, atomic_only).skyline(predicate)
+        assert rich.stats.sblock == atomic.stats.sblock
+        assert rich.stats.ssig <= atomic.stats.ssig
 
 
 def test_audit_holds_assembled_equal_to_generated_for_every_pair(rich_system):

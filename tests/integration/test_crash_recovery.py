@@ -14,11 +14,13 @@ crash rule never fires but still counts matching accesses, so each
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
+from repro.query.predicates import BooleanPredicate
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import (
     FaultPlan,
@@ -228,4 +230,89 @@ def test_recovery_counters_reported(crash_free):
     assert snapshot["recoveries"] == 1
     assert snapshot["replayed_cells"] >= 1
     assert snapshot["reindexes"] == 0
+    assert system.verify_consistency().ok
+
+
+# --------------------------------------------------------------------- #
+# multi-partial cells: a crash between two partial allocations
+# --------------------------------------------------------------------- #
+
+#: 128-byte pages split every cell's signature over five partials, so a
+#: crash can land between two page allocations of one cell's rewrite (the
+#: sweep's 4 KB fixture stores each cell on one page).
+MULTI_PARTIAL = dict(CONFIG, n_tuples=200)
+
+
+def make_multi_partial_system():
+    disk = FaultyDisk(SimulatedDisk(page_size=128))
+    relation = generate_relation(SyntheticConfig(**MULTI_PARTIAL), disk=disk)
+    system = build_system(relation, fanout=5)
+    partials = Counter(
+        cell_id for (cell_id, _), _ in system.pcube.store.directory_entries()
+    )
+    assert min(partials.values()) >= 2
+    return disk, system
+
+
+def test_crash_between_two_partials_of_a_delete_is_replayed():
+    # A rule that never fires counts the delete's signature-page
+    # allocations on a crash-free run, whose answers are the reference.
+    disk, system = make_multi_partial_system()
+    counter = FaultRule(
+        kind="crash", op="allocate", tag="pcube:sig", probability=0.0,
+        count=None,
+    )
+    disk.plan = FaultPlan([counter])
+    run_delete(system)
+    crash_free = fingerprint(system)
+    assert counter.seen >= 4  # two dirty cells, >= 2 partials each
+
+    # The last allocation: the first cell has committed, the second one's
+    # rewrite holds every new page but one.
+    disk, system = make_multi_partial_system()
+    disk.plan = FaultPlan(
+        [
+            FaultRule(
+                kind="crash", op="allocate", tag="pcube:sig",
+                after=counter.seen - 1, count=1,
+            )
+        ]
+    )
+    with pytest.raises(SimulatedCrash):
+        run_delete(system)
+    disk.plan = FaultPlan()
+    assert system.pcube.store.orphan_pages()  # the torn generation
+
+    assert system.recover() == "replayed"
+    report = system.verify_consistency()
+    assert report.ok, report.problems
+    assert fingerprint(system) == crash_free
+
+
+def test_crash_inside_repair_quarantined_leaves_no_orphan_page():
+    disk, system = make_multi_partial_system()
+    store = system.pcube.store
+    (cell,) = BooleanPredicate({"A1": 0}).atomic_cells()
+    store.quarantine(cell, "scrubber finding")
+    before = fingerprint(system)
+    disk.plan = FaultPlan(
+        [
+            FaultRule(
+                kind="crash", op="allocate", tag="pcube:sig", after=1, count=1
+            )
+        ]
+    )
+    with pytest.raises(SimulatedCrash):
+        system.repair_quarantined()
+    disk.plan = FaultPlan()
+    assert store.orphan_pages()  # the rebuild's first new page
+
+    # A rebuild is not journalled, so the WAL is clean; the sweep runs anyway.
+    assert system.recover() == "clean"
+    assert store.orphan_pages() == []
+    assert system.verify_consistency().problems == [
+        f"cell {cell} is quarantined"
+    ]
+    assert fingerprint(system) == before
+    assert system.repair_quarantined() == [cell]
     assert system.verify_consistency().ok

@@ -34,8 +34,6 @@ from repro.cube.relation import Relation
 from repro.cube.schema import Schema
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import LinearFunction
-from repro.query.skyline import skyline_signature
-from repro.query.topk import topk_signature
 from repro.route import RouteRequest
 from repro.system import build_system
 
@@ -95,9 +93,7 @@ def test_differential_skyline(rows, conjuncts):
     predicate = BooleanPredicate(conjuncts)
 
     expected = sorted(naive_skyline(qualifying_points(relation, predicate)))
-    sig_tids, _, _ = skyline_signature(
-        relation, system.rtree, system.pcube, predicate
-    )
+    sig_tids = system.engine.skyline(predicate).tids
     bool_tids, _ = boolean_first_skyline(
         relation, system.indexes, predicate
     )
@@ -137,9 +133,8 @@ def test_differential_topk(rows, conjuncts, weights, k):
             qualifying_points(relation, predicate), fn, k
         )
     ]
-    ranked_sig, _, _ = topk_signature(
-        relation, system.rtree, system.pcube, fn, k, predicate
-    )
+    sig = system.engine.topk(fn, k, predicate)
+    ranked_sig = list(zip(sig.tids, sig.scores))
     ranked_bool, _ = boolean_first_topk(
         relation, system.indexes, fn, k, predicate
     )
@@ -167,9 +162,7 @@ def test_differential_skyline_members_qualify(rows, conjuncts):
     relation = make_relation(rows)
     system = build_system(relation, fanout=4)
     predicate = BooleanPredicate(conjuncts)
-    sig_tids, _, _ = skyline_signature(
-        relation, system.rtree, system.pcube, predicate
-    )
+    sig_tids = system.engine.skyline(predicate).tids
     assert all(predicate.matches(relation, tid) for tid in sig_tids)
 
 

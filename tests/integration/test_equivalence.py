@@ -19,14 +19,12 @@ from repro.cube.relation import Relation
 from repro.cube.schema import Schema
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
-from repro.query.disjunction import matches_dnf, skyline_dnf
-from repro.query.dynamic import dynamic_skyline_signature, naive_dynamic_skyline
-from repro.query.hull import lower_hull_signature, naive_lower_hull
+from repro.query.disjunction import matches_dnf
+from repro.query.dynamic import naive_dynamic_skyline
+from repro.query.hull import naive_lower_hull
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import WeightedSquaredDistance
 from repro.query.session import QuerySession
-from repro.query.skyline import skyline_signature
-from repro.query.topk import topk_signature
 from repro.route.engines import canonicalize
 from repro.serve.executor import QueryExecutor
 from repro.system import build_system
@@ -52,10 +50,11 @@ def _answer(result):
 
 
 def assert_surfaces_agree(system, predicate, disjuncts, fn):
-    """One read path: for every signature-method kind, the function API,
-    ``system.engine``, a snapshot session and the unrouted executor return
-    the same lists with the same accounting on cold pools — and the routed
-    executor the same answer in canonical order.  Returns the answers."""
+    """One read path: for every signature-method kind, ``system.engine``,
+    a fresh live session, a snapshot session and the unrouted executor
+    return the same lists with the same accounting on cold pools — and the
+    routed executor the same answer in canonical order.  Returns the
+    answers."""
     relation, rtree, pcube = system.relation, system.rtree, system.pcube
     dims = relation.schema.n_preference
     names = relation.schema.preference_dims
@@ -63,76 +62,44 @@ def assert_surfaces_agree(system, predicate, disjuncts, fn):
     wsd = WeightedSquaredDistance([0.4] * dims, [1.0 + d for d in range(dims)])
     point = [0.35] * dims
 
-    def ranked(call):
-        pairs, stats, _ = call
-        return [t for t, _ in pairs], [s for _, s in pairs], stats
-
-    def plain(call):
-        return call[0], None, call[1]
-
-    # kind -> (function API facts, session method name, its arguments)
+    # kind -> (session method name, its arguments)
     kinds = {
-        "skyline": (
-            plain(skyline_signature(relation, rtree, pcube, predicate)),
-            "skyline", (predicate,), {},
-        ),
-        "subspace": (
-            plain(skyline_signature(
-                relation, rtree, pcube, predicate, preference_by=subspace
-            )),
-            "skyline", (predicate,), {"preference_by": subspace},
-        ),
-        "topk-linear": (
-            ranked(topk_signature(relation, rtree, pcube, fn, 10, predicate)),
-            "topk", (fn, 10, predicate), {},
-        ),
-        "topk-wsd": (
-            ranked(topk_signature(relation, rtree, pcube, wsd, 10, predicate)),
-            "topk", (wsd, 10, predicate), {},
-        ),
-        "dynamic": (
-            plain(dynamic_skyline_signature(
-                relation, rtree, pcube, point, predicate
-            )),
-            "dynamic_skyline", (point, predicate), {},
-        ),
-        "dnf": (
-            plain(skyline_dnf(relation, rtree, pcube, disjuncts)),
-            "skyline_dnf", (disjuncts,), {},
-        ),
+        "skyline": ("skyline", (predicate,), {}),
+        "subspace": ("skyline", (predicate,), {"preference_by": subspace}),
+        "topk-linear": ("topk", (fn, 10, predicate), {}),
+        "topk-wsd": ("topk", (wsd, 10, predicate), {}),
+        "dynamic": ("dynamic_skyline", (point, predicate), {}),
+        "dnf": ("skyline", (disjuncts,), {}),
     }
     if dims == 2:
-        kinds["hull"] = (
-            plain(lower_hull_signature(relation, rtree, pcube, predicate)),
-            "lower_hull", (predicate,), {},
-        )
+        kinds["hull"] = ("lower_hull", (predicate,), {})
 
     answers = {}
     snapshot = system.pin_snapshot()
     try:
-        for name, (function_api, method, args, kwargs) in kinds.items():
-            want = _facts(*function_api)
+        for name, (method, args, kwargs) in kinds.items():
 
             def run(session):
                 return getattr(session, method)(*args, **kwargs)
 
             def served(routing):
                 with QueryExecutor(system, threads=1, routing=routing) as ex:
-                    if method == "skyline_dnf":
+                    if name == "dnf":
                         return ex.submit("skyline", run).result(timeout=30.0)
                     return getattr(ex, method)(*args, **kwargs).result(
                         timeout=30.0
                     )
 
+            reference = run(system.engine)
+            want = _facts(reference.tids, reference.scores, reference.stats)
             for surface, result in (
-                ("engine", run(system.engine)),
+                ("live", run(QuerySession(relation, rtree, pcube))),
                 ("snapshot", run(QuerySession.for_snapshot(snapshot))),
                 ("executor", served(False)),
             ):
                 got = _facts(result.tids, result.scores, result.stats)
                 assert got == want, (name, surface)
                 assert result.stats.route is None
-            reference = run(system.engine)
             assert _answer(served(True)) == _answer(reference), name
             answers[name] = want[0]
     finally:
@@ -174,9 +141,7 @@ def test_all_methods_agree(distribution, n_preference, fanout):
         truth = qualifying_points(relation, predicate)
         expected_sky = sorted(naive_skyline(truth))
 
-        sig_tids, _, _ = skyline_signature(
-            relation, system.rtree, system.pcube, predicate
-        )
+        sig_tids = system.engine.skyline(predicate).tids
         assert sorted(sig_tids) == expected_sky
 
         bool_tids, _ = boolean_first_skyline(
@@ -194,9 +159,7 @@ def test_all_methods_agree(distribution, n_preference, fanout):
             round(s, 9) for _, s in naive_topk(truth, fn, 10)
         ]
         for method_scores in (
-            [s for _, s in topk_signature(
-                relation, system.rtree, system.pcube, fn, 10, predicate
-            )[0]],
+            system.engine.topk(fn, 10, predicate).scores,
             [s for _, s in boolean_first_topk(
                 relation, system.indexes, fn, 10, predicate
             )[0]],
@@ -261,9 +224,7 @@ def test_signature_skyline_property(rows, pred_a, use_two, pred_b):
     if use_two:
         conjuncts["B"] = pred_b
     predicate = BooleanPredicate(conjuncts)
-    tids, _, _ = skyline_signature(
-        relation, system.rtree, system.pcube, predicate
-    )
+    tids = system.engine.skyline(predicate).tids
     assert sorted(tids) == sorted(
         naive_skyline(qualifying_points(relation, predicate))
     )
@@ -301,10 +262,8 @@ def test_signature_topk_property(rows, weights, k, value):
     system = build_system(relation, fanout=4, with_indexes=False)
     predicate = BooleanPredicate({"A": value})
     fn = LinearFunction(weights)
-    ranked, _, _ = topk_signature(
-        relation, system.rtree, system.pcube, fn, k, predicate
-    )
+    scores = system.engine.topk(fn, k, predicate).scores
     expected = naive_topk(qualifying_points(relation, predicate), fn, k)
-    assert [round(s, 9) for _, s in ranked] == [
+    assert [round(s, 9) for s in scores] == [
         round(s, 9) for _, s in expected
     ]

@@ -6,7 +6,6 @@ import pytest
 from repro.baselines.domination_first import domination_first_skyline
 from repro.data.workload import sample_predicate
 from repro.query.algorithm1 import SkylineStrategy, run_algorithm1
-from repro.query.skyline import skyline_signature
 from repro.query.stats import QueryStats
 from repro.rtree.node import subtree_tids
 from repro.storage.buffer import BufferPool
@@ -92,12 +91,7 @@ def test_ssig_far_below_sblock(small_system, rng):
     total_ssig = total_sblock = 0
     for _ in range(8):
         predicate = sample_predicate(small_system.relation, 1, rng)
-        _, stats, _ = skyline_signature(
-            small_system.relation,
-            small_system.rtree,
-            small_system.pcube,
-            predicate,
-        )
+        stats = small_system.engine.skyline(predicate).stats
         total_ssig += stats.ssig
         total_sblock += stats.sblock
     assert total_ssig < total_sblock

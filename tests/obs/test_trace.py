@@ -21,7 +21,6 @@ import pytest
 
 from repro.data.workload import sample_linear_function, sample_predicate
 from repro.obs import PRUNE, PRUNE_ARMS, SIG_LOAD, Span, Tracer
-from repro.query.topk import topk_signature
 
 
 def run_traced_skyline(system, rng, n_conjuncts=1):
@@ -174,24 +173,9 @@ class TestNoBehaviourChange:
             small_system.relation.schema.n_preference, rng
         )
         tracer = Tracer()
-        plain, _, _ = topk_signature(
-            small_system.relation,
-            small_system.rtree,
-            small_system.pcube,
-            fn,
-            10,
-            predicate,
-        )
-        traced, _, _ = topk_signature(
-            small_system.relation,
-            small_system.rtree,
-            small_system.pcube,
-            fn,
-            10,
-            predicate,
-            tracer=tracer,
-        )
-        assert plain == traced
+        plain = small_system.engine.topk(fn, 10, predicate)
+        traced = small_system.engine.topk(fn, 10, predicate, tracer=tracer)
+        assert (plain.tids, plain.scores) == (traced.tids, traced.scores)
         assert tracer.find_spans("query:topk")
 
 
@@ -210,14 +194,7 @@ class TestOverhead:
 
         def run_once():
             started = time.perf_counter()
-            topk_signature(
-                relation,
-                small_system.rtree,
-                small_system.pcube,
-                fn,
-                20,
-                predicate,
-            )
+            small_system.engine.topk(fn, 20, predicate)
             return time.perf_counter() - started
 
         # Warm up, then take min-of-7 twice; the two minima must agree

@@ -14,8 +14,6 @@ from repro.query.disjunction import (
     AnyOfReader,
     matches_dnf,
     reader_for_dnf,
-    skyline_dnf,
-    topk_dnf,
 )
 from repro.query.algorithm1 import SkylineStrategy, run_algorithm1
 from repro.query.predicates import BooleanPredicate
@@ -37,33 +35,21 @@ def sample_disjuncts(system, rng, n=2):
     return [sample_predicate(system.relation, 1, rng) for _ in range(n)]
 
 
-def test_skyline_dnf_matches_naive(small_system, rng):
+def test_dnf_skyline_matches_naive(small_system, rng):
     for n_disjuncts in (1, 2, 3):
         disjuncts = sample_disjuncts(small_system, rng, n_disjuncts)
-        tids, stats = skyline_dnf(
-            small_system.relation,
-            small_system.rtree,
-            small_system.pcube,
-            disjuncts,
-        )
+        result = small_system.engine.skyline(disjuncts)
         expected = set(naive_skyline(qualifying(small_system, disjuncts)))
-        assert set(tids) == expected
-        assert stats.results == len(expected)
+        assert set(result.tids) == expected
+        assert result.stats.results == len(expected)
 
 
-def test_topk_dnf_matches_naive(small_system, rng):
+def test_dnf_topk_matches_naive(small_system, rng):
     disjuncts = sample_disjuncts(small_system, rng, 2)
     fn = sample_linear_function(2, rng)
-    ranked, _ = topk_dnf(
-        small_system.relation,
-        small_system.rtree,
-        small_system.pcube,
-        fn,
-        10,
-        disjuncts,
-    )
+    scores = small_system.engine.topk(fn, 10, disjuncts).scores
     expected = naive_topk(qualifying(small_system, disjuncts), fn, 10)
-    assert [round(s, 9) for _, s in ranked] == [
+    assert [round(s, 9) for s in scores] == [
         round(s, 9) for _, s in expected
     ]
 
@@ -73,12 +59,7 @@ def test_dnf_with_conjunctive_disjuncts(small_system, rng):
     first = sample_predicate(small_system.relation, 2, rng)
     second = sample_predicate(small_system.relation, 1, rng)
     disjuncts = [first, second]
-    tids, _ = skyline_dnf(
-        small_system.relation,
-        small_system.rtree,
-        small_system.pcube,
-        disjuncts,
-    )
+    tids = small_system.engine.skyline(disjuncts).tids
     expected = set(naive_skyline(qualifying(small_system, disjuncts)))
     assert set(tids) == expected
 
@@ -97,25 +78,15 @@ def test_all_unsatisfiable_disjuncts(small_system):
         [BooleanPredicate({"A1": 777}), BooleanPredicate({"A2": 888})],
     )
     assert isinstance(reader, EmptyReader)
-    tids, stats = skyline_dnf(
-        small_system.relation,
-        small_system.rtree,
-        small_system.pcube,
-        [BooleanPredicate({"A1": 777})],
-    )
-    assert tids == []
-    assert stats.sblock == 0
+    result = small_system.engine.skyline([BooleanPredicate({"A1": 777})])
+    assert result.tids == []
+    assert result.stats.sblock == 0
 
 
 def test_unsatisfiable_disjunct_is_dropped(small_system, rng):
     live = sample_predicate(small_system.relation, 1, rng)
     disjuncts = [live, BooleanPredicate({"A1": 777})]
-    tids, _ = skyline_dnf(
-        small_system.relation,
-        small_system.rtree,
-        small_system.pcube,
-        disjuncts,
-    )
+    tids = small_system.engine.skyline(disjuncts).tids
     expected = set(naive_skyline(qualifying(small_system, [live])))
     assert set(tids) == expected
 
@@ -165,12 +136,7 @@ def test_dnf_skyline_reads_the_union_signatures_blocks(small_system, rng):
             sample_predicate(small_system.relation, 2, rng)
             for _ in range(2)
         ]
-        tids, stats = skyline_dnf(
-            small_system.relation,
-            small_system.rtree,
-            small_system.pcube,
-            disjuncts,
-        )
+        result = small_system.engine.skyline(disjuncts)
         oracle_stats = QueryStats()
         state = run_algorithm1(
             small_system.rtree,
@@ -178,8 +144,8 @@ def test_dnf_skyline_reads_the_union_signatures_blocks(small_system, rng):
             oracle_stats,
             reader=_union_oracle(small_system.pcube, disjuncts),
         )
-        assert tids == [entry.tid for entry in state.results]
-        assert stats.sblock == oracle_stats.sblock
+        assert result.tids == [entry.tid for entry in state.results]
+        assert result.stats.sblock == oracle_stats.sblock
 
 
 def test_reader_validation(small_system):
@@ -217,6 +183,6 @@ def test_dnf_property(rows, v1, v2):
     )
     system = build_system(relation, fanout=4, with_indexes=False)
     disjuncts = [BooleanPredicate({"A": v1}), BooleanPredicate({"B": v2})]
-    tids, _ = skyline_dnf(relation, system.rtree, system.pcube, disjuncts)
+    tids = system.engine.skyline(disjuncts).tids
     expected = set(naive_skyline(qualifying(system, disjuncts)))
     assert set(tids) == expected

@@ -10,12 +10,11 @@ from repro.cube.relation import Relation
 from repro.cube.schema import Schema
 from repro.data.workload import sample_predicate
 from repro.query.dynamic import (
-    dynamic_skyline_signature,
     naive_dynamic_skyline,
     transform_point,
     transform_rect_lower,
 )
-from repro.query.hull import lower_hull_signature, naive_lower_hull
+from repro.query.hull import naive_lower_hull
 from repro.query.predicates import BooleanPredicate
 from repro.rtree.geometry import Rect
 from repro.system import build_system
@@ -76,44 +75,27 @@ def test_dynamic_skyline_matches_naive(small_system, rng, n_conjuncts):
             else BooleanPredicate()
         )
         query_point = (rng.random(), rng.random())
-        tids, stats, _ = dynamic_skyline_signature(
-            small_system.relation,
-            small_system.rtree,
-            small_system.pcube,
-            query_point,
-            predicate,
-        )
+        result = small_system.engine.dynamic_skyline(query_point, predicate)
         expected = set(
             naive_dynamic_skyline(
                 truth_points(small_system, predicate), query_point
             )
         )
-        assert set(tids) == expected
-        assert stats.results == len(expected)
+        assert set(result.tids) == expected
+        assert result.stats.results == len(expected)
 
 
 def test_dynamic_skyline_at_origin_equals_static(small_system, rng):
     """With q at the origin the transform is the identity on [0,1]^d."""
     predicate = sample_predicate(small_system.relation, 1, rng)
-    dynamic_tids, _, _ = dynamic_skyline_signature(
-        small_system.relation,
-        small_system.rtree,
-        small_system.pcube,
-        (0.0, 0.0),
-        predicate,
-    )
+    dynamic = small_system.engine.dynamic_skyline((0.0, 0.0), predicate)
     static = small_system.engine.skyline(predicate)
-    assert set(dynamic_tids) == set(static.tids)
+    assert set(dynamic.tids) == set(static.tids)
 
 
 def test_dynamic_skyline_query_point_validation(small_system):
     with pytest.raises(ValueError):
-        dynamic_skyline_signature(
-            small_system.relation,
-            small_system.rtree,
-            small_system.pcube,
-            (0.5,),  # wrong dimensionality
-        )
+        small_system.engine.dynamic_skyline((0.5,))  # wrong dimensionality
 
 
 def test_dynamic_skyline_includes_exact_hit(small_system):
@@ -122,12 +104,7 @@ def test_dynamic_skyline_includes_exact_hit(small_system):
     relation = small_system.relation
     target_tid = 17
     query_point = relation.pref_point(target_tid)
-    tids, _, _ = dynamic_skyline_signature(
-        small_system.relation,
-        small_system.rtree,
-        small_system.pcube,
-        query_point,
-    )
+    tids = small_system.engine.dynamic_skyline(query_point).tids
     assert target_tid in tids
 
 
@@ -187,29 +164,19 @@ def test_lower_hull_matches_naive(small_system, rng):
             if n_conjuncts
             else BooleanPredicate()
         )
-        tids, stats = lower_hull_signature(
-            small_system.relation,
-            small_system.rtree,
-            small_system.pcube,
-            predicate,
-        )
+        result = small_system.engine.lower_hull(predicate)
         expected = naive_lower_hull(truth_points(small_system, predicate))
-        assert hull_coords(small_system.relation, tids) == hull_coords(
+        assert hull_coords(small_system.relation, result.tids) == hull_coords(
             small_system.relation, expected
         )
-        assert stats.total_io() > 0
+        assert result.stats.total_io() > 0
 
 
 def test_lower_hull_vertices_are_extreme(small_system, rng):
     """Definitional check: every hull vertex minimises some non-negative
     linear function over the subset; every edge has no point below it."""
     predicate = sample_predicate(small_system.relation, 1, rng)
-    tids, _ = lower_hull_signature(
-        small_system.relation,
-        small_system.rtree,
-        small_system.pcube,
-        predicate,
-    )
+    tids = small_system.engine.lower_hull(predicate).tids
     points = [p for _, p in truth_points(small_system, predicate)]
     vertices = hull_coords(small_system.relation, tids)
     for (ax, ay), (bx, by) in zip(vertices, vertices[1:]):
@@ -223,16 +190,11 @@ def test_lower_hull_vertices_are_extreme(small_system, rng):
 def test_lower_hull_requires_2d(fresh_system):
     system = fresh_system(n_tuples=100, n_preference=3, seed=1)
     with pytest.raises(ValueError):
-        lower_hull_signature(system.relation, system.rtree, system.pcube)
+        system.engine.lower_hull()
 
 
 def test_lower_hull_empty_selection(small_system):
-    tids, _ = lower_hull_signature(
-        small_system.relation,
-        small_system.rtree,
-        small_system.pcube,
-        BooleanPredicate({"A1": 999}),
-    )
+    tids = small_system.engine.lower_hull(BooleanPredicate({"A1": 999})).tids
     assert tids == []
 
 
@@ -240,9 +202,7 @@ def test_lower_hull_single_point():
     schema = Schema(("A",), ("X", "Y"))
     relation = Relation(schema, [("a",)], [(0.4, 0.6)])
     system = build_system(relation, fanout=4, with_indexes=False)
-    tids, _ = lower_hull_signature(
-        relation, system.rtree, system.pcube, BooleanPredicate({"A": "a"})
-    )
+    tids = system.engine.lower_hull(BooleanPredicate({"A": "a"})).tids
     assert tids == [0]
 
 
@@ -270,9 +230,7 @@ def test_lower_hull_property(raw):
     points = [(x / 9.0, y / 9.0) for x, y in raw]
     relation = Relation(schema, [("a",)] * len(points), points)
     system = build_system(relation, fanout=4, with_indexes=False)
-    tids, _ = lower_hull_signature(
-        relation, system.rtree, system.pcube, BooleanPredicate({"A": "a"})
-    )
+    tids = system.engine.lower_hull(BooleanPredicate({"A": "a"})).tids
     expected = naive_lower_hull(list(enumerate(points)))
     assert [relation.pref_point(t) for t in tids] == [
         relation.pref_point(t) for t in expected
@@ -302,9 +260,7 @@ def test_dynamic_skyline_property(raw, qx, qy):
     relation = Relation(schema, [("a",)] * len(points), points)
     system = build_system(relation, fanout=4, with_indexes=False)
     query_point = (qx / 7.0, qy / 7.0)
-    tids, _, _ = dynamic_skyline_signature(
-        relation, system.rtree, system.pcube, query_point
-    )
+    tids = system.engine.dynamic_skyline(query_point).tids
     expected = set(naive_dynamic_skyline(list(enumerate(points)), query_point))
     assert set(tids) == expected
 
@@ -322,7 +278,5 @@ def test_dynamic_skyline_float_tie_regression():
     relation = Relation(schema, [("a",)] * len(points), points)
     system = build_system(relation, fanout=4, with_indexes=False)
     query_point = (1 / 7.0, 5 / 7.0)
-    tids, _, _ = dynamic_skyline_signature(
-        relation, system.rtree, system.pcube, query_point
-    )
+    tids = system.engine.dynamic_skyline(query_point).tids
     assert set(tids) == {1}

@@ -11,9 +11,7 @@ from repro.core.store import AssembledReader
 from repro.data.workload import sample_linear_function, sample_predicate
 from repro.query.algorithm1 import SkylineStrategy, run_algorithm1
 from repro.query.predicates import BooleanPredicate
-from repro.query.skyline import skyline_signature
 from repro.query.stats import QueryStats
-from repro.query.topk import topk_signature
 
 
 def truth_points(system, predicate):
@@ -32,15 +30,10 @@ def test_skyline_matches_naive(small_system, rng, n_conjuncts):
             predicate = sample_predicate(small_system.relation, n_conjuncts, rng)
         else:
             predicate = BooleanPredicate()
-        tids, stats, _ = skyline_signature(
-            small_system.relation,
-            small_system.rtree,
-            small_system.pcube,
-            predicate,
-        )
+        result = small_system.engine.skyline(predicate)
         expected = set(naive_skyline(truth_points(small_system, predicate)))
-        assert set(tids) == expected
-        assert stats.results == len(expected)
+        assert set(result.tids) == expected
+        assert result.stats.results == len(expected)
 
 
 def _search_with(system, reader):
@@ -60,9 +53,8 @@ def test_assembled_skyline_reads_the_exact_intersections_blocks(small_system, rn
     for n_conjuncts in (2, 2, 2, 3, 3):
         predicate = sample_predicate(small_system.relation, n_conjuncts, rng)
         cells = predicate.atomic_cells()
-        tids, stats, _ = skyline_signature(
-            small_system.relation, small_system.rtree, pcube, predicate
-        )
+        result = small_system.engine.skyline(predicate)
+        tids, stats = result.tids, result.stats
         exact_tids, exact = _search_with(
             small_system,
             SignatureAdapter(
@@ -84,34 +76,21 @@ def test_assembled_skyline_reads_the_exact_intersections_blocks(small_system, rn
 
 def test_skyline_empty_selection(small_system):
     predicate = BooleanPredicate({"A1": 999})
-    tids, stats, _ = skyline_signature(
-        small_system.relation,
-        small_system.rtree,
-        small_system.pcube,
-        predicate,
-    )
-    assert tids == []
+    result = small_system.engine.skyline(predicate)
+    assert result.tids == []
     # The root entry is boolean-pruned immediately: no R-tree blocks read.
-    assert stats.sblock == 0
+    assert result.stats.sblock == 0
 
 
 @pytest.mark.parametrize("k", [1, 5, 20, 100])
 def test_topk_matches_naive(small_system, rng, k):
     predicate = sample_predicate(small_system.relation, 1, rng)
     fn = sample_linear_function(2, rng)
-    ranked, stats, _ = topk_signature(
-        small_system.relation,
-        small_system.rtree,
-        small_system.pcube,
-        fn,
-        k,
-        predicate,
-    )
+    scores = small_system.engine.topk(fn, k, predicate).scores
     expected = naive_topk(truth_points(small_system, predicate), fn, k)
-    assert len(ranked) == len(expected)
-    assert [round(s, 9) for _, s in ranked] == [round(s, 9) for _, s in expected]
+    assert len(scores) == len(expected)
+    assert [round(s, 9) for s in scores] == [round(s, 9) for _, s in expected]
     # Scores come out sorted.
-    scores = [s for _, s in ranked]
     assert scores == sorted(scores)
 
 
@@ -119,15 +98,8 @@ def test_topk_k_larger_than_selection(small_system, rng):
     predicate = sample_predicate(small_system.relation, 3, rng)
     fn = sample_linear_function(2, rng)
     qualifying = truth_points(small_system, predicate)
-    ranked, _, _ = topk_signature(
-        small_system.relation,
-        small_system.rtree,
-        small_system.pcube,
-        fn,
-        len(qualifying) + 50,
-        predicate,
-    )
-    assert len(ranked) == len(qualifying)
+    result = small_system.engine.topk(fn, len(qualifying) + 50, predicate)
+    assert len(result) == len(qualifying)
 
 
 def test_topk_with_distance_function(small_system, rng):
@@ -135,16 +107,9 @@ def test_topk_with_distance_function(small_system, rng):
 
     predicate = sample_predicate(small_system.relation, 1, rng)
     fn = sample_target_function(small_system.relation, rng)
-    ranked, _, _ = topk_signature(
-        small_system.relation,
-        small_system.rtree,
-        small_system.pcube,
-        fn,
-        10,
-        predicate,
-    )
+    scores = small_system.engine.topk(fn, 10, predicate).scores
     expected = naive_topk(truth_points(small_system, predicate), fn, 10)
-    assert [round(s, 9) for _, s in ranked] == [round(s, 9) for _, s in expected]
+    assert [round(s, 9) for s in scores] == [round(s, 9) for _, s in expected]
 
 
 def test_signature_reads_fewer_blocks_than_bbs(small_system, rng):
@@ -154,12 +119,7 @@ def test_signature_reads_fewer_blocks_than_bbs(small_system, rng):
 
     for _ in range(5):
         predicate = sample_predicate(small_system.relation, 2, rng)
-        _, sig_stats, _ = skyline_signature(
-            small_system.relation,
-            small_system.rtree,
-            small_system.pcube,
-            predicate,
-        )
+        sig_stats = small_system.engine.skyline(predicate).stats
         _, dom_stats, _ = domination_first_skyline(
             small_system.relation, small_system.rtree, predicate
         )
@@ -184,9 +144,7 @@ def test_distribution_robustness(rng):
         relation = generate_relation(config)
         system = build_system(relation, fanout=8, with_indexes=False)
         predicate = sample_predicate(relation, 1, rng)
-        tids, _, _ = skyline_signature(
-            relation, system.rtree, system.pcube, predicate
-        )
+        tids = system.engine.skyline(predicate).tids
         expected = set(
             naive_skyline(
                 [

@@ -10,7 +10,6 @@ from repro.cube.schema import Schema
 from repro.data.workload import sample_predicate
 from repro.query.algorithm1 import SkylineStrategy
 from repro.query.predicates import BooleanPredicate
-from repro.query.skyline import skyline_signature
 from repro.system import build_system
 
 
@@ -41,17 +40,11 @@ def test_strategy_validation():
 
 def test_full_subspace_equals_default(small_system, rng):
     predicate = sample_predicate(small_system.relation, 1, rng)
-    default_tids, _, _ = skyline_signature(
-        small_system.relation, small_system.rtree, small_system.pcube, predicate
+    default = small_system.engine.skyline(predicate)
+    full = small_system.engine.skyline(
+        predicate, preference_by=small_system.relation.schema.preference_dims
     )
-    full_tids, _, _ = skyline_signature(
-        small_system.relation,
-        small_system.rtree,
-        small_system.pcube,
-        predicate,
-        preference_by=small_system.relation.schema.preference_dims,
-    )
-    assert set(default_tids) == set(full_tids)
+    assert set(default.tids) == set(full.tids)
 
 
 @pytest.mark.parametrize("names", [("N1",), ("N2",), ("N1", "N2")])
@@ -60,13 +53,7 @@ def test_subspace_matches_naive(small_system, rng, names):
     positions = tuple(
         small_system.relation.schema.preference_position(n) for n in names
     )
-    tids, _, _ = skyline_signature(
-        small_system.relation,
-        small_system.rtree,
-        small_system.pcube,
-        predicate,
-        preference_by=names,
-    )
+    tids = small_system.engine.skyline(predicate, preference_by=names).tids
     expected = set(
         naive_subspace_skyline(truth_points(small_system, predicate), positions)
     )
@@ -134,9 +121,7 @@ def test_subspace_property(raw, subspace):
     system = build_system(relation, fanout=4, with_indexes=False)
     predicate = BooleanPredicate({"A": raw[0][0]})
     names = tuple(schema.preference_dims[d] for d in subspace)
-    tids, _, _ = skyline_signature(
-        relation, system.rtree, system.pcube, predicate, preference_by=names
-    )
+    tids = system.engine.skyline(predicate, preference_by=names).tids
     qualifying = [
         (tid, relation.pref_point(tid))
         for tid in relation.tids()
