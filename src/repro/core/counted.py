@@ -24,14 +24,58 @@ a write copies the ones on its path.  What a dirty cell still pays in its
 size is all C-level and flat — one shallow dict copy, one sort of its SIDs,
 one pass over its blob lengths (:func:`repro.core.partial.pack`) and one
 page fingerprint.
+
+A build or a rebuild counts every cell of a cuboid at once
+(:meth:`CountedSignature.count_cells` over :class:`PathColumns`): the
+per-path loops below are the maintenance primitives, not the build's.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.bitmap.bitarray import BitArray
 from repro.core.signature import Signature
+
+
+class PathColumns:
+    """Every indexed tuple's R-tree path as arrays — what
+    :meth:`CountedSignature.count_cells` counts.
+
+    Row ``r`` describes tuple ``tids[r]``.  ``levels[l]`` is ``(nodes,
+    slots, sids)`` for depth ``l`` (the root's is 0): ``nodes[r]`` is the
+    node the tuple's path passes there, as a dense code in SID order,
+    ``slots[r]`` the 1-based slot it takes in it, and ``sids[code]`` that
+    node's SID.  Codes stay below the tuple count however deep the tree,
+    so no array ever holds a SID.
+    """
+
+    def __init__(self, paths: Mapping[int, Sequence[int]], fanout: int) -> None:
+        self.fanout = fanout
+        n = len(paths)
+        depth = len(next(iter(paths.values()), ()))
+        if any(len(path) != depth for path in paths.values()):
+            raise ValueError("tuple paths of unequal length")
+        self.tids = np.fromiter(paths, dtype=np.int64, count=n)
+        matrix = np.fromiter(
+            chain.from_iterable(paths.values()), dtype=np.int64, count=n * depth
+        ).reshape(n, depth)
+        if n and depth and not ((matrix >= 1) & (matrix <= fanout)).all():
+            raise ValueError(f"path component outside [1, {fanout}]")
+        base = fanout + 1
+        nodes = np.zeros(n, dtype=np.int64)
+        sids = [0]
+        self.levels: list[tuple[np.ndarray, np.ndarray, list[int]]] = []
+        for level in range(depth):
+            slots = matrix[:, level]
+            self.levels.append((nodes, slots, sids))
+            if level + 1 < depth:
+                children, nodes = np.unique(nodes * base + slots, return_inverse=True)
+                nodes = nodes.reshape(-1)
+                sids = [sids[c // base] * base + c % base for c in children.tolist()]
 
 
 class CountedSignature:
@@ -56,6 +100,50 @@ class CountedSignature:
         counted = cls(fanout)
         for path in paths:
             counted.add_path(path)
+        return counted
+
+    @classmethod
+    def count_cells(
+        cls, labels: np.ndarray, n_cells: int, paths: PathColumns
+    ) -> list["CountedSignature"]:
+        """The counted signatures of ``n_cells`` cells at once: tuple
+        ``tid`` counts into cell ``labels[tid]`` (``-1``: into none).
+
+        The paper's recursive sort (Fig. 2b) done as arrays: per tree
+        level, one ``lexsort`` of the counted tuples by (cell, node, slot)
+        and a run-length count, whose runs are the count dicts.
+
+        Raises:
+            KeyError: if a counted tuple has no path.
+        """
+        counted = [cls(paths.fanout) for _ in range(n_cells)]
+        in_tree = labels[paths.tids]
+        rows = np.flatnonzero(in_tree >= 0)
+        if len(rows) != np.count_nonzero(labels >= 0):
+            raise KeyError("a counted tuple has no path in the tree")
+        if len(rows) == 0:
+            return counted
+        cell = in_tree[rows]
+        tables = [signature._counts for signature in counted]
+        for nodes, slots, sids in paths.levels:
+            node, slot = nodes[rows], slots[rows]
+            order = np.lexsort((slot, node, cell))
+            c, n, s = cell[order], node[order], slot[order]
+            # One run per distinct (cell, node, slot); a new node's runs
+            # start where (cell, node) changes.
+            new_node = np.ones(len(c), dtype=bool)
+            new_node[1:] = (c[1:] != c[:-1]) | (n[1:] != n[:-1])
+            new_run = new_node.copy()
+            new_run[1:] |= s[1:] != s[:-1]
+            starts = np.flatnonzero(new_run)
+            runs = list(zip(s[starts].tolist(), np.diff(starts, append=len(c)).tolist()))
+            firsts = np.flatnonzero(new_node[starts])
+            owners = map(tables.__getitem__, c[starts[firsts]].tolist())
+            node_sids = map(sids.__getitem__, n[starts[firsts]].tolist())
+            bounds = firsts.tolist()
+            bounds.append(len(starts))
+            for table, sid, a, b in zip(owners, node_sids, bounds, bounds[1:]):
+                table[sid] = dict(runs[a:b])
         return counted
 
     # ------------------------------------------------------------------ #

@@ -82,15 +82,17 @@ def _insert_rows(
     relation: Relation, rtree: RTree, pcube: PCube,
     rows: Sequence[tuple[tuple, tuple]], wal: MaintenanceWAL | None, op: str,
 ) -> tuple[list[int], set[Cell]]:
-    """Append and index ``rows`` as one journalled op named ``op``."""
+    """Append and index ``rows`` as one journalled op named ``op``.  Every
+    row is checked before the intent is journalled: a row the relation
+    would refuse fails the call and leaves no pending operation."""
     tids: list[int] = []
+    logged = [relation.check_row(b, p) for b, p in rows]
 
     def mutate() -> Iterator[PathChange]:
-        for bool_row, pref_row in rows:
+        for bool_row, pref_row in logged:
             tids.append(relation.append(bool_row, pref_row))
             yield from rtree.insert(tids[-1], pref_row)
 
-    logged = [(tuple(b), tuple(float(v) for v in p)) for b, p in rows]
     intent = dict(base=len(relation), rows=logged)
     dirty = _journalled(pcube, wal, op, intent, mutate)
     return tids, dirty
@@ -134,7 +136,13 @@ def delete_tuple(
     The relation keeps the row as a tombstone (its cell membership is still
     needed to patch the right signatures) but drops it from every live-row
     access path; the R-tree and every signature stop referencing it.
+    An out-of-range tid raises ``IndexError``, a deleted one ``KeyError``,
+    before anything is journalled.
     """
+    if not 0 <= tid < len(relation):
+        raise IndexError(f"tid {tid} out of range")
+    if not relation.is_live(tid):
+        raise KeyError(f"tid {tid} is not live")
 
     def mutate() -> list[PathChange]:
         relation.tombstone(tid)
@@ -160,10 +168,11 @@ def update_tuple(
     """
     if not relation.is_live(tid):
         raise KeyError(f"tid {tid} is not live")
+    pref_row = relation.check_pref(new_pref_row)
 
     def mutate() -> list[PathChange]:
-        relation.overwrite_pref(tid, new_pref_row)
-        return rtree.update(tid, new_pref_row)
+        relation.overwrite_pref(tid, pref_row)
+        return rtree.update(tid, pref_row)
 
-    intent = dict(tid=tid, pref_row=tuple(float(v) for v in new_pref_row))
+    intent = dict(tid=tid, pref_row=pref_row)
     return _journalled(pcube, wal, "update", intent, mutate)

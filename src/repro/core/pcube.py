@@ -8,9 +8,11 @@ incremental updates driven by R-tree path changes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.core.counted import CountedSignature
+import numpy as np
+
+from repro.core.counted import CountedSignature, PathColumns
 from repro.core.sid import sid_of_path
 from repro.obs.trace import COVER, Tracer
 from repro.core.signature import Signature
@@ -339,33 +341,40 @@ class PCube(ReaderFactory):
     ) -> "PCube":
         """Derive, compress, decompose and store every cell signature.
 
-        Counts first: each cuboid is grouped once and each cell goes through
-        :meth:`_derive`, in first-appearance order, so the pages are a
-        function of the relation and the tree alone.  The paper's recursive
-        sort (Fig. 2b, :mod:`repro.core.generation`) is the oracle tier-1
-        holds every stored cell against, not a second pass here.
+        Counts first: each cuboid is grouped once (:meth:`Cuboid.label`)
+        and its cells go through :meth:`_derive`, in first-appearance
+        order, so the pages are a function of the relation and the tree
+        alone.  The paper's recursive sort (Fig. 2b,
+        :mod:`repro.core.generation`) is the oracle tier-1 holds every
+        stored cell against, not a second pass here.
         """
         pcube = cls(relation, rtree, cuboids, codec, tag, maintainable)
-        paths = rtree.all_paths()
+        paths = PathColumns(rtree.all_paths(), pcube.fanout)
         for cuboid in pcube.cuboids:
-            for cell, tids in cuboid.group(relation).items():
-                pcube._derive(cell, tids, paths)
+            cells, labels = cuboid.label(relation)
+            pcube._derive(cells, labels, paths)
         return pcube
 
     def _derive(
-        self, cell: Cell, tids: Iterable[int], paths: dict[int, tuple[int, ...]]
-    ) -> CountedSignature:
-        """(Re)derive one cell from its live tuples' paths: count them, store
-        straight from the counts, keep the counts when ``maintainable`` —
-        the one step the build, :meth:`rebuild_all` and
-        :meth:`recompute_cell` share."""
-        counted = CountedSignature.from_paths(
-            (paths[tid] for tid in tids), self.fanout
-        )
-        self._put(cell, counted)
-        if self.maintainable:
-            self._counted[cell] = counted
-        return counted
+        self,
+        cells: Sequence[Cell],
+        labels: np.ndarray,
+        paths: PathColumns,
+        on_cell_stored: "Callable[[Cell], None] | None" = None,
+    ) -> list[CountedSignature]:
+        """(Re)derive ``cells`` from their tuples' paths — tuple ``tid``
+        counts into ``cells[labels[tid]]``, none at ``-1`` — count them in
+        one pass, store each cell straight from its counts, keep the counts
+        when ``maintainable``: the one step the build, :meth:`rebuild_all`
+        and :meth:`recompute_cell` share."""
+        derived = CountedSignature.count_cells(labels, len(cells), paths)
+        for cell, counted in zip(cells, derived):
+            self._put(cell, counted)
+            if self.maintainable:
+                self._counted[cell] = counted
+            if on_cell_stored is not None:
+                on_cell_stored(cell)
+        return derived
 
     # ------------------------------------------------------------------ #
     # query-side interface: inherited from ReaderFactory
@@ -441,15 +450,21 @@ class PCube(ReaderFactory):
         Quarantines are lifted as a side effect — the fresh pages replace
         whatever was unreadable.  Returns the number of cells stored.
         """
-        paths = self.rtree.all_paths()
+        paths = PathColumns(self.rtree.all_paths(), self.fanout)
+        live = self.relation.columnar().live
         stored = 0
         for cuboid in self.cuboids:
-            groups = cuboid.group(self.relation, include_tombstoned=True)
-            for cell in sorted(groups, key=lambda c: c.cell_id):
-                live = filter(self.relation.is_live, groups[cell])
-                self._derive(cell, live, paths)
-                self.store.clear_quarantine(cell)
-                stored += 1
+            cells, labels = cuboid.label(self.relation, include_tombstoned=True)
+            order = sorted(range(len(cells)), key=lambda i: cells[i].cell_id)
+            rank = np.empty(len(cells), dtype=np.int64)
+            rank[order] = np.arange(len(cells))
+            self._derive(
+                [cells[i] for i in order],
+                np.where(live, rank[labels], -1),
+                paths,
+                on_cell_stored=self.store.clear_quarantine,
+            )
+            stored += len(cells)
         return stored
 
     def signature_of(self, cell: Cell) -> Signature:
@@ -550,14 +565,11 @@ class PCube(ReaderFactory):
         tree, collect the cell's tuple paths, regenerate.  O(T) per call —
         correct under any mutation, used when ``maintainable=False``.
         """
-        members = (
-            tid
-            for tid in self.relation.live_tids()
-            if cell.matches(self.relation, tid)
-        )
-        return self._derive(
-            cell, members, self.rtree.all_paths()
-        ).to_signature()
+        columns = self.relation.columnar()
+        members = columns.live & columns.match_mask(dict(zip(cell.dims, cell.values)))
+        paths = PathColumns(self.rtree.all_paths(), self.fanout)
+        (counted,) = self._derive([cell], np.where(members, 0, -1), paths)
+        return counted.to_signature()
 
     # ------------------------------------------------------------------ #
     # accounting

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Iterator
 
+import numpy as np
+
 from repro.cube.relation import Relation
 
 
@@ -83,6 +85,36 @@ class Cuboid:
             Cell(self.dims, values): members
             for values, members in by_values.items()
         }
+
+    def label(
+        self, relation: Relation, include_tombstoned: bool = False
+    ) -> tuple[list[Cell], np.ndarray]:
+        """The grouping :meth:`group` makes, as arrays over the relation's
+        columnar projection: the cells in first-appearance order and, per
+        tid, the index of its cell in that list (``-1`` for a row left out,
+        i.e. a tombstone unless ``include_tombstoned``)."""
+        columns = relation.columnar()
+        rows = np.arange(columns.n) if include_tombstoned else np.flatnonzero(columns.live)
+        labels = np.full(columns.n, -1, dtype=np.int64)
+        if len(rows) == 0:
+            return [], labels
+        key = np.zeros(len(rows), dtype=np.int64)
+        for dim in self.dims:
+            column = columns.codes[rows, relation.schema.boolean_position(dim)]
+            values, codes = np.unique(column, return_inverse=True)
+            _, key = np.unique(key * len(values) + codes, return_inverse=True)
+        _, first, key = np.unique(key, return_index=True, return_inverse=True)
+        by_appearance = np.argsort(first)
+        rank = np.empty_like(by_appearance)
+        rank[by_appearance] = np.arange(len(by_appearance))
+        labels[rows] = rank[key.reshape(-1)]
+        # A cell's values are its first row's, as the row store holds them.
+        positions = [relation.schema.boolean_position(d) for d in self.dims]
+        cells = []
+        for tid in rows[first[by_appearance]].tolist():
+            row = relation.bool_row(tid)
+            cells.append(Cell(self.dims, tuple(row[p] for p in positions)))
+        return cells, labels
 
     def cell_for(self, relation: Relation, tid: int) -> Cell:
         """The cell of this cuboid that a given tuple belongs to."""

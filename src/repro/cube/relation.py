@@ -20,6 +20,8 @@ stand-alone use costs nothing.
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as _np
@@ -30,6 +32,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.counters import BTABLE, DBOOL, IOCounters
 from repro.storage.disk import SimulatedDisk
 
+_NOT_FINITE = "preference values must be finite (no NaN or ±inf)"
 _ROW_HEADER_BYTES = 4
 _VALUE_BYTES = 8
 
@@ -72,6 +75,8 @@ class Relation:
         if isinstance(bool_rows, _np.ndarray) and isinstance(
             pref_rows, _np.ndarray
         ):
+            if not _np.isfinite(pref_rows).all():
+                raise ValueError(_NOT_FINITE)
             self._bool_rows = [tuple(row) for row in bool_rows.tolist()]
             self._pref_rows = [
                 tuple(float(v) for v in row) for row in pref_rows.tolist()
@@ -87,6 +92,9 @@ class Relation:
             self._pref_rows = [
                 tuple(float(v) for v in row) for row in pref_rows
             ]
+            values = itertools.chain.from_iterable(self._pref_rows)
+            if not all(map(math.isfinite, values)):
+                raise ValueError(_NOT_FINITE)
         for row in self._bool_rows:
             if len(row) != schema.n_boolean:
                 raise ValueError("boolean row width does not match schema")
@@ -125,18 +133,35 @@ class Relation:
     # growth (incremental-maintenance experiments)
     # ------------------------------------------------------------------ #
 
-    def append(self, bool_row: tuple, pref_row: tuple) -> int:
-        """Append a row to the heap file; returns the new tid."""
+    def check_row(
+        self, bool_row: Sequence, pref_row: Sequence
+    ) -> tuple[tuple, tuple[float, ...]]:
+        """The row as :meth:`append` stores it, or ``ValueError`` if the
+        relation would refuse it — what maintenance checks before it
+        journals a write."""
         if len(bool_row) != self.schema.n_boolean:
             raise ValueError("boolean row width does not match schema")
+        return tuple(bool_row), self.check_pref(pref_row)
+
+    def check_pref(self, pref_row: Sequence) -> tuple[float, ...]:
+        """The preference row as stored: as many floats as the schema has
+        preference dimensions, all finite (``ValueError`` otherwise)."""
         if len(pref_row) != self.schema.n_preference:
             raise ValueError("preference row width does not match schema")
+        row = tuple(float(v) for v in pref_row)
+        if not all(map(math.isfinite, row)):
+            raise ValueError(_NOT_FINITE)
+        return row
+
+    def append(self, bool_row: tuple, pref_row: tuple) -> int:
+        """Append a row to the heap file; returns the new tid."""
+        bool_row, pref_row = self.check_row(bool_row, pref_row)
         tid = len(self)
         epoch = self.epoch_clock()
         if epoch > 0:
             self._created_epoch[tid] = epoch
-        self._bool_rows.append(tuple(bool_row))
-        self._pref_rows.append(tuple(float(v) for v in pref_row))
+        self._bool_rows.append(bool_row)
+        self._pref_rows.append(pref_row)
         self._mutation_stamp += 1
         self._append_to_page(tid)
         return tid
@@ -179,14 +204,13 @@ class Relation:
         writing epoch, so views pinned before the write still resolve the
         old point.  Without an epoch system the chain is not kept.
         """
-        if len(pref_row) != self.schema.n_preference:
-            raise ValueError("preference row width does not match schema")
+        pref_row = self.check_pref(pref_row)
         epoch = self.epoch_clock()
         if epoch > 0:
             self._pref_history.setdefault(tid, []).append(
                 (epoch, self._pref_rows[tid])
             )
-        self._pref_rows[tid] = tuple(float(v) for v in pref_row)
+        self._pref_rows[tid] = pref_row
         self._mutation_stamp += 1
 
     # ------------------------------------------------------------------ #

@@ -4,6 +4,11 @@ Benchmarks build R-trees over up to ~10^5 points; loading them by repeated
 insertion is the paper-faithful *construction cost* (Figure 5 measures it),
 but every other experiment only needs a good tree fast.  STR packs leaves by
 recursive sort-and-tile and then packs each upper level the same way.
+
+The packing runs on the coordinate matrix: each tiling step is one stable
+``argsort`` of a column (a stable sort keeps the order of equal keys, so the
+groups are exactly those of a per-item ``sorted``), and each level's node
+boxes are per-group ``min`` / ``max`` over the rows of its children.
 """
 
 from __future__ import annotations
@@ -11,64 +16,79 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.rtree.geometry import Point, Rect
+import numpy as np
+
+from repro.rtree.geometry import Rect
 from repro.rtree.node import Entry, RTreeNode
 from repro.rtree.rtree import RTree
 
 
-def _tile(
-    items: list,
-    key_point,
-    dims: int,
-    capacity: int,
-    dim: int = 0,
-) -> list[list]:
-    """Recursively tile ``items`` into groups of at most ``capacity``.
+def _str_order(keys: np.ndarray, capacity: int) -> tuple[np.ndarray, list[int]]:
+    """Tile the rows of ``keys`` into groups of at most ``capacity``.
 
-    Final-dimension chunking distributes items *evenly* across the chunk
-    count rather than greedily: greedy chunking can strand a near-empty
-    last group (91 items at capacity 45 → 45, 45, 1), which would violate
-    the R-tree's minimum-fill invariant and break later deletions.
+    Returns a permutation of the rows that lists the groups one after the
+    other, and the group sizes.  Final-dimension chunking distributes rows
+    *evenly* across the chunk count rather than greedily: greedy chunking
+    can strand a near-empty last group (91 rows at capacity 45 → 45, 45,
+    1), which would violate the R-tree's minimum-fill invariant and break
+    later deletions.
     """
-    if len(items) <= capacity:
-        return [items]
-    if dim >= dims - 1:
-        items = sorted(items, key=lambda it: key_point(it)[dims - 1])
-        n_chunks = math.ceil(len(items) / capacity)
-        base, extra = divmod(len(items), n_chunks)
-        groups = []
-        start = 0
-        for i in range(n_chunks):
-            size = base + 1 if i < extra else base
-            groups.append(items[start : start + size])
-            start += size
-        return groups
-    n_groups = math.ceil(len(items) / capacity)
-    remaining = dims - dim
-    n_slabs = max(1, math.ceil(n_groups ** (1.0 / remaining)))
-    slab_size = math.ceil(len(items) / n_slabs)
-    items = sorted(items, key=lambda it: key_point(it)[dim])
-    groups: list[list] = []
-    for start in range(0, len(items), slab_size):
-        slab = items[start : start + slab_size]
-        groups.extend(_tile(slab, key_point, dims, capacity, dim + 1))
-    return groups
+    dims = keys.shape[1]
+    parts: list[np.ndarray] = []
+    sizes: list[int] = []
+
+    def tile(rows: np.ndarray, dim: int) -> None:
+        n = len(rows)
+        if n <= capacity:
+            parts.append(rows)
+            sizes.append(n)
+            return
+        if dim >= dims - 1:
+            rows = rows[np.argsort(keys[rows, dims - 1], kind="stable")]
+            n_chunks = math.ceil(n / capacity)
+            base, extra = divmod(n, n_chunks)
+            parts.append(rows)
+            sizes.extend([base + 1] * extra + [base] * (n_chunks - extra))
+            return
+        n_groups = math.ceil(n / capacity)
+        n_slabs = max(1, math.ceil(n_groups ** (1.0 / (dims - dim))))
+        slab_size = math.ceil(n / n_slabs)
+        rows = rows[np.argsort(keys[rows, dim], kind="stable")]
+        for start in range(0, n, slab_size):
+            tile(rows[start : start + slab_size], dim + 1)
+
+    tile(np.arange(len(keys)), 0)
+    return np.concatenate(parts), sizes
 
 
 def bulk_load(
-    points: Sequence[tuple[int, Sequence[float]]],
-    dims: int,
+    points: Sequence[tuple[int, Sequence[float]]], dims: int, **kwargs
+) -> RTree:
+    """:func:`bulk_load_columns` over ``(tid, point)`` pairs of ``dims``
+    coordinates each."""
+    for tid, coords in points:
+        if len(coords) != dims:
+            raise ValueError(f"point for tid {tid} has {len(coords)} dims, expected {dims}")
+    tids = np.array([tid for tid, _ in points], dtype=np.int64)
+    coords = np.array([coords for _, coords in points], dtype=np.float64)
+    return bulk_load_columns(tids, coords.reshape(len(points), dims), **kwargs)
+
+
+def bulk_load_columns(
+    tids: np.ndarray,
+    coords: np.ndarray,
     max_entries: int = 50,
     fill_factor: float = 0.9,
     disk=None,
     tag: str = "rtree",
     **tree_kwargs,
 ) -> RTree:
-    """Build an :class:`RTree` over ``(tid, point)`` pairs with STR packing.
+    """Build an :class:`RTree` with STR packing over ``coords[i]`` as the
+    point of ``tids[i]``.
 
     Args:
-        points: The tuples to index; tids must be unique.
-        dims: Point dimensionality.
+        tids: The tuples to index, unique.
+        coords: ``(len(tids), dims)`` finite float64 coordinates.
         max_entries: Node capacity ``M``.
         fill_factor: Target fraction of ``M`` used per packed node.
         disk, tag, **tree_kwargs: Forwarded to :class:`RTree`.
@@ -76,48 +96,65 @@ def bulk_load(
     Returns:
         A fully wired tree (pages allocated, tuple paths computed).
     """
+    dims = coords.shape[1]
     tree = RTree(
         dims=dims, max_entries=max_entries, disk=disk, tag=tag, **tree_kwargs
     )
-    if not points:
+    if len(tids) == 0:
         return tree
+    distinct, counts = np.unique(tids, return_counts=True)
+    if len(distinct) != len(tids):
+        raise ValueError(f"duplicate tid {distinct[counts > 1][0]}")
+    if not np.isfinite(coords).all():
+        raise ValueError("coordinates must be finite")
     # Packed nodes must stay splittable into two legal halves (even
     # chunking yields groups of at least capacity/2 entries).
     capacity = min(
         max_entries,
         max(2 * tree.min_entries, round(max_entries * fill_factor)),
     )
-    point_map: dict[int, Point] = {}
-    for tid, coords in points:
-        if tid in point_map:
-            raise ValueError(f"duplicate tid {tid}")
-        if len(coords) != dims:
-            raise ValueError(f"point for tid {tid} has {len(coords)} dims, expected {dims}")
-        point_map[tid] = tuple(float(v) for v in coords)
+    tid_list = tids.tolist()
+    point_list = list(map(tuple, coords.tolist()))
 
-    # One level at a time, leaves first.  An item is (the point the tiling
-    # sorts by, the entry's MBR, the tid or child node the entry holds), so
-    # each node's MBR is taken once.
+    # One level at a time, leaves first.  Row i of ``lows`` / ``highs`` is
+    # the box of ``held[i]`` (a tid, then a child node), and the tiling
+    # sorts by box centres — a point is its own centre.
     tid_leaf: dict[int, RTreeNode] = {}
-    items = [(p, Rect.from_point(p), tid) for tid, p in point_map.items()]
+    held: list = tid_list
+    boxes = [Rect.trusted(point, point) for point in point_list]
+    lows = highs = keys = coords
     level = 0
     while True:
+        order, sizes = _str_order(keys, capacity)
+        members = order.tolist()
         nodes: list[RTreeNode] = []
-        for group in _tile(items, lambda item: item[0], dims, capacity):
+        start = 0
+        for size in sizes:
+            group = members[start : start + size]
+            start += size
             node = tree._new_node(level=level)
-            for _, box, held in group:
-                if level:
-                    node.add_entry(Entry(box, child=held))
-                else:
-                    node.add_entry(Entry(box, tid=held))
-                    tid_leaf[held] = node
+            if level:
+                node.entries = [Entry(boxes[i], child=held[i]) for i in group]
+                for i in group:
+                    held[i].parent = node
+            else:
+                node.entries = [Entry(boxes[i], tid=held[i]) for i in group]
+                for i in group:
+                    tid_leaf[held[i]] = node
             tree._sync_page(node)
             nodes.append(node)
         if len(nodes) == 1:
             break
-        boxes = [node.mbr() for node in nodes]
-        items = [(box.center(), box, node) for box, node in zip(boxes, nodes)]
+        starts = np.cumsum([0] + sizes[:-1])
+        lows = np.minimum.reduceat(lows[order], starts)
+        highs = np.maximum.reduceat(highs[order], starts)
+        keys = (lows + highs) / 2.0
+        boxes = [
+            Rect.trusted(tuple(lo), tuple(hi))
+            for lo, hi in zip(lows.tolist(), highs.tolist())
+        ]
+        held = nodes
         level += 1
 
-    tree._adopt_bulk(nodes[0], point_map, tid_leaf)
+    tree._adopt_bulk(nodes[0], dict(zip(tid_list, point_list)), tid_leaf)
     return tree

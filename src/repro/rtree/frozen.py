@@ -6,7 +6,9 @@ locking the live tree, each published epoch carries a *frozen* copy:
 plain-data nodes (:class:`FrozenRNode` / :class:`FrozenEntry`) that
 duck-type exactly the read surface Algorithm 1 and the boolean fallback
 use — ``root``, ``disk``, ``live_entries()``, ``live_count()``, ``mbr()``,
-``entry_at()`` — and nothing mutable.
+``entry_at()`` — and nothing mutable.  A frozen leaf shares the live
+leaf's entry objects, which no writer mutates, so a freeze copies no
+tuple.
 
 Freezing is copy-on-write at node granularity and costs the changed paths,
 not the tree: the live tree records every node whose page was written or
@@ -34,59 +36,63 @@ from repro.rtree.geometry import Rect
 from repro.rtree.node import NodeBlock
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.rtree.node import Entry
     from repro.rtree.rtree import RTree
 
 
 class FrozenEntry:
-    """An immutable slot payload: a child subtree or a tuple id."""
+    """An immutable inner slot payload: a child subtree and its box (a
+    frozen leaf's slots are the live :class:`~repro.rtree.node.Entry`
+    objects themselves)."""
 
-    __slots__ = ("mbr", "child", "tid")
+    __slots__ = ("mbr", "child")
 
-    def __init__(
-        self,
-        mbr: Rect,
-        child: "FrozenRNode | None" = None,
-        tid: int | None = None,
-    ) -> None:
+    tid = None
+    is_leaf_entry = False
+
+    def __init__(self, mbr: Rect, child: "FrozenRNode") -> None:
         self.mbr = mbr
         self.child = child
-        self.tid = tid
-
-    @property
-    def is_leaf_entry(self) -> bool:
-        return self.tid is not None
 
 
 class FrozenRNode:
-    """An immutable R-tree node sharing its page id with the live node."""
+    """An immutable R-tree node sharing its page id with the live node.
 
-    __slots__ = ("node_id", "page_id", "level", "_slots", "_mbr", "_block")
+    ``entries`` is indexed by slot, ``None`` at a free slot, like the live
+    node's.  A frozen leaf holds the live leaf's own :class:`Entry`
+    objects: maintenance replaces entries and never mutates one, so
+    sharing them copies no tuple.  The MBR is computed on the first
+    :meth:`mbr` call (only the root's is ever read, by the search's first
+    heap entry) and kept.
+    """
+
+    __slots__ = ("node_id", "page_id", "level", "_entries", "_mbr", "_block")
 
     def __init__(
         self,
         node_id: int,
         page_id: int,
         level: int,
-        slots: list[tuple[int, FrozenEntry]],
+        entries: "list[FrozenEntry | Entry | None]",
     ) -> None:
         self.node_id = node_id
         self.page_id = page_id
         self.level = level
-        self._slots = slots
-        self._mbr = (
-            Rect.union_all([entry.mbr for _, entry in slots]) if slots else None
-        )
+        self._entries = entries
+        self._mbr: Rect | None = None
         self._block: NodeBlock | None = None
 
     @property
     def is_leaf(self) -> bool:
         return self.level == 0
 
-    def live_entries(self) -> Iterator[tuple[int, FrozenEntry]]:
-        return iter(self._slots)
+    def live_entries(self) -> Iterator[tuple[int, "FrozenEntry | Entry"]]:
+        for index, entry in enumerate(self._entries):
+            if entry is not None:
+                yield index, entry
 
     def live_count(self) -> int:
-        return len(self._slots)
+        return len(self._entries) - self._entries.count(None)
 
     def block(self) -> NodeBlock:
         """The columnar view of the children, built on first use and kept.
@@ -103,9 +109,15 @@ class FrozenRNode:
         return block
 
     def mbr(self) -> Rect:
-        if self._mbr is None:
-            raise ValueError("empty node has no MBR")
-        return self._mbr
+        """The MBR of the live entries (computed once; concurrent first
+        calls compute equal rects and the last store wins)."""
+        mbr = self._mbr
+        if mbr is None:
+            boxes = [entry.mbr for entry in self._entries if entry is not None]
+            if not boxes:
+                raise ValueError("empty node has no MBR")
+            mbr = self._mbr = Rect.union_all(boxes)
+        return mbr
 
 
 class FrozenRTree:
@@ -171,9 +183,7 @@ class FrozenRTree:
             if node is None:
                 return None
             slot = position - 1
-            entry = next(
-                (e for s, e in node.live_entries() if s == slot), None
-            )
+            entry = node._entries[slot] if 0 <= slot < len(node._entries) else None
             if entry is None:
                 return None
             node = entry.child
@@ -213,16 +223,15 @@ def freeze(tree: "RTree", previous: FrozenRTree | None = None) -> FrozenRTree:
             if shared is not None:
                 return shared
         if node.is_leaf:
-            slots = [
-                (slot, FrozenEntry(entry.mbr, tid=entry.tid))
-                for slot, entry in node.live_entries()
-            ]
+            entries = list(node.entries)
         else:
-            slots = [
-                (slot, FrozenEntry(entry.mbr, child=_freeze(entry.child)))
-                for slot, entry in node.live_entries()
+            entries = [
+                None
+                if entry is None
+                else FrozenEntry(entry.mbr, _freeze(entry.child))
+                for entry in node.entries
             ]
-        return FrozenRNode(node.node_id, node.page_id, node.level, slots)
+        return FrozenRNode(node.node_id, node.page_id, node.level, entries)
 
     root = _freeze(tree.root)
     tree._touched_nodes = set()

@@ -42,6 +42,17 @@ class Rect:
         return cls(point, point)
 
     @classmethod
+    def trusted(cls, lows: Point, highs: Point) -> "Rect":
+        """A rect over float tuples already known to satisfy ``lows <=
+        highs`` — the bulk loader's boxes, which come from ``min`` / ``max``
+        over finite coordinates.  Neither validated nor re-tupled; a point's
+        box may pass the same tuple twice."""
+        rect = object.__new__(cls)
+        object.__setattr__(rect, "lows", lows)
+        object.__setattr__(rect, "highs", highs)
+        return rect
+
+    @classmethod
     def union_all(cls, rects: Iterable["Rect"]) -> "Rect":
         """The MBR of a non-empty collection of rectangles."""
         it = iter(rects)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.baselines.boolean_first import build_boolean_indexes
 from repro.btree.btree import BPlusTree
 from repro.core import integrity, maintenance
@@ -21,7 +23,7 @@ from repro.core.wal import MaintenanceWAL, PendingOp, replay_intent
 from repro.cube.relation import Relation
 from repro.query.session import QuerySession
 from repro.query.stats import MaintenanceStats
-from repro.rtree.bulk import bulk_load
+from repro.rtree.bulk import bulk_load_columns
 from repro.rtree.rtree import RTree, fanout_for_page
 from repro.storage.disk import SimulatedDisk
 
@@ -375,12 +377,10 @@ def build_system(
     timings = BuildTimings()
     started = time.perf_counter()
     if rtree_method == "bulk":
-        rtree = bulk_load(
-            list(relation.pref_points()),
-            dims=dims,
-            max_entries=fanout,
-            disk=disk,
-            split=split,
+        columns = relation.columnar()
+        tids = np.flatnonzero(columns.live)
+        rtree = bulk_load_columns(
+            tids, columns.pref[tids], max_entries=fanout, disk=disk, split=split
         )
     elif rtree_method == "insert":
         rtree = RTree(

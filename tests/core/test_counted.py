@@ -2,13 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.bitmap.bitarray import BitArray
-from repro.core.counted import CountedSignature
+from repro.core.counted import CountedSignature, PathColumns
 from repro.core.integrity import iter_cell_checks
 from repro.core.sid import ancestor_sids
 from repro.core.signature import Signature
@@ -75,6 +76,48 @@ def test_from_paths():
     assert counted.count(0, 1) == 2
     counted.remove_path((1, 1))
     assert counted.check_bit(0, 1)  # still one left
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=9).flatmap(
+        lambda fanout: st.tuples(
+            st.just(fanout),
+            st.integers(min_value=1, max_value=4).flatmap(
+                lambda depth: st.lists(
+                    st.tuples(
+                        st.integers(min_value=-1, max_value=3),
+                        st.lists(
+                            st.integers(min_value=1, max_value=fanout),
+                            min_size=depth,
+                            max_size=depth,
+                        ).map(tuple),
+                    ),
+                    max_size=50,
+                )
+            ),
+        )
+    )
+)
+def test_count_cells_equals_per_path_counting(data):
+    """The array count (one lexsort per level) gives every cell the counts
+    adding its members' paths one by one gives — the per-path primitive is
+    the reference.  Label -1 counts into no cell; cell 4 has no member."""
+    fanout, rows = data
+    labels = np.array([label for label, _ in rows], dtype=np.int64)
+    paths = PathColumns({tid: path for tid, (_, path) in enumerate(rows)}, fanout)
+    counted = CountedSignature.count_cells(labels, 5, paths)
+    for cell in range(5):
+        members = [path for label, path in rows if label == cell]
+        assert counted[cell] == CountedSignature.from_paths(members, fanout)
+
+
+def test_count_cells_refuses_a_counted_tuple_without_a_path():
+    paths = PathColumns({0: (1, 2)}, 4)
+    with pytest.raises(KeyError):
+        CountedSignature.count_cells(np.array([0, 0]), 1, paths)
+    with pytest.raises(ValueError):
+        PathColumns({0: (1, 2), 1: (1,)}, 4)
 
 
 def test_dirty_sids():

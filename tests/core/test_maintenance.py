@@ -345,6 +345,53 @@ def test_delete_tombstones_the_relation_row(system):
     assert system.relation.bool_row(10) is not None
 
 
+@pytest.mark.parametrize(
+    "write, error",
+    [
+        (lambda s: s.insert((0, 1), (0.5,)), ValueError),  # preference width
+        (lambda s: s.insert((0,), (0.5, 0.5)), ValueError),  # boolean width
+        (lambda s: s.insert((0, 1), (0.5, float("nan"))), ValueError),
+        (lambda s: s.delete(10_000), IndexError),
+        (lambda s: s.delete(-1), IndexError),
+        (lambda s: s.update(3, (0.5, 0.5, 0.5)), ValueError),
+        (lambda s: s.update(3, (float("-inf"), 0.5)), ValueError),
+        (
+            lambda s: s.insert_batch([((0, 1), (0.1, 0.2)), ((0, 1), (0.3,))]),
+            ValueError,
+        ),
+    ],
+    ids=[
+        "insert-pref-width",
+        "insert-bool-width",
+        "insert-nan",
+        "delete-past-the-end",
+        "delete-negative",
+        "update-width",
+        "update-inf",
+        "insert-batch-one-bad-row",
+    ],
+)
+def test_a_malformed_write_is_refused_before_it_is_journalled(
+    system, write, error
+):
+    """The write raises what it always raised, but journals nothing: no
+    pending op, a clean audit, and the next write goes through."""
+    system.delete(7)
+    before = (len(system.relation), system.disk.write_counters.snapshot())
+    with pytest.raises(error):
+        write(system)
+    with pytest.raises(KeyError):
+        system.delete(7)
+    assert system.wal.pending() is None
+    assert (len(system.relation), system.disk.write_counters.snapshot()) == before
+    assert system.verify_consistency().ok
+    tid, _ = system.insert((0, 1), (0.25, 0.75))
+    system.update(tid, (0.5, 0.5))
+    system.delete(tid)
+    assert system.recover() == "clean"
+    assert system.verify_consistency().ok
+
+
 # --------------------------------------------------------------------------- #
 # the read-modify-write rewrite: same pages, work along the changed paths
 # --------------------------------------------------------------------------- #

@@ -1,5 +1,8 @@
 """Cells, cuboids and the lattice."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.cube.cuboid import Cell, Cuboid, atomic_cuboids, cuboid_lattice
@@ -60,6 +63,42 @@ def test_cuboid_group_multi_dim(relation):
     groups = Cuboid(("A", "B")).group(relation)
     assert groups[Cell(("A", "B"), ("a1", "b1"))] == [0, 3]
     assert len(groups) == 3
+
+
+def as_groups(cells, labels):
+    """``Cuboid.label``'s arrays as ``Cuboid.group``'s dict."""
+    return {
+        cell: [tid for tid, label in enumerate(labels.tolist()) if label == i]
+        for i, cell in enumerate(cells)
+    }
+
+
+@pytest.mark.parametrize("dims", [("A",), ("C",), ("A", "B"), ("C", "A", "B")])
+@pytest.mark.parametrize("numeric", [False, True])
+def test_label_is_group_as_arrays(dims, numeric):
+    """Same cells, same first-appearance order, same members — over the
+    dictionary-coded columns of string values and the raw integer columns
+    of a generated matrix, with tombstones left out or kept."""
+    rng = random.Random(len(dims) + numeric)
+    rows = [
+        tuple(rng.randrange(3) if numeric else rng.choice("xyz") for _ in "ABC")
+        for _ in range(200)
+    ]
+    schema = Schema(("A", "B", "C"), ("X",))
+    prefs = [(0.5,)] * len(rows)
+    relation = (
+        Relation(schema, np.array(rows), np.array(prefs))
+        if numeric
+        else Relation(schema, rows, prefs)
+    )
+    for tid in rng.sample(range(len(rows)), 40):
+        relation.tombstone(tid)
+    cuboid = Cuboid(dims)
+    for include_tombstoned in (False, True):
+        expected = cuboid.group(relation, include_tombstoned=include_tombstoned)
+        cells, labels = cuboid.label(relation, include_tombstoned=include_tombstoned)
+        assert list(as_groups(cells, labels).items()) == list(expected.items())
+        assert [cell.values for cell in cells] == [cell.values for cell in expected]
 
 
 def test_cuboid_cell_for(relation):

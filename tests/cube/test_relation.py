@@ -1,5 +1,6 @@
 """Relation heap file: access paths, page accounting, growth."""
 
+import numpy as np
 import pytest
 
 from repro.cube.relation import Relation
@@ -39,6 +40,21 @@ def test_width_validation(schema):
         Relation(schema, [(1, 2)], [(0.0,)])
     with pytest.raises(ValueError):
         Relation(schema, [(1, 2)], [])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_preference_values_are_refused(schema, bad):
+    with pytest.raises(ValueError, match="finite"):
+        Relation(schema, [(1, 2)], [(0.5, bad)])
+    with pytest.raises(ValueError, match="finite"):
+        Relation(schema, np.array([[1, 2]]), np.array([[bad, 0.5]]))
+    relation = Relation(schema, [(1, 2)], [(0.5, 0.5)])
+    with pytest.raises(ValueError, match="finite"):
+        relation.append((1, 2), (bad, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        relation.overwrite_pref(0, (0.5, bad))
+    assert len(relation) == 1
+    assert relation.pref_point(0) == (0.5, 0.5)
 
 
 def test_scan_reads_every_heap_page_once(schema):

@@ -1,0 +1,128 @@
+"""The build's disk image, pinned.
+
+``build_system`` promises bytes, not just answers: the same relation and
+arguments give the same pages, paths, counts and trees (DESIGN.md §5,
+"Build").  Each piece is digested apart so a failure names it — every
+page's id, tag, logical size and checksum, the tuple paths in the order
+``all_paths()`` lists them, the counted signatures in the cube's insertion
+order, the store's directory and index, the R-tree's and every B+-tree's
+nodes, and the build's allocate / write / free counts.
+
+Two builds are pinned: 2 000 tuples at fanout 64, and 300 tuples at fanout
+6 on 128-byte pages, where the tree is deeper and cells span several
+partials.  The literals were recorded before the build moved onto column
+arrays; a change that means to move the image re-records them and says
+why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.data.synthetic import SyntheticConfig, generate_relation
+from repro.storage.disk import SimulatedDisk
+from repro.system import build_system
+
+#: name -> (n_tuples, cardinality, fanout, page size, pinned image)
+BUILDS = {
+    "2000-tuples-fanout-64": (
+        2000, 100, 64, None,
+        {
+            "pages": (438, "1d317360dca0e3fd"),
+            "paths": "43231253bea1f97e",
+            "counted": "1bb6561620076d11",
+            "store": "533b40857a25880d",
+            "rtree": "208547d139aa6b1d",
+            "btrees": "03086aa8244ad8a5",
+            "writes": {"ALLOC": 413, "WRITE": 455, "FREE": 1},
+        },
+    ),
+    "300-tuples-fanout-6": (
+        300, 10, 6, 128,
+        {
+            "pages": (357, "c3268016e34c8d9f"),
+            "paths": "1e90c5b2fe0883e3",
+            "counted": "b3b20fd4832a7b9d",
+            "store": "f3a3b054e33dd137",
+            "rtree": "d0b0f8ad5297bb3c",
+            "btrees": "d9c6b2f6bef60e44",
+            "writes": {"ALLOC": 208, "WRITE": 296, "FREE": 1},
+        },
+    ),
+}
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def btree_nodes(tree):
+    """Pre-order: page id, keys, and the child page ids or the values."""
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        kids = getattr(node, "children", ())
+        yield (
+            node.page_id,
+            tuple(node.keys),
+            tuple(child.page_id for child in kids) or tuple(node.values),
+        )
+        stack.extend(reversed(kids))
+
+
+def build_image(system, writes) -> dict:
+    disk = system.disk
+    pages = sorted((p.page_id, p.tag, p.size, p.checksum) for p in disk.pages())
+    counted = [
+        (
+            cell.cell_id,
+            sorted((sid, sorted(node.items())) for sid, node in c._counts.items()),
+        )
+        for cell, c in system.pcube._counted.items()
+    ]
+    store = system.pcube.store
+    rtree = [
+        (
+            node.node_id,
+            node.page_id,
+            node.level,
+            tuple(
+                (slot, entry.tid, entry.mbr.lows, entry.mbr.highs,
+                 entry.child and entry.child.node_id)
+                for slot, entry in node.live_entries()
+            ),
+        )
+        for node in system.rtree.nodes()
+    ]
+    trees = [*system.indexes.values(), store._index]
+    return {
+        "pages": (len(pages), digest(pages)),
+        "paths": digest(list(system.rtree.all_paths().items())),
+        "counted": digest(counted),
+        "store": digest((store.directory_entries(), store.index_entries())),
+        "rtree": digest(rtree),
+        "btrees": digest([list(btree_nodes(tree)) for tree in trees]),
+        "writes": writes,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_a_build_writes_the_pinned_image(name):
+    n_tuples, cardinality, fanout, page_size, pinned = BUILDS[name]
+    disk = SimulatedDisk() if page_size is None else SimulatedDisk(page_size=page_size)
+    relation = generate_relation(
+        SyntheticConfig(n_tuples=n_tuples, cardinality=cardinality, seed=7),
+        disk=disk,
+    )
+    before = disk.write_counters.snapshot()
+    system = build_system(relation, fanout=fanout)
+    after = disk.write_counters.snapshot()
+    writes = {key: after[key] - before.get(key, 0) for key in after}
+    assert build_image(system, writes) == pinned
+    assert system.verify_consistency().ok
+    if page_size is not None:
+        assert system.rtree.height() >= 3
+        store = system.pcube.store
+        assert max(len(store.refs_for(cell)) for cell in system.pcube._counted) >= 2

@@ -6,6 +6,9 @@ from repro.bitmap import compression
 from repro.core import partial as partial_module
 from repro.cube.cuboid import Cuboid
 from repro.data.synthetic import SyntheticConfig, generate_relation
+from repro.query.session import QuerySession
+from repro.rtree.frozen import freeze
+from repro.rtree.geometry import Rect
 from repro.rtree.node import RTreeNode, tuple_path
 from repro.storage.counters import ALLOC, WRITE
 from repro.system import build_system
@@ -43,10 +46,13 @@ def spy(monkeypatch, owner, name, log, what):
 
 def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
     """Counted, not timed: one grouping per cuboid, one encoder run per
-    distinct node bit array, one MBR per R-tree node, one page write per
-    B+-tree node of the batch, and paths equal to the per-tuple climb."""
-    groupings, asked, boxed = [], [], []
-    spy(monkeypatch, Cuboid, "group", groupings, lambda self, *_, **__: self.dims)
+    distinct node bit array, no MBR re-derived from a built node, one page
+    write per B+-tree node of the batch, paths equal to the per-tuple
+    climb — and a first freeze whose only union of boxes is the root's,
+    when the search first asks for it."""
+    groupings, asked, boxed, unions = [], [], [], []
+    spy(monkeypatch, Cuboid, "label", groupings, lambda self, *_, **__: self.dims)
+    spy(monkeypatch, Cuboid, "group", groupings, lambda *_, **__: "group")
     spy(
         monkeypatch,
         partial_module,
@@ -69,9 +75,9 @@ def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
     assert sorted(groupings) == sorted(c.dims for c in system.pcube.cuboids)
     info = compression._encode.cache_info()
     assert info.misses == len(set(asked)) < len(asked) == info.hits + info.misses
-    # Every node but the root gave its MBR once, to its parent's level.
+    # Each level's boxes come from its children's rows, never from a node.
+    assert boxed == []
     nodes = list(system.rtree.nodes())
-    assert sorted(boxed) == sorted(n.node_id for n in nodes if n is not system.rtree.root)
     for tid in relation.live_tids():
         assert system.rtree.path_of(tid) == tuple_path(system.rtree.leaf_of(tid), tid)
     # A B+-tree node is written once by the batch (its root once more, by
@@ -83,6 +89,26 @@ def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
     assert all(written[n.page_id] == 2 for n in nodes)
     counters = relation.disk.write_counters
     assert counters.get(WRITE) == sum(written.values()) < 2 * counters.get(ALLOC)
+
+    spy(monkeypatch, Rect, "union_all", unions, lambda *_: "union")
+    snapshot = freeze(system.rtree)
+    assert unions == []
+    session = QuerySession(relation, snapshot, system.pcube)
+    for _ in range(2):
+        session.skyline()
+    assert unions == ["union"]
+    frozen = [snapshot.root]
+    for node in frozen:
+        assert (node._mbr is not None) == (node is snapshot.root)
+        frozen.extend(e.child for _, e in node.live_entries() if not node.is_leaf)
+    assert len(frozen) == len(nodes)
+    # The frozen leaves hold the live leaves' entry objects.
+    assert all(
+        entry is system.rtree.leaf_of(entry.tid).entries[slot]
+        for node in frozen
+        if node.is_leaf
+        for slot, entry in node.live_entries()
+    )
 
 
 def test_build_insert_method(relation):

@@ -1,10 +1,12 @@
 """STR bulk loading."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
-from repro.rtree.bulk import bulk_load
+from repro.rtree.bulk import _str_order, bulk_load
 from repro.rtree.geometry import Rect
 from repro.rtree.node import tuple_path
 
@@ -100,3 +102,57 @@ def test_bulk_load_3d():
     tree = bulk_load(points, dims=3, max_entries=8)
     check_invariants(tree)
     assert len(tree) == 300
+
+
+def reference_tile(items, key, dims, capacity, dim=0):
+    """The per-item STR tiler the loader's array tiling replaced: Python's
+    stable ``sorted`` per dimension, slabs, even final chunks."""
+    if len(items) <= capacity:
+        return [items]
+    if dim >= dims - 1:
+        items = sorted(items, key=lambda it: key(it)[dims - 1])
+        n_chunks = math.ceil(len(items) / capacity)
+        base, extra = divmod(len(items), n_chunks)
+        groups, start = [], 0
+        for i in range(n_chunks):
+            size = base + 1 if i < extra else base
+            groups.append(items[start : start + size])
+            start += size
+        return groups
+    n_groups = math.ceil(len(items) / capacity)
+    n_slabs = max(1, math.ceil(n_groups ** (1.0 / (dims - dim))))
+    slab_size = math.ceil(len(items) / n_slabs)
+    items = sorted(items, key=lambda it: key(it)[dim])
+    groups = []
+    for start in range(0, len(items), slab_size):
+        groups.extend(reference_tile(items[start : start + slab_size], key, dims, capacity, dim + 1))
+    return groups
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 4])
+@pytest.mark.parametrize("capacity", [2, 7, 58])
+def test_array_tiling_makes_the_reference_groups_ties_included(dims, capacity):
+    """Coordinates drawn from four values, so most keys tie: a stable
+    ``argsort`` must keep them in the order the reference's ``sorted``
+    keeps them, group for group."""
+    rng = np.random.default_rng(dims * 100 + capacity)
+    for n in (1, capacity, capacity + 1, 3 * capacity + 2, 613):
+        keys = rng.integers(0, 4, (n, dims)) / 4.0
+        order, sizes = _str_order(keys, capacity)
+        groups = np.split(order, np.cumsum(sizes)[:-1])
+        expected = reference_tile(list(range(n)), keys.__getitem__, dims, capacity)
+        assert [group.tolist() for group in groups] == expected
+
+
+def test_every_node_box_is_its_entries_union():
+    points = random_points(700, seed=12)
+    tree = bulk_load(points, dims=2, max_entries=8)
+    for node in tree.nodes():
+        for _, entry in node.live_entries():
+            if entry.child is not None:
+                assert entry.mbr == entry.child.mbr()
+
+
+def test_non_finite_coordinates_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        bulk_load([(1, (0.0, float("nan"))), (2, (1.0, 1.0))], dims=2, max_entries=4)

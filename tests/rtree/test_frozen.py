@@ -60,6 +60,16 @@ def same_subtree(a, b):
     return True
 
 
+def leaf_slots(root):
+    """Every leaf slot's ``(tid, lows, highs)`` as plain values."""
+    return sorted(
+        (node_id, slot, entry.tid, entry.mbr.lows, entry.mbr.highs)
+        for node_id, node in frozen_nodes(root).items()
+        if node.is_leaf
+        for slot, entry in node.live_entries()
+    )
+
+
 def subtree_pages(node, memo):
     pages = memo.get(node.node_id)
     if pages is None:
@@ -91,7 +101,8 @@ def test_incremental_freeze_equals_from_scratch_and_shares_the_rest(
 ):
     """Inserts, deletes and updates on a fanout-4 tree: node splits, root
     growth and shrinkage, condense-tree re-insertions, R* forced
-    re-insertion."""
+    re-insertion.  Frozen leaves share the live tree's entries, so a
+    snapshot pinned early must still read every leaf slot as it was."""
     rng = random.Random(3)
     disk = WriteLoggingDisk()
     tree = RTree(dims=2, max_entries=4, split=split, disk=disk)
@@ -118,6 +129,10 @@ def test_incremental_freeze_equals_from_scratch_and_shares_the_rest(
         assert not tree._touched_nodes
         from_scratch = freeze(tree, None)
         assert same_subtree(snapshot.root, from_scratch.root), step
+        if tree.root.live_count():
+            assert snapshot.root.mbr() == from_scratch.root.mbr() == tree.root.mbr()
+        if step == 40:
+            pinned, pinned_slots = snapshot, leaf_slots(snapshot.root)
         assert snapshot.node_count() == tree.node_count()
         assert len(snapshot) == len(tree)
 
@@ -140,6 +155,7 @@ def test_incremental_freeze_equals_from_scratch_and_shares_the_rest(
                 assert subtree_pages(node, memo) & disk.written, (step, node_id)
         previous = snapshot
     assert len(heights) > 2  # the root grew and shrank along the way
+    assert leaf_slots(pinned.root) == pinned_slots
 
 
 def test_a_single_tuple_write_builds_its_paths_not_the_tree(
