@@ -1,7 +1,7 @@
 """Ablation: the on-demand recursive intersection vs its two neighbours.
 
 Paper Fig. 3 assembles a multi-predicate signature with a *recursive*
-intersection.  The serving reader (:class:`~repro.core.store.AssembledReader`)
+intersection.  The serving reader (:class:`~repro.core.readers.AssembledReader`)
 evaluates it on demand over the stored partials; this bench sets it, on
 multi-predicate CoverType queries, against
 
@@ -10,8 +10,9 @@ multi-predicate CoverType queries, against
   loaded: the most a query could pay in ``SSig``, the fewest blocks it can
   read); and
 * the **plain AND** — the members' bits and-ed node by node with no look
-  below, built here (no query runs it): internal-node false positives cost
-  a block read per level down to the leaves.
+  below, the same reader told that every level is the leaf level
+  (``AssembledReader(members, 0)``; no query runs it): internal-node false
+  positives cost a block read per level down to the leaves.
 
 Asserted per query: the on-demand reader reads exactly the oracle's blocks,
 loads no more partials than the oracle, and its blocks plus partial loads
@@ -24,37 +25,16 @@ import pytest
 
 from benchmarks.conftest import covertype_predicates, print_table
 from repro.core.ops import intersect_all
-from repro.core.pcube import SignatureAdapter
-from repro.core.store import MemberReaders
+from repro.core.readers import AssembledReader, SignatureAdapter
 from repro.query.algorithm1 import SkylineStrategy, run_algorithm1
 from repro.query.stats import QueryStats
 from repro.storage.buffer import BufferPool
 
 
-class PlainAnd(MemberReaders):
-    """The members' bits, and-ed: member *k* sees only what passed the
-    members before it; nothing is looked up below the node asked about."""
-
-    def check_entry(self, parent_path, position):
-        return all(r.check_entry(parent_path, position) for r in self.readers)
-
-    def check_block(self, parent_path, wanted):
-        for reader in self.readers:
-            if not wanted:
-                break
-            wanted = reader.check_block(parent_path, wanted)
-            if wanted is None:
-                return None
-        return wanted
-
-    def check_path(self, path):
-        return all(reader.check_path(path) for reader in self.readers)
-
-
 def _skyline_with(system, make_reader):
     stats = QueryStats()
     pool = BufferPool(system.rtree.disk, capacity=4096)
-    reader = make_reader(pool, stats.counters)
+    reader = make_reader(pool, stats)
     state = run_algorithm1(
         system.rtree,
         SkylineStrategy(system.rtree.dims),
@@ -79,10 +59,10 @@ def assembly_comparison(covertype_system):
             tids, on_demand = result.tids, result.stats
             oracle_tids, oracle = _skyline_with(
                 system,
-                lambda pool, counters: SignatureAdapter(
+                lambda pool, stats: SignatureAdapter(
                     intersect_all(
                         [
-                            store.load_full_signature(cell, pool, counters)
+                            store.load_full_signature(cell, pool, stats)
                             for cell in cells
                         ]
                     )
@@ -90,8 +70,8 @@ def assembly_comparison(covertype_system):
             )
             plain_tids, plain = _skyline_with(
                 system,
-                lambda pool, counters: PlainAnd(
-                    [store.reader(cell, pool, counters) for cell in cells]
+                lambda pool, stats: AssembledReader(
+                    [store.reader(cell, pool, stats) for cell in cells], 0
                 ),
             )
             assert tids == oracle_tids == plain_tids

@@ -36,7 +36,7 @@ def bloom_comparison(bench_context):
             for p in decompose(signature, system.disk.page_size)
         )
         stats = QueryStats()
-        from repro.core.pcube import SignatureAdapter
+        from repro.core.readers import SignatureAdapter
 
         run_algorithm1(
             system.rtree,

@@ -5,7 +5,7 @@ corresponding R-tree node (paper Section IV-B.1).  Signatures are compressed
 *per node* with an adaptively chosen codec — the paper's stated reasons:
 large per-node compression headroom (fanout up to ~204 at 4 KB pages),
 heterogeneous node characteristics, and cheap selective decompression
-(:class:`repro.core.store.CellSignatureReader` decompresses a node only
+(:class:`repro.core.readers.CellSignatureReader` decompresses a node only
 when a query tests one of its bits).
 
 Section VII additionally sketches a lossy alternative: a Bloom filter over

@@ -337,10 +337,3 @@ def decompress(blob: bytes) -> BitArray:
         raise CodecError(f"unknown codec id {blob[0]}") from None
     nbits, offset = read_varint(blob, 1)
     return decode(nbits, blob[offset:])
-
-
-def codec_name(blob: bytes) -> str:
-    """Which codec produced this blob (for ablation reporting)."""
-    if not blob or blob[0] not in _BY_ID:
-        raise CodecError("not a compressed bitmap blob")
-    return _BY_ID[blob[0]][0]

@@ -11,7 +11,9 @@ This package is the paper's primary contribution (Section IV):
 * :mod:`repro.core.partial` — compression + decomposition into page-sized
   partial signatures, and the ancestor-reference retrieval protocol;
 * :mod:`repro.core.store` — the on-disk signature store, indexed by
-  (cell id, SID) with a B+-tree, plus lazily loading readers;
+  (cell id, SID) with a B+-tree;
+* :mod:`repro.core.readers` — the lazily loading boolean-prune readers
+  queries ask, one per cell, assembled per conjunction or disjunction;
 * :mod:`repro.core.counted` — counted signatures for O(depth) maintenance;
 * :mod:`repro.core.maintenance` — incremental updates from R-tree path
   changes (Section IV-B.3);

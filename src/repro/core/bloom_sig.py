@@ -30,10 +30,6 @@ class BloomSignature:
     exact readers, so Algorithm 1 can use it as a drop-in boolean pruner.
     """
 
-    #: Reader-interface compatibility (no lazy loading to time).
-    load_seconds = 0.0
-    loads = 0
-
     def __init__(self, bloom: BloomFilter, fanout: int, empty: bool) -> None:
         self.bloom = bloom
         self.fanout = fanout
@@ -99,9 +95,6 @@ class BloomSignature:
 
 class BloomConjunction:
     """Lazy AND over several Bloom signatures (multi-predicate queries)."""
-
-    load_seconds = 0.0
-    loads = 0
 
     def __init__(self, signatures: Sequence[BloomSignature]) -> None:
         if not signatures:

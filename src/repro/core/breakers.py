@@ -3,7 +3,7 @@
 :class:`CircuitBreaker` / :class:`BreakerBoard` stop every arriving query
 from re-probing a (cell, ref-SID) partial that keeps failing: after
 ``threshold`` consecutive fault or corrupt loads the breaker opens and
-:class:`~repro.core.store.CellSignatureReader` jumps straight to the
+:class:`~repro.core.readers.CellSignatureReader` jumps straight to the
 degraded path with zero I/O on the bad pages; the next published epoch
 moves it to *half-open*, one probe tests the (possibly rebuilt) cell, and
 success closes it again.  The serving layer owns the board

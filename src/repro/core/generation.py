@@ -20,8 +20,6 @@ from typing import Iterable, Sequence
 from repro.bitmap.bitarray import BitArray
 from repro.core.signature import Signature
 from repro.core.sid import child_sid
-from repro.cube.cuboid import Cell, Cuboid
-from repro.cube.relation import Relation
 
 
 def signature_by_recursive_sort(
@@ -64,26 +62,3 @@ def signature_by_recursive_sort(
 
     recurse(materialised, 0, 0)
     return signature
-
-
-def generate_cuboid_signatures(
-    relation: Relation,
-    cuboid: Cuboid,
-    paths: dict[int, tuple[int, ...]],
-    fanout: int,
-) -> dict[Cell, Signature]:
-    """All cell signatures of one cuboid, tuple-oriented.
-
-    Args:
-        relation: The base table.
-        cuboid: The group-by to materialise.
-        paths: tid → current R-tree path (from :meth:`RTree.all_paths`).
-        fanout: R-tree node capacity ``M``.
-    """
-    groups = cuboid.group(relation)
-    return {
-        cell: signature_by_recursive_sort(
-            (paths[tid] for tid in tids), fanout
-        )
-        for cell, tids in groups.items()
-    }

@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.counted import CountedSignature
-from repro.core.pcube import SignatureAdapter
+from repro.core.readers import AssembledReader, SignatureAdapter
 from repro.core.sid import path_of_sid
 from repro.core.signature import Signature
-from repro.core.store import AssembledReader
 from repro.cube.cuboid import Cell, Cuboid
 
 

@@ -17,7 +17,7 @@ at internal nodes — both cells have data under the node but no common tuple
 where a slot bit refers to one concrete tuple (on the e2e relation: 138–185
 node expansions for a 2-conjunct read against 10–11, EXPERIMENTS.md "PR 20").
 Queries run the recursive operator, evaluated on demand over the stored
-partials by :class:`repro.core.store.AssembledReader`; the functions here
+partials by :class:`repro.core.readers.AssembledReader`; the functions here
 work on whole in-memory signatures and no serving path imports them: they
 are kept as the Fig. 3 oracle — :func:`intersect_all` is what tests, the
 assembly ablation and the audit compare the reader with bit for bit (the

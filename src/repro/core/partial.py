@@ -168,17 +168,6 @@ def pack(
     return partials
 
 
-def reassemble(
-    partials: Sequence[PartialSignature], fanout: int
-) -> Signature:
-    """Rebuild the full signature from all of its partials."""
-    signature = Signature(fanout)
-    for partial in partials:
-        for sid, bits in partial.decode().items():
-            signature.set_node(sid, bits)
-    return signature
-
-
 def retrieval_refs(path: Sequence[int], fanout: int) -> list[int]:
     """The candidate partial references for the node at ``path``.
 

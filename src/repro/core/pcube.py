@@ -13,73 +13,25 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.core.counted import CountedSignature, PathColumns
-from repro.core.sid import sid_of_path
 from repro.obs.trace import COVER, Tracer
 from repro.core.signature import Signature
-from repro.core.store import (
+from repro.core.readers import (
+    AnyOfReader,
     AssembledReader,
     CellSignatureReader,
-    SignatureStore,
+    EmptyReader,
 )
+from repro.core.store import SignatureStore
 from repro.cube.cuboid import Cell, Cuboid, atomic_cuboids
 from repro.cube.relation import Relation
 from repro.rtree.rtree import PathChange, RTree
+from repro.query.stats import QueryStats
 from repro.storage.buffer import BufferPool
 from repro.storage.counters import IOCounters
 
 if TYPE_CHECKING:
     from repro.core.breakers import BreakerBoard
-
-
-class EmptyReader:
-    """Reader for a predicate that provably selects no tuples."""
-
-    load_seconds = 0.0
-    loads = 0
-    retries = 0
-    failed_loads = 0
-    degraded_checks = 0
-    breaker_skips = 0
-    degraded = False
-
-    def check_entry(self, parent_path, position) -> bool:
-        return False
-
-    def check_block(self, parent_path, wanted: int) -> int:
-        return 0
-
-    def check_path(self, path) -> bool:
-        return False
-
-
-class SignatureAdapter:
-    """Expose an in-memory :class:`Signature` with the reader interface
-    (the differential oracle in tests, benchmarks and the audit)."""
-
-    load_seconds = 0.0
-    loads = 0
-    retries = 0
-    failed_loads = 0
-    degraded_checks = 0
-    breaker_skips = 0
-    degraded = False
-
-    def __init__(self, signature: Signature) -> None:
-        self.signature = signature
-
-    def check_entry(self, parent_path, position) -> bool:
-        return self.signature.check_bit(
-            sid_of_path(parent_path, self.signature.fanout), position
-        )
-
-    def check_block(self, parent_path, wanted: int) -> int:
-        bits = self.signature.node(
-            sid_of_path(parent_path, self.signature.fanout)
-        )
-        return wanted & bits.mask if bits is not None else 0
-
-    def check_path(self, path) -> bool:
-        return self.signature.check_path(path)
+    from repro.query.predicates import BooleanPredicate
 
 
 class ReaderFactory:
@@ -104,7 +56,7 @@ class ReaderFactory:
         self,
         cells: Sequence[Cell],
         pool: BufferPool | None = None,
-        counters: IOCounters | None = None,
+        stats: QueryStats | None = None,
         tracer: Tracer | None = None,
         deadline_at: float | None = None,
         breakers: "BreakerBoard | None" = None,
@@ -113,14 +65,17 @@ class ReaderFactory:
         """A boolean-prune reader for the conjunction of ``cells``.
 
         Every cell reads lazily from the store; a conjunction of several is
-        an :class:`~repro.core.store.AssembledReader` — the paper's exact
+        an :class:`~repro.core.readers.AssembledReader` — the paper's exact
         recursive intersection (Fig. 3) evaluated on demand, to the leaf
-        depth of this tree.  A ``tracer`` is handed down to every per-cell
-        reader (partial-load events) and receives one ``cover`` event naming
-        the cells assembled.
+        depth of this tree.  Every per-cell reader bumps ``stats`` (a fresh
+        record when none is given).  A ``tracer`` is handed down to every
+        per-cell reader (partial-load events) and receives one ``cover``
+        event naming the cells assembled.
         """
         if not cells:
             raise ValueError("reader_for_cells needs at least one cell")
+        if stats is None:
+            stats = QueryStats()
         resolved: list[Cell] = []
         for cell in cells:
             if self.materialised_cell(cell):
@@ -144,7 +99,7 @@ class ReaderFactory:
                 self.store,
                 cell,
                 pool,
-                counters,
+                stats,
                 fallback=self.boolean_fallback,
                 tracer=tracer,
                 deadline_at=deadline_at,
@@ -205,7 +160,7 @@ class ReaderFactory:
         self,
         conjuncts: dict,
         pool: BufferPool | None = None,
-        counters: IOCounters | None = None,
+        stats: QueryStats | None = None,
         tracer: Tracer | None = None,
         deadline_at: float | None = None,
         breakers: "BreakerBoard | None" = None,
@@ -223,12 +178,48 @@ class ReaderFactory:
         return self.reader_for_cells(
             cover,
             pool,
-            counters,
+            stats,
             tracer,
             deadline_at=deadline_at,
             breakers=breakers,
             epoch=epoch,
         )
+
+    def reader_for_dnf(
+        self,
+        disjuncts: Sequence[BooleanPredicate],
+        pool: BufferPool | None = None,
+        stats: QueryStats | None = None,
+        **plumbing,
+    ):
+        """A boolean-prune reader for ``disjunct_1 OR disjunct_2 OR ...``
+        (signature union, paper Fig. 3b).
+
+        ``plumbing`` (tracer, ticket deadline, breaker board, epoch) is
+        handed to every per-disjunct :meth:`reader_for_predicate` unchanged,
+        and every disjunct's reader bumps the same ``stats``.  Returns
+        ``None`` when some disjunct is the empty conjunction ``φ`` (the
+        disjunction is then a tautology: no pruning possible).
+        """
+        if not disjuncts:
+            raise ValueError("reader_for_dnf needs at least one disjunct")
+        if any(disjunct.is_empty() for disjunct in disjuncts):
+            return None
+        if stats is None:
+            stats = QueryStats()
+        readers = []
+        for disjunct in disjuncts:
+            reader = self.reader_for_predicate(
+                disjunct.conjuncts, pool, stats, **plumbing
+            )
+            if isinstance(reader, EmptyReader):
+                continue  # an unsatisfiable disjunct contributes nothing
+            readers.append(reader)
+        if not readers:
+            return EmptyReader()
+        if len(readers) == 1:
+            return readers[0]
+        return AnyOfReader(readers)
 
     def boolean_fallback(
         self,

@@ -1,15 +1,11 @@
-"""The on-disk signature store and its lazily loading readers.
+"""The on-disk signature store.
 
 Paper Section VI-A: "Signatures are compressed, decomposed and indexed
 (using B+-tree) by cell IDs and SID's."  A partial signature lives on one
-disk page; the B+-tree maps ``(cell_id, ref_sid)`` to that page.  At query
-time a :class:`CellSignatureReader` starts from the root-referenced partial
-and loads further partials only when the search requests a node that is not
-resident yet (Section IV-B.2's retrieval protocol) — every load is counted
-under ``SSIG`` and timed for the Figure 15 breakdown.  A loaded partial
-stays compressed; the reader decompresses a node when a bit of it is first
-tested (nodes are compressed individually so that they can be,
-Section IV-B.1), and most nodes of a partial never are.
+disk page; the B+-tree maps ``(cell_id, ref_sid)`` to that page.  The store
+keeps that directory, rewrites a cell's partials under maintenance, and
+serves epoch snapshots of the directory (:class:`StoreView`); the readers
+that load partials at query time live in :mod:`repro.core.readers`.
 
 Fault tolerance (the Diamond-Dicing contract: OLAP structures are
 rebuildable caches over the base relation, so a lost or corrupt signature
@@ -22,42 +18,30 @@ must never produce a wrong answer, only a slower one):
   mid-rewrite leaves the old partials readable; a storage fault frees the
   rewrite's new pages at once, and the pages a crash leaves unreferenced
   are freed by crash recovery (:meth:`SignatureStore.free_orphans`);
-* when a partial stays unreadable after retries, the owning
-  :class:`CellSignatureReader` enters *conservative mode*: bit tests that
-  cannot be resolved answer ``True`` (losing boolean pruning, preserving
-  Algorithm 1's correctness), leaf-level checks are resolved exactly
-  against the base relation via a fallback, and the cell is quarantined
+* a partial that stays unreadable after retries puts its reader into
+  conservative mode (:mod:`repro.core.readers`) and quarantines the cell
   until :meth:`PCube.rebuild_cell <repro.core.pcube.PCube.rebuild_cell>`
   regenerates it from the base relation.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
-from repro.bitmap.bitarray import BitArray
-from repro.bitmap.compression import decompress
 from repro.btree.btree import BPlusTree
-from repro.core.partial import (
-    PartialSignature,
-    compress_nodes,
-    pack,
-    retrieval_refs,
-)
-from repro.core.sid import sid_of_path
-from repro.obs.trace import DEGRADED, Tracer
+from repro.core.partial import PartialSignature, compress_nodes, pack
+from repro.core.readers import BooleanFallback, CellSignatureReader
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cell
+from repro.query.stats import QueryStats
 from repro.storage.buffer import BufferPool
-from repro.storage.counters import SSIG, IOCounters
+from repro.storage.counters import SSIG
 from repro.storage.disk import PageFault, SimulatedDisk
 from repro.storage.errors import StorageFault
 from repro.storage.faults import FaultStats, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.counted import CountedSignature
-    from repro.core.breakers import BreakerBoard
 
 
 class MissingPartialError(LookupError):
@@ -92,8 +76,7 @@ class _DirectoryReads:
         cell: Cell,
         ref_sid: int,
         pool: BufferPool | None = None,
-        counters: IOCounters | None = None,
-        on_retry: Callable[[int, Exception], None] | None = None,
+        stats: QueryStats | None = None,
         deadline_at: float | None = None,
     ) -> PartialSignature | None:
         """Load one partial by (cell, ref) — one counted ``SSIG`` page read.
@@ -104,7 +87,9 @@ class _DirectoryReads:
         ``deadline_at`` (the serving ticket's wall-clock deadline) retries
         whose backoff would outspend the time left are skipped.  A read
         that keeps failing (or a detected corruption) propagates as a typed
-        storage fault for the caller's degraded path.
+        storage fault for the caller's degraded path.  The page is counted
+        in ``stats.counters``, and every retry in ``stats.fault_retries``
+        as well as in the store's :attr:`fault_stats`.
 
         The index descent is served from the directory (equivalent to a
         pinned B+-tree root path); tests exercise the counted B+-tree
@@ -114,36 +99,40 @@ class _DirectoryReads:
         if refs is None or ref_sid not in refs:
             return None
         page_id = refs[ref_sid]
+        counters = None if stats is None else stats.counters
+        attempts = 0
 
         def read_once() -> PartialSignature:
+            nonlocal attempts
+            attempts += 1
             if pool is not None:
                 return pool.get(page_id, SSIG, counters)
             return self.disk.read(page_id, SSIG, counters)
 
-        def count_retry(attempt: int, exc: Exception) -> None:
-            self.fault_stats.bump(retries=1)
-            if on_retry is not None:
-                on_retry(attempt, exc)
-
         try:
-            return self.retry_policy.call(
-                read_once, on_retry=count_retry, deadline_at=deadline_at
-            )
+            return self.retry_policy.call(read_once, deadline_at=deadline_at)
         except StorageFault:
             self.fault_stats.bump(transient_errors=1)
             raise
+        finally:
+            # The policy retries only to attempt again: every attempt after
+            # the first is one retry.
+            if attempts > 1:
+                self.fault_stats.bump(retries=attempts - 1)
+                if stats is not None:
+                    stats.fault_retries += attempts - 1
 
     def load_full_signature(
         self,
         cell: Cell,
         pool: BufferPool | None = None,
-        counters: IOCounters | None = None,
+        stats: QueryStats | None = None,
     ) -> Signature:
         """Load and reassemble every partial of a cell (counted)."""
         signature = Signature(self.fanout)
         refs = self._directory.get(cell.cell_id, {})
         for ref_sid in sorted(refs):
-            partial = self.load_partial(cell, ref_sid, pool, counters)
+            partial = self.load_partial(cell, ref_sid, pool, stats)
             if partial is None:
                 raise MissingPartialError(cell.cell_id, ref_sid)
             for sid, bits in partial.decode().items():
@@ -154,12 +143,15 @@ class _DirectoryReads:
         self,
         cell: Cell,
         pool: BufferPool | None = None,
-        counters: IOCounters | None = None,
-        fallback: "BooleanFallback | None" = None,
-    ) -> "CellSignatureReader":
-        """A bare reader of one cell (tests, ablations); a query's reader
-        comes from :meth:`PCube.reader_for_cells` with its plumbing."""
-        return CellSignatureReader(self, cell, pool, counters, fallback)
+        stats: QueryStats | None = None,
+        fallback: BooleanFallback | None = None,
+    ) -> CellSignatureReader:
+        """A bare reader of one cell (tests, ablations), bumping ``stats``
+        or a fresh record; a query's reader comes from
+        :meth:`PCube.reader_for_cells` with its plumbing."""
+        if stats is None:
+            stats = QueryStats()
+        return CellSignatureReader(self, cell, pool, stats, fallback)
 
 
 class SignatureStore(_DirectoryReads):
@@ -484,399 +476,3 @@ class StoreView(_DirectoryReads):
     #: Bound on this class too: the e2e span recorder wraps the methods it
     #: times through ``cls.__dict__``.
     load_partial = _DirectoryReads.load_partial
-
-
-#: Exact boolean resolver used in conservative mode: ``(cell, path,
-#: counters) -> does the entry at path contain data of the cell?``  Must be
-#: conservative (``True``) wherever it cannot answer exactly.
-BooleanFallback = Callable[[Cell, tuple[int, ...], "IOCounters | None"], bool]
-
-
-class CellSignatureReader:
-    """A lazily loaded, lazily decoded view of one cell's signature.
-
-    Bit tests trigger partial loads per the paper's retrieval protocol; the
-    cumulative wall-clock time spent loading is recorded in
-    :attr:`load_seconds` (Figure 15 reports it against total query time).
-    Residency is decided on the loaded partials' blobs; a node is
-    decompressed by the first bit test that reaches its SID and kept for
-    the query.  A blob that does not decode therefore raises its
-    ``CodecError`` from that bit test — the page checksum covers the
-    blobs, so this is a writer bug and is not degraded around.
-
-    When a partial is unreadable after retries the reader degrades instead
-    of failing: the unresolvable refs are remembered, the cell is
-    quarantined in the store, and bit tests that depend on the lost nodes
-    answer conservatively — ``True`` (no pruning) at internal nodes, and
-    exactly via ``fallback`` (a base-relation probe) where one is provided.
-    Algorithm 1 then still returns exactly the fault-free answer, just with
-    more block reads (the robustness overhead the stats record).
-    """
-
-    def __init__(
-        self,
-        store: "SignatureStore | StoreView",
-        cell: Cell,
-        pool: BufferPool | None,
-        counters: IOCounters | None,
-        fallback: BooleanFallback | None = None,
-        tracer: Tracer | None = None,
-        deadline_at: float | None = None,
-        breakers: "BreakerBoard | None" = None,
-        epoch: int | None = None,
-    ) -> None:
-        self.store = store
-        self.cell = cell
-        self.pool = pool
-        self.counters = counters
-        self.fallback = fallback
-        self.tracer = tracer
-        self.deadline_at = deadline_at
-        self.breakers = breakers
-        self.epoch = epoch
-        self.fanout = store.fanout
-        #: The loaded partials' nodes, compressed, and those tested so far.
-        self._blobs: dict[int, bytes] = {}
-        self._nodes: dict[int, BitArray] = {}
-        self._loaded_refs: set[int] = set()
-        self._known_missing: set[int] = set()
-        self._unreadable_refs: set[int] = set()
-        self.load_seconds = 0.0
-        self.loads = 0
-        self.retries = 0
-        self.failed_loads = 0
-        self.degraded_checks = 0
-        self.breaker_skips = 0
-        # The first partial (root reference) is loaded up front, as the
-        # paper prescribes ("To begin with, we load the first partial
-        # signature referenced by the R-tree root").
-        self._load_ref(0)
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any partial proved unreadable (conservative mode)."""
-        return bool(self._unreadable_refs)
-
-    # ------------------------------------------------------------------ #
-    # loading
-    # ------------------------------------------------------------------ #
-
-    def _count_retry(self, attempt: int, exc: Exception) -> None:
-        self.retries += 1
-
-    def _load_ref(self, ref_sid: int) -> bool | None:
-        """Load the partial referenced by ``ref_sid``.
-
-        Returns ``True`` when loaded, ``False`` when the store provably has
-        no such partial, and ``None`` when the partial exists but could not
-        be read (transient fault that outlived the retry budget, or
-        corruption) — the caller must treat the nodes it may have held as
-        unknown.
-        """
-        if ref_sid in self._loaded_refs:
-            return True
-        if ref_sid in self._known_missing:
-            return False
-        if ref_sid in self._unreadable_refs:
-            return None
-        if self.breakers is not None and not self.breakers.allow(
-            self.cell.cell_id, ref_sid, self.epoch
-        ):
-            # An open breaker: the pages behind this ref keep failing, so
-            # skip straight to the degraded path — zero I/O, no re-probe.
-            self._unreadable_refs.add(ref_sid)
-            self.breaker_skips += 1
-            if self.tracer is not None:
-                self.tracer.sig_load(
-                    self.cell.cell_id, ref_sid, "short-circuit", 0.0
-                )
-            return None
-        started = time.perf_counter()
-        try:
-            partial = self.store.load_partial(
-                self.cell,
-                ref_sid,
-                self.pool,
-                self.counters,
-                on_retry=self._count_retry,
-                deadline_at=self.deadline_at,
-            )
-        except StorageFault as fault:
-            if self.breakers is not None:
-                self.breakers.record_failure(
-                    self.cell.cell_id, ref_sid, self.epoch
-                )
-            self._unreadable_refs.add(ref_sid)
-            self.failed_loads += 1
-            self.store.fault_stats.bump(degraded_loads=1)
-            self.store.quarantine(self.cell, fault)
-            elapsed = time.perf_counter() - started
-            self.load_seconds += elapsed
-            if self.tracer is not None:
-                self.tracer.sig_load(
-                    self.cell.cell_id, ref_sid, "unreadable", elapsed
-                )
-            return None
-        if partial is None:
-            self._known_missing.add(ref_sid)
-            elapsed = time.perf_counter() - started
-            self.load_seconds += elapsed
-            if self.tracer is not None:
-                self.tracer.sig_load(
-                    self.cell.cell_id, ref_sid, "missing", elapsed
-                )
-            return False
-        if self.breakers is not None:
-            self.breakers.record_success(self.cell.cell_id, ref_sid)
-        self._loaded_refs.add(ref_sid)
-        self._blobs.update(partial.blobs)
-        self.loads += 1
-        elapsed = time.perf_counter() - started
-        self.load_seconds += elapsed
-        if self.tracer is not None:
-            self.tracer.sig_load(
-                self.cell.cell_id, ref_sid, "loaded", elapsed
-            )
-        return True
-
-    def _ensure_node(self, node_path: Sequence[int], node_sid: int) -> bool | None:
-        """Make the node at ``node_path`` resident.
-
-        Returns ``True`` when resident, ``False`` when provably absent
-        (every candidate partial was readable and none held it), ``None``
-        when unresolvable (some candidate partial was unreadable).
-
-        Follows the retrieval protocol: probe the partials referenced by
-        each ancestor from the root downward until the node shows up.
-        """
-        if node_sid in self._blobs:
-            return True
-        unresolved = False
-        for ref in retrieval_refs(node_path, self.fanout):
-            if ref in self._loaded_refs:
-                continue
-            outcome = self._load_ref(ref)
-            if outcome is None:
-                unresolved = True
-                continue
-            if outcome and node_sid in self._blobs:
-                return True
-        if node_sid in self._blobs:
-            return True
-        return None if unresolved else False
-
-    def _bits(self, sid: int) -> BitArray:
-        """The resident node ``sid``, decompressed on its first use."""
-        bits = self._nodes.get(sid)
-        if bits is None:
-            bits = self._nodes[sid] = decompress(self._blobs[sid])
-        return bits
-
-    # ------------------------------------------------------------------ #
-    # bit tests (the query-time interface)
-    # ------------------------------------------------------------------ #
-
-    def _conservative(self, path: tuple[int, ...]) -> bool:
-        """Answer an unresolvable bit test without losing correctness.
-
-        With a fallback, leaf-level paths are answered exactly from the
-        base relation (and internal paths conservatively); without one,
-        every unresolvable test answers ``True`` — boolean pruning is lost
-        for the affected subtree, result correctness is not.
-        """
-        self.degraded_checks += 1
-        if self.tracer is not None:
-            self.tracer.event(
-                DEGRADED,
-                cell_id=self.cell.cell_id,
-                path=path,
-                exact=self.fallback is not None,
-            )
-        if self.fallback is not None:
-            return self.fallback(self.cell, path, self.counters)
-        return True
-
-    def check_entry(self, parent_path: Sequence[int], position: int) -> bool:
-        """Whether the entry at 1-based ``position`` of the node at
-        ``parent_path`` contains data of this cell.
-
-        This is the single-bit check Algorithm 1's ``boolean_prune`` issues
-        for each candidate entry: the parent node was necessarily checked
-        before (the search descends), so one bit suffices.
-        """
-        parent_sid = sid_of_path(parent_path, self.fanout)
-        resident = self._ensure_node(parent_path, parent_sid)
-        if resident is None:
-            return self._conservative(tuple(parent_path) + (position,))
-        if not resident:
-            return False
-        return self._bits(parent_sid).get(position - 1)
-
-    def check_block(
-        self, parent_path: Sequence[int], wanted: int
-    ) -> int | None:
-        """The whole-node form of :meth:`check_entry`: which of the
-        ``wanted`` entries (bit ``p − 1`` = 1-based position ``p``) of the
-        node at ``parent_path`` contain data of this cell.
-
-        One residency check — hence exactly the partial loads the first
-        ``check_entry`` on this node would issue — then one mask AND.
-        Returns ``None`` when the node is unresolvable; the caller then
-        asks :meth:`check_entry` per wanted entry, which answers each one
-        conservatively (and counts it) as before.
-        """
-        parent_sid = sid_of_path(parent_path, self.fanout)
-        resident = self._ensure_node(parent_path, parent_sid)
-        if resident is None:
-            return None
-        if not resident:
-            return 0
-        return wanted & self._bits(parent_sid).mask
-
-    def check_path(self, path: Sequence[int]) -> bool:
-        """Whether the entry addressed by a full path contains cell data."""
-        if not path:
-            resident = self._ensure_node((), 0)
-            if resident is None:
-                return self._conservative(())
-            return bool(resident) and self._bits(0).any()
-        return self.check_entry(tuple(path[:-1]), path[-1])
-
-
-class MemberReaders:
-    """Several per-cell readers answering as one: ``load_seconds`` /
-    ``loads`` and the fault counters aggregate over the members, and the
-    group is degraded as soon as any member is."""
-
-    def __init__(self, readers: Sequence) -> None:
-        if not readers:
-            raise ValueError(f"{type(self).__name__} needs at least one reader")
-        self.readers = list(readers)
-
-    @property
-    def load_seconds(self) -> float:
-        return sum(reader.load_seconds for reader in self.readers)
-
-    @property
-    def loads(self) -> int:
-        return sum(reader.loads for reader in self.readers)
-
-    @property
-    def retries(self) -> int:
-        return sum(reader.retries for reader in self.readers)
-
-    @property
-    def failed_loads(self) -> int:
-        return sum(reader.failed_loads for reader in self.readers)
-
-    @property
-    def degraded_checks(self) -> int:
-        return sum(reader.degraded_checks for reader in self.readers)
-
-    @property
-    def breaker_skips(self) -> int:
-        return sum(reader.breaker_skips for reader in self.readers)
-
-    @property
-    def degraded(self) -> bool:
-        return any(reader.degraded for reader in self.readers)
-
-
-class AssembledReader(MemberReaders):
-    """Conjunction of several cell readers: the paper's recursive
-    intersection (Section IV-B.2, Fig. 3), answered on demand.
-
-    A bit is set iff it is set in every member **and**, above the leaf
-    level, the intersection of the child subtrees is non-empty — bit for
-    bit what :func:`repro.core.ops.intersect_all` computes from the full
-    signatures, but evaluated per query and only where the search asks:
-    :meth:`_nonempty` looks ahead below a candidate child, stops at the
-    first witness and is memoised, so each node of each member is decoded
-    at most once per query.  Every bit still goes through the members'
-    ``check_*`` methods (partial loads, retries, breakers, quarantine).  A
-    node some member cannot resolve counts as non-empty during look-ahead
-    — no fallback probe, no ``degraded_checks`` — and meets the members'
-    conservative path when the search expands it.
-
-    Args:
-        readers: One reader per cell of the conjunction.
-        leaf_depth: Path length of the R-tree's leaf nodes
-            (``rtree.root.level``): bits there denote tuples, are exact as
-            they stand and end the look-ahead.
-    """
-
-    def __init__(
-        self, readers: Sequence[CellSignatureReader], leaf_depth: int
-    ) -> None:
-        super().__init__(readers)
-        self.leaf_depth = leaf_depth
-        #: Per query: node path -> AND of the members' masks (``None`` =
-        #: unresolvable), and node path -> is its exact intersection non-empty.
-        self._masks: dict[tuple[int, ...], int | None] = {}
-        self._nonempty_memo: dict[tuple[int, ...], bool] = {}
-
-    def _mask(self, path: tuple[int, ...]) -> int | None:
-        """The plain AND of the members' bits at the node at ``path``;
-        member *k* sees only what passed members < *k* and is not consulted
-        once nothing did.  ``None`` when a consulted member cannot resolve
-        the node."""
-        try:
-            return self._masks[path]
-        except KeyError:
-            pass
-        mask: int | None = -1  # every entry wanted
-        for reader in self.readers:
-            mask = reader.check_block(path, mask)
-            if not mask:  # unresolvable, or provably empty
-                break
-        self._masks[path] = mask
-        return mask
-
-    def _nonempty(self, path: tuple[int, ...]) -> bool:
-        """Whether the exact intersection has data under the node at
-        ``path`` (Fig. 3's recursion, first witness wins)."""
-        known = self._nonempty_memo.get(path)
-        if known is None:
-            mask = self._mask(path)
-            if mask is None or len(path) >= self.leaf_depth:
-                known = mask != 0
-            else:
-                known = False
-                while mask and not known:
-                    low = mask & -mask
-                    mask ^= low
-                    known = self._nonempty(path + (low.bit_length(),))
-            self._nonempty_memo[path] = known
-        return known
-
-    def check_entry(self, parent_path: Sequence[int], position: int) -> bool:
-        return all(
-            reader.check_entry(parent_path, position) for reader in self.readers
-        ) and (
-            len(parent_path) >= self.leaf_depth
-            or self._nonempty(tuple(parent_path) + (position,))
-        )
-
-    def check_block(
-        self, parent_path: Sequence[int], wanted: int
-    ) -> int | None:
-        path = tuple(parent_path)
-        mask = self._mask(path)
-        if mask is None:
-            return None
-        passed = wanted & mask
-        if len(path) < self.leaf_depth:
-            pending = passed
-            while pending:
-                low = pending & -pending
-                pending ^= low
-                if not self._nonempty(path + (low.bit_length(),)):
-                    passed ^= low
-        return passed
-
-    def check_path(self, path: Sequence[int]) -> bool:
-        if path:
-            return self.check_entry(tuple(path[:-1]), path[-1])
-        return all(
-            reader.check_path(()) for reader in self.readers
-        ) and self._nonempty(())

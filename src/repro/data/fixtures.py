@@ -8,9 +8,10 @@ the test suite on the identical input, and vice versa.
 
 Three families:
 
-* the **paper example** — Table I's eight tuples, the Figure 1 R-tree
-  (m = 1, M = 2) and its ⟨1,1,1⟩ ... ⟨2,2,2⟩ paths, for bit-exact checks
-  against Figures 2-4;
+* the **paper example** — Table I's eight tuples and the ⟨1,1,1⟩ ...
+  ⟨2,2,2⟩ paths of its Figure 1 R-tree (m = 1, M = 2), for bit-exact
+  checks against Figures 2-4 (``tests/conftest.py`` builds the relation
+  and the tree from them);
 * the **synthetic sweeps** — the paper's default setting (Db = Dp = 3,
   C = 100, uniform) at the scaled-down sizes of EXPERIMENTS.md, with the
   same derived per-size seed everywhere;
@@ -21,12 +22,7 @@ from __future__ import annotations
 
 import random
 
-from repro.cube.relation import Relation
-from repro.cube.schema import Schema
 from repro.data.synthetic import SyntheticConfig, generate_relation
-from repro.rtree.geometry import Rect
-from repro.rtree.node import Entry
-from repro.rtree.rtree import RTree
 from repro.storage.disk import SimulatedDisk
 from repro.system import PCubeSystem, build_system
 
@@ -58,44 +54,6 @@ PAPER_PATHS = {
     6: (2, 2, 1),
     7: (2, 2, 2),
 }
-
-
-def paper_relation() -> Relation:
-    """Table I as a fresh :class:`Relation` (schema A, B | X, Y)."""
-    schema = Schema(("A", "B"), ("X", "Y"))
-    bool_rows = [(a, b) for a, b, _, _ in PAPER_ROWS]
-    pref_rows = [(x, y) for _, _, x, y in PAPER_ROWS]
-    return Relation(schema, bool_rows, pref_rows)
-
-
-def build_paper_rtree(relation: Relation) -> RTree:
-    """The exact R-tree of Figure 1: root → {N1, N2} → four leaves of two
-    tuples each, in Table I's path order."""
-    tree = RTree(dims=2, max_entries=2, min_entries=1)
-    leaves = []
-    for first in range(0, 8, 2):
-        leaf = tree._new_node(level=0)
-        for tid in (first, first + 1):
-            point = relation.pref_point(tid)
-            leaf.add_entry(Entry(Rect.from_point(point), tid=tid))
-        tree._sync_page(leaf)
-        leaves.append(leaf)
-    inner = []
-    for half in range(2):
-        node = tree._new_node(level=1)
-        for leaf in leaves[2 * half : 2 * half + 2]:
-            node.add_entry(Entry(leaf.mbr(), child=leaf))
-        tree._sync_page(node)
-        inner.append(node)
-    root = tree._new_node(level=2)
-    for node in inner:
-        root.add_entry(Entry(node.mbr(), child=node))
-    tree._sync_page(root)
-
-    points = {tid: relation.pref_point(tid) for tid in range(8)}
-    tid_leaf = {tid: leaves[tid // 2] for tid in range(8)}
-    tree._adopt_bulk(root, points, tid_leaf)
-    return tree
 
 
 # --------------------------------------------------------------------- #

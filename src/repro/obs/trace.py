@@ -20,7 +20,7 @@ module provides that visibility as a span tree:
   :meth:`Tracer.find_spans`, :meth:`Tracer.to_dict`).
 
 Tracing is strictly opt-in: every instrumented call site in
-``query/algorithm1.py``, ``query/session.py``, ``core/store.py`` and
+``query/algorithm1.py``, ``query/session.py``, ``core/readers.py`` and
 ``core/pcube.py`` takes ``tracer=None`` and guards each hook with a single
 ``is not None`` test, so the disabled path costs one pointer comparison
 per hook (<5% end-to-end, enforced by ``tests/obs/test_trace.py``).

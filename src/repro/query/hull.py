@@ -87,43 +87,3 @@ def lower_hull_chain(
         expand(left, bottom)
         hull.append(bottom)
     return [tid for tid, _ in hull]
-
-
-def naive_lower_hull(
-    points: Sequence[tuple[int, Sequence[float]]]
-) -> list[int]:
-    """Ground-truth 2-D lower-left hull (for tests).
-
-    Andrew's monotone chain restricted to the chain from the minimal-x
-    point to the minimal-y point, with collinear points dropped and ties
-    broken exactly like the search (smaller y at equal x, smaller x at
-    equal y).
-    """
-    if not points:
-        return []
-    best_by_coord: dict[tuple[float, float], int] = {}
-    for tid, point in sorted(points, key=lambda item: item[0]):
-        best_by_coord.setdefault((point[0], point[1]), tid)
-    coords = sorted(best_by_coord)
-    # Walk the lower hull left to right.
-    chain: list[tuple[float, float]] = []
-    for point in coords:
-        while len(chain) >= 2:
-            (ox, oy), (px, py) = chain[-2], chain[-1]
-            cross = (px - ox) * (point[1] - oy) - (py - oy) * (point[0] - ox)
-            # Tolerant collinearity test, mirroring the search's epsilon:
-            # float residues on exactly collinear inputs must still pop.
-            if cross <= _EPSILON:
-                chain.pop()
-            else:
-                break
-        chain.append(point)
-    # Restrict to the decreasing-y prefix (the lower-LEFT chain: once y
-    # starts rising we are past the minimal-y corner).
-    min_y = min(y for _, y in coords)
-    result: list[tuple[float, float]] = []
-    for point in chain:
-        result.append(point)
-        if point[1] == min_y:
-            break
-    return [best_by_coord[point] for point in result]

@@ -68,7 +68,6 @@ from repro.query.algorithm1 import (
     TopKStrategy,
     run_algorithm1,
 )
-from repro.query.disjunction import reader_for_dnf
 from repro.query.dynamic import DynamicSkylineStrategy
 from repro.query.hull import lower_hull_chain
 from repro.query.predicates import BooleanPredicate
@@ -252,8 +251,9 @@ class QuerySession:
 
         ``predicate`` is a conjunction, or a sequence of conjunctions read
         as their disjunction (signature union, paper Fig. 3b; see
-        :mod:`repro.query.disjunction`).  ``preference_by`` restricts the
-        skyline to a subset of preference dimensions by name (Section III's
+        :meth:`~repro.core.pcube.ReaderFactory.reader_for_dnf`).
+        ``preference_by`` restricts the skyline to a subset of preference
+        dimensions by name (Section III's
         ``preference by N'1, ..., N'j``).  Pass a
         :class:`~repro.obs.trace.Tracer` to capture the span tree and
         prune/load events of the execution.  ``keep_lists=False`` skips the
@@ -500,13 +500,13 @@ class QuerySession:
         ``algorithm1(strategy, state=None, keep_lists=True)`` runs (or
         resumes) Algorithm 1 on this query's reader, pool, stats, tracer
         and ticker, as many times as the kind needs.  Returns ``search``'s
-        value and the stamped stats; a storage fault the conservative
-        readers cannot absorb propagates.
+        value and the stamped stats, which the readers bumped as they
+        went.  A storage fault the conservative readers cannot absorb
+        propagates, with this attempt's stats as its ``stats`` attribute.
         """
         stats = QueryStats()
         stats.epoch = self.epoch
         pool = self.query_pool()
-        reader = None
         if tracer is not None and tracer.counters is None:
             tracer.counters = stats.counters
         span_attrs = {"predicate": repr(predicate), "incremental": incremental}
@@ -534,15 +534,13 @@ class QuerySession:
 
                 outcome = search(algorithm1, reader, stats)
                 stats.elapsed_seconds = time.perf_counter() - started
+        except Exception as failure:
+            # The fallback chain adds what this attempt spent to the
+            # answer that replaces it.
+            failure.stats = stats
+            raise
         finally:
             self.finish_pool(pool, stats)
-            if reader is not None:
-                stats.sig_load_seconds = reader.load_seconds
-                stats.fault_retries = getattr(reader, "retries", 0)
-                stats.failed_loads = getattr(reader, "failed_loads", 0)
-                stats.degraded_checks = getattr(reader, "degraded_checks", 0)
-                stats.breaker_skips = getattr(reader, "breaker_skips", 0)
-                stats.degraded = bool(getattr(reader, "degraded", False))
         # Tiers 1-2 are the reader's doing: it either pruned with every
         # partial it wanted or answered some bit tests conservatively.
         stats.tier = "conservative" if stats.degraded else "signature"
@@ -560,9 +558,7 @@ class QuerySession:
             "epoch": self.epoch,
         }
         if not conjunctive:
-            return reader_for_dnf(
-                self.pcube, predicate, pool, stats.counters, **plumbing
-            )
+            return self.pcube.reader_for_dnf(predicate, pool, stats, **plumbing)
         return self.pcube.reader_for_predicate(
-            predicate.conjuncts, pool, stats.counters, **plumbing
+            predicate.conjuncts, pool, stats, **plumbing
         )

@@ -51,6 +51,9 @@ class MaintenanceStats(Tally):
 class QueryStats:
     """Everything a single query execution is measured by.
 
+    The query's readers, pool and search bump one record as they go; a
+    reader built outside a query bumps a fresh one.
+
     Attributes:
         counters: Tagged disk accesses (Figures 9 and 15).
         peak_heap: Maximum candidate-heap size observed (Figure 10); for
@@ -61,6 +64,10 @@ class QueryStats:
         boolean_pruned / dominance_pruned: Entries cut by each prune arm.
         verified / verify_failed: Minimal-probing boolean verifications
             (Domination baseline).
+        sig_loads: Partial signatures loaded (each one ``SSIG`` page
+            access, served by the disk or the buffer pool).
+        sig_lookahead_loads: Those of ``sig_loads`` an assembled reader's
+            look-ahead asked for, not the search's own bit test.
         sig_load_seconds: Time spent loading partial signatures (Fig. 15).
         elapsed_seconds: End-to-end execution time.
         fault_retries: Transient-fault retries the signature loads needed.
@@ -107,6 +114,8 @@ class QueryStats:
     dominance_pruned: int = 0
     verified: int = 0
     verify_failed: int = 0
+    sig_loads: int = 0
+    sig_lookahead_loads: int = 0
     sig_load_seconds: float = 0.0
     elapsed_seconds: float = 0.0
     fault_retries: int = 0
@@ -127,6 +136,18 @@ class QueryStats:
     def note_heap(self, size: int) -> None:
         if size > self.peak_heap:
             self.peak_heap = size
+
+    def absorb(self, failed: "QueryStats") -> None:
+        """Add a failed attempt's pages, partial loads and fault counts to
+        this record — the answer that replaced it paid for them too."""
+        self.counters.merge(failed.counters)
+        self.sig_loads += failed.sig_loads
+        self.sig_lookahead_loads += failed.sig_lookahead_loads
+        self.sig_load_seconds += failed.sig_load_seconds
+        self.fault_retries += failed.fault_retries
+        self.failed_loads += failed.failed_loads
+        self.degraded_checks += failed.degraded_checks
+        self.breaker_skips += failed.breaker_skips
 
     # Convenience accessors for the figure series ----------------------- #
 

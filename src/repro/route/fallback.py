@@ -63,9 +63,11 @@ def run_chain(
     Returns ``(result, failed_attempts)``: ``failed_attempts`` lists
     ``(strategy, error)`` for every engine tried before the one that
     answered (``chain[len(failed_attempts)]``).  The result's
-    ``stats.fallbacks`` counts them, and ``stats.degraded`` is set when any
-    of them was a storage fault — the answer is exact, but it was not the
-    healthy path that produced it.  Exhausting the chain re-raises the last
+    ``stats.fallbacks`` counts them, its counters include what each failed
+    signature attempt spent (the session hangs that attempt's stats on the
+    error), and ``stats.degraded`` is set when any of them was a storage
+    fault — the answer is exact, but it was not the healthy path that
+    produced it.  Exhausting the chain re-raises the last
     error, chained ``from`` the first one so callers see what started the
     hand-over; an empty chain raises :class:`StrategyUnsupported`.
     """
@@ -107,6 +109,10 @@ def run_chain(
                 failures.append((name, exc))
                 faulted = True
             else:
+                for _, failure in failures:
+                    spent = getattr(failure, "stats", None)
+                    if spent is not None:
+                        result.stats.absorb(spent)
                 result.stats.fallbacks = len(failures)
                 result.stats.degraded |= faulted
                 return result, failures

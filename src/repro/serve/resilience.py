@@ -18,7 +18,7 @@ degrades instead of falling over:
 
 What a query does once loads fail or are short-circuited is not decided
 here: the reader answers the affected bit tests conservatively (tier
-``conservative``, in :mod:`repro.core.store`), and a fault that escapes
+``conservative``, in :mod:`repro.core.readers`), and a fault that escapes
 even that hands the query down the one fallback chain
 (:mod:`repro.route.fallback`).  Everything stays exactness-preserving: a
 lower tier answers the same bytes at higher I/O cost, and a breaker or

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive import naive_skyline
-from repro.baselines.skyline_algs import bnl_skyline, dnc_skyline, sfs_skyline
+from repro.baselines.skyline_algs import sfs_skyline
+from tests.reference import bnl_skyline, dnc_skyline
 
 ALGORITHMS = [sfs_skyline, bnl_skyline, dnc_skyline]
 

@@ -13,12 +13,12 @@ from repro.bitmap.bitarray import BitArray
 from repro.bitmap.compression import (
     CODECS,
     CodecError,
-    codec_name,
     compress,
     decompress,
     read_varint,
     write_varint,
 )
+from tests.reference import codec_name
 
 
 # --------------------------------------------------------------------------- #

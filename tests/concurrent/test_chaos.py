@@ -163,9 +163,10 @@ def test_fault_storm_every_ticket_resolves_exact_or_typed(chaotic, rng):
     assert outcomes["completed"] >= 1  # the storm did not take serving down
     assert stats["completed"] + stats["failed"] == stats["submitted"]
     assert sum(disk.fault_counts.values()) > 0  # the storm actually fired
-    # Retries/degradation were exercised and accounted end to end.  The
-    # store's counter also covers queries that later failed or fell back
-    # (their per-query stats never reach the aggregate), so it bounds the
+    # Retries/degradation were exercised and accounted end to end.  A
+    # fallen-back query's answer carries its failed attempts' retries, but
+    # the store's counter also covers queries that failed outright (their
+    # per-query stats never reach the aggregate), so it bounds the
     # serving-side tally from above.
     faults = system.pcube.store.fault_stats.snapshot()
     assert faults["retries"] >= stats["fault_retries"] >= 0

@@ -11,9 +11,7 @@ import pytest
 from repro.baselines.naive import naive_skyline
 from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
-from repro.query.disjunction import matches_dnf
 from repro.query.dynamic import naive_dynamic_skyline
-from repro.query.hull import naive_lower_hull
 from repro.query.session import QuerySession
 from repro.serve.executor import (
     AdmissionFull,
@@ -32,6 +30,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.errors import CorruptPageError, TransientIOError
 from repro.storage.faults import FaultPlan, FaultRule, FaultyDisk, RetryPolicy
 from repro.system import build_system
+from tests.reference import matches_dnf, naive_lower_hull
 
 pytestmark = pytest.mark.concurrent
 

@@ -7,8 +7,9 @@ can be checked bit for bit against Figures 2-4.
 
 The seeded data sets themselves live in :mod:`repro.data.fixtures`, shared
 with ``benchmarks/conftest.py`` and the ``python -m benchmarks.sweeps`` runner so
-every measurement path sees identical inputs; this module only wraps them
-as pytest fixtures.
+every measurement path sees identical inputs; this module wraps them as
+pytest fixtures, and builds the paper example's relation and tree from its
+rows.
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ import random
 import pytest
 
 from repro.cube.relation import Relation
+from repro.cube.schema import Schema
 from repro.data.fixtures import (
     PAPER_PATHS,
     PAPER_ROWS,
-    build_paper_rtree,
-    paper_relation as _paper_relation,
     small_config as _small_config,
 )
 from repro.data.synthetic import SyntheticConfig, generate_relation
+from repro.rtree.geometry import Rect
+from repro.rtree.node import Entry
 from repro.rtree.rtree import RTree
 from repro.system import build_system
 
@@ -34,14 +36,43 @@ __all__ = ["PAPER_PATHS", "PAPER_ROWS"]
 
 @pytest.fixture
 def paper_relation() -> Relation:
-    return _paper_relation()
+    """Table I as a fresh :class:`Relation` (schema A, B | X, Y)."""
+    schema = Schema(("A", "B"), ("X", "Y"))
+    bool_rows = [(a, b) for a, b, _, _ in PAPER_ROWS]
+    pref_rows = [(x, y) for _, _, x, y in PAPER_ROWS]
+    return Relation(schema, bool_rows, pref_rows)
 
 
 @pytest.fixture
 def paper_rtree(paper_relation: Relation) -> RTree:
     """The exact R-tree of Figure 1: root → {N1, N2} → four leaves of two
     tuples each, in Table I's path order."""
-    return build_paper_rtree(paper_relation)
+    relation = paper_relation
+    tree = RTree(dims=2, max_entries=2, min_entries=1)
+    leaves = []
+    for first in range(0, 8, 2):
+        leaf = tree._new_node(level=0)
+        for tid in (first, first + 1):
+            point = relation.pref_point(tid)
+            leaf.add_entry(Entry(Rect.from_point(point), tid=tid))
+        tree._sync_page(leaf)
+        leaves.append(leaf)
+    inner = []
+    for half in range(2):
+        node = tree._new_node(level=1)
+        for leaf in leaves[2 * half : 2 * half + 2]:
+            node.add_entry(Entry(leaf.mbr(), child=leaf))
+        tree._sync_page(node)
+        inner.append(node)
+    root = tree._new_node(level=2)
+    for node in inner:
+        root.add_entry(Entry(node.mbr(), child=node))
+    tree._sync_page(root)
+
+    points = {tid: relation.pref_point(tid) for tid in range(8)}
+    tid_leaf = {tid: leaves[tid // 2] for tid in range(8)}
+    tree._adopt_bulk(root, points, tid_leaf)
+    return tree
 
 
 @pytest.fixture

@@ -16,11 +16,15 @@ from unittest import mock
 import pytest
 
 from repro.baselines.naive import naive_skyline
-from repro.core import store as store_module
+from repro.core import readers as readers_module
 from repro.core.ops import intersect_all
-from repro.core.pcube import EmptyReader, SignatureAdapter
+from repro.core.readers import (
+    AssembledReader,
+    CellSignatureReader,
+    EmptyReader,
+    SignatureAdapter,
+)
 from repro.core.sid import path_of_sid, sid_of_path
-from repro.core.store import AssembledReader, CellSignatureReader
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.data.workload import sample_predicate
 from repro.query.algorithm1 import SkylineStrategy, TopKStrategy, run_algorithm1
@@ -71,23 +75,25 @@ def node_paths(system):
     )
 
 
-def member_readers(system, cells, pool=None, counters=None):
+def member_readers(system, cells, pool=None, stats=None):
+    if stats is None:
+        stats = QueryStats()
     return [
         CellSignatureReader(
             system.pcube.store,
             cell,
             pool,
-            counters,
+            stats,
             fallback=system.pcube.boolean_fallback,
         )
         for cell in cells
     ]
 
 
-def plain_and(system, cells, pool=None, counters=None):
+def plain_and(system, cells, pool=None, stats=None):
     """The plain AND is the assembled reader told that every level is the
     leaf level: no bit is looked below."""
-    return AssembledReader(member_readers(system, cells, pool, counters), 0)
+    return AssembledReader(member_readers(system, cells, pool, stats), 0)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -108,7 +114,8 @@ def test_every_bit_equals_the_recursive_intersection(fanout, page_size, seed):
         plain = plain_and(system, cells)
         # Three fresh readers, asked in three orders: the memo must not
         # depend on what was asked first.
-        by_block = system.pcube.reader_for_cells(cells)
+        block_stats = QueryStats()
+        by_block = system.pcube.reader_for_cells(cells, stats=block_stats)
         by_entry = system.pcube.reader_for_cells(cells)
         by_path = system.pcube.reader_for_cells(cells)
         assert type(by_block) is AssembledReader
@@ -125,20 +132,20 @@ def test_every_bit_equals_the_recursive_intersection(fanout, page_size, seed):
                 assert by_entry.check_entry(path, position) == bit
                 assert by_path.check_path(path + (position,)) == bit
             compared += 1
-        assert not by_block.degraded and by_block.degraded_checks == 0
+        assert not block_stats.degraded and block_stats.degraded_checks == 0
     assert compared == 6 * len(paths)
 
 
 @contextmanager
 def counting_decodes():
     decoded = []
-    real = store_module.decompress
+    real = readers_module.decompress
 
     def decompress(blob):
         decoded.append(blob)
         return real(blob)
 
-    with mock.patch.object(store_module, "decompress", decompress):
+    with mock.patch.object(readers_module, "decompress", decompress):
         yield decoded
 
 
@@ -170,9 +177,9 @@ def test_look_ahead_decodes_each_node_once_and_only_where_the_plain_and_reads(
             stats = QueryStats()
             pool = BufferPool(system.rtree.disk, capacity=4096)
             reader = (
-                system.pcube.reader_for_cells(cells, pool, stats.counters)
+                system.pcube.reader_for_cells(cells, pool, stats)
                 if name == "exact"
-                else plain_and(system, cells, pool, stats.counters)
+                else plain_and(system, cells, pool, stats)
             )
             with counting_decodes() as decoded:
                 state = _search(
@@ -201,6 +208,31 @@ def test_look_ahead_decodes_each_node_once_and_only_where_the_plain_and_reads(
             e.path[:depth] for e in state.results for depth in range(len(e.path))
         }
         assert stats.nodes_expanded == len(wanted_nodes)
+
+
+@pytest.mark.parametrize("fanout, page_size", SHAPES[:3])
+def test_every_partial_load_is_counted_once_with_its_cause(fanout, page_size):
+    """On multi-partial cells, the query record counts each partial load
+    once — with no pool, exactly the reader's ``SSIG`` page reads — and
+    counts as look-ahead exactly the loads issued inside ``_nonempty``: a
+    non-zero share of a two-cell conjunction's loads."""
+    system = build(fanout, page_size, seed=3)
+    rng = random.Random(3)
+    for _ in range(3):
+        predicate = sample_predicate(system.relation, 2, rng)
+        stats = QueryStats()
+        pool = BufferPool(system.rtree.disk, capacity=4096)
+        with watching_look_ahead() as (loads, _):
+            reader = system.pcube.reader_for_predicate(
+                predicate.conjuncts, stats=stats  # no pool: every load reads
+            )
+            _search(system, reader, SkylineStrategy(2), pool, stats)
+        assert len(reader.readers) == 2
+        assert stats.sig_loads == stats.ssig == len(loads)
+        assert stats.sig_lookahead_loads == sum(
+            looking for *_, looking in loads
+        )
+        assert 0 < stats.sig_lookahead_loads < stats.sig_loads
 
 
 def truth(system, predicate):
@@ -233,9 +265,11 @@ def watching_look_ahead():
         finally:
             depth[0] -= 1
 
-    def load_ref(self, ref_sid):
+    def load_ref(self, ref_sid, lookahead=False):
+        # The cause the reader counts is the call stack's.
+        assert lookahead == (depth[0] > 0)
         new = ref_sid not in self._loaded_refs | self._unreadable_refs
-        outcome = real_load(self, ref_sid)
+        outcome = real_load(self, ref_sid, lookahead)
         if new and outcome is not False:
             loads.append((self.cell, ref_sid, depth[0] > 0))
         return outcome
@@ -334,15 +368,15 @@ def test_unresolvable_node_counts_as_non_empty_without_a_probe():
         ]
     )
     stats = QueryStats()
-    reader = system.pcube.reader_for_cells(cells, counters=stats.counters)
+    reader = system.pcube.reader_for_cells(cells, stats=stats)
     bit = 1 << (lost_path[-1] - 1)
     assert reader.check_block(lost_path[:-1], bit) == bit
-    assert reader.failed_loads == 1 and reader.degraded
-    assert reader.degraded_checks == 0 and stats.dbool == 0
+    assert stats.failed_loads == 1 and stats.degraded
+    assert stats.degraded_checks == 0 and stats.dbool == 0
     assert reader.check_block(lost_path, (1 << fanout) - 1) is None
-    assert reader.degraded_checks == 0
+    assert stats.degraded_checks == 0
     reader.check_entry(lost_path, 1)
-    assert reader.degraded_checks == 1
+    assert stats.degraded_checks == 1
 
 
 def test_empty_cell_short_circuits_to_the_empty_reader():

@@ -94,7 +94,7 @@ def test_bloom_reads_at_least_as_many_blocks_as_exact(small_system, rng):
     (cell,) = predicate.atomic_cells()
     signature = small_system.pcube.signature_of(cell)
 
-    from repro.core.pcube import SignatureAdapter
+    from repro.core.readers import SignatureAdapter
 
     exact_stats = QueryStats()
     run_algorithm1(

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.baselines.naive import naive_skyline
-from repro.core.pcube import EmptyReader, PCube
+from repro.core.pcube import PCube
+from repro.core.readers import EmptyReader
 from repro.cube.cuboid import Cell, Cuboid
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.query.predicates import BooleanPredicate
@@ -132,9 +133,8 @@ def test_audit_holds_assembled_equal_to_generated_for_every_pair(rich_system):
     cells sets exactly the generated signature's bits."""
     from repro.bitmap.bitarray import BitArray
     from repro.core.integrity import iter_cell_checks, lattice_problems
-    from repro.core.pcube import SignatureAdapter
+    from repro.core.readers import AssembledReader, SignatureAdapter
     from repro.core.signature import Signature
-    from repro.core.store import AssembledReader
 
     relation, rtree, pcube = rich_system
     checked = [

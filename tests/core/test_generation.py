@@ -9,10 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.counted import CountedSignature
-from repro.core.generation import (
-    generate_cuboid_signatures,
-    signature_by_recursive_sort,
-)
+from repro.core.generation import signature_by_recursive_sort
 from repro.core.pcube import PCube
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cell, Cuboid, atomic_cuboids
@@ -23,6 +20,7 @@ from repro.rtree.bulk import bulk_load
 from repro.rtree.rtree import RTree
 from repro.storage.disk import SimulatedDisk
 from tests.core.test_store import from_scratch_bytes, stored_bytes
+from tests.reference import generate_cuboid_signatures
 
 
 def test_recursive_sort_empty():

@@ -662,7 +662,7 @@ def test_unreadable_old_partial_costs_a_recompress_not_the_write(kind):
     assert not system.pcube.store.quarantined_cells()
     for cell in dirty:
         assert stored_bytes(system.pcube.store, cell) == from_scratch(system, cell)
-        assert not system.pcube.store.reader(cell).degraded
+        assert not system.pcube.store.reader(cell).stats.degraded
     report = system.verify_consistency()
     assert report.ok, report.problems
 

@@ -10,9 +10,8 @@ from repro.core.ops import (
     union,
     union_all,
 )
-from repro.core.pcube import SignatureAdapter
+from repro.core.readers import AssembledReader, SignatureAdapter
 from repro.core.signature import Signature
-from repro.core.store import AssembledReader
 
 FANOUT = 4
 

@@ -18,21 +18,20 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.generation import generate_cuboid_signatures
 from repro.core.ops import (
     intersect,
     intersect_all,
     union,
     union_all,
 )
-from repro.core.pcube import SignatureAdapter
+from repro.core.readers import AssembledReader, SignatureAdapter
 from repro.core.sid import path_of_sid
 from repro.core.signature import Signature
-from repro.core.store import AssembledReader
 from repro.cube.cuboid import Cell, Cuboid
 from repro.cube.relation import Relation
 from repro.cube.schema import Schema
 from repro.system import build_system
+from tests.reference import generate_cuboid_signatures
 
 ALGEBRA_SETTINGS = settings(
     max_examples=40,

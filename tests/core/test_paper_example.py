@@ -11,11 +11,12 @@ import pytest
 from repro.bitmap.bitarray import BitArray
 from repro.core.generation import signature_by_recursive_sort
 from repro.core.ops import intersect, union
-from repro.core.partial import decompose, reassemble
+from repro.core.partial import decompose
 from repro.core.sid import sid_of_path
 from repro.core.signature import Signature
 
 from tests.conftest import PAPER_PATHS
+from tests.reference import reassemble
 
 M = 2  # the example's fanout
 

@@ -12,7 +12,6 @@ from repro.core.counted import CountedSignature
 from repro.core.partial import (
     PartialSignature,
     decompose,
-    reassemble,
     retrieval_refs,
 )
 from repro.core.sid import ancestor_sids, child_sid, sid_of_path
@@ -20,6 +19,7 @@ from repro.core.signature import Signature
 from repro.core.store import SignatureStore
 from repro.storage.disk import SimulatedDisk
 from tests.core.test_store import CELL, count_compressions, stored_bytes
+from tests.reference import reassemble
 
 FANOUT = 4
 

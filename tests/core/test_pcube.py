@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.pcube import EmptyReader, PCube, SignatureAdapter
+from repro.core.pcube import PCube
+from repro.core.readers import EmptyReader, SignatureAdapter
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cell, Cuboid
-from repro.storage.counters import IOCounters
 
 
 @pytest.fixture
@@ -42,8 +42,7 @@ def test_missing_cell_not_materialised(system):
 
 def test_reader_for_single_cell(system):
     cell = Cell(("A1",), (1,))
-    counters = IOCounters()
-    reader = system.pcube.reader_for_cells([cell], counters=counters)
+    reader = system.pcube.reader_for_cells([cell])
     signature = expected_signature(system, cell)
     for path in signature.tuple_paths():
         assert reader.check_path(path)

@@ -1,22 +1,20 @@
-"""The signature store and its lazily loading readers."""
+"""The signature store and its per-cell readers."""
 
 import pytest
 
 from repro.bitmap.compression import CodecError
 from repro.core import partial as partial_module
+from repro.core import readers as readers_module
 from repro.core import store as store_module
 from repro.core.partial import decompose
+from repro.core.readers import AssembledReader
 from repro.core.sid import ancestor_sids, path_of_sid
 from repro.core.signature import Signature
-from repro.core.store import (
-    AssembledReader,
-    CellSignatureReader,
-    MissingPartialError,
-    SignatureStore,
-)
+from repro.core.store import MissingPartialError, SignatureStore
 from repro.cube.cuboid import Cell
+from repro.query.stats import QueryStats
 from repro.storage.buffer import BufferPool
-from repro.storage.counters import SSIG, IOCounters
+from repro.storage.counters import SSIG
 from repro.storage.disk import SimulatedDisk
 from repro.storage.errors import TornWriteError
 from repro.storage.faults import (
@@ -64,9 +62,9 @@ def test_missing_cell(store):
 
 def test_loads_are_counted(store, disk):
     store.put_signature(CELL, wide_signature())
-    counters = IOCounters()
-    store.load_full_signature(CELL, counters=counters)
-    assert counters.get(SSIG) == store.n_partials(CELL)
+    stats = QueryStats()
+    store.load_full_signature(CELL, stats=stats)
+    assert stats.ssig == store.n_partials(CELL)
 
 
 def test_replace_frees_old_pages(store, disk):
@@ -82,46 +80,46 @@ def test_replace_frees_old_pages(store, disk):
 
 def test_reader_loads_root_partial_up_front(store):
     store.put_signature(CELL, wide_signature())
-    counters = IOCounters()
-    reader = store.reader(CELL, counters=counters)
-    assert counters.get(SSIG) == 1
-    assert reader.loads == 1
+    stats = QueryStats()
+    store.reader(CELL, stats=stats)
+    assert stats.ssig == stats.sig_loads == 1
 
 
 def test_reader_checks_without_extra_loads_when_resident(store):
     signature = Signature.from_paths([(1, 2)], FANOUT)
     store.put_signature(CELL, signature)  # fits one partial
-    counters = IOCounters()
-    reader = store.reader(CELL, counters=counters)
+    stats = QueryStats()
+    reader = store.reader(CELL, stats=stats)
     assert reader.check_entry((), 1)
     assert not reader.check_entry((), 3)
     assert reader.check_entry((1,), 2)
-    assert counters.get(SSIG) == 1  # still just the root partial
+    assert stats.ssig == 1  # still just the root partial
 
 
 def test_reader_lazy_loading_on_demand(store):
     signature = wide_signature()
     store.put_signature(CELL, signature)
-    counters = IOCounters()
-    reader = store.reader(CELL, counters=counters)
-    loads_before = reader.loads
+    stats = QueryStats()
+    reader = store.reader(CELL, stats=stats)
+    loads_before = stats.sig_loads
     # Probe a deep entry that is not in the first partial.
     for path in signature.tuple_paths():
         reader.check_path(path)
-    assert reader.loads > loads_before
-    assert reader.loads <= store.n_partials(CELL)
-    assert counters.get(SSIG) == reader.loads
+    assert stats.sig_loads > loads_before
+    assert stats.sig_loads <= store.n_partials(CELL)
+    assert stats.ssig == stats.sig_loads
+    assert stats.sig_lookahead_loads == 0  # no assembled reader asked
 
 
 def count_decompressions(monkeypatch):
     decoded = []
-    real = store_module.decompress
+    real = readers_module.decompress
 
     def counting(blob):
         decoded.append(blob)
         return real(blob)
 
-    monkeypatch.setattr(store_module, "decompress", counting)
+    monkeypatch.setattr(readers_module, "decompress", counting)
     return decoded
 
 
@@ -131,7 +129,7 @@ def test_reader_decodes_a_node_on_its_first_bit_test_only(store, monkeypatch):
     store.put_signature(CELL, wide_signature())
     decoded = count_decompressions(monkeypatch)
     reader = store.reader(CELL)
-    assert reader.loads == 1 and decoded == []
+    assert reader.stats.sig_loads == 1 and decoded == []
     assert reader.check_entry((), 1)
     assert len(decoded) == 1
     assert reader.check_block((), 0b1111) == 0b0111
@@ -161,13 +159,13 @@ def test_reader_meets_an_undecodable_blob_at_its_first_touch(store, disk):
     page.payload.blobs[sid] = b"\xff\x00\xff"
     page.seal()
     reader = store.reader(CELL)
-    assert reader.loads == 1 and not reader.degraded
+    assert reader.stats.sig_loads == 1 and not reader.stats.degraded
     assert reader.check_entry((), 1) == signature.check_path((1,))
     with pytest.raises(CodecError):
         reader.check_entry(path_of_sid(sid, FANOUT), 1)
     with pytest.raises(CodecError):
         reader.check_block(path_of_sid(sid, FANOUT), 0b1)
-    assert not reader.degraded and not store.is_quarantined(CELL)
+    assert not reader.stats.degraded and not store.is_quarantined(CELL)
     with pytest.raises(CodecError):
         store.load_full_signature(CELL)
 
@@ -187,9 +185,9 @@ def test_one_partial_loader_serves_the_store_and_its_views(store):
     assert len(deferred) == view.n_partials(CELL)
     # The view still resolves the partials of the directory it was given.
     assert view.n_partials(CELL) > store.n_partials(CELL) == 1
-    counters = IOCounters()
-    assert view.load_full_signature(CELL, counters=counters) == wide_signature()
-    assert counters.get(SSIG) == view.n_partials(CELL)
+    stats = QueryStats()
+    assert view.load_full_signature(CELL, stats=stats) == wide_signature()
+    assert stats.ssig == view.n_partials(CELL)
     assert view.load_partial(OTHER, 0) is None
     assert view.reader(CELL).check_path((3, 2, 2))
 
@@ -209,15 +207,15 @@ def test_reader_results_match_signature(store):
 def test_reader_through_buffer_pool(store, disk):
     store.put_signature(CELL, wide_signature())
     pool = BufferPool(disk, capacity=64)
-    counters = IOCounters()
-    reader = store.reader(CELL, pool=pool, counters=counters)
+    stats = QueryStats()
+    reader = store.reader(CELL, pool=pool, stats=stats)
     reader.check_path((1, 1, 1))
-    first = counters.get(SSIG)
+    first = stats.ssig
     # A second reader over the same pool hits the cache.
-    counters2 = IOCounters()
-    reader2 = store.reader(CELL, pool=pool, counters=counters2)
+    stats2 = QueryStats()
+    reader2 = store.reader(CELL, pool=pool, stats=stats2)
     reader2.check_path((1, 1, 1))
-    assert counters2.get(SSIG) < first or first == 1
+    assert stats2.ssig < first or first == 1
 
 
 def test_reader_empty_path_means_nonempty_cell(store):
@@ -233,8 +231,8 @@ def test_reader_load_seconds_accumulates(store):
     reader = store.reader(CELL)
     for path in wide_signature().tuple_paths():
         reader.check_path(path)
-    assert reader.load_seconds >= 0.0
-    assert reader.loads >= 1
+    assert reader.stats.sig_load_seconds >= 0.0
+    assert reader.stats.sig_loads >= 1
 
 
 def test_assembled_reader_conjunction(store):
@@ -242,11 +240,14 @@ def test_assembled_reader_conjunction(store):
     sig_b = Signature.from_paths([(1, 1), (3, 3)], FANOUT)
     store.put_signature(CELL, sig_a)
     store.put_signature(OTHER, sig_b)
-    reader = AssembledReader([store.reader(CELL), store.reader(OTHER)], 1)
+    stats = QueryStats()
+    reader = AssembledReader(
+        [store.reader(CELL, stats=stats), store.reader(OTHER, stats=stats)], 1
+    )
     assert reader.check_path((1, 1))
     assert not reader.check_path((2, 2))
     assert not reader.check_path((3, 3))
-    assert reader.loads >= 2
+    assert stats.sig_loads >= 2
     # Both cells have data under nodes 1..3 of the root; only node 1 holds a
     # tuple of both (paper Fig. 3: the other bits are cleared).
     assert reader.check_block((), 0b1111) == 0b0001
@@ -318,8 +319,9 @@ def test_load_partial_retries_transient_faults():
     signature = wide_signature()
     store.put_signature(CELL, signature)
     disk.plan = FaultPlan([FaultRule(kind="transient", count=2)])
-    assert store.load_full_signature(CELL) == signature
-    assert store.fault_stats.retries == 2
+    stats = QueryStats()
+    assert store.load_full_signature(CELL, stats=stats) == signature
+    assert store.fault_stats.retries == stats.fault_retries == 2
     assert store.fault_stats.transient_errors == 0  # none outlived retries
 
 
@@ -349,15 +351,16 @@ def test_reader_degrades_on_corrupt_partial():
     store = SignatureStore(disk, fanout=FANOUT, codec="raw")
     store.put_signature(CELL, Signature.from_paths([(1, 2)], FANOUT))
     disk.plan = FaultPlan([FaultRule(kind="corrupt", tag="pcube:sig", count=1)])
-    reader = store.reader(CELL)
-    assert reader.degraded
-    assert reader.failed_loads == 1
+    stats = QueryStats()
+    reader = store.reader(CELL, stats=stats)
+    assert stats.degraded
+    assert stats.failed_loads == 1
     assert store.is_quarantined(CELL)
     # Conservative mode: unresolvable bit tests answer True — pruning is
     # lost, correctness is not.
     assert reader.check_entry((), 1)
     assert reader.check_entry((), 3)
-    assert reader.degraded_checks == 2
+    assert stats.degraded_checks == 2
 
 
 def test_reader_degraded_mode_uses_exact_fallback():
@@ -372,7 +375,7 @@ def test_reader_degraded_mode_uses_exact_fallback():
         return path == (1, 2)
 
     reader = store.reader(CELL, fallback=fallback)
-    assert reader.degraded
+    assert reader.stats.degraded
     assert reader.check_path((1, 2))
     assert not reader.check_path((1, 3))  # exact, not conservative
     assert probed == [(1, 2), (1, 3)]
@@ -467,8 +470,7 @@ def test_rewrite_recompresses_when_an_old_partial_is_unreadable(
     assert not store.is_quarantined(CELL)
     assert stored_bytes(store, CELL) == from_scratch_bytes(store, signature)
     assert store.load_full_signature(CELL) == signature
-    reader = store.reader(CELL)
-    assert not reader.degraded
+    assert not store.reader(CELL).stats.degraded
 
 
 def test_crash_on_the_old_partial_read_leaves_the_old_generation():

@@ -19,15 +19,14 @@ from repro.cube.relation import Relation
 from repro.cube.schema import Schema
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
-from repro.query.disjunction import matches_dnf
 from repro.query.dynamic import naive_dynamic_skyline
-from repro.query.hull import naive_lower_hull
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import WeightedSquaredDistance
 from repro.query.session import QuerySession
 from repro.route.engines import canonicalize
 from repro.serve.executor import QueryExecutor
 from repro.system import build_system
+from tests.reference import matches_dnf, naive_lower_hull
 
 
 def qualifying_points(relation, predicate):

@@ -29,20 +29,16 @@ from repro.baselines.domination_first import (
 )
 from repro.baselines.index_merge import index_merge_topk
 from repro.baselines.naive import naive_skyline, naive_topk
-from repro.baselines.skyline_algs import (
-    bnl_skyline,
-    dnc_skyline,
-    sfs_skyline,
-)
+from repro.baselines.skyline_algs import sfs_skyline
 from repro.data.fixtures import build_sweep_system
 from repro.query.dynamic import naive_dynamic_skyline
-from repro.query.hull import naive_lower_hull
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import (
     LinearFunction,
     WeightedSquaredDistance,
 )
 from tests.kernels import reference
+from tests.reference import bnl_skyline, dnc_skyline, naive_lower_hull
 
 pytestmark = pytest.mark.kernels
 

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ops import intersect_all
-from repro.core.pcube import SignatureAdapter
+from repro.core.readers import SignatureAdapter
 from repro.data.fixtures import build_sweep_system, small_config, sweep_config
 from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_predicate
@@ -248,6 +248,7 @@ def stats_facts(stats):
         "dominance_pruned": stats.dominance_pruned,
         "verified": stats.verified,
         "verify_failed": stats.verify_failed,
+        "sig_loads": (stats.sig_loads, stats.sig_lookahead_loads),
         "fault_retries": stats.fault_retries,
         "failed_loads": stats.failed_loads,
         "degraded_checks": stats.degraded_checks,
@@ -385,6 +386,8 @@ def test_multi_conjunct_read_matches_per_child_expansion_on_exact_bits(
     got_facts, want_facts = result_facts(got), result_facts(want)
     assert got_facts["stats"]["io"].pop("SSIG") > 0
     assert "SSIG" not in want_facts["stats"]["io"]
+    assert got_facts["stats"].pop("sig_loads")[0] > 0
+    assert want_facts["stats"].pop("sig_loads") == (0, 0)
     assert got_facts["stats"].pop("pool") != want_facts["stats"].pop("pool")
     assert got_facts == want_facts
 
@@ -428,7 +431,7 @@ def _search(system, runner, predicate, strategy):
     stats = QueryStats()
     pool = BufferPool(system.rtree.disk, capacity=4096)
     reader = system.pcube.reader_for_predicate(
-        predicate.conjuncts, pool, stats.counters
+        predicate.conjuncts, pool, stats
     )
     state = runner(system.rtree, strategy, stats, reader=reader, pool=pool)
     return reader, stats, state
@@ -463,10 +466,9 @@ def test_assembled_reader_issues_the_same_partial_loads(
             system, reference_algorithm1, predicate, SkylineStrategy(3)
         )
     assert len(reader.readers) == n_conjuncts
-    assert all(r.loads > 1 for r in reader.readers)
-    assert [r.loads for r in reader.readers] == [
-        r.loads for r in ref_reader.readers
-    ]
+    assert all(len(r._loaded_refs) > 1 for r in reader.readers)
+    assert stats.sig_loads == ref_stats.sig_loads
+    assert stats.sig_lookahead_loads == ref_stats.sig_lookahead_loads
     assert [sorted(r._loaded_refs) for r in reader.readers] == [
         sorted(r._loaded_refs) for r in ref_reader.readers
     ]
@@ -530,19 +532,19 @@ def test_check_block_answers_none_when_unresolvable():
     disk, system = _faulty_system()
     predicate = sample_predicate(system.relation, 1, random.Random(3))
     disk.plan = FaultPlan([FaultRule(kind="corrupt", tag="pcube:sig", count=1)])
-    reader = system.pcube.reader_for_predicate(predicate.conjuncts)
-    assert reader.degraded
+    stats = QueryStats()
+    reader = system.pcube.reader_for_predicate(predicate.conjuncts, stats=stats)
+    assert stats.degraded
     assert reader.check_block((), 0b11) is None
-    assert reader.degraded_checks == 0  # only per-entry answers count
+    assert stats.degraded_checks == 0  # only per-entry answers count
     assert reader.check_entry((), 1) is True  # conservative at the root
-    assert reader.degraded_checks == 1
+    assert stats.degraded_checks == 1
 
 
 def test_check_block_agrees_with_check_entry(system):
     """Every reader's whole-node test is its per-entry test, as a mask."""
     from repro.core.bloom_sig import BloomConjunction, BloomSignature
-    from repro.core.pcube import EmptyReader
-    from repro.query.disjunction import reader_for_dnf
+    from repro.core.readers import EmptyReader
 
     rng = random.Random(17)
     one = predicate_for(system, 1, seed=2)
@@ -555,7 +557,7 @@ def test_check_block_agrees_with_check_entry(system):
         system.pcube.reader_for_predicate(one.conjuncts),
         system.pcube.reader_for_predicate(two.conjuncts),
         SignatureAdapter(intersect_all(cells)),
-        reader_for_dnf(system.pcube, [one, two]),
+        system.pcube.reader_for_dnf([one, two]),
         BloomSignature.from_signature(cells[0]),
         BloomConjunction([BloomSignature.from_signature(c) for c in cells]),
         EmptyReader(),
@@ -739,11 +741,11 @@ class Watched:
 def watching(runner):
     """Run every signature-method search of the block through ``runner``
     (``run_algorithm1`` or the per-child oracle) under a :class:`Watched`."""
-    from repro.core import store as store_module
-    from repro.core.store import CellSignatureReader
+    from repro.core import readers as readers_module
+    from repro.core.readers import CellSignatureReader
 
     watched = Watched()
-    real_decompress = store_module.decompress
+    real_decompress = readers_module.decompress
     real_ensure = CellSignatureReader._ensure_node
     real_lt = HeapEntry.__lt__
 
@@ -751,8 +753,8 @@ def watching(runner):
         watched.decoded.append(blob)
         return real_decompress(blob)
 
-    def ensure_node(self, node_path, node_sid):
-        resident = real_ensure(self, node_path, node_sid)
+    def ensure_node(self, node_path, node_sid, lookahead=False):
+        resident = real_ensure(self, node_path, node_sid, lookahead)
         if resident:
             watched.tested.add((id(self), node_sid))
             if self not in watched.readers:
@@ -785,7 +787,7 @@ def watching(runner):
             del reader.check_path
 
     with (
-        mock.patch.object(store_module, "decompress", decompress),
+        mock.patch.object(readers_module, "decompress", decompress),
         mock.patch.object(CellSignatureReader, "_ensure_node", ensure_node),
         mock.patch("repro.query.session.run_algorithm1", search),
     ):
@@ -984,7 +986,7 @@ def test_degraded_read_keeps_its_pop_time_tests(backend, exact, lost_read):
     unresolvable bit answered ``True`` (no fallback) or from the base
     relation (``DBOOL`` probes) — so a degraded read reports what the
     oracle reports: the plain AND's answers and probes, on fewer blocks."""
-    from repro.core.store import AssembledReader, CellSignatureReader
+    from repro.core.readers import AssembledReader, CellSignatureReader
 
     def degraded_search(runner):
         disk, system = _faulty_system()
@@ -1000,7 +1002,7 @@ def test_degraded_read_keeps_its_pop_time_tests(backend, exact, lost_read):
                     system.pcube.store,
                     cell,
                     pool,
-                    stats.counters,
+                    stats,
                     fallback=system.pcube.boolean_fallback if exact else None,
                 )
                 for cell in predicate.atomic_cells()
@@ -1033,17 +1035,17 @@ def test_degraded_read_keeps_its_pop_time_tests(backend, exact, lost_read):
     with on_kernels(backend):
         reader, stats, state = degraded_search(run_algorithm1)
         ref_reader, ref_stats, ref_state = degraded_search(reference_algorithm1)
-    assert reader.degraded and reader.failed_loads == 1
+    assert stats.degraded and stats.failed_loads == 1
     assert (
-        reader.degraded_checks,
+        stats.degraded_checks,
         stats.counters.snapshot(),
         [e.tid for e in state.results],
     ) == DEGRADED[exact, lost_read]
     checks, io, tids = DEGRADED_PLAIN_AND[exact, lost_read]
-    assert reader.degraded_checks <= checks
+    assert stats.degraded_checks <= checks
     assert stats.sblock < io["SBLOCK"] and stats.dbool == io.get("DBOOL", 0)
     assert [e.tid for e in state.results] == tids
-    assert reader.degraded_checks == ref_reader.degraded_checks
+    assert stats.degraded_checks == ref_stats.degraded_checks
     assert stats_facts(stats) == stats_facts(ref_stats)
     assert state_facts(state) == state_facts(ref_state)
 

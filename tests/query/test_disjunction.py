@@ -6,20 +6,16 @@ from hypothesis import strategies as st
 
 from repro.baselines.naive import naive_skyline, naive_topk
 from repro.core.ops import intersect_all, union_all
-from repro.core.pcube import EmptyReader, SignatureAdapter
+from repro.core.readers import AnyOfReader, EmptyReader, SignatureAdapter
 from repro.cube.relation import Relation
 from repro.cube.schema import Schema
 from repro.data.workload import sample_linear_function, sample_predicate
-from repro.query.disjunction import (
-    AnyOfReader,
-    matches_dnf,
-    reader_for_dnf,
-)
 from repro.query.algorithm1 import SkylineStrategy, run_algorithm1
 from repro.query.predicates import BooleanPredicate
 from repro.query.stats import QueryStats
 from repro.system import build_system
 from tests.core.test_assembled_reader import node_paths
+from tests.reference import matches_dnf
 
 
 def qualifying(system, disjuncts):
@@ -65,16 +61,14 @@ def test_dnf_with_conjunctive_disjuncts(small_system, rng):
 
 
 def test_tautological_disjunct_disables_pruning(small_system):
-    reader = reader_for_dnf(
-        small_system.pcube,
+    reader = small_system.pcube.reader_for_dnf(
         [BooleanPredicate({"A1": 1}), BooleanPredicate()],
     )
     assert reader is None
 
 
 def test_all_unsatisfiable_disjuncts(small_system):
-    reader = reader_for_dnf(
-        small_system.pcube,
+    reader = small_system.pcube.reader_for_dnf(
         [BooleanPredicate({"A1": 777}), BooleanPredicate({"A2": 888})],
     )
     assert isinstance(reader, EmptyReader)
@@ -117,7 +111,7 @@ def test_dnf_reader_is_the_union_signature_bit_for_bit(small_system, rng):
         disjuncts = [
             sample_predicate(small_system.relation, n, rng) for n in widths
         ]
-        reader = reader_for_dnf(pcube, disjuncts)
+        reader = pcube.reader_for_dnf(disjuncts)
         oracle = _union_oracle(pcube, disjuncts)
         assert isinstance(reader, AnyOfReader)
         for path in paths:
@@ -150,7 +144,7 @@ def test_dnf_skyline_reads_the_union_signatures_blocks(small_system, rng):
 
 def test_reader_validation(small_system):
     with pytest.raises(ValueError):
-        reader_for_dnf(small_system.pcube, [])
+        small_system.pcube.reader_for_dnf([])
     with pytest.raises(ValueError):
         AnyOfReader([])
 

@@ -14,10 +14,10 @@ from repro.query.dynamic import (
     transform_point,
     transform_rect_lower,
 )
-from repro.query.hull import naive_lower_hull
 from repro.query.predicates import BooleanPredicate
 from repro.rtree.geometry import Rect
 from repro.system import build_system
+from tests.reference import naive_lower_hull
 
 
 # --------------------------------------------------------------------------- #

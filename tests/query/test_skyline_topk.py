@@ -6,8 +6,7 @@ import pytest
 
 from repro.baselines.naive import naive_skyline, naive_topk
 from repro.core.ops import intersect_all
-from repro.core.pcube import SignatureAdapter
-from repro.core.store import AssembledReader
+from repro.core.readers import AssembledReader, SignatureAdapter
 from repro.data.workload import sample_linear_function, sample_predicate
 from repro.query.algorithm1 import SkylineStrategy, run_algorithm1
 from repro.query.predicates import BooleanPredicate

@@ -1,0 +1,216 @@
+"""Reference code only the tests use: oracles and the paper example.
+
+No product module, benchmark or example calls these functions; the tests
+hold the product against them.  ``tests/kernels/reference.py`` is the
+scalar oracle of the batch kernels.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from repro.baselines.skyline_algs import Points, sfs_skyline
+from repro.bitmap.compression import CODECS, CodecError
+from repro.core.generation import signature_by_recursive_sort
+from repro.core.partial import PartialSignature
+from repro.core.signature import Signature
+from repro.cube.cuboid import Cell, Cuboid
+from repro.cube.relation import Relation
+from repro.kernels.dominate import DominationBuffer
+from repro.query.hull import _EPSILON as HULL_EPSILON
+from repro.query.predicates import BooleanPredicate
+from repro.rtree.geometry import dominates
+
+
+# --------------------------------------------------------------------------- #
+# skylines: block-nested-loops and divide-and-conquer (Borzsonyi et al.)
+# --------------------------------------------------------------------------- #
+
+
+def bnl_skyline(points: Points, window: int = 1024) -> list[int]:
+    """Block-nested-loops skyline with a bounded comparison window.
+
+    The original algorithm's timestamp rule, made explicit: a window member
+    is final after a pass only if it entered the window *before* the first
+    tuple overflowed — otherwise some overflow tuple was never compared
+    against it, and the member must go around again with the overflow.
+    """
+    remaining = list(points)
+    skyline: list[tuple[int, tuple[float, ...]]] = []
+    while remaining:
+        # (tid, point, entered_at_input_index)
+        window_items: list[tuple[int, tuple[float, ...], int]] = []
+        overflow: list[tuple[int, tuple[float, ...]]] = []
+        first_overflow_at: int | None = None
+        for position, (tid, point) in enumerate(remaining):
+            dominated = False
+            survivors: list[tuple[int, tuple[float, ...], int]] = []
+            for w_tid, w_point, w_at in window_items:
+                if dominates(w_point, point):
+                    dominated = True
+                    break
+                if not dominates(point, w_point):
+                    survivors.append((w_tid, w_point, w_at))
+            if dominated:
+                continue
+            window_items = survivors
+            if len(window_items) < window:
+                window_items.append((tid, point, position))
+            else:
+                if first_overflow_at is None:
+                    first_overflow_at = position
+                overflow.append((tid, point))
+        cutoff = first_overflow_at if first_overflow_at is not None else len(
+            remaining
+        )
+        deferred: list[tuple[int, tuple[float, ...]]] = []
+        for tid, point, entered_at in window_items:
+            if entered_at < cutoff:
+                skyline.append((tid, point))
+            else:
+                deferred.append((tid, point))
+        remaining = deferred + overflow
+    return [tid for tid, _ in skyline]
+
+
+def dnc_skyline(points: Points, threshold: int = 64) -> list[int]:
+    """Divide-and-conquer skyline: split on a median, merge by filtering."""
+    if not points:
+        return []
+    tids = set(_dnc([(tid, tuple(p)) for tid, p in points], 0, threshold))
+    return [tid for tid, _ in points if tid in tids]
+
+
+def _dnc(points: Points, depth: int, threshold: int) -> list[int]:
+    if len(points) <= threshold:
+        return sfs_skyline(points)
+    dims = len(points[0][1])
+    dim = depth % dims
+    ordered = sorted(points, key=lambda item: item[1][dim])
+    mid = len(ordered) // 2
+    left, right = ordered[:mid], ordered[mid:]
+    left_sky = set(_dnc(left, depth + 1, threshold))
+    right_sky = set(_dnc(right, depth + 1, threshold))
+    left_points = {tid: point for tid, point in left if tid in left_sky}
+    right_points = {tid: point for tid, point in right if tid in right_sky}
+    # Cross-filter both halves.  The classic merge only filters the right
+    # half, which is sound for a strict value split; a median split can put
+    # equal split-dimension values on both sides, where a right point may
+    # dominate a left one, so the symmetric check is required for
+    # exactness.  (Transitivity makes filtering against the half-skylines,
+    # rather than the full halves, sufficient.)
+    left_buffer = DominationBuffer(dims, points=list(left_points.values()))
+    right_buffer = DominationBuffer(dims, points=list(right_points.values()))
+    left_dominated = right_buffer.dominates_block(
+        list(left_points.values())
+    )
+    right_dominated = left_buffer.dominates_block(
+        list(right_points.values())
+    )
+    survivors = [
+        tid
+        for tid, dominated in zip(left_points, left_dominated)
+        if not dominated
+    ]
+    survivors.extend(
+        tid
+        for tid, dominated in zip(right_points, right_dominated)
+        if not dominated
+    )
+    return survivors
+
+
+# --------------------------------------------------------------------------- #
+# hull, DNF and signature oracles
+# --------------------------------------------------------------------------- #
+
+
+def naive_lower_hull(
+    points: Sequence[tuple[int, Sequence[float]]]
+) -> list[int]:
+    """Ground-truth 2-D lower-left hull.
+
+    Andrew's monotone chain restricted to the chain from the minimal-x
+    point to the minimal-y point, with collinear points dropped and ties
+    broken exactly like the search (smaller y at equal x, smaller x at
+    equal y).
+    """
+    if not points:
+        return []
+    best_by_coord: dict[tuple[float, float], int] = {}
+    for tid, point in sorted(points, key=lambda item: item[0]):
+        best_by_coord.setdefault((point[0], point[1]), tid)
+    coords = sorted(best_by_coord)
+    # Walk the lower hull left to right.
+    chain: list[tuple[float, float]] = []
+    for point in coords:
+        while len(chain) >= 2:
+            (ox, oy), (px, py) = chain[-2], chain[-1]
+            cross = (px - ox) * (point[1] - oy) - (py - oy) * (point[0] - ox)
+            # Tolerant collinearity test, mirroring the search's epsilon:
+            # float residues on exactly collinear inputs must still pop.
+            if cross <= HULL_EPSILON:
+                chain.pop()
+            else:
+                break
+        chain.append(point)
+    # Restrict to the decreasing-y prefix (the lower-LEFT chain: once y
+    # starts rising we are past the minimal-y corner).
+    min_y = min(y for _, y in coords)
+    result: list[tuple[float, float]] = []
+    for point in chain:
+        result.append(point)
+        if point[1] == min_y:
+            break
+    return [best_by_coord[point] for point in result]
+
+
+def matches_dnf(
+    relation: Relation,
+    disjuncts: Sequence[BooleanPredicate],
+    tid: int,
+) -> bool:
+    """Ground-truth DNF evaluation (any disjunct matches)."""
+    return any(disjunct.matches(relation, tid) for disjunct in disjuncts)
+
+
+def generate_cuboid_signatures(
+    relation: Relation,
+    cuboid: Cuboid,
+    paths: dict[int, tuple[int, ...]],
+    fanout: int,
+) -> dict[Cell, Signature]:
+    """All cell signatures of one cuboid, tuple-oriented.
+
+    Args:
+        relation: The base table.
+        cuboid: The group-by to materialise.
+        paths: tid → current R-tree path (from :meth:`RTree.all_paths`).
+        fanout: R-tree node capacity ``M``.
+    """
+    groups = cuboid.group(relation)
+    return {
+        cell: signature_by_recursive_sort(
+            (paths[tid] for tid in tids), fanout
+        )
+        for cell, tids in groups.items()
+    }
+
+
+def reassemble(
+    partials: Sequence[PartialSignature], fanout: int
+) -> Signature:
+    """Rebuild the full signature from all of its partials."""
+    signature = Signature(fanout)
+    for partial in partials:
+        for sid, bits in partial.decode().items():
+            signature.set_node(sid, bits)
+    return signature
+
+
+def codec_name(blob: bytes) -> str:
+    """Which codec produced this blob."""
+    names = {codec_id: name for name, (codec_id, _, _) in CODECS.items()}
+    if not blob or blob[0] not in names:
+        raise CodecError("not a compressed bitmap blob")
+    return names[blob[0]]

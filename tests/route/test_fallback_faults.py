@@ -29,6 +29,7 @@ from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
 from repro.query.session import QuerySession
 from repro.route import (
+    ENGINES,
     QueryRouter,
     SERVING_CHAIN,
     RouteRequest,
@@ -201,6 +202,42 @@ def test_executor_routed_fault_reaches_the_router(faulty):
         assert stats["routed"] == sum(stats["served_by"].values()) == 1
         assert executor.stats.snapshot()["degraded_queries"] == 1
     disk.plan = FaultPlan()
+
+
+def test_fallen_back_answer_counts_its_failed_attempt(faulty):
+    """The signature attempt's retries, partial loads and pages are part of
+    the answer that replaced it, and so reach the executor's tally: two
+    transient faults on the root partial are retried, then a corrupt
+    R-tree page hands the query to the scan."""
+    disk, system = faulty
+    predicate = sample_predicate(system.relation, 1, random.Random(7))
+    store = system.pcube.store
+    with QueryExecutor(
+        system, threads=1, routing=RoutingPolicy(cache=False)
+    ) as executor:
+        retries_before = store.fault_stats.retries
+        disk.plan = FaultPlan(
+            [
+                FaultRule(kind="transient", tag="pcube:sig", count=2),
+                FaultRule(kind="corrupt", tag="rtree", count=1),
+            ]
+        )
+        result = executor.skyline(predicate).result(timeout=30.0)
+        disk.plan = FaultPlan()
+        scan = ENGINES["boolean-first"](
+            _session(system),
+            RouteRequest(kind="skyline", predicate=predicate),
+            executor.router.ctx,
+        )
+        assert executor.stats.snapshot()["fault_retries"] == 2
+    stats = result.stats
+    assert (stats.route, stats.fallbacks) == ("boolean-first", 1)
+    assert stats.fault_retries == store.fault_stats.retries - retries_before == 2
+    assert stats.sig_loads == stats.ssig == 1
+    assert stats.sig_load_seconds > 0.0
+    assert stats.sblock == 1  # the corrupt page the search stopped at
+    assert stats.total_io() == scan.stats.total_io() + 2
+    assert result.tids == sorted(scan.tids)
 
 
 def test_transient_fault_falls_back_once_then_signature_serves(faulty):
