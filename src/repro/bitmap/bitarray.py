@@ -67,6 +67,16 @@ class BitArray:
     # ------------------------------------------------------------------ #
 
     @classmethod
+    def trusted(cls, nbits: int, mask: int) -> "BitArray":
+        """A bit array over a ``mask`` already known to fit ``nbits`` — a
+        decoded node, validated when its blob was first decoded.  Not
+        validated again."""
+        bits = object.__new__(cls)
+        bits.nbits = nbits
+        bits._mask = mask
+        return bits
+
+    @classmethod
     def from_positions(cls, nbits: int, positions: Iterable[int]) -> "BitArray":
         """Build from an iterable of set-bit positions."""
         mask = 0

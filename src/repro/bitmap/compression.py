@@ -91,14 +91,14 @@ def _raw_len(bits: BitArray) -> int:
     return (bits.nbits + 7) // 8
 
 
-def _raw_decode(nbits: int, body: bytes) -> BitArray:
+def _raw_decode(nbits: int, body: bytes) -> int:
     expected = (nbits + 7) // 8
     if len(body) != expected:
         raise CodecError(f"raw body is {len(body)} bytes, expected {expected}")
-    bits = BitArray.from_bytes(nbits, body)
-    if bits.mask >> nbits:
+    mask = int.from_bytes(body, "little")
+    if mask >> nbits:
         raise CodecError("raw body has bits beyond declared width")
-    return bits
+    return mask
 
 
 def _sparse_encode(bits: BitArray) -> bytes:
@@ -123,7 +123,7 @@ def _sparse_len(bits: BitArray) -> int:
     return length
 
 
-def _sparse_decode(nbits: int, body: bytes) -> BitArray:
+def _sparse_decode(nbits: int, body: bytes) -> int:
     count, offset = read_varint(body, 0)
     mask = 0
     position = -1
@@ -137,7 +137,7 @@ def _sparse_decode(nbits: int, body: bytes) -> BitArray:
         mask |= 1 << position
     if offset != len(body):
         raise CodecError("trailing bytes after sparse body")
-    return BitArray(nbits, mask)
+    return mask
 
 
 def _rle_encode(bits: BitArray) -> bytes:
@@ -159,13 +159,13 @@ def _rle_len(bits: BitArray) -> int:
     return 1 + sum(varint_len(length) for _, length in bits.runs())
 
 
-def _rle_decode(nbits: int, body: bytes) -> BitArray:
+def _rle_decode(nbits: int, body: bytes) -> int:
     if not body:
         raise CodecError("empty rle body")
     value = body[0] == 1
     if body[0] not in (0, 1):
         raise CodecError("rle first-value marker must be 0 or 1")
-    bits = BitArray(nbits)
+    mask = 0
     offset = 1
     position = 0
     while offset < len(body):
@@ -175,13 +175,12 @@ def _rle_decode(nbits: int, body: bytes) -> BitArray:
         if position + length > nbits:
             raise CodecError("rle runs exceed declared width")
         if value:
-            for pos in range(position, position + length):
-                bits.set(pos)
+            mask |= ((1 << length) - 1) << position
         position += length
         value = not value
     if position != nbits:
         raise CodecError(f"rle runs cover {position} of {nbits} bits")
-    return bits
+    return mask
 
 
 _WAH_WORD = 31  # payload bits per 32-bit word
@@ -245,32 +244,28 @@ def _wah_len(bits: BitArray) -> int:
     return 4 * words
 
 
-def _wah_decode(nbits: int, body: bytes) -> BitArray:
+def _wah_decode(nbits: int, body: bytes) -> int:
     if len(body) % 4:
         raise CodecError("wah body is not word aligned")
-    chunk_mask = (1 << _WAH_WORD) - 1
+    payload = _WAH_WORD * ((nbits + _WAH_WORD - 1) // _WAH_WORD)
     mask = 0
     bit_pos = 0
     for word in unpack_words(body, 4):
-        if word >> 31:  # fill
-            value = (word >> 30) & 1
-            length = word & ((1 << 30) - 1)
-            if value:
-                for _ in range(length):
-                    mask |= chunk_mask << bit_pos
-                    bit_pos += _WAH_WORD
-            else:
-                bit_pos += _WAH_WORD * length
+        if word >> 31:  # fill: checked against the width before it expands
+            span = _WAH_WORD * (word & ((1 << 30) - 1))
+            if bit_pos + span > payload:
+                raise CodecError(f"wah fill runs past {payload} payload bits")
+            if word >> 30 & 1:
+                mask |= ((1 << span) - 1) << bit_pos
+            bit_pos += span
         else:
-            mask |= (word & chunk_mask) << bit_pos
+            if bit_pos + _WAH_WORD > payload:
+                raise CodecError(f"wah literal runs past {payload} payload bits")
+            mask |= word << bit_pos
             bit_pos += _WAH_WORD
-    expected_words = (nbits + _WAH_WORD - 1) // _WAH_WORD
-    if bit_pos != expected_words * _WAH_WORD:
-        raise CodecError(
-            f"wah decoded {bit_pos} payload bits, expected {expected_words * _WAH_WORD}"
-        )
-    mask &= (1 << nbits) - 1 if nbits else 0
-    return BitArray(nbits, mask)
+    if bit_pos != payload:
+        raise CodecError(f"wah decoded {bit_pos} payload bits, expected {payload}")
+    return mask & ((1 << nbits) - 1)
 
 
 # --------------------------------------------------------------------------- #
@@ -296,6 +291,11 @@ _BODY_LEN = {
 }
 
 
+#: Entries each memo below keeps (sized in EXPERIMENTS.md, Assumptions
+#: rows 25 and 31: a build's distinct node values, a read stream's blobs).
+_MEMO_ENTRIES = 1 << 15
+
+
 def compress(bits: BitArray, codec: str = "adaptive") -> bytes:
     """Compress a bit array into a self-describing blob.
 
@@ -312,7 +312,7 @@ def compress(bits: BitArray, codec: str = "adaptive") -> bytes:
     return _encode(bits.nbits, bits.mask, codec)
 
 
-@lru_cache(maxsize=1 << 15)
+@lru_cache(maxsize=_MEMO_ENTRIES)
 def _encode(nbits: int, mask: int, codec: str) -> bytes:
     bits = BitArray(nbits, mask)
     if codec == "adaptive":
@@ -328,7 +328,23 @@ def _encode(nbits: int, mask: int, codec: str) -> bytes:
 
 
 def decompress(blob: bytes) -> BitArray:
-    """Invert :func:`compress` for any codec."""
+    """Invert :func:`compress` for any codec.
+
+    The decode is a pure function of the blob and memoised on it, the
+    mirror of :func:`compress`: queries test the same node values over and
+    over, across cells, SIDs and queries (EXPERIMENTS.md, Assumptions row
+    31).  Each call still returns a fresh :class:`BitArray` — callers may
+    mutate it — and a malformed blob raises its :class:`CodecError` on
+    every call.  Any bytes-like object is accepted and keyed by its bytes.
+    """
+    if type(blob) is not bytes:
+        blob = bytes(memoryview(blob))
+    return BitArray.trusted(*_decode(blob))
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _decode(blob: bytes) -> tuple[int, int]:
+    """``blob -> (nbits, mask)``, every field validated."""
     if not blob:
         raise CodecError("empty blob")
     try:
@@ -336,4 +352,4 @@ def decompress(blob: bytes) -> BitArray:
     except KeyError:
         raise CodecError(f"unknown codec id {blob[0]}") from None
     nbits, offset = read_varint(blob, 1)
-    return decode(nbits, blob[offset:])
+    return nbits, decode(nbits, blob[offset:])

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 from repro.bitmap.bitarray import BitArray
 from repro.bitmap.compression import compress, decompress
 from repro.core.signature import Signature
-from repro.core.sid import ancestor_sids
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.counted import CountedSignature
@@ -168,10 +167,17 @@ def pack(
     return partials
 
 
-def retrieval_refs(path: Sequence[int], fanout: int) -> list[int]:
-    """The candidate partial references for the node at ``path``.
+def retrieval_refs(sid: int, fanout: int) -> list[int]:
+    """The candidate partial references for the node ``sid``.
 
     Root first, then each deeper ancestor, then the node itself — the order
     in which the paper probes for the partial encoding a requested node.
+    An ancestor's SID is the node's with its low base-``M + 1`` digits
+    dropped.
     """
-    return ancestor_sids(path, fanout)
+    refs = [sid]
+    while sid:
+        sid //= fanout + 1
+        refs.append(sid)
+    refs.reverse()
+    return refs

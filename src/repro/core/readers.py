@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.bitmap.bitarray import BitArray
 from repro.bitmap.compression import decompress
 from repro.core.partial import retrieval_refs
-from repro.core.sid import sid_of_path
+from repro.core.sid import child_sid, sid_of_path
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cell
 from repro.obs.trace import DEGRADED, Tracer
@@ -89,17 +89,20 @@ class SignatureAdapter:
 
     def __init__(self, signature: Signature) -> None:
         self.signature = signature
+        self.fanout = signature.fanout
 
     def check_entry(self, parent_path, position) -> bool:
         return self.signature.check_bit(
-            sid_of_path(parent_path, self.signature.fanout), position
+            sid_of_path(parent_path, self.fanout), position
         )
 
-    def check_block(self, parent_path, wanted: int, lookahead: bool = False) -> int:
-        """``lookahead`` names the cause of a load; nothing loads here."""
-        bits = self.signature.node(
-            sid_of_path(parent_path, self.signature.fanout)
-        )
+    def check_block(self, parent_path, wanted: int) -> int:
+        return self.check_sid(sid_of_path(parent_path, self.fanout), wanted)
+
+    def check_sid(self, sid: int, wanted: int, lookahead: bool = False) -> int:
+        """:meth:`check_block` of the node ``sid``; ``lookahead`` names the
+        cause of a load, and nothing loads here."""
+        bits = self.signature.node(sid)
         return wanted & bits.mask if bits is not None else 0
 
     def check_path(self, path) -> bool:
@@ -234,10 +237,8 @@ class CellSignatureReader:
             self.tracer.sig_load(self.cell.cell_id, ref_sid, outcome, elapsed)
         return found
 
-    def _ensure_node(
-        self, node_path: Sequence[int], node_sid: int, lookahead: bool = False
-    ) -> bool | None:
-        """Make the node at ``node_path`` resident.
+    def _ensure_node(self, node_sid: int, lookahead: bool = False) -> bool | None:
+        """Make the node ``node_sid`` resident.
 
         Returns ``True`` when resident, ``False`` when provably absent
         (every candidate partial was readable and none held it), ``None``
@@ -249,7 +250,7 @@ class CellSignatureReader:
         if node_sid in self._blobs:
             return True
         unresolved = False
-        for ref in retrieval_refs(node_path, self.fanout):
+        for ref in retrieval_refs(node_sid, self.fanout):
             if ref in self._loaded_refs:
                 continue
             outcome = self._load_ref(ref, lookahead)
@@ -302,16 +303,14 @@ class CellSignatureReader:
         before (the search descends), so one bit suffices.
         """
         parent_sid = sid_of_path(parent_path, self.fanout)
-        resident = self._ensure_node(parent_path, parent_sid)
+        resident = self._ensure_node(parent_sid)
         if resident is None:
             return self._conservative(tuple(parent_path) + (position,))
         if not resident:
             return False
         return self._bits(parent_sid).get(position - 1)
 
-    def check_block(
-        self, parent_path: Sequence[int], wanted: int, lookahead: bool = False
-    ) -> int | None:
+    def check_block(self, parent_path: Sequence[int], wanted: int) -> int | None:
         """The whole-node form of :meth:`check_entry`: which of the
         ``wanted`` entries (bit ``p − 1`` = 1-based position ``p``) of the
         node at ``parent_path`` contain data of this cell.
@@ -320,21 +319,27 @@ class CellSignatureReader:
         ``check_entry`` on this node would issue — then one mask AND.
         Returns ``None`` when the node is unresolvable; the caller then
         asks :meth:`check_entry` per wanted entry, which answers each one
-        conservatively (and counts it) as before.  ``lookahead`` counts the
-        loads it issues as an :class:`AssembledReader`'s look-ahead.
+        conservatively (and counts it) as before.
         """
-        parent_sid = sid_of_path(parent_path, self.fanout)
-        resident = self._ensure_node(parent_path, parent_sid, lookahead)
+        return self.check_sid(sid_of_path(parent_path, self.fanout), wanted)
+
+    def check_sid(
+        self, sid: int, wanted: int, lookahead: bool = False
+    ) -> int | None:
+        """:meth:`check_block` of the node ``sid`` — the entry an
+        :class:`AssembledReader` asks; ``lookahead`` counts the loads it
+        issues as that reader's look-ahead."""
+        resident = self._ensure_node(sid, lookahead)
         if resident is None:
             return None
         if not resident:
             return 0
-        return wanted & self._bits(parent_sid).mask
+        return wanted & self._bits(sid).mask
 
     def check_path(self, path: Sequence[int]) -> bool:
         """Whether the entry addressed by a full path contains cell data."""
         if not path:
-            resident = self._ensure_node((), 0)
+            resident = self._ensure_node(0)
             if resident is None:
                 return self._conservative(())
             return bool(resident) and self._bits(0).any()
@@ -350,8 +355,10 @@ class AssembledReader:
     bit what :func:`repro.core.ops.intersect_all` computes from the full
     signatures, but evaluated per query and only where the search asks:
     :meth:`_nonempty` looks ahead below a candidate child, stops at the
-    first witness and is memoised, so each node of each member is decoded
-    at most once per query.  Every bit still goes through the members'
+    first witness and is memoised, so each member is asked each node at
+    most once per query.  The look-ahead walks SIDs: a node's SID is worked
+    out once from the path the search asks about, and its children are
+    ``sid · (M + 1) + p``.  Every bit still goes through the members'
     ``check_*`` methods (partial loads, retries, breakers, quarantine); the
     loads the look-ahead issues count as ``sig_lookahead_loads`` too.  A
     node some member cannot resolve counts as non-empty during look-ahead
@@ -360,7 +367,7 @@ class AssembledReader:
 
     Args:
         readers: One reader per cell of the conjunction, all bumping the
-            same query record.
+            same query record and answering :meth:`check_sid`.
         leaf_depth: Path length of the R-tree's leaf nodes
             (``rtree.root.level``): bits there denote tuples, are exact as
             they stand and end the look-ahead.
@@ -373,67 +380,76 @@ class AssembledReader:
             raise ValueError("AssembledReader needs at least one reader")
         self.readers = list(readers)
         self.leaf_depth = leaf_depth
-        #: Per query: node path -> AND of the members' masks (``None`` =
-        #: unresolvable), and node path -> is its exact intersection non-empty.
-        self._masks: dict[tuple[int, ...], int | None] = {}
-        self._nonempty_memo: dict[tuple[int, ...], bool] = {}
+        self.fanout = self.readers[0].fanout
+        #: Per query: node SID -> AND of the members' masks (``None`` =
+        #: unresolvable), and node SID -> is its exact intersection non-empty.
+        self._masks: dict[int, int | None] = {}
+        self._nonempty_memo: dict[int, bool] = {}
 
-    def _mask(self, path: tuple[int, ...], lookahead: bool = False) -> int | None:
-        """The plain AND of the members' bits at the node at ``path``;
-        member *k* sees only what passed members < *k* and is not consulted
-        once nothing did.  ``None`` when a consulted member cannot resolve
-        the node."""
+    def _mask(self, sid: int, lookahead: bool = False) -> int | None:
+        """The plain AND of the members' bits at the node ``sid``; member
+        *k* sees only what passed members < *k* and is not consulted once
+        nothing did.  ``None`` when a consulted member cannot resolve the
+        node."""
         try:
-            return self._masks[path]
+            return self._masks[sid]
         except KeyError:
             pass
         mask: int | None = -1  # every entry wanted
         for reader in self.readers:
-            mask = reader.check_block(path, mask, lookahead)
+            mask = reader.check_sid(sid, mask, lookahead)
             if not mask:  # unresolvable, or provably empty
                 break
-        self._masks[path] = mask
+        self._masks[sid] = mask
         return mask
 
-    def _nonempty(self, path: tuple[int, ...]) -> bool:
-        """Whether the exact intersection has data under the node at
-        ``path`` (Fig. 3's recursion, first witness wins)."""
-        known = self._nonempty_memo.get(path)
+    def _nonempty(self, sid: int, depth: int) -> bool:
+        """Whether the exact intersection has data under the node ``sid``
+        at path length ``depth`` (Fig. 3's recursion, lowest child first,
+        first witness wins)."""
+        known = self._nonempty_memo.get(sid)
         if known is None:
-            mask = self._mask(path, lookahead=True)
-            if mask is None or len(path) >= self.leaf_depth:
+            mask = self._mask(sid, lookahead=True)
+            if mask is None or depth >= self.leaf_depth:
                 known = mask != 0
             else:
                 known = False
+                first_child = sid * (self.fanout + 1)
                 while mask and not known:
                     low = mask & -mask
                     mask ^= low
-                    known = self._nonempty(path + (low.bit_length(),))
-            self._nonempty_memo[path] = known
+                    known = self._nonempty(first_child + low.bit_length(), depth + 1)
+            self._nonempty_memo[sid] = known
         return known
 
     def check_entry(self, parent_path: Sequence[int], position: int) -> bool:
+        depth = len(parent_path)
         return all(
             reader.check_entry(parent_path, position) for reader in self.readers
         ) and (
-            len(parent_path) >= self.leaf_depth
-            or self._nonempty(tuple(parent_path) + (position,))
+            depth >= self.leaf_depth
+            or self._nonempty(
+                child_sid(sid_of_path(parent_path, self.fanout), position, self.fanout),
+                depth + 1,
+            )
         )
 
     def check_block(
         self, parent_path: Sequence[int], wanted: int
     ) -> int | None:
-        path = tuple(parent_path)
-        mask = self._mask(path)
+        sid = sid_of_path(parent_path, self.fanout)
+        mask = self._mask(sid)
         if mask is None:
             return None
         passed = wanted & mask
-        if len(path) < self.leaf_depth:
+        depth = len(parent_path)
+        if depth < self.leaf_depth:
+            first_child = sid * (self.fanout + 1)
             pending = passed
             while pending:
                 low = pending & -pending
                 pending ^= low
-                if not self._nonempty(path + (low.bit_length(),)):
+                if not self._nonempty(first_child + low.bit_length(), depth + 1):
                     passed ^= low
         return passed
 
@@ -442,7 +458,7 @@ class AssembledReader:
             return self.check_entry(tuple(path[:-1]), path[-1])
         return all(
             reader.check_path(()) for reader in self.readers
-        ) and self._nonempty(())
+        ) and self._nonempty(0, 0)
 
 
 class AnyOfReader:

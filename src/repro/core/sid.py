@@ -79,18 +79,3 @@ def child_sid(sid: int, position: int, fanout: int) -> int:
     if not 1 <= position <= fanout:
         raise ValueError(f"child position {position} outside [1, {fanout}]")
     return sid * (fanout + 1) + position
-
-
-def ancestor_sids(path: Sequence[int], fanout: int) -> list[int]:
-    """SIDs of every prefix of ``path``: root first, the node itself last."""
-    base = fanout + 1
-    sids = [0]
-    sid = 0
-    for component in path:
-        if not 1 <= component <= fanout:
-            raise ValueError(
-                f"path component {component} outside [1, {fanout}]"
-            )
-        sid = sid * base + component
-        sids.append(sid)
-    return sids

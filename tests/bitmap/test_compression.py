@@ -126,6 +126,35 @@ def test_sparse_position_overflow_rejected():
         decompress(bytes([1, 2, 1, 5]))
 
 
+def test_raw_stray_bits_raise_a_codec_error():
+    # frame: codec=0, nbits=4, one body byte with bits 4..7 set
+    with pytest.raises(CodecError, match="beyond declared width"):
+        decompress(b"\x00\x04\xff")
+
+
+def wah_word(value):
+    return value.to_bytes(4, "little")
+
+
+@pytest.mark.parametrize("fill_value", [0, 1])
+def test_wah_fill_past_the_width_is_rejected_before_it_expands(fill_value):
+    """A one-fill of 2^30 − 1 words over a 4-bit width: rejected on sight
+    (expanding it word by word took quadratic time)."""
+    fill = 0x80000000 | fill_value << 30 | (1 << 30) - 1
+    with pytest.raises(CodecError, match="fill runs past 31 payload bits"):
+        decompress(bytes([3, 4]) + wah_word(fill))
+
+
+def test_wah_literal_past_the_width_is_rejected():
+    with pytest.raises(CodecError, match="literal runs past 31 payload bits"):
+        decompress(bytes([3, 4]) + wah_word(0b1) + wah_word(0b1))
+
+
+def test_wah_short_body_is_rejected():
+    with pytest.raises(CodecError, match="decoded 31 payload bits, expected 62"):
+        decompress(bytes([3, 40]) + wah_word(0x80000001))
+
+
 @pytest.mark.parametrize(
     "blob, message",
     [
@@ -311,3 +340,57 @@ def test_the_memo_returns_equal_bytes_under_two_threads(monkeypatch):
     info = memo.cache_info()
     assert info.hits + info.misses == 2 * 150 * len(values)
     assert info.currsize <= 8
+
+
+# --------------------------------------------------------------------------- #
+# the decode memo: decompress is a pure function of the blob
+# --------------------------------------------------------------------------- #
+
+
+def test_decompress_decodes_a_blob_once_and_returns_a_fresh_array():
+    compression._decode.cache_clear()
+    blob = compress(BitArray(8, 0b1010))
+    first = decompress(blob)
+    first.set(0)
+    first.set(3, False)
+    again = decompress(blob)
+    assert again is not first and again == BitArray(8, 0b1010)
+    info = compression._decode.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_the_decode_memo_has_the_encode_memo_bound():
+    assert (
+        compression._decode.cache_info().maxsize
+        == compression._encode.cache_info().maxsize
+        == 1 << 15
+    )
+
+
+@pytest.mark.parametrize(
+    "blob", [b"", bytes([200, 4]), b"\x00\x04\xff", bytes([2, 4, 0, 0])]
+)
+def test_a_malformed_blob_raises_on_every_call(blob):
+    compression._decode.cache_clear()
+    for _ in range(2):
+        with pytest.raises(CodecError):
+            decompress(blob)
+    info = compression._decode.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
+
+
+@given(bit_arrays, st.sampled_from(sorted(CODECS) + ["adaptive"]))
+def test_memoised_and_unmemoised_decode_agree(bits, codec):
+    blob = compress(bits, codec)
+    unmemoised = compression._decode.__wrapped__(blob)
+    assert unmemoised == (bits.nbits, bits.mask)
+    assert compression._decode(blob) == unmemoised
+    assert decompress(blob) == bits
+
+
+def test_any_bytes_like_blob_decodes_as_its_bytes():
+    bits = BitArray.from_positions(64, [0, 31, 63])
+    blob = compress(bits)
+    assert decompress(bytearray(blob)) == decompress(memoryview(blob)) == bits
+    with pytest.raises(TypeError):
+        decompress(5)

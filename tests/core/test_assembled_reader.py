@@ -235,6 +235,88 @@ def test_every_partial_load_is_counted_once_with_its_cause(fanout, page_size):
         assert 0 < stats.sig_lookahead_loads < stats.sig_loads
 
 
+#: Per shape, per predicate of ``predicates(build(*shape, seed=3),
+#: Random(3))``: ``(sig_loads, sig_lookahead_loads)`` of its skyline, then of
+#: its top-5 under ``TOP5`` — recorded while the look-ahead still walked node
+#: paths.  Walking SIDs must issue the very same loads with the same causes.
+RECORDED_LOADS = {
+    (2, 48): [
+        (51, 49, 49, 47), (32, 30, 56, 54), (85, 82, 85, 82),
+        (69, 66, 83, 80), (62, 58, 88, 84), (90, 86, 90, 86),
+    ],
+    (3, 64): [
+        (14, 12, 20, 18), (17, 15, 24, 22), (34, 31, 35, 32),
+        (29, 26, 38, 35), (32, 28, 41, 37), (36, 32, 44, 40),
+    ],
+    (4, 128): [
+        (6, 4, 6, 4), (6, 4, 7, 5), (9, 6, 10, 7),
+        (9, 6, 9, 6), (12, 8, 12, 8), (12, 8, 12, 8),
+    ],
+    (4, 4096): [
+        (2, 0, 2, 0), (2, 0, 2, 0), (3, 0, 3, 0),
+        (3, 0, 3, 0), (4, 0, 4, 0), (4, 0, 4, 0),
+    ],
+}
+TOP5 = LinearFunction([1.0, 2.0])
+
+
+@contextmanager
+def asking_members():
+    """Record every SID a member reader is asked for (``check_sid``, the
+    one entry an ``AssembledReader`` uses), and every ``sid_of_path`` call
+    made inside its look-ahead."""
+    asked, converted = [], []
+    depth = [0]
+    real_check_sid = CellSignatureReader.check_sid
+    real_nonempty = AssembledReader._nonempty
+    real_sid_of_path = readers_module.sid_of_path
+
+    def check_sid(self, sid, wanted, lookahead=False):
+        asked.append((self, sid))
+        return real_check_sid(self, sid, wanted, lookahead)
+
+    def nonempty(self, sid, node_depth):
+        depth[0] += 1
+        try:
+            return real_nonempty(self, sid, node_depth)
+        finally:
+            depth[0] -= 1
+
+    def sid_of_path(path, fanout):
+        if depth[0]:
+            converted.append(tuple(path))
+        return real_sid_of_path(path, fanout)
+
+    with (
+        mock.patch.object(CellSignatureReader, "check_sid", check_sid),
+        mock.patch.object(AssembledReader, "_nonempty", nonempty),
+        mock.patch.object(readers_module, "sid_of_path", sid_of_path),
+    ):
+        yield asked, converted
+
+
+@pytest.mark.parametrize("fanout, page_size", SHAPES)
+def test_the_sid_walk_asks_each_member_each_node_once_and_loads_as_recorded(
+    fanout, page_size
+):
+    system = build(fanout, page_size, seed=3)
+    rng = random.Random(3)
+    loads = []
+    for predicate in predicates(system, rng):
+        row = ()
+        for run in (
+            lambda: system.engine.skyline(predicate),
+            lambda: system.engine.topk(TOP5, 5, predicate),
+        ):
+            with asking_members() as (asked, converted):
+                stats = run().stats
+            assert len(set(asked)) == len(asked) > 0
+            assert converted == []
+            row += (stats.sig_loads, stats.sig_lookahead_loads)
+        loads.append(row)
+    assert loads == RECORDED_LOADS[(fanout, page_size)]
+
+
 def truth(system, predicate):
     relation = system.relation
     return set(
@@ -258,10 +340,10 @@ def watching_look_ahead():
     real_load = CellSignatureReader._load_ref
     real_conservative = CellSignatureReader._conservative
 
-    def nonempty(self, path):
+    def nonempty(self, sid, node_depth):
         depth[0] += 1
         try:
-            return real_nonempty(self, path)
+            return real_nonempty(self, sid, node_depth)
         finally:
             depth[0] -= 1
 

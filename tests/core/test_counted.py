@@ -11,11 +11,11 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.bitmap.bitarray import BitArray
 from repro.core.counted import CountedSignature, PathColumns
 from repro.core.integrity import iter_cell_checks
-from repro.core.sid import ancestor_sids
 from repro.core.signature import Signature
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.storage.disk import SimulatedDisk
 from repro.system import build_system
+from tests.reference import ancestor_sids
 
 
 def test_add_then_view():

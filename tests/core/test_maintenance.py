@@ -14,7 +14,6 @@ from repro.core.maintenance import (
     merge_changes,
     update_tuple,
 )
-from repro.core.sid import ancestor_sids
 from repro.core.signature import Signature
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.rtree.rtree import PathChange
@@ -32,6 +31,7 @@ from tests.core.test_store import (
     from_scratch_bytes,
     stored_bytes,
 )
+from tests.reference import ancestor_sids
 
 
 def verify_all_signatures(system, alive=None):

@@ -14,12 +14,12 @@ from repro.core.partial import (
     decompose,
     retrieval_refs,
 )
-from repro.core.sid import ancestor_sids, child_sid, sid_of_path
+from repro.core.sid import child_sid, sid_of_path
 from repro.core.signature import Signature
 from repro.core.store import SignatureStore
 from repro.storage.disk import SimulatedDisk
 from tests.core.test_store import CELL, count_compressions, stored_bytes
-from tests.reference import reassemble
+from tests.reference import ancestor_sids, reassemble
 
 FANOUT = 4
 
@@ -109,8 +109,9 @@ def test_refs_are_ancestors_of_their_contents():
 
 def test_retrieval_refs_order():
     path = (2, 1, 3)
-    refs = retrieval_refs(path, FANOUT)
+    refs = retrieval_refs(sid_of_path(path, FANOUT), FANOUT)
     assert refs == ancestor_sids(path, FANOUT)
+    assert retrieval_refs(0, FANOUT) == [0]
     assert refs[0] == 0
     assert refs[-1] == sid_of_path(path, FANOUT)
 
@@ -121,12 +122,9 @@ def test_retrieval_protocol_always_finds_the_node():
     paths = [(a, b, c) for a in (1, 2, 3, 4) for b in (1, 2) for c in (1, 2)]
     signature = Signature.from_paths(paths, FANOUT)
     partials = {p.ref_sid: p for p in decompose(signature, page_size=40)}
-    from repro.core.sid import path_of_sid
-
     for sid in signature.node_sids():
-        node_path = path_of_sid(sid, FANOUT)
         found = False
-        for ref in retrieval_refs(node_path, FANOUT):
+        for ref in retrieval_refs(sid, FANOUT):
             partial = partials.get(ref)
             if partial is not None and sid in partial:
                 found = True
@@ -178,15 +176,12 @@ def test_reassembly_roundtrip_property(paths, page_size):
 @settings(max_examples=30, deadline=None)
 @given(path_sets)
 def test_protocol_completeness_property(paths):
-    from repro.core.sid import path_of_sid
-
     signature = Signature.from_paths(paths, FANOUT)
     partials = {p.ref_sid: p for p in decompose(signature, page_size=36)}
     for sid in signature.node_sids():
-        node_path = path_of_sid(sid, FANOUT)
         assert any(
             ref in partials and sid in partials[ref]
-            for ref in retrieval_refs(node_path, FANOUT)
+            for ref in retrieval_refs(sid, FANOUT)
         )
 
 

@@ -5,12 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.sid import (
-    ancestor_sids,
     child_sid,
     parent_sid,
     path_of_sid,
     sid_of_path,
 )
+from tests.reference import ancestor_sids
 
 
 def test_root_is_zero():

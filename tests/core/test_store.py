@@ -8,7 +8,7 @@ from repro.core import readers as readers_module
 from repro.core import store as store_module
 from repro.core.partial import decompose
 from repro.core.readers import AssembledReader
-from repro.core.sid import ancestor_sids, path_of_sid
+from repro.core.sid import path_of_sid
 from repro.core.signature import Signature
 from repro.core.store import MissingPartialError, SignatureStore
 from repro.cube.cuboid import Cell
@@ -23,6 +23,7 @@ from repro.storage.faults import (
     FaultyDisk,
     SimulatedCrash,
 )
+from tests.reference import ancestor_sids
 
 FANOUT = 4
 CELL = Cell(("A",), ("a1",))

@@ -753,8 +753,8 @@ def watching(runner):
         watched.decoded.append(blob)
         return real_decompress(blob)
 
-    def ensure_node(self, node_path, node_sid, lookahead=False):
-        resident = real_ensure(self, node_path, node_sid, lookahead)
+    def ensure_node(self, node_sid, lookahead=False):
+        resident = real_ensure(self, node_sid, lookahead)
         if resident:
             watched.tested.add((id(self), node_sid))
             if self not in watched.readers:

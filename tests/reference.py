@@ -125,6 +125,22 @@ def _dnc(points: Points, depth: int, threshold: int) -> list[int]:
 # --------------------------------------------------------------------------- #
 
 
+def ancestor_sids(path: Sequence[int], fanout: int) -> list[int]:
+    """SIDs of every prefix of ``path``: root first, the node itself last
+    (the path form of :func:`repro.core.partial.retrieval_refs`)."""
+    base = fanout + 1
+    sids = [0]
+    sid = 0
+    for component in path:
+        if not 1 <= component <= fanout:
+            raise ValueError(
+                f"path component {component} outside [1, {fanout}]"
+            )
+        sid = sid * base + component
+        sids.append(sid)
+    return sids
+
+
 def naive_lower_hull(
     points: Sequence[tuple[int, Sequence[float]]]
 ) -> list[int]:
