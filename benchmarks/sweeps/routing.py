@@ -4,16 +4,17 @@ One seeded system, one seeded *Zipfian* workload (a few hot query templates
 dominate, a long tail appears once — the regime a result cache exists for),
 under the serving benchmark's modeled per-read latency.  Four passes:
 
-* **pinned-<engine>** — every query pinned to one engine (cache off,
-  cold pool per query).  Per-engine io/wall over the queries that engine
+* **pinned-<engine>** — every query run by ``run_chain((engine,), ...)``
+  (no router, no cache, cold pool per query).  Per-engine io/wall over the queries that engine
   *covers* (index-merge covers only top-k; the others cover everything).
-* **routed-cold** — the default router, cache off.  It is pinned-signature
+* **routed-cold** — a router with the cache off.  It is pinned-signature
   by construction: the bench asserts every query is served by
   ``signature``, that the series' counted I/O equals pinned-signature's —
   routing itself costs zero counted I/O — and that it is ≤ the best
   full-coverage pinned engine's I/O × 1.1.  Its wall against each pinned
   engine is reported ungated (``wall_ratio_vs_pinned``): at this scale the
-  boolean-first scan is faster on wall while reading more pages.
+  boolean-first scan is faster on wall while reading more pages.  Every
+  pass's answers are canonicalised before they are compared.
 * **routed-warm** — the router with the epoch-keyed cache.  The bench
   asserts a cache hit-rate ≥ 0.5 (Zipf repeats at a stable epoch) and
   total wall ≤ the best full-coverage pinned engine's wall × 1.1, and
@@ -41,13 +42,15 @@ from repro.data.fixtures import build_sweep_system
 from repro.data.workload import zipfian_workload
 from repro.query.session import QuerySession
 from repro.route import (
+    ENGINES,
+    INDEX_MERGE,
     NAIVE,
     SIGNATURE,
-    STRATEGY_ORDER,
     QueryRouter,
     RouteRequest,
-    RoutingPolicy,
     StrategyUnsupported,
+    canonicalize,
+    run_chain,
 )
 from repro.serve.executor import QueryExecutor
 
@@ -58,11 +61,12 @@ DEFAULT_QUERIES = 160
 DEFAULT_TEMPLATES = 24
 #: Engines that can answer every query in the workload (index-merge
 #: cannot: it is top-k only), i.e. the candidates for "best pinned wall".
-FULL_COVERAGE = tuple(n for n in STRATEGY_ORDER if n != "index-merge")
+FULL_COVERAGE = tuple(n for n in ENGINES if n != INDEX_MERGE)
 
 
 def _canonical(result) -> tuple:
-    """The comparable bytes of an answer (scores rounded for float repr)."""
+    """The comparable bytes of an answer (canonical order, scores rounded)."""
+    canonicalize(result)
     if result.scores is None:
         return (tuple(result.tids), None)
     return (
@@ -82,7 +86,7 @@ def _same_answer(answer: tuple, expected: tuple, kind: str) -> bool:
 
 @dataclass
 class _Routed:
-    """One pass of the stream through one router."""
+    """One pass of the stream through one router or one pinned engine."""
 
     wall: float
     io: int
@@ -105,22 +109,23 @@ def _check(
             )
 
 
-def _routed_pass(system, snapshot, workload: list[dict], policy) -> _Routed:
-    """Route the whole stream on a fresh session and router; a query shape
-    the policy's chain cannot answer (index-merge: skylines) is skipped."""
-    router = QueryRouter.for_system(system, policy=policy)
+def _routed_pass(system, snapshot, workload, engine=None, cache=False):
+    """The whole stream on a fresh session and router, or down ``(engine,)``
+    — skipping a shape the engine cannot answer (index-merge: skylines)."""
+    router = QueryRouter.for_system(system, cache=cache)
     session = QuerySession.for_snapshot(snapshot)
     answers: dict[int, tuple] = {}
     io = results = 0
     started = time.perf_counter()
     for index, query in enumerate(workload):
+        request = RouteRequest(
+            query["kind"], query["predicate"], query["fn"], query["k"]
+        )
         try:
-            result = router.route(
-                session,
-                RouteRequest(
-                    query["kind"], query["predicate"], query["fn"], query["k"]
-                ),
-            )
+            if engine is None:
+                result = router.route(session, request)
+            else:
+                result = run_chain((engine,), session, request, router.ctx)[0]
         except StrategyUnsupported:
             continue
         io += result.stats.total_io()
@@ -158,13 +163,8 @@ def run_routing_benchmark(
 
     # ---- pinned passes: one engine each, cache off --------------------- #
     pinned = {
-        engine: _routed_pass(
-            system,
-            snapshot,
-            workload,
-            RoutingPolicy(chain=(engine,), cache=False),
-        )
-        for engine in STRATEGY_ORDER
+        engine: _routed_pass(system, snapshot, workload, engine)
+        for engine in ENGINES
     }
     assert len(pinned[NAIVE].answers) == len(workload)
     reference = [pinned[NAIVE].answers[i] for i in range(len(workload))]
@@ -180,8 +180,8 @@ def run_routing_benchmark(
     best_pinned_wall = min(pinned[name].wall for name in FULL_COVERAGE)
     best_pinned_io = min(pinned[name].io for name in FULL_COVERAGE)
 
-    # ---- routed-cold: the default chain, no cache ----------------------- #
-    cold = _routed_pass(system, snapshot, workload, RoutingPolicy(cache=False))
+    # ---- routed-cold: the serving chain, no cache ----------------------- #
+    cold = _routed_pass(system, snapshot, workload)
     _check(cold.answers, reference, workload, "routed-cold")
     routes = cold.stats["served_by"]
     if routes != {SIGNATURE: len(workload)} or cold.io != pinned[SIGNATURE].io:
@@ -202,7 +202,7 @@ def run_routing_benchmark(
             .timing(
                 wall_ratio_vs_pinned={
                     name: cold.wall / pinned[name].wall
-                    for name in STRATEGY_ORDER
+                    for name in ENGINES
                 }
             )
             .answer(routes=routes)
@@ -210,7 +210,7 @@ def run_routing_benchmark(
     }
 
     # ---- routed-warm: the same chain behind the epoch-keyed cache ------ #
-    warm = _routed_pass(system, snapshot, workload, RoutingPolicy())
+    warm = _routed_pass(system, snapshot, workload, cache=True)
     _check(warm.answers, reference, workload, "routed-warm")
     if len(warm.answers) != len(workload):
         raise AssertionError("routed-warm left queries unanswered")

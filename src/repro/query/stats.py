@@ -90,12 +90,14 @@ class QueryStats:
         pool_hits / pool_misses: This query's buffer-pool delta — meaningful
             in shared-pool serving mode where ``counters`` alone would hide
             how much another query's footprint helped.
-        route: The engine the adaptive router served this answer with
-            (``None`` when the query ran unrouted).
+        route: The engine that served an executor's skyline / top-k (the
+            router stamps every one, cache on or off); ``None`` for session
+            reads, dynamic skylines and hulls.
         fallbacks: How many engines failed before ``route`` answered.
         cache_outcome: The router cache's verdict — ``"hit"``, ``"miss"``,
-            ``"bypass"`` (open breaker, or a ranking function with no cache
-            token) or ``None`` (cache not consulted).
+            ``"bypass"`` (open breaker, a ranking function with no cache
+            token, or a disjunction) or ``None`` (cache off or not
+            consulted).
         cache_computed_epoch: On a hit, the epoch the served answer was
             computed at (older than ``epoch`` when it was carried).
 

@@ -1,11 +1,13 @@
 """Result cache, fallback chain and the five exact engines.
 
-Every served skyline / top-k runs down one fixed chain
-(:data:`SERVING_CHAIN`: signature, then the exact scans), handed to the
-next engine by :func:`run_chain` when one cannot serve.
-:class:`QueryRouter` puts an epoch-keyed :class:`ResultCache` of
-canonicalised answers in front of that chain; the other engines stay as
-pinned references (``RoutingPolicy.chain``).  See DESIGN.md §12.
+Every served read runs down one chain (:func:`chain_for`:
+:data:`SERVING_CHAIN` — signature, then the exact scans — for a
+conjunctive skyline / top-k, ``(signature,)`` otherwise), handed to the
+next engine by :func:`run_chain` when one cannot serve.  Every executor's
+:class:`QueryRouter` runs that chain for skylines and top-k, with an
+epoch-keyed :class:`ResultCache` of canonicalised answers in front of it
+when the cache is on.  The other two engines are reached only by calling
+:func:`run_chain` with a chain that names them.  See DESIGN.md §12.
 """
 
 from repro.route.cache import APEX, CachedAnswer, ResultCache, result_key
@@ -17,16 +19,14 @@ from repro.route.engines import (
     NAIVE,
     SERVING_CHAIN,
     SIGNATURE,
-    STRATEGY_ORDER,
     EngineContext,
     RouteRequest,
     StrategyUnsupported,
     canonicalize,
     chain_for,
-    supports,
 )
 from repro.route.fallback import StrategyTimeout, run_chain
-from repro.route.router import QueryRouter, RoutingPolicy
+from repro.route.router import QueryRouter
 from repro.route.stats import RouterStats
 
 __all__ = [
@@ -42,15 +42,12 @@ __all__ = [
     "ResultCache",
     "RouteRequest",
     "RouterStats",
-    "RoutingPolicy",
     "SERVING_CHAIN",
     "SIGNATURE",
-    "STRATEGY_ORDER",
     "StrategyTimeout",
     "StrategyUnsupported",
     "canonicalize",
     "chain_for",
     "result_key",
     "run_chain",
-    "supports",
 ]

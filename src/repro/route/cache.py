@@ -26,9 +26,10 @@ same rule.
 Cached serving stays byte-identical to computed serving because only
 *canonicalised* answers are stored, and lookups are bypassed — not merely
 missed — while a breaker is open on any cell of the predicate (suspect
-storage should be re-exercised, not masked) or when the ranking function
-has no ``cache_token()``.  Live sessions (``epoch is None``) are never
-cached: without an epoch there is no invalidation token.
+storage should be re-exercised, not masked), when the ranking function
+has no ``cache_token()``, and for a disjunction.  Live sessions (``epoch
+is None``) are never cached: without an epoch there is no invalidation
+token.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.query.predicates import BooleanPredicate
+from repro.query.session import Predicate
 from repro.rtree.geometry import dominates
 
 #: Key component for the empty predicate (the apex "cell").
@@ -90,21 +92,22 @@ class CachedAnswer:
 
 def result_key(
     kind: str,
-    predicate: BooleanPredicate,
+    predicate: Predicate,
     preference_by: tuple[str, ...] | None,
     fn,
     k: int | None,
     epoch: int,
 ) -> tuple | None:
     """The ``(epoch, kind, cell, pref-subspace, digest)`` cache key, or
-    ``None`` for a ranking function that cannot be keyed.
+    ``None`` for a query that cannot be keyed: a ranking function with no
+    ``cache_token()``, or a disjunction (it has no one cell).
 
     The digest folds in everything else that determines the answer bytes:
     the full conjunction (the cell id alone collapses distinct multi-dim
     predicates), the ranking function's ``cache_token()`` and ``k``.
     """
     token = fn.cache_token() if fn is not None else ()
-    if token is None:
+    if token is None or not isinstance(predicate, BooleanPredicate):
         return None
     cell = APEX if predicate.is_empty() else predicate.cell().cell_id
     pref = ",".join(preference_by) if preference_by else "*"

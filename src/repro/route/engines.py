@@ -7,7 +7,7 @@ outside its contract.  The contracts:
 * ``signature`` — Algorithm 1 with P-Cube boolean pruning, via the
   session (its reader-decided ``signature`` / ``conservative`` tiers
   included).  Supports every query shape, and is the only engine for
-  dynamic skylines and hulls.
+  dynamic skylines, hulls and disjunctions.
 * ``boolean-first`` — the Section VI-A baseline: B+-tree/table-scan
   selection, then the preference step in memory, reported in Algorithm
   1's order.  Uses the live B+-trees when their postings still cover the
@@ -21,14 +21,17 @@ outside its contract.  The contracts:
   answers, so staleness is *unsupported*, never silently wrong).
 * ``naive`` — the ground-truth scan; supports everything, always last.
 
-Default serving, routed or not, runs :data:`SERVING_CHAIN`; the other two
-engines are reachable only through a pinned ``RoutingPolicy.chain``.
+Every served read runs :func:`chain_for`'s chain: :data:`SERVING_CHAIN`
+for a conjunctive skyline / top-k, ``(signature,)`` for everything else.
+``domination-first`` and ``index-merge`` are reached only by handing
+:func:`~repro.route.fallback.run_chain` a chain that names them (the
+routing sweep's pinned series, the differential and fallback-edge tests).
 
-Answers are canonicalised (:func:`canonicalize`) before the router caches
-or returns them: skylines as ascending tids, top-k sorted by
-``(score, tid)``.  Canonical order is what makes "byte-identical
-regardless of route" a checkable property — every engine legitimately
-differs in *reporting* order, never in the answer set/scores.
+With the result cache on, answers are canonicalised (:func:`canonicalize`)
+before the router caches or returns them: skylines as ascending tids,
+top-k sorted by ``(score, tid)``.  Canonical order is what makes a hit and
+a computed answer byte-identical — every engine legitimately differs in
+*reporting* order, never in the answer set/scores.
 """
 
 from __future__ import annotations
@@ -48,23 +51,16 @@ from repro.baselines.index_merge import index_merge_topk
 from repro.baselines.naive import naive_skyline, naive_topk
 from repro.query.algorithm1 import SearchState
 from repro.query.predicates import BooleanPredicate
-from repro.query.session import QueryResult, QuerySession
+from repro.query.session import Predicate, QueryResult, QuerySession
 from repro.query.stats import QueryStats
 
-#: Engine names, in default preference order (naive always last).
+#: Engine names.
 SIGNATURE = "signature"
 BOOLEAN_FIRST = "boolean-first"
 DOMINATION_FIRST = "domination-first"
 INDEX_MERGE = "index-merge"
 NAIVE = "naive"
-STRATEGY_ORDER = (
-    SIGNATURE,
-    BOOLEAN_FIRST,
-    DOMINATION_FIRST,
-    INDEX_MERGE,
-    NAIVE,
-)
-#: The chain every served skyline / top-k runs down, routed or not: the
+#: The chain every served conjunctive skyline / top-k runs down: the
 #: paper's method, then the exact scans that survive a faulted search
 #: structure (naive is the backstop that needs nothing but the heap).
 SERVING_CHAIN = (SIGNATURE, BOOLEAN_FIRST, NAIVE)
@@ -86,7 +82,7 @@ class RouteRequest:
     the chain runner and the engines all read this object."""
 
     kind: str  # "skyline" | "topk" | "dynamic_skyline" | "lower_hull"
-    predicate: BooleanPredicate
+    predicate: Predicate  # a conjunction, or a list of them for a DNF
     fn: object | None = None
     k: int | None = None
     preference_by: tuple[str, ...] | None = None
@@ -110,29 +106,16 @@ class EngineContext:
         return bool(self.indexes) and len(relation) <= self.indexes_rows
 
 
-def supports(
-    strategy: str, kind: str, preference_by, ctx: EngineContext, relation
-) -> bool:
-    """Static support check (used to build chains; adapters re-verify)."""
-    if kind not in ("skyline", "topk"):
-        return strategy == SIGNATURE
-    if strategy == INDEX_MERGE:
-        return kind == "topk" and ctx.indexes_cover(relation)
-    if strategy == DOMINATION_FIRST:
-        return preference_by is None
-    return True
-
-
-def chain_for(
-    names: tuple[str, ...], request: RouteRequest, ctx: EngineContext, relation
-) -> list[str]:
-    """``names`` in order, without the engines that cannot serve this
-    request's shape — dynamic skylines and hulls keep ``signature`` only."""
-    return [
-        name
-        for name in names
-        if supports(name, request.kind, request.preference_by, ctx, relation)
-    ]
+def chain_for(request: RouteRequest) -> tuple[str, ...]:
+    """The chain a served read runs down: :data:`SERVING_CHAIN` for a
+    conjunctive skyline / top-k; ``(signature,)`` for dynamic skylines,
+    hulls and disjunctions, which no scan engine answers, so a fault in
+    the search structures surfaces to the caller."""
+    if request.kind in ("skyline", "topk") and isinstance(
+        request.predicate, BooleanPredicate
+    ):
+        return SERVING_CHAIN
+    return (SIGNATURE,)
 
 
 def canonicalize(result: QueryResult) -> QueryResult:

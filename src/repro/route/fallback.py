@@ -8,12 +8,13 @@ deadline (:class:`StrategyTimeout`) simply hands the query to the next
 engine in the chain.  What cannot be retried is a lapsed *overall*
 deadline or a cancellation: those abort the query.
 
-Both serving modes run through :func:`run_chain` with the same chain and
-the same context: :data:`~repro.route.engines.SERVING_CHAIN`
-for skylines and top-k (``(signature,)`` for dynamic skylines and hulls).
-Any other chain is a pinned ``RoutingPolicy.chain``.  This is the only
-place a storage fault moves a query to another engine: the session itself
-answers by signature or lets the fault propagate.
+Every served read runs through :func:`run_chain` with
+:func:`~repro.route.engines.chain_for`'s chain:
+:data:`~repro.route.engines.SERVING_CHAIN` for conjunctive skylines and
+top-k, ``(signature,)`` for everything else.  Any other chain is handed in
+directly (the routing sweep's pinned series, the engine tests).  This is
+the only place a storage fault moves a query to another engine: the
+session itself answers by signature or lets the fault propagate.
 
 Deadline slicing: a session with ``deadline_at`` set gives each attempt an
 equal share of the *remaining* budget (``remaining / engines left``), so
@@ -25,7 +26,7 @@ session's ticker is handed through untouched.
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.query.session import QueryResult, QuerySession
 from repro.route.engines import (
@@ -52,7 +53,7 @@ class StrategyTimeout(Exception):
 
 
 def run_chain(
-    chain: list[str],
+    chain: Sequence[str],
     session: QuerySession,
     request: RouteRequest,
     ctx: EngineContext,
@@ -69,12 +70,8 @@ def run_chain(
     fault — the answer is exact, but it was not the healthy path that
     produced it.  Exhausting the chain re-raises the last
     error, chained ``from`` the first one so callers see what started the
-    hand-over; an empty chain raises :class:`StrategyUnsupported`.
+    hand-over.
     """
-    if not chain:
-        raise StrategyUnsupported(
-            "router", f"no engine supports this {request.kind} query"
-        )
     failures: list[tuple[str, Exception]] = []
     faulted = False
     base_ticker = session.ticker

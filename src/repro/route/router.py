@@ -1,38 +1,43 @@
 """The query router: the result cache in front of the one chain.
 
-There is no per-query engine choice.  The paper's claim is that the
-signature method beats both baseline orders, and a learner that picked
-among them per query was measured to do no better than always-signature on
-any served workload (DESIGN.md §12), so a routed query runs the same
-:data:`~repro.route.engines.SERVING_CHAIN` an unrouted one does.  What
-routing adds, for every skyline/top-k query:
+Every :class:`~repro.serve.executor.QueryExecutor` builds one, and every
+served skyline / top-k goes through :meth:`QueryRouter.route`; the
+executor's ``routing`` flag only turns the cache on or off.  There is no
+per-query engine choice.  The paper's claim is that the signature method
+beats both baseline orders, and a learner that picked among them per query
+was measured to do no better than always-signature on any served workload
+(DESIGN.md §12), so every read runs
+:func:`~repro.route.engines.chain_for`'s chain.  What the router adds, for
+every skyline/top-k query:
 
-1. on the first query after a publish, the cache's reconcile to the
-   reader's epoch (:mod:`repro.route.cache`: entries the deltas in between
-   provably cannot change are carried, the rest dropped, unknown ⇒ drop),
-   then a lookup — *bypassed* while a breaker is open on any of the
-   predicate's cells, so traffic keeps exercising (and healing) the real
-   path, or when the ranking function has no cache token.  This half,
+1. with the cache on, on the first query after a publish, the cache's
+   reconcile to the reader's epoch (:mod:`repro.route.cache`: entries the
+   deltas in between provably cannot change are carried, the rest
+   dropped, unknown ⇒ drop), then a lookup — *bypassed* while a breaker is
+   open on any of the predicate's cells, so traffic keeps exercising (and
+   healing) the real path, or when the query cannot be keyed (a ranking
+   function with no cache token, a disjunction).  This half,
    :meth:`QueryRouter.lookup`, reads no storage and needs no pin: the
    executor runs it on the submitting thread at the current epoch, so a
    hit never enters the admission queue;
-2. on a miss, the chain — the serving chain, or the policy's pinned
-   one — run through :func:`~repro.route.fallback.run_chain` (unsupported
-   shapes, storage faults and per-attempt deadline slices fall through;
-   overall deadline/cancellation abort);
-3. the answer in canonical order, stamped with the engine that served it
-   and cached under the epoch-keyed key with what the carry tests read.
+2. on a miss, or with the cache off, the chain, run through
+   :func:`~repro.route.fallback.run_chain` (storage faults and per-attempt
+   deadline slices fall through; overall deadline/cancellation abort);
+3. the answer stamped with the engine that served it and counted in
+   :class:`~repro.route.stats.RouterStats`; with the cache on, put in
+   canonical order and cached under the epoch-keyed key with what the
+   carry tests read.  With the cache off the answer keeps Algorithm 1's
+   reporting order.
 
-Every engine is exact, so the router's contract is strong: *the answer is
-byte-identical to naive regardless of the route taken* — the differential
-harness asserts precisely this for pinned engines, forced fallbacks and
+Every engine is exact, so the router's contract is strong: *the answer set
+is identical to naive regardless of the route taken* — the differential
+harness asserts precisely this for every engine, forced fallbacks and
 cache-warm/cold replays.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from repro.query.predicates import BooleanPredicate
@@ -40,11 +45,8 @@ from repro.query.session import QueryResult, QuerySession
 from repro.query.stats import QueryStats
 from repro.route.cache import CACHED_KINDS, CachedAnswer, ResultCache, result_key
 from repro.route.engines import (
-    ENGINES,
-    SERVING_CHAIN,
     EngineContext,
     RouteRequest,
-    StrategyUnsupported,
     canonicalize,
     chain_for,
     stateless_result,
@@ -57,50 +59,27 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.system import PCubeSystem
 
 
-@dataclass(frozen=True)
-class RoutingPolicy:
-    """The router's knobs (one frozen object, shareable across threads).
-
-    Attributes:
-        cache: Enable the epoch-keyed result cache.
-        chain: Pin every query to exactly this chain, in order, instead of
-            the serving chain; engines that do not support the query shape
-            are skipped, and a query none of them supports raises.  One
-            name pins one engine.  (Benchmark "pinned" series, fallback-edge
-            tests.)
-    """
-
-    cache: bool = True
-    chain: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        for name in self.chain or ():
-            if name not in ENGINES:
-                raise ValueError(f"unknown strategy {name!r}")
-
-
 class QueryRouter:
     """Result cache + chain runner; shared by all workers of an executor."""
 
     def __init__(
         self,
         ctx: EngineContext,
-        policy: RoutingPolicy | None = None,
+        cache: bool = True,
         breakers: "BreakerBoard | None" = None,
         deltas=None,
     ) -> None:
-        self.policy = policy if policy is not None else RoutingPolicy()
         self.ctx = ctx
         self.breakers = breakers
         self.deltas = deltas  # EpochManager.deltas_between; None: flush-all
-        self.cache = ResultCache() if self.policy.cache else None
+        self.cache = ResultCache() if cache else None
         self.stats = RouterStats()
 
     @classmethod
     def for_system(
         cls,
         system: "PCubeSystem",
-        policy: RoutingPolicy | None = None,
+        cache: bool = True,
         breakers: "BreakerBoard | None" = None,
     ) -> "QueryRouter":
         ctx = EngineContext(system.indexes, system.indexes_rows)
@@ -108,13 +87,15 @@ class QueryRouter:
         def deltas(after: int, upto: int):  # epochs may be enabled later
             return system.epochs and system.epochs.deltas_between(after, upto)
 
-        return cls(ctx, policy, breakers, deltas)
+        return cls(ctx, cache, breakers, deltas)
 
     # ------------------------------------------------------------------ #
     # serving
     # ------------------------------------------------------------------ #
 
     def _breaker_bypass(self, predicate: BooleanPredicate) -> bool:
+        """Is a breaker open on a cell of this (keyed, so conjunctive)
+        predicate?"""
         if (
             self.breakers is None
             or predicate.is_empty()
@@ -141,8 +122,6 @@ class QueryRouter:
             return None, None, None
         started = time.perf_counter()
         self.cache.on_epoch(epoch, self.deltas)
-        if self._breaker_bypass(request.predicate):
-            return None, None, "bypass"
         key = result_key(
             request.kind,
             request.predicate,
@@ -151,7 +130,7 @@ class QueryRouter:
             request.k,
             epoch,
         )
-        if key is None:
+        if key is None or self._breaker_bypass(request.predicate):
             return None, None, "bypass"
         answer = self.cache.get(key)
         if answer is None:
@@ -178,13 +157,10 @@ class QueryRouter:
             return hit
 
         # -- run the chain ---------------------------------------------- #
-        pinned = self.policy.chain
-        names = SERVING_CHAIN if pinned is None else pinned
-        chain = chain_for(names, request, self.ctx, session.relation)
+        chain = chain_for(request)
         result, failures = run_chain(chain, session, request, self.ctx)
-        canonicalize(result)
-        # Only a routed read carries ``route``: it is how every stat
-        # surface tells the two modes apart.
+        if self.cache is not None:
+            canonicalize(result)  # a hit and a computed answer: same bytes
         result.stats.route = chain[len(failures)]
         result.stats.cache_outcome = cache_outcome
 
@@ -233,12 +209,11 @@ class QueryRouter:
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> dict:
-        """The ``--health`` view: policy, route tallies, cache state."""
+        """The ``--health`` view: route tallies, cache state."""
         return {
-            "policy": asdict(self.policy),
             "routing": self.stats.snapshot(),
             "cache": self.cache.snapshot() if self.cache is not None else None,
         }
 
 
-__all__ = ["QueryRouter", "RoutingPolicy", "StrategyUnsupported"]
+__all__ = ["QueryRouter"]

@@ -1,14 +1,15 @@
-"""Router tallies: which engine served each routed query, and how.
+"""Router tallies: which engine served each skyline / top-k, and how.
 
-:class:`RouterStats` is the one owner of a routed read's lookup outcome and
-route: cache hits / misses / bypasses, the engine at the head of each chain
-(``chosen``), the engine that answered (``served_by``) and every fallback
-edge in between.  A routed miss runs the same fixed chain an unrouted query
-does (DESIGN.md §12), so ``chosen`` is ``signature`` for every query of an
-unpinned router.
+:class:`RouterStats` is the one owner of a served skyline / top-k's lookup
+outcome and route: cache hits / misses / bypasses (with the cache on), the
+engine that answered (``served_by``) and every fallback edge on the way.
+Every chain starts at ``signature`` (DESIGN.md §12), so the head of a
+chain is not counted.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.route.fallback import StrategyTimeout, StrategyUnsupported
 from repro.storage.counters import Tally
@@ -21,6 +22,8 @@ class RouterStats(Tally):
 
     * ``routed == cache_hits + sum(served_by.values())`` — every routed
       query is either a cache hit or ran on exactly one engine;
+    * with the cache on, ``cache_hits + cache_misses + cache_bypassed ==
+      routed``; with it off, all three stay 0;
     * ``fell_back`` counts queries whose answering engine was not the
       first in their chain; ``sum(fallback_edges.values())`` counts the
       individual failed attempts (≥ ``fell_back``).
@@ -29,7 +32,6 @@ class RouterStats(Tally):
     ZEROS = dict(
         routed=0,
         fell_back=0,
-        chosen={},
         served_by={},
         fallback_edges={},
         cache_hits=0,
@@ -42,14 +44,13 @@ class RouterStats(Tally):
 
     def note_served(
         self,
-        chain: list[str],
+        chain: Sequence[str],
         served: str,
         failures: list[tuple[str, Exception]],
         cache_outcome: str | None,
     ) -> None:
         deltas: dict = {
             "routed": 1,
-            "chosen": {chain[0]: 1},
             "served_by": {served: 1},
         }
         if cache_outcome == "miss":

@@ -6,10 +6,10 @@ The serving pipeline, front to back:
   :class:`Ticket` on a **bounded admission queue**; a full queue rejects
   the submission immediately (:class:`AdmissionFull`) instead of building
   unbounded backlog — the caller sheds load or retries.
-* With routing on, a skyline/top-k first looks in the result cache on the
-  **submitting thread** (:meth:`~repro.route.QueryRouter.lookup` reads no
-  storage): a hit comes back as an already-finished ticket and never
-  enters the queue; only a miss or bypass is queued.
+* With the result cache on (``routing=True``), a skyline/top-k first looks
+  in it on the **submitting thread** (:meth:`~repro.route.QueryRouter.lookup`
+  reads no storage): a hit comes back as an already-finished ticket and
+  never enters the queue; only a miss or bypass is queued.
 * A fixed pool of worker threads drains the queue.  Each worker **pins the
   current epoch snapshot**, binds a
   :class:`~repro.query.session.QuerySession` to it (sharing the executor's
@@ -28,10 +28,12 @@ The serving pipeline, front to back:
   deadline already lapsed are **shed** (:class:`QueryShed`) instead of
   wasting a worker.
 * Every per-kind query runs down **one fallback chain**
-  (:mod:`repro.route.fallback`), the same with routing on or off:
-  :data:`~repro.route.engines.SERVING_CHAIN`, whose exact scans answer
-  skylines and top-k when even the search structures fault (dynamic
-  skylines and hulls have no scan engine and surface the fault).
+  (:mod:`repro.route.fallback`): :data:`~repro.route.engines.SERVING_CHAIN`,
+  whose exact scans answer conjunctive skylines and top-k when even the
+  search structures fault (dynamic skylines, hulls and disjunctions have
+  no scan engine and surface the fault).  Skylines and top-k run it
+  through the executor's one :class:`~repro.route.QueryRouter`, which
+  stamps ``stats.route`` and counts the route, with the cache on or off.
 
 Results carry their epoch and queue wait in ``stats`` (and on the query
 span when a tracer is attached), and the executor aggregates fleet-level
@@ -49,16 +51,11 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.obs.trace import Tracer
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import RankingFunction
-from repro.query.session import QueryResult, QuerySession
+from repro.query.session import Predicate, QueryResult, QuerySession
 from repro.route.cache import CACHED_KINDS
-from repro.route.engines import (
-    SERVING_CHAIN,
-    EngineContext,
-    RouteRequest,
-    chain_for,
-)
+from repro.route.engines import EngineContext, RouteRequest, chain_for
 from repro.route.fallback import run_chain
-from repro.route.router import QueryRouter, RoutingPolicy
+from repro.route.router import QueryRouter
 from repro.serve.resilience import Resilience
 from repro.serve.stats import ServingStats
 from repro.storage.buffer import BufferPool
@@ -241,17 +238,13 @@ class QueryExecutor:
             the default-on configuration; pass e.g.
             ``Resilience(breaker_threshold=0, shed=False)`` for plain
             concurrent serving: no breaker board, no shedding.
-        routing: Opt-in result cache.  ``True`` attaches a
-            :class:`~repro.route.QueryRouter` with the default
-            :class:`~repro.route.RoutingPolicy` (epoch-keyed result cache,
-            breaker bypass) in front of the
-            serving chain; pass a policy to turn the cache off or pin
-            another chain; ``None``/``False`` (the default) runs every
-            query straight down the serving chain.
-            Routed answers are canonicalised (skyline tids ascending,
-            top-k sorted by ``(score, tid)``) and byte-identical to the
-            unrouted engine's answer *sets*.  A cache hit is answered on
-            the submitting thread (queue wait 0, no pin).
+        routing: Turns the router's epoch-keyed result cache on (with its
+            breaker bypass).  Cached answers are canonicalised (skyline
+            tids ascending, top-k sorted by ``(score, tid)``) and
+            byte-identical to the cache-off answer *sets*; a cache hit is
+            answered on the submitting thread (queue wait 0, no pin).
+            ``False`` (the default) serves every query down the same
+            chain with no lookup, in Algorithm 1's reporting order.
 
     Use as a context manager, or call :meth:`shutdown` explicitly.
     """
@@ -265,7 +258,7 @@ class QueryExecutor:
         pool_capacity: int = 4096,
         default_deadline: float | None = None,
         resilience: Resilience | None = None,
-        routing=None,
+        routing: bool = False,
     ) -> None:
         if threads < 1:
             raise ValueError("threads must be positive")
@@ -284,19 +277,15 @@ class QueryExecutor:
             # closes its breakers immediately — snapshot sessions also heal
             # via epoch comparison, but only once a newer epoch publishes.
             system.pcube.store.on_cell_rebuilt = self.breakers.reset
-        # One context for both modes.  The B+-tree postings are never
-        # maintained after build; the engines take them only while they
-        # cover the pinned snapshot's rows, and scan the table otherwise.
-        self._ctx = EngineContext(system.indexes, system.indexes_rows)
-        self.router = None
-        if routing:
-            policy = routing if isinstance(routing, RoutingPolicy) else None
-            self.router = QueryRouter(
-                self._ctx,
-                policy=policy,
-                breakers=self.breakers,
-                deltas=self.epochs.deltas_between,
-            )
+        # The B+-tree postings are never maintained after build; the
+        # engines take them only while they cover the pinned snapshot's
+        # rows, and scan the table otherwise.
+        self.router = QueryRouter(
+            EngineContext(system.indexes, system.indexes_rows),
+            cache=routing,
+            breakers=self.breakers,
+            deltas=self.epochs.deltas_between,
+        )
         self.stats = ServingStats()
         self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
         self._closed = False
@@ -432,7 +421,7 @@ class QueryExecutor:
     def _submit_request(
         self,
         kind: str,
-        predicate: BooleanPredicate | None,
+        predicate: Predicate,
         deadline: float | None,
         tracer: Tracer | None,
         **shape,
@@ -440,7 +429,7 @@ class QueryExecutor:
         request = RouteRequest(
             kind, predicate or BooleanPredicate(), tracer=tracer, **shape
         )
-        if self.router is not None and kind in CACHED_KINDS and not self._closed:
+        if self.router.cache is not None and kind in CACHED_KINDS and not self._closed:
             ticket = self._answer_hit(request)
             if ticket is not None:
                 return ticket
@@ -483,17 +472,17 @@ class QueryExecutor:
     def _answer(
         self, session: QuerySession, request: RouteRequest
     ) -> QueryResult:
-        """One queued query down the serving chain (just ``signature`` for
-        the kinds no scan engine answers) — through the router for the
-        kinds it caches."""
-        if self.router is not None and request.kind in CACHED_KINDS:
+        """One queued query down its chain: through the router for
+        skylines and top-k (stamped and counted, cached when the cache is
+        on), straight to the chain runner for the other kinds."""
+        if request.kind in CACHED_KINDS:
             return self.router.route(session, request)
-        chain = chain_for(SERVING_CHAIN, request, self._ctx, session.relation)
-        return run_chain(chain, session, request, self._ctx)[0]
+        chain = chain_for(request)
+        return run_chain(chain, session, request, self.router.ctx)[0]
 
     def skyline(
         self,
-        predicate: BooleanPredicate | None = None,
+        predicate: Predicate = None,
         preference_by: tuple[str, ...] | None = None,
         deadline: float | None = None,
         tracer: Tracer | None = None,
@@ -506,7 +495,7 @@ class QueryExecutor:
         self,
         fn: RankingFunction,
         k: int,
-        predicate: BooleanPredicate | None = None,
+        predicate: Predicate = None,
         deadline: float | None = None,
         tracer: Tracer | None = None,
     ) -> Ticket:
@@ -716,9 +705,7 @@ class QueryExecutor:
                 self.breakers.snapshot() if self.breakers is not None else None
             ),
             "quarantined_cells": [cell.cell_id for cell in quarantined],
-            "router": (
-                self.router.snapshot() if self.router is not None else None
-            ),
+            "router": self.router.snapshot(),
             "inflight": self.inflight(),
             "scrubber": (
                 self.scrubber.report() if self.scrubber is not None else None

@@ -336,12 +336,17 @@ def test_boolean_first_fallback_is_byte_identical_to_serial(faulty, rng):
         assert result.stats.tier == "boolean-first"
         assert result.stats.degraded
         assert result.stats.fallbacks == 1
-        assert result.stats.route is None  # unrouted: the fixed chain
+        assert result.stats.route == "boolean-first"
         assert not result.resumable
     stats = executor.stats.snapshot()
     assert stats["tiers"] == {"boolean-first": 2}
     assert stats["degraded_queries"] == 2
-    assert executor.router is None  # no router, so nothing counts routes
+    # The route is counted, cache off included; nothing was looked up.
+    routing = executor.router.stats.snapshot()
+    assert routing["routed"] == routing["fell_back"] == 2
+    assert routing["served_by"] == {"boolean-first": 2}
+    assert routing["fallback_edges"] == {"signature->boolean-first": 2}
+    assert routing["cache_misses"] == routing["cache_bypassed"] == 0
 
 
 def test_degraded_fallback_chains_the_original_storage_fault(faulty, rng):

@@ -187,15 +187,16 @@ def _expected_skyline(relation, predicate):
 @DIFFERENTIAL_SETTINGS
 @given(rows=rows_strategy, conjuncts=predicate_strategy)
 def test_differential_router_forced_strategies(rows, conjuncts):
-    """Byte-identical to naive for *every* forced engine, skyline + top-k.
+    """Byte-identical to naive for *every* engine, skyline + top-k.
 
-    The router canonicalises (skyline tids ascending, top-k sorted by
+    Each engine runs as a one-engine chain through ``run_chain``, and its
+    answer is canonicalised (skyline tids ascending, top-k sorted by
     ``(score, tid)``), so the comparison here is exact equality on the
     canonical bytes — sorted naive tids for skylines, rounded sorted
     scores for top-k (tie membership at the k boundary is legitimately
     engine-specific, per this suite's convention).
     """
-    from repro.route import STRATEGY_ORDER, QueryRouter, RoutingPolicy
+    from repro.route import ENGINES, EngineContext, canonicalize, run_chain
 
     relation = make_relation(rows)
     system = build_system(relation, fanout=4)
@@ -211,20 +212,20 @@ def test_differential_router_forced_strategies(rows, conjuncts):
             qualifying_points(relation, predicate), fn, k
         )
     ]
-    for name in STRATEGY_ORDER:
-        router = QueryRouter.for_system(
-            system, policy=RoutingPolicy(chain=(name,), cache=False)
-        )
+    ctx = EngineContext(system.indexes, system.indexes_rows)
+
+    def answer(name, request):
+        return canonicalize(run_chain((name,), session, request, ctx)[0])
+
+    for name in ENGINES:
         if name != "index-merge":  # top-k only
-            result = router.route(session, RouteRequest("skyline", predicate))
+            result = answer(name, RouteRequest("skyline", predicate))
             assert result.tids == expected_sky, name
-            assert result.stats.route == name
-        result = router.route(
-            session, RouteRequest("topk", predicate, fn=fn, k=k)
-        )
+            assert result.stats.tier == name
+        result = answer(name, RouteRequest("topk", predicate, fn=fn, k=k))
         scores = [round(score, 9) for score in result.scores]
         assert sorted(scores) == sorted(expected_scores), name
-        assert result.stats.route == name
+        assert result.stats.tier == name
 
 
 @pytest.mark.routing
@@ -237,7 +238,7 @@ def test_differential_router_forced_fallback(rows, conjuncts):
     ``StrategyUnsupported`` and the chain degrades to naive — the answer
     must not change, and the fallback must be visible in the stats.
     """
-    from repro.route import QueryRouter, RoutingPolicy, run_chain
+    from repro.route import EngineContext, run_chain
 
     relation = make_relation(rows)
     system = build_system(relation, fanout=4)
@@ -245,12 +246,9 @@ def test_differential_router_forced_fallback(rows, conjuncts):
     session = _routed_session(system)
     expected = _expected_skyline(relation, predicate)
 
-    # Bypass the static supports() filter to exercise the runtime raise.
     request = RouteRequest(kind="skyline", predicate=predicate)
-    router = QueryRouter.for_system(system, policy=RoutingPolicy(cache=False))
-    result, failures = run_chain(
-        ["index-merge", "naive"], session, request, router.ctx
-    )
+    ctx = EngineContext(system.indexes, system.indexes_rows)
+    result, failures = run_chain(["index-merge", "naive"], session, request, ctx)
     assert [name for name, _ in failures] == ["index-merge"]
     assert result.stats.tier == "naive"
     assert result.stats.fallbacks == 1

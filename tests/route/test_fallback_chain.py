@@ -35,12 +35,6 @@ def harness(small_relation):
     return session, request, ctx
 
 
-def test_empty_chain_raises_unsupported(harness):
-    session, request, ctx = harness
-    with pytest.raises(StrategyUnsupported, match="no engine supports"):
-        run_chain([], session, request, ctx)
-
-
 def test_exhausted_chain_reraises_last_error(harness, monkeypatch):
     session, request, ctx = harness
 

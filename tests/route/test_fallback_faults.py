@@ -1,9 +1,9 @@
 """Fallback-chain fault tests: every edge fires, every counter reconciles.
 
-Composes the PR-1 fault plans (deterministic per-tag storage faults) and
-the PR-5 chaos harness (seeded storms against the concurrent executor)
-with the router's ordered fallback chain.  Each of the chain's three
-fallback edge *kinds* is exercised at least once, deterministically:
+Composes the deterministic per-tag storage fault plans and the chaos
+harness (seeded storms against the concurrent executor) with the ordered
+fallback chain.  Each of the chain's three fallback edge *kinds* is
+exercised at least once, deterministically:
 
 * ``StrategyUnsupported`` — a shape the engine never serves (index-merge
   on a skyline; stale postings after maintenance);
@@ -12,10 +12,13 @@ fallback edge *kinds* is exercised at least once, deterministically:
 * ``StrategyTimeout`` — latency injection makes one attempt overrun its
   deadline *slice* while the overall budget still has room.
 
-Every test reconciles the router's tallies exactly against the observed
-results: ``routed == cache_hits + sum(served_by)``, ``fell_back`` counts
-fallen-back queries, ``fallback_edges`` names each failed->next edge,
-and the error-class counters match the edge census.
+Edges into the two baseline engines no served chain names are driven
+through ``run_chain`` directly and read off its failure list; edges on the
+serving chain go through an executor, whose router's tallies reconcile
+exactly against the observed results: ``routed == cache_hits +
+sum(served_by)``, ``fell_back`` counts fallen-back queries,
+``fallback_edges`` names each failed->next edge, and the error-class
+counters match the edge census.
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ import pytest
 
 from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
+from repro.query.predicates import BooleanPredicate
 from repro.query.session import QuerySession
 from repro.route import (
     ENGINES,
+    EngineContext,
     QueryRouter,
-    SERVING_CHAIN,
     RouteRequest,
-    RoutingPolicy,
+    StrategyTimeout,
     StrategyUnsupported,
     chain_for,
     run_chain,
@@ -69,31 +73,28 @@ def _session(system):
     return QuerySession.for_snapshot(system.pin_snapshot())
 
 
+def _ctx(system):
+    return EngineContext(system.indexes, system.indexes_rows)
+
+
 def _reference(system, predicate):
-    """Fault-free ground truth via the naive engine on a clean chain."""
-    router = QueryRouter.for_system(
-        system, policy=RoutingPolicy(chain=("naive",), cache=False)
-    )
-    return router.route(_session(system), RouteRequest("skyline", predicate))
+    """Fault-free ground truth via the naive engine."""
+    request = RouteRequest("skyline", predicate)
+    return run_chain(("naive",), _session(system), request, _ctx(system))[0]
 
 
 def test_unsupported_edge_index_merge_to_naive(faulty):
-    """Edge 1: ``StrategyUnsupported`` — index-merge never serves skylines.
-
-    ``chain_for`` filters this statically, so the runtime raise is
-    exercised through ``run_chain`` directly (an unfiltered chain),
-    exactly as a mis-stated pinned chain would reach it.
-    """
+    """Edge 1: ``StrategyUnsupported`` — index-merge never serves skylines;
+    the adapter's own check raises and the chain hands the query on."""
     _, system = faulty
     predicate = sample_predicate(system.relation, 1, random.Random(3))
     expected = _reference(system, predicate)
 
-    router = QueryRouter.for_system(system, policy=RoutingPolicy(cache=False))
     result, failures = run_chain(
         ["index-merge", "naive"],
         _session(system),
         RouteRequest(kind="skyline", predicate=predicate),
-        router.ctx,
+        _ctx(system),
     )
     assert len(failures) == 1
     name, error = failures[0]
@@ -120,25 +121,18 @@ def test_unsupported_edge_stale_postings(faulty):
     session = _session(system)
     assert len(session.relation) > system.indexes_rows
 
-    router = QueryRouter.for_system(system, policy=RoutingPolicy(cache=False))
     request = RouteRequest(kind="topk", predicate=predicate, fn=fn, k=5)
     result, failures = run_chain(
-        ["index-merge", "naive"], session, request, router.ctx
+        ["index-merge", "naive"], session, request, _ctx(system)
     )
     assert isinstance(failures[0][1], StrategyUnsupported)
     assert "cover" in failures[0][1].reason
     assert result.stats.tier == "naive"
 
-    # And a pinned chain never offers index-merge for this snapshot.
-    chain = chain_for(
-        ("index-merge", "naive"), request, router.ctx, session.relation
-    )
-    assert chain == ["naive"]
-
 
 def test_storage_fault_edge_domination_to_naive(faulty):
     """Edge 2: ``StorageFault`` — corrupt R-tree pages fail BBS; the heap
-    scan answers; the edge and error class land in the router's tallies."""
+    scan answers, and the answer says it was degraded."""
     disk, system = faulty
     predicate = sample_predicate(system.relation, 1, random.Random(7))
     expected = _reference(system, predicate)
@@ -146,45 +140,35 @@ def test_storage_fault_edge_domination_to_naive(faulty):
     disk.plan = FaultPlan(
         [FaultRule(kind="corrupt", tag="rtree", count=None)]
     )
-    router = QueryRouter.for_system(
-        system,
-        policy=RoutingPolicy(
-            chain=("domination-first", "naive"), cache=False
-        ),
+    result, failures = run_chain(
+        ("domination-first", "naive"),
+        _session(system),
+        RouteRequest("skyline", predicate),
+        _ctx(system),
     )
-    result = router.route(_session(system), RouteRequest("skyline", predicate))
-    assert result.stats.route == "naive"
+    assert [name for name, _ in failures] == ["domination-first"]
+    assert isinstance(failures[0][1], StorageFault)
+    assert result.stats.tier == "naive"
     assert result.stats.fallbacks == 1
+    assert result.stats.degraded
     assert sorted(result.tids) == sorted(expected.tids)
-
-    stats = router.stats.snapshot()
-    assert stats["routed"] == 1
-    assert stats["fell_back"] == 1
-    assert stats["fallback_edges"] == {"domination-first->naive": 1}
-    assert stats["strategy_faults"] == 1
-    assert stats["unsupported"] == 0
-    assert stats["strategy_timeouts"] == 0
     disk.plan = FaultPlan()
 
 
 def test_executor_routed_fault_reaches_the_router(faulty):
-    """The same edge through an *executor-built* session: there is one
-    chain, so a corrupt R-tree page under a routed executor is a fallback
-    the router sees — not one swallowed inside the signature engine."""
+    """A storage fault through an *executor-built* session: there is one
+    chain, so a corrupt R-tree page is a fallback the router sees — not one
+    swallowed inside the signature engine — and with the cache off the
+    scan's answer is the signature engine's, in the same order."""
     disk, system = faulty
     predicate = sample_predicate(system.relation, 1, random.Random(7))
-    expected = _reference(system, predicate)
+    expected = system.engine.skyline(predicate)
 
-    with QueryExecutor(
-        system, threads=1, routing=RoutingPolicy(cache=False)
-    ) as executor:
+    with QueryExecutor(system, threads=1) as executor:
         router = executor.router
         assert chain_for(
-            SERVING_CHAIN,
-            RouteRequest(kind="skyline", predicate=predicate),
-            router.ctx,
-            system.relation,
-        )[:2] == ["signature", "boolean-first"]
+            RouteRequest(kind="skyline", predicate=predicate)
+        )[:2] == ("signature", "boolean-first")
         disk.plan = FaultPlan(
             [FaultRule(kind="corrupt", tag="rtree", count=1)]
         )
@@ -193,7 +177,7 @@ def test_executor_routed_fault_reaches_the_router(faulty):
         assert result.stats.tier == "boolean-first"
         assert result.stats.fallbacks == 1
         assert result.stats.degraded
-        assert result.tids == sorted(expected.tids)
+        assert result.tids == expected.tids
 
         stats = router.stats.snapshot()
         assert stats["fell_back"] == 1
@@ -204,6 +188,34 @@ def test_executor_routed_fault_reaches_the_router(faulty):
     disk.plan = FaultPlan()
 
 
+@pytest.mark.parametrize("routing", [False, True])
+def test_disjunction_fault_reaches_the_caller(faulty, routing):
+    """No scan engine selects a union, so a DNF read stays on
+    ``(signature,)``: a corrupt R-tree page reaches the caller as the
+    typed ``StorageFault`` while a conjunction on the same executor falls
+    back to the scan."""
+    disk, system = faulty
+    relation = system.relation
+    dim = relation.schema.boolean_dims[0]
+    values = sorted({relation.bool_value(tid, dim) for tid in relation.tids()})
+    first, second = (BooleanPredicate({dim: value}) for value in values[:2])
+    fn = sample_linear_function(relation.schema.n_preference, random.Random(1))
+    disk.plan = FaultPlan([FaultRule(kind="corrupt", tag="rtree", count=None)])
+    try:
+        with QueryExecutor(system, threads=1, routing=routing) as executor:
+            with pytest.raises(StorageFault):
+                executor.skyline([first, second]).result(timeout=30.0)
+            with pytest.raises(StorageFault):
+                executor.topk(fn, 5, [first, second]).result(timeout=30.0)
+            conjunction = executor.skyline(first).result(timeout=30.0)
+            assert conjunction.stats.fallbacks == 1
+            assert conjunction.stats.route == "boolean-first"
+            stats = executor.stats.snapshot()
+        assert stats["completed"] == 1 and stats["failed"] == 2
+    finally:
+        disk.plan = FaultPlan()
+
+
 def test_fallen_back_answer_counts_its_failed_attempt(faulty):
     """The signature attempt's retries, partial loads and pages are part of
     the answer that replaced it, and so reach the executor's tally: two
@@ -212,9 +224,7 @@ def test_fallen_back_answer_counts_its_failed_attempt(faulty):
     disk, system = faulty
     predicate = sample_predicate(system.relation, 1, random.Random(7))
     store = system.pcube.store
-    with QueryExecutor(
-        system, threads=1, routing=RoutingPolicy(cache=False)
-    ) as executor:
+    with QueryExecutor(system, threads=1) as executor:
         retries_before = store.fault_stats.retries
         disk.plan = FaultPlan(
             [
@@ -237,7 +247,7 @@ def test_fallen_back_answer_counts_its_failed_attempt(faulty):
     assert stats.sig_load_seconds > 0.0
     assert stats.sblock == 1  # the corrupt page the search stopped at
     assert stats.total_io() == scan.stats.total_io() + 2
-    assert result.tids == sorted(scan.tids)
+    assert result.tids == scan.tids
 
 
 def test_transient_fault_falls_back_once_then_signature_serves(faulty):
@@ -245,9 +255,7 @@ def test_transient_fault_falls_back_once_then_signature_serves(faulty):
     next read of the same query is a healthy signature answer."""
     disk, system = faulty
     predicate = sample_predicate(system.relation, 1, random.Random(7))
-    with QueryExecutor(
-        system, threads=1, routing=RoutingPolicy(cache=False)
-    ) as executor:
+    with QueryExecutor(system, threads=1) as executor:
         router = executor.router
         disk.plan = FaultPlan(
             [FaultRule(kind="transient", tag="rtree", count=1)]
@@ -264,13 +272,12 @@ def test_transient_fault_falls_back_once_then_signature_serves(faulty):
         assert healthy.tids == fallen.tids
         stats = router.stats.snapshot()
         assert stats["served_by"] == {"boolean-first": 1, "signature": 1}
-        assert stats["chosen"] == {"signature": 2}
         assert stats["fell_back"] == 1
 
 
 def test_storage_fault_two_hop_chain(faulty):
-    """A chain can degrade twice: both R-tree engines fault, naive serves,
-    and both edges are tallied with exact reconciliation."""
+    """A chain can degrade twice: both R-tree engines fault and naive
+    serves, with both failed attempts on the list in chain order."""
     disk, system = faulty
     predicate = sample_predicate(system.relation, 1, random.Random(11))
     expected = _reference(system, predicate)
@@ -278,25 +285,17 @@ def test_storage_fault_two_hop_chain(faulty):
     disk.plan = FaultPlan(
         [FaultRule(kind="corrupt", tag="rtree", count=None)]
     )
-    router = QueryRouter.for_system(
-        system,
-        policy=RoutingPolicy(
-            chain=("signature", "domination-first", "naive"),
-            cache=False,
-        ),
+    result, failures = run_chain(
+        ("signature", "domination-first", "naive"),
+        _session(system),
+        RouteRequest("skyline", predicate),
+        _ctx(system),
     )
-    result = router.route(_session(system), RouteRequest("skyline", predicate))
-    assert result.stats.route == "naive"
+    assert [name for name, _ in failures] == ["signature", "domination-first"]
+    assert all(isinstance(error, StorageFault) for _, error in failures)
+    assert result.stats.tier == "naive"
     assert result.stats.fallbacks == 2
     assert sorted(result.tids) == sorted(expected.tids)
-
-    stats = router.stats.snapshot()
-    assert stats["fallback_edges"] == {
-        "signature->domination-first": 1,
-        "domination-first->naive": 1,
-    }
-    assert stats["strategy_faults"] == 2
-    assert stats["routed"] == sum(stats["served_by"].values())
     disk.plan = FaultPlan()
 
 
@@ -311,33 +310,31 @@ def test_timeout_edge_slice_expires_overall_survives(faulty):
     disk.plan = FaultPlan(
         [FaultRule(kind="slow", tag="rtree", delay=0.05, count=None)]
     )
-    router = QueryRouter.for_system(
-        system,
-        policy=RoutingPolicy(
-            chain=("domination-first", "naive"), cache=False
-        ),
-    )
     session = QuerySession.for_snapshot(
         system.pin_snapshot(),
         deadline_at=time.perf_counter() + 0.4,
     )
-    result = router.route(session, RouteRequest("skyline", predicate))
-    assert result.stats.route == "naive"
+    result, failures = run_chain(
+        ("domination-first", "naive"),
+        session,
+        RouteRequest("skyline", predicate),
+        _ctx(system),
+    )
+    assert [name for name, _ in failures] == ["domination-first"]
+    assert isinstance(failures[0][1], StrategyTimeout)
+    assert result.stats.tier == "naive"
     assert result.stats.fallbacks == 1
     assert sorted(result.tids) == sorted(expected.tids)
-
-    stats = router.stats.snapshot()
-    assert stats["strategy_timeouts"] == 1
-    assert stats["fallback_edges"] == {"domination-first->naive": 1}
     disk.plan = FaultPlan()
 
 
 def test_overall_deadline_is_never_swallowed(faulty):
     """A lapsed *overall* deadline aborts with ``QueryTimeout`` exactly as
-    it would unrouted — the chain must not convert it into a fallback."""
+    it would in the session — the chain must not convert it into a
+    fallback."""
     _, system = faulty
     predicate = sample_predicate(system.relation, 1, random.Random(17))
-    router = QueryRouter.for_system(system, policy=RoutingPolicy(cache=False))
+    router = QueryRouter.for_system(system, cache=False)
     session = QuerySession.for_snapshot(
         system.pin_snapshot(),
         deadline_at=time.perf_counter() - 1.0,  # already lapsed

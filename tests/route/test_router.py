@@ -1,25 +1,28 @@
-"""QueryRouter unit behaviour: the one chain, pinning, bypass, stats."""
+"""QueryRouter unit behaviour: the one chain, cache on / off, bypass, stats."""
 
 from __future__ import annotations
 
+import bisect
 import random
 
 import pytest
 
+from repro.cube.relation import Relation, Schema
 from repro.data.workload import sample_linear_function, sample_predicate
 from repro.query.predicates import BooleanPredicate
+from repro.query.ranking import LinearFunction
 from repro.query.session import QuerySession
 from repro.route import (
     NAIVE,
     SERVING_CHAIN,
-    STRATEGY_ORDER,
     QueryRouter,
     RouteRequest,
     RouterStats,
-    RoutingPolicy,
     StrategyTimeout,
     StrategyUnsupported,
+    canonicalize,
     chain_for,
+    run_chain,
 )
 from repro.serve.executor import QueryExecutor
 from repro.serve.resilience import BreakerBoard
@@ -51,72 +54,54 @@ def _predicate(relation, n=1):
     )
 
 
-# -- policy validation --------------------------------------------------- #
-
-
-def test_unknown_forced_strategy_rejected(routed):
-    with pytest.raises(ValueError, match="unknown strategy"):
-        QueryRouter.for_system(routed, policy=RoutingPolicy(chain=("grep",)))
-
-
-def test_unknown_forced_chain_member_rejected(routed):
-    with pytest.raises(ValueError, match="unknown strategy"):
-        QueryRouter.for_system(
-            routed, policy=RoutingPolicy(chain=("naive", "bogus"))
-        )
-
-
 # -- chain construction -------------------------------------------------- #
 
 
+def _disjunction(relation):
+    """Two values of the first boolean dimension, read as their OR."""
+    dim = relation.schema.boolean_dims[0]
+    first = relation.bool_value(0, dim)
+    other = next(
+        value
+        for value in (relation.bool_value(tid, dim) for tid in relation.tids())
+        if value != first
+    )
+    return [BooleanPredicate({dim: first}), BooleanPredicate({dim: other})]
+
+
 def test_chain_always_ends_with_naive(routed):
-    router = QueryRouter.for_system(routed)
     for kind in ("skyline", "topk"):
-        chain = chain_for(
-            SERVING_CHAIN, _shape(kind), router.ctx, routed.relation
-        )
-        assert chain == ["signature", "boolean-first", "naive"]
+        assert chain_for(_shape(kind)) == ("signature", "boolean-first", "naive")
     # No scan engine answers these: the chain is the signature engine.
     for kind in ("dynamic_skyline", "lower_hull"):
-        assert chain_for(
-            SERVING_CHAIN, _shape(kind), router.ctx, routed.relation
-        ) == ["signature"]
-
-
-def test_forced_chain_is_supports_filtered(routed):
-    router = QueryRouter.for_system(
-        routed, policy=RoutingPolicy(chain=("index-merge", "naive"))
-    )
-    # index-merge never serves skylines: filtered out, order preserved.
-    pinned = router.policy.chain
-    assert chain_for(
-        pinned, _shape("skyline"), router.ctx, routed.relation
-    ) == ["naive"]
-    assert chain_for(
-        pinned, _shape("topk"), router.ctx, routed.relation
-    ) == ["index-merge", "naive"]
-    session = _session(routed)
-    served = router.route(session, _shape("skyline"))
-    assert served.stats.route == "naive"
-    assert served.stats.fallbacks == 0
+        assert chain_for(_shape(kind)) == ("signature",)
+    dnf = _disjunction(routed.relation)
+    for kind in ("skyline", "topk"):
+        assert chain_for(RouteRequest(kind, dnf)) == ("signature",)
 
 
 def test_pinned_engine_that_cannot_serve_the_shape_raises(routed):
-    router = QueryRouter.for_system(
-        routed, policy=RoutingPolicy(chain=("index-merge",), cache=False)
-    )
+    """A one-engine chain handed to ``run_chain``: the adapter's own
+    support check is the only one, and nothing else serves."""
+    router = QueryRouter.for_system(routed, cache=False)
     with pytest.raises(StrategyUnsupported):
-        router.route(_session(routed), _shape("skyline"))
+        run_chain(
+            ("index-merge",), _session(routed), _shape("skyline"), router.ctx
+        )
 
 
 def test_domination_excluded_for_preference_subspace(routed):
-    router = QueryRouter.for_system(routed)
+    router = QueryRouter.for_system(routed, cache=False)
     subspace = (routed.relation.schema.preference_dims[0],)
-    chain = chain_for(
-        STRATEGY_ORDER, _shape("skyline", subspace), router.ctx, routed.relation
+    result, failures = run_chain(
+        ("domination-first", NAIVE),
+        _session(routed),
+        _shape("skyline", subspace),
+        router.ctx,
     )
-    assert "domination-first" not in chain
-    assert chain[-1] == NAIVE
+    assert [name for name, _ in failures] == ["domination-first"]
+    assert isinstance(failures[0][1], StrategyUnsupported)
+    assert result.stats.tier == NAIVE
 
 
 # -- one chain, no per-epoch work ---------------------------------------- #
@@ -134,26 +119,26 @@ def _stream(relation, rng, n):
 
 
 def test_routed_and_unrouted_run_the_same_chain(routed, monkeypatch):
-    """Both modes hand the *same* ``SERVING_CHAIN`` object and the same
-    context to the chain runner; fault-free, every routed miss is served by
-    ``signature`` and costs exactly what the unrouted read costs — the
+    """Cache on or off, every skyline / top-k goes through the executor's
+    router, which hands the *same* ``SERVING_CHAIN`` object and its own
+    context to the chain runner; fault-free, every miss is served by
+    ``signature`` and costs exactly what the cache-off read costs — the
     first read after each publish included (no per-epoch statistics work
     hides in the read)."""
     handed = []
 
-    def recording(names, request, ctx, relation):
-        handed.append((names, ctx))
-        return chain_for(names, request, ctx, relation)
+    def recording(chain, session, request, ctx):
+        handed.append((chain, ctx))
+        return run_chain(chain, session, request, ctx)
 
-    monkeypatch.setattr("repro.serve.executor.chain_for", recording)
-    monkeypatch.setattr("repro.route.router.chain_for", recording)
+    monkeypatch.setattr("repro.route.router.run_chain", recording)
 
     rng = random.Random(29)
     schema = routed.relation.schema
     with QueryExecutor(routed, threads=1, routing=True) as cached, (
         QueryExecutor(routed, threads=1)
     ) as plain:
-        assert cached.router.ctx is cached._ctx
+        assert plain.router.cache is None
         reads = misses = 0
         for kind, kwargs in _stream(routed.relation, rng, 18):
             published = reads % 6 in (3, 5)
@@ -170,8 +155,8 @@ def test_routed_and_unrouted_run_the_same_chain(routed, monkeypatch):
             got = getattr(cached, kind)(**kwargs).result(timeout=30.0)
             want = getattr(plain, kind)(**kwargs).result(timeout=30.0)
             reads += 1
-            assert got.stats.route == "signature"
-            assert want.stats.route is None
+            assert got.stats.route == want.stats.route == "signature"
+            assert want.stats.cache_outcome is None
             assert got.stats.epoch == want.stats.epoch
             assert sorted(got.tids) == sorted(want.tids)
             if got.stats.cache_outcome == "hit":
@@ -188,12 +173,56 @@ def test_routed_and_unrouted_run_the_same_chain(routed, monkeypatch):
                 == want.stats.pool_hits + want.stats.pool_misses
             )
         view = cached.router.stats.snapshot()
-    assert view["served_by"] == view["chosen"] == {"signature": misses}
+        plain_view = plain.router.stats.snapshot()
+    assert view["served_by"] == {"signature": misses}
     assert view["cache_misses"] == misses >= 6
     assert view["fell_back"] == 0
+    # Cache off: every read is routed and counted, and none is looked up.
+    assert plain_view["routed"] == reads
+    assert plain_view["served_by"] == {"signature": reads}
+    assert plain_view["cache_hits"] == plain_view["cache_misses"] == 0
+    assert plain_view["cache_bypassed"] == 0
     assert len(handed) == reads + misses
-    assert all(names is SERVING_CHAIN for names, _ in handed)
-    assert {id(ctx) for _, ctx in handed} == {id(cached._ctx), id(plain._ctx)}
+    assert all(chain is SERVING_CHAIN for chain, _ in handed)
+    assert {id(ctx) for _, ctx in handed} == {
+        id(cached.router.ctx),
+        id(plain.router.ctx),
+    }
+
+
+def test_cache_off_executor_still_has_a_router(routed):
+    with QueryExecutor(routed, threads=1) as executor:
+        assert isinstance(executor.router, QueryRouter)
+        assert executor.router.cache is None
+        assert executor.health()["router"] == executor.router.snapshot()
+
+
+@pytest.mark.parametrize("routing", [False, True])
+def test_disjunction_is_answered_cache_on_and_off(routed, routing):
+    """A DNF skyline / top-k through the executor equals the session's
+    answer: with the cache off in Algorithm 1's order, with it on in
+    canonical order, bypassing the cache (a disjunction has no key)."""
+    dnf = _disjunction(routed.relation)
+    fn = sample_linear_function(
+        routed.relation.schema.n_preference, random.Random(3)
+    )
+    expected = [routed.engine.skyline(dnf), routed.engine.topk(fn, 5, dnf)]
+    with QueryExecutor(routed, threads=1, routing=routing) as executor:
+        got = [
+            executor.skyline(dnf).result(timeout=30.0),
+            executor.topk(fn, 5, dnf).result(timeout=30.0),
+        ]
+        view = executor.router.stats.snapshot()
+        assert executor.stats.snapshot()["submitted"] == 2
+    for result, want in zip(got, expected):
+        if routing:
+            canonicalize(want)
+        assert (result.tids, result.scores) == (want.tids, want.scores)
+        assert result.stats.route == "signature"
+        assert result.stats.cache_outcome == ("bypass" if routing else None)
+    assert view["routed"] == 2
+    assert view["cache_bypassed"] == (2 if routing else 0)
+    assert view["cache_hits"] == view["cache_misses"] == 0
 
 
 # -- statistics ---------------------------------------------------------- #
@@ -324,8 +353,7 @@ def test_snapshot_structure(routed):
     request = RouteRequest("skyline", _predicate(routed.relation))
     router.route(session, request)
     view = router.snapshot()
-    assert set(view) == {"policy", "routing", "cache"}
-    assert view["policy"] == {"cache": True, "chain": None}
+    assert set(view) == {"routing", "cache"}
     assert view["routing"]["routed"] == 1
     assert view["cache"]["stores"] == 1
     # The cache counts its entries' lifecycle; lookups are the router's.
@@ -333,4 +361,44 @@ def test_snapshot_structure(routed):
         "entries", "capacity", "stores", "invalidated", "evicted",
         "carried", "dropped_cell", "dropped_answer", "flushed_unknown",
     }
-    assert STRATEGY_ORDER[-1] == NAIVE
+    off = QueryRouter.for_system(routed, cache=False)
+    off.route(session, request)
+    assert off.snapshot() == {
+        "routing": {**view["routing"], "cache_misses": 0},
+        "cache": None,
+    }
+
+
+# -- canonical order ----------------------------------------------------- #
+
+
+def test_cached_topk_with_tied_scores_is_in_score_tid_order():
+    """Algorithm 1 does not break score ties by tid; with the cache on the
+    router's answer must, so a hit and a computed answer are the same
+    bytes.  Preference points on a 5-step grid make ties plentiful; ``k``
+    ends a tie group, so every engine returns the same members."""
+    rng = random.Random(0)
+    relation = Relation(
+        Schema(("A", "B"), ("X", "Y")),
+        [(rng.randrange(3), rng.randrange(3)) for _ in range(400)],
+        [(float(rng.randrange(5)), float(rng.randrange(5))) for _ in range(400)],
+    )
+    system = build_system(relation, fanout=6)
+    system.enable_epochs()
+    router = QueryRouter.for_system(system)
+    session = _session(system)
+    for weights in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)):
+        fn = LinearFunction(weights)
+        scores = sorted(fn.score(point) for _, point in relation.pref_points())
+        k = bisect.bisect_right(scores, scores[19])
+        request = RouteRequest("topk", BooleanPredicate(), fn=fn, k=k)
+        engine = system.engine.topk(request.fn, request.k)
+        assert list(zip(engine.scores, engine.tids)) != sorted(
+            zip(engine.scores, engine.tids)
+        ), "the fixture must produce an out-of-order tie"
+        result = router.route(session, request)
+        pairs = list(zip(result.scores, result.tids))
+        assert pairs == sorted(pairs)
+        scan, _ = run_chain(("boolean-first",), session, request, router.ctx)
+        canonicalize(scan)
+        assert (result.tids, result.scores) == (scan.tids, scan.scores)
