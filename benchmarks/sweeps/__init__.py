@@ -37,7 +37,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from benchmarks.sweeps import durability, resilience, serving
+from benchmarks.sweeps import durability, serving
 from benchmarks.sweeps.compare import Delta, compare_reports, flatten_metrics
 from benchmarks.sweeps.harness import envelope, strip_timings
 from benchmarks.sweeps.kernels import run_kernels_benchmark
@@ -107,11 +107,6 @@ SWEEPS: dict[str, Sweep] = {
         serving.run_serving_benchmark,
         "BENCH_serving.json",
         serving.DEFAULT_THREADS,
-    ),
-    "resilience": Sweep(
-        resilience.run_resilience_benchmark,
-        "BENCH_resilience.json",
-        resilience.DEFAULT_THREADS,
     ),
     "durability": Sweep(
         durability.run_durability_benchmark,

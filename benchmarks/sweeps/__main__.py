@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_ints,
         default=None,
         metavar="N,N,...",
-        help="worker-thread counts for the serving, resilience and "
-        "durability sweeps (default: the sweep's own)",
+        help="worker-thread counts for the serving and durability sweeps "
+        "(default: the sweep's own)",
     )
     parser.add_argument(
         "--out",

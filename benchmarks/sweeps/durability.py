@@ -15,8 +15,8 @@ measurements:
   is reported.
 
 * **scrub_overhead** — what does continuous scrubbing cost the serving
-  path?  The resilience-bench paired pattern: the same seeded workload
-  over warm pools, ``bare`` (no scrubber) vs ``scrubbed`` (background
+  path?  A paired pattern (:func:`~benchmarks.sweeps.harness.paired_sweep`):
+  the same seeded workload over warm pools, ``bare`` (no scrubber) vs ``scrubbed`` (background
   scrubber at the default throttle), interleaved repeats, median pass.
   ``overhead_pct`` is wall-clock (a timing: never gated);
   the gated contract is that ``io.total`` and ``results`` are identical —

@@ -36,7 +36,6 @@ from typing import Any, Callable, Sequence
 from repro.data.fixtures import build_sweep_system
 from repro.data.workload import read_mix
 from repro.serve.executor import QueryExecutor
-from repro.serve.resilience import Resilience
 from repro.storage.buffer import BufferPool
 
 TIMING = "timing"
@@ -180,7 +179,6 @@ def serve_pass(
     label: str,
     threads: int,
     pool: BufferPool,
-    resilience: Resilience | None = None,
     scrubbing: dict[str, Any] | None = None,
 ) -> Pass:
     """Serve ``workload`` through a :class:`QueryExecutor` and check it.
@@ -195,7 +193,6 @@ def serve_pass(
         threads=threads,
         queue_depth=2 * len(workload),
         pool=pool,
-        resilience=resilience,
     ) as executor:
         if scrubbing is not None:
             executor.enable_scrubbing(**scrubbing)

@@ -9,8 +9,9 @@ Exit status (stable — CI and the serving supervisor branch on it):
 
 * ``0`` — every cross-structure invariant held;
 * ``1`` — the audit ran but found inconsistencies (each reported);
-* ``2`` — the audit could not complete: the structures were unreadable
-  (e.g. interior WAL corruption, unrecoverable pages).
+* ``2`` — the audit could not complete: an argument was out of range
+  (``--tuples`` < 1, ``--fanout`` < 2, ``--ops`` < 0), or the structures
+  were unreadable (e.g. interior WAL corruption, unrecoverable pages).
 
 ``--json`` emits the same findings as one machine-readable object on
 stdout instead of the text report.
@@ -72,6 +73,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="emit one JSON object instead of the text report",
     )
     args = parser.parse_args(argv)
+    for flag, value, least in (
+        ("--tuples", args.tuples, 1),
+        ("--fanout", args.fanout, 2),
+        ("--ops", args.ops, 0),
+    ):
+        if value < least:
+            parser.error(f"{flag} must be >= {least}")
 
     rng = random.Random(args.seed)
     disk = FaultyDisk(SimulatedDisk())

@@ -16,7 +16,11 @@ end-to-end:
   checkpoint + committed WAL window), then *verifies* the restored system:
   answers are compared byte-for-byte against a reference system built by
   replaying the recorded operation history up to the same LSN.  Exit 0
-  when identical, 1 on mismatch.
+  when identical, 1 on mismatch or when no checkpoint can be restored
+  (the error is printed).
+
+An out-of-range argument (``--tuples`` < 1, ``--fanout`` < 2, ``--ops`` < 0,
+``--checkpoint-every`` or ``--segment-bytes`` < 1) exits 2 before any work.
 
 Because every operation's commit LSN is recorded as the workload runs,
 ``--to-lsn`` can name any historical commit point and the verification
@@ -171,8 +175,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
-    if args.checkpoint_every < 1:
-        parser.error("--checkpoint-every must be >= 1")
+    for flag, value, least in (
+        ("--tuples", args.tuples, 1),
+        ("--fanout", args.fanout, 2),
+        ("--ops", args.ops, 0),
+        ("--checkpoint-every", args.checkpoint_every, 1),
+        ("--segment-bytes", args.segment_bytes, 1),
+    ):
+        if value < least:
+            parser.error(f"{flag} must be >= {least}")
 
     scenario = build_scenario(args)
     out: dict[str, Any] = {
@@ -247,7 +258,9 @@ def _emit(out: dict[str, Any], as_json: bool) -> None:
             f"lsn {info['first_lsn']}..{info['last_lsn']} "
             f"({info['records']} records)"
         )
-    if "status" in out and out["command"] == "restore":
+    if out.get("status") == "failed":
+        print(f"  restore failed: {out['error']}")
+    elif "status" in out:
         target = (
             "latest" if out["to_lsn"] is None else f"lsn {out['to_lsn']}"
         )

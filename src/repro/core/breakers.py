@@ -6,9 +6,9 @@ from re-probing a (cell, ref-SID) partial that keeps failing: after
 :class:`~repro.core.readers.CellSignatureReader` jumps straight to the
 degraded path with zero I/O on the bad pages; the next published epoch
 moves it to *half-open*, one probe tests the (possibly rebuilt) cell, and
-success closes it again.  The serving layer owns the board
-(:class:`repro.serve.resilience.Resilience` builds one per executor); the
-readers and the router only consult it.
+success closes it again.  The serving layer owns the board (every
+:class:`~repro.serve.executor.QueryExecutor` builds one at the default
+threshold); the readers and the router only consult it.
 """
 
 from __future__ import annotations

@@ -20,9 +20,11 @@ epochs the caller owns write quiescence, same as every other
 single-threaded use of the system.  A pending WAL operation refuses the
 checkpoint outright: a checkpoint must capture a committed state.
 
-**Commit point.**  Row chunk pages are written first, the manifest page
-last; a crash anywhere in between leaves orphan row pages and no manifest,
-which :meth:`CheckpointManager.catalog` never lists and
+**Commit point.**  Row chunk pages (``ckpt:c<N>:rows``) are written
+first, the manifest page (``ckpt:c<N>:manifest``) last — the ``ckpt``
+prefix is the module constant :data:`CHECKPOINT_TAG`.  A crash anywhere
+in between leaves orphan row pages and no manifest, which
+:meth:`CheckpointManager.catalog` never lists and
 :meth:`CheckpointManager.gc_orphans` reclaims.  Every page carries the
 WAL's record CRC, so a torn manifest or chunk is detected at read time and
 restore falls back to the next older checkpoint.
@@ -64,6 +66,12 @@ if TYPE_CHECKING:  # pragma: no cover
 _ROW_HEADER_BYTES = 4
 _VALUE_BYTES = 8
 _MANIFEST_BYTES = 64
+
+#: Page-tag prefix of every checkpoint page: checkpoint ``N`` writes
+#: ``ckpt:cN:rows`` chunks and one ``ckpt:cN:manifest`` commit page.
+CHECKPOINT_TAG = "ckpt"
+#: The I/O category restore's checkpoint reads are accounted under.
+CHECKPOINT_CATEGORY = "ckpt"
 
 
 class CheckpointError(RuntimeError):
@@ -112,15 +120,12 @@ class CheckpointManager:
     """Creates and catalogs checkpoints on a system's own disk.
 
     Args:
-        system: The live system (its disk hosts the checkpoint pages).
-        tag: Page-tag prefix; checkpoint ``N`` uses
-            ``f"{tag}:c{N}:rows"`` chunks and an ``f"{tag}:c{N}:manifest"``
-            commit page.
+        system: The live system (its disk hosts the checkpoint pages,
+            tagged under :data:`CHECKPOINT_TAG`).
     """
 
-    def __init__(self, system: "PCubeSystem", tag: str = "ckpt") -> None:
+    def __init__(self, system: "PCubeSystem") -> None:
         self.system = system
-        self.tag = tag
 
     # ------------------------------------------------------------------ #
     # create
@@ -132,14 +137,9 @@ class CheckpointManager:
         Raises:
             CheckpointError: while the WAL holds an uncommitted operation
                 (recover first — a checkpoint captures committed state
-                only) or when the system was built without a WAL.
+                only).
         """
         system = self.system
-        if system.wal is None:
-            raise CheckpointError(
-                "checkpoints need the WAL's LSN watermark; this system was "
-                "built without one"
-            )
         guard = (
             system.epochs.exclusive()
             if system.epochs is not None
@@ -180,7 +180,7 @@ class CheckpointManager:
             }
             row_pages.append(
                 disk.allocate(
-                    f"{self.tag}:c{checkpoint_id}:rows",
+                    f"{CHECKPOINT_TAG}:c{checkpoint_id}:rows",
                     size=max(1, len(tids)) * row_bytes,
                     payload=seal_record(chunk),
                 )
@@ -212,7 +212,7 @@ class CheckpointManager:
             "rtree_size": len(system.rtree),
         }
         manifest_page = disk.allocate(
-            f"{self.tag}:c{checkpoint_id}:manifest",
+            f"{CHECKPOINT_TAG}:c{checkpoint_id}:manifest",
             size=_MANIFEST_BYTES + _VALUE_BYTES * len(tombstones),
             payload=seal_record(manifest),
         )
@@ -227,7 +227,7 @@ class CheckpointManager:
         holding a dict — valid or not."""
         return [
             (page, page.payload.get("checkpoint_id"))
-            for page in self.system.disk.pages(f"{self.tag}:c")
+            for page in self.system.disk.pages(f"{CHECKPOINT_TAG}:c")
             if isinstance(page.payload, dict)
         ]
 
@@ -236,7 +236,7 @@ class CheckpointManager:
     # ------------------------------------------------------------------ #
 
     def catalog(self) -> list[CheckpointInfo]:
-        return catalog_checkpoints(self.system.disk, tag=self.tag)
+        return catalog_checkpoints(self.system.disk)
 
     def gc_orphans(self) -> int:
         """Free row chunks of checkpoints that never got a valid manifest
@@ -265,9 +265,7 @@ class CheckpointManager:
         return freed
 
 
-def catalog_checkpoints(
-    disk: SimulatedDisk, tag: str = "ckpt"
-) -> list[CheckpointInfo]:
+def catalog_checkpoints(disk: SimulatedDisk) -> list[CheckpointInfo]:
     """Valid checkpoints on a disk, oldest first.
 
     Validity is the manifest's page checksum plus its record CRC; row
@@ -275,7 +273,7 @@ def catalog_checkpoints(
     damage).  Works on a crashed disk image — no live system needed.
     """
     infos: list[CheckpointInfo] = []
-    for page in disk.pages(f"{tag}:c"):
+    for page in disk.pages(f"{CHECKPOINT_TAG}:c"):
         if not page.tag.endswith(":manifest"):
             continue
         manifest = verify_record(page)
@@ -289,9 +287,6 @@ def catalog_checkpoints(
 def restore_system(
     source_disk: SimulatedDisk,
     to_lsn: int | None = None,
-    tag: str = "ckpt",
-    wal_tag: str = "wal",
-    category: str = "ckpt",
 ) -> RestoreResult:
     """Rebuild a system from a disk image's checkpoints + WAL archive.
 
@@ -302,13 +297,13 @@ def restore_system(
     verification is skipped in favour of the next older one
     (``fallbacks`` counts these).
 
-    All checkpoint reads are accounted under ``category`` and the WAL
-    replay under ``"wal"`` — the recovery-I/O numbers the durability
-    benchmark gates.
+    All checkpoint reads are accounted under :data:`CHECKPOINT_CATEGORY`
+    and the WAL replay under :data:`~repro.core.wal.WAL_CATEGORY` — the
+    recovery-I/O numbers the durability benchmark gates.
     """
     candidates = [
         info
-        for info in catalog_checkpoints(source_disk, tag=tag)
+        for info in catalog_checkpoints(source_disk)
         if to_lsn is None or info.watermark_lsn - 1 <= to_lsn
     ]
     if not candidates:
@@ -320,9 +315,7 @@ def restore_system(
     last_error: Exception | None = None
     for info in reversed(candidates):
         try:
-            result = _restore_from(
-                source_disk, info, to_lsn, wal_tag, category
-            )
+            result = _restore_from(source_disk, info, to_lsn)
             result.fallbacks = fallbacks
             return result
         except (CorruptPageError, CheckpointError, WalCorruptionError) as exc:
@@ -337,12 +330,10 @@ def _restore_from(
     source_disk: SimulatedDisk,
     info: CheckpointInfo,
     to_lsn: int | None,
-    wal_tag: str,
-    category: str,
 ) -> RestoreResult:
     from repro.system import build_system
 
-    source_disk.read(info.manifest_page, category)
+    source_disk.read(info.manifest_page, CHECKPOINT_CATEGORY)
     manifest = verify_record(source_disk.peek(info.manifest_page))
     if manifest is None:
         raise CheckpointError(
@@ -351,7 +342,7 @@ def _restore_from(
     bools: list[tuple] = []
     prefs: list[tuple] = []
     for page_id in manifest["row_pages"]:
-        source_disk.read(page_id, category)
+        source_disk.read(page_id, CHECKPOINT_CATEGORY)
         chunk = verify_record(source_disk.peek(page_id))
         if (
             chunk is None
@@ -380,7 +371,6 @@ def _restore_from(
         source_disk,
         after_lsn=info.watermark_lsn - 1,
         upto_lsn=to_lsn,
-        tag=wal_tag,
     )
     for op in ops:
         apply_committed_op(relation, op)
@@ -402,6 +392,8 @@ def _restore_from(
 
 
 __all__ = [
+    "CHECKPOINT_CATEGORY",
+    "CHECKPOINT_TAG",
     "CheckpointError",
     "CheckpointInfo",
     "CheckpointManager",

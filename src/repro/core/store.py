@@ -162,10 +162,9 @@ class SignatureStore(_DirectoryReads):
         fanout: The R-tree fanout the signatures' nodes are sized for.
         tag: Page-tag prefix (``{tag}:sig``, ``{tag}:index``).
         codec: Bitmap codec each node is compressed with.
-        retry_policy: Bounded-backoff retry for transient read faults;
-            defaults to a fresh :class:`RetryPolicy` (deterministic clock,
-            no real sleeps).  Pass ``RetryPolicy(max_attempts=1)`` to
-            disable retrying.
+
+    Transient read faults are retried by :attr:`retry_policy`, a fresh
+    default :class:`RetryPolicy` (deterministic clock, no real sleeps).
     """
 
     def __init__(
@@ -174,13 +173,12 @@ class SignatureStore(_DirectoryReads):
         fanout: int,
         tag: str = "pcube",
         codec: str = "adaptive",
-        retry_policy: RetryPolicy | None = None,
     ) -> None:
         self.disk = disk
         self.fanout = fanout
         self.tag = tag
         self.codec = codec
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
+        self.retry_policy = RetryPolicy()
         self.fault_stats = FaultStats()
         self._index = BPlusTree(order=128, disk=disk, tag=f"{tag}:index")
         # cell_id -> {ref_sid -> page_id}; mirrors the B+-tree for O(1)

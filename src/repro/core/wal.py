@@ -10,7 +10,8 @@ redo) whatever a crash interrupted, and retains the committed history as a
 segmented archive that checkpoint-based point-in-time restore
 (:mod:`repro.core.checkpoint`) replays.
 
-Record protocol — one disk page per record, tag ``wal:rec:s<segment>``:
+Record protocol — one disk page per record, tag ``wal:rec:s<segment>``
+(the tags are module constants, :data:`RECORD_TAG` and :data:`SEAL_TAG`):
 
 1. ``intent`` — written by :meth:`MaintenanceWAL.begin` *before any other
    page is touched*.  Carries the operation name and everything needed to
@@ -89,6 +90,13 @@ _VALUE_BYTES = 8
 
 #: Default segment-rotation threshold: logical record bytes per segment.
 DEFAULT_SEGMENT_BYTES = 4096
+
+#: Page-tag prefix of every record page (segment ``N``'s records are tagged
+#: ``wal:rec:sN``) and the tag of every segment seal.
+RECORD_TAG = "wal:rec"
+SEAL_TAG = "wal:seal"
+#: The I/O category restore's archive reads are accounted under.
+WAL_CATEGORY = "wal"
 
 #: The op names whose intent appends rows (``base`` + ``rows``).
 _INSERTS = ("insert", "insert_batch")
@@ -295,6 +303,10 @@ def _seal_pages(
     return seals, damaged
 
 
+def _segment_tag(segment: int) -> str:
+    return f"{RECORD_TAG}:s{segment}"
+
+
 def replay_intent(relation, op: PendingOp | CommittedOp) -> None:
     """Re-apply an intent's relation-level effect (recovery and restore).
 
@@ -322,9 +334,7 @@ class MaintenanceWAL:
 
     Args:
         disk: The system disk (records live beside the structures they
-            protect, under their own tag).
-        tag: Page-tag prefix; records use ``f"{tag}:rec:s<segment>"`` and
-            segment seals ``f"{tag}:seal"``.
+            protect, under :data:`RECORD_TAG` and :data:`SEAL_TAG`).
         stats: Shared maintenance tallies (record/commit counts).
         segment_bytes: Rotation threshold — once a commit pushes the
             active segment's logical record bytes to or past this, the
@@ -334,14 +344,12 @@ class MaintenanceWAL:
     def __init__(
         self,
         disk: SimulatedDisk,
-        tag: str = "wal",
         stats: MaintenanceStats | None = None,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
     ) -> None:
         if segment_bytes <= 0:
             raise ValueError("segment_bytes must be positive")
         self.disk = disk
-        self.tag = tag
         self.stats = stats if stats is not None else MaintenanceStats()
         self.segment_bytes = segment_bytes
         self._reopen()
@@ -351,25 +359,13 @@ class MaintenanceWAL:
     # ------------------------------------------------------------------ #
 
     @property
-    def record_tag(self) -> str:
-        """Prefix every record page's tag starts with."""
-        return f"{self.tag}:rec"
-
-    @property
-    def seal_tag(self) -> str:
-        return f"{self.tag}:seal"
-
-    @property
     def next_lsn(self) -> int:
         """The LSN the next record will take (the checkpoint watermark)."""
         return self._next_lsn
 
-    def _segment_tag(self, segment: int) -> str:
-        return f"{self.record_tag}:s{segment}"
-
-    def _scan(self, tag: str | None = None) -> _Journal:
+    def _scan(self, tag: str = RECORD_TAG) -> _Journal:
         """The record pages under ``tag`` (default: every one), classified."""
-        return _classify(self.disk.pages(tag or self.record_tag))
+        return _classify(self.disk.pages(tag))
 
     def _reopen(self) -> None:
         """Rebuild counters and segment state from surviving pages.
@@ -382,7 +378,7 @@ class MaintenanceWAL:
         until :meth:`repair_tail` classifies and clears them.
         """
         journal = self._scan()
-        seals, damaged_seals = _seal_pages(self.disk.pages(self.seal_tag))
+        seals, damaged_seals = _seal_pages(self.disk.pages(SEAL_TAG))
         records = journal.records
         self._has_damage = bool(journal.damaged or damaged_seals)
         self._next_lsn = records[-1]["lsn"] + 1 if records else 0
@@ -415,7 +411,7 @@ class MaintenanceWAL:
         seal_record(record)
         self._next_lsn += 1
         self.disk.allocate(
-            self._segment_tag(record["segment"]),
+            _segment_tag(record["segment"]),
             size=_RECORD_HEADER_BYTES + size,
             payload=record,
         )
@@ -435,7 +431,7 @@ class MaintenanceWAL:
             "records": info.records,
         }
         self.disk.allocate(
-            self.seal_tag, size=_RECORD_HEADER_BYTES, payload=seal_record(seal)
+            SEAL_TAG, size=_RECORD_HEADER_BYTES, payload=seal_record(seal)
         )
 
     # ------------------------------------------------------------------ #
@@ -512,7 +508,7 @@ class MaintenanceWAL:
     def _seal_active(self) -> None:
         """Seal the active segment and open the next one."""
         segment = self._active_segment
-        info = self._scan(self._segment_tag(segment)).segments.get(segment)
+        info = self._scan(_segment_tag(segment)).segments.get(segment)
         if info is None:  # pragma: no cover - commit just wrote a record
             return
         self._write_seal(info)
@@ -539,7 +535,7 @@ class MaintenanceWAL:
         records (the seal is derived metadata, never the only copy).
         """
         journal = self._scan()
-        seals, damaged_seals = _seal_pages(self.disk.pages(self.seal_tag))
+        seals, damaged_seals = _seal_pages(self.disk.pages(SEAL_TAG))
         damaged = journal.damaged
         lsns = [record["lsn"] for record in journal.records]
         if lsns and lsns[-1] - lsns[0] + 1 != len(lsns):
@@ -620,7 +616,7 @@ class MaintenanceWAL:
 
     def segments(self) -> list[SegmentInfo]:
         """Catalog of surviving segments, oldest first (tools/CLI view)."""
-        seals, _ = _seal_pages(self.disk.pages(self.seal_tag))
+        seals, _ = _seal_pages(self.disk.pages(SEAL_TAG))
         catalog = self._scan().segments
         for segment in seals:
             empty = SegmentInfo(segment, 0, -1, -1, 0, sealed=True)
@@ -636,19 +632,19 @@ class MaintenanceWAL:
         the surviving LSN run that :meth:`repair_tail` relies on — pruning
         always removes a prefix of the archive.
         """
-        seals, _ = _seal_pages(self.disk.pages(self.seal_tag))
+        seals, _ = _seal_pages(self.disk.pages(SEAL_TAG))
         freed = 0
         # Oldest-first, stopping at the first segment that must stay: a
         # later prunable segment behind a kept one would break contiguity.
         for segment in sorted(seals):
             if seals[segment]["last_lsn"] > lsn:
                 break
-            tag = self._segment_tag(segment)
+            tag = _segment_tag(segment)
             for page in list(self.disk.pages(tag)):
                 if page.tag == tag:  # not segment 10's pages when pruning 1
                     self.disk.free(page.page_id)
                     freed += 1
-            for page in list(self.disk.pages(self.seal_tag)):
+            for page in list(self.disk.pages(SEAL_TAG)):
                 if page.payload.get("segment") == segment:
                     self.disk.free(page.page_id)
             self.stats.bump(wal_segments_pruned=1)
@@ -660,8 +656,6 @@ class MaintenanceWAL:
         disk: SimulatedDisk,
         after_lsn: int = -1,
         upto_lsn: int | None = None,
-        tag: str = "wal",
-        category: str = "wal",
     ) -> tuple[list[CommittedOp], dict[str, int]]:
         """Committed operations with ``after_lsn < commit_lsn <= upto_lsn``.
 
@@ -669,8 +663,8 @@ class MaintenanceWAL:
         sealed segment) and any sealed segment whose ``last_lsn`` falls at
         or below ``after_lsn`` is skipped *without reading its records* —
         this is what keeps checkpointed recovery flat in total WAL length.
-        All reads are accounted under ``category`` so recovery I/O is
-        measurable.
+        All reads are accounted under :data:`WAL_CATEGORY` so recovery I/O
+        is measurable.
 
         Damaged records that belong to no committed operation are ignored
         (a torn tail); a committed operation whose intent is unreadable is
@@ -679,17 +673,17 @@ class MaintenanceWAL:
 
         def read(page: Page) -> dict[str, Any] | None:
             try:
-                disk.read(page.page_id, category)
+                disk.read(page.page_id, WAL_CATEGORY)
             except CorruptPageError:
                 pass  # verify_record sees the same damage
             return verify_record(page)
 
-        seal_pages = list(disk.pages(f"{tag}:seal"))
+        seal_pages = list(disk.pages(SEAL_TAG))
         seals, _ = _seal_pages(seal_pages, read)
         # Record pages are in allocation (= LSN, = segment) order.
-        record_pages = list(disk.pages(f"{tag}:rec"))
+        record_pages = list(disk.pages(RECORD_TAG))
         below = {
-            f"{tag}:rec:s{segment}"
+            _segment_tag(segment)
             for segment, seal in seals.items()
             if seal["last_lsn"] <= after_lsn
         }
@@ -739,7 +733,10 @@ __all__ = [
     "CommittedOp",
     "MaintenanceWAL",
     "PendingOp",
+    "RECORD_TAG",
+    "SEAL_TAG",
     "SegmentInfo",
+    "WAL_CATEGORY",
     "WalCorruptionError",
     "apply_committed_op",
     "record_crc",

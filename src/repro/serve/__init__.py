@@ -14,10 +14,16 @@ Quick start::
         ticket = executor.skyline(predicate)
         result = ticket.result(timeout=5.0)
 
+Every executor serves resiliently with one configuration: deadline-budgeted
+storage retries, one shared :class:`BreakerBoard` (re-exported from
+:mod:`repro.core.breakers`) and shedding of queued tickets whose deadline
+lapsed (:class:`QueryShed`).  A deadline is per submission (``deadline=``).
+
 ``python -m repro.serve --smoke`` runs a self-checking smoke workload and
 ``python -m repro.serve --health`` a resilience/fault health report.
 """
 
+from repro.core.breakers import BreakerBoard, CircuitBreaker
 from repro.serve.executor import (
     AdmissionFull,
     QueryCancelled,
@@ -25,11 +31,6 @@ from repro.serve.executor import (
     QueryShed,
     QueryTimeout,
     Ticket,
-)
-from repro.serve.resilience import (
-    BreakerBoard,
-    CircuitBreaker,
-    Resilience,
 )
 from repro.serve.scrub import Finding, Scrubber, ScrubStats, Supervisor
 from repro.serve.stats import ServingStats
@@ -43,7 +44,6 @@ __all__ = [
     "QueryExecutor",
     "QueryShed",
     "QueryTimeout",
-    "Resilience",
     "ScrubStats",
     "Scrubber",
     "ServingStats",

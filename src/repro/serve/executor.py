@@ -21,12 +21,11 @@ The serving pipeline, front to back:
   search loop polls on every heap pop; an expired or cancelled query
   aborts with :class:`QueryTimeout` / :class:`QueryCancelled` without
   poisoning the worker.
-* The executor is **resilient by default** (see
-  :mod:`repro.serve.resilience`): sessions run with deadline-budgeted
-  storage retries, partial loads consult a shared per-(cell, SID)
-  :class:`~repro.core.breakers.BreakerBoard`, and queued tickets whose
-  deadline already lapsed are **shed** (:class:`QueryShed`) instead of
-  wasting a worker.
+* Every executor is **resilient**, with one configuration: sessions run
+  with deadline-budgeted storage retries, partial loads consult one shared
+  per-(cell, SID) :class:`~repro.core.breakers.BreakerBoard` (default
+  threshold), and queued tickets whose deadline already lapsed are
+  **shed** (:class:`QueryShed`) instead of wasting a worker.
 * Every per-kind query runs down **one fallback chain**
   (:mod:`repro.route.fallback`): :data:`~repro.route.engines.SERVING_CHAIN`,
   whose exact scans answer conjunctive skylines and top-k when even the
@@ -48,6 +47,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro.core.breakers import BreakerBoard
 from repro.obs.trace import Tracer
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import RankingFunction
@@ -56,7 +56,6 @@ from repro.route.cache import CACHED_KINDS
 from repro.route.engines import EngineContext, RouteRequest, chain_for
 from repro.route.fallback import run_chain
 from repro.route.router import QueryRouter
-from repro.serve.resilience import Resilience
 from repro.serve.stats import ServingStats
 from repro.storage.buffer import BufferPool
 
@@ -230,14 +229,6 @@ class QueryExecutor:
         pool: The shared buffer pool; by default one warm
             :class:`BufferPool` of ``pool_capacity`` pages over the
             system's disk, shared by all workers.
-        default_deadline: Seconds from submission after which queries time
-            out unless a per-submit deadline overrides it (``None`` — no
-            deadline).
-        resilience: The :class:`~repro.serve.resilience.Resilience` knobs
-            (breaker threshold, shedding).  ``None`` (the default) uses
-            the default-on configuration; pass e.g.
-            ``Resilience(breaker_threshold=0, shed=False)`` for plain
-            concurrent serving: no breaker board, no shedding.
         routing: Turns the router's epoch-keyed result cache on (with its
             breaker bypass).  Cached answers are canonicalised (skyline
             tids ascending, top-k sorted by ``(score, tid)``) and
@@ -256,8 +247,6 @@ class QueryExecutor:
         queue_depth: int = 64,
         pool: BufferPool | None = None,
         pool_capacity: int = 4096,
-        default_deadline: float | None = None,
-        resilience: Resilience | None = None,
         routing: bool = False,
     ) -> None:
         if threads < 1:
@@ -269,14 +258,11 @@ class QueryExecutor:
             if pool is not None
             else BufferPool(system.rtree.disk, capacity=pool_capacity)
         )
-        self.default_deadline = default_deadline
-        self.resilience = resilience if resilience is not None else Resilience()
-        self.breakers = self.resilience.build_board()
-        if self.breakers is not None:
-            # Live-session healing: a rebuilt cell (quarantine lifted)
-            # closes its breakers immediately — snapshot sessions also heal
-            # via epoch comparison, but only once a newer epoch publishes.
-            system.pcube.store.on_cell_rebuilt = self.breakers.reset
+        self.breakers = BreakerBoard()
+        # Live-session healing: a rebuilt cell (quarantine lifted) closes
+        # its breakers immediately — snapshot sessions also heal via epoch
+        # comparison, but only once a newer epoch publishes.
+        system.pcube.store.on_cell_rebuilt = self.breakers.reset
         # The B+-tree postings are never maintained after build; the
         # engines take them only while they cover the pinned snapshot's
         # rows, and scan the table otherwise.
@@ -324,13 +310,11 @@ class QueryExecutor:
         """Admit one query; raises :class:`AdmissionFull` when saturated.
 
         ``run`` receives the snapshot-bound session and returns the query
-        result; the per-kind conveniences below build it for you.  When
-        shedding is enabled, a full queue first evicts queued tickets whose
-        deadline already lapsed (failing them with :class:`QueryShed`)
-        before rejecting the new submission.
+        result; the per-kind conveniences below build it for you.  A full
+        queue first evicts queued tickets whose deadline already lapsed
+        (failing them with :class:`QueryShed`) before rejecting the new
+        submission.  ``deadline`` is seconds from now (``None``: none).
         """
-        if deadline is None:
-            deadline = self.default_deadline
         ticket = Ticket(
             kind,
             run,
@@ -345,7 +329,7 @@ class QueryExecutor:
             try:
                 self._queue.put_nowait(ticket)
             except queue.Full:
-                if not (self.resilience.shed and self._evict_expired_locked()):
+                if not self._evict_expired_locked():
                     self._reject(ticket)
                 try:
                     self._queue.put_nowait(ticket)
@@ -546,9 +530,8 @@ class QueryExecutor:
     def _preflight(self, ticket: Ticket) -> None:
         """Abort queued-but-doomed tickets before paying for a pin.
 
-        A lapsed deadline at pickup time is a *shed* when shedding is on
-        (the query never ran; the typed error carries backoff hints) and a
-        plain timeout otherwise; cancellation wins over both.
+        A lapsed deadline at pickup time is a *shed* (the query never ran;
+        the typed error carries backoff hints); cancellation wins over it.
         """
         if ticket.cancelled:
             raise QueryCancelled(f"{ticket.kind} query cancelled")
@@ -557,14 +540,9 @@ class QueryExecutor:
         remaining = ticket.deadline_at - time.perf_counter()
         if remaining > 0:
             return
-        if self.resilience.shed:
-            raise QueryShed(
-                ticket.kind,
-                self._queue.qsize(),
-                remaining,
-                self._retry_after(),
-            )
-        raise QueryTimeout(f"{ticket.kind} query exceeded its deadline")
+        raise QueryShed(
+            ticket.kind, self._queue.qsize(), remaining, self._retry_after()
+        )
 
     def _serve(self, ticket: Ticket) -> None:
         queue_wait = time.perf_counter() - ticket.submitted_at
@@ -650,9 +628,6 @@ class QueryExecutor:
         pages_per_tick: int = 256,
         cells_per_tick: int = 16,
         interval: float = 0.005,
-        repair: bool = True,
-        hung_after: float = 5.0,
-        stalled_after: float = 5.0,
         start: bool = True,
     ):
         """Attach a background scrubber and supervisor (idempotent).
@@ -671,14 +646,9 @@ class QueryExecutor:
                 pages_per_tick=pages_per_tick,
                 cells_per_tick=cells_per_tick,
                 interval=interval,
-                repair=repair,
             )
             self.supervisor = Supervisor(
-                system=self.system,
-                executor=self,
-                scrubber=self.scrubber,
-                hung_after=hung_after,
-                stalled_after=stalled_after,
+                system=self.system, executor=self, scrubber=self.scrubber
             )
         if start:
             self.scrubber.start()
@@ -688,8 +658,8 @@ class QueryExecutor:
         """One operator-facing report: every tally's snapshot under its
         name (``serving``, ``faults``, ``maintenance``, ``epochs``, and the
         router's and scrubber's inside their reports), plus the breaker
-        board (``None`` when breakers are disabled) and the current
-        quarantine backlog — what ``python -m repro.serve --health`` prints.
+        board and the current quarantine backlog — what ``python -m
+        repro.serve --health`` prints.
         """
         store = self.system.pcube.store
         quarantined = store.quarantined_cells()
@@ -701,9 +671,7 @@ class QueryExecutor:
             "faults": store.fault_stats.snapshot(),
             "maintenance": self.system.maintenance_stats.snapshot(),
             "epochs": self.epochs.stats.snapshot(),
-            "breakers": (
-                self.breakers.snapshot() if self.breakers is not None else None
-            ),
+            "breakers": self.breakers.snapshot(),
             "quarantined_cells": [cell.cell_id for cell in quarantined],
             "router": self.router.snapshot(),
             "inflight": self.inflight(),

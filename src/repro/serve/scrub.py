@@ -16,8 +16,8 @@ invariants continuously while the system serves traffic:
   ``verify_consistency()`` but incremental, throttled and concurrent with
   both readers and the maintenance writer.
 * **Self-healing** — damage to a signature page (or a failed cell
-  invariant) quarantines the owning cell through the PR-5 hooks and — when
-  ``repair`` is on — rebuilds it via
+  invariant) quarantines the owning cell through the PR-5 hooks and
+  rebuilds it via
   :meth:`~repro.system.PCubeSystem.repair_quarantined`, which publishes a
   fresh epoch so concurrent readers flip to the healed pages atomically.
   Damage outside the signature store (heap, R-tree, B+-tree pages) has no
@@ -85,8 +85,8 @@ class Scrubber:
         pages_per_tick / cells_per_tick: Work quantum between throttle
             sleeps; the rate knob that keeps scrub overhead low.
         interval: Seconds slept between work quanta (and between passes).
-        repair: Quarantine + rebuild damaged signature cells (on by
-            default); off, the scrubber only reports.
+
+    Damaged signature cells are always quarantined and rebuilt.
     """
 
     def __init__(
@@ -95,13 +95,11 @@ class Scrubber:
         pages_per_tick: int = 256,
         cells_per_tick: int = 16,
         interval: float = 0.005,
-        repair: bool = True,
     ) -> None:
         self.system = system
         self.pages_per_tick = max(1, pages_per_tick)
         self.cells_per_tick = max(1, cells_per_tick)
         self.interval = interval
-        self.repair = repair
         self.stats = ScrubStats()
         self.findings: list[Finding] = []
         self._lock = threading.Lock()
@@ -162,7 +160,7 @@ class Scrubber:
                         kind="checksum",
                         subject=page.tag,
                         detail=f"page {page.page_id}: {exc}",
-                        repaired=owner is not None and self.repair,
+                        repaired=owner is not None,
                     )
                 )
         self.stats.bump(
@@ -241,7 +239,7 @@ class Scrubber:
                         kind="invariant",
                         subject=cell.cell_id,
                         detail=problem,
-                        repaired=self.repair,
+                        repaired=True,
                     )
                 )
         self.stats.bump(
@@ -252,7 +250,7 @@ class Scrubber:
 
     def _heal(self, damaged_cells: set[str], findings: list[Finding]) -> int:
         """Quarantine + rebuild the damaged cells (single-writer path)."""
-        if not damaged_cells or not self.repair:
+        if not damaged_cells:
             return 0
         system = self.system
         by_id = {
@@ -359,11 +357,7 @@ class Supervisor:
             for entry in self.executor.inflight():
                 if entry["running_seconds"] > self.hung_after:
                     hung.append(entry)
-        pending_since = (
-            self.system.wal.pending_since
-            if self.system.wal is not None
-            else None
-        )
+        pending_since = self.system.wal.pending_since
         pending_age = (
             now - pending_since if pending_since is not None else None
         )

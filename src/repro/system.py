@@ -1,9 +1,12 @@
 """One-call assembly of a complete P-Cube system.
 
 Bundles the base relation, the shared R-tree partition template, the P-Cube
-signature store, the baseline B+-tree indexes and a
-:class:`~repro.query.session.QuerySession`, all over one simulated disk —
-the configuration every experiment and example runs against.
+signature store, the baseline B+-tree indexes, a
+:class:`~repro.query.session.QuerySession` and the maintenance WAL, all
+over one simulated disk — the configuration every experiment and example
+runs against.  Every system has its WAL; the figure benches that time bare
+maintenance call the :mod:`repro.core.maintenance` functions with
+``wal=None`` instead.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ class PCubeSystem:
     pcube: PCube
     indexes: dict[str, BPlusTree]
     engine: QuerySession
+    wal: MaintenanceWAL
     timings: BuildTimings = field(default_factory=BuildTimings)
-    wal: MaintenanceWAL | None = None
     maintenance_stats: MaintenanceStats = field(
         default_factory=MaintenanceStats
     )
@@ -210,8 +213,6 @@ class PCubeSystem:
         committed history is gone, and the honest recovery is a restore
         from checkpoints (:func:`repro.core.checkpoint.restore_system`).
         """
-        if self.wal is None:
-            raise RuntimeError("this system was built without a WAL")
         self.wal.repair_tail()
         pending = self.wal.pending()
         return self._maintain(
@@ -296,7 +297,7 @@ class PCubeSystem:
         """
         report = ConsistencyReport()
         problems = report.problems
-        if self.wal is not None and not self.wal.is_empty():
+        if not self.wal.is_empty():
             problems.append("WAL holds an interrupted maintenance operation")
         unpaged = len(self.relation) - self.relation.paged_count()
         if unpaged:
@@ -338,8 +339,6 @@ def build_system(
     codec: str = "adaptive",
     maintainable: bool = True,
     with_indexes: bool = True,
-    pool_capacity: int = 4096,
-    with_wal: bool = True,
     wal_segment_bytes: int | None = None,
 ) -> PCubeSystem:
     """Build R-tree + P-Cube + baseline indexes over an existing relation.
@@ -347,6 +346,10 @@ def build_system(
     Each structure touches each tuple once (DESIGN.md "Build"), and the
     pages are a function of the relation and the arguments alone;
     :attr:`PCubeSystem.timings` attributes the wall time per structure.
+    The system's :class:`MaintenanceWAL` makes its ``insert`` /
+    ``insert_batch`` / ``delete`` / ``update`` methods crash-safe (it costs
+    nothing until an operation journals), and :attr:`PCubeSystem.engine`
+    gives each query a cold pool of the session's default size.
 
     Args:
         relation: The base table (its disk hosts every structure).
@@ -360,10 +363,6 @@ def build_system(
         maintainable: Keep counted signatures for incremental updates.
         with_indexes: Also build the per-dimension B+-trees the baselines
             need (skippable when only the Signature method runs).
-        pool_capacity: Pages in each query's cold buffer pool.
-        with_wal: Attach a :class:`MaintenanceWAL` so the system's
-            ``insert`` / ``insert_batch`` / ``delete`` / ``update`` methods
-            run crash-safe (costs nothing until an operation journals).
         wal_segment_bytes: Override the WAL's segment-rotation threshold
             (default :data:`repro.core.wal.DEFAULT_SEGMENT_BYTES`); small
             values force frequent sealing, which durability tests and the
@@ -404,25 +403,19 @@ def build_system(
         indexes = build_boolean_indexes(relation, disk=disk)
         timings.btree_seconds = time.perf_counter() - started
 
-    engine = QuerySession(relation, rtree, pcube, pool_capacity=pool_capacity)
     maintenance_stats = MaintenanceStats()
     wal_kwargs = (
         {} if wal_segment_bytes is None
         else {"segment_bytes": wal_segment_bytes}
-    )
-    wal = (
-        MaintenanceWAL(disk, stats=maintenance_stats, **wal_kwargs)
-        if with_wal
-        else None
     )
     return PCubeSystem(
         relation=relation,
         rtree=rtree,
         pcube=pcube,
         indexes=indexes,
-        engine=engine,
+        engine=QuerySession(relation, rtree, pcube),
+        wal=MaintenanceWAL(disk, stats=maintenance_stats, **wal_kwargs),
         timings=timings,
-        wal=wal,
         maintenance_stats=maintenance_stats,
         indexes_rows=len(relation) if indexes else 0,
     )

@@ -1,4 +1,4 @@
-"""The five non-figure sweeps at toy size: envelope, determinism, typing.
+"""The four non-figure sweeps at toy size: envelope, determinism, typing.
 
 CI runs each sweep at full size against its committed baseline; this keeps
 their plumbing inside tier-1 — a few hundred tuples, a handful of queries,
@@ -22,9 +22,6 @@ from benchmarks.sweeps.harness import ANSWER, COST, TIMING, Point, envelope
 TOY = {
     "serving": dict(
         n_tuples=300, threads=(2,), n_queries=6, read_latency=0.0
-    ),
-    "resilience": dict(
-        n_tuples=300, threads=(2,), n_queries=6, read_latency=0.0, repeats=1
     ),
     "durability": dict(
         recovery_ops=(6,),

@@ -136,9 +136,7 @@ def test_fault_storm_every_ticket_resolves_exact_or_typed(chaotic, rng):
     ]
 
     disk.plan = _storm_plan(system.pcube.tag, seed=20080401)
-    with QueryExecutor(
-        system, threads=4, queue_depth=8, default_deadline=30.0
-    ) as executor:
+    with QueryExecutor(system, threads=4, queue_depth=8) as executor:
         tickets = []
         for index, (kind, kwargs) in enumerate(workload):
             # Every fourth query gets a deadline it cannot possibly meet

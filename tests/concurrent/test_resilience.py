@@ -9,8 +9,13 @@ import time
 import pytest
 
 from repro.baselines.naive import naive_skyline
+from repro.core.breakers import CLOSED, HALF_OPEN, OPEN, BreakerBoard
 from repro.data.synthetic import generate_relation
-from repro.data.workload import sample_linear_function, sample_predicate
+from repro.data.workload import (
+    read_mix,
+    sample_linear_function,
+    sample_predicate,
+)
 from repro.query.dynamic import naive_dynamic_skyline
 from repro.query.session import QuerySession
 from repro.serve.executor import (
@@ -18,13 +23,6 @@ from repro.serve.executor import (
     QueryExecutor,
     QueryShed,
     QueryTimeout,
-)
-from repro.serve.resilience import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerBoard,
-    Resilience,
 )
 from repro.storage.disk import SimulatedDisk
 from repro.storage.errors import CorruptPageError, TransientIOError
@@ -45,6 +43,18 @@ def faulty(small_config):
     """A system on a fault-injecting disk, armed *after* the build."""
     disk = FaultyDisk(SimulatedDisk())
     return disk, build_system(generate_relation(small_config, disk=disk), fanout=8)
+
+
+def _trip_breaker(executor, submit):
+    """Run ``submit()`` until the default board opens: one failing load of
+    the same partial per query, ``threshold`` (3) queries in a row.
+    Returns their results."""
+    failing = []
+    for _ in range(executor.breakers.threshold):
+        assert executor.breakers.open_count() == 0
+        failing.append(submit().result(timeout=30.0))
+    assert executor.breakers.open_count() == 1
+    return failing
 
 
 def _blocker(started: threading.Event, gate: threading.Event):
@@ -129,16 +139,6 @@ def test_breaker_reset_closes_every_breaker_of_the_cell():
 def test_breaker_board_rejects_nonpositive_threshold():
     with pytest.raises(ValueError):
         BreakerBoard(threshold=0)
-    assert Resilience(breaker_threshold=0).build_board() is None
-
-
-def test_resilience_defaults_enable_the_full_chain():
-    knobs = Resilience()
-    assert knobs.shed
-    assert knobs.build_board() is not None
-    bare = Resilience(breaker_threshold=0, shed=False)
-    assert not bare.shed
-    assert bare.build_board() is None
 
 
 # ---------------------------------------------------------------------- #
@@ -271,25 +271,6 @@ def test_worker_sheds_doomed_ticket_at_pickup(system):
     assert executor.stats.snapshot()["shed"] == 1
 
 
-def test_shedding_disabled_falls_back_to_plain_timeouts(system):
-    started, gate = threading.Event(), threading.Event()
-    bare = Resilience(shed=False)
-    with QueryExecutor(
-        system, threads=1, queue_depth=4, resilience=bare
-    ) as executor:
-        blocked = executor.submit("block", _blocker(started, gate))
-        assert started.wait(timeout=30.0)
-        doomed = executor.skyline(deadline=0.01)
-        time.sleep(0.05)
-        gate.set()
-        with pytest.raises(QueryTimeout) as excinfo:
-            doomed.result(timeout=30.0)
-        blocked.result(timeout=30.0)
-    assert not isinstance(excinfo.value, QueryShed)
-    stats = executor.stats.snapshot()
-    assert stats["shed"] == 0 and stats["timed_out"] == 1
-
-
 # ---------------------------------------------------------------------- #
 # the ticket must never hang
 # ---------------------------------------------------------------------- #
@@ -402,14 +383,13 @@ def test_open_breaker_short_circuits_without_reprobing(faulty, rng):
     disk.plan = FaultPlan(
         [FaultRule(kind="corrupt", tag="pcube:sig", count=1)]
     )
-    with QueryExecutor(
-        system, threads=1, resilience=Resilience(breaker_threshold=1)
-    ) as executor:
-        first = executor.skyline(predicate).result(timeout=30.0)
-        assert first.tids == serial.tids
-        assert first.stats.failed_loads >= 1
-        assert first.stats.tier == "conservative"
-        assert executor.breakers.open_count() == 1
+    with QueryExecutor(system, threads=1) as executor:
+        for failing in _trip_breaker(
+            executor, lambda: executor.skyline(predicate)
+        ):
+            assert failing.tids == serial.tids
+            assert failing.stats.failed_loads >= 1
+            assert failing.stats.tier == "conservative"
         probes_before = system.pcube.store.fault_stats.degraded_loads
 
         second = executor.skyline(predicate).result(timeout=30.0)
@@ -424,7 +404,7 @@ def test_open_breaker_short_circuits_without_reprobing(faulty, rng):
     assert board["short_circuits"] >= 1
     stats = executor.stats.snapshot()
     assert stats["breaker_skips"] >= 1
-    assert stats["tiers"]["conservative"] == 2
+    assert stats["tiers"]["conservative"] == 4
 
 
 QUERY_POINT = (0.4, 0.6)
@@ -471,15 +451,13 @@ def test_every_signature_kind_reports_a_degraded_reader(faulty, rng, kind):
     disk.plan = FaultPlan(
         [FaultRule(kind="corrupt", tag="pcube:sig", count=1)]
     )
-    with QueryExecutor(
-        system, threads=1, resilience=Resilience(breaker_threshold=1)
-    ) as executor:
-        first = submit(executor).result(timeout=30.0)
-        assert first.stats.tier == "conservative"
-        assert first.stats.degraded
-        assert first.stats.failed_loads == 1
-        assert first.stats.degraded_checks >= 1
-        assert executor.breakers.open_count() == 1
+    with QueryExecutor(system, threads=1) as executor:
+        failing = _trip_breaker(executor, lambda: submit(executor))
+        for tripping in failing:
+            assert tripping.stats.tier == "conservative"
+            assert tripping.stats.degraded
+            assert tripping.stats.failed_loads == 1
+            assert tripping.stats.degraded_checks >= 1
 
         (_, _, bad_page), = disk.injected
         probe = FaultRule(
@@ -492,12 +470,12 @@ def test_every_signature_kind_reports_a_degraded_reader(faulty, rng, kind):
         assert second.stats.tier == "conservative"
         assert probe.seen == 0  # zero reads of the bad page
         stats = executor.stats.snapshot()
-    for result in (first, second):
+    for result in (*failing, second):
         tids = result.tids if kind == "lower_hull" else sorted(result.tids)
         assert tids == expected
-    assert stats["degraded_queries"] == 2
-    assert stats["failed_loads"] == 1
-    assert stats["tiers"] == {"conservative": 2}
+    assert stats["degraded_queries"] == 4
+    assert stats["failed_loads"] == 3
+    assert stats["tiers"] == {"conservative": 4}
 
 
 def test_cell_rebuild_hook_closes_breakers_live(faulty, rng):
@@ -507,11 +485,8 @@ def test_cell_rebuild_hook_closes_breakers_live(faulty, rng):
     disk.plan = FaultPlan(
         [FaultRule(kind="corrupt", tag="pcube:sig", count=1)]
     )
-    with QueryExecutor(
-        system, threads=1, resilience=Resilience(breaker_threshold=1)
-    ) as executor:
-        executor.skyline(predicate).result(timeout=30.0)
-        assert executor.breakers.open_count() == 1
+    with QueryExecutor(system, threads=1) as executor:
+        _trip_breaker(executor, lambda: executor.skyline(predicate))
         disk.plan = FaultPlan()
         assert system.pcube.rebuild_quarantined()
         # clear_quarantine fires on_cell_rebuilt -> BreakerBoard.reset.
@@ -537,11 +512,8 @@ def test_epoch_publish_half_opens_and_heals_snapshot_breakers(faulty, rng):
     disk.plan = FaultPlan(
         [FaultRule(kind="corrupt", tag="pcube:sig", count=1)]
     )
-    with QueryExecutor(
-        system, threads=1, resilience=Resilience(breaker_threshold=1)
-    ) as executor:
-        executor.skyline(predicate).result(timeout=30.0)
-        assert executor.breakers.open_count() == 1
+    with QueryExecutor(system, threads=1) as executor:
+        _trip_breaker(executor, lambda: executor.skyline(predicate))
 
         # Repair the pages but suppress the live-reset hook, so only the
         # epoch comparison can heal the breaker.
@@ -573,6 +545,39 @@ def test_epoch_publish_half_opens_and_heals_snapshot_breakers(faulty, rng):
 
 
 # ---------------------------------------------------------------------- #
+# fault-free serving
+# ---------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("routing", [False, True])
+@pytest.mark.parametrize("threads", [1, 4])
+def test_fault_free_serving_leaves_the_resilience_machinery_idle(
+    system, threads, routing
+):
+    """With nothing failing, breakers, retries and shedding are on but
+    idle: no degraded read, no breaker skip, no shed, no breaker opened,
+    and every answer equals the serial engine's."""
+    workload = read_mix(system.relation, random.Random(7), 12)
+    expected = [getattr(system.engine, kind)(**kw) for kind, kw in workload]
+    with QueryExecutor(system, threads=threads, routing=routing) as executor:
+        tickets = [getattr(executor, kind)(**kw) for kind, kw in workload]
+        results = [ticket.result(timeout=30.0) for ticket in tickets]
+        health = executor.health()
+    for want, got in zip(expected, results):
+        if routing:  # cached answers are canonicalised: compare the sets
+            assert sorted(got.tids) == sorted(want.tids)
+        else:
+            assert got.tids == want.tids
+    serving = health["serving"]
+    assert serving["completed"] == len(workload)
+    assert serving["degraded_queries"] == 0
+    assert serving["breaker_skips"] == 0
+    assert serving["shed"] == 0
+    assert health["breakers"]["threshold"] == 3
+    assert health["breakers"]["opened"] == 0
+
+
+# ---------------------------------------------------------------------- #
 # the operator view
 # ---------------------------------------------------------------------- #
 
@@ -593,6 +598,3 @@ def test_health_report_bundles_fault_breaker_and_quarantine_state(faulty, rng):
     assert health["faults"]["degraded_loads"] >= 1
     assert health["quarantined_cells"]  # the corrupt cell awaits rebuild
     assert health["breakers"]["threshold"] == 3
-    degraded = Resilience(breaker_threshold=0)
-    with QueryExecutor(system, threads=1, resilience=degraded) as executor:
-        assert executor.health()["breakers"] is None

@@ -73,12 +73,6 @@ def test_create_and_catalog():
     ] == [0, 1]
 
 
-def test_create_refuses_without_wal():
-    system = make_system(with_wal=False)
-    with pytest.raises(CheckpointError, match="without"):
-        CheckpointManager(system).create()
-
-
 def test_create_refuses_a_pending_wal():
     disk = FaultyDisk(SimulatedDisk())
     system = make_system(disk=disk)

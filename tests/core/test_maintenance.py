@@ -404,16 +404,14 @@ def from_scratch(system, cell):
     )
 
 
-def system_on(disk, with_wal=True, n_tuples=400):
+def system_on(disk, n_tuples=400):
     relation = generate_relation(
         SyntheticConfig(
             n_tuples=n_tuples, n_boolean=2, cardinality=3, n_preference=2, seed=5
         ),
         disk=disk,
     )
-    return build_system(
-        relation, fanout=6, rtree_method="insert", with_wal=with_wal
-    )
+    return build_system(relation, fanout=6, rtree_method="insert")
 
 
 def run_op_stream(system, rng, n_ops, after_each):
@@ -693,13 +691,14 @@ def test_rewrite_after_a_faulted_rewrite_stores_both_writes_nodes():
     rewrite, so the next write to the cell must also compress the nodes the
     first one moved."""
     disk = FaultyDisk(SimulatedDisk())
-    system = system_on(disk, with_wal=False)
+    system = system_on(disk)
+    structures = system.relation, system.rtree, system.pcube
     bool_row = (1, 2)
     disk.plan = FaultPlan(
         [FaultRule(kind="torn", op="allocate", tag="pcube:sig", count=1)]
     )
     with pytest.raises(TornWriteError):
-        system.insert(bool_row, (0.01, 0.01))
+        insert_tuple(*structures, bool_row, (0.01, 0.01), wal=None)
     disk.plan = FaultPlan()
     first_cell = min(
         (
@@ -713,7 +712,7 @@ def test_rewrite_after_a_faulted_rewrite_stores_both_writes_nodes():
     pending_after_fault = set(system.pcube._pending_sids[first_cell])
     assert pending_after_fault
 
-    tid, dirty = system.insert(bool_row, (0.99, 0.99))
+    tid, dirty = insert_tuple(*structures, bool_row, (0.99, 0.99), wal=None)
     assert system.rtree.path_of(tid)[:-1] != system.rtree.path_of(tid - 1)[:-1]
     assert first_cell in dirty
     for cell in dirty:

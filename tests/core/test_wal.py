@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.wal import (
+    RECORD_TAG,
+    SEAL_TAG,
     CommittedOp,
     MaintenanceWAL,
     WalCorruptionError,
@@ -32,8 +34,8 @@ def _run_op(wal, op_id=None, **payload):
     return op_id
 
 
-def _record_pages(disk, wal):
-    return sorted(disk.pages(wal.record_tag), key=lambda p: p.page_id)
+def _record_pages(disk):
+    return sorted(disk.pages(RECORD_TAG), key=lambda p: p.page_id)
 
 
 def test_fresh_wal_is_empty(wal):
@@ -142,7 +144,7 @@ def test_record_crc_catches_in_place_tampering(wal, disk):
     tampered in place passes ``page.verify()``; the per-record CRC is what
     actually protects the record."""
     wal.begin("delete", tid=7)
-    page = _record_pages(disk, wal)[-1]
+    page = _record_pages(disk)[-1]
     page.payload["payload"]["tid"] = 8  # flip a field in place
     page.verify()  # the page checksum is blind to this
     with pytest.raises(WalCorruptionError):
@@ -155,7 +157,7 @@ def test_torn_tail_is_truncated(disk):
     wal = MaintenanceWAL(disk)
     _run_op(wal)
     op_id = wal.begin("delete", tid=1)
-    tail = _record_pages(disk, wal)[-1]
+    tail = _record_pages(disk)[-1]
     tail.payload.clear()
     tail.payload["garbage"] = True
     with pytest.raises(WalCorruptionError) as excinfo:
@@ -177,7 +179,7 @@ def test_interior_corruption_is_fail_stop(disk):
     wal = MaintenanceWAL(disk)
     _run_op(wal)
     _run_op(wal)
-    first = _record_pages(disk, wal)[0]
+    first = _record_pages(disk)[0]
     first.payload["kind"] = "garbage"  # still claims its (low) lsn
     with pytest.raises(WalCorruptionError) as excinfo:
         wal.repair_tail()
@@ -189,7 +191,7 @@ def test_tail_truncation_is_counted(disk):
     stats = MaintenanceStats()
     wal = MaintenanceWAL(disk, stats=stats)
     wal.begin("delete", tid=0)
-    _record_pages(disk, wal)[-1].payload["kind"] = "garbage"
+    _record_pages(disk)[-1].payload["kind"] = "garbage"
     wal.repair_tail()
     assert stats.wal_tail_truncated == 1
 
@@ -267,7 +269,7 @@ def test_read_committed_fails_on_a_missing_intent(disk):
     wal = MaintenanceWAL(disk)
     op_id = wal.begin("delete", tid=3)
     wal.commit(op_id)
-    intent = _record_pages(disk, wal)[0]
+    intent = _record_pages(disk)[0]
     intent.payload["kind"] = "garbage"
     with pytest.raises(WalCorruptionError):
         MaintenanceWAL.read_committed(disk)
@@ -305,7 +307,7 @@ def test_prune_leaves_segments_whose_tag_extends_the_pruned_one(disk):
 def test_seal_crc_guards_the_segment_directory(disk):
     wal = MaintenanceWAL(disk, segment_bytes=1)
     _run_op(wal)
-    seal = next(iter(disk.pages(wal.seal_tag)))
+    seal = next(iter(disk.pages(SEAL_TAG)))
     assert seal.payload["crc"] == record_crc(seal.payload)
     seal.payload["last_lsn"] = 999  # tamper: crc now mismatches
     # A bogus seal is ignored rather than trusted for skipping.
@@ -314,7 +316,7 @@ def test_seal_crc_guards_the_segment_directory(disk):
     # repair_tail rebuilds the damaged seal from the surviving records.
     wal2 = MaintenanceWAL(disk, segment_bytes=1)
     wal2.repair_tail()
-    seals = list(disk.pages(wal2.seal_tag))
+    seals = list(disk.pages(SEAL_TAG))
     assert len(seals) == 1
     assert seals[0].payload["crc"] == record_crc(seals[0].payload)
     assert seals[0].payload["last_lsn"] != 999

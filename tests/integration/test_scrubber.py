@@ -73,21 +73,6 @@ def test_one_pass_detects_every_seeded_fault():
     assert scrubber.run_pass() == []
 
 
-def test_detection_without_repair_only_reports():
-    system = make_system()
-    system.enable_epochs()
-    corrupt_signature_pages(system, n=3)
-    scrubber = Scrubber(system, repair=False)
-    findings = scrubber.run_pass()
-    assert sum(1 for f in findings if f.kind == "checksum") == 3
-    assert all(not f.repaired for f in findings)
-    assert scrubber.stats.cells_repaired == 0
-    # The damage is still there for the next pass.
-    assert sum(
-        1 for f in scrubber.run_pass() if f.kind == "checksum"
-    ) == 3
-
-
 def test_heal_under_a_concurrent_reader():
     """The rebuild publishes a fresh epoch: a reader querying throughout
     never sees a wrong answer, before, during or after the heal."""

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.core.breakers import BreakerBoard
 from repro.cube.relation import Relation, Schema
 from repro.data.workload import sample_linear_function, sample_predicate
 from repro.query.predicates import BooleanPredicate
@@ -25,7 +26,6 @@ from repro.route import (
     run_chain,
 )
 from repro.serve.executor import QueryExecutor
-from repro.serve.resilience import BreakerBoard
 from repro.storage.errors import TransientIOError
 from repro.system import build_system
 
