@@ -17,6 +17,14 @@ multi-predicate CoverType queries, against
 Asserted per query: the on-demand reader reads exactly the oracle's blocks,
 loads no more partials than the oracle, and its blocks plus partial loads
 stay under the plain AND's.
+
+A second series measures the union of Fig. 3b: a disjunction of two or
+three CoverType conjunctions, served by ``system.engine.skyline([d1, d2,
+...])`` (:class:`~repro.core.readers.AnyOfReader` over one on-demand
+intersection per disjunct), against the oracle
+:func:`~repro.core.ops.union_all` of the disjuncts' ``intersect_all``
+signatures.  Asserted per query: the same answers and the same blocks; the
+partial loads are printed.
 """
 
 import random
@@ -24,11 +32,20 @@ import random
 import pytest
 
 from benchmarks.conftest import covertype_predicates, print_table
-from repro.core.ops import intersect_all
+from repro.core.ops import intersect_all, union_all
 from repro.core.readers import AssembledReader, SignatureAdapter
 from repro.query.algorithm1 import SkylineStrategy, run_algorithm1
 from repro.query.stats import QueryStats
 from repro.storage.buffer import BufferPool
+
+
+def _full_intersection(store, predicate, pool, stats):
+    return intersect_all(
+        [
+            store.load_full_signature(cell, pool, stats)
+            for cell in predicate.atomic_cells()
+        ]
+    )
 
 
 def _skyline_with(system, make_reader):
@@ -60,12 +77,7 @@ def assembly_comparison(covertype_system):
             oracle_tids, oracle = _skyline_with(
                 system,
                 lambda pool, stats: SignatureAdapter(
-                    intersect_all(
-                        [
-                            store.load_full_signature(cell, pool, stats)
-                            for cell in cells
-                        ]
-                    )
+                    _full_intersection(store, predicate, pool, stats)
                 ),
             )
             plain_tids, plain = _skyline_with(
@@ -110,6 +122,64 @@ def test_ablation_on_demand_vs_oracle_vs_plain_and(assembly_comparison):
             "AND SSig",
             "oracle SSig",
             "on-demand SSig",
+        ],
+        table,
+    )
+
+
+@pytest.fixture(scope="module")
+def union_comparison(covertype_system):
+    system = covertype_system
+    store = system.pcube.store
+    rng = random.Random(29)
+    rows = []
+    for trial in range(6):
+        disjuncts = []
+        for _ in range(2 + trial % 2):
+            chain = covertype_predicates(system, rng)
+            disjuncts.append(chain[rng.randrange(1, len(chain))])
+        result = system.engine.skyline(disjuncts)
+        oracle_tids, oracle = _skyline_with(
+            system,
+            lambda pool, stats: SignatureAdapter(
+                union_all(
+                    [
+                        _full_intersection(store, disjunct, pool, stats)
+                        for disjunct in disjuncts
+                    ]
+                )
+            ),
+        )
+        assert result.tids == oracle_tids
+        rows.append((disjuncts, len(result.tids), result.stats, oracle))
+    return rows
+
+
+def test_ablation_dnf_union_vs_oracle(union_comparison):
+    table = []
+    for disjuncts, n_results, served, oracle in union_comparison:
+        table.append(
+            [
+                " OR ".join(str(len(disjunct)) for disjunct in disjuncts),
+                n_results,
+                oracle.sblock,
+                served.sblock,
+                oracle.ssig,
+                served.ssig,
+            ]
+        )
+        # The union on demand prunes exactly as the materialised union.
+        assert served.sblock == oracle.sblock
+    print_table(
+        "Ablation: DNF skylines, union_all oracle vs AnyOfReader on demand "
+        "(CoverType twin)",
+        [
+            "conjuncts per disjunct",
+            "results",
+            "oracle SBlock",
+            "served SBlock",
+            "oracle SSig",
+            "served SSig",
         ],
         table,
     )

@@ -2,14 +2,13 @@
 
 DESIGN.md design decision: counted signatures give O(path length) updates
 per affected cell; the paper's fallback recomputes a cell's signature from
-the tree.  This bench measures the gap, and the split policies' effect on
-update cost (R* forced re-insertion moves more tuples per insert).
+the tree.  This bench measures the gap.  It also checks that its inserts add
+no R-tree node (a split adds at least one): into STR-packed leaves of fanout
+64 every insert here is the paper's "insertion without node splits".
 """
 
 import random
 import time
-
-import pytest
 
 from benchmarks.conftest import SWEEP_FANOUT, fmt_seconds, print_table, sweep_config
 from repro.core.maintenance import insert_tuple
@@ -21,11 +20,10 @@ T = 10_000
 N_UPDATES = 50
 
 
-def timed_updates(split: str) -> tuple[float, float]:
+def timed_updates() -> tuple[float, float, int]:
     relation = generate_relation(sweep_config(T, seed=21))
-    system = build_system(
-        relation, fanout=SWEEP_FANOUT, with_indexes=False, split=split
-    )
+    system = build_system(relation, fanout=SWEEP_FANOUT, with_indexes=False)
+    nodes_before = system.rtree.node_count()
     rng = random.Random(4)
     started = time.perf_counter()
     for _ in range(N_UPDATES):
@@ -37,6 +35,7 @@ def timed_updates(split: str) -> tuple[float, float]:
             tuple(rng.random() for _ in range(3)),
         )
     incremental = (time.perf_counter() - started) / N_UPDATES
+    nodes_added = system.rtree.node_count() - nodes_before
 
     # Recompute path: patch one cell from scratch per insert instead.
     cuboid = Cuboid(("A1",))
@@ -46,33 +45,25 @@ def timed_updates(split: str) -> tuple[float, float]:
         cell = cuboid.cell_for(system.relation, tid)
         system.pcube.recompute_cell(cell)
     recompute = (time.perf_counter() - started) / 10
-    return incremental, recompute
+    return incremental, recompute, nodes_added
 
 
-@pytest.fixture(scope="module")
-def maintenance_timings():
-    return {
-        split: timed_updates(split)
-        for split in ("quadratic", "linear", "rstar")
-    }
-
-
-def test_ablation_maintenance_strategies(maintenance_timings):
-    rows = []
-    for split, (incremental, recompute) in maintenance_timings.items():
-        rows.append(
+def test_ablation_maintenance_strategies():
+    incremental, recompute, nodes_added = timed_updates()
+    print_table(
+        f"Ablation: incremental patching vs cell recomputation "
+        f"(T={T:,}, per operation)",
+        ["nodes added", "counted patch", "recompute cell", "gap"],
+        [
             [
-                split,
+                nodes_added,
                 fmt_seconds(incremental),
                 fmt_seconds(recompute),
                 f"{recompute / incremental:.1f}x",
             ]
-        )
-        # Counted patching beats per-cell recomputation decisively.
-        assert incremental < recompute
-    print_table(
-        f"Ablation: incremental patching vs cell recomputation "
-        f"(T={T:,}, per operation)",
-        ["split policy", "counted patch", "recompute cell", "gap"],
-        rows,
+        ],
     )
+    # No insert split a node, so the split policy never ran here.
+    assert nodes_added == 0
+    # Counted patching beats per-cell recomputation decisively.
+    assert incremental < recompute

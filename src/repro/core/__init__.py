@@ -4,8 +4,6 @@ This package is the paper's primary contribution (Section IV):
 
 * :mod:`repro.core.sid` — path ⇄ SID arithmetic;
 * :mod:`repro.core.signature` — the signature tree of one cube cell;
-* :mod:`repro.core.generation` — tuple-oriented signature generation by
-  recursive sorting (Fig. 2b);
 * :mod:`repro.core.ops` — signature union and (recursive) intersection for
   online assembly from atomic cuboids (Fig. 3);
 * :mod:`repro.core.partial` — compression + decomposition into page-sized

@@ -335,9 +335,9 @@ class PCube(ReaderFactory):
         Counts first: each cuboid is grouped once (:meth:`Cuboid.label`)
         and its cells go through :meth:`_derive`, in first-appearance
         order, so the pages are a function of the relation and the tree
-        alone.  The paper's recursive sort (Fig. 2b,
-        :mod:`repro.core.generation`) is the oracle tier-1 holds every
-        stored cell against, not a second pass here.
+        alone.  The paper's recursive sort (Fig. 2b, kept in the tests'
+        reference module) is the oracle tier-1 holds every stored cell
+        against, not a second pass here.
         """
         pcube = cls(relation, rtree, cuboids, codec, tag, maintainable)
         paths = PathColumns(rtree.all_paths(), pcube.fanout)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from repro.bitmap.bitarray import BitArray
-from repro.core.sid import child_sid, sid_of_path
-from repro.kernels.sigops import popcount_masks
 
 
 class Signature:
@@ -42,9 +40,9 @@ class Signature:
     ) -> "Signature":
         """Build a signature from the tuple paths of one cell.
 
-        Equivalent to the paper's recursive-sorting generation (Fig. 2b) —
-        see :func:`repro.core.generation.signature_by_recursive_sort` for the
-        literal transcription; both produce identical trees (tested).
+        Equivalent to the paper's recursive-sorting generation (Fig. 2b),
+        whose literal transcription the tests keep as their oracle; both
+        produce identical trees.
         """
         signature = cls(fanout)
         for path in paths:
@@ -106,44 +104,6 @@ class Signature:
                 return False
             sid = sid * base + component
         return True
-
-    def tuple_paths(self) -> Iterator[tuple[int, ...]]:
-        """Enumerate the maximal paths encoded by this signature.
-
-        For a signature generated from data, these are exactly the paths of
-        the cell's tuples.
-        """
-        yield from self._walk((), 0)
-
-    def _walk(
-        self, prefix: tuple[int, ...], sid: int
-    ) -> Iterator[tuple[int, ...]]:
-        bits = self._nodes.get(sid)
-        if bits is None:
-            if prefix:
-                yield prefix
-            return
-        for position in bits.positions():
-            component = position + 1
-            yield from self._walk(
-                prefix + (component,), child_sid(sid, component, self.fanout)
-            )
-
-    def set_bit_count(self) -> int:
-        """Total set bits across all nodes (a size diagnostic)."""
-        return popcount_masks(
-            (bits.mask for bits in self._nodes.values()), self.fanout
-        )
-
-    def contains_subtree(self, path: Sequence[int]) -> bool:
-        """Whether the cell has any data under the node at ``path``.
-
-        The root (empty path) asks whether the cell is non-empty.
-        """
-        if not path:
-            return bool(self._nodes)
-        parent = sid_of_path(path[:-1], self.fanout)
-        return self.check_bit(parent, path[-1])
 
     # ------------------------------------------------------------------ #
     # mutation support used by maintenance and ops

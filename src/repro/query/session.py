@@ -212,11 +212,9 @@ class QuerySession:
         return PoolView(self.pool)
 
     def finish_pool(self, pool: BufferPool | PoolView, stats: QueryStats) -> None:
-        """Record this query's buffer delta and drop any leftover pins."""
+        """Record this query's buffer delta."""
         stats.pool_hits = pool.hits
         stats.pool_misses = pool.misses
-        if isinstance(pool, PoolView):
-            pool.release()
 
     # ------------------------------------------------------------------ #
     # the query kinds: what each hands the runner

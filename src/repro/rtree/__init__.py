@@ -9,9 +9,9 @@ R-tree [15] (any hierarchical partition works; the signature only needs
   leave free slots, insertions reuse the first free slot, exactly as the
   paper's maintenance section assumes), so tuple *paths* only change on node
   splits / re-insertions;
-* :mod:`repro.rtree.rtree` — Guttman insertion with quadratic or linear
-  splits, R*-style forced re-insertion, deletion with tree condensation,
-  and precise *path-change tracking* feeding incremental signature
+* :mod:`repro.rtree.rtree` — Guttman insertion with the quadratic split,
+  deletion with tree condensation (which re-inserts orphaned entries), and
+  precise *path-change tracking* feeding incremental signature
   maintenance;
 * :mod:`repro.rtree.bulk` — Sort-Tile-Recursive bulk loading for fast
   construction at benchmark scale.

@@ -81,7 +81,6 @@ def bulk_load_columns(
     fill_factor: float = 0.9,
     disk=None,
     tag: str = "rtree",
-    **tree_kwargs,
 ) -> RTree:
     """Build an :class:`RTree` with STR packing over ``coords[i]`` as the
     point of ``tids[i]``.
@@ -91,15 +90,13 @@ def bulk_load_columns(
         coords: ``(len(tids), dims)`` finite float64 coordinates.
         max_entries: Node capacity ``M``.
         fill_factor: Target fraction of ``M`` used per packed node.
-        disk, tag, **tree_kwargs: Forwarded to :class:`RTree`.
+        disk, tag: Forwarded to :class:`RTree`.
 
     Returns:
         A fully wired tree (pages allocated, tuple paths computed).
     """
     dims = coords.shape[1]
-    tree = RTree(
-        dims=dims, max_entries=max_entries, disk=disk, tag=tag, **tree_kwargs
-    )
+    tree = RTree(dims=dims, max_entries=max_entries, disk=disk, tag=tag)
     if len(tids) == 0:
         return tree
     distinct, counts = np.unique(tids, return_counts=True)

@@ -75,10 +75,6 @@ class Rect:
     # ------------------------------------------------------------------ #
 
     @property
-    def dims(self) -> int:
-        return len(self.lows)
-
-    @property
     def lower(self) -> Point:
         """The minimal corner — the best possible point inside this rect."""
         return self.lows
@@ -88,13 +84,6 @@ class Rect:
         for lo, hi in zip(self.lows, self.highs):
             result *= hi - lo
         return result
-
-    def margin(self) -> float:
-        """Sum of side lengths (the R* split criterion)."""
-        return sum(hi - lo for lo, hi in zip(self.lows, self.highs))
-
-    def center(self) -> Point:
-        return tuple((lo + hi) / 2.0 for lo, hi in zip(self.lows, self.highs))
 
     # ------------------------------------------------------------------ #
     # relations
@@ -109,34 +98,6 @@ class Rect:
     def enlargement(self, other: "Rect") -> float:
         """Area growth needed to absorb ``other`` (Guttman's ChooseLeaf)."""
         return self.union(other).area() - self.area()
-
-    def intersects(self, other: "Rect") -> bool:
-        return all(
-            lo <= other_hi and other_lo <= hi
-            for lo, hi, other_lo, other_hi in zip(
-                self.lows, self.highs, other.lows, other.highs
-            )
-        )
-
-    def overlap_area(self, other: "Rect") -> float:
-        result = 1.0
-        for lo, hi, olo, ohi in zip(self.lows, self.highs, other.lows, other.highs):
-            side = min(hi, ohi) - max(lo, olo)
-            if side <= 0:
-                return 0.0
-            result *= side
-        return result
-
-    def contains_point(self, point: Sequence[float]) -> bool:
-        return all(
-            lo <= v <= hi for lo, hi, v in zip(self.lows, self.highs, point)
-        )
-
-    def contains_rect(self, other: "Rect") -> bool:
-        return all(
-            lo <= olo and ohi <= hi
-            for lo, hi, olo, ohi in zip(self.lows, self.highs, other.lows, other.highs)
-        )
 
     # ------------------------------------------------------------------ #
     # dunder plumbing

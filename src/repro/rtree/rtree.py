@@ -1,9 +1,9 @@
 """A dynamic R-tree with path-change tracking.
 
-Implements Guttman's insertion algorithm [15] with quadratic or linear node
-splitting, the R*-tree's forced re-insertion [16] as an option, and deletion
-with tree condensation.  Beyond the textbook structure, this tree does two
-things the P-Cube life cycle needs:
+Implements Guttman's insertion algorithm [15] with his quadratic node split,
+and deletion with tree condensation, whose re-insertion of orphaned entries
+is the tree's one re-insertion.  Beyond the textbook structure, this tree
+does two things the P-Cube life cycle needs:
 
 * every node lives on a page of a :class:`~repro.storage.disk.SimulatedDisk`
   so query algorithms can count block reads;
@@ -64,11 +64,8 @@ class RTree:
         dims: Dimensionality of the indexed points.
         max_entries: Node capacity ``M``.
         min_entries: Underflow threshold ``m`` (default ``max(2, 2M/5)``).
-        split: ``"quadratic"`` (default), ``"linear"`` or ``"rstar"``.
         disk: Page store; a private one is created when omitted.
         tag: Page tag prefix for space accounting.
-        forced_reinsert: R*-style re-insertion on first overflow per level
-            (implied by ``split="rstar"``).
     """
 
     def __init__(
@@ -76,17 +73,13 @@ class RTree:
         dims: int,
         max_entries: int = 50,
         min_entries: int | None = None,
-        split: str = "quadratic",
         disk: SimulatedDisk | None = None,
         tag: str = "rtree",
-        forced_reinsert: bool | None = None,
     ) -> None:
         if dims < 1:
             raise ValueError("dims must be at least 1")
         if max_entries < 2:
             raise ValueError("max_entries must be at least 2")
-        if split not in ("quadratic", "linear", "rstar"):
-            raise ValueError(f"unknown split policy {split!r}")
         self.dims = dims
         self.max_entries = max_entries
         self.min_entries = (
@@ -97,10 +90,6 @@ class RTree:
                 f"min_entries must lie in [1, {max_entries // 2}], "
                 f"got {self.min_entries}"
             )
-        self.split_policy = split
-        self.forced_reinsert = (
-            split == "rstar" if forced_reinsert is None else forced_reinsert
-        )
         self.disk = disk if disk is not None else SimulatedDisk()
         self.tag = tag
         self._next_node_id = 0
@@ -124,7 +113,6 @@ class RTree:
         self.root = self._new_node(level=0)
         # Per-insert scratch state.
         self._dirty_tids: set[int] = set()
-        self._reinserted_levels: set[int] = set()
 
     # ------------------------------------------------------------------ #
     # node bookkeeping
@@ -228,24 +216,6 @@ class RTree:
     def node_count(self) -> int:
         return sum(1 for _ in self.nodes())
 
-    def range_search(self, rect: Rect) -> list[int]:
-        """Tids of points inside ``rect`` (inclusive)."""
-        result: list[int] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            for _, entry in node.live_entries():
-                if not rect.intersects(entry.mbr):
-                    continue
-                if node.is_leaf:
-                    assert entry.tid is not None
-                    if rect.contains_point(self._points[entry.tid]):
-                        result.append(entry.tid)
-                else:
-                    assert entry.child is not None
-                    stack.append(entry.child)
-        return result
-
     # ------------------------------------------------------------------ #
     # insertion
     # ------------------------------------------------------------------ #
@@ -254,9 +224,9 @@ class RTree:
         """Insert a tuple; return every path change the insert caused.
 
         The first element always describes the new tuple; further elements
-        appear only when node splits or forced re-insertions moved existing
-        tuples (the situation Section IV-B.3 of the paper handles by
-        collecting old and new paths).
+        appear only when node splits moved existing tuples (the situation
+        Section IV-B.3 of the paper handles by collecting old and new
+        paths).
         """
         if tid in self._points:
             raise KeyError(f"tid {tid} is already indexed")
@@ -265,7 +235,6 @@ class RTree:
         point = tuple(float(v) for v in point)
         self._points[tid] = point
         self._dirty_tids = set()
-        self._reinserted_levels = set()
 
         entry = Entry(Rect.from_point(point), tid=tid)
         self._insert_entry(entry, target_level=0)
@@ -275,7 +244,7 @@ class RTree:
     def _insert_entry(self, entry: Entry, target_level: int) -> None:
         node = self._choose_node(entry.mbr, target_level)
         if node.is_full():
-            self._handle_overflow(node, entry)
+            self._split(node, entry)
         else:
             node.add_entry(entry)
             if entry.tid is not None:
@@ -297,45 +266,11 @@ class RTree:
             node = best[2]
         return node
 
-    def _handle_overflow(self, node: RTreeNode, entry: Entry) -> None:
-        if (
-            self.forced_reinsert
-            and node.parent is not None
-            and node.level not in self._reinserted_levels
-        ):
-            self._reinserted_levels.add(node.level)
-            self._forced_reinsert(node, entry)
-        else:
-            self._split(node, entry)
-
-    def _forced_reinsert(self, node: RTreeNode, entry: Entry) -> None:
-        """R*-tree overflow treatment: evict and re-insert the outliers."""
-        self._mark_dirty_subtree(node)
-        entries = [e for _, e in node.live_entries()] + [entry]
-        center = Rect.union_all([e.mbr for e in entries]).center()
-        entries.sort(
-            key=lambda e: -sum(
-                (c - p) ** 2 for c, p in zip(e.mbr.center(), center)
-            )
-        )
-        p = max(1, round(0.3 * len(entries)))
-        evicted, kept = entries[:p], entries[p:]
-        node.entries = []
-        for kept_entry in kept:
-            node.add_entry(kept_entry)
-            if kept_entry.tid is not None:
-                self._tid_leaf[kept_entry.tid] = node
-        self._sync_page(node)
-        self._adjust_upward(node)
-        for evicted_entry in evicted:
-            self._mark_dirty_entry(evicted_entry)
-            self._insert_entry(evicted_entry, target_level=node.level)
-
     def _split(self, node: RTreeNode, entry: Entry) -> None:
         """Split ``node`` to absorb ``entry``; cascade upward as needed."""
         self._mark_dirty_subtree(node)
         all_entries = [e for _, e in node.live_entries()] + [entry]
-        group_a, group_b = self._partition(all_entries)
+        group_a, group_b = self._partition_quadratic(all_entries)
         sibling = self._new_node(node.level)
         node.entries = []
         for moved in group_a:
@@ -362,7 +297,7 @@ class RTree:
         parent.entries[slot] = Entry(node.mbr(), child=node)
         sibling_entry = Entry(sibling.mbr(), child=sibling)
         if parent.is_full():
-            self._handle_overflow(parent, sibling_entry)
+            self._split(parent, sibling_entry)
         else:
             parent.add_entry(sibling_entry)
             self._sync_page(parent)
@@ -384,15 +319,8 @@ class RTree:
             child = parent
 
     # ------------------------------------------------------------------ #
-    # split partitioning policies
+    # split partitioning
     # ------------------------------------------------------------------ #
-
-    def _partition(self, entries: list[Entry]) -> tuple[list[Entry], list[Entry]]:
-        if self.split_policy == "linear":
-            return self._partition_linear(entries)
-        if self.split_policy == "rstar":
-            return self._partition_rstar(entries)
-        return self._partition_quadratic(entries)
 
     def _partition_quadratic(
         self, entries: list[Entry]
@@ -444,76 +372,6 @@ class RTree:
                 mbr_b = mbr_b.union(candidate.mbr)
         return group_a, group_b
 
-    def _partition_linear(
-        self, entries: list[Entry]
-    ) -> tuple[list[Entry], list[Entry]]:
-        """Guttman's linear split: seeds by greatest normalised separation."""
-        best_dim = 0
-        best_separation = -math.inf
-        best_pair = (0, 1)
-        for d in range(self.dims):
-            lows = [e.mbr.lows[d] for e in entries]
-            highs = [e.mbr.highs[d] for e in entries]
-            highest_low = max(range(len(entries)), key=lambda k: lows[k])
-            lowest_high = min(range(len(entries)), key=lambda k: highs[k])
-            if highest_low == lowest_high:
-                continue
-            width = max(highs) - min(lows)
-            separation = (
-                (lows[highest_low] - highs[lowest_high]) / width if width else 0.0
-            )
-            if separation > best_separation:
-                best_separation = separation
-                best_dim = d
-                best_pair = (lowest_high, highest_low)
-        del best_dim
-        i, j = best_pair
-        group_a = [entries[i]]
-        group_b = [entries[j]]
-        mbr_a = group_a[0].mbr
-        mbr_b = group_b[0].mbr
-        for k, candidate in enumerate(entries):
-            if k in (i, j):
-                continue
-            if len(group_a) + 1 >= len(entries) - self.min_entries + 1:
-                group_b.append(candidate)
-                mbr_b = mbr_b.union(candidate.mbr)
-                continue
-            if len(group_b) + 1 >= len(entries) - self.min_entries + 1:
-                group_a.append(candidate)
-                mbr_a = mbr_a.union(candidate.mbr)
-                continue
-            if mbr_a.enlargement(candidate.mbr) <= mbr_b.enlargement(candidate.mbr):
-                group_a.append(candidate)
-                mbr_a = mbr_a.union(candidate.mbr)
-            else:
-                group_b.append(candidate)
-                mbr_b = mbr_b.union(candidate.mbr)
-        return group_a, group_b
-
-    def _partition_rstar(
-        self, entries: list[Entry]
-    ) -> tuple[list[Entry], list[Entry]]:
-        """R* split: margin-minimal axis, overlap-minimal distribution."""
-        best: tuple[float, float, list[Entry], list[Entry]] | None = None
-        n = len(entries)
-        for d in range(self.dims):
-            for key_name in ("lows", "highs"):
-                ordered = sorted(
-                    entries, key=lambda e: getattr(e.mbr, key_name)[d]
-                )
-                for split_at in range(self.min_entries, n - self.min_entries + 1):
-                    left = ordered[:split_at]
-                    right = ordered[split_at:]
-                    mbr_l = Rect.union_all([e.mbr for e in left])
-                    mbr_r = Rect.union_all([e.mbr for e in right])
-                    overlap = mbr_l.overlap_area(mbr_r)
-                    area = mbr_l.area() + mbr_r.area()
-                    if best is None or (overlap, area) < (best[0], best[1]):
-                        best = (overlap, area, left, right)
-        assert best is not None
-        return best[2], best[3]
-
     # ------------------------------------------------------------------ #
     # deletion / update
     # ------------------------------------------------------------------ #
@@ -523,7 +381,6 @@ class RTree:
         if tid not in self._points:
             raise KeyError(f"tid {tid} is not indexed")
         self._dirty_tids = set()
-        self._reinserted_levels = set()
 
         leaf = self._tid_leaf.pop(tid)
         del self._points[tid]
@@ -591,13 +448,6 @@ class RTree:
     def _mark_dirty_subtree(self, node: RTreeNode) -> None:
         self._dirty_tids.update(subtree_tids(node))
 
-    def _mark_dirty_entry(self, entry: Entry) -> None:
-        if entry.tid is not None:
-            self._dirty_tids.add(entry.tid)
-        else:
-            assert entry.child is not None
-            self._dirty_tids.update(subtree_tids(entry.child))
-
     def _collect_changes(
         self,
         inserted: Iterable[int],
@@ -634,8 +484,8 @@ class RTree:
         Crash recovery's reconstruction path: an interrupted mutation can
         leave nodes mid-split, so the tree is not repaired in place — every
         page under the tree's tag is freed (orphans included) and the
-        points are re-inserted in ascending tid order.  The split policies
-        are deterministic, so the resulting shape — hence every tuple
+        points are re-inserted in ascending tid order.  The quadratic split
+        is deterministic, so the resulting shape — hence every tuple
         path — is a pure function of the point set, and a recovery that is
         itself interrupted converges when re-run.
         """
@@ -645,7 +495,6 @@ class RTree:
         self._tid_leaf = {}
         self._paths = {}
         self._dirty_tids = set()
-        self._reinserted_levels = set()
         self._next_node_id = 0
         self.generation += 1
         self._touched_nodes = set()

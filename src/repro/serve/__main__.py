@@ -22,7 +22,9 @@ the operator view of serving, fault, breaker, quarantine, scrubber and
 supervisor state.
 
 Exit status 0 on success, 1 on any mismatch; a JSON summary goes to
-stdout either way.  CI runs both as serving gates.
+stdout either way.  An out-of-range ``--threads`` or ``--queries`` (below 1)
+is refused by the parser before any work: exit 2, nothing on stdout.  CI
+runs both as serving gates.
 """
 
 from __future__ import annotations
@@ -202,6 +204,9 @@ def main(argv=None) -> int:
     parser.add_argument("--queries", type=int, default=12)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
+    for flag, value in (("--threads", args.threads), ("--queries", args.queries)):
+        if value < 1:
+            parser.error(f"{flag} must be >= 1")
     if args.health:
         return run_health(args.threads, args.queries, args.seed)
     if not args.smoke:

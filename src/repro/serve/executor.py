@@ -224,8 +224,8 @@ class QueryExecutor:
             already (maintenance keeps working concurrently through the
             system's WAL-protected methods).
         threads: Worker count.
-        queue_depth: Bounded admission-queue capacity; 0 disables the
-            bound (unbounded backlog, not recommended for serving).
+        queue_depth: Admission-queue capacity, at least 1: a submission
+            that finds the queue full is refused (:class:`AdmissionFull`).
         pool: The shared buffer pool; by default one warm
             :class:`BufferPool` of ``pool_capacity`` pages over the
             system's disk, shared by all workers.
@@ -251,6 +251,8 @@ class QueryExecutor:
     ) -> None:
         if threads < 1:
             raise ValueError("threads must be positive")
+        if queue_depth < 1:
+            raise ValueError("queue_depth must be positive")
         self.system = system
         self.epochs = system.enable_epochs()
         self.pool = (

@@ -20,10 +20,11 @@ Two deployment modes matter:
   its disk-access counts are a pure function of the query — exactly what
   Figures 9 and 15 assume; the figure sweeps in ``benchmarks/`` use it.
 * **shared** (the serving mode): one :class:`BufferPool` is shared by every
-  concurrent query.  The pool is thread-safe, supports page *pinning*
-  (pinned pages are never evicted), and per-query hit/miss deltas are
-  observed through a lightweight :class:`PoolView` so ``QueryStats`` never
-  aggregates another query's traffic.
+  concurrent query.  The pool is thread-safe, and per-query hit/miss deltas
+  are observed through a lightweight :class:`PoolView` so ``QueryStats``
+  never aggregates another query's traffic.  Nothing is pinned: the pool
+  hands out the payload object itself, so a query keeps what it read even
+  after the page is evicted.
 
 The pool registers itself with its disk, which calls :meth:`invalidate`
 whenever a page is freed or rewritten — a maintenance rewrite or
@@ -56,16 +57,14 @@ class BufferPool:
         capacity: Maximum number of resident pages.  ``capacity=0`` disables
             caching (every access is a disk read).
 
-    Concurrency notes: the cache map, the pin table and the hit/miss
+    Concurrency notes: the cache map, the access counts and the hit/miss
     tallies are guarded by one lock, which is *never held across a disk
     read* — two threads missing on the same page may both read it (both
     reads are counted, as a real device would), and the second insert wins
     harmlessly.  A miss whose page is invalidated while its read is in
     flight discards the (now stale) payload instead of caching it, so
     invalidation keeps its no-stale-payload guarantee even against
-    concurrent readers.  Pinned pages are exempt from eviction; when every
-    resident page is pinned the pool temporarily exceeds its capacity
-    rather than evicting a page a query still relies on.
+    concurrent readers.
     """
 
     def __init__(
@@ -78,7 +77,6 @@ class BufferPool:
         self.disk = disk
         self.capacity = capacity
         self._cache: OrderedDict[int, Any] = OrderedDict()
-        self._pins: dict[int, int] = {}
         # Misses with a disk read in flight (page_id → reader count) and a
         # per-page invalidation generation, bumped only while a read is in
         # flight: a reader whose generation moved read a pre-invalidation
@@ -105,7 +103,7 @@ class BufferPool:
         """Fetch a page payload through the cache.
 
         A hit costs nothing; a miss performs (and counts) one disk read and
-        may evict the least recently used unpinned page.
+        may evict the least recently used page.
         """
         payload, _ = self.get_traced(page_id, category, counters)
         return payload
@@ -154,18 +152,12 @@ class BufferPool:
             self._accesses = 0
             self._counts = {p: c >> 1 for p, c in self._counts.items() if c > 1}
 
-    def _lru_unpinned(self) -> int | None:
-        """The eviction victim: least recently used unpinned page, if any."""
-        return next((p for p in self._cache if p not in self._pins), None)
-
     def _admits_locked(self, page_id: int) -> bool:
         """Whether a missed page may enter the pool (ties admit: plain LRU)."""
-        if len(self._cache) < self.capacity or page_id in self._pins:
+        if len(self._cache) < self.capacity:
             return True
-        victim = self._lru_unpinned()
-        return victim is not None and (
-            self._counts.get(page_id, 0) >= self._counts.get(victim, 0)
-        )
+        victim = next(iter(self._cache))  # the least recently used page
+        return self._counts.get(page_id, 0) >= self._counts.get(victim, 0)
 
     def _read_done_locked(self, page_id: int) -> None:
         """Retire one in-flight miss (lock held)."""
@@ -177,42 +169,9 @@ class BufferPool:
             self._inval_gen.pop(page_id, None)
 
     def _evict_overflow(self) -> None:
-        """Evict LRU unpinned pages down to capacity (lock held)."""
+        """Evict LRU pages down to capacity (lock held)."""
         while len(self._cache) > self.capacity:
-            victim = self._lru_unpinned()
-            if victim is None:
-                break
-            del self._cache[victim]
-
-    # ------------------------------------------------------------------ #
-    # pinning
-    # ------------------------------------------------------------------ #
-
-    def pin(self, page_id: int) -> None:
-        """Exempt a page from eviction until every pin is released.
-
-        Pins are reference-counted, so concurrent queries can pin the same
-        hot page (the R-tree root) independently.  Pinning a page that is
-        not resident is allowed — the pin takes effect once it is cached.
-        """
-        with self._lock:
-            self._pins[page_id] = self._pins.get(page_id, 0) + 1
-
-    def unpin(self, page_id: int) -> None:
-        """Release one pin; raises if the page is not pinned."""
-        with self._lock:
-            count = self._pins.get(page_id, 0)
-            if count <= 0:
-                raise ValueError(f"page {page_id} is not pinned")
-            if count == 1:
-                del self._pins[page_id]
-            else:
-                self._pins[page_id] = count - 1
-            self._evict_overflow()
-
-    def pin_count(self, page_id: int) -> int:
-        with self._lock:
-            return self._pins.get(page_id, 0)
+            self._cache.popitem(last=False)
 
     # ------------------------------------------------------------------ #
     # invalidation
@@ -221,10 +180,7 @@ class BufferPool:
     def invalidate(self, page_id: int) -> None:
         """Drop a page from the cache (after a write or free).
 
-        Coherence beats pinning here: a pinned-but-rewritten page must not
-        be served stale, so invalidation removes it regardless (the pin
-        stays registered and keeps protecting the refreshed copy).  A miss
-        reading the page right now is poisoned via the invalidation
+        A miss reading the page right now is poisoned via the invalidation
         generation so its pre-invalidation payload is never cached.
         """
         with self._lock:
@@ -236,7 +192,7 @@ class BufferPool:
                 )
 
     def clear(self) -> None:
-        """Empty the cache and reset hit/miss statistics (pins survive)."""
+        """Empty the cache and reset hit/miss statistics."""
         with self._lock:
             self._cache.clear()
             self._counts.clear()
@@ -254,8 +210,7 @@ class PoolView:
 
     Forwards every access to the underlying pool but keeps *this query's*
     hit/miss tallies locally, so ``QueryStats`` can report a per-query
-    buffer delta without reading (racy) shared totals.  Pins taken through
-    the view are tracked and released in one call when the query ends.
+    buffer delta without reading (racy) shared totals.
     """
 
     def __init__(self, pool: BufferPool) -> None:
@@ -264,7 +219,6 @@ class PoolView:
         self.capacity = pool.capacity
         self.hits = 0
         self.misses = 0
-        self._pinned: list[int] = []
 
     def get(
         self,
@@ -278,22 +232,3 @@ class PoolView:
         else:
             self.misses += 1
         return payload
-
-    def pin(self, page_id: int) -> None:
-        self.pool.pin(page_id)
-        self._pinned.append(page_id)
-
-    def unpin(self, page_id: int) -> None:
-        self.pool.unpin(page_id)
-        self._pinned.remove(page_id)
-
-    def release(self) -> None:
-        """Drop every pin this view still holds (end-of-query cleanup)."""
-        while self._pinned:
-            self.pool.unpin(self._pinned.pop())
-
-    def invalidate(self, page_id: int) -> None:
-        self.pool.invalidate(page_id)
-
-    def __len__(self) -> int:
-        return len(self.pool)

@@ -335,7 +335,6 @@ def build_system(
     relation: Relation,
     fanout: int | None = None,
     rtree_method: str = "bulk",
-    split: str = "quadratic",
     codec: str = "adaptive",
     maintainable: bool = True,
     with_indexes: bool = True,
@@ -358,7 +357,6 @@ def build_system(
         rtree_method: ``"bulk"`` (STR packing, fast) or ``"insert"``
             (tuple-at-a-time Guttman build — the construction cost Figure 5
             actually measures).
-        split: R-tree split policy for dynamic inserts.
         codec: Bitmap codec for stored signatures.
         maintainable: Keep counted signatures for incremental updates.
         with_indexes: Also build the per-dimension B+-trees the baselines
@@ -379,12 +377,10 @@ def build_system(
         columns = relation.columnar()
         tids = np.flatnonzero(columns.live)
         rtree = bulk_load_columns(
-            tids, columns.pref[tids], max_entries=fanout, disk=disk, split=split
+            tids, columns.pref[tids], max_entries=fanout, disk=disk
         )
     elif rtree_method == "insert":
-        rtree = RTree(
-            dims=dims, max_entries=fanout, split=split, disk=disk
-        )
+        rtree = RTree(dims=dims, max_entries=fanout, disk=disk)
         for tid, point in relation.pref_points():
             rtree.insert(tid, point)
     else:

@@ -44,6 +44,17 @@ def test_result_matches_serial_engine(system):
     assert result.stats.queue_wait_seconds >= 0.0
 
 
+@pytest.mark.parametrize("depth", [0, -2])
+def test_a_queue_depth_below_one_is_refused(system, depth):
+    """``queue.Queue(maxsize<=0)`` is unbounded: a depth below one would
+    silently serve without admission control, so it is refused up front,
+    before any worker starts."""
+    workers = threading.active_count()
+    with pytest.raises(ValueError, match="queue_depth"):
+        QueryExecutor(system, threads=1, queue_depth=depth)
+    assert threading.active_count() == workers
+
+
 def test_bounded_admission_rejects_when_full(system):
     started, gate = threading.Event(), threading.Event()
     with QueryExecutor(system, threads=1, queue_depth=1) as executor:

@@ -12,6 +12,7 @@ from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.query.predicates import BooleanPredicate
 from repro.query.session import QuerySession
 from repro.rtree.bulk import bulk_load
+from tests.reference import tuple_paths
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +167,7 @@ def test_audit_holds_assembled_equal_to_generated_for_every_pair(rich_system):
             if atoms[1].node(sid) is not None:
                 plain.set_node(sid, atoms[0].node(sid) & atoms[1].node(sid))
         lazy = AssembledReader([SignatureAdapter(atom) for atom in atoms], 0)
-        assert all(lazy.check_path(path) for path in generated.tuple_paths())
+        assert all(lazy.check_path(path) for path in tuple_paths(generated))
         if plain != generated:
             assert lattice_problems(cell, plain, atoms, leaf_depth)
             caught += 1

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.counted import CountedSignature
-from repro.core.generation import signature_by_recursive_sort
 from repro.core.pcube import PCube
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cell, Cuboid, atomic_cuboids
@@ -20,7 +19,11 @@ from repro.rtree.bulk import bulk_load
 from repro.rtree.rtree import RTree
 from repro.storage.disk import SimulatedDisk
 from tests.core.test_store import from_scratch_bytes, stored_bytes
-from tests.reference import generate_cuboid_signatures
+from tests.reference import (
+    generate_cuboid_signatures,
+    signature_by_recursive_sort,
+    tuple_paths,
+)
 
 
 def test_recursive_sort_empty():
@@ -42,7 +45,7 @@ def test_recursive_sort_shared_prefixes():
     paths = [(1, 1, 1), (1, 1, 2), (1, 2, 1)]
     signature = signature_by_recursive_sort(paths, 2)
     assert signature == Signature.from_paths(paths, 2)
-    assert set(signature.tuple_paths()) == set(paths)
+    assert set(tuple_paths(signature)) == set(paths)
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,7 +96,7 @@ def test_generate_cuboid_signatures_covers_all_cells(relation_and_paths):
         member_paths = {
             paths[tid] for tid in relation.tids() if cell.matches(relation, tid)
         }
-        assert set(signature.tuple_paths()) == member_paths
+        assert set(tuple_paths(signature)) == member_paths
 
 
 def test_generate_two_dim_cuboid(relation_and_paths):
@@ -101,7 +104,7 @@ def test_generate_two_dim_cuboid(relation_and_paths):
     cuboid = Cuboid(("A", "B"))
     signatures = generate_cuboid_signatures(relation, cuboid, paths, fanout=4)
     total = sum(
-        len(list(signature.tuple_paths())) for signature in signatures.values()
+        len(list(tuple_paths(signature))) for signature in signatures.values()
     )
     # Tuples with identical paths within a cell collapse; with random
     # 3-component paths over [1,4]³ = 64 slots and ≤ 60 tuples, collisions

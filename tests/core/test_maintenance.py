@@ -259,22 +259,6 @@ def test_mixed_workload_stress(fresh_system):
     verify_all_signatures(system, alive)
 
 
-def test_maintenance_with_rstar_reinsertion(fresh_system):
-    system = fresh_system(
-        n_tuples=200, seed=13, rtree_method="insert", split="rstar"
-    )
-    rng = random.Random(2)
-    for _ in range(60):
-        insert_tuple(
-            system.relation,
-            system.rtree,
-            system.pcube,
-            (rng.randrange(5), rng.randrange(5)),
-            (rng.random(), rng.random()),
-        )
-    verify_all_signatures(system)
-
-
 def test_queries_stay_correct_after_maintenance(fresh_system, rng):
     from repro.baselines.naive import naive_skyline
     from repro.data.workload import sample_predicate

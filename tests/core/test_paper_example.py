@@ -9,14 +9,13 @@ m = 1, M = 2), Figure 2 (the (A=a1)-signature and its SIDs), Figure 3
 import pytest
 
 from repro.bitmap.bitarray import BitArray
-from repro.core.generation import signature_by_recursive_sort
 from repro.core.ops import intersect, union
 from repro.core.partial import decompose
 from repro.core.sid import sid_of_path
 from repro.core.signature import Signature
 
 from tests.conftest import PAPER_PATHS
-from tests.reference import reassemble
+from tests.reference import reassemble, signature_by_recursive_sort, tuple_paths
 
 M = 2  # the example's fanout
 
@@ -79,7 +78,7 @@ def test_signature_paths_recover_tuples(paper_relation):
     signature = signature_by_recursive_sort(
         cell_paths(paper_relation, "A", "a1"), M
     )
-    assert sorted(signature.tuple_paths()) == sorted(
+    assert sorted(tuple_paths(signature)) == sorted(
         [PAPER_PATHS[0], PAPER_PATHS[2]]
     )
 

@@ -6,6 +6,7 @@ from repro.core.pcube import PCube
 from repro.core.readers import EmptyReader, SignatureAdapter
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cell, Cuboid
+from tests.reference import tuple_paths
 
 
 @pytest.fixture
@@ -44,7 +45,7 @@ def test_reader_for_single_cell(system):
     cell = Cell(("A1",), (1,))
     reader = system.pcube.reader_for_cells([cell])
     signature = expected_signature(system, cell)
-    for path in signature.tuple_paths():
+    for path in tuple_paths(signature):
         assert reader.check_path(path)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.bitmap.bitarray import BitArray
 from repro.core.signature import Signature
 from repro.core.sid import sid_of_path
+from tests.reference import contains_subtree, set_bit_count, tuple_paths
 
 
 def test_empty_signature():
@@ -14,7 +15,7 @@ def test_empty_signature():
     assert not signature
     assert signature.n_nodes() == 0
     assert not signature.check_path((1,))
-    assert list(signature.tuple_paths()) == []
+    assert list(tuple_paths(signature)) == []
 
 
 def test_add_path_sets_all_prefix_bits():
@@ -58,16 +59,16 @@ def test_from_paths_equals_incremental():
 def test_tuple_paths_roundtrip():
     paths = {(1, 2, 1), (1, 2, 3), (2, 1, 1), (3, 3, 3)}
     signature = Signature.from_paths(paths, 3)
-    assert set(signature.tuple_paths()) == paths
+    assert set(tuple_paths(signature)) == paths
 
 
 def test_contains_subtree():
     signature = Signature.from_paths([(2, 1)], 4)
-    assert signature.contains_subtree(())
-    assert signature.contains_subtree((2,))
-    assert signature.contains_subtree((2, 1))
-    assert not signature.contains_subtree((1,))
-    assert not Signature(4).contains_subtree(())
+    assert contains_subtree(signature, ())
+    assert contains_subtree(signature, (2,))
+    assert contains_subtree(signature, (2, 1))
+    assert not contains_subtree(signature, (1,))
+    assert not contains_subtree(Signature(4), ())
 
 
 def test_set_node_and_drop_node():
@@ -102,7 +103,7 @@ def test_signatures_unhashable():
 def test_set_bit_count():
     signature = Signature.from_paths([(1, 1), (1, 2)], 4)
     # root: bit 1; node ⟨1⟩: bits 1 and 2 -> 3 total
-    assert signature.set_bit_count() == 3
+    assert set_bit_count(signature) == 3
 
 
 def test_fanout_minimum():

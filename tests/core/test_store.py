@@ -23,7 +23,7 @@ from repro.storage.faults import (
     FaultyDisk,
     SimulatedCrash,
 )
-from tests.reference import ancestor_sids
+from tests.reference import ancestor_sids, tuple_paths
 
 FANOUT = 4
 CELL = Cell(("A",), ("a1",))
@@ -104,7 +104,7 @@ def test_reader_lazy_loading_on_demand(store):
     reader = store.reader(CELL, stats=stats)
     loads_before = stats.sig_loads
     # Probe a deep entry that is not in the first partial.
-    for path in signature.tuple_paths():
+    for path in tuple_paths(signature):
         reader.check_path(path)
     assert stats.sig_loads > loads_before
     assert stats.sig_loads <= store.n_partials(CELL)
@@ -230,7 +230,7 @@ def test_reader_empty_path_means_nonempty_cell(store):
 def test_reader_load_seconds_accumulates(store):
     store.put_signature(CELL, wide_signature())
     reader = store.reader(CELL)
-    for path in wide_signature().tuple_paths():
+    for path in tuple_paths(wide_signature()):
         reader.check_path(path)
     assert reader.stats.sig_load_seconds >= 0.0
     assert reader.stats.sig_loads >= 1

@@ -1,6 +1,6 @@
-"""The audit and backup CLIs' exit contracts, through their ``main``.
+"""The audit, backup and serve CLIs' exit contracts, through their ``main``.
 
-Both promise ``2`` for "could not complete" — an out-of-range argument is
+All three promise ``2`` for "could not complete" — an out-of-range argument is
 refused by the parser before any work, never a traceback or a vacuous
 success — and ``python -m repro.backup restore`` reports a failed restore
 as ``failed`` with its error in either output mode, exiting ``1``.
@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro import audit, backup
+from repro.serve import __main__ as serve
 
 SMALL = ["--tuples", "40", "--ops", "4"]
 
@@ -40,6 +41,10 @@ def test_a_failed_restore_prints_the_error_and_exits_1(capsys, as_json):
         (backup.main, ["create", "--fanout", "1"]),
         (backup.main, ["create", "--ops", "-2"]),
         (backup.main, ["create", "--segment-bytes", "0"]),
+        (serve.main, ["--smoke", "--threads", "0"]),
+        (serve.main, ["--health", "--threads", "0"]),
+        (serve.main, ["--smoke", "--queries", "0"]),
+        (serve.main, ["--smoke", "--queries", "-1"]),
     ],
     ids=[
         "audit-tuples",
@@ -49,6 +54,10 @@ def test_a_failed_restore_prints_the_error_and_exits_1(capsys, as_json):
         "backup-fanout",
         "backup-ops",
         "backup-segment-bytes",
+        "serve-smoke-threads",
+        "serve-health-threads",
+        "serve-smoke-queries",
+        "serve-smoke-negative-queries",
     ],
 )
 def test_out_of_range_arguments_exit_2_before_any_work(capsys, main, argv):

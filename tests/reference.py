@@ -7,19 +7,21 @@ scalar oracle of the batch kernels.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.baselines.skyline_algs import Points, sfs_skyline
+from repro.bitmap.bitarray import BitArray
 from repro.bitmap.compression import CODECS, CodecError
-from repro.core.generation import signature_by_recursive_sort
 from repro.core.partial import PartialSignature
+from repro.core.sid import child_sid, sid_of_path
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cell, Cuboid
 from repro.cube.relation import Relation
 from repro.kernels.dominate import DominationBuffer
 from repro.query.hull import _EPSILON as HULL_EPSILON
 from repro.query.predicates import BooleanPredicate
-from repro.rtree.geometry import dominates
+from repro.rtree.geometry import Rect, dominates
+from repro.rtree.rtree import RTree
 
 
 # --------------------------------------------------------------------------- #
@@ -188,6 +190,118 @@ def matches_dnf(
 ) -> bool:
     """Ground-truth DNF evaluation (any disjunct matches)."""
     return any(disjunct.matches(relation, tid) for disjunct in disjuncts)
+
+
+def signature_by_recursive_sort(
+    paths: Iterable[Sequence[int]], fanout: int
+) -> Signature:
+    """Tuple-oriented signature generation (paper Section IV-B.1, Fig. 2b).
+
+    (1) sort the tuples by ``p0``; (2) set each distinct ``p0`` in the root
+    bit array; (3) recurse on each sub-list sharing ``p0``, now keyed by
+    ``p1``; and so on until the paths are exhausted.  The build counts
+    paths instead (:meth:`repro.core.pcube.PCube.build`), and
+    ``tests/core/test_generation.py::test_build_matches_the_oracle`` holds
+    every stored cell — bits, pages and counts — against this sort.
+    """
+    signature = Signature(fanout)
+    materialised = [tuple(path) for path in paths]
+
+    def recurse(sub_list: list[tuple[int, ...]], depth: int, sid: int) -> None:
+        sub_list = [p for p in sub_list if len(p) > depth]
+        if not sub_list:
+            return
+        sub_list.sort(key=lambda p: p[depth])
+        bits = BitArray(fanout)
+        start = 0
+        while start < len(sub_list):
+            component = sub_list[start][depth]
+            if not 1 <= component <= fanout:
+                raise ValueError(
+                    f"path component {component} outside [1, {fanout}]"
+                )
+            bits.set(component - 1)
+            end = start
+            while end < len(sub_list) and sub_list[end][depth] == component:
+                end += 1
+            recurse(
+                sub_list[start:end],
+                depth + 1,
+                child_sid(sid, component, fanout),
+            )
+            start = end
+        existing = signature.node(sid)
+        signature.set_node(sid, bits if existing is None else existing | bits)
+
+    recurse(materialised, 0, 0)
+    return signature
+
+
+def tuple_paths(signature: Signature) -> Iterator[tuple[int, ...]]:
+    """The maximal paths a signature encodes: for one generated from data,
+    exactly the paths of the cell's tuples."""
+
+    def walk(prefix: tuple[int, ...], sid: int) -> Iterator[tuple[int, ...]]:
+        bits = signature.node(sid)
+        if bits is None:
+            if prefix:
+                yield prefix
+            return
+        for position in bits.positions():
+            component = position + 1
+            yield from walk(
+                prefix + (component,),
+                child_sid(sid, component, signature.fanout),
+            )
+
+    return walk((), 0)
+
+
+def contains_subtree(signature: Signature, path: Sequence[int]) -> bool:
+    """Whether the cell has any data under the node at ``path`` (the empty
+    path asks whether the cell is non-empty)."""
+    if not path:
+        return bool(signature)
+    parent = sid_of_path(path[:-1], signature.fanout)
+    return signature.check_bit(parent, path[-1])
+
+
+def set_bit_count(signature: Signature) -> int:
+    """Total set bits across all nodes (a size diagnostic)."""
+    return sum(
+        signature.node(sid).count() for sid in signature.node_sids()
+    )
+
+
+# --------------------------------------------------------------------------- #
+# R-tree range search: a second traversal that trusts every node's MBR
+# --------------------------------------------------------------------------- #
+
+
+def _boxes_meet(a: Rect, b: Rect) -> bool:
+    """Whether two closed boxes share a point (touching counts)."""
+    return all(
+        a_lo <= b_hi and b_lo <= a_hi
+        for a_lo, a_hi, b_lo, b_hi in zip(a.lows, a.highs, b.lows, b.highs)
+    )
+
+
+def range_search(tree: RTree, rect: Rect) -> list[int]:
+    """Tids of the points inside ``rect`` (boundary included), found by
+    descending only into entries whose MBR meets ``rect`` — so a parent MBR
+    that fails to cover a child's points loses answers."""
+    found: list[int] = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        for _, entry in node.live_entries():
+            if not _boxes_meet(rect, entry.mbr):
+                continue
+            if node.is_leaf:
+                found.append(entry.tid)
+            else:
+                stack.append(entry.child)
+    return found
 
 
 def generate_cuboid_signatures(

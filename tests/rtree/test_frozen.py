@@ -95,17 +95,15 @@ def count_built(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("split", ["quadratic", "linear", "rstar"])
 def test_incremental_freeze_equals_from_scratch_and_shares_the_rest(
-    split, count_built
+    count_built,
 ):
     """Inserts, deletes and updates on a fanout-4 tree: node splits, root
-    growth and shrinkage, condense-tree re-insertions, R* forced
-    re-insertion.  Frozen leaves share the live tree's entries, so a
+    growth and shrinkage, condense-tree re-insertions.  Frozen leaves share the live tree's entries, so a
     snapshot pinned early must still read every leaf slot as it was."""
     rng = random.Random(3)
     disk = WriteLoggingDisk()
-    tree = RTree(dims=2, max_entries=4, split=split, disk=disk)
+    tree = RTree(dims=2, max_entries=4, disk=disk)
     previous = freeze(tree)
     live: list[int] = []
     next_tid = 0

@@ -39,11 +39,9 @@ def test_union_all_empty_rejected():
         Rect.union_all([])
 
 
-def test_area_margin_center():
+def test_area():
     rect = Rect((0, 0), (2, 3))
     assert rect.area() == 6.0
-    assert rect.margin() == 5.0
-    assert rect.center() == (1.0, 1.5)
 
 
 def test_enlargement():
@@ -52,32 +50,6 @@ def test_enlargement():
     outside = Rect((2, 2), (3, 3))
     assert a.enlargement(inside) == 0.0
     assert a.enlargement(outside) == pytest.approx(9.0 - 1.0)
-
-
-def test_intersects_and_overlap():
-    a = Rect((0, 0), (2, 2))
-    b = Rect((1, 1), (3, 3))
-    c = Rect((5, 5), (6, 6))
-    assert a.intersects(b)
-    assert not a.intersects(c)
-    assert a.overlap_area(b) == 1.0
-    assert a.overlap_area(c) == 0.0
-
-
-def test_touching_rects_intersect_with_zero_overlap():
-    a = Rect((0, 0), (1, 1))
-    b = Rect((1, 0), (2, 1))
-    assert a.intersects(b)
-    assert a.overlap_area(b) == 0.0
-
-
-def test_containment():
-    outer = Rect((0, 0), (4, 4))
-    inner = Rect((1, 1), (2, 2))
-    assert outer.contains_rect(inner)
-    assert not inner.contains_rect(outer)
-    assert outer.contains_point((0, 4))
-    assert not outer.contains_point((4.1, 0))
 
 
 def test_mindist_cases():

@@ -98,16 +98,6 @@ def test_miss_the_counts_would_admit_is_still_dropped_if_invalidated(disk):
     assert pool.get(cold, SBLOCK) == "new"
 
 
-def test_pinned_page_is_admitted_regardless_of_counts(disk):
-    pool = BufferPool(disk, capacity=2)
-    hot = _fill_with_hot_pages(disk, pool)
-    cold = disk.allocate("t", payload="cold")
-    pool.pin(cold)  # pinning a non-resident page takes effect once cached
-    pool.get(cold, SBLOCK)
-    assert list(pool._cache) == [hot[1], cold]
-    pool.unpin(cold)
-
-
 def test_counts_age_and_are_dropped_with_the_page(disk):
     pool = BufferPool(disk, capacity=2)
     hot = _fill_with_hot_pages(disk, pool)

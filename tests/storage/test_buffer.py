@@ -77,22 +77,6 @@ def test_manual_invalidate_forces_reread(disk):
     assert counters.get(SBLOCK) == 1  # dropped from cache: a real re-read
 
 
-def test_pinned_pages_survive_eviction_pressure(disk):
-    ids = [disk.allocate("t", payload=i) for i in range(4)]
-    pool = BufferPool(disk, capacity=2)
-    counters = IOCounters()
-    pool.get(ids[0], SBLOCK, counters)
-    pool.pin(ids[0])
-    for i in (1, 2, 3):
-        pool.get(ids[i], SBLOCK, counters)
-    pool.get(ids[0], SBLOCK, counters)  # still resident despite pressure
-    assert counters.get(SBLOCK) == 4
-    assert pool.pin_count(ids[0]) == 1
-    pool.unpin(ids[0])
-    with pytest.raises(ValueError):
-        pool.unpin(ids[0])
-
-
 def test_pool_view_tracks_per_query_deltas(disk):
     from repro.storage.buffer import PoolView
 
@@ -105,9 +89,6 @@ def test_pool_view_tracks_per_query_deltas(disk):
     assert (view_a.hits, view_a.misses) == (0, 1)
     assert (view_b.hits, view_b.misses) == (1, 0)
     assert (pool.hits, pool.misses) == (1, 1)
-    view_a.pin(page_id)
-    view_a.release()
-    assert pool.pin_count(page_id) == 0
 
 
 def test_clear_resets_stats(disk):
