@@ -168,7 +168,7 @@ def topk_methods(system, fn, k: int, predicate) -> dict[str, QueryStats]:
         relation, system.rtree, fn, k, predicate
     )
     ranked_merge, merge_stats = index_merge_topk(
-        relation, system.rtree, system.indexes, fn, k, predicate
+        system.rtree, system.indexes, fn, k, predicate
     )
     reference = [round(score, 9) for score in sig.scores]
     for other in (ranked_bool, ranked_rank, ranked_merge):

@@ -38,10 +38,8 @@ from repro.query.session import QueryResult, QuerySession
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import (
     LinearFunction,
-    MonotoneFunction,
     RankingFunction,
     SeparableFunction,
-    SumFunction,
     WeightedSquaredDistance,
 )
 from repro.query.sql import execute as execute_sql
@@ -58,7 +56,6 @@ __all__ = [
     "Cell",
     "Cuboid",
     "LinearFunction",
-    "MonotoneFunction",
     "PCube",
     "PCubeSystem",
     "QueryResult",
@@ -71,7 +68,6 @@ __all__ = [
     "SeparableFunction",
     "Signature",
     "Span",
-    "SumFunction",
     "TraceEvent",
     "Tracer",
     "WeightedSquaredDistance",

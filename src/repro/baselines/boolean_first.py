@@ -176,14 +176,17 @@ def select_tuples(
         hits = projection.live[tids] & match[tids]
         return tids[hits].tolist()
     selected = []
-    for tid in relation.scan(stats.counters, BTABLE):
-        if ticker is not None:
-            ticker()
-        if all(
-            relation.bool_value(tid, dim) == val
-            for dim, val in conjuncts.items()
-        ):
-            selected.append(tid)
+    for page in relation.scan_pages(stats.counters, BTABLE):
+        for tid in page:
+            if not relation.is_live(tid):
+                continue
+            if ticker is not None:
+                ticker()
+            if all(
+                relation.bool_value(tid, dim) == val
+                for dim, val in conjuncts.items()
+            ):
+                selected.append(tid)
     return selected
 
 

@@ -7,20 +7,13 @@ follows: if a data satisfies boolean predicates, the function value on
 preference dimensions is returned.  Otherwise, it returns MAX value."
 
 Concretely this joins the boolean⋈preference search *online*: candidates
-stream out of the R-tree in score order, and boolean membership is decided
-from the B+-tree indexes.  The "progressive and selective" merging of [14]
-appears as the per-query choice between two merge plans:
-
-* **merge** — read the full posting list of every conjunct (``BINDEX``
-  pages), intersect them into a membership set, then filter candidates for
-  free;
-* **probe** — verify each streamed candidate by descending each conjunct's
-  B+-tree (``BINDEX`` pages per probe).
-
-The planner picks whichever is estimated cheaper — long posting lists with
-small k favour probing, short ones favour merging.  Either way the join is
-paid per query; P-Cube's point (Figure 13) is that the signature
-*materialises the joint space offline*, so it never pays it.
+stream out of the R-tree in score order (the "progressive" half of [14]),
+and boolean membership is decided from the B+-tree indexes (the
+"selective" half): the full posting list of every conjunct is read
+(``BINDEX`` pages) and intersected into a membership set, so candidates
+are filtered for free.  The join is paid per query; P-Cube's point
+(Figure 13) is that the signature *materialises the joint space offline*,
+so it never pays it.
 """
 
 from __future__ import annotations
@@ -31,7 +24,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.btree.btree import BPlusTree
-from repro.cube.relation import Relation
 from repro.query.algorithm1 import TopKStrategy, run_algorithm1
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import RankingFunction
@@ -39,14 +31,6 @@ from repro.query.stats import QueryStats
 from repro.rtree.rtree import RTree
 from repro.storage.buffer import BufferPool
 from repro.storage.counters import BINDEX, DBLOCK
-
-
-def _estimate_posting_pages(
-    relation: Relation, index: BPlusTree
-) -> float:
-    distinct = sum(1 for _ in index.distinct_keys())
-    expected_posting = len(relation) / max(1, distinct)
-    return expected_posting / max(1, index.order // 2)
 
 
 def intersect_postings(postings: Iterable[Sequence[int]]) -> set[int]:
@@ -68,7 +52,6 @@ def intersect_postings(postings: Iterable[Sequence[int]]) -> set[int]:
 
 
 def index_merge_topk(
-    relation: Relation,
     rtree: RTree,
     indexes: dict[str, BPlusTree],
     fn: RankingFunction,
@@ -86,45 +69,14 @@ def index_merge_topk(
     conjuncts = list(predicate)
     verifier = None
     if conjuncts:
-        # --- selective step: pick the merge plan ----------------------- #
-        merge_cost = sum(
-            _estimate_posting_pages(relation, indexes[dim])
-            for dim, _ in conjuncts
-        )
-        expected_selectivity = 1.0
-        for dim, _ in conjuncts:
-            distinct = sum(1 for _ in indexes[dim].distinct_keys())
-            expected_selectivity /= max(1, distinct)
-        expected_candidates = (
-            k / expected_selectivity if expected_selectivity > 0 else len(relation)
-        )
-        probe_cost = (
-            expected_candidates
-            * sum(indexes[dim].height() for dim, _ in conjuncts)
+        # --- selective step: intersect full posting lists -------------- #
+        qualifying = intersect_postings(
+            indexes[dim].search(value, pool, stats.counters, category=BINDEX)
+            for dim, value in conjuncts
         )
 
-        if merge_cost <= probe_cost:
-            # --- merge: intersect full posting lists ------------------- #
-            qualifying = intersect_postings(
-                indexes[dim].search(
-                    value, pool, stats.counters, category=BINDEX
-                )
-                for dim, value in conjuncts
-            )
-
-            def verifier(tid: int) -> bool:
-                return tid in qualifying
-
-        else:
-            # --- probe: per-candidate index descents ------------------- #
-            def verifier(tid: int) -> bool:
-                for dim, value in conjuncts:
-                    found = indexes[dim].search(
-                        value, pool, stats.counters, category=BINDEX
-                    )
-                    if tid not in found:
-                        return False
-                return True
+        def verifier(tid: int) -> bool:
+            return tid in qualifying
 
     # --- progressive step: stream candidates in score order ------------ #
     strategy = TopKStrategy(fn, k)

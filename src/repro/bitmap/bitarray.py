@@ -76,24 +76,6 @@ class BitArray:
         bits._mask = mask
         return bits
 
-    @classmethod
-    def from_positions(cls, nbits: int, positions: Iterable[int]) -> "BitArray":
-        """Build from an iterable of set-bit positions."""
-        mask = 0
-        for pos in positions:
-            if not 0 <= pos < nbits:
-                raise IndexError(f"bit {pos} out of range [0, {nbits})")
-            mask |= 1 << pos
-        return cls(nbits, mask)
-
-    @classmethod
-    def ones(cls, nbits: int) -> "BitArray":
-        """All bits set."""
-        return cls(nbits, (1 << nbits) - 1)
-
-    def copy(self) -> "BitArray":
-        return BitArray(self.nbits, self._mask)
-
     # ------------------------------------------------------------------ #
     # single-bit access
     # ------------------------------------------------------------------ #
@@ -202,26 +184,11 @@ class BitArray:
         return self._mask.to_bytes((self.nbits + 7) // 8, "little")
 
     @classmethod
-    def from_bytes(cls, nbits: int, data: bytes) -> "BitArray":
-        mask = int.from_bytes(data, "little")
-        return cls(nbits, mask)
-
-    def to_words(self) -> tuple[int, ...]:
-        """Packed little-endian 64-bit words, lowest word first.
-
-        ``ceil(nbits / 64)`` words; the top word is zero-padded.  This is
-        the interchange format of :mod:`repro.kernels.sigops`, which views
-        the same layout as a uint64 numpy buffer.
-        """
-        mask = self._mask
-        return tuple(
-            (mask >> (WORD_BITS * i)) & _WORD_MASK
-            for i in range(word_count(self.nbits))
-        )
-
-    @classmethod
     def from_words(cls, nbits: int, words: Sequence[int]) -> "BitArray":
-        """Inverse of :meth:`to_words` (word count and padding validated)."""
+        """From packed little-endian 64-bit words, lowest word first — the
+        interchange format of :mod:`repro.kernels.sigops`, which views the
+        same layout as a uint64 numpy buffer (``ceil(nbits / 64)`` words,
+        the top one zero-padded; count and padding validated)."""
         expected = word_count(nbits)
         if len(words) != expected:
             raise ValueError(

@@ -92,12 +92,8 @@ class BloomFilter:
         """Storage footprint of the filter body."""
         return (self.nbits + 7) // 8
 
-    def fill_ratio(self) -> float:
-        """Fraction of bits set (saturation diagnostic)."""
-        return self._mask.bit_count() / self.nbits
-
     def __repr__(self) -> str:
         return (
             f"BloomFilter(nbits={self.nbits}, nhashes={self.nhashes}, "
-            f"n_added={self.n_added}, fill={self.fill_ratio():.3f})"
+            f"n_added={self.n_added}, fill={self._mask.bit_count() / self.nbits:.3f})"
         )

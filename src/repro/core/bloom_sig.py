@@ -26,8 +26,9 @@ from repro.core.sid import child_sid, sid_of_path
 class BloomSignature:
     """A Bloom filter over the set-bit SIDs of one cell's signature.
 
-    Exposes the same ``check_entry`` / ``check_path`` interface as the
-    exact readers, so Algorithm 1 can use it as a drop-in boolean pruner.
+    Exposes the ``check_block`` / ``check_path`` interface of the exact
+    readers, so Algorithm 1 can use it as a drop-in boolean pruner (its
+    blocks always resolve, so the search never asks ``check_entry``).
     """
 
     def __init__(self, bloom: BloomFilter, fanout: int, empty: bool) -> None:
@@ -52,17 +53,9 @@ class BloomSignature:
     # the boolean-reader interface
     # ------------------------------------------------------------------ #
 
-    def check_entry(self, parent_path: Sequence[int], position: int) -> bool:
-        if self._empty:
-            return False
-        parent_sid = sid_of_path(parent_path, self.fanout)
-        return self.bloom.might_contain(
-            child_sid(parent_sid, position, self.fanout)
-        )
-
     def check_block(self, parent_path: Sequence[int], wanted: int) -> int:
-        """:meth:`check_entry` for every entry whose bit is set in
-        ``wanted`` (bit ``p − 1`` = position ``p``), as a mask."""
+        """The entries whose bit is set in ``wanted`` (bit ``p − 1`` =
+        position ``p``) that the filter might hold, as a mask."""
         if self._empty:
             return 0
         parent_sid = sid_of_path(parent_path, self.fanout)
@@ -80,7 +73,7 @@ class BloomSignature:
     def check_path(self, path: Sequence[int]) -> bool:
         if not path:
             return not self._empty
-        return self.check_entry(tuple(path[:-1]), path[-1])
+        return bool(self.check_block(path[:-1], 1 << (path[-1] - 1)))
 
     # ------------------------------------------------------------------ #
     # accounting
@@ -100,12 +93,6 @@ class BloomConjunction:
         if not signatures:
             raise ValueError("BloomConjunction needs at least one signature")
         self.signatures = list(signatures)
-
-    def check_entry(self, parent_path: Sequence[int], position: int) -> bool:
-        return all(
-            signature.check_entry(parent_path, position)
-            for signature in self.signatures
-        )
 
     def check_block(self, parent_path: Sequence[int], wanted: int) -> int:
         for signature in self.signatures:

@@ -199,13 +199,6 @@ class CountedSignature:
                     del counts[sid]
             sid = sid * base + component
 
-    def move_path(
-        self, old_path: Sequence[int], new_path: Sequence[int]
-    ) -> None:
-        """Apply one R-tree :class:`PathChange` for a surviving tuple."""
-        self.remove_path(old_path)
-        self.add_path(new_path)
-
     def copy(self) -> "CountedSignature":
         """An independent copy (copy-on-write under epoch snapshots: a
         published snapshot keeps the original, maintenance mutates the
@@ -220,16 +213,6 @@ class CountedSignature:
     # ------------------------------------------------------------------ #
     # views
     # ------------------------------------------------------------------ #
-
-    def check_bit(self, parent_sid: int, position: int) -> bool:
-        node = self._counts.get(parent_sid)
-        return bool(node) and position in node
-
-    def count(self, parent_sid: int, position: int) -> int:
-        node = self._counts.get(parent_sid)
-        if not node:
-            return 0
-        return node.get(position, 0)
 
     def n_nodes(self) -> int:
         return len(self._counts)

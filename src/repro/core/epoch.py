@@ -154,10 +154,6 @@ class EpochManager:
     # ------------------------------------------------------------------ #
 
     @property
-    def current(self) -> Snapshot:
-        return self._current
-
-    @property
     def current_epoch(self) -> int:
         return self._current.epoch
 
@@ -179,19 +175,6 @@ class EpochManager:
             else:
                 self._pins[snapshot.epoch] = count - 1
             self._reclaim_pages_locked()
-
-    @contextmanager
-    def pinned(self) -> Iterator[Snapshot]:
-        snapshot = self.pin()
-        try:
-            yield snapshot
-        finally:
-            self.unpin(snapshot)
-
-    def pinned_epochs(self) -> dict[int, int]:
-        """Epoch → reader count (serving stats / tests)."""
-        with self._lock:
-            return dict(self._pins)
 
     # ------------------------------------------------------------------ #
     # writing
@@ -336,10 +319,6 @@ class EpochManager:
             freed += 1
         self._deferred = keep
         self.stats.bump(reclaimed_pages=freed)
-
-    def deferred_free_count(self) -> int:
-        with self._lock:
-            return len(self._deferred)
 
     def deferred_pages(self) -> set[int]:
         """The pages logically freed and still held for pinned readers."""

@@ -110,13 +110,14 @@ def _intersect_node(
 
 
 def intersect_all(signatures: Sequence[Signature]) -> Signature:
-    """Intersection of one or more signatures (left-assoc recursive)."""
+    """Intersection of one or more signatures (left-assoc recursive); the
+    intersection of one signature is that signature, not a copy."""
     if not signatures:
         raise ValueError("intersect_all of an empty sequence")
     result = signatures[0]
     for signature in signatures[1:]:
         result = intersect(result, signature)
-    return result.copy() if len(signatures) == 1 else result
+    return result
 
 
 def _check_compatible(first: Signature, second: Signature) -> None:

@@ -566,15 +566,11 @@ class PCube(ReaderFactory):
     # accounting
     # ------------------------------------------------------------------ #
 
-    def size_bytes(self) -> int:
-        """Stored size of all partial signatures plus the store index."""
-        return self.rtree.disk.size_bytes(self.tag)
-
     def n_cells(self) -> int:
         return len(self.store.cells())
 
     def __repr__(self) -> str:
         return (
-            f"PCube(cuboids={[c.name for c in self.cuboids]}, "
+            f"PCube(cuboids={[c.dims for c in self.cuboids]}, "
             f"cells={self.n_cells()}, fanout={self.fanout})"
         )

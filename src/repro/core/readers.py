@@ -71,13 +71,12 @@ BooleanFallback = Callable[[Cell, tuple[int, ...], "IOCounters | None"], bool]
 
 
 class EmptyReader:
-    """Reader for a predicate that provably selects no tuples."""
+    """Reader for a predicate that provably selects no tuples.
 
-    def check_entry(self, parent_path, position) -> bool:
-        return False
-
-    def check_block(self, parent_path, wanted: int) -> int:
-        return 0
+    The search asks it only ``check_path``: the root's pop-time
+    ``check_path(())`` is ``False``, so no node is ever expanded and no
+    block or entry is asked about (a disjunction drops an empty disjunct
+    instead of holding this reader)."""
 
     def check_path(self, path) -> bool:
         return False
@@ -92,9 +91,9 @@ class SignatureAdapter:
         self.fanout = signature.fanout
 
     def check_entry(self, parent_path, position) -> bool:
-        return self.signature.check_bit(
-            sid_of_path(parent_path, self.fanout), position
-        )
+        """Asked only as an :class:`AssembledReader` member (its own
+        ``check_block`` always resolves)."""
+        return bool(self.check_block(parent_path, 1 << (position - 1)))
 
     def check_block(self, parent_path, wanted: int) -> int:
         return self.check_sid(sid_of_path(parent_path, self.fanout), wanted)

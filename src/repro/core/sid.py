@@ -60,20 +60,6 @@ def path_of_sid(sid: int, fanout: int) -> tuple[int, ...]:
     return tuple(components)
 
 
-def parent_sid(sid: int, fanout: int) -> int:
-    """SID of the parent node (root's parent is undefined).
-
-    Raises:
-        ValueError: for the root SID 0.
-    """
-    if sid == 0:
-        raise ValueError("the root has no parent")
-    base = fanout + 1
-    if sid % base == 0:
-        raise ValueError(f"{sid} is not a valid SID for fanout {fanout}")
-    return sid // base
-
-
 def child_sid(sid: int, position: int, fanout: int) -> int:
     """SID of the child at 1-based ``position`` under node ``sid``."""
     if not 1 <= position <= fanout:

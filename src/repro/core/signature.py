@@ -79,16 +79,6 @@ class Signature:
         """SIDs of all represented (non-empty) nodes."""
         return iter(self._nodes)
 
-    def n_nodes(self) -> int:
-        return len(self._nodes)
-
-    def check_bit(self, parent_sid: int, position: int) -> bool:
-        """Whether child ``position`` (1-based) of node ``parent_sid`` holds data."""
-        bits = self._nodes.get(parent_sid)
-        if bits is None:
-            return False
-        return bits.get(position - 1)
-
     def check_path(self, path: Sequence[int]) -> bool:
         """Whether every bit along ``path`` is set.
 
@@ -119,14 +109,6 @@ class Signature:
             self._nodes[sid] = bits
         else:
             self._nodes.pop(sid, None)
-
-    def drop_node(self, sid: int) -> None:
-        self._nodes.pop(sid, None)
-
-    def copy(self) -> "Signature":
-        clone = Signature(self.fanout)
-        clone._nodes = {sid: bits.copy() for sid, bits in self._nodes.items()}
-        return clone
 
     # ------------------------------------------------------------------ #
     # dunder plumbing

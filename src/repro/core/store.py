@@ -220,9 +220,10 @@ class SignatureStore(_DirectoryReads):
     ) -> int:
         """Pack and store a full cell signature; returns #partials.
 
-        ``signature`` only has to answer ``node(sid)``, ``node_sids()``,
-        ``n_nodes()`` and ``fanout`` — maintenance hands over the counted
-        signature itself, so no bitmap of the whole cell is ever built.
+        ``signature`` only has to answer ``node(sid)``, ``node_sids()`` and
+        ``fanout``, and with ``dirty_sids`` also ``n_nodes()`` — maintenance
+        hands over the counted signature itself, so no bitmap of the whole
+        cell is ever built.
 
         ``dirty_sids`` makes the rewrite a read-modify-write: the caller
         states that, since the cell was last stored, only these nodes' bit
@@ -354,9 +355,6 @@ class SignatureStore(_DirectoryReads):
             self.fault_stats.bump(quarantines=1)
         self._quarantined[cell.cell_id] = (cell, repr(reason))
 
-    def is_quarantined(self, cell: Cell) -> bool:
-        return cell.cell_id in self._quarantined
-
     def quarantined_cells(self) -> list[Cell]:
         """Cells awaiting a rebuild, in deterministic (cell id) order."""
         return [
@@ -379,9 +377,6 @@ class SignatureStore(_DirectoryReads):
     #: times through ``cls.__dict__``.
     load_partial = _DirectoryReads.load_partial
 
-    def index_height(self) -> int:
-        return self._index.height()
-
     def directory_snapshot(self) -> dict[str, dict[int, int]]:
         """A point-in-time copy of the (cell → refs) directory.
 
@@ -395,10 +390,6 @@ class SignatureStore(_DirectoryReads):
     def view(self, directory: dict[str, dict[int, int]]) -> "StoreView":
         """A read-only store bound to a snapshotted directory."""
         return StoreView(self, directory)
-
-    def refs_for(self, cell: Cell) -> dict[int, int]:
-        """The directory's ``ref_sid -> page_id`` map for a cell (audits)."""
-        return dict(self._directory.get(cell.cell_id, {}))
 
     def directory_entries(self) -> list[tuple[tuple[str, int], int]]:
         """Every ``((cell_id, ref_sid), page_id)`` pair in the directory,
@@ -449,10 +440,13 @@ class StoreView(_DirectoryReads):
     a snapshotted directory, so a pinned reader resolves exactly the
     partial pages that were current when its epoch was published, even
     while maintenance rewrites cells underneath (old pages stay allocated
-    until the epoch drains — the manager defers their frees).  Quarantine
-    and fault accounting intentionally pass through to the live store:
-    discovering an unreadable page is news for the repair queue regardless
-    of which epoch noticed it.
+    until the epoch drains — the manager defers their frees).  It mirrors
+    only what a query reads: ``disk``, ``fanout``, ``retry_policy``,
+    ``fault_stats``, the directory reads (``has_cell``, ``n_partials``,
+    ``load_partial``, ``load_full_signature``, ``reader``) and
+    ``quarantine``.  Quarantine and fault accounting intentionally pass
+    through to the live store: discovering an unreadable page is news for
+    the repair queue regardless of which epoch noticed it.
     """
 
     def __init__(
@@ -467,9 +461,6 @@ class StoreView(_DirectoryReads):
 
     def quarantine(self, cell: Cell, reason: object) -> None:
         self._base.quarantine(cell, reason)
-
-    def is_quarantined(self, cell: Cell) -> bool:
-        return self._base.is_quarantined(cell)
 
     #: Bound on this class too: the e2e span recorder wraps the methods it
     #: times through ``cls.__dict__``.

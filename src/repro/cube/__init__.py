@@ -10,7 +10,7 @@ paper's experiments.
 
 from repro.cube.schema import Schema
 from repro.cube.relation import Relation
-from repro.cube.cuboid import Cell, Cuboid, atomic_cuboids, cuboid_lattice
+from repro.cube.cuboid import Cell, Cuboid, atomic_cuboids
 
 __all__ = [
     "Cell",
@@ -18,5 +18,4 @@ __all__ = [
     "Relation",
     "Schema",
     "atomic_cuboids",
-    "cuboid_lattice",
 ]

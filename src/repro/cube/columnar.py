@@ -196,19 +196,12 @@ class ColumnarProjection:
             mask &= self.codes[:, position] == code
         return mask
 
-    def pref_rows(self, tids: Sequence[int]) -> list[tuple[float, ...]]:
-        """Gather preference points for a block of tids (exact floats)."""
-        if len(tids) == 0:
-            return []
-        return [tuple(row) for row in self.pref_block(tids).tolist()]
-
     def pref_block(self, tids: Sequence[int]) -> np.ndarray:
         """Gather preference rows as a float64 matrix.
 
-        The no-copy-back sibling of :meth:`pref_rows`: batch kernels take
-        the matrix directly (same float64 bits, no per-row tuples), so a
-        gather feeding ``score_block`` never round-trips through Python
-        objects.
+        Batch kernels take the matrix directly (same float64 bits, no
+        per-row tuples), so a gather feeding ``score_block`` never
+        round-trips through Python objects.
         """
         ids = (
             tids

@@ -10,8 +10,7 @@ predicates online via intersection (Section IV-B.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -60,10 +59,6 @@ class Cuboid:
         if len(set(dims)) != len(dims):
             raise ValueError("cuboid repeats a dimension")
         self.dims = tuple(dims)
-
-    @property
-    def name(self) -> str:
-        return "(" + ",".join(self.dims) + ")"
 
     def group(
         self, relation: Relation, include_tombstoned: bool = False
@@ -123,20 +118,10 @@ class Cuboid:
         return Cell(self.dims, tuple(row[p] for p in positions))
 
     def __repr__(self) -> str:
-        return f"Cuboid{self.name}"
+        return f"Cuboid({','.join(self.dims)})"
 
 
 def atomic_cuboids(boolean_dims: tuple[str, ...]) -> list[Cuboid]:
     """All one-dimensional cuboids — the paper's default materialisation."""
     return [Cuboid((dim,)) for dim in boolean_dims]
 
-
-def cuboid_lattice(
-    boolean_dims: tuple[str, ...], max_dims: int | None = None
-) -> Iterator[Cuboid]:
-    """All cuboids of up to ``max_dims`` dimensions (the full lattice when
-    unlimited) — the minimal-cubing style partial materialisation of [19]."""
-    limit = len(boolean_dims) if max_dims is None else max_dims
-    for k in range(1, limit + 1):
-        for dims in combinations(boolean_dims, k):
-            yield Cuboid(dims)

@@ -2,8 +2,8 @@
 
 Two access paths matter to the baselines:
 
-* :meth:`Relation.scan` — a full table scan, reading every heap page once
-  (the Boolean-first baseline may prefer this over an index scan);
+* :meth:`Relation.scan_pages` — a full table scan, reading every heap page
+  once (the Boolean-first baseline may prefer this over an index scan);
 * :meth:`Relation.fetch` — a random access by tid, costing one page read
   (what minimal probing pays per boolean verification, category ``DBOOL``).
 
@@ -220,7 +220,7 @@ class Relation:
     def tombstone(self, tid: int) -> None:
         """Mark a row deleted.  The row data stays in place (so signature
         maintenance can still resolve its cells) but every live-row access
-        path — ``scan``, ``pref_points``, ``live_tids`` — skips it.
+        path — ``pref_points``, ``live_tids``, ``is_live`` — skips it.
         Idempotent: tombstoning a tombstone is a no-op."""
         if not 0 <= tid < len(self):
             raise IndexError(f"tid {tid} out of range")
@@ -297,25 +297,12 @@ class Relation:
         counters: IOCounters | None = None,
         category: str = BTABLE,
     ) -> Iterator[list[int]]:
-        """Page-at-a-time table scan: the same counted reads as
-        :meth:`scan`, but yielding each page's raw tid list (tombstoned
-        rows included) so batch kernels can filter columnarly."""
+        """Full table scan, one heap page read at a time: yields each
+        page's raw tid list (tombstoned rows included — liveness is a row
+        property, the page is transferred anyway), so callers filter with
+        :meth:`is_live` or columnarly."""
         for page_id in self._page_ids:
             yield self.disk.read(page_id, category, counters)
-
-    def scan(
-        self,
-        counters: IOCounters | None = None,
-        category: str = BTABLE,
-    ) -> Iterator[int]:
-        """Full table scan: yields every *live* tid, reading each heap page
-        once.  Tombstoned rows still occupy their slots (and are paid for in
-        the page read) but are not yielded."""
-        for page_id in self._page_ids:
-            tids = self.disk.read(page_id, category, counters)
-            for tid in tids:
-                if tid not in self._tombstones:
-                    yield tid
 
     def fetch(
         self,
@@ -412,9 +399,12 @@ class Relation:
 class RelationView:
     """The relation as it looked at one epoch — a read-only projection.
 
-    Duck-types the read side of :class:`Relation` (``schema``, ``fetch``,
-    ``bool_value``, ``live_tids``, ``scan``, …) so query code runs against
-    either interchangeably; every accessor filters by the pinned epoch.
+    Duck-types what query code and the baselines read of a
+    :class:`Relation` — ``schema``, ``disk``, ``rows_per_page``, ``len()``,
+    ``is_live``, ``live_tids``, ``tids``, ``bool_row``, ``bool_value``,
+    ``pref_point``, ``heap_page_count``, ``columnar``, ``scan_pages`` and
+    ``fetch`` — so either runs it; every accessor filters by the pinned
+    epoch.
     Mutators are deliberately absent: maintenance goes through the base
     relation under the single-writer epoch protocol.
     """
@@ -441,9 +431,6 @@ class RelationView:
             if base._is_live_at(tid, self.epoch)
         )
 
-    def live_count(self) -> int:
-        return sum(1 for _ in self.live_tids())
-
     def tids(self) -> range:
         return range(len(self))
 
@@ -458,14 +445,6 @@ class RelationView:
     def pref_point(self, tid: int) -> tuple[float, ...]:
         self._check(tid)
         return self._base._pref_at(tid, self.epoch)
-
-    def pref_points(self) -> Iterator[tuple[int, tuple[float, ...]]]:
-        base = self._base
-        return (
-            (tid, base._pref_at(tid, self.epoch))
-            for tid in range(len(self))
-            if base._is_live_at(tid, self.epoch)
-        )
 
     def heap_page_count(self) -> int:
         return self._base.heap_page_count()
@@ -505,9 +484,9 @@ class RelationView:
         counters: IOCounters | None = None,
         category: str = BTABLE,
     ) -> Iterator[list[int]]:
-        """Page-at-a-time variant of :meth:`scan`: identical counted reads
-        (including the one read that proves a page is out of range),
-        yielding raw tid lists clipped to the pinned epoch's prefix."""
+        """:meth:`Relation.scan_pages` at the pinned epoch: the same counted
+        reads (including the one read that proves a page is out of range),
+        yielding raw tid lists clipped to the epoch's prefix."""
         limit = len(self)
         base = self._base
         for page_id in base._page_ids:
@@ -518,22 +497,6 @@ class RelationView:
                 yield tids
             else:
                 yield [tid for tid in tids if tid < limit]
-
-    def scan(
-        self,
-        counters: IOCounters | None = None,
-        category: str = BTABLE,
-    ) -> Iterator[int]:
-        """Full scan of the pages that existed at the pinned epoch."""
-        limit = len(self)
-        base = self._base
-        for page_id in base._page_ids:
-            tids = base.disk.read(page_id, category, counters)
-            if tids and tids[0] >= limit:
-                break
-            for tid in tids:
-                if tid < limit and base._is_live_at(tid, self.epoch):
-                    yield tid
 
     def fetch(
         self,

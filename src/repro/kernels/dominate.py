@@ -64,10 +64,6 @@ class DominationBuffer:
     def __len__(self) -> int:
         return len(self._points)
 
-    def points(self) -> list[tuple[float, ...]]:
-        """The buffered points, insertion order (a copy)."""
-        return list(self._points)
-
     def add(self, point: Sequence[float]) -> None:
         point = tuple(point)
         if len(point) != self.dims:

@@ -212,7 +212,8 @@ def separable_lower_bound_block(
 def mindist_block(
     lows: Rows, highs: Rows, point: Sequence[float]
 ) -> list[float]:
-    """``geometry.mindist(rect, point)`` over a block of rectangles."""
+    """Squared Euclidean distance from ``point`` to the nearest point of
+    each rectangle (zero inside) — the classic MINDIST, over a block."""
     if len(lows) == 0:
         return []
     lo = _matrix(lows)

@@ -3,9 +3,9 @@
 Signature nodes are :class:`~repro.bitmap.bitarray.BitArray` values backed
 by Python integers.  For assembly over *many* nodes at once (cuboid
 union/intersection, set-bit diagnostics) these kernels pack the masks into
-a ``(k, W)`` little-endian uint64 matrix and reduce word-parallel; the
-packing round-trips through ``BitArray.to_words()/from_words()`` and
-:func:`bitarray_words` views the packed bytes zero-copy.
+a ``(k, W)`` little-endian uint64 matrix and reduce word-parallel;
+:func:`bitarray_words` views a bit array's packed bytes zero-copy and
+``BitArray.from_words`` reads them back.
 
 Integer bitwise ops in CPython are already C-speed, so the word matrix
 only pays above a small size threshold; below it the masks are reduced as

@@ -11,9 +11,7 @@ roll-up (:mod:`repro.query.session`).
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import (
     LinearFunction,
-    MonotoneFunction,
     RankingFunction,
-    SumFunction,
     WeightedSquaredDistance,
 )
 from repro.query.stats import QueryStats
@@ -23,12 +21,10 @@ from repro.query.sql import SQLSyntaxError, execute as execute_sql, parse_query
 __all__ = [
     "BooleanPredicate",
     "LinearFunction",
-    "MonotoneFunction",
     "QueryResult",
     "QuerySession",
     "QueryStats",
     "RankingFunction",
-    "SumFunction",
     "WeightedSquaredDistance",
     "SQLSyntaxError",
     "execute_sql",

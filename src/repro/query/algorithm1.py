@@ -21,6 +21,7 @@ address of their bit — the bridge between the two prunings.
 from __future__ import annotations
 
 import heapq
+import operator
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -307,9 +308,6 @@ class SkylineStrategy:
     def node_key(self, rect: Rect) -> float:
         return sum(self._corner(rect))
 
-    def point_key(self, point: Sequence[float]) -> float:
-        return sum(self._project(point))
-
     def evaluate(self, block: NodeBlock):
         """``(keys, dominated, ties)`` for a node's children at once — every
         strategy's contract: ``keys[i]`` is the heap key of child ``i``
@@ -337,9 +335,6 @@ class SkylineStrategy:
 
     def node_tie(self, rect: Rect) -> tuple[float, ...]:
         return self._corner(rect)
-
-    def point_tie(self, point: Sequence[float]) -> tuple[float, ...]:
-        return self._project(point)
 
     def prune(self, entry: HeapEntry) -> bool:
         """Dominated by a discovered skyline point?
@@ -371,6 +366,7 @@ class TopKStrategy:
     """Preference pruning by the k-th best score discovered so far."""
 
     def __init__(self, fn: RankingFunction, k: int) -> None:
+        k = operator.index(k)  # an integer of any type; a float is refused
         if k < 1:
             raise ValueError("k must be at least 1")
         self.fn = fn
@@ -379,9 +375,6 @@ class TopKStrategy:
 
     def node_key(self, rect: Rect) -> float:
         return self.fn.lower_bound(rect)
-
-    def point_key(self, point: Sequence[float]) -> float:
-        return self.fn.score(point)
 
     def evaluate(self, block: NodeBlock):
         """Scores (leaf) or region lower bounds (inner node) for a node's
@@ -402,9 +395,6 @@ class TopKStrategy:
 
     def node_tie(self, rect: Rect) -> tuple[float, ...]:
         return ()  # top-k correctness is tie-order independent (≥ tests)
-
-    def point_tie(self, point: Sequence[float]) -> tuple[float, ...]:
-        return ()
 
     def prune(self, entry: HeapEntry) -> bool:
         """At least k discovered objects score no worse than the bound."""

@@ -2,18 +2,37 @@
 
 Section III requires: "Given a function f and the domain region Ω on its
 variables, the lower bound of f over Ω can be derived."  Each ranking
-function here therefore implements both ``score(point)`` and
-``lower_bound(rect)``; the latter drives the best-first order and the
-pruning bound of top-k processing (users prefer minimal values).
+function here therefore has a value at a data point and an exact minimum
+over a rectangle, each in two forms: the scalar ``score(point)`` /
+``lower_bound(rect)`` (the root's heap key, the result cache's carry
+verdict) and the batch ``score_block`` / ``lower_bound_rows`` kernels an
+expanded node is evaluated with; both give the same float bits.  The
+lower bound drives the best-first order and the pruning bound of top-k
+processing (users prefer minimal values).
+
+The paper's experiments use two families, and both are here: weighted
+squared distance (Example 1) and linear (Figure 13); a separable function
+mixes their terms per dimension.  Every parameter is a finite float, and
+every function has a ``cache_token()`` that the result cache keys on.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.kernels import mindist
 from repro.rtree.geometry import Rect
+
+
+def _finite(values: Sequence[float], what: str) -> tuple[float, ...]:
+    """``values`` as floats, refusing NaN and ±inf: a non-finite parameter
+    makes every score NaN or infinite, and no bound prunes on those."""
+    values = tuple(float(v) for v in values)
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} must be finite, got {list(values)}")
+    return values
 
 
 class RankingFunction(ABC):
@@ -31,20 +50,12 @@ class RankingFunction(ABC):
         implementations below are all exact minima over the rectangle.
         """
 
-    def cache_token(self) -> tuple | None:
-        """A hashable value that determines this function completely (the
-        result cache keys on it), or ``None``: opaque, never cached."""
-        return None
-
+    @abstractmethod
     def score_block(self, points: Sequence[Sequence[float]]) -> list[float]:
-        """``[score(p) for p in points]`` — overridden with a batch kernel
-        where the formula vectorizes bit-identically; this default keeps
-        arbitrary subclasses (e.g. :class:`MonotoneFunction`) correct.
-        ``points`` may be a float64 matrix; the scalar protocol always
-        sees tuples of Python floats, so user callables compute with the
-        same arithmetic whichever backend gathered the rows."""
-        return [self.score(p) for p in mindist.row_tuples(points)]
+        """``[score(p) for p in points]`` as one batch kernel call, bit
+        for bit; ``points`` may be a float64 matrix."""
 
+    @abstractmethod
     def lower_bound_rows(
         self,
         lows: Sequence[Sequence[float]],
@@ -52,12 +63,17 @@ class RankingFunction(ABC):
     ) -> list[float]:
         """``lower_bound`` over rectangles given as ``lows``/``highs`` rows
         (see :meth:`score_block`)."""
-        return [
-            self.lower_bound(Rect(lo, hi))
-            for lo, hi in zip(
-                mindist.row_tuples(lows), mindist.row_tuples(highs)
-            )
-        ]
+
+    @abstractmethod
+    def cache_token(self) -> tuple:
+        """A hashable value that determines this function completely (the
+        result cache keys on it)."""
+
+    @abstractmethod
+    def misfit(self, dims: int) -> str | None:
+        """Why this function cannot rank points of ``dims`` preference
+        dimensions, or ``None`` when it can (:meth:`QuerySession.topk`
+        refuses such a query before it reads anything)."""
 
 
 class LinearFunction(RankingFunction):
@@ -70,7 +86,7 @@ class LinearFunction(RankingFunction):
     def __init__(self, weights: Sequence[float]) -> None:
         if not weights:
             raise ValueError("at least one weight is required")
-        self.weights = tuple(float(w) for w in weights)
+        self.weights = _finite(weights, "weights")
 
     def score(self, point: Sequence[float]) -> float:
         return sum(w * x for w, x in zip(self.weights, point))
@@ -90,15 +106,13 @@ class LinearFunction(RankingFunction):
     def cache_token(self) -> tuple:
         return ("linear", self.weights)
 
+    def misfit(self, dims: int) -> str | None:
+        if len(self.weights) != dims:
+            return f"function has {len(self.weights)} weights, tree has {dims} dims"
+        return None
+
     def __repr__(self) -> str:
         return f"LinearFunction({list(self.weights)})"
-
-
-class SumFunction(LinearFunction):
-    """``f = Σ x_d`` — the heap key d(n) of skyline processing."""
-
-    def __init__(self, dims: int) -> None:
-        super().__init__([1.0] * dims)
 
 
 class WeightedSquaredDistance(RankingFunction):
@@ -112,14 +126,14 @@ class WeightedSquaredDistance(RankingFunction):
     def __init__(
         self, target: Sequence[float], weights: Sequence[float] | None = None
     ) -> None:
-        self.target = tuple(float(t) for t in target)
+        self.target = _finite(target, "target")
         if weights is None:
             weights = [1.0] * len(self.target)
         if len(weights) != len(self.target):
             raise ValueError("weights and target must have the same length")
-        if any(w < 0 for w in weights):
+        self.weights = _finite(weights, "weights")
+        if any(w < 0 for w in self.weights):
             raise ValueError("distance weights must be non-negative")
-        self.weights = tuple(float(w) for w in weights)
 
     def score(self, point: Sequence[float]) -> float:
         # ``delta * delta``, not ``** 2``: pow() can differ from the
@@ -154,6 +168,11 @@ class WeightedSquaredDistance(RankingFunction):
     def cache_token(self) -> tuple:
         return ("wsd", self.target, self.weights)
 
+    def misfit(self, dims: int) -> str | None:
+        if len(self.target) != dims:
+            return f"target has {len(self.target)} dims, tree has {dims}"
+        return None
+
     def __repr__(self) -> str:
         return (
             f"WeightedSquaredDistance(target={list(self.target)}, "
@@ -179,11 +198,12 @@ class SeparableFunction(RankingFunction):
     ) -> None:
         if not terms:
             raise ValueError("at least one term is required")
-        for dim, kind, coeff, _target in terms:
+        for dim, kind, coeff, target in terms:
             if dim < 0:
                 raise ValueError("term dimensions must be non-negative")
             if kind not in ("linear", "squared"):
                 raise ValueError(f"unknown term kind {kind!r}")
+            coeff, target = _finite((coeff, target), "term coefficients and targets")
             if kind == "squared" and coeff < 0:
                 raise ValueError("squared terms need non-negative weights")
         self.terms = [
@@ -227,28 +247,11 @@ class SeparableFunction(RankingFunction):
     def cache_token(self) -> tuple:
         return ("separable", tuple(self.terms))
 
+    def misfit(self, dims: int) -> str | None:
+        widest = max(dim for dim, _, _, _ in self.terms)
+        if widest >= dims:
+            return f"a term reads dimension {widest}, tree has {dims} dims"
+        return None
+
     def __repr__(self) -> str:
         return f"SeparableFunction({self.terms!r})"
-
-
-class MonotoneFunction(RankingFunction):
-    """Any function non-decreasing in every coordinate.
-
-    Its exact rectangle minimum sits at the low corner, so a single
-    callable suffices (e.g. ``max``, weighted power means, log-sums).
-    """
-
-    def __init__(
-        self, fn: Callable[[Sequence[float]], float], name: str = "monotone"
-    ) -> None:
-        self.fn = fn
-        self.name = name
-
-    def score(self, point: Sequence[float]) -> float:
-        return float(self.fn(point))
-
-    def lower_bound(self, rect: Rect) -> float:
-        return float(self.fn(rect.lows))
-
-    def __repr__(self) -> str:
-        return f"MonotoneFunction({self.name})"

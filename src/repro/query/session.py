@@ -55,6 +55,7 @@ from different threads.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -279,7 +280,11 @@ class QuerySession:
     ) -> QueryResult:
         """A standard top-k query (Section V-B): best-first by the lower
         bound of ``fn`` over each node, k-th-score preference pruning.
-        ``predicate`` reads as in :meth:`skyline`."""
+        ``predicate`` reads as in :meth:`skyline`.  A function that does
+        not fit the tree's dimensions is refused with ``ValueError``."""
+        misfit = fn.misfit(self.rtree.dims)
+        if misfit is not None:
+            raise ValueError(misfit)
         predicate = _as_predicate(predicate)
         return self._answer(
             "topk",
@@ -305,6 +310,8 @@ class QuerySession:
                 f"query point has {len(query_point)} dims, "
                 f"tree has {self.rtree.dims}"
             )
+        if not all(math.isfinite(x) for x in query_point):
+            raise ValueError(f"query point must be finite, got {list(query_point)}")
         return self._answer(
             "dynamic_skyline",
             predicate or BooleanPredicate(),

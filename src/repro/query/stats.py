@@ -4,16 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.storage.counters import (
-    BINDEX,
-    BTABLE,
-    DBLOCK,
-    DBOOL,
-    SBLOCK,
-    SSIG,
-    IOCounters,
-    Tally,
-)
+from repro.storage.counters import DBLOCK, SBLOCK, SSIG, IOCounters, Tally
 
 
 class MaintenanceStats(Tally):
@@ -95,17 +86,10 @@ class QueryStats:
             reads, dynamic skylines and hulls.
         fallbacks: How many engines failed before ``route`` answered.
         cache_outcome: The router cache's verdict — ``"hit"``, ``"miss"``,
-            ``"bypass"`` (open breaker, a ranking function with no cache
-            token, or a disjunction) or ``None`` (cache off or not
-            consulted).
+            ``"bypass"`` (open breaker or a disjunction) or ``None`` (cache
+            off or not consulted).
         cache_computed_epoch: On a hit, the epoch the served answer was
             computed at (older than ``epoch`` when it was carried).
-
-    The serving-side attributes (``epoch``, ``queue_wait_seconds``,
-    ``pool_hits``, ``pool_misses``, the routing fields ``route`` /
-    ``fallbacks`` / ``cache_outcome`` / ``cache_computed_epoch``) are
-    deliberately *not* part of :meth:`summary`, which feeds
-    paper-comparable benchmark baselines.
     """
 
     counters: IOCounters = field(default_factory=IOCounters)
@@ -165,18 +149,6 @@ class QueryStats:
     def dblock(self) -> int:
         return self.counters.get(DBLOCK)
 
-    @property
-    def dbool(self) -> int:
-        return self.counters.get(DBOOL)
-
-    @property
-    def bindex(self) -> int:
-        return self.counters.get(BINDEX)
-
-    @property
-    def btable(self) -> int:
-        return self.counters.get(BTABLE)
-
     def total_io(self) -> int:
         return self.counters.total()
 
@@ -192,19 +164,3 @@ class QueryStats:
         if seconds_per_io < 0:
             raise ValueError("seconds_per_io must be non-negative")
         return self.elapsed_seconds + seconds_per_io * self.total_io()
-
-    def summary(self) -> dict[str, float]:
-        summary = {
-            "elapsed_seconds": self.elapsed_seconds,
-            "total_io": self.total_io(),
-            "peak_heap": self.peak_heap,
-            "results": self.results,
-            **{k: v for k, v in self.counters},
-        }
-        if self.degraded or self.fault_retries or self.degraded_checks:
-            summary["degraded"] = int(self.degraded)
-            summary["fault_retries"] = self.fault_retries
-            summary["failed_loads"] = self.failed_loads
-            summary["degraded_checks"] = self.degraded_checks
-            summary["breaker_skips"] = self.breaker_skips
-        return summary

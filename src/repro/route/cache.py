@@ -26,10 +26,9 @@ same rule.
 Cached serving stays byte-identical to computed serving because only
 *canonicalised* answers are stored, and lookups are bypassed — not merely
 missed — while a breaker is open on any cell of the predicate (suspect
-storage should be re-exercised, not masked), when the ranking function
-has no ``cache_token()``, and for a disjunction.  Live sessions (``epoch
-is None``) are never cached: without an epoch there is no invalidation
-token.
+storage should be re-exercised, not masked), and for a disjunction.
+Live sessions (``epoch is None``) are never cached: without an epoch there
+is no invalidation token.
 """
 
 from __future__ import annotations
@@ -99,16 +98,15 @@ def result_key(
     epoch: int,
 ) -> tuple | None:
     """The ``(epoch, kind, cell, pref-subspace, digest)`` cache key, or
-    ``None`` for a query that cannot be keyed: a ranking function with no
-    ``cache_token()``, or a disjunction (it has no one cell).
+    ``None`` for a disjunction: it has no one cell to key on.
 
     The digest folds in everything else that determines the answer bytes:
     the full conjunction (the cell id alone collapses distinct multi-dim
     predicates), the ranking function's ``cache_token()`` and ``k``.
     """
-    token = fn.cache_token() if fn is not None else ()
-    if token is None or not isinstance(predicate, BooleanPredicate):
+    if not isinstance(predicate, BooleanPredicate):
         return None
+    token = fn.cache_token() if fn is not None else ()
     cell = APEX if predicate.is_empty() else predicate.cell().cell_id
     pref = ",".join(preference_by) if preference_by else "*"
     return (epoch, kind, cell, pref, (repr(predicate), token, k))

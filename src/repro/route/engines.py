@@ -270,7 +270,6 @@ def run_index_merge(
         )
     pool = session.query_pool()
     ranked, stats = index_merge_topk(
-        session.relation,
         session.rtree,
         ctx.indexes,
         request.fn,

@@ -4,7 +4,7 @@ The paper partitions data once over the preference dimensions using an
 R-tree [15] (any hierarchical partition works; the signature only needs
 *paths*).  This package provides:
 
-* :mod:`repro.rtree.geometry` — rectangles, mindist, dominance corners;
+* :mod:`repro.rtree.geometry` — rectangles and point dominance;
 * :mod:`repro.rtree.node` — nodes with **stable 1-based slots** (deletions
   leave free slots, insertions reuse the first free slot, exactly as the
   paper's maintenance section assumes), so tuple *paths* only change on node
@@ -17,7 +17,7 @@ R-tree [15] (any hierarchical partition works; the signature only needs
   construction at benchmark scale.
 """
 
-from repro.rtree.geometry import Rect, mindist, sum_lower_bound
+from repro.rtree.geometry import Rect
 from repro.rtree.node import Entry, RTreeNode
 from repro.rtree.rtree import PathChange, RTree, fanout_for_page
 from repro.rtree.bulk import bulk_load
@@ -30,6 +30,4 @@ __all__ = [
     "RTreeNode",
     "bulk_load",
     "fanout_for_page",
-    "mindist",
-    "sum_lower_bound",
 ]

@@ -123,8 +123,10 @@ class FrozenRNode:
 class FrozenRTree:
     """The read surface of an R-tree at one epoch.
 
-    Satisfies the duck-type contract of :class:`~repro.rtree.rtree.RTree`
-    that query execution relies on; mutators simply do not exist.
+    Duck-types what query execution and the audit read of a live
+    :class:`~repro.rtree.rtree.RTree`: ``root``, ``dims``, ``disk``,
+    ``len()``, ``all_paths()`` and ``entry_at(path)``; mutators simply do
+    not exist.
     """
 
     def __init__(
@@ -143,19 +145,6 @@ class FrozenRTree:
 
     def __len__(self) -> int:
         return self._size
-
-    def height(self) -> int:
-        return self.root.level + 1
-
-    def node_count(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                stack.extend(entry.child for _, entry in node.live_entries())
-        return count
 
     def all_paths(self) -> dict[int, tuple[int, ...]]:
         """Every tuple's root-based path of 1-based slots at this epoch

@@ -1,12 +1,10 @@
-"""Axis-aligned rectangles and the distance bounds used by query pruning.
+"""Axis-aligned rectangles and point dominance.
 
 Points are plain tuples of floats.  A :class:`Rect` is the usual minimum
-bounding rectangle; the query algorithms rely on two of its properties:
-
-* ``lower`` — the corner with minimal coordinates.  A skyline point ``t``
-  prunes a node ``n`` iff ``t`` dominates ``n.lower`` (BBS [9] pruning);
-* :func:`mindist` — the classic lower bound of any ranking function that is
-  a monotone distance to a target point.
+bounding rectangle.  A skyline point ``t`` prunes a node ``n`` iff ``t``
+dominates ``n.lows``, the corner with minimal coordinates (BBS [9]
+pruning); the ranking functions' region bounds are in
+:mod:`repro.query.ranking` and their batch kernels.
 """
 
 from __future__ import annotations
@@ -74,11 +72,6 @@ class Rect:
     # basic measures
     # ------------------------------------------------------------------ #
 
-    @property
-    def lower(self) -> Point:
-        """The minimal corner — the best possible point inside this rect."""
-        return self.lows
-
     def area(self) -> float:
         result = 1.0
         for lo, hi in zip(self.lows, self.highs):
@@ -113,28 +106,6 @@ class Rect:
 
     def __repr__(self) -> str:
         return f"Rect({list(self.lows)}, {list(self.highs)})"
-
-
-def mindist(rect: Rect, point: Sequence[float]) -> float:
-    """Squared Euclidean distance from ``point`` to the nearest point of ``rect``.
-
-    The standard R-tree lower bound: zero when the point lies inside.
-    """
-    total = 0.0
-    for lo, hi, v in zip(rect.lows, rect.highs, point):
-        if v < lo:
-            delta = lo - v
-        elif v > hi:
-            delta = v - hi
-        else:
-            continue
-        total += delta * delta
-    return total
-
-
-def sum_lower_bound(rect: Rect) -> float:
-    """``min over x in rect of sum_d x_d`` — the skyline heap key d(n) of Algorithm 1."""
-    return sum(rect.lows)
 
 
 def dominates(p: Sequence[float], q: Sequence[float]) -> bool:

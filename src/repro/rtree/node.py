@@ -149,10 +149,6 @@ class RTreeNode:
     # ------------------------------------------------------------------ #
 
     @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
     def is_leaf(self) -> bool:
         return self.level == 0
 

@@ -170,20 +170,6 @@ class RTree:
     def __len__(self) -> int:
         return len(self._points)
 
-    def height(self) -> int:
-        """Number of node levels (1 for a lone leaf root)."""
-        return self.root.level + 1
-
-    def point_of(self, tid: int) -> Point:
-        return self._points[tid]
-
-    def path_of(self, tid: int) -> tuple[int, ...]:
-        """The current path of a tuple (root slot first, leaf slot last)."""
-        return self._paths[tid]
-
-    def leaf_of(self, tid: int) -> RTreeNode:
-        return self._tid_leaf[tid]
-
     def all_paths(self) -> dict[int, tuple[int, ...]]:
         """A snapshot of every tuple's path (used by signature generation)."""
         return dict(self._paths)

@@ -96,11 +96,6 @@ class IOCounters:
         with self._lock:
             return dict(self._counts)
 
-    def reset(self) -> None:
-        """Zero every category."""
-        with self._lock:
-            self._counts.clear()
-
     def merge(self, other: "IOCounters") -> None:
         """Add another counter set into this one."""
         incoming = other.snapshot()

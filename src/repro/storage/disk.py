@@ -234,10 +234,6 @@ class SimulatedDisk:
             ]
         yield from matching
 
-    def page_count(self, tag_prefix: str = "") -> int:
-        """Number of live pages under a tag prefix."""
-        return sum(1 for _ in self.pages(tag_prefix))
-
     def size_bytes(self, tag_prefix: str = "") -> int:
         """Total logical bytes of live pages under a tag prefix."""
         return sum(page.size for page in self.pages(tag_prefix))

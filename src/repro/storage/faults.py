@@ -444,9 +444,6 @@ class FaultyDisk:
     def pages(self, tag_prefix: str = "") -> Iterator[Page]:
         return self.inner.pages(tag_prefix)
 
-    def page_count(self, tag_prefix: str = "") -> int:
-        return self.inner.page_count(tag_prefix)
-
     def size_bytes(self, tag_prefix: str = "") -> int:
         return self.inner.size_bytes(tag_prefix)
 

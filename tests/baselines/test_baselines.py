@@ -18,6 +18,7 @@ from repro.baselines.naive import naive_skyline, naive_topk
 from repro.data.workload import sample_linear_function, sample_predicate
 from repro.query.predicates import BooleanPredicate
 from repro.query.stats import QueryStats
+from repro.storage.counters import BINDEX, BTABLE, DBOOL
 
 
 def truth_points(system, predicate):
@@ -67,7 +68,7 @@ def test_boolean_first_empty_predicate_scans(small_system):
     assert sorted(tids) == sorted(
         naive_skyline(list(small_system.relation.pref_points()))
     )
-    assert stats.btable == small_system.relation.heap_page_count()
+    assert stats.counters.get(BTABLE) == small_system.relation.heap_page_count()
 
 
 def test_boolean_first_topk_correct(small_system, rng):
@@ -96,8 +97,8 @@ def test_select_tuples_prefers_index_for_selective_predicates(
         for tid in system.relation.tids()
         if predicate.matches(system.relation, tid)
     ]
-    assert stats.btable < system.relation.heap_page_count()
-    assert stats.bindex > 0
+    assert stats.counters.get(BTABLE) < system.relation.heap_page_count()
+    assert stats.counters.get(BINDEX) > 0
 
 
 def test_select_tuples_prefers_scan_for_wide_predicates(small_system, rng):
@@ -106,8 +107,8 @@ def test_select_tuples_prefers_scan_for_wide_predicates(small_system, rng):
     predicate = sample_predicate(small_system.relation, 1, rng)
     stats = QueryStats()
     select_tuples(small_system.relation, small_system.indexes, predicate, stats)
-    assert stats.btable == small_system.relation.heap_page_count()
-    assert stats.bindex == 0
+    assert stats.counters.get(BTABLE) == small_system.relation.heap_page_count()
+    assert stats.counters.get(BINDEX) == 0
 
 
 def test_select_tuples_peak_heap_is_candidate_count(small_system, rng):
@@ -134,7 +135,7 @@ def test_bbs_skyline_no_predicate(small_system):
         naive_skyline(list(small_system.relation.pref_points()))
     )
     assert stats.dblock > 0
-    assert stats.dbool == 0
+    assert stats.counters.get(DBOOL) == 0
 
 
 @pytest.mark.parametrize("n_conjuncts", [1, 2, 3])
@@ -146,8 +147,8 @@ def test_domination_first_correct(small_system, rng, n_conjuncts):
     assert sorted(tids) == sorted(
         naive_skyline(truth_points(small_system, predicate))
     )
-    assert stats.dbool >= len(tids)  # at least one probe per result
-    assert stats.verified == stats.dbool
+    assert stats.counters.get(DBOOL) >= len(tids)  # at least one probe per result
+    assert stats.verified == stats.counters.get(DBOOL)
 
 
 def test_domination_failed_candidates_do_not_prune(small_system, rng):
@@ -172,7 +173,7 @@ def test_ranking_topk_correct(small_system, rng):
     )
     expected = naive_topk(truth_points(small_system, predicate), fn, 10)
     assert [round(s, 9) for _, s in ranked] == [round(s, 9) for _, s in expected]
-    assert stats.dbool >= 10
+    assert stats.counters.get(DBOOL) >= 10
 
 
 def test_minimal_probing_is_lazy(small_system, rng):
@@ -195,7 +196,6 @@ def test_index_merge_topk_correct(small_system, rng, n_conjuncts):
     predicate = sample_predicate(small_system.relation, n_conjuncts, rng)
     fn = sample_linear_function(2, rng)
     ranked, stats = index_merge_topk(
-        small_system.relation,
         small_system.rtree,
         small_system.indexes,
         fn,
@@ -204,13 +204,12 @@ def test_index_merge_topk_correct(small_system, rng, n_conjuncts):
     )
     expected = naive_topk(truth_points(small_system, predicate), fn, 10)
     assert [round(s, 9) for _, s in ranked] == [round(s, 9) for _, s in expected]
-    assert stats.bindex > 0  # the online join is paid
+    assert stats.counters.get(BINDEX) > 0  # the online join is paid
 
 
 def test_index_merge_no_predicate(small_system, rng):
     fn = sample_linear_function(2, rng)
     ranked, stats = index_merge_topk(
-        small_system.relation,
         small_system.rtree,
         small_system.indexes,
         fn,
@@ -219,7 +218,7 @@ def test_index_merge_no_predicate(small_system, rng):
     )
     expected = naive_topk(list(small_system.relation.pref_points()), fn, 5)
     assert [round(s, 9) for _, s in ranked] == [round(s, 9) for _, s in expected]
-    assert stats.bindex == 0
+    assert stats.counters.get(BINDEX) == 0
 
 
 def test_naive_topk_tie_break_and_bounds():
@@ -241,7 +240,6 @@ def test_select_tuples_excludes_tombstoned_rows_on_both_paths():
     access path may return them."""
     from repro.cube.relation import Relation
     from repro.cube.schema import Schema
-    from repro.storage.counters import BINDEX
     from repro.storage.disk import SimulatedDisk
 
     disk = SimulatedDisk(page_size=128)  # many heap pages => index scan wins

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 from benchmarks import census
+from repro.cube.schema import Schema
 from repro.rtree import geometry
 from repro.rtree.geometry import Rect
 
@@ -28,7 +29,9 @@ def test_a_function_is_keyed_as_its_code_object_is():
     module = "repro/rtree/geometry.py"
     assert found[(module, "dominates")] == _key(geometry.dominates)
     assert found[(module, "Rect.from_point")] == _key(Rect.from_point.__func__)
-    assert found[(module, "Rect.lower")] == _key(Rect.lower.fget)
+    assert found[("repro/cube/schema.py", "Schema.n_preference")] == _key(
+        Schema.n_preference.fget
+    )
 
 
 def test_a_function_nested_in_an_unreached_function_is_counted_once():
@@ -62,6 +65,6 @@ def test_a_child_run_records_the_product_functions_it_called(tmp_path):
     assert done.returncode == 0, done.stderr
     called = {tuple(key) for key in json.loads(out.read_text())}
     assert _key(geometry.dominates) in called
-    assert _key(geometry.mindist) not in called
+    assert _key(Rect.area) not in called
     src = str(census.SRC.resolve()) + os.sep
     assert all(path.startswith(src) for path, _ in called)

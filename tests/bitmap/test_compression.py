@@ -18,6 +18,7 @@ from repro.bitmap.compression import (
     read_varint,
     write_varint,
 )
+from tests.bitmap.test_bitarray import bits_at
 from tests.reference import codec_name
 
 
@@ -53,15 +54,15 @@ def test_varint_truncated_rejected():
 
 SAMPLES = [
     BitArray(1),
-    BitArray.ones(1),
+    bits_at(1, range(1)),
     BitArray(8),
-    BitArray.ones(8),
-    BitArray.from_positions(8, [0, 7]),
-    BitArray.from_positions(64, [0, 31, 32, 63]),
-    BitArray.from_positions(100, [0]),
-    BitArray.from_positions(100, range(50)),
-    BitArray.ones(257),
-    BitArray.from_positions(1000, [999]),
+    bits_at(8, range(8)),
+    bits_at(8, [0, 7]),
+    bits_at(64, [0, 31, 32, 63]),
+    bits_at(100, [0]),
+    bits_at(100, range(50)),
+    bits_at(257, range(257)),
+    bits_at(1000, [999]),
 ]
 
 
@@ -74,7 +75,7 @@ def test_roundtrip_every_codec(codec, bits):
 
 
 def test_adaptive_picks_smallest():
-    sparse_bits = BitArray.from_positions(2048, [1])
+    sparse_bits = bits_at(2048, [1])
     blob = compress(sparse_bits, "adaptive")
     for codec in CODECS:
         assert len(blob) <= len(compress(sparse_bits, codec))
@@ -82,12 +83,12 @@ def test_adaptive_picks_smallest():
 
 
 def test_adaptive_sparse_wins_on_sparse_input():
-    bits = BitArray.from_positions(2048, [0, 512, 1024])
+    bits = bits_at(2048, [0, 512, 1024])
     assert codec_name(compress(bits, "adaptive")) == "sparse"
 
 
 def test_adaptive_beats_raw_substantially_on_sparse():
-    bits = BitArray.from_positions(4096, [7])
+    bits = bits_at(4096, [7])
     raw = compress(bits, "raw")
     adaptive = compress(bits, "adaptive")
     assert len(adaptive) < len(raw) / 20
@@ -176,10 +177,10 @@ def test_sparse_roundtrip_around_the_one_byte_gap_width(nbits):
     one varint byte; the decoder builds the mask without ``BitArray.set``."""
     samples = [
         BitArray(nbits),
-        BitArray.ones(nbits),
-        BitArray.from_positions(nbits, [nbits - 1]),
-        BitArray.from_positions(nbits, [0, nbits - 1]),
-        BitArray.from_positions(nbits, range(0, nbits, 3)),
+        bits_at(nbits, range(nbits)),
+        bits_at(nbits, [nbits - 1]),
+        bits_at(nbits, [0, nbits - 1]),
+        bits_at(nbits, range(0, nbits, 3)),
     ]
     for bits in samples:
         decoded = decompress(compress(bits, "sparse"))
@@ -189,7 +190,7 @@ def test_sparse_roundtrip_around_the_one_byte_gap_width(nbits):
 
 bit_arrays = st.integers(min_value=1, max_value=300).flatmap(
     lambda n: st.builds(
-        BitArray.from_positions,
+        bits_at,
         st.just(n),
         st.sets(st.integers(min_value=0, max_value=n - 1)),
     )
@@ -389,7 +390,7 @@ def test_memoised_and_unmemoised_decode_agree(bits, codec):
 
 
 def test_any_bytes_like_blob_decodes_as_its_bytes():
-    bits = BitArray.from_positions(64, [0, 31, 63])
+    bits = bits_at(64, [0, 31, 63])
     blob = compress(bits)
     assert decompress(bytearray(blob)) == decompress(memoryview(blob)) == bits
     with pytest.raises(TypeError):

@@ -20,6 +20,17 @@ def _origin_rows(system):
     )
 
 
+def assert_nothing_pinned(system):
+    """No reader still holds a snapshot: the pages one more write frees are
+    reclaimed at its publish (a pin below that epoch would hold them)."""
+    epochs = system.epochs
+    deferred = epochs.stats.deferred_frees
+    tid, _ = system.insert(*_origin_rows(system))
+    system.delete(tid)
+    assert epochs.stats.deferred_frees > deferred  # the write freed pages
+    assert epochs.deferred_pages() == set()
+
+
 def test_pinned_snapshot_survives_maintenance(fresh_system):
     system = fresh_system()
     system.enable_epochs()
@@ -102,14 +113,14 @@ def test_deferred_frees_wait_for_pinned_readers(fresh_system):
     for _ in range(4):
         tid, _ = system.insert(bool_row, pref_row)
         system.delete(tid)
-    assert epochs.deferred_free_count() > 0
+    assert epochs.deferred_pages()
 
     # The pinned reader still traverses the old pages without a fault.
     replay = QuerySession.for_snapshot(snapshot).skyline()
     assert replay.tids == reference.tids
 
     system.unpin_snapshot(snapshot)
-    assert epochs.deferred_free_count() == 0
+    assert epochs.deferred_pages() == set()
     assert epochs.stats.reclaimed_pages > 0
 
 
@@ -143,16 +154,23 @@ def test_unpin_without_pin_raises(fresh_system):
         epochs.unpin(snapshot)
 
 
-def test_pinned_epochs_bookkeeping(fresh_system):
+def test_pins_are_counted_per_reader(fresh_system):
+    """Two readers pin the same epoch: the pages a write frees wait for the
+    second unpin, not the first."""
     system = fresh_system()
     epochs = system.enable_epochs()
     first = epochs.pin()
     second = epochs.pin()
-    assert epochs.pinned_epochs() == {first.epoch: 2}
+    assert first is second
+    tid, _ = system.insert(*_origin_rows(system))
+    system.delete(tid)
+    held = epochs.deferred_pages()
+    assert held
     epochs.unpin(first)
-    assert epochs.pinned_epochs() == {second.epoch: 1}
+    assert epochs.deferred_pages() == held
     epochs.unpin(second)
-    assert epochs.pinned_epochs() == {}
+    assert epochs.deferred_pages() == set()
+    assert_nothing_pinned(system)
 
 
 def test_maintenance_unchanged_without_epochs(fresh_system):
@@ -193,14 +211,16 @@ def test_publish_rebuilds_the_written_paths_and_leaves_pinned_epochs_alone(
         else:
             bool_row, pref_row = _origin_rows(system)
             system.insert(bool_row, tuple(rng.random() for _ in pref_row))
-        current = epochs.current.rtree
+        current = system.pin_snapshot()
+        system.unpin_snapshot(current)
+        current = current.rtree
         before, after = frozen_nodes(previous.root), frozen_nodes(current.root)
         rebuilt = [n for n, node in after.items() if node is not before.get(n)]
         # A single-tuple write rebuilds a few root-to-leaf paths, not ~300 nodes.
-        assert 0 < len(rebuilt) <= 6 * current.height()
+        assert 0 < len(rebuilt) <= 6 * (current.root.level + 1)
         assert len(after) - len(rebuilt) > len(after) // 2
         assert current.all_paths() == system.rtree.all_paths()
-        assert current.node_count() == system.rtree.node_count()
+        assert len(after) == system.rtree.node_count()
         previous = current
 
     # The pinned epoch: same node objects, same slots, same answers.

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.obs import Tracer
-from repro.query.ranking import SumFunction
+from repro.query.ranking import LinearFunction
 from repro.serve.executor import (
     AdmissionFull,
     QueryCancelled,
@@ -240,7 +240,7 @@ def test_a_cache_hit_never_leaves_the_submitting_thread(system, monkeypatch):
         pins = _counting_pins(executor, monkeypatch)
         blocked = executor.submit("block", _blocker(started, gate))
         assert started.wait(timeout=30.0)
-        queued = executor.topk(SumFunction(2), 5)  # a miss: fills the queue
+        queued = executor.topk(LinearFunction([1.0, 1.0]), 5)  # a miss: fills the queue
         assert pins == ["serve-worker-0"]  # the parked query's pin only
 
         ticket = executor.skyline()
@@ -252,7 +252,7 @@ def test_a_cache_hit_never_leaves_the_submitting_thread(system, monkeypatch):
         assert ticket.epoch == hit.stats.epoch == executor.epochs.current_epoch
         assert pins == ["serve-worker-0"]
         with pytest.raises(AdmissionFull):  # a miss still needs the queue
-            executor.topk(SumFunction(2), 6)
+            executor.topk(LinearFunction([1.0, 1.0]), 6)
 
         gate.set()
         blocked.result(timeout=30.0)

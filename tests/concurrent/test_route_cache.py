@@ -43,6 +43,7 @@ from repro.storage.faults import (
     SimulatedCrash,
 )
 from repro.system import build_system
+from tests.concurrent.test_epochs import assert_nothing_pinned
 
 pytestmark = [pytest.mark.concurrent, pytest.mark.routing]
 
@@ -263,7 +264,7 @@ def test_no_stale_hit_in_seeded_schedules():
         dropped += cache["invalidated"]
         _assert_drop_counters_add_up(cache)
     assert reads > 400 and carried_hits > 40 and dropped > 15
-    assert system.epochs.pinned_epochs() == {}
+    assert_nothing_pinned(system)
     assert system.verify_consistency().ok
 
 
@@ -409,5 +410,5 @@ def test_threaded_readers_share_cache_under_churn():
     # The writer's schedule crashed and recovered under the readers.
     assert system.epochs.stats.abandoned >= 1
     # Quiesced: the system audits clean and pins are all released.
-    assert system.epochs.pinned_epochs() == {}
+    assert_nothing_pinned(system)
     assert system.verify_consistency().ok

@@ -18,6 +18,7 @@ from repro.data.workload import sample_linear_function, sample_predicate
 from repro.query.session import QuerySession
 from repro.serve.executor import QueryExecutor
 from repro.storage.buffer import BufferPool
+from tests.concurrent.test_epochs import assert_nothing_pinned
 
 pytestmark = pytest.mark.concurrent
 
@@ -115,7 +116,7 @@ def test_pinned_readers_are_byte_identical_under_churn(fresh_system):
     assert errors == []
     assert system.epochs.current_epoch > pinned.epoch  # churn published
     system.unpin_snapshot(pinned)
-    assert system.epochs.deferred_free_count() == 0
+    assert system.epochs.deferred_pages() == set()
     assert system.verify_consistency().ok
 
 
@@ -145,7 +146,7 @@ def test_executor_serves_fresh_epochs_during_churn(fresh_system):
     stats = executor.stats.snapshot()
     assert stats["failed"] == 0
     assert stats["completed"] == len(results)
-    # Quiesced: every pin released, every deferred page reclaimed.
-    assert system.epochs.pinned_epochs() == {}
-    assert system.epochs.deferred_free_count() == 0
+    # Quiesced: every deferred page reclaimed, every pin released.
+    assert system.epochs.deferred_pages() == set()
+    assert_nothing_pinned(system)
     assert system.verify_consistency().ok

@@ -32,6 +32,7 @@ from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import LinearFunction
 from repro.query.stats import QueryStats
 from repro.storage.buffer import BufferPool
+from repro.storage.counters import DBOOL
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import FaultPlan, FaultRule, FaultyDisk
 from repro.system import build_system
@@ -169,7 +170,7 @@ def test_look_ahead_decodes_each_node_once_and_only_where_the_plain_and_reads(
     for predicate in predicates(system, rng):
         cells = predicate.atomic_cells()
         sizes = [
-            system.pcube.store.load_full_signature(cell).n_nodes()
+            len(list(system.pcube.store.load_full_signature(cell).node_sids()))
             for cell in cells
         ]
         runs = {}
@@ -393,7 +394,7 @@ def test_partial_lost_under_look_ahead_costs_pruning_not_answers(
             (cell, ref) for cell, ref, looking in loads if looking and ref
         ]
         for cell, ref in by_look_ahead[:3]:
-            page_id = system.pcube.store.refs_for(cell)[ref]
+            page_id = system.pcube.store.directory_snapshot()[cell.cell_id][ref]
             disk.plan = FaultPlan(
                 [FaultRule(kind="transient", page_id=page_id, count=None)]
             )
@@ -430,7 +431,7 @@ def test_unresolvable_node_counts_as_non_empty_without_a_probe():
     # under a bit the second cell has set too.
     pages = {
         ref: set(disk.peek(page_id).payload.blobs)
-        for ref, page_id in store.refs_for(cells[0]).items()
+        for ref, page_id in store.directory_snapshot()[cells[0].cell_id].items()
     }
     lost_ref, lost_path = next(
         (ref, path)
@@ -444,7 +445,7 @@ def test_unresolvable_node_counts_as_non_empty_without_a_probe():
         [
             FaultRule(
                 kind="corrupt",
-                page_id=store.refs_for(cells[0])[lost_ref],
+                page_id=store.directory_snapshot()[cells[0].cell_id][lost_ref],
                 count=1,
             )
         ]
@@ -454,7 +455,7 @@ def test_unresolvable_node_counts_as_non_empty_without_a_probe():
     bit = 1 << (lost_path[-1] - 1)
     assert reader.check_block(lost_path[:-1], bit) == bit
     assert stats.failed_loads == 1 and stats.degraded
-    assert stats.degraded_checks == 0 and stats.dbool == 0
+    assert stats.degraded_checks == 0 and stats.counters.get(DBOOL) == 0
     assert reader.check_block(lost_path, (1 << fanout) - 1) is None
     assert stats.degraded_checks == 0
     reader.check_entry(lost_path, 1)

@@ -26,7 +26,7 @@ def test_empty_signature_rejects_everything():
     bloom = BloomSignature.from_signature(Signature(FANOUT))
     assert not bloom.check_path(())
     assert not bloom.check_path((1, 1))
-    assert not bloom.check_entry((), 1)
+    assert not bloom.check_block((), 0b1)
 
 
 def test_nonempty_root_check():

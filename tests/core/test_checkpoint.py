@@ -178,7 +178,7 @@ def test_orphan_row_chunks_are_invisible_and_reclaimable():
     assert [info.checkpoint_id for info in manager.catalog()] == [0]
     freed = manager.gc_orphans()
     assert freed >= 1
-    assert disk.page_count("ckpt:c1") == 0
+    assert len(list(disk.pages("ckpt:c1"))) == 0
     # The surviving checkpoint still restores.
     result = restore_system(system.disk)
     assert result.checkpoint.checkpoint_id == 0

@@ -22,9 +22,7 @@ M = 2  # the example's fanout
 
 def bits(pattern: str) -> BitArray:
     """Build a width-M bit array from a left-to-right pattern like "10"."""
-    return BitArray.from_positions(
-        M, [i for i, ch in enumerate(pattern) if ch == "1"]
-    )
+    return BitArray(M, sum(1 << i for i, ch in enumerate(pattern) if ch == "1"))
 
 
 def cell_paths(paper_relation, dim, value):
@@ -41,12 +39,13 @@ def cell_paths(paper_relation, dim, value):
 
 
 def test_paper_rtree_reproduces_table_i_paths(paper_rtree):
+    paths = paper_rtree.all_paths()
     for tid, path in PAPER_PATHS.items():
-        assert paper_rtree.path_of(tid) == path
+        assert paths[tid] == path
 
 
 def test_paper_rtree_shape(paper_rtree):
-    assert paper_rtree.height() == 3
+    assert paper_rtree.root.level == 2
     assert paper_rtree.node_count() == 7  # root, N1-N2, N3-N6
 
 
@@ -64,7 +63,7 @@ def test_a1_signature_matches_figure_2(paper_relation):
     assert signature.node(sid_of_path((1,), M)) == bits("11")
     assert signature.node(sid_of_path((1, 1), M)) == bits("10")
     assert signature.node(sid_of_path((1, 2), M)) == bits("10")
-    assert signature.n_nodes() == 4
+    assert len(list(signature.node_sids())) == 4
 
 
 def test_sid_example_from_paper():
@@ -146,7 +145,7 @@ def test_figure_4_insertion_flips_only_the_new_path(paper_relation):
     t4 at path ⟨1,2,2⟩ flips exactly the entries on that path."""
     before = Signature.from_paths([PAPER_PATHS[7]], M)
     assert before.node(0) == bits("01")
-    after = before.copy()
+    after = Signature.from_paths([PAPER_PATHS[7]], M)
     after.add_path(PAPER_PATHS[3])  # t4 -> ⟨1,2,2⟩
     expected = Signature.from_paths([PAPER_PATHS[7], PAPER_PATHS[3]], M)
     assert after == expected

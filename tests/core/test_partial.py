@@ -389,7 +389,8 @@ def test_reused_nodes_are_not_compressed_again(monkeypatch):
     store = SignatureStore(SimulatedDisk(page_size=48), FANOUT)
     store.put_signature(CELL, Signature.from_paths(paths, FANOUT))
     counted = CountedSignature.from_paths(paths, FANOUT)
-    counted.move_path((2, 1, 1), (2, 1, 3))
+    counted.remove_path((2, 1, 1))
+    counted.add_path((2, 1, 3))
     changed = {0, sid_of_path((2,), FANOUT), sid_of_path((2, 1), FANOUT)}
     compressed = count_compressions(monkeypatch)
     store.put_signature(CELL, counted, dirty_sids=changed)

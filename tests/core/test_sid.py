@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core.sid import (
     child_sid,
-    parent_sid,
     path_of_sid,
     sid_of_path,
 )
@@ -43,16 +42,10 @@ def test_invalid_sid_inversion():
         path_of_sid(-1, 2)
 
 
-def test_parent_and_child():
+def test_child():
     fanout = 7
     sid = sid_of_path((3, 5, 2), fanout)
-    assert parent_sid(sid, fanout) == sid_of_path((3, 5), fanout)
     assert child_sid(sid_of_path((3, 5), fanout), 2, fanout) == sid
-
-
-def test_parent_of_root_rejected():
-    with pytest.raises(ValueError):
-        parent_sid(0, 4)
 
 
 def test_child_position_bounds():

@@ -9,6 +9,7 @@ from repro.core import store as store_module
 from repro.core.partial import decompose
 from repro.core.readers import AssembledReader
 from repro.core.sid import path_of_sid
+from repro.core.counted import CountedSignature
 from repro.core.signature import Signature
 from repro.core.store import MissingPartialError, SignatureStore
 from repro.cube.cuboid import Cell
@@ -41,9 +42,11 @@ def store(disk):
     return SignatureStore(disk, fanout=FANOUT, codec="raw")
 
 
+WIDE_PATHS = [(a, b, c) for a in (1, 2, 3) for b in (1, 2) for c in (1, 2)]
+
+
 def wide_signature():
-    paths = [(a, b, c) for a in (1, 2, 3) for b in (1, 2) for c in (1, 2)]
-    return Signature.from_paths(paths, FANOUT)
+    return Signature.from_paths(WIDE_PATHS, FANOUT)
 
 
 def test_put_and_full_reload(store):
@@ -70,9 +73,9 @@ def test_loads_are_counted(store, disk):
 
 def test_replace_frees_old_pages(store, disk):
     store.put_signature(CELL, wide_signature())
-    before = disk.page_count("pcube:sig")
+    before = len(list(disk.pages("pcube:sig")))
     store.put_signature(CELL, Signature.from_paths([(1, 1)], FANOUT))
-    after = disk.page_count("pcube:sig")
+    after = len(list(disk.pages("pcube:sig")))
     assert after < before
     assert store.load_full_signature(CELL) == Signature.from_paths(
         [(1, 1)], FANOUT
@@ -154,7 +157,7 @@ def test_reader_meets_an_undecodable_blob_at_its_first_touch(store, disk):
     raises as it always did."""
     signature = wide_signature()
     store.put_signature(CELL, signature)
-    page = disk.peek(store.refs_for(CELL)[0])
+    page = disk.peek(store.directory_snapshot()[CELL.cell_id][0])
     sid = max(page.payload.blobs)
     assert sid != 0
     page.payload.blobs[sid] = b"\xff\x00\xff"
@@ -166,7 +169,7 @@ def test_reader_meets_an_undecodable_blob_at_its_first_touch(store, disk):
         reader.check_entry(path_of_sid(sid, FANOUT), 1)
     with pytest.raises(CodecError):
         reader.check_block(path_of_sid(sid, FANOUT), 0b1)
-    assert not reader.stats.degraded and not store.is_quarantined(CELL)
+    assert not reader.stats.degraded and CELL not in store.quarantined_cells()
     with pytest.raises(CodecError):
         store.load_full_signature(CELL)
 
@@ -262,9 +265,9 @@ def test_assembled_reader_requires_readers():
         AssembledReader([], 1)
 
 
-def test_index_height(store):
+def test_the_index_lists_what_the_directory_holds(store):
     store.put_signature(CELL, wide_signature())
-    assert store.index_height() >= 1
+    assert store.index_entries() == store.directory_entries() != []
 
 
 def test_missing_partial_is_a_typed_error(store, monkeypatch):
@@ -300,7 +303,7 @@ def test_quarantine_is_listed_counted_once_and_lifted(store):
     signature = wide_signature()
     store.put_signature(CELL, signature)
     store.quarantine(CELL, "corrupt page")
-    assert store.is_quarantined(CELL)
+    assert CELL in store.quarantined_cells()
     assert store.quarantined_cells() == [CELL]
     assert store.fault_stats.quarantines == 1
     store.quarantine(CELL, "again")  # re-quarantining is not double-counted
@@ -309,7 +312,7 @@ def test_quarantine_is_listed_counted_once_and_lifted(store):
     store.on_cell_rebuilt = rebuilt.append
     store.clear_quarantine(CELL)
     store.clear_quarantine(CELL)  # lifting twice notifies once
-    assert not store.is_quarantined(CELL)
+    assert CELL not in store.quarantined_cells()
     assert rebuilt == [CELL.cell_id]
     assert store.load_full_signature(CELL) == signature
 
@@ -331,7 +334,7 @@ def test_torn_rewrite_leaves_old_partials_readable():
     store = SignatureStore(disk, fanout=FANOUT, codec="raw")
     old = wide_signature()
     store.put_signature(CELL, old)
-    pages_before = disk.page_count("pcube:sig")
+    pages_before = len(list(disk.pages("pcube:sig")))
     # First new-generation page lands, the second allocation tears.
     disk.plan = FaultPlan(
         [FaultRule(kind="torn", op="allocate", tag="pcube:sig", after=1, count=1)]
@@ -340,7 +343,7 @@ def test_torn_rewrite_leaves_old_partials_readable():
         store.put_signature(CELL, old)
     assert store.load_full_signature(CELL) == old  # old generation intact
     # The page that landed before the tear is freed at once: no orphan.
-    assert disk.page_count("pcube:sig") == pages_before
+    assert len(list(disk.pages("pcube:sig"))) == pages_before
     assert store.orphan_pages() == []
     replacement = Signature.from_paths([(2, 2)], FANOUT)
     store.put_signature(CELL, replacement)
@@ -356,7 +359,7 @@ def test_reader_degrades_on_corrupt_partial():
     reader = store.reader(CELL, stats=stats)
     assert stats.degraded
     assert stats.failed_loads == 1
-    assert store.is_quarantined(CELL)
+    assert CELL in store.quarantined_cells()
     # Conservative mode: unresolvable bit tests answer True — pruning is
     # lost, correctness is not.
     assert reader.check_entry((), 1)
@@ -393,7 +396,7 @@ def stored_bytes(store, cell):
         (partial.ref_sid, list(partial.blobs.items()), partial.size_bytes)
         for partial in (
             store.disk.peek(page_id).payload
-            for page_id in store.refs_for(cell).values()
+            for page_id in store.directory_snapshot()[cell.cell_id].values()
         )
     ]
 
@@ -418,11 +421,10 @@ def count_compressions(monkeypatch):
 
 
 def grown_signature():
-    """``wide_signature`` plus one tuple on a new leaf, and what that path
-    dirtied."""
-    signature = wide_signature()
+    """``wide_signature`` plus one tuple on a new leaf, as the counted
+    signature maintenance hands over, and what that path dirtied."""
     new_path = (2, 3, 1)
-    signature.add_path(new_path)
+    signature = CountedSignature.from_paths(WIDE_PATHS + [new_path], FANOUT)
     return signature, set(ancestor_sids(new_path[:-1], FANOUT))
 
 
@@ -440,7 +442,7 @@ def test_rewrite_compresses_only_dirty_nodes_and_stores_the_same_bytes(
     # One counted read per old partial, nothing else.
     assert disk.counters.get(SSIG) - reads_before == old_partials
     assert stored_bytes(store, CELL) == from_scratch_bytes(store, signature)
-    assert store.load_full_signature(CELL) == signature
+    assert store.load_full_signature(CELL) == signature.to_signature()
 
 
 def test_rewrite_of_a_new_cell_with_dirty_sids_compresses_everything(
@@ -468,9 +470,9 @@ def test_rewrite_recompresses_when_an_old_partial_is_unreadable(
     store.put_signature(CELL, signature, dirty_sids=dirty)
     assert rule.fired == 1
     assert len(compressed) == signature.n_nodes()
-    assert not store.is_quarantined(CELL)
+    assert CELL not in store.quarantined_cells()
     assert stored_bytes(store, CELL) == from_scratch_bytes(store, signature)
-    assert store.load_full_signature(CELL) == signature
+    assert store.load_full_signature(CELL) == signature.to_signature()
     assert not store.reader(CELL).stats.degraded
 
 
@@ -479,12 +481,12 @@ def test_crash_on_the_old_partial_read_leaves_the_old_generation():
     store = SignatureStore(disk, fanout=FANOUT, codec="raw")
     old = wide_signature()
     store.put_signature(CELL, old)
-    pages_before = disk.page_count("pcube:sig")
+    pages_before = len(list(disk.pages("pcube:sig")))
     signature, dirty = grown_signature()
     disk.plan = FaultPlan(
         [FaultRule(kind="crash", op="read", tag="pcube:sig", count=1)]
     )
     with pytest.raises(SimulatedCrash):
         store.put_signature(CELL, signature, dirty_sids=dirty)
-    assert disk.page_count("pcube:sig") == pages_before
+    assert len(list(disk.pages("pcube:sig"))) == pages_before
     assert store.load_full_signature(CELL) == old

@@ -52,7 +52,7 @@ def test_begin_journals_a_durable_intent(wal, disk):
     assert pending.payload == {"base": 3, "rows": [(("a",), (0.1, 0.2))]}
     assert pending.changes is None
     assert pending.stored_cells == []
-    assert disk.page_count("wal:rec") == 1
+    assert len(list(disk.pages("wal:rec"))) == 1
 
 
 def test_full_lifecycle_reconstructs_from_disk(wal):
@@ -79,7 +79,7 @@ def test_commit_retains_the_archive(wal, disk):
     assert wal.is_empty()
     assert wal.pending() is None
     # intent + changes + commit, all retained.
-    assert disk.page_count("wal:rec") == 3
+    assert len(list(disk.pages("wal:rec"))) == 3
     ops, _ = MaintenanceWAL.read_committed(disk)
     assert [op.op for op in ops] == ["update"]
     assert ops[0].payload == {"tid": 1, "pref_row": (0.5, 0.5)}

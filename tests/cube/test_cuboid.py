@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.cube.cuboid import Cell, Cuboid, atomic_cuboids, cuboid_lattice
+from repro.cube.cuboid import Cell, Cuboid, atomic_cuboids
 from repro.cube.relation import Relation
 from repro.cube.schema import Schema
 
@@ -116,13 +116,5 @@ def test_atomic_cuboids():
     assert [c.dims for c in cuboids] == [("A",), ("B",), ("C",)]
 
 
-def test_cuboid_lattice_counts():
-    full = list(cuboid_lattice(("A", "B", "C")))
-    assert len(full) == 7  # 2^3 - 1 non-empty subsets
-    limited = list(cuboid_lattice(("A", "B", "C"), max_dims=2))
-    assert len(limited) == 6
-    assert all(len(c.dims) <= 2 for c in limited)
-
-
-def test_cuboid_name():
-    assert Cuboid(("A", "B")).name == "(A,B)"
+def test_cuboid_repr_names_its_dims():
+    assert repr(Cuboid(("A", "B"))) == "Cuboid(A,B)"

@@ -142,7 +142,7 @@ def test_differential_topk(rows, conjuncts, weights, k):
         relation, system.rtree, fn, k, predicate
     )
     ranked_merge, _ = index_merge_topk(
-        relation, system.rtree, system.indexes, fn, k, predicate
+        system.rtree, system.indexes, fn, k, predicate
     )
     for name, ranked in (
         ("signature", ranked_sig),

@@ -12,6 +12,7 @@ import pytest
 
 from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
+from repro.storage.counters import DBOOL
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import FaultPlan, FaultRule, FaultyDisk
 from repro.system import build_system
@@ -123,5 +124,5 @@ def test_degraded_query_charges_fallback_to_dbool(
     degraded = faulty.engine.skyline(predicate)
     assert degraded.tids == baseline.tids
     assert degraded.stats.degraded
-    assert degraded.stats.dbool >= baseline.stats.dbool
+    assert degraded.stats.counters.get(DBOOL) >= baseline.stats.counters.get(DBOOL)
     assert degraded.stats.total_io() >= baseline.stats.total_io()

@@ -9,7 +9,7 @@ from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.query.session import QuerySession
 from repro.rtree.frozen import freeze
 from repro.rtree.geometry import Rect
-from repro.rtree.node import RTreeNode, tuple_path
+from repro.rtree.node import RTreeNode
 from repro.storage.counters import ALLOC, WRITE
 from repro.system import build_system
 
@@ -78,8 +78,9 @@ def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
     # Each level's boxes come from its children's rows, never from a node.
     assert boxed == []
     nodes = list(system.rtree.nodes())
+    paths = system.rtree.all_paths()
     for tid in relation.live_tids():
-        assert system.rtree.path_of(tid) == tuple_path(system.rtree.leaf_of(tid), tid)
+        assert system.rtree.entry_at(paths[tid]).tid == tid
     # A B+-tree node is written once by the batch (its root once more, by
     # the constructor); an R-tree node when created and when filled.
     btree_pages = {page.page_id for page in relation.disk.pages("btree:")}
@@ -104,7 +105,7 @@ def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
     assert len(frozen) == len(nodes)
     # The frozen leaves hold the live leaves' entry objects.
     assert all(
-        entry is system.rtree.leaf_of(entry.tid).entries[slot]
+        entry is system.rtree.entry_at(paths[entry.tid])
         for node in frozen
         if node.is_leaf
         for slot, entry in node.live_entries()

@@ -139,7 +139,6 @@ def test_domination_first_differential(system):
 def test_index_merge_differential(system):
     for predicate in _predicates(system):
         ranked, _ = index_merge_topk(
-            system.relation,
             system.rtree,
             system.indexes,
             LINEAR,

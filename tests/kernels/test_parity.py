@@ -289,7 +289,7 @@ def test_domination_buffer_parity(rows, data):
         return (
             [buffer.dominates_point(p) for p in probes],
             buffer.dominates_block(probes),
-            buffer.points(),
+            len(buffer),
         )
 
     scalar, vector = against_oracle(run)

@@ -1,4 +1,4 @@
-"""Ranking functions: scores and the lower-bound contract."""
+"""Ranking functions: scores, the lower-bound contract and their parameters."""
 
 import math
 
@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from repro.query.ranking import (
     LinearFunction,
-    MonotoneFunction,
-    SumFunction,
+    SeparableFunction,
     WeightedSquaredDistance,
 )
 from repro.rtree.geometry import Rect
@@ -38,12 +37,6 @@ def test_linear_validation():
         LinearFunction([])
 
 
-def test_sum_function_is_skyline_key():
-    fn = SumFunction(3)
-    assert fn.score((1, 2, 3)) == 6.0
-    assert fn.lower_bound(Rect((1, 2, 3), (9, 9, 9))) == 6.0
-
-
 def test_weighted_distance_example_1():
     # (price - 15)² + 0.5 (mileage - 30)², in thousands.
     fn = WeightedSquaredDistance(target=(15.0, 30.0), weights=(1.0, 0.5))
@@ -66,10 +59,35 @@ def test_weighted_distance_validation():
         WeightedSquaredDistance((0, 0), weights=(-1.0, 1.0))
 
 
-def test_monotone_function():
-    fn = MonotoneFunction(max, name="max")
-    assert fn.score((0.2, 0.8)) == 0.8
-    assert fn.lower_bound(Rect((0.1, 0.3), (0.9, 0.9))) == 0.3
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: LinearFunction([x, 1.0]),
+        lambda x: WeightedSquaredDistance((x, 0.5)),
+        lambda x: WeightedSquaredDistance((0.5, 0.5), (1.0, x)),
+        lambda x: SeparableFunction([(0, "squared", 1.0, x)]),
+        lambda x: SeparableFunction([(0, "linear", x, 0.0)]),
+        lambda x: SeparableFunction([(0, "linear", 1.0, x)]),
+    ],
+    ids=["linear-weight", "wsd-target", "wsd-weight", "sep-target",
+         "sep-coeff", "sep-linear-target"],
+)
+def test_a_non_finite_parameter_is_refused(make, bad):
+    # NaN scores compare false with every bound, so no node is ever pruned:
+    # such a function used to return the whole relation as its "top k".
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
+
+
+def test_misfit_names_a_function_that_does_not_fit_the_dimensions():
+    assert LinearFunction([1.0, 1.0]).misfit(2) is None
+    assert "5 weights" in LinearFunction([1.0] * 5).misfit(2)
+    assert WeightedSquaredDistance((0.5, 0.5)).misfit(2) is None
+    assert "1 dims" in WeightedSquaredDistance((0.5,)).misfit(2)
+    # A separable function may leave dimensions out, never name a missing one.
+    assert SeparableFunction([(1, "linear", 1.0, 0.0)]).misfit(2) is None
+    assert "dimension 5" in SeparableFunction([(5, "linear", 1.0, 0.0)]).misfit(2)
 
 
 rect_and_point = st.tuples(
@@ -109,11 +127,3 @@ def test_distance_lower_bound_property(data):
     point = [lo + frac * (hi - lo) for lo, hi, frac in zip(lows, highs, t)]
     assert fn.score(point) >= lb - 1e-9
 
-
-@given(rect_and_point)
-def test_monotone_lower_bound_property(data):
-    a, b, t = data
-    rect, lows, highs = make_rect(a, b)
-    fn = MonotoneFunction(lambda p: math.hypot(*p), name="l2-from-origin")
-    point = [lo + frac * (hi - lo) for lo, hi, frac in zip(lows, highs, t)]
-    assert fn.score(point) >= fn.lower_bound(rect) - 1e-9

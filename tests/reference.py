@@ -262,8 +262,13 @@ def contains_subtree(signature: Signature, path: Sequence[int]) -> bool:
     path asks whether the cell is non-empty)."""
     if not path:
         return bool(signature)
-    parent = sid_of_path(path[:-1], signature.fanout)
-    return signature.check_bit(parent, path[-1])
+    return check_bit(signature, sid_of_path(path[:-1], signature.fanout), path[-1])
+
+
+def check_bit(signature: Signature, parent_sid: int, position: int) -> bool:
+    """Whether child ``position`` (1-based) of node ``parent_sid`` holds data."""
+    bits = signature.node(parent_sid)
+    return bits is not None and bits.get(position - 1)
 
 
 def set_bit_count(signature: Signature) -> int:

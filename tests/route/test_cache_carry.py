@@ -15,7 +15,11 @@ import pytest
 from repro.core.epoch import DELTA_LOG_EPOCHS
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.query.predicates import BooleanPredicate
-from repro.query.ranking import LinearFunction
+from repro.query.ranking import (
+    LinearFunction,
+    SeparableFunction,
+    WeightedSquaredDistance,
+)
 from repro.query.session import QuerySession
 from repro.route import QueryRouter, RouteRequest
 from repro.route.engines import canonicalize
@@ -31,6 +35,16 @@ from repro.system import build_system
 pytestmark = pytest.mark.routing
 
 FN = LinearFunction((1.0, 2.0, 0.5))
+#: One function of each class, each best at the origin and worst at (1, 1, 1)
+#: on the unit cube: the carry verdict calls ``fn.score(point)`` for all three.
+FNS = {
+    "linear": FN,
+    "wsd": WeightedSquaredDistance((0.0, 0.0, 0.0), (1.0, 2.0, 0.5)),
+    "separable": SeparableFunction(
+        [(0, "linear", 1.0, 0.0), (1, "squared", 2.0, 0.0), (2, "linear", 0.5, 0.0)]
+    ),
+}
+every_class = pytest.mark.parametrize("fn", FNS.values(), ids=FNS.keys())
 K = 5
 WORST = (1.0, 1.0, 1.0)
 BEST = (0.0, 0.0, 0.0)
@@ -50,6 +64,7 @@ class Routed:
         system.enable_epochs()
         self.router = QueryRouter.for_system(system)
         self.relation = system.relation
+        self.fn = FN
         # Cell A = a0 (and the other boolean value that a0 rows avoid).
         self.a0 = self.relation.bool_row(0)[0]
         self.inside = self.relation.bool_row(0)
@@ -86,7 +101,7 @@ class Routed:
         return self.read("skyline", predicate=self.cell, **kwargs)
 
     def topk(self, k=K):
-        return self.read("topk", fn=FN, k=k, predicate=self.cell)
+        return self.read("topk", fn=self.fn, k=k, predicate=self.cell)
 
     def non_member(self, answer):
         return next(
@@ -198,7 +213,9 @@ def test_subspace_skyline_is_tested_on_its_own_dimensions(routed):
 # -- the answer test: top-k ---------------------------------------------- #
 
 
-def test_topk_insert_worse_equal_and_better_than_the_kth(routed):
+@every_class
+def test_topk_insert_worse_equal_and_better_than_the_kth(routed, fn):
+    routed.fn = fn
     answer = routed.topk()
     routed.system.insert(routed.inside, WORST)
     assert routed.topk().stats.cache_outcome == "hit"
@@ -213,7 +230,9 @@ def test_topk_insert_worse_equal_and_better_than_the_kth(routed):
     assert routed.counters()["dropped_answer"] == 2
 
 
-def test_topk_delete_and_update(routed):
+@every_class
+def test_topk_delete_and_update(routed, fn):
+    routed.fn = fn
     answer = routed.topk()
     routed.system.delete(routed.non_member(answer))
     routed.system.update(routed.non_member(answer), WORST)
@@ -224,7 +243,9 @@ def test_topk_delete_and_update(routed):
     assert routed.topk().stats.cache_outcome == "miss"
 
 
-def test_short_topk_drops_on_the_cell_test_alone(routed):
+@every_class
+def test_short_topk_drops_on_the_cell_test_alone(routed, fn):
+    routed.fn = fn
     short = routed.topk(k=500)
     assert len(short.tids) < 500
     tid, _ = routed.system.insert(routed.inside, WORST)

@@ -7,9 +7,7 @@ import pytest
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import (
     LinearFunction,
-    MonotoneFunction,
     SeparableFunction,
-    SumFunction,
     WeightedSquaredDistance,
 )
 from repro.route import APEX, CachedAnswer, ResultCache, result_key
@@ -56,24 +54,20 @@ def test_key_distinguishes_fn_and_k():
 
 def test_key_uses_the_cache_token_not_the_repr():
     predicate = BooleanPredicate()
-    # Two opaque callables share a repr; neither may be keyed at all.
-    assert repr(MonotoneFunction(max)) == repr(MonotoneFunction(min))
-    assert MonotoneFunction(max).cache_token() is None
-    assert result_key("topk", predicate, None, MonotoneFunction(max), 5, 7) is None
-    tokens = [
-        fn.cache_token()
-        for fn in (
-            LinearFunction((1.0, 2.0)),
-            LinearFunction((2.0, 1.0)),
-            SumFunction(3),
-            WeightedSquaredDistance((0.5, 0.5)),
-            WeightedSquaredDistance((0.5, 0.5), (1.0, 2.0)),
-            SeparableFunction([(0, "linear", 1.0, 0.0)]),
-            SeparableFunction([(0, "squared", 1.0, 0.0)]),
-        )
-    ]
+    functions = (
+        LinearFunction((1.0, 2.0)),
+        LinearFunction((2.0, 1.0)),
+        LinearFunction((1.0, 1.0, 1.0)),
+        WeightedSquaredDistance((0.5, 0.5)),
+        WeightedSquaredDistance((0.5, 0.5), (1.0, 2.0)),
+        SeparableFunction([(0, "linear", 1.0, 0.0)]),
+        SeparableFunction([(0, "squared", 1.0, 0.0)]),
+    )
+    tokens = [fn.cache_token() for fn in functions]
     assert len({hash(token) for token in tokens}) == len(tokens)
-    assert SumFunction(2).cache_token() == LinearFunction((1, 1)).cache_token()
+    for fn in functions:
+        assert result_key("topk", predicate, None, fn, 5, 7)[4][1] == fn.cache_token()
+    assert LinearFunction((1, 1)).cache_token() == LinearFunction((1.0, 1.0)).cache_token()
 
 
 def test_key_distinguishes_epochs():

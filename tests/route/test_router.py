@@ -304,30 +304,6 @@ def test_open_breaker_bypasses_the_cache(routed):
     )
 
 
-def test_opaque_ranking_function_bypasses_the_cache(fresh_system):
-    """Regression: the key used to digest ``repr(fn)``, and every
-    ``MonotoneFunction`` reprs as ``MonotoneFunction(monotone)`` — the
-    second query was served the first one's tids as a "hit"."""
-    from repro.query.ranking import MonotoneFunction
-
-    system = fresh_system(n_tuples=2000, seed=5)
-    by_max = MonotoneFunction(max)
-    by_first = MonotoneFunction(lambda point: point[0])
-    with QueryExecutor(system, threads=1, routing=True) as executor:
-        results = [
-            executor.topk(fn, 5).result(60.0)
-            for fn in (by_max, by_first, by_max)
-        ]
-        routing = executor.health()["router"]["routing"]
-        cache = executor.health()["router"]["cache"]
-    for fn, result in zip((by_max, by_first, by_max), results):
-        assert result.stats.cache_outcome == "bypass"
-        assert result.tids == system.engine.topk(fn, 5).tids
-    assert results[0].tids != results[1].tids
-    assert routing["cache_bypassed"] == 3 and routing["cache_hits"] == 0
-    assert (cache["stores"], cache["entries"]) == (0, 0)
-
-
 # -- live sessions ------------------------------------------------------- #
 
 

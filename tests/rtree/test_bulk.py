@@ -8,7 +8,6 @@ import pytest
 
 from repro.rtree.bulk import _str_order, bulk_load
 from repro.rtree.geometry import Rect
-from repro.rtree.node import tuple_path
 
 from tests.reference import range_search
 from tests.rtree.test_rtree import check_invariants, random_points
@@ -17,13 +16,13 @@ from tests.rtree.test_rtree import check_invariants, random_points
 def test_bulk_load_empty():
     tree = bulk_load([], dims=2, max_entries=4)
     assert len(tree) == 0
-    assert tree.height() == 1
+    assert tree.root.level == 0
 
 
 def test_bulk_load_single():
     tree = bulk_load([(3, (0.5, 0.5))], dims=2, max_entries=4)
     assert len(tree) == 1
-    assert tree.path_of(3) == (1,)
+    assert tree.all_paths()[3] == (1,)
 
 
 def test_bulk_load_structure_and_paths():
@@ -31,9 +30,10 @@ def test_bulk_load_structure_and_paths():
     tree = bulk_load(points, dims=2, max_entries=8)
     assert len(tree) == 500
     check_invariants(tree)
+    paths = tree.all_paths()
     for tid, point in points:
-        assert tree.point_of(tid) == point
-        assert tree.path_of(tid) == tuple_path(tree.leaf_of(tid), tid)
+        entry = tree.entry_at(paths[tid])
+        assert (entry.tid, entry.mbr.lows) == (tid, point)
 
 
 def test_bulk_load_range_search_agrees():

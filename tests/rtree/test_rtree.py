@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.rtree.geometry import Rect
-from repro.rtree.node import subtree_tids, tuple_path
+from repro.rtree.node import subtree_tids
 from repro.rtree.rtree import RTree, fanout_for_page
 
 from tests.reference import range_search
@@ -30,15 +30,17 @@ def check_invariants(tree: RTree) -> None:
             if node.is_leaf:
                 assert entry.tid is not None
                 seen_tids.append(entry.tid)
-                assert entry.mbr == Rect.from_point(tree.point_of(entry.tid))
+                assert entry.mbr == Rect.from_point(tree._points[entry.tid])
             else:
                 assert entry.child is not None
                 assert entry.child.level == node.level - 1
                 stack.append((entry.child, node))
     assert sorted(seen_tids) == sorted(tree._points)
     # Path map agrees with the actual structure.
-    for tid in tree._points:
-        assert tree.path_of(tid) == tuple_path(tree.leaf_of(tid), tid)
+    paths = tree.all_paths()
+    assert sorted(paths) == sorted(tree._points)
+    for tid, path in paths.items():
+        assert tree.entry_at(path).tid == tid
 
 
 @pytest.fixture
@@ -60,7 +62,7 @@ def test_fanout_for_page_matches_paper_orders():
 
 def test_empty_tree(tree):
     assert len(tree) == 0
-    assert tree.height() == 1
+    assert tree.root.level == 0
 
 
 def test_single_insert_reports_its_own_path(tree):
@@ -69,7 +71,7 @@ def test_single_insert_reports_its_own_path(tree):
     assert changes[0].tid == 7
     assert changes[0].old_path is None
     assert changes[0].new_path == (1,)
-    assert tree.path_of(7) == (1,)
+    assert tree.all_paths()[7] == (1,)
 
 
 def test_duplicate_tid_rejected(tree):
@@ -99,9 +101,9 @@ def test_split_reports_moved_tuples(tree):
     # The split redistributed the original tuples: every change record is
     # consistent with the tree's current state.
     for change in changes:
-        assert change.new_path == tree.path_of(change.tid)
+        assert change.new_path == tree.all_paths()[change.tid]
     check_invariants(tree)
-    assert tree.height() == 2
+    assert tree.root.level == 1
 
 
 def test_invariants_after_many_inserts():
@@ -110,7 +112,7 @@ def test_invariants_after_many_inserts():
         tree.insert(tid, point)
     check_invariants(tree)
     assert len(tree) == 300
-    assert tree.height() >= 3
+    assert tree.root.level >= 2
 
 
 def test_change_records_are_exact():
@@ -164,7 +166,7 @@ def test_delete_with_condensation():
         del alive[tid]
         for change in changes:
             if change.new_path is not None:
-                assert tree.path_of(change.tid) == change.new_path
+                assert tree.all_paths()[change.tid] == change.new_path
         check_invariants(tree)
     assert sorted(tree._points) == sorted(alive)
 
@@ -176,14 +178,14 @@ def test_delete_everything():
     for tid in range(50):
         tree.delete(tid)
     assert len(tree) == 0
-    assert tree.height() == 1
+    assert tree.root.level == 0
 
 
 def test_update_moves_point(tree):
     for tid, point in random_points(30, seed=2):
         tree.insert(tid, point)
     changes = tree.update(5, (0.99, 0.99))
-    assert tree.point_of(5) == (0.99, 0.99)
+    assert tree.entry_at(tree.all_paths()[5]).mbr.lows == (0.99, 0.99)
     assert any(c.tid == 5 for c in changes)
     check_invariants(tree)
 
@@ -193,7 +195,7 @@ def test_disk_pages_track_nodes():
     for tid, point in random_points(100, seed=1):
         tree.insert(tid, point)
     live_nodes = list(tree.nodes())
-    assert tree.disk.page_count("rtree") == len(live_nodes)
+    assert len(list(tree.disk.pages("rtree"))) == len(live_nodes)
     for node in live_nodes:
         assert tree.disk.peek(node.page_id).payload is node
 

@@ -64,13 +64,6 @@ def test_snapshot_is_a_copy():
     assert counters.get(DBLOCK) == 1
 
 
-def test_reset():
-    counters = IOCounters()
-    counters.record(SSIG, 5)
-    counters.reset()
-    assert counters.total() == 0
-
-
 def test_merge_adds():
     a = IOCounters()
     b = IOCounters()

@@ -67,7 +67,7 @@ def test_size_accounting_by_tag_prefix():
     assert disk.size_bytes("pcube:sig") == 100
     assert disk.size_bytes("rtree") == 200
     assert disk.size_bytes() == 350
-    assert disk.page_count("pcube") == 2
+    assert len(list(disk.pages("pcube"))) == 2
 
 
 def test_size_mb():
