@@ -30,7 +30,6 @@ paper-vs-measured record of every figure.
 
 from repro.core.pcube import PCube
 from repro.core.signature import Signature
-from repro.obs.trace import Span, TraceEvent, Tracer
 from repro.cube.cuboid import Cell, Cuboid
 from repro.cube.relation import Relation
 from repro.cube.schema import Schema
@@ -67,9 +66,6 @@ __all__ = [
     "Schema",
     "SeparableFunction",
     "Signature",
-    "Span",
-    "TraceEvent",
-    "Tracer",
     "WeightedSquaredDistance",
     "build_system",
     "execute_sql",

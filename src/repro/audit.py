@@ -10,7 +10,8 @@ Exit status (stable — CI and the serving supervisor branch on it):
 * ``0`` — every cross-structure invariant held;
 * ``1`` — the audit ran but found inconsistencies (each reported);
 * ``2`` — the audit could not complete: an argument was out of range
-  (``--tuples`` < 1, ``--fanout`` < 2, ``--ops`` < 0), or the structures
+  (``--tuples`` < 1, ``--fanout`` < 2, ``--ops`` or ``--crash-after``
+  < 0), or the structures
   were unreadable (e.g. interior WAL corruption, unrecoverable pages).
 
 ``--json`` emits the same findings as one machine-readable object on
@@ -77,6 +78,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         ("--tuples", args.tuples, 1),
         ("--fanout", args.fanout, 2),
         ("--ops", args.ops, 0),
+        ("--crash-after", args.crash_after, 0),
     ):
         if value < least:
             parser.error(f"{flag} must be >= {least}")

@@ -16,8 +16,8 @@ end-to-end:
   checkpoint + committed WAL window), then *verifies* the restored system:
   answers are compared byte-for-byte against a reference system built by
   replaying the recorded operation history up to the same LSN.  Exit 0
-  when identical, 1 on mismatch or when no checkpoint can be restored
-  (the error is printed).
+  when identical, 1 on mismatch, when no checkpoint can be restored or
+  when ``--to-lsn`` is past the last commit LSN (the error is printed).
 
 An out-of-range argument (``--tuples`` < 1, ``--fanout`` < 2, ``--ops`` < 0,
 ``--checkpoint-every`` or ``--segment-bytes`` < 1) exits 2 before any work.
@@ -210,6 +210,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     try:
+        if args.to_lsn is not None and args.to_lsn > out["last_commit_lsn"]:
+            raise CheckpointError(
+                f"--to-lsn {args.to_lsn} is past the last commit lsn "
+                f"{out['last_commit_lsn']}"
+            )
         result = restore_system(scenario.system.disk, to_lsn=args.to_lsn)
     except CheckpointError as exc:
         out["status"] = "failed"

@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.core.counted import CountedSignature, PathColumns
-from repro.obs.trace import COVER, Tracer
 from repro.core.signature import Signature
 from repro.core.readers import (
     AnyOfReader,
@@ -57,7 +56,6 @@ class ReaderFactory:
         cells: Sequence[Cell],
         pool: BufferPool | None = None,
         stats: QueryStats | None = None,
-        tracer: Tracer | None = None,
         deadline_at: float | None = None,
         breakers: "BreakerBoard | None" = None,
         epoch: int | None = None,
@@ -68,9 +66,7 @@ class ReaderFactory:
         an :class:`~repro.core.readers.AssembledReader` — the paper's exact
         recursive intersection (Fig. 3) evaluated on demand, to the leaf
         depth of this tree.  Every per-cell reader bumps ``stats`` (a fresh
-        record when none is given).  A ``tracer`` is handed down to every
-        per-cell reader (partial-load events) and receives one ``cover``
-        event naming the cells assembled.
+        record when none is given).
         """
         if not cells:
             raise ValueError("reader_for_cells needs at least one cell")
@@ -86,14 +82,8 @@ class ReaderFactory:
                 if not self.materialised_cell(atom):
                     # The atomic cell has no partials: no tuple carries this
                     # value, so the conjunction is empty.
-                    if tracer is not None:
-                        tracer.event(
-                            COVER, cells=[c.cell_id for c in cells], empty=True
-                        )
                     return EmptyReader()
                 resolved.append(atom)
-        if tracer is not None:
-            tracer.event(COVER, cells=[cell.cell_id for cell in resolved])
         readers = [
             CellSignatureReader(
                 self.store,
@@ -101,7 +91,6 @@ class ReaderFactory:
                 pool,
                 stats,
                 fallback=self.boolean_fallback,
-                tracer=tracer,
                 deadline_at=deadline_at,
                 breakers=breakers,
                 epoch=epoch,
@@ -161,7 +150,6 @@ class ReaderFactory:
         conjuncts: dict,
         pool: BufferPool | None = None,
         stats: QueryStats | None = None,
-        tracer: Tracer | None = None,
         deadline_at: float | None = None,
         breakers: "BreakerBoard | None" = None,
         epoch: int | None = None,
@@ -172,14 +160,11 @@ class ReaderFactory:
             raise ValueError("reader_for_predicate needs at least one conjunct")
         cover = self.cover_for_dims(conjuncts)
         if cover is None:
-            if tracer is not None:
-                tracer.event(COVER, conjuncts=sorted(conjuncts), empty=True)
             return EmptyReader()
         return self.reader_for_cells(
             cover,
             pool,
             stats,
-            tracer,
             deadline_at=deadline_at,
             breakers=breakers,
             epoch=epoch,
@@ -195,7 +180,7 @@ class ReaderFactory:
         """A boolean-prune reader for ``disjunct_1 OR disjunct_2 OR ...``
         (signature union, paper Fig. 3b).
 
-        ``plumbing`` (tracer, ticket deadline, breaker board, epoch) is
+        ``plumbing`` (ticket deadline, breaker board, epoch) is
         handed to every per-disjunct :meth:`reader_for_predicate` unchanged,
         and every disjunct's reader bumps the same ``stats``.  Returns
         ``None`` when some disjunct is the empty conjunction ``φ`` (the

@@ -53,7 +53,6 @@ from repro.core.partial import retrieval_refs
 from repro.core.sid import child_sid, sid_of_path
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cell
-from repro.obs.trace import DEGRADED, Tracer
 from repro.query.stats import QueryStats
 from repro.storage.buffer import BufferPool
 from repro.storage.counters import IOCounters
@@ -137,7 +136,6 @@ class CellSignatureReader:
         pool: BufferPool | None,
         stats: QueryStats,
         fallback: BooleanFallback | None = None,
-        tracer: Tracer | None = None,
         deadline_at: float | None = None,
         breakers: "BreakerBoard | None" = None,
         epoch: int | None = None,
@@ -147,7 +145,6 @@ class CellSignatureReader:
         self.pool = pool
         self.stats = stats
         self.fallback = fallback
-        self.tracer = tracer
         self.deadline_at = deadline_at
         self.breakers = breakers
         self.epoch = epoch
@@ -192,10 +189,6 @@ class CellSignatureReader:
             self._unreadable_refs.add(ref_sid)
             stats.breaker_skips += 1
             stats.degraded = True
-            if self.tracer is not None:
-                self.tracer.sig_load(
-                    self.cell.cell_id, ref_sid, "short-circuit", 0.0
-                )
             return None
         started = time.perf_counter()
         try:
@@ -216,11 +209,11 @@ class CellSignatureReader:
             stats.degraded = True
             self.store.fault_stats.bump(degraded_loads=1)
             self.store.quarantine(self.cell, fault)
-            outcome, found = "unreadable", None
+            found = None
         else:
             if partial is None:
                 self._known_missing.add(ref_sid)
-                outcome, found = "missing", False
+                found = False
             else:
                 if self.breakers is not None:
                     self.breakers.record_success(self.cell.cell_id, ref_sid)
@@ -229,11 +222,8 @@ class CellSignatureReader:
                 stats.sig_loads += 1
                 if lookahead:
                     stats.sig_lookahead_loads += 1
-                outcome, found = "loaded", True
-        elapsed = time.perf_counter() - started
-        stats.sig_load_seconds += elapsed
-        if self.tracer is not None:
-            self.tracer.sig_load(self.cell.cell_id, ref_sid, outcome, elapsed)
+                found = True
+        stats.sig_load_seconds += time.perf_counter() - started
         return found
 
     def _ensure_node(self, node_sid: int, lookahead: bool = False) -> bool | None:
@@ -282,13 +272,6 @@ class CellSignatureReader:
         for the affected subtree, result correctness is not.
         """
         self.stats.degraded_checks += 1
-        if self.tracer is not None:
-            self.tracer.event(
-                DEGRADED,
-                cell_id=self.cell.cell_id,
-                path=path,
-                exact=self.fallback is not None,
-            )
         if self.fallback is not None:
             return self.fallback(self.cell, path, self.stats.counters)
         return True

@@ -22,14 +22,12 @@ from __future__ import annotations
 
 import heapq
 import operator
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Protocol, Sequence
 
 from repro.kernels.dominate import DominationBuffer
 from repro.kernels.mindist import project_rows, row_tuples, sum_block
-from repro.obs.trace import EXPAND, REPORT, Tracer
 from repro.query.ranking import RankingFunction
 from repro.query.stats import QueryStats
 from repro.rtree.geometry import Rect
@@ -448,7 +446,6 @@ def run_algorithm1(
     block_category: str = SBLOCK,
     state: SearchState | None = None,
     keep_lists: bool = True,
-    tracer: Tracer | None = None,
     ticker: Callable[[], None] | None = None,
 ) -> SearchState:
     """Run (or resume) Algorithm 1 until the heap empties or top-k finishes.
@@ -468,155 +465,123 @@ def run_algorithm1(
         state: Resume from a reconstructed state (drill-down / roll-up).
         keep_lists: Maintain ``b_list`` / ``d_list`` (disable to save memory
             when no follow-up query will ever resume from this one).
-        tracer: Optional :class:`~repro.obs.trace.Tracer`.  When given, the
-            two BBS phases open spans (``bbs:init`` for heap seeding,
-            ``bbs:search`` for the progressive loop) and every pruned
-            entry, node expansion and reported result emits an event;
-            when ``None`` the hooks cost one comparison each.
         ticker: Called once per heap pop; the serving executor uses it for
             deadline/cancellation checks (it raises to abort the query).
             The partially filled ``state``/``stats`` stay consistent — the
             caller just must not report them as a completed answer.
     """
-    with (
-        tracer.span("bbs:init", resumed=state is not None)
-        if tracer is not None
-        else nullcontext()
-    ):
-        if state is None:
-            state = make_root_state(rtree, strategy)
-        # The loop's heap holds ``(key, tie, seq, entry)`` so ``heapq``
-        # compares in C — ``seq`` is unique, the entry itself is never
-        # compared, and the order is ``HeapEntry.__lt__``'s.  Marks left
-        # by an earlier run say nothing about this strategy and reader.
-        for entry in state.heap:
-            entry.vetted = None
-        heap = [(e.key, e.tie, e.seq, e) for e in state.heap]
-        heapq.heapify(heap)
-        stats.note_heap(len(heap))
+    if state is None:
+        state = make_root_state(rtree, strategy)
+    # The loop's heap holds ``(key, tie, seq, entry)`` so ``heapq``
+    # compares in C — ``seq`` is unique, the entry itself is never
+    # compared, and the order is ``HeapEntry.__lt__``'s.  Marks left
+    # by an earlier run say nothing about this strategy and reader.
+    for entry in state.heap:
+        entry.vetted = None
+    heap = [(e.key, e.tie, e.seq, e) for e in state.heap]
+    heapq.heapify(heap)
+    stats.note_heap(len(heap))
 
-    search_span = (
-        tracer.span("bbs:search", heap0=len(heap))
-        if tracer is not None
-        else nullcontext()
-    )
     try:
-        with search_span:
-            while heap:
-                if ticker is not None:
-                    ticker()
-                item = heapq.heappop(heap)
-                entry = item[3]
-                if strategy.finished(entry.key):
-                    heapq.heappush(heap, item)  # keep it for incremental reuse
-                    break
-                # --- prune procedure (paper lines 14-20): preference then
-                # boolean.  A vetted entry passed both when its parent was
-                # expanded: only results found since can prune it, and its
-                # bit is not tested again.
-                if strategy.prune(entry):
-                    stats.dominance_pruned += 1
-                    if tracer is not None:
-                        tracer.prune("pref", path=entry.path, key=entry.key)
-                    if keep_lists:
-                        state.d_list.append(entry)
-                    continue
-                if (
-                    reader is not None
-                    and entry.vetted is None
-                    and not reader.check_path(entry.path)
-                ):
-                    stats.boolean_pruned += 1
-                    if tracer is not None:
-                        tracer.prune("bool", path=entry.path, key=entry.key)
-                    if keep_lists:
-                        state.b_list.append(entry)
-                    continue
-
-                if entry.is_tuple:
-                    if verifier is not None:
-                        stats.verified += 1
-                        if not verifier(entry.tid):
-                            stats.verify_failed += 1
-                            continue
-                    if strategy.add_result(entry):
-                        state.results.append(entry)
-                        stats.results += 1
-                        if tracer is not None:
-                            tracer.event(REPORT, tid=entry.tid, key=entry.key)
-                    continue
-
-                # --- expand the node: one counted R-tree block read.
-                node = entry.node
-                assert node is not None and node.page_id is not None
-                if pool is not None:
-                    pool.get(node.page_id, block_category, stats.counters)
-                else:
-                    rtree.disk.read(node.page_id, block_category, stats.counters)
-                stats.nodes_expanded += 1
-                if tracer is not None:
-                    tracer.event(EXPAND, path=entry.path, heap=len(heap))
-
-                # One block evaluation per expanded node: the strategy sees
-                # all live children at once (keys and the preference arm),
-                # the reader sees the preference arm's survivors at once
-                # (the boolean arm), and only children that pass both become
-                # heap entries.  Every live child still consumes one
-                # ``seq``, in slot order, whatever happens to it.
-                block = node.block()
-                first_seq = state.seq + 1
-                state.seq += len(block)
-                vetted = strategy.evaluated()
-                keys, dominated, ties = strategy.evaluate(block)
-                parent_path = entry.path
-                # Index masks from here on: what one arm prunes is one
-                # ``&`` away, and only the survivors are ever iterated.
-                survivors = alive = block.all_mask & ~dominated
-                if reader is not None and alive:
-                    wanted = block.slot_mask(alive)
-                    passed = reader.check_block(parent_path, wanted)
-                    if passed is None:
-                        # The reader cannot resolve this node: ask entry by
-                        # entry, which answers (and counts) conservatively —
-                        # and the children it lets through are tested again
-                        # at their pop, as every entry used to be.
-                        vetted = None
-                        passed = 0
-                        for i in mask_indices(alive):
-                            if reader.check_entry(parent_path, block.slots[i] + 1):
-                                passed |= 1 << block.slots[i]
-                    if passed != wanted:
-                        survivors = alive & block.index_mask(passed)
-                filtered = alive ^ survivors
-                stats.dominance_pruned += dominated.bit_count()
-                stats.boolean_pruned += filtered.bit_count()
-                if tracer is not None:
-                    for i, slot in enumerate(block.slots):
-                        if not survivors >> i & 1:
-                            tracer.prune(
-                                "pref" if dominated >> i & 1 else "bool",
-                                path=parent_path + (slot + 1,),
-                                key=keys[i],
-                            )
+        while heap:
+            if ticker is not None:
+                ticker()
+            item = heapq.heappop(heap)
+            entry = item[3]
+            if strategy.finished(entry.key):
+                heapq.heappush(heap, item)  # keep it for incremental reuse
+                break
+            # --- prune procedure (paper lines 14-20): preference then
+            # boolean.  A vetted entry passed both when its parent was
+            # expanded: only results found since can prune it, and its
+            # bit is not tested again.
+            if strategy.prune(entry):
+                stats.dominance_pruned += 1
                 if keep_lists:
-                    if dominated:
-                        state.d_list.add_run(
-                            PrunedRun(
-                                parent_path, block, keys, ties, first_seq, dominated
-                            )
+                    state.d_list.append(entry)
+                continue
+            if (
+                reader is not None
+                and entry.vetted is None
+                and not reader.check_path(entry.path)
+            ):
+                stats.boolean_pruned += 1
+                if keep_lists:
+                    state.b_list.append(entry)
+                continue
+
+            if entry.is_tuple:
+                if verifier is not None:
+                    stats.verified += 1
+                    if not verifier(entry.tid):
+                        stats.verify_failed += 1
+                        continue
+                if strategy.add_result(entry):
+                    state.results.append(entry)
+                    stats.results += 1
+                continue
+
+            # --- expand the node: one counted R-tree block read.
+            node = entry.node
+            assert node is not None and node.page_id is not None
+            if pool is not None:
+                pool.get(node.page_id, block_category, stats.counters)
+            else:
+                rtree.disk.read(node.page_id, block_category, stats.counters)
+            stats.nodes_expanded += 1
+
+            # One block evaluation per expanded node: the strategy sees
+            # all live children at once (keys and the preference arm),
+            # the reader sees the preference arm's survivors at once
+            # (the boolean arm), and only children that pass both become
+            # heap entries.  Every live child still consumes one
+            # ``seq``, in slot order, whatever happens to it.
+            block = node.block()
+            first_seq = state.seq + 1
+            state.seq += len(block)
+            vetted = strategy.evaluated()
+            keys, dominated, ties = strategy.evaluate(block)
+            parent_path = entry.path
+            # Index masks from here on: what one arm prunes is one
+            # ``&`` away, and only the survivors are ever iterated.
+            survivors = alive = block.all_mask & ~dominated
+            if reader is not None and alive:
+                wanted = block.slot_mask(alive)
+                passed = reader.check_block(parent_path, wanted)
+                if passed is None:
+                    # The reader cannot resolve this node: ask entry by
+                    # entry, which answers (and counts) conservatively —
+                    # and the children it lets through are tested again
+                    # at their pop, as every entry used to be.
+                    vetted = None
+                    passed = 0
+                    for i in mask_indices(alive):
+                        if reader.check_entry(parent_path, block.slots[i] + 1):
+                            passed |= 1 << block.slots[i]
+                if passed != wanted:
+                    survivors = alive & block.index_mask(passed)
+            filtered = alive ^ survivors
+            stats.dominance_pruned += dominated.bit_count()
+            stats.boolean_pruned += filtered.bit_count()
+            if keep_lists:
+                if dominated:
+                    state.d_list.add_run(
+                        PrunedRun(
+                            parent_path, block, keys, ties, first_seq, dominated
                         )
-                    if filtered:
-                        state.b_list.add_run(
-                            PrunedRun(
-                                parent_path, block, keys, ties, first_seq, filtered
-                            )
+                    )
+                if filtered:
+                    state.b_list.add_run(
+                        PrunedRun(
+                            parent_path, block, keys, ties, first_seq, filtered
                         )
-                for child in _child_entries(
-                    parent_path, block, keys, ties, first_seq, survivors
-                ):
-                    child.vetted = vetted
-                    heapq.heappush(heap, (child.key, child.tie, child.seq, child))
-                stats.note_heap(len(heap))
+                    )
+            for child in _child_entries(
+                parent_path, block, keys, ties, first_seq, survivors
+            ):
+                child.vetted = vetted
+                heapq.heappush(heap, (child.key, child.tie, child.seq, child))
+            stats.note_heap(len(heap))
     finally:
         # Whatever ended the loop — a finished top-k, a raising ticker, a
         # storage fault — ``state.heap`` is the pending entries, as a heap.

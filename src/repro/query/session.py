@@ -5,7 +5,7 @@ only in the preference-pruning strategy (Section V; Section VII adds
 dynamic skylines and convex hulls "easily").  :class:`QuerySession` is that
 framework's single driver: :meth:`QuerySession._run` builds the per-query
 context — stats, buffer pool, retry budget, breaker-aware signature reader,
-trace spans, ticker — runs the search and stamps the outcome, and every
+ticker — runs the search and stamps the outcome, and every
 kind only hands it what differs: a
 :class:`~repro.query.algorithm1.SkylineStrategy` (optionally over a
 ``preference by`` subspace), a :class:`~repro.query.algorithm1.TopKStrategy`,
@@ -57,11 +57,9 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.obs.trace import Tracer
 from repro.query.algorithm1 import (
     PrunedList,
     SearchState,
@@ -110,10 +108,6 @@ class QueryResult:
         return len(self.tids)
 
 
-def _span(tracer: Tracer | None, name: str, **attrs):
-    return tracer.span(name, **attrs) if tracer is not None else nullcontext()
-
-
 #: A conjunction, or a sequence of conjunctions read as their disjunction.
 Predicate = BooleanPredicate | Sequence[BooleanPredicate] | None
 
@@ -139,8 +133,8 @@ class QuerySession:
             (the default) gives every query a fresh cold pool of
             ``pool_capacity`` pages instead.
         pool_capacity: Cold-pool size when ``pool`` is ``None``.
-        epoch: Stamped onto every result's ``stats.epoch`` and the query
-            span (serving observability); ``None`` for live sessions.
+        epoch: Stamped onto every result's ``stats.epoch``, and handed to
+            the breaker board; ``None`` for live sessions.
         ticker: Invoked once per Algorithm 1 heap pop; raises to abort the
             query (deadline/cancellation in the serving executor).
         deadline_at: ``time.perf_counter()`` instant this session's queries
@@ -243,7 +237,6 @@ class QuerySession:
         self,
         predicate: Predicate = None,
         preference_by: tuple[str, ...] | None = None,
-        tracer: Tracer | None = None,
         keep_lists: bool = True,
     ) -> QueryResult:
         """A standard skyline query (Algorithm 1 from the root).
@@ -253,9 +246,7 @@ class QuerySession:
         :meth:`~repro.core.pcube.ReaderFactory.reader_for_dnf`).
         ``preference_by`` restricts the skyline to a subset of preference
         dimensions by name (Section III's
-        ``preference by N'1, ..., N'j``).  Pass a
-        :class:`~repro.obs.trace.Tracer` to capture the span tree and
-        prune/load events of the execution.  ``keep_lists=False`` skips the
+        ``preference by N'1, ..., N'j``).  ``keep_lists=False`` skips the
         Lemma 2 lists (saves memory; the result cannot be resumed, nor can
         a disjunction's).
         """
@@ -264,7 +255,6 @@ class QuerySession:
             "skyline",
             predicate,
             self._skyline_strategy(preference_by),
-            tracer,
             keep_lists=keep_lists,
             resumable=keep_lists and isinstance(predicate, BooleanPredicate),
             preference_by=preference_by,
@@ -275,7 +265,6 @@ class QuerySession:
         fn: RankingFunction,
         k: int,
         predicate: Predicate = None,
-        tracer: Tracer | None = None,
         keep_lists: bool = True,
     ) -> QueryResult:
         """A standard top-k query (Section V-B): best-first by the lower
@@ -290,7 +279,6 @@ class QuerySession:
             "topk",
             predicate,
             TopKStrategy(fn, k),
-            tracer,
             keep_lists=keep_lists,
             resumable=keep_lists and isinstance(predicate, BooleanPredicate),
             fn=fn,
@@ -301,7 +289,6 @@ class QuerySession:
         self,
         query_point: Sequence[float],
         predicate: BooleanPredicate | None = None,
-        tracer: Tracer | None = None,
     ) -> QueryResult:
         """A dynamic skyline query (Section VII extension): the skyline in
         the ``|x − query_point|`` space."""
@@ -316,14 +303,12 @@ class QuerySession:
             "dynamic_skyline",
             predicate or BooleanPredicate(),
             DynamicSkylineStrategy(query_point),
-            tracer,
             resumable=False,
         )
 
     def lower_hull(
         self,
         predicate: BooleanPredicate | None = None,
-        tracer: Tracer | None = None,
     ) -> QueryResult:
         """A 2-D lower-left convex hull query (Section VII extension):
         hull-vertex tids by increasing x, stats aggregated over every
@@ -344,7 +329,7 @@ class QuerySession:
 
             return lower_hull_chain(extreme)
 
-        tids, stats = self._run("lower_hull", predicate, search, tracer)
+        tids, stats = self._run(predicate, search)
         stats.results = len(tids)
         return QueryResult(
             kind="lower_hull",
@@ -365,7 +350,6 @@ class QuerySession:
         previous: QueryResult,
         dim: str,
         value: Any,
-        tracer: Tracer | None = None,
     ) -> QueryResult:
         """Strengthen the previous query's predicate by one conjunct."""
         self._check_resumable(previous)
@@ -376,13 +360,9 @@ class QuerySession:
             "drill",
             state.results + state.d_list + state.heap,
             state.b_list,
-            {id(entry) for entry in state.d_list},
-            tracer,
         )
 
-    def roll_up(
-        self, previous: QueryResult, dim: str, tracer: Tracer | None = None
-    ) -> QueryResult:
+    def roll_up(self, previous: QueryResult, dim: str) -> QueryResult:
         """Relax the previous query's predicate by removing one conjunct."""
         self._check_resumable(previous)
         state = previous.state
@@ -392,8 +372,6 @@ class QuerySession:
             "roll",
             state.results + state.b_list + state.heap,
             state.d_list,
-            frozenset(),
-            tracer,
         )
 
     @staticmethod
@@ -406,9 +384,7 @@ class QuerySession:
                 "keep Lemma 2 search state; re-run the query from scratch"
             )
 
-    def _resume(
-        self, previous, predicate, mode, carried, kept, dominated, tracer
-    ) -> QueryResult:
+    def _resume(self, previous, predicate, mode, carried, kept) -> QueryResult:
         strategy = (
             self._skyline_strategy(previous.preference_by)
             if previous.kind == "skyline"
@@ -418,41 +394,33 @@ class QuerySession:
             previous.kind,
             predicate,
             strategy,
-            tracer,
-            resume=(mode, carried, list(kept), dominated),
+            resume=(mode, carried, list(kept)),
             fn=previous.fn,
             k=previous.k,
             preference_by=previous.preference_by,
         )
 
     @staticmethod
-    def _resume_state(resume, reader, stats, tracer) -> SearchState:
+    def _resume_state(resume, reader, stats) -> SearchState:
         """Rebuild the candidate heap from a previous query's lists.
 
         Carried entries are pre-filtered with the new predicate's
         signature, as the paper suggests, to keep the rebuilt heap small
         (failures go straight to the new ``b_list``).
         """
-        mode, carried, kept_list, dominated = resume
+        mode, carried, kept_list = resume
         state = SearchState()
         if mode == "drill":
             state.b_list = PrunedList(kept_list)  # still fail the stronger BP
         else:
             state.d_list = PrunedList(kept_list)  # still dominated
         state.seq = max((entry.seq for entry in carried), default=0)
-        with _span(tracer, "resume:prefilter", mode=mode):
-            for entry in carried:
-                if reader is None or reader.check_path(entry.path):
-                    state.heap.append(entry)
-                    continue
-                state.b_list.append(entry)
-                stats.boolean_pruned += 1
-                if tracer is not None:
-                    # A carried entry the old query already
-                    # preference-pruned that the new signature rejects too
-                    # fails both arms.
-                    arm = "both" if id(entry) in dominated else "bool"
-                    tracer.prune(arm, path=entry.path, key=entry.key)
+        for entry in carried:
+            if reader is None or reader.check_path(entry.path):
+                state.heap.append(entry)
+                continue
+            state.b_list.append(entry)
+            stats.boolean_pruned += 1
         return state
 
     # ------------------------------------------------------------------ #
@@ -464,7 +432,6 @@ class QuerySession:
         kind: str,
         predicate,
         strategy,
-        tracer: Tracer | None,
         resume=None,
         keep_lists: bool = True,
         **result_fields,
@@ -474,12 +441,10 @@ class QuerySession:
         def search(algorithm1, reader, stats):
             state = None
             if resume is not None:
-                state = self._resume_state(resume, reader, stats, tracer)
+                state = self._resume_state(resume, reader, stats)
             return algorithm1(strategy, state, keep_lists)
 
-        final_state, stats = self._run(
-            kind, predicate, search, tracer, incremental=resume is not None
-        )
+        final_state, stats = self._run(predicate, search)
         reported = [e for e in final_state.results if e.tid is not None]
         return QueryResult(
             kind=kind,
@@ -491,20 +456,13 @@ class QuerySession:
             **result_fields,
         )
 
-    def _run(
-        self,
-        kind: str,
-        predicate,
-        search: Callable,
-        tracer: Tracer | None,
-        incremental: bool = False,
-    ) -> tuple[Any, QueryStats]:
+    def _run(self, predicate, search: Callable) -> tuple[Any, QueryStats]:
         """Set up one signature-method query, run ``search``, stamp it.
 
         ``search(algorithm1, reader, stats)`` is the kind-specific part:
         ``algorithm1(strategy, state=None, keep_lists=True)`` runs (or
-        resumes) Algorithm 1 on this query's reader, pool, stats, tracer
-        and ticker, as many times as the kind needs.  Returns ``search``'s
+        resumes) Algorithm 1 on this query's reader, pool, stats and
+        ticker, as many times as the kind needs.  Returns ``search``'s
         value and the stamped stats, which the readers bumped as they
         went.  A storage fault the conservative readers cannot absorb
         propagates, with this attempt's stats as its ``stats`` attribute.
@@ -512,33 +470,25 @@ class QuerySession:
         stats = QueryStats()
         stats.epoch = self.epoch
         pool = self.query_pool()
-        if tracer is not None and tracer.counters is None:
-            tracer.counters = stats.counters
-        span_attrs = {"predicate": repr(predicate), "incremental": incremental}
-        if self.epoch is not None:
-            span_attrs["epoch"] = self.epoch
         try:
-            with _span(tracer, f"query:{kind}", **span_attrs):
-                started = time.perf_counter()
-                with _span(tracer, "reader:setup"):
-                    reader = self._reader(predicate, pool, stats, tracer)
+            started = time.perf_counter()
+            reader = self._reader(predicate, pool, stats)
 
-                def algorithm1(strategy, state=None, keep_lists=True):
-                    return run_algorithm1(
-                        self.rtree,
-                        strategy,
-                        stats,
-                        reader=reader,
-                        pool=pool,
-                        block_category=SBLOCK,
-                        state=state,
-                        keep_lists=keep_lists,
-                        tracer=tracer,
-                        ticker=self.ticker,
-                    )
+            def algorithm1(strategy, state=None, keep_lists=True):
+                return run_algorithm1(
+                    self.rtree,
+                    strategy,
+                    stats,
+                    reader=reader,
+                    pool=pool,
+                    block_category=SBLOCK,
+                    state=state,
+                    keep_lists=keep_lists,
+                    ticker=self.ticker,
+                )
 
-                outcome = search(algorithm1, reader, stats)
-                stats.elapsed_seconds = time.perf_counter() - started
+            outcome = search(algorithm1, reader, stats)
+            stats.elapsed_seconds = time.perf_counter() - started
         except Exception as failure:
             # The fallback chain adds what this attempt spent to the
             # answer that replaces it.
@@ -551,13 +501,12 @@ class QuerySession:
         stats.tier = "conservative" if stats.degraded else "signature"
         return outcome, stats
 
-    def _reader(self, predicate, pool, stats, tracer):
+    def _reader(self, predicate, pool, stats):
         """The boolean-prune reader: conjunctive, or any-of for a DNF."""
         conjunctive = isinstance(predicate, BooleanPredicate)
         if conjunctive and predicate.is_empty():
             return None
         plumbing = {
-            "tracer": tracer,
             "deadline_at": self.deadline_at,
             "breakers": self.breakers,
             "epoch": self.epoch,

@@ -87,7 +87,6 @@ class RouteRequest:
     k: int | None = None
     preference_by: tuple[str, ...] | None = None
     query_point: tuple[float, ...] | None = None
-    tracer: object | None = None
 
 
 @dataclass
@@ -176,19 +175,13 @@ def run_signature(
     """The session's own signature path — Algorithm 1 with P-Cube bits."""
     if request.kind == "skyline":
         return session.skyline(
-            request.predicate,
-            preference_by=request.preference_by,
-            tracer=request.tracer,
+            request.predicate, preference_by=request.preference_by
         )
     if request.kind == "topk":
-        return session.topk(
-            request.fn, request.k, request.predicate, tracer=request.tracer
-        )
+        return session.topk(request.fn, request.k, request.predicate)
     if request.kind == "dynamic_skyline":
-        return session.dynamic_skyline(
-            request.query_point, request.predicate, tracer=request.tracer
-        )
-    return session.lower_hull(request.predicate, tracer=request.tracer)
+        return session.dynamic_skyline(request.query_point, request.predicate)
+    return session.lower_hull(request.predicate)
 
 
 def run_boolean_first(

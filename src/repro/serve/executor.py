@@ -34,21 +34,21 @@ The serving pipeline, front to back:
   through the executor's one :class:`~repro.route.QueryRouter`, which
   stamps ``stats.route`` and counts the route, with the cache on or off.
 
-Results carry their epoch and queue wait in ``stats`` (and on the query
-span when a tracer is attached), and the executor aggregates fleet-level
-tallies in :class:`~repro.serve.stats.ServingStats`; :meth:`health`
-bundles those with fault, breaker and quarantine state for operators.
+Results carry their epoch and queue wait in ``stats``, and the executor
+aggregates fleet-level tallies in :class:`~repro.serve.stats.ServingStats`;
+:meth:`health` bundles those with fault, breaker and quarantine state for
+operators.
 """
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.breakers import BreakerBoard
-from repro.obs.trace import Tracer
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import RankingFunction
 from repro.query.session import Predicate, QueryResult, QuerySession
@@ -151,13 +151,11 @@ class Ticket:
         kind: str,
         run: Callable[[QuerySession], QueryResult] | None,
         deadline_at: float | None,
-        tracer: Tracer | None = None,
         result: QueryResult | None = None,
     ) -> None:
         self.kind = kind
         self._run = run
         self.deadline_at = deadline_at
-        self.tracer = tracer
         self.submitted_at = time.perf_counter()
         self.queue_wait_seconds = 0.0
         self.epoch: int | None = None
@@ -214,6 +212,13 @@ class Ticket:
 
 #: Queue sentinel that tells a worker to exit.
 _STOP = object()
+
+
+def _check_deadline(deadline: float | None) -> None:
+    """Refuse a NaN deadline: it compares false with every clock reading,
+    so it would be shed on every retry, or ignored on a cache hit."""
+    if deadline is not None and math.isnan(deadline):
+        raise ValueError("deadline must be a number of seconds or None, got nan")
 
 
 class QueryExecutor:
@@ -307,7 +312,6 @@ class QueryExecutor:
         kind: str,
         run: Callable[[QuerySession], QueryResult],
         deadline: float | None = None,
-        tracer: Tracer | None = None,
     ) -> Ticket:
         """Admit one query; raises :class:`AdmissionFull` when saturated.
 
@@ -315,15 +319,16 @@ class QueryExecutor:
         result; the per-kind conveniences below build it for you.  A full
         queue first evicts queued tickets whose deadline already lapsed
         (failing them with :class:`QueryShed`) before rejecting the new
-        submission.  ``deadline`` is seconds from now (``None``: none).
+        submission.  ``deadline`` is seconds from now (``None``: none; a
+        NaN is refused with ``ValueError``).
         """
+        _check_deadline(deadline)
         ticket = Ticket(
             kind,
             run,
             deadline_at=(
                 time.perf_counter() + deadline if deadline is not None else None
             ),
-            tracer=tracer,
         )
         with self._admission_lock:
             if self._closed:
@@ -409,12 +414,10 @@ class QueryExecutor:
         kind: str,
         predicate: Predicate,
         deadline: float | None,
-        tracer: Tracer | None,
         **shape,
     ) -> Ticket:
-        request = RouteRequest(
-            kind, predicate or BooleanPredicate(), tracer=tracer, **shape
-        )
+        _check_deadline(deadline)
+        request = RouteRequest(kind, predicate or BooleanPredicate(), **shape)
         if self.router.cache is not None and kind in CACHED_KINDS and not self._closed:
             ticket = self._answer_hit(request)
             if ticket is not None:
@@ -423,7 +426,6 @@ class QueryExecutor:
             kind,
             lambda session: self._answer(session, request),
             deadline=deadline,
-            tracer=tracer,
         )
 
     def _answer_hit(self, request: RouteRequest) -> Ticket | None:
@@ -433,17 +435,10 @@ class QueryExecutor:
         its pinned epoch (another worker may have put the answer since)."""
         started = time.perf_counter()
         epoch = self.epochs.current_epoch
-        tracer = request.tracer
-        if tracer is None:
-            hit = self.router.lookup(request, epoch)[0]
-        else:
-            with tracer.span("route:lookup", kind=request.kind, epoch=epoch) as span:
-                hit, _, span.attrs["cache_outcome"] = self.router.lookup(
-                    request, epoch
-                )
+        hit = self.router.lookup(request, epoch)[0]
         if hit is None:
             return None
-        ticket = Ticket(request.kind, None, None, tracer, result=hit)
+        ticket = Ticket(request.kind, None, None, result=hit)
         ticket.epoch = epoch
         self.stats.bump(submitted=1)
         self.stats.note_finished(
@@ -471,10 +466,9 @@ class QueryExecutor:
         predicate: Predicate = None,
         preference_by: tuple[str, ...] | None = None,
         deadline: float | None = None,
-        tracer: Tracer | None = None,
     ) -> Ticket:
         return self._submit_request(
-            "skyline", predicate, deadline, tracer, preference_by=preference_by
+            "skyline", predicate, deadline, preference_by=preference_by
         )
 
     def topk(
@@ -483,32 +477,25 @@ class QueryExecutor:
         k: int,
         predicate: Predicate = None,
         deadline: float | None = None,
-        tracer: Tracer | None = None,
     ) -> Ticket:
-        return self._submit_request("topk", predicate, deadline, tracer, fn=fn, k=k)
+        return self._submit_request("topk", predicate, deadline, fn=fn, k=k)
 
     def dynamic_skyline(
         self,
         query_point: Sequence[float],
         predicate: BooleanPredicate | None = None,
         deadline: float | None = None,
-        tracer: Tracer | None = None,
     ) -> Ticket:
         return self._submit_request(
-            "dynamic_skyline",
-            predicate,
-            deadline,
-            tracer,
-            query_point=tuple(query_point),
+            "dynamic_skyline", predicate, deadline, query_point=tuple(query_point)
         )
 
     def lower_hull(
         self,
         predicate: BooleanPredicate | None = None,
         deadline: float | None = None,
-        tracer: Tracer | None = None,
     ) -> Ticket:
-        return self._submit_request("lower_hull", predicate, deadline, tracer)
+        return self._submit_request("lower_hull", predicate, deadline)
 
     # ------------------------------------------------------------------ #
     # the worker loop
@@ -568,16 +555,7 @@ class QueryExecutor:
                         deadline_at=ticket.deadline_at,
                         breakers=self.breakers,
                     )
-                    if ticket.tracer is not None:
-                        with ticket.tracer.span(
-                            "serve:query",
-                            kind=ticket.kind,
-                            epoch=snapshot.epoch,
-                            queue_wait_seconds=queue_wait,
-                        ):
-                            result = ticket._run(session)
-                    else:
-                        result = ticket._run(session)
+                    result = ticket._run(session)
                     result.stats.queue_wait_seconds = queue_wait
                 finally:
                     self.epochs.unpin(snapshot)

@@ -7,12 +7,12 @@ import time
 
 import pytest
 
-from repro.obs import Tracer
 from repro.query.ranking import LinearFunction
 from repro.serve.executor import (
     AdmissionFull,
     QueryCancelled,
     QueryExecutor,
+    QueryShed,
     QueryTimeout,
 )
 
@@ -104,6 +104,59 @@ def test_deadline_expires_in_queue(system):
             doomed.result(timeout=30.0)
         blocked.result(timeout=30.0)
     assert executor.stats.snapshot()["timed_out"] == 1
+
+
+#: Every way a query enters the executor, given its deadline.
+SUBMISSIONS = {
+    "submit": lambda executor, deadline: executor.submit(
+        "skyline", lambda session: session.skyline(), deadline=deadline
+    ),
+    "skyline": lambda executor, deadline: executor.skyline(deadline=deadline),
+    "topk": lambda executor, deadline: executor.topk(
+        LinearFunction([1.0, 1.0]), 5, deadline=deadline
+    ),
+    "dynamic_skyline": lambda executor, deadline: executor.dynamic_skyline(
+        (0.5, 0.5), deadline=deadline
+    ),
+    "lower_hull": lambda executor, deadline: executor.lower_hull(
+        deadline=deadline
+    ),
+}
+
+
+@pytest.mark.parametrize("routing", [False, True])
+@pytest.mark.parametrize("entry", sorted(SUBMISSIONS))
+def test_a_nan_deadline_is_refused_before_the_cache_and_admission(
+    system, entry, routing
+):
+    """A NaN deadline compares false with every clock reading: admitted,
+    it would be shed on every retry, and on a cache hit ignored.  It is
+    refused at submission, so nothing is counted and nothing answered."""
+    submit = SUBMISSIONS[entry]
+    with QueryExecutor(system, threads=1, routing=routing) as executor:
+        submit(executor, None).result(timeout=30.0)  # routed: now cached
+        before = executor.stats.snapshot(), executor.router.stats.snapshot()
+        with pytest.raises(ValueError, match="nan"):
+            submit(executor, float("nan"))
+        after = executor.stats.snapshot(), executor.router.stats.snapshot()
+    assert after == before
+
+
+@pytest.mark.parametrize(
+    "deadline, outcome",
+    [(float("inf"), "completed"), (0.0, "shed"), (-1.0, "shed")],
+)
+def test_an_infinite_deadline_answers_and_a_spent_one_is_shed(
+    system, deadline, outcome
+):
+    with QueryExecutor(system, threads=1) as executor:
+        ticket = executor.skyline(deadline=deadline)
+        if outcome == "shed":
+            with pytest.raises(QueryShed):
+                ticket.result(timeout=30.0)
+        else:
+            assert ticket.result(timeout=30.0).tids == system.engine.skyline().tids
+    assert executor.stats.snapshot()[outcome] == 1
 
 
 def test_ticker_aborts_a_running_query(system):
@@ -287,21 +340,6 @@ def test_a_queued_miss_looks_again_at_its_pinned_epoch(system):
     assert outcomes == ["miss", "hit"]
     assert (routing["routed"], routing["cache_hits"]) == (2, 1)
     assert routing["cache_misses"] == 1
-
-
-def test_a_traced_lookup_is_one_span_on_the_submitting_thread(system):
-    with QueryExecutor(system, threads=1, routing=True) as executor:
-        miss, hit = Tracer(), Tracer()
-        executor.skyline(tracer=miss).result(timeout=30.0)
-        executor.skyline(tracer=hit).result(timeout=30.0)
-    assert [span.name for span in miss.roots] == ["route:lookup", "serve:query"]
-    assert [span.name for span in hit.roots] == ["route:lookup"]
-    assert miss.roots[0].attrs["cache_outcome"] == "miss"
-    assert hit.roots[0].attrs == {
-        "kind": "skyline",
-        "epoch": system.epochs.current_epoch,
-        "cache_outcome": "hit",
-    }
 
 
 def test_finished_result_is_collectable_while_worker_idles(system):

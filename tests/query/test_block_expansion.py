@@ -134,7 +134,6 @@ def reference_algorithm1(
     block_category=SBLOCK,
     state=None,
     keep_lists=True,
-    tracer=None,
     ticker=None,
 ):
     """Algorithm 1 with every child handled on its own."""

@@ -189,3 +189,48 @@ def test_topk_roll_up(small_system, rng):
     assert [round(s, 9) for s in rolled.scores] == [
         round(s, 9) for _, s in expected
     ]
+
+
+@pytest.mark.parametrize("kind", ["skyline", "topk"])
+def test_drill_down_counts_each_carried_entry_the_new_signature_rejects(
+    small_system, rng, kind
+):
+    """Lemma 2's prefilter: a carried entry (an old result, a
+    preference-pruned entry or a pending one) with no tuple of the stronger
+    predicate beneath it goes straight to the new ``b_list``, right after
+    the kept ones, and counts as one boolean prune."""
+    engine, relation = small_system.engine, small_system.relation
+    paths = small_system.rtree.all_paths()
+    fn = sample_linear_function(2, rng)
+    rejected_total = 0
+    for _ in range(6):
+        base_pred = sample_predicate(relation, 1, rng)
+        base = (
+            engine.skyline(base_pred)
+            if kind == "skyline"
+            else engine.topk(fn, 10, base_pred)
+        )
+        dim = rng.choice(
+            [d for d in relation.schema.boolean_dims if d not in base_pred.dims()]
+        )
+        value = anchored_value(small_system, base_pred, dim, rng)
+        new_pred = base_pred.drill_down(dim, value)
+        matching = [
+            paths[tid] for tid in relation.tids() if new_pred.matches(relation, tid)
+        ]
+        carried = base.state.results + base.state.d_list + base.state.heap
+        rejected = [
+            entry
+            for entry in carried
+            if not any(path[: len(entry.path)] == entry.path for path in matching)
+        ]
+        kept = len(base.state.b_list)
+
+        drilled = engine.drill_down(base, dim, value)
+        b_list = list(drilled.state.b_list)
+        assert b_list[kept : kept + len(rejected)] == rejected
+        # Every boolean prune, the prefilter's and the search's, is one
+        # entry the drill-down added to ``b_list``.
+        assert drilled.stats.boolean_pruned == len(b_list) - kept
+        rejected_total += len(rejected)
+    assert rejected_total > 0
