@@ -47,7 +47,6 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.bitmap.bitarray import BitArray
 from repro.bitmap.compression import decompress
 from repro.core.partial import retrieval_refs
 from repro.core.sid import child_sid, sid_of_path
@@ -95,13 +94,13 @@ class SignatureAdapter:
         return bool(self.check_block(parent_path, 1 << (position - 1)))
 
     def check_block(self, parent_path, wanted: int) -> int:
-        return self.check_sid(sid_of_path(parent_path, self.fanout), wanted)
+        return wanted & self.resident_mask(sid_of_path(parent_path, self.fanout))
 
-    def check_sid(self, sid: int, wanted: int, lookahead: bool = False) -> int:
-        """:meth:`check_block` of the node ``sid``; ``lookahead`` names the
-        cause of a load, and nothing loads here."""
+    def resident_mask(self, sid: int) -> int:
+        """The node ``sid``'s mask (0 where the signature has none): every
+        node of an in-memory signature is resident."""
         bits = self.signature.node(sid)
-        return wanted & bits.mask if bits is not None else 0
+        return bits.mask if bits is not None else 0
 
     def check_path(self, path) -> bool:
         return self.signature.check_path(path)
@@ -149,9 +148,10 @@ class CellSignatureReader:
         self.breakers = breakers
         self.epoch = epoch
         self.fanout = store.fanout
-        #: The loaded partials' nodes, compressed, and those tested so far.
+        #: The loaded partials' nodes, compressed, and the decoded masks of
+        #: those tested so far.
         self._blobs: dict[int, bytes] = {}
-        self._nodes: dict[int, BitArray] = {}
+        self._nodes: dict[int, int] = {}
         self._loaded_refs: set[int] = set()
         self._known_missing: set[int] = set()
         self._unreadable_refs: set[int] = set()
@@ -252,12 +252,17 @@ class CellSignatureReader:
             return True
         return None if unresolved else False
 
-    def _bits(self, sid: int) -> BitArray:
-        """The resident node ``sid``, decompressed on its first use."""
-        bits = self._nodes.get(sid)
-        if bits is None:
-            bits = self._nodes[sid] = decompress(self._blobs[sid])
-        return bits
+    def resident_mask(self, sid: int) -> int | None:
+        """The mask of the node ``sid`` if a loaded partial holds it —
+        decompressed on its first use and kept for the query — else
+        ``None``; nothing loads here.  Every bit test reads a node here."""
+        mask = self._nodes.get(sid)
+        if mask is None:
+            blob = self._blobs.get(sid)
+            if blob is None:
+                return None
+            mask = self._nodes[sid] = decompress(blob).mask
+        return mask
 
     # ------------------------------------------------------------------ #
     # bit tests (the query-time interface)
@@ -290,7 +295,7 @@ class CellSignatureReader:
             return self._conservative(tuple(parent_path) + (position,))
         if not resident:
             return False
-        return self._bits(parent_sid).get(position - 1)
+        return bool(self.resident_mask(parent_sid) >> (position - 1) & 1)
 
     def check_block(self, parent_path: Sequence[int], wanted: int) -> int | None:
         """The whole-node form of :meth:`check_entry`: which of the
@@ -316,7 +321,7 @@ class CellSignatureReader:
             return None
         if not resident:
             return 0
-        return wanted & self._bits(sid).mask
+        return wanted & self.resident_mask(sid)
 
     def check_path(self, path: Sequence[int]) -> bool:
         """Whether the entry addressed by a full path contains cell data."""
@@ -324,7 +329,7 @@ class CellSignatureReader:
             resident = self._ensure_node(0)
             if resident is None:
                 return self._conservative(())
-            return bool(resident) and self._bits(0).any()
+            return bool(resident) and self.resident_mask(0) != 0
         return self.check_entry(tuple(path[:-1]), path[-1])
 
 
@@ -340,16 +345,19 @@ class AssembledReader:
     first witness and is memoised, so each member is asked each node at
     most once per query.  The look-ahead walks SIDs: a node's SID is worked
     out once from the path the search asks about, and its children are
-    ``sid · (M + 1) + p``.  Every bit still goes through the members'
-    ``check_*`` methods (partial loads, retries, breakers, quarantine); the
-    loads the look-ahead issues count as ``sig_lookahead_loads`` too.  A
-    node some member cannot resolve counts as non-empty during look-ahead
-    — no fallback probe, no ``degraded_checks`` — and meets the members'
-    conservative path when the search expands it.
+    ``sid · (M + 1) + p``.  A member whose loaded partials hold the node
+    answers from ``resident_mask``; only a node it does not hold yet goes
+    through its ``check_sid`` (partial loads, retries, breakers,
+    quarantine), and the loads the look-ahead issues there count as
+    ``sig_lookahead_loads`` too.  A node some member cannot resolve counts
+    as non-empty during look-ahead — no fallback probe, no
+    ``degraded_checks`` — and meets the members' conservative path when
+    the search expands it.
 
     Args:
         readers: One reader per cell of the conjunction, all bumping the
-            same query record and answering :meth:`check_sid`.
+            same query record and answering ``resident_mask`` (and, if it
+            can answer ``None``, ``check_sid``).
         leaf_depth: Path length of the R-tree's leaf nodes
             (``rtree.root.level``): bits there denote tuples, are exact as
             they stand and end the look-ahead.
@@ -379,7 +387,11 @@ class AssembledReader:
             pass
         mask: int | None = -1  # every entry wanted
         for reader in self.readers:
-            mask = reader.check_sid(sid, mask, lookahead)
+            bits = reader.resident_mask(sid)
+            if bits is None:
+                mask = reader.check_sid(sid, mask, lookahead)
+            else:
+                mask &= bits
             if not mask:  # unresolvable, or provably empty
                 break
         self._masks[sid] = mask

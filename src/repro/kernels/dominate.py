@@ -15,21 +15,22 @@ exact float tuples the kernels are handed.
 
 from __future__ import annotations
 
+from operator import gt, lt
 from typing import Sequence
 
 import numpy as np
 
-from repro.rtree.geometry import dominates
-
 #: Buffer rows compared per chunk when probing one point (lets the common
 #: "dominated early" case exit without scanning the whole buffer).
 _PROBE_CHUNK = 512
-#: Up to this many buffer rows a point probe is a plain loop over the
-#: tuples: the numpy scan's fixed per-call cost only pays off beyond it.
-_SCALAR_PROBE = 8
-#: Up to this many rows it is one "≤ everywhere" matrix test, strictness
-#: looked at only on a hit; beyond, per-dimension chunks (DESIGN.md §13).
-_ONE_PASS_ROWS = 64
+#: Up to this many buffer rows a point probe is one early-exit loop over
+#: the tuples, written out for widths 2–4; beyond, per-dimension chunks.
+#: Even when every row is compared on every dimension the loop beats the
+#: numpy pass's fixed cost up to about 512 rows (DESIGN.md §13).
+_SCALAR_PROBE = 384
+#: The same bound for the generic loop other widths run (two C calls per
+#: row instead of inline comparisons: it crosses over at 32–96 rows).
+_GENERIC_PROBE = 32
 #: Element budget for (buffer, probes, dims) broadcast tensors.
 _TENSOR_BUDGET = 1 << 20
 #: First dominator-chunk size for block probes (most probes die here).
@@ -44,11 +45,11 @@ class DominationBuffer:
 
     The skyline strategies grow one as results are discovered; SFS grows
     one during its filter pass.  The points are kept twice: as tuples for
-    the plain-loop probe of a short window, and as the rows of a float64
+    the loop that probes a short window, and as the rows of a float64
     matrix for everything else.
     """
 
-    __slots__ = ("dims", "_points", "_arr")
+    __slots__ = ("dims", "_points", "_arr", "_scan", "_scan_rows")
 
     def __init__(
         self, dims: int, points: Sequence[Sequence[float]] = ()
@@ -58,6 +59,9 @@ class DominationBuffer:
         self.dims = dims
         self._points: list[tuple[float, ...]] = []
         self._arr = None
+        self._scan, self._scan_rows = _SCANS.get(
+            dims, (_scan_any, _GENERIC_PROBE)
+        )
         for point in points:
             self.add(point)
 
@@ -67,9 +71,7 @@ class DominationBuffer:
     def add(self, point: Sequence[float]) -> None:
         point = tuple(point)
         if len(point) != self.dims:
-            raise ValueError(
-                f"point has {len(point)} dims, buffer expects {self.dims}"
-            )
+            raise _width_error(len(point), self.dims)
         n = len(self._points)
         self._points.append(point)
         if self._arr is None:
@@ -84,17 +86,13 @@ class DominationBuffer:
         """Whether any point buffered at index ``since`` or later dominates
         ``probe`` (a caller that has tested the first ``since`` points
         already asks only about the rest)."""
+        if len(probe) != self.dims:
+            raise _width_error(len(probe), self.dims)
         n = len(self._points)
-        if n - since <= _SCALAR_PROBE:
-            points = self._points[since:] if since else self._points
-            return any(dominates(s, probe) for s in points)
-        if n - since <= _ONE_PASS_ROWS:
-            # Most probes have no buffered point at or below them in every
-            # dimension; one that does is dominated unless that point is
-            # the probe's equal.
-            rows = self._arr[since:n]
-            below = (rows <= probe).all(axis=1)
-            return bool(below.any()) and bool((rows[below] < probe).any())
+        if n - since <= self._scan_rows:
+            return self._scan(
+                self._points[since:] if since else self._points, probe
+            )
         row = np.asarray([probe], dtype=np.float64)
         for start in range(since, n, _PROBE_CHUNK):
             chunk = self._arr[start : min(start + _PROBE_CHUNK, n)]
@@ -115,6 +113,8 @@ class DominationBuffer:
         over the shrinking set of undominated probes.
         """
         m = len(probes)
+        if m and len(probes[0]) != self.dims:
+            raise _width_error(len(probes[0]), self.dims)
         if m == 0 or not self._points:
             return 0 if packed else [False] * m
         p = np.asarray(probes, dtype=np.float64)
@@ -157,6 +157,64 @@ class DominationBuffer:
                 _TENSOR_BUDGET // max(1, alive.size * self.dims),
             )
         return out
+
+
+def _width_error(width: int, dims: int) -> ValueError:
+    return ValueError(f"point has {width} dims, buffer expects {dims}")
+
+
+# The point probe's loops, one per width: ``s`` dominates ``p`` unless it
+# is greater somewhere, and then iff it is less somewhere — the order of
+# ``geometry.dominates``' tests, written out so that a buffered point
+# costs comparisons and no call.
+
+
+def _scan2(points, probe) -> bool:
+    a, b = probe
+    for x, y in points:
+        if x > a or y > b:
+            continue
+        if x < a or y < b:
+            return True
+    return False
+
+
+def _scan3(points, probe) -> bool:
+    a, b, c = probe
+    for x, y, z in points:
+        if x > a or y > b or z > c:
+            continue
+        if x < a or y < b or z < c:
+            return True
+    return False
+
+
+def _scan4(points, probe) -> bool:
+    a, b, c, d = probe
+    for x, y, z, w in points:
+        if x > a or y > b or z > c or w > d:
+            continue
+        if x < a or y < b or z < c or w < d:
+            return True
+    return False
+
+
+def _scan_any(points, probe) -> bool:
+    """Any other width: the same two tests, each one ``map`` in C."""
+    for s in points:
+        if any(map(gt, s, probe)):
+            continue
+        if any(map(lt, s, probe)):
+            return True
+    return False
+
+
+#: Width -> (its loop, the window that loop probes up to).
+_SCANS = {
+    2: (_scan2, _SCALAR_PROBE),
+    3: (_scan3, _SCALAR_PROBE),
+    4: (_scan4, _SCALAR_PROBE),
+}
 
 
 def _block_dominates(block, probes, dims, other=None):

@@ -7,8 +7,11 @@ benchmark next runs.  This resolves every target the way
 
 The referee also reads stats snapshots by key with ``.get(key, 0)``, so a
 renamed key would turn a per-layer figure into a silent zero.  The last test
-runs two quick traced workloads in-process and pins every *counted* figure
-(the timed ones drift with the host) to what the parent of PR 24 printed.
+runs quick traced workloads in-process and pins every *counted* figure (the
+timed ones drift with the host).  ``sig_fit`` and ``sig_spill`` are the
+workloads whose reads all go through Algorithm 1 with dynamic skylines and
+2-conjunct look-aheads, so their pins guard every count a change to that
+loop's bookkeeping must leave alone.
 Read-only use of ``benchmarks/e2e``.
 """
 
@@ -70,6 +73,41 @@ COUNTED = {
         "storage.pool_gets_per_read": 3.5,
         "storage.disk_reads.SSIG": 0.4,
         "storage.disk_reads.SBLOCK": 0.25,
+    },
+    "sig_fit": {
+        "route.io_per_miss": 0.8,
+        "route.share.signature": 1.0,
+        "query.nodes_expanded_per_read": 10.95,
+        "query.peak_heap_p95": 195,
+        "query.bool_pruned_per_read": 347.8,
+        "query.dom_pruned_per_read": 189.7,
+        "query.results_per_read": 9.9,
+        "kernels.calls_per_read": 14.35,
+        "kernels.rows_per_call": 53.972125,
+        "core.sig_loads_per_read": 1.0,
+        "rtree.block_reads_per_read": 10.95,
+        "storage.disk_reads_per_read": 0.866667,
+        "storage.pool_hit_rate": 0.933054,
+        "storage.pool_gets_per_read": 11.95,
+        "storage.disk_reads.SSIG": 0.8,
+    },
+    "sig_spill": {
+        "route.io_per_miss": 1.533333,
+        "route.share.signature": 1.0,
+        "query.nodes_expanded_per_read": 10.1,
+        "query.peak_heap_p95": 145,
+        "query.bool_pruned_per_read": 333.55,
+        "query.dom_pruned_per_read": 170.75,
+        "query.results_per_read": 9.55,
+        "kernels.calls_per_read": 14.05,
+        "kernels.rows_per_call": 53.850534,
+        "core.sig_loads_per_read": 1.0,
+        "rtree.block_reads_per_read": 10.1,
+        "storage.disk_reads_per_read": 1.066667,
+        "storage.pool_hit_rate": 0.864865,
+        "storage.pool_gets_per_read": 11.1,
+        "storage.disk_reads.SSIG": 1.0,
+        "storage.disk_reads.SBLOCK": 0.5,
     },
 }
 

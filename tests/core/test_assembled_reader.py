@@ -261,20 +261,53 @@ RECORDED_LOADS = {
 TOP5 = LinearFunction([1.0, 2.0])
 
 
+class Asked:
+    """What an ``AssembledReader`` asked its members: every (member, SID)
+    it read through ``resident_mask`` (its one question; ``check_sid``
+    follows only a ``None``), those that answered ``None``, the
+    ``check_sid`` calls, and every ``sid_of_path`` call made inside its
+    look-ahead."""
+
+    def __init__(self):
+        self.asked = []
+        self.not_resident = []
+        self.check_sid = []
+        self.converted = []
+
+
 @contextmanager
 def asking_members():
-    """Record every SID a member reader is asked for (``check_sid``, the
-    one entry an ``AssembledReader`` uses), and every ``sid_of_path`` call
-    made inside its look-ahead."""
-    asked, converted = [], []
+    got = Asked()
     depth = [0]
+    in_mask, in_check_sid = [0], [0]
+    real_mask = AssembledReader._mask
+    real_resident_mask = CellSignatureReader.resident_mask
     real_check_sid = CellSignatureReader.check_sid
     real_nonempty = AssembledReader._nonempty
     real_sid_of_path = readers_module.sid_of_path
 
+    def mask(self, sid, lookahead=False):
+        in_mask[0] += 1
+        try:
+            return real_mask(self, sid, lookahead)
+        finally:
+            in_mask[0] -= 1
+
+    def resident_mask(self, sid):
+        bits = real_resident_mask(self, sid)
+        if in_mask[0] and not in_check_sid[0]:
+            got.asked.append((self, sid))
+            if bits is None:
+                got.not_resident.append((self, sid))
+        return bits
+
     def check_sid(self, sid, wanted, lookahead=False):
-        asked.append((self, sid))
-        return real_check_sid(self, sid, wanted, lookahead)
+        got.check_sid.append((self, sid))
+        in_check_sid[0] += 1
+        try:
+            return real_check_sid(self, sid, wanted, lookahead)
+        finally:
+            in_check_sid[0] -= 1
 
     def nonempty(self, sid, node_depth):
         depth[0] += 1
@@ -285,15 +318,17 @@ def asking_members():
 
     def sid_of_path(path, fanout):
         if depth[0]:
-            converted.append(tuple(path))
+            got.converted.append(tuple(path))
         return real_sid_of_path(path, fanout)
 
     with (
+        mock.patch.object(AssembledReader, "_mask", mask),
+        mock.patch.object(CellSignatureReader, "resident_mask", resident_mask),
         mock.patch.object(CellSignatureReader, "check_sid", check_sid),
         mock.patch.object(AssembledReader, "_nonempty", nonempty),
         mock.patch.object(readers_module, "sid_of_path", sid_of_path),
     ):
-        yield asked, converted
+        yield got
 
 
 @pytest.mark.parametrize("fanout, page_size", SHAPES)
@@ -302,20 +337,25 @@ def test_the_sid_walk_asks_each_member_each_node_once_and_loads_as_recorded(
 ):
     system = build(fanout, page_size, seed=3)
     rng = random.Random(3)
-    loads = []
+    loads, resident_reads = [], 0
     for predicate in predicates(system, rng):
         row = ()
         for run in (
             lambda: system.engine.skyline(predicate),
             lambda: system.engine.topk(TOP5, 5, predicate),
         ):
-            with asking_members() as (asked, converted):
+            with asking_members() as got:
                 stats = run().stats
-            assert len(set(asked)) == len(asked) > 0
-            assert converted == []
+            assert len(set(got.asked)) == len(got.asked) > 0
+            assert got.converted == []
+            # A resident node is read from its decoded mask: ``check_sid``
+            # (residency probe, loads) is asked only about the others.
+            assert got.check_sid == got.not_resident
+            resident_reads += len(got.asked) - len(got.not_resident)
             row += (stats.sig_loads, stats.sig_lookahead_loads)
         loads.append(row)
     assert loads == RECORDED_LOADS[(fanout, page_size)]
+    assert resident_reads > 0
 
 
 def truth(system, predicate):

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from repro.baselines import index_merge, skyline_algs
 from repro.kernels import dominate, mindist, sigops
 from repro.kernels.dominate import (
+    _GENERIC_PROBE,
     _ONE_PASS_PAIRS,
-    _ONE_PASS_ROWS,
     _PROBE_CHUNK,
     _SCALAR_PROBE,
     _SEED_CHUNK,
@@ -341,8 +341,8 @@ def test_dominates_point_since_matches_the_scalar_suffix_scan(
     buffered, probe, data
 ):
     """``dominates_point(p, since)`` looks at ``points[since:]`` only, in
-    the oracle and the product, on both sides of the plain-loop / matrix
-    switch-over (``since == len`` and ``since > len`` see nothing)."""
+    the oracle and the product (``since == len`` and ``since > len`` see
+    nothing); the seeded test below crosses the loop / matrix switch-over."""
     since = data.draw(st.integers(min_value=0, max_value=len(buffered) + 2))
     expected = any(dominates(s, probe) for s in buffered[since:])
     for m in (reference, PRODUCT):
@@ -358,24 +358,24 @@ def grid_points(rng, dims, n):
     ]
 
 
-@pytest.mark.parametrize("dims", [1, 2, 3, 4])
+@pytest.mark.parametrize("dims", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize(
     "n_buffered",
     [
         1,
+        _GENERIC_PROBE,
+        _GENERIC_PROBE + 1,
         _SCALAR_PROBE,
         _SCALAR_PROBE + 1,
-        _ONE_PASS_ROWS,
-        _ONE_PASS_ROWS + 1,
-        _PROBE_CHUNK + _ONE_PASS_ROWS + 9,
+        _PROBE_CHUNK + _SCALAR_PROBE + 9,
     ],
 )
 def test_dominates_point_since_at_every_offset(n_buffered, dims):
     """Seeded: windows ``points[since:]`` on both sides of every regime of
-    the point probe — the plain loop (≤ ``_SCALAR_PROBE`` rows), the one
-    "≤ everywhere" matrix test (≤ ``_ONE_PASS_ROWS``), the per-dimension
-    chunks (one and two of them) — with exact ties: an equal point never
-    dominates."""
+    the point probe — the loop written out for widths 2–4 (≤
+    ``_SCALAR_PROBE`` rows), the generic loop of widths 1 and 5 (≤
+    ``_GENERIC_PROBE``), the per-dimension chunks (one and two of them) —
+    with exact ties: an equal point never dominates."""
     rng = random.Random(10 * n_buffered + dims)
     points = grid_points(rng, dims, n_buffered)
     probes = [
@@ -387,7 +387,7 @@ def test_dominates_point_since_at_every_offset(n_buffered, dims):
     ]
     offsets = {0, 1, n_buffered // 2, n_buffered, n_buffered + 3} | {
         max(0, n_buffered - window)
-        for bound in (1, _SCALAR_PROBE, _ONE_PASS_ROWS, _PROBE_CHUNK)
+        for bound in (1, _GENERIC_PROBE, _SCALAR_PROBE, _PROBE_CHUNK)
         for window in (bound, bound + 1)
     }
     oracle = reference.DominationBuffer(dims, points=points)
@@ -397,6 +397,59 @@ def test_dominates_point_since_at_every_offset(n_buffered, dims):
             assert buffer.dominates_point(
                 probe, since
             ) is oracle.dominates_point(probe, since), (since, probe)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("past_bound", [False, True])
+def test_a_point_probe_up_to_the_bound_makes_no_numpy_call(past_bound, dims):
+    """Counted, not timed: a window of up to ``_SCALAR_PROBE`` rows
+    (``_GENERIC_PROBE`` for a width without its own loop) is answered from
+    the tuples alone — with the matrix taken away it still agrees with the
+    oracle on the tie grid at every ``since`` — and one row more reaches
+    the matrix."""
+    bound = _SCALAR_PROBE if 2 <= dims <= 4 else _GENERIC_PROBE
+    rng = random.Random(dims)
+    points = grid_points(rng, dims, bound + 4)
+    probes = [points[-1], (0.0,) * dims, *grid_points(rng, dims, 6)]
+    oracle = reference.DominationBuffer(dims, points=points)
+    buffer = DominationBuffer(dims, points=points)
+    buffer._arr = None  # any numpy use now raises
+    for since in (4, 5, 4 + bound // 2, len(points)):
+        for probe in probes:
+            assert buffer.dominates_point(
+                probe, since
+            ) is oracle.dominates_point(probe, since), (since, probe)
+    if past_bound:
+        with pytest.raises(TypeError):
+            buffer.dominates_point((1.0,) * dims, 3)
+
+
+@pytest.mark.parametrize(
+    "probe_with",
+    [
+        lambda buffer, probe: buffer.dominates_point(probe),
+        lambda buffer, probe: buffer.dominates_point(probe, 1),
+        lambda buffer, probe: buffer.dominates_block([probe]),
+        lambda buffer, probe: buffer.dominates_block(
+            np.asarray([probe] * 50), packed=True
+        ),
+    ],
+    ids=["point", "point-since", "block", "block-escalating"],
+)
+@pytest.mark.parametrize("n_buffered", [0, 1, _SCALAR_PROBE + 1, 200])
+@pytest.mark.parametrize("width", [2, 4])
+def test_a_probe_of_the_wrong_width_is_refused(probe_with, n_buffered, width):
+    """Every probe path checks the probe's width as ``add`` does — the
+    point loop, the per-dimension chunks, the one-pass and escalating
+    block tests and the empty buffer — instead of answering from a prefix
+    of its coordinates or failing in numpy."""
+    buffer = DominationBuffer(
+        3, points=[(i / 8, i / 8, 1.0) for i in range(n_buffered)]
+    )
+    with pytest.raises(ValueError, match="buffer expects 3"):
+        probe_with(buffer, (0.5,) * width)
+    with pytest.raises(ValueError, match="buffer expects 3"):
+        buffer.add((0.5,) * width)
 
 
 @pytest.mark.parametrize("dims", [1, 2, 3, 4])

@@ -748,20 +748,20 @@ def watching(runner):
 
     watched = Watched()
     real_decompress = readers_module.decompress
-    real_ensure = CellSignatureReader._ensure_node
+    real_resident_mask = CellSignatureReader.resident_mask
     real_lt = HeapEntry.__lt__
 
     def decompress(blob):
         watched.decoded.append(blob)
         return real_decompress(blob)
 
-    def ensure_node(self, node_sid, lookahead=False):
-        resident = real_ensure(self, node_sid, lookahead)
-        if resident:
-            watched.tested.add((id(self), node_sid))
+    def resident_mask(self, sid):
+        mask = real_resident_mask(self, sid)
+        if mask is not None:
+            watched.tested.add((id(self), sid))
             if self not in watched.readers:
                 watched.readers.append(self)
-        return resident
+        return mask
 
     def counted_lt(self, other):
         watched.lt_calls += 1
@@ -790,7 +790,7 @@ def watching(runner):
 
     with (
         mock.patch.object(readers_module, "decompress", decompress),
-        mock.patch.object(CellSignatureReader, "_ensure_node", ensure_node),
+        mock.patch.object(CellSignatureReader, "resident_mask", resident_mask),
         mock.patch("repro.query.session.run_algorithm1", search),
     ):
         yield watched
