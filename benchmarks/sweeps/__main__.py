@@ -14,13 +14,15 @@ Examples::
         --fail-over 5
 
 Exit status: 0 on success, 1 when ``--compare`` finds a regression over
-``--fail-over`` percent, 2 on bad usage.
+``--fail-over`` percent, 2 on bad usage or a baseline that shares no gated
+metric with the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -39,12 +41,24 @@ def _csv(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _ints(text: str) -> list[int]:
-    return [int(item) for item in _csv(text)]
+def _counts(text: str) -> list[int]:
+    counts = [int(item) for item in _csv(text)]
+    if not counts or min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"need integers >= 1, got {text!r}")
+    return counts
+
+
+def _percent(text: str) -> float:
+    pct = float(text)
+    if not 0 <= pct < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite PCT >= 0, got {text!r}")
+    return pct
 
 
 def _figures(text: str) -> list[str]:
     names = _csv(text)
+    if not names:
+        raise argparse.ArgumentTypeError("no figure named")
     unknown = [name for name in names if name not in SCENARIOS]
     if unknown:
         raise argparse.ArgumentTypeError(
@@ -82,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--sizes",
-        type=_ints,
+        type=_counts,
         default=None,
         help="comma-separated sweep sizes (default: "
         + ",".join(str(n) for n in SWEEP_SIZES)
@@ -96,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--serving-threads",
-        type=_ints,
+        type=_counts,
         default=None,
         metavar="N,N,...",
         help="worker-thread counts for the serving and durability sweeps "
@@ -115,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--fail-over",
-        type=float,
+        type=_percent,
         default=None,
         metavar="PCT",
         help="with --compare: exit 1 when a counted cost rises by more "
@@ -176,9 +190,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     baseline = json.loads(baseline_path.read_text())
     fail_over = args.fail_over if args.fail_over is not None else 10.0
-    regressions, notes = compare_reports(
-        report, baseline, fail_over=fail_over
-    )
+    try:
+        regressions, notes = compare_reports(
+            report, baseline, fail_over=fail_over
+        )
+    except ValueError as exc:
+        print(f"{exc}: {baseline_path}", file=sys.stderr)
+        return 2
     for note in notes:
         print(f"note: {note}")
     if regressions:

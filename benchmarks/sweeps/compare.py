@@ -84,7 +84,8 @@ def compare_reports(
     :data:`ABS_SLACK` either way.  The kinds are ``current``'s — the
     baseline may predate the ``fields`` table.  Figures/series/points
     present on only one side are noted, not failed (baselines are expected
-    to lag when scenarios are added).
+    to lag when scenarios are added), but a diff that gates no metric at
+    all raises :class:`ValueError`: it would pass while checking nothing.
     """
     kinds = current["fields"]
     baseline_points = {
@@ -94,6 +95,7 @@ def compare_reports(
     regressions: list[Delta] = []
     notes: list[str] = []
     seen: set[tuple] = set()
+    gated = 0
 
     for fig, series, x, point in _iter_points(current):
         key = (fig, series, x)
@@ -112,6 +114,7 @@ def compare_reports(
                 notes.append(f"{fig}/{series}/x={x}/{path}: new metric")
                 continue
             base = base_metrics[path]
+            gated += 1
             if kind == ANSWER:
                 moved = abs(value - base) > ABS_SLACK
             else:
@@ -126,5 +129,7 @@ def compare_reports(
         fig, series, x = key
         notes.append(f"{fig}/{series}/x={x}: missing from current run")
 
+    if not gated:
+        raise ValueError("the run shares no gated metric with the baseline")
     regressions.sort(key=lambda d: d.path)
     return regressions, notes

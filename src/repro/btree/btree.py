@@ -20,10 +20,6 @@ _NODE_HEADER_BYTES = 24
 _KEY_BYTES = 8
 _POINTER_BYTES = 8
 
-#: Sentinel: :meth:`BPlusTree.delete` removes every value under the key.
-_DELETE_ANY = object()
-
-
 class _Leaf:
     __slots__ = ("keys", "values", "next", "page_id")
 
@@ -186,38 +182,6 @@ class BPlusTree:
                     failure = failure or exc
             if failure is not None:
                 raise failure
-
-    def delete(self, key: Any, value: Any = _DELETE_ANY) -> int:
-        """Remove slots matching ``key`` (and ``value``, when given).
-
-        Returns the number of slots removed.  Leaves are not rebalanced —
-        this tree is a multimap whose separators stay valid upper bounds
-        after deletions, so search and range scans are unaffected; space is
-        reclaimed on the next split of the shrunken leaf.
-        """
-        node = self.root
-        while isinstance(node, _Internal):
-            node = node.children[bisect_left(node.keys, key)]
-        leaf: _Leaf | None = node
-        removed = 0
-        while leaf is not None:
-            changed = False
-            index = bisect_left(leaf.keys, key)
-            while index < len(leaf.keys) and leaf.keys[index] == key:
-                if value is _DELETE_ANY or leaf.values[index] == value:
-                    del leaf.keys[index]
-                    del leaf.values[index]
-                    removed += 1
-                    changed = True
-                else:
-                    index += 1
-            if changed:
-                self._sync(leaf)
-            if leaf.keys and leaf.keys[-1] > key:
-                break
-            leaf = leaf.next
-        self._n_entries -= removed
-        return removed
 
     # ------------------------------------------------------------------ #
     # lookup

@@ -8,8 +8,8 @@ This package is the paper's primary contribution (Section IV):
   online assembly from atomic cuboids (Fig. 3);
 * :mod:`repro.core.partial` — compression + decomposition into page-sized
   partial signatures, and the ancestor-reference retrieval protocol;
-* :mod:`repro.core.store` — the on-disk signature store, indexed by
-  (cell id, SID) with a B+-tree;
+* :mod:`repro.core.store` — the on-disk signature store, its partials
+  found by (cell id, ref SID) through one in-memory directory;
 * :mod:`repro.core.readers` — the lazily loading boolean-prune readers
   queries ask, one per cell, assembled per conjunction or disjunction;
 * :mod:`repro.core.counted` — counted signatures for O(depth) maintenance;

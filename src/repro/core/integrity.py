@@ -4,7 +4,7 @@ online scrubber.
 :meth:`repro.system.PCubeSystem.verify_consistency` and the serving-side
 scrubber (:mod:`repro.serve.scrub`) verify the same contract — the stored
 per-cell signatures, the counted signatures, the R-tree partition and the
-store's B+-tree index all describe the *same* base relation — but against
+store's directory all describe the *same* base relation — but against
 different surfaces: the audit walks the live structures with the writer
 quiescent, the scrubber walks a pinned epoch snapshot while maintenance and
 queries keep running.  This module factors the invariants themselves out of
@@ -203,24 +203,17 @@ def store_directory_problems(
     store_cells: Iterable[str],
     expected_ids: set[str],
     quarantined: Iterable[Cell],
-    directory: Sequence,
-    index: Iterable,
     orphans: Sequence[int],
 ) -> list[str]:
-    """Store-side invariants: no unknown cells, no quarantine residue, the
-    B+-tree index mirrors the directory exactly, and no signature page is
-    left that the directory does not reference (``orphans``, deferred epoch
-    frees excluded)."""
+    """Store-side invariants: no unknown cells, no quarantine residue, and
+    no signature page left that the directory does not reference
+    (``orphans``, deferred epoch frees excluded)."""
     problems = [
         f"store holds unknown cell {cell_id!r}"
         for cell_id in store_cells
         if cell_id not in expected_ids
     ]
     problems.extend(f"cell {cell} is quarantined" for cell in quarantined)
-    if sorted(directory) != sorted(index):
-        problems.append(
-            "the store's B+-tree index diverges from its directory"
-        )
     if orphans:
         problems.append(
             f"{len(orphans)} signature pages no directory references "

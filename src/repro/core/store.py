@@ -2,10 +2,12 @@
 
 Paper Section VI-A: "Signatures are compressed, decomposed and indexed
 (using B+-tree) by cell IDs and SID's."  A partial signature lives on one
-disk page; the B+-tree maps ``(cell_id, ref_sid)`` to that page.  The store
-keeps that directory, rewrites a cell's partials under maintenance, and
-serves epoch snapshots of the directory (:class:`StoreView`); the readers
-that load partials at query time live in :mod:`repro.core.readers`.
+disk page; the store's directory ``cell_id -> {ref_sid -> page_id}`` maps
+``(cell_id, ref_sid)`` to that page and stands in for the paper's B+-tree
+(no counted figure ever charged a descent of it).  The store keeps that
+directory, rewrites a cell's partials under maintenance, and serves epoch
+snapshots of the directory (:class:`StoreView`); the readers that load
+partials at query time live in :mod:`repro.core.readers`.
 
 Fault tolerance (the Diamond-Dicing contract: OLAP structures are
 rebuildable caches over the base relation, so a lost or corrupt signature
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
-from repro.btree.btree import BPlusTree
 from repro.core.partial import PartialSignature, compress_nodes, pack
 from repro.core.readers import BooleanFallback, CellSignatureReader
 from repro.core.signature import Signature
@@ -91,9 +92,8 @@ class _DirectoryReads:
         in ``stats.counters``, and every retry in ``stats.fault_retries``
         as well as in the store's :attr:`fault_stats`.
 
-        The index descent is served from the directory (equivalent to a
-        pinned B+-tree root path); tests exercise the counted B+-tree
-        separately.
+        The (cell, ref) lookup is the directory's, uncounted: the paper's
+        B+-tree descent is not charged.
         """
         refs = self._directory.get(cell.cell_id)
         if refs is None or ref_sid not in refs:
@@ -155,12 +155,12 @@ class _DirectoryReads:
 
 
 class SignatureStore(_DirectoryReads):
-    """Partial signatures on disk, indexed by (cell id, ref SID).
+    """Partial signatures on disk, found by (cell id, ref SID).
 
     Args:
-        disk: The device the partials and the (cell, ref) B+-tree live on.
+        disk: The device the partials live on.
         fanout: The R-tree fanout the signatures' nodes are sized for.
-        tag: Page-tag prefix (``{tag}:sig``, ``{tag}:index``).
+        tag: Page-tag prefix (partials are tagged ``{tag}:sig``).
         codec: Bitmap codec each node is compressed with.
 
     Transient read faults are retried by :attr:`retry_policy`, a fresh
@@ -180,10 +180,8 @@ class SignatureStore(_DirectoryReads):
         self.codec = codec
         self.retry_policy = RetryPolicy()
         self.fault_stats = FaultStats()
-        self._index = BPlusTree(order=128, disk=disk, tag=f"{tag}:index")
-        # cell_id -> {ref_sid -> page_id}; mirrors the B+-tree for O(1)
-        # unaccounted access (maintenance) while queries go through the
-        # counted B+-tree path.
+        # cell_id -> {ref_sid -> page_id}: the one map from a partial to
+        # its page.
         self._directory: dict[str, dict[int, int]] = {}
         # cell_id -> (cell, reason) for cells whose partials proved
         # unreadable; cleared by PCube.rebuild_cell().
@@ -272,12 +270,11 @@ class SignatureStore(_DirectoryReads):
         """Replace every stored partial of a cell (maintenance rewrite).
 
         Atomic: the new pages are allocated first, then the directory swaps
-        to them in one step (the commit point), then the index is brought in
-        line and the old pages freed.  A storage fault while allocating
-        frees the pages this rewrite allocated and leaves the old partials
-        current; once the swap has committed, the old pages are freed
-        whatever happens next.  A crash leaves the unreferenced generation
-        on disk for :meth:`free_orphans` (``PCubeSystem.recover``).
+        to them in one step (the commit point), then the old pages are
+        freed.  A storage fault while allocating frees the pages this
+        rewrite allocated and leaves the old partials current.  A crash
+        leaves the unreferenced generation on disk for :meth:`free_orphans`
+        (``PCubeSystem.recover``).
         """
         cell_id = cell.cell_id
         existing = self._directory.get(cell_id, {})
@@ -294,21 +291,12 @@ class SignatureStore(_DirectoryReads):
             raise
         # Phase 2: commit — one directory swap.
         self._directory[cell_id] = refs
-        try:
-            # Phase 3: keep the B+-tree exactly in line with the directory —
-            # vanished refs are deleted (not left stale), moved refs are
-            # replaced rather than duplicated.
-            for ref in existing:
-                self._index.delete((cell_id, ref))
-            for ref in sorted(refs):
-                self._index.insert((cell_id, ref), refs[ref])
-        finally:
-            # Phase 4: free the replaced pages (registered buffer pools are
-            # told to evict them, so no reader can see a stale partial).
-            # Under an epoch manager the physical free is deferred instead,
-            # because a pinned snapshot directory may still reference them.
-            for page_id in existing.values():
-                self._free_sig_page(page_id)
+        # Phase 3: free the replaced pages (registered buffer pools are told
+        # to evict them, so no reader can see a stale partial).  Under an
+        # epoch manager the physical free is deferred instead, because a
+        # pinned snapshot directory may still reference them.
+        for page_id in existing.values():
+            self._free_sig_page(page_id)
 
     def orphan_pages(self, held: Collection[int] = ()) -> list[int]:
         """Signature pages the directory does not reference and ``held``
@@ -331,8 +319,8 @@ class SignatureStore(_DirectoryReads):
     def free_orphans(self, held: Collection[int] = ()) -> int:
         """Free every :meth:`orphan_pages` page; returns how many.
 
-        Crash recovery's sweep, the sibling of :meth:`reset_index`: the
-        directory is authoritative, so a page it does not reference belongs
+        Crash recovery's sweep: the directory is the one map from a partial
+        to its page, so a page it does not reference belongs
         to a rewrite that never committed (or committed without freeing the
         generation it replaced).  Only safe while no rewrite is in flight —
         its new pages are unreferenced until its commit point.
@@ -393,44 +381,13 @@ class SignatureStore(_DirectoryReads):
 
     def directory_entries(self) -> list[tuple[tuple[str, int], int]]:
         """Every ``((cell_id, ref_sid), page_id)`` pair in the directory,
-        in key order — the shape :meth:`index_entries` returns, so audits
-        can compare the two views directly."""
+        in key order."""
         return [
             ((cell_id, ref), refs[ref])
             for cell_id in sorted(self._directory)
             for refs in (self._directory[cell_id],)
             for ref in sorted(refs)
         ]
-
-    def index_entries(self) -> list[tuple[tuple[str, int], int]]:
-        """Every ``((cell_id, ref_sid), page_id)`` pair in the B+-tree, in
-        key order (consistency audits compare this against the directory)."""
-        entries: list[tuple[tuple[str, int], int]] = []
-        for key in self._index.distinct_keys():
-            for page_id in self._index.search(key):
-                entries.append((key, page_id))
-        return entries
-
-    def reset_index(self) -> int:
-        """Discard and re-derive the (cell, ref) B+-tree from the directory.
-
-        The directory is authoritative (the index mirrors it for counted
-        query-time descents), and a crash between B+-tree page writes can
-        leave the index structurally broken mid-split — so crash recovery
-        does not repair it, it rebuilds it.  Returns the number of entries
-        reinserted.  Idempotent.
-        """
-        for page in list(self.disk.pages(f"{self.tag}:index")):
-            try:
-                self.disk.free(page.page_id)
-            except PageFault:
-                pass
-        self._index = BPlusTree(
-            order=128, disk=self.disk, tag=f"{self.tag}:index"
-        )
-        entries = self.directory_entries()
-        self._index.bulk_insert(entries)
-        return len(entries)
 
 
 class StoreView(_DirectoryReads):

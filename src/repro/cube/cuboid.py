@@ -32,7 +32,7 @@ class Cell:
 
     @property
     def cell_id(self) -> str:
-        """Canonical string id, e.g. ``"A=a1&B=b2"`` (B+-tree key material)."""
+        """Canonical string id, e.g. ``"A=a1&B=b2"`` (the store directory's key)."""
         return "&".join(f"{d}={v}" for d, v in zip(self.dims, self.values))
 
     def matches(self, relation: Relation, tid: int) -> bool:

@@ -108,6 +108,9 @@ class QueryResult:
         return len(self.tids)
 
 
+#: Pages of the cold pool a session without a shared pool gives each query.
+COLD_POOL_PAGES = 4096
+
 #: A conjunction, or a sequence of conjunctions read as their disjunction.
 Predicate = BooleanPredicate | Sequence[BooleanPredicate] | None
 
@@ -131,8 +134,7 @@ class QuerySession:
         pool: A shared :class:`BufferPool` to run against; each query
             observes it through a private :class:`PoolView`.  ``None``
             (the default) gives every query a fresh cold pool of
-            ``pool_capacity`` pages instead.
-        pool_capacity: Cold-pool size when ``pool`` is ``None``.
+            :data:`COLD_POOL_PAGES` pages instead.
         epoch: Stamped onto every result's ``stats.epoch``, and handed to
             the breaker board; ``None`` for live sessions.
         ticker: Invoked once per Algorithm 1 heap pop; raises to abort the
@@ -153,7 +155,6 @@ class QuerySession:
         rtree,
         pcube,
         pool: BufferPool | None = None,
-        pool_capacity: int = 4096,
         epoch: int | None = None,
         ticker: Callable[[], None] | None = None,
         deadline_at: float | None = None,
@@ -163,7 +164,6 @@ class QuerySession:
         self.rtree = rtree
         self.pcube = pcube
         self.pool = pool
-        self.pool_capacity = pool_capacity
         self.epoch = epoch
         self.ticker = ticker
         self.deadline_at = deadline_at
@@ -174,7 +174,6 @@ class QuerySession:
         cls,
         snapshot: "Snapshot",
         pool: BufferPool | None = None,
-        pool_capacity: int = 4096,
         ticker: Callable[[], None] | None = None,
         deadline_at: float | None = None,
         breakers: "BreakerBoard | None" = None,
@@ -189,7 +188,6 @@ class QuerySession:
             snapshot.rtree,
             snapshot.pcube,
             pool=pool,
-            pool_capacity=pool_capacity,
             epoch=snapshot.epoch,
             ticker=ticker,
             deadline_at=deadline_at,
@@ -203,7 +201,7 @@ class QuerySession:
     def query_pool(self) -> BufferPool | PoolView:
         """Cold private pool, or a per-query view of the shared one."""
         if self.pool is None:
-            return BufferPool(self.rtree.disk, capacity=self.pool_capacity)
+            return BufferPool(self.rtree.disk, capacity=COLD_POOL_PAGES)
         return PoolView(self.pool)
 
     def finish_pool(self, pool: BufferPool | PoolView, stats: QueryStats) -> None:
@@ -237,7 +235,6 @@ class QuerySession:
         self,
         predicate: Predicate = None,
         preference_by: tuple[str, ...] | None = None,
-        keep_lists: bool = True,
     ) -> QueryResult:
         """A standard skyline query (Algorithm 1 from the root).
 
@@ -246,17 +243,15 @@ class QuerySession:
         :meth:`~repro.core.pcube.ReaderFactory.reader_for_dnf`).
         ``preference_by`` restricts the skyline to a subset of preference
         dimensions by name (Section III's
-        ``preference by N'1, ..., N'j``).  ``keep_lists=False`` skips the
-        Lemma 2 lists (saves memory; the result cannot be resumed, nor can
-        a disjunction's).
+        ``preference by N'1, ..., N'j``).  A conjunction's result keeps
+        the Lemma 2 lists and can be resumed; a disjunction's cannot.
         """
         predicate = _as_predicate(predicate)
         return self._answer(
             "skyline",
             predicate,
             self._skyline_strategy(preference_by),
-            keep_lists=keep_lists,
-            resumable=keep_lists and isinstance(predicate, BooleanPredicate),
+            resumable=isinstance(predicate, BooleanPredicate),
             preference_by=preference_by,
         )
 
@@ -265,7 +260,6 @@ class QuerySession:
         fn: RankingFunction,
         k: int,
         predicate: Predicate = None,
-        keep_lists: bool = True,
     ) -> QueryResult:
         """A standard top-k query (Section V-B): best-first by the lower
         bound of ``fn`` over each node, k-th-score preference pruning.
@@ -279,8 +273,7 @@ class QuerySession:
             "topk",
             predicate,
             TopKStrategy(fn, k),
-            keep_lists=keep_lists,
-            resumable=keep_lists and isinstance(predicate, BooleanPredicate),
+            resumable=isinstance(predicate, BooleanPredicate),
             fn=fn,
             k=k,
         )
@@ -433,7 +426,6 @@ class QuerySession:
         predicate,
         strategy,
         resume=None,
-        keep_lists: bool = True,
         **result_fields,
     ) -> QueryResult:
         """One Algorithm 1 search (fresh or resumed) → a :class:`QueryResult`."""
@@ -442,7 +434,7 @@ class QuerySession:
             state = None
             if resume is not None:
                 state = self._resume_state(resume, reader, stats)
-            return algorithm1(strategy, state, keep_lists)
+            return algorithm1(strategy, state)
 
         final_state, stats = self._run(predicate, search)
         reported = [e for e in final_state.results if e.tid is not None]

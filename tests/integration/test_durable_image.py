@@ -14,8 +14,11 @@ Two runs are pinned: the default scenario of ``python -m repro.backup``
 its 201st WAL record append, past three segment seals, and recovered
 (``python -m repro.audit --crash-op allocate --crash-tag wal:rec
 --crash-after 200``).  The literals were recorded before the write side
-was folded into one journal protocol; a change that means to move the
-image re-records them and says why.
+was folded into one journal protocol, and re-recorded when the store's
+(cell, ref) B+-tree went: its pages no longer take page ids, so later ids
+and the checkpoint manifests' ``row_pages`` shifted, while every row's
+tag, size and content and both metric lists stayed.  A change that means
+to move the image re-records them and says why.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ FANOUT = 6
 #: metrics over the archive, the same behind the newest checkpoint).
 IMAGES = {
     "backup": (
-        "13f67300f0df9270",
+        "fafd33d3c2066acb",
         267,
         [("damaged_ignored", 0), ("record_reads", 246), ("seal_reads", 9),
          ("segments_scanned", 9), ("segments_skipped", 0)],
@@ -53,7 +56,7 @@ IMAGES = {
          ("segments_scanned", 0), ("segments_skipped", 9)],
     ),
     "crash_wal_rec": (
-        "450ee827dd8855cb",
+        "84c53eeedde1897a",
         225,
         [("damaged_ignored", 0), ("record_reads", 222), ("seal_reads", 3),
          ("segments_scanned", 4), ("segments_skipped", 0)],
