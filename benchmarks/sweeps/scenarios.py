@@ -106,7 +106,6 @@ def fig05_construction(ctx: BenchContext) -> dict[str, Any]:
             generate_relation(sweep_config(n_tuples)),
             fanout=64,
             rtree_method="insert",
-            maintainable=False,
         ).timings
         for name, seconds in (
             ("R-tree", timings.rtree_seconds),

@@ -1,8 +1,9 @@
-"""Ablation: counted-signature patching vs full cell recomputation.
+"""Ablation: bit patching vs full cell recomputation.
 
-DESIGN.md design decision: counted signatures give O(path length) updates
-per affected cell; the paper's fallback recomputes a cell's signature from
-the tree.  This bench measures the gap.  It also checks that its inserts add
+DESIGN.md design decision: editing a cell's stored bits along the changed
+paths (paper Section IV-B.3) costs O(path length) per affected cell; the
+paper's fallback recomputes a cell's signature from the tree.  This bench
+measures the gap.  It also checks that its inserts add
 no R-tree node (a split adds at least one): into STR-packed leaves of fanout
 64 every insert here is the paper's "insertion without node splits".
 """
@@ -53,7 +54,7 @@ def test_ablation_maintenance_strategies():
     print_table(
         f"Ablation: incremental patching vs cell recomputation "
         f"(T={T:,}, per operation)",
-        ["nodes added", "counted patch", "recompute cell", "gap"],
+        ["nodes added", "bit patch", "recompute cell", "gap"],
         [
             [
                 nodes_added,
@@ -65,5 +66,5 @@ def test_ablation_maintenance_strategies():
     )
     # No insert split a node, so the split policy never ran here.
     assert nodes_added == 0
-    # Counted patching beats per-cell recomputation decisively.
+    # Bit patching beats per-cell recomputation decisively.
     assert incremental < recompute

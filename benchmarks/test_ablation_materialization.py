@@ -122,7 +122,6 @@ def test_audit_lattice_rule_on_the_rich_cuboids(materialization_comparison):
         rich.cuboids,
         rich.fanout,
         rich.signature_of,
-        rich.counted_of,
     ):
         assert problems == [], cell
         pairs += len(cell.dims) == 2

@@ -60,9 +60,7 @@ def update_timings():
 
         # recomputation from scratch (signatures only; tree is shared)
         started = time.perf_counter()
-        PCube.build(
-            system.relation, system.rtree, maintainable=False, tag="pcube-re"
-        )
+        PCube.build(system.relation, system.rtree, tag="pcube-re")
         recompute = time.perf_counter() - started
         rows.append((n_inserts, per_tuple, per_batched, recompute))
     return rows

@@ -7,7 +7,7 @@ via :func:`int.bit_count`.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 #: Word width of the packed representation (``to_words``/``from_words``).
 WORD_BITS = 64
@@ -19,28 +19,6 @@ def word_count(nbits: int) -> int:
     if nbits < 0:
         raise ValueError("nbits must be non-negative")
     return (nbits + WORD_BITS - 1) // WORD_BITS
-
-
-def pack_words(words: Iterable[int], width: int) -> bytes:
-    """Serialise fixed-width little-endian words (shared by the codecs)."""
-    out = bytearray()
-    for word in words:
-        out += word.to_bytes(width, "little")
-    return bytes(out)
-
-
-def unpack_words(data: bytes, width: int) -> list[int]:
-    """Inverse of :func:`pack_words`; rejects ragged input."""
-    if width < 1:
-        raise ValueError("word width must be positive")
-    if len(data) % width:
-        raise ValueError(
-            f"{len(data)} bytes is not a multiple of the {width}-byte width"
-        )
-    return [
-        int.from_bytes(data[i : i + width], "little")
-        for i in range(0, len(data), width)
-    ]
 
 
 class BitArray:

@@ -1,7 +1,7 @@
 """Bitmap compression codecs.
 
 The paper compresses the bit array of *each signature node individually*
-and cites classic bitmap compression literature [17], [18].  We provide four
+and cites classic bitmap compression literature [17], [18].  We provide three
 lossless codecs plus an adaptive wrapper that picks the smallest encoding per
 node (the paper's reason (2): heterogeneous nodes want different schemes):
 
@@ -14,8 +14,6 @@ node (the paper's reason (2): heterogeneous nodes want different schemes):
     set, the common case for selective cells.
 ``rle``
     Byte-aligned run-length coding of 0/1 runs (BBC-flavoured).
-``wah``
-    Word-Aligned Hybrid coding with 31-bit literals and run fill words.
 
 Every encoding is framed as ``codec_id || varint(nbits) || body`` so a
 compressed blob is self-describing and :func:`decompress` needs no side
@@ -26,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.bitmap.bitarray import BitArray, pack_words, unpack_words
+from repro.bitmap.bitarray import BitArray
 
 
 class CodecError(ValueError):
@@ -183,91 +181,6 @@ def _rle_decode(nbits: int, body: bytes) -> int:
     return mask
 
 
-_WAH_WORD = 31  # payload bits per 32-bit word
-
-
-def _wah_encode(bits: BitArray) -> bytes:
-    """Word-Aligned Hybrid: 32-bit words, MSB=1 marks a fill word."""
-    words: list[int] = []
-    mask = bits.mask
-    nwords = (bits.nbits + _WAH_WORD - 1) // _WAH_WORD
-    chunk_mask = (1 << _WAH_WORD) - 1
-
-    def flush_run(value: int, length: int) -> None:
-        # fill word: 1 | value-bit | 30-bit count
-        while length > 0:
-            take = min(length, (1 << 30) - 1)
-            words.append((1 << 31) | (value << 30) | take)
-            length -= take
-
-    run_value = -1
-    run_length = 0
-    for i in range(nwords):
-        chunk = (mask >> (i * _WAH_WORD)) & chunk_mask
-        if chunk == 0 or chunk == chunk_mask:
-            value = 0 if chunk == 0 else 1
-            if value == run_value:
-                run_length += 1
-            else:
-                if run_length:
-                    flush_run(run_value, run_length)
-                run_value, run_length = value, 1
-        else:
-            if run_length:
-                flush_run(run_value, run_length)
-                run_value, run_length = -1, 0
-            words.append(chunk)  # literal: MSB = 0
-    if run_length:
-        flush_run(run_value, run_length)
-    return pack_words(words, 4)
-
-
-def _wah_len(bits: BitArray) -> int:
-    mask = bits.mask
-    chunk_mask = (1 << _WAH_WORD) - 1
-    max_fill = (1 << 30) - 1
-    words = 0
-    fill = -1  # the chunk value of the open fill run, -1 when none is open
-    fill_chunks = 0
-    for i in range((bits.nbits + _WAH_WORD - 1) // _WAH_WORD):
-        chunk = (mask >> (i * _WAH_WORD)) & chunk_mask
-        if chunk == fill:
-            fill_chunks += 1
-            continue
-        words += (fill_chunks + max_fill - 1) // max_fill
-        if chunk == 0 or chunk == chunk_mask:
-            fill, fill_chunks = chunk, 1
-        else:
-            fill, fill_chunks = -1, 0
-            words += 1
-    words += (fill_chunks + max_fill - 1) // max_fill
-    return 4 * words
-
-
-def _wah_decode(nbits: int, body: bytes) -> int:
-    if len(body) % 4:
-        raise CodecError("wah body is not word aligned")
-    payload = _WAH_WORD * ((nbits + _WAH_WORD - 1) // _WAH_WORD)
-    mask = 0
-    bit_pos = 0
-    for word in unpack_words(body, 4):
-        if word >> 31:  # fill: checked against the width before it expands
-            span = _WAH_WORD * (word & ((1 << 30) - 1))
-            if bit_pos + span > payload:
-                raise CodecError(f"wah fill runs past {payload} payload bits")
-            if word >> 30 & 1:
-                mask |= ((1 << span) - 1) << bit_pos
-            bit_pos += span
-        else:
-            if bit_pos + _WAH_WORD > payload:
-                raise CodecError(f"wah literal runs past {payload} payload bits")
-            mask |= word << bit_pos
-            bit_pos += _WAH_WORD
-    if bit_pos != payload:
-        raise CodecError(f"wah decoded {bit_pos} payload bits, expected {payload}")
-    return mask & ((1 << nbits) - 1)
-
-
 # --------------------------------------------------------------------------- #
 # framing and the adaptive wrapper
 # --------------------------------------------------------------------------- #
@@ -277,7 +190,6 @@ CODECS = {
     "raw": (0, _raw_encode, _raw_decode),
     "sparse": (1, _sparse_encode, _sparse_decode),
     "rle": (2, _rle_encode, _rle_decode),
-    "wah": (3, _wah_encode, _wah_decode),
 }
 
 _BY_ID = {cid: (name, enc, dec) for name, (cid, enc, dec) in CODECS.items()}
@@ -287,7 +199,6 @@ _BODY_LEN = {
     "raw": _raw_len,
     "sparse": _sparse_len,
     "rle": _rle_len,
-    "wah": _wah_len,
 }
 
 
@@ -299,7 +210,7 @@ _MEMO_ENTRIES = 1 << 15
 def compress(bits: BitArray, codec: str = "adaptive") -> bytes:
     """Compress a bit array into a self-describing blob.
 
-    ``codec="adaptive"`` keeps the smallest of the four encodings — the
+    ``codec="adaptive"`` keeps the smallest of the three encodings — the
     per-node adaptive choice the paper argues for — and, on a tie, the
     first in :data:`CODECS` order.  Only the winner is encoded: every frame
     spends the same bytes on the codec id and the width, so the smallest

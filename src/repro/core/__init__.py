@@ -3,7 +3,8 @@
 This package is the paper's primary contribution (Section IV):
 
 * :mod:`repro.core.sid` — path ⇄ SID arithmetic;
-* :mod:`repro.core.signature` — the signature tree of one cube cell;
+* :mod:`repro.core.signature` — the signature tree of one cube cell, and
+  the bit edit that maintains it;
 * :mod:`repro.core.ops` — signature union and (recursive) intersection for
   online assembly from atomic cuboids (Fig. 3);
 * :mod:`repro.core.partial` — compression + decomposition into page-sized
@@ -12,9 +13,8 @@ This package is the paper's primary contribution (Section IV):
   found by (cell id, ref SID) through one in-memory directory;
 * :mod:`repro.core.readers` — the lazily loading boolean-prune readers
   queries ask, one per cell, assembled per conjunction or disjunction;
-* :mod:`repro.core.counted` — counted signatures for O(depth) maintenance;
 * :mod:`repro.core.maintenance` — incremental updates from R-tree path
-  changes (Section IV-B.3);
+  changes (Section IV-B.3), edited into the stored bits;
 * :mod:`repro.core.pcube` — the cube itself: build, retrieve, assemble,
   maintain.
 """

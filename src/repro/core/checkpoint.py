@@ -203,7 +203,6 @@ class CheckpointManager:
             "config": {
                 "fanout": system.pcube.fanout,
                 "codec": system.pcube.store.codec,
-                "maintainable": system.pcube.maintainable,
                 "with_indexes": bool(system.indexes),
             },
             # Informational: the derived-structure inventory at the
@@ -379,7 +378,6 @@ def _restore_from(
         relation,
         fanout=config["fanout"],
         codec=config["codec"],
-        maintainable=config["maintainable"],
         with_indexes=config["with_indexes"],
     )
     return RestoreResult(

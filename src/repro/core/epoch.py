@@ -9,10 +9,10 @@ The concurrency model is single-writer / many-readers:
   via the clocks and hooks the manager installs on the three structures.
 * At WAL commit the driver calls :meth:`EpochManager.publish`: the manager
   freezes the R-tree (copy-on-write, structurally shared with the previous
-  snapshot), snapshots the store directory (cheap outer-dict copy), takes
-  the counted-signature COW handshake, and atomically installs a new
-  immutable :class:`Snapshot`.  Readers that pinned epoch ``E`` keep seeing
-  exactly epoch ``E``; new readers see ``E+1``.
+  snapshot), snapshots the store directory (cheap outer-dict copy) and
+  atomically installs a new immutable :class:`Snapshot`.  Readers that
+  pinned epoch ``E`` keep seeing exactly epoch ``E``; new readers see
+  ``E+1``.
 * If the op dies before publishing (a fault, or an injected crash), the
   building epoch is abandoned: its half-applied mutations are stamped
   ``E+1`` and therefore *invisible* to every reader still pinned at ``E`` —
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.rtree.frozen import FrozenRTree, freeze
@@ -50,10 +50,8 @@ from repro.storage.counters import Tally
 from repro.storage.disk import PageFault
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.counted import CountedSignature
     from repro.core.pcube import PCube, PCubeView
     from repro.core.store import StoreView
-    from repro.cube.cuboid import Cell
     from repro.cube.relation import Relation, RelationView
     from repro.rtree.rtree import RTree
 
@@ -76,7 +74,6 @@ class Snapshot:
     rtree: FrozenRTree
     store: "StoreView"
     pcube: "PCubeView"
-    counted: "dict[Cell, CountedSignature]" = field(repr=False, default=None)
 
 
 class EpochStats(Tally):
@@ -275,7 +272,6 @@ class EpochManager:
         store_view = self.pcube.store.view(
             self.pcube.store.directory_snapshot()
         )
-        counted = self.pcube.share_counted()
         pcube_view = self.pcube.view(relation_view, frozen, store_view)
         return Snapshot(
             epoch=epoch,
@@ -283,7 +279,6 @@ class EpochManager:
             rtree=frozen,
             store=store_view,
             pcube=pcube_view,
-            counted=counted,
         )
 
     # ------------------------------------------------------------------ #

@@ -3,11 +3,10 @@ online scrubber.
 
 :meth:`repro.system.PCubeSystem.verify_consistency` and the serving-side
 scrubber (:mod:`repro.serve.scrub`) verify the same contract — the stored
-per-cell signatures, the counted signatures, the R-tree partition and the
-store's directory all describe the *same* base relation — but against
-different surfaces: the audit walks the live structures with the writer
-quiescent, the scrubber walks a pinned epoch snapshot while maintenance and
-queries keep running.  This module factors the invariants themselves out of
+per-cell signatures, the R-tree partition and the store's directory all
+describe the *same* base relation — but against different surfaces: the
+audit walks the live structures with the writer quiescent, the scrubber
+walks a pinned epoch snapshot while maintenance and queries keep running.  This module factors the invariants themselves out of
 both callers, duck-typed against whichever surface provides them:
 
 * a relation-like (``Relation`` or ``RelationView``): ``schema``,
@@ -15,9 +14,7 @@ both callers, duck-typed against whichever surface provides them:
 * an R-tree path map (``RTree.all_paths()`` or
   ``FrozenRTree.all_paths()``): tid → root-based path;
 * a signature loader (``PCube.signature_of`` live, or
-  ``StoreView.load_full_signature`` under a snapshot);
-* a counted lookup (``PCube.counted_of`` live, or the snapshot's shared
-  counted dict).
+  ``StoreView.load_full_signature`` under a snapshot).
 
 Checks are exposed per cell (:func:`iter_cell_checks`) precisely so the
 scrubber can spread a full pass over many throttled ticks instead of
@@ -29,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.core.counted import CountedSignature
 from repro.core.readers import AssembledReader, SignatureAdapter
 from repro.core.sid import path_of_sid
 from repro.core.signature import Signature
@@ -105,14 +101,12 @@ def check_cell(
     live: set[int],
     fanout: int,
     load_signature: Callable[[Cell], Signature],
-    load_counted: Callable[[Cell], CountedSignature | None] | None,
     leaf_depth: int | None = None,
 ) -> list[str]:
-    """One cell's invariants: stored signature (and, when a counted lookup
-    is supplied, the counted signature) must equal a fresh rebuild from the
-    live members' R-tree paths; with a ``leaf_depth`` (the caller vouches
-    that the cell's atomic factors are materialised) the stored signature
-    must also satisfy :func:`lattice_problems`."""
+    """One cell's invariants: the stored signature must equal a fresh
+    rebuild from the live members' R-tree paths; with a ``leaf_depth`` (the
+    caller vouches that the cell's atomic factors are materialised) it must
+    also satisfy :func:`lattice_problems`."""
     problems: list[str] = []
     member_paths = [
         paths[tid] for tid in member_tids if tid in live and tid in paths
@@ -135,17 +129,6 @@ def check_cell(
             problems.append(f"cell {cell}: atomic cell unreadable ({exc!r})")
         else:
             problems.extend(lattice_problems(cell, stored, atoms, leaf_depth))
-    if load_counted is not None:
-        counted = load_counted(cell)
-        recounted = CountedSignature.from_paths(member_paths, fanout)
-        if counted is None:
-            if member_paths:
-                problems.append(f"cell {cell}: no counted signature")
-        elif counted != recounted:
-            problems.append(
-                f"cell {cell}: counted signature diverges from a fresh "
-                f"re-count"
-            )
     return problems
 
 
@@ -155,7 +138,6 @@ def iter_cell_checks(
     cuboids: Iterable[Cuboid],
     fanout: int,
     load_signature: Callable[[Cell], Signature],
-    load_counted: Callable[[Cell], CountedSignature | None] | None,
 ) -> Iterator[tuple[Cell, list[str]]]:
     """Yield ``(cell, problems)`` for every cell of every cuboid, in
     deterministic order — the scrubber's throttle-friendly audit surface.
@@ -180,7 +162,6 @@ def iter_cell_checks(
                 live,
                 fanout,
                 load_signature,
-                load_counted,
                 leaf_depth if in_lattice else None,
             )
 

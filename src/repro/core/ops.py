@@ -91,18 +91,16 @@ def _intersect_node(
     for position in both.positions():
         component = position + 1
         child = child_sid(sid, component, first.fanout)
-        child_in_a = first.node(child) is not None
-        child_in_b = second.node(child) is not None
-        if not child_in_a and not child_in_b:
+        if first.node(child) is None and second.node(child) is None:
             # Both signatures bottom out here: the bit denotes the same
             # leaf slot, i.e. the same tuple — exact, keep it.
             kept.set(position)
-        elif child_in_a and child_in_b:
-            if _intersect_node(first, second, child, result):
-                kept.set(position)
-        # One side has a subtree, the other a leaf slot: the signatures
-        # disagree about the tree shape, which cannot happen for
-        # signatures built over the same template; treat as empty.
+        elif _intersect_node(first, second, child, result):
+            # Both have the subtree.  (One side has a subtree, the other a
+            # leaf slot: the signatures disagree about the tree shape, which
+            # cannot happen over one template; the recursion finds the
+            # missing node and treats it as empty.)
+            kept.set(position)
     if not kept.any():
         return False
     result.set_node(sid, kept)

@@ -30,14 +30,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.bitmap.bitarray import BitArray
 from repro.bitmap.compression import compress, decompress
-from repro.core.signature import Signature
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.counted import CountedSignature
+from repro.core.signature import Signature, move_paths, path_sids
 
 #: Fixed overhead per partial signature (cell reference, root SID, count).
 _PART_HEADER_BYTES = 16
@@ -91,9 +89,7 @@ class PartialSignature:
 
 
 def compress_nodes(
-    signature: Signature | CountedSignature,
-    sids: Iterable[int],
-    codec: str = "adaptive",
+    signature: Signature, sids: Iterable[int], codec: str = "adaptive"
 ) -> dict[int, bytes]:
     """The compressed bit array of every represented node among ``sids``."""
     blobs: dict[int, bytes] = {}
@@ -102,6 +98,27 @@ def compress_nodes(
         if bits is not None:
             blobs[sid] = compress(bits, codec)
     return blobs
+
+
+def edit_blobs(
+    blobs: dict[int, bytes],
+    removed: Sequence[Sequence[int]],
+    added: Sequence[Sequence[int]],
+    fanout: int,
+    codec: str = "adaptive",
+) -> None:
+    """Maintenance's edit of one cell's compressed nodes, in place: decode
+    the nodes on the ``removed`` and ``added`` tuple paths,
+    :func:`~repro.core.signature.move_paths` them, and compress only those
+    again — a node whose array emptied leaves."""
+    sids = {sid for path in chain(removed, added) for sid in path_sids(path, fanout)}
+    masks = {sid: decompress(blobs[sid]).mask if sid in blobs else 0 for sid in sids}
+    move_paths(masks, removed, added, fanout)
+    for sid, mask in masks.items():
+        if mask:
+            blobs[sid] = compress(BitArray.trusted(fanout, mask), codec)
+        else:
+            blobs.pop(sid, None)
 
 
 def _subtree_sids(order: Sequence[int], seed: int, fanout: int) -> Iterator[int]:

@@ -8,11 +8,11 @@ incremental updates driven by R-tree path changes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.counted import CountedSignature, PathColumns
 from repro.core.signature import Signature
 from repro.core.readers import (
     AnyOfReader,
@@ -20,17 +20,94 @@ from repro.core.readers import (
     CellSignatureReader,
     EmptyReader,
 )
-from repro.core.store import SignatureStore
+from repro.core.store import MissingPartialError, SignatureStore
 from repro.cube.cuboid import Cell, Cuboid, atomic_cuboids
 from repro.cube.relation import Relation
 from repro.rtree.rtree import PathChange, RTree
 from repro.query.stats import QueryStats
 from repro.storage.buffer import BufferPool
 from repro.storage.counters import IOCounters
+from repro.storage.errors import StorageFault
 
 if TYPE_CHECKING:
     from repro.core.breakers import BreakerBoard
     from repro.query.predicates import BooleanPredicate
+
+
+class PathColumns:
+    """Every indexed tuple's R-tree path as arrays — what a build derives
+    cell signatures from (:meth:`signatures`).
+
+    Row ``r`` describes tuple ``tids[r]``.  ``levels[l]`` is ``(nodes,
+    slots, sids)`` for depth ``l`` (the root's is 0): ``nodes[r]`` is the
+    node the tuple's path passes there, as a dense code in SID order,
+    ``slots[r]`` the 1-based slot it takes in it, and ``sids[code]`` that
+    node's SID.  Codes stay below the tuple count however deep the tree,
+    so no array ever holds a SID.
+    """
+
+    def __init__(self, paths: Mapping[int, Sequence[int]], fanout: int) -> None:
+        self.fanout = fanout
+        n = len(paths)
+        depth = len(next(iter(paths.values()), ()))
+        if any(len(path) != depth for path in paths.values()):
+            raise ValueError("tuple paths of unequal length")
+        self.tids = np.fromiter(paths, dtype=np.int64, count=n)
+        matrix = np.fromiter(
+            chain.from_iterable(paths.values()), dtype=np.int64, count=n * depth
+        ).reshape(n, depth)
+        if n and depth and not ((matrix >= 1) & (matrix <= fanout)).all():
+            raise ValueError(f"path component outside [1, {fanout}]")
+        base = fanout + 1
+        nodes = np.zeros(n, dtype=np.int64)
+        sids = [0]
+        self.levels: list[tuple[np.ndarray, np.ndarray, list[int]]] = []
+        for level in range(depth):
+            slots = matrix[:, level]
+            self.levels.append((nodes, slots, sids))
+            if level + 1 < depth:
+                children, nodes = np.unique(nodes * base + slots, return_inverse=True)
+                nodes = nodes.reshape(-1)
+                sids = [sids[c // base] * base + c % base for c in children.tolist()]
+
+    def signatures(self, labels: np.ndarray, n_cells: int) -> list[Signature]:
+        """The signatures of ``n_cells`` cells at once: tuple ``tid`` sets
+        the bits along its path in cell ``labels[tid]`` (``-1``: in none).
+
+        The paper's recursive sort (Fig. 2b) done as arrays: per tree
+        level, one ``lexsort`` of the member tuples by (cell, node) and one
+        OR of ``1 << slot - 1`` per run — the run's bit array.  A run
+        covers one 64-bit word of its node, so any fanout fits a
+        ``uint64``; a wider node ORs its words together.
+
+        Raises:
+            KeyError: if a member tuple has no path.
+        """
+        masks: list[dict[int, int]] = [{} for _ in range(n_cells)]
+        in_tree = labels[self.tids]
+        rows = np.flatnonzero(in_tree >= 0)
+        if len(rows) != np.count_nonzero(labels >= 0):
+            raise KeyError("a member tuple has no path in the tree")
+        cell = in_tree[rows]
+        for nodes, slots, sids in self.levels:
+            node, bit = nodes[rows], slots[rows] - 1
+            word = bit >> 6
+            order = np.lexsort((word, node, cell))
+            c, n, w = cell[order], node[order], word[order]
+            new_run = np.ones(len(c), dtype=bool)
+            new_run[1:] = (c[1:] != c[:-1]) | (n[1:] != n[:-1]) | (w[1:] != w[:-1])
+            starts = np.flatnonzero(new_run)
+            ones = np.left_shift(np.uint64(1), (bit[order] & 63).astype(np.uint64))
+            runs = zip(
+                c[starts].tolist(),
+                map(sids.__getitem__, n[starts].tolist()),
+                (w[starts] * 64).tolist(),
+                np.bitwise_or.reduceat(ones, starts).tolist(),
+            )
+            for owner, sid, shift, value in runs:
+                table = masks[owner]
+                table[sid] = table.get(sid, 0) | value << shift
+        return [Signature.from_masks(self.fanout, table) for table in masks]
 
 
 class ReaderFactory:
@@ -261,12 +338,10 @@ class PCube(ReaderFactory):
             (one-dimensional) cuboids, as in the paper's experiments.
         codec: Bitmap codec for stored signatures.
         tag: Page-tag prefix for space accounting.
-        maintainable: Keep counted signatures in memory so an incremental
-            update copies count nodes, builds bit arrays and compresses them
-            only along the changed paths of each affected cell; every other
-            node of the cell keeps its shared counts and the blob already on
-            its pages (the rewrite still packs the cell's blobs, by sorted
-            SID, into fresh pages).
+
+    The stored signatures are the cube's only copy of its measure: an
+    incremental update edits a cell's stored bits along the changed paths
+    (:meth:`apply_changes`).
     """
 
     def __init__(
@@ -276,7 +351,6 @@ class PCube(ReaderFactory):
         cuboids: Sequence[Cuboid] | None = None,
         codec: str = "adaptive",
         tag: str = "pcube",
-        maintainable: bool = True,
     ) -> None:
         self.relation = relation
         self.rtree = rtree
@@ -290,16 +364,6 @@ class PCube(ReaderFactory):
         self.store = SignatureStore(
             rtree.disk, fanout=self.fanout, tag=tag, codec=codec
         )
-        self.maintainable = maintainable
-        self._counted: dict[Cell, CountedSignature] = {}
-        # Cells whose counted signature is shared with a published epoch
-        # snapshot and must be copied before the next in-place mutation.
-        self._shared_counted: set[Cell] = set()
-        # cell -> node SIDs whose counts moved since the cell's partials
-        # were last stored.  Entries leave only when a rewrite of the cell
-        # commits, so a rewrite that follows a faulted one compresses the
-        # union of both writes' paths.
-        self._pending_sids: dict[Cell, set[int]] = {}
 
     # ------------------------------------------------------------------ #
     # construction
@@ -313,18 +377,17 @@ class PCube(ReaderFactory):
         cuboids: Sequence[Cuboid] | None = None,
         codec: str = "adaptive",
         tag: str = "pcube",
-        maintainable: bool = True,
     ) -> "PCube":
         """Derive, compress, decompose and store every cell signature.
 
-        Counts first: each cuboid is grouped once (:meth:`Cuboid.label`)
+        Each cuboid is grouped once (:meth:`Cuboid.label`)
         and its cells go through :meth:`_derive`, in first-appearance
         order, so the pages are a function of the relation and the tree
         alone.  The paper's recursive sort (Fig. 2b, kept in the tests'
         reference module) is the oracle tier-1 holds every stored cell
         against, not a second pass here.
         """
-        pcube = cls(relation, rtree, cuboids, codec, tag, maintainable)
+        pcube = cls(relation, rtree, cuboids, codec, tag)
         paths = PathColumns(rtree.all_paths(), pcube.fanout)
         for cuboid in pcube.cuboids:
             cells, labels = cuboid.label(relation)
@@ -332,25 +395,26 @@ class PCube(ReaderFactory):
         return pcube
 
     def _derive(
-        self,
-        cells: Sequence[Cell],
-        labels: np.ndarray,
-        paths: PathColumns,
-        on_cell_stored: "Callable[[Cell], None] | None" = None,
-    ) -> list[CountedSignature]:
+        self, cells: Sequence[Cell], labels: np.ndarray, paths: PathColumns
+    ) -> None:
         """(Re)derive ``cells`` from their tuples' paths — tuple ``tid``
-        counts into ``cells[labels[tid]]``, none at ``-1`` — count them in
-        one pass, store each cell straight from its counts, keep the counts
-        when ``maintainable``: the one step the build, :meth:`rebuild_all`
-        and :meth:`recompute_cell` share."""
-        derived = CountedSignature.count_cells(labels, len(cells), paths)
-        for cell, counted in zip(cells, derived):
-            self._put(cell, counted)
-            if self.maintainable:
-                self._counted[cell] = counted
-            if on_cell_stored is not None:
-                on_cell_stored(cell)
-        return derived
+        sets its bits in ``cells[labels[tid]]``, in none at ``-1`` — in one
+        pass (:meth:`PathColumns.signatures`) and store each cell: the one
+        step the build and :meth:`rebuild_all` share."""
+        for cell, signature in zip(cells, paths.signatures(labels, len(cells))):
+            self._store(cell, signature)
+
+    def _store(
+        self,
+        cell: Cell,
+        signature: Signature,
+        on_cell_stored: "Callable[[Cell], None] | None" = None,
+    ) -> None:
+        """Store a derived signature; fresh pages lift any quarantine."""
+        self.store.put_signature(cell, signature)
+        self.store.clear_quarantine(cell)
+        if on_cell_stored is not None:
+            on_cell_stored(cell)
 
     # ------------------------------------------------------------------ #
     # query-side interface: inherited from ReaderFactory
@@ -361,41 +425,6 @@ class PCube(ReaderFactory):
         structures (the epoch manager supplies them at publish time)."""
         return PCubeView(relation, rtree, store, self.cuboids, self.fanout)
 
-    def share_counted(self) -> dict[Cell, CountedSignature]:
-        """Publish-time handshake for counted-signature copy-on-write.
-
-        Returns a point-in-time copy of the counted map for the snapshot
-        and marks every entry shared; the next in-place mutation of a
-        shared entry (see :meth:`_writable_counted`) works on a private
-        :meth:`CountedSignature.copy` — itself copy-on-write per node —
-        leaving the snapshot's object untouched.
-        """
-        self._shared_counted = set(self._counted)
-        return dict(self._counted)
-
-    def _writable_counted(self, cell: Cell) -> CountedSignature:
-        """The counted signature of ``cell``, safe to mutate in place."""
-        counted = self._counted.get(cell)
-        if counted is None:
-            counted = CountedSignature(self.fanout)
-            self._counted[cell] = counted
-        elif cell in self._shared_counted:
-            counted = counted.copy()
-            self._counted[cell] = counted
-            self._shared_counted.discard(cell)
-        return counted
-
-    def _put(
-        self,
-        cell: Cell,
-        signature: Signature | CountedSignature,
-        dirty_sids: set[int] | None = None,
-    ) -> None:
-        """Store a cell's signature; once the rewrite has committed, the
-        pages hold every node of ``signature`` and nothing is pending."""
-        self.store.put_signature(cell, signature, dirty_sids)
-        self._pending_sids.pop(cell, None)
-
     def rebuild_cell(self, cell: Cell) -> Signature:
         """Regenerate a (quarantined) cell's signature from base data.
 
@@ -404,7 +433,6 @@ class PCube(ReaderFactory):
         never a wrong answer.  Restores full boolean pruning for the cell.
         """
         signature = self.recompute_cell(cell)
-        self.store.clear_quarantine(cell)
         self.store.fault_stats.bump(rebuilds=1)
         return signature
 
@@ -420,7 +448,7 @@ class PCube(ReaderFactory):
 
         The crash-recovery big hammer: when an interrupted operation left
         the tree mid-mutation, the tree is reset first and then every cell
-        signature (and counted signature) is re-derived from scratch, in
+        signature is re-derived from scratch, in
         deterministic cell-id order.  Cells whose tuples are all tombstoned
         keep an empty signature, exactly as incremental deletes leave them.
         Quarantines are lifted as a side effect — the fresh pages replace
@@ -435,10 +463,7 @@ class PCube(ReaderFactory):
             rank = np.empty(len(cells), dtype=np.int64)
             rank[order] = np.arange(len(cells))
             self._derive(
-                [cells[i] for i in order],
-                np.where(live, rank[labels], -1),
-                paths,
-                on_cell_stored=self.store.clear_quarantine,
+                [cells[i] for i in order], np.where(live, rank[labels], -1), paths
             )
             stored += len(cells)
         return stored
@@ -461,47 +486,60 @@ class PCube(ReaderFactory):
     ) -> set[Cell]:
         """Patch signatures for a set of R-tree path changes.
 
-        For every changed tuple and every materialised cuboid, the tuple's
-        cell is updated: the old path's counts are removed, the new path's
-        added; bits flip exactly when counts cross zero.  Dirty cells are
-        then re-stored once, in cell-id order (the WAL relies on that
-        determinism to replay an interrupted store phase), with
-        ``on_cell_stored`` invoked after each cell commits.  The store is
-        handed the counted signature itself: a cell's rewrite asks it for
-        the bit arrays of the nodes on the changed paths only, and reads
-        the rest back from the cell's current pages (see
-        :meth:`SignatureStore.put_signature`).  Returns the dirty cells.
+        For every changed tuple and every materialised cuboid, the tuple
+        leaves its cell along its old path and joins it along its new one.
+        Dirty cells are then re-stored once, in cell-id order (the WAL
+        relies on that determinism to replay an interrupted store phase),
+        with ``on_cell_stored`` invoked after each cell commits.  A rewrite
+        edits the cell's stored bits: the store reads the cell's pages
+        back, decodes and edits only the nodes on the changed paths
+        (:func:`~repro.core.signature.move_paths`) and compresses those
+        again (see :meth:`SignatureStore.put_signature`).  A quarantined
+        cell, or one whose pages cannot be read back, is re-derived from
+        the R-tree instead.  Returns the dirty cells.
 
-        The counted updates touch no disk page; the first disk access of
-        this method is the first cell's rewrite.  Crash recovery leans on
-        that: once the WAL holds the merged changes, any later crash left
-        the counted signatures fully post-op in memory.
+        Nothing in memory holds an edit the pages lost.  So when a rewrite
+        (or its ``on_cell_stored``) raises a storage fault, that cell and
+        every dirty cell after it are quarantined before the fault
+        propagates: readers take the exact degraded path until the cell's
+        next rewrite or a repair re-derives it.
         """
-        if not self.maintainable:
-            raise RuntimeError(
-                "this P-Cube was built with maintainable=False; "
-                "use recompute_cell/rebuild instead"
-            )
-        dirty: set[Cell] = set()
+        moved: dict[Cell, tuple[list, list]] = {}
         for change in changes:
             if change.old_path == change.new_path:
                 continue
             for cuboid in self.cuboids:
                 cell = cuboid.cell_for(self.relation, change.tid)
-                counted = self._writable_counted(cell)
-                pending = self._pending_sids.setdefault(cell, set())
+                removed, added = moved.setdefault(cell, ([], []))
                 if change.old_path is not None:
-                    pending.update(counted.dirty_sids(change.old_path))
-                    counted.remove_path(change.old_path)
+                    removed.append(change.old_path)
                 if change.new_path is not None:
-                    pending.update(counted.dirty_sids(change.new_path))
-                    counted.add_path(change.new_path)
-                dirty.add(cell)
-        for cell in sorted(dirty, key=lambda c: c.cell_id):
-            self._put(cell, self._counted[cell], self._pending_sids[cell])
-            if on_cell_stored is not None:
-                on_cell_stored(cell)
-        return dirty
+                    added.append(change.new_path)
+        order = sorted(moved, key=lambda c: c.cell_id)
+        for position, cell in enumerate(order):
+            try:
+                self._rewrite(cell, *moved[cell])
+                if on_cell_stored is not None:
+                    on_cell_stored(cell)
+            except StorageFault as fault:
+                for behind in order[position:]:
+                    self.store.quarantine(behind, fault)
+                raise
+        return set(moved)
+
+    def _rewrite(
+        self, cell: Cell, removed: Sequence[tuple], added: Sequence[tuple]
+    ) -> None:
+        """Store one dirty cell: an edit of its stored bits when they can
+        be trusted and read, else a re-derivation."""
+        if self.store.is_quarantined(cell):
+            self.rebuild_cell(cell)
+            return
+        try:
+            self.store.put_signature(cell, removed=removed, added=added)
+        except MissingPartialError:
+            # The current pages cannot be read back: nothing to edit.
+            self.recompute_cell(cell)
 
     def dirty_cells_for(self, changes: Sequence[PathChange]) -> set[Cell]:
         """The cells a change stream touches — exactly the set
@@ -515,37 +553,37 @@ class PCube(ReaderFactory):
                 dirty.add(cuboid.cell_for(self.relation, change.tid))
         return dirty
 
-    def restore_cell(self, cell: Cell) -> None:
-        """Re-store one cell's signature from its in-memory counted state.
-
-        The WAL replay path: the counted signatures are fully post-op once
-        the changes record is durable, so re-deriving the bitmap from them
-        and rewriting the cell is idempotent — every node is compressed
-        afresh, whatever the interrupted rewrite left on the pages.  Falls
-        back to a full recompute when no counted state is available."""
-        counted = self._counted.get(cell)
-        if counted is not None:
-            self._put(cell, counted.to_signature())
-            self.store.clear_quarantine(cell)
-        else:
-            self.recompute_cell(cell)
-
-    def counted_of(self, cell: Cell) -> CountedSignature | None:
-        """The live counted signature of a cell (consistency audits)."""
-        return self._counted.get(cell)
-
     def recompute_cell(self, cell: Cell) -> Signature:
-        """Rebuild one cell's signature from the current R-tree paths.
+        """Rebuild one cell's signature from the current R-tree paths."""
+        (signature,) = self.recompute_cells([cell])
+        return signature
+
+    def recompute_cells(
+        self,
+        cells: Sequence[Cell],
+        on_cell_stored: "Callable[[Cell], None] | None" = None,
+    ) -> list[Signature]:
+        """Rebuild ``cells``' signatures from the current R-tree paths and
+        store them in the given order.
 
         The paper's fallback for arbitrary reorganisations: traverse the
-        tree, collect the cell's tuple paths, regenerate.  O(T) per call —
-        correct under any mutation, used when ``maintainable=False``.
+        tree, collect the cells' tuple paths, regenerate — one path matrix
+        for all of them and one :meth:`PathColumns.signatures` pass per
+        cuboid.  O(T) per call, correct under any mutation.
         """
         columns = self.relation.columnar()
-        members = columns.live & columns.match_mask(dict(zip(cell.dims, cell.values)))
         paths = PathColumns(self.rtree.all_paths(), self.fanout)
-        (counted,) = self._derive([cell], np.where(members, 0, -1), paths)
-        return counted.to_signature()
+        derived: dict[Cell, Signature] = {}
+        for dims in dict.fromkeys(cell.dims for cell in cells):
+            group = [cell for cell in cells if cell.dims == dims]
+            labels = np.full(len(columns.live), -1, dtype=np.int64)
+            for index, cell in enumerate(group):
+                members = columns.match_mask(dict(zip(cell.dims, cell.values)))
+                labels[columns.live & members] = index
+            derived.update(zip(group, paths.signatures(labels, len(group))))
+        for cell in cells:
+            self._store(cell, derived[cell], on_cell_stored)
+        return [derived[cell] for cell in cells]
 
     # ------------------------------------------------------------------ #
     # accounting

@@ -125,7 +125,10 @@ class CellSignatureReader:
     at internal nodes, and exactly via ``fallback`` (a base-relation probe)
     where one is provided.  Algorithm 1 then still returns exactly the
     fault-free answer, just with more block reads (the robustness overhead
-    the stats record).
+    the stats record).  A cell the store held quarantined when the reader
+    was built takes the same path with every partial it loads: until a
+    rebuild its pages are not trusted, because a faulted maintenance
+    rewrite may have left them behind the tree.
     """
 
     def __init__(
@@ -155,6 +158,10 @@ class CellSignatureReader:
         self._loaded_refs: set[int] = set()
         self._known_missing: set[int] = set()
         self._unreadable_refs: set[int] = set()
+        # A cell quarantined before this read awaits a rebuild: its pages
+        # may be behind the tree (a faulted rewrite), so a partial read
+        # back from them is not trusted either.
+        self._distrusted = store.is_quarantined(cell)
         # The first partial (root reference) is loaded up front, as the
         # paper prescribes ("To begin with, we load the first partial
         # signature referenced by the R-tree root").
@@ -214,6 +221,10 @@ class CellSignatureReader:
             if partial is None:
                 self._known_missing.add(ref_sid)
                 found = False
+            elif self._distrusted:
+                self._unreadable_refs.add(ref_sid)
+                stats.degraded = True
+                found = None
             else:
                 if self.breakers is not None:
                     self.breakers.record_success(self.cell.cell_id, ref_sid)

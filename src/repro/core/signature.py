@@ -10,7 +10,7 @@ measure so much smaller than a per-cell index.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.bitmap.bitarray import BitArray
 
@@ -47,6 +47,16 @@ class Signature:
         signature = cls(fanout)
         for path in paths:
             signature.add_path(path)
+        return signature
+
+    @classmethod
+    def from_masks(cls, fanout: int, masks: Mapping[int, int]) -> "Signature":
+        """A signature from its nodes' masks (SID -> mask of width
+        ``fanout``, trusted); a zero mask is an absent node."""
+        signature = cls(fanout)
+        signature._nodes = {
+            sid: BitArray.trusted(fanout, mask) for sid, mask in masks.items() if mask
+        }
         return signature
 
     def add_path(self, path: Sequence[int]) -> None:
@@ -127,3 +137,48 @@ class Signature:
 
     def __repr__(self) -> str:
         return f"Signature(fanout={self.fanout}, nodes={len(self._nodes)})"
+
+
+# ---------------------------------------------------------------------- #
+# maintenance (paper Section IV-B.3)
+# ---------------------------------------------------------------------- #
+
+
+def path_sids(path: Sequence[int], fanout: int) -> list[int]:
+    """The SIDs of the nodes a tuple path passes, root first: the only
+    nodes whose bit arrays adding or removing the tuple can change."""
+    base = fanout + 1
+    sids = [0]
+    for component in path[:-1]:
+        sids.append(sids[-1] * base + component)
+    return sids
+
+
+def move_paths(
+    masks: dict[int, int],
+    removed: Iterable[Sequence[int]],
+    added: Iterable[Sequence[int]],
+    fanout: int,
+) -> None:
+    """Edit one cell's node masks in place for the tuples that left it
+    along ``removed`` paths and joined it along ``added`` ones.
+
+    ``masks`` holds every node on every path (``0`` for a node the
+    signature does not represent).  A leaf slot holds one tuple, and an
+    inner bit is set exactly when its child's array is non-empty, so the
+    bits alone say what a removal frees: it clears its leaf bit, then walks
+    up and clears each parent bit whose child's array became empty.  An
+    addition sets every bit along its path.  Removals go first: one
+    operation can vacate a slot and refill it (a split re-seats tuples),
+    and the refilled bit must stay set.
+    """
+    for path in removed:
+        for sid, component in zip(
+            reversed(path_sids(path, fanout)), reversed(path)
+        ):
+            masks[sid] &= ~(1 << component - 1)
+            if masks[sid]:
+                break
+    for path in added:
+        for sid, component in zip(path_sids(path, fanout), path):
+            masks[sid] |= 1 << component - 1

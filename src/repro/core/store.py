@@ -28,9 +28,9 @@ must never produce a wrong answer, only a slower one):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Collection, Sequence
+from typing import Callable, Collection, Sequence
 
-from repro.core.partial import PartialSignature, compress_nodes, pack
+from repro.core.partial import PartialSignature, compress_nodes, edit_blobs, pack
 from repro.core.readers import BooleanFallback, CellSignatureReader
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cell
@@ -41,15 +41,13 @@ from repro.storage.disk import PageFault, SimulatedDisk
 from repro.storage.errors import StorageFault
 from repro.storage.faults import FaultStats, RetryPolicy
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.counted import CountedSignature
-
 
 class MissingPartialError(LookupError):
     """A directory ref points at a partial the store cannot produce.
 
-    Replaces a load-bearing ``assert`` (which vanishes under ``python -O``)
-    on the full-signature reassembly path.
+    Raised on the full-signature reassembly path (in place of a
+    load-bearing ``assert``, which vanishes under ``python -O``) and by a
+    maintenance rewrite that cannot read the cell's current pages back.
     """
 
     def __init__(self, cell_id: str, ref_sid: int) -> None:
@@ -213,55 +211,53 @@ class SignatureStore(_DirectoryReads):
     def put_signature(
         self,
         cell: Cell,
-        signature: Signature | CountedSignature,
-        dirty_sids: Collection[int] | None = None,
+        signature: Signature | None = None,
+        removed: Sequence[tuple[int, ...]] = (),
+        added: Sequence[tuple[int, ...]] = (),
     ) -> int:
-        """Pack and store a full cell signature; returns #partials.
+        """Pack and store a cell's signature; returns #partials.
 
-        ``signature`` only has to answer ``node(sid)``, ``node_sids()`` and
-        ``fanout``, and with ``dirty_sids`` also ``n_nodes()`` — maintenance
-        hands over the counted signature itself, so no bitmap of the whole
-        cell is ever built.
+        With ``signature``, every node is compressed afresh.  Without it,
+        the rewrite is maintenance's read-modify-write of the stored bits:
+        the cell's tuples on the ``removed`` R-tree paths left it and those
+        on the ``added`` ones joined it.  The blobs on the cell's current
+        pages are read back, only the nodes on those paths are decoded,
+        edited and compressed again (:func:`~repro.core.partial.edit_blobs`),
+        and the blobs are packed (:func:`~repro.core.partial.pack` yields
+        the same bytes as a from-scratch
+        :func:`~repro.core.partial.decompose`).
 
-        ``dirty_sids`` makes the rewrite a read-modify-write: the caller
-        states that, since the cell was last stored, only these nodes' bit
-        arrays may have changed, so the blobs on the cell's current pages
-        are patched — each dirty node compressed again, or dropped if it
-        vanished — and packed (:func:`~repro.core.partial.pack` yields the
-        same bytes as a from-scratch :func:`~repro.core.partial.decompose`).
-        Without it, when an old partial cannot be read, or when the patched
-        pages do not hold exactly the signature's nodes (the statement was
-        wrong), every node is compressed afresh.
+        Raises:
+            MissingPartialError: if a current partial cannot be read back
+                (see :meth:`_stored_blobs`); nothing was written.
         """
-        blobs = None if dirty_sids is None else self._stored_blobs(cell)
-        if blobs:
-            for sid in dirty_sids:
-                blobs.pop(sid, None)
-            blobs.update(compress_nodes(signature, dirty_sids, self.codec))
-        if not blobs or len(blobs) != signature.n_nodes():
+        if signature is None:
+            blobs = self._stored_blobs(cell)
+            edit_blobs(blobs, removed, added, self.fanout, self.codec)
+        else:
             blobs = compress_nodes(signature, signature.node_sids(), self.codec)
         partials = pack(blobs, self.disk.page_size, self.fanout)
         self.replace_partials(cell, partials)
         return len(partials)
 
-    def _stored_blobs(self, cell: Cell) -> dict[int, bytes] | None:
+    def _stored_blobs(self, cell: Cell) -> dict[int, bytes]:
         """Every node blob on the cell's current pages — the read half of a
         maintenance read-modify-write: one counted, checksum-verified
         ``SSIG`` read per partial.
 
-        ``None`` when any of them is unreadable: the stored signature is a
-        rebuildable cache, so the rewrite then recompresses every node (and
-        replaces the damaged page) instead of failing the write.  Not
-        retried and not quarantined — the pages are about to be replaced.
-        A :class:`~repro.storage.faults.SimulatedCrash` is not a storage
+        Not retried and not quarantined: the stored signature is a
+        rebuildable cache, so an unreadable page raises
+        :class:`MissingPartialError` and the caller re-derives the cell
+        (replacing the damaged page) instead of failing the write.  A
+        :class:`~repro.storage.faults.SimulatedCrash` is not a storage
         fault and propagates like at every other crash point.
         """
         blobs: dict[int, bytes] = {}
-        try:
-            for page_id in self._directory.get(cell.cell_id, {}).values():
+        for ref_sid, page_id in self._directory.get(cell.cell_id, {}).items():
+            try:
                 blobs.update(self.disk.read(page_id, SSIG).blobs)
-        except (StorageFault, PageFault):
-            return None
+            except (StorageFault, PageFault) as fault:
+                raise MissingPartialError(cell.cell_id, ref_sid) from fault
         return blobs
 
     def replace_partials(
@@ -343,6 +339,9 @@ class SignatureStore(_DirectoryReads):
             self.fault_stats.bump(quarantines=1)
         self._quarantined[cell.cell_id] = (cell, repr(reason))
 
+    def is_quarantined(self, cell: Cell) -> bool:
+        return cell.cell_id in self._quarantined
+
     def quarantined_cells(self) -> list[Cell]:
         """Cells awaiting a rebuild, in deterministic (cell id) order."""
         return [
@@ -418,6 +417,9 @@ class StoreView(_DirectoryReads):
 
     def quarantine(self, cell: Cell, reason: object) -> None:
         self._base.quarantine(cell, reason)
+
+    def is_quarantined(self, cell: Cell) -> bool:
+        return self._base.is_quarantined(cell)
 
     #: Bound on this class too: the e2e span recorder wraps the methods it
     #: times through ``cls.__dict__``.

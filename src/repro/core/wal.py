@@ -22,9 +22,9 @@ Record protocol — one disk page per record, tag ``wal:rec:s<segment>``
    restore alike.
 2. ``changes`` — written after the relation and R-tree mutations complete,
    holding the merged :class:`~repro.rtree.rtree.PathChange` records.  Its
-   presence is the recovery watershed: counted-signature patching is pure
-   memory, so once this record is durable only the per-cell store phase can
-   be incomplete.
+   presence is the recovery watershed: the relation and the tree are
+   complete, so once this record is durable only the per-cell store phase
+   can be incomplete, and recovery re-derives those cells from the tree.
 3. ``cell`` — one per dirty cell, written after that cell's atomic
    signature rewrite commits.  Replay skips cells already marked.
 4. ``commit`` — the operation's happy ending.  A single record append is

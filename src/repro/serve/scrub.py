@@ -12,8 +12,8 @@ invariants continuously while the system serves traffic:
   not damage) before it becomes a finding.
 * **Invariant sweep** — the shared audit core
   (:mod:`repro.core.integrity`) re-derives every cell's signature from a
-  *pinned epoch snapshot* and compares counted signatures, exactly like
-  ``verify_consistency()`` but incremental, throttled and concurrent with
+  *pinned epoch snapshot* and compares it with the stored one, exactly
+  like ``verify_consistency()`` but incremental, throttled and concurrent with
   both readers and the maintenance writer.
 * **Self-healing** — damage to a signature page (or a failed cell
   invariant) quarantines the owning cell through the PR-5 hooks and
@@ -182,12 +182,6 @@ class Scrubber:
                     snapshot.relation,
                     snapshot.rtree.all_paths(),
                     snapshot.store.load_full_signature,
-                    (
-                        snapshot.counted.get
-                        if snapshot.counted is not None
-                        and self.system.pcube.maintainable
-                        else None
-                    ),
                     findings,
                     throttle,
                 )
@@ -198,11 +192,6 @@ class Scrubber:
                 system.relation,
                 system.rtree.all_paths(),
                 system.pcube.signature_of,
-                (
-                    system.pcube.counted_of
-                    if system.pcube.maintainable
-                    else None
-                ),
                 findings,
                 throttle,
             )
@@ -213,7 +202,6 @@ class Scrubber:
         relation,
         paths,
         load_signature,
-        load_counted,
         findings: list[Finding],
         throttle: bool,
     ) -> set[str]:
@@ -225,7 +213,6 @@ class Scrubber:
             self.system.pcube.cuboids,
             self.system.pcube.fanout,
             load_signature,
-            load_counted,
         ):
             verified += 1
             if throttle and verified % self.cells_per_tick == 0:

@@ -187,11 +187,11 @@ class PCubeSystem:
           intent (idempotently), buffered heap rows are re-paged, and the
           R-tree and every cell signature are rebuilt deterministically
           from the base data.
-        * intent + changes — ``"replayed"``: relation, R-tree and the
-          in-memory counted signatures are complete; only per-cell store
-          rewrites may be missing.  The dirty set is recomputed from the
-          journalled changes and every cell without a completion record is
-          re-stored from its counted signature.
+        * intent + changes — ``"replayed"``: relation and R-tree are
+          complete; only per-cell store rewrites may be missing.  The dirty
+          set is recomputed from the journalled changes and every cell
+          without a completion record is re-derived from the R-tree, in
+          one pass.
 
         Every outcome, ``"clean"`` included, first frees the signature
         pages that neither the store's directory nor a deferred epoch free
@@ -251,12 +251,18 @@ class PCubeSystem:
     def _recover_replay(self, pending: PendingOp) -> str:
         stored = set(pending.stored_cells)
         dirty = self.pcube.dirty_cells_for(pending.changes)
-        for cell in sorted(dirty, key=lambda c: c.cell_id):
-            if cell.cell_id in stored:
-                continue
-            self.pcube.restore_cell(cell)
+
+        def replayed(cell) -> None:
             self.wal.log_cell_stored(pending.op_id, cell.cell_id)
             self.maintenance_stats.bump(replayed_cells=1)
+
+        self.pcube.recompute_cells(
+            sorted(
+                (cell for cell in dirty if cell.cell_id not in stored),
+                key=lambda c: c.cell_id,
+            ),
+            on_cell_stored=replayed,
+        )
         return "replayed"
 
     def repair_quarantined(self) -> list:
@@ -285,10 +291,9 @@ class PCubeSystem:
         * every buffered relation row reached a heap page;
         * the R-tree indexes exactly the live tids;
         * per cell: the stored signature equals one rebuilt from the live
-          members' R-tree paths, and (when maintainable) the counted
-          signature's counts match a fresh re-count; a materialised
-          multi-dimensional cell also equals, bit for bit, the on-demand
-          assembly of its atomic cells (the lattice rule);
+          members' R-tree paths; a materialised multi-dimensional cell also
+          equals, bit for bit, the on-demand assembly of its atomic cells
+          (the lattice rule);
         * the store holds no cell outside the cuboids' group-bys, none of
           its cells is quarantined, and it holds no signature page the
           directory does not reference (deferred epoch frees excepted).
@@ -309,7 +314,6 @@ class PCubeSystem:
             self.pcube.cuboids,
             self.pcube.fanout,
             self.pcube.signature_of,
-            self.pcube.counted_of if self.pcube.maintainable else None,
         ):
             report.cells_checked += 1
             problems.extend(cell_problems)
@@ -332,7 +336,6 @@ def build_system(
     fanout: int | None = None,
     rtree_method: str = "bulk",
     codec: str = "adaptive",
-    maintainable: bool = True,
     with_indexes: bool = True,
     wal_segment_bytes: int | None = None,
 ) -> PCubeSystem:
@@ -354,7 +357,6 @@ def build_system(
             (tuple-at-a-time Guttman build — the construction cost Figure 5
             actually measures).
         codec: Bitmap codec for stored signatures.
-        maintainable: Keep counted signatures for incremental updates.
         with_indexes: Also build the per-dimension B+-trees the baselines
             need (skippable when only the Signature method runs).
         wal_segment_bytes: Override the WAL's segment-rotation threshold
@@ -384,9 +386,7 @@ def build_system(
     timings.rtree_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    pcube = PCube.build(
-        relation, rtree, codec=codec, maintainable=maintainable
-    )
+    pcube = PCube.build(relation, rtree, codec=codec)
     timings.pcube_seconds = time.perf_counter() - started
 
     indexes: dict[str, BPlusTree] = {}

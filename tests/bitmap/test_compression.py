@@ -133,27 +133,20 @@ def test_raw_stray_bits_raise_a_codec_error():
         decompress(b"\x00\x04\xff")
 
 
-def wah_word(value):
-    return value.to_bytes(4, "little")
-
-
-@pytest.mark.parametrize("fill_value", [0, 1])
-def test_wah_fill_past_the_width_is_rejected_before_it_expands(fill_value):
-    """A one-fill of 2^30 − 1 words over a 4-bit width: rejected on sight
-    (expanding it word by word took quadratic time)."""
-    fill = 0x80000000 | fill_value << 30 | (1 << 30) - 1
-    with pytest.raises(CodecError, match="fill runs past 31 payload bits"):
-        decompress(bytes([3, 4]) + wah_word(fill))
-
-
-def test_wah_literal_past_the_width_is_rejected():
-    with pytest.raises(CodecError, match="literal runs past 31 payload bits"):
-        decompress(bytes([3, 4]) + wah_word(0b1) + wah_word(0b1))
-
-
-def test_wah_short_body_is_rejected():
-    with pytest.raises(CodecError, match="decoded 31 payload bits, expected 62"):
-        decompress(bytes([3, 40]) + wah_word(0x80000001))
+@pytest.mark.parametrize(
+    "body",
+    [
+        (0x80000000 | (1 << 30) - 1).to_bytes(4, "little"),
+        (0b1).to_bytes(4, "little") * 2,
+        (0x80000001).to_bytes(4, "little"),
+    ],
+    ids=["fill", "literals", "short"],
+)
+def test_the_retired_wah_tag_is_an_unknown_codec(body):
+    """Tag 3 was the word-aligned hybrid codec, which the adaptive choice
+    never picked; a blob that carries it is refused like any unknown id."""
+    with pytest.raises(CodecError, match="unknown codec id 3"):
+        decompress(bytes([3, 4]) + body)
 
 
 @pytest.mark.parametrize(

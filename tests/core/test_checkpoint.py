@@ -22,6 +22,7 @@ from repro.core.wal import (
     WalCorruptionError,
     apply_committed_op,
     seal_record,
+    verify_record,
 )
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.query.session import QuerySession
@@ -111,6 +112,23 @@ def test_restore_latest_matches_the_live_system():
     result = restore_system(system.disk)
     assert result.checkpoint.checkpoint_id == 1
     assert result.ops_replayed == 3
+    assert result.fallbacks == 0
+    assert answer_fingerprint(result.system) == answer_fingerprint(system)
+
+
+def test_restore_reads_a_manifest_that_still_names_maintainable():
+    """A manifest written while ``build_system`` still took ``maintainable``
+    carries it in its config; restore ignores the key."""
+    system = make_system()
+    info = CheckpointManager(system).create()
+    mutate(system)
+    page = system.disk.peek(info.manifest_page)
+    manifest = verify_record(page)
+    manifest["config"]["maintainable"] = True
+    page.payload = seal_record(manifest)
+    page.seal()
+    result = restore_system(system.disk)
+    assert result.checkpoint.checkpoint_id == 0
     assert result.fallbacks == 0
     assert answer_fingerprint(result.system) == answer_fingerprint(system)
 

@@ -146,7 +146,6 @@ def test_audit_holds_assembled_equal_to_generated_for_every_pair(rich_system):
             pcube.cuboids,
             pcube.fanout,
             pcube.signature_of,
-            pcube.counted_of,
         )
     ]
     pairs = [cell for cell, _ in checked if len(cell.dims) == 2]

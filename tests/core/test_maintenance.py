@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from repro.bitmap.bitarray import BitArray
-from repro.core import counted as counted_module
-from repro.core.counted import CountedSignature
+from repro.baselines.naive import naive_skyline
+from repro.core import partial as partial_module
 from repro.core.maintenance import (
     delete_tuple,
     insert_batch,
@@ -14,7 +13,8 @@ from repro.core.maintenance import (
     merge_changes,
     update_tuple,
 )
-from repro.core.signature import Signature
+from repro.core.pcube import PathColumns
+from repro.core.signature import Signature, path_sids
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.rtree.rtree import PathChange
 from repro.storage.disk import SimulatedDisk
@@ -25,7 +25,11 @@ from repro.storage.faults import (
     FaultyDisk,
     SimulatedCrash,
 )
+from repro.query.predicates import BooleanPredicate
+from repro.query.session import QuerySession
+from repro.serve.scrub import Scrubber
 from repro.system import build_system
+from tests.core.test_bit_edit import moved
 from tests.core.test_store import (
     count_compressions,
     from_scratch_bytes,
@@ -108,10 +112,10 @@ def test_merge_changes_random_stream_keeps_endpoints():
 
 
 def test_merged_replay_matches_unmerged_replay():
-    """Applying the merged batch to a counted signature is equivalent to
-    replaying the raw stream change by change."""
-    from repro.core.counted import CountedSignature
-
+    """Editing the merged batch into a signature — all its removals first —
+    is equivalent to replaying the raw stream change by change.  A slot
+    holds one tuple at a time, so a raw change only moves a tuple to a free
+    slot; a merged record may not (its slot was freed by a later change)."""
     rng = random.Random(11)
     fanout = 4
     # Path components are 1-based slot positions in [1, fanout].
@@ -126,25 +130,29 @@ def test_merged_replay_matches_unmerged_replay():
             if old is not None and rng.random() < 0.3
             else (rng.randrange(1, 5), rng.randrange(1, 5))
         )
-        if old == new:
+        if old == new or new in current.values():
             continue
         stream.append(PathChange(tid, old, new))
         current[tid] = new
 
     def replay(changes):
-        counted = CountedSignature.from_paths(
-            list(base_paths.values()), fanout
-        )
+        signature = Signature.from_paths(base_paths.values(), fanout)
         for change in changes:
-            if change.old_path is not None:
-                counted.remove_path(change.old_path)
-            if change.new_path is not None:
-                counted.add_path(change.new_path)
-        return counted
+            signature = moved(
+                signature,
+                [change.old_path] if change.old_path is not None else [],
+                [change.new_path] if change.new_path is not None else [],
+            )
+        return signature
 
-    merged, raw = replay(merge_changes(stream)), replay(stream)
-    assert merged == raw
-    assert merged.to_signature() == raw.to_signature()
+    merged = merge_changes(stream)
+    at_once = moved(
+        Signature.from_paths(base_paths.values(), fanout),
+        [c.old_path for c in merged if c.old_path is not None],
+        [c.new_path for c in merged if c.new_path is not None],
+    )
+    live = [path for path in current.values() if path is not None]
+    assert at_once == replay(stream) == Signature.from_paths(live, fanout)
 
 
 # --------------------------------------------------------------------------- #
@@ -381,11 +389,27 @@ def test_a_malformed_write_is_refused_before_it_is_journalled(
 # --------------------------------------------------------------------------- #
 
 
-def from_scratch(system, cell):
-    """What a whole-cell decompose of the live counts would store."""
-    return from_scratch_bytes(
-        system.pcube.store, system.pcube.counted_of(cell).to_signature()
+def generated(system, cell):
+    """The cell's signature generated from its live members' current
+    R-tree paths."""
+    paths = system.rtree.all_paths()
+    return Signature.from_paths(
+        [
+            paths[tid]
+            for tid in system.relation.live_tids()
+            if cell.matches(system.relation, tid)
+        ],
+        system.pcube.fanout,
     )
+
+
+def from_scratch(system, cell):
+    """What a whole-cell decompose of the generated signature would store."""
+    return from_scratch_bytes(system.pcube.store, generated(system, cell))
+
+
+def n_nodes(system, cell):
+    return len(list(system.pcube.signature_of(cell).node_sids()))
 
 
 def system_on(disk, n_tuples=400):
@@ -479,7 +503,6 @@ def test_rewritten_partials_equal_a_from_scratch_decompose(page_size):
     assert system.rtree.node_count() != nodes_before
     assert system.rtree.root.level >= level_before
     assert (most_partials == 1) == (page_size == 4096)
-    assert not system.pcube._pending_sids
 
 
 def test_a_write_compresses_no_more_than_its_dirty_sids(monkeypatch):
@@ -511,9 +534,7 @@ def test_a_write_compresses_no_more_than_its_dirty_sids(monkeypatch):
             system.relation.bool_row(rng.randrange(400)),
             (rng.random(), rng.random()),
         )
-        stored_nodes = sum(
-            system.pcube.counted_of(cell).n_nodes() for cell in dirty
-        )
+        stored_nodes = sum(n_nodes(system, cell) for cell in dirty)
         assert 0 < len(compressed) <= budget
         # A whole-cell recompress would be an order of magnitude more.
         assert budget < stored_nodes
@@ -522,41 +543,40 @@ def test_a_write_compresses_no_more_than_its_dirty_sids(monkeypatch):
 
 
 def test_a_write_touches_only_the_nodes_on_its_path(monkeypatch):
-    """Under an epoch snapshot, per dirty cell: count dicts copied, bit
-    arrays built and blobs compressed are bounded by the dirty SIDs — never
-    by the cell's ~520 nodes — and no whole-cell bitmap is built."""
+    """Under an epoch snapshot, per dirty cell: nodes decoded and blobs
+    compressed are bounded by the nodes on the moved paths — never by the
+    cell's ~520 nodes — and no cell is derived from the tree."""
     system = system_on(SimulatedDisk(), n_tuples=2000)
     system.enable_epochs()
     pcube = system.pcube
+    fanout = pcube.fanout
     compressed = count_compressions(monkeypatch)
-    built = []
-
-    class CountingBitArray(BitArray):
-        def __init__(self, nbits, mask=0):
-            built.append(mask)
-            super().__init__(nbits, mask)
-
-    monkeypatch.setattr(counted_module, "BitArray", CountingBitArray)
-    bitmaps = []
-    real_view = CountedSignature.to_signature
+    decoded = []
+    real_decompress = partial_module.decompress
     monkeypatch.setattr(
-        CountedSignature,
-        "to_signature",
-        lambda self: bitmaps.append(self) or real_view(self),
+        partial_module,
+        "decompress",
+        lambda blob: decoded.append(blob) or real_decompress(blob),
+    )
+    derived = []
+    real_signatures = PathColumns.signatures
+    monkeypatch.setattr(
+        PathColumns,
+        "signatures",
+        lambda self, *args: derived.append(args) or real_signatures(self, *args),
     )
     puts = {}
     real_put = pcube.store.put_signature
 
-    def recording_put(cell, signature, dirty_sids=None):
-        puts[cell] = (signature, set(dirty_sids))
-        return real_put(cell, signature, dirty_sids)
+    def recording_put(cell, signature=None, removed=(), added=()):
+        puts[cell] = (signature, removed, added)
+        return real_put(cell, signature, removed, added)
 
     monkeypatch.setattr(pcube.store, "put_signature", recording_put)
     rng = random.Random(8)
     for step in range(40):
-        del compressed[:], built[:]
+        del compressed[:], decoded[:]
         puts.clear()
-        before = dict(pcube._counted)
         live = sorted(system.relation.live_tids())
         if step % 3 == 0:
             _, dirty = system.insert(
@@ -567,38 +587,34 @@ def test_a_write_touches_only_the_nodes_on_its_path(monkeypatch):
             dirty = system.update(rng.choice(live), (rng.random(), rng.random()))
         else:
             dirty = system.delete(rng.choice(live))
-        assert not bitmaps
+        n_decoded, n_compressed = len(decoded), len(compressed)
+        assert not derived
         assert set(puts) == dirty
-        represented = 0
+        budget = 0
         for cell in dirty:
-            counted, dirty_sids = puts[cell]
-            assert counted is pcube.counted_of(cell) is not before[cell]
-            # Copied or created: on the changed paths; everything else is
-            # still the dict the previous epoch's snapshot holds.
-            assert counted._owned <= dirty_sids
-            for sid, node in counted._counts.items():
-                if sid not in dirty_sids:
-                    assert node is before[cell]._counts[sid]
-            assert len(dirty_sids) < counted.n_nodes() / 10
-            represented += len(dirty_sids & set(counted.node_sids()))
-        assert len(built) == len(compressed) == represented
+            signature, removed, added = puts[cell]
+            assert signature is None
+            sids = {
+                sid for path in (*removed, *added) for sid in path_sids(path, fanout)
+            }
+            assert len(sids) < n_nodes(system, cell) / 10
+            budget += len(sids)
+        assert 0 < n_compressed <= budget
+        assert n_decoded <= budget
         for cell in dirty:
             assert stored_bytes(pcube.store, cell) == from_scratch(system, cell)
-        del bitmaps[:]  # the oracle's own views
     report = system.verify_consistency()
     assert report.ok, report.problems
 
 
-def test_a_stored_node_set_that_is_not_the_claimed_one_costs_a_recompress(
-    monkeypatch,
-):
-    """The rewrite trusts the pages for every node off the changed paths.
-    If they do not hold exactly those nodes — here one was stripped and the
-    page sealed again, so the read-back verifies — patching cannot be right
-    and the whole cell is compressed afresh."""
+def test_the_edit_trusts_the_pages_off_its_paths_and_the_audit_does_not():
+    """The rewrite reads every node off the moved paths from the pages as
+    they are.  Here one was stripped and the page sealed again, so the
+    read-back verifies: the write keeps the damage, the audit reports the
+    cell, and one scrubber pass re-derives it."""
     system = system_on(SimulatedDisk())
     pcube = system.pcube
-    cell = sorted(pcube._counted, key=lambda c: c.cell_id)[0]
+    cell = min(pcube.cuboids[0].group(system.relation), key=lambda c: c.cell_id)
     bool_row = next(
         system.relation.bool_row(tid)
         for tid in system.relation.live_tids()
@@ -609,26 +625,31 @@ def test_a_stored_node_set_that_is_not_the_claimed_one_costs_a_recompress(
     stripped = max(page.payload.blobs)  # a leaf-level node
     del page.payload.blobs[stripped]
     page.seal()
-    compressed = count_compressions(monkeypatch)
-    _, dirty = system.insert(bool_row, (0.999, 0.999))
+    tid, dirty = system.insert(bool_row, (0.999, 0.999))
     assert cell in dirty
-    assert stripped not in pcube.counted_of(cell).dirty_sids(
-        system.rtree.all_paths()[len(system.relation) - 1]
-    )
-    assert len(compressed) >= pcube.counted_of(cell).n_nodes()
-    for dirty_cell in dirty:
-        assert stored_bytes(pcube.store, dirty_cell) == from_scratch(system, dirty_cell)
+    assert stripped not in path_sids(system.rtree.all_paths()[tid], pcube.fanout)
+    assert stripped not in set(pcube.signature_of(cell).node_sids())
+    report = system.verify_consistency()
+    assert report.problems == [
+        f"cell {cell}: stored signature diverges from the R-tree partition"
+    ]
+    findings = Scrubber(system).run_pass()
+    assert [(f.kind, f.subject, f.repaired) for f in findings] == [
+        ("invariant", cell.cell_id, True)
+    ]
+    assert stored_bytes(pcube.store, cell) == from_scratch(system, cell)
     report = system.verify_consistency()
     assert report.ok, report.problems
 
 
-@pytest.mark.parametrize("how", ["restore_cell", "rebuild_cell", "recompute_cell"])
+@pytest.mark.parametrize("how", ["rebuild_cell", "recompute_cell", "recompute_cells"])
 def test_recovery_rewrites_trust_no_stored_blob(how, monkeypatch):
     system = system_on(SimulatedDisk())
-    cell = sorted(system.pcube._counted, key=lambda c: c.cell_id)[0]
+    cell = min(system.pcube.cuboids[0].group(system.relation), key=lambda c: c.cell_id)
     compressed = count_compressions(monkeypatch)
-    getattr(system.pcube, how)(cell)
-    assert len(compressed) == system.pcube.counted_of(cell).n_nodes()
+    rewrite = getattr(system.pcube, how)
+    rewrite([cell]) if how == "recompute_cells" else rewrite(cell)
+    assert len(compressed) == n_nodes(system, cell)
     assert stored_bytes(system.pcube.store, cell) == from_scratch(system, cell)
 
 
@@ -662,7 +683,6 @@ def test_crash_on_the_old_partial_read_is_recoverable():
         system.insert((1, 2), (0.5, 0.5))
     disk.plan = FaultPlan()
     assert system.recover() == "replayed"
-    assert not system.pcube._pending_sids
     report = system.verify_consistency()
     assert report.ok, report.problems
     for cuboid in system.pcube.cuboids:
@@ -670,38 +690,148 @@ def test_crash_on_the_old_partial_read_is_recoverable():
             assert stored_bytes(system.pcube.store, cell) == stored_bytes(twin.pcube.store, cell)
 
 
-def test_rewrite_after_a_faulted_rewrite_stores_both_writes_nodes():
-    """The pending-SID rule: without a WAL nobody replays the faulted
-    rewrite, so the next write to the cell must also compress the nodes the
-    first one moved."""
+def test_replay_re_derives_the_unstored_cells_in_one_pass(monkeypatch):
+    """Recovery re-stores every dirty cell without a completion record
+    from one matrix of the tree's paths, however many there are."""
     disk = FaultyDisk(SimulatedDisk())
     system = system_on(disk)
+    # The first dirty cell's read-back: no cell committed.
+    disk.plan = FaultPlan(
+        [FaultRule(kind="crash", op="read", tag="pcube:sig", count=1)]
+    )
+    with pytest.raises(SimulatedCrash):
+        system.insert((1, 2), (0.5, 0.5))
+    disk.plan = FaultPlan()
+    pending = system.wal.pending()
+    unstored = {
+        cell.cell_id for cell in system.pcube.dirty_cells_for(pending.changes)
+    } - set(pending.stored_cells)
+    assert len(unstored) >= 2
+    matrices = []
+    real_init = PathColumns.__init__
+    monkeypatch.setattr(
+        PathColumns,
+        "__init__",
+        lambda self, *args: matrices.append(args) or real_init(self, *args),
+    )
+    assert system.recover() == "replayed"
+    assert len(matrices) == 1
+    assert system.maintenance_stats.replayed_cells == len(unstored)
+    report = system.verify_consistency()
+    assert report.ok, report.problems
+
+
+def faulted_insert(system, disk, pref_row=(0.01, 0.01)):
+    """An unjournalled insert of ``(1, 2)`` whose first signature-page
+    allocation tears; returns the dirty cells, in rewrite order."""
     structures = system.relation, system.rtree, system.pcube
-    bool_row = (1, 2)
     disk.plan = FaultPlan(
         [FaultRule(kind="torn", op="allocate", tag="pcube:sig", count=1)]
     )
     with pytest.raises(TornWriteError):
-        insert_tuple(*structures, bool_row, (0.01, 0.01), wal=None)
+        insert_tuple(*structures, (1, 2), pref_row, wal=None)
     disk.plan = FaultPlan()
-    first_cell = min(
-        (
-            cuboid.cell_for(system.relation, len(system.relation) - 1)
-            for cuboid in system.pcube.cuboids
-        ),
+    tid = len(system.relation) - 1
+    return sorted(
+        (cuboid.cell_for(system.relation, tid) for cuboid in system.pcube.cuboids),
         key=lambda cell: cell.cell_id,
     )
-    # The counts moved, the pages did not: the cell's store is one write behind.
-    assert stored_bytes(system.pcube.store, first_cell) != from_scratch(system, first_cell)
-    pending_after_fault = set(system.pcube._pending_sids[first_cell])
-    assert pending_after_fault
 
-    tid, dirty = insert_tuple(*structures, bool_row, (0.99, 0.99), wal=None)
+
+def test_rewrite_after_a_faulted_rewrite_stores_both_writes_nodes():
+    """Without a WAL nobody replays the faulted rewrite, and nothing in
+    memory holds its edit: the cells it left behind are quarantined, and
+    the next write to them re-derives them from the R-tree, so the pages
+    end up holding both writes' paths."""
+    disk = FaultyDisk(SimulatedDisk())
+    system = system_on(disk)
+    behind = faulted_insert(system, disk)
+    # The tree moved, the pages did not: every dirty cell is one write
+    # behind, and says so.
+    for cell in behind:
+        assert stored_bytes(system.pcube.store, cell) != from_scratch(system, cell)
+    assert system.pcube.store.quarantined_cells() == behind
+    rebuilds = system.pcube.store.fault_stats.rebuilds
+
+    structures = system.relation, system.rtree, system.pcube
+    tid, dirty = insert_tuple(*structures, (1, 2), (0.99, 0.99), wal=None)
     paths = system.rtree.all_paths()
     assert paths[tid][:-1] != paths[tid - 1][:-1]
-    assert first_cell in dirty
+    assert dirty == set(behind)
     for cell in dirty:
         assert stored_bytes(system.pcube.store, cell) == from_scratch(system, cell)
-    assert not system.pcube._pending_sids
+    assert system.pcube.store.fault_stats.rebuilds == rebuilds + len(behind)
     report = system.verify_consistency()
     assert report.ok, report.problems
+
+
+@pytest.mark.parametrize("conjuncts", [{"A1": 1}, {"A2": 2}])
+def test_a_read_between_a_faulted_rewrite_and_the_next_write_is_exact(conjuncts):
+    """The faulted write's tuple reached the relation and the tree but not
+    the cells' pages: a reader must not trust those pages.  It takes the
+    quarantined cells' degraded path, which answers exactly."""
+    disk = FaultyDisk(SimulatedDisk())
+    system = system_on(disk)
+    faulted_insert(system, disk)
+    tid = len(system.relation) - 1
+    relation = system.relation
+    predicate = BooleanPredicate(conjuncts)
+    truth = set(
+        naive_skyline(
+            [
+                (member, relation.pref_point(member))
+                for member in relation.live_tids()
+                if predicate.matches(relation, member)
+            ]
+        )
+    )
+    assert tid in truth
+    result = QuerySession(relation, system.rtree, system.pcube).skyline(predicate)
+    assert set(result.tids) == truth
+    assert result.stats.degraded
+
+
+@pytest.mark.parametrize("epochs", [False, True], ids=["live", "epochs"])
+def test_a_faulted_journalled_write_reads_exactly_until_recovery(epochs):
+    """Through the system's journalled insert: the fault leaves the op
+    pending in the WAL and the dirty cells quarantined.  A read before
+    ``recover()`` — on the live structures, or on the epoch the abandoned
+    write never published — answers exactly, and recovery re-derives the
+    cells and lifts the quarantine."""
+    disk = FaultyDisk(SimulatedDisk())
+    system = system_on(disk)
+    if epochs:
+        system.enable_epochs()
+    predicate = BooleanPredicate({"A1": 1})
+    disk.plan = FaultPlan(
+        [FaultRule(kind="torn", op="allocate", tag="pcube:sig", count=1)]
+    )
+    with pytest.raises(TornWriteError):
+        system.insert((1, 2), (0.01, 0.01))
+    disk.plan = FaultPlan()
+    assert system.wal.pending() is not None
+    assert system.pcube.store.quarantined_cells()
+
+    def exact(relation, rtree, pcube):
+        truth = naive_skyline(
+            [
+                (tid, relation.pref_point(tid))
+                for tid in relation.live_tids()
+                if predicate.matches(relation, tid)
+            ]
+        )
+        result = QuerySession(relation, rtree, pcube).skyline(predicate)
+        return set(result.tids) == set(truth)
+
+    assert exact(system.relation, system.rtree, system.pcube)
+    if epochs:
+        snapshot = system.pin_snapshot()
+        try:
+            assert exact(snapshot.relation, snapshot.rtree, snapshot.pcube)
+        finally:
+            system.unpin_snapshot(snapshot)
+    assert system.recover() == "replayed"
+    assert not system.pcube.store.quarantined_cells()
+    report = system.verify_consistency()
+    assert report.ok, report.problems
+    assert exact(system.relation, system.rtree, system.pcube)

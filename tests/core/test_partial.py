@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from repro.bitmap.compression import compress
 from repro.core import partial as partial_module
-from repro.core.counted import CountedSignature
 from repro.core.partial import (
     PartialSignature,
+    compress_nodes,
     decompose,
+    edit_blobs,
     retrieval_refs,
 )
 from repro.core.sid import child_sid, sid_of_path
@@ -342,22 +343,28 @@ def test_decompose_makes_one_pass_when_the_cell_fits_a_page(monkeypatch):
 
 
 def moved(paths, fanout, rng, n_moves):
-    """``paths`` after ``n_moves`` single-tuple removals / additions, as a
-    counted signature, and the SIDs those moves dirtied."""
-    counted = CountedSignature.from_paths(paths, fanout)
-    alive = sorted(paths)
-    dirty: set[int] = set()
-    for _ in range(n_moves):
-        if alive and rng.random() < 0.5:
-            path = alive.pop(rng.randrange(len(alive)))
-            counted.remove_path(path)
-        else:
-            depth = len(alive[0]) if alive else 2
-            path = tuple(rng.randint(1, fanout) for _ in range(depth))
-            counted.add_path(path)
-            alive.append(path)
-        dirty.update(counted.dirty_sids(path))
-    return counted, dirty
+    """Tuples on the distinct slots ``paths`` after ``n_moves`` leaves,
+    joins and moves — a slot one tuple vacates may be refilled by another —
+    merged per tuple like one op's changes: the paths that left, the ones
+    that joined, and the signature of the slots held afterwards."""
+    start = dict(enumerate(sorted(paths)))
+    now = dict(start)
+    depth = len(next(iter(paths), (1, 1)))
+    for step in range(n_moves):
+        action = rng.choice(["leave", "join", "move"])
+        path = tuple(rng.randint(1, fanout) for _ in range(depth))
+        if action == "leave" and now:
+            del now[rng.choice(sorted(now))]
+        elif path not in now.values():
+            tid = rng.choice(sorted(now)) if action == "move" and now else -1 - step
+            now[tid] = path
+    removed, added = [], []
+    for tid in sorted(start.keys() | now.keys()):
+        old, new = start.get(tid), now.get(tid)
+        if old != new:
+            removed += [old] if old is not None else []
+            added += [new] if new is not None else []
+    return removed, added, Signature.from_paths(now.values(), fanout)
 
 
 @settings(max_examples=100, deadline=None)
@@ -371,16 +378,16 @@ def moved(paths, fanout, rng, n_moves):
 def test_rewrite_from_stored_blobs_is_byte_identical(
     tree, page_size, codec, rng, n_moves
 ):
-    """The store's read-modify-write — stored blobs patched along the dirty
-    SIDs, nodes added and removed, blobs that change length — ends on the
+    """The store's read-modify-write — stored bits edited along the moved
+    paths, nodes added and removed, blobs that change length — ends on the
     pages a from-scratch tree walk of the new signature would write."""
     fanout, paths = tree
     store = SignatureStore(SimulatedDisk(page_size=page_size), fanout, codec=codec)
     store.put_signature(CELL, Signature.from_paths(paths, fanout))
-    counted, dirty = moved(paths, fanout, rng, n_moves)
-    store.put_signature(CELL, counted, dirty_sids=dirty)
+    removed, added, after = moved(paths, fanout, rng, n_moves)
+    store.put_signature(CELL, removed=removed, added=added)
     assert stored_bytes(store, CELL) == as_bytes(
-        reference_decompose(counted.to_signature(), page_size, codec)
+        reference_decompose(after, page_size, codec)
     )
 
 
@@ -388,13 +395,42 @@ def test_reused_nodes_are_not_compressed_again(monkeypatch):
     paths = [(a, b, c) for a in (1, 2, 3) for b in (1, 2) for c in (1, 2)]
     store = SignatureStore(SimulatedDisk(page_size=48), FANOUT)
     store.put_signature(CELL, Signature.from_paths(paths, FANOUT))
-    counted = CountedSignature.from_paths(paths, FANOUT)
-    counted.remove_path((2, 1, 1))
-    counted.add_path((2, 1, 3))
     changed = {0, sid_of_path((2,), FANOUT), sid_of_path((2, 1), FANOUT)}
     compressed = count_compressions(monkeypatch)
-    store.put_signature(CELL, counted, dirty_sids=changed)
+    store.put_signature(CELL, removed=[(2, 1, 1)], added=[(2, 1, 3)])
     assert len(compressed) == len(changed)
+    after = [path for path in paths if path != (2, 1, 1)] + [(2, 1, 3)]
     assert stored_bytes(store, CELL) == as_bytes(
-        reference_decompose(counted.to_signature(), page_size=48)
+        reference_decompose(Signature.from_paths(after, FANOUT), page_size=48)
     )
+
+
+def test_edit_blobs_decodes_and_compresses_only_the_moved_paths_nodes(
+    monkeypatch,
+):
+    """The bit edit works on the cell's compressed nodes: it decodes the
+    nodes on the moved paths and nothing else, compresses those it keeps
+    and drops the ones that emptied — and every blob then equals the
+    compressed node of the signature generated afresh."""
+    paths = [(a, b, c) for a in (1, 2, 3) for b in (1, 2) for c in (1, 2)]
+    before = Signature.from_paths(paths, FANOUT)
+    blobs = compress_nodes(before, before.node_sids())
+    removed = [(3, 2, 1), (3, 2, 2)]  # node (3, 2) empties
+    added = [(4, 1, 1)]  # node (4,) and (4, 1) appear
+    decoded = []
+    real_decompress = partial_module.decompress
+    monkeypatch.setattr(
+        partial_module,
+        "decompress",
+        lambda blob: decoded.append(blob) or real_decompress(blob),
+    )
+    compressed = count_compressions(monkeypatch)
+    edit_blobs(blobs, removed, added, FANOUT)
+    n_decoded, n_compressed = len(decoded), len(compressed)
+    after = Signature.from_paths(
+        [path for path in paths if path not in removed] + added, FANOUT
+    )
+    assert blobs == compress_nodes(after, after.node_sids())
+    on_paths = {sid_of_path(prefix, FANOUT) for prefix in [(), (3,), (3, 2), (4,), (4, 1)]}
+    assert n_decoded == len(on_paths & set(before.node_sids())) == 3
+    assert n_compressed == len(on_paths) - 1 == 4

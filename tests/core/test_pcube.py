@@ -6,6 +6,7 @@ from repro.core.pcube import PCube
 from repro.core.readers import EmptyReader, SignatureAdapter
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cell, Cuboid
+from repro.rtree.rtree import PathChange
 from tests.reference import tuple_paths
 
 
@@ -157,11 +158,38 @@ def test_rebuild_cell_is_the_one_rebuild_entry_point(system):
     assert not hasattr(store, "rebuild_cell")
 
 
-def test_apply_changes_requires_maintainable(fresh_system):
-    system = fresh_system(n_tuples=100, seed=3, maintainable=False)
-    with pytest.raises(RuntimeError):
-        system.pcube.apply_changes([])
+def test_apply_changes_without_a_moved_path_rewrites_nothing(fresh_system):
+    system = fresh_system(n_tuples=100, seed=3)
+    before = system.disk.write_counters.snapshot()
+    assert system.pcube.apply_changes([]) == set()
+    assert system.pcube.apply_changes([PathChange(5, (1, 2), (1, 2))]) == set()
+    assert system.disk.write_counters.snapshot() == before
 
 
 def test_repr(system):
     assert "PCube" in repr(system.pcube)
+
+
+def test_recompute_cells_derives_cells_of_several_cuboids_in_the_given_order(
+    system,
+):
+    """One pass per cuboid, stored in the caller's order: here the cells
+    of a pair cuboid interleave with their atomic factors'."""
+    pcube = PCube.build(
+        system.relation,
+        system.rtree,
+        [Cuboid(("A1",)), Cuboid(("A1", "A2")), Cuboid(("A2",))],
+        tag="pcube-mixed",
+    )
+    cells = [
+        Cell(("A1", "A2"), (2, 1)),
+        Cell(("A1",), (2,)),
+        Cell(("A2",), (1,)),
+        Cell(("A1", "A2"), (0, 3)),
+    ]
+    stored = []
+    derived = pcube.recompute_cells(cells, on_cell_stored=stored.append)
+    assert stored == cells
+    for cell, signature in zip(cells, derived):
+        assert signature == expected_signature(system, cell)
+        assert pcube.signature_of(cell) == signature

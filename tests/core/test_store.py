@@ -9,7 +9,6 @@ from repro.core import store as store_module
 from repro.core.partial import decompose
 from repro.core.readers import AssembledReader
 from repro.core.sid import path_of_sid
-from repro.core.counted import CountedSignature
 from repro.core.signature import Signature
 from repro.core.store import MissingPartialError, SignatureStore
 from repro.cube.cuboid import Cell
@@ -361,8 +360,31 @@ def test_reader_degraded_mode_uses_exact_fallback():
     assert probed == [(1, 2), (1, 3)]
 
 
+def test_a_reader_of_a_quarantined_cell_trusts_none_of_its_pages(store, disk):
+    """A quarantined cell awaits a rebuild, and its pages may be behind the
+    tree (a faulted rewrite): a reader built meanwhile still loads them,
+    counted, but answers every bit test through the exact fallback."""
+    store.put_signature(CELL, Signature.from_paths([(1, 2)], FANOUT))
+    store.quarantine(CELL, "a rewrite failed")
+    probed = []
+
+    def fallback(cell, path, counters):
+        probed.append(path)
+        return path == (1, 3)  # the tree moved the tuple
+
+    reads_before = disk.counters.get(SSIG)
+    reader = store.reader(CELL, fallback=fallback)
+    assert disk.counters.get(SSIG) - reads_before == 1
+    assert reader.stats.degraded and reader.stats.failed_loads == 0
+    assert not reader.check_path((1, 2))
+    assert reader.check_path((1, 3))
+    assert probed == [(1, 2), (1, 3)]
+    store.clear_quarantine(CELL)
+    assert store.reader(CELL).check_path((1, 2))
+
+
 # --------------------------------------------------------------------------- #
-# read-modify-write rewrites (put_signature(dirty_sids=...))
+# read-modify-write rewrites (put_signature(removed=..., added=...))
 # --------------------------------------------------------------------------- #
 
 
@@ -396,60 +418,59 @@ def count_compressions(monkeypatch):
     return compressed
 
 
-def grown_signature():
-    """``wide_signature`` plus one tuple on a new leaf, as the counted
-    signature maintenance hands over, and what that path dirtied."""
-    new_path = (2, 3, 1)
-    signature = CountedSignature.from_paths(WIDE_PATHS + [new_path], FANOUT)
-    return signature, set(ancestor_sids(new_path[:-1], FANOUT))
+#: One tuple leaves ``wide_signature`` and one joins on a new leaf.
+LEFT, JOINED = (3, 2, 2), (2, 3, 1)
 
 
-def test_rewrite_compresses_only_dirty_nodes_and_stores_the_same_bytes(
+def moved_signature():
+    """``wide_signature`` after the move, generated from scratch, and the
+    nodes the two paths pass."""
+    paths = [path for path in WIDE_PATHS if path != LEFT] + [JOINED]
+    dirty = set(ancestor_sids(LEFT[:-1], FANOUT) + ancestor_sids(JOINED[:-1], FANOUT))
+    return Signature.from_paths(paths, FANOUT), dirty
+
+
+def test_rewrite_compresses_only_the_moved_paths_nodes_and_stores_the_same_bytes(
     store, disk, monkeypatch
 ):
     store.put_signature(CELL, wide_signature())
     old_partials = store.n_partials(CELL)
     assert old_partials > 1
-    signature, dirty = grown_signature()
+    signature, dirty = moved_signature()
     reads_before = disk.counters.get(SSIG)
     compressed = count_compressions(monkeypatch)
-    store.put_signature(CELL, signature, dirty_sids=dirty)
-    assert len(compressed) == len(dirty) < signature.n_nodes()
+    store.put_signature(CELL, removed=[LEFT], added=[JOINED])
+    assert len(compressed) == len(dirty) < len(list(signature.node_sids()))
     # One counted read per old partial, nothing else.
     assert disk.counters.get(SSIG) - reads_before == old_partials
     assert stored_bytes(store, CELL) == from_scratch_bytes(store, signature)
-    assert store.load_full_signature(CELL) == signature.to_signature()
+    assert store.load_full_signature(CELL) == signature
 
 
-def test_rewrite_of_a_new_cell_with_dirty_sids_compresses_everything(
-    store, monkeypatch
-):
-    signature, dirty = grown_signature()
+def test_rewrite_of_a_new_cell_edits_an_empty_signature(store, monkeypatch):
     compressed = count_compressions(monkeypatch)
-    store.put_signature(OTHER, signature, dirty_sids=dirty)
-    assert len(compressed) == signature.n_nodes()
-    assert stored_bytes(store, OTHER) == from_scratch_bytes(store, signature)
+    store.put_signature(OTHER, added=WIDE_PATHS)
+    assert len(compressed) == len(list(wide_signature().node_sids()))
+    assert stored_bytes(store, OTHER) == from_scratch_bytes(store, wide_signature())
 
 
 @pytest.mark.parametrize("kind", ["corrupt", "transient"])
-def test_rewrite_recompresses_when_an_old_partial_is_unreadable(
-    kind, monkeypatch
-):
+def test_rewrite_refuses_to_edit_an_unreadable_cell(kind):
+    """An old partial's read fails: the edit has nothing to start from, so
+    it writes nothing and says which partial; the caller re-derives."""
     disk = FaultyDisk(SimulatedDisk(page_size=48))
     store = SignatureStore(disk, fanout=FANOUT, codec="raw")
     store.put_signature(CELL, wide_signature())
-    signature, dirty = grown_signature()
-    # The second old partial's read fails: blobs already read are dropped too.
+    refs = store.directory_snapshot()[CELL.cell_id]
+    # The second old partial's read fails.
     rule = FaultRule(kind=kind, tag="pcube:sig", after=1, count=1)
     disk.plan = FaultPlan([rule])
-    compressed = count_compressions(monkeypatch)
-    store.put_signature(CELL, signature, dirty_sids=dirty)
+    with pytest.raises(MissingPartialError) as caught:
+        store.put_signature(CELL, removed=[LEFT], added=[JOINED])
     assert rule.fired == 1
-    assert len(compressed) == signature.n_nodes()
+    assert caught.value.ref_sid == list(refs)[1]
+    assert store.directory_snapshot()[CELL.cell_id] is refs
     assert CELL not in store.quarantined_cells()
-    assert stored_bytes(store, CELL) == from_scratch_bytes(store, signature)
-    assert store.load_full_signature(CELL) == signature.to_signature()
-    assert not store.reader(CELL).stats.degraded
 
 
 def test_crash_on_the_old_partial_read_leaves_the_old_generation():
@@ -458,11 +479,10 @@ def test_crash_on_the_old_partial_read_leaves_the_old_generation():
     old = wide_signature()
     store.put_signature(CELL, old)
     pages_before = len(list(disk.pages("pcube:sig")))
-    signature, dirty = grown_signature()
     disk.plan = FaultPlan(
         [FaultRule(kind="crash", op="read", tag="pcube:sig", count=1)]
     )
     with pytest.raises(SimulatedCrash):
-        store.put_signature(CELL, signature, dirty_sids=dirty)
+        store.put_signature(CELL, removed=[LEFT], added=[JOINED])
     assert len(list(disk.pages("pcube:sig"))) == pages_before
     assert store.load_full_signature(CELL) == old

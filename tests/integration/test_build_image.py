@@ -1,20 +1,20 @@
 """The build's disk image, pinned.
 
 ``build_system`` promises bytes, not just answers: the same relation and
-arguments give the same pages, paths, counts and trees (DESIGN.md §5,
-"Build").  Each piece is digested apart so a failure names it — every
-page's id, tag, logical size and checksum, the tuple paths in the order
-``all_paths()`` lists them, the counted signatures in the cube's insertion
-order, the store's directory, the R-tree's and every B+-tree's nodes, and
-the build's allocate / write / free counts.
+arguments give the same pages, paths and trees (DESIGN.md §5, "Build").
+Each piece is digested apart so a failure names it — every page's id, tag,
+logical size and checksum, the tuple paths in the order ``all_paths()``
+lists them, the store's directory, the R-tree's and every B+-tree's nodes,
+and the build's allocate / write / free counts.
 
 Two builds are pinned: 2 000 tuples at fanout 64, and 300 tuples at fanout
 6 on 128-byte pages, where the tree is deeper and cells span several
 partials.  The literals were recorded before the build moved onto column
 arrays, and re-recorded when the store's (cell, ref) B+-tree went (its
 pages and writes left the image, later page ids shifted; paths, counted
-signatures and R-tree stayed); a change that means to move the image
-re-records them and says why.
+signatures and R-tree stayed).  The cube keeps no counted signatures any
+more, so their digest left the image; every other value stayed.  A change
+that means to move the image re-records them and says why.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ BUILDS = {
         {
             "pages": (433, "310b74afada8e1a1"),
             "paths": "43231253bea1f97e",
-            "counted": "1bb6561620076d11",
             "store": "1f8bf048ecb85775",
             "rtree": "208547d139aa6b1d",
             "btrees": "cda91a72c91e5d8e",
@@ -46,7 +45,6 @@ BUILDS = {
         {
             "pages": (356, "18a2899267971653"),
             "paths": "1e90c5b2fe0883e3",
-            "counted": "b3b20fd4832a7b9d",
             "store": "6a24dc471532be01",
             "rtree": "d0b0f8ad5297bb3c",
             "btrees": "690ffaa50de8c42b",
@@ -77,13 +75,6 @@ def btree_nodes(tree):
 def build_image(system, writes) -> dict:
     disk = system.disk
     pages = sorted((p.page_id, p.tag, p.size, p.checksum) for p in disk.pages())
-    counted = [
-        (
-            cell.cell_id,
-            sorted((sid, sorted(node.items())) for sid, node in c._counts.items()),
-        )
-        for cell, c in system.pcube._counted.items()
-    ]
     store = system.pcube.store
     rtree = [
         (
@@ -101,7 +92,6 @@ def build_image(system, writes) -> dict:
     return {
         "pages": (len(pages), digest(pages)),
         "paths": digest(list(system.rtree.all_paths().items())),
-        "counted": digest(counted),
         "store": digest(store.directory_entries()),
         "rtree": digest(rtree),
         "btrees": digest(
@@ -129,4 +119,9 @@ def test_a_build_writes_the_pinned_image(name):
     if page_size is not None:
         assert system.rtree.root.level >= 2
         store = system.pcube.store
-        assert max(store.n_partials(cell) for cell in system.pcube._counted) >= 2
+        cells = [
+            cell
+            for cuboid in system.pcube.cuboids
+            for cell in cuboid.group(system.relation)
+        ]
+        assert max(store.n_partials(cell) for cell in cells) >= 2

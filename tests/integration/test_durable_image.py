@@ -17,7 +17,10 @@ its 201st WAL record append, past three segment seals, and recovered
 was folded into one journal protocol, and re-recorded when the store's
 (cell, ref) B+-tree went: its pages no longer take page ids, so later ids
 and the checkpoint manifests' ``row_pages`` shifted, while every row's
-tag, size and content and both metric lists stayed.  A change that means
+tag, size and content and both metric lists stayed.  The backup digest was
+re-recorded once more when ``maintainable`` left the manifests' ``config``:
+the four ``ckpt:c*:manifest`` rows changed their CRC and nothing else did
+(same ids and sizes; the crash image did not move).  A change that means
 to move the image re-records them and says why.
 """
 
@@ -48,7 +51,7 @@ FANOUT = 6
 #: metrics over the archive, the same behind the newest checkpoint).
 IMAGES = {
     "backup": (
-        "fafd33d3c2066acb",
+        "ccd5fe3487d1b571",
         267,
         [("damaged_ignored", 0), ("record_reads", 246), ("seal_reads", 9),
          ("segments_scanned", 9), ("segments_skipped", 0)],

@@ -6,12 +6,11 @@ import pytest
 
 from repro.bitmap.bitarray import BitArray
 from repro.bitmap.compression import compress
-from repro.core.counted import CountedSignature
 from repro.core.partial import decompose
-from repro.core.signature import Signature
+from repro.core.signature import Signature, move_paths
 from repro.core.store import SignatureStore
 from repro.cube.cuboid import Cell
-from repro.data.synthetic import generate_relation
+from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.data.workload import sample_predicate
 from repro.rtree.rtree import RTree
 from repro.storage.disk import PageFault, SimulatedDisk
@@ -19,16 +18,13 @@ from repro.storage.faults import FaultPlan, FaultRule, FaultyDisk
 from repro.system import build_system
 
 
-def test_remove_path_failure_leaves_counts_intact():
-    counted = CountedSignature(4)
-    counted.add_path((1, 2))
-    counted.add_path((1, 3))
-    # Removing an uncounted path fails part-way (the root count for child 2
-    # exists, the child-level count does not).  The failure must not have
-    # removed the surviving tuple's evidence.
-    with pytest.raises(KeyError):
-        counted.remove_path((2, 1))
-    assert counted.to_signature() == Signature.from_paths([(1, 2), (1, 3)], 4)
+@pytest.mark.parametrize("stray", [(2, 1), (1, 4)])
+def test_removing_a_path_the_cell_does_not_hold_leaves_its_tuples(stray):
+    """A removal clears only bits whose subtree it empties: a stray path —
+    under an absent node or beside live slots — takes no tuple's bit."""
+    masks = {0: 0b1, 1: 0b110, 2: 0}
+    move_paths(masks, [stray], [], 4)
+    assert Signature.from_masks(4, masks) == Signature.from_paths([(1, 2), (1, 3)], 4)
 
 
 def test_store_load_after_replace_does_not_fault():
@@ -251,3 +247,41 @@ def test_undecodable_blob_is_found_and_healed_by_the_audits():
     ]
     assert system.verify_consistency().ok
     assert system.engine.skyline(predicate).tids == baseline
+
+
+@pytest.mark.parametrize("flip", ["spurious", "lost"])
+def test_a_decodable_but_wrong_node_is_found_and_healed_by_the_audits(flip):
+    """The stored-signature rule is the one maintenance check: one flipped
+    bit in one node, stored through ``put_signature`` so every page
+    verifies and every blob decodes, is reported for exactly that cell, and
+    one scrubber pass re-derives it."""
+    from repro.serve.scrub import Scrubber
+
+    config = SyntheticConfig(
+        n_tuples=300, n_boolean=2, cardinality=3, n_preference=2, seed=5
+    )
+    system = build_system(generate_relation(config), fanout=6, rtree_method="insert")
+    pcube = system.pcube
+    cell = min(pcube.cuboids[0].group(system.relation), key=lambda c: c.cell_id)
+    signature = pcube.signature_of(cell)
+    # The deepest node with a set bit and a clear one.
+    sid = max(
+        sid
+        for sid in signature.node_sids()
+        if 1 < signature.node(sid).count() < pcube.fanout
+    )
+    bits = signature.node(sid)
+    position = next(p for p in range(pcube.fanout) if bits.get(p) == (flip == "lost"))
+    signature.set_node(sid, BitArray(pcube.fanout, bits.mask ^ 1 << position))
+    pcube.store.put_signature(cell, signature)
+    assert pcube.signature_of(cell) == signature
+
+    report = system.verify_consistency()
+    assert report.problems == [
+        f"cell {cell}: stored signature diverges from the R-tree partition"
+    ]
+    findings = Scrubber(system).run_pass()
+    assert [(f.kind, f.subject, f.repaired) for f in findings] == [
+        ("invariant", cell.cell_id, True)
+    ]
+    assert system.verify_consistency().ok

@@ -2,7 +2,7 @@
 
 The signature algebra kernels work on 64-bit words; these tests pin the
 contract that ``from_words`` inverts the little-endian word split of a
-mask, that ``pack_words``/``unpack_words`` agree with it byte-for-byte, and that the
+mask, that ``to_bytes`` is that split byte for byte, and that the
 word-parallel sigops reproduce the scalar BitArray operators exactly.
 """
 
@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from repro.bitmap.bitarray import (
     BitArray,
     WORD_BITS,
-    pack_words,
-    unpack_words,
     word_count,
 )
 from repro.kernels.sigops import (
@@ -54,25 +52,13 @@ def test_from_words_inverts_the_word_split(bits):
 
 @given(bit_arrays)
 def test_words_match_bytes(bits):
-    """Packing the word tuple is ``to_bytes`` zero-padded to full words
-    (``to_bytes`` is minimal-width, ``pack_words`` is word-aligned)."""
+    """The little-endian word tuple, laid out byte by byte, is ``to_bytes``
+    zero-padded to full words (``to_bytes`` is minimal-width)."""
     padded = bits.to_bytes().ljust(
         word_count(bits.nbits) * (WORD_BITS // 8), b"\x00"
     )
-    assert pack_words(words_of(bits), WORD_BITS // 8) == padded
-
-
-@given(
-    st.lists(
-        st.integers(min_value=0, max_value=(1 << WORD_BITS) - 1),
-        min_size=0,
-        max_size=8,
-    )
-)
-def test_pack_unpack_words_roundtrip(words):
-    packed = pack_words(words, WORD_BITS // 8)
-    assert len(packed) == len(words) * (WORD_BITS // 8)
-    assert unpack_words(packed, WORD_BITS // 8) == list(words)
+    laid_out = b"".join(word.to_bytes(WORD_BITS // 8, "little") for word in words_of(bits))
+    assert laid_out == padded
 
 
 @given(bit_arrays)
