@@ -24,6 +24,7 @@ Figure 7 benchmarks time.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.pcube import PCube
@@ -136,9 +137,11 @@ def delete_tuple(
     The relation keeps the row as a tombstone (its cell membership is still
     needed to patch the right signatures) but drops it from every live-row
     access path; the R-tree and every signature stop referencing it.
-    An out-of-range tid raises ``IndexError``, a deleted one ``KeyError``,
-    before anything is journalled.
+    A tid that is not an integer raises ``TypeError``, an out-of-range one
+    ``IndexError``, a deleted one ``KeyError``, before anything is
+    journalled.
     """
+    tid = index(tid)
     if not 0 <= tid < len(relation):
         raise IndexError(f"tid {tid} out of range")
     if not relation.is_live(tid):
@@ -164,8 +167,11 @@ def update_tuple(
     The relation is written *before* the R-tree is touched: overwriting a
     preference row is pure memory (it cannot fail), so an exception inside
     the R-tree mutation can no longer leave the index describing a point
-    the relation never adopted.
+    the relation never adopted.  A tid that is not an integer raises
+    ``TypeError``, one that is not live ``KeyError``, before anything is
+    journalled.
     """
+    tid = index(tid)
     if not relation.is_live(tid):
         raise KeyError(f"tid {tid} is not live")
     pref_row = relation.check_pref(new_pref_row)

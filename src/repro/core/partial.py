@@ -148,11 +148,28 @@ def pack(
     Returns partials in creation order; the first is always referenced by
     the root SID 0 (the one loaded unconditionally at query start).  The
     build and the maintenance rewrite both end here, so a cell's pages
-    depend only on its blobs, never on how they were come by.
+    depend only on its blobs, never on how they were come by.  A cell
+    whose blobs fit one page is that page in one pass, with no walk per
+    seed or per node.
     """
     if not compressed:
         return [PartialSignature(ref_sid=0, blobs={})]
     order = sorted(compressed)
+    total = (
+        _PART_HEADER_BYTES
+        + _NODE_OVERHEAD_BYTES * len(order)
+        + sum(map(len, compressed.values()))
+    )
+    if total <= page_size and order[0] == 0:
+        # The root's subtree is every node and the page holds them all: the
+        # walk below would make exactly this one partial, in SID order.
+        return [
+            PartialSignature(
+                ref_sid=0,
+                blobs={sid: compressed[sid] for sid in order},
+                size_bytes=total,
+            )
+        ]
     coded: set[int] = set()
     partials: list[PartialSignature] = []
 

@@ -363,9 +363,9 @@ class MaintenanceWAL:
         """The LSN the next record will take (the checkpoint watermark)."""
         return self._next_lsn
 
-    def _scan(self, tag: str = RECORD_TAG) -> _Journal:
-        """The record pages under ``tag`` (default: every one), classified."""
-        return _classify(self.disk.pages(tag))
+    def _scan(self) -> _Journal:
+        """Every record page on the disk, classified."""
+        return _classify(self.disk.pages(RECORD_TAG))
 
     def _reopen(self) -> None:
         """Rebuild counters and segment state from surviving pages.
@@ -377,7 +377,8 @@ class MaintenanceWAL:
         Damaged records do not fail construction — they block :meth:`begin`
         until :meth:`repair_tail` classifies and clears them.
         """
-        journal = self._scan()
+        record_pages = list(self.disk.pages(RECORD_TAG))
+        journal = _classify(record_pages)
         seals, damaged_seals = _seal_pages(self.disk.pages(SEAL_TAG))
         records = journal.records
         self._has_damage = bool(journal.damaged or damaged_seals)
@@ -404,17 +405,24 @@ class MaintenanceWAL:
         self._active_bytes = (
             active.bytes - _RECORD_HEADER_BYTES * active.records if active else 0
         )
+        #: The active segment's record page ids, in allocation order: what
+        #: a seal classifies, instead of scanning every page on the disk.
+        active_tag = _segment_tag(self._active_segment)
+        self._active_pages = [
+            page.page_id for page in record_pages if page.tag == active_tag
+        ]
 
     def _append(self, record: dict[str, Any], size: int) -> int:
         record["lsn"] = self._next_lsn
         record["segment"] = self._active_segment
         seal_record(record)
         self._next_lsn += 1
-        self.disk.allocate(
+        page_id = self.disk.allocate(
             _segment_tag(record["segment"]),
             size=_RECORD_HEADER_BYTES + size,
             payload=record,
         )
+        self._active_pages.append(page_id)
         self._active_bytes += size
         self.stats.bump(wal_records=1)
         return record["lsn"]
@@ -508,12 +516,14 @@ class MaintenanceWAL:
     def _seal_active(self) -> None:
         """Seal the active segment and open the next one."""
         segment = self._active_segment
-        info = self._scan(_segment_tag(segment)).segments.get(segment)
+        pages = map(self.disk.peek, self._active_pages)
+        info = _classify(pages).segments.get(segment)
         if info is None:  # pragma: no cover - commit just wrote a record
             return
         self._write_seal(info)
         self._active_segment = segment + 1
         self._active_bytes = 0
+        self._active_pages = []
         self.stats.bump(wal_segments_sealed=1)
 
     # ------------------------------------------------------------------ #

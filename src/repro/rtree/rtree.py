@@ -236,20 +236,33 @@ class RTree:
             if entry.tid is not None:
                 self._tid_leaf[entry.tid] = node
             self._sync_page(node)
-            self._adjust_upward(node)
+            self._adjust_upward(node, added=entry.mbr)
 
     def _choose_node(self, mbr: Rect, target_level: int) -> RTreeNode:
+        """Guttman's ChooseLeaf: descend to ``target_level`` through the
+        child whose box grows least to cover ``mbr``, the smaller box on a
+        tie.  The growth is ``entry.mbr.enlargement(mbr)`` written out —
+        the same ``min`` / ``max`` argument order and left-to-right
+        products, so the same floats — without a rect per child."""
+        box = tuple(zip(mbr.lows, mbr.highs))
         node = self.root
         while node.level > target_level:
-            best: tuple[float, float, RTreeNode] | None = None
-            for _, entry in node.live_entries():
-                assert entry.child is not None
-                enlargement = entry.mbr.enlargement(mbr)
-                key = (enlargement, entry.mbr.area(), entry.child)
-                if best is None or key[:2] < best[:2]:
-                    best = key
+            best: RTreeNode | None = None
+            best_growth = best_area = 0.0
+            for entry in node.entries:
+                if entry is None:
+                    continue
+                area = grown = 1.0
+                for lo, hi, (b_lo, b_hi) in zip(entry.mbr.lows, entry.mbr.highs, box):
+                    area *= hi - lo
+                    grown *= (b_hi if b_hi > hi else hi) - (b_lo if b_lo < lo else lo)
+                growth = grown - area
+                if best is None or growth < best_growth or (
+                    growth == best_growth and area < best_area
+                ):
+                    best, best_growth, best_area = entry.child, growth, area
             assert best is not None, "internal node with no live entries"
-            node = best[2]
+            node = best
         return node
 
     def _split(self, node: RTreeNode, entry: Entry) -> None:
@@ -289,15 +302,32 @@ class RTree:
             self._sync_page(parent)
             self._adjust_upward(parent)
 
-    def _adjust_upward(self, node: RTreeNode) -> None:
-        """Recompute ancestor MBRs after a change inside ``node``."""
+    def _adjust_upward(self, node: RTreeNode, added: Rect | None = None) -> None:
+        """Recompute ancestor MBRs after a change inside ``node``.
+
+        When the change only added the box ``added`` under ``node``, each
+        ancestor's new box is its entry's box grown by ``added``, and no
+        sibling is visited.  Both are exact min / max, so they agree bit
+        for bit except in a zero's sign, which the union takes from the
+        first child in slot order: a grown box with a zero coordinate is
+        re-unioned instead.
+        """
         child = node
         while child.parent is not None:
             parent = child.parent
             slot = parent.slot_of_child(child)
             existing = parent.entries[slot]
             assert existing is not None
-            updated = child.mbr()
+            if added is None:
+                updated = child.mbr()
+            else:
+                mbr = existing.mbr
+                lows = tuple(a if a < b else b for a, b in zip(added.lows, mbr.lows))
+                highs = tuple(a if a > b else b for a, b in zip(added.highs, mbr.highs))
+                if all(lows) and all(highs):
+                    updated = Rect.trusted(lows, highs)
+                else:
+                    updated = child.mbr()
             if updated == existing.mbr:
                 break
             parent.entries[slot] = Entry(updated, child=child)
@@ -386,7 +416,9 @@ class RTree:
                 self._free_node(node)
                 self._sync_page(parent)
             else:
+                # Nothing above can underflow, and this fixes every box above.
                 self._adjust_upward(node)
+                break
             node = parent
         # Re-insert orphaned entries at their original levels (Guttman's
         # CondenseTree), leaf tuples first so subtree re-insertions see a

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.baselines.naive import naive_skyline
@@ -345,8 +346,12 @@ def test_delete_tombstones_the_relation_row(system):
         (lambda s: s.insert((0, 1), (0.5, float("nan"))), ValueError),
         (lambda s: s.delete(10_000), IndexError),
         (lambda s: s.delete(-1), IndexError),
+        (lambda s: s.delete(2.5), TypeError),
+        (lambda s: s.delete(1.0), TypeError),
         (lambda s: s.update(3, (0.5, 0.5, 0.5)), ValueError),
         (lambda s: s.update(3, (float("-inf"), 0.5)), ValueError),
+        (lambda s: s.update(np.float64(2.0), (0.5, 0.5)), TypeError),
+        (lambda s: s.update(1.0, (0.5, 0.5)), TypeError),
         (
             lambda s: s.insert_batch([((0, 1), (0.1, 0.2)), ((0, 1), (0.3,))]),
             ValueError,
@@ -358,8 +363,12 @@ def test_delete_tombstones_the_relation_row(system):
         "insert-nan",
         "delete-past-the-end",
         "delete-negative",
+        "delete-fractional-tid",
+        "delete-float-tid",
         "update-width",
         "update-inf",
+        "update-numpy-float-tid",
+        "update-float-tid",
         "insert-batch-one-bad-row",
     ],
 )
@@ -381,6 +390,17 @@ def test_a_malformed_write_is_refused_before_it_is_journalled(
     system.update(tid, (0.5, 0.5))
     system.delete(tid)
     assert system.recover() == "clean"
+    assert system.verify_consistency().ok
+
+
+def test_an_integer_like_tid_is_journalled_as_an_int(system):
+    """A numpy integer is a tid (``operator.index`` takes it); the intent
+    records the plain int."""
+    system.update(np.int64(3), (0.5, 0.5))
+    system.delete(np.int64(3))
+    assert not system.relation.is_live(3)
+    intents = [r for r in system.wal._scan().records if r["kind"] == "intent"]
+    assert [type(r["payload"]["tid"]) for r in intents[-2:]] == [int, int]
     assert system.verify_consistency().ok
 
 

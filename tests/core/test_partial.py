@@ -1,5 +1,6 @@
 """Decomposition into page-sized partials and the retrieval protocol."""
 
+import random
 from collections import deque
 
 import pytest
@@ -323,23 +324,81 @@ def test_a_seed_whose_subtree_is_already_coded_references_no_partial():
     )
 
 
-def test_decompose_makes_one_pass_when_the_cell_fits_a_page(monkeypatch):
-    signature = Signature.from_paths(
-        [(a, b, c) for a in (1, 2, 3) for b in (1, 2) for c in (1, 2)], FANOUT
-    )
+def count_walks(monkeypatch):
+    """Record the seed of every subtree walk ``pack`` starts."""
     walks = []
     real = partial_module._subtree_sids
 
     def counting(order, seed, fanout):
-        walks.append((seed, list(real(order, seed, fanout))))
-        return iter(walks[-1][1])
+        walks.append(seed)
+        return real(order, seed, fanout)
 
     monkeypatch.setattr(partial_module, "_subtree_sids", counting)
+    return walks
+
+
+def page_fill(signature, codec="adaptive"):
+    """The bytes of one partial holding every node of ``signature``."""
+    blobs = compress_nodes(signature, signature.node_sids(), codec)
+    return partial_module._PART_HEADER_BYTES + sum(
+        partial_module._NODE_OVERHEAD_BYTES + len(blob) for blob in blobs.values()
+    )
+
+
+def test_decompose_makes_one_pass_when_the_cell_fits_a_page(monkeypatch):
+    """A cell that fits a page is packed with no walk at all — neither a
+    seed's subtree nor a node's — and is the page the walk would make."""
+    signature = Signature.from_paths(
+        [(a, b, c) for a in (1, 2, 3) for b in (1, 2) for c in (1, 2)], FANOUT
+    )
+    walks = count_walks(monkeypatch)
     (only,) = decompose(signature, page_size=4096)
+    assert walks == []
     assert list(only.blobs) == sorted(signature.node_sids())
-    # The root's subtree is the whole sorted list, walked once — no seed
-    # enumeration beside it and no walk per node after it.
-    assert walks == [(0, sorted(signature.node_sids()))]
+    assert as_bytes([only]) == as_bytes(reference_decompose(signature, 4096))
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("fanout", [2, 4, 64])
+def test_the_one_page_pass_is_the_walk_at_the_page_boundary(
+    monkeypatch, fanout, codec
+):
+    """At a page exactly as large as the cell the one pass packs it; one
+    byte less and the walk runs — both byte-identical to the tree walk."""
+    width = range(1, min(fanout, 3) + 1)
+    signature = Signature.from_paths(
+        [(a, b, c) for a in width for b in width for c in (1, fanout)], fanout
+    )
+    fill = page_fill(signature, codec)
+    walks = count_walks(monkeypatch)
+    for page_size, one_page in [(fill, True), (fill - 1, False)]:
+        walks.clear()
+        partials = decompose(signature, page_size, codec)
+        assert as_bytes(partials) == as_bytes(
+            reference_decompose(signature, page_size, codec)
+        )
+        assert (len(partials) == 1) == one_page
+        assert (walks == []) == one_page
+
+
+def test_the_one_page_pass_leaves_an_empty_cell_and_an_oversized_node_alone(
+    monkeypatch,
+):
+    """An empty cell is one empty root partial; a lone node larger than
+    the page is still packed by the walk, into one over-full partial."""
+    walks = count_walks(monkeypatch)
+    empty = Signature.from_paths([], 64)
+    assert as_bytes(decompose(empty, page_size=32)) == as_bytes(
+        reference_decompose(empty, page_size=32)
+    )
+    lone = Signature.from_paths([(a,) for a in range(1, 65)], 64)
+    page_size = page_fill(lone, "raw") - 1
+    (partial,) = decompose(lone, page_size, "raw")
+    assert partial.size_bytes > page_size
+    assert walks == [0]
+    assert as_bytes([partial]) == as_bytes(
+        reference_decompose(lone, page_size, "raw")
+    )
 
 
 def moved(paths, fanout, rng, n_moves):
@@ -389,6 +448,37 @@ def test_rewrite_from_stored_blobs_is_byte_identical(
     assert stored_bytes(store, CELL) == as_bytes(
         reference_decompose(after, page_size, codec)
     )
+
+
+def test_a_maintenance_stream_crosses_the_one_page_boundary_both_ways():
+    """Tuples join one at a time until the cell spills onto a second page,
+    move, then leave until it fits one again: after every rewrite the
+    stored pages are the ones a from-scratch decompose would write."""
+    every = [(a, b, c) for a in (1, 2, 3, 4) for b in (1, 2, 3, 4) for c in (1, 4)]
+    random.Random(5).shuffle(every)
+    start, joining, spare = every[:4], every[4:24], every[24:28]
+    page_size = (
+        page_fill(Signature.from_paths(start, FANOUT))
+        + page_fill(Signature.from_paths(start + joining, FANOUT))
+    ) // 2
+    store = SignatureStore(SimulatedDisk(page_size=page_size), FANOUT)
+    store.put_signature(CELL, Signature.from_paths(start, FANOUT))
+    steps = (
+        [([], [path]) for path in joining]
+        + [([old], [new]) for old, new in zip(joining, spare)]
+        + [([path], []) for path in reversed(spare)]
+        + [([path], []) for path in reversed(joining[len(spare):])]
+    )
+    now, n_partials = list(start), []
+    for removed, added in steps:
+        store.put_signature(CELL, removed=removed, added=added)
+        now = [path for path in now if path not in removed] + added
+        assert stored_bytes(store, CELL) == as_bytes(
+            decompose(Signature.from_paths(now, FANOUT), page_size)
+        )
+        n_partials.append(store.n_partials(CELL))
+    assert sorted(now) == sorted(start)
+    assert n_partials[0] == n_partials[-1] == 1 < max(n_partials)
 
 
 def test_reused_nodes_are_not_compressed_again(monkeypatch):

@@ -219,6 +219,39 @@ def test_rotation_seals_segments_at_commit_boundaries(disk):
     assert wal.stats.wal_segments_sealed == 3
 
 
+class CountingDisk(SimulatedDisk):
+    """Counts the pages a WAL looks at: every page a tag-prefix scan
+    filters, and every page peeked by id."""
+
+    visited = 0
+
+    def pages(self, tag_prefix=""):
+        self.visited += len(self._pages)
+        return super().pages(tag_prefix)
+
+    def peek(self, page_id):
+        self.visited += 1
+        return super().peek(page_id)
+
+
+def test_a_seal_visits_only_its_own_segment():
+    disk = CountingDisk()
+    for _ in range(200):
+        disk.allocate("rtree", size=64)
+    wal = MaintenanceWAL(disk, segment_bytes=1)  # every commit seals
+    for tid in range(3):
+        op_id = wal.begin("delete", tid=tid)
+        wal.log_changes(op_id, [PathChange(tid, (1,), None)])
+        disk.visited = 0
+        wal.commit(op_id)
+        # The intent, changes and commit records of the segment, nothing else.
+        assert disk.visited == 3
+    assert wal.stats.wal_segments_sealed == 3
+    # Reopening scans every record and reads back the same catalog.
+    assert MaintenanceWAL(disk, segment_bytes=1).segments() == wal.segments()
+    assert [info.records for info in wal.segments()] == [3, 3, 3]
+
+
 def test_reopen_resumes_the_active_segment(disk):
     first = MaintenanceWAL(disk, segment_bytes=1)
     _run_op(first)

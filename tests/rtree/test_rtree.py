@@ -171,6 +171,31 @@ def test_delete_with_condensation():
     assert sorted(tree._points) == sorted(alive)
 
 
+def test_a_delete_that_underflows_nothing_fixes_the_boxes_in_one_walk(
+    monkeypatch,
+):
+    """CondenseTree stops at the first node that keeps enough entries:
+    nothing above it lost an entry, and one upward walk fixes every box."""
+    tree = RTree(dims=2, max_entries=4, min_entries=1)
+    for tid, point in random_points(120, seed=5):
+        tree.insert(tid, point)
+    assert tree.root.level >= 2
+    tid = next(
+        tid for tid, leaf in tree._tid_leaf.items()
+        if leaf.live_count() > tree.min_entries
+    )
+    walks = []
+    real = RTree._adjust_upward
+    monkeypatch.setattr(
+        RTree,
+        "_adjust_upward",
+        lambda self, node, *added: walks.append(node) or real(self, node, *added),
+    )
+    tree.delete(tid)
+    assert len(walks) == 1 and walks[0].is_leaf
+    check_invariants(tree)
+
+
 def test_delete_everything():
     tree = RTree(dims=2, max_entries=4, min_entries=2)
     for tid, point in random_points(50, seed=13):
