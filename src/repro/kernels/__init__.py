@@ -1,9 +1,12 @@
-"""Vectorized batch primitives for the storage→query hot path.
+"""Batch primitives for the storage→query hot path.
 
-Three kernel families, each evaluating one scalar formula over a numpy
-block:
+Three kernel families, each evaluating one scalar formula over a block of
+rows — in numpy, except where a numpy pass would cost only its fixed
+overhead:
 
-* :mod:`repro.kernels.dominate` — block-vs-skyline-buffer domination;
+* :mod:`repro.kernels.dominate` — block-vs-skyline-buffer domination (a
+  BBS-sized block of widths 2–4 is one early-exit loop over tuples, up to
+  a comparison budget);
 * :mod:`repro.kernels.mindist` — batch heap keys (coordinate sums, linear
   and distance scores, rectangle lower bounds, MINDIST, the dynamic
   transform);

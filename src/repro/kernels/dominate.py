@@ -1,11 +1,13 @@
-"""Vectorized block-vs-skyline-buffer domination.
+"""Block-vs-skyline-buffer domination.
 
 Domination (minimising: ≤ everywhere, < somewhere) is pure comparison, so
 the verdicts are exactly the scalar ``any(dominates(s, p) ...)`` scans'
-(``tests/kernels/reference.py``); what the block path buys is evaluating
-a whole buffer (or a whole block of probes) per C call instead of per
-Python iteration — the dominant cost of BBS pops and of the in-memory
-skyline filters once skylines grow.
+(``tests/kernels/reference.py``).  What each regime buys is a smaller
+fixed cost per call: at BBS sizes (tens of buffered points, tens of
+probes) an early-exit loop over the tuples, written out per width, beats
+a numpy pass, whose cost there is its per-operation overhead; numpy takes
+over where the loop would compare too much — a long buffer, a large or
+mostly undominated block — and for the in-memory skyline filters.
 
 Tie semantics are inherited, not reimplemented: these kernels only answer
 "is this probe dominated", while the PR-2 lexicographic tie-break lives in
@@ -38,6 +40,15 @@ _SEED_CHUNK = 16
 #: Up to this many (buffer row, probe) pairs a block probe is one pass over
 #: the whole buffer; beyond, it escalates from ``_SEED_CHUNK`` (§13).
 _ONE_PASS_PAIRS = 4096
+#: Row comparisons the block loop of widths 2–4 may spend inside the
+#: one-pass bound — ``_PROBE_CHARGE`` per probe, the buffer's length for
+#: each probe that misses the witness — before the probes it has not
+#: decided go to one numpy pass; a block whose probes alone overdraw it
+#: takes the pass at once (§13).
+_BLOCK_SCAN_BUDGET = 1024
+#: What the loop spends on a probe before any scan (unpack, witness test,
+#: verdict bit), in row comparisons: ≈ 170 ns against 40–60 ns a row.
+_PROBE_CHARGE = 4
 
 
 class DominationBuffer:
@@ -45,11 +56,11 @@ class DominationBuffer:
 
     The skyline strategies grow one as results are discovered; SFS grows
     one during its filter pass.  The points are kept twice: as tuples for
-    the loop that probes a short window, and as the rows of a float64
-    matrix for everything else.
+    the loops that probe a short window or a BBS-sized block, and as the
+    rows of a float64 matrix for everything else.
     """
 
-    __slots__ = ("dims", "_points", "_arr", "_scan", "_scan_rows")
+    __slots__ = ("dims", "_points", "_arr", "_scan", "_scan_rows", "_bscan")
 
     def __init__(
         self, dims: int, points: Sequence[Sequence[float]] = ()
@@ -59,8 +70,8 @@ class DominationBuffer:
         self.dims = dims
         self._points: list[tuple[float, ...]] = []
         self._arr = None
-        self._scan, self._scan_rows = _SCANS.get(
-            dims, (_scan_any, _GENERIC_PROBE)
+        self._scan, self._scan_rows, self._bscan = _SCANS.get(
+            dims, (_scan_any, _GENERIC_PROBE, None)
         )
         for point in points:
             self.add(point)
@@ -108,26 +119,49 @@ class DominationBuffer:
         The verdicts come as a list of bools or — ``packed`` — as one
         integer, bit ``j`` for probe ``j``: what a caller that only counts
         and intersects them wants.  A block against a small buffer (a BBS
-        expansion: tens of rows either side) is one pass over the whole
-        buffer; an SFS-sized one escalates through growing buffer chunks
-        over the shrinking set of undominated probes.
+        expansion: tens of rows either side) is one loop over the probes
+        for widths 2–4, and what that loop leaves undecided within its
+        comparison budget one numpy pass; other widths take the pass
+        alone.  An SFS-sized block escalates through growing buffer
+        chunks over the shrinking set of undominated probes.
         """
         m = len(probes)
         if m and len(probes[0]) != self.dims:
             raise _width_error(len(probes[0]), self.dims)
         if m == 0 or not self._points:
             return 0 if packed else [False] * m
-        p = np.asarray(probes, dtype=np.float64)
         n = len(self._points)
         if n * m <= _ONE_PASS_PAIRS:
-            out = _block_dominates(self._arr[:n], p, self.dims)
-        else:
-            out = self._escalate(p)
-        if packed:
-            return int.from_bytes(
-                np.packbits(out, bitorder="little").tobytes(), "little"
+            left = _BLOCK_SCAN_BUDGET - _PROBE_CHARGE * m
+            if self._bscan is not None and left >= 0:
+                bits = self._scan_block(probes, left)
+                if packed:
+                    return bits
+                return [bit == "1" for bit in reversed(f"{bits:0{m}b}")]
+            out = _block_dominates(
+                self._arr[:n], np.asarray(probes, dtype=np.float64), self.dims
             )
-        return out.tolist()
+        else:
+            out = self._escalate(np.asarray(probes, dtype=np.float64))
+        return _pack(out) if packed else out.tolist()
+
+    def _scan_block(self, probes, budget: int) -> int:
+        """Packed verdicts of a block within the one-pass bound: the
+        width's loop decides probes in order until ``budget`` (what is
+        left after every probe's charge) is spent, and one pass over the
+        whole buffer decides the rest.  A matrix is walked by rows zipped
+        from its columns: no object per row for the garbage collector to
+        count."""
+        m = len(probes)
+        rows = zip(*probes.T.tolist()) if isinstance(probes, np.ndarray) else probes
+        bits, decided = self._bscan(self._points, rows, budget)
+        if decided < m:
+            rest = np.asarray(probes[decided:], dtype=np.float64)
+            out = _block_dominates(
+                self._arr[: len(self._points)], rest, self.dims
+            )
+            bits |= _pack(out) << decided
+        return bits
 
     def _escalate(self, p):
         """Verdicts by escalating chunks with probe compression: the
@@ -161,6 +195,11 @@ class DominationBuffer:
 
 def _width_error(width: int, dims: int) -> ValueError:
     return ValueError(f"point has {width} dims, buffer expects {dims}")
+
+
+def _pack(out) -> int:
+    """A boolean verdict array as one integer, bit ``j`` for entry ``j``."""
+    return int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
 
 
 # The point probe's loops, one per width: ``s`` dominates ``p`` unless it
@@ -209,11 +248,87 @@ def _scan_any(points, probe) -> bool:
     return False
 
 
-#: Width -> (its loop, the window that loop probes up to).
+# The block probe's loops, one per width: the point loops' tests, probe
+# by probe, trying first the last dominator found (the witness — most
+# probes of an expansion die to the point that killed their neighbour)
+# and then the buffer in order.  Each charges ``budget`` (what is left
+# once every probe's charge is paid) the buffer's length per witness
+# miss, and stops at a miss that would overdraw it.  Returns the
+# packed verdicts of the probes before the one it stopped at, and that
+# probe's index (the block's length if none; a block is never empty).
+
+
+def _bscan2(points, probes, budget) -> tuple[int, int]:
+    n = len(points)
+    bits = 0
+    u, v = points[0]
+    for j, (a, b) in enumerate(probes):
+        if not (u > a or v > b) and (u < a or v < b):
+            bits |= 1 << j
+        else:
+            budget -= n
+            if budget < 0:
+                return bits, j
+            for x, y in points:
+                if x > a or y > b:
+                    continue
+                if x < a or y < b:
+                    u, v = x, y
+                    bits |= 1 << j
+                    break
+    return bits, j + 1
+
+
+def _bscan3(points, probes, budget) -> tuple[int, int]:
+    n = len(points)
+    bits = 0
+    u, v, t = points[0]
+    for j, (a, b, c) in enumerate(probes):
+        if not (u > a or v > b or t > c) and (u < a or v < b or t < c):
+            bits |= 1 << j
+        else:
+            budget -= n
+            if budget < 0:
+                return bits, j
+            for x, y, z in points:
+                if x > a or y > b or z > c:
+                    continue
+                if x < a or y < b or z < c:
+                    u, v, t = x, y, z
+                    bits |= 1 << j
+                    break
+    return bits, j + 1
+
+
+def _bscan4(points, probes, budget) -> tuple[int, int]:
+    n = len(points)
+    bits = 0
+    u, v, t, s = points[0]
+    for j, (a, b, c, d) in enumerate(probes):
+        if not (u > a or v > b or t > c or s > d) and (
+            u < a or v < b or t < c or s < d
+        ):
+            bits |= 1 << j
+        else:
+            budget -= n
+            if budget < 0:
+                return bits, j
+            for x, y, z, w in points:
+                if x > a or y > b or z > c or w > d:
+                    continue
+                if x < a or y < b or z < c or w < d:
+                    u, v, t, s = x, y, z, w
+                    bits |= 1 << j
+                    break
+    return bits, j + 1
+
+
+#: Width -> (its point loop, the window that loop probes up to, its block
+#: loop); a width without one scans generically and takes numpy for blocks.
 _SCANS = {
-    2: (_scan2, _SCALAR_PROBE),
-    3: (_scan3, _SCALAR_PROBE),
-    4: (_scan4, _SCALAR_PROBE),
+    2: (_scan2, _SCALAR_PROBE, _bscan2),
+    3: (_scan3, _SCALAR_PROBE, _bscan3),
+    4: (_scan4, _SCALAR_PROBE, _bscan4),
 }
 
 

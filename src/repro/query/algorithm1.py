@@ -317,11 +317,12 @@ class SkylineStrategy:
         Leaf points and inner low corners alike are the ``lows`` rows: the
         low corner is the heap key's argument and the domination probe.
         The verdicts hold for the whole expansion because the buffer only
-        grows at pops.  In the full space the keys are the block's own
-        ``Σ lows``, kept on it.
+        grows at pops.  In the full space the probes are the block's own
+        corner tuples and the keys its ``Σ lows``, both kept on it.
         """
         if self.subspace is None:
-            rows, ties, keys = block.lows, block.low_tuples, block.low_sums()
+            rows = ties = block.low_tuples
+            keys = block.low_sums()
         else:
             rows = ties = project_rows(block.lows, self.subspace)
             keys = sum_block(rows)

@@ -67,6 +67,22 @@ def test_intersection_clears_empty_internal_bits():
     assert not check_bit(result, 0, 1)
 
 
+@pytest.mark.parametrize("subtree_first", [True, False])
+def test_a_subtree_against_a_leaf_slot_is_not_kept(subtree_first):
+    """Signatures that disagree about the tree shape — one has a subtree
+    under root slot 1, the other a leaf slot there — cannot come from one
+    template, but the operator still answers: the missing child node
+    counts as empty, so that bit is cleared whichever side has the
+    subtree, and the bit both sides see the same subtree under is kept."""
+    with_subtree = sig([(1, 1), (2, 1)])
+    with_slot = sig([(1,), (2, 1)])
+    assert check_bit(with_slot, 0, 1) and with_slot.node(1) is None
+    pair = (with_subtree, with_slot) if subtree_first else (with_slot, with_subtree)
+    result = intersect(*pair)
+    assert result == sig([(2, 1)])
+    assert not check_bit(result, 0, 1)
+
+
 def test_intersection_empty_result():
     a = sig([(1, 1)])
     b = sig([(2, 2)])

@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 from repro.baselines import index_merge, skyline_algs
 from repro.kernels import dominate, mindist, sigops
 from repro.kernels.dominate import (
+    _BLOCK_SCAN_BUDGET,
     _GENERIC_PROBE,
     _ONE_PASS_PAIRS,
+    _PROBE_CHARGE,
     _PROBE_CHUNK,
     _SCALAR_PROBE,
     _SEED_CHUNK,
@@ -495,6 +497,116 @@ def test_dominates_block_matches_the_scalar_oracle(n_buffered, n_probes, dims):
         rows = np.asarray(probes)
         assert buffer.dominates_block(rows) == expected
         assert buffer.dominates_block(rows, packed=True) == packed
+
+
+def tie_grid_block(rng, dims, n_buffered, n_probes):
+    """A buffer and a block on the ``i / 8`` grid with ``±0.0`` mixed in,
+    the block holding copies of buffered points (equal: not dominated)
+    and points a step off them on one coordinate (exact ties elsewhere)."""
+
+    def signed(point):
+        return tuple(-0.0 if x == 0.0 and rng.random() < 0.5 else x for x in point)
+
+    points = [signed(p) for p in grid_points(rng, dims, n_buffered)]
+    probes = [signed(p) for p in grid_points(rng, dims, n_probes)]
+    for j in range(0, n_probes, 3):
+        p = list(points[rng.randrange(n_buffered)])
+        if j % 2:
+            d = rng.randrange(dims)
+            p[d] += rng.choice((-1, 1)) / 8
+        probes[j] = signed(p)
+    return points, probes
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+@pytest.mark.parametrize(
+    "n_buffered, n_probes",
+    [
+        (1, 1),
+        (1, 40),
+        (7, 12),
+        (23, 56),
+        (64, 64),
+        (6, _BLOCK_SCAN_BUDGET // _PROBE_CHARGE),
+        (7, _BLOCK_SCAN_BUDGET // _PROBE_CHARGE + 1),
+    ],
+)
+def test_the_block_loop_matches_the_scalar_oracle_on_the_tie_grid(
+    n_buffered, n_probes, dims
+):
+    """The written-out block loop of widths 2–4 — alone, or with the pass
+    that takes over when its budget runs out — gives the oracle's
+    verdicts, as a list and packed, from tuples and from a matrix."""
+    rng = random.Random(100 * n_buffered + n_probes + dims)
+    points, probes = tie_grid_block(rng, dims, n_buffered, n_probes)
+    oracle = reference.DominationBuffer(dims, points=points)
+    buffer = DominationBuffer(dims, points=points)
+    expected = oracle.dominates_block(probes)
+    packed = oracle.dominates_block(probes, packed=True)
+    assert 0 < packed < (1 << n_probes) - 1 or n_probes < 3
+    for rows in (probes, np.asarray(probes)):
+        assert buffer.dominates_block(rows) == expected
+        assert buffer.dominates_block(rows, packed=True) == packed
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+def test_a_block_within_the_budget_makes_no_numpy_call(dims):
+    """Counted, not timed: with the matrix taken away, a BBS-sized block
+    the loop decides within its budget — 56 probes against 8 points stay
+    within it even if every probe misses the witness — still gets the
+    oracle's verdicts, from tuples and from a matrix; a block past the
+    budget reaches the matrix."""
+    rng = random.Random(dims)
+    points, probes = tie_grid_block(rng, dims, 8, 56)
+    assert (_PROBE_CHARGE + 8) * 56 <= _BLOCK_SCAN_BUDGET
+    oracle = reference.DominationBuffer(dims, points=points)
+    buffer = DominationBuffer(dims, points=points)
+    buffer._arr = None  # any numpy use now raises
+    for rows in (probes, np.asarray(probes)):
+        assert buffer.dominates_block(rows) == oracle.dominates_block(rows)
+        assert buffer.dominates_block(
+            rows, packed=True
+        ) == oracle.dominates_block(rows, packed=True)
+    undominated = [(-1.0,) * dims] * (_BLOCK_SCAN_BUDGET // 8)
+    with pytest.raises(TypeError):
+        buffer.dominates_block(undominated)
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+@pytest.mark.parametrize("n_buffered, n_probes", [(16, 56), (23, 56), (64, 64)])
+def test_an_undominated_block_hands_numpy_only_the_undecided_probes(
+    n_buffered, n_probes, dims, monkeypatch
+):
+    """A staircase none of whose steps dominates any probe: every probe
+    misses the witness and scans the whole buffer, so the loop decides
+    probes until the next miss would overdraw its budget — ``charge·m +
+    n·(j+1) > budget`` — and one pass tests exactly the probes from there
+    on."""
+    points = [
+        (i / n_buffered, 1.0 - i / n_buffered, *(0.0,) * (dims - 2))
+        for i in range(n_buffered)
+    ]
+    probes = [
+        (2.0 - j / n_probes, j / n_probes - 1.0, *(0.5,) * (dims - 2))
+        for j in range(n_probes)
+    ]
+    calls = []
+    block_dominates = dominate._block_dominates
+
+    def recording(block, tested, dims, other=None):
+        calls.append((len(block), [tuple(row) for row in tested.tolist()]))
+        return block_dominates(block, tested, dims, other)
+
+    monkeypatch.setattr(dominate, "_block_dominates", recording)
+    buffer = DominationBuffer(dims, points=points)
+    assert buffer.dominates_block(probes) == [False] * n_probes
+    decided = next(
+        j
+        for j in range(n_probes + 1)
+        if _PROBE_CHARGE * n_probes + n_buffered * (j + 1) > _BLOCK_SCAN_BUDGET
+    )
+    assert 0 < decided < n_probes
+    assert calls == [(n_buffered, probes[decided:])]
 
 
 @pytest.mark.parametrize("dims", [2, 3])

@@ -28,6 +28,7 @@ from repro.core.readers import SignatureAdapter
 from repro.data.fixtures import build_sweep_system, small_config, sweep_config
 from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_predicate
+from repro.kernels import dominate
 from repro.query.algorithm1 import (
     HeapEntry,
     PrunedList,
@@ -46,6 +47,7 @@ from repro.query.ranking import (
     WeightedSquaredDistance,
 )
 from repro.query.stats import QueryStats
+from repro.rtree.geometry import dominates
 from repro.rtree.rtree import RTree
 from repro.storage.buffer import BufferPool
 from repro.storage.counters import DBOOL, SBLOCK
@@ -1058,16 +1060,37 @@ def test_degraded_read_keeps_its_pop_time_tests(backend, exact, lost_read):
 # --------------------------------------------------------------------------- #
 
 
+def loop_decides(points, probes):
+    """How many of ``probes``, in order, the block loop of widths 2–4
+    decides before its comparison budget runs out: ``_PROBE_CHARGE`` per
+    probe up front, and the buffer's length for each probe the witness
+    (the last dominator found; the first buffered point to begin with)
+    misses."""
+    spent = dominate._PROBE_CHARGE * len(probes)
+    if spent > dominate._BLOCK_SCAN_BUDGET:
+        return 0
+    witness = points[0]
+    for j, probe in enumerate(probes):
+        if dominates(witness, probe):
+            continue
+        spent += len(points)
+        if spent > dominate._BLOCK_SCAN_BUDGET:
+            return j
+        witness = next((s for s in points if dominates(s, probe)), witness)
+    return len(probes)
+
+
 @contextmanager
 def counting_expansions():
     """Count what the reads inside the block did per expansion: calls of
     ``dominates_block`` (and how many met an empty buffer or exceeded the
-    one-pass bound), ``_block_dominates`` passes, block key sums, pruned
-    runs turned into entries, heap entries built and heap pushes."""
+    one-pass bound; of the others, how many probes the block loop's budget
+    leaves undecided), ``_block_dominates`` passes and the probes they
+    test, block key sums, pruned runs turned into entries, heap entries
+    built and heap pushes."""
     import heapq as real_heapq
     from types import SimpleNamespace
 
-    from repro.kernels import dominate
     from repro.kernels.dominate import DominationBuffer
     from repro.query import algorithm1
     from repro.rtree import node as node_module
@@ -1089,7 +1112,18 @@ def counting_expansions():
             counts["empty_buffer"] += 1
         elif len(self) * len(probes) > dominate._ONE_PASS_PAIRS:
             counts["escalated"] += 1
+        else:
+            undecided = len(probes) - loop_decides(self._points, probes)
+            counts["over_budget"] += undecided > 0
+            counts["undecided"] += undecided
         return real_block(self, probes, **kwargs)
+
+    real_pass = dominate._block_dominates
+
+    def block_pass(block, probes, dims, other=None):
+        counts["passes"] += 1
+        counts["probes_passed"] += len(probes)
+        return real_pass(block, probes, dims, other)
 
     shim = SimpleNamespace(
         heapify=real_heapq.heapify,
@@ -1098,10 +1132,7 @@ def counting_expansions():
     )
     with (
         mock.patch.object(DominationBuffer, "dominates_block", dominates_block),
-        mock.patch.object(
-            dominate, "_block_dominates",
-            counted("passes", dominate._block_dominates),
-        ),
+        mock.patch.object(dominate, "_block_dominates", block_pass),
         mock.patch.object(
             node_module, "sum_block", counted("key_sums", node_module.sum_block)
         ),
@@ -1122,19 +1153,35 @@ def counting_expansions():
 def test_an_expansion_is_one_domination_call_and_one_pass(
     system, backend, name, n_conjuncts
 ):
+    """One ``dominates_block`` call per expansion, and at most one numpy
+    pass in it: none while the block loop's comparison budget lasts, one
+    over exactly the probes the loop left once it runs out."""
     predicate = predicate_for(system, n_conjuncts)
     with on_kernels(backend), counting_expansions() as counts:
         result = run_query(system, name, predicate)
     stats = result.stats
     assert counts["dominates_block"] == stats.nodes_expanded > 1
     # Buffer × block stays under the one-pass bound on this tree, so every
-    # call that has a buffer to test against is exactly one kernel pass.
+    # call that has a buffer to test against is the width's loop.
     assert counts["escalated"] == 0 < counts["empty_buffer"]
+    # The loop decides each block alone: its budget outlasts blocks of 12.
+    assert counts["over_budget"] == counts["passes"] == 0
     if backend == "numpy":
-        assert counts["passes"] == stats.nodes_expanded - counts["empty_buffer"]
-    else:
-        # The oracle's buffer scans per probe: no product pass at all.
-        assert counts["passes"] == 0
+        # Where the budget runs out — here one that a full block of 12
+        # overdraws with its probes' charge alone, and that leaves a
+        # smaller block a few comparisons — one numpy pass tests the
+        # probes the loop left undecided, no more, and the read is the
+        # same read.
+        budget = dominate._PROBE_CHARGE * 12 - 1
+        with (
+            mock.patch.object(dominate, "_BLOCK_SCAN_BUDGET", budget),
+            counting_expansions() as tight,
+        ):
+            assert result_facts(
+                run_query(system, name, predicate)
+            ) == result_facts(result)
+        assert tight["passes"] == tight["over_budget"] > 0
+        assert tight["probes_passed"] == tight["undecided"] > 0
     # A served read builds the root and what it pushes, and leaves what it
     # pruned as masks.
     assert counts["pushes"] > stats.results
