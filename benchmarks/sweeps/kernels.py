@@ -132,7 +132,7 @@ def run_kernels_benchmark(seed: int = 7) -> dict[str, Any]:
 
     def bf_topk(fn):
         return lambda s: boolean_first_topk(
-            s.relation, s.indexes, fn, _TOPK_K, _EMPTY
+            s.engine.relation, s.indexes, fn, _TOPK_K, _EMPTY
         )
 
     figures = {
@@ -143,7 +143,7 @@ def run_kernels_benchmark(seed: int = 7) -> dict[str, Any]:
                     SKYLINE_SIZES,
                     anticorrelated,
                     lambda s: boolean_first_skyline(
-                        s.relation, s.indexes, _EMPTY
+                        s.engine.relation, s.indexes, _EMPTY
                     ),
                 ),
                 "naive-anticorrelated": one(
@@ -167,7 +167,7 @@ def run_kernels_benchmark(seed: int = 7) -> dict[str, Any]:
         "kernels_search": {
             "series": {
                 "bbs-anticorrelated": sweep(
-                    SEARCH_SIZES, anticorrelated, lambda s: bbs_skyline(s.rtree)
+                    SEARCH_SIZES, anticorrelated, lambda s: bbs_skyline(s.engine.rtree)
                 ),
                 "ranking": one(
                     TOPK_SIZES[0],
@@ -194,8 +194,9 @@ def run_kernels_benchmark(seed: int = 7) -> dict[str, Any]:
 
 
 def _ranking(system) -> tuple[Any, QueryStats]:
+    engine = system.engine
     ranked, stats, _ = ranking_topk(
-        system.relation, system.rtree, _LINEAR, _TOPK_K, _EMPTY
+        engine.relation, engine.rtree, _LINEAR, _TOPK_K, _EMPTY
     )
     return ranked, stats
 

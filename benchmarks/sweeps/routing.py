@@ -149,7 +149,6 @@ def run_routing_benchmark(
     workload = zipfian_workload(
         system.relation, rng, n_queries, n_templates=n_templates
     )
-    system.enable_epochs()
     snapshot = system.pin_snapshot()
     series: dict[str, Any] = {}
 

@@ -136,13 +136,15 @@ def fig06_size(ctx: BenchContext) -> dict[str, Any]:
 
 def skyline_methods(system, predicate) -> dict[str, QueryStats]:
     """One skyline query on every engine of Figures 8-12 and 14, answers
-    checked against each other: series name → the engine's stats."""
-    sig = system.engine.skyline(predicate)
+    checked against each other: series name → the engine's stats.  Every
+    engine reads the published snapshot ``system.engine`` is bound to."""
+    engine = system.engine
+    sig = engine.skyline(predicate)
     bool_tids, bool_stats = boolean_first_skyline(
-        system.relation, system.indexes, predicate
+        engine.relation, system.indexes, predicate
     )
     dom_tids, dom_stats, _ = domination_first_skyline(
-        system.relation, system.rtree, predicate
+        engine.relation, engine.rtree, predicate
     )
     if not set(sig.tids) == set(bool_tids) == set(dom_tids):
         raise AssertionError(
@@ -157,17 +159,19 @@ def skyline_methods(system, predicate) -> dict[str, QueryStats]:
 
 def topk_methods(system, fn, k: int, predicate) -> dict[str, QueryStats]:
     """One top-k query on every engine of Figure 13, scores checked against
-    each other: series name → the engine's stats."""
-    relation = system.relation
-    sig = system.engine.topk(fn, k, predicate)
+    each other: series name → the engine's stats (one snapshot, as in
+    :func:`skyline_methods`)."""
+    engine = system.engine
+    relation = engine.relation
+    sig = engine.topk(fn, k, predicate)
     ranked_bool, bool_stats = boolean_first_topk(
         relation, system.indexes, fn, k, predicate
     )
     ranked_rank, rank_stats, _ = ranking_topk(
-        relation, system.rtree, fn, k, predicate
+        relation, engine.rtree, fn, k, predicate
     )
     ranked_merge, merge_stats = index_merge_topk(
-        system.rtree, system.indexes, fn, k, predicate
+        engine.rtree, system.indexes, fn, k, predicate
     )
     reference = [round(score, 9) for score in sig.scores]
     for other in (ranked_bool, ranked_rank, ranked_merge):

@@ -50,11 +50,12 @@ def _full_intersection(store, predicate, pool, stats):
 
 def _skyline_with(system, make_reader):
     stats = QueryStats()
-    pool = BufferPool(system.rtree.disk, capacity=4096)
+    rtree = system.engine.rtree
+    pool = BufferPool(rtree.disk, capacity=4096)
     reader = make_reader(pool, stats)
     state = run_algorithm1(
-        system.rtree,
-        SkylineStrategy(system.rtree.dims),
+        rtree,
+        SkylineStrategy(rtree.dims),
         stats,
         reader=reader,
         pool=pool,

@@ -23,6 +23,7 @@ N_QUERIES = 5
 def bloom_comparison(bench_context):
     system = bench_context.system(SWEEP_SIZES[0])
     relation = system.relation
+    rtree = system.engine.rtree
     rng = random.Random(18)
     queries = [sample_predicate(relation, 1, rng) for _ in range(N_QUERIES)]
 
@@ -39,8 +40,8 @@ def bloom_comparison(bench_context):
         from repro.core.readers import SignatureAdapter
 
         run_algorithm1(
-            system.rtree,
-            SkylineStrategy(system.rtree.dims),
+            rtree,
+            SkylineStrategy(rtree.dims),
             stats,
             reader=SignatureAdapter(signature),
         )
@@ -57,8 +58,8 @@ def bloom_comparison(bench_context):
             total_bytes += bloom.size_bytes()
             stats = QueryStats()
             state = run_algorithm1(
-                system.rtree,
-                SkylineStrategy(system.rtree.dims),
+                rtree,
+                SkylineStrategy(rtree.dims),
                 stats,
                 reader=BloomConjunction([bloom]),
                 verifier=lambda tid, p=predicate: p.matches(relation, tid),

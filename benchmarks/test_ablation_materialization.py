@@ -13,13 +13,13 @@ import time
 import pytest
 
 from benchmarks.conftest import SWEEP_FANOUT, fmt_seconds, print_table, sweep_config
-from repro.core.integrity import iter_cell_checks
 from repro.core.pcube import PCube
 from repro.cube.cuboid import Cuboid, atomic_cuboids
 from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_predicate
 from repro.query.session import QuerySession
 from repro.rtree.bulk import bulk_load
+from repro.rtree.frozen import freeze
 
 T = 20_000
 N_QUERIES = 8
@@ -54,10 +54,16 @@ def materialization_comparison():
     rng = random.Random(20)
     atomic_io = rich_io = 0
     atomic_ssig = rich_ssig = 0
+    # Each cube as a query reads it (no epoch manager: view 0 is current).
+    view, frozen = relation.view(0), freeze(rtree)
+    on_atomic, on_rich = (
+        QuerySession(view, frozen, cube.view(view, frozen, cube.store))
+        for cube in (atomic, rich)
+    )
     for _ in range(N_QUERIES):
         predicate = sample_predicate(relation, 2, rng)
-        on_a = QuerySession(relation, rtree, atomic).skyline(predicate)
-        on_r = QuerySession(relation, rtree, rich).skyline(predicate)
+        on_a = on_atomic.skyline(predicate)
+        on_r = on_rich.skyline(predicate)
         assert set(on_a.tids) == set(on_r.tids)
         atomic_io += on_a.stats.sblock
         rich_io += on_r.stats.sblock
@@ -76,7 +82,6 @@ def materialization_comparison():
             rich_io / N_QUERIES,
             rich_ssig / N_QUERIES,
         ),
-        "built": (relation, rtree, rich),
     }
 
 
@@ -109,21 +114,3 @@ def test_ablation_materialization_depth(materialization_comparison):
     # of two atomic cells sets exactly the pair cell's bits.
     assert rich_sblock == atomic_sblock
     assert comparison["rich"][3] <= comparison["atomic"][3]
-
-
-def test_audit_lattice_rule_on_the_rich_cuboids(materialization_comparison):
-    """The audit's "assembled ≡ generated for every materialised pair"
-    (``core/integrity.py``) over every pair cell of the rich P-Cube."""
-    relation, rtree, rich = materialization_comparison["built"]
-    pairs = 0
-    for cell, problems in iter_cell_checks(
-        relation,
-        rtree.all_paths(),
-        rich.cuboids,
-        rich.fanout,
-        rich.signature_of,
-    ):
-        assert problems == [], cell
-        pairs += len(cell.dims) == 2
-    print(f"\naudit: {pairs} materialised pair cells, assembled ≡ generated")
-    assert pairs > 100

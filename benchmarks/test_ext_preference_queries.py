@@ -49,7 +49,7 @@ def extension_comparison():
     # search + verification), for the pruning-benefit column.
     blind_stats = QueryStats()
     run_algorithm1(
-        system.rtree,
+        engine.rtree,
         DynamicSkylineStrategy(query_point),
         blind_stats,
         reader=None,

@@ -52,7 +52,8 @@ def main() -> None:
             predicate = predicate.drill_down(
                 dim, relation.bool_value(anchor, dim)
             )
-        sig = system.engine.skyline(predicate)
+        engine = system.engine  # every method reads its snapshot
+        sig = engine.skyline(predicate)
         print(
             f"{n_preds:<7} {'Signature':<12} "
             f"{sig.stats.elapsed_seconds * 1000:>9.1f} "
@@ -60,7 +61,7 @@ def main() -> None:
             f"{len(sig):>8}"
         )
         bool_tids, bool_stats = boolean_first_skyline(
-            relation, system.indexes, predicate
+            engine.relation, system.indexes, predicate
         )
         print(
             f"{'':<7} {'Boolean':<12} "
@@ -69,7 +70,7 @@ def main() -> None:
             f"{len(bool_tids):>8}"
         )
         dom_tids, dom_stats, _ = domination_first_skyline(
-            relation, system.rtree, predicate
+            engine.relation, engine.rtree, predicate
         )
         print(
             f"{'':<7} {'Domination':<12} "

@@ -4,7 +4,9 @@
 Builds a system, then interleaves insertions (with R-tree node splits),
 deletions (with tree condensation) and updates while running queries —
 demonstrating Section IV-B.3's incremental signature maintenance and
-verifying answers against a brute-force oracle after every phase.
+verifying answers against a brute-force oracle after every phase.  Every
+write goes through the system's WAL-protected methods, each of which
+publishes the epoch ``system.engine`` reads next.
 
 Run:  python examples/incremental_updates.py
 """
@@ -14,12 +16,6 @@ import time
 
 from repro import BooleanPredicate, build_system
 from repro.baselines.naive import naive_skyline
-from repro.core.maintenance import (
-    delete_tuple,
-    insert_batch,
-    insert_tuple,
-    update_tuple,
-)
 from repro.data.synthetic import SyntheticConfig, generate_relation
 
 
@@ -65,7 +61,7 @@ def main() -> None:
             (rng.randrange(20), rng.randrange(20), rng.randrange(20)),
             (rng.random(), rng.random()),
         )
-        tid, dirty = insert_tuple(relation, system.rtree, system.pcube, *row)
+        tid, dirty = system.insert(*row)
         alive.add(tid)
     per_tuple = (time.perf_counter() - started) / 100
     print(f"\n100 single inserts: {per_tuple * 1000:.2f} ms/tuple")
@@ -80,7 +76,7 @@ def main() -> None:
         for _ in range(100)
     ]
     started = time.perf_counter()
-    tids, dirty = insert_batch(relation, system.rtree, system.pcube, rows)
+    tids, dirty = system.insert_batch(rows)
     per_batched = (time.perf_counter() - started) / len(rows)
     alive.update(tids)
     print(
@@ -94,7 +90,7 @@ def main() -> None:
     victims = rng.sample(sorted(alive), 500)
     started = time.perf_counter()
     for tid in victims:
-        delete_tuple(relation, system.rtree, system.pcube, tid)
+        system.delete(tid)
         alive.discard(tid)
     print(
         f"\n500 deletes: "
@@ -106,13 +102,7 @@ def main() -> None:
     movers = rng.sample(sorted(alive), 200)
     started = time.perf_counter()
     for tid in movers:
-        update_tuple(
-            relation,
-            system.rtree,
-            system.pcube,
-            tid,
-            (rng.random(), rng.random()),
-        )
+        system.update(tid, (rng.random(), rng.random()))
     print(
         f"200 updates:  "
         f"{(time.perf_counter() - started) / 200 * 1000:.2f} ms/tuple"

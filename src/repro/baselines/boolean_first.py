@@ -115,9 +115,8 @@ def select_tuples(
     is the one reason for the per-row loop.  When no ticker is installed,
     scans run page-at-a-time against the columnar projection — identical
     answers and counted ``BTABLE``/``BINDEX`` reads (each heap page is
-    read through :meth:`Relation.scan_pages` exactly where
-    :meth:`Relation.scan` would read it), with the per-tuple predicate
-    work vectorized.
+    read through :meth:`~repro.cube.relation.RelationView.scan_pages`),
+    with the per-tuple predicate work vectorized.
     """
     use_vector = ticker is None
     conjuncts = predicate.conjuncts

@@ -21,6 +21,6 @@ This package is the paper's primary contribution (Section IV):
 
 from repro.core.pcube import PCube
 from repro.core.signature import Signature
-from repro.core.sid import path_of_sid, sid_of_path
+from repro.core.sid import sid_of_path
 
-__all__ = ["PCube", "Signature", "path_of_sid", "sid_of_path"]
+__all__ = ["PCube", "Signature", "sid_of_path"]

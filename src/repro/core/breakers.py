@@ -35,7 +35,7 @@ class CircuitBreaker:
     def __init__(self) -> None:
         self.state = CLOSED
         self.failures = 0
-        self.opened_epoch: int | None = None
+        self.opened_epoch = 0
         self.probing = False
 
 
@@ -46,12 +46,14 @@ class BreakerBoard:
     :meth:`~repro.core.store.SignatureStore.load_partial` loads, so one bad
     page never poisons the whole cell's other partials.
 
-    Epoch healing needs no hook into the epoch manager: a breaker records
-    the epoch it opened in, and :meth:`allow` compares it with the epoch of
-    the *querying snapshot* — the first query of a newer epoch finds the
-    breaker half-open and probes the (by then possibly rebuilt) pages.
-    Live sessions (``epoch=None``) heal through :meth:`reset` instead,
-    which the store calls when a quarantined cell is rebuilt.
+    Healing needs no hook into the epoch manager or the store: a breaker
+    records the epoch it opened in, and :meth:`allow` compares it with the
+    epoch of the *querying snapshot* — the first query of a newer epoch
+    finds the breaker half-open and probes the (by then possibly rebuilt)
+    pages.  Every repair publishes an epoch
+    (:meth:`~repro.system.PCubeSystem.repair_quarantined` and every
+    maintenance op run under the single-writer protocol), so that one
+    comparison is the only way back to closed.
     """
 
     def __init__(self, threshold: int = 3) -> None:
@@ -73,7 +75,7 @@ class BreakerBoard:
             breaker = self._breakers[key] = CircuitBreaker()
         return breaker
 
-    def allow(self, cell_id: str, ref_sid: int, epoch: int | None) -> bool:
+    def allow(self, cell_id: str, ref_sid: int, epoch: int) -> bool:
         """May this query attempt the load?  ``False`` = degrade, zero I/O.
 
         In half-open state exactly one in-flight probe is allowed; every
@@ -83,12 +85,7 @@ class BreakerBoard:
             breaker = self._breakers.get((cell_id, ref_sid))
             if breaker is None or breaker.state == CLOSED:
                 return True
-            if (
-                breaker.state == OPEN
-                and epoch is not None
-                and breaker.opened_epoch is not None
-                and epoch > breaker.opened_epoch
-            ):
+            if breaker.state == OPEN and epoch > breaker.opened_epoch:
                 # A newer epoch was published since the breaker opened —
                 # maintenance may have rebuilt the cell.  Probe it.
                 breaker.state = HALF_OPEN
@@ -109,12 +106,9 @@ class BreakerBoard:
                 self.healed += 1
             breaker.state = CLOSED
             breaker.failures = 0
-            breaker.opened_epoch = None
             breaker.probing = False
 
-    def record_failure(
-        self, cell_id: str, ref_sid: int, epoch: int | None
-    ) -> None:
+    def record_failure(self, cell_id: str, ref_sid: int, epoch: int) -> None:
         """One fault/corrupt load; may trip the breaker open."""
         with self._lock:
             breaker = self._get(cell_id, ref_sid)
@@ -135,16 +129,6 @@ class BreakerBoard:
                 breaker.opened_epoch = epoch
                 breaker.failures = 0
                 self.opened += 1
-
-    def reset(self, cell_id: str) -> None:
-        """Close every breaker of a cell (called after a rebuild)."""
-        with self._lock:
-            for (owner, _), breaker in self._breakers.items():
-                if owner == cell_id:
-                    breaker.state = CLOSED
-                    breaker.failures = 0
-                    breaker.opened_epoch = None
-                    breaker.probing = False
 
     def state_of(self, cell_id: str, ref_sid: int) -> str:
         with self._lock:

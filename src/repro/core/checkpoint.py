@@ -15,10 +15,9 @@ flat in total WAL length.
 runs under :meth:`EpochManager.exclusive ` — the writer lock *without* a
 building epoch — so no maintenance operation can interleave with the copy,
 while readers keep serving the published snapshot untouched (the
-checkpointer is just another reader of quiescent structures).  Without
-epochs the caller owns write quiescence, same as every other
-single-threaded use of the system.  A pending WAL operation refuses the
-checkpoint outright: a checkpoint must capture a committed state.
+checkpointer is just another reader of quiescent structures).  A pending
+WAL operation refuses the checkpoint outright: a checkpoint must capture a
+committed state.
 
 **Commit point.**  Row chunk pages (``ckpt:c<N>:rows``) are written
 first, the manifest page (``ckpt:c<N>:manifest``) last — the ``ckpt``
@@ -41,7 +40,6 @@ never happened — exactly the committed-prefix contract
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -140,12 +138,7 @@ class CheckpointManager:
                 only).
         """
         system = self.system
-        guard = (
-            system.epochs.exclusive()
-            if system.epochs is not None
-            else nullcontext()
-        )
-        with guard:
+        with system.epochs.exclusive():
             if system.wal.pending() is not None:
                 raise CheckpointError(
                     "the WAL holds an uncommitted operation; run recover() "
@@ -159,9 +152,7 @@ class CheckpointManager:
         disk = system.disk
         checkpoint_id = self._next_id()
         watermark = system.wal.next_lsn
-        epoch = (
-            system.epochs.current_epoch if system.epochs is not None else 0
-        )
+        epoch = system.epochs.current_epoch
         schema = relation.schema
         row_bytes = _ROW_HEADER_BYTES + _VALUE_BYTES * (
             schema.n_boolean + schema.n_preference

@@ -92,9 +92,8 @@ class EpochManager:
     """Publishes snapshots of a (relation, R-tree, P-Cube) triple.
 
     Installing the manager rewires the structures' epoch clock and free
-    hooks; from then on the live objects remain fully usable for
-    paper-comparable single-threaded work, while pinned snapshots provide
-    the isolated read surface for concurrent serving.
+    hooks; from then on the live objects are what the single writer
+    changes, and the published snapshots are what every query reads.
     """
 
     def __init__(
@@ -129,11 +128,15 @@ class EpochManager:
     # ------------------------------------------------------------------ #
 
     def _clock(self) -> int:
-        """The epoch mutations are stamped with *right now*."""
+        """The epoch mutations are stamped with *right now*: the building
+        epoch, or — for a write outside :meth:`write` (the bare
+        maintenance drivers) — the next one, so that the published
+        snapshot, whose frozen tree the write did not reach, does not see
+        it in its relation view either."""
         building = self._building
         if building is not None:
             return building
-        return self._current.epoch
+        return self._current.epoch + 1
 
     def _defer_free(self, page_id: int) -> None:
         """Logically free a page; physical free waits for the barrier."""
@@ -149,6 +152,11 @@ class EpochManager:
     # ------------------------------------------------------------------ #
     # reading
     # ------------------------------------------------------------------ #
+
+    @property
+    def current(self) -> Snapshot:
+        """The snapshot published last (unpinned)."""
+        return self._current
 
     @property
     def current_epoch(self) -> int:

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.core.readers import AssembledReader, SignatureAdapter
-from repro.core.sid import path_of_sid
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cell, Cuboid
 
@@ -65,35 +63,6 @@ def rtree_partition_problems(
     ]
 
 
-def lattice_problems(
-    cell: Cell, stored: Signature, atoms: Sequence[Signature], leaf_depth: int
-) -> list[str]:
-    """The cuboid-lattice rule for a materialised multi-dimensional cell,
-    "assembled ≡ generated": the on-demand assembly of its atomic factors
-    (the reader queries run, here over the factors' full signatures) sets
-    exactly the bits of the cell's own generated signature, node by node,
-    and both stay under the factors' plain AND."""
-    assembled = AssembledReader(
-        [SignatureAdapter(atom) for atom in atoms], leaf_depth
-    )
-    for sid in sorted({*stored.node_sids(), *atoms[0].node_sids()}):
-        bits = stored.node(sid)
-        generated = bits.mask if bits is not None else 0
-        if assembled.check_block(path_of_sid(sid, stored.fanout), -1) != generated:
-            return [
-                f"cell {cell}: stored signature diverges from the assembly "
-                f"of its atomic cells at node {sid}"
-            ]
-        for atom in atoms:
-            bits = atom.node(sid)
-            if generated & ~(bits.mask if bits is not None else 0):
-                return [
-                    f"cell {cell}: node {sid} has bits outside its atomic "
-                    f"cells' AND"
-                ]
-    return []
-
-
 def check_cell(
     cell: Cell,
     member_tids: Sequence[int],
@@ -101,13 +70,15 @@ def check_cell(
     live: set[int],
     fanout: int,
     load_signature: Callable[[Cell], Signature],
-    leaf_depth: int | None = None,
 ) -> list[str]:
-    """One cell's invariants: the stored signature must equal a fresh
-    rebuild from the live members' R-tree paths; with a ``leaf_depth`` (the
-    caller vouches that the cell's atomic factors are materialised) it must
-    also satisfy :func:`lattice_problems`."""
-    problems: list[str] = []
+    """One cell's invariant: the stored signature must equal a fresh
+    rebuild from the live members' R-tree paths.
+
+    A materialised multi-dimensional cell needs no rule of its own: when it
+    and its atomic factors each equal their rebuilds, the on-demand
+    assembly of the factors (the reader queries run) equals it too, so any
+    damage a lattice rule could see is already reported here, for the
+    damaged cell itself."""
     member_paths = [
         paths[tid] for tid in member_tids if tid in live and tid in paths
     ]
@@ -115,21 +86,13 @@ def check_cell(
     try:
         stored = load_signature(cell)
     except Exception as exc:
-        problems.append(f"cell {cell}: unreadable ({exc!r})")
-        return problems
+        return [f"cell {cell}: unreadable ({exc!r})"]
     if stored != expected:
-        problems.append(
+        return [
             f"cell {cell}: stored signature diverges from the R-tree "
             f"partition"
-        )
-    if leaf_depth is not None:
-        try:
-            atoms = [load_signature(atom) for atom in cell.atoms()]
-        except Exception as exc:
-            problems.append(f"cell {cell}: atomic cell unreadable ({exc!r})")
-        else:
-            problems.extend(lattice_problems(cell, stored, atoms, leaf_depth))
-    return problems
+        ]
+    return []
 
 
 def iter_cell_checks(
@@ -147,22 +110,11 @@ def iter_cell_checks(
     stored signature must have gone empty, not stale.
     """
     live = {tid for tid in relation.live_tids()}
-    cuboids = list(cuboids)
-    atomic_dims = {c.dims[0] for c in cuboids if len(c.dims) == 1}
-    # Leaf nodes sit one level above the tuples a path addresses.
-    leaf_depth = len(next(iter(paths.values()), (0,))) - 1
     for cuboid in cuboids:
-        in_lattice = len(cuboid.dims) > 1 and atomic_dims.issuperset(cuboid.dims)
         groups = cuboid.group(relation, include_tombstoned=True)
         for cell in sorted(groups, key=lambda c: c.cell_id):
             yield cell, check_cell(
-                cell,
-                groups[cell],
-                paths,
-                live,
-                fanout,
-                load_signature,
-                leaf_depth if in_lattice else None,
+                cell, groups[cell], paths, live, fanout, load_signature
             )
 
 
@@ -208,7 +160,6 @@ __all__ = [
     "check_cell",
     "expected_cell_ids",
     "iter_cell_checks",
-    "lattice_problems",
     "rtree_partition_problems",
     "store_directory_problems",
 ]

@@ -113,20 +113,13 @@ class PathColumns:
 class ReaderFactory:
     """The query-side face of a P-Cube: turning predicates into readers.
 
-    Mixin shared by the live :class:`PCube` and the per-epoch
-    :class:`PCubeView`.  It only touches the duck-typed attributes both
-    provide — ``store`` (live store or :class:`~repro.core.store.StoreView`),
-    ``rtree`` (live tree or :class:`~repro.rtree.frozen.FrozenRTree`),
-    ``relation`` (live relation or
+    The base of :class:`PCubeView`, one epoch's cube — the only thing a
+    query reads (the live :class:`PCube` is what maintenance writes).  It
+    touches ``store`` (a :class:`~repro.core.store.StoreView`), ``rtree``
+    (a :class:`~repro.rtree.frozen.FrozenRTree`), ``relation`` (a
     :class:`~repro.cube.relation.RelationView`), ``cuboids`` and
-    ``fanout`` — so the same cover choice, assembly and degraded-mode
-    fallback serve both the single-query and the snapshot-isolated
-    concurrent paths.
+    ``fanout``.
     """
-
-    def materialised_cell(self, cell: Cell) -> bool:
-        """Whether this exact cell's signature is stored."""
-        return self.store.has_cell(cell)
 
     def reader_for_cells(
         self,
@@ -137,7 +130,8 @@ class ReaderFactory:
         breakers: "BreakerBoard | None" = None,
         epoch: int | None = None,
     ):
-        """A boolean-prune reader for the conjunction of ``cells``.
+        """A boolean-prune reader for the conjunction of ``cells``, each a
+        materialised cell (a cover, :meth:`cover_for_dims`).
 
         Every cell reads lazily from the store; a conjunction of several is
         an :class:`~repro.core.readers.AssembledReader` — the paper's exact
@@ -149,18 +143,6 @@ class ReaderFactory:
             raise ValueError("reader_for_cells needs at least one cell")
         if stats is None:
             stats = QueryStats()
-        resolved: list[Cell] = []
-        for cell in cells:
-            if self.materialised_cell(cell):
-                resolved.append(cell)
-                continue
-            # Fall back to the cell's atomic factors (always materialised).
-            for atom in cell.atoms():
-                if not self.materialised_cell(atom):
-                    # The atomic cell has no partials: no tuple carries this
-                    # value, so the conjunction is empty.
-                    return EmptyReader()
-                resolved.append(atom)
         readers = [
             CellSignatureReader(
                 self.store,
@@ -172,7 +154,7 @@ class ReaderFactory:
                 breakers=breakers,
                 epoch=epoch,
             )
-            for cell in resolved
+            for cell in cells
         ]
         if len(readers) == 1:
             return readers[0]
@@ -207,7 +189,7 @@ class ReaderFactory:
                     cuboid.dims,
                     tuple(remaining[dim] for dim in cuboid.dims),
                 )
-                if not self.materialised_cell(cell):
+                if not self.store.has_cell(cell):
                     # The cuboid is materialised but this cell has no
                     # partials: no tuple carries this value combination.
                     return None
@@ -328,7 +310,7 @@ class PCubeView(ReaderFactory):
         self.fanout = fanout
 
 
-class PCube(ReaderFactory):
+class PCube:
     """Signature-based materialisation over the boolean dimensions.
 
     Args:
@@ -341,7 +323,7 @@ class PCube(ReaderFactory):
 
     The stored signatures are the cube's only copy of its measure: an
     incremental update edits a cell's stored bits along the changed paths
-    (:meth:`apply_changes`).
+    (:meth:`apply_changes`).  Queries read an epoch's :meth:`view` of it.
     """
 
     def __init__(
@@ -471,7 +453,7 @@ class PCube(ReaderFactory):
     def signature_of(self, cell: Cell) -> Signature:
         """The stored (bitmap) signature of a materialised cell, reassembled
         without access accounting (tests and maintenance)."""
-        if not self.materialised_cell(cell):
+        if not self.store.has_cell(cell):
             return Signature(self.fanout)
         return self.store.load_full_signature(cell)
 

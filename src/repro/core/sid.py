@@ -40,26 +40,6 @@ def sid_of_path(path: Sequence[int], fanout: int) -> int:
     return sid
 
 
-def path_of_sid(sid: int, fanout: int) -> tuple[int, ...]:
-    """Invert :func:`sid_of_path`.
-
-    Raises:
-        ValueError: if ``sid`` is not the image of any valid path.
-    """
-    if sid < 0:
-        raise ValueError("SIDs are non-negative")
-    base = fanout + 1
-    components: list[int] = []
-    while sid:
-        digit = sid % base
-        if digit == 0:
-            raise ValueError(f"{sid} is not a valid SID for fanout {fanout}")
-        components.append(digit)
-        sid //= base
-    components.reverse()
-    return tuple(components)
-
-
 def child_sid(sid: int, position: int, fanout: int) -> int:
     """SID of the child at 1-based ``position`` under node ``sid``."""
     if not 1 <= position <= fanout:

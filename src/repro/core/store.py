@@ -146,7 +146,8 @@ class _DirectoryReads:
     ) -> CellSignatureReader:
         """A bare reader of one cell (tests, ablations), bumping ``stats``
         or a fresh record; a query's reader comes from
-        :meth:`PCube.reader_for_cells` with its plumbing."""
+        :meth:`~repro.core.pcube.ReaderFactory.reader_for_cells` with its
+        plumbing."""
         if stats is None:
             stats = QueryStats()
         return CellSignatureReader(self, cell, pool, stats, fallback)
@@ -188,12 +189,6 @@ class SignatureStore(_DirectoryReads):
         #: ``disk.free`` — the epoch manager defers them until no pinned
         #: snapshot directory can still reference the page.
         self.free_hook: Callable[[int], None] | None = None
-        #: When set, called with a cell id whenever that cell's quarantine
-        #: is lifted (a rebuild made its pages readable again).  The
-        #: serving executor points this at its breaker board so live
-        #: sessions heal immediately; epoch-bound sessions heal through
-        #: epoch comparison regardless.
-        self.on_cell_rebuilt: Callable[[str], None] | None = None
 
     def _free_sig_page(self, page_id: int) -> None:
         if self.free_hook is not None:
@@ -349,9 +344,7 @@ class SignatureStore(_DirectoryReads):
         ]
 
     def clear_quarantine(self, cell: Cell) -> None:
-        was_quarantined = self._quarantined.pop(cell.cell_id, None)
-        if was_quarantined is not None and self.on_cell_rebuilt is not None:
-            self.on_cell_rebuilt(cell.cell_id)
+        self._quarantined.pop(cell.cell_id, None)
 
     # ------------------------------------------------------------------ #
     # reading

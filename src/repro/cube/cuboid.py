@@ -42,12 +42,6 @@ class Cell:
             for dim, value in zip(self.dims, self.values)
         )
 
-    def atoms(self) -> tuple["Cell", ...]:
-        """The one-dimensional cells whose conjunction equals this cell."""
-        return tuple(
-            Cell((dim,), (value,)) for dim, value in zip(self.dims, self.values)
-        )
-
     def __str__(self) -> str:
         return self.cell_id
 

@@ -1,12 +1,5 @@
 """The base relation, stored as a paged heap file.
 
-Two access paths matter to the baselines:
-
-* :meth:`Relation.scan_pages` — a full table scan, reading every heap page
-  once (the Boolean-first baseline may prefer this over an index scan);
-* :meth:`Relation.fetch` — a random access by tid, costing one page read
-  (what minimal probing pays per boolean verification, category ``DBOOL``).
-
 Multi-versioning: every mutation (append, tombstone, preference overwrite)
 is stamped with the epoch reported by :attr:`Relation.epoch_clock`, and
 :meth:`Relation.view` materialises a read-only :class:`RelationView` that
@@ -16,6 +9,16 @@ maintenance.  The plain accessors (``live_tids``, ``pref_point``, …) keep
 their historical latest-state semantics; only views filter.  With no epoch
 system attached the clock reads 0 and the version maps stay empty, so
 stand-alone use costs nothing.
+
+Queries read views only, and a view has the two access paths the
+baselines pay for:
+
+* :meth:`RelationView.scan_pages` — a full table scan, reading every heap
+  page once (the Boolean-first baseline may prefer this over an index
+  scan);
+* :meth:`RelationView.fetch` — a random access by tid, costing one page
+  read (what minimal probing pays per boolean verification, category
+  ``DBOOL``).
 """
 
 from __future__ import annotations
@@ -292,35 +295,6 @@ class Relation:
         self._columnar = (stamp, projection)
         return projection
 
-    def scan_pages(
-        self,
-        counters: IOCounters | None = None,
-        category: str = BTABLE,
-    ) -> Iterator[list[int]]:
-        """Full table scan, one heap page read at a time: yields each
-        page's raw tid list (tombstoned rows included — liveness is a row
-        property, the page is transferred anyway), so callers filter with
-        :meth:`is_live` or columnarly."""
-        for page_id in self._page_ids:
-            yield self.disk.read(page_id, category, counters)
-
-    def fetch(
-        self,
-        tid: int,
-        pool: BufferPool | None = None,
-        counters: IOCounters | None = None,
-        category: str = DBOOL,
-    ) -> tuple[tuple, tuple[float, ...]]:
-        """Random access by tid: one page read, then the full row."""
-        if not 0 <= tid < len(self):
-            raise IndexError(f"tid {tid} out of range")
-        page_id = self._page_ids[tid // self.rows_per_page]
-        if pool is not None:
-            pool.get(page_id, category, counters)
-        else:
-            self.disk.read(page_id, category, counters)
-        return self._bool_rows[tid], self._pref_rows[tid]
-
     # ------------------------------------------------------------------ #
     # multi-versioning
     # ------------------------------------------------------------------ #
@@ -399,12 +373,12 @@ class Relation:
 class RelationView:
     """The relation as it looked at one epoch — a read-only projection.
 
-    Duck-types what query code and the baselines read of a
-    :class:`Relation` — ``schema``, ``disk``, ``rows_per_page``, ``len()``,
+    What query code and the baselines read: the :class:`Relation` read
+    accessors (``schema``, ``disk``, ``rows_per_page``, ``len()``,
     ``is_live``, ``live_tids``, ``tids``, ``bool_row``, ``bool_value``,
-    ``pref_point``, ``heap_page_count``, ``columnar``, ``scan_pages`` and
-    ``fetch`` — so either runs it; every accessor filters by the pinned
-    epoch.
+    ``pref_point``, ``heap_page_count``, ``columnar``) plus the two counted
+    access paths, ``scan_pages`` and ``fetch``, which only a view has;
+    every accessor filters by the pinned epoch.
     Mutators are deliberately absent: maintenance goes through the base
     relation under the single-writer epoch protocol.
     """
@@ -484,9 +458,11 @@ class RelationView:
         counters: IOCounters | None = None,
         category: str = BTABLE,
     ) -> Iterator[list[int]]:
-        """:meth:`Relation.scan_pages` at the pinned epoch: the same counted
-        reads (including the one read that proves a page is out of range),
-        yielding raw tid lists clipped to the epoch's prefix."""
+        """Full table scan at the pinned epoch, one heap page read at a
+        time (including the one read that proves a page is out of range):
+        yields each page's raw tid list clipped to the epoch's prefix —
+        tombstoned rows included, since the page is transferred anyway, so
+        callers filter with :meth:`is_live` or columnarly."""
         limit = len(self)
         base = self._base
         for page_id in base._page_ids:
@@ -505,7 +481,8 @@ class RelationView:
         counters: IOCounters | None = None,
         category: str = DBOOL,
     ) -> tuple[tuple, tuple[float, ...]]:
-        """Random access by tid, resolving the epoch-correct pref row."""
+        """Random access by tid: one page read, then the full row at the
+        pinned epoch."""
         self._check(tid)
         base = self._base
         page_id = base._page_ids[tid // base.rows_per_page]

@@ -27,20 +27,23 @@ are carried over too (they were neither pruned nor reported).
 
 A session owns no mutable state of its own — it binds a (relation, R-tree,
 P-Cube) triple, a buffer-pool policy and optional serving hooks, and every
-query method produces a fresh :class:`QueryResult`.  The same class
-therefore serves two deployments:
+query method produces a fresh :class:`QueryResult`.  A system's sessions
+are built by :meth:`QuerySession.for_snapshot` over a published
+:class:`~repro.core.epoch.Snapshot` — its frozen tree, relation view and
+store view — and differ only in their pool:
 
-* **live / cold-pool** — bound to the live structures with no shared pool;
-  each query runs on a private :class:`~repro.storage.buffer.BufferPool`,
-  so disk-access counts stay a pure function of the query (the
-  paper-comparable mode; ``PCubeSystem.engine`` is such a session).
-* **snapshot / shared-pool** — built via :meth:`QuerySession.for_snapshot`
-  from a pinned :class:`~repro.core.epoch.Snapshot`, usually with a shared
-  pool.  Shared pools are accessed through a per-query
+* **cold pool** — no shared pool; each query runs on a private
+  :class:`~repro.storage.buffer.BufferPool`, so disk-access counts stay a
+  pure function of the query (the paper-comparable mode;
+  ``PCubeSystem.engine`` is such a session over the snapshot published
+  last).
+* **shared pool** — the serving executor's, accessed through a per-query
   :class:`~repro.storage.buffer.PoolView`, so ``QueryStats`` records this
-  query's hit/miss delta; the result's stats carry the snapshot epoch, and
-  the ticker (the serving executor's deadline/cancel probe) is invoked on
-  every Algorithm 1 heap pop.
+  query's hit/miss delta; the ticker (the executor's deadline/cancel
+  probe) is invoked on every Algorithm 1 heap pop.
+
+Either way the result's stats carry the snapshot epoch, and a drill-down
+or roll-up resumes only a result of the session's own epoch.
 
 A session answers by signature only: its tiers are ``signature`` and
 ``conservative`` (decided by its reader), and a
@@ -128,15 +131,15 @@ class QuerySession:
     """A stateless query surface over one version of the system.
 
     Args:
-        relation, rtree, pcube: The structures to query — either the live
-            objects or a snapshot's frozen projections (both satisfy the
-            same read protocol).
+        relation, rtree, pcube: The structures to query — a snapshot's
+            frozen projections (:meth:`for_snapshot`), or, in tests, any
+            objects with the same read protocol.
         pool: A shared :class:`BufferPool` to run against; each query
             observes it through a private :class:`PoolView`.  ``None``
             (the default) gives every query a fresh cold pool of
             :data:`COLD_POOL_PAGES` pages instead.
-        epoch: Stamped onto every result's ``stats.epoch``, and handed to
-            the breaker board; ``None`` for live sessions.
+        epoch: Stamped onto every result's ``stats.epoch``, handed to
+            the breaker board and checked by a drill-down / roll-up.
         ticker: Invoked once per Algorithm 1 heap pop; raises to abort the
             query (deadline/cancellation in the serving executor).
         deadline_at: ``time.perf_counter()`` instant this session's queries
@@ -367,14 +370,22 @@ class QuerySession:
             state.d_list,
         )
 
-    @staticmethod
-    def _check_resumable(previous: QueryResult) -> None:
+    def _check_resumable(self, previous: QueryResult) -> None:
         if not previous.resumable:
             raise ValueError(
                 f"cannot drill-down/roll-up from this {previous.kind!r} "
                 f"result (served by {previous.stats.tier!r}): only "
                 "conjunctive skyline / top-k answers produced by Algorithm 1 "
                 "keep Lemma 2 search state; re-run the query from scratch"
+            )
+        if previous.stats.epoch != self.epoch:
+            # Lemma 2's lists describe the tree and the relation of the
+            # epoch they were built at; a write since may have moved,
+            # removed or added any tuple they prune.
+            raise ValueError(
+                f"cannot drill-down/roll-up at epoch {self.epoch} from a "
+                f"result of epoch {previous.stats.epoch}: re-run the query "
+                "from scratch"
             )
 
     def _resume(self, previous, predicate, mode, carried, kept) -> QueryResult:

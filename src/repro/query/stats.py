@@ -74,8 +74,8 @@ class QueryStats:
             ``"signature"`` (fault-free fast path), ``"conservative"``
             (degraded readers) or ``"boolean-first"`` (signature-free scan
             fallback); ``None`` until the query completes.
-        epoch: The snapshot epoch the query ran against (``None`` for
-            live-structure queries, i.e. everything paper-comparable).
+        epoch: The snapshot epoch the query ran against (``None`` only for
+            a session built by hand without one).
         queue_wait_seconds: Time the query sat in the serving executor's
             admission queue before a worker picked it up.
         pool_hits / pool_misses: This query's buffer-pool delta — meaningful

@@ -27,8 +27,8 @@ Cached serving stays byte-identical to computed serving because only
 *canonicalised* answers are stored, and lookups are bypassed — not merely
 missed — while a breaker is open on any cell of the predicate (suspect
 storage should be re-exercised, not masked), and for a disjunction.
-Live sessions (``epoch is None``) are never cached: without an epoch there
-is no invalidation token.
+A session built by hand without an epoch (``epoch is None``) is never
+cached: without an epoch there is no invalidation token.
 """
 
 from __future__ import annotations

@@ -83,11 +83,7 @@ class QueryRouter:
         breakers: "BreakerBoard | None" = None,
     ) -> "QueryRouter":
         ctx = EngineContext(system.indexes, system.indexes_rows)
-
-        def deltas(after: int, upto: int):  # epochs may be enabled later
-            return system.epochs and system.epochs.deltas_between(after, upto)
-
-        return cls(ctx, cache, breakers, deltas)
+        return cls(ctx, cache, breakers, system.epochs.deltas_between)
 
     # ------------------------------------------------------------------ #
     # serving

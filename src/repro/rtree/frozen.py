@@ -1,12 +1,12 @@
 """Immutable R-tree snapshots with structural sharing across epochs.
 
-A pinned reader must be able to traverse the partition tree while the
-single maintenance writer splits and condenses nodes in place.  Rather than
-locking the live tree, each published epoch carries a *frozen* copy:
-plain-data nodes (:class:`FrozenRNode` / :class:`FrozenEntry`) that
-duck-type exactly the read surface Algorithm 1 and the boolean fallback
-use — ``root``, ``disk``, ``live_entries()``, ``live_count()``, ``mbr()``,
-``entry_at()`` — and nothing mutable.  A frozen leaf shares the live
+A reader must be able to traverse the partition tree while the single
+maintenance writer splits and condenses nodes in place.  Rather than
+locking the live tree, each published epoch carries a *frozen* copy, and
+every query reads one: plain-data nodes (:class:`FrozenRNode` /
+:class:`FrozenEntry`) with the read surface Algorithm 1 and the boolean
+fallback use — ``root``, ``disk``, ``live_entries()``, ``live_count()``,
+``mbr()``, ``block()``, ``entry_at()`` — and nothing mutable.  A frozen leaf shares the live
 leaf's entry objects, which no writer mutates, so a freeze copies no
 tuple.
 
@@ -123,10 +123,9 @@ class FrozenRNode:
 class FrozenRTree:
     """The read surface of an R-tree at one epoch.
 
-    Duck-types what query execution and the audit read of a live
-    :class:`~repro.rtree.rtree.RTree`: ``root``, ``dims``, ``disk``,
-    ``len()``, ``all_paths()`` and ``entry_at(path)``; mutators simply do
-    not exist.
+    What query execution reads of an R-tree: ``root``, ``dims``, ``disk``,
+    ``len()``, ``all_paths()`` (as :meth:`~repro.rtree.rtree.RTree.all_paths`)
+    and ``entry_at(path)``; mutators simply do not exist.
     """
 
     def __init__(
@@ -163,9 +162,11 @@ class FrozenRTree:
         return paths
 
     def entry_at(self, path: Sequence[int]) -> FrozenEntry | None:
-        """Resolve a root-based path of 1-based slots (see
-        :meth:`RTree.entry_at`); ``None`` when the path cannot be resolved
-        in this snapshot."""
+        """Resolve a root-based path of 1-based slots to its entry.
+
+        ``None`` for the empty path (the root is not an entry) and for a
+        path that runs off the tree or lands on a free slot — degraded
+        readers treat that as "cannot resolve", never as "empty"."""
         node: FrozenRNode | None = self.root
         entry: FrozenEntry | None = None
         for position in path:

@@ -166,11 +166,6 @@ class RTreeNode:
             if entry is not None:
                 yield index, entry
 
-    def block(self) -> NodeBlock:
-        """The columnar view of the live children — rebuilt per call, as a
-        live node's entries change under maintenance."""
-        return NodeBlock(self)
-
     def add_entry(self, entry: Entry) -> int:
         """Place ``entry`` in the first free slot; return the 0-based slot.
 

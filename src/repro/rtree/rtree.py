@@ -174,27 +174,6 @@ class RTree:
         """A snapshot of every tuple's path (used by signature generation)."""
         return dict(self._paths)
 
-    def entry_at(self, path: Sequence[int]) -> Entry | None:
-        """Resolve a root-based path of 1-based slots to its entry.
-
-        Returns ``None`` for the empty path (the root is not an entry) and
-        for paths that run off the tree or land on a free slot — callers in
-        degraded mode treat that as "cannot resolve", never as "empty".
-        """
-        node: RTreeNode | None = self.root
-        entry: Entry | None = None
-        for position in path:
-            if node is None:
-                return None
-            slot = position - 1
-            if not 0 <= slot < len(node.entries):
-                return None
-            entry = node.entries[slot]
-            if entry is None:
-                return None
-            node = entry.child
-        return entry
-
     def nodes(self) -> Iterator[RTreeNode]:
         """All nodes, pre-order from the root."""
         return subtree_nodes(self.root)

@@ -45,7 +45,7 @@ from repro.system import build_system
 
 
 def _run_serial(system, workload):
-    """The reference answers, via the paper-comparable engine."""
+    """The reference answers, via the cold-pool ``system.engine``."""
     return [
         getattr(system.engine, kind)(**kwargs) for kind, kwargs in workload
     ]

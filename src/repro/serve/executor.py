@@ -225,9 +225,9 @@ class QueryExecutor:
     """A thread pool serving snapshot-isolated preference queries.
 
     Args:
-        system: The built system; epochs are enabled on it if they are not
-            already (maintenance keeps working concurrently through the
-            system's WAL-protected methods).
+        system: The built system; its epoch manager publishes what the
+            workers pin (maintenance keeps working concurrently through
+            the system's WAL-protected methods).
         threads: Worker count.
         queue_depth: Admission-queue capacity, at least 1: a submission
             that finds the queue full is refused (:class:`AdmissionFull`).
@@ -259,17 +259,13 @@ class QueryExecutor:
         if queue_depth < 1:
             raise ValueError("queue_depth must be positive")
         self.system = system
-        self.epochs = system.enable_epochs()
+        self.epochs = system.epochs
         self.pool = (
             pool
             if pool is not None
             else BufferPool(system.rtree.disk, capacity=pool_capacity)
         )
         self.breakers = BreakerBoard()
-        # Live-session healing: a rebuilt cell (quarantine lifted) closes
-        # its breakers immediately — snapshot sessions also heal via epoch
-        # comparison, but only once a newer epoch publishes.
-        system.pcube.store.on_cell_rebuilt = self.breakers.reset
         # The B+-tree postings are never maintained after build; the
         # engines take them only while they cover the pinned snapshot's
         # rows, and scan the table otherwise.

@@ -173,29 +173,18 @@ class Scrubber:
         self, findings: list[Finding], throttle: bool
     ) -> set[str]:
         """Re-derive per-cell signatures under a pinned epoch snapshot."""
-        system = self.system
-        damaged: set[str] = set()
-        if system.epochs is not None:
-            snapshot = system.epochs.pin()
-            try:
-                damaged = self._check_cells(
-                    snapshot.relation,
-                    snapshot.rtree.all_paths(),
-                    snapshot.store.load_full_signature,
-                    findings,
-                    throttle,
-                )
-            finally:
-                system.epochs.unpin(snapshot)
-        else:
-            damaged = self._check_cells(
-                system.relation,
-                system.rtree.all_paths(),
-                system.pcube.signature_of,
+        epochs = self.system.epochs
+        snapshot = epochs.pin()
+        try:
+            return self._check_cells(
+                snapshot.relation,
+                snapshot.rtree.all_paths(),
+                snapshot.store.load_full_signature,
                 findings,
                 throttle,
             )
-        return damaged
+        finally:
+            epochs.unpin(snapshot)
 
     def _check_cells(
         self,

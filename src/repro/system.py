@@ -1,12 +1,14 @@
 """One-call assembly of a complete P-Cube system.
 
 Bundles the base relation, the shared R-tree partition template, the P-Cube
-signature store, the baseline B+-tree indexes, a
-:class:`~repro.query.session.QuerySession` and the maintenance WAL, all
-over one simulated disk — the configuration every experiment and example
-runs against.  Every system has its WAL; the figure benches that time bare
-maintenance call the :mod:`repro.core.maintenance` functions with
-``wal=None`` instead.
+signature store, the baseline B+-tree indexes, the maintenance WAL and the
+epoch manager, all over one simulated disk — the configuration every
+experiment and example runs against.  Every system has its WAL and its
+epochs: each maintenance method publishes a snapshot, and
+:attr:`PCubeSystem.engine` reads the one published last.  The figure
+benches that time bare maintenance call the :mod:`repro.core.maintenance`
+functions with ``wal=None`` instead, and read nothing through ``engine``
+after them.
 """
 
 from __future__ import annotations
@@ -42,19 +44,18 @@ class BuildTimings:
 
 @dataclass
 class PCubeSystem:
-    """A fully built system: storage, indexes, cube and engine."""
+    """A fully built system: storage, indexes, cube, WAL and epochs."""
 
     relation: Relation
     rtree: RTree
     pcube: PCube
     indexes: dict[str, BPlusTree]
-    engine: QuerySession
     wal: MaintenanceWAL
+    epochs: EpochManager
     timings: BuildTimings = field(default_factory=BuildTimings)
     maintenance_stats: MaintenanceStats = field(
         default_factory=MaintenanceStats
     )
-    epochs: EpochManager | None = None
     # Row count the B+-tree postings were built over.  The postings are
     # never maintained after build, so index-backed plans are only sound
     # while the relation has not grown past this mark
@@ -66,32 +67,25 @@ class PCubeSystem:
         return self.relation.disk
 
     # ------------------------------------------------------------------ #
-    # epochs (snapshot-isolated concurrent serving)
+    # reading: the published snapshot
     # ------------------------------------------------------------------ #
 
-    def enable_epochs(self) -> EpochManager:
-        """Attach an :class:`EpochManager` (idempotent).
+    @property
+    def engine(self) -> QuerySession:
+        """A cold-pool session over the snapshot published last.
 
-        From this point maintenance publishes an immutable snapshot at
-        each WAL commit, and :meth:`pin_snapshot` hands out isolated read
-        surfaces for concurrent query sessions.  Single-threaded use is
-        unaffected: the live structures keep serving the paper-comparable
-        path, only page frees become deferred until readers drain.
+        Each query gets a private pool, so its disk accesses are a pure
+        function of the query (the paper's figures count them).  The
+        session is bound to one epoch: take it again after a write.  It
+        holds no pin — concurrent readers pin (:meth:`pin_snapshot`).
         """
-        if self.epochs is None:
-            self.epochs = EpochManager(self.relation, self.rtree, self.pcube)
-        return self.epochs
+        return QuerySession.for_snapshot(self.epochs.current)
 
     def pin_snapshot(self) -> Snapshot:
-        """Pin the current epoch (requires :meth:`enable_epochs`)."""
-        if self.epochs is None:
-            raise RuntimeError(
-                "epochs are not enabled; call enable_epochs() first"
-            )
+        """Pin the current epoch; pair with :meth:`unpin_snapshot`."""
         return self.epochs.pin()
 
     def unpin_snapshot(self, snapshot: Snapshot) -> None:
-        assert self.epochs is not None
         self.epochs.unpin(snapshot)
 
     def _maintain(self, op, written=None):
@@ -100,8 +94,6 @@ class PCubeSystem:
         ``written(result)`` names the tids the op wrote; the publish logs
         their rows as the epoch's delta (``None``: the op cannot say).
         """
-        if self.epochs is None:
-            return op()
         with self.epochs.write():
             result = op()
             # The driver has WAL-committed by now; the snapshot therefore
@@ -223,7 +215,7 @@ class PCubeSystem:
 
     def _held_pages(self) -> set[int]:
         """Pages an epoch's deferred free still holds for pinned readers."""
-        return set() if self.epochs is None else self.epochs.deferred_pages()
+        return self.epochs.deferred_pages()
 
     def _recover(self, pending: PendingOp | None) -> str:
         self.pcube.store.free_orphans(self._held_pages())
@@ -270,9 +262,9 @@ class PCubeSystem:
 
         The scrubber (and any other online damage detector) quarantines
         cells it finds corrupt; this routes the rebuild through
-        :meth:`_maintain` so an epoch is published when epochs are enabled
-        — concurrent readers flip to the repaired signatures atomically,
-        exactly as they would after a maintenance operation.
+        :meth:`_maintain` so an epoch is published: readers flip to the
+        repaired signatures atomically, exactly as they would after a
+        maintenance operation.
         """
         return self._maintain(lambda: self.pcube.rebuild_quarantined())
 
@@ -291,9 +283,8 @@ class PCubeSystem:
         * every buffered relation row reached a heap page;
         * the R-tree indexes exactly the live tids;
         * per cell: the stored signature equals one rebuilt from the live
-          members' R-tree paths; a materialised multi-dimensional cell also
-          equals, bit for bit, the on-demand assembly of its atomic cells
-          (the lattice rule);
+          members' R-tree paths (which also makes a materialised
+          multi-dimensional cell equal the assembly of its atomic cells);
         * the store holds no cell outside the cuboids' group-bys, none of
           its cells is quarantined, and it holds no signature page the
           directory does not reference (deferred epoch frees excepted).
@@ -346,8 +337,9 @@ def build_system(
     :attr:`PCubeSystem.timings` attributes the wall time per structure.
     The system's :class:`MaintenanceWAL` makes its ``insert`` /
     ``insert_batch`` / ``delete`` / ``update`` methods crash-safe (it costs
-    nothing until an operation journals), and :attr:`PCubeSystem.engine`
-    gives each query a cold pool of the session's default size.
+    nothing until an operation journals), its :class:`EpochManager`
+    publishes the first snapshot, and :attr:`PCubeSystem.engine` reads it
+    with a cold pool per query.
 
     Args:
         relation: The base table (its disk hosts every structure).
@@ -405,8 +397,8 @@ def build_system(
         rtree=rtree,
         pcube=pcube,
         indexes=indexes,
-        engine=QuerySession(relation, rtree, pcube),
         wal=MaintenanceWAL(disk, stats=maintenance_stats, **wal_kwargs),
+        epochs=EpochManager(relation, rtree, pcube),
         timings=timings,
         maintenance_stats=maintenance_stats,
         indexes_rows=len(relation) if indexes else 0,

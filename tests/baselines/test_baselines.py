@@ -52,7 +52,7 @@ def test_boolean_indexes_cover_all_dims(small_system):
 def test_boolean_first_skyline_correct(small_system, rng, n_conjuncts):
     predicate = sample_predicate(small_system.relation, n_conjuncts, rng)
     tids, stats = boolean_first_skyline(
-        small_system.relation, small_system.indexes, predicate
+        small_system.engine.relation, small_system.indexes, predicate
     )
     assert sorted(tids) == sorted(
         naive_skyline(truth_points(small_system, predicate))
@@ -63,7 +63,7 @@ def test_boolean_first_skyline_correct(small_system, rng, n_conjuncts):
 
 def test_boolean_first_empty_predicate_scans(small_system):
     tids, stats = boolean_first_skyline(
-        small_system.relation, small_system.indexes, BooleanPredicate()
+        small_system.engine.relation, small_system.indexes, BooleanPredicate()
     )
     assert sorted(tids) == sorted(
         naive_skyline(list(small_system.relation.pref_points()))
@@ -75,7 +75,7 @@ def test_boolean_first_topk_correct(small_system, rng):
     predicate = sample_predicate(small_system.relation, 1, rng)
     fn = sample_linear_function(2, rng)
     ranked, stats = boolean_first_topk(
-        small_system.relation, small_system.indexes, fn, 10, predicate
+        small_system.engine.relation, small_system.indexes, fn, 10, predicate
     )
     expected = naive_topk(truth_points(small_system, predicate), fn, 10)
     assert [round(s, 9) for _, s in ranked] == [round(s, 9) for _, s in expected]
@@ -90,7 +90,7 @@ def test_select_tuples_prefers_index_for_selective_predicates(
     predicate = sample_predicate(system.relation, 1, rng)
     stats = QueryStats()
     selected = select_tuples(
-        system.relation, system.indexes, predicate, stats
+        system.engine.relation, system.indexes, predicate, stats
     )
     assert sorted(selected) == [
         tid
@@ -106,7 +106,9 @@ def test_select_tuples_prefers_scan_for_wide_predicates(small_system, rng):
     # the planner should fall back to the plain table scan (no index I/O).
     predicate = sample_predicate(small_system.relation, 1, rng)
     stats = QueryStats()
-    select_tuples(small_system.relation, small_system.indexes, predicate, stats)
+    select_tuples(
+        small_system.engine.relation, small_system.indexes, predicate, stats
+    )
     assert stats.counters.get(BTABLE) == small_system.relation.heap_page_count()
     assert stats.counters.get(BINDEX) == 0
 
@@ -114,7 +116,7 @@ def test_select_tuples_prefers_scan_for_wide_predicates(small_system, rng):
 def test_select_tuples_peak_heap_is_candidate_count(small_system, rng):
     predicate = sample_predicate(small_system.relation, 1, rng)
     tids, stats = boolean_first_skyline(
-        small_system.relation, small_system.indexes, predicate
+        small_system.engine.relation, small_system.indexes, predicate
     )
     candidates = sum(
         1
@@ -130,7 +132,7 @@ def test_select_tuples_peak_heap_is_candidate_count(small_system, rng):
 
 
 def test_bbs_skyline_no_predicate(small_system):
-    tids, stats = bbs_skyline(small_system.rtree)
+    tids, stats = bbs_skyline(small_system.engine.rtree)
     assert sorted(tids) == sorted(
         naive_skyline(list(small_system.relation.pref_points()))
     )
@@ -142,7 +144,7 @@ def test_bbs_skyline_no_predicate(small_system):
 def test_domination_first_correct(small_system, rng, n_conjuncts):
     predicate = sample_predicate(small_system.relation, n_conjuncts, rng)
     tids, stats, _ = domination_first_skyline(
-        small_system.relation, small_system.rtree, predicate
+        small_system.engine.relation, small_system.engine.rtree, predicate
     )
     assert sorted(tids) == sorted(
         naive_skyline(truth_points(small_system, predicate))
@@ -158,7 +160,7 @@ def test_domination_failed_candidates_do_not_prune(small_system, rng):
     for _ in range(5):
         predicate = sample_predicate(small_system.relation, 3, rng)
         tids, _, _ = domination_first_skyline(
-            small_system.relation, small_system.rtree, predicate
+            small_system.engine.relation, small_system.engine.rtree, predicate
         )
         assert sorted(tids) == sorted(
             naive_skyline(truth_points(small_system, predicate))
@@ -169,7 +171,7 @@ def test_ranking_topk_correct(small_system, rng):
     predicate = sample_predicate(small_system.relation, 1, rng)
     fn = sample_linear_function(2, rng)
     ranked, stats, _ = ranking_topk(
-        small_system.relation, small_system.rtree, fn, 10, predicate
+        small_system.engine.relation, small_system.engine.rtree, fn, 10, predicate
     )
     expected = naive_topk(truth_points(small_system, predicate), fn, 10)
     assert [round(s, 9) for _, s in ranked] == [round(s, 9) for _, s in expected]
@@ -181,7 +183,7 @@ def test_minimal_probing_is_lazy(small_system, rng):
     the whole data set — only reported candidates are probed."""
     predicate = sample_predicate(small_system.relation, 1, rng)
     _, stats, _ = domination_first_skyline(
-        small_system.relation, small_system.rtree, predicate
+        small_system.engine.relation, small_system.engine.rtree, predicate
     )
     assert stats.verified < len(small_system.relation)
 
@@ -196,7 +198,7 @@ def test_index_merge_topk_correct(small_system, rng, n_conjuncts):
     predicate = sample_predicate(small_system.relation, n_conjuncts, rng)
     fn = sample_linear_function(2, rng)
     ranked, stats = index_merge_topk(
-        small_system.rtree,
+        small_system.engine.rtree,
         small_system.indexes,
         fn,
         10,
@@ -210,7 +212,7 @@ def test_index_merge_topk_correct(small_system, rng, n_conjuncts):
 def test_index_merge_no_predicate(small_system, rng):
     fn = sample_linear_function(2, rng)
     ranked, stats = index_merge_topk(
-        small_system.rtree,
+        small_system.engine.rtree,
         small_system.indexes,
         fn,
         5,
@@ -251,15 +253,16 @@ def test_select_tuples_excludes_tombstoned_rows_on_both_paths():
     for tid in range(0, 200, 7):
         relation.tombstone(tid)
     live = set(relation.live_tids())
+    view = relation.view(0)  # no epoch manager: the latest state
 
     # Table scan (empty predicate always scans the heap).
     stats = QueryStats()
-    assert set(select_tuples(relation, indexes, BooleanPredicate(), stats)) == live
+    assert set(select_tuples(view, indexes, BooleanPredicate(), stats)) == live
 
     # Index scan: postings still hold the dead tids; verification drops them.
     stats = QueryStats()
     selected = select_tuples(
-        relation, indexes, BooleanPredicate({"A": 3}), stats
+        view, indexes, BooleanPredicate({"A": 3}), stats
     )
     assert stats.counters.get(BINDEX) > 0  # the index path actually ran
     assert set(selected) == {

@@ -33,7 +33,6 @@ def assert_nothing_pinned(system):
 
 def test_pinned_snapshot_survives_maintenance(fresh_system):
     system = fresh_system()
-    system.enable_epochs()
     snapshot = system.pin_snapshot()
     before = QuerySession.for_snapshot(snapshot).skyline()
 
@@ -53,7 +52,7 @@ def test_pinned_snapshot_survives_maintenance(fresh_system):
 
 def test_each_maintenance_op_publishes_one_epoch(fresh_system):
     system = fresh_system()
-    epochs = system.enable_epochs()
+    epochs = system.epochs
     start = epochs.current_epoch
     bool_row, pref_row = _origin_rows(system)
     tid, _ = system.insert(bool_row, pref_row)
@@ -65,20 +64,35 @@ def test_each_maintenance_op_publishes_one_epoch(fresh_system):
     assert epochs.stats.published == start + 3  # initial + three ops
 
 
-def test_enable_epochs_is_idempotent(fresh_system):
-    system = fresh_system()
-    assert system.enable_epochs() is system.enable_epochs()
+def test_a_bare_write_waits_for_the_next_publish(fresh_system):
+    """A bare maintenance driver writes outside ``EpochManager.write``: its
+    row reaches neither the published tree nor, stamped with the next
+    epoch, the published relation view — so every engine on the snapshot
+    agrees — and the next publish shows it to both."""
+    from repro.baselines.boolean_first import boolean_first_skyline
+    from repro.core.maintenance import insert_tuple
+    from repro.query.predicates import BooleanPredicate
 
-
-def test_pin_requires_enablement(fresh_system):
     system = fresh_system()
-    with pytest.raises(RuntimeError, match="enable_epochs"):
-        system.pin_snapshot()
+    bool_row, pref_row = _origin_rows(system)
+    tid, _ = insert_tuple(
+        system.relation, system.rtree, system.pcube, bool_row, pref_row
+    )
+    predicate = BooleanPredicate({"A1": bool_row[0]})
+    engine = system.engine
+    assert not engine.relation.is_live(tid) and len(engine.relation) == tid
+    scanned, _ = boolean_first_skyline(
+        engine.relation, system.indexes, predicate
+    )
+    assert tid not in engine.skyline(predicate).tids
+    assert sorted(scanned) == sorted(engine.skyline(predicate).tids)
+    system.insert(bool_row, (0.5,) * len(pref_row))  # publishes
+    assert system.engine.skyline(predicate).tids == [tid]
 
 
 def test_abandoned_write_is_invisible_to_snapshots(fresh_system):
     system = fresh_system()
-    epochs = system.enable_epochs()
+    epochs = system.epochs
     snapshot = epochs.pin()
     before = QuerySession.for_snapshot(snapshot).skyline()
     victim = before.tids[0]
@@ -104,7 +118,7 @@ def test_abandoned_write_is_invisible_to_snapshots(fresh_system):
 
 def test_deferred_frees_wait_for_pinned_readers(fresh_system):
     system = fresh_system()
-    epochs = system.enable_epochs()
+    epochs = system.epochs
     snapshot = system.pin_snapshot()
     reference = QuerySession.for_snapshot(snapshot).skyline()
 
@@ -129,7 +143,7 @@ def test_version_maps_prune_on_publish_not_on_unpin(fresh_system):
     the relation's version maps (they race with the maintenance writer),
     so records drop at the next publish after the horizon advances."""
     system = fresh_system()
-    epochs = system.enable_epochs()
+    epochs = system.epochs
     snapshot = epochs.pin()
 
     bool_row, pref_row = _origin_rows(system)
@@ -147,7 +161,7 @@ def test_version_maps_prune_on_publish_not_on_unpin(fresh_system):
 
 def test_unpin_without_pin_raises(fresh_system):
     system = fresh_system()
-    epochs = system.enable_epochs()
+    epochs = system.epochs
     snapshot = epochs.pin()
     epochs.unpin(snapshot)
     with pytest.raises(ValueError, match="not pinned"):
@@ -158,7 +172,7 @@ def test_pins_are_counted_per_reader(fresh_system):
     """Two readers pin the same epoch: the pages a write frees wait for the
     second unpin, not the first."""
     system = fresh_system()
-    epochs = system.enable_epochs()
+    epochs = system.epochs
     first = epochs.pin()
     second = epochs.pin()
     assert first is second
@@ -173,16 +187,6 @@ def test_pins_are_counted_per_reader(fresh_system):
     assert_nothing_pinned(system)
 
 
-def test_maintenance_unchanged_without_epochs(fresh_system):
-    """The default path stays paper-comparable: no epochs, no deferral."""
-    system = fresh_system()
-    assert system.epochs is None
-    bool_row, pref_row = _origin_rows(system)
-    tid, _ = system.insert(bool_row, pref_row)
-    system.delete(tid)
-    assert system.verify_consistency().ok
-
-
 def test_publish_rebuilds_the_written_paths_and_leaves_pinned_epochs_alone(
     fresh_system,
 ):
@@ -191,7 +195,7 @@ def test_publish_rebuilds_the_written_paths_and_leaves_pinned_epochs_alone(
     tree it pinned, and every epoch equals a from-scratch freeze."""
     rng = random.Random(17)
     system = fresh_system(n_tuples=900)
-    epochs = system.enable_epochs()
+    epochs = system.epochs
     pinned = system.pin_snapshot()
     pinned_nodes = frozen_nodes(pinned.rtree.root)
     pinned_shape = {

@@ -118,24 +118,6 @@ def test_breaker_half_open_probe_failure_reopens_for_that_epoch():
     assert board.allow("c", 0, epoch=3)  # only a newer epoch re-probes
 
 
-def test_breaker_live_sessions_do_not_half_open_without_epochs():
-    board = BreakerBoard(threshold=1)
-    board.record_failure("c", 0, epoch=None)
-    assert not board.allow("c", 0, epoch=None)
-    assert board.state_of("c", 0) == OPEN  # heals via reset() only
-
-
-def test_breaker_reset_closes_every_breaker_of_the_cell():
-    board = BreakerBoard(threshold=1)
-    board.record_failure("c", 0, epoch=1)
-    board.record_failure("c", 7, epoch=1)
-    board.record_failure("other", 0, epoch=1)
-    board.reset("c")
-    assert board.state_of("c", 0) == CLOSED
-    assert board.state_of("c", 7) == CLOSED
-    assert board.state_of("other", 0) == OPEN
-
-
 def test_breaker_board_rejects_nonpositive_threshold():
     with pytest.raises(ValueError):
         BreakerBoard(threshold=0)
@@ -181,7 +163,7 @@ def test_retry_policy_translates_wall_deadline_to_clock_budget():
 
 
 def test_a_session_deadline_reaches_the_one_retry_site(faulty):
-    """``QuerySession(deadline_at=)`` → reader → ``load_partial`` →
+    """``QuerySession.for_snapshot(deadline_at=)`` → reader → ``load_partial`` →
     ``RetryPolicy.call``: with no time left the first transient fault on a
     partial is not retried — the load degrades at once, the answer does
     not change — while a session without a deadline retries through it."""
@@ -192,17 +174,14 @@ def test_a_session_deadline_reaches_the_one_retry_site(faulty):
     sig = f"{system.pcube.tag}:sig"
 
     disk.plan = FaultPlan([FaultRule(kind="transient", tag=sig, count=1)])
-    relaxed = QuerySession(system.relation, system.rtree, system.pcube)
+    relaxed = QuerySession.for_snapshot(system.epochs.current)
     result = relaxed.skyline(predicate)
     assert (policy.retries, policy.exhausted_budgets) == (1, 0)
     assert result.tids == expected and not result.stats.degraded
 
     disk.plan = FaultPlan([FaultRule(kind="transient", tag=sig, count=1)])
-    lapsed = QuerySession(
-        system.relation,
-        system.rtree,
-        system.pcube,
-        deadline_at=time.perf_counter() - 1.0,
+    lapsed = QuerySession.for_snapshot(
+        system.epochs.current, deadline_at=time.perf_counter() - 1.0
     )
     result = lapsed.skyline(predicate)
     assert (policy.retries, policy.exhausted_budgets) == (1, 1)
@@ -478,52 +457,23 @@ def test_every_signature_kind_reports_a_degraded_reader(faulty, rng, kind):
     assert stats["tiers"] == {"conservative": 4}
 
 
-def test_cell_rebuild_hook_closes_breakers_live(faulty, rng):
+def test_epoch_publish_half_opens_and_heals_snapshot_breakers(faulty, rng):
+    """An open breaker heals through the epoch path, the only one: the
+    first query of a newer published epoch probes the rebuilt pages and
+    closes the breaker."""
     disk, system = faulty
     predicate = sample_predicate(system.relation, 1, rng)
-    serial = system.engine.skyline(predicate)
     disk.plan = FaultPlan(
         [FaultRule(kind="corrupt", tag="pcube:sig", count=1)]
     )
     with QueryExecutor(system, threads=1) as executor:
         _trip_breaker(executor, lambda: executor.skyline(predicate))
+
+        # Repair the pages outside the single-writer protocol: no epoch
+        # is published, so the breaker stays open.
         disk.plan = FaultPlan()
         assert system.pcube.rebuild_quarantined()
-        # clear_quarantine fires on_cell_rebuilt -> BreakerBoard.reset.
-        assert executor.breakers.open_count() == 0
-        # A new epoch is not even needed: the next query probes and wins.
-        system.insert(
-            tuple(0 for _ in range(system.relation.schema.n_boolean)),
-            tuple(0.5 for _ in range(system.relation.schema.n_preference)),
-        )
-        healed = executor.skyline(predicate).result(timeout=30.0)
-    assert healed.stats.tier == "signature"
-    assert not healed.stats.degraded
-    assert healed.tids == system.engine.skyline(predicate).tids
-    assert serial.tids  # the workload was not vacuous
-
-
-def test_epoch_publish_half_opens_and_heals_snapshot_breakers(faulty, rng):
-    """Without the rebuild hook, an open breaker heals through the epoch
-    path: the first query of a newer published epoch probes the rebuilt
-    pages and closes the breaker."""
-    disk, system = faulty
-    predicate = sample_predicate(system.relation, 1, rng)
-    disk.plan = FaultPlan(
-        [FaultRule(kind="corrupt", tag="pcube:sig", count=1)]
-    )
-    with QueryExecutor(system, threads=1) as executor:
-        _trip_breaker(executor, lambda: executor.skyline(predicate))
-
-        # Repair the pages but suppress the live-reset hook, so only the
-        # epoch comparison can heal the breaker.
-        disk.plan = FaultPlan()
-        system.pcube.store.on_cell_rebuilt = None
-        try:
-            assert system.pcube.rebuild_quarantined()
-        finally:
-            system.pcube.store.on_cell_rebuilt = executor.breakers.reset
-        assert executor.breakers.open_count() == 1  # hook was detached
+        assert executor.breakers.open_count() == 1
 
         # Same epoch: still short-circuiting.
         stale = executor.skyline(predicate).result(timeout=30.0)

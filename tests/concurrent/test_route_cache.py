@@ -65,7 +65,6 @@ def _crashable_system(n_tuples, seed):
         disk=disk,
     )
     system = build_system(relation, fanout=6)
-    system.enable_epochs()
     return disk, system
 
 
@@ -273,7 +272,6 @@ def test_publish_invalidates_exactly_the_dead_epochs(fresh_system):
     template whose predicate the written row does not satisfy (carried from
     E), and misses — and recomputes the new answer for — the rest."""
     system = fresh_system(n_tuples=300, seed=41)
-    system.enable_epochs()
     rng = random.Random(7)
     templates = [
         (kind, kwargs)

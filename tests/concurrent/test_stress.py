@@ -72,7 +72,6 @@ def _churn(system, errors):
 
 def test_pinned_readers_are_byte_identical_under_churn(fresh_system):
     system = fresh_system(n_tuples=800, seed=31)
-    system.enable_epochs()
     pool = BufferPool(system.disk, capacity=4096)
 
     pinned = system.pin_snapshot()

@@ -24,7 +24,8 @@ from repro.core.readers import (
     EmptyReader,
     SignatureAdapter,
 )
-from repro.core.sid import path_of_sid, sid_of_path
+from repro.core.sid import sid_of_path
+from tests.reference import path_of_sid
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.data.workload import sample_predicate
 from repro.query.algorithm1 import SkylineStrategy, TopKStrategy, run_algorithm1
@@ -85,7 +86,7 @@ def member_readers(system, cells, pool=None, stats=None):
             cell,
             pool,
             stats,
-            fallback=system.pcube.boolean_fallback,
+            fallback=system.engine.pcube.boolean_fallback,
         )
         for cell in cells
     ]
@@ -116,9 +117,9 @@ def test_every_bit_equals_the_recursive_intersection(fanout, page_size, seed):
         # Three fresh readers, asked in three orders: the memo must not
         # depend on what was asked first.
         block_stats = QueryStats()
-        by_block = system.pcube.reader_for_cells(cells, stats=block_stats)
-        by_entry = system.pcube.reader_for_cells(cells)
-        by_path = system.pcube.reader_for_cells(cells)
+        by_block = system.engine.pcube.reader_for_cells(cells, stats=block_stats)
+        by_entry = system.engine.pcube.reader_for_cells(cells)
+        by_path = system.engine.pcube.reader_for_cells(cells)
         assert type(by_block) is AssembledReader
         assert by_block.leaf_depth == system.rtree.root.level
         assert by_path.check_path(()) == oracle.check_path(())
@@ -152,7 +153,7 @@ def counting_decodes():
 
 def _search(system, reader, strategy, pool, stats):
     return run_algorithm1(
-        system.rtree, strategy, stats, reader=reader, pool=pool
+        system.engine.rtree, strategy, stats, reader=reader, pool=pool
     )
 
 
@@ -178,7 +179,7 @@ def test_look_ahead_decodes_each_node_once_and_only_where_the_plain_and_reads(
             stats = QueryStats()
             pool = BufferPool(system.rtree.disk, capacity=4096)
             reader = (
-                system.pcube.reader_for_cells(cells, pool, stats)
+                system.engine.pcube.reader_for_cells(cells, pool, stats)
                 if name == "exact"
                 else plain_and(system, cells, pool, stats)
             )
@@ -224,7 +225,7 @@ def test_every_partial_load_is_counted_once_with_its_cause(fanout, page_size):
         stats = QueryStats()
         pool = BufferPool(system.rtree.disk, capacity=4096)
         with watching_look_ahead() as (loads, _):
-            reader = system.pcube.reader_for_predicate(
+            reader = system.engine.pcube.reader_for_predicate(
                 predicate.conjuncts, stats=stats  # no pool: every load reads
             )
             _search(system, reader, SkylineStrategy(2), pool, stats)
@@ -491,7 +492,7 @@ def test_unresolvable_node_counts_as_non_empty_without_a_probe():
         ]
     )
     stats = QueryStats()
-    reader = system.pcube.reader_for_cells(cells, stats=stats)
+    reader = system.engine.pcube.reader_for_cells(cells, stats=stats)
     bit = 1 << (lost_path[-1] - 1)
     assert reader.check_block(lost_path[:-1], bit) == bit
     assert stats.failed_loads == 1 and stats.degraded
@@ -504,7 +505,7 @@ def test_unresolvable_node_counts_as_non_empty_without_a_probe():
 
 def test_empty_cell_short_circuits_to_the_empty_reader():
     system = build(4, 4096, seed=1)
-    reader = system.pcube.reader_for_predicate({"A1": 0, "A2": 99})
+    reader = system.engine.pcube.reader_for_predicate({"A1": 0, "A2": 99})
     assert isinstance(reader, EmptyReader)
 
 

@@ -222,7 +222,6 @@ def test_a_pinned_snapshot_keeps_its_signatures_through_later_writes():
         disk=SimulatedDisk(),
     )
     system = build_system(relation, fanout=6, rtree_method="insert")
-    system.enable_epochs()
     pinned = system.pin_snapshot()
     paths = pinned.rtree.all_paths()
     rng = random.Random(4)

@@ -71,7 +71,7 @@ def test_query_results_exact_despite_false_positives(small_system, rng):
         reader = BloomConjunction(blooms)
         stats = QueryStats()
         state = run_algorithm1(
-            small_system.rtree,
+            small_system.engine.rtree,
             SkylineStrategy(small_system.rtree.dims),
             stats,
             reader=reader,
@@ -98,14 +98,14 @@ def test_bloom_reads_at_least_as_many_blocks_as_exact(small_system, rng):
 
     exact_stats = QueryStats()
     run_algorithm1(
-        small_system.rtree,
+        small_system.engine.rtree,
         SkylineStrategy(2),
         exact_stats,
         reader=SignatureAdapter(signature),
     )
     bloom_stats = QueryStats()
     run_algorithm1(
-        small_system.rtree,
+        small_system.engine.rtree,
         SkylineStrategy(2),
         bloom_stats,
         reader=BloomSignature.from_signature(signature, fp_rate=0.2),

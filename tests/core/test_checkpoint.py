@@ -92,7 +92,6 @@ def test_create_refuses_a_pending_wal():
 def test_checkpoint_is_online_under_epochs():
     """Readers pinned before the checkpoint stay untouched by it."""
     system = make_system()
-    system.enable_epochs()
     pinned = system.pin_snapshot()
     before = QuerySession.for_snapshot(pinned).skyline()
     info = CheckpointManager(system).create()

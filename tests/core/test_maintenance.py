@@ -27,7 +27,6 @@ from repro.storage.faults import (
     SimulatedCrash,
 )
 from repro.query.predicates import BooleanPredicate
-from repro.query.session import QuerySession
 from repro.serve.scrub import Scrubber
 from repro.system import build_system
 from tests.core.test_bit_edit import moved
@@ -496,7 +495,6 @@ def test_rewritten_partials_equal_a_from_scratch_decompose(page_size):
     it over many, with packing boundaries that move when a blob changes
     length."""
     system = system_on(SimulatedDisk(page_size=page_size))
-    system.enable_epochs()
     level_before = system.rtree.root.level
     nodes_before = system.rtree.node_count()
     most_partials = 0
@@ -567,7 +565,6 @@ def test_a_write_touches_only_the_nodes_on_its_path(monkeypatch):
     compressed are bounded by the nodes on the moved paths — never by the
     cell's ~520 nodes — and no cell is derived from the tree."""
     system = system_on(SimulatedDisk(), n_tuples=2000)
-    system.enable_epochs()
     pcube = system.pcube
     fanout = pcube.fanout
     compressed = count_compressions(monkeypatch)
@@ -792,9 +789,12 @@ def test_a_read_between_a_faulted_rewrite_and_the_next_write_is_exact(conjuncts)
     quarantined cells' degraded path, which answers exactly."""
     disk = FaultyDisk(SimulatedDisk())
     system = system_on(disk)
-    faulted_insert(system, disk)
+    with system.epochs.write():
+        faulted_insert(system, disk)
+        system.epochs.publish()  # the epoch a reader sees the fault in
     tid = len(system.relation) - 1
-    relation = system.relation
+    engine = system.engine
+    relation = engine.relation
     predicate = BooleanPredicate(conjuncts)
     truth = set(
         naive_skyline(
@@ -806,22 +806,19 @@ def test_a_read_between_a_faulted_rewrite_and_the_next_write_is_exact(conjuncts)
         )
     )
     assert tid in truth
-    result = QuerySession(relation, system.rtree, system.pcube).skyline(predicate)
+    result = engine.skyline(predicate)
     assert set(result.tids) == truth
     assert result.stats.degraded
 
 
-@pytest.mark.parametrize("epochs", [False, True], ids=["live", "epochs"])
-def test_a_faulted_journalled_write_reads_exactly_until_recovery(epochs):
+def test_a_faulted_journalled_write_reads_exactly_until_recovery():
     """Through the system's journalled insert: the fault leaves the op
     pending in the WAL and the dirty cells quarantined.  A read before
-    ``recover()`` — on the live structures, or on the epoch the abandoned
-    write never published — answers exactly, and recovery re-derives the
-    cells and lifts the quarantine."""
+    ``recover()`` — on the epoch the abandoned write never published —
+    answers exactly, and recovery re-derives the cells, lifts the
+    quarantine and publishes the repaired epoch."""
     disk = FaultyDisk(SimulatedDisk())
     system = system_on(disk)
-    if epochs:
-        system.enable_epochs()
     predicate = BooleanPredicate({"A1": 1})
     disk.plan = FaultPlan(
         [FaultRule(kind="torn", op="allocate", tag="pcube:sig", count=1)]
@@ -832,7 +829,8 @@ def test_a_faulted_journalled_write_reads_exactly_until_recovery(epochs):
     assert system.wal.pending() is not None
     assert system.pcube.store.quarantined_cells()
 
-    def exact(relation, rtree, pcube):
+    def exact(engine):
+        relation = engine.relation
         truth = naive_skyline(
             [
                 (tid, relation.pref_point(tid))
@@ -840,18 +838,11 @@ def test_a_faulted_journalled_write_reads_exactly_until_recovery(epochs):
                 if predicate.matches(relation, tid)
             ]
         )
-        result = QuerySession(relation, rtree, pcube).skyline(predicate)
-        return set(result.tids) == set(truth)
+        return set(engine.skyline(predicate).tids) == set(truth)
 
-    assert exact(system.relation, system.rtree, system.pcube)
-    if epochs:
-        snapshot = system.pin_snapshot()
-        try:
-            assert exact(snapshot.relation, snapshot.rtree, snapshot.pcube)
-        finally:
-            system.unpin_snapshot(snapshot)
+    assert exact(system.engine)
     assert system.recover() == "replayed"
     assert not system.pcube.store.quarantined_cells()
     report = system.verify_consistency()
     assert report.ok, report.problems
-    assert exact(system.relation, system.rtree, system.pcube)
+    assert exact(system.engine)

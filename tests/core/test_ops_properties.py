@@ -25,13 +25,12 @@ from repro.core.ops import (
     union_all,
 )
 from repro.core.readers import AssembledReader, SignatureAdapter
-from repro.core.sid import path_of_sid
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cell, Cuboid
 from repro.cube.relation import Relation
 from repro.cube.schema import Schema
 from repro.system import build_system
-from tests.reference import generate_cuboid_signatures
+from tests.reference import generate_cuboid_signatures, path_of_sid
 
 ALGEBRA_SETTINGS = settings(
     max_examples=40,

@@ -99,11 +99,11 @@ def test_refs_are_ancestors_of_their_contents():
     for partial in decompose(signature, page_size=40):
         ref_path = ()
         if partial.ref_sid:
-            from repro.core.sid import path_of_sid
+            from tests.reference import path_of_sid
 
             ref_path = path_of_sid(partial.ref_sid, FANOUT)
         for sid in partial.blobs:
-            from repro.core.sid import path_of_sid
+            from tests.reference import path_of_sid
 
             node_path = path_of_sid(sid, FANOUT)
             assert node_path[: len(ref_path)] == ref_path

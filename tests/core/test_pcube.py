@@ -33,18 +33,18 @@ def test_build_materialises_atomic_cuboids(system):
     for dim in ("A1", "A2"):
         for value in range(4):
             cell = Cell((dim,), (value,))
-            assert pcube.materialised_cell(cell)
+            assert pcube.store.has_cell(cell)
             assert pcube.signature_of(cell) == expected_signature(system, cell)
 
 
 def test_missing_cell_not_materialised(system):
-    assert not system.pcube.materialised_cell(Cell(("A1",), (99,)))
+    assert not system.pcube.store.has_cell(Cell(("A1",), (99,)))
     assert not system.pcube.signature_of(Cell(("A1",), (99,)))
 
 
 def test_reader_for_single_cell(system):
     cell = Cell(("A1",), (1,))
-    reader = system.pcube.reader_for_cells([cell])
+    reader = system.engine.pcube.reader_for_cells([cell])
     signature = expected_signature(system, cell)
     for path in tuple_paths(signature):
         assert reader.check_path(path)
@@ -52,7 +52,7 @@ def test_reader_for_single_cell(system):
 
 def test_reader_for_conjunction_is_exact_at_tuples(system):
     cells = [Cell(("A1",), (1,)), Cell(("A2",), (2,))]
-    reader = system.pcube.reader_for_cells(cells)
+    reader = system.engine.pcube.reader_for_cells(cells)
     conjunction = Cell(("A1", "A2"), (1, 2))
     paths = system.rtree.all_paths()
     for tid in system.relation.tids():
@@ -67,7 +67,7 @@ def test_reader_for_conjunction_equals_recursive_intersection(system):
     from tests.core.test_assembled_reader import node_paths
 
     cells = [Cell(("A1",), (0,)), Cell(("A2",), (3,))]
-    reader = system.pcube.reader_for_cells(cells)
+    reader = system.engine.pcube.reader_for_cells(cells)
     assert reader.leaf_depth == system.rtree.root.level
     expected = intersect(
         expected_signature(system, cells[0]),
@@ -81,10 +81,10 @@ def test_reader_for_conjunction_equals_recursive_intersection(system):
         assert reader.check_block(path, full) == oracle.check_block(path, full)
 
 
-def test_reader_for_multidim_cell_falls_back_to_atoms(system):
+def test_reader_for_an_unmaterialised_pair_assembles_its_atoms(system):
     cell = Cell(("A1", "A2"), (1, 2))
-    assert not system.pcube.materialised_cell(cell)
-    reader = system.pcube.reader_for_cells([cell])
+    assert not system.pcube.store.has_cell(cell)
+    reader = system.engine.pcube.reader_for_predicate({"A1": 1, "A2": 2})
     paths = system.rtree.all_paths()
     for tid in system.relation.tids():
         assert reader.check_path(paths[tid]) == cell.matches(
@@ -93,7 +93,7 @@ def test_reader_for_multidim_cell_falls_back_to_atoms(system):
 
 
 def test_reader_for_dead_value_is_empty_reader(system):
-    reader = system.pcube.reader_for_cells([Cell(("A1",), (99,))])
+    reader = system.engine.pcube.reader_for_predicate({"A1": 99})
     assert isinstance(reader, EmptyReader)
     assert not reader.check_path(())
     assert not reader.check_path((1,))
@@ -101,7 +101,7 @@ def test_reader_for_dead_value_is_empty_reader(system):
 
 def test_reader_requires_cells(system):
     with pytest.raises(ValueError):
-        system.pcube.reader_for_cells([])
+        system.engine.pcube.reader_for_cells([])
 
 
 def test_multidim_cuboid_materialisation(fresh_system):
@@ -110,7 +110,7 @@ def test_multidim_cuboid_materialisation(fresh_system):
     cuboids = [Cuboid(("A1",)), Cuboid(("A2",)), Cuboid(("A1", "A2"))]
     pcube = PCube.build(relation, rtree, cuboids=cuboids, tag="pcube2")
     cell = Cell(("A1", "A2"), (1, 1))
-    if pcube.materialised_cell(cell):
+    if pcube.store.has_cell(cell):
         paths = rtree.all_paths()
         expected = Signature.from_paths(
             [
@@ -154,6 +154,11 @@ def test_rebuild_cell_is_the_one_rebuild_entry_point(system):
     assert store.fault_stats.rebuilds == 1
     assert store.n_partials(cell) == n_partials
     assert not old_pages & set(store.directory_snapshot()[cell.cell_id].values())
+    # The old pages wait for pinned readers: the epoch manager frees them
+    # at the next publish.
+    assert old_pages <= system.epochs.deferred_pages()
+    with system.epochs.write():
+        system.epochs.publish()
     assert not any(disk.exists(page_id) for page_id in old_pages)
     assert not hasattr(store, "rebuild_cell")
 

@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.sid import (
-    child_sid,
-    path_of_sid,
-    sid_of_path,
-)
-from tests.reference import ancestor_sids
+from repro.core.sid import child_sid, sid_of_path
+from tests.reference import ancestor_sids, path_of_sid
 
 
 def test_root_is_zero():

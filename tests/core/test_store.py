@@ -8,7 +8,6 @@ from repro.core import readers as readers_module
 from repro.core import store as store_module
 from repro.core.partial import decompose
 from repro.core.readers import AssembledReader
-from repro.core.sid import path_of_sid
 from repro.core.signature import Signature
 from repro.core.store import MissingPartialError, SignatureStore
 from repro.cube.cuboid import Cell
@@ -23,7 +22,7 @@ from repro.storage.faults import (
     FaultyDisk,
     SimulatedCrash,
 )
-from tests.reference import ancestor_sids, tuple_paths
+from tests.reference import ancestor_sids, path_of_sid, tuple_paths
 
 FANOUT = 4
 CELL = Cell(("A",), ("a1",))
@@ -283,12 +282,9 @@ def test_quarantine_is_listed_counted_once_and_lifted(store):
     assert store.fault_stats.quarantines == 1
     store.quarantine(CELL, "again")  # re-quarantining is not double-counted
     assert store.fault_stats.quarantines == 1
-    rebuilt = []
-    store.on_cell_rebuilt = rebuilt.append
     store.clear_quarantine(CELL)
-    store.clear_quarantine(CELL)  # lifting twice notifies once
+    store.clear_quarantine(CELL)  # lifting twice is harmless
     assert CELL not in store.quarantined_cells()
-    assert rebuilt == [CELL.cell_id]
     assert store.load_full_signature(CELL) == signature
 
 

@@ -43,11 +43,6 @@ def test_cell_matches(relation):
     assert cell.matches(relation, 3)
 
 
-def test_cell_atoms():
-    cell = Cell(("A", "B"), ("a1", "b2"))
-    assert cell.atoms() == (Cell(("A",), ("a1",)), Cell(("B",), ("b2",)))
-
-
 def test_cells_hashable_and_equal():
     assert Cell(("A",), ("a1",)) == Cell(("A",), ("a1",))
     assert len({Cell(("A",), ("a1",)), Cell(("A",), ("a1",))}) == 1

@@ -95,10 +95,10 @@ def test_differential_skyline(rows, conjuncts):
     expected = sorted(naive_skyline(qualifying_points(relation, predicate)))
     sig_tids = system.engine.skyline(predicate).tids
     bool_tids, _ = boolean_first_skyline(
-        relation, system.indexes, predicate
+        system.engine.relation, system.indexes, predicate
     )
     dom_tids, _, _ = domination_first_skyline(
-        relation, system.rtree, predicate
+        system.engine.relation, system.engine.rtree, predicate
     )
     assert sorted(sig_tids) == expected
     assert sorted(bool_tids) == expected
@@ -136,13 +136,13 @@ def test_differential_topk(rows, conjuncts, weights, k):
     sig = system.engine.topk(fn, k, predicate)
     ranked_sig = list(zip(sig.tids, sig.scores))
     ranked_bool, _ = boolean_first_topk(
-        relation, system.indexes, fn, k, predicate
+        system.engine.relation, system.indexes, fn, k, predicate
     )
     ranked_rank, _, _ = ranking_topk(
-        relation, system.rtree, fn, k, predicate
+        system.engine.relation, system.engine.rtree, fn, k, predicate
     )
     ranked_merge, _ = index_merge_topk(
-        system.rtree, system.indexes, fn, k, predicate
+        system.engine.rtree, system.indexes, fn, k, predicate
     )
     for name, ranked in (
         ("signature", ranked_sig),
@@ -174,7 +174,6 @@ def test_differential_skyline_members_qualify(rows, conjuncts):
 def _routed_session(system):
     from repro.query.session import QuerySession
 
-    system.enable_epochs()
     snapshot = system.pin_snapshot()
     return QuerySession.for_snapshot(snapshot)
 

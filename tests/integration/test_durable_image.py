@@ -20,8 +20,12 @@ and the checkpoint manifests' ``row_pages`` shifted, while every row's
 tag, size and content and both metric lists stayed.  The backup digest was
 re-recorded once more when ``maintainable`` left the manifests' ``config``:
 the four ``ckpt:c*:manifest`` rows changed their CRC and nothing else did
-(same ids and sizes; the crash image did not move).  A change that means
-to move the image re-records them and says why.
+(same ids and sizes; the crash image did not move).  It was re-recorded
+again when every system gained its epoch manager: a manifest's ``epoch``
+is now the published epoch (1, 9, 17, 25 in this scenario) where a system
+without epochs wrote 0, so the same four manifest rows changed their CRC
+and nothing else did.  A change that means to move the image re-records
+them and says why.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ FANOUT = 6
 #: metrics over the archive, the same behind the newest checkpoint).
 IMAGES = {
     "backup": (
-        "ccd5fe3487d1b571",
+        "331abb8ea447e741",
         267,
         [("damaged_ignored", 0), ("record_reads", 246), ("seal_reads", 9),
          ("segments_scanned", 9), ("segments_skipped", 0)],

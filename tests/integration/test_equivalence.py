@@ -52,11 +52,10 @@ def _answer(result):
 
 def assert_surfaces_agree(system, predicate, disjuncts, fn):
     """One read path: for every signature-method kind, ``system.engine``,
-    a fresh live session, a snapshot session and the cache-off executor
-    return the same lists with the same accounting on cold pools — and the
-    cache-on executor the same answer in canonical order.  Returns the
-    answers."""
-    relation, rtree, pcube = system.relation, system.rtree, system.pcube
+    a pinned snapshot's session and the cache-off executor return the same
+    lists with the same accounting on cold pools — and the cache-on
+    executor the same answer in canonical order.  Returns the answers."""
+    relation = system.relation
     dims = relation.schema.n_preference
     names = relation.schema.preference_dims
     subspace = (names[0], names[-1])
@@ -92,7 +91,6 @@ def assert_surfaces_agree(system, predicate, disjuncts, fn):
             reference = run(system.engine)
             want = _facts(reference.tids, reference.scores, reference.stats)
             for surface, result in (
-                ("live", run(QuerySession(relation, rtree, pcube))),
                 ("snapshot", run(QuerySession.for_snapshot(snapshot))),
                 ("executor", served(False)),
             ):
@@ -130,7 +128,6 @@ def test_all_methods_agree(distribution, n_preference, fanout):
     )
     relation = generate_relation(config)
     system = build_system(relation, fanout=fanout)
-    system.enable_epochs()
     rng = random.Random(99)
 
     for n_conjuncts in (0, 1, 2):
@@ -146,12 +143,12 @@ def test_all_methods_agree(distribution, n_preference, fanout):
         assert sorted(sig_tids) == expected_sky
 
         bool_tids, _ = boolean_first_skyline(
-            relation, system.indexes, predicate
+            system.engine.relation, system.indexes, predicate
         )
         assert sorted(bool_tids) == expected_sky
 
         dom_tids, _, _ = domination_first_skyline(
-            relation, system.rtree, predicate
+            system.engine.relation, system.engine.rtree, predicate
         )
         assert sorted(dom_tids) == expected_sky
 
@@ -162,13 +159,13 @@ def test_all_methods_agree(distribution, n_preference, fanout):
         for method_scores in (
             system.engine.topk(fn, 10, predicate).scores,
             [s for _, s in boolean_first_topk(
-                relation, system.indexes, fn, 10, predicate
+                system.engine.relation, system.indexes, fn, 10, predicate
             )[0]],
             [s for _, s in ranking_topk(
-                relation, system.rtree, fn, 10, predicate
+                system.engine.relation, system.engine.rtree, fn, 10, predicate
             )[0]],
             [s for _, s in index_merge_topk(
-                system.rtree, system.indexes, fn, 10, predicate
+                system.engine.rtree, system.indexes, fn, 10, predicate
             )[0]],
         ):
             assert [round(s, 9) for s in method_scores] == expected_topk

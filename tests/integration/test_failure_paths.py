@@ -82,7 +82,7 @@ def test_signature_store_missing_codec_never_silently_changes():
 
 def test_pcube_reader_unknown_dimension_fails_loudly(small_system):
     with pytest.raises(ValueError):
-        small_system.pcube.cover_for_dims({"NOT_A_DIM": 1})
+        small_system.engine.pcube.cover_for_dims({"NOT_A_DIM": 1})
 
 
 def test_engine_queries_leave_disk_counters_consistent(small_system, rng):
@@ -147,7 +147,7 @@ def test_corruption_degrades_then_rebuild_restores(
     assert quarantined
 
     disk.plan = FaultPlan()
-    assert faulty.pcube.rebuild_quarantined() == quarantined
+    assert faulty.repair_quarantined() == quarantined
     healed = faulty.engine.skyline(predicate)
     assert healed.tids == baseline.tids
     assert not healed.stats.degraded
@@ -182,9 +182,9 @@ def _undecodable_fixture():
     system = build_sweep_system(2_000, fanout=12, cardinality=6, seed=41)
     predicate = sample_predicate(system.relation, 1, random.Random(5))
     (cell,) = predicate.atomic_cells()
-    reader = system.pcube.reader_for_predicate(predicate.conjuncts)
+    reader = system.engine.pcube.reader_for_predicate(predicate.conjuncts)
     run_algorithm1(
-        system.rtree,
+        system.engine.rtree,
         SkylineStrategy(system.rtree.dims),
         QueryStats(),
         reader=reader,
@@ -273,7 +273,9 @@ def test_a_decodable_but_wrong_node_is_found_and_healed_by_the_audits(flip):
     bits = signature.node(sid)
     position = next(p for p in range(pcube.fanout) if bits.get(p) == (flip == "lost"))
     signature.set_node(sid, BitArray(pcube.fanout, bits.mask ^ 1 << position))
-    pcube.store.put_signature(cell, signature)
+    with system.epochs.write():  # a faulty write that published
+        pcube.store.put_signature(cell, signature)
+        system.epochs.publish()
     assert pcube.signature_of(cell) == signature
 
     report = system.verify_consistency()

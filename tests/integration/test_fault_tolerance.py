@@ -74,7 +74,7 @@ def test_results_byte_identical_under_fault_schedule(
     # disappears and SSIG cost is back at the fault-free baseline.
     assert faulty.pcube.store.quarantined_cells()
     disk.plan = FaultPlan()
-    rebuilt = faulty.pcube.rebuild_quarantined()
+    rebuilt = faulty.repair_quarantined()
     assert rebuilt
     assert not faulty.pcube.store.quarantined_cells()
 

@@ -32,12 +32,12 @@ def test_lemma1_expanded_blocks_contain_qualifying_data(small_system, rng):
     for _ in range(5):
         predicate = sample_predicate(relation, 2, rng)
         pool = RecordingPool(small_system.rtree.disk)
-        reader = small_system.pcube.reader_for_cells(
+        reader = small_system.engine.pcube.reader_for_cells(
             predicate.atomic_cells(), pool
         )
         stats = QueryStats()
         run_algorithm1(
-            small_system.rtree,
+            small_system.engine.rtree,
             SkylineStrategy(small_system.rtree.dims),
             stats,
             reader=reader,
@@ -65,11 +65,11 @@ def test_signature_blocks_subset_of_domination_blocks(small_system, rng):
         predicate = sample_predicate(relation, 1, rng)
 
         sig_pool = RecordingPool(small_system.rtree.disk)
-        reader = small_system.pcube.reader_for_cells(
+        reader = small_system.engine.pcube.reader_for_cells(
             predicate.atomic_cells(), sig_pool
         )
         run_algorithm1(
-            small_system.rtree,
+            small_system.engine.rtree,
             SkylineStrategy(2),
             QueryStats(),
             reader=reader,
@@ -77,7 +77,10 @@ def test_signature_blocks_subset_of_domination_blocks(small_system, rng):
         )
         dom_pool = RecordingPool(small_system.rtree.disk)
         domination_first_skyline(
-            relation, small_system.rtree, predicate, pool=dom_pool
+            small_system.engine.relation,
+            small_system.engine.rtree,
+            predicate,
+            pool=dom_pool,
         )
         node_pages = {n.page_id for n in small_system.rtree.nodes()}
         sig_blocks = set(sig_pool.pages) & node_pages

@@ -54,7 +54,6 @@ def test_one_pass_detects_every_seeded_fault():
     """100% detection: every tampered page surfaces as a checksum finding
     in a single pass, and healing leaves a clean audit."""
     system = make_system()
-    system.enable_epochs()
     baseline = system.engine.skyline()
     owners = corrupt_signature_pages(system, n=5)
 
@@ -77,7 +76,6 @@ def test_heal_under_a_concurrent_reader():
     """The rebuild publishes a fresh epoch: a reader querying throughout
     never sees a wrong answer, before, during or after the heal."""
     system = make_system()
-    system.enable_epochs()
     expected = system.engine.skyline().tids
     corrupt_signature_pages(system, n=4)
 

@@ -2,9 +2,11 @@
 
 A hypothesis rule machine interleaves insertions, deletions, preference
 updates and queries of every type against a live system, checking each
-query answer against naive recomputation over the shadow model.  This is
-the widest net for interaction bugs (e.g. a node split leaving a stale
-signature bit that only a later roll-up trips over).
+query answer against naive recomputation over the shadow model.  Writes
+go through the system's journalled methods, so each publishes the epoch
+``system.engine`` then reads.  This is the widest net for interaction bugs
+(e.g. a node split leaving a stale signature bit that only a later roll-up
+trips over).
 """
 
 import math
@@ -20,7 +22,6 @@ from hypothesis.stateful import (
 )
 
 from repro.baselines.naive import naive_skyline, naive_topk
-from repro.core.maintenance import delete_tuple, insert_tuple, update_tuple
 from repro.core.signature import Signature
 from repro.cube.relation import Relation
 from repro.cube.schema import Schema
@@ -57,33 +58,21 @@ class PCubeMachine(RuleBasedStateMachine):
 
     @rule(a=values, b=values, x=coords, y=coords)
     def insert(self, a, b, x, y):
-        insert_tuple(
-            self.relation,
-            self.system.rtree,
-            self.system.pcube,
-            (a, b),
-            (x / GRID, y / GRID),
-        )
-        self.alive.add(len(self.relation) - 1)
+        tid, _ = self.system.insert((a, b), (x / GRID, y / GRID))
+        self.alive.add(tid)
 
     @precondition(lambda self: len(self.alive) > 1)
     @rule(index=st.integers(min_value=0, max_value=10**6))
     def delete(self, index):
         tid = sorted(self.alive)[index % len(self.alive)]
-        delete_tuple(self.relation, self.system.rtree, self.system.pcube, tid)
+        self.system.delete(tid)
         self.alive.discard(tid)
 
     @precondition(lambda self: self.alive)
     @rule(index=st.integers(min_value=0, max_value=10**6), x=coords, y=coords)
     def move(self, index, x, y):
         tid = sorted(self.alive)[index % len(self.alive)]
-        update_tuple(
-            self.relation,
-            self.system.rtree,
-            self.system.pcube,
-            tid,
-            (x / GRID, y / GRID),
-        )
+        self.system.update(tid, (x / GRID, y / GRID))
 
     # ------------------------------------------------------------------ #
     # queries (each checked against the shadow model)

@@ -6,8 +6,6 @@ from repro.bitmap import compression
 from repro.core import partial as partial_module
 from repro.cube.cuboid import Cuboid
 from repro.data.synthetic import SyntheticConfig, generate_relation
-from repro.query.session import QuerySession
-from repro.rtree.frozen import freeze
 from repro.rtree.geometry import Rect
 from repro.rtree.node import RTreeNode
 from repro.storage.counters import ALLOC, WRITE
@@ -79,8 +77,9 @@ def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
     assert boxed == []
     nodes = list(system.rtree.nodes())
     paths = system.rtree.all_paths()
+    snapshot = system.epochs.current.rtree  # the build's first freeze
     for tid in relation.live_tids():
-        assert system.rtree.entry_at(paths[tid]).tid == tid
+        assert snapshot.entry_at(paths[tid]).tid == tid
     # A B+-tree node is written once by the batch (its root once more, by
     # the constructor); an R-tree node when created and when filled.
     btree_pages = {page.page_id for page in relation.disk.pages("btree:")}
@@ -92,9 +91,7 @@ def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
     assert counters.get(WRITE) == sum(written.values()) < 2 * counters.get(ALLOC)
 
     spy(monkeypatch, Rect, "union_all", unions, lambda *_: "union")
-    snapshot = freeze(system.rtree)
-    assert unions == []
-    session = QuerySession(relation, snapshot, system.pcube)
+    session = system.engine
     for _ in range(2):
         session.skyline()
     assert unions == ["union"]
@@ -104,8 +101,9 @@ def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
         frozen.extend(e.child for _, e in node.live_entries() if not node.is_leaf)
     assert len(frozen) == len(nodes)
     # The frozen leaves hold the live leaves' entry objects.
+    live = {id(e) for n in nodes if n.is_leaf for _, e in n.live_entries()}
     assert all(
-        entry is system.rtree.entry_at(paths[entry.tid])
+        id(entry) in live
         for node in frozen
         if node.is_leaf
         for slot, entry in node.live_entries()

@@ -110,28 +110,30 @@ def test_boolean_first_differential(system):
     indexes = system.indexes
     for predicate in _predicates(system):
         truth = _truth(system.relation, predicate)
-        tids, _ = boolean_first_skyline(system.relation, indexes, predicate)
+        tids, _ = boolean_first_skyline(
+            system.engine.relation, indexes, predicate
+        )
         # SFS reports in Algorithm 1's order: the signature engine's list.
         assert tids == system.engine.skyline(predicate=predicate).tids
         assert sorted(tids) == sorted(naive_skyline(truth))
         ranked, _ = boolean_first_topk(
-            system.relation, indexes, LINEAR, 10, predicate
+            system.engine.relation, indexes, LINEAR, 10, predicate
         )
         assert ranked == naive_topk(truth, LINEAR, 10)
 
 
 def test_domination_first_differential(system):
     truth = _truth(system.relation, BooleanPredicate())
-    tids, _ = bbs_skyline(system.rtree)
+    tids, _ = bbs_skyline(system.engine.rtree)
     assert sorted(tids) == sorted(naive_skyline(truth))
     for predicate in _predicates(system):
         truth = _truth(system.relation, predicate)
         tids, _, _ = domination_first_skyline(
-            system.relation, system.rtree, predicate
+            system.engine.relation, system.engine.rtree, predicate
         )
         assert sorted(tids) == sorted(naive_skyline(truth))
         ranked, _, _ = ranking_topk(
-            system.relation, system.rtree, LINEAR, 10, predicate
+            system.engine.relation, system.engine.rtree, LINEAR, 10, predicate
         )
         assert ranked == naive_topk(truth, LINEAR, 10)
 
@@ -139,7 +141,7 @@ def test_domination_first_differential(system):
 def test_index_merge_differential(system):
     for predicate in _predicates(system):
         ranked, _ = index_merge_topk(
-            system.rtree,
+            system.engine.rtree,
             system.indexes,
             LINEAR,
             10,
@@ -226,7 +228,7 @@ def test_ticker_fork_gives_the_same_answers_and_reads(system, arm):
     predicates = _plans(system)[arm]
     for predicate in predicates:
         vector, per_row = _both_forks(
-            system.relation, system.indexes, predicate
+            system.engine.relation, system.indexes, predicate
         )
         assert vector == per_row, predicate
         assert vector[0]
@@ -238,7 +240,6 @@ def test_ticker_fork_on_a_posting_past_the_projection():
     view's projection — one of them a deleted row's, which the B+-trees
     keep — must verify False on both forks, after the same page reads."""
     system = build_sweep_system(600, n_preference=2, seed=5)
-    system.enable_epochs()
     relation = system.relation
     snapshot = system.pin_snapshot()
     try:

@@ -14,6 +14,7 @@ from repro.query.algorithm1 import (
 from repro.query.ranking import LinearFunction
 from repro.query.stats import QueryStats
 from repro.rtree.bulk import bulk_load
+from repro.rtree.frozen import freeze
 from repro.rtree.geometry import Rect
 
 import random
@@ -23,7 +24,7 @@ import random
 def tree():
     rng = random.Random(99)
     points = [(tid, (rng.random(), rng.random())) for tid in range(300)]
-    return bulk_load(points, dims=2, max_entries=6), points
+    return freeze(bulk_load(points, dims=2, max_entries=6)), points
 
 
 def test_heap_entry_ordering():

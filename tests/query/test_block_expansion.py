@@ -47,6 +47,7 @@ from repro.query.ranking import (
     WeightedSquaredDistance,
 )
 from repro.query.stats import QueryStats
+from repro.rtree.frozen import freeze
 from repro.rtree.geometry import dominates
 from repro.rtree.rtree import RTree
 from repro.storage.buffer import BufferPool
@@ -371,7 +372,7 @@ def materialised_intersection(system):
         )
 
     with mock.patch.object(
-        system.pcube, "reader_for_predicate", reader_for_predicate
+        system.epochs.current.pcube, "reader_for_predicate", reader_for_predicate
     ):
         yield
 
@@ -434,11 +435,11 @@ def test_drill_down_and_roll_up_match_per_child_expansion(
 
 def _search(system, runner, predicate, strategy):
     stats = QueryStats()
-    pool = BufferPool(system.rtree.disk, capacity=4096)
-    reader = system.pcube.reader_for_predicate(
+    pool = BufferPool(system.engine.rtree.disk, capacity=4096)
+    reader = system.engine.pcube.reader_for_predicate(
         predicate.conjuncts, pool, stats
     )
-    state = runner(system.rtree, strategy, stats, reader=reader, pool=pool)
+    state = runner(system.engine.rtree, strategy, stats, reader=reader, pool=pool)
     return reader, stats, state
 
 
@@ -538,7 +539,7 @@ def test_check_block_answers_none_when_unresolvable():
     predicate = sample_predicate(system.relation, 1, random.Random(3))
     disk.plan = FaultPlan([FaultRule(kind="corrupt", tag="pcube:sig", count=1)])
     stats = QueryStats()
-    reader = system.pcube.reader_for_predicate(predicate.conjuncts, stats=stats)
+    reader = system.engine.pcube.reader_for_predicate(predicate.conjuncts, stats=stats)
     assert stats.degraded
     assert reader.check_block((), 0b11) is None
     assert stats.degraded_checks == 0  # only per-entry answers count
@@ -559,14 +560,14 @@ def test_check_block_agrees_with_check_path(system):
         for cell in two.atomic_cells()
     ]
     readers = [
-        system.pcube.reader_for_predicate(one.conjuncts),
-        system.pcube.reader_for_predicate(two.conjuncts),
+        system.engine.pcube.reader_for_predicate(one.conjuncts),
+        system.engine.pcube.reader_for_predicate(two.conjuncts),
         SignatureAdapter(intersect_all(cells)),
-        system.pcube.reader_for_dnf([one, two]),
+        system.engine.pcube.reader_for_dnf([one, two]),
         BloomSignature.from_signature(cells[0]),
         BloomConjunction([BloomSignature.from_signature(c) for c in cells]),
     ]
-    fanout = system.rtree.max_entries
+    fanout = system.pcube.fanout
     paths = [(), (1,), (2,), (1, 1), (fanout, 1)]
     for reader in readers:
         for path in paths:
@@ -592,7 +593,7 @@ def leaf_block():
     for tid in range(8):
         tree.insert(tid, (rng.random(), rng.random()))
     assert tree.root.is_leaf
-    return tree.root.block()
+    return freeze(tree).root.block()
 
 
 @settings(max_examples=60, deadline=None)
@@ -651,32 +652,26 @@ def test_runs_materialise_in_append_order(leaf_block, appends, read_after):
     assert pruned == list(pruned)
 
 
-def test_live_node_blocks_are_rebuilt_and_frozen_ones_kept():
+def test_frozen_node_blocks_are_built_once_and_kept():
     system = build_sweep_system(600, fanout=8, seed=3)
-    live_root = system.rtree.root
-    assert live_root.block() is not live_root.block()
-    system.enable_epochs()
-    snapshot = system.pin_snapshot()
-    try:
-        frozen_root = snapshot.rtree.root
-        block = frozen_root.block()
-        assert frozen_root.block() is block
-        assert block.slots == [s for s, _ in frozen_root.live_entries()]
-    finally:
-        system.unpin_snapshot(snapshot)
+    frozen_root = system.engine.rtree.root
+    block = frozen_root.block()
+    assert frozen_root.block() is block
+    assert system.engine.rtree.root is frozen_root  # one snapshot, one tree
+    assert block.slots == [s for s, _ in frozen_root.live_entries()]
 
 
 def test_resumed_state_accepts_runs_on_top_of_carried_entries(system):
     """A resume hands ``run_algorithm1`` lists that already hold entries;
     new runs land behind them."""
-    first = run_algorithm1(system.rtree, SkylineStrategy(3), QueryStats())
+    first = run_algorithm1(system.engine.rtree, SkylineStrategy(3), QueryStats())
     carried = list(first.d_list)[:5]
     resume = SearchState()
     resume.d_list = PrunedList(carried)
     resume.heap = list(first.results)
     resume.seq = first.seq
     second = run_algorithm1(
-        system.rtree, SkylineStrategy(3), QueryStats(), state=resume
+        system.engine.rtree, SkylineStrategy(3), QueryStats(), state=resume
     )
     assert list(second.d_list)[:5] == carried
     assert {e.tid for e in second.results} == {e.tid for e in first.results}
@@ -687,7 +682,7 @@ def test_topk_and_dynamic_strategies_direct(system, backend):
     """Strategy-level: ``evaluate`` equals the scalar protocol row by row,
     leaf and inner blocks alike."""
     with on_kernels(backend):
-        root = system.rtree.root
+        root = system.engine.rtree.root
         leaf = root
         while not leaf.is_leaf:
             leaf = next(e.child for _, e in leaf.live_entries())
@@ -900,9 +895,9 @@ def test_a_raising_ticker_leaves_the_heap_the_oracle_leaves(
             if name == "skyline"
             else TopKStrategy(QUERIES[name][1]["fn"], 12)
         )
-        state = make_root_state(system_2k.rtree, strategy)
+        state = make_root_state(system_2k.engine.rtree, strategy)
         heap = state.heap
-        reader = system_2k.pcube.reader_for_predicate(
+        reader = system_2k.engine.pcube.reader_for_predicate(
             predicate_for(system_2k, 2).conjuncts
         )
         pops = iter(range(1, stop_at + 1))
@@ -913,7 +908,7 @@ def test_a_raising_ticker_leaves_the_heap_the_oracle_leaves(
 
         with pytest.raises(Stop):
             runner(
-                system_2k.rtree,
+                system_2k.engine.rtree,
                 strategy,
                 QueryStats(),
                 reader=reader,
@@ -994,24 +989,25 @@ def test_degraded_read_keeps_its_pop_time_tests(backend, exact, lost_read):
 
     def degraded_search(runner):
         disk, system = _faulty_system()
+        engine = system.engine
         predicate = sample_predicate(system.relation, 2, random.Random(3))
         stats = QueryStats()
-        pool = BufferPool(system.rtree.disk, capacity=4096)
+        pool = BufferPool(system.engine.rtree.disk, capacity=4096)
         disk.plan = FaultPlan(
             [FaultRule(kind="corrupt", tag="pcube:sig", after=lost_read, count=1)]
         )
         reader = AssembledReader(
             [
                 CellSignatureReader(
-                    system.pcube.store,
+                    engine.pcube.store,
                     cell,
                     pool,
                     stats,
-                    fallback=system.pcube.boolean_fallback if exact else None,
+                    fallback=engine.pcube.boolean_fallback if exact else None,
                 )
                 for cell in predicate.atomic_cells()
             ],
-            system.rtree.root.level,
+            system.engine.rtree.root.level,
         )
         unresolved = set()
         resolve = reader.check_block
@@ -1024,7 +1020,7 @@ def test_degraded_read_keeps_its_pop_time_tests(backend, exact, lost_read):
 
         reader.check_block = check_block
         state = runner(
-            system.rtree, SkylineStrategy(2), stats, reader=reader, pool=pool
+            system.engine.rtree, SkylineStrategy(2), stats, reader=reader, pool=pool
         )
         assert disk.fault_counts["corrupt"] == 1
         if runner is run_algorithm1:
@@ -1223,30 +1219,25 @@ def test_pruned_runs_become_the_oracles_entries_on_the_first_read(system_2k):
 
 def test_full_space_skyline_keys_are_kept_on_the_frozen_block():
     """``Σ lows`` is a function of the block: the first skyline on a
-    snapshot sums each block it expands once, the second sums nothing; a
-    live tree's blocks are rebuilt per expansion and so are their sums; a
-    subspace or dynamic skyline's keys are not the block's."""
+    snapshot sums each block it expands once, the second sums nothing,
+    through a pinned session or ``system.engine`` alike (one snapshot, one
+    frozen tree); a subspace or dynamic skyline's keys are not the
+    block's."""
     from repro.query.session import QuerySession
 
     system = build_sweep_system(1_500, fanout=8, seed=3)
     predicate = predicate_for(system, 1)
-    with counting_expansions() as counts:
-        live = system.engine.skyline(predicate)
-        assert counts["key_sums"] == live.stats.nodes_expanded
-        system.engine.skyline(predicate)
-        assert counts["key_sums"] == 2 * live.stats.nodes_expanded
-    system.enable_epochs()
     snapshot = system.pin_snapshot()
     try:
         session = QuerySession.for_snapshot(snapshot)
         with counting_expansions() as counts:
             first = session.skyline(predicate)
             assert counts["key_sums"] == first.stats.nodes_expanded > 1
-            second = session.skyline(predicate)
+            second = system.engine.skyline(predicate)
             session.skyline(predicate, preference_by=("N1", "N3"))
             session.dynamic_skyline((0.4, 0.6, 0.5), predicate)
             assert counts["key_sums"] == first.stats.nodes_expanded
-        assert result_facts(first) == result_facts(second) == result_facts(live)
+        assert result_facts(first) == result_facts(second)
     finally:
         system.unpin_snapshot(snapshot)
 
@@ -1257,14 +1248,14 @@ def test_block_masks_translate_between_indices_and_slots(live_slots, data):
     """``slot_mask`` / ``index_mask`` are inverse on a node with holes and
     the identity on one without; ``all_mask`` has one bit per child."""
     from repro.rtree.geometry import Rect
-    from repro.rtree.node import Entry, RTreeNode
+    from repro.rtree.node import Entry, NodeBlock, RTreeNode
 
     node = RTreeNode(0, 0, 12)
     node.entries = [
         Entry(Rect.from_point((float(s), 0.0)), tid=s) if s in live_slots else None
         for s in range(max(live_slots, default=-1) + 1)
     ]
-    block = node.block()
+    block = NodeBlock(node)
     slots = sorted(live_slots)
     assert block.slots == slots and block.all_mask == (1 << len(slots)) - 1
     assert block.dense == (slots == list(range(len(slots))))

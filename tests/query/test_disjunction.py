@@ -61,14 +61,14 @@ def test_dnf_with_conjunctive_disjuncts(small_system, rng):
 
 
 def test_tautological_disjunct_disables_pruning(small_system):
-    reader = small_system.pcube.reader_for_dnf(
+    reader = small_system.engine.pcube.reader_for_dnf(
         [BooleanPredicate({"A1": 1}), BooleanPredicate()],
     )
     assert reader is None
 
 
 def test_all_unsatisfiable_disjuncts(small_system):
-    reader = small_system.pcube.reader_for_dnf(
+    reader = small_system.engine.pcube.reader_for_dnf(
         [BooleanPredicate({"A1": 777}), BooleanPredicate({"A2": 888})],
     )
     assert isinstance(reader, EmptyReader)
@@ -111,7 +111,7 @@ def test_dnf_reader_is_the_union_signature_bit_for_bit(small_system, rng):
         disjuncts = [
             sample_predicate(small_system.relation, n, rng) for n in widths
         ]
-        reader = pcube.reader_for_dnf(disjuncts)
+        reader = small_system.engine.pcube.reader_for_dnf(disjuncts)
         oracle = _union_oracle(pcube, disjuncts)
         assert isinstance(reader, AnyOfReader)
         for path in paths:
@@ -133,7 +133,7 @@ def test_dnf_skyline_reads_the_union_signatures_blocks(small_system, rng):
         result = small_system.engine.skyline(disjuncts)
         oracle_stats = QueryStats()
         state = run_algorithm1(
-            small_system.rtree,
+            small_system.engine.rtree,
             SkylineStrategy(small_system.rtree.dims),
             oracle_stats,
             reader=_union_oracle(small_system.pcube, disjuncts),
@@ -144,7 +144,7 @@ def test_dnf_skyline_reads_the_union_signatures_blocks(small_system, rng):
 
 def test_reader_validation(small_system):
     with pytest.raises(ValueError):
-        small_system.pcube.reader_for_dnf([])
+        small_system.engine.pcube.reader_for_dnf([])
     with pytest.raises(ValueError):
         AnyOfReader([])
 

@@ -234,3 +234,48 @@ def test_drill_down_counts_each_carried_entry_the_new_signature_rejects(
         assert drilled.stats.boolean_pruned == len(b_list) - kept
         rejected_total += len(rejected)
     assert rejected_total > 0
+
+
+# --------------------------------------------------------------------------- #
+# Lemma 2 across a write: a result resumes only at its own epoch
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def written_after_base():
+    """``skyline(A0=1)`` (seven tids), then a delete of one of them and an
+    insert at the origin, tid 3 000, that dominates every ``A0=1`` tuple."""
+    from repro.data.synthetic import SyntheticConfig, generate_relation
+    from repro.system import build_system
+
+    config = SyntheticConfig(
+        n_tuples=3_000,
+        n_boolean=2,
+        cardinality=4,
+        n_preference=2,
+        seed=5,
+        boolean_names=("A0", "A1"),
+    )
+    system = build_system(generate_relation(config), fanout=8)
+    base = system.engine.skyline(BooleanPredicate({"A0": 1}))
+    assert len(base.tids) == 7 and 2442 in base.tids
+    system.delete(2442)
+    assert system.insert((1, 2), (0.0, 0.0))[0] == 3_000
+    return system, base
+
+
+def test_a_drill_down_across_a_write_is_refused(written_after_base):
+    """The base's lists still hold the deleted tid and know nothing of the
+    inserted one: resumed, they answered ``[…, 2442, …]`` without 3 000."""
+    system, base = written_after_base
+    with pytest.raises(ValueError, match="epoch"):
+        system.engine.drill_down(base, "A1", 2)
+    fresh = system.engine.skyline(BooleanPredicate({"A0": 1, "A1": 2}))
+    assert fresh.tids == [3_000]
+
+
+def test_a_roll_up_across_a_write_is_refused(written_after_base):
+    system, base = written_after_base
+    with pytest.raises(ValueError, match="epoch"):
+        system.engine.roll_up(base, "A0")
+    assert system.engine.skyline(BooleanPredicate()).tids == [3_000]

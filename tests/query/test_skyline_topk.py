@@ -38,7 +38,8 @@ def test_skyline_matches_naive(small_system, rng, n_conjuncts):
 def _search_with(system, reader):
     stats = QueryStats()
     state = run_algorithm1(
-        system.rtree, SkylineStrategy(system.rtree.dims), stats, reader=reader
+        system.engine.rtree, SkylineStrategy(system.rtree.dims), stats,
+        reader=reader,
     )
     return [entry.tid for entry in state.results], stats
 
@@ -120,7 +121,7 @@ def test_signature_reads_fewer_blocks_than_bbs(small_system, rng):
         predicate = sample_predicate(small_system.relation, 2, rng)
         sig_stats = small_system.engine.skyline(predicate).stats
         _, dom_stats, _ = domination_first_skyline(
-            small_system.relation, small_system.rtree, predicate
+            small_system.engine.relation, small_system.engine.rtree, predicate
         )
         assert sig_stats.sblock <= dom_stats.dblock
         assert sig_stats.peak_heap <= dom_stats.peak_heap

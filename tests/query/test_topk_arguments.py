@@ -70,7 +70,6 @@ def test_a_faulted_engine_does_not_swallow_the_refusal(small_config, fn, message
     refused function is the caller's error on every engine."""
     disk = FaultyDisk(SimulatedDisk())
     system = build_system(generate_relation(small_config, disk=disk), fanout=8)
-    system.enable_epochs()
     disk.plan = FaultPlan([FaultRule(kind="corrupt", tag="rtree", count=1)])
     with QueryExecutor(system, threads=1) as executor:
         with pytest.raises(ValueError, match=message):

@@ -13,6 +13,7 @@ from repro.baselines.skyline_algs import Points, sfs_skyline
 from repro.bitmap.bitarray import BitArray
 from repro.bitmap.compression import CODECS, CodecError
 from repro.core.partial import PartialSignature
+from repro.core.pcube import PCube, PCubeView
 from repro.core.sid import child_sid, sid_of_path
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cell, Cuboid
@@ -20,6 +21,7 @@ from repro.cube.relation import Relation
 from repro.kernels.dominate import DominationBuffer
 from repro.query.hull import _EPSILON as HULL_EPSILON
 from repro.query.predicates import BooleanPredicate
+from repro.rtree.frozen import freeze
 from repro.rtree.geometry import Rect, dominates
 from repro.rtree.rtree import RTree
 
@@ -125,6 +127,37 @@ def _dnc(points: Points, depth: int, threshold: int) -> list[int]:
 # --------------------------------------------------------------------------- #
 # hull, DNF and signature oracles
 # --------------------------------------------------------------------------- #
+
+
+def cube_view(pcube: PCube) -> PCubeView:
+    """The query surface of a stand-alone cube — one built without a
+    system, so no epoch manager publishes it — at its current state."""
+    store = pcube.store
+    return pcube.view(
+        pcube.relation.view(0),
+        freeze(pcube.rtree),
+        store.view(store.directory_snapshot()),
+    )
+
+
+def path_of_sid(sid: int, fanout: int) -> tuple[int, ...]:
+    """Invert :func:`sid_of_path`.
+
+    Raises:
+        ValueError: if ``sid`` is not the image of any valid path.
+    """
+    if sid < 0:
+        raise ValueError("SIDs are non-negative")
+    base = fanout + 1
+    components: list[int] = []
+    while sid:
+        digit = sid % base
+        if digit == 0:
+            raise ValueError(f"{sid} is not a valid SID for fanout {fanout}")
+        components.append(digit)
+        sid //= base
+    components.reverse()
+    return tuple(components)
 
 
 def ancestor_sids(path: Sequence[int], fanout: int) -> list[int]:

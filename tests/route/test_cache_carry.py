@@ -61,7 +61,6 @@ class Routed:
 
     def __init__(self, system):
         self.system = system
-        system.enable_epochs()
         self.router = QueryRouter.for_system(system)
         self.relation = system.relation
         self.fn = FN
@@ -359,7 +358,7 @@ def test_abandoned_write_poisons_the_next_delta():
 
 def test_abandoned_write_poisons_a_publish_that_names_its_rows(fresh_system):
     system = fresh_system(n_tuples=113)
-    epochs = system.enable_epochs()
+    epochs = system.epochs
     with pytest.raises(RuntimeError, match="boom"):
         with epochs.write():
             raise RuntimeError("boom")

@@ -26,7 +26,6 @@ pytestmark = pytest.mark.routing
 @pytest.fixture
 def harness(small_relation):
     system = build_system(small_relation, fanout=8)
-    system.enable_epochs()
     session = QuerySession.for_snapshot(system.pin_snapshot())
     request = RouteRequest(kind="skyline", predicate=BooleanPredicate())
     ctx = EngineContext(

@@ -65,7 +65,6 @@ def faulty(small_config):
     system = build_system(
         generate_relation(small_config, disk=disk), fanout=8
     )
-    system.enable_epochs()
     return disk, system
 
 

@@ -35,7 +35,6 @@ pytestmark = pytest.mark.routing
 @pytest.fixture
 def routed(small_relation):
     system = build_system(small_relation, fanout=8)
-    system.enable_epochs()
     return system
 
 
@@ -304,13 +303,14 @@ def test_open_breaker_bypasses_the_cache(routed):
     )
 
 
-# -- live sessions ------------------------------------------------------- #
+# -- sessions without an epoch ------------------------------------------- #
 
 
-def test_live_sessions_are_never_cached(small_relation):
-    system = build_system(small_relation, fanout=8)  # no epochs
+def test_sessions_without_an_epoch_are_never_cached(small_relation):
+    system = build_system(small_relation, fanout=8)
     router = QueryRouter.for_system(system)
-    session = QuerySession(system.relation, system.rtree, system.pcube)
+    snapshot = system.epochs.current
+    session = QuerySession(snapshot.relation, snapshot.rtree, snapshot.pcube)
     predicate = _predicate(system.relation)
     first = router.route(session, RouteRequest("skyline", predicate))
     second = router.route(session, RouteRequest("skyline", predicate))
@@ -360,7 +360,6 @@ def test_cached_topk_with_tied_scores_is_in_score_tid_order():
         [(float(rng.randrange(5)), float(rng.randrange(5))) for _ in range(400)],
     )
     system = build_system(relation, fanout=6)
-    system.enable_epochs()
     router = QueryRouter.for_system(system)
     session = _session(system)
     for weights in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.rtree.bulk import _str_order, bulk_load
 from repro.rtree.geometry import Rect
+from repro.rtree.frozen import freeze
 
 from tests.reference import range_search
 from tests.rtree.test_rtree import check_invariants, random_points
@@ -31,8 +32,9 @@ def test_bulk_load_structure_and_paths():
     assert len(tree) == 500
     check_invariants(tree)
     paths = tree.all_paths()
+    frozen = freeze(tree)
     for tid, point in points:
-        entry = tree.entry_at(paths[tid])
+        entry = frozen.entry_at(paths[tid])
         assert (entry.tid, entry.mbr.lows) == (tid, point)
 
 

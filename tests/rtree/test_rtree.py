@@ -7,6 +7,7 @@ import pytest
 from repro.rtree.geometry import Rect
 from repro.rtree.node import subtree_tids
 from repro.rtree.rtree import RTree, fanout_for_page
+from repro.rtree.frozen import freeze
 
 from tests.reference import range_search
 
@@ -39,8 +40,9 @@ def check_invariants(tree: RTree) -> None:
     # Path map agrees with the actual structure.
     paths = tree.all_paths()
     assert sorted(paths) == sorted(tree._points)
+    frozen = freeze(tree)
     for tid, path in paths.items():
-        assert tree.entry_at(path).tid == tid
+        assert frozen.entry_at(path).tid == tid
 
 
 @pytest.fixture
@@ -210,7 +212,7 @@ def test_update_moves_point(tree):
     for tid, point in random_points(30, seed=2):
         tree.insert(tid, point)
     changes = tree.update(5, (0.99, 0.99))
-    assert tree.entry_at(tree.all_paths()[5]).mbr.lows == (0.99, 0.99)
+    assert freeze(tree).entry_at(tree.all_paths()[5]).mbr.lows == (0.99, 0.99)
     assert any(c.tid == 5 for c in changes)
     check_invariants(tree)
 
