@@ -16,6 +16,7 @@ import time
 
 from repro import BooleanPredicate, build_system
 from repro.baselines.naive import naive_skyline
+from repro.cube.relation import Relation
 from repro.data.synthetic import SyntheticConfig, generate_relation
 
 
@@ -110,8 +111,19 @@ def main() -> None:
     check("updates")
 
     # --- compare with full recomputation ----------------------------------- #
+    # A system owns its relation, so the recomputation runs over a copy of
+    # the current rows (tombstones included).
+    tids = relation.tids()
+    current = Relation(
+        relation.schema,
+        [relation.bool_row(tid) for tid in tids],
+        [relation.pref_point(tid) for tid in tids],
+    )
+    for tid in tids:
+        if not relation.is_live(tid):
+            current.tombstone(tid)
     started = time.perf_counter()
-    rebuilt = build_system(relation, with_indexes=False)
+    rebuilt = build_system(current, with_indexes=False)
     rebuild_seconds = time.perf_counter() - started
     print(
         f"\nFull recomputation of R-tree + P-Cube would cost "

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.rtree.frozen import FrozenRTree, freeze
@@ -60,13 +60,27 @@ if TYPE_CHECKING:  # pragma: no cover
 DELTA_LOG_EPOCHS = 64
 
 
+class StaleSnapshotError(RuntimeError):
+    """An unpinned snapshot was read after later writes reclaimed pages
+    or version records it may reference."""
+
+    def __init__(self, epoch: int) -> None:
+        super().__init__(
+            f"epoch {epoch} is no longer readable: writes since reclaimed "
+            "pages or row versions it may read; take system.engine again "
+            "(or pin the snapshot for as long as it is read)"
+        )
+        self.epoch = epoch
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """One published epoch: immutable projections of all three structures.
 
     Everything a query needs hangs off this object; holding a snapshot
     (pinned) is the only requirement for running against it from any
-    thread.
+    thread.  An unpinned one stays readable only until a later publish
+    reclaims what it references (:meth:`check_readable`).
     """
 
     epoch: int
@@ -74,6 +88,13 @@ class Snapshot:
     rtree: FrozenRTree
     store: "StoreView"
     pcube: "PCubeView"
+    manager: "EpochManager" = field(repr=False, compare=False)
+
+    def check_readable(self) -> None:
+        """Raise :class:`StaleSnapshotError` if a freed page or a pruned
+        version record may be one this snapshot reads."""
+        if self.epoch < self.manager.stale_below:
+            raise StaleSnapshotError(self.epoch)
 
 
 class EpochStats(Tally):
@@ -112,6 +133,9 @@ class EpochManager:
         self._deferred: list[tuple[int, int]] = []
         # Horizon the version maps were last pruned to (writer path only).
         self._pruned_horizon = 0
+        #: Epochs below this may reference a reclaimed page or a pruned
+        #: version record: only a pin keeps an epoch at or above it.
+        self.stale_below = 0
         # epoch -> the rows its publish wrote (absent: unknown).  An
         # abandoned write left rows no write set names, so the next publish
         # records "unknown" whatever it is handed.
@@ -256,10 +280,13 @@ class EpochManager:
         # _writer_lock.  Pins can only attach to the current epoch, so a
         # horizon computed moments ago can lag but never overshoot.
         if horizon > self._pruned_horizon:
-            self.stats.bump(
-                pruned_versions=self.relation.prune_versions(horizon)
-            )
+            pruned = self.relation.prune_versions(horizon)
+            self.stats.bump(pruned_versions=pruned)
             self._pruned_horizon = horizon
+            if pruned:
+                # A record stamped W <= horizon served readers below W.
+                with self._lock:
+                    self.stale_below = max(self.stale_below, horizon)
         return snapshot
 
     def deltas_between(self, after: int, upto: int) -> list[tuple] | None:
@@ -287,6 +314,7 @@ class EpochManager:
             rtree=frozen,
             store=store_view,
             pcube=pcube_view,
+            manager=self,
         )
 
     # ------------------------------------------------------------------ #
@@ -320,6 +348,8 @@ class EpochManager:
             except PageFault:
                 pass  # recovery may have rebuilt (and freed) wholesale
             freed += 1
+            # Epochs below the barrier may still reference the page.
+            self.stale_below = max(self.stale_below, barrier)
         self._deferred = keep
         self.stats.bump(reclaimed_pages=freed)
 

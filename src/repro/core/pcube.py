@@ -30,7 +30,6 @@ from repro.storage.counters import IOCounters
 from repro.storage.errors import StorageFault
 
 if TYPE_CHECKING:
-    from repro.core.breakers import BreakerBoard
     from repro.query.predicates import BooleanPredicate
 
 
@@ -127,8 +126,6 @@ class ReaderFactory:
         pool: BufferPool | None = None,
         stats: QueryStats | None = None,
         deadline_at: float | None = None,
-        breakers: "BreakerBoard | None" = None,
-        epoch: int | None = None,
     ):
         """A boolean-prune reader for the conjunction of ``cells``, each a
         materialised cell (a cover, :meth:`cover_for_dims`).
@@ -151,8 +148,6 @@ class ReaderFactory:
                 stats,
                 fallback=self.boolean_fallback,
                 deadline_at=deadline_at,
-                breakers=breakers,
-                epoch=epoch,
             )
             for cell in cells
         ]
@@ -210,8 +205,6 @@ class ReaderFactory:
         pool: BufferPool | None = None,
         stats: QueryStats | None = None,
         deadline_at: float | None = None,
-        breakers: "BreakerBoard | None" = None,
-        epoch: int | None = None,
     ):
         """A boolean-prune reader for a conjunction, using the best
         materialised cover (see :meth:`cover_for_dims`)."""
@@ -220,28 +213,21 @@ class ReaderFactory:
         cover = self.cover_for_dims(conjuncts)
         if cover is None:
             return EmptyReader()
-        return self.reader_for_cells(
-            cover,
-            pool,
-            stats,
-            deadline_at=deadline_at,
-            breakers=breakers,
-            epoch=epoch,
-        )
+        return self.reader_for_cells(cover, pool, stats, deadline_at)
 
     def reader_for_dnf(
         self,
         disjuncts: Sequence[BooleanPredicate],
         pool: BufferPool | None = None,
         stats: QueryStats | None = None,
-        **plumbing,
+        deadline_at: float | None = None,
     ):
         """A boolean-prune reader for ``disjunct_1 OR disjunct_2 OR ...``
         (signature union, paper Fig. 3b).
 
-        ``plumbing`` (ticket deadline, breaker board, epoch) is
-        handed to every per-disjunct :meth:`reader_for_predicate` unchanged,
-        and every disjunct's reader bumps the same ``stats``.  Returns
+        ``deadline_at`` (the ticket's deadline) is handed to every
+        per-disjunct :meth:`reader_for_predicate`, and every disjunct's
+        reader bumps the same ``stats``.  Returns
         ``None`` when some disjunct is the empty conjunction ``φ`` (the
         disjunction is then a tautology: no pruning possible).
         """
@@ -254,7 +240,7 @@ class ReaderFactory:
         readers = []
         for disjunct in disjuncts:
             reader = self.reader_for_predicate(
-                disjunct.conjuncts, pool, stats, **plumbing
+                disjunct.conjuncts, pool, stats, deadline_at
             )
             if isinstance(reader, EmptyReader):
                 continue  # an unsatisfiable disjunct contributes nothing

@@ -27,8 +27,9 @@ Counting: a reader is handed the query's
 the event happens — a partial loaded (``sig_loads``, and
 ``sig_lookahead_loads`` when an :class:`AssembledReader`'s look-ahead asked
 for it), the time spent loading, a retry, a lost partial, a conservative
-answer, an open breaker — as the buffer pool bumps the query's
-``IOCounters``.  Every member of a group reader shares its parent's record.
+answer, a load skipped because the cell is quarantined — as the buffer pool
+bumps the query's ``IOCounters``.  Every member of a group reader shares
+its parent's record.
 
 Degraded mode (the Diamond-Dicing contract: OLAP structures are rebuildable
 caches over the base relation, so a lost or corrupt signature must never
@@ -58,7 +59,6 @@ from repro.storage.counters import IOCounters
 from repro.storage.errors import StorageFault
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.breakers import BreakerBoard
     from repro.core.store import SignatureStore, StoreView
 
 
@@ -125,10 +125,13 @@ class CellSignatureReader:
     at internal nodes, and exactly via ``fallback`` (a base-relation probe)
     where one is provided.  Algorithm 1 then still returns exactly the
     fault-free answer, just with more block reads (the robustness overhead
-    the stats record).  A cell the store held quarantined when the reader
-    was built takes the same path with every partial it loads: until a
-    rebuild its pages are not trusted, because a faulted maintenance
-    rewrite may have left them behind the tree.
+    the stats record).  The reader that meets the fault keeps the cell's
+    other partials for the rest of its query, but a reader built over a
+    quarantined cell loads none: every load is skipped
+    (``stats.quarantine_skips``) and every bit test takes the same
+    degraded path until the cell is re-stored, because until then its
+    pages are not trusted (they keep failing, or a faulted maintenance
+    rewrite left them behind the tree).
     """
 
     def __init__(
@@ -139,8 +142,6 @@ class CellSignatureReader:
         stats: QueryStats,
         fallback: BooleanFallback | None = None,
         deadline_at: float | None = None,
-        breakers: "BreakerBoard | None" = None,
-        epoch: int | None = None,
     ) -> None:
         self.store = store
         self.cell = cell
@@ -148,8 +149,6 @@ class CellSignatureReader:
         self.stats = stats
         self.fallback = fallback
         self.deadline_at = deadline_at
-        self.breakers = breakers
-        self.epoch = epoch
         self.fanout = store.fanout
         #: The loaded partials' nodes, compressed, and the decoded masks of
         #: those tested so far.
@@ -158,9 +157,8 @@ class CellSignatureReader:
         self._loaded_refs: set[int] = set()
         self._known_missing: set[int] = set()
         self._unreadable_refs: set[int] = set()
-        # A cell quarantined before this read awaits a rebuild: its pages
-        # may be behind the tree (a faulted rewrite), so a partial read
-        # back from them is not trusted either.
+        # A quarantined cell awaits a rebuild: its pages may be behind the
+        # tree (a faulted rewrite) or keep failing, so none is read.
         self._distrusted = store.is_quarantined(cell)
         # The first partial (root reference) is loaded up front, as the
         # paper prescribes ("To begin with, we load the first partial
@@ -188,13 +186,9 @@ class CellSignatureReader:
         if ref_sid in self._unreadable_refs:
             return None
         stats = self.stats
-        if self.breakers is not None and not self.breakers.allow(
-            self.cell.cell_id, ref_sid, self.epoch
-        ):
-            # An open breaker: the pages behind this ref keep failing, so
-            # skip straight to the degraded path — zero I/O, no re-probe.
+        if self._distrusted:
             self._unreadable_refs.add(ref_sid)
-            stats.breaker_skips += 1
+            stats.quarantine_skips += 1
             stats.degraded = True
             return None
         started = time.perf_counter()
@@ -207,10 +201,6 @@ class CellSignatureReader:
                 deadline_at=self.deadline_at,
             )
         except StorageFault as fault:
-            if self.breakers is not None:
-                self.breakers.record_failure(
-                    self.cell.cell_id, ref_sid, self.epoch
-                )
             self._unreadable_refs.add(ref_sid)
             stats.failed_loads += 1
             stats.degraded = True
@@ -221,13 +211,7 @@ class CellSignatureReader:
             if partial is None:
                 self._known_missing.add(ref_sid)
                 found = False
-            elif self._distrusted:
-                self._unreadable_refs.add(ref_sid)
-                stats.degraded = True
-                found = None
             else:
-                if self.breakers is not None:
-                    self.breakers.record_success(self.cell.cell_id, ref_sid)
                 self._loaded_refs.add(ref_sid)
                 self._blobs.update(partial.blobs)
                 stats.sig_loads += 1
@@ -358,12 +342,11 @@ class AssembledReader:
     out once from the path the search asks about, and its children are
     ``sid · (M + 1) + p``.  A member whose loaded partials hold the node
     answers from ``resident_mask``; only a node it does not hold yet goes
-    through its ``check_sid`` (partial loads, retries, breakers,
-    quarantine), and the loads the look-ahead issues there count as
-    ``sig_lookahead_loads`` too.  A node some member cannot resolve counts
-    as non-empty during look-ahead — no fallback probe, no
-    ``degraded_checks`` — and meets the members' conservative path when
-    the search expands it.
+    through its ``check_sid`` (partial loads, retries, quarantine), and the
+    loads the look-ahead issues there count as ``sig_lookahead_loads`` too.
+    A node some member cannot resolve counts as non-empty during
+    look-ahead — no fallback probe, no ``degraded_checks`` — and meets the
+    members' conservative path when the search expands it.
 
     Args:
         readers: One reader per cell of the conjunction, all bumping the

@@ -393,9 +393,10 @@ class StoreView(_DirectoryReads):
     only what a query reads: ``disk``, ``fanout``, ``retry_policy``,
     ``fault_stats``, the directory reads (``has_cell``, ``n_partials``,
     ``load_partial``, ``load_full_signature``, ``reader``) and
-    ``quarantine``.  Quarantine and fault accounting intentionally pass
-    through to the live store: discovering an unreadable page is news for
-    the repair queue regardless of which epoch noticed it.
+    ``quarantine``.  Quarantine and fault accounting pass through to the
+    live store: discovering an unreadable page is news for the repair queue
+    regardless of which epoch noticed it — as long as the page is still
+    the cell's current one.
     """
 
     def __init__(
@@ -409,7 +410,13 @@ class StoreView(_DirectoryReads):
         self.fault_stats = base.fault_stats
 
     def quarantine(self, cell: Cell, reason: object) -> None:
-        self._base.quarantine(cell, reason)
+        """Quarantine the cell in the live store — unless a re-store has
+        superseded the pages this view reads (``replace_partials`` installs
+        a new refs map at its commit point), which the fault is then no
+        news about."""
+        current = self._base._directory.get(cell.cell_id)
+        if current is self._directory.get(cell.cell_id):
+            self._base.quarantine(cell, reason)
 
     def is_quarantined(self, cell: Cell) -> bool:
         return self._base.is_quarantined(cell)

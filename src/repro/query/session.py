@@ -4,8 +4,8 @@ The paper presents Algorithm 1 as *one* framework whose query kinds differ
 only in the preference-pruning strategy (Section V; Section VII adds
 dynamic skylines and convex hulls "easily").  :class:`QuerySession` is that
 framework's single driver: :meth:`QuerySession._run` builds the per-query
-context — stats, buffer pool, retry budget, breaker-aware signature reader,
-ticker — runs the search and stamps the outcome, and every
+context — stats, buffer pool, retry budget, quarantine-aware signature
+reader, ticker — runs the search and stamps the outcome, and every
 kind only hands it what differs: a
 :class:`~repro.query.algorithm1.SkylineStrategy` (optionally over a
 ``preference by`` subspace), a :class:`~repro.query.algorithm1.TopKStrategy`,
@@ -43,7 +43,9 @@ store view — and differ only in their pool:
   probe) is invoked on every Algorithm 1 heap pop.
 
 Either way the result's stats carry the snapshot epoch, and a drill-down
-or roll-up resumes only a result of the session's own epoch.
+or roll-up resumes only a result of the session's own epoch.  A query on
+an unpinned snapshot whose pages or row versions later writes reclaimed
+raises :class:`~repro.core.epoch.StaleSnapshotError` before it reads.
 
 A session answers by signature only: its tiers are ``signature`` and
 ``conservative`` (decided by its reader), and a
@@ -80,7 +82,6 @@ from repro.storage.counters import SBLOCK
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.epoch import Snapshot
-    from repro.core.breakers import BreakerBoard
 
 
 @dataclass
@@ -138,8 +139,8 @@ class QuerySession:
             observes it through a private :class:`PoolView`.  ``None``
             (the default) gives every query a fresh cold pool of
             :data:`COLD_POOL_PAGES` pages instead.
-        epoch: Stamped onto every result's ``stats.epoch``, handed to
-            the breaker board and checked by a drill-down / roll-up.
+        epoch: Stamped onto every result's ``stats.epoch`` and checked by
+            a drill-down / roll-up.
         ticker: Invoked once per Algorithm 1 heap pop; raises to abort the
             query (deadline/cancellation in the serving executor).
         deadline_at: ``time.perf_counter()`` instant this session's queries
@@ -147,9 +148,6 @@ class QuerySession:
             (a backoff that would outspend the budget is skipped and the
             fault surfaces immediately); the ticker still enforces the
             deadline itself.
-        breakers: A :class:`~repro.core.breakers.BreakerBoard` shared
-            across the serving deployment; partial loads consult it and an
-            open breaker short-circuits straight to the degraded path.
     """
 
     def __init__(
@@ -161,7 +159,6 @@ class QuerySession:
         epoch: int | None = None,
         ticker: Callable[[], None] | None = None,
         deadline_at: float | None = None,
-        breakers: "BreakerBoard | None" = None,
     ) -> None:
         self.relation = relation
         self.rtree = rtree
@@ -170,7 +167,9 @@ class QuerySession:
         self.epoch = epoch
         self.ticker = ticker
         self.deadline_at = deadline_at
-        self.breakers = breakers
+        #: The snapshot :meth:`for_snapshot` bound, checked readable before
+        #: every query (``None`` for a session built by hand).
+        self.snapshot: "Snapshot | None" = None
 
     @classmethod
     def for_snapshot(
@@ -179,14 +178,14 @@ class QuerySession:
         pool: BufferPool | None = None,
         ticker: Callable[[], None] | None = None,
         deadline_at: float | None = None,
-        breakers: "BreakerBoard | None" = None,
     ) -> "QuerySession":
         """Bind a session to a pinned snapshot's frozen structures.
 
-        The caller keeps the snapshot pinned for the session's lifetime
-        (the session itself never talks to the epoch manager).
+        The caller keeps the snapshot pinned for the session's lifetime;
+        a query on an unpinned snapshot that later writes reclaimed raises
+        :class:`~repro.core.epoch.StaleSnapshotError` before it reads.
         """
-        return cls(
+        session = cls(
             snapshot.relation,
             snapshot.rtree,
             snapshot.pcube,
@@ -194,8 +193,9 @@ class QuerySession:
             epoch=snapshot.epoch,
             ticker=ticker,
             deadline_at=deadline_at,
-            breakers=breakers,
         )
+        session.snapshot = snapshot
+        return session
 
     # ------------------------------------------------------------------ #
     # pool policy
@@ -470,6 +470,8 @@ class QuerySession:
         went.  A storage fault the conservative readers cannot absorb
         propagates, with this attempt's stats as its ``stats`` attribute.
         """
+        if self.snapshot is not None:
+            self.snapshot.check_readable()
         stats = QueryStats()
         stats.epoch = self.epoch
         pool = self.query_pool()
@@ -509,13 +511,10 @@ class QuerySession:
         conjunctive = isinstance(predicate, BooleanPredicate)
         if conjunctive and predicate.is_empty():
             return None
-        plumbing = {
-            "deadline_at": self.deadline_at,
-            "breakers": self.breakers,
-            "epoch": self.epoch,
-        }
         if not conjunctive:
-            return self.pcube.reader_for_dnf(predicate, pool, stats, **plumbing)
+            return self.pcube.reader_for_dnf(
+                predicate, pool, stats, self.deadline_at
+            )
         return self.pcube.reader_for_predicate(
-            predicate.conjuncts, pool, stats, **plumbing
+            predicate.conjuncts, pool, stats, self.deadline_at
         )

@@ -66,8 +66,8 @@ class QueryStats:
             cell into conservative mode).
         degraded_checks: Bit tests answered conservatively or via the
             base-relation fallback because a partial was unreadable.
-        breaker_skips: Partial loads short-circuited by an open circuit
-            breaker (degraded with zero I/O on the bad pages).
+        quarantine_skips: Partial loads not tried because the cell is
+            quarantined (degraded with zero I/O on its pages).
         degraded: Whether this query ran with any signature degraded — the
             per-query "degraded query" flag robustness benchmarks count.
         tier: Which rung of the degradation chain produced the answer —
@@ -86,8 +86,8 @@ class QueryStats:
             reads, dynamic skylines and hulls.
         fallbacks: How many engines failed before ``route`` answered.
         cache_outcome: The router cache's verdict — ``"hit"``, ``"miss"``,
-            ``"bypass"`` (open breaker or a disjunction) or ``None`` (cache
-            off or not consulted).
+            ``"bypass"`` (a quarantined cell or a disjunction) or ``None``
+            (cache off or not consulted).
         cache_computed_epoch: On a hit, the epoch the served answer was
             computed at (older than ``epoch`` when it was carried).
     """
@@ -107,7 +107,7 @@ class QueryStats:
     fault_retries: int = 0
     failed_loads: int = 0
     degraded_checks: int = 0
-    breaker_skips: int = 0
+    quarantine_skips: int = 0
     degraded: bool = False
     tier: str | None = None
     epoch: int | None = None
@@ -133,7 +133,7 @@ class QueryStats:
         self.fault_retries += failed.fault_retries
         self.failed_loads += failed.failed_loads
         self.degraded_checks += failed.degraded_checks
-        self.breaker_skips += failed.breaker_skips
+        self.quarantine_skips += failed.quarantine_skips
 
     # Convenience accessors for the figure series ----------------------- #
 

@@ -25,8 +25,9 @@ same rule.
 
 Cached serving stays byte-identical to computed serving because only
 *canonicalised* answers are stored, and lookups are bypassed — not merely
-missed — while a breaker is open on any cell of the predicate (suspect
-storage should be re-exercised, not masked), and for a disjunction.
+missed — while any cell of the predicate is quarantined (suspect storage
+answers through the degraded path, not from a cache that masks it), and
+for a disjunction.
 A session built by hand without an epoch (``epoch is None``) is never
 cached: without an epoch there is no invalidation token.
 """

@@ -13,10 +13,11 @@ every skyline/top-k query:
 1. with the cache on, on the first query after a publish, the cache's
    reconcile to the reader's epoch (:mod:`repro.route.cache`: entries the
    deltas in between provably cannot change are carried, the rest
-   dropped, unknown ⇒ drop), then a lookup — *bypassed* while a breaker is
-   open on any of the predicate's cells, so traffic keeps exercising (and
-   healing) the real path, or when the query cannot be keyed (a ranking
-   function with no cache token, a disjunction).  This half,
+   dropped, unknown ⇒ drop), then a lookup — *bypassed* while any of the
+   predicate's cells is quarantined, so the answer comes from the real
+   (degraded) path until a re-store publishes the repaired cell, or when
+   the query cannot be keyed (a ranking function with no cache token, a
+   disjunction).  This half,
    :meth:`QueryRouter.lookup`, reads no storage and needs no pin: the
    executor runs it on the submitting thread at the current epoch, so a
    hit never enters the admission queue;
@@ -55,7 +56,7 @@ from repro.route.fallback import run_chain
 from repro.route.stats import RouterStats
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.breakers import BreakerBoard
+    from repro.core.store import SignatureStore
     from repro.system import PCubeSystem
 
 
@@ -65,43 +66,42 @@ class QueryRouter:
     def __init__(
         self,
         ctx: EngineContext,
+        store: "SignatureStore",
         cache: bool = True,
-        breakers: "BreakerBoard | None" = None,
         deltas=None,
     ) -> None:
         self.ctx = ctx
-        self.breakers = breakers
+        self.store = store  # the live store, whose quarantine is current
         self.deltas = deltas  # EpochManager.deltas_between; None: flush-all
         self.cache = ResultCache() if cache else None
         self.stats = RouterStats()
 
     @classmethod
     def for_system(
-        cls,
-        system: "PCubeSystem",
-        cache: bool = True,
-        breakers: "BreakerBoard | None" = None,
+        cls, system: "PCubeSystem", cache: bool = True
     ) -> "QueryRouter":
+        # The B+-tree postings are never maintained after build; the
+        # engines take them only while they cover the pinned snapshot's
+        # rows, and scan the table otherwise.
         ctx = EngineContext(system.indexes, system.indexes_rows)
-        return cls(ctx, cache, breakers, system.epochs.deltas_between)
+        return cls(
+            ctx, system.pcube.store, cache, system.epochs.deltas_between
+        )
 
     # ------------------------------------------------------------------ #
     # serving
     # ------------------------------------------------------------------ #
 
-    def _breaker_bypass(self, predicate: BooleanPredicate) -> bool:
-        """Is a breaker open on a cell of this (keyed, so conjunctive)
-        predicate?"""
-        if (
-            self.breakers is None
-            or predicate.is_empty()
-            or not self.breakers.open_count()
-        ):
+    def _quarantine_bypass(self, predicate: BooleanPredicate) -> bool:
+        """Is a cell of this (keyed, so conjunctive) predicate
+        quarantined?"""
+        store = self.store
+        if predicate.is_empty() or not store.quarantined_cells():
             return False
-        cells = [cell.cell_id for cell in predicate.atomic_cells()]
+        cells = predicate.atomic_cells()
         if len(predicate) > 1:
-            cells.append(predicate.cell().cell_id)
-        return any(self.breakers.cell_open(cell_id) for cell_id in cells)
+            cells += (predicate.cell(),)
+        return any(store.is_quarantined(cell) for cell in cells)
 
     def lookup(
         self, request: RouteRequest, epoch: int | None
@@ -126,7 +126,7 @@ class QueryRouter:
             request.k,
             epoch,
         )
-        if key is None or self._breaker_bypass(request.predicate):
+        if key is None or self._quarantine_bypass(request.predicate):
             return None, None, "bypass"
         answer = self.cache.get(key)
         if answer is None:

@@ -15,15 +15,16 @@ Quick start::
         result = ticket.result(timeout=5.0)
 
 Every executor serves resiliently with one configuration: deadline-budgeted
-storage retries, one shared :class:`BreakerBoard` (re-exported from
-:mod:`repro.core.breakers`) and shedding of queued tickets whose deadline
-lapsed (:class:`QueryShed`).  A deadline is per submission (``deadline=``).
+storage retries, the store's quarantine (a cell whose partial stayed
+unreadable is read through the exact degraded path, with none of its pages,
+until a re-store publishes it repaired) and shedding of queued tickets
+whose deadline lapsed (:class:`QueryShed`).  A deadline is per submission
+(``deadline=``).
 
 ``python -m repro.serve --smoke`` runs a self-checking smoke workload and
 ``python -m repro.serve --health`` a resilience/fault health report.
 """
 
-from repro.core.breakers import BreakerBoard, CircuitBreaker
 from repro.serve.executor import (
     AdmissionFull,
     QueryCancelled,
@@ -37,8 +38,6 @@ from repro.serve.stats import ServingStats
 
 __all__ = [
     "AdmissionFull",
-    "BreakerBoard",
-    "CircuitBreaker",
     "Finding",
     "QueryCancelled",
     "QueryExecutor",

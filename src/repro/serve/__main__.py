@@ -13,13 +13,13 @@ verifies:
 
 ``python -m repro.serve --health`` builds the same system over a
 fault-injecting disk, serves a seeded skyline/top-k workload *through the
-faults* (so retries, breakers and degraded tiers actually fire), checks
+faults* (so retries, quarantines and degraded tiers actually fire), checks
 that every degraded answer is still byte-identical to the serial engine,
 runs one scrubber pass (which must find and heal the permanently
 corrupted signature page the fault plan left behind), and prints the
 executor's :meth:`~repro.serve.executor.QueryExecutor.health` report —
-the operator view of serving, fault, breaker, quarantine, scrubber and
-supervisor state.
+the operator view of serving, fault, quarantine, scrubber and supervisor
+state.
 
 Exit status 0 on success, 1 on any mismatch; a JSON summary goes to
 stdout either way.  An out-of-range ``--threads`` or ``--queries`` (below 1)
@@ -132,7 +132,7 @@ def run_health(threads: int, n_queries: int, seed: int) -> int:
 
     The fault plan fires transient read errors and one permanent
     corruption against the signature pages, so the report shows retries,
-    degraded loads, breaker activity and the quarantine backlog — while
+    degraded loads, quarantine skips and the quarantine backlog — while
     the conservative readers and the fallback chain must keep every answer
     byte-identical to the serial engine's.
     """
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
         "--health",
         action="store_true",
         help="serve a seeded workload through injected storage faults and "
-        "print the executor's health report (serving, fault, breaker and "
+        "print the executor's health report (serving, fault and "
         "quarantine state)",
     )
     parser.add_argument("--threads", type=int, default=4)

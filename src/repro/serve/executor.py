@@ -22,10 +22,11 @@ The serving pipeline, front to back:
   aborts with :class:`QueryTimeout` / :class:`QueryCancelled` without
   poisoning the worker.
 * Every executor is **resilient**, with one configuration: sessions run
-  with deadline-budgeted storage retries, partial loads consult one shared
-  per-(cell, SID) :class:`~repro.core.breakers.BreakerBoard` (default
-  threshold), and queued tickets whose deadline already lapsed are
-  **shed** (:class:`QueryShed`) instead of wasting a worker.
+  with deadline-budgeted storage retries, a cell whose partial stayed
+  unreadable is quarantined in the store (every later read skips its
+  pages and answers through the exact degraded path until a re-store
+  publishes the repaired cell), and queued tickets whose deadline already
+  lapsed are **shed** (:class:`QueryShed`) instead of wasting a worker.
 * Every per-kind query runs down **one fallback chain**
   (:mod:`repro.route.fallback`): :data:`~repro.route.engines.SERVING_CHAIN`,
   whose exact scans answer conjunctive skylines and top-k when even the
@@ -36,7 +37,7 @@ The serving pipeline, front to back:
 
 Results carry their epoch and queue wait in ``stats``, and the executor
 aggregates fleet-level tallies in :class:`~repro.serve.stats.ServingStats`;
-:meth:`health` bundles those with fault, breaker and quarantine state for
+:meth:`health` bundles those with fault and quarantine state for
 operators.
 """
 
@@ -48,12 +49,11 @@ import threading
 import time
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.core.breakers import BreakerBoard
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import RankingFunction
 from repro.query.session import Predicate, QueryResult, QuerySession
 from repro.route.cache import CACHED_KINDS
-from repro.route.engines import EngineContext, RouteRequest, chain_for
+from repro.route.engines import RouteRequest, chain_for
 from repro.route.fallback import run_chain
 from repro.route.router import QueryRouter
 from repro.serve.stats import ServingStats
@@ -235,7 +235,7 @@ class QueryExecutor:
             :class:`BufferPool` of ``pool_capacity`` pages over the
             system's disk, shared by all workers.
         routing: Turns the router's epoch-keyed result cache on (with its
-            breaker bypass).  Cached answers are canonicalised (skyline
+            quarantine bypass).  Cached answers are canonicalised (skyline
             tids ascending, top-k sorted by ``(score, tid)``) and
             byte-identical to the cache-off answer *sets*; a cache hit is
             answered on the submitting thread (queue wait 0, no pin).
@@ -265,16 +265,7 @@ class QueryExecutor:
             if pool is not None
             else BufferPool(system.rtree.disk, capacity=pool_capacity)
         )
-        self.breakers = BreakerBoard()
-        # The B+-tree postings are never maintained after build; the
-        # engines take them only while they cover the pinned snapshot's
-        # rows, and scan the table otherwise.
-        self.router = QueryRouter(
-            EngineContext(system.indexes, system.indexes_rows),
-            cache=routing,
-            breakers=self.breakers,
-            deltas=self.epochs.deltas_between,
-        )
+        self.router = QueryRouter.for_system(system, cache=routing)
         self.stats = ServingStats()
         self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
         self._closed = False
@@ -549,7 +540,6 @@ class QueryExecutor:
                         pool=self.pool,
                         ticker=ticket._ticker,
                         deadline_at=ticket.deadline_at,
-                        breakers=self.breakers,
                     )
                     result = ticket._run(session)
                     result.stats.queue_wait_seconds = queue_wait
@@ -633,9 +623,9 @@ class QueryExecutor:
     def health(self) -> dict:
         """One operator-facing report: every tally's snapshot under its
         name (``serving``, ``faults``, ``maintenance``, ``epochs``, and the
-        router's and scrubber's inside their reports), plus the breaker
-        board and the current quarantine backlog — what ``python -m
-        repro.serve --health`` prints.
+        router's and scrubber's inside their reports), plus the current
+        quarantine backlog — what ``python -m repro.serve --health``
+        prints.
         """
         store = self.system.pcube.store
         quarantined = store.quarantined_cells()
@@ -647,7 +637,6 @@ class QueryExecutor:
             "faults": store.fault_stats.snapshot(),
             "maintenance": self.system.maintenance_stats.snapshot(),
             "epochs": self.epochs.stats.snapshot(),
-            "breakers": self.breakers.snapshot(),
             "quarantined_cells": [cell.cell_id for cell in quarantined],
             "router": self.router.snapshot(),
             "inflight": self.inflight(),

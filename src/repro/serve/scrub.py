@@ -16,8 +16,8 @@ invariants continuously while the system serves traffic:
   like ``verify_consistency()`` but incremental, throttled and concurrent with
   both readers and the maintenance writer.
 * **Self-healing** — damage to a signature page (or a failed cell
-  invariant) quarantines the owning cell through the PR-5 hooks and
-  rebuilds it via
+  invariant) quarantines the owning cell, and every pass that finds a
+  quarantined cell — its own finding or a query's — rebuilds them all via
   :meth:`~repro.system.PCubeSystem.repair_quarantined`, which publishes a
   fresh epoch so concurrent readers flip to the healed pages atomically.
   Damage outside the signature store (heap, R-tree, B+-tree pages) has no
@@ -86,7 +86,8 @@ class Scrubber:
             sleeps; the rate knob that keeps scrub overhead low.
         interval: Seconds slept between work quanta (and between passes).
 
-    Damaged signature cells are always quarantined and rebuilt.
+    Damaged signature cells are always quarantined, and every pass
+    rebuilds every quarantined cell.
     """
 
     def __init__(
@@ -225,10 +226,12 @@ class Scrubber:
         return damaged
 
     def _heal(self, damaged_cells: set[str], findings: list[Finding]) -> int:
-        """Quarantine + rebuild the damaged cells (single-writer path)."""
-        if not damaged_cells:
-            return 0
+        """Quarantine the damaged cells, then rebuild every quarantined
+        cell — those a query's fault quarantined since the last pass too —
+        on the single-writer path."""
         system = self.system
+        if not damaged_cells and not system.pcube.store.quarantined_cells():
+            return 0
         by_id = {
             cell.cell_id: cell
             for cuboid in system.pcube.cuboids

@@ -33,7 +33,7 @@ class ServingStats(Tally):
     Resilience tallies (aggregated from each query's
     :class:`~repro.query.stats.QueryStats` and reported by ``--health``):
     ``fault_retries``, ``failed_loads``, ``degraded_checks``,
-    ``breaker_skips``, ``degraded_queries`` and the per-tier counts in
+    ``quarantine_skips``, ``degraded_queries`` and the per-tier counts in
     ``tiers``.  Which engine served a routed read, and what its cache
     lookup found, is the router's count
     (:class:`~repro.route.stats.RouterStats`), not repeated here.
@@ -58,7 +58,7 @@ class ServingStats(Tally):
         fault_retries=0,
         failed_loads=0,
         degraded_checks=0,
-        breaker_skips=0,
+        quarantine_skips=0,
         degraded_queries=0,
         tiers={},
     )
@@ -102,7 +102,7 @@ class ServingStats(Tally):
                 counts["fault_retries"] += stats.fault_retries
                 counts["failed_loads"] += stats.failed_loads
                 counts["degraded_checks"] += stats.degraded_checks
-                counts["breaker_skips"] += stats.breaker_skips
+                counts["quarantine_skips"] += stats.quarantine_skips
                 counts["degraded_queries"] += stats.degraded
                 if stats.tier is not None:
                     tiers = counts["tiers"]

@@ -25,7 +25,7 @@ from repro.core.epoch import EpochManager, Snapshot
 from repro.core.integrity import ConsistencyReport
 from repro.core.pcube import PCube
 from repro.core.wal import MaintenanceWAL, PendingOp, replay_intent
-from repro.cube.relation import Relation
+from repro.cube.relation import Relation, _epoch_zero
 from repro.query.session import QuerySession
 from repro.query.stats import MaintenanceStats
 from repro.rtree.bulk import bulk_load_columns
@@ -77,7 +77,10 @@ class PCubeSystem:
         Each query gets a private pool, so its disk accesses are a pure
         function of the query (the paper's figures count them).  The
         session is bound to one epoch: take it again after a write.  It
-        holds no pin — concurrent readers pin (:meth:`pin_snapshot`).
+        holds no pin — concurrent readers pin (:meth:`pin_snapshot`) — so
+        once later writes reclaim pages or row versions its epoch may
+        read, its queries raise
+        :class:`~repro.core.epoch.StaleSnapshotError` instead of reading.
         """
         return QuerySession.for_snapshot(self.epochs.current)
 
@@ -355,7 +358,17 @@ def build_system(
             (default :data:`repro.core.wal.DEFAULT_SEGMENT_BYTES`); small
             values force frequent sealing, which durability tests and the
             recovery benchmark use to exercise the archive.
+
+    Raises:
+        ValueError: if another system's epochs already clock ``relation``
+            (each system owns its relation: a second one would stamp and
+            prune the first one's versions) — build over a fresh relation.
     """
+    if relation.epoch_clock is not _epoch_zero:
+        raise ValueError(
+            "the relation already belongs to a built system; build each "
+            "system over its own relation"
+        )
     disk = relation.disk
     dims = relation.schema.n_preference
     if fanout is None:

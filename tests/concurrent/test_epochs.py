@@ -6,7 +6,12 @@ import random
 
 import pytest
 
+from repro.baselines.naive import naive_skyline
+from repro.core.epoch import StaleSnapshotError
+from repro.data.synthetic import generate_relation
+from repro.query.predicates import BooleanPredicate
 from repro.query.session import QuerySession
+from repro.system import build_system
 from tests.rtree.test_frozen import frozen_nodes
 
 pytestmark = pytest.mark.concurrent
@@ -241,3 +246,45 @@ def test_publish_rebuilds_the_written_paths_and_leaves_pinned_epochs_alone(
     assert again.stats.counters.snapshot() == reference.stats.counters.snapshot()
     system.unpin_snapshot(pinned)
     assert system.verify_consistency().ok
+
+
+def test_a_stale_engine_session_raises_a_typed_error(fresh_system):
+    """``system.engine`` holds no pin: once later writes reclaim pages its
+    epoch may read, a query on it names the epoch and refuses to read,
+    where it used to fault on a freed page.  While a pin holds the epoch,
+    the same writes reclaim nothing it reads and it keeps answering."""
+    system = fresh_system(n_tuples=500, seed=5)
+    predicate = BooleanPredicate({"A1": 1})
+    held = system.engine
+    before = held.skyline(predicate)
+    pinned = system.pin_snapshot()  # the held session's epoch
+    for tid in range(67):
+        system.delete(tid)
+    assert held.skyline(predicate).tids == before.tids
+    system.unpin_snapshot(pinned)
+    system.delete(67)
+    assert system.epochs.stats.reclaimed_pages > 0
+    with pytest.raises(StaleSnapshotError, match="system.engine") as raised:
+        held.skyline(predicate)
+    assert raised.value.epoch == held.epoch
+    relation = system.relation
+    fresh = system.engine.skyline(predicate)
+    assert fresh.stats.epoch == system.epochs.current_epoch
+    assert sorted(fresh.tids) == sorted(
+        naive_skyline(
+            [
+                (tid, relation.pref_point(tid))
+                for tid in relation.live_tids()
+                if predicate.matches(relation, tid)
+            ]
+        )
+    )
+
+
+def test_a_relation_serves_one_system(small_config):
+    """A second system over a relation another system's epochs clock would
+    stamp and prune the first one's versions: the build refuses."""
+    relation = generate_relation(small_config)
+    build_system(relation, fanout=8)
+    with pytest.raises(ValueError, match="own relation"):
+        build_system(relation, fanout=8)

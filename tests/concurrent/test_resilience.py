@@ -1,4 +1,4 @@
-"""Serving resilience: breakers, retry budgets, shedding, degradation tiers."""
+"""Serving resilience: quarantine, retry budgets, shedding, degraded tiers."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import time
 import pytest
 
 from repro.baselines.naive import naive_skyline
-from repro.core.breakers import CLOSED, HALF_OPEN, OPEN, BreakerBoard
 from repro.data.synthetic import generate_relation
 from repro.data.workload import (
     read_mix,
@@ -45,15 +44,13 @@ def faulty(small_config):
     return disk, build_system(generate_relation(small_config, disk=disk), fanout=8)
 
 
-def _trip_breaker(executor, submit):
-    """Run ``submit()`` until the default board opens: one failing load of
-    the same partial per query, ``threshold`` (3) queries in a row.
-    Returns their results."""
-    failing = []
-    for _ in range(executor.breakers.threshold):
-        assert executor.breakers.open_count() == 0
-        failing.append(submit().result(timeout=30.0))
-    assert executor.breakers.open_count() == 1
+def _quarantine_by_one_read(executor, system, submit):
+    """Run ``submit()`` once: its failing load quarantines the cell.
+    Returns the result."""
+    store = system.pcube.store
+    assert not store.quarantined_cells()
+    failing = submit().result(timeout=30.0)
+    assert len(store.quarantined_cells()) == 1
     return failing
 
 
@@ -64,63 +61,6 @@ def _blocker(started: threading.Event, gate: threading.Event):
         return session.skyline()
 
     return run
-
-
-# ---------------------------------------------------------------------- #
-# circuit-breaker state machine
-# ---------------------------------------------------------------------- #
-
-
-def test_breaker_opens_after_threshold_consecutive_failures():
-    board = BreakerBoard(threshold=2)
-    assert board.allow("c", 0, epoch=1)
-    board.record_failure("c", 0, epoch=1)
-    assert board.state_of("c", 0) == CLOSED  # one failure: still closed
-    board.record_failure("c", 0, epoch=1)
-    assert board.state_of("c", 0) == OPEN
-    assert not board.allow("c", 0, epoch=1)  # same epoch: short-circuit
-    assert board.snapshot()["short_circuits"] == 1
-    assert board.open_count() == 1
-
-
-def test_breaker_success_resets_the_failure_streak():
-    board = BreakerBoard(threshold=2)
-    board.record_failure("c", 0, epoch=1)
-    board.record_success("c", 0)
-    board.record_failure("c", 0, epoch=1)
-    assert board.state_of("c", 0) == CLOSED  # streak broken, not cumulative
-
-
-def test_breaker_half_open_probe_heals_on_success():
-    board = BreakerBoard(threshold=1)
-    board.record_failure("c", 3, epoch=1)
-    assert board.state_of("c", 3) == OPEN
-    # A newer epoch was published: exactly one probe is let through,
-    # concurrent queries of the same epoch keep short-circuiting.
-    assert board.allow("c", 3, epoch=2)
-    assert board.state_of("c", 3) == HALF_OPEN
-    assert not board.allow("c", 3, epoch=2)
-    board.record_success("c", 3)
-    assert board.state_of("c", 3) == CLOSED
-    assert board.allow("c", 3, epoch=2)
-    snapshot = board.snapshot()
-    assert snapshot["half_open_probes"] == 1
-    assert snapshot["healed"] == 1
-
-
-def test_breaker_half_open_probe_failure_reopens_for_that_epoch():
-    board = BreakerBoard(threshold=1)
-    board.record_failure("c", 0, epoch=1)
-    assert board.allow("c", 0, epoch=2)  # the probe
-    board.record_failure("c", 0, epoch=2)  # probe failed
-    assert board.state_of("c", 0) == OPEN
-    assert not board.allow("c", 0, epoch=2)  # epoch 2 is now stamped
-    assert board.allow("c", 0, epoch=3)  # only a newer epoch re-probes
-
-
-def test_breaker_board_rejects_nonpositive_threshold():
-    with pytest.raises(ValueError):
-        BreakerBoard(threshold=0)
 
 
 # ---------------------------------------------------------------------- #
@@ -351,11 +291,11 @@ def test_boolean_first_results_refuse_incremental_resume(faulty, rng):
 
 
 # ---------------------------------------------------------------------- #
-# breakers wired into serving
+# quarantine in serving
 # ---------------------------------------------------------------------- #
 
 
-def test_open_breaker_short_circuits_without_reprobing(faulty, rng):
+def test_a_quarantined_cell_is_read_without_its_pages(faulty, rng):
     disk, system = faulty
     predicate = sample_predicate(system.relation, 1, rng)
     serial = system.engine.skyline(predicate)
@@ -363,27 +303,31 @@ def test_open_breaker_short_circuits_without_reprobing(faulty, rng):
         [FaultRule(kind="corrupt", tag="pcube:sig", count=1)]
     )
     with QueryExecutor(system, threads=1) as executor:
-        for failing in _trip_breaker(
-            executor, lambda: executor.skyline(predicate)
-        ):
-            assert failing.tids == serial.tids
-            assert failing.stats.failed_loads >= 1
-            assert failing.stats.tier == "conservative"
+        failing = _quarantine_by_one_read(
+            executor, system, lambda: executor.skyline(predicate)
+        )
+        assert failing.tids == serial.tids
+        assert failing.stats.failed_loads == 1
+        assert failing.stats.tier == "conservative"
         probes_before = system.pcube.store.fault_stats.degraded_loads
 
         second = executor.skyline(predicate).result(timeout=30.0)
         assert second.tids == serial.tids
-        assert second.stats.breaker_skips >= 1
+        assert second.stats.quarantine_skips >= 1
         assert second.stats.failed_loads == 0  # zero I/O on the bad pages
+        assert second.stats.sig_loads == 0  # nor on the cell's good ones
         assert second.stats.tier == "conservative"
         assert (
             system.pcube.store.fault_stats.degraded_loads == probes_before
         )
-        board = executor.breakers.snapshot()
-    assert board["short_circuits"] >= 1
+    # The engine reads the same way from the first failure on.
+    engine = system.engine.skyline(predicate)
+    assert engine.tids == serial.tids
+    assert engine.stats.quarantine_skips >= 1
+    assert engine.stats.failed_loads == 0
     stats = executor.stats.snapshot()
-    assert stats["breaker_skips"] >= 1
-    assert stats["tiers"]["conservative"] == 4
+    assert stats["quarantine_skips"] >= 1
+    assert stats["tiers"]["conservative"] == 2
 
 
 QUERY_POINT = (0.4, 0.6)
@@ -412,7 +356,8 @@ def test_every_signature_kind_reports_a_degraded_reader(faulty, rng, kind):
     """One runner stamps every kind: a corrupt signature page under a
     dynamic skyline, a hull or a DNF skyline is a ``conservative`` /
     ``degraded`` / ``failed_loads == 1`` read counted by the serving
-    stats, and the breaker it opens spares the next such query the page."""
+    stats, and the quarantine it leaves spares every later query the
+    page."""
     disk, system = faulty
     predicate = sample_predicate(system.relation, 1, rng)
     disjuncts = [predicate, sample_predicate(system.relation, 2, rng)]
@@ -431,55 +376,60 @@ def test_every_signature_kind_reports_a_degraded_reader(faulty, rng, kind):
         [FaultRule(kind="corrupt", tag="pcube:sig", count=1)]
     )
     with QueryExecutor(system, threads=1) as executor:
-        failing = _trip_breaker(executor, lambda: submit(executor))
-        for tripping in failing:
-            assert tripping.stats.tier == "conservative"
-            assert tripping.stats.degraded
-            assert tripping.stats.failed_loads == 1
-            assert tripping.stats.degraded_checks >= 1
+        failing = _quarantine_by_one_read(
+            executor, system, lambda: submit(executor)
+        )
+        assert failing.stats.tier == "conservative"
+        assert failing.stats.degraded
+        assert failing.stats.failed_loads == 1
+        assert failing.stats.degraded_checks >= 1
 
         (_, _, bad_page), = disk.injected
         probe = FaultRule(
             kind="slow", page_id=bad_page, probability=0.0, count=None
         )
         disk.plan = FaultPlan([probe])
-        second = submit(executor).result(timeout=30.0)
-        assert second.stats.breaker_skips >= 1
-        assert second.stats.failed_loads == 0
-        assert second.stats.tier == "conservative"
-        assert probe.seen == 0  # zero reads of the bad page
+        later = [submit(executor).result(timeout=30.0) for _ in range(3)]
+        for result in later:
+            assert result.stats.quarantine_skips >= 1
+            assert result.stats.failed_loads == 0
+            assert result.stats.tier == "conservative"
+        assert probe.seen == 0  # zero reads of the bad page from the 2nd on
         stats = executor.stats.snapshot()
-    for result in (*failing, second):
+    for result in (failing, *later):
         tids = result.tids if kind == "lower_hull" else sorted(result.tids)
         assert tids == expected
     assert stats["degraded_queries"] == 4
-    assert stats["failed_loads"] == 3
+    assert stats["failed_loads"] == 1
     assert stats["tiers"] == {"conservative": 4}
 
 
-def test_epoch_publish_half_opens_and_heals_snapshot_breakers(faulty, rng):
-    """An open breaker heals through the epoch path, the only one: the
-    first query of a newer published epoch probes the rebuilt pages and
-    closes the breaker."""
+def test_a_re_store_lifts_the_quarantine_through_a_publish(faulty, rng):
+    """The one way back: a re-store that publishes an epoch.  A bare
+    ``rebuild_quarantined`` lifts the mark but publishes nothing, so the
+    current epoch still reads the superseded pages — degraded, and the
+    fault on them quarantines nothing; the repaired cell is read by
+    signature from the next published epoch on."""
     disk, system = faulty
     predicate = sample_predicate(system.relation, 1, rng)
     disk.plan = FaultPlan(
         [FaultRule(kind="corrupt", tag="pcube:sig", count=1)]
     )
+    store = system.pcube.store
     with QueryExecutor(system, threads=1) as executor:
-        _trip_breaker(executor, lambda: executor.skyline(predicate))
+        _quarantine_by_one_read(
+            executor, system, lambda: executor.skyline(predicate)
+        )
+        skipped = executor.skyline(predicate).result(timeout=30.0)
+        assert skipped.stats.quarantine_skips >= 1
 
-        # Repair the pages outside the single-writer protocol: no epoch
-        # is published, so the breaker stays open.
         disk.plan = FaultPlan()
         assert system.pcube.rebuild_quarantined()
-        assert executor.breakers.open_count() == 1
-
-        # Same epoch: still short-circuiting.
         stale = executor.skyline(predicate).result(timeout=30.0)
-        assert stale.stats.breaker_skips >= 1
+        assert stale.stats.failed_loads == 1  # the superseded page
+        assert stale.stats.tier == "conservative"
+        assert not store.quarantined_cells()
 
-        # Publish a new epoch; its first query half-opens, probes, heals.
         system.insert(
             tuple(0 for _ in range(system.relation.schema.n_boolean)),
             tuple(0.5 for _ in range(system.relation.schema.n_preference)),
@@ -487,11 +437,81 @@ def test_epoch_publish_half_opens_and_heals_snapshot_breakers(faulty, rng):
         healed = executor.skyline(predicate).result(timeout=30.0)
         assert healed.stats.tier == "signature"
         assert not healed.stats.degraded
-        assert executor.breakers.open_count() == 0
-        board = executor.breakers.snapshot()
-    assert board["half_open_probes"] >= 1
-    assert board["healed"] >= 1
+        assert healed.stats.quarantine_skips == 0
     assert healed.tids == system.engine.skyline(predicate).tids
+    assert not system.verify_consistency().problems
+
+
+def test_a_fault_on_superseded_pages_quarantines_nothing(faulty, rng):
+    """A snapshot pinned before the repair still reads the old corrupt
+    page.  Its reader degrades, but the repaired cell stays trusted: the
+    current epoch reads it by signature and the audit is clean."""
+    disk, system = faulty
+    predicate = sample_predicate(system.relation, 1, rng)
+    disk.plan = FaultPlan(
+        [FaultRule(kind="corrupt", tag="pcube:sig", count=1)]
+    )
+    expected = system.engine.skyline(predicate)
+    assert expected.stats.failed_loads == 1
+    pinned = system.pin_snapshot()
+    assert system.repair_quarantined() == [predicate.cell()]
+
+    old = QuerySession.for_snapshot(pinned).skyline(predicate)
+    assert old.stats.failed_loads == 1  # the superseded page, read again
+    assert old.tids == expected.tids
+    assert system.pcube.store.quarantined_cells() == []
+    current = system.engine.skyline(predicate)
+    assert current.stats.tier == "signature"
+    assert current.stats.degraded_checks == 0
+    assert current.tids == expected.tids
+    assert system.verify_consistency().ok
+    system.unpin_snapshot(pinned)
+
+
+def test_a_repair_after_transient_faults_serves_by_signature(faulty, rng):
+    """Three reads fail a partial through every retry; a read of the next
+    epoch finds the cell still quarantined; then ``repair_quarantined``
+    and three inserts.  Every read afterwards answers by signature, as
+    ``system.engine`` does — one mark, healed by one re-store."""
+    disk, system = faulty
+    predicate = sample_predicate(system.relation, 1, rng)
+    schema = system.relation.schema
+
+    def insert():
+        system.insert(
+            tuple(0 for _ in range(schema.n_boolean)),
+            tuple(0.5 for _ in range(schema.n_preference)),
+        )
+
+    with QueryExecutor(system, threads=1) as executor:
+        for _ in range(3):
+            # Four transient faults outlast the four attempts of one load.
+            disk.plan = FaultPlan(
+                [FaultRule(kind="transient", tag="pcube:sig", count=4)]
+            )
+            faulted = executor.skyline(predicate).result(timeout=30.0)
+            assert faulted.stats.tier == "conservative"
+        disk.plan = FaultPlan()
+        insert()
+        assert (
+            executor.skyline(predicate).result(timeout=30.0).stats.tier
+            == "conservative"
+        )
+        assert [cell.cell_id for cell in system.repair_quarantined()] == [
+            predicate.cell().cell_id
+        ]
+        for _ in range(3):
+            insert()
+        after = [
+            executor.skyline(predicate).result(timeout=30.0)
+            for _ in range(3)
+        ]
+    engine = system.engine.skyline(predicate)
+    assert engine.stats.tier == "signature"
+    for result in after:
+        assert result.stats.tier == "signature"
+        assert result.stats.quarantine_skips == 0
+        assert result.tids == engine.tids
 
 
 # ---------------------------------------------------------------------- #
@@ -504,9 +524,9 @@ def test_epoch_publish_half_opens_and_heals_snapshot_breakers(faulty, rng):
 def test_fault_free_serving_leaves_the_resilience_machinery_idle(
     system, threads, routing
 ):
-    """With nothing failing, breakers, retries and shedding are on but
-    idle: no degraded read, no breaker skip, no shed, no breaker opened,
-    and every answer equals the serial engine's."""
+    """With nothing failing, quarantine, retries and shedding are on but
+    idle: no degraded read, no quarantine skip, no shed, nothing
+    quarantined, and every answer equals the serial engine's."""
     workload = read_mix(system.relation, random.Random(7), 12)
     expected = [getattr(system.engine, kind)(**kw) for kind, kw in workload]
     with QueryExecutor(system, threads=threads, routing=routing) as executor:
@@ -521,10 +541,10 @@ def test_fault_free_serving_leaves_the_resilience_machinery_idle(
     serving = health["serving"]
     assert serving["completed"] == len(workload)
     assert serving["degraded_queries"] == 0
-    assert serving["breaker_skips"] == 0
+    assert serving["quarantine_skips"] == 0
     assert serving["shed"] == 0
-    assert health["breakers"]["threshold"] == 3
-    assert health["breakers"]["opened"] == 0
+    assert health["quarantined_cells"] == []
+    assert health["faults"]["quarantines"] == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -532,7 +552,7 @@ def test_fault_free_serving_leaves_the_resilience_machinery_idle(
 # ---------------------------------------------------------------------- #
 
 
-def test_health_report_bundles_fault_breaker_and_quarantine_state(faulty, rng):
+def test_health_report_bundles_fault_and_quarantine_state(faulty, rng):
     disk, system = faulty
     predicate = sample_predicate(system.relation, 1, rng)
     disk.plan = FaultPlan(
@@ -546,5 +566,5 @@ def test_health_report_bundles_fault_breaker_and_quarantine_state(faulty, rng):
     assert health["serving"]["completed"] == 1
     assert health["faults"]["quarantines"] == 1
     assert health["faults"]["degraded_loads"] >= 1
-    assert health["quarantined_cells"]  # the corrupt cell awaits rebuild
-    assert health["breakers"]["threshold"] == 3
+    assert health["quarantined_cells"] == [predicate.cell().cell_id]
+    assert "breakers" not in health  # the quarantine is the one mark

@@ -358,8 +358,8 @@ def test_reader_degraded_mode_uses_exact_fallback():
 
 def test_a_reader_of_a_quarantined_cell_trusts_none_of_its_pages(store, disk):
     """A quarantined cell awaits a rebuild, and its pages may be behind the
-    tree (a faulted rewrite): a reader built meanwhile still loads them,
-    counted, but answers every bit test through the exact fallback."""
+    tree (a faulted rewrite): a reader built meanwhile loads none of them
+    and answers every bit test through the exact fallback."""
     store.put_signature(CELL, Signature.from_paths([(1, 2)], FANOUT))
     store.quarantine(CELL, "a rewrite failed")
     probed = []
@@ -370,8 +370,9 @@ def test_a_reader_of_a_quarantined_cell_trusts_none_of_its_pages(store, disk):
 
     reads_before = disk.counters.get(SSIG)
     reader = store.reader(CELL, fallback=fallback)
-    assert disk.counters.get(SSIG) - reads_before == 1
+    assert disk.counters.get(SSIG) - reads_before == 0
     assert reader.stats.degraded and reader.stats.failed_loads == 0
+    assert reader.stats.quarantine_skips == 1 and reader.stats.sig_loads == 0
     assert not reader.check_path((1, 2))
     assert reader.check_path((1, 3))
     assert probed == [(1, 2), (1, 3)]

@@ -40,7 +40,7 @@ def qualifying_points(relation, predicate):
 def _facts(tids, scores, stats):
     counts = (
         stats.peak_heap, stats.results, stats.degraded, stats.fault_retries,
-        stats.failed_loads, stats.degraded_checks, stats.breaker_skips,
+        stats.failed_loads, stats.degraded_checks, stats.quarantine_skips,
     )
     return list(tids), scores, counts, stats.counters.snapshot()
 

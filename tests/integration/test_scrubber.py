@@ -15,9 +15,11 @@ import time
 import pytest
 
 from repro.data.synthetic import SyntheticConfig, generate_relation
+from repro.query.predicates import BooleanPredicate
 from repro.serve.executor import QueryExecutor
 from repro.serve.scrub import Scrubber, Supervisor
 from repro.storage.disk import SimulatedDisk
+from repro.storage.faults import FaultPlan, FaultRule, FaultyDisk
 from repro.system import build_system
 
 pytestmark = [pytest.mark.durability, pytest.mark.concurrent]
@@ -70,6 +72,34 @@ def test_one_pass_detects_every_seeded_fault():
     assert system.pcube.store.quarantined_cells() == []
     # A second pass over the healed disk is quiet.
     assert scrubber.run_pass() == []
+
+
+def test_a_pass_heals_a_cell_a_query_quarantined():
+    """A transient fault that outlasted the retries quarantined a cell and
+    left no damage on disk: the pass finds nothing, yet it re-stores every
+    quarantined cell, so the audit comes out clean."""
+    disk = FaultyDisk(SimulatedDisk())
+    system = build_system(
+        generate_relation(SyntheticConfig(**CONFIG), disk=disk), fanout=5
+    )
+    expected = system.engine.skyline(BooleanPredicate({"A1": 1})).tids
+    disk.plan = FaultPlan(
+        [FaultRule(kind="transient", tag="pcube:sig", count=4)]
+    )
+    degraded = system.engine.skyline(BooleanPredicate({"A1": 1}))
+    disk.plan = FaultPlan()
+    assert degraded.stats.failed_loads == 1
+    (cell,) = system.pcube.store.quarantined_cells()
+    assert not system.verify_consistency().ok
+
+    scrubber = Scrubber(system)
+    assert scrubber.run_pass() == []
+    assert scrubber.stats.cells_repaired == 1
+    assert system.pcube.store.quarantined_cells() == []
+    assert system.verify_consistency().ok
+    healed = system.engine.skyline(BooleanPredicate({"A1": 1}))
+    assert healed.stats.tier == "signature"
+    assert healed.tids == expected
 
 
 def test_heal_under_a_concurrent_reader():

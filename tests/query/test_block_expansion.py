@@ -268,7 +268,7 @@ def stats_facts(stats):
         "fault_retries": stats.fault_retries,
         "failed_loads": stats.failed_loads,
         "degraded_checks": stats.degraded_checks,
-        "breaker_skips": stats.breaker_skips,
+        "quarantine_skips": stats.quarantine_skips,
         "degraded": stats.degraded,
         "tier": stats.tier,
     }

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.data.synthetic import generate_relation
 from repro.query.predicates import BooleanPredicate
 from repro.query.session import QuerySession
 from repro.route import (
@@ -24,8 +25,8 @@ pytestmark = pytest.mark.routing
 
 
 @pytest.fixture
-def harness(small_relation):
-    system = build_system(small_relation, fanout=8)
+def harness(small_config):
+    system = build_system(generate_relation(small_config), fanout=8)
     session = QuerySession.for_snapshot(system.pin_snapshot())
     request = RouteRequest(kind="skyline", predicate=BooleanPredicate())
     ctx = EngineContext(

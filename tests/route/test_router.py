@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from repro.core.breakers import BreakerBoard
 from repro.cube.relation import Relation, Schema
+from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import LinearFunction
@@ -33,8 +33,8 @@ pytestmark = pytest.mark.routing
 
 
 @pytest.fixture
-def routed(small_relation):
-    system = build_system(small_relation, fanout=8)
+def routed(small_config):
+    system = build_system(generate_relation(small_config), fanout=8)
     return system
 
 
@@ -267,12 +267,11 @@ def test_router_stats_timeout_classification():
     assert stats.snapshot()["strategy_timeouts"] == 1
 
 
-# -- breaker bypass ------------------------------------------------------ #
+# -- quarantine bypass --------------------------------------------------- #
 
 
-def test_open_breaker_bypasses_the_cache(routed):
-    breakers = BreakerBoard(threshold=1)
-    router = QueryRouter.for_system(routed, breakers=breakers)
+def test_a_quarantined_cell_bypasses_the_cache(routed):
+    router = QueryRouter.for_system(routed)
     session = _session(routed)
     predicate = _predicate(routed.relation)
 
@@ -284,12 +283,16 @@ def test_open_breaker_bypasses_the_cache(routed):
         == "hit"
     )
 
-    # Trip a breaker on the predicate's cell: lookups are bypassed, the
-    # real path runs, and the answer stays byte-identical.
-    cell_id = next(iter(predicate.atomic_cells())).cell_id
-    breakers.record_failure(cell_id, 0, epoch=session.epoch)
+    # Quarantine the predicate's cell: lookups are bypassed, the degraded
+    # path runs without reading the cell's pages, and the answer stays
+    # byte-identical.
+    (cell,) = predicate.atomic_cells()
+    routed.pcube.store.quarantine(cell, "test")
     bypassed = router.route(session, RouteRequest("skyline", predicate))
     assert bypassed.stats.cache_outcome == "bypass"
+    assert bypassed.stats.tier == "conservative"
+    assert bypassed.stats.quarantine_skips >= 1
+    assert bypassed.stats.sig_loads == 0
     assert bypassed.tids == warm.tids
     assert router.stats.snapshot()["cache_bypassed"] == 1
 
@@ -302,12 +305,26 @@ def test_open_breaker_bypasses_the_cache(routed):
         == "hit"
     )
 
+    # A re-store lifts the quarantine and publishes: the cache serves the
+    # cell again.
+    assert routed.repair_quarantined() == [cell]
+    healed = _session(routed)
+    first = router.route(healed, RouteRequest("skyline", predicate))
+    assert first.stats.cache_outcome == "miss"
+    assert first.stats.tier == "signature"
+    assert first.tids == warm.tids
+    assert (
+        router.route(healed, RouteRequest("skyline", predicate))
+        .stats.cache_outcome
+        == "hit"
+    )
+
 
 # -- sessions without an epoch ------------------------------------------- #
 
 
-def test_sessions_without_an_epoch_are_never_cached(small_relation):
-    system = build_system(small_relation, fanout=8)
+def test_sessions_without_an_epoch_are_never_cached(small_config):
+    system = build_system(generate_relation(small_config), fanout=8)
     router = QueryRouter.for_system(system)
     snapshot = system.epochs.current
     session = QuerySession(snapshot.relation, snapshot.rtree, snapshot.pcube)
