@@ -69,6 +69,8 @@ MEMORY_SKYLINE_SIZE = 2_000
 #: In-memory top-k reference size (linear scoring sweep).
 MEMORY_TOPK_SIZE = 50_000
 
+#: Every Boolean-first point selects with the empty predicate, which no
+#: B+-tree serves: it scans the table, so it is handed no trees.
 _EMPTY = BooleanPredicate()
 #: The Figure-13 query family, one fixed member (a, b, c > 0).
 _LINEAR = LinearFunction((0.4, 0.35, 0.25))
@@ -132,7 +134,7 @@ def run_kernels_benchmark(seed: int = 7) -> dict[str, Any]:
 
     def bf_topk(fn):
         return lambda s: boolean_first_topk(
-            s.engine.relation, s.indexes, fn, _TOPK_K, _EMPTY
+            s.engine.relation, {}, fn, _TOPK_K, _EMPTY
         )
 
     figures = {
@@ -143,7 +145,7 @@ def run_kernels_benchmark(seed: int = 7) -> dict[str, Any]:
                     SKYLINE_SIZES,
                     anticorrelated,
                     lambda s: boolean_first_skyline(
-                        s.engine.relation, s.indexes, _EMPTY
+                        s.engine.relation, {}, _EMPTY
                     ),
                 ),
                 "naive-anticorrelated": one(

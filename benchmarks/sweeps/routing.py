@@ -5,19 +5,20 @@ dominate, a long tail appears once — the regime a result cache exists for),
 under the serving benchmark's modeled per-read latency.  Four passes:
 
 * **pinned-<engine>** — every query run by ``run_chain((engine,), ...)``
-  (no router, no cache, cold pool per query).  Per-engine io/wall over the queries that engine
-  *covers* (index-merge covers only top-k; the others cover everything).
+  (no router, no cache, cold pool per query), for every engine but
+  index-merge, which refuses every request (a served system keeps no
+  B+-trees, so ``boolean-first`` is its table-scan arm).  Per-engine
+  io/wall; each covers every query.
 * **routed-cold** — a router with the cache off.  It is pinned-signature
   by construction: the bench asserts every query is served by
   ``signature``, that the series' counted I/O equals pinned-signature's —
   routing itself costs zero counted I/O — and that it is ≤ the best
-  full-coverage pinned engine's I/O × 1.1.  Its wall against each pinned
-  engine is reported ungated (``wall_ratio_vs_pinned``): at this scale the
-  boolean-first scan is faster on wall while reading more pages.  Every
-  pass's answers are canonicalised before they are compared.
+  pinned engine's I/O × 1.1.  Its wall against each pinned engine is
+  reported ungated (``wall_ratio_vs_pinned``).  Every pass's answers are
+  canonicalised before they are compared.
 * **routed-warm** — the router with the epoch-keyed cache.  The bench
   asserts a cache hit-rate ≥ 0.5 (Zipf repeats at a stable epoch) and
-  total wall ≤ the best full-coverage pinned engine's wall × 1.1, and
+  total wall ≤ the best pinned engine's wall × 1.1, and
   that every answer is byte-identical to the canonical reference.
 * **served** — the end-to-end path: a ``QueryExecutor(routing=True)``
   serving the same stream, with its router's counters reconciled exactly
@@ -42,13 +43,12 @@ from repro.data.fixtures import build_sweep_system
 from repro.data.workload import zipfian_workload
 from repro.query.session import QuerySession
 from repro.route import (
-    ENGINES,
-    INDEX_MERGE,
+    BOOLEAN_FIRST,
+    DOMINATION_FIRST,
     NAIVE,
     SIGNATURE,
     QueryRouter,
     RouteRequest,
-    StrategyUnsupported,
     canonicalize,
     run_chain,
 )
@@ -59,9 +59,8 @@ ROUTING_SCHEMA = "repro.routing-bench/v1"
 DEFAULT_TUPLES = 2_000
 DEFAULT_QUERIES = 160
 DEFAULT_TEMPLATES = 24
-#: Engines that can answer every query in the workload (index-merge
-#: cannot: it is top-k only), i.e. the candidates for "best pinned wall".
-FULL_COVERAGE = tuple(n for n in ENGINES if n != INDEX_MERGE)
+#: The engines pinned one at a time, each a candidate for "best pinned".
+PINNED = (SIGNATURE, BOOLEAN_FIRST, DOMINATION_FIRST, NAIVE)
 
 
 def _canonical(result) -> tuple:
@@ -110,8 +109,8 @@ def _check(
 
 
 def _routed_pass(system, snapshot, workload, engine=None, cache=False):
-    """The whole stream on a fresh session and router, or down ``(engine,)``
-    — skipping a shape the engine cannot answer (index-merge: skylines)."""
+    """The whole stream on a fresh session and router, or down
+    ``(engine,)``."""
     router = QueryRouter.for_system(system, cache=cache)
     session = QuerySession.for_snapshot(snapshot)
     answers: dict[int, tuple] = {}
@@ -121,13 +120,10 @@ def _routed_pass(system, snapshot, workload, engine=None, cache=False):
         request = RouteRequest(
             query["kind"], query["predicate"], query["fn"], query["k"]
         )
-        try:
-            if engine is None:
-                result = router.route(session, request)
-            else:
-                result = run_chain((engine,), session, request, router.ctx)[0]
-        except StrategyUnsupported:
-            continue
+        if engine is None:
+            result = router.route(session, request)
+        else:
+            result = run_chain((engine,), session, request)[0]
         io += result.stats.total_io()
         results += len(result.tids)
         answers[index] = _canonical(result)
@@ -163,21 +159,21 @@ def run_routing_benchmark(
     # ---- pinned passes: one engine each, cache off --------------------- #
     pinned = {
         engine: _routed_pass(system, snapshot, workload, engine)
-        for engine in ENGINES
+        for engine in PINNED
     }
     assert len(pinned[NAIVE].answers) == len(workload)
     reference = [pinned[NAIVE].answers[i] for i in range(len(workload))]
-    # Every pinned engine's canonical answer must match ground truth
-    # wherever it covered the query.  (Top-k score ties at the k boundary
-    # are legitimately engine-specific in *membership*, but the scores are
-    # identical — compare scores for topk, tids for skylines.)
+    # Every pinned engine's canonical answer must match ground truth.  (Top-k
+    # score ties at the k boundary are legitimately engine-specific in
+    # *membership*, but the scores are identical — compare scores for topk,
+    # tids for skylines.)
     for engine, routed in pinned.items():
         _check(routed.answers, reference, workload, f"pinned {engine}")
         series[f"pinned-{engine}"] = {
             "points": [routed_point(routed).answer(covered=len(routed.answers))]
         }
-    best_pinned_wall = min(pinned[name].wall for name in FULL_COVERAGE)
-    best_pinned_io = min(pinned[name].io for name in FULL_COVERAGE)
+    best_pinned_wall = min(routed.wall for routed in pinned.values())
+    best_pinned_io = min(routed.io for routed in pinned.values())
 
     # ---- routed-cold: the serving chain, no cache ----------------------- #
     cold = _routed_pass(system, snapshot, workload)
@@ -201,7 +197,7 @@ def run_routing_benchmark(
             .timing(
                 wall_ratio_vs_pinned={
                     name: cold.wall / pinned[name].wall
-                    for name in ENGINES
+                    for name in PINNED
                 }
             )
             .answer(routes=routes)

@@ -22,11 +22,16 @@ there is no stable baseline for ``--compare`` to gate on.
 from __future__ import annotations
 
 import random
+import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.baselines.boolean_first import boolean_first_skyline, boolean_first_topk
+from repro.baselines.boolean_first import (
+    boolean_first_skyline,
+    boolean_first_topk,
+    build_boolean_indexes,
+)
 from repro.baselines.domination_first import (
     domination_first_skyline,
     ranking_topk,
@@ -44,17 +49,27 @@ K_VALUES = (10, 20, 50, 100)
 
 @dataclass
 class BenchContext:
-    """One runner invocation: seed, sweep sizes, and cached built systems."""
+    """One runner invocation: seed, sweep sizes, and cached built systems
+    with the baselines' B+-trees over their relations."""
 
     seed: int = 7
     sizes: tuple[int, ...] = SWEEP_SIZES
     n_queries: int = N_QUERIES
     _systems: dict[int, Any] = field(default_factory=dict)
+    _indexes: dict[int, Any] = field(default_factory=dict)
 
     def system(self, n_tuples: int):
         if n_tuples not in self._systems:
             self._systems[n_tuples] = build_sweep_system(n_tuples)
         return self._systems[n_tuples]
+
+    def indexes(self, n_tuples: int):
+        """The per-dimension B+-trees the baselines read, over
+        :meth:`system`'s relation: the one place the sweeps build them."""
+        if n_tuples not in self._indexes:
+            relation = self.system(n_tuples).relation
+            self._indexes[n_tuples] = build_boolean_indexes(relation)
+        return self._indexes[n_tuples]
 
     def rng(self, tag: str) -> random.Random:
         """A per-scenario workload RNG, independent of figure selection."""
@@ -102,15 +117,17 @@ def fig05_construction(ctx: BenchContext) -> dict[str, Any]:
     """Construction time vs T (insert-built R-tree vs P-Cube vs B-trees)."""
     series = empty_series("B-tree", "P-Cube", "R-tree")
     for n_tuples in ctx.sizes:
+        relation = generate_relation(sweep_config(n_tuples))
         timings = build_system(
-            generate_relation(sweep_config(n_tuples)),
-            fanout=64,
-            rtree_method="insert",
+            relation, fanout=64, rtree_method="insert"
         ).timings
+        started = time.perf_counter()
+        build_boolean_indexes(relation)
+        btree_seconds = time.perf_counter() - started
         for name, seconds in (
             ("R-tree", timings.rtree_seconds),
             ("P-Cube", timings.pcube_seconds),
-            ("B-tree", timings.btree_seconds),
+            ("B-tree", btree_seconds),
         ):
             series[name]["points"].append(
                 Point(n_tuples).timing(wall_ms=seconds * 1e3)
@@ -123,10 +140,11 @@ def fig06_size(ctx: BenchContext) -> dict[str, Any]:
     series = empty_series("B-tree", "P-Cube", "R-tree")
     for n_tuples in ctx.sizes:
         system = ctx.system(n_tuples)
+        ctx.indexes(n_tuples)
         for name, size_mb in (
             ("R-tree", system.rtree_size_mb()),
             ("P-Cube", system.pcube_size_mb()),
-            ("B-tree", system.btree_size_mb()),
+            ("B-tree", system.disk.size_mb("btree")),
         ):
             series[name]["points"].append(
                 Point(n_tuples).cost(size_mb=size_mb)
@@ -134,14 +152,17 @@ def fig06_size(ctx: BenchContext) -> dict[str, Any]:
     return {"title": "materialised size vs T (MB)", "series": series}
 
 
-def skyline_methods(system, predicate) -> dict[str, QueryStats]:
+def skyline_methods(system, indexes, predicate) -> dict[str, QueryStats]:
     """One skyline query on every engine of Figures 8-12 and 14, answers
     checked against each other: series name → the engine's stats.  Every
-    engine reads the published snapshot ``system.engine`` is bound to."""
+    engine reads the published snapshot ``system.engine`` is bound to;
+    Boolean-first also reads ``indexes``, the B+-trees
+    :func:`~repro.baselines.boolean_first.build_boolean_indexes` built over
+    ``system.relation``."""
     engine = system.engine
     sig = engine.skyline(predicate)
     bool_tids, bool_stats = boolean_first_skyline(
-        engine.relation, system.indexes, predicate
+        engine.relation, indexes, predicate
     )
     dom_tids, dom_stats, _ = domination_first_skyline(
         engine.relation, engine.rtree, predicate
@@ -157,21 +178,23 @@ def skyline_methods(system, predicate) -> dict[str, QueryStats]:
     }
 
 
-def topk_methods(system, fn, k: int, predicate) -> dict[str, QueryStats]:
+def topk_methods(
+    system, indexes, fn, k: int, predicate
+) -> dict[str, QueryStats]:
     """One top-k query on every engine of Figure 13, scores checked against
-    each other: series name → the engine's stats (one snapshot, as in
-    :func:`skyline_methods`)."""
+    each other: series name → the engine's stats (one snapshot and one set
+    of B+-trees, as in :func:`skyline_methods`)."""
     engine = system.engine
     relation = engine.relation
     sig = engine.topk(fn, k, predicate)
     ranked_bool, bool_stats = boolean_first_topk(
-        relation, system.indexes, fn, k, predicate
+        relation, indexes, fn, k, predicate
     )
     ranked_rank, rank_stats, _ = ranking_topk(
         relation, engine.rtree, fn, k, predicate
     )
     ranked_merge, merge_stats = index_merge_topk(
-        engine.rtree, system.indexes, fn, k, predicate
+        engine.rtree, indexes, fn, k, predicate
     )
     reference = [round(score, 9) for score in sig.scores]
     for other in (ranked_bool, ranked_rank, ranked_merge):
@@ -201,12 +224,13 @@ def _skyline_sweep(ctx: BenchContext, tag: str) -> dict[str, Any]:
     series = empty_series("Boolean", "Domination", "Signature")
     for n_tuples in ctx.sizes:
         system = ctx.system(n_tuples)
+        indexes = ctx.indexes(n_tuples)
         _append_averaged(
             series,
             n_tuples,
             [
                 skyline_methods(
-                    system, sample_predicate(system.relation, 1, rng)
+                    system, indexes, sample_predicate(system.relation, 1, rng)
                 )
                 for _ in range(ctx.n_queries)
             ],
@@ -244,6 +268,7 @@ def fig13_topk(ctx: BenchContext) -> dict[str, Any]:
     rng = ctx.rng("fig13")
     t_size = max(ctx.sizes)
     system = ctx.system(t_size)
+    indexes = ctx.indexes(t_size)
     relation = system.relation
     series = empty_series("Boolean", "IndexMerge", "Ranking", "Signature")
     for k in K_VALUES:
@@ -251,7 +276,7 @@ def fig13_topk(ctx: BenchContext) -> dict[str, Any]:
         for _ in range(ctx.n_queries):
             predicate = sample_predicate(relation, 1, rng)
             fn = sample_linear_function(relation.schema.n_preference, rng)
-            samples.append(topk_methods(system, fn, k, predicate))
+            samples.append(topk_methods(system, indexes, fn, k, predicate))
         _append_averaged(series, k, samples)
     return {
         "title": f"top-k time vs k (T={t_size:,})",

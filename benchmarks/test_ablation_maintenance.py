@@ -23,7 +23,7 @@ N_UPDATES = 50
 
 def timed_updates() -> tuple[float, float, int]:
     relation = generate_relation(sweep_config(T, seed=21))
-    system = build_system(relation, fanout=SWEEP_FANOUT, with_indexes=False)
+    system = build_system(relation, fanout=SWEEP_FANOUT)
     nodes_before = system.rtree.node_count()
     rng = random.Random(4)
     started = time.perf_counter()

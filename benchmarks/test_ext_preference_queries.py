@@ -28,7 +28,7 @@ def extension_comparison():
     relation = generate_relation(
         sweep_config(SWEEP_SIZES[0], n_preference=2, seed=77)
     )
-    system = build_system(relation, fanout=SWEEP_FANOUT, with_indexes=False)
+    system = build_system(relation, fanout=SWEEP_FANOUT)
     rng = random.Random(21)
     predicate = sample_predicate(relation, 1, rng)
     query_point = (rng.random(), rng.random())

@@ -25,7 +25,7 @@ REPEATS = 3
 
 def fresh_system():
     relation = generate_relation(sweep_config(BASE_T))
-    return build_system(relation, fanout=SWEEP_FANOUT, with_indexes=False)
+    return build_system(relation, fanout=SWEEP_FANOUT)
 
 
 def random_rows(n, rng, cardinality=100, dims=3):

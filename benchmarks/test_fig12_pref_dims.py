@@ -20,6 +20,7 @@ from benchmarks.conftest import (
     sweep_config,
 )
 from benchmarks.sweeps.scenarios import skyline_methods
+from repro.baselines.boolean_first import build_boolean_indexes
 from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_predicate
 from repro.system import build_system
@@ -37,10 +38,12 @@ def dims_sweep():
             sweep_config(T, n_preference=n_preference, seed=n_preference)
         )
         system = build_system(relation, fanout=SWEEP_FANOUT)
+        indexes = build_boolean_indexes(relation)
         modeled = {"Signature": 0.0, "Boolean": 0.0, "Domination": 0.0}
         for _ in range(N_QUERIES):
             predicate = sample_predicate(relation, 1, rng)
-            for key, stats in skyline_methods(system, predicate).items():
+            methods = skyline_methods(system, indexes, predicate)
+            for key, stats in methods.items():
                 modeled[key] += stats.modeled_seconds(SECONDS_PER_IO)
         results[n_preference] = {
             key: value / N_QUERIES for key, value in modeled.items()

@@ -17,14 +17,16 @@ from benchmarks.conftest import (
     print_table,
 )
 from benchmarks.sweeps.scenarios import skyline_methods
+from repro.baselines.boolean_first import build_boolean_indexes
 
 
 @pytest.fixture(scope="module")
 def predicate_sweep(covertype_system):
     rng = random.Random(14)
+    indexes = build_boolean_indexes(covertype_system.relation)
     results = []
     for predicate in covertype_predicates(covertype_system, rng):
-        stats = skyline_methods(covertype_system, predicate)
+        stats = skyline_methods(covertype_system, indexes, predicate)
         results.append(
             (
                 len(predicate),

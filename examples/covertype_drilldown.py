@@ -17,7 +17,11 @@ import random
 import sys
 
 from repro import build_system
-from repro.baselines import boolean_first_skyline, domination_first_skyline
+from repro.baselines import (
+    boolean_first_skyline,
+    build_boolean_indexes,
+    domination_first_skyline,
+)
 from repro.data.covertype import covertype_relation, scale_factor
 from repro.data.workload import sample_predicate
 
@@ -30,6 +34,7 @@ def main() -> None:
     )
     relation = covertype_relation(n_rows=n_rows)
     system = build_system(relation)
+    indexes = build_boolean_indexes(relation)  # Boolean-first's B+-trees
     rng = random.Random(2008)
 
     # --- one query per predicate count, three methods --------------------- #
@@ -61,7 +66,7 @@ def main() -> None:
             f"{len(sig):>8}"
         )
         bool_tids, bool_stats = boolean_first_skyline(
-            engine.relation, system.indexes, predicate
+            engine.relation, indexes, predicate
         )
         print(
             f"{'':<7} {'Boolean':<12} "

@@ -123,7 +123,7 @@ def main() -> None:
         if not relation.is_live(tid):
             current.tombstone(tid)
     started = time.perf_counter()
-    rebuilt = build_system(current, with_indexes=False)
+    rebuilt = build_system(current)
     rebuild_seconds = time.perf_counter() - started
     print(
         f"\nFull recomputation of R-tree + P-Cube would cost "

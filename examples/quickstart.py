@@ -56,8 +56,7 @@ def main() -> None:
     )
     print(
         f"  sizes: R-tree {system.rtree_size_mb():.2f} MB, "
-        f"P-Cube {system.pcube_size_mb():.2f} MB, "
-        f"B+-trees {system.btree_size_mb():.2f} MB"
+        f"P-Cube {system.pcube_size_mb():.2f} MB"
     )
 
     # --- the Example 1 query -------------------------------------------- #

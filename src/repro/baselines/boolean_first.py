@@ -28,26 +28,28 @@ from typing import Sequence
 import numpy as np
 
 from repro.baselines.skyline_algs import sfs_skyline
-from repro.btree.btree import BPlusTree
+from repro.btree.btree import BPlusTree, order_for_page
 from repro.cube.relation import Relation
 from repro.query.predicates import BooleanPredicate
 from repro.query.ranking import RankingFunction
 from repro.query.stats import QueryStats
 from repro.storage.counters import BINDEX, BTABLE
-from repro.storage.disk import SimulatedDisk
 
 
-def build_boolean_indexes(
-    relation: Relation,
-    disk: SimulatedDisk | None = None,
-    tag: str = "btree",
-    order: int = 128,
-) -> dict[str, BPlusTree]:
-    """One B+-tree per boolean dimension, mapping value → tid."""
-    disk = disk if disk is not None else relation.disk
+def build_boolean_indexes(relation: Relation) -> dict[str, BPlusTree]:
+    """One B+-tree per boolean dimension, mapping value → tid, on the
+    relation's disk (tag ``btree:<dim>``).
+
+    The baselines' structures, built by whoever measures them: a served
+    system keeps none.  Each node is sized to fit one page of that disk
+    (:func:`~repro.btree.btree.order_for_page`), so a node visit is one
+    counted ``BINDEX`` read of one page.
+    """
+    disk = relation.disk
+    order = order_for_page(disk.page_size)
     indexes: dict[str, BPlusTree] = {}
     for dim in relation.schema.boolean_dims:
-        tree = BPlusTree(order=order, disk=disk, tag=f"{tag}:{dim}")
+        tree = BPlusTree(order=order, disk=disk, tag=f"btree:{dim}")
         position = relation.schema.boolean_position(dim)
         tree.bulk_insert(
             (relation.bool_row(tid)[position], tid) for tid in relation.tids()

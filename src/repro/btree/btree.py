@@ -19,6 +19,16 @@ from repro.storage.disk import SimulatedDisk
 _NODE_HEADER_BYTES = 24
 _KEY_BYTES = 8
 _POINTER_BYTES = 8
+_MIN_ORDER = 4
+_MAX_ORDER = 128
+
+
+def order_for_page(page_size: int) -> int:
+    """The largest order whose full node fits ``page_size`` bytes, capped
+    at 128 slots and never below the tree's minimum of 4."""
+    fits = (page_size - _NODE_HEADER_BYTES) // (_KEY_BYTES + _POINTER_BYTES)
+    return max(_MIN_ORDER, min(_MAX_ORDER, fits))
+
 
 class _Leaf:
     __slots__ = ("keys", "values", "next", "page_id")
@@ -51,12 +61,12 @@ class BPlusTree:
 
     def __init__(
         self,
-        order: int = 128,
+        order: int = _MAX_ORDER,
         disk: SimulatedDisk | None = None,
         tag: str = "btree",
     ) -> None:
-        if order < 4:
-            raise ValueError("order must be at least 4")
+        if order < _MIN_ORDER:
+            raise ValueError(f"order must be at least {_MIN_ORDER}")
         self.order = order
         self.disk = disk if disk is not None else SimulatedDisk()
         self.tag = tag

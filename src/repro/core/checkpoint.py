@@ -31,11 +31,12 @@ restore falls back to the next older checkpoint.
 **Restore semantics.**  :func:`restore_system` rebuilds onto a *fresh*
 disk: relation from the checkpoint image, committed operations with
 ``watermark ≤ commit_lsn ≤ to_lsn`` re-applied at the relation level, then
-R-tree, signatures and B+-trees rebuilt deterministically via
+R-tree and signatures rebuilt deterministically via
 :func:`~repro.system.build_system` with the manifest's recorded
-configuration.  Operations uncommitted at the crash (or past ``--to-lsn``)
-never happened — exactly the committed-prefix contract
-:meth:`~repro.system.PCubeSystem.recover` provides in place.
+configuration (fanout, codec and page size).  Operations uncommitted at
+the crash (or past ``--to-lsn``) never happened — exactly the
+committed-prefix contract :meth:`~repro.system.PCubeSystem.recover`
+provides in place.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from repro.cube.relation import Relation
 from repro.cube.schema import Schema
 from repro.storage.disk import SimulatedDisk
 from repro.storage.errors import CorruptPageError
-from repro.storage.page import Page
+from repro.storage.page import DEFAULT_PAGE_SIZE, Page
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import PCubeSystem
@@ -194,7 +195,7 @@ class CheckpointManager:
             "config": {
                 "fanout": system.pcube.fanout,
                 "codec": system.pcube.store.codec,
-                "with_indexes": bool(system.indexes),
+                "page_size": disk.page_size,
             },
             # Informational: the derived-structure inventory at the
             # watermark (restore rebuilds these, it does not read them).
@@ -354,7 +355,14 @@ def _restore_from(
         boolean_dims=tuple(manifest["schema"]["boolean_dims"]),
         preference_dims=tuple(manifest["schema"]["preference_dims"]),
     )
-    relation = Relation(schema, bools, prefs, disk=SimulatedDisk())
+    config = manifest["config"]
+    # A manifest written before the page size was recorded restores onto
+    # the default page; a field no build reads (older manifests say whether
+    # the build made B+-trees) is ignored.
+    page_size = config.get("page_size", DEFAULT_PAGE_SIZE)
+    relation = Relation(
+        schema, bools, prefs, disk=SimulatedDisk(page_size=page_size)
+    )
     for tid in manifest["tombstones"]:
         relation.tombstone(tid)
     ops, wal_metrics = MaintenanceWAL.read_committed(
@@ -364,12 +372,8 @@ def _restore_from(
     )
     for op in ops:
         apply_committed_op(relation, op)
-    config = manifest["config"]
     system = build_system(
-        relation,
-        fanout=config["fanout"],
-        codec=config["codec"],
-        with_indexes=config["with_indexes"],
+        relation, fanout=config["fanout"], codec=config["codec"]
     )
     return RestoreResult(
         system=system,

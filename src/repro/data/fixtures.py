@@ -92,7 +92,7 @@ def sweep_config(n_tuples: int, **overrides) -> SyntheticConfig:
 def build_sweep_system(
     n_tuples: int, fanout: int = SWEEP_FANOUT, **overrides
 ) -> PCubeSystem:
-    """One fully built sweep system (relation + R-tree + P-Cube + indexes)."""
+    """One fully built sweep system (relation + R-tree + P-Cube)."""
     relation = generate_relation(sweep_config(n_tuples, **overrides))
     return build_system(relation, fanout=fanout)
 

@@ -19,7 +19,6 @@ from repro.route.engines import (
     NAIVE,
     SERVING_CHAIN,
     SIGNATURE,
-    EngineContext,
     RouteRequest,
     StrategyUnsupported,
     canonicalize,
@@ -35,7 +34,6 @@ __all__ = [
     "CachedAnswer",
     "DOMINATION_FIRST",
     "ENGINES",
-    "EngineContext",
     "INDEX_MERGE",
     "NAIVE",
     "QueryRouter",

@@ -1,6 +1,6 @@
 """The five engines, behind one adapter interface.
 
-Each adapter is ``(session, request, ctx) -> QueryResult`` and must either
+Each adapter is ``(session, request) -> QueryResult`` and must either
 answer exactly or raise :class:`StrategyUnsupported` when the query shape is
 outside its contract.  The contracts:
 
@@ -8,17 +8,16 @@ outside its contract.  The contracts:
   session (its reader-decided ``signature`` / ``conservative`` tiers
   included).  Supports every query shape, and is the only engine for
   dynamic skylines, hulls and disjunctions.
-* ``boolean-first`` — the Section VI-A baseline: B+-tree/table-scan
-  selection, then the preference step in memory, reported in Algorithm
-  1's order.  Uses the live B+-trees when their postings still cover the
-  snapshot's rows, else a table scan; always exact.  It is the serving
+* ``boolean-first`` — the Section VI-A baseline's table-scan arm:
+  selection by one counted heap scan, then the preference step in memory,
+  reported in Algorithm 1's order; always exact.  It is the serving
   fallback when the search structures fault.
 * ``domination-first`` — BBS + minimal probing (*Ranking* for top-k).
   No preference-subspace support (the baseline searches full space).
-* ``index-merge`` — the [14] baseline: top-k only, and only while the
-  B+-tree postings cover the snapshot (postings are built once and never
-  maintained; a snapshot containing later inserts would silently lose
-  answers, so staleness is *unsupported*, never silently wrong).
+* ``index-merge`` — refuses every request: the [14] baseline reads
+  per-dimension B+-trees, and a served system keeps none.  The figures
+  measure :func:`~repro.baselines.index_merge.index_merge_topk` directly,
+  over trees they build themselves.
 * ``naive`` — the ground-truth scan; supports everything, always last.
 
 Every served read runs :func:`chain_for`'s chain: :data:`SERVING_CHAIN`
@@ -47,7 +46,6 @@ from repro.baselines.domination_first import (
     domination_first_skyline,
     ranking_topk,
 )
-from repro.baselines.index_merge import index_merge_topk
 from repro.baselines.naive import naive_skyline, naive_topk
 from repro.query.algorithm1 import SearchState
 from repro.query.predicates import BooleanPredicate
@@ -67,8 +65,8 @@ SERVING_CHAIN = (SIGNATURE, BOOLEAN_FIRST, NAIVE)
 
 
 class StrategyUnsupported(Exception):
-    """The strategy cannot answer this query shape (e.g. index-merge on a
-    skyline, or B+-tree postings stale for the snapshot's rows)."""
+    """The strategy cannot answer this query (e.g. domination-first over a
+    preference subspace, or index-merge on a system with no B+-trees)."""
 
     def __init__(self, strategy: str, reason: str) -> None:
         super().__init__(f"{strategy}: {reason}")
@@ -87,22 +85,6 @@ class RouteRequest:
     k: int | None = None
     preference_by: tuple[str, ...] | None = None
     query_point: tuple[float, ...] | None = None
-
-
-@dataclass
-class EngineContext:
-    """What the adapters need beyond the session: the live B+-trees.
-
-    ``indexes_rows`` is the relation row count the postings were built
-    over; any snapshot whose relation extends past it holds rows the
-    postings have never seen, making index-backed plans unsound.
-    """
-
-    indexes: dict
-    indexes_rows: int
-
-    def indexes_cover(self, relation) -> bool:
-        return bool(self.indexes) and len(relation) <= self.indexes_rows
 
 
 def chain_for(request: RouteRequest) -> tuple[str, ...]:
@@ -170,7 +152,7 @@ def _wrap(
 
 
 def run_signature(
-    session: QuerySession, request: RouteRequest, ctx: EngineContext
+    session: QuerySession, request: RouteRequest
 ) -> QueryResult:
     """The session's own signature path — Algorithm 1 with P-Cube bits."""
     if request.kind == "skyline":
@@ -185,19 +167,14 @@ def run_signature(
 
 
 def run_boolean_first(
-    session: QuerySession, request: RouteRequest, ctx: EngineContext
+    session: QuerySession, request: RouteRequest
 ) -> QueryResult:
-    """Boolean selection first, preference step in memory.
-
-    Postings that are absent or do not cover the snapshot's rows are not
-    offered to the selection, which then scans the table.
-    """
+    """Boolean selection by table scan first, preference step in memory."""
     relation = session.relation
-    indexes = ctx.indexes if ctx.indexes_cover(relation) else {}
     if request.kind == "skyline":
         tids, stats = boolean_first_skyline(
             relation,
-            indexes,
+            {},
             request.predicate,
             ticker=session.ticker,
             subspace=session.subspace(request.preference_by),
@@ -205,7 +182,7 @@ def run_boolean_first(
         return _wrap(session, request, tids, None, stats, BOOLEAN_FIRST)
     ranked, stats = boolean_first_topk(
         relation,
-        indexes,
+        {},
         request.fn,
         request.k,
         request.predicate,
@@ -217,7 +194,7 @@ def run_boolean_first(
 
 
 def run_domination_first(
-    session: QuerySession, request: RouteRequest, ctx: EngineContext
+    session: QuerySession, request: RouteRequest
 ) -> QueryResult:
     """BBS + minimal probing (the paper's Domination/Ranking baseline)."""
     if request.preference_by is not None:
@@ -251,34 +228,14 @@ def run_domination_first(
 
 
 def run_index_merge(
-    session: QuerySession, request: RouteRequest, ctx: EngineContext
+    session: QuerySession, request: RouteRequest
 ) -> QueryResult:
-    """Progressive + selective index-merge — top-k with fresh postings only."""
-    if request.kind != "topk":
-        raise StrategyUnsupported(INDEX_MERGE, "answers top-k queries only")
-    if not ctx.indexes_cover(session.relation):
-        raise StrategyUnsupported(
-            INDEX_MERGE,
-            "B+-tree postings do not cover this snapshot's rows",
-        )
-    pool = session.query_pool()
-    ranked, stats = index_merge_topk(
-        session.rtree,
-        ctx.indexes,
-        request.fn,
-        request.k,
-        request.predicate,
-        pool=pool,
-        ticker=session.ticker,
-    )
-    session.finish_pool(pool, stats)
-    tids = [tid for tid, _ in ranked]
-    scores = [score for _, score in ranked]
-    return _wrap(session, request, tids, scores, stats, INDEX_MERGE)
+    """The [14] baseline needs per-dimension B+-trees: refused."""
+    raise StrategyUnsupported(INDEX_MERGE, "a served system keeps no B+-trees")
 
 
 def run_naive(
-    session: QuerySession, request: RouteRequest, ctx: EngineContext
+    session: QuerySession, request: RouteRequest
 ) -> QueryResult:
     """Ground truth: counted scan, literal domination / full sort."""
     stats = QueryStats()

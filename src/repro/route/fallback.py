@@ -14,7 +14,9 @@ Every served read runs through :func:`run_chain` with
 top-k, ``(signature,)`` for everything else.  Any other chain is handed in
 directly (the routing sweep's pinned series, the engine tests).  This is
 the only place a storage fault moves a query to another engine: the
-session itself answers by signature or lets the fault propagate.
+session itself answers by signature or lets the fault propagate.  An
+engine reads nothing but the session and the request, so the snapshot the
+session is bound to is all the state a chain runs on.
 
 Deadline slicing: a session with ``deadline_at`` set gives each attempt an
 equal share of the *remaining* budget (``remaining / engines left``), so
@@ -29,12 +31,7 @@ import time
 from typing import Callable, Sequence
 
 from repro.query.session import QueryResult, QuerySession
-from repro.route.engines import (
-    ENGINES,
-    EngineContext,
-    RouteRequest,
-    StrategyUnsupported,
-)
+from repro.route.engines import ENGINES, RouteRequest, StrategyUnsupported
 from repro.storage.errors import StorageFault
 
 
@@ -56,7 +53,6 @@ def run_chain(
     chain: Sequence[str],
     session: QuerySession,
     request: RouteRequest,
-    ctx: EngineContext,
 ) -> tuple[QueryResult, list[tuple[str, Exception]]]:
     """Run ``request`` down ``chain`` — names in
     :data:`~repro.route.engines.ENGINES` — until one engine answers.
@@ -99,7 +95,7 @@ def run_chain(
             # Only these three hand the query on; anything else an engine
             # raises — the overall deadline, a cancellation — aborts it.
             try:
-                result = ENGINES[name](session, request, ctx)
+                result = ENGINES[name](session, request)
             except (StrategyUnsupported, StrategyTimeout) as exc:
                 failures.append((name, exc))
             except StorageFault as exc:

@@ -30,10 +30,12 @@ every skyline/top-k query:
    carry tests read.  With the cache off the answer keeps Algorithm 1's
    reporting order.
 
-Every engine is exact, so the router's contract is strong: *the answer set
-is identical to naive regardless of the route taken* — the differential
-harness asserts precisely this for every engine, forced fallbacks and
-cache-warm/cold replays.
+The router holds the live store (for its quarantine) and the cache; the
+engines read only the session's snapshot.  Every engine is exact, so the
+router's contract is strong: *the answer set is identical to naive
+regardless of the route taken* — the differential harness asserts
+precisely this for every engine, forced fallbacks and cache-warm/cold
+replays.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from repro.query.session import QueryResult, QuerySession
 from repro.query.stats import QueryStats
 from repro.route.cache import CACHED_KINDS, CachedAnswer, ResultCache, result_key
 from repro.route.engines import (
-    EngineContext,
     RouteRequest,
     canonicalize,
     chain_for,
@@ -65,12 +66,10 @@ class QueryRouter:
 
     def __init__(
         self,
-        ctx: EngineContext,
         store: "SignatureStore",
         cache: bool = True,
         deltas=None,
     ) -> None:
-        self.ctx = ctx
         self.store = store  # the live store, whose quarantine is current
         self.deltas = deltas  # EpochManager.deltas_between; None: flush-all
         self.cache = ResultCache() if cache else None
@@ -80,13 +79,7 @@ class QueryRouter:
     def for_system(
         cls, system: "PCubeSystem", cache: bool = True
     ) -> "QueryRouter":
-        # The B+-tree postings are never maintained after build; the
-        # engines take them only while they cover the pinned snapshot's
-        # rows, and scan the table otherwise.
-        ctx = EngineContext(system.indexes, system.indexes_rows)
-        return cls(
-            ctx, system.pcube.store, cache, system.epochs.deltas_between
-        )
+        return cls(system.pcube.store, cache, system.epochs.deltas_between)
 
     # ------------------------------------------------------------------ #
     # serving
@@ -154,7 +147,7 @@ class QueryRouter:
 
         # -- run the chain ---------------------------------------------- #
         chain = chain_for(request)
-        result, failures = run_chain(chain, session, request, self.ctx)
+        result, failures = run_chain(chain, session, request)
         if self.cache is not None:
             canonicalize(result)  # a hit and a computed answer: same bytes
         result.stats.route = chain[len(failures)]

@@ -446,7 +446,7 @@ class QueryExecutor:
         if request.kind in CACHED_KINDS:
             return self.router.route(session, request)
         chain = chain_for(request)
-        return run_chain(chain, session, request, self.router.ctx)[0]
+        return run_chain(chain, session, request)[0]
 
     def skyline(
         self,

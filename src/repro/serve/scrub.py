@@ -20,7 +20,7 @@ invariants continuously while the system serves traffic:
   quarantined cell — its own finding or a query's — rebuilds them all via
   :meth:`~repro.system.PCubeSystem.repair_quarantined`, which publishes a
   fresh epoch so concurrent readers flip to the healed pages atomically.
-  Damage outside the signature store (heap, R-tree, B+-tree pages) has no
+  Damage outside the signature store (heap and R-tree pages) has no
   online rebuild hook yet; it is reported for the operator.
 
 The :class:`Supervisor` aggregates the scrubber's findings with the two

@@ -1,14 +1,19 @@
 """One-call assembly of a complete P-Cube system.
 
 Bundles the base relation, the shared R-tree partition template, the P-Cube
-signature store, the baseline B+-tree indexes, the maintenance WAL and the
-epoch manager, all over one simulated disk — the configuration every
-experiment and example runs against.  Every system has its WAL and its
-epochs: each maintenance method publishes a snapshot, and
-:attr:`PCubeSystem.engine` reads the one published last.  The figure
-benches that time bare maintenance call the :mod:`repro.core.maintenance`
-functions with ``wal=None`` instead, and read nothing through ``engine``
-after them.
+signature store, the maintenance WAL and the epoch manager, all over one
+simulated disk — the configuration every experiment and example runs
+against.  Every system has its WAL and its epochs: each maintenance method
+publishes a snapshot, and :attr:`PCubeSystem.engine` reads the one
+published last.  The figure benches that time bare maintenance call the
+:mod:`repro.core.maintenance` functions with ``wal=None`` instead, and read
+nothing through ``engine`` after them.
+
+A system builds no index it does not maintain: the per-dimension B+-trees
+the Boolean-first and Index-merge baselines read are built by whoever
+measures those baselines
+(:func:`~repro.baselines.boolean_first.build_boolean_indexes`, over the
+relation they query).
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.boolean_first import build_boolean_indexes
-from repro.btree.btree import BPlusTree
 from repro.core import integrity, maintenance
 from repro.core.epoch import EpochManager, Snapshot
 from repro.core.integrity import ConsistencyReport
@@ -35,32 +38,25 @@ from repro.storage.disk import SimulatedDisk
 
 @dataclass
 class BuildTimings:
-    """Construction wall-clock per component (Figure 5's series)."""
+    """Wall-clock per built structure (Figure 5's R-tree and P-Cube)."""
 
     rtree_seconds: float = 0.0
     pcube_seconds: float = 0.0
-    btree_seconds: float = 0.0
 
 
 @dataclass
 class PCubeSystem:
-    """A fully built system: storage, indexes, cube, WAL and epochs."""
+    """A fully built system: storage, R-tree, cube, WAL and epochs."""
 
     relation: Relation
     rtree: RTree
     pcube: PCube
-    indexes: dict[str, BPlusTree]
     wal: MaintenanceWAL
     epochs: EpochManager
     timings: BuildTimings = field(default_factory=BuildTimings)
     maintenance_stats: MaintenanceStats = field(
         default_factory=MaintenanceStats
     )
-    # Row count the B+-tree postings were built over.  The postings are
-    # never maintained after build, so index-backed plans are only sound
-    # while the relation has not grown past this mark
-    # (``EngineContext.indexes_cover``).
-    indexes_rows: int = 0
 
     @property
     def disk(self) -> SimulatedDisk:
@@ -122,9 +118,6 @@ class PCubeSystem:
 
     def pcube_size_mb(self) -> float:
         return self.disk.size_mb("pcube")
-
-    def btree_size_mb(self) -> float:
-        return self.disk.size_mb("btree")
 
     # ------------------------------------------------------------------ #
     # crash-safe maintenance (WAL-protected drivers)
@@ -330,10 +323,9 @@ def build_system(
     fanout: int | None = None,
     rtree_method: str = "bulk",
     codec: str = "adaptive",
-    with_indexes: bool = True,
     wal_segment_bytes: int | None = None,
 ) -> PCubeSystem:
-    """Build R-tree + P-Cube + baseline indexes over an existing relation.
+    """Build R-tree + P-Cube over an existing relation.
 
     Each structure touches each tuple once (DESIGN.md "Build"), and the
     pages are a function of the relation and the arguments alone;
@@ -352,8 +344,6 @@ def build_system(
             (tuple-at-a-time Guttman build — the construction cost Figure 5
             actually measures).
         codec: Bitmap codec for stored signatures.
-        with_indexes: Also build the per-dimension B+-trees the baselines
-            need (skippable when only the Signature method runs).
         wal_segment_bytes: Override the WAL's segment-rotation threshold
             (default :data:`repro.core.wal.DEFAULT_SEGMENT_BYTES`); small
             values force frequent sealing, which durability tests and the
@@ -394,12 +384,6 @@ def build_system(
     pcube = PCube.build(relation, rtree, codec=codec)
     timings.pcube_seconds = time.perf_counter() - started
 
-    indexes: dict[str, BPlusTree] = {}
-    if with_indexes:
-        started = time.perf_counter()
-        indexes = build_boolean_indexes(relation, disk=disk)
-        timings.btree_seconds = time.perf_counter() - started
-
     maintenance_stats = MaintenanceStats()
     wal_kwargs = (
         {} if wal_segment_bytes is None
@@ -409,10 +393,8 @@ def build_system(
         relation=relation,
         rtree=rtree,
         pcube=pcube,
-        indexes=indexes,
         wal=MaintenanceWAL(disk, stats=maintenance_stats, **wal_kwargs),
         epochs=EpochManager(relation, rtree, pcube),
         timings=timings,
         maintenance_stats=maintenance_stats,
-        indexes_rows=len(relation) if indexes else 0,
     )

@@ -15,10 +15,20 @@ from repro.baselines.domination_first import (
 )
 from repro.baselines.index_merge import index_merge_topk
 from repro.baselines.naive import naive_skyline, naive_topk
+from repro.btree.btree import order_for_page
+from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
 from repro.query.predicates import BooleanPredicate
 from repro.query.stats import QueryStats
 from repro.storage.counters import BINDEX, BTABLE, DBOOL
+from repro.storage.disk import SimulatedDisk
+
+
+@pytest.fixture(scope="module")
+def small_indexes(small_system):
+    """The baselines' B+-trees over the shared system's relation (a served
+    system keeps none)."""
+    return build_boolean_indexes(small_system.relation)
 
 
 def truth_points(system, predicate):
@@ -35,11 +45,9 @@ def truth_points(system, predicate):
 # --------------------------------------------------------------------------- #
 
 
-def test_boolean_indexes_cover_all_dims(small_system):
-    assert set(small_system.indexes) == set(
-        small_system.relation.schema.boolean_dims
-    )
-    index = small_system.indexes["A1"]
+def test_boolean_indexes_cover_all_dims(small_system, small_indexes):
+    assert set(small_indexes) == set(small_system.relation.schema.boolean_dims)
+    index = small_indexes["A1"]
     expected = [
         tid
         for tid in small_system.relation.tids()
@@ -49,10 +57,10 @@ def test_boolean_indexes_cover_all_dims(small_system):
 
 
 @pytest.mark.parametrize("n_conjuncts", [1, 2, 3])
-def test_boolean_first_skyline_correct(small_system, rng, n_conjuncts):
+def test_boolean_first_skyline_correct(small_system, small_indexes, rng, n_conjuncts):
     predicate = sample_predicate(small_system.relation, n_conjuncts, rng)
     tids, stats = boolean_first_skyline(
-        small_system.engine.relation, small_system.indexes, predicate
+        small_system.engine.relation, small_indexes, predicate
     )
     assert sorted(tids) == sorted(
         naive_skyline(truth_points(small_system, predicate))
@@ -61,9 +69,9 @@ def test_boolean_first_skyline_correct(small_system, rng, n_conjuncts):
     assert stats.peak_heap >= len(tids)
 
 
-def test_boolean_first_empty_predicate_scans(small_system):
+def test_boolean_first_empty_predicate_scans(small_system, small_indexes):
     tids, stats = boolean_first_skyline(
-        small_system.engine.relation, small_system.indexes, BooleanPredicate()
+        small_system.engine.relation, small_indexes, BooleanPredicate()
     )
     assert sorted(tids) == sorted(
         naive_skyline(list(small_system.relation.pref_points()))
@@ -71,11 +79,11 @@ def test_boolean_first_empty_predicate_scans(small_system):
     assert stats.counters.get(BTABLE) == small_system.relation.heap_page_count()
 
 
-def test_boolean_first_topk_correct(small_system, rng):
+def test_boolean_first_topk_correct(small_system, small_indexes, rng):
     predicate = sample_predicate(small_system.relation, 1, rng)
     fn = sample_linear_function(2, rng)
     ranked, stats = boolean_first_topk(
-        small_system.engine.relation, small_system.indexes, fn, 10, predicate
+        small_system.engine.relation, small_indexes, fn, 10, predicate
     )
     expected = naive_topk(truth_points(small_system, predicate), fn, 10)
     assert [round(s, 9) for _, s in ranked] == [round(s, 9) for _, s in expected]
@@ -88,10 +96,9 @@ def test_select_tuples_prefers_index_for_selective_predicates(
     # must beat the full scan.
     system = fresh_system(n_tuples=2000, cardinality=100, seed=14)
     predicate = sample_predicate(system.relation, 1, rng)
+    indexes = build_boolean_indexes(system.relation)
     stats = QueryStats()
-    selected = select_tuples(
-        system.engine.relation, system.indexes, predicate, stats
-    )
+    selected = select_tuples(system.engine.relation, indexes, predicate, stats)
     assert sorted(selected) == [
         tid
         for tid in system.relation.tids()
@@ -101,22 +108,22 @@ def test_select_tuples_prefers_index_for_selective_predicates(
     assert stats.counters.get(BINDEX) > 0
 
 
-def test_select_tuples_prefers_scan_for_wide_predicates(small_system, rng):
+def test_select_tuples_prefers_scan_for_wide_predicates(small_system, small_indexes, rng):
     # Cardinality 8 over 1500 rows: a posting touches every heap page, so
     # the planner should fall back to the plain table scan (no index I/O).
     predicate = sample_predicate(small_system.relation, 1, rng)
     stats = QueryStats()
     select_tuples(
-        small_system.engine.relation, small_system.indexes, predicate, stats
+        small_system.engine.relation, small_indexes, predicate, stats
     )
     assert stats.counters.get(BTABLE) == small_system.relation.heap_page_count()
     assert stats.counters.get(BINDEX) == 0
 
 
-def test_select_tuples_peak_heap_is_candidate_count(small_system, rng):
+def test_select_tuples_peak_heap_is_candidate_count(small_system, small_indexes, rng):
     predicate = sample_predicate(small_system.relation, 1, rng)
     tids, stats = boolean_first_skyline(
-        small_system.engine.relation, small_system.indexes, predicate
+        small_system.engine.relation, small_indexes, predicate
     )
     candidates = sum(
         1
@@ -194,12 +201,12 @@ def test_minimal_probing_is_lazy(small_system, rng):
 
 
 @pytest.mark.parametrize("n_conjuncts", [1, 2, 3])
-def test_index_merge_topk_correct(small_system, rng, n_conjuncts):
+def test_index_merge_topk_correct(small_system, small_indexes, rng, n_conjuncts):
     predicate = sample_predicate(small_system.relation, n_conjuncts, rng)
     fn = sample_linear_function(2, rng)
     ranked, stats = index_merge_topk(
         small_system.engine.rtree,
-        small_system.indexes,
+        small_indexes,
         fn,
         10,
         predicate,
@@ -209,11 +216,11 @@ def test_index_merge_topk_correct(small_system, rng, n_conjuncts):
     assert stats.counters.get(BINDEX) > 0  # the online join is paid
 
 
-def test_index_merge_no_predicate(small_system, rng):
+def test_index_merge_no_predicate(small_system, small_indexes, rng):
     fn = sample_linear_function(2, rng)
     ranked, stats = index_merge_topk(
         small_system.engine.rtree,
-        small_system.indexes,
+        small_indexes,
         fn,
         5,
         BooleanPredicate(),
@@ -242,14 +249,12 @@ def test_select_tuples_excludes_tombstoned_rows_on_both_paths():
     access path may return them."""
     from repro.cube.relation import Relation
     from repro.cube.schema import Schema
-    from repro.storage.disk import SimulatedDisk
-
     disk = SimulatedDisk(page_size=128)  # many heap pages => index scan wins
     schema = Schema(("A",), ("X", "Y"))
     bool_rows = [(i % 10,) for i in range(200)]
     pref_rows = [(i / 200, 1 - i / 200) for i in range(200)]
     relation = Relation(schema, bool_rows, pref_rows, disk=disk)
-    indexes = build_boolean_indexes(relation, disk=disk)
+    indexes = build_boolean_indexes(relation)
     for tid in range(0, 200, 7):
         relation.tombstone(tid)
     live = set(relation.live_tids())
@@ -269,3 +274,34 @@ def test_select_tuples_excludes_tombstoned_rows_on_both_paths():
         tid for tid in live if relation.bool_value(tid, "A") == 3
     }
     assert set(indexes["A"].search(3)) - live  # dead tids were candidates
+
+
+@pytest.mark.parametrize("page_size", [128, 1024])
+def test_boolean_index_nodes_fit_their_page(page_size):
+    """Each node is sized to its disk's page, so one node visit — one
+    counted ``BINDEX`` read — is one page: none is oversized."""
+    disk = SimulatedDisk(page_size=page_size)
+    relation = generate_relation(
+        SyntheticConfig(
+            n_tuples=1500, n_boolean=2, cardinality=8, n_preference=2, seed=5
+        ),
+        disk=disk,
+    )
+    indexes = build_boolean_indexes(relation)
+    assert {tree.order for tree in indexes.values()} == {
+        order_for_page(page_size)
+    }
+    assert disk.size_bytes("btree") > 0
+    assert [
+        page.page_id
+        for page in disk.oversized_pages()
+        if page.tag.startswith("btree:")
+    ] == []
+
+
+def test_boolean_index_order_is_unchanged_at_4kb_pages():
+    """At the default page the order stays at its cap: no figure count
+    moves with the page-fitting rule."""
+    assert order_for_page(4096) == 128
+    assert order_for_page(128) == 6
+    assert order_for_page(24) == 4  # never below the tree's minimum

@@ -100,11 +100,13 @@ class TestAnswerCheck:
 
     @pytest.fixture(scope="class")
     def query(self):
-        system = scenarios.BenchContext().system(TINY["sizes"][0])
+        ctx = scenarios.BenchContext()
+        system = ctx.system(TINY["sizes"][0])
+        indexes = ctx.indexes(TINY["sizes"][0])
         rng = random.Random(7)
         predicate = sample_predicate(system.relation, 1, rng)
         fn = sample_linear_function(system.relation.schema.n_preference, rng)
-        return system, predicate, fn
+        return system, indexes, predicate, fn
 
     @staticmethod
     def dropping_one(monkeypatch, name):
@@ -118,11 +120,11 @@ class TestAnswerCheck:
         monkeypatch.setattr(scenarios, name, lossy)
 
     def test_the_engines_agree(self, query):
-        system, predicate, fn = query
-        assert set(scenarios.skyline_methods(system, predicate)) == {
+        system, indexes, predicate, fn = query
+        assert set(scenarios.skyline_methods(system, indexes, predicate)) == {
             "Signature", "Boolean", "Domination"
         }
-        assert set(scenarios.topk_methods(system, fn, 10, predicate)) == {
+        assert set(scenarios.topk_methods(system, indexes, fn, 10, predicate)) == {
             "Signature", "Boolean", "Ranking", "IndexMerge"
         }
 
@@ -130,19 +132,19 @@ class TestAnswerCheck:
         "name", ["boolean_first_skyline", "domination_first_skyline"]
     )
     def test_a_dropped_skyline_tid_raises(self, query, monkeypatch, name):
-        system, predicate, _ = query
+        system, indexes, predicate, _ = query
         self.dropping_one(monkeypatch, name)
         with pytest.raises(AssertionError, match="skyline mismatch"):
-            scenarios.skyline_methods(system, predicate)
+            scenarios.skyline_methods(system, indexes, predicate)
 
     @pytest.mark.parametrize(
         "name", ["boolean_first_topk", "ranking_topk", "index_merge_topk"]
     )
     def test_a_dropped_topk_tid_raises(self, query, monkeypatch, name):
-        system, predicate, fn = query
+        system, indexes, predicate, fn = query
         self.dropping_one(monkeypatch, name)
         with pytest.raises(AssertionError, match="top-k mismatch"):
-            scenarios.topk_methods(system, fn, 10, predicate)
+            scenarios.topk_methods(system, indexes, fn, 10, predicate)
 
 
 class TestCompare:

@@ -86,9 +86,7 @@ def test_a_bare_write_waits_for_the_next_publish(fresh_system):
     predicate = BooleanPredicate({"A1": bool_row[0]})
     engine = system.engine
     assert not engine.relation.is_live(tid) and len(engine.relation) == tid
-    scanned, _ = boolean_first_skyline(
-        engine.relation, system.indexes, predicate
-    )
+    scanned, _ = boolean_first_skyline(engine.relation, {}, predicate)
     assert tid not in engine.skyline(predicate).tids
     assert sorted(scanned) == sorted(engine.skyline(predicate).tids)
     system.insert(bool_row, (0.5,) * len(pref_row))  # publishes

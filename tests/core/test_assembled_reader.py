@@ -52,7 +52,7 @@ def build(fanout, page_size, seed, faulty=False):
         ),
         disk=disk,
     )
-    return build_system(relation, fanout=fanout, with_indexes=False)
+    return build_system(relation, fanout=fanout)
 
 
 def predicates(system, rng):

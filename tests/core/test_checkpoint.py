@@ -11,6 +11,7 @@ fails verification.
 import pytest
 
 from repro.backup import answer_fingerprint
+from repro.baselines.naive import naive_skyline, naive_topk
 from repro.core.checkpoint import (
     CheckpointError,
     CheckpointManager,
@@ -25,6 +26,8 @@ from repro.core.wal import (
     verify_record,
 )
 from repro.data.synthetic import SyntheticConfig, generate_relation
+from repro.query.predicates import BooleanPredicate
+from repro.query.ranking import LinearFunction
 from repro.query.session import QuerySession
 from repro.storage.disk import SimulatedDisk
 from repro.storage.errors import CorruptPageError
@@ -34,6 +37,7 @@ from repro.storage.faults import (
     FaultyDisk,
     SimulatedCrash,
 )
+from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.system import build_system
 
 CONFIG = dict(
@@ -130,6 +134,66 @@ def test_restore_reads_a_manifest_that_still_names_maintainable():
     assert result.checkpoint.checkpoint_id == 0
     assert result.fallbacks == 0
     assert answer_fingerprint(result.system) == answer_fingerprint(system)
+
+
+def test_restore_reads_a_manifest_that_still_carries_the_btree_flag():
+    """A manifest written while the served build still made B+-trees says
+    ``with_indexes`` and records no page size: restore ignores the flag,
+    builds on the default page, makes no B+-tree, and answers what naive
+    answers over the restored rows."""
+    system = make_system()
+    info = CheckpointManager(system).create()
+    mutate(system)
+    page = system.disk.peek(info.manifest_page)
+    manifest = verify_record(page)
+    del manifest["config"]["page_size"]
+    manifest["config"]["with_indexes"] = True
+    page.payload = seal_record(manifest)
+    page.seal()
+    result = restore_system(system.disk)
+    restored = result.system
+    assert result.fallbacks == 0
+    assert restored.disk.page_size == DEFAULT_PAGE_SIZE
+    assert restored.disk.size_bytes("btree") == 0
+    relation = restored.relation
+    dim = relation.schema.boolean_dims[0]
+    fn = LinearFunction((0.6, 0.4))
+    for predicate in (
+        BooleanPredicate(),
+        BooleanPredicate({dim: relation.bool_value(0, dim)}),
+    ):
+        truth = [
+            (tid, relation.pref_point(tid))
+            for tid in relation.live_tids()
+            if predicate.matches(relation, tid)
+        ]
+        engine = restored.engine
+        assert sorted(engine.skyline(predicate).tids) == sorted(
+            naive_skyline(truth)
+        )
+        top = engine.topk(fn, 5, predicate)
+        assert [round(s, 9) for s in top.scores] == [
+            round(s, 9) for _, s in naive_topk(truth, fn, 5)
+        ]
+    assert answer_fingerprint(restored) == answer_fingerprint(system)
+
+
+def test_restore_keeps_the_source_page_size():
+    """The manifest records the page size and restore builds on it, so the
+    restored store splits its partials as the source's did, to the byte."""
+    disk = SimulatedDisk(page_size=256)
+    relation = generate_relation(
+        SyntheticConfig(
+            n_tuples=1500, n_boolean=2, cardinality=8, n_preference=2, seed=13
+        ),
+        disk=disk,
+    )
+    system = build_system(relation, fanout=8)
+    CheckpointManager(system).create()
+    restored = restore_system(disk).system
+    assert restored.disk.page_size == 256
+    assert restored.disk.size_bytes("pcube") == disk.size_bytes("pcube")
+    assert answer_fingerprint(restored) == answer_fingerprint(system)
 
 
 def test_restore_to_lsn_reproduces_history():

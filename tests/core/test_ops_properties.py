@@ -60,7 +60,7 @@ def grown_tree(rows):
         [(a, b) for a, b, _, _ in rows],
         [(x / 7.0, y / 7.0) for _, _, x, y in rows],
     )
-    system = build_system(relation, fanout=4, with_indexes=False)
+    system = build_system(relation, fanout=4)
     return relation, system.rtree.all_paths()
 
 

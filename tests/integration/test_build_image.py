@@ -4,8 +4,8 @@
 arguments give the same pages, paths and trees (DESIGN.md §5, "Build").
 Each piece is digested apart so a failure names it — every page's id, tag,
 logical size and checksum, the tuple paths in the order ``all_paths()``
-lists them, the store's directory, the R-tree's and every B+-tree's nodes,
-and the build's allocate / write / free counts.
+lists them, the store's directory, the R-tree's nodes, and the build's
+allocate / write / free counts.
 
 Two builds are pinned: 2 000 tuples at fanout 64, and 300 tuples at fanout
 6 on 128-byte pages, where the tree is deeper and cells span several
@@ -13,8 +13,11 @@ partials.  The literals were recorded before the build moved onto column
 arrays, and re-recorded when the store's (cell, ref) B+-tree went (its
 pages and writes left the image, later page ids shifted; paths, counted
 signatures and R-tree stayed).  The cube keeps no counted signatures any
-more, so their digest left the image; every other value stayed.  A change
-that means to move the image re-records them and says why.
+more, so their digest left the image; every other value stayed.  The
+served build stopped making the baselines' per-dimension B+-trees, so their
+digest, pages and writes left the image (they were allocated last: no
+other page id moved, and paths, store and R-tree stayed).  A change that
+means to move the image re-records them and says why.
 """
 
 from __future__ import annotations
@@ -32,23 +35,21 @@ BUILDS = {
     "2000-tuples-fanout-64": (
         2000, 100, 64, None,
         {
-            "pages": (433, "310b74afada8e1a1"),
+            "pages": (363, "65383c7dc493999b"),
             "paths": "43231253bea1f97e",
             "store": "1f8bf048ecb85775",
             "rtree": "208547d139aa6b1d",
-            "btrees": "cda91a72c91e5d8e",
-            "writes": {"ALLOC": 408, "WRITE": 148, "FREE": 1},
+            "writes": {"ALLOC": 338, "WRITE": 75, "FREE": 1},
         },
     ),
     "300-tuples-fanout-6": (
         300, 10, 6, 128,
         {
-            "pages": (356, "18a2899267971653"),
+            "pages": (341, "c0b4739e61c8e0e0"),
             "paths": "1e90c5b2fe0883e3",
             "store": "6a24dc471532be01",
             "rtree": "d0b0f8ad5297bb3c",
-            "btrees": "690ffaa50de8c42b",
-            "writes": {"ALLOC": 207, "WRITE": 189, "FREE": 1},
+            "writes": {"ALLOC": 192, "WRITE": 171, "FREE": 1},
         },
     ),
 }
@@ -56,20 +57,6 @@ BUILDS = {
 
 def digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
-
-
-def btree_nodes(tree):
-    """Pre-order: page id, keys, and the child page ids or the values."""
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        kids = getattr(node, "children", ())
-        yield (
-            node.page_id,
-            tuple(node.keys),
-            tuple(child.page_id for child in kids) or tuple(node.values),
-        )
-        stack.extend(reversed(kids))
 
 
 def build_image(system, writes) -> dict:
@@ -94,9 +81,6 @@ def build_image(system, writes) -> dict:
         "paths": digest(list(system.rtree.all_paths().items())),
         "store": digest(store.directory_entries()),
         "rtree": digest(rtree),
-        "btrees": digest(
-            [list(btree_nodes(tree)) for tree in system.indexes.values()]
-        ),
         "writes": writes,
     }
 

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.baselines.boolean_first import (
     boolean_first_skyline,
     boolean_first_topk,
+    build_boolean_indexes,
 )
 from repro.baselines.domination_first import (
     domination_first_skyline,
@@ -95,7 +96,7 @@ def test_differential_skyline(rows, conjuncts):
     expected = sorted(naive_skyline(qualifying_points(relation, predicate)))
     sig_tids = system.engine.skyline(predicate).tids
     bool_tids, _ = boolean_first_skyline(
-        system.engine.relation, system.indexes, predicate
+        system.engine.relation, build_boolean_indexes(relation), predicate
     )
     dom_tids, _, _ = domination_first_skyline(
         system.engine.relation, system.engine.rtree, predicate
@@ -116,7 +117,9 @@ def test_differential_skyline(rows, conjuncts):
     k=st.integers(min_value=1, max_value=15),
 )
 def test_differential_topk(rows, conjuncts, weights, k):
-    """Signature top-k ≡ naive ≡ boolean-first ≡ ranking ≡ index-merge.
+    """Signature top-k ≡ naive ≡ boolean-first ≡ ranking ≡ index-merge,
+    the two index baselines over B+-trees built here (a served system
+    keeps none).
 
     Score lists are compared (rounded to 1e-9) rather than tid lists:
     the collision-heavy grid produces score ties whose tie-break order is
@@ -124,6 +127,7 @@ def test_differential_topk(rows, conjuncts, weights, k):
     """
     relation = make_relation(rows)
     system = build_system(relation, fanout=4)
+    indexes = build_boolean_indexes(relation)
     predicate = BooleanPredicate(conjuncts)
     fn = LinearFunction(weights)
 
@@ -136,13 +140,13 @@ def test_differential_topk(rows, conjuncts, weights, k):
     sig = system.engine.topk(fn, k, predicate)
     ranked_sig = list(zip(sig.tids, sig.scores))
     ranked_bool, _ = boolean_first_topk(
-        system.engine.relation, system.indexes, fn, k, predicate
+        system.engine.relation, indexes, fn, k, predicate
     )
     ranked_rank, _, _ = ranking_topk(
         system.engine.relation, system.engine.rtree, fn, k, predicate
     )
     ranked_merge, _ = index_merge_topk(
-        system.engine.rtree, system.indexes, fn, k, predicate
+        system.engine.rtree, indexes, fn, k, predicate
     )
     for name, ranked in (
         ("signature", ranked_sig),
@@ -186,7 +190,9 @@ def _expected_skyline(relation, predicate):
 @DIFFERENTIAL_SETTINGS
 @given(rows=rows_strategy, conjuncts=predicate_strategy)
 def test_differential_router_forced_strategies(rows, conjuncts):
-    """Byte-identical to naive for *every* engine, skyline + top-k.
+    """Byte-identical to naive for every engine that answers, skyline +
+    top-k.  (Index-merge refuses every request on a served system;
+    :func:`test_differential_topk` checks ``index_merge_topk`` directly.)
 
     Each engine runs as a one-engine chain through ``run_chain``, and its
     answer is canonicalised (skyline tids ascending, top-k sorted by
@@ -195,7 +201,7 @@ def test_differential_router_forced_strategies(rows, conjuncts):
     scores for top-k (tie membership at the k boundary is legitimately
     engine-specific, per this suite's convention).
     """
-    from repro.route import ENGINES, EngineContext, canonicalize, run_chain
+    from repro.route import ENGINES, INDEX_MERGE, canonicalize, run_chain
 
     relation = make_relation(rows)
     system = build_system(relation, fanout=4)
@@ -211,16 +217,14 @@ def test_differential_router_forced_strategies(rows, conjuncts):
             qualifying_points(relation, predicate), fn, k
         )
     ]
-    ctx = EngineContext(system.indexes, system.indexes_rows)
 
     def answer(name, request):
-        return canonicalize(run_chain((name,), session, request, ctx)[0])
+        return canonicalize(run_chain((name,), session, request)[0])
 
-    for name in ENGINES:
-        if name != "index-merge":  # top-k only
-            result = answer(name, RouteRequest("skyline", predicate))
-            assert result.tids == expected_sky, name
-            assert result.stats.tier == name
+    for name in (name for name in ENGINES if name != INDEX_MERGE):
+        result = answer(name, RouteRequest("skyline", predicate))
+        assert result.tids == expected_sky, name
+        assert result.stats.tier == name
         result = answer(name, RouteRequest("topk", predicate, fn=fn, k=k))
         scores = [round(score, 9) for score in result.scores]
         assert sorted(scores) == sorted(expected_scores), name
@@ -233,11 +237,11 @@ def test_differential_router_forced_strategies(rows, conjuncts):
 def test_differential_router_forced_fallback(rows, conjuncts):
     """A chain whose head cannot serve still answers byte-identically.
 
-    ``index-merge`` never answers skylines, so the adapter raises
+    ``index-merge`` answers nothing on a served system, so the adapter raises
     ``StrategyUnsupported`` and the chain degrades to naive — the answer
     must not change, and the fallback must be visible in the stats.
     """
-    from repro.route import EngineContext, run_chain
+    from repro.route import run_chain
 
     relation = make_relation(rows)
     system = build_system(relation, fanout=4)
@@ -246,8 +250,7 @@ def test_differential_router_forced_fallback(rows, conjuncts):
     expected = _expected_skyline(relation, predicate)
 
     request = RouteRequest(kind="skyline", predicate=predicate)
-    ctx = EngineContext(system.indexes, system.indexes_rows)
-    result, failures = run_chain(["index-merge", "naive"], session, request, ctx)
+    result, failures = run_chain(["index-merge", "naive"], session, request)
     assert [name for name, _ in failures] == ["index-merge"]
     assert result.stats.tier == "naive"
     assert result.stats.fallbacks == 1

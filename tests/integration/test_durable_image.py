@@ -24,8 +24,13 @@ the four ``ckpt:c*:manifest`` rows changed their CRC and nothing else did
 again when every system gained its epoch manager: a manifest's ``epoch``
 is now the published epoch (1, 9, 17, 25 in this scenario) where a system
 without epochs wrote 0, so the same four manifest rows changed their CRC
-and nothing else did.  A change that means to move the image re-records
-them and says why.
+and nothing else did.  Both digests were re-recorded when the served build
+stopped making the baselines' B+-trees: their two pages no longer take page
+ids, so every ``wal:*`` / ``ckpt:*`` id moved down by 2, and the four
+manifests' ``config`` now records ``page_size`` in place of the B+-tree
+flag (their ``row_pages`` shifted with the ids).  Every row's tag and
+size, every other record's CRC and all four metric lists stayed.  A change
+that means to move the image re-records them and says why.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ FANOUT = 6
 #: metrics over the archive, the same behind the newest checkpoint).
 IMAGES = {
     "backup": (
-        "331abb8ea447e741",
+        "b7b1b8349dfd6e7a",
         267,
         [("damaged_ignored", 0), ("record_reads", 246), ("seal_reads", 9),
          ("segments_scanned", 9), ("segments_skipped", 0)],
@@ -63,7 +68,7 @@ IMAGES = {
          ("segments_scanned", 0), ("segments_skipped", 9)],
     ),
     "crash_wal_rec": (
-        "84c53eeedde1897a",
+        "d3e743b00ca9350c",
         225,
         [("damaged_ignored", 0), ("record_reads", 222), ("seal_reads", 3),
          ("segments_scanned", 4), ("segments_skipped", 0)],

@@ -16,7 +16,6 @@ def tiny_system(rows, n_pref=2, **kwargs):
     pref_rows = [tuple(r[1:]) for r in rows]
     relation = Relation(schema, bool_rows, pref_rows)
     kwargs.setdefault("fanout", 4)
-    kwargs.setdefault("with_indexes", True)
     return relation, build_system(relation, **kwargs)
 
 

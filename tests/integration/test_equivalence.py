@@ -11,7 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.boolean_first import boolean_first_skyline, boolean_first_topk
+from repro.baselines.boolean_first import (
+    boolean_first_skyline,
+    boolean_first_topk,
+    build_boolean_indexes,
+)
 from repro.baselines.domination_first import domination_first_skyline, ranking_topk
 from repro.baselines.index_merge import index_merge_topk
 from repro.baselines.naive import naive_skyline, naive_topk
@@ -128,6 +132,7 @@ def test_all_methods_agree(distribution, n_preference, fanout):
     )
     relation = generate_relation(config)
     system = build_system(relation, fanout=fanout)
+    indexes = build_boolean_indexes(relation)  # the baselines' own trees
     rng = random.Random(99)
 
     for n_conjuncts in (0, 1, 2):
@@ -143,7 +148,7 @@ def test_all_methods_agree(distribution, n_preference, fanout):
         assert sorted(sig_tids) == expected_sky
 
         bool_tids, _ = boolean_first_skyline(
-            system.engine.relation, system.indexes, predicate
+            system.engine.relation, indexes, predicate
         )
         assert sorted(bool_tids) == expected_sky
 
@@ -159,13 +164,13 @@ def test_all_methods_agree(distribution, n_preference, fanout):
         for method_scores in (
             system.engine.topk(fn, 10, predicate).scores,
             [s for _, s in boolean_first_topk(
-                system.engine.relation, system.indexes, fn, 10, predicate
+                system.engine.relation, indexes, fn, 10, predicate
             )[0]],
             [s for _, s in ranking_topk(
                 system.engine.relation, system.engine.rtree, fn, 10, predicate
             )[0]],
             [s for _, s in index_merge_topk(
-                system.engine.rtree, system.indexes, fn, 10, predicate
+                system.engine.rtree, indexes, fn, 10, predicate
             )[0]],
         ):
             assert [round(s, 9) for s in method_scores] == expected_topk
@@ -217,7 +222,7 @@ def test_signature_skyline_property(rows, pred_a, use_two, pred_b):
     bool_rows = [(a, b) for a, b, _, _ in rows]
     pref_rows = [(x / 7.0, y / 7.0) for _, _, x, y in rows]
     relation = Relation(schema, bool_rows, pref_rows)
-    system = build_system(relation, fanout=4, with_indexes=False)
+    system = build_system(relation, fanout=4)
     conjuncts = {"A": pred_a}
     if use_two:
         conjuncts["B"] = pred_b
@@ -257,7 +262,7 @@ def test_signature_topk_property(rows, weights, k, value):
     bool_rows = [(a,) for a, _, _ in rows]
     pref_rows = [(x / 9.0, y / 9.0) for _, x, y in rows]
     relation = Relation(schema, bool_rows, pref_rows)
-    system = build_system(relation, fanout=4, with_indexes=False)
+    system = build_system(relation, fanout=4)
     predicate = BooleanPredicate({"A": value})
     fn = LinearFunction(weights)
     scores = system.engine.topk(fn, k, predicate).scores

@@ -48,7 +48,7 @@ class PCubeMachine(RuleBasedStateMachine):
         pref_rows = [(x / GRID, y / GRID) for _, _, x, y in rows]
         self.relation = Relation(schema, bool_rows, pref_rows)
         self.system = build_system(
-            self.relation, fanout=4, rtree_method="insert", with_indexes=False
+            self.relation, fanout=4, rtree_method="insert"
         )
         self.alive = set(self.relation.tids())
 

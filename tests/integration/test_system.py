@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.boolean_first import build_boolean_indexes
 from repro.bitmap import compression
 from repro.core import partial as partial_module
 from repro.cube.cuboid import Cuboid
@@ -25,10 +26,15 @@ def test_build_bulk_default(relation):
     system = build_system(relation, fanout=8)
     assert len(system.rtree) == 400
     assert system.pcube.n_cells() == 8
-    assert set(system.indexes) == {"A1", "A2"}
     assert system.timings.rtree_seconds > 0
     assert system.timings.pcube_seconds > 0
-    assert system.timings.btree_seconds > 0
+
+
+def test_a_served_build_allocates_no_btree_page(relation):
+    """The B+-trees are the baselines' structures: a served system never
+    maintains them, so its build makes none."""
+    system = build_system(relation, fanout=8)
+    assert system.disk.size_bytes("btree") == 0
 
 
 def spy(monkeypatch, owner, name, log, what):
@@ -44,9 +50,9 @@ def spy(monkeypatch, owner, name, log, what):
 
 def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
     """Counted, not timed: one grouping per cuboid, one encoder run per
-    distinct node bit array, no MBR re-derived from a built node, one page
-    write per B+-tree node of the batch, paths equal to the per-tuple
-    climb — and a first freeze whose only union of boxes is the root's,
+    distinct node bit array, no MBR re-derived from a built node, paths
+    equal to the per-tuple climb, one page write per node of the
+    baselines' B+-tree batch — and a first freeze whose only union of boxes is the root's,
     when the search first asks for it."""
     groupings, asked, boxed, unions = [], [], [], []
     spy(monkeypatch, Cuboid, "label", groupings, lambda self, *_, **__: self.dims)
@@ -69,6 +75,7 @@ def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
 
     monkeypatch.setattr(relation.disk, "write", recording_write)
     system = build_system(relation, fanout=8)
+    indexes = build_boolean_indexes(relation)
 
     assert sorted(groupings) == sorted(c.dims for c in system.pcube.cuboids)
     info = compression._encode.cache_info()
@@ -84,7 +91,7 @@ def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
     # the constructor); an R-tree node when created and when filled.
     btree_pages = {page.page_id for page in relation.disk.pages("btree:")}
     assert sum(written[page_id] for page_id in btree_pages) == len(btree_pages) + len(
-        system.indexes
+        indexes
     )
     assert all(written[n.page_id] == 2 for n in nodes)
     counters = relation.disk.write_counters
@@ -122,12 +129,6 @@ def test_build_unknown_method_rejected(relation):
         build_system(relation, rtree_method="magic")
 
 
-def test_build_without_indexes(relation):
-    system = build_system(relation, fanout=8, with_indexes=False)
-    assert system.indexes == {}
-    assert system.timings.btree_seconds == 0.0
-
-
 def test_default_fanout_derived_from_page_size(relation):
     system = build_system(relation)
     # 2 preference dims at 4 KB pages -> the paper's M = 204.
@@ -138,11 +139,10 @@ def test_space_accounting_views(relation):
     system = build_system(relation, fanout=8)
     assert system.rtree_size_mb() > 0
     assert system.pcube_size_mb() > 0
-    assert system.btree_size_mb() > 0
     assert system.disk is relation.disk
 
 
 def test_everything_shares_one_disk(relation):
     system = build_system(relation, fanout=8)
     tags = {page.tag.split(":")[0] for page in system.disk.pages()}
-    assert {"heap", "rtree", "pcube", "btree"} <= tags
+    assert {"heap", "rtree", "pcube"} <= tags

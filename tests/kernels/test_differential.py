@@ -49,6 +49,12 @@ def system():
 
 
 @pytest.fixture(scope="module")
+def indexes(system):
+    """The baselines' B+-trees, built over the system's relation."""
+    return build_boolean_indexes(system.relation)
+
+
+@pytest.fixture(scope="module")
 def points(system):
     return list(system.relation.pref_points())
 
@@ -106,8 +112,7 @@ def test_subspace_skyline_differential(system):
     assert sorted(result.tids) == sorted(naive_skyline(projected))
 
 
-def test_boolean_first_differential(system):
-    indexes = system.indexes
+def test_boolean_first_differential(system, indexes):
     for predicate in _predicates(system):
         truth = _truth(system.relation, predicate)
         tids, _ = boolean_first_skyline(
@@ -138,11 +143,11 @@ def test_domination_first_differential(system):
         assert ranked == naive_topk(truth, LINEAR, 10)
 
 
-def test_index_merge_differential(system):
+def test_index_merge_differential(system, indexes):
     for predicate in _predicates(system):
         ranked, _ = index_merge_topk(
             system.engine.rtree,
-            system.indexes,
+            indexes,
             LINEAR,
             10,
             predicate,
@@ -203,9 +208,9 @@ def _both_forks(relation, indexes, predicate):
     return runs
 
 
-def _plans(system):
+def _plans(system, indexes):
     """One predicate per access path: index scan and table scan."""
-    relation, indexes = system.relation, system.indexes
+    relation = system.relation
     dims = relation.schema.boolean_dims
     row = relation.bool_row(0)
     candidates = [BooleanPredicate()] + [
@@ -224,11 +229,11 @@ def _plans(system):
 
 
 @pytest.mark.parametrize("arm", ["index", "table"])
-def test_ticker_fork_gives_the_same_answers_and_reads(system, arm):
-    predicates = _plans(system)[arm]
+def test_ticker_fork_gives_the_same_answers_and_reads(system, indexes, arm):
+    predicates = _plans(system, indexes)[arm]
     for predicate in predicates:
         vector, per_row = _both_forks(
-            system.engine.relation, system.indexes, predicate
+            system.engine.relation, indexes, predicate
         )
         assert vector == per_row, predicate
         assert vector[0]
@@ -236,7 +241,8 @@ def test_ticker_fork_gives_the_same_answers_and_reads(system, arm):
 
 def test_ticker_fork_on_a_posting_past_the_projection():
     """A reader's relation view can be shorter than the rows the postings
-    were built over (``indexes_cover`` allows it).  Postings past the
+    were built over (trees built after a write, read at an older
+    snapshot).  Postings past the
     view's projection — one of them a deleted row's, which the B+-trees
     keep — must verify False on both forks, after the same page reads."""
     system = build_sweep_system(600, n_preference=2, seed=5)

@@ -175,7 +175,7 @@ def test_dnf_property(rows, v1, v2):
         [(a, b) for a, b, _, _ in rows],
         [(x / 7.0, y / 7.0) for _, _, x, y in rows],
     )
-    system = build_system(relation, fanout=4, with_indexes=False)
+    system = build_system(relation, fanout=4)
     disjuncts = [BooleanPredicate({"A": v1}), BooleanPredicate({"B": v2})]
     tids = system.engine.skyline(disjuncts).tids
     expected = set(naive_skyline(qualifying(system, disjuncts)))

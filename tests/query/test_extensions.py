@@ -201,7 +201,7 @@ def test_lower_hull_empty_selection(small_system):
 def test_lower_hull_single_point():
     schema = Schema(("A",), ("X", "Y"))
     relation = Relation(schema, [("a",)], [(0.4, 0.6)])
-    system = build_system(relation, fanout=4, with_indexes=False)
+    system = build_system(relation, fanout=4)
     tids = system.engine.lower_hull(BooleanPredicate({"A": "a"})).tids
     assert tids == [0]
 
@@ -229,7 +229,7 @@ def test_lower_hull_property(raw):
     schema = Schema(("A",), ("X", "Y"))
     points = [(x / 9.0, y / 9.0) for x, y in raw]
     relation = Relation(schema, [("a",)] * len(points), points)
-    system = build_system(relation, fanout=4, with_indexes=False)
+    system = build_system(relation, fanout=4)
     tids = system.engine.lower_hull(BooleanPredicate({"A": "a"})).tids
     expected = naive_lower_hull(list(enumerate(points)))
     assert [relation.pref_point(t) for t in tids] == [
@@ -258,7 +258,7 @@ def test_dynamic_skyline_property(raw, qx, qy):
     schema = Schema(("A",), ("X", "Y"))
     points = [(x / 7.0, y / 7.0) for x, y in raw]
     relation = Relation(schema, [("a",)] * len(points), points)
-    system = build_system(relation, fanout=4, with_indexes=False)
+    system = build_system(relation, fanout=4)
     query_point = (qx / 7.0, qy / 7.0)
     tids = system.engine.dynamic_skyline(query_point).tids
     expected = set(naive_dynamic_skyline(list(enumerate(points)), query_point))
@@ -276,7 +276,7 @@ def test_dynamic_skyline_float_tie_regression():
     schema = Schema(("A",), ("X", "Y"))
     points = [(4 / 7.0, 4 / 7.0), (4 / 7.0, 6 / 7.0)]
     relation = Relation(schema, [("a",)] * len(points), points)
-    system = build_system(relation, fanout=4, with_indexes=False)
+    system = build_system(relation, fanout=4)
     query_point = (1 / 7.0, 5 / 7.0)
     tids = system.engine.dynamic_skyline(query_point).tids
     assert set(tids) == {1}

@@ -142,7 +142,7 @@ def test_distribution_robustness(rng):
             seed=2,
         )
         relation = generate_relation(config)
-        system = build_system(relation, fanout=8, with_indexes=False)
+        system = build_system(relation, fanout=8)
         predicate = sample_predicate(relation, 1, rng)
         tids = system.engine.skyline(predicate).tids
         expected = set(

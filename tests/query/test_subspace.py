@@ -118,7 +118,7 @@ def test_subspace_property(raw, subspace):
     bool_rows = [(a,) for a, *_ in raw]
     pref_rows = [(x / 5.0, y / 5.0, z / 5.0) for _, x, y, z in raw]
     relation = Relation(schema, bool_rows, pref_rows)
-    system = build_system(relation, fanout=4, with_indexes=False)
+    system = build_system(relation, fanout=4)
     predicate = BooleanPredicate({"A": raw[0][0]})
     names = tuple(schema.preference_dims[d] for d in subspace)
     tids = system.engine.skyline(predicate, preference_by=names).tids

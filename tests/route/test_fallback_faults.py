@@ -5,8 +5,8 @@ harness (seeded storms against the concurrent executor) with the ordered
 fallback chain.  Each of the chain's three fallback edge *kinds* is
 exercised at least once, deterministically:
 
-* ``StrategyUnsupported`` — a shape the engine never serves (index-merge
-  on a skyline; stale postings after maintenance);
+* ``StrategyUnsupported`` — a request the engine never serves
+  (index-merge on a served system, which keeps no B+-trees);
 * ``StorageFault`` — corrupt R-tree pages fail BBS, the chain degrades
   to the heap-scanning engines;
 * ``StrategyTimeout`` — latency injection makes one attempt overrun its
@@ -34,7 +34,6 @@ from repro.query.predicates import BooleanPredicate
 from repro.query.session import QuerySession
 from repro.route import (
     ENGINES,
-    EngineContext,
     QueryRouter,
     RouteRequest,
     StrategyTimeout,
@@ -72,61 +71,44 @@ def _session(system):
     return QuerySession.for_snapshot(system.pin_snapshot())
 
 
-def _ctx(system):
-    return EngineContext(system.indexes, system.indexes_rows)
-
-
 def _reference(system, predicate):
     """Fault-free ground truth via the naive engine."""
     request = RouteRequest("skyline", predicate)
-    return run_chain(("naive",), _session(system), request, _ctx(system))[0]
+    return run_chain(("naive",), _session(system), request)[0]
 
 
-def test_unsupported_edge_index_merge_to_naive(faulty):
-    """Edge 1: ``StrategyUnsupported`` — index-merge never serves skylines;
-    the adapter's own check raises and the chain hands the query on."""
+@pytest.mark.parametrize("kind", ["skyline", "topk"])
+def test_unsupported_edge_index_merge_to_naive(faulty, kind):
+    """Edge 1: ``StrategyUnsupported`` — a served system keeps no B+-trees,
+    so index-merge refuses every shape, before a write and after one; the
+    chain hands the query on and naive answers it."""
     _, system = faulty
     predicate = sample_predicate(system.relation, 1, random.Random(3))
-    expected = _reference(system, predicate)
-
-    result, failures = run_chain(
-        ["index-merge", "naive"],
-        _session(system),
-        RouteRequest(kind="skyline", predicate=predicate),
-        _ctx(system),
+    fn = sample_linear_function(
+        system.relation.schema.n_preference, random.Random(5)
     )
-    assert len(failures) == 1
-    name, error = failures[0]
-    assert name == "index-merge"
-    assert isinstance(error, StrategyUnsupported)
-    assert result.stats.tier == "naive"
-    assert result.stats.fallbacks == 1
-    assert sorted(result.tids) == sorted(expected.tids)
-
-
-def test_unsupported_edge_stale_postings(faulty):
-    """Edge 1b: maintenance after the index build makes postings stale —
-    index-merge refuses (never silently loses rows) and falls through."""
-    _, system = faulty
-    rng = random.Random(5)
-    predicate = sample_predicate(system.relation, 1, rng)
-    fn = sample_linear_function(system.relation.schema.n_preference, rng)
-
+    shape = {"fn": fn, "k": 5} if kind == "topk" else {}
+    request = RouteRequest(kind=kind, predicate=predicate, **shape)
     schema = system.relation.schema
-    system.insert(
-        tuple(0 for _ in range(schema.n_boolean)),
-        tuple(0.5 for _ in range(schema.n_preference)),
-    )
-    session = _session(system)
-    assert len(session.relation) > system.indexes_rows
-
-    request = RouteRequest(kind="topk", predicate=predicate, fn=fn, k=5)
-    result, failures = run_chain(
-        ["index-merge", "naive"], session, request, _ctx(system)
-    )
-    assert isinstance(failures[0][1], StrategyUnsupported)
-    assert "cover" in failures[0][1].reason
-    assert result.stats.tier == "naive"
+    for written in (False, True):
+        if written:
+            system.insert(
+                tuple(0 for _ in range(schema.n_boolean)),
+                tuple(0.5 for _ in range(schema.n_preference)),
+            )
+        expected = run_chain(("naive",), _session(system), request)[0]
+        result, failures = run_chain(
+            ["index-merge", "naive"], _session(system), request
+        )
+        assert len(failures) == 1
+        name, error = failures[0]
+        assert name == "index-merge"
+        assert isinstance(error, StrategyUnsupported)
+        assert "B+-trees" in error.reason
+        assert result.stats.tier == "naive"
+        assert result.stats.fallbacks == 1
+        assert result.tids == expected.tids
+        assert result.scores == expected.scores
 
 
 def test_storage_fault_edge_domination_to_naive(faulty):
@@ -143,7 +125,6 @@ def test_storage_fault_edge_domination_to_naive(faulty):
         ("domination-first", "naive"),
         _session(system),
         RouteRequest("skyline", predicate),
-        _ctx(system),
     )
     assert [name for name, _ in failures] == ["domination-first"]
     assert isinstance(failures[0][1], StorageFault)
@@ -236,7 +217,6 @@ def test_fallen_back_answer_counts_its_failed_attempt(faulty):
         scan = ENGINES["boolean-first"](
             _session(system),
             RouteRequest(kind="skyline", predicate=predicate),
-            executor.router.ctx,
         )
         assert executor.stats.snapshot()["fault_retries"] == 2
     stats = result.stats
@@ -288,7 +268,6 @@ def test_storage_fault_two_hop_chain(faulty):
         ("signature", "domination-first", "naive"),
         _session(system),
         RouteRequest("skyline", predicate),
-        _ctx(system),
     )
     assert [name for name, _ in failures] == ["signature", "domination-first"]
     assert all(isinstance(error, StorageFault) for _, error in failures)
@@ -317,7 +296,6 @@ def test_timeout_edge_slice_expires_overall_survives(faulty):
         ("domination-first", "naive"),
         session,
         RouteRequest("skyline", predicate),
-        _ctx(system),
     )
     assert [name for name, _ in failures] == ["domination-first"]
     assert isinstance(failures[0][1], StrategyTimeout)

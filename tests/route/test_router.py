@@ -82,21 +82,16 @@ def test_chain_always_ends_with_naive(routed):
 def test_pinned_engine_that_cannot_serve_the_shape_raises(routed):
     """A one-engine chain handed to ``run_chain``: the adapter's own
     support check is the only one, and nothing else serves."""
-    router = QueryRouter.for_system(routed, cache=False)
     with pytest.raises(StrategyUnsupported):
-        run_chain(
-            ("index-merge",), _session(routed), _shape("skyline"), router.ctx
-        )
+        run_chain(("index-merge",), _session(routed), _shape("skyline"))
 
 
 def test_domination_excluded_for_preference_subspace(routed):
-    router = QueryRouter.for_system(routed, cache=False)
     subspace = (routed.relation.schema.preference_dims[0],)
     result, failures = run_chain(
         ("domination-first", NAIVE),
         _session(routed),
         _shape("skyline", subspace),
-        router.ctx,
     )
     assert [name for name, _ in failures] == ["domination-first"]
     assert isinstance(failures[0][1], StrategyUnsupported)
@@ -119,16 +114,16 @@ def _stream(relation, rng, n):
 
 def test_routed_and_unrouted_run_the_same_chain(routed, monkeypatch):
     """Cache on or off, every skyline / top-k goes through the executor's
-    router, which hands the *same* ``SERVING_CHAIN`` object and its own
-    context to the chain runner; fault-free, every miss is served by
+    router, which hands the *same* ``SERVING_CHAIN`` object to the chain
+    runner; fault-free, every miss is served by
     ``signature`` and costs exactly what the cache-off read costs — the
     first read after each publish included (no per-epoch statistics work
     hides in the read)."""
     handed = []
 
-    def recording(chain, session, request, ctx):
-        handed.append((chain, ctx))
-        return run_chain(chain, session, request, ctx)
+    def recording(chain, session, request):
+        handed.append(chain)
+        return run_chain(chain, session, request)
 
     monkeypatch.setattr("repro.route.router.run_chain", recording)
 
@@ -182,11 +177,7 @@ def test_routed_and_unrouted_run_the_same_chain(routed, monkeypatch):
     assert plain_view["cache_hits"] == plain_view["cache_misses"] == 0
     assert plain_view["cache_bypassed"] == 0
     assert len(handed) == reads + misses
-    assert all(chain is SERVING_CHAIN for chain, _ in handed)
-    assert {id(ctx) for _, ctx in handed} == {
-        id(cached.router.ctx),
-        id(plain.router.ctx),
-    }
+    assert all(chain is SERVING_CHAIN for chain in handed)
 
 
 def test_cache_off_executor_still_has_a_router(routed):
@@ -391,6 +382,6 @@ def test_cached_topk_with_tied_scores_is_in_score_tid_order():
         result = router.route(session, request)
         pairs = list(zip(result.scores, result.tids))
         assert pairs == sorted(pairs)
-        scan, _ = run_chain(("boolean-first",), session, request, router.ctx)
+        scan, _ = run_chain(("boolean-first",), session, request)
         canonicalize(scan)
         assert (result.tids, result.scores) == (scan.tids, scan.scores)
