@@ -62,9 +62,8 @@ def _posting_length_estimate(
     relation: Relation, index: BPlusTree
 ) -> float:
     """Expected tuples per value under a uniform assumption (optimizer
-    statistics: table size / distinct keys)."""
-    distinct = sum(1 for _ in index.distinct_keys())
-    return len(relation) / max(1, distinct)
+    statistics: table size / distinct keys, a count the tree keeps)."""
+    return len(relation) / max(1, index.n_distinct_keys)
 
 
 def _index_plan_dim(

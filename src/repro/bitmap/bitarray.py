@@ -14,6 +14,33 @@ WORD_BITS = 64
 _WORD_MASK = (1 << WORD_BITS) - 1
 
 
+def mask_positions(mask: int) -> Iterator[int]:
+    """The set-bit positions of ``mask``, increasing."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def run_ends(nbits: int, mask: int) -> int:
+    """A mask with bit ``i`` set where positions ``i`` and ``i + 1`` of an
+    ``nbits``-wide ``mask`` differ — a run ends at ``i`` (the last run's
+    end is not marked)."""
+    return (mask ^ (mask >> 1)) & ((1 << max(nbits - 1, 0)) - 1)
+
+
+def run_lengths(nbits: int, mask: int) -> Iterator[int]:
+    """The lengths of the maximal 0/1 runs of an ``nbits``-wide ``mask``,
+    low bits first."""
+    if nbits == 0:
+        return
+    start = 0
+    for end in mask_positions(run_ends(nbits, mask)):
+        yield end + 1 - start
+        start = end + 1
+    yield nbits - start
+
+
 def word_count(nbits: int) -> int:
     """How many 64-bit words a width of ``nbits`` packs into."""
     if nbits < 0:
@@ -99,37 +126,7 @@ class BitArray:
 
     def positions(self) -> Iterator[int]:
         """Yield set-bit positions in increasing order."""
-        mask = self._mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def _run_ends(self) -> int:
-        """A mask with bit ``i`` set where positions ``i`` and ``i + 1``
-        differ — a run ends at ``i`` (the last run's end is not marked)."""
-        mask = self._mask
-        return (mask ^ (mask >> 1)) & ((1 << max(self.nbits - 1, 0)) - 1)
-
-    def run_count(self) -> int:
-        """How many runs :meth:`runs` yields."""
-        return self._run_ends().bit_count() + 1 if self.nbits else 0
-
-    def runs(self) -> Iterator[tuple[bool, int]]:
-        """Yield maximal ``(bit_value, run_length)`` runs, low bits first."""
-        if self.nbits == 0:
-            return
-        value = bool(self._mask & 1)
-        ends = self._run_ends()
-        start = 0
-        while ends:
-            low = ends & -ends
-            end = low.bit_length()
-            yield value, end - start
-            start = end
-            value = not value
-            ends ^= low
-        yield value, self.nbits - start
+        return mask_positions(self._mask)
 
     # ------------------------------------------------------------------ #
     # bitwise combination (same width required)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.bitmap.bitarray import BitArray
+from repro.bitmap.bitarray import BitArray, mask_positions, run_ends, run_lengths
 
 
 class CodecError(ValueError):
@@ -81,12 +81,12 @@ def read_varint(data: bytes, offset: int) -> tuple[int, int]:
 _ONE_BYTE_WIDTH = 128
 
 
-def _raw_encode(bits: BitArray) -> bytes:
-    return bits.to_bytes()
+def _raw_encode(nbits: int, mask: int) -> bytes:
+    return mask.to_bytes((nbits + 7) // 8, "little")
 
 
-def _raw_len(bits: BitArray) -> int:
-    return (bits.nbits + 7) // 8
+def _raw_len(nbits: int, mask: int) -> int:
+    return (nbits + 7) // 8
 
 
 def _raw_decode(nbits: int, body: bytes) -> int:
@@ -99,23 +99,23 @@ def _raw_decode(nbits: int, body: bytes) -> int:
     return mask
 
 
-def _sparse_encode(bits: BitArray) -> bytes:
+def _sparse_encode(nbits: int, mask: int) -> bytes:
     out = bytearray()
-    write_varint(bits.count(), out)
+    write_varint(mask.bit_count(), out)
     previous = -1
-    for pos in bits.positions():
+    for pos in mask_positions(mask):
         write_varint(pos - previous, out)  # gaps are >= 1, varint friendly
         previous = pos
     return bytes(out)
 
 
-def _sparse_len(bits: BitArray) -> int:
-    count = bits.count()
-    if bits.nbits < _ONE_BYTE_WIDTH:
+def _sparse_len(nbits: int, mask: int) -> int:
+    count = mask.bit_count()
+    if nbits < _ONE_BYTE_WIDTH:
         return varint_len(count) + count
     length = varint_len(count)
     previous = -1
-    for pos in bits.positions():
+    for pos in mask_positions(mask):
         length += varint_len(pos - previous)
         previous = pos
     return length
@@ -138,23 +138,20 @@ def _sparse_decode(nbits: int, body: bytes) -> int:
     return mask
 
 
-def _rle_encode(bits: BitArray) -> bytes:
-    # First varint carries the value of the first run (0 or 1); then run
+def _rle_encode(nbits: int, mask: int) -> bytes:
+    # First byte carries the value of the first run (0 or 1); then run
     # lengths alternate.  An empty array encodes to the single first-bit
     # marker with no runs.
-    out = bytearray()
-    runs = list(bits.runs())
-    first_value = runs[0][0] if runs else False
-    out.append(1 if first_value else 0)
-    for _, length in runs:
+    out = bytearray([mask & 1 if nbits else 0])
+    for length in run_lengths(nbits, mask):
         write_varint(length, out)
     return bytes(out)
 
 
-def _rle_len(bits: BitArray) -> int:
-    if bits.nbits < _ONE_BYTE_WIDTH:
-        return 1 + bits.run_count()
-    return 1 + sum(varint_len(length) for _, length in bits.runs())
+def _rle_len(nbits: int, mask: int) -> int:
+    if nbits < _ONE_BYTE_WIDTH:
+        return 1 + (run_ends(nbits, mask).bit_count() + 1 if nbits else 0)
+    return 1 + sum(map(varint_len, run_lengths(nbits, mask)))
 
 
 def _rle_decode(nbits: int, body: bytes) -> int:
@@ -217,24 +214,31 @@ def compress(bits: BitArray, codec: str = "adaptive") -> bytes:
     body, computed from the mask, is the smallest blob.
 
     The blob is a pure function of ``(nbits, mask, codec)`` and memoised
-    on it: nine in ten node bit arrays of a build repeat an earlier one
-    (EXPERIMENTS.md, Assumptions row 25).
+    on it (:func:`compress_mask`).
     """
-    return _encode(bits.nbits, bits.mask, codec)
+    return compress_mask(bits.nbits, bits.mask, codec)
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
-def _encode(nbits: int, mask: int, codec: str) -> bytes:
-    bits = BitArray(nbits, mask)
+def compress_mask(nbits: int, mask: int, codec: str) -> bytes:
+    """:func:`compress` of the bit array ``BitArray(nbits, mask)``, with no
+    bit array to build: the build's entry, which holds its nodes as masks.
+
+    Memoised on its three arguments — pass them positionally, so one
+    value is one key: nine in ten node bit arrays of a build repeat an
+    earlier one (EXPERIMENTS.md, Assumptions row 25).
+    """
+    if mask < 0 or mask >> nbits:
+        raise ValueError(f"mask does not fit a width of {nbits}")
     if codec == "adaptive":
-        codec = min(CODECS, key=lambda name: _BODY_LEN[name](bits))
+        codec = min(CODECS, key=lambda name: _BODY_LEN[name](nbits, mask))
     try:
         codec_id, encode, _ = CODECS[codec]
     except KeyError:
         raise CodecError(f"unknown codec {codec!r}") from None
     frame = bytearray([codec_id])
     write_varint(nbits, frame)
-    frame += encode(bits)
+    frame += encode(nbits, mask)
     return bytes(frame)
 
 

@@ -75,6 +75,8 @@ class BPlusTree:
         self.root: _Leaf | _Internal = _Leaf()
         self._register(self.root)
         self._n_entries = 0
+        #: How many distinct keys the tree holds (the planner's statistic).
+        self.n_distinct_keys = 0
 
     # ------------------------------------------------------------------ #
     # page plumbing
@@ -126,6 +128,10 @@ class BPlusTree:
     def _insert(self, node, key, value):
         if isinstance(node, _Leaf):
             index = bisect_right(node.keys, key)
+            # The tree only grows, so every copy of a key sits in the leaf
+            # its next copy descends to: a key is new iff that leaf lacks it.
+            if index == 0 or node.keys[index - 1] != key:
+                self.n_distinct_keys += 1
             node.keys.insert(index, key)
             node.values.insert(index, value)
             if len(node.keys) > self.order:
@@ -137,9 +143,10 @@ class BPlusTree:
         if split is None:
             return None
         sep, right = split
-        insert_at = bisect_right(node.keys, sep)
-        node.keys.insert(insert_at, sep)
-        node.children.insert(insert_at + 1, right)
+        # The new sibling goes right after the child that split: among equal
+        # separators a search for ``sep`` may land past it, out of leaf order.
+        node.keys.insert(index, sep)
+        node.children.insert(index + 1, right)
         if len(node.keys) > self.order:
             return self._split_internal(node)
         self._sync(node)

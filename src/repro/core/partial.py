@@ -24,17 +24,28 @@ node ``n``, walk the ancestors of ``n`` from the first level downward and
 load the partial referenced by the first ancestor whose partial is not yet
 resident; by construction some ancestor (possibly ``n`` itself) references a
 partial containing ``n``.
+
+A partial is an immutable value, and its page checksum is one CRC over a
+binary framing of its content (:func:`fingerprint`), computed once per
+object: the seal, the read-back of the next rewrite and every pool miss
+reuse it.  A change to a cell is a new partial on a new page, never an edit.
+The build hands the packer blobs compressed straight from node masks
+(:func:`compress_masks`); maintenance edits the blobs of the nodes on the
+moved paths (:func:`edit_blobs`).
 """
 
 from __future__ import annotations
 
+import struct
+import zlib
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.bitmap.bitarray import BitArray
-from repro.bitmap.compression import compress, decompress
+from repro.bitmap.compression import compress, compress_mask, decompress
 from repro.core.signature import Signature, move_paths, path_sids
 
 #: Fixed overhead per partial signature (cell reference, root SID, count).
@@ -43,61 +54,94 @@ _PART_HEADER_BYTES = 16
 #: explicit SIDs: nodes are concatenated in BFS order from the partial's
 #: reference, and each node's bit array tells the decoder which children
 #: follow — the signature tree is self-describing.  One byte covers the
-#: per-node continuation marker; the in-memory ``blobs`` dict is just the
-#: decoded form.
+#: per-node continuation marker; the in-memory ``blobs`` mapping is just
+#: the decoded form.
 _NODE_OVERHEAD_BYTES = 1
 
 
-@dataclass
+class FrozenBlobs(dict):
+    """A partial's blobs: a dict that refuses every edit in place, so the
+    checksum computed once stays true.  Reads — and a merge into another
+    dict, ``dict(blobs)`` or ``other.update(blobs)`` — are a dict's, in C."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a partial signature's blobs are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+
+@dataclass(frozen=True)
 class PartialSignature:
-    """A page-sized fragment of one cell's signature.
+    """A page-sized fragment of one cell's signature — an immutable value.
 
     Attributes:
         ref_sid: SID of the subtree root this partial was packed from (the
             retrieval key, together with the cell id).
-        blobs: node SID → compressed bit array.
+        blobs: node SID → compressed bit array, in SID order; a
+            :class:`FrozenBlobs`, so an edit in place raises (a change is a
+            new partial).
         size_bytes: Logical on-disk size.
     """
 
     ref_sid: int
-    blobs: dict[int, bytes]
-    size_bytes: int = field(default=0)
+    blobs: Mapping[int, bytes]
+    size_bytes: int = 0
 
     def __post_init__(self) -> None:
+        sids = list(self.blobs)
+        if sids == sorted(sids):
+            blobs = FrozenBlobs(self.blobs)
+        else:
+            blobs = FrozenBlobs(sorted(self.blobs.items()))
+        object.__setattr__(self, "blobs", blobs)
         if self.size_bytes == 0:
-            self.size_bytes = _PART_HEADER_BYTES + sum(
-                _NODE_OVERHEAD_BYTES + len(blob) for blob in self.blobs.values()
+            object.__setattr__(
+                self,
+                "size_bytes",
+                _PART_HEADER_BYTES
+                + _NODE_OVERHEAD_BYTES * len(blobs)
+                + sum(map(len, blobs.values())),
             )
 
     def decode(self) -> dict[int, BitArray]:
         """Decompress every node in this partial."""
         return {sid: decompress(blob) for sid, blob in self.blobs.items()}
 
-    def checksum_bytes(self) -> bytes:
-        """Content fingerprint for page checksums (storage integrity).
-
-        Covers the reference SID, the logical size, every node SID and
-        every compressed node blob (in SID order), so any bit of damage to a
-        stored partial is detectable.
-        """
-        sids = sorted(self.blobs)
-        head = f"partial\x1f{self.ref_sid}\x1f{self.size_bytes}\x1f{sids}"
-        return b"\x1f".join([head.encode(), *map(self.blobs.__getitem__, sids)])
+    @cached_property
+    def page_checksum(self) -> int:
+        """The checksum its page is sealed and verified with:
+        :func:`fingerprint`, computed once — the partial cannot change."""
+        return fingerprint(self)
 
     def __contains__(self, sid: int) -> bool:
         return sid in self.blobs
 
 
-def compress_nodes(
-    signature: Signature, sids: Iterable[int], codec: str = "adaptive"
+def fingerprint(partial: PartialSignature) -> int:
+    """CRC32 over a partial's framing: reference SID, logical size and node
+    count, the SID array, the blob-length array, then every blob — in SID
+    order, so any bit of damage, a renamed node or a byte moved between
+    two blobs changes it.  Each piece is packed in C; no text is made."""
+    blobs = partial.blobs
+    fields = (partial.ref_sid, partial.size_bytes, len(blobs), *blobs)
+    lengths = tuple(map(len, blobs.values()))
+    try:
+        head = struct.pack(f"<{len(fields)}Q{len(lengths)}I", *fields, *lengths)
+    except struct.error:  # a SID past 64 bits: a tree deeper than any built
+        head = repr((fields, lengths)).encode()
+    return zlib.crc32(b"".join(blobs.values()), zlib.crc32(head))
+
+
+def compress_masks(
+    masks: Mapping[int, int], fanout: int, codec: str = "adaptive"
 ) -> dict[int, bytes]:
-    """The compressed bit array of every represented node among ``sids``."""
-    blobs: dict[int, bytes] = {}
-    for sid in sids:
-        bits = signature.node(sid)
-        if bits is not None:
-            blobs[sid] = compress(bits, codec)
-    return blobs
+    """The blob of every non-empty node among ``masks`` (SID -> mask of
+    width ``fanout``): one memoised :func:`compress_mask` per node, and no
+    bit array built."""
+    return {
+        sid: compress_mask(fanout, mask, codec) for sid, mask in masks.items() if mask
+    }
 
 
 def edit_blobs(
@@ -136,7 +180,7 @@ def decompose(
 ) -> list[PartialSignature]:
     """Split a signature into page-sized partials (the paper's algorithm):
     compress every node, then :func:`pack` the blobs."""
-    blobs = compress_nodes(signature, signature.node_sids(), codec)
+    blobs = compress_masks(signature.masks(), signature.fanout, codec)
     return pack(blobs, page_size, signature.fanout)
 
 
@@ -163,13 +207,7 @@ def pack(
     if total <= page_size and order[0] == 0:
         # The root's subtree is every node and the page holds them all: the
         # walk below would make exactly this one partial, in SID order.
-        return [
-            PartialSignature(
-                ref_sid=0,
-                blobs={sid: compressed[sid] for sid in order},
-                size_bytes=total,
-            )
-        ]
+        return [PartialSignature(ref_sid=0, blobs=compressed, size_bytes=total)]
     coded: set[int] = set()
     partials: list[PartialSignature] = []
 

@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 
 class PathColumns:
     """Every indexed tuple's R-tree path as arrays — what a build derives
-    cell signatures from (:meth:`signatures`).
+    cell signatures from (:meth:`masks`).
 
     Row ``r`` describes tuple ``tids[r]``.  ``levels[l]`` is ``(nodes,
     slots, sids)`` for depth ``l`` (the root's is 0): ``nodes[r]`` is the
@@ -69,9 +69,10 @@ class PathColumns:
                 nodes = nodes.reshape(-1)
                 sids = [sids[c // base] * base + c % base for c in children.tolist()]
 
-    def signatures(self, labels: np.ndarray, n_cells: int) -> list[Signature]:
-        """The signatures of ``n_cells`` cells at once: tuple ``tid`` sets
-        the bits along its path in cell ``labels[tid]`` (``-1``: in none).
+    def masks(self, labels: np.ndarray, n_cells: int) -> list[dict[int, int]]:
+        """The signatures of ``n_cells`` cells at once, as node masks (SID
+        -> mask of width ``fanout``, non-zero): tuple ``tid`` sets the bits
+        along its path in cell ``labels[tid]`` (``-1``: in none).
 
         The paper's recursive sort (Fig. 2b) done as arrays: per tree
         level, one ``lexsort`` of the member tuples by (cell, node) and one
@@ -106,7 +107,7 @@ class PathColumns:
             for owner, sid, shift, value in runs:
                 table = masks[owner]
                 table[sid] = table.get(sid, 0) | value << shift
-        return [Signature.from_masks(self.fanout, table) for table in masks]
+        return masks
 
 
 class ReaderFactory:
@@ -367,19 +368,21 @@ class PCube:
     ) -> None:
         """(Re)derive ``cells`` from their tuples' paths — tuple ``tid``
         sets its bits in ``cells[labels[tid]]``, in none at ``-1`` — in one
-        pass (:meth:`PathColumns.signatures`) and store each cell: the one
-        step the build and :meth:`rebuild_all` share."""
-        for cell, signature in zip(cells, paths.signatures(labels, len(cells))):
-            self._store(cell, signature)
+        pass (:meth:`PathColumns.masks`) and store each cell: the one step
+        the build and :meth:`rebuild_all` share.  The masks go straight to
+        the store's blobs; no node becomes an object."""
+        for cell, masks in zip(cells, paths.masks(labels, len(cells))):
+            self._store(cell, masks)
 
     def _store(
         self,
         cell: Cell,
-        signature: Signature,
+        masks: Mapping[int, int],
         on_cell_stored: "Callable[[Cell], None] | None" = None,
     ) -> None:
-        """Store a derived signature; fresh pages lift any quarantine."""
-        self.store.put_signature(cell, signature)
+        """Store a derived cell's node masks; fresh pages lift any
+        quarantine."""
+        self.store.put_masks(cell, masks)
         self.store.clear_quarantine(cell)
         if on_cell_stored is not None:
             on_cell_stored(cell)
@@ -536,22 +539,22 @@ class PCube:
 
         The paper's fallback for arbitrary reorganisations: traverse the
         tree, collect the cells' tuple paths, regenerate — one path matrix
-        for all of them and one :meth:`PathColumns.signatures` pass per
-        cuboid.  O(T) per call, correct under any mutation.
+        for all of them and one :meth:`PathColumns.masks` pass per cuboid.
+        O(T) per call, correct under any mutation.
         """
         columns = self.relation.columnar()
         paths = PathColumns(self.rtree.all_paths(), self.fanout)
-        derived: dict[Cell, Signature] = {}
+        derived: dict[Cell, dict[int, int]] = {}
         for dims in dict.fromkeys(cell.dims for cell in cells):
             group = [cell for cell in cells if cell.dims == dims]
             labels = np.full(len(columns.live), -1, dtype=np.int64)
             for index, cell in enumerate(group):
                 members = columns.match_mask(dict(zip(cell.dims, cell.values)))
                 labels[columns.live & members] = index
-            derived.update(zip(group, paths.signatures(labels, len(group))))
+            derived.update(zip(group, paths.masks(labels, len(group))))
         for cell in cells:
             self._store(cell, derived[cell], on_cell_stored)
-        return [derived[cell] for cell in cells]
+        return [Signature.from_masks(self.fanout, derived[cell]) for cell in cells]
 
     # ------------------------------------------------------------------ #
     # accounting

@@ -89,6 +89,10 @@ class Signature:
         """SIDs of all represented (non-empty) nodes."""
         return iter(self._nodes)
 
+    def masks(self) -> dict[int, int]:
+        """Every represented node's mask (SID -> mask of width ``fanout``)."""
+        return {sid: bits.mask for sid, bits in self._nodes.items()}
+
     def check_path(self, path: Sequence[int]) -> bool:
         """Whether every bit along ``path`` is set.
 

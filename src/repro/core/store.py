@@ -28,9 +28,9 @@ must never produce a wrong answer, only a slower one):
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
-from repro.core.partial import PartialSignature, compress_nodes, edit_blobs, pack
+from repro.core.partial import PartialSignature, compress_masks, edit_blobs, pack
 from repro.core.readers import BooleanFallback, CellSignatureReader
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cell
@@ -226,11 +226,20 @@ class SignatureStore(_DirectoryReads):
             MissingPartialError: if a current partial cannot be read back
                 (see :meth:`_stored_blobs`); nothing was written.
         """
-        if signature is None:
-            blobs = self._stored_blobs(cell)
-            edit_blobs(blobs, removed, added, self.fanout, self.codec)
-        else:
-            blobs = compress_nodes(signature, signature.node_sids(), self.codec)
+        if signature is not None:
+            return self.put_masks(cell, signature.masks())
+        blobs = self._stored_blobs(cell)
+        edit_blobs(blobs, removed, added, self.fanout, self.codec)
+        partials = pack(blobs, self.disk.page_size, self.fanout)
+        self.replace_partials(cell, partials)
+        return len(partials)
+
+    def put_masks(self, cell: Cell, masks: Mapping[int, int]) -> int:
+        """Pack and store a cell given as its nodes' masks (SID -> mask);
+        returns #partials.  The build's entry: every node is compressed
+        straight from its mask
+        (:func:`~repro.core.partial.compress_masks`)."""
+        blobs = compress_masks(masks, self.fanout, self.codec)
         partials = pack(blobs, self.disk.page_size, self.fanout)
         self.replace_partials(cell, partials)
         return len(partials)

@@ -34,10 +34,12 @@ Record protocol — one disk page per record, tag ``wal:rec:s<segment>``
 
 Every durable dict record — WAL records, segment seals, checkpoint
 manifests and row chunks — is stamped by :func:`seal_record` with a CRC32
-over its canonicalised content (``"crc"``) and read back through
-:func:`verify_record`.  Page checksums fingerprint a dict payload by type
-only (structural payloads are legitimately mutated in place elsewhere), so
-without the per-record CRC a torn or bit-flipped record tail would be
+over its canonical text (``"crc"``: the C JSON encoder's, keys sorted, a
+tuple written as a list, :func:`record_crc`) and read back through
+:func:`verify_record`, which recomputes it from the record's content.
+Page checksums fingerprint a dict payload by type only (structural
+payloads are legitimately mutated in place elsewhere), so without the
+per-record CRC a torn or bit-flipped record tail would be
 indistinguishable from a valid record.  Replay classifies damage by LSN
 position:
 
@@ -71,6 +73,7 @@ bookkeeping untrustworthy.
 
 from __future__ import annotations
 
+import json
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -101,6 +104,9 @@ WAL_CATEGORY = "wal"
 #: The op names whose intent appends rows (``base`` + ``rows``).
 _INSERTS = ("insert", "insert_batch")
 
+#: The one canonical text form a record CRC covers (:func:`record_crc`).
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=repr)
+
 
 class WalCorruptionError(RuntimeError):
     """The WAL holds records that fail their checksums.
@@ -122,25 +128,31 @@ class WalCorruptionError(RuntimeError):
         self.truncatable = truncatable
 
 
-def _canonical(value: Any) -> str:
-    """A stable text form of a record's content (dict order independent,
-    list/tuple agnostic — records round-trip as live Python objects)."""
+def _repr_keys(value: Any) -> Any:
+    """``value`` with every dict key replaced by its ``repr`` — a record
+    whose keys do not sort against each other (``1`` and ``"a"``), or are
+    no JSON keys at all, is encoded through this copy."""
     if isinstance(value, dict):
-        items = sorted(value.items(), key=lambda kv: repr(kv[0]))
-        return (
-            "{"
-            + ",".join(f"{k!r}:{_canonical(v)}" for k, v in items)
-            + "}"
-        )
+        return {repr(key): _repr_keys(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in value) + "]"
-    return repr(value)
+        return [_repr_keys(item) for item in value]
+    return value
 
 
 def record_crc(record: dict[str, Any]) -> int:
-    """CRC32 over every field of a record except ``"crc"`` itself."""
+    """CRC32 over every field of a record except ``"crc"`` itself.
+
+    The content is encoded canonically by the C JSON encoder — keys
+    sorted, a tuple written as a list (records round-trip as live Python
+    objects), floats by ``repr``, anything else JSON cannot hold by
+    ``repr`` — so the CRC depends on the values, never on dict order.
+    """
     content = {k: v for k, v in record.items() if k != "crc"}
-    return zlib.crc32(_canonical(content).encode())
+    try:
+        text = _CANONICAL.encode(content)
+    except TypeError:
+        text = _CANONICAL.encode(_repr_keys(content))
+    return zlib.crc32(text.encode())
 
 
 def seal_record(record: dict[str, Any]) -> dict[str, Any]:

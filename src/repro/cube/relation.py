@@ -71,8 +71,8 @@ class Relation:
         self.schema = schema
         # Matrix input (the generators hand numpy arrays straight through)
         # primes the columnar projection without a per-tuple round trip;
-        # ``tolist()`` yields the exact same Python ints/floats the old
-        # per-value conversion produced, so rows are byte-identical.
+        # ``tolist()`` of the float64 matrix yields exactly the Python
+        # floats a per-value ``float()`` would, so rows are byte-identical.
         self._columnar: tuple[int, "ColumnarProjection"] | None = None
         self._mutation_stamp = 0
         if isinstance(bool_rows, _np.ndarray) and isinstance(
@@ -80,10 +80,10 @@ class Relation:
         ):
             if not _np.isfinite(pref_rows).all():
                 raise ValueError(_NOT_FINITE)
-            self._bool_rows = [tuple(row) for row in bool_rows.tolist()]
-            self._pref_rows = [
-                tuple(float(v) for v in row) for row in pref_rows.tolist()
-            ]
+            self._bool_rows = list(map(tuple, bool_rows.tolist()))
+            self._pref_rows = list(
+                map(tuple, pref_rows.astype(_np.float64, copy=False).tolist())
+            )
             self._columnar = (
                 0,
                 ColumnarProjection.from_matrices(

@@ -6,13 +6,14 @@ tuples, ...) together with a *logical size in bytes*; the logical size is what
 the space-accounting of Figure 6 sums, while reads/writes are counted per
 page regardless of payload size.
 
-Every page also records a CRC32 checksum of its payload *fingerprint* at
-allocate/write time, verified on read.  Payloads are live Python objects, so
-the fingerprint is content-based where the content is value-like (bytes,
-scalars, or anything exposing ``checksum_bytes()`` — partial signatures do)
-and type-based for mutable structural objects (R-tree / B+-tree nodes, heap
-tid slabs) that are legitimately mutated in place between writes.  Either
-way, a payload swapped for garbage is detected and surfaces as a typed
+Every page also records a CRC32 checksum of its payload at allocate/write
+time, verified on read.  Payloads are live Python objects: an immutable
+value exposing ``page_checksum`` (a partial signature) supplies its own
+CRC, computed once per object over a framing of its content; bytes and
+scalars are checksummed over their content; mutable structural objects
+(R-tree / B+-tree nodes, heap tid slabs, WAL and checkpoint records, which
+carry their own content CRC) over their type name.  Either way, a payload
+swapped for garbage is detected and surfaces as a typed
 :class:`~repro.storage.errors.CorruptPageError` instead of silently wrong
 bits.
 """
@@ -30,7 +31,8 @@ DEFAULT_PAGE_SIZE = 4096
 
 
 def payload_fingerprint(payload: Any) -> bytes:
-    """The byte string a page checksum is computed over.
+    """The byte string a page checksum is computed over, for a payload that
+    does not supply its own checksum (see :func:`compute_checksum`).
 
     Value-like payloads fingerprint their full content; structural objects
     that are mutated in place between explicit writes fingerprint their type
@@ -38,9 +40,6 @@ def payload_fingerprint(payload: Any) -> bytes:
     """
     if payload is None:
         return b"\x00none"
-    checksum_bytes = getattr(payload, "checksum_bytes", None)
-    if checksum_bytes is not None:
-        return checksum_bytes()
     if isinstance(payload, (bytes, bytearray, memoryview)):
         return bytes(payload)
     if isinstance(payload, (bool, int, float, str)):
@@ -49,7 +48,12 @@ def payload_fingerprint(payload: Any) -> bytes:
 
 
 def compute_checksum(payload: Any) -> int:
-    """CRC32 over the payload fingerprint."""
+    """The payload's own ``page_checksum`` when it has one (an immutable
+    value, which computes it once), else CRC32 over
+    :func:`payload_fingerprint`."""
+    checksum = getattr(payload, "page_checksum", None)
+    if checksum is not None:
+        return checksum
     return zlib.crc32(payload_fingerprint(payload))
 
 
@@ -65,8 +69,9 @@ class Page:
             for structures that decompose to fit, such as partial
             signatures).
         payload: The in-memory object this page holds.
-        checksum: CRC32 of the payload fingerprint, set by :meth:`seal`;
-            ``None`` means the page was never sealed (verification skips it).
+        checksum: The payload's CRC32 (:func:`compute_checksum`), set by
+            :meth:`seal`; ``None`` means the page was never sealed
+            (verification skips it).
     """
 
     page_id: int

@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.boolean_first import (
     boolean_first_skyline,
     boolean_first_topk,
+    _index_plan_dim,
     build_boolean_indexes,
     select_tuples,
 )
@@ -15,7 +16,7 @@ from repro.baselines.domination_first import (
 )
 from repro.baselines.index_merge import index_merge_topk
 from repro.baselines.naive import naive_skyline, naive_topk
-from repro.btree.btree import order_for_page
+from repro.btree.btree import BPlusTree, order_for_page
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
 from repro.query.predicates import BooleanPredicate
@@ -54,6 +55,22 @@ def test_boolean_indexes_cover_all_dims(small_system, small_indexes):
         if small_system.relation.bool_value(tid, "A1") == 3
     ]
     assert sorted(index.search(3)) == expected
+
+
+def test_the_planner_walks_no_index_entry(small_system, small_indexes, monkeypatch):
+    """The plan's statistic is the count each tree keeps, not a walk of
+    its entries."""
+    walked = []
+    monkeypatch.setattr(
+        BPlusTree, "items", lambda self: walked.append(self.tag) or iter(())
+    )
+    view = small_system.engine.relation
+    dims = view.schema.boolean_dims
+    for n in range(1, len(dims) + 1):
+        predicate = BooleanPredicate({dim: 1 for dim in dims[:n]})
+        _index_plan_dim(view, small_indexes, predicate)
+        select_tuples(view, small_indexes, predicate, QueryStats())
+    assert walked == []
 
 
 @pytest.mark.parametrize("n_conjuncts", [1, 2, 3])

@@ -266,33 +266,33 @@ def test_adaptive_byte_identity_on_every_node_of_a_built_cube(small_system):
 
 
 def test_compress_encodes_a_value_once():
-    compression._encode.cache_clear()
+    compression.compress_mask.cache_clear()
     values = [BitArray(64, 1 << slot) for slot in range(8)]
     first = [compress(bits) for bits in values]
     again = [compress(BitArray(64, bits.mask)) for bits in values]
     assert again == first
-    info = compression._encode.cache_info()
+    info = compression.compress_mask.cache_info()
     assert (info.misses, info.hits) == (8, 8)
     # The codec is part of the key; a failure is never kept.
     assert compress(values[0], "raw") != first[0]
-    assert compression._encode.cache_info().misses == 9
+    assert compression.compress_mask.cache_info().misses == 9
     for _ in range(2):
         with pytest.raises(CodecError):
             compress(values[0], "zip")
-    assert compression._encode.cache_info().currsize == 9
+    assert compression.compress_mask.cache_info().currsize == 9
 
 
 def tiny_memo(monkeypatch, entries):
     """The memo at a bound small enough to evict (the shipped bound is a
     constant; this wraps the same encoder)."""
-    encoder = compression._encode.__wrapped__
+    encoder = compression.compress_mask.__wrapped__
     memo = lru_cache(maxsize=entries)(encoder)
-    monkeypatch.setattr(compression, "_encode", memo)
+    monkeypatch.setattr(compression, "compress_mask", memo)
     return memo, encoder
 
 
 def test_the_memo_is_bounded_and_eviction_changes_no_blob(monkeypatch):
-    assert compression._encode.cache_info().maxsize == 1 << 15
+    assert compression.compress_mask.cache_info().maxsize == 1 << 15
     memo, encoder = tiny_memo(monkeypatch, 4)
     values = [BitArray(70, (1 << slot) | 1) for slot in range(1, 30)]
     for _ in range(3):
@@ -356,7 +356,7 @@ def test_decompress_decodes_a_blob_once_and_returns_a_fresh_array():
 def test_the_decode_memo_has_the_encode_memo_bound():
     assert (
         compression._decode.cache_info().maxsize
-        == compression._encode.cache_info().maxsize
+        == compression.compress_mask.cache_info().maxsize
         == 1 << 15
     )
 

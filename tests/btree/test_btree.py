@@ -56,6 +56,39 @@ def test_distinct_keys():
     assert list(tree.distinct_keys()) == [2, 4, 9]
 
 
+def test_a_split_among_equal_separators_keeps_leaf_order():
+    # Two leaves of 1s under separators [1, 1]; the 0s split the left one,
+    # and its new sibling must sit next to it, not after the other 1s.
+    tree = BPlusTree(order=5)
+    tree.bulk_insert((key, None) for key in [1, 1, 1, 1, 1, 1, 0, 0, 0])
+    tree.insert(2, None)
+    assert [key for key, _ in tree.items()] == [0] * 3 + [1] * 6 + [2]
+    assert list(tree.distinct_keys()) == [0, 1, 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([4, 5, 8]),
+    st.lists(
+        st.one_of(
+            st.integers(0, 15),
+            st.lists(st.integers(0, 15), max_size=40),
+        ),
+        max_size=30,
+    ),
+)
+def test_the_distinct_key_count_follows_every_insert_stream(order, stream):
+    """A single insert (an int) or a batch (a list), in any mix: the count
+    the tree keeps is always the distinct keys its leaves hold."""
+    tree = BPlusTree(order=order)
+    for step in stream:
+        if isinstance(step, list):
+            tree.bulk_insert((key, None) for key in step)
+        else:
+            tree.insert(step, None)
+        assert tree.n_distinct_keys == len(list(tree.distinct_keys()))
+
+
 def test_range_scan_inclusive():
     tree = BPlusTree(order=4)
     for key in range(20):

@@ -179,10 +179,10 @@ def labelled_paths(fanouts):
 def assert_cells_equal_per_path_generation(fanout, rows):
     labels = np.array([label for label, _ in rows], dtype=np.int64)
     paths = PathColumns({tid: path for tid, (_, path) in enumerate(rows)}, fanout)
-    derived = paths.signatures(labels, 5)
+    derived = paths.masks(labels, 5)
     for cell in range(5):
         members = [path for label, path in rows if label == cell]
-        assert derived[cell] == Signature.from_paths(members, fanout)
+        assert derived[cell] == Signature.from_paths(members, fanout).masks()
 
 
 @settings(max_examples=60, deadline=None)
@@ -204,7 +204,7 @@ def test_signatures_of_nodes_wider_than_a_word(data):
 def test_signatures_refuse_a_member_without_a_path():
     paths = PathColumns({0: (1, 2)}, 4)
     with pytest.raises(KeyError):
-        paths.signatures(np.array([0, 0]), 1)
+        paths.masks(np.array([0, 0]), 1)
     with pytest.raises(ValueError):
         PathColumns({0: (1, 2), 1: (1,)}, 4)
 

@@ -1,6 +1,7 @@
 """Incremental maintenance: signatures stay exact under any mutation mix."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.core.pcube import PathColumns
 from repro.core.signature import Signature, path_sids
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.rtree.rtree import PathChange
+from repro.storage.counters import SSIG
 from repro.storage.disk import SimulatedDisk
 from repro.storage.errors import TornWriteError
 from repro.storage.faults import (
@@ -576,11 +578,11 @@ def test_a_write_touches_only_the_nodes_on_its_path(monkeypatch):
         lambda blob: decoded.append(blob) or real_decompress(blob),
     )
     derived = []
-    real_signatures = PathColumns.signatures
+    real_masks = PathColumns.masks
     monkeypatch.setattr(
         PathColumns,
-        "signatures",
-        lambda self, *args: derived.append(args) or real_signatures(self, *args),
+        "masks",
+        lambda self, *args: derived.append(args) or real_masks(self, *args),
     )
     puts = {}
     real_put = pcube.store.put_signature
@@ -624,6 +626,44 @@ def test_a_write_touches_only_the_nodes_on_its_path(monkeypatch):
     assert report.ok, report.problems
 
 
+def test_a_rewrite_fingerprints_each_new_partial_once(monkeypatch):
+    """Counted: a write computes the page checksum of each partial it
+    stores exactly once, at its seal.  Its read-back of the cell's current
+    pages (written by the build, then by the write before) and a cold
+    pool's miss later verify them with the checksum each partial already
+    carries."""
+    system = system_on(SimulatedDisk())
+    store = system.pcube.store
+    fingerprinted = []
+    real = partial_module.fingerprint
+    monkeypatch.setattr(
+        partial_module,
+        "fingerprint",
+        lambda partial: fingerprinted.append(partial) or real(partial),
+    )
+
+    def stored(cells):
+        directory = store.directory_snapshot()
+        return [
+            system.disk.peek(page_id).payload
+            for cell in cells
+            for page_id in directory[cell.cell_id].values()
+        ]
+
+    bool_row = system.relation.bool_row(0)
+    for step in range(2):
+        del fingerprinted[:]
+        reads = system.disk.counters.get(SSIG)
+        _, dirty = system.insert(bool_row, (0.5, 0.1 * step))
+        assert dirty and system.disk.counters.get(SSIG) > reads  # the read-back
+        assert sorted(map(id, fingerprinted)) == sorted(map(id, stored(dirty)))
+    del fingerprinted[:]
+    predicate = BooleanPredicate(dict(zip(("A1", "A2"), bool_row)))
+    result = system.engine.skyline(predicate)
+    assert result.stats.sig_loads > 0
+    assert fingerprinted == []
+
+
 def test_the_edit_trusts_the_pages_off_its_paths_and_the_audit_does_not():
     """The rewrite reads every node off the moved paths from the pages as
     they are.  Here one was stripped and the page sealed again, so the
@@ -640,7 +680,8 @@ def test_the_edit_trusts_the_pages_off_its_paths_and_the_audit_does_not():
     (page_id,) = pcube.store.directory_snapshot()[cell.cell_id].values()
     page = system.disk.peek(page_id)
     stripped = max(page.payload.blobs)  # a leaf-level node
-    del page.payload.blobs[stripped]
+    kept = {sid: blob for sid, blob in page.payload.blobs.items() if sid != stripped}
+    page.payload = replace(page.payload, blobs=kept)
     page.seal()
     tid, dirty = system.insert(bool_row, (0.999, 0.999))
     assert cell in dirty

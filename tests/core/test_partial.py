@@ -2,6 +2,7 @@
 
 import random
 from collections import deque
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from repro.bitmap.compression import compress
 from repro.core import partial as partial_module
 from repro.core.partial import (
     PartialSignature,
-    compress_nodes,
+    compress_masks,
     decompose,
     edit_blobs,
     retrieval_refs,
@@ -19,6 +20,7 @@ from repro.core.partial import (
 from repro.core.sid import child_sid, sid_of_path
 from repro.core.signature import Signature
 from repro.core.store import SignatureStore
+from repro.storage.counters import SSIG
 from repro.storage.disk import SimulatedDisk
 from tests.core.test_store import CELL, count_compressions, stored_bytes
 from tests.reference import ancestor_sids, reassemble
@@ -145,15 +147,21 @@ def test_decode_roundtrips_bits():
 def test_fingerprint_covers_ref_size_sids_and_every_blob_byte():
     blobs = {0: b"\x00\x04\x03", 1: b"\x00\x04\x01", 7: b"\x00\x04\x08"}
     partial = PartialSignature(ref_sid=0, blobs=blobs)
-    fingerprint = partial.checksum_bytes()
+    fingerprint = partial.page_checksum
     reordered = PartialSignature(ref_sid=0, blobs=dict(reversed(blobs.items())))
-    assert reordered.checksum_bytes() == fingerprint
+    assert reordered.page_checksum == fingerprint
     damaged = [
         PartialSignature(ref_sid=1, blobs=blobs),
         PartialSignature(ref_sid=0, blobs=blobs, size_bytes=partial.size_bytes + 1),
         PartialSignature(ref_sid=0, blobs={0: blobs[0], 1: blobs[1], 8: blobs[7]}),
         PartialSignature(ref_sid=0, blobs={0: blobs[0], 1: blobs[1]}),
         PartialSignature(ref_sid=0, blobs={0: blobs[0], 1: blobs[7], 7: blobs[1]}),
+        # One byte moved between adjacent blobs: the joined bytes and the
+        # size stay, only the blob lengths say where a node ends.
+        PartialSignature(
+            ref_sid=0,
+            blobs={0: blobs[0][:-1], 1: blobs[0][-1:] + blobs[1], 7: blobs[7]},
+        ),
     ]
     for sid, blob in blobs.items():
         for index in range(len(blob)):
@@ -162,9 +170,22 @@ def test_fingerprint_covers_ref_size_sids_and_every_blob_byte():
             damaged.append(
                 PartialSignature(ref_sid=0, blobs={**blobs, sid: bytes(flipped)})
             )
-    fingerprints = {other.checksum_bytes() for other in damaged}
+    fingerprints = {other.page_checksum for other in damaged}
     assert fingerprint not in fingerprints
     assert len(fingerprints) == len(damaged)
+    # A partial is a value: its page checksum is computed once, so no field
+    # of a stored one may change under it.
+    store = SignatureStore(SimulatedDisk(), fanout=FANOUT)
+    store.put_signature(CELL, Signature.from_paths([(1, 2), (2, 1)], FANOUT))
+    (page_id,) = store.directory_snapshot()[CELL.cell_id].values()
+    partial = store.disk.peek(page_id).payload
+    with pytest.raises(TypeError):
+        partial.blobs[0] = b"\xff\x00\xff"
+    with pytest.raises(TypeError):
+        del partial.blobs[0]
+    with pytest.raises(FrozenInstanceError):
+        partial.ref_sid = 1
+    store.disk.read(page_id, SSIG)  # still verifies
 
 
 @settings(max_examples=40, deadline=None)
@@ -339,7 +360,7 @@ def count_walks(monkeypatch):
 
 def page_fill(signature, codec="adaptive"):
     """The bytes of one partial holding every node of ``signature``."""
-    blobs = compress_nodes(signature, signature.node_sids(), codec)
+    blobs = compress_masks(signature.masks(), signature.fanout, codec)
     return partial_module._PART_HEADER_BYTES + sum(
         partial_module._NODE_OVERHEAD_BYTES + len(blob) for blob in blobs.values()
     )
@@ -504,7 +525,7 @@ def test_edit_blobs_decodes_and_compresses_only_the_moved_paths_nodes(
     compressed node of the signature generated afresh."""
     paths = [(a, b, c) for a in (1, 2, 3) for b in (1, 2) for c in (1, 2)]
     before = Signature.from_paths(paths, FANOUT)
-    blobs = compress_nodes(before, before.node_sids())
+    blobs = compress_masks(before.masks(), FANOUT)
     removed = [(3, 2, 1), (3, 2, 2)]  # node (3, 2) empties
     added = [(4, 1, 1)]  # node (4,) and (4, 1) appear
     decoded = []
@@ -520,7 +541,7 @@ def test_edit_blobs_decodes_and_compresses_only_the_moved_paths_nodes(
     after = Signature.from_paths(
         [path for path in paths if path not in removed] + added, FANOUT
     )
-    assert blobs == compress_nodes(after, after.node_sids())
+    assert blobs == compress_masks(after.masks(), FANOUT)
     on_paths = {sid_of_path(prefix, FANOUT) for prefix in [(), (3,), (3, 2), (4,), (4, 1)]}
     assert n_decoded == len(on_paths & set(before.node_sids())) == 3
     assert n_compressed == len(on_paths) - 1 == 4

@@ -1,5 +1,7 @@
 """The signature store and its per-cell readers."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bitmap.compression import CodecError
@@ -158,7 +160,8 @@ def test_reader_meets_an_undecodable_blob_at_its_first_touch(store, disk):
     page = disk.peek(store.directory_snapshot()[CELL.cell_id][0])
     sid = max(page.payload.blobs)
     assert sid != 0
-    page.payload.blobs[sid] = b"\xff\x00\xff"
+    damaged = {**page.payload.blobs, sid: b"\xff\x00\xff"}
+    page.payload = replace(page.payload, blobs=damaged)
     page.seal()
     reader = store.reader(CELL)
     assert reader.stats.sig_loads == 1 and not reader.stats.degraded
@@ -404,14 +407,22 @@ def from_scratch_bytes(store, signature):
 
 
 def count_compressions(monkeypatch):
+    """Every node the store compresses, as ``(nbits, mask)``: an edited
+    node goes through ``compress``, a derived one through the mask-level
+    ``compress_mask``."""
     compressed = []
-    real = partial_module.compress
+    real, real_mask = partial_module.compress, partial_module.compress_mask
 
     def counting(bits, codec="adaptive"):
-        compressed.append(bits)
+        compressed.append((bits.nbits, bits.mask))
         return real(bits, codec)
 
+    def counting_mask(nbits, mask, codec):
+        compressed.append((nbits, mask))
+        return real_mask(nbits, mask, codec)
+
     monkeypatch.setattr(partial_module, "compress", counting)
+    monkeypatch.setattr(partial_module, "compress_mask", counting_mask)
     return compressed
 
 

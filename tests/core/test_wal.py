@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.checkpoint import CheckpointManager
 from repro.core.wal import (
     RECORD_TAG,
     SEAL_TAG,
@@ -9,10 +10,15 @@ from repro.core.wal import (
     MaintenanceWAL,
     WalCorruptionError,
     record_crc,
+    seal_record,
+    verify_record,
 )
+from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.query.stats import MaintenanceStats
 from repro.rtree.rtree import PathChange
 from repro.storage.disk import SimulatedDisk
+from repro.storage.page import Page
+from repro.system import build_system
 
 
 @pytest.fixture
@@ -149,6 +155,127 @@ def test_record_crc_catches_in_place_tampering(wal, disk):
     page.verify()  # the page checksum is blind to this
     with pytest.raises(WalCorruptionError):
         wal.pending()
+
+
+def _leaf_paths(value, path=()):
+    """The path of every scalar in a record (the ``crc`` field aside)."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if path or key != "crc":
+                yield from _leaf_paths(item, (*path, key))
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            yield from _leaf_paths(item, (*path, index))
+    else:
+        yield path
+
+
+def _edited(value, path):
+    """A copy of ``value`` with the scalar at ``path`` changed."""
+    if not path:
+        if isinstance(value, bool):
+            return not value
+        if isinstance(value, (int, float)):
+            return value + 1
+        return "x" if value is None else value + "x"
+    head, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        return {**value, head: _edited(value[head], rest)}
+    items = list(value)
+    items[head] = _edited(items[head], rest)
+    return type(value)(items)
+
+
+def _reshaped(value):
+    """The same content with every dict's keys reversed and every tuple a
+    list (and every list a tuple)."""
+    if isinstance(value, dict):
+        return {key: _reshaped(item) for key, item in reversed(value.items())}
+    if isinstance(value, tuple):
+        return [_reshaped(item) for item in value]
+    if isinstance(value, list):
+        return tuple(_reshaped(item) for item in value)
+    return value
+
+
+def _every_record_kind():
+    """kind -> one sealed page of each record kind the WAL and checkpoints
+    write (an intent per op), from a small system's disk."""
+    relation = generate_relation(
+        SyntheticConfig(
+            n_tuples=60, n_boolean=2, cardinality=3, n_preference=2, seed=3
+        )
+    )
+    system = build_system(relation, fanout=4, wal_segment_bytes=64)
+    row = (relation.bool_row(0), relation.pref_point(0))
+    system.insert(*row)
+    system.insert_batch([row, row])
+    system.delete(1)
+    system.update(2, (0.25, 0.75))
+    CheckpointManager(system).create()
+    kinds = {}
+    for page in system.disk.pages():
+        record = page.payload
+        if isinstance(record, dict) and "crc" in record:
+            kind = record["kind"]
+            if kind == "intent":
+                kind = f"intent:{record['op']}"
+            kinds.setdefault(kind, page)
+    return kinds
+
+
+def _assert_crc_is_of_content(page):
+    """The record's CRC ignores dict order and tuple-versus-list, and every
+    in-place edit of a field — a changed scalar or a dropped key — makes
+    :func:`verify_record` reject the record, while the page checksum (a
+    dict's type) still passes."""
+    record = page.payload
+    original = dict(record)
+    assert verify_record(page) is record
+    assert record_crc(_reshaped(record)) == record["crc"]
+    edits = [_edited(original, path) for path in _leaf_paths(original)]
+    edits += [
+        {k: v for k, v in original.items() if k != key}
+        for key in original
+        if key != "crc"
+    ]
+    for edit in edits:
+        record.clear()
+        record.update(edit)
+        page.verify()
+        assert verify_record(page) is None, edit
+    record.clear()
+    record.update(original)
+    assert verify_record(page) is record
+
+
+def test_every_record_kind_has_a_crc_of_its_content():
+    kinds = _every_record_kind()
+    assert sorted(kinds) == [
+        "cell",
+        "changes",
+        "commit",
+        "intent:delete",
+        "intent:insert",
+        "intent:insert_batch",
+        "intent:update",
+        "manifest",
+        "rows",
+        "seal",
+    ]
+    for page in kinds.values():
+        _assert_crc_is_of_content(page)
+
+
+def test_a_record_whose_keys_do_not_sort_has_a_crc_of_its_content():
+    """Keys of mixed types (or no JSON key type at all) still give one
+    CRC for one content."""
+    record = seal_record(
+        {"kind": "probe", "payload": {1: "a", "b": (2, 3.5), (4, 5): None}}
+    )
+    page = Page(page_id=0, tag=RECORD_TAG, size=24, payload=record)
+    page.seal()
+    _assert_crc_is_of_content(page)
 
 
 def test_torn_tail_is_truncated(disk):

@@ -7,6 +7,7 @@ seeded corruption here that makes exactly that rule report, and no other.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -52,7 +53,8 @@ def garble_a_blob(system):
     for page_id in system.pcube.store.directory_snapshot()[cell.cell_id].values():
         page = system.disk.peek(page_id)
         sid = max(page.payload.blobs)
-        page.payload.blobs[sid] = b"\xff\x00\xff"
+        damaged = {**page.payload.blobs, sid: b"\xff\x00\xff"}
+        page.payload = replace(page.payload, blobs=damaged)
         page.seal()
         return
 

@@ -4,8 +4,9 @@
 arguments give the same pages, paths and trees (DESIGN.md §5, "Build").
 Each piece is digested apart so a failure names it — every page's id, tag,
 logical size and checksum, the tuple paths in the order ``all_paths()``
-lists them, the store's directory, the R-tree's nodes, and the build's
-allocate / write / free counts.
+lists them, the store's directory, the R-tree's nodes, every partial's
+reference, blobs and logical size, and the build's allocate / write / free
+counts.
 
 Two builds are pinned: 2 000 tuples at fanout 64, and 300 tuples at fanout
 6 on 128-byte pages, where the tree is deeper and cells span several
@@ -16,8 +17,14 @@ signatures and R-tree stayed).  The cube keeps no counted signatures any
 more, so their digest left the image; every other value stayed.  The
 served build stopped making the baselines' per-dimension B+-trees, so their
 digest, pages and writes left the image (they were allocated last: no
-other page id moved, and paths, store and R-tree stayed).  A change that
-means to move the image re-records them and says why.
+other page id moved, and paths, store and R-tree stayed).  The page
+digests were re-recorded when a partial signature's checksum became one
+CRC over a binary framing of its content (reference, size, SID and
+blob-length arrays, blobs) in place of a CRC over its text rendering: only
+the partials' checksums moved — every page's id, tag and size, the paths,
+store, R-tree and counts stayed, and the ``blobs`` digest, added then,
+reads the same on the code before that change.  A change that means to
+move the image re-records them and says why.
 """
 
 from __future__ import annotations
@@ -35,20 +42,22 @@ BUILDS = {
     "2000-tuples-fanout-64": (
         2000, 100, 64, None,
         {
-            "pages": (363, "65383c7dc493999b"),
+            "pages": (363, "c82c2c16648f0258"),
             "paths": "43231253bea1f97e",
             "store": "1f8bf048ecb85775",
             "rtree": "208547d139aa6b1d",
+            "blobs": "5f6e2067ce951460",
             "writes": {"ALLOC": 338, "WRITE": 75, "FREE": 1},
         },
     ),
     "300-tuples-fanout-6": (
         300, 10, 6, 128,
         {
-            "pages": (341, "c0b4739e61c8e0e0"),
+            "pages": (341, "84b72054aacbb303"),
             "paths": "1e90c5b2fe0883e3",
             "store": "6a24dc471532be01",
             "rtree": "d0b0f8ad5297bb3c",
+            "blobs": "dfaf30ac7c71c89f",
             "writes": {"ALLOC": 192, "WRITE": 171, "FREE": 1},
         },
     ),
@@ -76,11 +85,17 @@ def build_image(system, writes) -> dict:
         )
         for node in system.rtree.nodes()
     ]
+    blobs = sorted(
+        (page.page_id, page.payload.ref_sid, list(page.payload.blobs.items()),
+         page.payload.size_bytes)
+        for page in disk.pages("pcube:sig")
+    )
     return {
         "pages": (len(pages), digest(pages)),
         "paths": digest(list(system.rtree.all_paths().items())),
         "store": digest(store.directory_entries()),
         "rtree": digest(rtree),
+        "blobs": digest(blobs),
         "writes": writes,
     }
 

@@ -29,8 +29,13 @@ stopped making the baselines' B+-trees: their two pages no longer take page
 ids, so every ``wal:*`` / ``ckpt:*`` id moved down by 2, and the four
 manifests' ``config`` now records ``page_size`` in place of the B+-tree
 flag (their ``row_pages`` shifted with the ids).  Every row's tag and
-size, every other record's CRC and all four metric lists stayed.  A change
-that means to move the image re-records them and says why.
+size, every other record's CRC and all four metric lists stayed.  Both
+digests were re-recorded when the record CRC began to cover the C JSON
+encoder's canonical text (sorted keys, compact separators) in place of a
+text rendered in Python: every row's CRC moved and nothing else did — each
+page's id, tag and size, each record's content (compared field by field
+with the CRC left out) and all four metric lists stayed.  A change that
+means to move the image re-records them and says why.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ FANOUT = 6
 #: metrics over the archive, the same behind the newest checkpoint).
 IMAGES = {
     "backup": (
-        "b7b1b8349dfd6e7a",
+        "322e49b01c738dc6",
         267,
         [("damaged_ignored", 0), ("record_reads", 246), ("seal_reads", 9),
          ("segments_scanned", 9), ("segments_skipped", 0)],
@@ -68,7 +73,7 @@ IMAGES = {
          ("segments_scanned", 0), ("segments_skipped", 9)],
     ),
     "crash_wal_rec": (
-        "d3e743b00ca9350c",
+        "cc2be482ec238133",
         225,
         [("damaged_ignored", 0), ("record_reads", 222), ("seal_reads", 3),
          ("segments_scanned", 4), ("segments_skipped", 0)],

@@ -1,6 +1,7 @@
 """Failure injection: the error paths must fail loudly, never corrupt."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -165,7 +166,8 @@ def _garble_blob(system, cell, sid):
     for page_id in system.pcube.store.directory_snapshot()[cell.cell_id].values():
         page = system.disk.peek(page_id)
         if sid in page.payload.blobs:
-            page.payload.blobs[sid] = b"\xff\x00\xff"
+            damaged = {**page.payload.blobs, sid: b"\xff\x00\xff"}
+            page.payload = replace(page.payload, blobs=damaged)
             page.seal()
             page.verify()
             return

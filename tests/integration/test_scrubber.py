@@ -11,6 +11,7 @@ like to a checksum sweep.
 import random
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -37,8 +38,8 @@ def make_system():
 
 
 def corrupt_signature_pages(system, n, seed=7):
-    """Garble ``n`` distinct signature pages in place; returns the set of
-    owning cell ids."""
+    """Garble ``n`` distinct signature pages — each page gets a damaged copy
+    of its partial, not re-sealed; returns the set of owning cell ids."""
     rng = random.Random(seed)
     entries = system.pcube.store.directory_entries()
     picks = rng.sample(range(len(entries)), min(n, len(entries)))
@@ -47,7 +48,8 @@ def corrupt_signature_pages(system, n, seed=7):
         (cell_id, _sid), page_id = entries[index]
         page = system.disk.peek(page_id)
         key = next(iter(page.payload.blobs))
-        page.payload.blobs[key] = b"\xff\x00\xff"
+        damaged = {**page.payload.blobs, key: b"\xff\x00\xff"}
+        page.payload = replace(page.payload, blobs=damaged)
         owners.add(cell_id)
     return owners
 
