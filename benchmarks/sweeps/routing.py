@@ -18,7 +18,8 @@ under the serving benchmark's modeled per-read latency.  Four passes:
   canonicalised before they are compared.
 * **routed-warm** — the router with the epoch-keyed cache.  The bench
   asserts a cache hit-rate ≥ 0.5 (Zipf repeats at a stable epoch) and
-  total wall ≤ the best pinned engine's wall × 1.1, and
+  total wall ≤ the best pinned engine's wall × 1.1 — each side the fastest
+  of three back-to-back passes (a fresh router and cache each), and
   that every answer is byte-identical to the canonical reference.
 * **served** — the end-to-end path: a ``QueryExecutor(routing=True)``
   serving the same stream, with its router's counters reconciled exactly
@@ -131,6 +132,11 @@ def _routed_pass(system, snapshot, workload, engine=None, cache=False):
     return _Routed(wall, io, results, answers, router.stats.snapshot())
 
 
+def _fastest(run, passes: int = 3) -> _Routed:
+    """The pass with the least wall of ``passes`` back-to-back runs."""
+    return min((run() for _ in range(passes)), key=lambda routed: routed.wall)
+
+
 def run_routing_benchmark(
     seed: int = 7,
     n_tuples: int = DEFAULT_TUPLES,
@@ -161,6 +167,12 @@ def run_routing_benchmark(
         engine: _routed_pass(system, snapshot, workload, engine)
         for engine in PINNED
     }
+    # The wall gate below compares two passes of a few milliseconds at toy
+    # size: both of its sides are the fastest of three back-to-back passes.
+    best = min(PINNED, key=lambda engine: pinned[engine].wall)
+    pinned[best] = _fastest(
+        lambda: _routed_pass(system, snapshot, workload, best)
+    )
     assert len(pinned[NAIVE].answers) == len(workload)
     reference = [pinned[NAIVE].answers[i] for i in range(len(workload))]
     # Every pinned engine's canonical answer must match ground truth.  (Top-k
@@ -205,7 +217,9 @@ def run_routing_benchmark(
     }
 
     # ---- routed-warm: the same chain behind the epoch-keyed cache ------ #
-    warm = _routed_pass(system, snapshot, workload, cache=True)
+    warm = _fastest(
+        lambda: _routed_pass(system, snapshot, workload, cache=True)
+    )
     _check(warm.answers, reference, workload, "routed-warm")
     if len(warm.answers) != len(workload):
         raise AssertionError("routed-warm left queries unanswered")

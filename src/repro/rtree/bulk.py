@@ -9,6 +9,12 @@ The packing runs on the coordinate matrix: each tiling step is one stable
 ``argsort`` of a column (a stable sort keeps the order of equal keys, so the
 groups are exactly those of a per-item ``sorted``), and each level's node
 boxes are per-group ``min`` / ``max`` over the rows of its children.
+
+Allocation order is part of the build: each level's rows are permuted into
+STR order once, and every node is built from its contiguous slice.  So a
+leaf's point tuples (and the ``Rect`` / ``Entry`` around each) are made one
+after the other, in the slot order a skyline expansion scans them, and sit
+side by side in memory instead of wherever their tids' rows happened to be.
 """
 
 from __future__ import annotations
@@ -61,6 +67,22 @@ def _str_order(keys: np.ndarray, capacity: int) -> tuple[np.ndarray, list[int]]:
     return np.concatenate(parts), sizes
 
 
+def _build_level(
+    tree: RTree, level: int, sizes: list[int], entries: list[Entry]
+) -> list[RTreeNode]:
+    """One new node of ``tree`` per group size, each holding the next slice
+    of ``entries``."""
+    nodes = []
+    start = 0
+    for size in sizes:
+        node = tree._new_node(level=level)
+        node.entries = entries[start : start + size]
+        start += size
+        tree._sync_page(node)
+        nodes.append(node)
+    return nodes
+
+
 def bulk_load(
     points: Sequence[tuple[int, Sequence[float]]], dims: int, **kwargs
 ) -> RTree:
@@ -94,7 +116,15 @@ def bulk_load_columns(
 
     Returns:
         A fully wired tree (pages allocated, tuple paths computed).
+
+    Raises:
+        ValueError: ``coords`` is not a matrix with one row per tid, a tid
+            repeats, or a coordinate is not finite.
     """
+    if coords.ndim != 2:
+        raise ValueError(f"coords must be a 2-D matrix, got {coords.ndim} dims")
+    if len(tids) != len(coords):
+        raise ValueError(f"{len(tids)} tids for {len(coords)} coordinate rows")
     dims = coords.shape[1]
     tree = RTree(dims=dims, max_entries=max_entries, disk=disk, tag=tag)
     if len(tids) == 0:
@@ -110,48 +140,43 @@ def bulk_load_columns(
         max_entries,
         max(2 * tree.min_entries, round(max_entries * fill_factor)),
     )
-    tid_list = tids.tolist()
-    point_list = list(map(tuple, coords.tolist()))
 
-    # One level at a time, leaves first.  Row i of ``lows`` / ``highs`` is
-    # the box of ``held[i]`` (a tid, then a child node), and the tiling
-    # sorts by box centres — a point is its own centre.
-    tid_leaf: dict[int, RTreeNode] = {}
-    held: list = tid_list
-    boxes = [Rect.trusted(point, point) for point in point_list]
-    lows = highs = keys = coords
+    # Each level's rows are permuted into STR order once, and each node is
+    # one contiguous slice of them.  Above the leaves, a node's box is the
+    # ``min`` / ``max`` of its children's rows, and the tiling sorts by box
+    # centres (a point is its own centre).
+    order, sizes = _str_order(coords, capacity)
+    lows = highs = coords[order]
+    leaf_tids = tids[order].tolist()
+    leaf_points = list(map(tuple, lows.tolist()))
+    nodes = _build_level(tree, 0, sizes, [
+        Entry(Rect.trusted(point, point), tid=tid)
+        for tid, point in zip(leaf_tids, leaf_points)
+    ])
+    tid_leaf = {entry.tid: leaf for leaf in nodes for entry in leaf.entries}
+    # ``_points`` keeps the callers' tid order over the leaves' own objects:
+    # row i of ``coords`` is leaf row ``position[i]``.
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    at = position.tolist()
+    points = dict(
+        zip(map(leaf_tids.__getitem__, at), map(leaf_points.__getitem__, at))
+    )
     level = 0
-    while True:
-        order, sizes = _str_order(keys, capacity)
-        members = order.tolist()
-        nodes: list[RTreeNode] = []
-        start = 0
-        for size in sizes:
-            group = members[start : start + size]
-            start += size
-            node = tree._new_node(level=level)
-            if level:
-                node.entries = [Entry(boxes[i], child=held[i]) for i in group]
-                for i in group:
-                    held[i].parent = node
-            else:
-                node.entries = [Entry(boxes[i], tid=held[i]) for i in group]
-                for i in group:
-                    tid_leaf[held[i]] = node
-            tree._sync_page(node)
-            nodes.append(node)
-        if len(nodes) == 1:
-            break
+    while len(nodes) > 1:
         starts = np.cumsum([0] + sizes[:-1])
-        lows = np.minimum.reduceat(lows[order], starts)
-        highs = np.maximum.reduceat(highs[order], starts)
-        keys = (lows + highs) / 2.0
-        boxes = [
-            Rect.trusted(tuple(lo), tuple(hi))
-            for lo, hi in zip(lows.tolist(), highs.tolist())
-        ]
-        held = nodes
+        lows = np.minimum.reduceat(lows, starts)
+        highs = np.maximum.reduceat(highs, starts)
+        order, sizes = _str_order((lows + highs) / 2.0, capacity)
+        lows, highs = lows[order], highs[order]
         level += 1
+        nodes = _build_level(tree, level, sizes, [
+            Entry(Rect.trusted(tuple(lo), tuple(hi)), child=nodes[i])
+            for i, lo, hi in zip(order.tolist(), lows.tolist(), highs.tolist())
+        ])
+        for node in nodes:
+            for entry in node.entries:
+                entry.child.parent = node
 
-    tree._adopt_bulk(nodes[0], dict(zip(tid_list, point_list)), tid_leaf)
+    tree._adopt_bulk(nodes[0], points, tid_leaf)
     return tree
