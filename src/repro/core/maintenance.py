@@ -15,11 +15,12 @@ time:
 
 Every driver optionally runs under a :class:`~repro.core.wal.MaintenanceWAL`
 (pass ``wal=``): the operation's intent is journalled before any structure
-is touched, the merged path changes after the relation and R-tree phases,
-and each dirty cell's completed rewrite as it commits, so a crash at any
-point is recoverable (see :meth:`repro.system.PCubeSystem.recover`).
-Without a WAL the drivers behave exactly as before — the fast path the
-Figure 7 benchmarks time.
+is touched and its commit after the last cell is stored — two records, and
+nothing in between.  A crash at any point is recoverable because the
+intent alone re-applies the relation-level effect, and the R-tree and the
+cells are rebuilt from the relation (see
+:meth:`repro.system.PCubeSystem.recover`).  Without a WAL the drivers do
+the same work unjournalled — the fast path the Figure 7 benchmarks time.
 """
 
 from __future__ import annotations
@@ -63,18 +64,13 @@ def _journalled(
     intent: dict,
     mutate: Callable[[], Iterable[PathChange]],
 ) -> set[Cell]:
-    """The one journalled write: begin → ``mutate()`` (relation, then
-    R-tree) → merge → ``log_changes`` → ``apply_changes`` logging each
-    stored cell → ``commit``; returns the dirty cells."""
+    """The one journalled write: ``begin`` → ``mutate()`` (relation, then
+    R-tree) → merge → ``apply_changes`` → ``commit``; returns the dirty
+    cells."""
     if wal is None:
         return pcube.apply_changes(merge_changes(mutate()))
     op_id = wal.begin(op, **intent)
-    changes = merge_changes(mutate())
-    wal.log_changes(op_id, changes)
-    dirty = pcube.apply_changes(
-        changes,
-        on_cell_stored=lambda cell: wal.log_cell_stored(op_id, cell.cell_id),
-    )
+    dirty = pcube.apply_changes(merge_changes(mutate()))
     wal.commit(op_id)
     return dirty
 

@@ -9,7 +9,7 @@ incremental updates driven by R-tree path changes.
 from __future__ import annotations
 
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -347,45 +347,39 @@ class PCube:
         codec: str = "adaptive",
         tag: str = "pcube",
     ) -> "PCube":
-        """Derive, compress, decompose and store every cell signature.
-
-        Each cuboid is grouped once (:meth:`Cuboid.label`)
-        and its cells go through :meth:`_derive`, in first-appearance
-        order, so the pages are a function of the relation and the tree
-        alone.  The paper's recursive sort (Fig. 2b, kept in the tests'
-        reference module) is the oracle tier-1 holds every stored cell
-        against, not a second pass here.
-        """
+        """Derive, compress, decompose and store every cell signature
+        (:meth:`derive_all`)."""
         pcube = cls(relation, rtree, cuboids, codec, tag)
-        paths = PathColumns(rtree.all_paths(), pcube.fanout)
-        for cuboid in pcube.cuboids:
-            cells, labels = cuboid.label(relation)
-            pcube._derive(cells, labels, paths)
+        pcube.derive_all()
         return pcube
 
-    def _derive(
-        self, cells: Sequence[Cell], labels: np.ndarray, paths: PathColumns
-    ) -> None:
-        """(Re)derive ``cells`` from their tuples' paths — tuple ``tid``
-        sets its bits in ``cells[labels[tid]]``, in none at ``-1`` — in one
-        pass (:meth:`PathColumns.masks`) and store each cell: the one step
-        the build and :meth:`rebuild_all` share.  The masks go straight to
-        the store's blobs; no node becomes an object."""
-        for cell, masks in zip(cells, paths.masks(labels, len(cells))):
-            self._store(cell, masks)
+    def derive_all(self) -> None:
+        """Empty the store, then derive and store every cell with a live
+        member from the relation and the tree's paths: the build, and crash
+        recovery's rebuild after the tree's (``PCubeSystem.recover``).
 
-    def _store(
-        self,
-        cell: Cell,
-        masks: Mapping[int, int],
-        on_cell_stored: "Callable[[Cell], None] | None" = None,
-    ) -> None:
+        Each cuboid is grouped once (:meth:`Cuboid.label`) and its cells
+        are derived in one pass (:meth:`PathColumns.masks`) and stored in
+        first-appearance order, so the pages are a function of the relation
+        and the tree alone.  The masks go straight to the store's blobs; no
+        node becomes an object.  A cell whose members are all tombstoned is
+        left absent, as a fresh build over the same rows leaves it (an
+        incremental delete keeps it, empty).  The paper's recursive sort
+        (Fig. 2b, kept in the tests' reference module) is the oracle tier-1
+        holds every stored cell against, not a second pass here.
+        """
+        self.store.clear()
+        paths = PathColumns(self.rtree.all_paths(), self.fanout)
+        for cuboid in self.cuboids:
+            cells, labels = cuboid.label(self.relation)
+            for cell, masks in zip(cells, paths.masks(labels, len(cells))):
+                self.store.put_masks(cell, masks)
+
+    def _store(self, cell: Cell, masks: Mapping[int, int]) -> None:
         """Store a derived cell's node masks; fresh pages lift any
         quarantine."""
         self.store.put_masks(cell, masks)
         self.store.clear_quarantine(cell)
-        if on_cell_stored is not None:
-            on_cell_stored(cell)
 
     # ------------------------------------------------------------------ #
     # query-side interface: inherited from ReaderFactory
@@ -414,31 +408,6 @@ class PCube:
             self.rebuild_cell(cell)
         return rebuilt
 
-    def rebuild_all(self) -> int:
-        """Regenerate every materialised cell from the relation + R-tree.
-
-        The crash-recovery big hammer: when an interrupted operation left
-        the tree mid-mutation, the tree is reset first and then every cell
-        signature is re-derived from scratch, in
-        deterministic cell-id order.  Cells whose tuples are all tombstoned
-        keep an empty signature, exactly as incremental deletes leave them.
-        Quarantines are lifted as a side effect — the fresh pages replace
-        whatever was unreadable.  Returns the number of cells stored.
-        """
-        paths = PathColumns(self.rtree.all_paths(), self.fanout)
-        live = self.relation.columnar().live
-        stored = 0
-        for cuboid in self.cuboids:
-            cells, labels = cuboid.label(self.relation, include_tombstoned=True)
-            order = sorted(range(len(cells)), key=lambda i: cells[i].cell_id)
-            rank = np.empty(len(cells), dtype=np.int64)
-            rank[order] = np.arange(len(cells))
-            self._derive(
-                [cells[i] for i in order], np.where(live, rank[labels], -1), paths
-            )
-            stored += len(cells)
-        return stored
-
     def signature_of(self, cell: Cell) -> Signature:
         """The stored (bitmap) signature of a materialised cell, reassembled
         without access accounting (tests and maintenance)."""
@@ -450,18 +419,12 @@ class PCube:
     # incremental maintenance (Section IV-B.3)
     # ------------------------------------------------------------------ #
 
-    def apply_changes(
-        self,
-        changes: Sequence[PathChange],
-        on_cell_stored: "Callable[[Cell], None] | None" = None,
-    ) -> set[Cell]:
+    def apply_changes(self, changes: Sequence[PathChange]) -> set[Cell]:
         """Patch signatures for a set of R-tree path changes.
 
         For every changed tuple and every materialised cuboid, the tuple
         leaves its cell along its old path and joins it along its new one.
-        Dirty cells are then re-stored once, in cell-id order (the WAL
-        relies on that determinism to replay an interrupted store phase),
-        with ``on_cell_stored`` invoked after each cell commits.  A rewrite
+        Dirty cells are then re-stored once, in cell-id order.  A rewrite
         edits the cell's stored bits: the store reads the cell's pages
         back, decodes and edits only the nodes on the changed paths
         (:func:`~repro.core.signature.move_paths`) and compresses those
@@ -470,7 +433,7 @@ class PCube:
         the R-tree instead.  Returns the dirty cells.
 
         Nothing in memory holds an edit the pages lost.  So when a rewrite
-        (or its ``on_cell_stored``) raises a storage fault, that cell and
+        raises a storage fault, that cell and
         every dirty cell after it are quarantined before the fault
         propagates: readers take the exact degraded path until the cell's
         next rewrite or a repair re-derives it.
@@ -490,8 +453,6 @@ class PCube:
         for position, cell in enumerate(order):
             try:
                 self._rewrite(cell, *moved[cell])
-                if on_cell_stored is not None:
-                    on_cell_stored(cell)
             except StorageFault as fault:
                 for behind in order[position:]:
                     self.store.quarantine(behind, fault)
@@ -512,28 +473,12 @@ class PCube:
             # The current pages cannot be read back: nothing to edit.
             self.recompute_cell(cell)
 
-    def dirty_cells_for(self, changes: Sequence[PathChange]) -> set[Cell]:
-        """The cells a change stream touches — exactly the set
-        :meth:`apply_changes` would re-store (WAL replay recomputes it from
-        the journalled changes instead of trusting crash-time state)."""
-        dirty: set[Cell] = set()
-        for change in changes:
-            if change.old_path == change.new_path:
-                continue
-            for cuboid in self.cuboids:
-                dirty.add(cuboid.cell_for(self.relation, change.tid))
-        return dirty
-
     def recompute_cell(self, cell: Cell) -> Signature:
         """Rebuild one cell's signature from the current R-tree paths."""
         (signature,) = self.recompute_cells([cell])
         return signature
 
-    def recompute_cells(
-        self,
-        cells: Sequence[Cell],
-        on_cell_stored: "Callable[[Cell], None] | None" = None,
-    ) -> list[Signature]:
+    def recompute_cells(self, cells: Sequence[Cell]) -> list[Signature]:
         """Rebuild ``cells``' signatures from the current R-tree paths and
         store them in the given order.
 
@@ -553,7 +498,7 @@ class PCube:
                 labels[columns.live & members] = index
             derived.update(zip(group, paths.masks(labels, len(group))))
         for cell in cells:
-            self._store(cell, derived[cell], on_cell_stored)
+            self._store(cell, derived[cell])
         return [Signature.from_masks(self.fanout, derived[cell]) for cell in cells]
 
     # ------------------------------------------------------------------ #

@@ -298,6 +298,15 @@ class SignatureStore(_DirectoryReads):
         for page_id in existing.values():
             self._free_sig_page(page_id)
 
+    def clear(self) -> None:
+        """Drop every cell: its pages are freed (deferred under an epoch
+        manager, as a rewrite's are) and every quarantine is lifted."""
+        directory, self._directory = self._directory, {}
+        self._quarantined.clear()
+        for refs in directory.values():
+            for page_id in refs.values():
+                self._free_sig_page(page_id)
+
     def orphan_pages(self, held: Collection[int] = ()) -> list[int]:
         """Signature pages the directory does not reference and ``held``
         (the epoch manager's deferred frees) does not name — what a crash

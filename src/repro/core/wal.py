@@ -5,13 +5,14 @@ the base relation's heap, the R-tree and the per-cell signatures — and
 PR 1's read-path contract (signatures are stale-but-rebuildable, never
 silently wrong) only holds if a crash between those mutations is
 recoverable.  This module journals every maintenance operation so that
-:meth:`repro.system.PCubeSystem.recover` can finish (or deterministically
-redo) whatever a crash interrupted, and retains the committed history as a
-segmented archive that checkpoint-based point-in-time restore
-(:mod:`repro.core.checkpoint`) replays.
+:meth:`repro.system.PCubeSystem.recover` can redo whatever a crash
+interrupted, and retains the committed history as a segmented archive that
+checkpoint-based point-in-time restore (:mod:`repro.core.checkpoint`)
+replays.
 
 Record protocol — one disk page per record, tag ``wal:rec:s<segment>``
-(the tags are module constants, :data:`RECORD_TAG` and :data:`SEAL_TAG`):
+(the tags are module constants, :data:`RECORD_TAG` and :data:`SEAL_TAG`).
+An operation writes two records:
 
 1. ``intent`` — written by :meth:`MaintenanceWAL.begin` *before any other
    page is touched*.  Carries the operation name and everything needed to
@@ -19,15 +20,10 @@ Record protocol — one disk page per record, tag ``wal:rec:s<segment>``
    relation length, so replay knows which appends already happened) for
    inserts, the tid for deletes, the tid and new preference row for
    updates.  :func:`replay_intent` is that re-apply, for recovery and
-   restore alike.
-2. ``changes`` — written after the relation and R-tree mutations complete,
-   holding the merged :class:`~repro.rtree.rtree.PathChange` records.  Its
-   presence is the recovery watershed: the relation and the tree are
-   complete, so once this record is durable only the per-cell store phase
-   can be incomplete, and recovery re-derives those cells from the tree.
-3. ``cell`` — one per dirty cell, written after that cell's atomic
-   signature rewrite commits.  Replay skips cells already marked.
-4. ``commit`` — the operation's happy ending.  A single record append is
+   restore alike.  Everything above the relation — the R-tree and every
+   cell signature — is a function of the relation, so an intent without a
+   commit is redone by replaying it and rebuilding those as the build does.
+2. ``commit`` — the operation's happy ending.  A single record append is
    atomic at page granularity, so the operation is observably either
    committed or not; its records are *retained* (they are the archive
    point-in-time restore consumes) instead of freed.
@@ -80,7 +76,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.query.stats import MaintenanceStats
-from repro.rtree.rtree import PathChange
 from repro.storage.disk import SimulatedDisk
 from repro.storage.errors import CorruptPageError
 from repro.storage.page import Page
@@ -88,7 +83,6 @@ from repro.storage.page import Page
 #: Nominal on-disk sizes (the simulator accounts space, not bytes-exact
 #: encodings): a fixed record header plus per-item costs.
 _RECORD_HEADER_BYTES = 24
-_PATH_COMPONENT_BYTES = 2
 _VALUE_BYTES = 8
 
 #: Default segment-rotation threshold: logical record bytes per segment.
@@ -182,33 +176,14 @@ def verify_record(page: Page) -> dict[str, Any] | None:
 _Verify = Callable[[Page], "dict[str, Any] | None"]
 
 
-def _encode_change(change: PathChange) -> tuple:
-    return (change.tid, change.old_path, change.new_path)
-
-
-def _decode_change(raw: Sequence) -> PathChange:
-    tid, old_path, new_path = raw
-    return PathChange(
-        tid,
-        None if old_path is None else tuple(old_path),
-        None if new_path is None else tuple(new_path),
-    )
-
-
-@dataclass
+@dataclass(frozen=True)
 class PendingOp:
-    """One interrupted maintenance operation, reconstructed from disk.
-
-    ``changes is None`` means the crash predates the ``changes`` record —
-    the relation / R-tree phase may be mid-mutation.  ``stored_cells``
-    holds the cell ids whose signature rewrite provably committed.
-    """
+    """One interrupted maintenance operation — an intent without a commit —
+    reconstructed from disk."""
 
     op_id: int
     op: str
     payload: dict[str, Any]
-    changes: list[PathChange] | None = None
-    stored_cells: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -236,9 +211,9 @@ class SegmentInfo:
 @dataclass
 class _Journal:
     """What one scan of record pages says: the valid records (LSN order),
-    the damaged page ids, the operations by op id (from their intents, with
-    changes and cells attached), op id -> commit LSN, and each segment's
-    catalog entry (``sealed`` left to the seal pages)."""
+    the damaged page ids, the operations by op id (from their intents),
+    op id -> commit LSN, and each segment's catalog entry (``sealed`` left
+    to the seal pages)."""
 
     records: list[dict[str, Any]] = field(default_factory=list)
     damaged: list[int] = field(default_factory=list)
@@ -276,14 +251,6 @@ def _classify(pages: Iterable[Page], verify: _Verify = verify_record) -> _Journa
             )
         elif kind == "commit":
             journal.commits[op_id] = lsn
-        elif op_id not in journal.ops:
-            continue  # an intent pruned or damaged: nothing to attach to
-        elif kind == "changes":
-            journal.ops[op_id].changes = [
-                _decode_change(raw) for raw in record["changes"]
-            ]
-        elif kind == "cell":
-            journal.ops[op_id].stored_cells.append(record["cell_id"])
     return journal
 
 
@@ -486,21 +453,23 @@ class MaintenanceWAL:
         self.pending_since = time.monotonic()
         return op_id
 
-    def log_changes(self, op_id: int, changes: Sequence[PathChange]) -> None:
-        """Journal the merged path changes (relation + R-tree are done)."""
-        encoded = [_encode_change(change) for change in changes]
-        size = sum(
-            _VALUE_BYTES
-            + _PATH_COMPONENT_BYTES
-            * (len(old or ()) + len(new or ()))
-            for _, old, new in encoded
-        )
+    def log_changes(self, op_id: int, changes: Sequence[tuple]) -> None:
+        """Journal merged path changes — called by nothing.
+
+        It and :meth:`log_cell_stored` fed a recovery arm that finished an
+        interrupted store phase in place; recovery now rebuilds, and
+        :func:`_classify` reads neither record kind.  Both stay only
+        because the frozen e2e recorder (``benchmarks/e2e/tracing.py``)
+        names them as targets.
+        """
         self._append(
-            {"op_id": op_id, "kind": "changes", "changes": encoded}, size=size
+            {"op_id": op_id, "kind": "changes", "changes": list(changes)},
+            size=_VALUE_BYTES * len(changes),
         )
 
     def log_cell_stored(self, op_id: int, cell_id: str) -> None:
-        """Journal one cell's completed signature rewrite."""
+        """Journal one stored cell — called by nothing (see
+        :meth:`log_changes`)."""
         self._append(
             {"op_id": op_id, "kind": "cell", "cell_id": cell_id},
             size=len(cell_id),

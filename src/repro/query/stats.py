@@ -11,12 +11,11 @@ class MaintenanceStats(Tally):
     """Maintenance-side tallies: WAL traffic and crash-recovery work.
 
     Counts:
-        wal_records: Intent / changes / cell / commit records journalled.
+        wal_records: Intent and commit records journalled.
         wal_commits: Operations whose commit record was appended.
         recoveries: ``recover()`` calls that found an interrupted operation.
-        replayed_cells: Cells re-stored by roll-forward replay.
-        reindexes: Recoveries that fell back to the full deterministic
-            rebuild (R-tree reset + every cell regenerated).
+        reindexes: Those recoveries that ran to the end: the intent
+            replayed, the R-tree and every cell rebuilt as the build does.
         rows_repaired: Buffered heap rows recovery had to re-page.
         wal_tail_truncated: Torn/corrupt tail record pages recovery
             truncated (the default torn-write repair).
@@ -29,7 +28,6 @@ class MaintenanceStats(Tally):
         wal_records=0,
         wal_commits=0,
         recoveries=0,
-        replayed_cells=0,
         reindexes=0,
         rows_repaired=0,
         wal_tail_truncated=0,

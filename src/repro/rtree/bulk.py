@@ -123,12 +123,22 @@ def bulk_load_columns(
     """
     if coords.ndim != 2:
         raise ValueError(f"coords must be a 2-D matrix, got {coords.ndim} dims")
+    tree = RTree(dims=coords.shape[1], max_entries=max_entries, disk=disk, tag=tag)
+    load_columns(tree, tids, coords, fill_factor)
+    return tree
+
+
+def load_columns(
+    tree: RTree, tids: np.ndarray, coords: np.ndarray, fill_factor: float = 0.9
+) -> None:
+    """STR-pack ``coords[i]`` as the point of ``tids[i]`` into ``tree``, a
+    tree that indexes nothing yet (its lone root leaf is replaced): the one
+    loader of :func:`bulk_load_columns` and :meth:`RTree.reset`.  The
+    arguments are checked before ``tree`` changes."""
     if len(tids) != len(coords):
         raise ValueError(f"{len(tids)} tids for {len(coords)} coordinate rows")
-    dims = coords.shape[1]
-    tree = RTree(dims=dims, max_entries=max_entries, disk=disk, tag=tag)
     if len(tids) == 0:
-        return tree
+        return
     distinct, counts = np.unique(tids, return_counts=True)
     if len(distinct) != len(tids):
         raise ValueError(f"duplicate tid {distinct[counts > 1][0]}")
@@ -136,6 +146,7 @@ def bulk_load_columns(
         raise ValueError("coordinates must be finite")
     # Packed nodes must stay splittable into two legal halves (even
     # chunking yields groups of at least capacity/2 entries).
+    max_entries = tree.max_entries
     capacity = min(
         max_entries,
         max(2 * tree.min_entries, round(max_entries * fill_factor)),
@@ -179,4 +190,3 @@ def bulk_load_columns(
                 entry.child.parent = node
 
     tree._adopt_bulk(nodes[0], points, tid_leaf)
-    return tree

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from repro.rtree.geometry import Point, Rect
 from repro.rtree.node import Entry, RTreeNode, subtree_nodes, subtree_tids, tuple_path
 from repro.storage.disk import SimulatedDisk
@@ -475,17 +477,20 @@ class RTree:
     # crash recovery
     # ------------------------------------------------------------------ #
 
-    def reset(self, points: Iterable[tuple[int, Sequence[float]]]) -> None:
-        """Discard the whole tree and rebuild it from ``points``.
+    def reset(self, tids: np.ndarray, coords: np.ndarray) -> None:
+        """Discard the whole tree and STR-load ``coords[i]`` as the point
+        of ``tids[i]``.
 
         Crash recovery's reconstruction path: an interrupted mutation can
         leave nodes mid-split, so the tree is not repaired in place — every
-        page under the tree's tag is freed (orphans included) and the
-        points are re-inserted in ascending tid order.  The quadratic split
-        is deterministic, so the resulting shape — hence every tuple
-        path — is a pure function of the point set, and a recovery that is
-        itself interrupted converges when re-run.
+        page under the tree's tag is freed (orphans included) and the tree
+        is loaded by the build's own loader
+        (:func:`repro.rtree.bulk.load_columns`).  Its shape, hence every
+        tuple path, is that of a fresh build over the same points, and a
+        recovery that is itself interrupted converges when re-run.
         """
+        from repro.rtree.bulk import load_columns  # bulk imports this module
+
         for page in list(self.disk.pages(self.tag)):
             self._free_page(page.page_id)
         self._points = {}
@@ -496,8 +501,7 @@ class RTree:
         self.generation += 1
         self._touched_nodes = set()
         self.root = self._new_node(level=0)
-        for tid, point in sorted(points):
-            self.insert(tid, point)
+        load_columns(self, tids, coords)
 
     # ------------------------------------------------------------------ #
     # internal wiring for the bulk loader

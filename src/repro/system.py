@@ -162,24 +162,22 @@ class PCubeSystem:
     # ------------------------------------------------------------------ #
 
     def recover(self) -> str:
-        """Finish (or deterministically redo) an interrupted operation.
+        """Redo an interrupted operation; returns ``"clean"`` or
+        ``"reindexed"``.
 
-        The recovery state machine, keyed on what the WAL holds:
-
-        * no records — ``"clean"``: the last operation committed (or its
-          intent never became durable, in which case it simply never
-          happened; the caller may re-submit it).
-        * intent only — ``"reindexed"``: the crash hit the relation or
-          R-tree phase, and a mid-mutation R-tree is not incrementally
-          reconcilable.  The relation-level effect is re-applied from the
-          intent (idempotently), buffered heap rows are re-paged, and the
-          R-tree and every cell signature are rebuilt deterministically
-          from the base data.
-        * intent + changes — ``"replayed"``: relation and R-tree are
-          complete; only per-cell store rewrites may be missing.  The dirty
-          set is recomputed from the journalled changes and every cell
-          without a completion record is re-derived from the R-tree, in
-          one pass.
+        * The WAL holds no intent without a commit — ``"clean"``: the last
+          operation committed (or its intent never became durable, in
+          which case it simply never happened; the caller may re-submit it).
+        * It holds one — ``"reindexed"``, wherever the crash hit: buffered
+          heap rows are re-paged, the intent's relation-level effect is
+          re-applied (idempotently, :func:`~repro.core.wal.replay_intent`),
+          and the R-tree and every cell signature are rebuilt from the
+          relation by the build's own loaders (:meth:`RTree.reset`,
+          :meth:`PCube.derive_all`).  The recovered system is the one
+          :func:`build_system` (STR-packed, its default) makes over the
+          same rows: same paths, same stored bits, same pages per read.
+          A crash late in a write costs a rebuild, not a finish in place —
+          about one build's time.
 
         Every outcome, ``"clean"`` included, first frees the signature
         pages that neither the store's directory nor a deferred epoch free
@@ -192,12 +190,12 @@ class PCubeSystem:
         *during* recovery leaves the records in place and a re-run
         converges (every step above is idempotent).
 
-        Before the state machine runs, damaged WAL records are classified:
-        a torn/corrupt *tail* (the footprint of a write interrupted by the
-        crash) is truncated by default — the records above the last valid
-        LSN never influenced any committed state, so dropping them is the
-        only sound reading.  Interior corruption (valid records above the
-        damage) raises :class:`~repro.core.wal.WalCorruptionError` instead:
+        Before that, damaged WAL records are classified: a torn/corrupt
+        *tail* (the footprint of a write interrupted by the crash) is
+        truncated by default — the records above the last valid LSN never
+        influenced any committed state, so dropping them is the only sound
+        reading.  Interior corruption (valid records above the damage)
+        raises :class:`~repro.core.wal.WalCorruptionError` instead:
         committed history is gone, and the honest recovery is a restore
         from checkpoints (:func:`repro.core.checkpoint.restore_system`).
         """
@@ -218,40 +216,16 @@ class PCubeSystem:
         if pending is None:
             return "clean"
         self.maintenance_stats.bump(recoveries=1)
-        if pending.changes is None:
-            outcome = self._recover_reindex(pending)
-        else:
-            outcome = self._recover_replay(pending)
-        self.wal.commit(pending.op_id)
-        return outcome
-
-    def _recover_reindex(self, pending: PendingOp) -> str:
         # Rows are buffered in memory before any disk page is touched, so
         # re-page the buffered tail first (appends must stay in tid order);
         # the replay then appends only the rows the crash left out.
         self.maintenance_stats.bump(rows_repaired=self.relation.repair_heap())
         replay_intent(self.relation, pending)
-        self.rtree.reset(self.relation.pref_points())
-        self.pcube.rebuild_all()
+        self.rtree.reset(*_live_points(self.relation))
+        self.pcube.derive_all()
         self.maintenance_stats.bump(reindexes=1)
+        self.wal.commit(pending.op_id)
         return "reindexed"
-
-    def _recover_replay(self, pending: PendingOp) -> str:
-        stored = set(pending.stored_cells)
-        dirty = self.pcube.dirty_cells_for(pending.changes)
-
-        def replayed(cell) -> None:
-            self.wal.log_cell_stored(pending.op_id, cell.cell_id)
-            self.maintenance_stats.bump(replayed_cells=1)
-
-        self.pcube.recompute_cells(
-            sorted(
-                (cell for cell in dirty if cell.cell_id not in stored),
-                key=lambda c: c.cell_id,
-            ),
-            on_cell_stored=replayed,
-        )
-        return "replayed"
 
     def repair_quarantined(self) -> list:
         """Rebuild every quarantined cell under the single-writer protocol.
@@ -318,6 +292,13 @@ class PCubeSystem:
         return report
 
 
+def _live_points(relation: Relation) -> tuple[np.ndarray, np.ndarray]:
+    """The live tids and their preference points: what the R-tree indexes."""
+    columns = relation.columnar()
+    tids = np.flatnonzero(columns.live)
+    return tids, columns.pref[tids]
+
+
 def build_system(
     relation: Relation,
     fanout: int | None = None,
@@ -367,10 +348,8 @@ def build_system(
     timings = BuildTimings()
     started = time.perf_counter()
     if rtree_method == "bulk":
-        columns = relation.columnar()
-        tids = np.flatnonzero(columns.live)
         rtree = bulk_load_columns(
-            tids, columns.pref[tids], max_entries=fanout, disk=disk
+            *_live_points(relation), max_entries=fanout, disk=disk
         )
     elif rtree_method == "insert":
         rtree = RTree(dims=dims, max_entries=fanout, disk=disk)

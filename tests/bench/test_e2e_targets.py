@@ -30,10 +30,13 @@ from benchmarks.e2e.tracing import TARGETS, SpanRecorder
 #: that is not listed reads 0.  Pure functions of the seed.  ``mixed_rw``'s
 #: two write figures were re-recorded when the store's (cell, ref) B+-tree
 #: went (16.25 -> 10.25 and 19.333333 -> 13.333333: its page writes left
-#: every cell rewrite).
+#: every cell rewrite), and the three WAL figures when a journalled write
+#: stopped appending a ``changes`` record and one ``cell`` record per
+#: dirty cell (6.0 -> 2.0 records, 10.25 -> 6.25 disk writes and
+#: 13.333333 -> 9.333333 disk I/O per write: four record pages fewer).
 COUNTED = {
     "mixed_rw": {
-        "system.disk_io_per_write": 13.333333,
+        "system.disk_io_per_write": 9.333333,
         "route.cache_hit_rate": 0.5,
         "route.io_per_miss": 1.625,
         "route.share.signature": 1.0,
@@ -47,7 +50,7 @@ COUNTED = {
         "core.sig_loads_per_read": 0.625,
         "core.cells_rewritten_per_write": 3.0,
         "core.partials_written_per_write": 3.0,
-        "core.wal_records_per_write": 6.0,
+        "core.wal_records_per_write": 2.0,
         "bitmap.compress_calls_per_write": 6.25,
         "rtree.block_reads_per_read": 3.5625,
         "storage.disk_reads_per_read": 0.708333,
@@ -55,7 +58,7 @@ COUNTED = {
         "storage.pool_gets_per_read": 4.1875,
         "storage.disk_reads.SSIG": 0.625,
         "storage.disk_reads.SBLOCK": 0.1875,
-        "storage.disk_writes_per_write": 10.25,
+        "storage.disk_writes_per_write": 6.25,
         "storage.pages_freed_per_write": 3.0,
     },
     "routed_zipf": {

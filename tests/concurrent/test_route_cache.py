@@ -141,7 +141,7 @@ def _mutate(disk, system, rng, crash_rate=0.1):
                 system.insert(*row())
         finally:
             disk.plan = FaultPlan()
-        assert system.recover() in ("reindexed", "replayed")
+        assert system.recover() == "reindexed"
 
 
 def _assert_reconciled(router):

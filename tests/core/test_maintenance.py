@@ -37,6 +37,7 @@ from tests.core.test_store import (
     from_scratch_bytes,
     stored_bytes,
 )
+from tests.integration.test_crash_recovery import copy_of
 from tests.reference import ancestor_sids
 
 
@@ -452,9 +453,9 @@ def run_op_stream(system, rng, n_ops, after_each):
     moved = []  # tuples whose path changed, per op
     real_apply = system.pcube.apply_changes
 
-    def spying_apply(changes, on_cell_stored=None):
+    def spying_apply(changes):
         moved.append(len({change.tid for change in changes}))
-        return real_apply(changes, on_cell_stored)
+        return real_apply(changes)
 
     system.pcube.apply_changes = spying_apply
     try:
@@ -532,7 +533,7 @@ def test_a_write_compresses_no_more_than_its_dirty_sids(monkeypatch):
     budget = 0
     real_apply = system.pcube.apply_changes
 
-    def budgeting_apply(changes, on_cell_stored=None):
+    def budgeting_apply(changes):
         nonlocal budget
         sids: dict = {}
         for change in changes:
@@ -544,7 +545,7 @@ def test_a_write_compresses_no_more_than_its_dirty_sids(monkeypatch):
                             ancestor_sids(path[:-1], fanout)
                         )
         budget = sum(len(cell_sids) for cell_sids in sids.values())
-        return real_apply(changes, on_cell_stored)
+        return real_apply(changes)
 
     monkeypatch.setattr(system.pcube, "apply_changes", budgeting_apply)
     rng = random.Random(3)
@@ -731,8 +732,6 @@ def test_unreadable_old_partial_costs_a_recompress_not_the_write(kind):
 def test_crash_on_the_old_partial_read_is_recoverable():
     disk = FaultyDisk(SimulatedDisk())
     system = system_on(disk)
-    twin = system_on(SimulatedDisk())
-    twin.insert((1, 2), (0.5, 0.5))
     # The second dirty cell's read-back: one cell committed, two did not.
     disk.plan = FaultPlan(
         [FaultRule(kind="crash", op="read", tag="pcube:sig", after=1, count=1)]
@@ -740,17 +739,19 @@ def test_crash_on_the_old_partial_read_is_recoverable():
     with pytest.raises(SimulatedCrash):
         system.insert((1, 2), (0.5, 0.5))
     disk.plan = FaultPlan()
-    assert system.recover() == "replayed"
+    assert system.recover() == "reindexed"
     report = system.verify_consistency()
     assert report.ok, report.problems
+    # Recovery rebuilds what the build builds over the recovered rows.
+    fresh = build_system(copy_of(system.relation), fanout=6)
     for cuboid in system.pcube.cuboids:
         for cell in cuboid.group(system.relation):
-            assert stored_bytes(system.pcube.store, cell) == stored_bytes(twin.pcube.store, cell)
+            assert stored_bytes(system.pcube.store, cell) == stored_bytes(fresh.pcube.store, cell)
 
 
-def test_replay_re_derives_the_unstored_cells_in_one_pass(monkeypatch):
-    """Recovery re-stores every dirty cell without a completion record
-    from one matrix of the tree's paths, however many there are."""
+def test_recovery_derives_every_cell_from_one_path_matrix(monkeypatch):
+    """Recovery re-stores every cell from one matrix of the tree's paths,
+    however many the crash left behind."""
     disk = FaultyDisk(SimulatedDisk())
     system = system_on(disk)
     # The first dirty cell's read-back: no cell committed.
@@ -760,11 +761,6 @@ def test_replay_re_derives_the_unstored_cells_in_one_pass(monkeypatch):
     with pytest.raises(SimulatedCrash):
         system.insert((1, 2), (0.5, 0.5))
     disk.plan = FaultPlan()
-    pending = system.wal.pending()
-    unstored = {
-        cell.cell_id for cell in system.pcube.dirty_cells_for(pending.changes)
-    } - set(pending.stored_cells)
-    assert len(unstored) >= 2
     matrices = []
     real_init = PathColumns.__init__
     monkeypatch.setattr(
@@ -772,9 +768,9 @@ def test_replay_re_derives_the_unstored_cells_in_one_pass(monkeypatch):
         "__init__",
         lambda self, *args: matrices.append(args) or real_init(self, *args),
     )
-    assert system.recover() == "replayed"
+    assert system.recover() == "reindexed"
     assert len(matrices) == 1
-    assert system.maintenance_stats.replayed_cells == len(unstored)
+    assert system.maintenance_stats.reindexes == 1
     report = system.verify_consistency()
     assert report.ok, report.problems
 
@@ -882,7 +878,7 @@ def test_a_faulted_journalled_write_reads_exactly_until_recovery():
         return set(engine.skyline(predicate).tids) == set(truth)
 
     assert exact(system.engine)
-    assert system.recover() == "replayed"
+    assert system.recover() == "reindexed"
     assert not system.pcube.store.quarantined_cells()
     report = system.verify_consistency()
     assert report.ok, report.problems

@@ -176,7 +176,7 @@ def test_repr(system):
 
 
 def test_recompute_cells_derives_cells_of_several_cuboids_in_the_given_order(
-    system,
+    system, monkeypatch
 ):
     """One pass per cuboid, stored in the caller's order: here the cells
     of a pair cuboid interleave with their atomic factors'."""
@@ -193,7 +193,13 @@ def test_recompute_cells_derives_cells_of_several_cuboids_in_the_given_order(
         Cell(("A1", "A2"), (0, 3)),
     ]
     stored = []
-    derived = pcube.recompute_cells(cells, on_cell_stored=stored.append)
+    real_put = pcube.store.put_masks
+    monkeypatch.setattr(
+        pcube.store,
+        "put_masks",
+        lambda cell, masks: stored.append(cell) or real_put(cell, masks),
+    )
+    derived = pcube.recompute_cells(cells)
     assert stored == cells
     for cell, signature in zip(cells, derived):
         assert signature == expected_signature(system, cell)

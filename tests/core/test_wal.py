@@ -15,7 +15,6 @@ from repro.core.wal import (
 )
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.query.stats import MaintenanceStats
-from repro.rtree.rtree import PathChange
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page
 from repro.system import build_system
@@ -32,10 +31,9 @@ def wal(disk):
 
 
 def _run_op(wal, op_id=None, **payload):
-    """One complete journalled operation (begin → changes → commit)."""
+    """One complete journalled operation (begin → commit)."""
     payload = payload or {"base": 0, "rows": []}
     op_id = wal.begin("insert", **payload)
-    wal.log_changes(op_id, [])
     wal.commit(op_id)
     return op_id
 
@@ -56,36 +54,18 @@ def test_begin_journals_a_durable_intent(wal, disk):
     assert pending.op_id == op_id
     assert pending.op == "insert"
     assert pending.payload == {"base": 3, "rows": [(("a",), (0.1, 0.2))]}
-    assert pending.changes is None
-    assert pending.stored_cells == []
     assert len(list(disk.pages("wal:rec"))) == 1
-
-
-def test_full_lifecycle_reconstructs_from_disk(wal):
-    op_id = wal.begin("delete", tid=4)
-    changes = [
-        PathChange(4, (1, 2), None),
-        PathChange(7, (2, 1), (1, 2)),
-        PathChange(9, None, (2, 2)),
-    ]
-    wal.log_changes(op_id, changes)
-    wal.log_cell_stored(op_id, "A=a1")
-    wal.log_cell_stored(op_id, "B=b2")
-    pending = wal.pending()
-    assert pending.changes == changes
-    assert pending.stored_cells == ["A=a1", "B=b2"]
 
 
 def test_commit_retains_the_archive(wal, disk):
     """Commit appends a commit record instead of freeing the op's pages —
     the committed history is the archive point-in-time restore replays."""
     op_id = wal.begin("update", tid=1, pref_row=(0.5, 0.5))
-    wal.log_changes(op_id, [PathChange(1, (1, 1), (2, 1))])
     wal.commit(op_id)
     assert wal.is_empty()
     assert wal.pending() is None
-    # intent + changes + commit, all retained.
-    assert len(list(disk.pages("wal:rec"))) == 3
+    # intent + commit, both retained.
+    assert len(list(disk.pages("wal:rec"))) == 2
     ops, _ = MaintenanceWAL.read_committed(disk)
     assert [op.op for op in ops] == ["update"]
     assert ops[0].payload == {"tid": 1, "pref_row": (0.5, 0.5)}
@@ -100,13 +80,12 @@ def test_begin_refuses_while_an_op_is_pending(wal):
 def test_reopen_resumes_lsn_and_op_counters(disk):
     first = MaintenanceWAL(disk)
     op_id = first.begin("delete", tid=2)
-    first.log_changes(op_id, [PathChange(2, (1,), None)])
     # A "reopened" WAL over the same disk sees the surviving records and
     # must not reuse their ids.
     second = MaintenanceWAL(disk)
     pending = second.pending()
     assert pending.op_id == op_id
-    assert pending.changes == [PathChange(2, (1,), None)]
+    assert pending.payload == {"tid": 2}
     second.commit(pending.op_id)
     assert second.begin("insert", base=0, rows=[]) > op_id
 
@@ -123,21 +102,10 @@ def test_stats_count_records_and_commits(disk):
     stats = MaintenanceStats()
     wal = MaintenanceWAL(disk, stats=stats)
     op_id = wal.begin("insert", base=0, rows=[])
-    wal.log_changes(op_id, [])
-    wal.log_cell_stored(op_id, "A=a1")
     wal.commit(op_id)
-    # intent + changes + cell + commit: the commit record counts too.
-    assert stats.wal_records == 4
+    # intent + commit: the commit record counts too.
+    assert stats.wal_records == 2
     assert stats.wal_commits == 1
-
-
-def test_paths_survive_the_round_trip_as_tuples(wal):
-    op_id = wal.begin("insert", base=0, rows=[])
-    wal.log_changes(op_id, [PathChange(0, None, (1, 2, 3))])
-    change = wal.pending().changes[0]
-    assert change.old_path is None
-    assert change.new_path == (1, 2, 3)
-    assert isinstance(change.new_path, tuple)
 
 
 # --------------------------------------------------------------------- #
@@ -252,8 +220,6 @@ def _assert_crc_is_of_content(page):
 def test_every_record_kind_has_a_crc_of_its_content():
     kinds = _every_record_kind()
     assert sorted(kinds) == [
-        "cell",
-        "changes",
         "commit",
         "intent:delete",
         "intent:insert",
@@ -332,7 +298,6 @@ def test_rotation_seals_segments_at_commit_boundaries(disk):
     wal = MaintenanceWAL(disk, segment_bytes=1)  # every commit rotates
     for tid in range(3):
         op_id = wal.begin("delete", tid=tid)
-        wal.log_changes(op_id, [PathChange(tid, (1,), None)])
         wal.commit(op_id)
     catalog = wal.segments()
     sealed = [info for info in catalog if info.sealed]
@@ -342,7 +307,7 @@ def test_rotation_seals_segments_at_commit_boundaries(disk):
     assert [info.segment for info in sealed] == [0, 1, 2]
     for earlier, later in zip(sealed, sealed[1:]):
         assert later.first_lsn == earlier.last_lsn + 1
-    assert all(info.records == 3 for info in sealed)
+    assert all(info.records == 2 for info in sealed)
     assert wal.stats.wal_segments_sealed == 3
 
 
@@ -368,15 +333,14 @@ def test_a_seal_visits_only_its_own_segment():
     wal = MaintenanceWAL(disk, segment_bytes=1)  # every commit seals
     for tid in range(3):
         op_id = wal.begin("delete", tid=tid)
-        wal.log_changes(op_id, [PathChange(tid, (1,), None)])
         disk.visited = 0
         wal.commit(op_id)
-        # The intent, changes and commit records of the segment, nothing else.
-        assert disk.visited == 3
+        # The intent and commit records of the segment, nothing else.
+        assert disk.visited == 2
     assert wal.stats.wal_segments_sealed == 3
     # Reopening scans every record and reads back the same catalog.
     assert MaintenanceWAL(disk, segment_bytes=1).segments() == wal.segments()
-    assert [info.records for info in wal.segments()] == [3, 3, 3]
+    assert [info.records for info in wal.segments()] == [2, 2, 2]
 
 
 def test_reopen_resumes_the_active_segment(disk):

@@ -18,9 +18,11 @@ from collections import Counter
 
 import pytest
 
+from repro.cube.relation import Relation
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.data.workload import sample_linear_function, sample_predicate
 from repro.query.predicates import BooleanPredicate
+from repro.rtree.rtree import RTree
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import (
     FaultPlan,
@@ -166,7 +168,7 @@ def test_crash_sweep_recovers_every_point(kind, crash_free, crash_points):
             disk.plan = FaultPlan()
 
             outcome = system.recover()
-            assert outcome in ("clean", "replayed", "reindexed")
+            assert outcome in ("clean", "reindexed")
             report = system.verify_consistency()
             assert report.ok, (op, tag, k, outcome, report.problems)
             if outcome == "clean":
@@ -247,11 +249,10 @@ def test_recovery_counters_reported(crash_free):
     with pytest.raises(SimulatedCrash):
         run_delete(system)
     disk.plan = FaultPlan()
-    assert system.recover() == "replayed"
+    assert system.recover() == "reindexed"
     snapshot = system.maintenance_stats.snapshot()
     assert snapshot["recoveries"] == 1
-    assert snapshot["replayed_cells"] >= 1
-    assert snapshot["reindexes"] == 0
+    assert snapshot["reindexes"] == 1
     assert system.verify_consistency().ok
 
 
@@ -276,7 +277,7 @@ def make_multi_partial_system():
     return disk, system
 
 
-def test_crash_between_two_partials_of_a_delete_is_replayed():
+def test_crash_between_two_partials_of_a_delete_recovers():
     # A rule that never fires counts the delete's signature-page
     # allocations on a crash-free run, whose answers are the reference.
     disk, system = make_multi_partial_system()
@@ -305,7 +306,7 @@ def test_crash_between_two_partials_of_a_delete_is_replayed():
     disk.plan = FaultPlan()
     assert system.pcube.store.orphan_pages()  # the torn generation
 
-    assert system.recover() == "replayed"
+    assert system.recover() == "reindexed"
     report = system.verify_consistency()
     assert report.ok, report.problems
     assert fingerprint(system) == crash_free
@@ -338,3 +339,112 @@ def test_crash_inside_repair_quarantined_leaves_no_orphan_page():
     assert fingerprint(system) == before
     assert system.repair_quarantined() == [cell]
     assert system.verify_consistency().ok
+
+
+# --------------------------------------------------------------------- #
+# a recovered system is a fresh build
+# --------------------------------------------------------------------- #
+
+#: Large enough that an STR-packed tree and one grown by inserts differ in
+#: shape (and in pages per read), so a recovery that rebuilds the tree any
+#: other way than the build does shows here.
+FRESH_BUILD = dict(
+    n_tuples=2000, n_boolean=2, cardinality=10, n_preference=2, seed=21
+)
+
+
+def copy_of(relation):
+    """The relation's rows and tombstones, on a disk of their own."""
+    tids = range(len(relation))
+    copy = Relation(
+        relation.schema,
+        [relation.bool_row(tid) for tid in tids],
+        [relation.pref_point(tid) for tid in tids],
+        disk=SimulatedDisk(),
+    )
+    for tid in tids:
+        if not relation.is_live(tid):
+            copy.tombstone(tid)
+    return copy
+
+
+def pages_per_read(system):
+    """Counted pages of a fixed mix of skylines and top-10s."""
+    rng = random.Random(5)
+    fn = sample_linear_function(system.relation.schema.n_preference, rng)
+    pages = []
+    for _ in range(10):
+        predicate = sample_predicate(system.relation, 1, rng)
+        engine = system.engine
+        for result in (engine.skyline(predicate), engine.topk(fn, 10, predicate)):
+            pages.append((result.tids, result.stats.total_io()))
+    return pages
+
+
+@pytest.mark.parametrize(
+    "op, tag", [("write", "rtree"), ("allocate", "pcube:sig")]
+)
+def test_a_recovered_system_is_a_fresh_build(op, tag, monkeypatch):
+    """Recovery rebuilds the tree and the cells by the build's own
+    loaders: no tuple is re-inserted, and paths, stored bits and pages per
+    read are those of ``build_system`` over the same rows."""
+    disk = FaultyDisk(SimulatedDisk())
+    relation = generate_relation(SyntheticConfig(**FRESH_BUILD), disk=disk)
+    system = build_system(relation, fanout=16)
+    system.delete(3)
+    disk.plan = FaultPlan([FaultRule(kind="crash", op=op, tag=tag, count=1)])
+    with pytest.raises(SimulatedCrash):
+        system.insert(relation.bool_row(0), (0.42, 0.17))
+    disk.plan = FaultPlan()
+
+    inserts = []
+    real_insert = RTree.insert
+    monkeypatch.setattr(
+        RTree,
+        "insert",
+        lambda tree, *args: inserts.append(args) or real_insert(tree, *args),
+    )
+    assert system.recover() == "reindexed"
+    assert inserts == []
+    monkeypatch.undo()
+    assert system.verify_consistency().ok
+
+    fresh = build_system(copy_of(system.relation), fanout=16)
+    assert system.rtree.all_paths() == fresh.rtree.all_paths()
+    assert system.rtree.node_count() == fresh.rtree.node_count()
+    # A cell whose members are all tombstoned is absent, as in the build.
+    assert system.pcube.store.cells() == fresh.pcube.store.cells()
+    for cuboid in system.pcube.cuboids:
+        for cell in cuboid.group(system.relation):
+            assert system.pcube.signature_of(cell) == fresh.pcube.signature_of(
+                cell
+            ), cell
+    assert pages_per_read(system) == pages_per_read(fresh)
+
+
+def test_a_cell_emptied_by_the_interrupted_write_is_absent_after_recovery():
+    """The delete that empties a cell crashes in its store phase: recovery
+    leaves the cell absent (a fresh build stores no cell without a live
+    member), never holding its stale bits."""
+    disk, system = make_system()
+    (cell,) = BooleanPredicate({"A1": 0}).atomic_cells()
+    *first, last = [
+        tid for tid in system.relation.live_tids()
+        if cell.matches(system.relation, tid)
+    ]
+    for tid in first:
+        system.delete(tid)
+    disk.plan = FaultPlan(
+        [FaultRule(kind="crash", op="allocate", tag="pcube:sig", count=1)]
+    )
+    with pytest.raises(SimulatedCrash):
+        system.delete(last)
+    disk.plan = FaultPlan()
+    assert cell.cell_id in system.pcube.store.cells()
+
+    assert system.recover() == "reindexed"
+    assert cell.cell_id not in system.pcube.store.cells()
+    assert not system.relation.is_live(last)
+    report = system.verify_consistency()
+    assert report.ok, report.problems
+    assert system.engine.skyline(BooleanPredicate({"A1": 0})).tids == []

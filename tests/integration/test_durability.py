@@ -129,7 +129,7 @@ def test_crash_sweep_wal_rotation():
     disk, probe = make_system(wal_segment_bytes=1)
     counts = count_accesses(lambda: op(probe), disk, [("allocate", "wal")])
     n_points = counts[("allocate", "wal")]
-    assert n_points >= 4  # intent, changes, commit, seal at least
+    assert n_points >= 3  # intent, commit, seal at least
 
     for k in range(n_points):
         disk, system = make_system(wal_segment_bytes=1)
@@ -144,7 +144,7 @@ def test_crash_sweep_wal_rotation():
             op(system)
         disk.plan = FaultPlan()
         outcome = system.recover()
-        assert outcome in ("clean", "replayed", "reindexed")
+        assert outcome in ("clean", "reindexed")
         assert system.verify_consistency().ok, (k, outcome)
         if outcome == "clean":
             op(system)
@@ -229,7 +229,7 @@ def test_torn_wal_tail_is_truncated_by_default():
     torn.payload["garbage"] = b"\xff\xff"
 
     outcome = system.recover()
-    assert outcome in ("replayed", "reindexed")
+    assert outcome == "reindexed"
     assert system.maintenance_stats.wal_tail_truncated >= 1
     assert system.verify_consistency().ok
 

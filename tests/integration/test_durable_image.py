@@ -10,10 +10,10 @@ record's content), plus the counted reads and metrics of
 newest checkpoint.
 
 Two runs are pinned: the default scenario of ``python -m repro.backup``
-(four checkpoints, nine sealed segments) and the audit workload crashed at
-its 201st WAL record append, past three segment seals, and recovered
+(four checkpoints, eight sealed segments) and the audit workload crashed at
+its 60th WAL record append, past three segment seals, and recovered
 (``python -m repro.audit --crash-op allocate --crash-tag wal:rec
---crash-after 200``).  The literals were recorded before the write side
+--crash-after 59``).  The literals were recorded before the write side
 was folded into one journal protocol, and re-recorded when the store's
 (cell, ref) B+-tree went: its pages no longer take page ids, so later ids
 and the checkpoint manifests' ``row_pages`` shifted, while every row's
@@ -34,8 +34,16 @@ digests were re-recorded when the record CRC began to cover the C JSON
 encoder's canonical text (sorted keys, compact separators) in place of a
 text rendered in Python: every row's CRC moved and nothing else did — each
 page's id, tag and size, each record's content (compared field by field
-with the CRC left out) and all four metric lists stayed.  A change that
-means to move the image re-records them and says why.
+with the CRC left out) and all four metric lists stayed.  Both were
+re-recorded when a journalled write stopped appending ``changes`` and
+``cell`` records (an operation is its intent and its commit): the backup
+scenario's 24 operations write 48 records where they wrote 246, so ids,
+the seal count (9 → 8) and the metric lists moved.  The crash moved from
+the 201st append to the 60th: the workload now makes only 60, and the
+60th is the last operation's commit — a commit append is the one WAL
+crash that leaves an operation pending (a crash on an intent means the
+operation never happened), so recovery still has work to redo.  A change
+that means to move the image re-records them and says why.
 """
 
 from __future__ import annotations
@@ -65,19 +73,19 @@ FANOUT = 6
 #: metrics over the archive, the same behind the newest checkpoint).
 IMAGES = {
     "backup": (
-        "322e49b01c738dc6",
-        267,
-        [("damaged_ignored", 0), ("record_reads", 246), ("seal_reads", 9),
-         ("segments_scanned", 9), ("segments_skipped", 0)],
-        [("damaged_ignored", 0), ("record_reads", 0), ("seal_reads", 9),
-         ("segments_scanned", 0), ("segments_skipped", 9)],
+        "42bd081e7b90c127",
+        68,
+        [("damaged_ignored", 0), ("record_reads", 48), ("seal_reads", 8),
+         ("segments_scanned", 8), ("segments_skipped", 0)],
+        [("damaged_ignored", 0), ("record_reads", 0), ("seal_reads", 8),
+         ("segments_scanned", 0), ("segments_skipped", 8)],
     ),
     "crash_wal_rec": (
-        "cc2be482ec238133",
-        225,
-        [("damaged_ignored", 0), ("record_reads", 222), ("seal_reads", 3),
+        "f17554b5bc89d62c",
+        64,
+        [("damaged_ignored", 0), ("record_reads", 60), ("seal_reads", 4),
          ("segments_scanned", 4), ("segments_skipped", 0)],
-        [("damaged_ignored", 0), ("record_reads", 222), ("seal_reads", 3),
+        [("damaged_ignored", 0), ("record_reads", 60), ("seal_reads", 4),
          ("segments_scanned", 4), ("segments_skipped", 0)],
     ),
 }
@@ -115,13 +123,13 @@ def crash_image() -> tuple:
     disk = FaultyDisk(SimulatedDisk())
     system = build_scenario_system(TUPLES, SEED, fanout=FANOUT, disk=disk)
     disk.plan = FaultPlan(
-        [FaultRule(kind="crash", op="allocate", tag="wal:rec", after=200)]
+        [FaultRule(kind="crash", op="allocate", tag="wal:rec", after=59)]
     )
     with pytest.raises(SimulatedCrash):
         for op in maintenance_ops(system.relation, random.Random(SEED), 30):
             apply_op(system, op)
     disk.plan = FaultPlan()
-    assert system.recover() == "replayed"
+    assert system.recover() == "reindexed"
     assert system.verify_consistency().ok
     return image(disk)
 
