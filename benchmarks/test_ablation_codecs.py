@@ -15,25 +15,24 @@ from repro.cube.cuboid import Cell
 
 @pytest.fixture(scope="module")
 def node_population(bench_context):
-    """Every node bit array of every cell signature at the smallest size."""
+    """Every node of every cell signature at the smallest size, as
+    ``(nbits, mask)``."""
     system = bench_context.system(SWEEP_SIZES[0])
     nodes = []
     for cell_id in system.pcube.store.cells():
         dim, value = cell_id.split("=")
         cell = Cell((dim,), (int(value),))
         signature = system.pcube.signature_of(cell)
-        nodes.extend(
-            signature.node(sid) for sid in signature.node_sids()
-        )
+        nodes.extend((signature.fanout, mask) for mask in signature.masks().values())
     return nodes
 
 
 def test_ablation_codec_sizes(node_population):
-    raw_bytes = sum(len(bits.to_bytes()) for bits in node_population)
+    raw_bytes = sum((nbits + 7) // 8 for nbits, _ in node_population)
     rows = []
     sizes = {}
     for codec in sorted(CODECS) + ["adaptive"]:
-        total = sum(len(compress(bits, codec)) for bits in node_population)
+        total = sum(len(compress(*node, codec)) for node in node_population)
         sizes[codec] = total
         rows.append(
             [

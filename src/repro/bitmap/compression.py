@@ -1,9 +1,10 @@
 """Bitmap compression codecs.
 
 The paper compresses the bit array of *each signature node individually*
-and cites classic bitmap compression literature [17], [18].  We provide three
-lossless codecs plus an adaptive wrapper that picks the smallest encoding per
-node (the paper's reason (2): heterogeneous nodes want different schemes):
+and cites classic bitmap compression literature [17], [18].  A node is its
+mask, an ``int`` of a stated width (``nbits``).  We provide three lossless
+codecs plus an adaptive wrapper that picks the smallest encoding per node
+(the paper's reason (2): heterogeneous nodes want different schemes):
 
 ``raw``
     The packed bits, verbatim.  Never worse than ``8/7`` of optimal for
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.bitmap.bitarray import BitArray, mask_positions, run_ends, run_lengths
+from repro.bitmap.bitarray import mask_positions, run_ends, run_lengths
 
 
 class CodecError(ValueError):
@@ -204,8 +205,9 @@ _BODY_LEN = {
 _MEMO_ENTRIES = 1 << 15
 
 
-def compress(bits: BitArray, codec: str = "adaptive") -> bytes:
-    """Compress a bit array into a self-describing blob.
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def compress(nbits: int, mask: int, codec: str = "adaptive") -> bytes:
+    """Compress an ``nbits``-wide node mask into a self-describing blob.
 
     ``codec="adaptive"`` keeps the smallest of the three encodings — the
     per-node adaptive choice the paper argues for — and, on a tie, the
@@ -213,20 +215,10 @@ def compress(bits: BitArray, codec: str = "adaptive") -> bytes:
     spends the same bytes on the codec id and the width, so the smallest
     body, computed from the mask, is the smallest blob.
 
-    The blob is a pure function of ``(nbits, mask, codec)`` and memoised
-    on it (:func:`compress_mask`).
-    """
-    return compress_mask(bits.nbits, bits.mask, codec)
-
-
-@lru_cache(maxsize=_MEMO_ENTRIES)
-def compress_mask(nbits: int, mask: int, codec: str) -> bytes:
-    """:func:`compress` of the bit array ``BitArray(nbits, mask)``, with no
-    bit array to build: the build's entry, which holds its nodes as masks.
-
-    Memoised on its three arguments — pass them positionally, so one
-    value is one key: nine in ten node bit arrays of a build repeat an
-    earlier one (EXPERIMENTS.md, Assumptions row 25).
+    The blob is a pure function of the three arguments and memoised on
+    them — pass them positionally, so one value is one key: nine in ten
+    node masks of a build repeat an earlier one (EXPERIMENTS.md,
+    Assumptions row 25).
     """
     if mask < 0 or mask >> nbits:
         raise ValueError(f"mask does not fit a width of {nbits}")
@@ -242,24 +234,17 @@ def compress_mask(nbits: int, mask: int, codec: str) -> bytes:
     return bytes(frame)
 
 
-def decompress(blob: bytes) -> BitArray:
-    """Invert :func:`compress` for any codec.
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def decompress(blob: bytes) -> tuple[int, int]:
+    """Invert :func:`compress` for any codec: ``blob -> (nbits, mask)``,
+    every field validated.
 
     The decode is a pure function of the blob and memoised on it, the
     mirror of :func:`compress`: queries test the same node values over and
     over, across cells, SIDs and queries (EXPERIMENTS.md, Assumptions row
-    31).  Each call still returns a fresh :class:`BitArray` — callers may
-    mutate it — and a malformed blob raises its :class:`CodecError` on
-    every call.  Any bytes-like object is accepted and keyed by its bytes.
+    31).  A malformed blob raises its :class:`CodecError` on every call;
+    the blob is the memo's key, so it must be hashable (``bytes``).
     """
-    if type(blob) is not bytes:
-        blob = bytes(memoryview(blob))
-    return BitArray.trusted(*_decode(blob))
-
-
-@lru_cache(maxsize=_MEMO_ENTRIES)
-def _decode(blob: bytes) -> tuple[int, int]:
-    """``blob -> (nbits, mask)``, every field validated."""
     if not blob:
         raise CodecError("empty blob")
     try:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.bitmap.bitarray import mask_positions
 from repro.bitmap.bloom import BloomFilter
 from repro.core.signature import Signature
 from repro.core.sid import child_sid, sid_of_path
@@ -43,8 +44,8 @@ class BloomSignature:
         """Build the filter from every set bit of ``signature``."""
         sids = [
             child_sid(node_sid, position + 1, signature.fanout)
-            for node_sid in signature.node_sids()
-            for position in signature.node(node_sid).positions()  # type: ignore[union-attr]
+            for node_sid, mask in signature.masks().items()
+            for position in mask_positions(mask)
         ]
         bloom = BloomFilter.for_items(sids, fp_rate=fp_rate)
         return cls(bloom, signature.fanout, empty=not sids)

@@ -34,9 +34,10 @@ disk: relation from the checkpoint image, committed operations with
 R-tree and signatures rebuilt deterministically via
 :func:`~repro.system.build_system` with the manifest's recorded
 configuration (fanout, codec and page size).  Operations uncommitted at
-the crash (or past ``--to-lsn``) never happened — exactly the
-committed-prefix contract :meth:`~repro.system.PCubeSystem.recover`
-provides in place.
+the crash (or past ``--to-lsn``) never happened: restore keeps the
+committed prefix.  :meth:`~repro.system.PCubeSystem.recover` keeps more —
+in place, it rolls a pending operation's intent forward — so the two
+differ by exactly that operation (DESIGN.md §11).
 """
 
 from __future__ import annotations

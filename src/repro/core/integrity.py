@@ -10,7 +10,7 @@ walks a pinned epoch snapshot while maintenance and queries keep running.  This 
 both callers, duck-typed against whichever surface provides them:
 
 * a relation-like (``Relation`` or ``RelationView``): ``schema``,
-  ``tids()``, ``live_tids()``, ``bool_row()``;
+  ``live_tids()``, ``bool_row()``;
 * an R-tree path map (``RTree.all_paths()`` or
   ``FrozenRTree.all_paths()``): tid → root-based path;
 * a signature loader (``PCube.signature_of`` live, or
@@ -102,16 +102,15 @@ def iter_cell_checks(
     fanout: int,
     load_signature: Callable[[Cell], Signature],
 ) -> Iterator[tuple[Cell, list[str]]]:
-    """Yield ``(cell, problems)`` for every cell of every cuboid, in
-    deterministic order — the scrubber's throttle-friendly audit surface.
-
-    Grouping includes tombstoned rows (``include_tombstoned=True``): the
-    audit must see cells whose last live member was deleted, because their
-    stored signature must have gone empty, not stale.
+    """Yield ``(cell, problems)`` for every cell with a live member, of
+    every cuboid, in deterministic order — the scrubber's throttle-friendly
+    audit surface.  A stored cell with no live member is not checked here:
+    :func:`expected_cell_ids` leaves it out, so the store-side check
+    reports it.
     """
     live = {tid for tid in relation.live_tids()}
     for cuboid in cuboids:
-        groups = cuboid.group(relation, include_tombstoned=True)
+        groups = cuboid.group(relation)
         for cell in sorted(groups, key=lambda c: c.cell_id):
             yield cell, check_cell(
                 cell, groups[cell], paths, live, fanout, load_signature
@@ -121,14 +120,11 @@ def iter_cell_checks(
 def expected_cell_ids(
     relation: Any, cuboids: Iterable[Cuboid]
 ) -> set[str]:
-    """Every cell id the cuboids' group-bys can produce (tombstones
-    included) — the universe the store may legitimately hold."""
+    """Every cell id of a cell with a live member — the cells the store
+    holds, as a build over the live rows stores them."""
     ids: set[str] = set()
     for cuboid in cuboids:
-        ids.update(
-            cell.cell_id
-            for cell in cuboid.group(relation, include_tombstoned=True)
-        )
+        ids.update(cell.cell_id for cell in cuboid.group(relation))
     return ids
 
 

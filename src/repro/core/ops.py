@@ -28,10 +28,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.bitmap.bitarray import BitArray
+from repro.bitmap.bitarray import mask_positions
 from repro.core.signature import Signature
 from repro.core.sid import child_sid
-from repro.kernels.sigops import or_masks
 
 
 def union(first: Signature, second: Signature) -> Signature:
@@ -40,27 +39,17 @@ def union(first: Signature, second: Signature) -> Signature:
 
 
 def union_all(signatures: Sequence[Signature]) -> Signature:
-    """Union of one or more signatures.
-
-    Gathers each node's masks across all inputs and ORs them in one
-    word-parallel reduction per SID, instead of materialising k − 1
-    intermediate signatures.
-    """
+    """Union of one or more signatures: each node's masks ORed across all
+    inputs, with no intermediate signature."""
     if not signatures:
         raise ValueError("union_all of an empty sequence")
     for signature in signatures[1:]:
         _check_compatible(signatures[0], signature)
-    fanout = signatures[0].fanout
-    by_sid: dict[int, list[int]] = {}
+    masks: dict[int, int] = {}
     for signature in signatures:
-        for sid in signature.node_sids():
-            bits = signature.node(sid)
-            assert bits is not None
-            by_sid.setdefault(sid, []).append(bits.mask)
-    result = Signature(fanout)
-    for sid, masks in by_sid.items():
-        result.set_node(sid, BitArray(fanout, or_masks(masks, fanout)))
-    return result
+        for sid, mask in signature.masks().items():
+            masks[sid] = masks.get(sid, 0) | mask
+    return Signature.from_masks(signatures[0].fanout, masks)
 
 
 def intersect(first: Signature, second: Signature) -> Signature:
@@ -80,28 +69,21 @@ def _intersect_node(
     first: Signature, second: Signature, sid: int, result: Signature
 ) -> bool:
     """Intersect the subtree at ``sid``; return whether it is non-empty."""
-    bits_a = first.node(sid)
-    bits_b = second.node(sid)
-    if bits_a is None or bits_b is None:
-        return False
-    both = bits_a & bits_b
-    if not both.any():
-        return False
-    kept = BitArray(first.fanout)
-    for position in both.positions():
-        component = position + 1
-        child = child_sid(sid, component, first.fanout)
-        if first.node(child) is None and second.node(child) is None:
+    both = first.node(sid) & second.node(sid)
+    kept = 0
+    for position in mask_positions(both):
+        child = child_sid(sid, position + 1, first.fanout)
+        if not first.node(child) and not second.node(child):
             # Both signatures bottom out here: the bit denotes the same
             # leaf slot, i.e. the same tuple — exact, keep it.
-            kept.set(position)
+            kept |= 1 << position
         elif _intersect_node(first, second, child, result):
             # Both have the subtree.  (One side has a subtree, the other a
             # leaf slot: the signatures disagree about the tree shape, which
             # cannot happen over one template; the recursion finds the
             # missing node and treats it as empty.)
-            kept.set(position)
-    if not kept.any():
+            kept |= 1 << position
+    if not kept:
         return False
     result.set_node(sid, kept)
     return True

@@ -44,8 +44,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
-from repro.bitmap.bitarray import BitArray
-from repro.bitmap.compression import compress, compress_mask, decompress
+from repro.bitmap.compression import compress, decompress
 from repro.core.signature import Signature, move_paths, path_sids
 
 #: Fixed overhead per partial signature (cell reference, root SID, count).
@@ -104,9 +103,11 @@ class PartialSignature:
                 + sum(map(len, blobs.values())),
             )
 
-    def decode(self) -> dict[int, BitArray]:
-        """Decompress every node in this partial."""
-        return {sid: decompress(blob) for sid, blob in self.blobs.items()}
+    def decode(self) -> dict[int, int]:
+        """Decompress every node in this partial (SID -> mask).  No product
+        path calls it (``load_full_signature`` decodes each blob itself, to
+        check its width); the frozen e2e recorder names it."""
+        return {sid: decompress(blob)[1] for sid, blob in self.blobs.items()}
 
     @cached_property
     def page_checksum(self) -> int:
@@ -137,11 +138,8 @@ def compress_masks(
     masks: Mapping[int, int], fanout: int, codec: str = "adaptive"
 ) -> dict[int, bytes]:
     """The blob of every non-empty node among ``masks`` (SID -> mask of
-    width ``fanout``): one memoised :func:`compress_mask` per node, and no
-    bit array built."""
-    return {
-        sid: compress_mask(fanout, mask, codec) for sid, mask in masks.items() if mask
-    }
+    width ``fanout``): one memoised :func:`compress` per node."""
+    return {sid: compress(fanout, mask, codec) for sid, mask in masks.items() if mask}
 
 
 def edit_blobs(
@@ -156,11 +154,11 @@ def edit_blobs(
     :func:`~repro.core.signature.move_paths` them, and compress only those
     again — a node whose array emptied leaves."""
     sids = {sid for path in chain(removed, added) for sid in path_sids(path, fanout)}
-    masks = {sid: decompress(blobs[sid]).mask if sid in blobs else 0 for sid in sids}
+    masks = {sid: decompress(blobs[sid])[1] if sid in blobs else 0 for sid in sids}
     move_paths(masks, removed, added, fanout)
     for sid, mask in masks.items():
         if mask:
-            blobs[sid] = compress(BitArray.trusted(fanout, mask), codec)
+            blobs[sid] = compress(fanout, mask, codec)
         else:
             blobs.pop(sid, None)
 
@@ -190,21 +188,19 @@ def pack(
     """Pack one cell's compressed nodes (SID -> blob) into partials.
 
     Returns partials in creation order; the first is always referenced by
-    the root SID 0 (the one loaded unconditionally at query start).  The
-    build and the maintenance rewrite both end here, so a cell's pages
-    depend only on its blobs, never on how they were come by.  A cell
-    whose blobs fit one page is that page in one pass, with no walk per
-    seed or per node.
+    the root SID 0 (the one loaded unconditionally at query start).  No
+    blob, no partial: an empty cell is not stored.  The build and the
+    maintenance rewrite both end here, so a cell's pages depend only on
+    its blobs, never on how they were come by.  A cell whose blobs fit one
+    page is that page in one pass, with no walk per seed or per node.
     """
-    if not compressed:
-        return [PartialSignature(ref_sid=0, blobs={})]
     order = sorted(compressed)
     total = (
         _PART_HEADER_BYTES
         + _NODE_OVERHEAD_BYTES * len(order)
         + sum(map(len, compressed.values()))
     )
-    if total <= page_size and order[0] == 0:
+    if total <= page_size and order[:1] == [0]:
         # The root's subtree is every node and the page holds them all: the
         # walk below would make exactly this one partial, in SID order.
         return [PartialSignature(ref_sid=0, blobs=compressed, size_bytes=total)]

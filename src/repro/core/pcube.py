@@ -363,10 +363,10 @@ class PCube:
         first-appearance order, so the pages are a function of the relation
         and the tree alone.  The masks go straight to the store's blobs; no
         node becomes an object.  A cell whose members are all tombstoned is
-        left absent, as a fresh build over the same rows leaves it (an
-        incremental delete keeps it, empty).  The paper's recursive sort
-        (Fig. 2b, kept in the tests' reference module) is the oracle tier-1
-        holds every stored cell against, not a second pass here.
+        left absent, as the incremental delete of its last member leaves
+        it.  The paper's recursive sort (Fig. 2b, kept in the tests'
+        reference module) is the oracle tier-1 holds every stored cell
+        against, not a second pass here.
         """
         self.store.clear()
         paths = PathColumns(self.rtree.all_paths(), self.fanout)

@@ -99,8 +99,7 @@ class SignatureAdapter:
     def resident_mask(self, sid: int) -> int:
         """The node ``sid``'s mask (0 where the signature has none): every
         node of an in-memory signature is resident."""
-        bits = self.signature.node(sid)
-        return bits.mask if bits is not None else 0
+        return self.signature.node(sid)
 
     def check_path(self, path) -> bool:
         return self.signature.check_path(path)
@@ -256,7 +255,7 @@ class CellSignatureReader:
             blob = self._blobs.get(sid)
             if blob is None:
                 return None
-            mask = self._nodes[sid] = decompress(blob).mask
+            mask = self._nodes[sid] = decompress(blob)[1]
         return mask
 
     # ------------------------------------------------------------------ #

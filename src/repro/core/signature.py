@@ -1,25 +1,23 @@
 """The signature tree of one cube cell.
 
 A signature mirrors the R-tree topology: for every tree node it stores a bit
-array over that node's ``M`` slots, where bit ``p`` is 1 iff the subtree (or
-leaf slot) at child position ``p + 1`` contains at least one tuple of the
-cell.  Nodes are addressed by SID; only nodes with at least one set bit are
-represented (a missing node means "all zeroes"), which is what makes the
-measure so much smaller than a per-cell index.
+array over that node's ``M`` slots — an ``int`` mask — where bit ``p`` is 1
+iff the subtree (or leaf slot) at child position ``p + 1`` contains at least
+one tuple of the cell.  Nodes are addressed by SID; only nodes with at least
+one set bit are represented (a missing node means "all zeroes"), which is
+what makes the measure so much smaller than a per-cell index.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
-
-from repro.bitmap.bitarray import BitArray
+from typing import Iterable, Mapping, Sequence
 
 
 class Signature:
-    """A sparse map from node SIDs to child bit arrays.
+    """A sparse map from node SIDs to child masks.
 
     Args:
-        fanout: The R-tree node capacity ``M``; every bit array has width M.
+        fanout: The R-tree node capacity ``M``; every mask has width M.
     """
 
     __slots__ = ("fanout", "_nodes")
@@ -28,7 +26,7 @@ class Signature:
         if fanout < 2:
             raise ValueError("fanout must be at least 2")
         self.fanout = fanout
-        self._nodes: dict[int, BitArray] = {}
+        self._nodes: dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # construction
@@ -54,9 +52,7 @@ class Signature:
         """A signature from its nodes' masks (SID -> mask of width
         ``fanout``, trusted); a zero mask is an absent node."""
         signature = cls(fanout)
-        signature._nodes = {
-            sid: BitArray.trusted(fanout, mask) for sid, mask in masks.items() if mask
-        }
+        signature._nodes = {sid: mask for sid, mask in masks.items() if mask}
         return signature
 
     def add_path(self, path: Sequence[int]) -> None:
@@ -70,28 +66,20 @@ class Signature:
                 raise ValueError(
                     f"path component {component} outside [1, {self.fanout}]"
                 )
-            bits = self._nodes.get(sid)
-            if bits is None:
-                bits = BitArray(self.fanout)
-                self._nodes[sid] = bits
-            bits.set(component - 1)
+            self._nodes[sid] = self._nodes.get(sid, 0) | 1 << component - 1
             sid = sid * base + component
 
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
 
-    def node(self, sid: int) -> BitArray | None:
-        """The bit array of node ``sid`` (``None`` = all zeroes)."""
-        return self._nodes.get(sid)
-
-    def node_sids(self) -> Iterator[int]:
-        """SIDs of all represented (non-empty) nodes."""
-        return iter(self._nodes)
+    def node(self, sid: int) -> int:
+        """The mask of node ``sid`` (``0`` for a node it does not hold)."""
+        return self._nodes.get(sid, 0)
 
     def masks(self) -> dict[int, int]:
         """Every represented node's mask (SID -> mask of width ``fanout``)."""
-        return {sid: bits.mask for sid, bits in self._nodes.items()}
+        return dict(self._nodes)
 
     def check_path(self, path: Sequence[int]) -> bool:
         """Whether every bit along ``path`` is set.
@@ -103,8 +91,7 @@ class Signature:
         base = self.fanout + 1
         sid = 0
         for component in path:
-            bits = self._nodes.get(sid)
-            if bits is None or not bits.get(component - 1):
+            if not self._nodes.get(sid, 0) >> component - 1 & 1:
                 return False
             sid = sid * base + component
         return True
@@ -113,14 +100,13 @@ class Signature:
     # mutation support used by maintenance and ops
     # ------------------------------------------------------------------ #
 
-    def set_node(self, sid: int, bits: BitArray) -> None:
-        """Install a node's bit array; an all-zero array removes the node."""
-        if bits.nbits != self.fanout:
-            raise ValueError(
-                f"bit array has {bits.nbits} bits, fanout is {self.fanout}"
-            )
-        if bits.any():
-            self._nodes[sid] = bits
+    def set_node(self, sid: int, mask: int) -> None:
+        """Install a node's mask; a zero mask removes the node.  A mask
+        wider than the fanout is refused."""
+        if mask < 0 or mask >> self.fanout:
+            raise ValueError(f"mask does not fit the fanout {self.fanout}")
+        if mask:
+            self._nodes[sid] = mask
         else:
             self._nodes.pop(sid, None)
 

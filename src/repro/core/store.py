@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Mapping, Sequence
 
+from repro.bitmap.compression import decompress
 from repro.core.partial import PartialSignature, compress_masks, edit_blobs, pack
 from repro.core.readers import BooleanFallback, CellSignatureReader
 from repro.core.signature import Signature
@@ -126,15 +127,22 @@ class _DirectoryReads:
         pool: BufferPool | None = None,
         stats: QueryStats | None = None,
     ) -> Signature:
-        """Load and reassemble every partial of a cell (counted)."""
+        """Load and reassemble every partial of a cell (counted).  A node
+        decoded at a width other than the fanout raises ``ValueError``."""
         signature = Signature(self.fanout)
         refs = self._directory.get(cell.cell_id, {})
         for ref_sid in sorted(refs):
             partial = self.load_partial(cell, ref_sid, pool, stats)
             if partial is None:
                 raise MissingPartialError(cell.cell_id, ref_sid)
-            for sid, bits in partial.decode().items():
-                signature.set_node(sid, bits)
+            for sid, blob in partial.blobs.items():
+                nbits, mask = decompress(blob)
+                if nbits != self.fanout:
+                    raise ValueError(
+                        f"cell {cell.cell_id!r} node {sid} is {nbits} bits wide, "
+                        f"fanout is {self.fanout}"
+                    )
+                signature.set_node(sid, mask)
         return signature
 
     def reader(
@@ -267,7 +275,9 @@ class SignatureStore(_DirectoryReads):
     def replace_partials(
         self, cell: Cell, partials: Sequence[PartialSignature]
     ) -> None:
-        """Replace every stored partial of a cell (maintenance rewrite).
+        """Replace every stored partial of a cell (maintenance rewrite);
+        no partial drops the cell, as a build leaves a cell with no live
+        member absent.
 
         Atomic: the new pages are allocated first, then the directory swaps
         to them in one step (the commit point), then the old pages are
@@ -290,7 +300,10 @@ class SignatureStore(_DirectoryReads):
                 self._free_sig_page(page_id)
             raise
         # Phase 2: commit — one directory swap.
-        self._directory[cell_id] = refs
+        if refs:
+            self._directory[cell_id] = refs
+        else:
+            self._directory.pop(cell_id, None)
         # Phase 3: free the replaced pages (registered buffer pools are told
         # to evict them, so no reader can see a stale partial).  Under an
         # epoch manager the physical free is deferred instead, because a

@@ -54,20 +54,14 @@ class Cuboid:
             raise ValueError("cuboid repeats a dimension")
         self.dims = tuple(dims)
 
-    def group(
-        self, relation: Relation, include_tombstoned: bool = False
-    ) -> dict[Cell, list[int]]:
+    def group(self, relation: Relation) -> dict[Cell, list[int]]:
         """Group live tids of ``relation`` into this cuboid's cells.
 
         Signatures describe the queryable (live) partition, so tombstoned
-        rows are skipped by default; pass ``include_tombstoned=True`` for
-        storage-level audits that need every slot."""
+        rows are skipped."""
         positions = [relation.schema.boolean_position(d) for d in self.dims]
-        tids = (
-            relation.tids() if include_tombstoned else relation.live_tids()
-        )
         by_values: dict[tuple, list[int]] = {}
-        for tid in tids:
+        for tid in relation.live_tids():
             row = relation.bool_row(tid)
             by_values.setdefault(tuple(row[p] for p in positions), []).append(tid)
         return {
@@ -75,15 +69,12 @@ class Cuboid:
             for values, members in by_values.items()
         }
 
-    def label(
-        self, relation: Relation, include_tombstoned: bool = False
-    ) -> tuple[list[Cell], np.ndarray]:
+    def label(self, relation: Relation) -> tuple[list[Cell], np.ndarray]:
         """The grouping :meth:`group` makes, as arrays over the relation's
         columnar projection: the cells in first-appearance order and, per
-        tid, the index of its cell in that list (``-1`` for a row left out,
-        i.e. a tombstone unless ``include_tombstoned``)."""
+        tid, the index of its cell in that list (``-1`` for a tombstone)."""
         columns = relation.columnar()
-        rows = np.arange(columns.n) if include_tombstoned else np.flatnonzero(columns.live)
+        rows = np.flatnonzero(columns.live)
         labels = np.full(columns.n, -1, dtype=np.int64)
         if len(rows) == 0:
             return [], labels

@@ -10,8 +10,9 @@ overhead:
 * :mod:`repro.kernels.mindist` — batch heap keys (coordinate sums, linear
   and distance scores, rectangle lower bounds, MINDIST, the dynamic
   transform);
-* :mod:`repro.kernels.sigops` — word-parallel AND/OR/popcount over packed
-  uint64 signature buffers.
+* :mod:`repro.kernels.sigops` — word-parallel AND/OR/popcount over node
+  masks packed into uint64 words (no product path calls them: signature
+  nodes are ``int`` masks, and the int operators do the algebra).
 
 Each agrees bit-for-bit with the one-tuple-at-a-time formula it replaces:
 block paths accumulate per dimension in the scalar loops' order and

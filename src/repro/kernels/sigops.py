@@ -1,16 +1,15 @@
 """Word-parallel signature algebra: AND/OR/popcount over uint64 buffers.
 
-Signature nodes are :class:`~repro.bitmap.bitarray.BitArray` values backed
-by Python integers.  For assembly over *many* nodes at once (cuboid
-union/intersection, set-bit diagnostics) these kernels pack the masks into
-a ``(k, W)`` little-endian uint64 matrix and reduce word-parallel;
-:func:`bitarray_words` views a bit array's packed bytes zero-copy and
-``BitArray.from_words`` reads them back.
+Signature nodes are ``int`` masks.  Over *many* nodes at once these kernels
+pack the masks into a ``(k, W)`` little-endian uint64 matrix and reduce
+word-parallel.  Integer bitwise ops in CPython are already C-speed, so the
+word matrix only pays above a small size threshold; below it the masks are
+reduced as integers.  Both are exact, and the parity suite pins them
+against the scalar reductions in ``tests/kernels/reference.py``.
 
-Integer bitwise ops in CPython are already C-speed, so the word matrix
-only pays above a small size threshold; below it the masks are reduced as
-integers.  Both are exact, and the parity suite pins them against the
-scalar reductions in ``tests/kernels/reference.py``.
+No product path calls these: the signature algebra (:mod:`repro.core.ops`)
+uses the int operators.  They stay because the frozen e2e recorder
+(``benchmarks/e2e/tracing.py``) names them as targets.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.bitmap.bitarray import BitArray, WORD_BITS, word_count
+from repro.bitmap.bitarray import WORD_BITS, word_count
 
 #: Total packed words below which the scalar reduction is simply faster.
 _NUMPY_THRESHOLD = 256
@@ -38,20 +37,6 @@ def _word_matrix(masks: Sequence[int], nbits: int):
 
 def _words_to_mask(words) -> int:
     return int.from_bytes(words.tobytes(), "little")
-
-
-def bitarray_words(bits: BitArray):
-    """A zero-copy little-endian uint64 view of a bit array's payload."""
-    nwords = word_count(bits.nbits)
-    data = bits.to_bytes()
-    if len(data) != nwords * 8:
-        data = data.ljust(nwords * 8, b"\x00")
-    return np.frombuffer(data, dtype="<u8")
-
-
-def words_to_bitarray(words, nbits: int) -> BitArray:
-    """Inverse of :func:`bitarray_words` (validates width)."""
-    return BitArray.from_words(nbits, [int(w) for w in words])
 
 
 def or_masks(masks: Sequence[int], nbits: int) -> int:
@@ -85,12 +70,14 @@ def popcount_masks(masks: Iterable[int], nbits: int) -> int:
     return int(np.bitwise_count(matrix).sum())
 
 
-def popcount_bitarrays(arrays: Iterable[BitArray]) -> int:
-    """Total set bits across bit arrays (widths may differ)."""
+def popcount_bitarrays(nodes: Iterable[tuple[int, int]]) -> int:
+    """Total set bits across decoded nodes, ``(nbits, mask)`` pairs whose
+    widths may differ — called by nothing: the frozen e2e recorder names
+    it, and the recorder's next revision deletes it."""
     total = 0
     by_width: dict[int, list[int]] = {}
-    for bits in arrays:
-        by_width.setdefault(bits.nbits, []).append(bits.mask)
+    for nbits, mask in nodes:
+        by_width.setdefault(nbits, []).append(mask)
     for nbits, masks in by_width.items():
         total += popcount_masks(masks, nbits)
     return total
@@ -99,10 +86,8 @@ def popcount_bitarrays(arrays: Iterable[BitArray]) -> int:
 __all__ = [
     "WORD_BITS",
     "and_masks",
-    "bitarray_words",
     "or_masks",
     "popcount_bitarrays",
     "popcount_masks",
     "word_count",
-    "words_to_bitarray",
 ]

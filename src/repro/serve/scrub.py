@@ -235,7 +235,7 @@ class Scrubber:
         by_id = {
             cell.cell_id: cell
             for cuboid in system.pcube.cuboids
-            for cell in cuboid.group(system.relation, include_tombstoned=True)
+            for cell in cuboid.group(system.relation)
         }
         for cell_id in sorted(damaged_cells):
             cell = by_id.get(cell_id)

@@ -1,4 +1,7 @@
-"""Codec roundtrips, framing, adaptive choice and malformed input."""
+"""Codec roundtrips, framing, adaptive choice and malformed input.
+
+A node is its mask: ``compress(nbits, mask, codec)`` encodes it and
+``decompress(blob)`` gives back ``(nbits, mask)``."""
 
 import sys
 import threading
@@ -9,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bitmap import compression
-from repro.bitmap.bitarray import BitArray
 from repro.bitmap.compression import (
     CODECS,
     CodecError,
@@ -18,8 +20,12 @@ from repro.bitmap.compression import (
     read_varint,
     write_varint,
 )
-from tests.bitmap.test_bitarray import bits_at
 from tests.reference import codec_name
+
+
+def bits_at(nbits, positions):
+    """The node ``(nbits, mask)`` with exactly ``positions`` set."""
+    return nbits, sum(1 << pos for pos in set(positions))
 
 
 # --------------------------------------------------------------------------- #
@@ -53,9 +59,9 @@ def test_varint_truncated_rejected():
 # --------------------------------------------------------------------------- #
 
 SAMPLES = [
-    BitArray(1),
+    (1, 0),
     bits_at(1, range(1)),
-    BitArray(8),
+    (8, 0),
     bits_at(8, range(8)),
     bits_at(8, [0, 7]),
     bits_at(64, [0, 31, 32, 63]),
@@ -67,36 +73,52 @@ SAMPLES = [
 
 
 @pytest.mark.parametrize("codec", sorted(CODECS))
-@pytest.mark.parametrize("bits", SAMPLES, ids=lambda b: f"{b.nbits}b{b.count()}s")
+@pytest.mark.parametrize(
+    "bits", SAMPLES, ids=lambda b: f"{b[0]}b{b[1].bit_count()}s"
+)
 def test_roundtrip_every_codec(codec, bits):
-    blob = compress(bits, codec)
+    blob = compress(*bits, codec)
     assert decompress(blob) == bits
     assert codec_name(blob) == codec
 
 
+@pytest.mark.parametrize("codec", sorted(CODECS) + ["adaptive"])
+@pytest.mark.parametrize("nbits", [1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 204, 256])
+def test_roundtrip_of_zero_and_all_ones_at_every_width(codec, nbits):
+    for mask in (0, (1 << nbits) - 1, 1, 1 << nbits - 1):
+        assert decompress(compress(nbits, mask, codec)) == (nbits, mask)
+
+
+@pytest.mark.parametrize("codec", sorted(CODECS) + ["adaptive"])
+@pytest.mark.parametrize("nbits, mask", [(1, 0b10), (8, 1 << 8), (64, 1 << 64), (4, -1)])
+def test_a_mask_that_does_not_fit_its_width_is_refused(codec, nbits, mask):
+    with pytest.raises(ValueError, match="does not fit a width"):
+        compress(nbits, mask, codec)
+
+
 def test_adaptive_picks_smallest():
     sparse_bits = bits_at(2048, [1])
-    blob = compress(sparse_bits, "adaptive")
+    blob = compress(*sparse_bits, "adaptive")
     for codec in CODECS:
-        assert len(blob) <= len(compress(sparse_bits, codec))
+        assert len(blob) <= len(compress(*sparse_bits, codec))
     assert decompress(blob) == sparse_bits
 
 
 def test_adaptive_sparse_wins_on_sparse_input():
     bits = bits_at(2048, [0, 512, 1024])
-    assert codec_name(compress(bits, "adaptive")) == "sparse"
+    assert codec_name(compress(*bits, "adaptive")) == "sparse"
 
 
 def test_adaptive_beats_raw_substantially_on_sparse():
     bits = bits_at(4096, [7])
-    raw = compress(bits, "raw")
-    adaptive = compress(bits, "adaptive")
+    raw = compress(*bits, "raw")
+    adaptive = compress(*bits, "adaptive")
     assert len(adaptive) < len(raw) / 20
 
 
 def test_unknown_codec_rejected():
     with pytest.raises(CodecError):
-        compress(BitArray(4), "gzip")
+        compress(4, 0, "gzip")
 
 
 def test_empty_blob_rejected():
@@ -110,7 +132,7 @@ def test_unknown_codec_id_rejected():
 
 
 def test_raw_wrong_length_rejected():
-    blob = bytearray(compress(BitArray(16), "raw"))
+    blob = bytearray(compress(16, 0, "raw"))
     with pytest.raises(CodecError):
         decompress(bytes(blob[:-1]))
 
@@ -167,21 +189,19 @@ def test_sparse_malformed_bodies_rejected(blob, message):
 @pytest.mark.parametrize("nbits", [1, 127, 128, 204])
 def test_sparse_roundtrip_around_the_one_byte_gap_width(nbits):
     """Widths on both sides of the 128-bit line where a gap stops fitting
-    one varint byte; the decoder builds the mask without ``BitArray.set``."""
+    one varint byte."""
     samples = [
-        BitArray(nbits),
+        (nbits, 0),
         bits_at(nbits, range(nbits)),
         bits_at(nbits, [nbits - 1]),
         bits_at(nbits, [0, nbits - 1]),
         bits_at(nbits, range(0, nbits, 3)),
     ]
     for bits in samples:
-        decoded = decompress(compress(bits, "sparse"))
-        assert decoded == bits
-        assert (decoded.nbits, decoded.mask) == (bits.nbits, bits.mask)
+        assert decompress(compress(*bits, "sparse")) == bits
 
 
-bit_arrays = st.integers(min_value=1, max_value=300).flatmap(
+bit_arrays = st.integers(min_value=1, max_value=256).flatmap(
     lambda n: st.builds(
         bits_at,
         st.just(n),
@@ -192,13 +212,13 @@ bit_arrays = st.integers(min_value=1, max_value=300).flatmap(
 
 @given(bit_arrays, st.sampled_from(sorted(CODECS) + ["adaptive"]))
 def test_roundtrip_property(bits, codec):
-    assert decompress(compress(bits, codec)) == bits
+    assert decompress(compress(*bits, codec)) == bits
 
 
 @given(bit_arrays)
 def test_adaptive_is_minimal_property(bits):
-    adaptive_len = len(compress(bits, "adaptive"))
-    assert adaptive_len == min(len(compress(bits, c)) for c in CODECS)
+    adaptive_len = len(compress(*bits, "adaptive"))
+    assert adaptive_len == min(len(compress(*bits, c)) for c in CODECS)
 
 
 # --------------------------------------------------------------------------- #
@@ -211,7 +231,7 @@ def encode_all_and_keep_smallest(bits):
     strictly smallest blob in ``CODECS`` order wins."""
     best = None
     for name in CODECS:
-        candidate = compress(bits, name)
+        candidate = compress(*bits, name)
         if best is None or len(candidate) < len(best):
             best = candidate
     return best
@@ -240,14 +260,14 @@ widths_and_positions = st.integers(min_value=0, max_value=200).flatmap(
 def test_adaptive_is_byte_identical_to_encoding_every_codec(data):
     nbits, positions = data
     for mask in shaped_masks(nbits, positions):
-        bits = BitArray(nbits, mask)
-        assert compress(bits, "adaptive") == encode_all_and_keep_smallest(bits)
+        bits = (nbits, mask)
+        assert compress(*bits, "adaptive") == encode_all_and_keep_smallest(bits)
 
 
 @pytest.mark.parametrize("bits", SAMPLES)
 def test_adaptive_byte_identity_on_wide_samples(bits):
     # Widths past 127 take multi-byte gaps and run lengths.
-    assert compress(bits, "adaptive") == encode_all_and_keep_smallest(bits)
+    assert compress(*bits, "adaptive") == encode_all_and_keep_smallest(bits)
 
 
 def test_adaptive_byte_identity_on_every_node_of_a_built_cube(small_system):
@@ -266,38 +286,41 @@ def test_adaptive_byte_identity_on_every_node_of_a_built_cube(small_system):
 
 
 def test_compress_encodes_a_value_once():
-    compression.compress_mask.cache_clear()
-    values = [BitArray(64, 1 << slot) for slot in range(8)]
-    first = [compress(bits) for bits in values]
-    again = [compress(BitArray(64, bits.mask)) for bits in values]
+    compress.cache_clear()
+    values = [(64, 1 << slot) for slot in range(8)]
+    first = [compress(*bits, "adaptive") for bits in values]
+    again = [compress(64, mask, "adaptive") for _, mask in values]
     assert again == first
-    info = compression.compress_mask.cache_info()
+    info = compress.cache_info()
     assert (info.misses, info.hits) == (8, 8)
     # The codec is part of the key; a failure is never kept.
-    assert compress(values[0], "raw") != first[0]
-    assert compression.compress_mask.cache_info().misses == 9
+    assert compress(*values[0], "raw") != first[0]
+    assert compress.cache_info().misses == 9
     for _ in range(2):
         with pytest.raises(CodecError):
-            compress(values[0], "zip")
-    assert compression.compress_mask.cache_info().currsize == 9
+            compress(*values[0], "zip")
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            compress(8, 1 << 8, "adaptive")
+    assert compress.cache_info().currsize == 9
 
 
 def tiny_memo(monkeypatch, entries):
     """The memo at a bound small enough to evict (the shipped bound is a
     constant; this wraps the same encoder)."""
-    encoder = compression.compress_mask.__wrapped__
+    encoder = compress.__wrapped__
     memo = lru_cache(maxsize=entries)(encoder)
-    monkeypatch.setattr(compression, "compress_mask", memo)
+    monkeypatch.setattr(compression, "compress", memo)
     return memo, encoder
 
 
 def test_the_memo_is_bounded_and_eviction_changes_no_blob(monkeypatch):
-    assert compression.compress_mask.cache_info().maxsize == 1 << 15
+    assert compress.cache_info().maxsize == 1 << 15
     memo, encoder = tiny_memo(monkeypatch, 4)
-    values = [BitArray(70, (1 << slot) | 1) for slot in range(1, 30)]
+    values = [(70, (1 << slot) | 1) for slot in range(1, 30)]
     for _ in range(3):
         for bits in values:
-            assert compress(bits) == encoder(bits.nbits, bits.mask, "adaptive")
+            assert memo(*bits, "adaptive") == encoder(*bits, "adaptive")
     info = memo.cache_info()
     assert info.currsize == info.maxsize == 4
     assert info.misses == 3 * len(values)  # cyclic scan: every entry evicted
@@ -306,15 +329,15 @@ def test_the_memo_is_bounded_and_eviction_changes_no_blob(monkeypatch):
 @pytest.mark.concurrent
 def test_the_memo_returns_equal_bytes_under_two_threads(monkeypatch):
     memo, encoder = tiny_memo(monkeypatch, 8)  # evicting all the time
-    values = [BitArray(64, (1 << slot) | (1 << (slot * 7) % 64)) for slot in range(40)]
-    expected = {bits.mask: encoder(64, bits.mask, "adaptive") for bits in values}
+    values = [(1 << slot) | (1 << (slot * 7) % 64) for slot in range(40)]
+    expected = {mask: encoder(64, mask, "adaptive") for mask in values}
     wrong: list[int] = []
 
     def hammer(order):
         for _ in range(150):
-            for bits in order:
-                if compress(bits) != expected[bits.mask]:
-                    wrong.append(bits.mask)
+            for mask in order:
+                if memo(64, mask, "adaptive") != expected[mask]:
+                    wrong.append(mask)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -341,22 +364,20 @@ def test_the_memo_returns_equal_bytes_under_two_threads(monkeypatch):
 # --------------------------------------------------------------------------- #
 
 
-def test_decompress_decodes_a_blob_once_and_returns_a_fresh_array():
-    compression._decode.cache_clear()
-    blob = compress(BitArray(8, 0b1010))
+def test_decompress_decodes_a_blob_once():
+    decompress.cache_clear()
+    blob = compress(8, 0b1010)
     first = decompress(blob)
-    first.set(0)
-    first.set(3, False)
     again = decompress(blob)
-    assert again is not first and again == BitArray(8, 0b1010)
-    info = compression._decode.cache_info()
+    assert again == first == (8, 0b1010)
+    info = decompress.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
 def test_the_decode_memo_has_the_encode_memo_bound():
     assert (
-        compression._decode.cache_info().maxsize
-        == compression.compress_mask.cache_info().maxsize
+        decompress.cache_info().maxsize
+        == compress.cache_info().maxsize
         == 1 << 15
     )
 
@@ -365,26 +386,28 @@ def test_the_decode_memo_has_the_encode_memo_bound():
     "blob", [b"", bytes([200, 4]), b"\x00\x04\xff", bytes([2, 4, 0, 0])]
 )
 def test_a_malformed_blob_raises_on_every_call(blob):
-    compression._decode.cache_clear()
+    decompress.cache_clear()
     for _ in range(2):
         with pytest.raises(CodecError):
             decompress(blob)
-    info = compression._decode.cache_info()
+    info = decompress.cache_info()
     assert (info.misses, info.currsize) == (2, 0)
 
 
 @given(bit_arrays, st.sampled_from(sorted(CODECS) + ["adaptive"]))
 def test_memoised_and_unmemoised_decode_agree(bits, codec):
-    blob = compress(bits, codec)
-    unmemoised = compression._decode.__wrapped__(blob)
-    assert unmemoised == (bits.nbits, bits.mask)
-    assert compression._decode(blob) == unmemoised
-    assert decompress(blob) == bits
+    blob = compress(*bits, codec)
+    unmemoised = decompress.__wrapped__(blob)
+    assert unmemoised == bits
+    assert decompress(blob) == unmemoised
 
 
-def test_any_bytes_like_blob_decodes_as_its_bytes():
+def test_a_blob_is_keyed_by_its_bytes():
+    """The memo's key is the blob: a read-only ``memoryview`` hashes and
+    compares as its bytes, a mutable or non-bytes key is refused."""
     bits = bits_at(64, [0, 31, 63])
-    blob = compress(bits)
-    assert decompress(bytearray(blob)) == decompress(memoryview(blob)) == bits
-    with pytest.raises(TypeError):
-        decompress(5)
+    blob = compress(*bits)
+    assert decompress(memoryview(blob)) == decompress(blob) == bits
+    for key in (bytearray(blob), 5):
+        with pytest.raises(TypeError):
+            decompress(key)

@@ -171,7 +171,7 @@ def test_look_ahead_decodes_each_node_once_and_only_where_the_plain_and_reads(
     for predicate in predicates(system, rng):
         cells = predicate.atomic_cells()
         sizes = [
-            len(list(system.pcube.store.load_full_signature(cell).node_sids()))
+            len(list(system.pcube.store.load_full_signature(cell).masks()))
             for cell in cells
         ]
         runs = {}

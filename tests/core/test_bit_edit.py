@@ -25,8 +25,7 @@ def moved(signature, removed=(), added=()):
     masks = {
         sid: 0 for path in (*removed, *added) for sid in path_sids(path, fanout)
     }
-    for sid in signature.node_sids():
-        masks[sid] = signature.node(sid).mask
+    masks.update(signature.masks())
     move_paths(masks, removed, added, fanout)
     return Signature.from_masks(fanout, masks)
 
@@ -45,7 +44,7 @@ def test_a_removal_keeps_an_ancestor_bit_another_tuple_still_needs():
     signature = Signature.from_paths([(1, 2), (1, 3)], 4)
     after = moved(signature, removed=[(1, 2)])
     # Root bit 1 still covers the second tuple.
-    assert after.node(0).get(0)
+    assert after.node(0) & 1
     assert after == Signature.from_paths([(1, 3)], 4)
     assert not moved(after, removed=[(1, 3)])
 
@@ -55,7 +54,7 @@ def test_a_removal_clears_upward_while_nodes_empty():
     after = moved(signature, removed=[(1, 1, 1)])
     assert after == Signature.from_paths([(2, 1, 1), (2, 1, 2)], 3)
     # The two nodes under root child 1 emptied and left.
-    assert set(after.node_sids()) == {0, 2, 2 * 4 + 1}
+    assert set(after.masks()) == {0, 2, 2 * 4 + 1}
 
 
 def test_removals_go_before_additions():
@@ -74,7 +73,7 @@ def test_path_sids_name_the_nodes_a_path_passes():
 def test_from_masks_drops_empty_nodes():
     signature = Signature.from_masks(4, {0: 0b1, 1: 0b10, 2: 0})
     assert signature == Signature.from_paths([(1, 2)], 4)
-    assert set(signature.node_sids()) == {0, 1}
+    assert set(signature.masks()) == {0, 1}
 
 
 #: Tuple paths of one tree all end at the leaf level, and a leaf slot holds

@@ -169,9 +169,9 @@ def test_assembled_equals_generated_for_every_pair(rich_system):
             for dim, value in zip(cell.dims, cell.values)
         ]
         generated = pcube.signature_of(cell)
-        sids = sorted({*generated.node_sids(), *atoms[0].signature.node_sids()})
+        sids = sorted({*generated.masks(), *atoms[0].signature.masks()})
         want = [
-            generated.node(sid).mask if generated.node(sid) is not None else 0
+            generated.node(sid)
             for sid in sids
         ]
         assert node_masks(AssembledReader(atoms, rtree.root.level), sids) == want

@@ -431,7 +431,7 @@ def from_scratch(system, cell):
 
 
 def n_nodes(system, cell):
-    return len(list(system.pcube.signature_of(cell).node_sids()))
+    return len(list(system.pcube.signature_of(cell).masks()))
 
 
 def system_on(disk, n_tuples=400):
@@ -687,7 +687,7 @@ def test_the_edit_trusts_the_pages_off_its_paths_and_the_audit_does_not():
     tid, dirty = system.insert(bool_row, (0.999, 0.999))
     assert cell in dirty
     assert stripped not in path_sids(system.rtree.all_paths()[tid], pcube.fanout)
-    assert stripped not in set(pcube.signature_of(cell).node_sids())
+    assert stripped not in set(pcube.signature_of(cell).masks())
     report = system.verify_consistency()
     assert report.problems == [
         f"cell {cell}: stored signature diverges from the R-tree partition"

@@ -76,7 +76,7 @@ def test_a_subtree_against_a_leaf_slot_is_not_kept(subtree_first):
     subtree, and the bit both sides see the same subtree under is kept."""
     with_subtree = sig([(1, 1), (2, 1)])
     with_slot = sig([(1,), (2, 1)])
-    assert check_bit(with_slot, 0, 1) and with_slot.node(1) is None
+    assert check_bit(with_slot, 0, 1) and with_slot.node(1) == 0
     pair = (with_subtree, with_slot) if subtree_first else (with_slot, with_subtree)
     result = intersect(*pair)
     assert result == sig([(2, 1)])
@@ -88,7 +88,7 @@ def test_intersection_empty_result():
     b = sig([(2, 2)])
     result = intersect(a, b)
     assert not result
-    assert list(result.node_sids()) == []
+    assert list(result.masks()) == []
 
 
 def test_intersect_with_empty_signature():

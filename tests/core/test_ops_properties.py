@@ -18,6 +18,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bitmap.bitarray import mask_positions
 from repro.core.ops import (
     intersect,
     intersect_all,
@@ -153,9 +154,8 @@ def test_plain_and_exact_on_paths(rows):
             for path in paths.values():
                 assert lazy.check_path(path) == exact.check_path(path)
             # Conservatism: every bit exact keeps, lazy also reports.
-            for sid in exact.node_sids():
-                bits = exact.node(sid)
-                for position in bits.positions():
+            for sid, mask in exact.masks().items():
+                for position in mask_positions(mask):
                     assert lazy.check_entry(
                         path_of_sid(sid, exact.fanout), position + 1
                     )

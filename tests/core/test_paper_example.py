@@ -8,7 +8,6 @@ m = 1, M = 2), Figure 2 (the (A=a1)-signature and its SIDs), Figure 3
 
 import pytest
 
-from repro.bitmap.bitarray import BitArray
 from repro.core.ops import intersect, union
 from repro.core.partial import decompose
 from repro.core.sid import sid_of_path
@@ -20,9 +19,10 @@ from tests.reference import reassemble, signature_by_recursive_sort, tuple_paths
 M = 2  # the example's fanout
 
 
-def bits(pattern: str) -> BitArray:
-    """Build a width-M bit array from a left-to-right pattern like "10"."""
-    return BitArray(M, sum(1 << i for i, ch in enumerate(pattern) if ch == "1"))
+def bits(pattern: str) -> int:
+    """A width-M node mask from a left-to-right pattern like "10"."""
+    assert len(pattern) == M
+    return sum(1 << i for i, ch in enumerate(pattern) if ch == "1")
 
 
 def cell_paths(paper_relation, dim, value):
@@ -63,7 +63,7 @@ def test_a1_signature_matches_figure_2(paper_relation):
     assert signature.node(sid_of_path((1,), M)) == bits("11")
     assert signature.node(sid_of_path((1, 1), M)) == bits("10")
     assert signature.node(sid_of_path((1, 2), M)) == bits("10")
-    assert len(list(signature.node_sids())) == 4
+    assert len(list(signature.masks())) == 4
 
 
 def test_sid_example_from_paper():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitmap.bitarray import mask_positions
 from repro.bitmap.compression import compress
 from repro.core import partial as partial_module
 from repro.core.partial import (
@@ -35,11 +36,9 @@ path_sets = st.sets(
 )
 
 
-def test_empty_signature_yields_one_empty_partial():
+def test_empty_signature_yields_no_partial():
     partials = decompose(Signature(FANOUT), page_size=4096)
-    assert len(partials) == 1
-    assert partials[0].ref_sid == 0
-    assert partials[0].blobs == {}
+    assert partials == []
     assert reassemble(partials, FANOUT) == Signature(FANOUT)
 
 
@@ -48,7 +47,7 @@ def test_small_signature_fits_one_partial():
     partials = decompose(signature, page_size=4096)
     assert len(partials) == 1
     assert partials[0].ref_sid == 0
-    assert set(partials[0].blobs) == set(signature.node_sids())
+    assert set(partials[0].blobs) == set(signature.masks())
 
 
 def test_partial_size_accounting():
@@ -90,7 +89,7 @@ def test_every_node_coded_exactly_once():
         overlap = seen & set(partial.blobs)
         assert not overlap
         seen |= set(partial.blobs)
-    assert seen == set(signature.node_sids())
+    assert seen == set(signature.masks())
 
 
 def test_refs_are_ancestors_of_their_contents():
@@ -126,7 +125,7 @@ def test_retrieval_protocol_always_finds_the_node():
     paths = [(a, b, c) for a in (1, 2, 3, 4) for b in (1, 2) for c in (1, 2)]
     signature = Signature.from_paths(paths, FANOUT)
     partials = {p.ref_sid: p for p in decompose(signature, page_size=40)}
-    for sid in signature.node_sids():
+    for sid in signature.masks():
         found = False
         for ref in retrieval_refs(sid, FANOUT):
             partial = partials.get(ref)
@@ -139,9 +138,7 @@ def test_retrieval_protocol_always_finds_the_node():
 def test_decode_roundtrips_bits():
     signature = Signature.from_paths([(1, 2), (2, 1)], FANOUT)
     (partial,) = decompose(signature, page_size=4096)
-    decoded = partial.decode()
-    for sid, bits in decoded.items():
-        assert bits == signature.node(sid)
+    assert partial.decode() == signature.masks()
 
 
 def test_fingerprint_covers_ref_size_sids_and_every_blob_byte():
@@ -201,7 +198,7 @@ def test_reassembly_roundtrip_property(paths, page_size):
 def test_protocol_completeness_property(paths):
     signature = Signature.from_paths(paths, FANOUT)
     partials = {p.ref_sid: p for p in decompose(signature, page_size=36)}
-    for sid in signature.node_sids():
+    for sid in signature.masks():
         assert any(
             ref in partials and sid in partials[ref]
             for ref in retrieval_refs(sid, FANOUT)
@@ -224,15 +221,15 @@ def bfs_sids(signature, start_sid):
     """Breadth-first SIDs of the subtree at ``start_sid``, by walking the
     signature tree bit by bit — what ``decompose`` did before it packed from
     sorted SIDs.  Lives here so the oracle shares nothing with ``pack``."""
-    if signature.node(start_sid) is None:
+    if not signature.node(start_sid):
         return
     queue = deque([start_sid])
     while queue:
         sid = queue.popleft()
         yield sid
-        for position in signature.node(sid).positions():
+        for position in mask_positions(signature.node(sid)):
             child = child_sid(sid, position + 1, signature.fanout)
-            if signature.node(child) is not None:
+            if signature.node(child):
                 queue.append(child)
 
 
@@ -240,11 +237,9 @@ def reference_decompose(signature, page_size, codec="adaptive"):
     """The packing loop as first written — every node compressed, every BFS
     seed tried, every subtree walked through the bit arrays."""
     compressed = {
-        sid: compress(signature.node(sid), codec)
-        for sid in signature.node_sids()
+        sid: compress(signature.fanout, mask, codec)
+        for sid, mask in signature.masks().items()
     }
-    if not compressed:
-        return [PartialSignature(ref_sid=0, blobs={})]
     coded: set[int] = set()
     partials = []
     for seed in bfs_sids(signature, 0):
@@ -375,7 +370,7 @@ def test_decompose_makes_one_pass_when_the_cell_fits_a_page(monkeypatch):
     walks = count_walks(monkeypatch)
     (only,) = decompose(signature, page_size=4096)
     assert walks == []
-    assert list(only.blobs) == sorted(signature.node_sids())
+    assert list(only.blobs) == sorted(signature.masks())
     assert as_bytes([only]) == as_bytes(reference_decompose(signature, 4096))
 
 
@@ -405,8 +400,8 @@ def test_the_one_page_pass_is_the_walk_at_the_page_boundary(
 def test_the_one_page_pass_leaves_an_empty_cell_and_an_oversized_node_alone(
     monkeypatch,
 ):
-    """An empty cell is one empty root partial; a lone node larger than
-    the page is still packed by the walk, into one over-full partial."""
+    """An empty cell is no partial; a lone node larger than the page is
+    still packed by the walk, into one over-full partial."""
     walks = count_walks(monkeypatch)
     empty = Signature.from_paths([], 64)
     assert as_bytes(decompose(empty, page_size=32)) == as_bytes(
@@ -543,5 +538,5 @@ def test_edit_blobs_decodes_and_compresses_only_the_moved_paths_nodes(
     )
     assert blobs == compress_masks(after.masks(), FANOUT)
     on_paths = {sid_of_path(prefix, FANOUT) for prefix in [(), (3,), (3, 2), (4,), (4, 1)]}
-    assert n_decoded == len(on_paths & set(before.node_sids())) == 3
+    assert n_decoded == len(on_paths & set(before.masks())) == 3
     assert n_compressed == len(on_paths) - 1 == 4

@@ -76,7 +76,7 @@ def test_reader_for_conjunction_equals_recursive_intersection(system):
     oracle = SignatureAdapter(expected)
     full = (1 << system.rtree.max_entries) - 1
     paths = node_paths(system)
-    assert len(paths) > len(list(expected.node_sids())) > 1
+    assert len(paths) > len(list(expected.masks())) > 1
     for path in paths:
         assert reader.check_block(path, full) == oracle.check_block(path, full)
 

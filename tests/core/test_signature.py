@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmap.bitarray import BitArray
 from repro.core.signature import Signature
 from repro.core.sid import sid_of_path
 from tests.reference import check_bit, contains_subtree, set_bit_count, tuple_paths
@@ -13,7 +12,7 @@ from tests.reference import check_bit, contains_subtree, set_bit_count, tuple_pa
 def test_empty_signature():
     signature = Signature(4)
     assert not signature
-    assert list(signature.node_sids()) == []
+    assert list(signature.masks()) == []
     assert not signature.check_path((1,))
     assert list(tuple_paths(signature)) == []
 
@@ -72,16 +71,20 @@ def test_contains_subtree():
 
 def test_set_node():
     signature = Signature(4)
-    signature.set_node(0, BitArray(4, 0b0101))
+    signature.set_node(0, 0b0101)
     assert check_bit(signature, 0, 1)
-    signature.set_node(0, BitArray(4))  # all-zero removes the node
-    assert list(signature.node_sids()) == []
+    assert signature.node(0) == 0b0101
+    signature.set_node(0, 0)  # a zero mask removes the node
+    assert list(signature.masks()) == []
+    assert signature.node(0) == 0
 
 
 def test_set_node_width_checked():
     signature = Signature(4)
-    with pytest.raises(ValueError):
-        signature.set_node(0, BitArray(5))
+    for mask in (1 << 4, 0b11111, -1):
+        with pytest.raises(ValueError):
+            signature.set_node(0, mask)
+    assert list(signature.masks()) == []
 
 
 def test_signatures_unhashable():

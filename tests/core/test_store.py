@@ -4,11 +4,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bitmap.compression import CodecError
+from repro.bitmap.compression import CodecError, compress
 from repro.core import partial as partial_module
 from repro.core import readers as readers_module
 from repro.core import store as store_module
-from repro.core.partial import decompose
+from repro.core.partial import PartialSignature, decompose
 from repro.core.readers import AssembledReader
 from repro.core.signature import Signature
 from repro.core.store import MissingPartialError, SignatureStore
@@ -56,6 +56,26 @@ def test_put_and_full_reload(store):
     assert store.has_cell(CELL)
     assert store.n_partials(CELL) == n_partials
     assert store.load_full_signature(CELL) == signature
+
+
+@pytest.mark.parametrize("nbits, mask", [(FANOUT + 1, 1 << FANOUT), (FANOUT - 1, 0b101)])
+def test_a_node_decoded_at_another_width_is_refused(store, nbits, mask):
+    """A stored blob whose width is not the fanout is refused on reload,
+    whether its mask fits the fanout or not."""
+    store.replace_partials(
+        CELL, [PartialSignature(ref_sid=0, blobs={0: compress(nbits, mask)})]
+    )
+    with pytest.raises(ValueError, match="bits wide, fanout is"):
+        store.load_full_signature(CELL)
+
+
+def test_an_empty_rewrite_drops_the_cell(store, disk):
+    """A rewrite that leaves no node stores no partial: the cell leaves
+    the directory and its pages are freed, as a build leaves it absent."""
+    store.put_signature(CELL, wide_signature())
+    store.put_signature(CELL, removed=WIDE_PATHS)
+    assert not store.has_cell(CELL) and store.cells() == []
+    assert list(disk.pages("pcube:sig")) == []
 
 
 def test_missing_cell(store):
@@ -389,12 +409,13 @@ def test_a_reader_of_a_quarantined_cell_trusts_none_of_its_pages(store, disk):
 
 
 def stored_bytes(store, cell):
-    """The cell's partials as they sit on the pages, uncounted."""
+    """The cell's partials as they sit on the pages, uncounted (none for
+    a cell the store does not hold)."""
     return [
         (partial.ref_sid, list(partial.blobs.items()), partial.size_bytes)
         for partial in (
             store.disk.peek(page_id).payload
-            for page_id in store.directory_snapshot()[cell.cell_id].values()
+            for page_id in store.directory_snapshot().get(cell.cell_id, {}).values()
         )
     ]
 
@@ -408,21 +429,15 @@ def from_scratch_bytes(store, signature):
 
 def count_compressions(monkeypatch):
     """Every node the store compresses, as ``(nbits, mask)``: an edited
-    node goes through ``compress``, a derived one through the mask-level
-    ``compress_mask``."""
+    node and a derived one both go through ``compress``."""
     compressed = []
-    real, real_mask = partial_module.compress, partial_module.compress_mask
+    real = partial_module.compress
 
-    def counting(bits, codec="adaptive"):
-        compressed.append((bits.nbits, bits.mask))
-        return real(bits, codec)
-
-    def counting_mask(nbits, mask, codec):
+    def counting(nbits, mask, codec="adaptive"):
         compressed.append((nbits, mask))
-        return real_mask(nbits, mask, codec)
+        return real(nbits, mask, codec)
 
     monkeypatch.setattr(partial_module, "compress", counting)
-    monkeypatch.setattr(partial_module, "compress_mask", counting_mask)
     return compressed
 
 
@@ -448,7 +463,7 @@ def test_rewrite_compresses_only_the_moved_paths_nodes_and_stores_the_same_bytes
     reads_before = disk.counters.get(SSIG)
     compressed = count_compressions(monkeypatch)
     store.put_signature(CELL, removed=[LEFT], added=[JOINED])
-    assert len(compressed) == len(dirty) < len(list(signature.node_sids()))
+    assert len(compressed) == len(dirty) < len(list(signature.masks()))
     # One counted read per old partial, nothing else.
     assert disk.counters.get(SSIG) - reads_before == old_partials
     assert stored_bytes(store, CELL) == from_scratch_bytes(store, signature)
@@ -458,7 +473,7 @@ def test_rewrite_compresses_only_the_moved_paths_nodes_and_stores_the_same_bytes
 def test_rewrite_of_a_new_cell_edits_an_empty_signature(store, monkeypatch):
     compressed = count_compressions(monkeypatch)
     store.put_signature(OTHER, added=WIDE_PATHS)
-    assert len(compressed) == len(list(wide_signature().node_sids()))
+    assert len(compressed) == len(list(wide_signature().masks()))
     assert stored_bytes(store, OTHER) == from_scratch_bytes(store, wide_signature())
 
 

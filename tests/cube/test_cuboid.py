@@ -89,11 +89,10 @@ def test_label_is_group_as_arrays(dims, numeric):
     for tid in rng.sample(range(len(rows)), 40):
         relation.tombstone(tid)
     cuboid = Cuboid(dims)
-    for include_tombstoned in (False, True):
-        expected = cuboid.group(relation, include_tombstoned=include_tombstoned)
-        cells, labels = cuboid.label(relation, include_tombstoned=include_tombstoned)
-        assert list(as_groups(cells, labels).items()) == list(expected.items())
-        assert [cell.values for cell in cells] == [cell.values for cell in expected]
+    expected = cuboid.group(relation)
+    cells, labels = cuboid.label(relation)
+    assert list(as_groups(cells, labels).items()) == list(expected.items())
+    assert [cell.values for cell in cells] == [cell.values for cell in expected]
 
 
 def test_cuboid_cell_for(relation):

@@ -12,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-from repro.bitmap.bitarray import BitArray
+from repro.core.partial import PartialSignature
 from repro.cube.cuboid import Cell
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.storage.faults import SimulatedCrash
@@ -65,10 +65,9 @@ def flip_a_bit(system):
     pcube = system.pcube
     cell = first_cell(system)
     signature = pcube.signature_of(cell)
-    sid = max(signature.node_sids())
+    sid = max(signature.masks())
     bits = signature.node(sid)
-    low = bits.mask & -bits.mask
-    signature.set_node(sid, BitArray(pcube.fanout, bits.mask ^ low))
+    signature.set_node(sid, bits ^ bits & -bits)
     pcube.store.put_signature(cell, signature)
 
 
@@ -77,6 +76,17 @@ def store_a_stranger(system):
     pcube = system.pcube
     stranger = Cell(("A1",), (99,))
     pcube.store.put_signature(stranger, pcube.signature_of(first_cell(system)))
+
+
+def store_an_emptied_cell(system):
+    """Every member of a cell is deleted, then the cell is stored again as
+    one empty partial: a cell no live row derives, which a build leaves
+    absent."""
+    cell = first_cell(system)
+    for tid in system.pcube.cuboids[0].group(system.relation)[cell]:
+        system.delete(tid)
+    assert not system.pcube.store.has_cell(cell)
+    system.pcube.store.replace_partials(cell, [PartialSignature(ref_sid=0, blobs={})])
 
 
 def quarantine_a_cell(system):
@@ -95,6 +105,7 @@ RULES = {
     ": unreadable (": garble_a_blob,
     "stored signature diverges from the R-tree partition": flip_a_bit,
     "store holds unknown cell 'A1=99'": store_a_stranger,
+    "store holds unknown cell 'A1=0'": store_an_emptied_cell,
     " is quarantined": quarantine_a_cell,
     "signature pages no directory references": leak_a_page,
 }

@@ -31,6 +31,7 @@ from repro.storage.faults import (
     SimulatedCrash,
 )
 from repro.system import build_system
+from tests.core.test_generation import assert_cube_matches_oracle
 
 pytestmark = pytest.mark.crash
 
@@ -423,9 +424,10 @@ def test_a_recovered_system_is_a_fresh_build(op, tag, monkeypatch):
 
 
 def test_a_cell_emptied_by_the_interrupted_write_is_absent_after_recovery():
-    """The delete that empties a cell crashes in its store phase: recovery
-    leaves the cell absent (a fresh build stores no cell without a live
-    member), never holding its stale bits."""
+    """The delete that empties a cell crashes before its store phase drops
+    the cell (in its R-tree write): recovery leaves the cell absent (a
+    fresh build stores no cell without a live member), never holding its
+    stale bits."""
     disk, system = make_system()
     (cell,) = BooleanPredicate({"A1": 0}).atomic_cells()
     *first, last = [
@@ -435,7 +437,7 @@ def test_a_cell_emptied_by_the_interrupted_write_is_absent_after_recovery():
     for tid in first:
         system.delete(tid)
     disk.plan = FaultPlan(
-        [FaultRule(kind="crash", op="allocate", tag="pcube:sig", count=1)]
+        [FaultRule(kind="crash", op="write", tag="rtree", count=1)]
     )
     with pytest.raises(SimulatedCrash):
         system.delete(last)
@@ -448,3 +450,29 @@ def test_a_cell_emptied_by_the_interrupted_write_is_absent_after_recovery():
     report = system.verify_consistency()
     assert report.ok, report.problems
     assert system.engine.skyline(BooleanPredicate({"A1": 0})).tids == []
+
+
+def test_a_write_that_empties_a_cell_stores_it_as_a_build_does():
+    """Deleting every member of a cell drops the cell and frees its pages:
+    every stored cell is the build's derivation over the same rows and
+    tree, page for page, with no empty cell among them, and a read of the
+    cell reads nothing.  (A fresh ``build_system`` over the same rows holds
+    the same cells; its bytes differ only by the shape of its STR-loaded
+    tree.)"""
+    disk, system = make_system()
+    (cell,) = BooleanPredicate({"A1": 0}).atomic_cells()
+    for tid in list(system.relation.live_tids()):
+        if cell.matches(system.relation, tid):
+            system.delete(tid)
+    assert cell.cell_id not in system.pcube.store.cells()
+    assert_cube_matches_oracle(system.pcube)
+    assert disk.size_bytes("pcube") == sum(
+        disk.peek(page_id).size
+        for _, page_id in system.pcube.store.directory_entries()
+    )
+    fresh = build_system(copy_of(system.relation), fanout=5)
+    assert system.pcube.store.cells() == fresh.pcube.store.cells()
+    assert system.verify_consistency().ok
+    result = system.engine.skyline(BooleanPredicate({"A1": 0}))
+    assert result.tids == []
+    assert result.stats.total_io() == 0 and result.stats.sig_loads == 0

@@ -25,6 +25,7 @@ from repro.backup import answer_fingerprint
 from repro.core.checkpoint import CheckpointManager, restore_system
 from repro.core.wal import WalCorruptionError
 from repro.data.synthetic import SyntheticConfig, generate_relation
+from repro.query.predicates import BooleanPredicate
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import (
     FaultPlan,
@@ -267,3 +268,43 @@ def test_interior_wal_corruption_is_fail_stop():
     interior.payload["kind"] = "mangled"
     with pytest.raises(WalCorruptionError):
         system.recover()
+
+
+def test_recover_rolls_a_pending_insert_forward_and_restore_drops_it():
+    """The two recovery contracts of DESIGN.md §11, on one crash: an insert
+    after a checkpoint crashes at its R-tree write, with its intent
+    journalled and no commit.  Restore from the disk keeps the committed
+    prefix, so the row never happened; ``recover()`` in place rolls the
+    intent forward, so the row is there and its cell's skyline has it."""
+    point = (0.001, 0.001)
+
+    def answers(system):
+        relation = system.relation
+        cell = BooleanPredicate(
+            dict(zip(relation.schema.boolean_dims, relation.bool_row(0)))
+        )
+        return system.engine.skyline(cell).tids, answer_fingerprint(system)
+
+    _, without = make_system()
+    _, with_row = make_system()
+    with_row.insert(with_row.relation.bool_row(0), point)
+    assert answers(with_row) != answers(without)
+
+    disk, system = make_system()
+    CheckpointManager(system).create()
+    n_rows = len(system.relation)
+    disk.plan = FaultPlan([FaultRule(kind="crash", op="write", tag="rtree", count=1)])
+    with pytest.raises(SimulatedCrash):
+        system.insert(system.relation.bool_row(0), point)
+    disk.plan = FaultPlan()
+    assert not system.wal.is_empty()
+
+    restored = restore_system(disk)
+    assert restored.ops_replayed == 0
+    assert len(restored.system.relation) == n_rows
+    assert answers(restored.system) == answers(without)
+
+    assert system.recover() == "reindexed"
+    assert system.relation.is_live(n_rows)
+    assert system.verify_consistency().ok
+    assert answers(system) == answers(with_row)

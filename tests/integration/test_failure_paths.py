@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bitmap.bitarray import BitArray
 from repro.bitmap.compression import compress
 from repro.core.partial import decompose
 from repro.core.signature import Signature, move_paths
@@ -62,10 +61,10 @@ def test_rtree_insert_failure_does_not_register_tid():
 def test_decompose_single_giant_node_exceeds_page_gracefully():
     """A node blob larger than the page still gets its own (oversized)
     partial rather than being dropped or looping forever."""
-    bits = BitArray(4096, (1 << 4096) - 1)
+    mask = (1 << 4096) - 1
     signature = Signature(4096)
-    signature.set_node(0, bits)
-    blob = compress(bits, "raw")
+    signature.set_node(0, mask)
+    blob = compress(4096, mask, "raw")
     partials = decompose(signature, page_size=len(blob) // 2, codec="raw")
     assert len(partials) == 1
     assert 0 in partials[0].blobs
@@ -192,7 +191,7 @@ def _undecodable_fixture():
         reader=reader,
     )
     tested = set(reader._nodes)
-    stored = set(system.pcube.signature_of(cell).node_sids())
+    stored = set(system.pcube.signature_of(cell).masks())
     assert tested < stored
     return system, predicate, cell, max(tested), max(stored - tested)
 
@@ -269,12 +268,14 @@ def test_a_decodable_but_wrong_node_is_found_and_healed_by_the_audits(flip):
     # The deepest node with a set bit and a clear one.
     sid = max(
         sid
-        for sid in signature.node_sids()
-        if 1 < signature.node(sid).count() < pcube.fanout
+        for sid, mask in signature.masks().items()
+        if 1 < mask.bit_count() < pcube.fanout
     )
     bits = signature.node(sid)
-    position = next(p for p in range(pcube.fanout) if bits.get(p) == (flip == "lost"))
-    signature.set_node(sid, BitArray(pcube.fanout, bits.mask ^ 1 << position))
+    position = next(
+        p for p in range(pcube.fanout) if (bits >> p & 1) == (flip == "lost")
+    )
+    signature.set_node(sid, bits ^ 1 << position)
     with system.epochs.write():  # a faulty write that published
         pcube.store.put_signature(cell, signature)
         system.epochs.publish()

@@ -4,8 +4,8 @@ import pytest
 
 from repro.baselines.boolean_first import build_boolean_indexes
 from repro.bitmap import compression
-from repro.bitmap.bitarray import BitArray
 from repro.core import partial as partial_module
+from repro.core.signature import Signature
 from repro.cube.cuboid import Cuboid
 from repro.data.synthetic import SyntheticConfig, generate_relation
 from repro.rtree.geometry import Rect
@@ -51,24 +51,23 @@ def spy(monkeypatch, owner, name, log, what):
 
 def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
     """Counted, not timed: one grouping per cuboid, one encoder run per
-    distinct node bit array and no bit array object, no MBR re-derived from
+    distinct node mask and no signature object, no MBR re-derived from
     a built node, paths equal to the per-tuple climb, one page write per
     node of the baselines' B+-tree batch — and a first freeze whose only
     union of boxes is the root's, when the search first asks for it."""
-    groupings, asked, boxed, unions, bit_arrays = [], [], [], [], []
+    groupings, asked, boxed, unions, signatures = [], [], [], [], []
     spy(monkeypatch, Cuboid, "label", groupings, lambda self, *_, **__: self.dims)
     spy(monkeypatch, Cuboid, "group", groupings, lambda *_, **__: "group")
     spy(
         monkeypatch,
         partial_module,
-        "compress_mask",
+        "compress",
         asked,
         lambda nbits, mask, codec: (nbits, mask, codec),
     )
-    spy(monkeypatch, BitArray, "__init__", bit_arrays, lambda *_: "init")
-    spy(monkeypatch, BitArray, "trusted", bit_arrays, lambda *_: "trusted")
+    spy(monkeypatch, Signature, "__init__", signatures, lambda *_: "init")
     spy(monkeypatch, RTreeNode, "mbr", boxed, lambda self: self.node_id)
-    compression.compress_mask.cache_clear()
+    compression.compress.cache_clear()
     written: dict[int, int] = {}
     real_write = relation.disk.write
 
@@ -78,11 +77,11 @@ def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
 
     monkeypatch.setattr(relation.disk, "write", recording_write)
     system = build_system(relation, fanout=8)
-    assert bit_arrays == []
+    assert signatures == []
     indexes = build_boolean_indexes(relation)
 
     assert sorted(groupings) == sorted(c.dims for c in system.pcube.cuboids)
-    info = compression.compress_mask.cache_info()
+    info = compression.compress.cache_info()
     assert info.misses == len(set(asked)) < len(asked) == info.hits + info.misses
     # Each level's boxes come from its children's rows, never from a node.
     assert boxed == []

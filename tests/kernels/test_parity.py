@@ -681,6 +681,9 @@ def test_sigops_parity_on_both_sides_of_the_word_threshold(data):
             lambda m: getattr(m, name)(masks, nbits)
         )
         assert scalar == vector, name
+    # Decoded nodes of mixed widths: one popcount per width, summed.
+    nodes = [(nbits, mask) for mask in masks] + [(nbits + 1, 1 << nbits)]
+    assert sigops.popcount_bitarrays(nodes) == sum(m.bit_count() for m in masks) + 1
 
 
 @settings(max_examples=60)

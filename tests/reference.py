@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from repro.baselines.skyline_algs import Points, sfs_skyline
-from repro.bitmap.bitarray import BitArray
+from repro.bitmap.bitarray import mask_positions
 from repro.bitmap.compression import CODECS, CodecError
 from repro.core.partial import PartialSignature
 from repro.core.pcube import PCube, PCubeView
@@ -245,7 +245,7 @@ def signature_by_recursive_sort(
         if not sub_list:
             return
         sub_list.sort(key=lambda p: p[depth])
-        bits = BitArray(fanout)
+        bits = 0
         start = 0
         while start < len(sub_list):
             component = sub_list[start][depth]
@@ -253,7 +253,7 @@ def signature_by_recursive_sort(
                 raise ValueError(
                     f"path component {component} outside [1, {fanout}]"
                 )
-            bits.set(component - 1)
+            bits |= 1 << component - 1
             end = start
             while end < len(sub_list) and sub_list[end][depth] == component:
                 end += 1
@@ -263,8 +263,7 @@ def signature_by_recursive_sort(
                 child_sid(sid, component, fanout),
             )
             start = end
-        existing = signature.node(sid)
-        signature.set_node(sid, bits if existing is None else existing | bits)
+        signature.set_node(sid, signature.node(sid) | bits)
 
     recurse(materialised, 0, 0)
     return signature
@@ -276,11 +275,11 @@ def tuple_paths(signature: Signature) -> Iterator[tuple[int, ...]]:
 
     def walk(prefix: tuple[int, ...], sid: int) -> Iterator[tuple[int, ...]]:
         bits = signature.node(sid)
-        if bits is None:
+        if not bits:
             if prefix:
                 yield prefix
             return
-        for position in bits.positions():
+        for position in mask_positions(bits):
             component = position + 1
             yield from walk(
                 prefix + (component,),
@@ -300,14 +299,13 @@ def contains_subtree(signature: Signature, path: Sequence[int]) -> bool:
 
 def check_bit(signature: Signature, parent_sid: int, position: int) -> bool:
     """Whether child ``position`` (1-based) of node ``parent_sid`` holds data."""
-    bits = signature.node(parent_sid)
-    return bits is not None and bits.get(position - 1)
+    return bool(signature.node(parent_sid) >> position - 1 & 1)
 
 
 def set_bit_count(signature: Signature) -> int:
     """Total set bits across all nodes (a size diagnostic)."""
     return sum(
-        signature.node(sid).count() for sid in signature.node_sids()
+        signature.node(sid).bit_count() for sid in signature.masks()
     )
 
 
