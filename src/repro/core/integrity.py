@@ -24,7 +24,7 @@ stalling a worker for one long audit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cell, Cuboid
@@ -63,6 +63,14 @@ def rtree_partition_problems(
     ]
 
 
+def apex_masks(
+    paths: dict[int, tuple[int, ...]], fanout: int
+) -> dict[int, int]:
+    """The apex cell's node masks (SID -> mask): the bits every live
+    tuple's path sets, which are exactly the tree's live child slots."""
+    return Signature.from_paths(paths.values(), fanout).masks()
+
+
 def check_cell(
     cell: Cell,
     member_tids: Sequence[int],
@@ -70,24 +78,36 @@ def check_cell(
     live: set[int],
     fanout: int,
     load_signature: Callable[[Cell], Signature],
+    apex: Mapping[int, int],
 ) -> list[str]:
-    """One cell's invariant: the stored signature must equal a fresh
-    rebuild from the live members' R-tree paths.
+    """One cell's invariants, the first that fails reported alone.
+
+    Every set bit of the stored signature names a live child slot: the
+    cell is contained in the apex (``apex``, see :func:`apex_masks`).
+    Then the stored signature must equal a fresh rebuild from the live
+    members' R-tree paths.
 
     A materialised multi-dimensional cell needs no rule of its own: when it
     and its atomic factors each equal their rebuilds, the on-demand
     assembly of the factors (the reader queries run) equals it too, so any
     damage a lattice rule could see is already reported here, for the
     damaged cell itself."""
-    member_paths = [
-        paths[tid] for tid in member_tids if tid in live and tid in paths
-    ]
-    expected = Signature.from_paths(member_paths, fanout)
     try:
         stored = load_signature(cell)
     except Exception as exc:
         return [f"cell {cell}: unreadable ({exc!r})"]
-    if stored != expected:
+    stray = sorted(
+        sid for sid, mask in stored.masks().items() if mask & ~apex.get(sid, 0)
+    )
+    if stray:
+        return [
+            f"cell {cell}: bits on free slots, outside the apex "
+            f"(SIDs {stray[:5]})"
+        ]
+    member_paths = [
+        paths[tid] for tid in member_tids if tid in live and tid in paths
+    ]
+    if stored != Signature.from_paths(member_paths, fanout):
         return [
             f"cell {cell}: stored signature diverges from the R-tree "
             f"partition"
@@ -109,11 +129,12 @@ def iter_cell_checks(
     reports it.
     """
     live = {tid for tid in relation.live_tids()}
+    apex = apex_masks(paths, fanout)
     for cuboid in cuboids:
         groups = cuboid.group(relation)
         for cell in sorted(groups, key=lambda c: c.cell_id):
             yield cell, check_cell(
-                cell, groups[cell], paths, live, fanout, load_signature
+                cell, groups[cell], paths, live, fanout, load_signature, apex
             )
 
 
@@ -153,6 +174,7 @@ def store_directory_problems(
 
 __all__ = [
     "ConsistencyReport",
+    "apex_masks",
     "check_cell",
     "expected_cell_ids",
     "iter_cell_checks",

@@ -8,7 +8,6 @@ incremental updates driven by R-tree path changes.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -37,32 +36,29 @@ class PathColumns:
     """Every indexed tuple's R-tree path as arrays — what a build derives
     cell signatures from (:meth:`masks`).
 
-    Row ``r`` describes tuple ``tids[r]``.  ``levels[l]`` is ``(nodes,
-    slots, sids)`` for depth ``l`` (the root's is 0): ``nodes[r]`` is the
-    node the tuple's path passes there, as a dense code in SID order,
-    ``slots[r]`` the 1-based slot it takes in it, and ``sids[code]`` that
-    node's SID.  Codes stay below the tuple count however deep the tree,
-    so no array ever holds a SID.
+    Row ``r`` of the ``(n, depth)`` matrix ``paths`` is the path of tuple
+    ``tids[r]`` (:meth:`~repro.rtree.rtree.RTree.path_columns`).
+    ``levels[l]`` is ``(nodes, slots, sids)`` for depth ``l`` (the root's
+    is 0): ``nodes[r]`` is the node the tuple's path passes there, as a
+    dense code in SID order, ``slots[r]`` the 1-based slot it takes in it,
+    and ``sids[code]`` that node's SID.  Codes stay below the tuple count
+    however deep the tree, so no array ever holds a SID.
     """
 
-    def __init__(self, paths: Mapping[int, Sequence[int]], fanout: int) -> None:
+    def __init__(self, tids: np.ndarray, paths: np.ndarray, fanout: int) -> None:
         self.fanout = fanout
-        n = len(paths)
-        depth = len(next(iter(paths.values()), ()))
-        if any(len(path) != depth for path in paths.values()):
-            raise ValueError("tuple paths of unequal length")
-        self.tids = np.fromiter(paths, dtype=np.int64, count=n)
-        matrix = np.fromiter(
-            chain.from_iterable(paths.values()), dtype=np.int64, count=n * depth
-        ).reshape(n, depth)
-        if n and depth and not ((matrix >= 1) & (matrix <= fanout)).all():
+        n, depth = paths.shape
+        if len(tids) != n:
+            raise ValueError(f"{len(tids)} tids for {n} paths")
+        self.tids = tids
+        if n and depth and not ((paths >= 1) & (paths <= fanout)).all():
             raise ValueError(f"path component outside [1, {fanout}]")
         base = fanout + 1
         nodes = np.zeros(n, dtype=np.int64)
         sids = [0]
         self.levels: list[tuple[np.ndarray, np.ndarray, list[int]]] = []
         for level in range(depth):
-            slots = matrix[:, level]
+            slots = paths[:, level]
             self.levels.append((nodes, slots, sids))
             if level + 1 < depth:
                 children, nodes = np.unique(nodes * base + slots, return_inverse=True)
@@ -369,7 +365,7 @@ class PCube:
         against, not a second pass here.
         """
         self.store.clear()
-        paths = PathColumns(self.rtree.all_paths(), self.fanout)
+        paths = PathColumns(*self.rtree.path_columns(), self.fanout)
         for cuboid in self.cuboids:
             cells, labels = cuboid.label(self.relation)
             for cell, masks in zip(cells, paths.masks(labels, len(cells))):
@@ -488,7 +484,7 @@ class PCube:
         O(T) per call, correct under any mutation.
         """
         columns = self.relation.columnar()
-        paths = PathColumns(self.rtree.all_paths(), self.fanout)
+        paths = PathColumns(*self.rtree.path_columns(), self.fanout)
         derived: dict[Cell, dict[int, int]] = {}
         for dims in dict.fromkeys(cell.dims for cell in cells):
             group = [cell for cell in cells if cell.dims == dims]

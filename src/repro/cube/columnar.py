@@ -1,19 +1,18 @@
-"""Columnar projection of a relation: contiguous numpy mirrors of the rows.
+"""Columnar projection of a relation: the numpy arrays batch kernels read.
 
-The row store (:class:`repro.cube.relation.Relation`) stays the source of
-truth and keeps its counted access paths; a :class:`ColumnarProjection` is
-a derived, in-memory acceleration structure the batch kernels gather from
-— a contiguous float64 preference matrix, per-dimension boolean code
-columns, and a liveness mask.  It never performs (or replaces) counted
-page reads: call sites pay the exact same ``BTABLE``/``DBOOL`` I/O as the
-scalar path and use the projection only for the per-tuple CPU work.
+A :class:`ColumnarProjection` is one snapshot of a
+:class:`repro.cube.relation.Relation` — its float64 preference matrix, its
+per-dimension boolean code columns and a liveness mask — that the batch
+kernels gather from.  It never performs (or replaces) counted page reads:
+call sites pay the exact same ``BTABLE``/``DBOOL`` I/O as the scalar path
+and use the projection only for the per-tuple CPU work.
 
-Lifecycle: projections are built lazily and cached per mutation stamp on
-the relation (and per ``(stamp, epoch)`` on a view); any append, tombstone
-or preference overwrite invalidates them.  MVCC snapshots are produced by
-*patching* the base projection — slicing off rows created after the pinned
-epoch, resurrecting rows tombstoned after it, and restoring preference
-rows from the undo chains — so views stay cheap when churn is small.
+Lifecycle: the relation hands out views of its own row arrays, cached per
+mutation stamp, and never writes a row such a view shows (an overwrite
+copies the array first).  MVCC snapshots are produced by *patching* the
+base projection — slicing off rows created after the pinned epoch,
+resurrecting rows tombstoned after it, and restoring preference rows from
+the undo chains — so views stay cheap when churn is small.
 
 Boolean dimensions may hold arbitrary hashable values (the paper example
 uses strings).  Integer columns are stored as themselves; anything else is
@@ -30,13 +29,6 @@ import numpy as np
 from repro.cube.schema import Schema
 
 _NUMERIC = (int, float, np.integer, np.floating)
-
-
-def _is_int_column(values: Sequence[Any]) -> bool:
-    return all(
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-        for v in values
-    )
 
 
 class ColumnarProjection:
@@ -68,67 +60,6 @@ class ColumnarProjection:
         self.codes = codes
         self.encoders = encoders
         self.live = live
-
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_rows(
-        cls,
-        schema: Schema,
-        bool_rows: Sequence[tuple],
-        pref_rows: Sequence[tuple],
-        dead: Sequence[int] = (),
-    ) -> "ColumnarProjection":
-        """Build from the row store (the lazy rebuild path)."""
-        n = len(pref_rows)
-        pref = np.array(pref_rows, dtype=np.float64)
-        pref = pref.reshape(n, schema.n_preference)
-        codes = np.empty((n, schema.n_boolean), dtype=np.int64)
-        encoders: list[dict[Any, int] | None] = []
-        columns = list(zip(*bool_rows)) if n else [
-            () for _ in range(schema.n_boolean)
-        ]
-        for j in range(schema.n_boolean):
-            column = columns[j]
-            if _is_int_column(column):
-                encoders.append(None)
-                codes[:, j] = column
-            else:
-                mapping: dict[Any, int] = {}
-                encoded = np.empty(n, dtype=np.int64)
-                for i, value in enumerate(column):
-                    code = mapping.get(value)
-                    if code is None:
-                        code = len(mapping)
-                        mapping[value] = code
-                    encoded[i] = code
-                encoders.append(mapping)
-                codes[:, j] = encoded
-        live = np.ones(n, dtype=bool)
-        dead_in_range = [tid for tid in dead if 0 <= tid < n]
-        if dead_in_range:
-            live[dead_in_range] = False
-        return cls(schema, pref, codes, tuple(encoders), live)
-
-    @classmethod
-    def from_matrices(
-        cls,
-        schema: Schema,
-        bool_matrix: np.ndarray,
-        pref_matrix: np.ndarray,
-    ) -> "ColumnarProjection":
-        """Adopt generator output directly (no per-tuple round trip)."""
-        pref = np.ascontiguousarray(pref_matrix, dtype=np.float64)
-        codes = np.ascontiguousarray(bool_matrix, dtype=np.int64)
-        if pref.shape != (len(pref), schema.n_preference):
-            raise ValueError("preference matrix width does not match schema")
-        if codes.shape != (len(pref), schema.n_boolean):
-            raise ValueError("boolean matrix width does not match schema")
-        encoders = (None,) * schema.n_boolean
-        live = np.ones(len(pref), dtype=bool)
-        return cls(schema, pref, codes, encoders, live)
 
     # ------------------------------------------------------------------ #
     # MVCC: snapshot at an epoch by patching the base projection

@@ -1,5 +1,13 @@
 """The base relation, stored as a paged heap file.
 
+The rows live in two column matrices — preference values as float64, and
+boolean values as int64 codes (integer columns hold their values, any
+other column a per-column dictionary code, as in
+:class:`~repro.cube.columnar.ColumnarProjection`) — plus a liveness mask.
+Appends fill them with amortised growth; a row becomes a tuple only when
+an accessor asks for one, and :meth:`Relation.columnar` hands out views of
+the same arrays, so no structure holds a Python object per row.
+
 Multi-versioning: every mutation (append, tombstone, preference overwrite)
 is stamped with the epoch reported by :attr:`Relation.epoch_clock`, and
 :meth:`Relation.view` materialises a read-only :class:`RelationView` that
@@ -23,7 +31,6 @@ baselines pay for:
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Any, Callable, Iterator, Sequence
 
@@ -36,6 +43,8 @@ from repro.storage.counters import BTABLE, DBOOL, IOCounters
 from repro.storage.disk import SimulatedDisk
 
 _NOT_FINITE = "preference values must be finite (no NaN or ±inf)"
+_BOOL_WIDTH = "boolean row width does not match schema"
+_PREF_WIDTH = "preference row width does not match schema"
 _ROW_HEADER_BYTES = 4
 _VALUE_BYTES = 8
 
@@ -45,13 +54,38 @@ def _epoch_zero() -> int:
     return 0
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, (int, _np.integer)) and not isinstance(value, bool)
+
+
+def _encode_columns(
+    rows: Sequence[Sequence], width: int
+) -> tuple[_np.ndarray, list[list | None]]:
+    """Boolean rows as an int64 code matrix and, per column, ``None`` for an
+    integer column or the list of its distinct values in first-appearance
+    order (a value's code is its index there)."""
+    codes = _np.empty((len(rows), width), dtype=_np.int64)
+    decoders: list[list | None] = []
+    for j, column in enumerate(zip(*rows) if rows else [()] * width):
+        if all(map(_is_int, column)):
+            decoders.append(None)
+            codes[:, j] = column
+            continue
+        mapping: dict[Any, int] = {}
+        codes[:, j] = [mapping.setdefault(v, len(mapping)) for v in column]
+        decoders.append(list(mapping))
+    return codes, decoders
+
+
 class Relation:
     """An immutable-by-convention table of (boolean, preference) rows.
 
     Args:
         schema: Column layout.
-        bool_rows: One tuple of boolean values per row.
-        pref_rows: One tuple of floats per row (same length as bool_rows).
+        bool_rows: The boolean values, one row each: a sequence of tuples,
+            or an integer matrix (the generators' output, adopted as is).
+        pref_rows: The preference values, one row each (same length as
+            bool_rows): a sequence of tuples, or a float matrix.
         disk: Page store for the heap file.
         tag: Page tag prefix.
 
@@ -69,41 +103,48 @@ class Relation:
         if len(bool_rows) != len(pref_rows):
             raise ValueError("boolean and preference row counts differ")
         self.schema = schema
-        # Matrix input (the generators hand numpy arrays straight through)
-        # primes the columnar projection without a per-tuple round trip;
-        # ``tolist()`` of the float64 matrix yields exactly the Python
-        # floats a per-value ``float()`` would, so rows are byte-identical.
-        self._columnar: tuple[int, "ColumnarProjection"] | None = None
-        self._mutation_stamp = 0
+        n = len(pref_rows)
         if isinstance(bool_rows, _np.ndarray) and isinstance(
             pref_rows, _np.ndarray
         ):
-            if not _np.isfinite(pref_rows).all():
-                raise ValueError(_NOT_FINITE)
-            self._bool_rows = list(map(tuple, bool_rows.tolist()))
-            self._pref_rows = list(
-                map(tuple, pref_rows.astype(_np.float64, copy=False).tolist())
-            )
-            self._columnar = (
-                0,
-                ColumnarProjection.from_matrices(
-                    schema, bool_rows, pref_rows
-                ),
-            )
+            pref = _np.ascontiguousarray(pref_rows, dtype=_np.float64)
+            codes = _np.ascontiguousarray(bool_rows, dtype=_np.int64)
+            decoders: list[list | None] = [None] * schema.n_boolean
+            if codes.shape != (n, schema.n_boolean):
+                raise ValueError(_BOOL_WIDTH)
         else:
-            self._bool_rows = [tuple(row) for row in bool_rows]
-            self._pref_rows = [
-                tuple(float(v) for v in row) for row in pref_rows
-            ]
-            values = itertools.chain.from_iterable(self._pref_rows)
-            if not all(map(math.isfinite, values)):
-                raise ValueError(_NOT_FINITE)
-        for row in self._bool_rows:
-            if len(row) != schema.n_boolean:
-                raise ValueError("boolean row width does not match schema")
-        for row in self._pref_rows:
-            if len(row) != schema.n_preference:
-                raise ValueError("preference row width does not match schema")
+            if any(len(row) != schema.n_boolean for row in bool_rows):
+                raise ValueError(_BOOL_WIDTH)
+            if any(len(row) != schema.n_preference for row in pref_rows):
+                raise ValueError(_PREF_WIDTH)
+            pref = _np.array(pref_rows, dtype=_np.float64).reshape(
+                n, schema.n_preference
+            )
+            codes, decoders = _encode_columns(bool_rows, schema.n_boolean)
+        if pref.shape != (n, schema.n_preference):
+            raise ValueError(_PREF_WIDTH)
+        if not _np.isfinite(pref).all():
+            raise ValueError(_NOT_FINITE)
+        self._n = n
+        self._pref = pref
+        self._codes = codes
+        self._live = _np.ones(n, dtype=bool)
+        self._decoders = decoders
+        #: Whether any column is dictionary-coded (``bool_row`` decodes).
+        self._coded = any(values is not None for values in decoders)
+        self._encoders = [
+            None if values is None else {v: i for i, v in enumerate(values)}
+            for values in decoders
+        ]
+        self._dead = 0
+        # ``_pref`` may be seen from outside — the caller's matrix, or a
+        # projection handed out by ``columnar`` — so the first in-place
+        # overwrite copies it (appends only write rows no one sees yet).
+        self._pref_shared = True
+        #: Bumped before every mutation: a reader that sees it unchanged
+        #: across a computation saw no mutation in between.
+        self._mutation_stamp = 0
+        self._columnar: tuple[int, ColumnarProjection] | None = None
         self.disk = disk if disk is not None else SimulatedDisk()
         self.tag = tag
         self._row_bytes = _ROW_HEADER_BYTES + _VALUE_BYTES * (
@@ -111,7 +152,6 @@ class Relation:
         )
         self.rows_per_page = max(1, self.disk.page_size // self._row_bytes)
         self._page_ids: list[int] = []
-        self._tombstones: set[int] = set()
         #: Reports the epoch a mutation should be stamped with.  The epoch
         #: manager installs itself here; stand-alone relations stay at 0.
         self.epoch_clock: Callable[[], int] = _epoch_zero
@@ -123,7 +163,7 @@ class Relation:
         self._build_heap()
 
     def _build_heap(self) -> None:
-        for start in range(0, len(self._bool_rows), self.rows_per_page):
+        for start in range(0, len(self), self.rows_per_page):
             tids = range(start, min(start + self.rows_per_page, len(self)))
             page_id = self.disk.allocate(
                 self.tag,
@@ -143,14 +183,14 @@ class Relation:
         relation would refuse it — what maintenance checks before it
         journals a write."""
         if len(bool_row) != self.schema.n_boolean:
-            raise ValueError("boolean row width does not match schema")
+            raise ValueError(_BOOL_WIDTH)
         return tuple(bool_row), self.check_pref(pref_row)
 
     def check_pref(self, pref_row: Sequence) -> tuple[float, ...]:
         """The preference row as stored: as many floats as the schema has
         preference dimensions, all finite (``ValueError`` otherwise)."""
         if len(pref_row) != self.schema.n_preference:
-            raise ValueError("preference row width does not match schema")
+            raise ValueError(_PREF_WIDTH)
         row = tuple(float(v) for v in pref_row)
         if not all(map(math.isfinite, row)):
             raise ValueError(_NOT_FINITE)
@@ -159,15 +199,66 @@ class Relation:
     def append(self, bool_row: tuple, pref_row: tuple) -> int:
         """Append a row to the heap file; returns the new tid."""
         bool_row, pref_row = self.check_row(bool_row, pref_row)
-        tid = len(self)
+        tid = self._n
         epoch = self.epoch_clock()
         if epoch > 0:
             self._created_epoch[tid] = epoch
-        self._bool_rows.append(bool_row)
-        self._pref_rows.append(pref_row)
         self._mutation_stamp += 1
+        codes = self._encode(bool_row)
+        if tid == len(self._pref):
+            self._grow(2 * tid + 16)
+        self._pref[tid] = pref_row
+        self._codes[tid] = codes
+        self._live[tid] = True
+        self._n = tid + 1
         self._append_to_page(tid)
         return tid
+
+    def _encode(self, bool_row: tuple) -> list[int]:
+        """A row's codes: a value not yet in its column's dictionary gets
+        the next code, and a non-integer value turns an integer column
+        into a dictionary one."""
+        codes = []
+        for j, value in enumerate(bool_row):
+            encoder = self._encoders[j]
+            if encoder is None:
+                if _is_int(value):
+                    codes.append(int(value))
+                    continue
+                self._to_dictionary(j)
+                return self._encode(bool_row)
+            code = encoder.get(value)
+            if code is None:
+                code = encoder[value] = len(encoder)
+                self._decoders[j].append(value)
+            codes.append(code)
+        return codes
+
+    def _to_dictionary(self, j: int) -> None:
+        """Re-code integer column ``j`` by first appearance, in a new code
+        array (a projection handed out keeps the codes it saw)."""
+        mapping: dict[Any, int] = {}
+        column = [
+            mapping.setdefault(v, len(mapping))
+            for v in self._codes[: self._n, j].tolist()
+        ]
+        codes = self._codes.copy()
+        codes[: self._n, j] = column
+        self._codes = codes
+        self._encoders[j] = mapping
+        self._decoders[j] = list(mapping)
+        self._coded = True
+
+    def _grow(self, capacity: int) -> None:
+        """Re-allocate the row arrays to hold ``capacity`` rows (a
+        projection handed out keeps the arrays it saw)."""
+        n = self._n
+        for name in ("_pref", "_codes", "_live"):
+            old = getattr(self, name)
+            new = _np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
+            new[:n] = old[:n]
+            setattr(self, name, new)
+        self._pref_shared = False
 
     def _append_to_page(self, tid: int) -> None:
         """Page one already-buffered row (the tail of the heap file)."""
@@ -208,13 +299,15 @@ class Relation:
         old point.  Without an epoch system the chain is not kept.
         """
         pref_row = self.check_pref(pref_row)
+        old = self.pref_point(tid)
         epoch = self.epoch_clock()
         if epoch > 0:
-            self._pref_history.setdefault(tid, []).append(
-                (epoch, self._pref_rows[tid])
-            )
-        self._pref_rows[tid] = pref_row
+            self._pref_history.setdefault(tid, []).append((epoch, old))
         self._mutation_stamp += 1
+        if self._pref_shared:
+            self._pref = self._pref.copy()
+            self._pref_shared = False
+        self._pref[tid] = pref_row
 
     # ------------------------------------------------------------------ #
     # tombstones (incremental deletes)
@@ -227,48 +320,68 @@ class Relation:
         Idempotent: tombstoning a tombstone is a no-op."""
         if not 0 <= tid < len(self):
             raise IndexError(f"tid {tid} out of range")
-        if tid not in self._tombstones:
+        if self._live[tid]:
             epoch = self.epoch_clock()
             if epoch > 0:
                 self._tombstone_epoch[tid] = epoch
             self._mutation_stamp += 1
-        self._tombstones.add(tid)
+            self._live[tid] = False
+            self._dead += 1
 
     def is_live(self, tid: int) -> bool:
-        return 0 <= tid < len(self) and tid not in self._tombstones
+        return 0 <= tid < len(self) and bool(self._live[tid])
 
     def live_tids(self) -> Iterator[int]:
-        return (tid for tid in range(len(self)) if tid not in self._tombstones)
+        return iter(_np.flatnonzero(self._live[: self._n]).tolist())
 
     def live_count(self) -> int:
-        return len(self) - len(self._tombstones)
+        return len(self) - self._dead
 
     # ------------------------------------------------------------------ #
     # plain (uncounted) access for in-memory algorithms
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self._bool_rows)
+        return self._n
+
+    def _row(self, tid: int) -> int:
+        """``tid`` as a row index (negative counts from the end)."""
+        row = tid + self._n if tid < 0 else tid
+        if not 0 <= row < self._n:
+            raise IndexError(f"tid {tid} out of range")
+        return row
 
     def bool_row(self, tid: int) -> tuple:
-        return self._bool_rows[tid]
+        if not 0 <= tid < self._n:
+            tid = self._row(tid)
+        codes = self._codes[tid].tolist()
+        if self._coded:
+            return tuple(
+                code if values is None else values[code]
+                for code, values in zip(codes, self._decoders)
+            )
+        return tuple(codes)
 
     def pref_point(self, tid: int) -> tuple[float, ...]:
-        return self._pref_rows[tid]
+        if not 0 <= tid < self._n:
+            tid = self._row(tid)
+        return tuple(self._pref[tid].tolist())
 
     def bool_value(self, tid: int, dim: str) -> Any:
-        return self._bool_rows[tid][self.schema.boolean_position(dim)]
+        if not 0 <= tid < self._n:
+            tid = self._row(tid)
+        position = self.schema.boolean_position(dim)
+        code = int(self._codes[tid, position])
+        values = self._decoders[position]
+        return code if values is None else values[code]
 
     def tids(self) -> range:
         return range(len(self))
 
     def pref_points(self) -> Iterator[tuple[int, tuple[float, ...]]]:
         """Live ``(tid, preference_point)`` pairs (R-tree loading input)."""
-        return (
-            (tid, point)
-            for tid, point in enumerate(self._pref_rows)
-            if tid not in self._tombstones
-        )
+        live = _np.flatnonzero(self._live[: self._n])
+        return zip(live.tolist(), map(tuple, self._pref[live].tolist()))
 
     # ------------------------------------------------------------------ #
     # counted access paths
@@ -278,19 +391,24 @@ class Relation:
         return len(self._page_ids)
 
     def columnar(self) -> ColumnarProjection:
-        """The columnar projection of the current state (lazily cached).
-
-        Invalidated by any mutation (append / tombstone / preference
-        overwrite) via the mutation stamp.  Concurrent readers may race to
-        rebuild — the build is idempotent and the cache slot assignment is
-        atomic, so the worst case is one redundant build.
+        """The current state as a columnar projection (cached per
+        mutation stamp): views of the relation's own preference and code
+        arrays — a later overwrite copies the preference array first — and
+        a copy of the liveness mask.  Concurrent readers may race to make
+        it; the projections are equal and the last store wins.
         """
         cached = self._columnar
         stamp = self._mutation_stamp
         if cached is not None and cached[0] == stamp:
             return cached[1]
-        projection = ColumnarProjection.from_rows(
-            self.schema, self._bool_rows, self._pref_rows, self._tombstones
+        self._pref_shared = True
+        n = self._n
+        projection = ColumnarProjection(
+            self.schema,
+            self._pref[:n],
+            self._codes[:n],
+            tuple(self._encoders),
+            self._live[:n].copy(),
         )
         self._columnar = (stamp, projection)
         return projection
@@ -309,7 +427,7 @@ class Relation:
         Tids are append-ordered and creation epochs are monotone
         non-decreasing, so the visible prefix length is found by bisection.
         """
-        n = len(self._bool_rows)
+        n = self._n
         if not self._created_epoch:
             return n
         lo, hi = 0, n
@@ -324,22 +442,25 @@ class Relation:
     def _is_live_at(self, tid: int, epoch: int) -> bool:
         if not 0 <= tid < self._len_at(epoch):
             return False
-        if tid not in self._tombstones:
+        if self._live[tid]:
             return True
         return self._tombstone_epoch.get(tid, 0) > epoch
 
     def _pref_at(self, tid: int, epoch: int) -> tuple[float, ...]:
         """The preference row visible at ``epoch``.
 
-        The undo chain is chronological, so the first entry written by a
-        later epoch holds the value the pinned reader saw.
+        The row is read before the undo chain, which a writer extends
+        before it overwrites the row: a value read mid-write is corrected
+        by the chain.  The chain is chronological, so the first entry
+        written by a later epoch holds the value the pinned reader saw.
         """
+        row = self.pref_point(tid)
         history = self._pref_history.get(tid)
         if history:
             for write_epoch, old_row in history:
                 if write_epoch > epoch:
                     return old_row
-        return self._pref_rows[tid]
+        return row
 
     def prune_versions(self, oldest_pinned: int) -> int:
         """Discard version records no reader at or after ``oldest_pinned``
@@ -430,26 +551,31 @@ class RelationView:
         epoch are sliced off, rows tombstoned after it are resurrected,
         and preference rows overwritten after it are restored from the
         undo chains — the columnar twin of ``_is_live_at``/``_pref_at``.
-        Cached per base mutation stamp.
+        Cached per base mutation stamp; a write that lands while it is
+        being made moves the stamp, and it is made again.
         """
         base = self._base
         cached = self._columnar
         stamp = base._mutation_stamp
         if cached is not None and cached[0] == stamp:
             return cached[1]
-        n = len(self)
-        resurrect = [
-            tid
-            for tid, write_epoch in base._tombstone_epoch.items()
-            if write_epoch > self.epoch
-        ]
-        pref_undo: dict[int, tuple[float, ...]] = {}
-        for tid, chain in base._pref_history.items():
-            for write_epoch, old_row in chain:
-                if write_epoch > self.epoch:
-                    pref_undo[tid] = old_row
-                    break
-        projection = base.columnar().snapshot(n, resurrect, pref_undo)
+        while True:
+            n = len(self)
+            resurrect = [
+                tid
+                for tid, write_epoch in list(base._tombstone_epoch.items())
+                if write_epoch > self.epoch
+            ]
+            pref_undo: dict[int, tuple[float, ...]] = {}
+            for tid, chain in list(base._pref_history.items()):
+                for write_epoch, old_row in chain:
+                    if write_epoch > self.epoch:
+                        pref_undo[tid] = old_row
+                        break
+            projection = base.columnar().snapshot(n, resurrect, pref_undo)
+            if base._mutation_stamp == stamp:
+                break
+            stamp = base._mutation_stamp
         self._columnar = (stamp, projection)
         return projection
 

@@ -145,19 +145,20 @@ def _child_entries(
     tie_rows = row_tuples(ties, indices) if ties is not None else repeat(())
     entries = []
     for index, tie in zip(indices, tie_rows):
-        child = block.entries[index]
-        entries.append(
-            HeapEntry(
-                keys[index],
-                first_seq + index,
-                parent_path + (block.slots[index] + 1,),
-                node=child.child,
-                tid=child.tid,
-                point=block.low_tuples[index],
-                rect=None if block.leaf else child.mbr,
-                tie=tie,
+        path = parent_path + (block.slots[index] + 1,)
+        if block.leaf:
+            entry = HeapEntry(
+                keys[index], first_seq + index, path,
+                tid=block.tids[index], point=block.low_tuples[index], tie=tie,
             )
-        )
+        else:
+            child = block.entries[index]
+            entry = HeapEntry(
+                keys[index], first_seq + index, path,
+                node=child.child, point=block.low_tuples[index],
+                rect=child.mbr, tie=tie,
+            )
+        entries.append(entry)
     return entries
 
 

@@ -10,11 +10,11 @@ The packing runs on the coordinate matrix: each tiling step is one stable
 groups are exactly those of a per-item ``sorted``), and each level's node
 boxes are per-group ``min`` / ``max`` over the rows of its children.
 
-Allocation order is part of the build: each level's rows are permuted into
-STR order once, and every node is built from its contiguous slice.  So a
-leaf's point tuples (and the ``Rect`` / ``Entry`` around each) are made one
-after the other, in the slot order a skyline expansion scans them, and sit
-side by side in memory instead of wherever their tids' rows happened to be.
+Each level's rows are permuted into STR order once, and every node is
+built from its contiguous slice: a leaf copies its slice of tids and
+coordinates into its slot columns, so its points sit side by side in slot
+order — the order a skyline expansion scans them — and the leaves make no
+object per tuple.
 """
 
 from __future__ import annotations
@@ -70,13 +70,15 @@ def _str_order(keys: np.ndarray, capacity: int) -> tuple[np.ndarray, list[int]]:
 def _build_level(
     tree: RTree, level: int, sizes: list[int], entries: list[Entry]
 ) -> list[RTreeNode]:
-    """One new node of ``tree`` per group size, each holding the next slice
-    of ``entries``."""
+    """One new inner node of ``tree`` per group size, each holding the next
+    slice of ``entries``."""
     nodes = []
     start = 0
     for size in sizes:
         node = tree._new_node(level=level)
         node.entries = entries[start : start + size]
+        for entry in node.entries:
+            entry.child.parent = node
         start += size
         tree._sync_page(node)
         nodes.append(node)
@@ -144,6 +146,8 @@ def load_columns(
         raise ValueError(f"duplicate tid {distinct[counts > 1][0]}")
     if not np.isfinite(coords).all():
         raise ValueError("coordinates must be finite")
+    if distinct[0] < 0:
+        raise ValueError(f"tid {distinct[0]} is negative")
     # Packed nodes must stay splittable into two legal halves (even
     # chunking yields groups of at least capacity/2 entries).
     max_entries = tree.max_entries
@@ -158,21 +162,18 @@ def load_columns(
     # centres (a point is its own centre).
     order, sizes = _str_order(coords, capacity)
     lows = highs = coords[order]
-    leaf_tids = tids[order].tolist()
-    leaf_points = list(map(tuple, lows.tolist()))
-    nodes = _build_level(tree, 0, sizes, [
-        Entry(Rect.trusted(point, point), tid=tid)
-        for tid, point in zip(leaf_tids, leaf_points)
-    ])
-    tid_leaf = {entry.tid: leaf for leaf in nodes for entry in leaf.entries}
-    # ``_points`` keeps the callers' tid order over the leaves' own objects:
-    # row i of ``coords`` is leaf row ``position[i]``.
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    at = position.tolist()
-    points = dict(
-        zip(map(leaf_tids.__getitem__, at), map(leaf_points.__getitem__, at))
-    )
+    leaf_tids = tids[order]
+    leaves = []
+    start = 0
+    for size in sizes:
+        leaf = tree._new_node(level=0)
+        leaf.tids[:size] = leaf_tids[start : start + size]
+        leaf.coords[:size] = lows[start : start + size]
+        start += size
+        tree._sync_page(leaf)
+        leaves.append(leaf)
+    leaf_sizes = sizes
+    nodes = leaves
     level = 0
     while len(nodes) > 1:
         starts = np.cumsum([0] + sizes[:-1])
@@ -185,8 +186,5 @@ def load_columns(
             Entry(Rect.trusted(tuple(lo), tuple(hi)), child=nodes[i])
             for i, lo, hi in zip(order.tolist(), lows.tolist(), highs.tolist())
         ])
-        for node in nodes:
-            for entry in node.entries:
-                entry.child.parent = node
 
-    tree._adopt_bulk(nodes[0], points, tid_leaf)
+    tree._adopt_bulk(nodes[0], leaves, leaf_sizes, leaf_tids)

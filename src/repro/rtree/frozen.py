@@ -6,9 +6,10 @@ locking the live tree, each published epoch carries a *frozen* copy, and
 every query reads one: plain-data nodes (:class:`FrozenRNode` /
 :class:`FrozenEntry`) with the read surface Algorithm 1 and the boolean
 fallback use — ``root``, ``disk``, ``live_entries()``, ``live_count()``,
-``mbr()``, ``block()``, ``entry_at()`` — and nothing mutable.  A frozen leaf shares the live
-leaf's entry objects, which no writer mutates, so a freeze copies no
-tuple.
+``mbr()``, ``block()``, ``entry_at()`` — and nothing mutable.  A frozen
+leaf holds copies of the live leaf's ``tids`` and ``coords`` columns — two
+arrays per leaf, no object per tuple — because the writer edits the live
+columns in place.
 
 Freezing is copy-on-write at node granularity and costs the changed paths,
 not the tree: the live tree records every node whose page was written or
@@ -30,10 +31,12 @@ for the snapshot's whole lifetime.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from repro.rtree.geometry import Rect
-from repro.rtree.node import NodeBlock
+from repro.rtree.node import FREE, NodeBlock, NodeSlots, leaf_paths, point_entry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rtree.node import Entry
@@ -41,9 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class FrozenEntry:
-    """An immutable inner slot payload: a child subtree and its box (a
-    frozen leaf's slots are the live :class:`~repro.rtree.node.Entry`
-    objects themselves)."""
+    """An immutable inner slot payload: a child subtree and its box."""
 
     __slots__ = ("mbr", "child")
 
@@ -55,44 +56,39 @@ class FrozenEntry:
         self.child = child
 
 
-class FrozenRNode:
+class FrozenRNode(NodeSlots):
     """An immutable R-tree node sharing its page id with the live node.
 
-    ``entries`` is indexed by slot, ``None`` at a free slot, like the live
-    node's.  A frozen leaf holds the live leaf's own :class:`Entry`
-    objects: maintenance replaces entries and never mutates one, so
-    sharing them copies no tuple.  The MBR is computed on the first
-    :meth:`mbr` call (only the root's is ever read, by the search's first
-    heap entry) and kept.
+    An inner node's ``entries`` is indexed by slot, ``None`` at a free
+    slot, like the live node's.  A leaf holds copies of the live leaf's
+    ``tids`` and ``coords`` columns, taken when it was frozen: the writer
+    edits the live columns in place, and never these.  The MBR is
+    computed on the first :meth:`mbr` call (only the root's is ever read,
+    by the search's first heap entry) and kept.
     """
 
-    __slots__ = ("node_id", "page_id", "level", "_entries", "_mbr", "_block")
+    __slots__ = (
+        "node_id", "page_id", "level", "entries", "tids", "coords", "_mbr",
+        "_block",
+    )
 
     def __init__(
         self,
         node_id: int,
         page_id: int,
         level: int,
-        entries: "list[FrozenEntry | Entry | None]",
+        entries: "list[FrozenEntry | None] | None" = None,
+        tids: np.ndarray | None = None,
+        coords: np.ndarray | None = None,
     ) -> None:
         self.node_id = node_id
         self.page_id = page_id
         self.level = level
-        self._entries = entries
+        self.entries = entries
+        self.tids = tids
+        self.coords = coords
         self._mbr: Rect | None = None
         self._block: NodeBlock | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.level == 0
-
-    def live_entries(self) -> Iterator[tuple[int, "FrozenEntry | Entry"]]:
-        for index, entry in enumerate(self._entries):
-            if entry is not None:
-                yield index, entry
-
-    def live_count(self) -> int:
-        return len(self._entries) - self._entries.count(None)
 
     def block(self) -> NodeBlock:
         """The columnar view of the children, built on first use and kept.
@@ -113,10 +109,7 @@ class FrozenRNode:
         calls compute equal rects and the last store wins)."""
         mbr = self._mbr
         if mbr is None:
-            boxes = [entry.mbr for entry in self._entries if entry is not None]
-            if not boxes:
-                raise ValueError("empty node has no MBR")
-            mbr = self._mbr = Rect.union_all(boxes)
+            mbr = self._mbr = self.slots_mbr()
         return mbr
 
 
@@ -150,30 +143,35 @@ class FrozenRTree:
         (the same convention as :meth:`RTree.all_paths` — what signature
         audits compare stored bits against)."""
         paths: dict[int, tuple[int, ...]] = {}
-        stack: list[tuple[FrozenRNode, tuple[int, ...]]] = [(self.root, ())]
-        while stack:
-            node, prefix = stack.pop()
-            for slot, entry in node.live_entries():
-                path = prefix + (slot + 1,)
-                if entry.is_leaf_entry:
-                    paths[entry.tid] = path
-                else:
-                    stack.append((entry.child, path))
+        for leaf, prefix in leaf_paths(self.root):
+            slots = leaf.live_slots()
+            for tid, slot in zip(leaf.tids[slots].tolist(), slots.tolist()):
+                paths[tid] = prefix + (slot + 1,)
         return paths
 
-    def entry_at(self, path: Sequence[int]) -> FrozenEntry | None:
-        """Resolve a root-based path of 1-based slots to its entry.
+    def entry_at(self, path: Sequence[int]) -> "FrozenEntry | Entry | None":
+        """Resolve a root-based path of 1-based slots to its entry (a leaf
+        slot's is made for the call).
 
         ``None`` for the empty path (the root is not an entry) and for a
         path that runs off the tree or lands on a free slot — degraded
         readers treat that as "cannot resolve", never as "empty"."""
         node: FrozenRNode | None = self.root
-        entry: FrozenEntry | None = None
+        entry = None
         for position in path:
             if node is None:
                 return None
             slot = position - 1
-            entry = node._entries[slot] if 0 <= slot < len(node._entries) else None
+            if node.is_leaf:
+                if not 0 <= slot < len(node.tids) or node.tids[slot] == FREE:
+                    return None
+                entry = point_entry(
+                    int(node.tids[slot]), tuple(node.coords[slot].tolist())
+                )
+                node = None
+                continue
+            entries = node.entries
+            entry = entries[slot] if 0 <= slot < len(entries) else None
             if entry is None:
                 return None
             node = entry.child
@@ -213,14 +211,16 @@ def freeze(tree: "RTree", previous: FrozenRTree | None = None) -> FrozenRTree:
             if shared is not None:
                 return shared
         if node.is_leaf:
-            entries = list(node.entries)
-        else:
-            entries = [
-                None
-                if entry is None
-                else FrozenEntry(entry.mbr, _freeze(entry.child))
-                for entry in node.entries
-            ]
+            return FrozenRNode(
+                node.node_id, node.page_id, 0,
+                tids=node.tids.copy(), coords=node.coords.copy(),
+            )
+        entries = [
+            None
+            if entry is None
+            else FrozenEntry(entry.mbr, _freeze(entry.child))
+            for entry in node.entries
+        ]
         return FrozenRNode(node.node_id, node.page_id, node.level, entries)
 
     root = _freeze(tree.root)

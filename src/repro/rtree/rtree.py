@@ -16,12 +16,19 @@ does two things the P-Cube life cycle needs:
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.rtree.geometry import Point, Rect
-from repro.rtree.node import Entry, RTreeNode, subtree_nodes, subtree_tids, tuple_path
+from repro.rtree.geometry import Rect
+from repro.rtree.node import (
+    FREE,
+    Entry,
+    RTreeNode,
+    leaf_paths,
+    subtree_nodes,
+    tuple_path,
+)
 from repro.storage.disk import SimulatedDisk
 
 #: Bytes per node entry: an MBR of single-precision floats (2 * dims * 4)
@@ -59,6 +66,8 @@ class PathChange(NamedTuple):
     new_path: tuple[int, ...] | None
 
 
+
+
 class RTree:
     """A paged, slot-stable R-tree over ``dims``-dimensional points.
 
@@ -68,6 +77,13 @@ class RTree:
         min_entries: Underflow threshold ``m`` (default ``max(2, 2M/5)``).
         disk: Page store; a private one is created when omitted.
         tag: Page tag prefix for space accounting.
+
+    The leaves hold the points (:class:`~repro.rtree.node.RTreeNode`'s slot
+    columns); besides the nodes the tree keeps two tid-indexed arrays —
+    each tid's leaf, and its place in :meth:`all_paths`' order — so it
+    makes no object per tuple.  Tids are non-negative integers, and those
+    arrays are as long as the largest tid: a relation's row positions,
+    which are dense.
     """
 
     def __init__(
@@ -95,9 +111,7 @@ class RTree:
         self.disk = disk if disk is not None else SimulatedDisk()
         self.tag = tag
         self._next_node_id = 0
-        self._points: dict[int, Point] = {}
-        self._tid_leaf: dict[int, RTreeNode] = {}
-        self._paths: dict[int, tuple[int, ...]] = {}
+        self._forget_tids()
         #: When set, node-page frees are routed here instead of
         #: ``disk.free`` — the epoch manager defers them until no pinned
         #: snapshot can still be traversing the node.
@@ -113,15 +127,26 @@ class RTree:
         #: not be shared, since ids no longer correspond.
         self.generation = 0
         self.root = self._new_node(level=0)
-        # Per-insert scratch state.
-        self._dirty_tids: set[int] = set()
+
+    def _forget_tids(self) -> None:
+        """Index no tuple (the tree's nodes are the caller's business)."""
+        #: tid -> the leaf holding it (``None``: not indexed).
+        self._tid_leaf: list[RTreeNode | None] = []
+        #: tid -> its rank in :meth:`all_paths`' order (the order tuples
+        #: entered the tree: a bulk load's leaf order, then inserts).
+        self._rank = np.empty(0, dtype=np.int64)
+        self._next_rank = 0
+        self._size = 0
+        #: Per-mutation scratch: each tuple the mutation may move, with its
+        #: path before the move (``None`` for the tuple being inserted).
+        self._old_paths: dict[int, tuple[int, ...] | None] = {}
 
     # ------------------------------------------------------------------ #
     # node bookkeeping
     # ------------------------------------------------------------------ #
 
     def _new_node(self, level: int) -> RTreeNode:
-        node = RTreeNode(self._next_node_id, level, self.max_entries)
+        node = RTreeNode(self._next_node_id, level, self.max_entries, self.dims)
         self._next_node_id += 1
         node.page_id = self.disk.allocate(self.tag, size=_NODE_HEADER_BYTES)
         self.disk.write(node.page_id, node, size=_NODE_HEADER_BYTES)
@@ -166,15 +191,59 @@ class RTree:
             self.disk.free(page_id)
 
     # ------------------------------------------------------------------ #
+    # tid bookkeeping
+    # ------------------------------------------------------------------ #
+
+    def _place(self, tid: int, leaf: RTreeNode) -> None:
+        """Record that ``leaf`` holds ``tid``, growing the tid arrays."""
+        known = len(self._tid_leaf)
+        if tid >= known:
+            extra = max(tid + 1, 2 * known) - known
+            self._tid_leaf.extend([None] * extra)
+            self._rank = np.concatenate(
+                [self._rank, np.full(extra, -1, dtype=np.int64)]
+            )
+        self._tid_leaf[tid] = leaf
+
+    def _leaf(self, tid: int) -> RTreeNode:
+        if tid not in self:
+            raise KeyError(f"tid {tid} is not indexed")
+        return self._tid_leaf[tid]
+
+    def __contains__(self, tid: int) -> bool:
+        return 0 <= tid < len(self._tid_leaf) and self._tid_leaf[tid] is not None
+
+    # ------------------------------------------------------------------ #
     # public views
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self._points)
+        return self._size
+
+    def path_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every indexed tuple's path as arrays, in :meth:`all_paths`'
+        order: ``(tids, paths)`` where row ``r`` of the ``(n, depth)``
+        matrix ``paths`` is the path of ``tids[r]``.  One walk of the inner
+        nodes and one array pass over the leaves' columns."""
+        depth = self.root.level + 1
+        leaves, prefixes = zip(*leaf_paths(self.root))
+        slot_tids = np.stack([leaf.tids for leaf in leaves])
+        live = slot_tids != FREE
+        tids = slot_tids[live]
+        leaf_rows = np.repeat(
+            np.array(prefixes, dtype=np.int64).reshape(len(leaves), depth - 1),
+            live.sum(axis=1),
+            axis=0,
+        )
+        paths = np.column_stack([leaf_rows, np.nonzero(live)[1] + 1])
+        order = np.argsort(self._rank[tids], kind="stable")
+        return tids[order], paths[order]
 
     def all_paths(self) -> dict[int, tuple[int, ...]]:
-        """A snapshot of every tuple's path (used by signature generation)."""
-        return dict(self._paths)
+        """A snapshot of every tuple's path (used by signature generation),
+        in the order the tuples entered the tree."""
+        tids, paths = self.path_columns()
+        return dict(zip(tids.tolist(), map(tuple, paths.tolist())))
 
     def nodes(self) -> Iterator[RTreeNode]:
         """All nodes, pre-order from the root."""
@@ -195,27 +264,38 @@ class RTree:
         Section IV-B.3 of the paper handles by collecting old and new
         paths).
         """
-        if tid in self._points:
+        if tid < 0:
+            raise ValueError(f"tid {tid} is negative")
+        if tid in self:
             raise KeyError(f"tid {tid} is already indexed")
         if len(point) != self.dims:
             raise ValueError(f"point has {len(point)} dims, tree has {self.dims}")
         point = tuple(float(v) for v in point)
-        self._points[tid] = point
-        self._dirty_tids = set()
+        self._old_paths = {tid: None}
+        self._insert_point(tid, point)
+        self._rank[tid] = self._next_rank
+        self._next_rank += 1
+        self._size += 1
+        return self._collect_changes()
 
-        entry = Entry(Rect.from_point(point), tid=tid)
-        self._insert_entry(entry, target_level=0)
-
-        return self._collect_changes(inserted=(tid,), removed=())
+    def _insert_point(self, tid: int, point: tuple[float, ...]) -> None:
+        box = Rect.from_point(point)
+        leaf = self._choose_node(box, 0)
+        if leaf.is_full():
+            self._split_leaf(leaf, tid, point)
+        else:
+            leaf.add_point(tid, point)
+            self._place(tid, leaf)
+            self._sync_page(leaf)
+            self._adjust_upward(leaf, added=box)
 
     def _insert_entry(self, entry: Entry, target_level: int) -> None:
+        """Insert a subtree's entry into a node at ``target_level``."""
         node = self._choose_node(entry.mbr, target_level)
         if node.is_full():
             self._split(node, entry)
         else:
             node.add_entry(entry)
-            if entry.tid is not None:
-                self._tid_leaf[entry.tid] = node
             self._sync_page(node)
             self._adjust_upward(node, added=entry.mbr)
 
@@ -246,24 +326,44 @@ class RTree:
             node = best
         return node
 
+    def _split_leaf(self, leaf: RTreeNode, tid: int, point: tuple[float, ...]) -> None:
+        """Split a full ``leaf`` to absorb tuple ``tid``: the quadratic
+        split runs over the points' boxes, made for it."""
+        self._mark_dirty_subtree(leaf)
+        slots = leaf.live_slots()
+        tids = leaf.tids[slots].tolist() + [tid]
+        points = leaf.points(slots) + [point]
+        group_a, group_b = self._partition_quadratic(
+            [Rect.trusted(p, p) for p in points]
+        )
+        sibling = self._new_node(0)
+        leaf.clear()
+        for node, group in ((leaf, group_a), (sibling, group_b)):
+            for i in group:
+                node.add_point(tids[i], points[i])
+                self._place(tids[i], node)
+        self._sync_page(leaf)
+        self._sync_page(sibling)
+        self._link_sibling(leaf, sibling)
+
     def _split(self, node: RTreeNode, entry: Entry) -> None:
-        """Split ``node`` to absorb ``entry``; cascade upward as needed."""
+        """Split the inner ``node`` to absorb ``entry``."""
         self._mark_dirty_subtree(node)
-        all_entries = [e for _, e in node.live_entries()] + [entry]
-        group_a, group_b = self._partition_quadratic(all_entries)
+        entries = [e for _, e in node.live_entries()] + [entry]
+        group_a, group_b = self._partition_quadratic([e.mbr for e in entries])
         sibling = self._new_node(node.level)
-        node.entries = []
-        for moved in group_a:
-            node.add_entry(moved)
-            if moved.tid is not None:
-                self._tid_leaf[moved.tid] = node
-        for moved in group_b:
-            sibling.add_entry(moved)
-            if moved.tid is not None:
-                self._tid_leaf[moved.tid] = sibling
+        node.clear()
+        for i in group_a:
+            node.add_entry(entries[i])
+        for i in group_b:
+            sibling.add_entry(entries[i])
         self._sync_page(node)
         self._sync_page(sibling)
+        self._link_sibling(node, sibling)
 
+    def _link_sibling(self, node: RTreeNode, sibling: RTreeNode) -> None:
+        """Hang a split's new ``sibling`` next to ``node``; cascade upward
+        as needed."""
         parent = node.parent
         if parent is None:
             new_root = self._new_node(node.level + 1)
@@ -320,26 +420,27 @@ class RTree:
     # ------------------------------------------------------------------ #
 
     def _partition_quadratic(
-        self, entries: list[Entry]
-    ) -> tuple[list[Entry], list[Entry]]:
-        """Guttman's quadratic split: worst pair as seeds, greedy assignment."""
+        self, boxes: list[Rect]
+    ) -> tuple[list[int], list[int]]:
+        """Guttman's quadratic split: worst pair as seeds, greedy
+        assignment.  Returns the two groups as indices into ``boxes``."""
         worst = -math.inf
         seeds = (0, 1)
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
+        for i in range(len(boxes)):
+            for j in range(i + 1, len(boxes)):
                 waste = (
-                    entries[i].mbr.union(entries[j].mbr).area()
-                    - entries[i].mbr.area()
-                    - entries[j].mbr.area()
+                    boxes[i].union(boxes[j]).area()
+                    - boxes[i].area()
+                    - boxes[j].area()
                 )
                 if waste > worst:
                     worst = waste
                     seeds = (i, j)
-        group_a = [entries[seeds[0]]]
-        group_b = [entries[seeds[1]]]
-        mbr_a = group_a[0].mbr
-        mbr_b = group_b[0].mbr
-        remaining = [e for k, e in enumerate(entries) if k not in seeds]
+        group_a = [seeds[0]]
+        group_b = [seeds[1]]
+        mbr_a = boxes[seeds[0]]
+        mbr_b = boxes[seeds[1]]
+        remaining = [k for k in range(len(boxes)) if k not in seeds]
         while remaining:
             # Honour the minimum fill requirement first.
             if len(group_a) + len(remaining) == self.min_entries:
@@ -352,21 +453,22 @@ class RTree:
             best_index = 0
             best_diff = -1.0
             for k, candidate in enumerate(remaining):
-                d_a = mbr_a.enlargement(candidate.mbr)
-                d_b = mbr_b.enlargement(candidate.mbr)
+                d_a = mbr_a.enlargement(boxes[candidate])
+                d_b = mbr_b.enlargement(boxes[candidate])
                 diff = abs(d_a - d_b)
                 if diff > best_diff:
                     best_diff = diff
                     best_index = k
             candidate = remaining.pop(best_index)
-            d_a = mbr_a.enlargement(candidate.mbr)
-            d_b = mbr_b.enlargement(candidate.mbr)
+            box = boxes[candidate]
+            d_a = mbr_a.enlargement(box)
+            d_b = mbr_b.enlargement(box)
             if d_a < d_b or (d_a == d_b and len(group_a) <= len(group_b)):
                 group_a.append(candidate)
-                mbr_a = mbr_a.union(candidate.mbr)
+                mbr_a = mbr_a.union(box)
             else:
                 group_b.append(candidate)
-                mbr_b = mbr_b.union(candidate.mbr)
+                mbr_b = mbr_b.union(box)
         return group_a, group_b
 
     # ------------------------------------------------------------------ #
@@ -375,17 +477,15 @@ class RTree:
 
     def delete(self, tid: int) -> list[PathChange]:
         """Remove a tuple; return all path changes (condensation included)."""
-        if tid not in self._points:
-            raise KeyError(f"tid {tid} is not indexed")
-        self._dirty_tids = set()
-
-        leaf = self._tid_leaf.pop(tid)
-        del self._points[tid]
-        slot = leaf.slot_of_tid(tid)
-        leaf.remove_slot(slot)
+        leaf = self._leaf(tid)
+        self._old_paths = {tid: tuple_path(leaf, tid)}
+        leaf.remove_slot(leaf.slot_of_tid(tid))
+        self._tid_leaf[tid] = None
+        self._rank[tid] = -1
+        self._size -= 1
         self._sync_page(leaf)
-        self._dirty_tids.add(tid)
 
+        orphan_points: list[tuple[int, tuple[float, ...]]] = []
         orphans: list[Entry] = []
         node = leaf
         while node.parent is not None:
@@ -393,7 +493,13 @@ class RTree:
             if node.live_count() < self.min_entries:
                 self._mark_dirty_subtree(node)
                 parent.remove_slot(parent.slot_of_child(node))
-                orphans.extend(e for _, e in node.live_entries())
+                if node.is_leaf:
+                    slots = node.live_slots()
+                    orphan_points.extend(
+                        zip(node.tids[slots].tolist(), node.points(slots))
+                    )
+                else:
+                    orphans.extend(e for _, e in node.live_entries())
                 self._free_node(node)
                 self._sync_page(parent)
             else:
@@ -404,15 +510,16 @@ class RTree:
         # Re-insert orphaned entries at their original levels (Guttman's
         # CondenseTree), leaf tuples first so subtree re-insertions see a
         # well-formed tree.
-        orphans.sort(key=lambda e: 0 if e.tid is not None else 1)
+        for orphan_tid, point in orphan_points:
+            self._insert_point(orphan_tid, point)
         for orphan in orphans:
-            if self.root.live_count() == 0 and orphan.child is not None:
+            if self.root.live_count() == 0:
                 # Degenerate case: the tree emptied out; adopt the subtree.
                 self._free_node(self.root)
                 self.root = orphan.child
                 self.root.parent = None
                 continue
-            level = 0 if orphan.tid is not None else orphan.child.level + 1
+            level = orphan.child.level + 1
             self._insert_entry(orphan, target_level=min(level, self.root.level))
         # Shrink the root if it has a single child.
         while not self.root.is_leaf and self.root.live_count() == 1:
@@ -423,7 +530,7 @@ class RTree:
             self.root = only.child
             self.root.parent = None
 
-        return self._collect_changes(inserted=(), removed=(tid,))
+        return self._collect_changes(removed=tid)
 
     def update(self, tid: int, new_point: Sequence[float]) -> list[PathChange]:
         """Move a tuple: delete + insert, with merged change records."""
@@ -445,32 +552,38 @@ class RTree:
     # ------------------------------------------------------------------ #
 
     def _mark_dirty_subtree(self, node: RTreeNode) -> None:
-        self._dirty_tids.update(subtree_tids(node))
+        """Record the path of every tuple under ``node`` that the mutation
+        has not recorded yet — before the mutation moves any of them."""
+        old_paths = self._old_paths
+        for leaf, prefix in leaf_paths(node, node.path()):
+            slots = leaf.live_slots()
+            for tid, slot in zip(leaf.tids[slots].tolist(), slots.tolist()):
+                if tid not in old_paths:
+                    old_paths[tid] = prefix + (slot + 1,)
 
-    def _collect_changes(
-        self,
-        inserted: Iterable[int],
-        removed: Iterable[int],
-    ) -> list[PathChange]:
-        # ``self._paths`` still holds pre-mutation paths for every dirty
-        # tuple; reading them lazily here keeps inserts O(dirty), not O(T).
+    def _collect_changes(self, removed: int | None = None) -> list[PathChange]:
+        """The recorded tuples whose path the mutation changed, by tid."""
         changes: list[PathChange] = []
-        inserted = set(inserted)
-        removed = set(removed)
-        for tid in inserted:
-            self._dirty_tids.add(tid)
-        for tid in sorted(self._dirty_tids):
-            if tid in removed:
-                changes.append(PathChange(tid, self._paths.pop(tid), None))
+        # leaf -> (its path, tid -> slot), found once per leaf.
+        found: dict[RTreeNode, tuple[tuple[int, ...], dict[int, int]]] = {}
+        for tid, old in sorted(self._old_paths.items()):
+            if tid == removed:
+                changes.append(PathChange(tid, old, None))
                 continue
-            new_path = tuple_path(self._tid_leaf[tid], tid)
-            old = self._paths.get(tid)
-            self._paths[tid] = new_path
+            leaf = self._tid_leaf[tid]
+            if leaf not in found:
+                slots = leaf.live_slots()
+                found[leaf] = (
+                    leaf.path(),
+                    dict(zip(leaf.tids[slots].tolist(), slots.tolist())),
+                )
+            prefix, slot_of = found[leaf]
+            new_path = prefix + (slot_of[tid] + 1,)
+            # A split can shuffle slots inside one node while leaving some
+            # tuples' full paths intact; those produce no change records.
             if old != new_path:
                 changes.append(PathChange(tid, old, new_path))
-        # A split can shuffle slots inside one node while leaving some
-        # tuples' full paths intact; those produce no change records, but
-        # their stored paths were refreshed above either way.
+        self._old_paths = {}
         return changes
 
     # ------------------------------------------------------------------ #
@@ -493,10 +606,7 @@ class RTree:
 
         for page in list(self.disk.pages(self.tag)):
             self._free_page(page.page_id)
-        self._points = {}
-        self._tid_leaf = {}
-        self._paths = {}
-        self._dirty_tids = set()
+        self._forget_tids()
         self._next_node_id = 0
         self.generation += 1
         self._touched_nodes = set()
@@ -508,26 +618,19 @@ class RTree:
     # ------------------------------------------------------------------ #
 
     def _adopt_bulk(
-        self,
-        root: RTreeNode,
-        points: dict[int, Point],
-        tid_leaf: dict[int, RTreeNode],
+        self, root: RTreeNode, leaves: list[RTreeNode], sizes: list[int],
+        tids: np.ndarray,
     ) -> None:
-        """Install a pre-built tree (used by :func:`repro.rtree.bulk.bulk_load`)."""
+        """Install a pre-built tree (used by :func:`repro.rtree.bulk.bulk_load`):
+        ``leaves[i]`` holds the next ``sizes[i]`` of ``tids``, which lists
+        the tuples in the order :meth:`all_paths` keeps."""
         self._free_node(self.root)
         self.generation += 1
         self.root = root
-        self._points = points
-        self._tid_leaf = tid_leaf
-        # One top-down walk finds every path; kept in the loader's tid order.
-        found: dict[int, tuple[int, ...]] = {}
-        stack: list[tuple[RTreeNode, tuple[int, ...]]] = [(root, ())]
-        while stack:
-            node, prefix = stack.pop()
-            for slot, entry in node.live_entries():
-                path = prefix + (slot + 1,)
-                if entry.child is None:
-                    found[entry.tid] = path
-                else:
-                    stack.append((entry.child, path))
-        self._paths = {tid: found[tid] for tid in tid_leaf}
+        known = int(tids.max()) + 1
+        owner = np.full(known, len(leaves), dtype=np.int64)
+        owner[tids] = np.repeat(np.arange(len(leaves)), sizes)
+        self._tid_leaf = list(map([*leaves, None].__getitem__, owner.tolist()))
+        self._rank = np.full(known, -1, dtype=np.int64)
+        self._rank[tids] = np.arange(len(tids))
+        self._next_rank = self._size = len(tids)

@@ -1,17 +1,19 @@
 """Pages: the unit of simulated disk transfer.
 
 The paper fixes the page size at 4 KB (Section VI-A).  A page carries an
-arbitrary in-memory payload (a node object, a signature fragment, a slab of
-tuples, ...) together with a *logical size in bytes*; the logical size is what
-the space-accounting of Figure 6 sums, while reads/writes are counted per
-page regardless of payload size.
+arbitrary in-memory payload (an R-tree node, whose leaf keeps its tuples as
+two column arrays; a partial signature; a heap page's list of tids, the
+rows themselves being the relation's column arrays; ...) together with a
+*logical size in bytes*; the logical size is what the space-accounting of
+Figure 6 sums, while reads/writes are counted per page regardless of
+payload size.
 
 Every page also records a CRC32 checksum of its payload at allocate/write
 time, verified on read.  Payloads are live Python objects: an immutable
 value exposing ``page_checksum`` (a partial signature) supplies its own
 CRC, computed once per object over a framing of its content; bytes and
 scalars are checksummed over their content; mutable structural objects
-(R-tree / B+-tree nodes, heap tid slabs, WAL and checkpoint records, which
+(R-tree / B+-tree nodes, heap tid lists, WAL and checkpoint records, which
 carry their own content CRC) over their type name.  Either way, a payload
 swapped for garbage is detected and surfaces as a typed
 :class:`~repro.storage.errors.CorruptPageError` instead of silently wrong

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.cube.relation import Relation
@@ -26,7 +27,6 @@ from repro.data.fixtures import (
     small_config as _small_config,
 )
 from repro.data.synthetic import SyntheticConfig, generate_relation
-from repro.rtree.geometry import Rect
 from repro.rtree.node import Entry
 from repro.rtree.rtree import RTree
 from repro.system import build_system
@@ -53,8 +53,7 @@ def paper_rtree(paper_relation: Relation) -> RTree:
     for first in range(0, 8, 2):
         leaf = tree._new_node(level=0)
         for tid in (first, first + 1):
-            point = relation.pref_point(tid)
-            leaf.add_entry(Entry(Rect.from_point(point), tid=tid))
+            leaf.add_point(tid, relation.pref_point(tid))
         tree._sync_page(leaf)
         leaves.append(leaf)
     inner = []
@@ -69,9 +68,7 @@ def paper_rtree(paper_relation: Relation) -> RTree:
         root.add_entry(Entry(node.mbr(), child=node))
     tree._sync_page(root)
 
-    points = {tid: relation.pref_point(tid) for tid in range(8)}
-    tid_leaf = {tid: leaves[tid // 2] for tid in range(8)}
-    tree._adopt_bulk(root, points, tid_leaf)
+    tree._adopt_bulk(root, leaves, [2] * 4, np.arange(8))
     return tree
 
 

@@ -175,9 +175,17 @@ def labelled_paths(fanouts):
     )
 
 
+def path_columns(paths, fanout):
+    """``PathColumns`` over a tid -> path map."""
+    tids = np.array(list(paths), dtype=np.int64)
+    depth = len(next(iter(paths.values()), ()))
+    matrix = np.array(list(paths.values()), dtype=np.int64).reshape(len(tids), depth)
+    return PathColumns(tids, matrix, fanout)
+
+
 def assert_cells_equal_per_path_generation(fanout, rows):
     labels = np.array([label for label, _ in rows], dtype=np.int64)
-    paths = PathColumns({tid: path for tid, (_, path) in enumerate(rows)}, fanout)
+    paths = path_columns({tid: path for tid, (_, path) in enumerate(rows)}, fanout)
     derived = paths.masks(labels, 5)
     for cell in range(5):
         members = [path for label, path in rows if label == cell]
@@ -201,11 +209,13 @@ def test_signatures_of_nodes_wider_than_a_word(data):
 
 
 def test_signatures_refuse_a_member_without_a_path():
-    paths = PathColumns({0: (1, 2)}, 4)
+    paths = path_columns({0: (1, 2)}, 4)
     with pytest.raises(KeyError):
         paths.masks(np.array([0, 0]), 1)
     with pytest.raises(ValueError):
-        PathColumns({0: (1, 2), 1: (1,)}, 4)
+        path_columns({0: (1, 5)}, 4)
+    with pytest.raises(ValueError):
+        PathColumns(np.arange(2), np.ones((1, 2), dtype=np.int64), 4)
 
 
 # --------------------------------------------------------------------------- #

@@ -200,3 +200,57 @@ def test_repair_heap_pages_the_tail_after_an_interrupted_append(schema):
     assert relation.paged_count() == len(relation)
     assert scanned(relation) == list(range(len(relation)))
     assert relation.bool_row(len(relation) - 1) == (7, 7)
+
+
+# --------------------------------------------------------------------------- #
+# the column arrays: projections are views, and writes never reach them
+# --------------------------------------------------------------------------- #
+
+
+def test_a_projection_keeps_its_values_across_writes(relation):
+    """``columnar`` hands out views of the relation's own arrays: a later
+    overwrite, tombstone or append never shows in one handed out before."""
+    before = relation.columnar()
+    pref, live = before.pref.copy(), before.live.copy()
+    relation.overwrite_pref(3, (9.0, 9.0))
+    relation.tombstone(4)
+    relation.append((1, 1), (0.5, 0.5))
+    assert before.n == 20
+    assert (before.pref == pref).all() and (before.live == live).all()
+    after = relation.columnar()
+    assert after.n == 21
+    assert after.pref[3].tolist() == [9.0, 9.0] and not after.live[4]
+    assert relation.pref_point(3) == (9.0, 9.0)
+
+
+def test_adopted_matrices_are_not_written(schema):
+    """The generators' matrices are adopted without a copy, and an
+    overwrite copies before it writes: the caller's matrix stays."""
+    bools = np.array([[1, 2], [3, 4]])
+    prefs = np.array([[0.1, 0.2], [0.3, 0.4]])
+    relation = Relation(schema, bools, prefs)
+    relation.overwrite_pref(0, (0.9, 0.9))
+    relation.append((5, 6), (0.5, 0.6))
+    assert prefs.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+    assert bools.tolist() == [[1, 2], [3, 4]]
+    assert relation.pref_point(0) == (0.9, 0.9)
+    assert relation.bool_row(2) == (5, 6)
+
+
+def test_a_value_of_another_type_turns_a_column_into_a_dictionary(schema):
+    """Integer columns hold their values; the first other value re-codes
+    the column by first appearance, and every row reads back as stored."""
+    relation = Relation(schema, [(7, 1), (3, 1)], [(0.0, 0.0)] * 2)
+    before = relation.columnar()
+    relation.append(("x", 1), (0.0, 0.0))
+    relation.append((7, 2), (0.0, 0.0))
+    assert [relation.bool_row(t) for t in range(4)] == [
+        (7, 1), (3, 1), ("x", 1), (7, 2)
+    ]
+    after = relation.columnar()
+    assert after.match_mask({"A": 7}).tolist() == [True, False, False, True]
+    assert after.match_mask({"A": "x"}).tolist() == [False, False, True, False]
+    assert before.codes[:, 0].tolist() == [7, 3]
+    assert before.match_mask({"A": 7}).tolist() == [True, False]
+    with pytest.raises(IndexError):
+        relation.bool_row(4)

@@ -12,6 +12,7 @@ from unittest import mock
 
 import pytest
 
+from repro.core.integrity import apex_masks
 from repro.core.partial import PartialSignature
 from repro.cube.cuboid import Cell
 from repro.data.synthetic import SyntheticConfig, generate_relation
@@ -71,6 +72,23 @@ def flip_a_bit(system):
     pcube.store.put_signature(cell, signature)
 
 
+def set_a_free_slot_bit(system):
+    """One bit is set on a free child slot of a node the cell already has,
+    stored through ``put_signature`` so every page verifies and every blob
+    decodes."""
+    pcube = system.pcube
+    cell = first_cell(system)
+    signature = pcube.signature_of(cell)
+    apex = apex_masks(system.rtree.all_paths(), pcube.fanout)
+    for sid, mask in sorted(signature.masks().items()):
+        free = ~apex[sid] & ((1 << pcube.fanout) - 1)
+        if free:
+            signature.set_node(sid, mask | free & -free)
+            pcube.store.put_signature(cell, signature)
+            return
+    raise AssertionError("every node of the cell is full")
+
+
 def store_a_stranger(system):
     """The store holds a cell no group-by can produce."""
     pcube = system.pcube
@@ -104,6 +122,7 @@ RULES = {
     "R-tree tids diverge from live tids": index_a_ghost,
     ": unreadable (": garble_a_blob,
     "stored signature diverges from the R-tree partition": flip_a_bit,
+    "bits on free slots, outside the apex": set_a_free_slot_bit,
     "store holds unknown cell 'A1=99'": store_a_stranger,
     "store holds unknown cell 'A1=0'": store_an_emptied_cell,
     " is quarantined": quarantine_a_cell,

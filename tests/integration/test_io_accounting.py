@@ -7,9 +7,10 @@ from repro.baselines.domination_first import domination_first_skyline
 from repro.data.workload import sample_predicate
 from repro.query.algorithm1 import SkylineStrategy, run_algorithm1
 from repro.query.stats import QueryStats
-from repro.rtree.node import subtree_tids
 from repro.storage.buffer import BufferPool
 from repro.storage.counters import SBLOCK
+
+from tests.reference import subtree_tids
 
 
 class RecordingPool(BufferPool):

@@ -110,14 +110,14 @@ def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
         assert (node._mbr is not None) == (node is snapshot.root)
         frozen.extend(e.child for _, e in node.live_entries() if not node.is_leaf)
     assert len(frozen) == len(nodes)
-    # The frozen leaves hold the live leaves' entry objects.
-    live = {id(e) for n in nodes if n.is_leaf for _, e in n.live_entries()}
-    assert all(
-        id(entry) in live
-        for node in frozen
-        if node.is_leaf
-        for slot, entry in node.live_entries()
-    )
+    # The frozen leaves hold copies of the live leaves' columns.
+    live = {n.node_id: n for n in nodes if n.is_leaf}
+    for node in frozen:
+        if node.is_leaf:
+            leaf = live[node.node_id]
+            assert node.tids is not leaf.tids and node.coords is not leaf.coords
+            assert (node.tids == leaf.tids).all()
+            assert (node.coords == leaf.coords).all()
 
 
 def test_build_insert_method(relation):
@@ -149,3 +149,45 @@ def test_everything_shares_one_disk(relation):
     system = build_system(relation, fanout=8)
     tags = {page.tag.split(":")[0] for page in system.disk.pages()}
     assert {"heap", "rtree", "pcube"} <= tags
+
+
+def test_a_build_makes_no_object_per_row():
+    """Counted: a relation and the system built over it leave GC-tracked
+    objects that grow with the tree's nodes, not with its rows — no
+    ``Entry`` or ``Rect`` per leaf row, no row tuple, no tid-keyed dict."""
+    import gc
+
+    from repro.rtree.node import Entry
+
+    def tracked():
+        gc.collect()
+        objects = gc.get_objects()
+        return len(objects), sum(isinstance(o, (Entry, Rect)) for o in objects)
+
+    def build(n_tuples):
+        objects, boxes = tracked()
+        relation = generate_relation(
+            SyntheticConfig(
+                n_tuples=n_tuples, n_boolean=2, cardinality=4,
+                n_preference=2, seed=19,
+            )
+        )
+        system = build_system(relation, fanout=16)
+        after_objects, after_boxes = tracked()
+        return (
+            after_objects - objects,
+            system.rtree.node_count(),
+            after_boxes - boxes,
+        )
+
+    small_objects, small_nodes, _ = build(2_000)
+    large_objects, large_nodes, boxes = build(8_000)
+    # An inner slot's entry and box in the live tree (its frozen copy
+    # shares the box): two per node below the root.
+    assert boxes <= 2 * large_nodes
+    # A node's objects: live and frozen node, page, inner slot list, and
+    # an inner slot's entry, box and frozen entry.
+    grown_nodes = large_nodes - small_nodes
+    assert large_objects - small_objects <= 8 * grown_nodes, (
+        large_objects - small_objects, grown_nodes
+    )

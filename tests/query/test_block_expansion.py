@@ -696,7 +696,7 @@ def test_topk_and_dynamic_strategies_direct(system, backend):
             ):
                 keys, dominated, ties = strategy.evaluate(block)
                 assert dominated == 0
-                for i, child in enumerate(block.entries):
+                for i, (_, child) in enumerate(node.live_entries()):
                     if block.leaf:
                         key = point_key(strategy, child.mbr.lows)
                         tie = point_tie(strategy, child.mbr.lows)
@@ -1247,14 +1247,12 @@ def test_full_space_skyline_keys_are_kept_on_the_frozen_block():
 def test_block_masks_translate_between_indices_and_slots(live_slots, data):
     """``slot_mask`` / ``index_mask`` are inverse on a node with holes and
     the identity on one without; ``all_mask`` has one bit per child."""
-    from repro.rtree.geometry import Rect
-    from repro.rtree.node import Entry, NodeBlock, RTreeNode
+    from repro.rtree.node import NodeBlock, RTreeNode
 
-    node = RTreeNode(0, 0, 12)
-    node.entries = [
-        Entry(Rect.from_point((float(s), 0.0)), tid=s) if s in live_slots else None
-        for s in range(max(live_slots, default=-1) + 1)
-    ]
+    node = RTreeNode(0, 0, 12, dims=2)
+    for s in live_slots:
+        node.tids[s] = s
+        node.coords[s] = (float(s), 0.0)
     block = NodeBlock(node)
     slots = sorted(live_slots)
     assert block.slots == slots and block.all_mask == (1 << len(slots)) - 1

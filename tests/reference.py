@@ -23,6 +23,7 @@ from repro.query.hull import _EPSILON as HULL_EPSILON
 from repro.query.predicates import BooleanPredicate
 from repro.rtree.frozen import freeze
 from repro.rtree.geometry import Rect, dominates
+from repro.rtree.node import leaf_paths
 from repro.rtree.rtree import RTree
 
 
@@ -320,6 +321,15 @@ def _boxes_meet(a: Rect, b: Rect) -> bool:
         a_lo <= b_hi and b_lo <= a_hi
         for a_lo, a_hi, b_lo, b_hi in zip(a.lows, a.highs, b.lows, b.highs)
     )
+
+
+def subtree_tids(node) -> list[int]:
+    """All tuple ids stored under ``node`` (inclusive)."""
+    return [
+        tid
+        for leaf, _ in leaf_paths(node)
+        for tid in leaf.tids[leaf.live_slots()].tolist()
+    ]
 
 
 def range_search(tree: RTree, rect: Rect) -> list[int]:

@@ -1,5 +1,6 @@
 """STR bulk loading."""
 
+import gc
 import math
 import os
 import random
@@ -191,13 +192,13 @@ def _leaves_in_build_order(tree):
     )
 
 
-#: Run in a fresh interpreter: what is measured is the loader's allocation
+#: Run in a fresh interpreter: what is measured is the block's allocation
 #: order, not the holes a thousand earlier tests left in the allocator's
-#: pools (inside the full suite, in-process, 4-82 % of the pairs came out
-#: adjacent, the recycled blocks handed out wherever they lay).
+#: pools.
 _ADJACENCY_PROBE = """
 import numpy as np
 from repro.rtree.bulk import bulk_load_columns
+from repro.rtree.frozen import freeze
 
 n = 20_000
 rng = np.random.default_rng(48)
@@ -210,20 +211,28 @@ batch += [[float(i)] * (i % 5) for i in range(3 * n)]
 kept = batch[::3]
 del batch
 tree = bulk_load_columns(tids, coords, max_entries=64)
-near = pairs = 0
-for node in tree.nodes():
+stack = [freeze(tree).root]
+leaves = []
+while stack:
+    node = stack.pop()
     if node.is_leaf:
-        points = [entry.mbr.lows for _, entry in node.live_entries()]
-        for a, b in zip(points, points[1:]):
-            pairs += 1
-            near += abs(id(a) - id(b)) <= 256
+        leaves.append(node)
+    else:
+        stack.extend(entry.child for _, entry in node.live_entries())
+near = pairs = 0
+for leaf in leaves:
+    points = leaf.block().low_tuples
+    for a, b in zip(points, points[1:]):
+        pairs += 1
+        near += abs(id(a) - id(b)) <= 256
 print(near, pairs)
 """
 
 
 def test_a_leaf_scan_reads_adjacent_point_tuples():
-    """The loader allocates each leaf's point tuples one after another in
-    slot order, so consecutive probes of an expansion sit side by side.
+    """A leaf's coordinates are one matrix in slot order, and its block
+    makes the point tuples an expansion probes from it one after another,
+    so consecutive probes sit side by side.
 
     On CPython ``id()`` is the object's address; two tuples within 256
     bytes are neighbours in the allocator's pools.  Allocating in tid order
@@ -237,6 +246,34 @@ def test_a_leaf_scan_reads_adjacent_point_tuples():
     assert done.returncode == 0, done.stderr
     near, pairs = map(int, done.stdout.split())
     assert near / pairs >= 0.9, f"{near} of {pairs} consecutive points adjacent"
+
+
+def test_a_frozen_leaf_block_keeps_no_tracked_object_per_row():
+    """A leaf's block is its live ``coords`` rows, one contiguous matrix in
+    slot order, and their tuples; building every block leaves a block and
+    its slot, tid and tuple lists to the collector, which untracks the
+    tuples of floats once it has seen them."""
+    rng = np.random.default_rng(48)
+    tree = bulk_load_columns(
+        rng.permutation(5_000), rng.random((5_000, 3)), max_entries=64
+    )
+    stack = [freeze(tree).root]
+    leaves = []
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            leaves.append(node)
+        else:
+            stack.extend(entry.child for _, entry in node.live_entries())
+    gc.collect()
+    before = len(gc.get_objects())
+    blocks = [leaf.block() for leaf in leaves]
+    gc.collect()
+    assert len(gc.get_objects()) - before <= 4 * len(leaves) + 1  # + blocks
+    for leaf, block in zip(leaves, blocks):
+        assert block.lows.flags.c_contiguous
+        assert block.lows.tolist() == leaf.coords[leaf.live_slots()].tolist()
+        assert block.low_tuples == list(map(tuple, block.lows.tolist()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -254,8 +291,8 @@ def test_each_leaf_is_one_str_group_in_slot_order(
     """Sizes below, at and above multiples of the capacity, coordinates
     from a few values (so rows repeat): the leaves, in the order they were
     built, are ``_str_order``'s groups, each entry holds its ``coords`` row
-    as the tree's own point tuple, and each tid's path is its leaf's path
-    plus its slot."""
+    as the tree's point, and each tid's path is its leaf's path plus its
+    slot."""
     min_entries = RTree(dims=dims, max_entries=max_entries).min_entries
     capacity = min(max_entries, max(2 * min_entries, round(max_entries * 0.9)))
     n = max(1, multiple * capacity + offset)
@@ -284,6 +321,6 @@ def test_each_leaf_is_one_str_group_in_slot_order(
         for slot, entry in leaf.live_entries():
             point = entry.mbr.lows
             assert point == tuple(coords[row_of[entry.tid]].tolist())
-            assert point is tree._points[entry.tid]
+            assert tree._tid_leaf[entry.tid] is leaf
             assert paths[entry.tid] == (*leaf_path, slot + 1)
     assert sorted(paths) == sorted(tids.tolist())

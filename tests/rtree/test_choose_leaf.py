@@ -76,7 +76,7 @@ def test_choose_node_matches_the_rect_reference_on_tie_heavy_grids(grid):
 def shape(tree):
     """Every node's slots as text — ``repr`` tells ``-0.0`` from ``0.0``."""
     return [
-        [None if e is None else repr((e.mbr, e.tid)) for e in node.entries]
+        [(slot, repr((e.mbr, e.tid))) for slot, e in node.live_entries()]
         for node in tree.nodes()
     ]
 

@@ -182,7 +182,7 @@ def test_a_single_tuple_write_builds_its_paths_not_the_tree(
             tree.insert(next_tid, (rng.random(), rng.random()))
             next_tid += 1
         else:
-            victim = rng.choice(sorted(tree._points))
+            victim = rng.choice(sorted(tree.all_paths()))
             tree.delete(victim)
         count_built[0] = visits[0] = 0
         snapshot = freeze(tree, previous)

@@ -5,11 +5,10 @@ import random
 import pytest
 
 from repro.rtree.geometry import Rect
-from repro.rtree.node import subtree_tids
 from repro.rtree.rtree import RTree, fanout_for_page
 from repro.rtree.frozen import freeze
 
-from tests.reference import range_search
+from tests.reference import range_search, subtree_tids
 
 
 def check_invariants(tree: RTree) -> None:
@@ -26,20 +25,21 @@ def check_invariants(tree: RTree) -> None:
             assert covering.union(node.mbr()) == covering
             assert node.live_count() >= tree.min_entries
         assert node.live_count() <= tree.max_entries
-        assert len(node.entries) <= tree.max_entries
+        assert len(node.tids if node.is_leaf else node.entries) <= tree.max_entries
         for _, entry in node.live_entries():
             if node.is_leaf:
                 assert entry.tid is not None
                 seen_tids.append(entry.tid)
-                assert entry.mbr == Rect.from_point(tree._points[entry.tid])
+                assert tree._tid_leaf[entry.tid] is node
             else:
                 assert entry.child is not None
                 assert entry.child.level == node.level - 1
                 stack.append((entry.child, node))
-    assert sorted(seen_tids) == sorted(tree._points)
+    assert len(seen_tids) == len(set(seen_tids)) == len(tree)
+    assert all(tid in tree for tid in seen_tids)
     # Path map agrees with the actual structure.
     paths = tree.all_paths()
-    assert sorted(paths) == sorted(tree._points)
+    assert sorted(paths) == sorted(seen_tids)
     frozen = freeze(tree)
     for tid, path in paths.items():
         assert frozen.entry_at(path).tid == tid
@@ -170,7 +170,7 @@ def test_delete_with_condensation():
             if change.new_path is not None:
                 assert tree.all_paths()[change.tid] == change.new_path
         check_invariants(tree)
-    assert sorted(tree._points) == sorted(alive)
+    assert sorted(tree.all_paths()) == sorted(alive)
 
 
 def test_a_delete_that_underflows_nothing_fixes_the_boxes_in_one_walk(
@@ -183,8 +183,10 @@ def test_a_delete_that_underflows_nothing_fixes_the_boxes_in_one_walk(
         tree.insert(tid, point)
     assert tree.root.level >= 2
     tid = next(
-        tid for tid, leaf in tree._tid_leaf.items()
-        if leaf.live_count() > tree.min_entries
+        entry.tid
+        for leaf in tree.nodes()
+        if leaf.is_leaf and leaf.live_count() > tree.min_entries
+        for _, entry in leaf.live_entries()
     )
     walks = []
     real = RTree._adjust_upward
