@@ -29,7 +29,9 @@ class BloomSignature:
 
     Exposes the ``check_block`` / ``check_path`` interface of the exact
     readers, so Algorithm 1 can use it as a drop-in boolean pruner (its
-    blocks always resolve, so the search never asks ``check_entry``).
+    blocks always resolve, so the search never asks ``check_entry``, and
+    the whole filter is in memory: ``held_block`` is ``check_block``, and
+    final).
     """
 
     def __init__(self, bloom: BloomFilter, fanout: int, empty: bool) -> None:
@@ -71,6 +73,9 @@ class BloomSignature:
                 passed |= bit
         return passed
 
+    held_block = check_block
+    held_is_final = True
+
     def check_path(self, path: Sequence[int]) -> bool:
         if not path:
             return not self._empty
@@ -101,6 +106,9 @@ class BloomConjunction:
                 break
             wanted = signature.check_block(parent_path, wanted)
         return wanted
+
+    held_block = check_block
+    held_is_final = True
 
     def check_path(self, path: Sequence[int]) -> bool:
         return all(

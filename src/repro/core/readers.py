@@ -3,7 +3,10 @@
 Algorithm 1's ``boolean_prune`` asks one question of a reader — does the
 entry at this position of this node contain data of the predicate? — per
 entry (``check_entry``), per node (``check_block``) or per full path
-(``check_path``).  The readers here answer it:
+(``check_path``); ``held_block`` is ``check_block`` from what the reader
+holds already, never a load — ``None`` where that does not tell, and
+``held_is_final`` where ``check_block`` would add nothing to it.  The
+readers here answer it:
 
 * :class:`CellSignatureReader` — one stored cell, loaded lazily.  It starts
   from the root-referenced partial and loads further partials only when the
@@ -95,6 +98,9 @@ class SignatureAdapter:
 
     def check_block(self, parent_path, wanted: int) -> int:
         return wanted & self.resident_mask(sid_of_path(parent_path, self.fanout))
+
+    held_block = check_block
+    held_is_final = True
 
     def resident_mask(self, sid: int) -> int:
         """The node ``sid``'s mask (0 where the signature has none): every
@@ -317,6 +323,14 @@ class CellSignatureReader:
             return 0
         return wanted & self.resident_mask(sid)
 
+    def held_block(self, parent_path: Sequence[int], wanted: int) -> int | None:
+        """:meth:`check_block` when a loaded partial holds the node, else
+        ``None``: nothing loads here."""
+        mask = self.resident_mask(sid_of_path(parent_path, self.fanout))
+        return None if mask is None else wanted & mask
+
+    held_is_final = True  # a held node is what ``check_block`` reads
+
     def check_path(self, path: Sequence[int]) -> bool:
         """Whether the entry addressed by a full path contains cell data."""
         if not path:
@@ -368,20 +382,35 @@ class AssembledReader:
         #: unresolvable), and node SID -> is its exact intersection non-empty.
         self._masks: dict[int, int | None] = {}
         self._nonempty_memo: dict[int, bool] = {}
+        #: Node SID -> (member, AND so far) where a ``held`` walk stopped
+        #: at a member that does not hold the node; the next walk goes on
+        #: from there.
+        self._stopped: dict[int, tuple[int, int]] = {}
 
-    def _mask(self, sid: int, lookahead: bool = False) -> int | None:
+    def _mask(
+        self, sid: int, lookahead: bool = False, held: bool = False
+    ) -> int | None:
         """The plain AND of the members' bits at the node ``sid``; member
         *k* sees only what passed members < *k* and is not consulted once
         nothing did.  ``None`` when a consulted member cannot resolve the
-        node."""
+        node — or, ``held``, does not hold it: nothing loads then, and the
+        next walk that may load starts at that member with the AND so far,
+        so no member is asked about a node twice."""
         try:
             return self._masks[sid]
         except KeyError:
             pass
-        mask: int | None = -1  # every entry wanted
-        for reader in self.readers:
-            bits = reader.resident_mask(sid)
+        stopped = self._stopped.get(sid)
+        if stopped is not None and held:
+            return None
+        start, mask = stopped or (0, -1)  # -1: every entry wanted
+        for index, reader in enumerate(self.readers[start:], start):
+            bits = None if stopped else reader.resident_mask(sid)
+            stopped = None
             if bits is None:
+                if held:
+                    self._stopped[sid] = (index, mask)
+                    return None
                 mask = reader.check_sid(sid, mask, lookahead)
             else:
                 mask &= bits
@@ -440,6 +469,14 @@ class AssembledReader:
                     passed ^= low
         return passed
 
+    def held_block(self, parent_path: Sequence[int], wanted: int) -> int | None:
+        """The plain AND from the members' resident masks alone: every bit
+        it clears :meth:`check_block` clears, which adds the look-ahead."""
+        mask = self._mask(sid_of_path(parent_path, self.fanout), held=True)
+        return None if mask is None else wanted & mask
+
+    held_is_final = False  # the look-ahead still rejects
+
     def check_path(self, path: Sequence[int]) -> bool:
         if path:
             return self.check_entry(tuple(path[:-1]), path[-1])
@@ -457,6 +494,7 @@ class AnyOfReader:
         if not readers:
             raise ValueError("AnyOfReader needs at least one reader")
         self.readers = list(readers)
+        self.held_is_final = all(r.held_is_final for r in self.readers)
 
     def check_entry(self, parent_path, position) -> bool:
         return any(
@@ -465,13 +503,20 @@ class AnyOfReader:
         )
 
     def check_block(self, parent_path, wanted: int) -> int | None:
-        """Member *k* sees only the entries every member < *k* rejected —
-        the per-entry ``any`` short-circuit, a node at a time."""
+        return self._union("check_block", parent_path, wanted)
+
+    def held_block(self, parent_path, wanted: int) -> int | None:
+        return self._union("held_block", parent_path, wanted)
+
+    def _union(self, test: str, parent_path, wanted: int) -> int | None:
+        """The OR of the members' ``test``: member *k* sees only the
+        entries every member < *k* rejected — the per-entry ``any``
+        short-circuit, a node at a time — and ``None`` answers for all."""
         passed = 0
         for reader in self.readers:
             if not wanted:
                 break
-            got = reader.check_block(parent_path, wanted)
+            got = getattr(reader, test)(parent_path, wanted)
             if got is None:
                 return None
             passed |= got

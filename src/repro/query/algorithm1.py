@@ -5,7 +5,11 @@ The paper's framework (Section V) in full generality:
 * a candidate min-heap ordered by a lower-bound key — ``d(n) = Σ lows`` for
   skylines, ``f(n) = min f over the MBR`` for top-k;
 * a ``prune`` procedure whose two arms are *preference pruning* (strategy
-  specific) and *boolean pruning* (signature bit tests);
+  specific) and *boolean pruning* (signature bit tests).  A child must pass
+  both, and within one node expansion their order changes no read: an
+  expansion first drops the children whose bit the reader already holds as
+  0, tests only the rest for dominance, and asks the reader (which may
+  load partials) only about the children that survive both;
 * pruned entries are kept in ``d_list`` / ``b_list`` so drill-down and
   roll-up queries can rebuild the heap without starting from the root
   (Lemma 2);
@@ -49,6 +53,17 @@ class BooleanReader(Protocol):
         (bit ``p − 1`` = position ``p``), the mask of those that may hold
         data; ``None`` when the node cannot be resolved and every entry
         must be asked through ``check_entry`` instead."""
+
+    def held_block(
+        self, parent_path: Sequence[int], wanted: int
+    ) -> int | None:
+        """``check_block`` without a load: of the entries in ``wanted``,
+        a mask holding every one that may hold data, from what the reader
+        holds already; ``None`` when it cannot tell without a load."""
+
+    #: Whether ``check_block`` clears no bit that an answer of
+    #: ``held_block`` kept, so the search need not ask it after one.
+    held_is_final: bool
 
     def check_path(self, path: Sequence[int]) -> bool: ...
 
@@ -307,13 +322,14 @@ class SkylineStrategy:
     def node_key(self, rect: Rect) -> float:
         return sum(self._corner(rect))
 
-    def evaluate(self, block: NodeBlock):
+    def evaluate(self, block: NodeBlock, wanted: int):
         """``(keys, dominated, ties)`` for a node's children at once — every
         strategy's contract: ``keys[i]`` is the heap key of child ``i``
         (its index in the block), bit ``i`` of the integer ``dominated``
-        says the preference arm prunes it now, and ``ties`` holds the tie
-        rows (``None``: every tie is ``()``), read only for the children
-        that survive or are listed.
+        says the preference arm prunes it now — asked only of the children
+        in the index mask ``wanted``, the others being pruned already — and
+        ``ties`` holds the tie rows (``None``: every tie is ``()``), read
+        only for the children that survive or are listed.
 
         Leaf points and inner low corners alike are the ``lows`` rows: the
         low corner is the heap key's argument and the domination probe.
@@ -327,7 +343,26 @@ class SkylineStrategy:
         else:
             rows = ties = project_rows(block.lows, self.subspace)
             keys = sum_block(rows)
-        return keys, self._buffer.dominates_block(rows, packed=True), ties
+        return keys, self._dominated(rows, wanted, block.all_mask), ties
+
+    def _dominated(self, rows, wanted: int, all_mask: int) -> int:
+        """The index mask of the rows in ``wanted`` that the buffer
+        dominates: the kernel is handed those rows alone (``rows`` is a
+        list of tuples or a matrix), and its verdicts are put back at
+        their indices."""
+        if wanted == all_mask:
+            return self._buffer.dominates_block(rows, packed=True)
+        indices = mask_indices(wanted)
+        probes = (
+            [rows[i] for i in indices] if isinstance(rows, list) else rows[indices]
+        )
+        bits = self._buffer.dominates_block(probes, packed=True)
+        dominated = 0
+        while bits:
+            low = bits & -bits
+            dominated |= 1 << indices[low.bit_length() - 1]
+            bits ^= low
+        return dominated
 
     def evaluated(self) -> int:
         """How many skyline points ``evaluate`` tests against right now."""
@@ -376,10 +411,10 @@ class TopKStrategy:
     def node_key(self, rect: Rect) -> float:
         return self.fn.lower_bound(rect)
 
-    def evaluate(self, block: NodeBlock):
+    def evaluate(self, block: NodeBlock, wanted: int):
         """Scores (leaf) or region lower bounds (inner node) for a node's
-        children, and the mask of those the current k-th score already
-        beats; no tie rows — every tie is ``()``."""
+        children, and the mask of those in ``wanted`` the current k-th
+        score already beats; no tie rows — every tie is ``()``."""
         if block.leaf:
             keys = self.fn.score_block(block.lows)
         else:
@@ -388,7 +423,7 @@ class TopKStrategy:
             return keys, 0, None
         worst = self.scores[-1]
         beaten = sum(1 << i for i, key in enumerate(keys) if key >= worst)
-        return keys, beaten, None
+        return keys, beaten & wanted, None
 
     def evaluated(self) -> int:
         return 0  # ``prune`` is one comparison with the current k-th score
@@ -532,22 +567,33 @@ def run_algorithm1(
                 rtree.disk.read(node.page_id, block_category, stats.counters)
             stats.nodes_expanded += 1
 
-            # One block evaluation per expanded node: the strategy sees
-            # all live children at once (keys and the preference arm),
-            # the reader sees the preference arm's survivors at once
-            # (the boolean arm), and only children that pass both become
+            # One block evaluation per expanded node.  The bits the
+            # reader holds already go first: a child whose bit is 0 is
+            # boolean-pruned, dominated or not, and the strategy tests
+            # only the others for dominance (keys are computed for all).
+            # The reader is then asked, with loads, about the preference
+            # arm's survivors at once — unless its held bits were its
+            # final answer — and only children that pass both become
             # heap entries.  Every live child still consumes one
             # ``seq``, in slot order, whatever happens to it.
             block = node.block()
             first_seq = state.seq + 1
             state.seq += len(block)
             vetted = strategy.evaluated()
-            keys, dominated, ties = strategy.evaluate(block)
             parent_path = entry.path
             # Index masks from here on: what one arm prunes is one
             # ``&`` away, and only the survivors are ever iterated.
-            survivors = alive = block.all_mask & ~dominated
-            if reader is not None and alive:
+            held, settled = block.all_mask, False
+            if reader is not None:
+                bits = reader.held_block(
+                    parent_path, block.slot_mask(block.all_mask)
+                )
+                if bits is not None:
+                    held = block.index_mask(bits)
+                    settled = reader.held_is_final
+            keys, dominated, ties = strategy.evaluate(block, held)
+            survivors = alive = held & ~dominated
+            if reader is not None and alive and not settled:
                 wanted = block.slot_mask(alive)
                 passed = reader.check_block(parent_path, wanted)
                 if passed is None:
@@ -562,7 +608,7 @@ def run_algorithm1(
                             passed |= 1 << block.slots[i]
                 if passed != wanted:
                     survivors = alive & block.index_mask(passed)
-            filtered = alive ^ survivors
+            filtered = (block.all_mask ^ held) | (alive ^ survivors)
             stats.dominance_pruned += dominated.bit_count()
             stats.boolean_pruned += filtered.bit_count()
             if keep_lists:

@@ -85,7 +85,7 @@ class DynamicSkylineStrategy(SkylineStrategy):
         # interval information the transform needs, with no extra read.
         return transform_rect_lower(rect, self.query_point)
 
-    def evaluate(self, block: NodeBlock):
+    def evaluate(self, block: NodeBlock, wanted: int):
         """``(keys, dominated, ties)`` as ``SkylineStrategy.evaluate`` defines
         them: the ``|x − q|`` image is computed once per call and serves all
         three (it depends on ``q``: unlike ``Σ lows``, the block cannot keep it)."""
@@ -95,7 +95,7 @@ class DynamicSkylineStrategy(SkylineStrategy):
             image = transform_rect_lowers_rows(
                 block.lows, block.highs, self._q
             )
-        dominated = self._buffer.dominates_block(image, packed=True)
+        dominated = self._dominated(image, wanted, block.all_mask)
         return sum_block(image), dominated, image
 
 

@@ -19,8 +19,10 @@ drill-down / roll-up (Section V-C):
   ``b_list`` stays pruned; entries dominated by old results must be
   reconsidered because their dominators may now fail the new predicate;
 * roll-up (weaker predicate): ``c_heap = result ∪ b_list`` — old results
-  still qualify, so everything they dominated stays dominated, while
-  boolean-pruned entries may now qualify.
+  still qualify, so everything they dominated stays dominated (as does a
+  carried entry one of them dominates, or that their k-th score beats:
+  it joins ``d_list`` before its bit is tested), while boolean-pruned
+  entries may now qualify.
 
 Top-k searches terminate early and may leave pending heap entries; those
 are carried over too (they were neither pruned nor reported).
@@ -362,12 +364,20 @@ class QuerySession:
         """Relax the previous query's predicate by removing one conjunct."""
         self._check_resumable(previous)
         state = previous.state
+        settled = self._strategy_of(previous)
+        for entry in state.results:
+            settled.add_result(entry)
+        carried, dominated = [], []
+        for entry in [*state.b_list, *state.heap]:
+            entry.vetted = None  # a mark of the old run's buffer
+            (dominated if settled.prune(entry) else carried).append(entry)
         return self._resume(
             previous,
             previous.predicate.roll_up(dim),
             "roll",
-            state.results + state.b_list + state.heap,
+            state.results + carried,
             state.d_list,
+            dominated,
         )
 
     def _check_resumable(self, previous: QueryResult) -> None:
@@ -388,17 +398,19 @@ class QuerySession:
                 "from scratch"
             )
 
-    def _resume(self, previous, predicate, mode, carried, kept) -> QueryResult:
-        strategy = (
-            self._skyline_strategy(previous.preference_by)
-            if previous.kind == "skyline"
-            else TopKStrategy(previous.fn, previous.k)
-        )
+    def _strategy_of(self, previous: QueryResult):
+        if previous.kind == "skyline":
+            return self._skyline_strategy(previous.preference_by)
+        return TopKStrategy(previous.fn, previous.k)
+
+    def _resume(
+        self, previous, predicate, mode, carried, kept, dominated=()
+    ) -> QueryResult:
         return self._answer(
             previous.kind,
             predicate,
-            strategy,
-            resume=(mode, carried, list(kept)),
+            self._strategy_of(previous),
+            resume=(mode, carried, list(kept), dominated),
             fn=previous.fn,
             k=previous.k,
             preference_by=previous.preference_by,
@@ -410,14 +422,17 @@ class QuerySession:
 
         Carried entries are pre-filtered with the new predicate's
         signature, as the paper suggests, to keep the rebuilt heap small
-        (failures go straight to the new ``b_list``).
+        (failures go straight to the new ``b_list``); a roll-up's entries
+        that the old results settle join ``d_list`` as dominance-pruned.
         """
-        mode, carried, kept_list = resume
+        mode, carried, kept_list, dominated = resume
         state = SearchState()
         if mode == "drill":
             state.b_list = PrunedList(kept_list)  # still fail the stronger BP
         else:
-            state.d_list = PrunedList(kept_list)  # still dominated
+            # still dominated, as is what the old results settle
+            state.d_list = PrunedList([*kept_list, *dominated])
+            stats.dominance_pruned += len(dominated)
         state.seq = max((entry.seq for entry in carried), default=0)
         for entry in carried:
             if reader is None or reader.check_path(entry.path):

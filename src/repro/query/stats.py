@@ -51,6 +51,9 @@ class QueryStats:
         nodes_expanded: R-tree nodes whose children were generated.
         results: Number of answers produced.
         boolean_pruned / dominance_pruned: Entries cut by each prune arm.
+            An expanded child whose signature bit the reader already
+            holds as 0 counts as boolean-pruned, dominated or not; the
+            sum does not depend on which arm went first.
         verified / verify_failed: Minimal-probing boolean verifications
             (Domination baseline).
         sig_loads: Partial signatures loaded (each one ``SSIG`` page

@@ -287,10 +287,10 @@ def asking_members():
     real_nonempty = AssembledReader._nonempty
     real_sid_of_path = readers_module.sid_of_path
 
-    def mask(self, sid, lookahead=False):
+    def mask(self, sid, lookahead=False, held=False):
         in_mask[0] += 1
         try:
-            return real_mask(self, sid, lookahead)
+            return real_mask(self, sid, lookahead, held)
         finally:
             in_mask[0] -= 1
 
@@ -357,6 +357,41 @@ def test_the_sid_walk_asks_each_member_each_node_once_and_loads_as_recorded(
         loads.append(row)
     assert loads == RECORDED_LOADS[(fanout, page_size)]
     assert resident_reads > 0
+
+
+@pytest.mark.parametrize("fanout, page_size", SHAPES[:3])
+def test_a_held_walk_that_stops_hands_on_to_the_next_walk(fanout, page_size):
+    """``held_block`` loads nothing and answers ``None`` on a node that a
+    member does not hold yet; the ``check_block`` after it goes on from
+    that member, so no member is asked about the node twice, and it
+    answers and loads what a reader never asked ``held_block`` does."""
+    system = build(fanout, page_size, seed=3)
+    rng = random.Random(3)
+    full = (1 << fanout) - 1
+    paths = node_paths(system)
+    stopped = 0
+    for predicate in predicates(system, rng):
+        cells = predicate.atomic_cells()
+        for path in rng.sample(paths, 40):
+            stats, twin_stats = QueryStats(), QueryStats()
+            reader = system.engine.pcube.reader_for_cells(cells, stats=stats)
+            twin = system.engine.pcube.reader_for_cells(cells, stats=twin_stats)
+            loaded = stats.sig_loads
+            with asking_members() as got:
+                held = reader.held_block(path, full)
+                assert stats.sig_loads == loaded
+                passed = reader.check_block(path, full)
+            assert len(set(got.asked)) == len(got.asked) > 0
+            assert passed == twin.check_block(path, full)
+            assert (stats.sig_loads, stats.sig_lookahead_loads) == (
+                twin_stats.sig_loads,
+                twin_stats.sig_lookahead_loads,
+            )
+            if held is None:
+                stopped += 1
+            else:
+                assert passed & ~held == 0
+    assert stopped > 0
 
 
 def truth(system, predicate):

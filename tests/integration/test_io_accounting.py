@@ -4,11 +4,16 @@ plus the Lemma 1 optimality statement, checked mechanically."""
 import pytest
 
 from repro.baselines.domination_first import domination_first_skyline
+from repro.data.fixtures import small_config
+from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_predicate
 from repro.query.algorithm1 import SkylineStrategy, run_algorithm1
+from repro.query.ranking import LinearFunction
 from repro.query.stats import QueryStats
 from repro.storage.buffer import BufferPool
 from repro.storage.counters import SBLOCK
+from repro.storage.disk import SimulatedDisk
+from repro.system import build_system
 
 from tests.reference import subtree_tids
 
@@ -125,21 +130,68 @@ def test_signature_loading_time_is_minor(small_system, rng):
     assert result.stats.sig_load_seconds <= result.stats.elapsed_seconds
 
 
-def test_drill_down_reads_fewer_blocks_than_fresh(small_system, rng):
-    """Fig. 16 shape, as an invariant rather than a timing."""
+@pytest.fixture(scope="module")
+def paged_system():
+    """The small relation on 128-byte pages: every cell's signature spans
+    several partials, so a resumed query's bit tests can load."""
+    relation = generate_relation(small_config(), disk=SimulatedDisk(page_size=128))
+    return build_system(relation, fanout=8)
+
+
+@pytest.mark.parametrize("kind", ["skyline", "topk"])
+@pytest.mark.parametrize("paged", [False, True], ids=["4k", "128b"])
+def test_drill_down_reads_fewer_blocks_than_fresh(
+    small_system, paged_system, rng, paged, kind
+):
+    """Fig. 16 shape (Lemma 2), as an invariant rather than a timing: a
+    drill-down and a roll-up answer what the fresh query answers and read
+    no more pages, signature and R-tree together — also where each cell
+    has several partials and the carried entries' bit tests may load —
+    and count every entry they prune."""
+    system = paged_system if paged else small_system
+    fn = LinearFunction([0.7, 0.4])
+
+    def answer(result):
+        if kind == "skyline":
+            return sorted(result.tids)
+        return [round(score, 9) for score in result.scores]
+
+    def run(predicate):
+        if kind == "skyline":
+            return system.engine.skyline(predicate)
+        return system.engine.topk(fn, 8, predicate)
+
     for _ in range(5):
-        predicate = sample_predicate(small_system.relation, 2, rng)
-        dims = predicate.dims()
-        conjuncts = predicate.conjuncts
-        base = small_system.engine.skyline(
-            predicate.roll_up(dims[1])
+        predicate = sample_predicate(system.relation, 2, rng)
+        dim = predicate.dims()[1]
+        if paged:
+            assert all(
+                system.pcube.store.n_partials(cell) >= 2
+                for cell in predicate.atomic_cells()
+            )
+        weaker = predicate.roll_up(dim)
+        coarse, fine = run(weaker), run(predicate)
+        resumed = [
+            (system.engine.drill_down(coarse, dim, predicate.conjuncts[dim]), fine),
+            (system.engine.roll_up(fine, dim), coarse),
+        ]
+        for follow_up, fresh in resumed:
+            assert answer(follow_up) == answer(fresh)
+            assert follow_up.stats.sblock <= fresh.stats.sblock
+            assert follow_up.stats.total_io() <= fresh.stats.total_io()
+        # Every entry a resumed query adds to a list is counted under that
+        # list's arm, the roll-up's entries the old results settle too.
+        (drilled, _), (rolled, _) = resumed
+        assert len(drilled.state.d_list) == drilled.stats.dominance_pruned
+        assert (
+            len(drilled.state.b_list) - len(coarse.state.b_list)
+            == drilled.stats.boolean_pruned
         )
-        drilled = small_system.engine.drill_down(
-            base, dims[1], conjuncts[dims[1]]
+        assert len(rolled.state.b_list) == rolled.stats.boolean_pruned
+        assert (
+            len(rolled.state.d_list) - len(fine.state.d_list)
+            == rolled.stats.dominance_pruned
         )
-        fresh = small_system.engine.skyline(predicate)
-        assert set(drilled.tids) == set(fresh.tids)
-        assert drilled.stats.sblock <= fresh.stats.sblock
 
 
 def test_empty_predicate_reads_no_signatures(small_system):

@@ -2,9 +2,10 @@
 
 ``run_algorithm1`` evaluates one expanded node as a block and keeps pruned
 children as runs.  :func:`reference_algorithm1` below is the per-child
-expansion it replaced — one heap entry, one ``strategy.prune`` and one
-``reader.check_entry`` per live child, through the scalar protocol only —
-kept here as the oracle.  Both must leave behind the same answers, the same
+expansion it replaced — one heap entry, one bit of what the reader holds
+already, one ``strategy.prune`` and one ``reader.check_entry`` per live
+child, in that order, through the scalar protocol only — kept here as the
+oracle.  Both must leave behind the same answers, the same
 :class:`QueryStats`, the same counted I/O and the same search state down
 to ``seq`` and ``tie``, for fresh, drill-down and roll-up queries, with
 healthy and with unreadable signatures — on the product's kernels and, with
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.ops import intersect_all
 from repro.core.readers import SignatureAdapter
+from repro.core.sid import sid_of_path
 from repro.data.fixtures import build_sweep_system, small_config, sweep_config
 from repro.data.synthetic import generate_relation
 from repro.data.workload import sample_predicate
@@ -178,6 +180,14 @@ def reference_algorithm1(
         else:
             rtree.disk.read(node.page_id, block_category, stats.counters)
         stats.nodes_expanded += 1
+        # What the reader holds for this node, asked once and loading
+        # nothing: a child whose bit it holds as 0 fails the boolean arm
+        # before the preference arm is asked.
+        held = None
+        if reader is not None:
+            held = reader.held_block(
+                entry.path, sum(1 << slot for slot, _ in node.live_entries())
+            )
         for slot, child in node.live_entries():
             path = entry.path + (slot + 1,)
             if child.is_leaf_entry:
@@ -200,6 +210,11 @@ def reference_algorithm1(
                     rect=child.mbr,
                     tie=strategy.node_tie(child.mbr),
                 )
+            if held is not None and not held >> slot & 1:
+                stats.boolean_pruned += 1
+                if keep_lists:
+                    state.b_list.append(child_entry)
+                continue
             if strategy.prune(child_entry):
                 stats.dominance_pruned += 1
                 if keep_lists:
@@ -361,15 +376,24 @@ def test_fresh_query_matches_per_child_expansion(
 def materialised_intersection(system):
     """Serve every conjunction from the paper's recursive intersection of
     the members' *full* signatures (Fig. 3), built up front — the exact
-    bits, from code that shares nothing with the serving reader."""
+    bits, from code that shares nothing with the serving reader.  What it
+    holds before the domination test is the members' plain AND, as the
+    serving reader holds it (the look-ahead comes after that test), so a
+    pruned child is filed under the same arm by both."""
 
     def reader_for_predicate(conjuncts, *args, **kwargs):
         cells = BooleanPredicate(conjuncts).atomic_cells()
-        return SignatureAdapter(
-            intersect_all(
-                [system.pcube.store.load_full_signature(c) for c in cells]
-            )
-        )
+        members = [system.pcube.store.load_full_signature(c) for c in cells]
+        reader = SignatureAdapter(intersect_all(members))
+
+        def held_block(parent_path, wanted):
+            sid = sid_of_path(parent_path, reader.fanout)
+            for member in members:
+                wanted &= member.node(sid)
+            return wanted
+
+        reader.held_block = held_block
+        return reader
 
     with mock.patch.object(
         system.epochs.current.pcube, "reader_for_predicate", reader_for_predicate
@@ -480,6 +504,95 @@ def test_assembled_reader_issues_the_same_partial_loads(
     ]
     assert stats.counters.snapshot() == ref_stats.counters.snapshot()
     assert state_facts(state) == state_facts(ref_state)
+
+
+def _node_paths(root):
+    """Every node of a frozen tree by ``id``, with its path."""
+    paths, stack = {}, [(root, ())]
+    while stack:
+        node, path = stack.pop()
+        paths[id(node)] = path
+        if not node.is_leaf:
+            stack.extend(
+                (entry.child, path + (slot + 1,))
+                for slot, entry in node.live_entries()
+            )
+    return paths
+
+
+@pytest.mark.parametrize("name", ["skyline", "dynamic"])
+def test_the_kernel_is_handed_only_the_children_whose_held_bit_is_set(
+    paged_system, name
+):
+    """On cells of many partials, a 1-conjunct read hands
+    ``dominates_block`` exactly the live children whose bit the stored
+    signature sets when a loaded partial holds their node, and every live
+    child otherwise; it answers, reads and loads what the kernel-first
+    order (the same search told that the reader holds nothing) does."""
+    from repro.kernels.dominate import DominationBuffer
+    from repro.rtree.frozen import FrozenRNode
+
+    system = paged_system
+    engine = system.engine
+    predicate = predicate_for(system, 1)
+    (cell,) = predicate.atomic_cells()
+    assert system.pcube.store.n_partials(cell) > 1
+    full = system.pcube.store.load_full_signature(cell)
+    fanout = system.pcube.fanout
+    paths = _node_paths(engine.rtree.root)
+
+    def search(holds):
+        stats = QueryStats()
+        pool = BufferPool(engine.rtree.disk, capacity=4096)
+        reader = engine.pcube.reader_for_predicate(predicate.conjuncts, pool, stats)
+        if not holds:
+            reader.held_block = lambda parent_path, wanted: None
+        strategy = (
+            SkylineStrategy(3)
+            if name == "skyline"
+            else DynamicSkylineStrategy(QUERIES["dynamic"][1]["query_point"])
+        )
+        expected, handed = [], []
+        real_block = FrozenRNode.block
+        real_kernel = DominationBuffer.dominates_block
+
+        def block(node):
+            view = real_block(node)
+            sid = sid_of_path(paths[id(node)], fanout)
+            live = view.slot_mask(view.all_mask)
+            if sid in reader._blobs:
+                expected.append((live & full.node(sid)).bit_count())
+            else:
+                expected.append(len(view))
+            return view
+
+        def dominates_block(self, probes, **kwargs):
+            handed.append(len(probes))
+            return real_kernel(self, probes, **kwargs)
+
+        with (
+            mock.patch.object(FrozenRNode, "block", block),
+            mock.patch.object(DominationBuffer, "dominates_block", dominates_block),
+        ):
+            state = run_algorithm1(
+                engine.rtree, strategy, stats, reader=reader, pool=pool
+            )
+        assert len(handed) == len(expected) == stats.nodes_expanded
+        return state, stats, expected, handed
+
+    state, stats, expected, handed = search(holds=True)
+    assert handed == expected
+    kernel_first, first_stats, _, all_rows = search(holds=False)
+    assert sum(handed) < sum(all_rows)
+    assert [e.tid for e in state.results] == [e.tid for e in kernel_first.results]
+    assert stats.counters.snapshot() == first_stats.counters.snapshot()
+    assert stats.sig_loads == first_stats.sig_loads > 1
+    assert stats.nodes_expanded == first_stats.nodes_expanded
+    assert (
+        stats.boolean_pruned + stats.dominance_pruned
+        == first_stats.boolean_pruned + first_stats.dominance_pruned
+    )
+    assert stats.boolean_pruned > first_stats.boolean_pruned
 
 
 def _faulty_system():
@@ -694,7 +807,7 @@ def test_topk_and_dynamic_strategies_direct(system, backend):
                 TopKStrategy(LinearFunction([0.5, -1.0, 0.25]), 3),
                 DynamicSkylineStrategy((0.2, 0.9, 0.5)),
             ):
-                keys, dominated, ties = strategy.evaluate(block)
+                keys, dominated, ties = strategy.evaluate(block, block.all_mask)
                 assert dominated == 0
                 for i, (_, child) in enumerate(node.live_entries()):
                     if block.leaf:
@@ -1163,12 +1276,13 @@ def test_an_expansion_is_one_domination_call_and_one_pass(
     # The loop decides each block alone: its budget outlasts blocks of 12.
     assert counts["over_budget"] == counts["passes"] == 0
     if backend == "numpy":
-        # Where the budget runs out — here one that a full block of 12
-        # overdraws with its probes' charge alone, and that leaves a
+        # Where the budget runs out — here one that a block of four
+        # probes overdraws with their charge alone, and that leaves a
         # smaller block a few comparisons — one numpy pass tests the
         # probes the loop left undecided, no more, and the read is the
-        # same read.
-        budget = dominate._PROBE_CHARGE * 12 - 1
+        # same read.  (The kernel is handed only the children whose held
+        # bit is set: at one conjunct, rarely a full block of 12.)
+        budget = dominate._PROBE_CHARGE * 4 - 1
         with (
             mock.patch.object(dominate, "_BLOCK_SCAN_BUDGET", budget),
             counting_expansions() as tight,

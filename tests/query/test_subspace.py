@@ -128,3 +128,46 @@ def test_subspace_property(raw, subspace):
         if predicate.matches(relation, tid)
     ]
     assert set(tids) == set(naive_subspace_skyline(qualifying, subspace))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_subspace_skylines_grow_with_the_subspace(seed):
+    """Under distinct values (no two tuples share a value on any preference
+    dimension) a skyline can only grow with its subspace: for U ⊆ V, a
+    point dominated on V is beaten strictly on every dimension of V, so on
+    U too — hence ``skyline(U, P) ⊆ skyline(V, P)``.  Every served answer
+    also equals the naive one, for 0, 1 and 2 conjuncts, on a deep tree
+    whose expansions hand the domination kernel a projected subset of a
+    block (the children whose held signature bit is set)."""
+    import itertools
+    import random
+
+    rng = random.Random(seed)
+    n, dims = 240, 4
+    schema = Schema(("A", "B", "C"), ("N1", "N2", "N3", "N4"))
+    columns = [rng.sample(range(n), n) for _ in range(dims)]
+    pref_rows = [tuple(column[i] / n for column in columns) for i in range(n)]
+    bool_rows = [tuple(rng.randrange(3) for _ in range(3)) for _ in range(n)]
+    relation = Relation(schema, bool_rows, pref_rows)
+    system = build_system(relation, fanout=5)
+    subspaces = [
+        subset
+        for size in range(1, dims + 1)
+        for subset in itertools.combinations(range(dims), size)
+    ]
+    for n_conjuncts in (0, 1, 2):
+        predicate = (
+            sample_predicate(relation, n_conjuncts, rng)
+            if n_conjuncts
+            else BooleanPredicate()
+        )
+        qualifying = truth_points(system, predicate)
+        skylines = {}
+        for subspace in subspaces:
+            names = tuple(schema.preference_dims[d] for d in subspace)
+            tids = set(system.engine.skyline(predicate, preference_by=names).tids)
+            assert tids == set(naive_subspace_skyline(qualifying, subspace))
+            skylines[subspace] = tids
+        for u, v in itertools.combinations(subspaces, 2):
+            if set(u) <= set(v):
+                assert skylines[u] <= skylines[v], (predicate, u, v)
