@@ -18,8 +18,9 @@ from repro.system import build_system
 
 BASE_T = 20_000
 BATCH_SIZES = (1, 10, 100)
-#: Timed runs per side, each on a fresh system; the best one counts (as in
-#: the kernel sweep): one sample each let a busy host invert the order.
+#: Timed rounds, each one run per side on a fresh system; the best run of
+#: a side counts (as in the kernel sweep): one sample each let a busy host
+#: invert the order.
 REPEATS = 3
 
 
@@ -43,35 +44,46 @@ def pages_written(disk):
     return disk.write_counters.get("ALLOC") + disk.write_counters.get("WRITE")
 
 
-def insert_cost(n_inserts, batched):
-    """Per inserted tuple: the best wall of ``REPEATS`` runs, each on a
-    fresh system, and the pages a run writes (the same in every run); plus
-    the last run's system."""
-    best = float("inf")
-    for _ in range(REPEATS):
-        system = fresh_system()
-        new_rows = random_rows(n_inserts, random.Random(n_inserts))
-        disk = system.relation.disk
-        before = pages_written(disk)
-        started = time.perf_counter()
-        if batched:
-            insert_batch(system.relation, system.rtree, system.pcube, new_rows)
-        else:
-            for bool_row, pref_row in new_rows:
-                insert_tuple(
-                    system.relation, system.rtree, system.pcube, bool_row, pref_row
-                )
-        best = min(best, time.perf_counter() - started)
-        pages = pages_written(disk) - before
-    return best / n_inserts, pages / n_inserts, system
+def insert_run(n_inserts, batched):
+    """One run on a fresh system: its wall per inserted tuple, the pages it
+    writes per inserted tuple (the same in every run) and the system."""
+    system = fresh_system()
+    new_rows = random_rows(n_inserts, random.Random(n_inserts))
+    disk = system.relation.disk
+    before = pages_written(disk)
+    started = time.perf_counter()
+    if batched:
+        insert_batch(system.relation, system.rtree, system.pcube, new_rows)
+    else:
+        for bool_row, pref_row in new_rows:
+            insert_tuple(
+                system.relation, system.rtree, system.pcube, bool_row, pref_row
+            )
+    wall = time.perf_counter() - started
+    return wall / n_inserts, (pages_written(disk) - before) / n_inserts, system
+
+
+def insert_costs(n_inserts):
+    """``{batched: (best wall per tuple, pages per tuple, last system)}``
+    over ``REPEATS`` rounds.  Each round runs both sides, the side that goes
+    first alternating, so a host that drifts during the measurement slows
+    both sides alike instead of the one it happens to fall on."""
+    best = {False: float("inf"), True: float("inf")}
+    pages, systems = {}, {}
+    for round_ in range(REPEATS):
+        for batched in (round_ % 2 == 0, round_ % 2 == 1):
+            wall, pages[batched], systems[batched] = insert_run(n_inserts, batched)
+            best[batched] = min(best[batched], wall)
+    return {side: (best[side], pages[side], systems[side]) for side in best}
 
 
 @pytest.fixture(scope="module")
 def update_timings():
     rows = []
     for n_inserts in BATCH_SIZES:
-        per_tuple, pages_one, _ = insert_cost(n_inserts, batched=False)
-        per_batched, pages_batched, system = insert_cost(n_inserts, batched=True)
+        costs = insert_costs(n_inserts)
+        per_tuple, pages_one, _ = costs[False]
+        per_batched, pages_batched, system = costs[True]
         # recomputation from scratch (signatures only; tree is shared)
         started = time.perf_counter()
         PCube.build(system.relation, system.rtree, tag="pcube-re")

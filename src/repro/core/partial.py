@@ -42,6 +42,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from repro.bitmap.compression import compress, decompress
@@ -58,18 +59,6 @@ _PART_HEADER_BYTES = 16
 _NODE_OVERHEAD_BYTES = 1
 
 
-class FrozenBlobs(dict):
-    """A partial's blobs: a dict that refuses every edit in place, so the
-    checksum computed once stays true.  Reads — and a merge into another
-    dict, ``dict(blobs)`` or ``other.update(blobs)`` — are a dict's, in C."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("a partial signature's blobs are read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _refuse
-    clear = pop = popitem = setdefault = update = _refuse
-
-
 @dataclass(frozen=True)
 class PartialSignature:
     """A page-sized fragment of one cell's signature — an immutable value.
@@ -77,9 +66,12 @@ class PartialSignature:
     Attributes:
         ref_sid: SID of the subtree root this partial was packed from (the
             retrieval key, together with the cell id).
-        blobs: node SID → compressed bit array, in SID order; a
-            :class:`FrozenBlobs`, so an edit in place raises (a change is a
-            new partial).
+        blobs: node SID → compressed bit array, in SID order; a read-only
+            view of a plain dict, so an edit in place raises (a change is a
+            new partial) and the dict — ints and bytes only — is one the
+            garbage collector does not track.  Merge it into another dict
+            through ``blobs.copy()``: the dict's own copy, in C (an
+            ``update`` from the view itself goes key by key).
         size_bytes: Logical on-disk size.
     """
 
@@ -90,10 +82,10 @@ class PartialSignature:
     def __post_init__(self) -> None:
         sids = list(self.blobs)
         if sids == sorted(sids):
-            blobs = FrozenBlobs(self.blobs)
+            blobs = dict(self.blobs)
         else:
-            blobs = FrozenBlobs(sorted(self.blobs.items()))
-        object.__setattr__(self, "blobs", blobs)
+            blobs = dict(sorted(self.blobs.items()))
+        object.__setattr__(self, "blobs", MappingProxyType(blobs))
         if self.size_bytes == 0:
             object.__setattr__(
                 self,

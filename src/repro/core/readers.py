@@ -218,7 +218,7 @@ class CellSignatureReader:
                 found = False
             else:
                 self._loaded_refs.add(ref_sid)
-                self._blobs.update(partial.blobs)
+                self._blobs.update(partial.blobs.copy())
                 stats.sig_loads += 1
                 if lookahead:
                     stats.sig_lookahead_loads += 1

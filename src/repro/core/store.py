@@ -267,7 +267,7 @@ class SignatureStore(_DirectoryReads):
         blobs: dict[int, bytes] = {}
         for ref_sid, page_id in self._directory.get(cell.cell_id, {}).items():
             try:
-                blobs.update(self.disk.read(page_id, SSIG).blobs)
+                blobs.update(self.disk.read(page_id, SSIG).blobs.copy())
             except (StorageFault, PageFault) as fault:
                 raise MissingPartialError(cell.cell_id, ref_sid) from fault
         return blobs

@@ -13,6 +13,13 @@ never ``** 2``: C ``pow`` is not correctly rounded and differs from
 per-tuple key bit-for-bit, and heap orders (hence counted I/O) are the
 scalar formulas' — ``tests/kernels/reference.py`` keeps those formulas
 and the parity suite pins every kernel against them.
+
+A block of at most :data:`_LOOP_ROWS` rows — what an expansion hands over
+when the reader holds a few of its children — is one loop over the rows
+as tuples instead: there a numpy pass costs only its fixed overhead.  The
+loop is the numpy pass written out element by element (the same
+``where`` ladders, the same ``0.0`` start and order), so the two regimes
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +29,24 @@ from typing import Sequence
 import numpy as np
 
 Rows = Sequence[Sequence[float]]
+
+#: Up to this many rows a key or transform kernel loops over tuples;
+#: beyond, numpy.  An expansion's keying and probing of its held
+#: children (3 dimensions) is faster on the loop up to 20–28 children of
+#: a 56-child leaf and at every count on an 18-child inner node, and
+#: slower beyond (DESIGN.md §13): this bound sits below that band.
+_LOOP_ROWS = 16
+
+
+def _tuples(rows: Rows) -> Rows:
+    """A small block's rows as sequences of Python floats."""
+    return rows.tolist() if isinstance(rows, np.ndarray) else rows
+
+
+def _clamp(v: float, lo: float, hi: float) -> float:
+    """How far ``v`` lies outside ``[lo, hi]`` — the numpy passes' ``where``
+    ladder, one element."""
+    return lo - v if v < lo else (v - hi if v > hi else 0.0)
 
 
 def _matrix(rows: Rows):
@@ -64,6 +89,17 @@ def project_rows(rows: Rows, dims: Sequence[int]) -> Rows:
     return [tuple(row[d] for d in dims) for row in rows]
 
 
+def pick_rows(
+    matrix, tuples: Sequence[tuple[float, ...]], indices: list[int]
+) -> Rows:
+    """The rows at ``indices`` of a block kept both as a float64 matrix and
+    as tuples, in the form a kernel takes them fastest: the tuples
+    themselves for a block the kernels loop over, matrix rows beyond."""
+    if len(indices) <= _LOOP_ROWS:
+        return [tuples[i] for i in indices]
+    return matrix[indices]
+
+
 # --------------------------------------------------------------------------- #
 # skyline keys: d(n) = Σ lows  (and plain coordinate sums)
 # --------------------------------------------------------------------------- #
@@ -71,8 +107,14 @@ def project_rows(rows: Rows, dims: Sequence[int]) -> Rows:
 
 def sum_block(rows: Rows) -> list[float]:
     """``[sum(row) for row in rows]`` — the skyline heap key d(n)."""
-    if len(rows) == 0:
-        return []
+    if len(rows) <= _LOOP_ROWS:
+        out = []
+        for row in _tuples(rows):
+            total = 0.0
+            for x in row:
+                total += x
+            out.append(total)
+        return out
     x = _matrix(rows)
     total = np.zeros(len(rows), dtype=np.float64)
     for d in range(x.shape[1]):
@@ -89,8 +131,14 @@ def linear_score_block(
     weights: Sequence[float], rows: Rows
 ) -> list[float]:
     """``LinearFunction.score`` over a block of points."""
-    if len(rows) == 0:
-        return []
+    if len(rows) <= _LOOP_ROWS:
+        out = []
+        for row in _tuples(rows):
+            total = 0.0
+            for w, x in zip(weights, row):
+                total += w * x
+            out.append(total)
+        return out
     x = _matrix(rows)
     total = np.zeros(len(rows), dtype=np.float64)
     for d, w in enumerate(weights):
@@ -102,8 +150,14 @@ def linear_lower_bound_block(
     weights: Sequence[float], lows: Rows, highs: Rows
 ) -> list[float]:
     """``LinearFunction.lower_bound`` over a block of rectangles."""
-    if len(lows) == 0:
-        return []
+    if len(lows) <= _LOOP_ROWS:
+        out = []
+        for row_lo, row_hi in zip(_tuples(lows), _tuples(highs)):
+            total = 0.0
+            for w, lo, hi in zip(weights, row_lo, row_hi):
+                total += w * (lo if w >= 0 else hi)
+            out.append(total)
+        return out
     lo = _matrix(lows)
     hi = _matrix(highs)
     total = np.zeros(len(lows), dtype=np.float64)
@@ -121,8 +175,15 @@ def wsd_score_block(
     weights: Sequence[float], target: Sequence[float], rows: Rows
 ) -> list[float]:
     """``WeightedSquaredDistance.score`` over a block of points."""
-    if len(rows) == 0:
-        return []
+    if len(rows) <= _LOOP_ROWS:
+        out = []
+        for row in _tuples(rows):
+            total = 0.0
+            for w, x, t in zip(weights, row, target):
+                delta = x - t
+                total += w * (delta * delta)
+            out.append(total)
+        return out
     x = _matrix(rows)
     total = np.zeros(len(rows), dtype=np.float64)
     for d, (w, t) in enumerate(zip(weights, target)):
@@ -142,8 +203,15 @@ def wsd_lower_bound_block(
     The scalar formula skips in-range dimensions; adding an exact 0.0
     term instead is bit-identical (x + 0.0 == x for finite x ≥ 0 sums).
     """
-    if len(lows) == 0:
-        return []
+    if len(lows) <= _LOOP_ROWS:
+        out = []
+        for row_lo, row_hi in zip(_tuples(lows), _tuples(highs)):
+            total = 0.0
+            for w, t, lo, hi in zip(weights, target, row_lo, row_hi):
+                delta = _clamp(t, lo, hi)
+                total += w * delta * delta
+            out.append(total)
+        return out
     lo = _matrix(lows)
     hi = _matrix(highs)
     total = np.zeros(len(lows), dtype=np.float64)
@@ -166,8 +234,18 @@ def separable_score_block(
     terms: Sequence[tuple[int, str, float, float]], rows: Rows
 ) -> list[float]:
     """``SeparableFunction.score`` over a block of points."""
-    if len(rows) == 0:
-        return []
+    if len(rows) <= _LOOP_ROWS:
+        out = []
+        for row in _tuples(rows):
+            total = 0.0
+            for dim, kind, coeff, target in terms:
+                if kind == "linear":
+                    total += coeff * row[dim]
+                else:
+                    delta = row[dim] - target
+                    total += coeff * (delta * delta)
+            out.append(total)
+        return out
     x = _matrix(rows)
     total = np.zeros(len(rows), dtype=np.float64)
     for dim, kind, coeff, target in terms:
@@ -186,8 +264,19 @@ def separable_lower_bound_block(
     highs: Rows,
 ) -> list[float]:
     """``SeparableFunction.lower_bound`` over a block of rectangles."""
-    if len(lows) == 0:
-        return []
+    if len(lows) <= _LOOP_ROWS:
+        out = []
+        for row_lo, row_hi in zip(_tuples(lows), _tuples(highs)):
+            total = 0.0
+            for dim, kind, coeff, target in terms:
+                lo, hi = row_lo[dim], row_hi[dim]
+                if kind == "linear":
+                    total += coeff * (lo if coeff >= 0 else hi)
+                else:
+                    delta = _clamp(target, lo, hi)
+                    total += coeff * delta * delta
+            out.append(total)
+        return out
     lo = _matrix(lows)
     hi = _matrix(highs)
     total = np.zeros(len(lows), dtype=np.float64)
@@ -214,8 +303,15 @@ def mindist_block(
 ) -> list[float]:
     """Squared Euclidean distance from ``point`` to the nearest point of
     each rectangle (zero inside) — the classic MINDIST, over a block."""
-    if len(lows) == 0:
-        return []
+    if len(lows) <= _LOOP_ROWS:
+        out = []
+        for row_lo, row_hi in zip(_tuples(lows), _tuples(highs)):
+            total = 0.0
+            for lo, hi, v in zip(row_lo, row_hi, point):
+                delta = _clamp(v, lo, hi)
+                total += delta * delta
+            out.append(total)
+        return out
     lo = _matrix(lows)
     hi = _matrix(highs)
     total = np.zeros(len(lows), dtype=np.float64)
@@ -235,11 +331,14 @@ def mindist_block(
 
 
 def transform_points_rows(rows: Rows, query_point: Sequence[float]) -> Rows:
-    """``|x − q|`` per row, as a matrix — what a caller hands straight
-    on to :func:`sum_block` and a domination mask without a round trip
-    through tuples."""
-    if len(rows) == 0:
-        return []
+    """``|x − q|`` per row: a matrix — what a caller hands straight on to
+    :func:`sum_block` and a domination mask without a round trip through
+    tuples — or, for a block the loop takes, the tuples themselves."""
+    if len(rows) <= _LOOP_ROWS:
+        return [
+            tuple([abs(x - q) for x, q in zip(row, query_point)])
+            for row in _tuples(rows)
+        ]
     return np.abs(_matrix(rows) - np.asarray(query_point, dtype=np.float64))
 
 
@@ -253,10 +352,13 @@ def transform_points_block(
 def transform_rect_lowers_rows(
     lows: Rows, highs: Rows, query_point: Sequence[float]
 ) -> Rows:
-    """Low corners of the rectangles' images under ``x ↦ |x − q|``, as a
-    matrix (see :func:`transform_points_rows`)."""
-    if len(lows) == 0:
-        return []
+    """Low corners of the rectangles' images under ``x ↦ |x − q|``, as
+    :func:`transform_points_rows` returns its rows."""
+    if len(lows) <= _LOOP_ROWS:
+        return [
+            tuple([_clamp(q, lo, hi) for lo, hi, q in zip(lo_row, hi_row, query_point)])
+            for lo_row, hi_row in zip(_tuples(lows), _tuples(highs))
+        ]
     lo = _matrix(lows)
     hi = _matrix(highs)
     q = np.asarray(query_point, dtype=np.float64)

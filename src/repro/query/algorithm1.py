@@ -13,6 +13,12 @@ The paper's framework (Section V) in full generality:
 * pruned entries are kept in ``d_list`` / ``b_list`` so drill-down and
   roll-up queries can rebuild the heap without starting from the root
   (Lemma 2);
+* a search builds only what it reads: an expansion keys (and probes) only
+  the children whose bit the reader holds, a pruned child is a mask bit
+  whose key is computed when a follow-up reads the list, and a pushed
+  child is a heap item that becomes a :class:`HeapEntry` when it is
+  popped — or when a follow-up reads what an early-terminating top-k
+  left in the heap;
 * an optional *verifier* hook: the Domination baseline has no signature and
   instead verifies the boolean predicate by a random tuple access exactly
   when a data object is about to be reported (minimal probing [3], "between
@@ -135,6 +141,8 @@ class HeapEntry:
 
 def mask_indices(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, ascending."""
+    if not mask & (mask - 1):  # one bit (most held masks), or none
+        return [mask.bit_length() - 1] if mask else []
     indices = []
     while mask:
         low = mask & -mask
@@ -143,60 +151,64 @@ def mask_indices(mask: int) -> list[int]:
     return indices
 
 
-def _child_entries(
-    parent_path: tuple[int, ...],
-    block: NodeBlock,
-    keys: Sequence[float],
-    ties,
-    first_seq: int,
-    mask: int,
-) -> list[HeapEntry]:
-    """The heap entries of the children in index mask ``mask`` of an
-    expanded node, in slot order: the only place that reads keys, tie rows
-    and ``seq`` (``first_seq`` is child 0's) out of an evaluated block."""
-    if not mask:
-        return []
-    indices = mask_indices(mask)
-    tie_rows = row_tuples(ties, indices) if ties is not None else repeat(())
-    entries = []
-    for index, tie in zip(indices, tie_rows):
-        path = parent_path + (block.slots[index] + 1,)
-        if block.leaf:
-            entry = HeapEntry(
-                keys[index], first_seq + index, path,
-                tid=block.tids[index], point=block.low_tuples[index], tie=tie,
-            )
-        else:
-            child = block.entries[index]
-            entry = HeapEntry(
-                keys[index], first_seq + index, path,
-                node=child.child, point=block.low_tuples[index],
-                rect=child.mbr, tie=tie,
-            )
-        entries.append(entry)
-    return entries
+def _child_entry(
+    expansion: tuple, index: int, key: float, tie: tuple[float, ...], seq: int
+) -> HeapEntry:
+    """The heap entry of child ``index`` of an expansion.
+
+    An expansion is recorded once, as the tuple ``(parent_path, block,
+    vetted, strategy, first_seq)``, and its pushed and pruned children
+    refer to it by their index in the block."""
+    parent_path, block = expansion[0], expansion[1]
+    path = parent_path + (block.slots[index] + 1,)
+    if block.leaf:
+        return HeapEntry(
+            key, seq, path,
+            tid=block.tids[index], point=block.low_tuples[index], tie=tie,
+        )
+    child = block.entries[index]
+    return HeapEntry(
+        key, seq, path,
+        node=child.child, point=block.low_tuples[index], rect=child.mbr, tie=tie,
+    )
+
+
+def _entry_of(item: tuple) -> HeapEntry:
+    """The entry of one item of the search's heap, ``(key, tie, seq,
+    origin, index)``: ``origin`` itself when ``index`` is ``None`` (the
+    root, a carried entry), else child ``index`` of the expansion
+    ``origin``, made now and marked as that expansion vetted it."""
+    key, tie, seq, origin, index = item
+    if index is None:
+        return origin
+    entry = _child_entry(origin, index, key, tie, seq)
+    entry.vetted = origin[2]
+    return entry
 
 
 class PrunedRun(NamedTuple):
     """The children one expansion pruned by one arm, not yet heap entries.
 
     Most pruned entries are never looked at again, so an expansion records
-    what is needed to build them — the parent's path, its block, the
-    block's keys and tie rows, the ``seq`` of child 0 and the index mask
-    of the children this arm pruned — and :meth:`entries` builds exactly
-    the entries the search would have pushed.  The mask is turned into
-    indices there and nowhere else: a served read never does it.
+    only its expansion tuple (see :func:`_child_entry`) and the index mask
+    of the children this arm pruned — :class:`PrunedList` keeps the pair
+    as it is — and :meth:`entries` builds exactly the entries the search
+    would have pushed.  Their keys and tie rows are computed there and
+    nowhere else: a served read never does it.
     """
 
-    parent_path: tuple[int, ...]
-    block: NodeBlock
-    keys: Sequence[float]
-    ties: object
-    first_seq: int
+    expansion: tuple
     mask: int
 
     def entries(self) -> list[HeapEntry]:
-        return _child_entries(*self)
+        _, block, _, strategy, first_seq = self.expansion
+        indices = mask_indices(self.mask)
+        keys, ties = strategy.child_keys(block, indices)
+        tie_rows = repeat(()) if ties is None else row_tuples(ties)
+        return [
+            _child_entry(self.expansion, i, key, tie, first_seq + i)
+            for i, key, tie in zip(indices, keys, tie_rows)
+        ]
 
 
 class PrunedList:
@@ -205,8 +217,9 @@ class PrunedList:
     Reads like a list of :class:`HeapEntry` (length, truth, iteration,
     indexing, equality, ``a_list + pruned``).  Entries pruned at a
     pop are appended as they are; the children pruned by an expansion
-    arrive as one :class:`PrunedRun` and become entries on the first read,
-    in place, so later reads see the same objects.
+    arrive as one run — the pair of a :class:`PrunedRun` — and become
+    entries on the first read, in place, so later reads see the same
+    objects.
     """
 
     __slots__ = ("_items", "_length", "_has_runs")
@@ -220,17 +233,17 @@ class PrunedList:
         self._items.append(entry)
         self._length += 1
 
-    def add_run(self, run: PrunedRun) -> None:
-        self._items.append(run)
-        self._length += run.mask.bit_count()
+    def add_run(self, expansion: tuple, mask: int) -> None:
+        self._items.append((expansion, mask))
+        self._length += mask.bit_count()
         self._has_runs = True
 
     def _entries(self) -> list[HeapEntry]:
         if self._has_runs:
             entries: list[HeapEntry] = []
             for item in self._items:
-                if type(item) is PrunedRun:
-                    entries.extend(item.entries())
+                if type(item) is tuple:
+                    entries.extend(PrunedRun(*item).entries())
                 else:
                     entries.append(item)
             self._items = entries
@@ -266,14 +279,29 @@ class SearchState:
     entries pruned by boolean predicates; ``d_list`` the entries pruned by
     preference (domination / k-th score); ``heap`` whatever was still
     pending when the search stopped (non-empty only for early-terminating
-    top-k runs).
+    top-k runs), as a heap.  A run leaves its pending heap items in
+    ``_items``; the first read of ``heap`` turns them into entries, in
+    place — ``heap`` stays the same list object — and a served read,
+    which never reads it, makes none.
     """
 
-    heap: list[HeapEntry] = field(default_factory=list)
     results: list[HeapEntry] = field(default_factory=list)
     b_list: PrunedList = field(default_factory=PrunedList)
     d_list: PrunedList = field(default_factory=PrunedList)
     seq: int = 0
+    _entries: list[HeapEntry] = field(default_factory=list, repr=False)
+    _items: list | None = field(default=None, repr=False)
+
+    @property
+    def heap(self) -> list[HeapEntry]:
+        if self._items is not None:
+            self._entries[:] = [_entry_of(item) for item in self._items]
+            self._items = None
+        return self._entries
+
+    @heap.setter
+    def heap(self, entries: list[HeapEntry]) -> None:
+        self._entries, self._items = entries, None
 
     def next_seq(self) -> int:
         self.seq += 1
@@ -322,47 +350,51 @@ class SkylineStrategy:
     def node_key(self, rect: Rect) -> float:
         return sum(self._corner(rect))
 
-    def evaluate(self, block: NodeBlock, wanted: int):
-        """``(keys, dominated, ties)`` for a node's children at once — every
-        strategy's contract: ``keys[i]`` is the heap key of child ``i``
-        (its index in the block), bit ``i`` of the integer ``dominated``
-        says the preference arm prunes it now — asked only of the children
-        in the index mask ``wanted``, the others being pruned already — and
-        ``ties`` holds the tie rows (``None``: every tie is ``()``), read
-        only for the children that survive or are listed.
+    def child_keys(self, block: NodeBlock, indices: list[int] | None):
+        """``(keys, ties)`` of the children at ``indices`` of a node's
+        block (``None``: every child), in that order — every strategy's
+        keying, and the only one: ``keys`` are their heap keys, ``ties``
+        their tie rows (tuples or matrix rows; ``None``: every tie is
+        ``()``).
 
         Leaf points and inner low corners alike are the ``lows`` rows: the
-        low corner is the heap key's argument and the domination probe.
-        The verdicts hold for the whole expansion because the buffer only
-        grows at pops.  In the full space the probes are the block's own
-        corner tuples and the keys its ``Σ lows``, both kept on it.
+        low corner is the heap key's argument, the tie row and the
+        domination probe.  In the full space those are the block's own
+        corner tuples and its ``Σ lows``, both kept on it.
         """
         if self.subspace is None:
-            rows = ties = block.low_tuples
-            keys = block.low_sums()
-        else:
-            rows = ties = project_rows(block.lows, self.subspace)
-            keys = sum_block(rows)
-        return keys, self._dominated(rows, wanted, block.all_mask), ties
+            sums, corners = block.low_sums(), block.low_tuples
+            if indices is None:
+                return sums, corners
+            return (
+                list(map(sums.__getitem__, indices)),
+                list(map(corners.__getitem__, indices)),
+            )
+        rows = project_rows(block.rows(indices)[0], self.subspace)
+        return sum_block(rows), rows
 
-    def _dominated(self, rows, wanted: int, all_mask: int) -> int:
-        """The index mask of the rows in ``wanted`` that the buffer
-        dominates: the kernel is handed those rows alone (``rows`` is a
-        list of tuples or a matrix), and its verdicts are put back at
-        their indices."""
-        if wanted == all_mask:
-            return self._buffer.dominates_block(rows, packed=True)
-        indices = mask_indices(wanted)
-        probes = (
-            [rows[i] for i in indices] if isinstance(rows, list) else rows[indices]
-        )
-        bits = self._buffer.dominates_block(probes, packed=True)
+    def evaluate(self, block: NodeBlock, indices: list[int] | None):
+        """``(keys, dominated, ties)`` for the children at ``indices`` of a
+        node's block (``None``: every child) — the others are pruned
+        already — every strategy's contract: ``keys`` and ``ties`` as
+        :meth:`child_keys` gives them, and bit ``i`` of the integer
+        ``dominated`` says the preference arm prunes child ``i`` now.
+
+        The tie rows are the probes: the kernel is handed exactly those
+        rows, once, and its verdicts are put back at their indices.  They
+        hold for the whole expansion because the buffer only grows at
+        pops.
+        """
+        keys, ties = self.child_keys(block, indices)
+        bits = self._buffer.dominates_block(ties, packed=True)
+        if indices is None:
+            return keys, bits, ties
         dominated = 0
         while bits:
             low = bits & -bits
             dominated |= 1 << indices[low.bit_length() - 1]
             bits ^= low
-        return dominated
+        return keys, dominated, ties
 
     def evaluated(self) -> int:
         """How many skyline points ``evaluate`` tests against right now."""
@@ -411,19 +443,27 @@ class TopKStrategy:
     def node_key(self, rect: Rect) -> float:
         return self.fn.lower_bound(rect)
 
-    def evaluate(self, block: NodeBlock, wanted: int):
-        """Scores (leaf) or region lower bounds (inner node) for a node's
-        children, and the mask of those in ``wanted`` the current k-th
-        score already beats; no tie rows — every tie is ``()``."""
+    def child_keys(self, block: NodeBlock, indices: list[int] | None):
+        """Scores (leaf) or region lower bounds (inner node) for the
+        children at ``indices``; no tie rows — every tie is ``()``."""
+        lows, highs = block.rows(indices)
         if block.leaf:
-            keys = self.fn.score_block(block.lows)
-        else:
-            keys = self.fn.lower_bound_rows(block.lows, block.highs)
+            return self.fn.score_block(lows), None
+        return self.fn.lower_bound_rows(lows, highs), None
+
+    def evaluate(self, block: NodeBlock, indices: list[int] | None):
+        """The keys of the children at ``indices`` and the mask of those
+        the current k-th score already beats."""
+        keys, _ = self.child_keys(block, indices)
         if len(self.scores) < self.k:
             return keys, 0, None
         worst = self.scores[-1]
-        beaten = sum(1 << i for i, key in enumerate(keys) if key >= worst)
-        return keys, beaten & wanted, None
+        beaten = sum(
+            1 << i
+            for i, key in zip(range(len(keys)) if indices is None else indices, keys)
+            if key >= worst
+        )
+        return keys, beaten, None
 
     def evaluated(self) -> int:
         return 0  # ``prune`` is one comparison with the current k-th score
@@ -509,13 +549,17 @@ def run_algorithm1(
     """
     if state is None:
         state = make_root_state(rtree, strategy)
-    # The loop's heap holds ``(key, tie, seq, entry)`` so ``heapq``
-    # compares in C — ``seq`` is unique, the entry itself is never
-    # compared, and the order is ``HeapEntry.__lt__``'s.  Marks left
-    # by an earlier run say nothing about this strategy and reader.
+    # The loop's heap holds ``(key, tie, seq, origin, index)`` items so
+    # ``heapq`` compares in C — ``seq`` is unique, so ``origin`` and
+    # ``index`` are never compared, and the order is
+    # ``HeapEntry.__lt__``'s.  A carried entry is its own origin (index
+    # ``None``); a pushed child is an index into its expansion tuple (see
+    # ``_child_entry``), and becomes a ``HeapEntry`` only when it is
+    # popped.  Marks left by an earlier run say nothing about this
+    # strategy and reader.
     for entry in state.heap:
         entry.vetted = None
-    heap = [(e.key, e.tie, e.seq, e) for e in state.heap]
+    heap = [(e.key, e.tie, e.seq, e, None) for e in state.heap]
     heapq.heapify(heap)
     stats.note_heap(len(heap))
 
@@ -524,10 +568,15 @@ def run_algorithm1(
             if ticker is not None:
                 ticker()
             item = heapq.heappop(heap)
-            entry = item[3]
-            if strategy.finished(entry.key):
+            key, tie, seq, origin, index = item
+            if strategy.finished(key):
                 heapq.heappush(heap, item)  # keep it for incremental reuse
                 break
+            if index is None:
+                entry = origin
+            else:  # ``_entry_of``, with one call fewer per pop
+                entry = _child_entry(origin, index, key, tie, seq)
+                entry.vetted = origin[2]
             # --- prune procedure (paper lines 14-20): preference then
             # boolean.  A vetted entry passed both when its parent was
             # expanded: only results found since can prune it, and its
@@ -547,7 +596,7 @@ def run_algorithm1(
                     state.b_list.append(entry)
                 continue
 
-            if entry.is_tuple:
+            if entry.tid is not None:
                 if verifier is not None:
                     stats.verified += 1
                     if not verifier(entry.tid):
@@ -569,17 +618,17 @@ def run_algorithm1(
 
             # One block evaluation per expanded node.  The bits the
             # reader holds already go first: a child whose bit is 0 is
-            # boolean-pruned, dominated or not, and the strategy tests
-            # only the others for dominance (keys are computed for all).
-            # The reader is then asked, with loads, about the preference
-            # arm's survivors at once — unless its held bits were its
-            # final answer — and only children that pass both become
-            # heap entries.  Every live child still consumes one
-            # ``seq``, in slot order, whatever happens to it.
+            # boolean-pruned, dominated or not, and the strategy keys
+            # and tests for dominance only the others.  The reader is
+            # then asked, with loads, about the preference arm's
+            # survivors at once — unless its held bits were its final
+            # answer — and only children that pass both are pushed.
+            # Every live child still consumes one ``seq``, in slot
+            # order, whatever happens to it.
             block = node.block()
             first_seq = state.seq + 1
             state.seq += len(block)
-            vetted = strategy.evaluated()
+            resolved = True
             parent_path = entry.path
             # Index masks from here on: what one arm prunes is one
             # ``&`` away, and only the survivors are ever iterated.
@@ -591,7 +640,10 @@ def run_algorithm1(
                 if bits is not None:
                     held = block.index_mask(bits)
                     settled = reader.held_is_final
-            keys, dominated, ties = strategy.evaluate(block, held)
+            # ``keys`` and ``ties`` list the held children only, in index
+            # order: child ``indices[j]`` is at ``j``.
+            indices = None if held == block.all_mask else mask_indices(held)
+            keys, dominated, ties = strategy.evaluate(block, indices)
             survivors = alive = held & ~dominated
             if reader is not None and alive and not settled:
                 wanted = block.slot_mask(alive)
@@ -601,7 +653,7 @@ def run_algorithm1(
                     # entry, which answers (and counts) conservatively —
                     # and the children it lets through are tested again
                     # at their pop, as every entry used to be.
-                    vetted = None
+                    resolved = False
                     passed = 0
                     for i in mask_indices(alive):
                         if reader.check_entry(parent_path, block.slots[i] + 1):
@@ -611,27 +663,30 @@ def run_algorithm1(
             filtered = (block.all_mask ^ held) | (alive ^ survivors)
             stats.dominance_pruned += dominated.bit_count()
             stats.boolean_pruned += filtered.bit_count()
+            # The pushed children's mark: the buffer only grows at pops,
+            # so it is what the strategy tested them against.
+            vetted = strategy.evaluated() if survivors and resolved else None
+            expansion = (parent_path, block, vetted, strategy, first_seq)
             if keep_lists:
                 if dominated:
-                    state.d_list.add_run(
-                        PrunedRun(
-                            parent_path, block, keys, ties, first_seq, dominated
-                        )
-                    )
+                    state.d_list.add_run(expansion, dominated)
                 if filtered:
-                    state.b_list.add_run(
-                        PrunedRun(
-                            parent_path, block, keys, ties, first_seq, filtered
-                        )
-                    )
-            for child in _child_entries(
-                parent_path, block, keys, ties, first_seq, survivors
-            ):
-                child.vetted = vetted
-                heapq.heappush(heap, (child.key, child.tie, child.seq, child))
+                    state.b_list.add_run(expansion, filtered)
+            if survivors:
+                if indices is None:
+                    at = picked = mask_indices(survivors)
+                elif survivors == held:
+                    at, picked = range(len(indices)), indices
+                else:
+                    at = [j for j, i in enumerate(indices) if survivors >> i & 1]
+                    picked = [indices[j] for j in at]
+                tie_rows = repeat(()) if ties is None else row_tuples(ties, at)
+                for i, j, tie in zip(picked, at, tie_rows):
+                    heapq.heappush(heap, (keys[j], tie, first_seq + i, expansion, i))
             stats.note_heap(len(heap))
     finally:
         # Whatever ended the loop — a finished top-k, a raising ticker, a
-        # storage fault — ``state.heap`` is the pending entries, as a heap.
-        state.heap[:] = [item[3] for item in heap]
+        # storage fault — ``state.heap`` reads as the pending entries, as
+        # a heap.
+        state._items = heap
     return state

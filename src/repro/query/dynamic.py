@@ -20,7 +20,6 @@ from typing import Sequence
 
 from repro.kernels.dominate import dominated_mask
 from repro.kernels.mindist import (
-    as_rows,
     sum_block,
     transform_points_block,
     transform_points_rows,
@@ -74,8 +73,6 @@ class DynamicSkylineStrategy(SkylineStrategy):
         if not self.query_point:
             raise ValueError("query point must have at least one dimension")
         super().__init__(len(self.query_point))
-        # In the backend's row representation, once per query.
-        self._q = as_rows([self.query_point])[0]
 
     def _project(self, point: Sequence[float]) -> tuple[float, ...]:
         return transform_point(point, self.query_point)
@@ -85,18 +82,17 @@ class DynamicSkylineStrategy(SkylineStrategy):
         # interval information the transform needs, with no extra read.
         return transform_rect_lower(rect, self.query_point)
 
-    def evaluate(self, block: NodeBlock, wanted: int):
-        """``(keys, dominated, ties)`` as ``SkylineStrategy.evaluate`` defines
-        them: the ``|x − q|`` image is computed once per call and serves all
-        three (it depends on ``q``: unlike ``Σ lows``, the block cannot keep it)."""
+    def child_keys(self, block: NodeBlock, indices: list[int] | None):
+        """``(keys, ties)`` as ``SkylineStrategy.child_keys`` defines them:
+        the ``|x − q|`` image of the children at ``indices`` is the tie
+        rows and the probes, and its sums the keys (it depends on ``q``:
+        unlike ``Σ lows``, the block cannot keep it)."""
+        lows, highs = block.rows(indices)
         if block.leaf:
-            image = transform_points_rows(block.lows, self._q)
+            image = transform_points_rows(lows, self.query_point)
         else:
-            image = transform_rect_lowers_rows(
-                block.lows, block.highs, self._q
-            )
-        dominated = self._dominated(image, wanted, block.all_mask)
-        return sum_block(image), dominated, image
+            image = transform_rect_lowers_rows(lows, highs, self.query_point)
+        return sum_block(image), image
 
 
 def naive_dynamic_skyline(

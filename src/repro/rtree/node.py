@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.kernels.mindist import as_rows, sum_block
+from repro.kernels.mindist import as_rows, pick_rows, sum_block
 from repro.rtree.geometry import Rect
 
 #: The ``tids`` value of a free leaf slot.
@@ -129,12 +129,14 @@ class NodeBlock:
     are the children's MBR corners as float64 matrices (see
     :func:`repro.kernels.mindist.as_rows`), so keys, domination verdicts
     and transforms are one kernel call each.
-    ``low_tuples`` are the same corners as tuples — the domination
-    probes, tie rows and heap-entry points of the full-space skyline.  An
-    inner node's are the tuples its entries' boxes already hold; a leaf's
-    are made from its ``coords`` rows in one pass, one after another in
-    slot order, when the block is first asked for (the block is kept with
-    the frozen leaf; the leaf itself keeps no tuple).  ``tids`` (a leaf)
+    ``low_tuples`` / ``high_tuples`` are the same corners as tuples — the
+    domination probes, tie rows and heap-entry points of the full-space
+    skyline, and the rows a kernel loops over when an expansion hands it
+    a few children (:meth:`rows`).  An inner node's are the tuples its
+    entries' boxes already hold; a leaf's are made from its ``coords``
+    rows in one pass, one after another in slot order, when the block is
+    first asked for (the block is kept with the frozen leaf; the leaf
+    itself keeps no tuple), and serve as both corners.  ``tids`` (a leaf)
     or ``entries`` (an inner node's) are the rest of a heap entry.
 
     The search names children by *index* in this view, the signature by
@@ -155,6 +157,7 @@ class NodeBlock:
         "all_mask",
         "dense",
         "low_tuples",
+        "high_tuples",
         "lows",
         "highs",
         "_low_sums",
@@ -169,13 +172,14 @@ class NodeBlock:
             self.entries = None
             # A data point's MBR is degenerate: one matrix serves both corners.
             self.lows = self.highs = node.coords[slots]
-            self.low_tuples = list(zip(*self.lows.T.tolist()))
+            self.low_tuples = self.high_tuples = list(zip(*self.lows.T.tolist()))
         else:
             live = list(node.live_entries())
             self.slots = [slot for slot, _ in live]
             self.tids = None
             self.entries = [entry for _, entry in live]
             self.low_tuples = [entry.mbr.lows for entry in self.entries]
+            self.high_tuples = [entry.mbr.highs for entry in self.entries]
             self.lows = as_rows(self.low_tuples)
             self.highs = as_rows([entry.mbr.highs for entry in self.entries])
         n = len(self.slots)
@@ -192,6 +196,17 @@ class NodeBlock:
         if self._low_sums is None:
             self._low_sums = sum_block(self.lows)
         return self._low_sums
+
+    def rows(self, indices: list[int] | None):
+        """``(lows, highs)`` of the children at ``indices`` (``None``: every
+        child), in the form the kernels take them fastest — see
+        :func:`repro.kernels.mindist.pick_rows`."""
+        if indices is None:
+            return self.lows, self.highs
+        lows = pick_rows(self.lows, self.low_tuples, indices)
+        if self.leaf:
+            return lows, lows
+        return lows, pick_rows(self.highs, self.high_tuples, indices)
 
     def slot_mask(self, indices: int) -> int:
         """The signature bits (``1 << slot``) of the children in an index mask."""

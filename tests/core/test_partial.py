@@ -1,8 +1,10 @@
 """Decomposition into page-sized partials and the retrieval protocol."""
 
+import gc
 import random
 from collections import deque
 from dataclasses import FrozenInstanceError
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from repro.core.partial import (
 from repro.core.sid import child_sid, sid_of_path
 from repro.core.signature import Signature
 from repro.core.store import SignatureStore
+from repro.data.fixtures import build_sweep_system
 from repro.storage.counters import SSIG
 from repro.storage.disk import SimulatedDisk
 from tests.core.test_store import CELL, count_compressions, stored_bytes
@@ -183,6 +186,21 @@ def test_fingerprint_covers_ref_size_sids_and_every_blob_byte():
     with pytest.raises(FrozenInstanceError):
         partial.ref_sid = 1
     store.disk.read(page_id, SSIG)  # still verifies
+
+
+def test_a_built_cube_leaves_no_blob_mapping_to_the_collector():
+    """A partial's blobs are ints and bytes, held in a plain dict behind a
+    read-only view: CPython does not track such a dict, so a full
+    collection walks none of a stored signature's nodes."""
+    system = build_sweep_system(600, fanout=8, seed=3)
+    partials = [page.payload for page in system.pcube.store.disk.pages("pcube:sig")]
+    assert partials
+    for partial in partials:
+        blobs = partial.blobs
+        mapping = (
+            gc.get_referents(blobs)[0] if type(blobs) is MappingProxyType else blobs
+        )
+        assert dict(mapping) and not gc.is_tracked(mapping)
 
 
 @settings(max_examples=40, deadline=None)

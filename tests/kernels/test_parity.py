@@ -261,6 +261,84 @@ def test_rect_lowers_rows_parity(block):
     )
 
 
+#: The key and transform kernels by name, each on a rectangle block
+#: ``(lows, highs)`` and a point of the block's width.
+KEY_KERNELS = {
+    "sum_block": lambda m, lows, highs, point: m.sum_block(lows),
+    "linear_score_block": lambda m, lows, highs, point: m.linear_score_block(
+        point, lows
+    ),
+    "linear_lower_bound_block": lambda m, lows, highs, point: (
+        m.linear_lower_bound_block(point, lows, highs)
+    ),
+    "wsd_score_block": lambda m, lows, highs, point: m.wsd_score_block(
+        [abs(v) for v in point], point[::-1], lows
+    ),
+    "wsd_lower_bound_block": lambda m, lows, highs, point: (
+        m.wsd_lower_bound_block([abs(v) for v in point], point[::-1], lows, highs)
+    ),
+    "separable_score_block": lambda m, lows, highs, point: (
+        m.separable_score_block(_terms(point), lows)
+    ),
+    "separable_lower_bound_block": lambda m, lows, highs, point: (
+        m.separable_lower_bound_block(_terms(point), lows, highs)
+    ),
+    "mindist_block": lambda m, lows, highs, point: m.mindist_block(
+        lows, highs, point
+    ),
+    "transform_points_block": lambda m, lows, highs, point: (
+        m.transform_points_block(lows, point)
+    ),
+    "transform_rect_lowers_block": lambda m, lows, highs, point: (
+        m.transform_rect_lowers_block(lows, highs, point)
+    ),
+}
+
+
+def _terms(point):
+    return [
+        (d, "linear" if d % 2 == 0 else "squared", abs(v) + 0.25, v)
+        for d, v in enumerate(point)
+    ]
+
+
+def bound_blocks():
+    """Rectangle blocks of the kernels' loop bound ± 1 rows."""
+    sizes = [mindist._LOOP_ROWS - 1, mindist._LOOP_ROWS, mindist._LOOP_ROWS + 1]
+    return st.tuples(
+        st.sampled_from(sizes), st.integers(min_value=1, max_value=4)
+    ).flatmap(
+        lambda shape: st.tuples(
+            st.lists(
+                st.tuples(
+                    st.tuples(*([coords] * shape[1])),
+                    st.tuples(*([coords] * shape[1])),
+                ),
+                min_size=shape[0],
+                max_size=shape[0],
+            ),
+            st.tuples(*([coords] * shape[1])),
+        )
+    )
+
+
+@settings(max_examples=30)
+@given(bound_blocks())
+@pytest.mark.parametrize("kernel", sorted(KEY_KERNELS))
+def test_key_kernels_agree_either_side_of_the_loop_bound(kernel, block):
+    """At the loop bound ± 1 rows — the tuple loop on one side, numpy on
+    the other — every key and transform kernel gives the oracle's bits,
+    from tuples and from a matrix alike."""
+    pairs, point = block
+    lows = [tuple(min(a, b) for a, b in zip(lo, hi)) for lo, hi in pairs]
+    highs = [tuple(max(a, b) for a, b in zip(lo, hi)) for lo, hi in pairs]
+    run = KEY_KERNELS[kernel]
+    want = run(reference, lows, highs, point)
+    assert run(PRODUCT, lows, highs, point) == want
+    matrices = [np.asarray(rows, dtype=np.float64) for rows in (lows, highs)]
+    assert run(PRODUCT, *matrices, point) == want
+
+
 def test_matrix_input_matches_tuple_input():
     """Columnar callers hand ndarrays; same bits must come out."""
     rows = [(0.125, 0.25, 0.5), (0.75, 0.125, 0.375), (0.5, 0.5, 0.5)]

@@ -729,7 +729,7 @@ def test_runs_materialise_in_append_order(leaf_block, appends, read_after):
     """Whatever the interleaving of pop-time entries and expansion runs —
     and wherever a read falls between them — the list reads in the order
     things were pruned, and an entry once read keeps its identity."""
-    keys = [float(i) for i in range(len(leaf_block))]
+    strategy = SkylineStrategy(2)
     pruned = PrunedList()
     expected = []  # (seq, path) in append order
     seen = []
@@ -744,9 +744,7 @@ def test_runs_materialise_in_append_order(leaf_block, appends, read_after):
         else:
             parent = (step + 1,)
             mask = sum(1 << i for i in item)
-            pruned.add_run(
-                PrunedRun(parent, leaf_block, keys, None, seq + 1, mask)
-            )
+            pruned.add_run((parent, leaf_block, None, strategy, seq + 1), mask)
             expected.extend(
                 (seq + 1 + i, parent + (leaf_block.slots[i] + 1,))
                 for i in item
@@ -807,7 +805,7 @@ def test_topk_and_dynamic_strategies_direct(system, backend):
                 TopKStrategy(LinearFunction([0.5, -1.0, 0.25]), 3),
                 DynamicSkylineStrategy((0.2, 0.9, 0.5)),
             ):
-                keys, dominated, ties = strategy.evaluate(block, block.all_mask)
+                keys, dominated, ties = strategy.evaluate(block, None)
                 assert dominated == 0
                 for i, (_, child) in enumerate(node.live_entries()):
                     if block.leaf:
@@ -1196,7 +1194,7 @@ def counting_expansions():
     one-pass bound; of the others, how many probes the block loop's budget
     leaves undecided), ``_block_dominates`` passes and the probes they
     test, block key sums, pruned runs turned into entries, heap entries
-    built and heap pushes."""
+    built, heap pushes and heap pops."""
     import heapq as real_heapq
     from types import SimpleNamespace
 
@@ -1236,7 +1234,7 @@ def counting_expansions():
 
     shim = SimpleNamespace(
         heapify=real_heapq.heapify,
-        heappop=real_heapq.heappop,
+        heappop=counted("pops", real_heapq.heappop),
         heappush=counted("pushes", real_heapq.heappush),
     )
     with (
@@ -1377,3 +1375,135 @@ def test_block_masks_translate_between_indices_and_slots(live_slots, data):
     assert block.slot_mask(indices) == wanted
     assert block.index_mask(wanted) == indices
     assert block.slot_mask(block.all_mask) == sum(1 << s for s in slots)
+
+
+# --------------------------------------------------------------------------- #
+# what a search builds: heap items until the pop, keys for the held children
+# --------------------------------------------------------------------------- #
+
+
+def test_a_served_topk_makes_entries_only_for_what_it_pops(system_2k):
+    """A top-k stops with most of its heap unread: a child is a heap item
+    until it is popped, and only the root and the popped children become
+    ``HeapEntry`` objects — the rest become entries when ``state.heap`` is
+    first read, the oracle's entries, in place."""
+    fn = LinearFunction([0.6, 0.2, 0.9])
+    with counting_expansions() as counts:
+        result = system_2k.engine.topk(fn, 10, BooleanPredicate())
+    assert 0 < counts["entries_built"] <= counts["pops"] < counts["pushes"]
+    with per_child_expansion():
+        reference = system_2k.engine.topk(fn, 10, BooleanPredicate())
+    heap = result.state._entries
+    with counting_expansions() as read:
+        assert flat(result.state.heap) == flat(reference.state.heap)
+    assert result.state.heap is heap
+    assert read["entries_built"] == len(heap) == counts["pushes"] + 1 - counts["pops"]
+
+
+class PaddedReader:
+    """An exact reader whose held bits are padded up to ``size`` children of
+    each node: every bit it adds, ``check_block`` clears again, so a search
+    keys and tests for dominance exactly ``size`` children of a node whose
+    block has that many."""
+
+    held_is_final = False
+
+    def __init__(self, exact, size):
+        self.exact, self.size, self.sizes = exact, size, Counter()
+
+    def held_block(self, parent_path, wanted):
+        held = self.exact.check_block(parent_path, wanted)
+        extra = wanted & ~held
+        while held.bit_count() < self.size and extra:
+            low = extra & -extra
+            held |= low
+            extra ^= low
+        self.sizes[held.bit_count()] += 1
+        return held
+
+    def check_block(self, parent_path, wanted):
+        return self.exact.check_block(parent_path, wanted)
+
+    def check_entry(self, parent_path, position):
+        return self.exact.check_entry(parent_path, position)
+
+    def check_path(self, path):
+        return self.exact.check_path(path)
+
+
+@pytest.fixture(scope="module")
+def wide_system():
+    """Nodes of up to 24 children: held masks on both sides of the kernels'
+    loop bound fit in one block."""
+    return build_sweep_system(3_000, fanout=24, cardinality=6, seed=41)
+
+
+def _strategy(name, dims=3):
+    kind, kwargs = QUERIES[name]
+    if kind == "topk":
+        return TopKStrategy(kwargs["fn"], kwargs["k"])
+    if kind == "dynamic_skyline":
+        return DynamicSkylineStrategy(kwargs["query_point"])
+    subspace = None
+    if "preference_by" in kwargs:
+        subspace = tuple(int(dim[1:]) - 1 for dim in kwargs["preference_by"])
+    return SkylineStrategy(dims, subspace)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_held_masks_either_side_of_the_loop_bound_match_the_oracle(
+    wide_system, name, offset
+):
+    """Held masks of the kernels' loop bound ± 1 children: the keys, ties
+    and probes of a loop-sized block and of a numpy-sized one give the
+    per-child oracle's search — answers, counters, lists and heap."""
+    from repro.kernels import mindist
+
+    size = mindist._LOOP_ROWS + offset
+    system = wide_system
+    (cell,) = predicate_for(system, 1).atomic_cells()
+    exact = SignatureAdapter(system.pcube.store.load_full_signature(cell))
+
+    def search(runner):
+        reader = PaddedReader(exact, size)
+        stats = QueryStats()
+        pool = BufferPool(system.engine.rtree.disk, capacity=4096)
+        state = runner(
+            system.engine.rtree, _strategy(name), stats, reader=reader, pool=pool
+        )
+        return reader, stats, state
+
+    reader, stats, state = search(run_algorithm1)
+    _, ref_stats, ref_state = search(reference_algorithm1)
+    assert reader.sizes[size] > 0
+    assert stats_facts(stats) == stats_facts(ref_stats)
+    assert state_facts(state) == state_facts(ref_state)
+
+
+@pytest.mark.parametrize("name", ["skyline", "topk-linear", "topk-wsd"])
+def test_follow_ups_of_an_unread_result_match_the_eager_oracle(system_2k, name):
+    """A drill-down and a roll-up resumed from results whose heap and lists
+    nothing has read — items and runs until the resume reads them — rebuild
+    what the oracle's eager entries rebuild."""
+    stronger = predicate_for(system_2k, 2)
+    dim, value = list(stronger)[-1]
+    weaker = stronger.roll_up(dim)
+    engine = system_2k.engine
+    with counting_expansions() as counts:
+        coarse = run_query(system_2k, name, weaker)
+        fine = run_query(system_2k, name, stronger)
+    assert counts["runs_read"] == 0 and counts["entries_built"] <= counts["pops"]
+    assert coarse.state._items is not None and fine.state._items is not None
+    got = (
+        result_facts(engine.drill_down(coarse, dim, value)),
+        result_facts(engine.roll_up(fine, dim)),
+    )
+    with per_child_expansion():
+        want = (
+            result_facts(
+                engine.drill_down(run_query(system_2k, name, weaker), dim, value)
+            ),
+            result_facts(engine.roll_up(run_query(system_2k, name, stronger), dim)),
+        )
+    assert got == want
