@@ -55,7 +55,6 @@ def extension_comparison():
         reader=None,
         verifier=lambda tid: predicate.matches(relation, tid),
         block_category=DBLOCK,
-        keep_lists=False,
     )
     return rows, blind_stats
 

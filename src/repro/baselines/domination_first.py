@@ -55,7 +55,6 @@ def bbs_skyline(
         reader=None,
         pool=pool,
         block_category=DBLOCK,
-        keep_lists=False,
     )
     stats.elapsed_seconds = time.perf_counter() - started
     return [e.tid for e in state.results if e.tid is not None], stats
@@ -116,7 +115,6 @@ def domination_first_skyline(
         verifier=verifier,
         pool=pool,
         block_category=DBLOCK,
-        keep_lists=False,
         ticker=ticker,
     )
     stats.elapsed_seconds = time.perf_counter() - started
@@ -150,7 +148,6 @@ def ranking_topk(
         verifier=verifier,
         pool=pool,
         block_category=DBLOCK,
-        keep_lists=False,
         ticker=ticker,
     )
     stats.elapsed_seconds = time.perf_counter() - started

@@ -88,7 +88,6 @@ def index_merge_topk(
         verifier=verifier,
         pool=pool,
         block_category=DBLOCK,
-        keep_lists=False,
         ticker=ticker,
     )
     stats.elapsed_seconds = time.perf_counter() - started

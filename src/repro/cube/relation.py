@@ -298,6 +298,8 @@ class Relation:
         writing epoch, so views pinned before the write still resolve the
         old point.  Without an epoch system the chain is not kept.
         """
+        if not 0 <= tid < len(self):
+            raise IndexError(f"tid {tid} out of range")
         pref_row = self.check_pref(pref_row)
         old = self.pref_point(tid)
         epoch = self.epoch_clock()

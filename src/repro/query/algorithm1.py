@@ -14,11 +14,12 @@ The paper's framework (Section V) in full generality:
   roll-up queries can rebuild the heap without starting from the root
   (Lemma 2);
 * a search builds only what it reads: an expansion keys (and probes) only
-  the children whose bit the reader holds, a pruned child is a mask bit
-  whose key is computed when a follow-up reads the list, and a pushed
-  child is a heap item that becomes a :class:`HeapEntry` when it is
-  popped — or when a follow-up reads what an early-terminating top-k
-  left in the heap;
+  the children whose bit the reader holds, and a pushed child is a heap
+  item that becomes a :class:`HeapEntry` when it is popped.  The heap
+  and both lists record items — entries, heap items, and runs of the
+  children an expansion pruned (a mask) — and one rule,
+  :func:`_materialise`, turns them into entries when a follow-up first
+  reads them;
 * an optional *verifier* hook: the Domination baseline has no signature and
   instead verifies the boolean predicate by a random tuple access exactly
   when a data object is about to be reported (minimal probing [3], "between
@@ -32,9 +33,8 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Iterator, NamedTuple, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from repro.kernels.dominate import DominationBuffer
 from repro.kernels.mindist import project_rows, row_tuples, sum_block
@@ -186,92 +186,55 @@ def _entry_of(item: tuple) -> HeapEntry:
     return entry
 
 
-class PrunedRun(NamedTuple):
-    """The children one expansion pruned by one arm, not yet heap entries.
+def _run_entries(expansion: tuple, mask: int) -> list[HeapEntry]:
+    """The entries of the children one expansion pruned by one arm.
 
-    Most pruned entries are never looked at again, so an expansion records
-    only its expansion tuple (see :func:`_child_entry`) and the index mask
-    of the children this arm pruned — :class:`PrunedList` keeps the pair
-    as it is — and :meth:`entries` builds exactly the entries the search
-    would have pushed.  Their keys and tie rows are computed there and
-    nowhere else: a served read never does it.
+    Most pruned children are never looked at again, so an expansion
+    records only its expansion tuple (see :func:`_child_entry`) and the
+    index mask of the children an arm pruned; this builds exactly the
+    entries the search would have pushed.  Their keys and tie rows are
+    computed here and nowhere else: a served read never does it.
     """
-
-    expansion: tuple
-    mask: int
-
-    def entries(self) -> list[HeapEntry]:
-        _, block, _, strategy, first_seq = self.expansion
-        indices = mask_indices(self.mask)
-        keys, ties = strategy.child_keys(block, indices)
-        tie_rows = repeat(()) if ties is None else row_tuples(ties)
-        return [
-            _child_entry(self.expansion, i, key, tie, first_seq + i)
-            for i, key, tie in zip(indices, keys, tie_rows)
-        ]
+    _, block, _, strategy, first_seq = expansion
+    indices = mask_indices(mask)
+    keys, ties = strategy.child_keys(block, indices)
+    tie_rows = repeat(()) if ties is None else row_tuples(ties)
+    return [
+        _child_entry(expansion, i, key, tie, first_seq + i)
+        for i, key, tie in zip(indices, keys, tie_rows)
+    ]
 
 
-class PrunedList:
-    """``b_list`` / ``d_list``: pruned entries in the order they were pruned.
-
-    Reads like a list of :class:`HeapEntry` (length, truth, iteration,
-    indexing, equality, ``a_list + pruned``).  Entries pruned at a
-    pop are appended as they are; the children pruned by an expansion
-    arrive as one run — the pair of a :class:`PrunedRun` — and become
-    entries on the first read, in place, so later reads see the same
-    objects.
-    """
-
-    __slots__ = ("_items", "_length", "_has_runs")
-
-    def __init__(self, entries: Sequence[HeapEntry] = ()) -> None:
-        self._items: list = list(entries)
-        self._length = len(self._items)
-        self._has_runs = False
-
-    def append(self, entry: HeapEntry) -> None:
-        self._items.append(entry)
-        self._length += 1
-
-    def add_run(self, expansion: tuple, mask: int) -> None:
-        self._items.append((expansion, mask))
-        self._length += mask.bit_count()
-        self._has_runs = True
-
-    def _entries(self) -> list[HeapEntry]:
-        if self._has_runs:
-            entries: list[HeapEntry] = []
-            for item in self._items:
-                if type(item) is tuple:
-                    entries.extend(PrunedRun(*item).entries())
-                else:
-                    entries.append(item)
-            self._items = entries
-            self._has_runs = False
-        return self._items
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __iter__(self) -> Iterator[HeapEntry]:
-        return iter(self._entries())
-
-    def __getitem__(self, index):
-        return self._entries()[index]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PrunedList):
-            other = other._entries()
-        return self._entries() == other
-
-    def __radd__(self, other) -> list[HeapEntry]:
-        return list(other) + self._entries()
-
-    def __repr__(self) -> str:
-        return f"PrunedList({self._length} entries)"
+def _materialise(items: list) -> list[HeapEntry]:
+    """The one rule that turns a :class:`SearchState` list's recorded
+    items into entries: a :class:`HeapEntry` stands for itself, a pruned
+    run ``(expansion, mask)`` for its children's entries, a heap item
+    ``(key, tie, seq, origin, index)`` for its one entry.  In place and in
+    order, so the list object stays the same, an entry keeps its
+    identity, and a heap stays a heap."""
+    if all(type(item) is HeapEntry for item in items):
+        return items
+    entries: list[HeapEntry] = []
+    for item in items:
+        if type(item) is HeapEntry:
+            entries.append(item)
+        elif len(item) == 2:
+            entries.extend(_run_entries(*item))
+        else:
+            entries.append(_entry_of(item))
+    items[:] = entries
+    return items
 
 
-@dataclass
+def _recorded(name: str) -> property:
+    """A :class:`SearchState` list, read through :func:`_materialise`."""
+    slot = "_" + name
+    return property(
+        lambda state: _materialise(getattr(state, slot)),
+        lambda state, items: setattr(state, slot, items),
+    )
+
+
 class SearchState:
     """Everything a query leaves behind for incremental follow-ups.
 
@@ -279,29 +242,26 @@ class SearchState:
     entries pruned by boolean predicates; ``d_list`` the entries pruned by
     preference (domination / k-th score); ``heap`` whatever was still
     pending when the search stopped (non-empty only for early-terminating
-    top-k runs), as a heap.  A run leaves its pending heap items in
-    ``_items``; the first read of ``heap`` turns them into entries, in
-    place — ``heap`` stays the same list object — and a served read,
-    which never reads it, makes none.
+    top-k runs), as a heap.  A search records the last three as items,
+    appended as it goes — a :class:`HeapEntry` (the root, a carried
+    entry), a heap item (a pushed child, or any entry pruned at its pop)
+    or a pruned run (the children one arm pruned in one expansion) — and
+    their first read turns the items into entries (:func:`_materialise`);
+    a served read, which never reads them, makes none.
     """
 
-    results: list[HeapEntry] = field(default_factory=list)
-    b_list: PrunedList = field(default_factory=PrunedList)
-    d_list: PrunedList = field(default_factory=PrunedList)
-    seq: int = 0
-    _entries: list[HeapEntry] = field(default_factory=list, repr=False)
-    _items: list | None = field(default=None, repr=False)
+    __slots__ = ("results", "seq", "_heap", "_b_list", "_d_list")
 
-    @property
-    def heap(self) -> list[HeapEntry]:
-        if self._items is not None:
-            self._entries[:] = [_entry_of(item) for item in self._items]
-            self._items = None
-        return self._entries
+    heap = _recorded("heap")
+    b_list = _recorded("b_list")
+    d_list = _recorded("d_list")
 
-    @heap.setter
-    def heap(self, entries: list[HeapEntry]) -> None:
-        self._entries, self._items = entries, None
+    def __init__(self, heap=(), b_list=(), d_list=(), seq: int = 0) -> None:
+        self.results: list[HeapEntry] = []
+        self.seq = seq
+        self._heap, self._b_list, self._d_list = (
+            list(heap), list(b_list), list(d_list)
+        )
 
     def next_seq(self) -> int:
         self.seq += 1
@@ -522,7 +482,6 @@ def run_algorithm1(
     pool: BufferPool | None = None,
     block_category: str = SBLOCK,
     state: SearchState | None = None,
-    keep_lists: bool = True,
     ticker: Callable[[], None] | None = None,
 ) -> SearchState:
     """Run (or resume) Algorithm 1 until the heap empties or top-k finishes.
@@ -540,8 +499,6 @@ def run_algorithm1(
         block_category: Counter category for node reads (``SBLOCK`` for the
             Signature method, ``DBLOCK`` for Domination).
         state: Resume from a reconstructed state (drill-down / roll-up).
-        keep_lists: Maintain ``b_list`` / ``d_list`` (disable to save memory
-            when no follow-up query will ever resume from this one).
         ticker: Called once per heap pop; the serving executor uses it for
             deadline/cancellation checks (it raises to abort the query).
             The partially filled ``state``/``stats`` stay consistent — the
@@ -549,144 +506,139 @@ def run_algorithm1(
     """
     if state is None:
         state = make_root_state(rtree, strategy)
-    # The loop's heap holds ``(key, tie, seq, origin, index)`` items so
-    # ``heapq`` compares in C — ``seq`` is unique, so ``origin`` and
-    # ``index`` are never compared, and the order is
-    # ``HeapEntry.__lt__``'s.  A carried entry is its own origin (index
-    # ``None``); a pushed child is an index into its expansion tuple (see
-    # ``_child_entry``), and becomes a ``HeapEntry`` only when it is
-    # popped.  Marks left by an earlier run say nothing about this
-    # strategy and reader.
-    for entry in state.heap:
+    # The loop's heap is the state's own heap list, holding ``(key, tie,
+    # seq, origin, index)`` items so ``heapq`` compares in C — ``seq`` is
+    # unique, so ``origin`` and ``index`` are never compared, and the
+    # order is ``HeapEntry.__lt__``'s.  A carried entry is its own origin
+    # (index ``None``); a pushed child is an index into its expansion
+    # tuple (see ``_child_entry``), and becomes a ``HeapEntry`` only when
+    # it is popped — or when the heap is next read, however the loop
+    # ends.  Marks left by an earlier run say nothing about this strategy
+    # and reader.
+    heap = state.heap
+    for entry in heap:
         entry.vetted = None
-    heap = [(e.key, e.tie, e.seq, e, None) for e in state.heap]
+    heap[:] = [(e.key, e.tie, e.seq, e, None) for e in heap]
     heapq.heapify(heap)
     stats.note_heap(len(heap))
+    b_list, d_list = state._b_list, state._d_list
 
-    try:
-        while heap:
-            if ticker is not None:
-                ticker()
-            item = heapq.heappop(heap)
-            key, tie, seq, origin, index = item
-            if strategy.finished(key):
-                heapq.heappush(heap, item)  # keep it for incremental reuse
-                break
-            if index is None:
-                entry = origin
-            else:  # ``_entry_of``, with one call fewer per pop
-                entry = _child_entry(origin, index, key, tie, seq)
-                entry.vetted = origin[2]
-            # --- prune procedure (paper lines 14-20): preference then
-            # boolean.  A vetted entry passed both when its parent was
-            # expanded: only results found since can prune it, and its
-            # bit is not tested again.
-            if strategy.prune(entry):
-                stats.dominance_pruned += 1
-                if keep_lists:
-                    state.d_list.append(entry)
-                continue
-            if (
-                reader is not None
-                and entry.vetted is None
-                and not reader.check_path(entry.path)
-            ):
-                stats.boolean_pruned += 1
-                if keep_lists:
-                    state.b_list.append(entry)
-                continue
+    while heap:
+        if ticker is not None:
+            ticker()
+        item = heapq.heappop(heap)
+        key, tie, seq, origin, index = item
+        if strategy.finished(key):
+            heapq.heappush(heap, item)  # keep it for incremental reuse
+            break
+        if index is None:
+            entry = origin
+        else:  # ``_entry_of``, with one call fewer per pop
+            entry = _child_entry(origin, index, key, tie, seq)
+            entry.vetted = origin[2]
+        # --- prune procedure (paper lines 14-20): preference then
+        # boolean.  A vetted entry passed both when its parent was
+        # expanded: only results found since can prune it, and its
+        # bit is not tested again.  A pruned entry is recorded as the
+        # item it was popped as, so the entry itself dies here.
+        if strategy.prune(entry):
+            stats.dominance_pruned += 1
+            d_list.append(item)
+            continue
+        if (
+            reader is not None
+            and entry.vetted is None
+            and not reader.check_path(entry.path)
+        ):
+            stats.boolean_pruned += 1
+            b_list.append(item)
+            continue
 
-            if entry.tid is not None:
-                if verifier is not None:
-                    stats.verified += 1
-                    if not verifier(entry.tid):
-                        stats.verify_failed += 1
-                        continue
-                if strategy.add_result(entry):
-                    state.results.append(entry)
-                    stats.results += 1
-                continue
+        if entry.tid is not None:
+            if verifier is not None:
+                stats.verified += 1
+                if not verifier(entry.tid):
+                    stats.verify_failed += 1
+                    continue
+            if strategy.add_result(entry):
+                state.results.append(entry)
+                stats.results += 1
+            continue
 
-            # --- expand the node: one counted R-tree block read.
-            node = entry.node
-            assert node is not None and node.page_id is not None
-            if pool is not None:
-                pool.get(node.page_id, block_category, stats.counters)
+        # --- expand the node: one counted R-tree block read.
+        node = entry.node
+        assert node is not None and node.page_id is not None
+        if pool is not None:
+            pool.get(node.page_id, block_category, stats.counters)
+        else:
+            rtree.disk.read(node.page_id, block_category, stats.counters)
+        stats.nodes_expanded += 1
+
+        # One block evaluation per expanded node.  The bits the
+        # reader holds already go first: a child whose bit is 0 is
+        # boolean-pruned, dominated or not, and the strategy keys
+        # and tests for dominance only the others.  The reader is
+        # then asked, with loads, about the preference arm's
+        # survivors at once — unless its held bits were its final
+        # answer — and only children that pass both are pushed.
+        # Every live child still consumes one ``seq``, in slot
+        # order, whatever happens to it.
+        block = node.block()
+        first_seq = state.seq + 1
+        state.seq += len(block)
+        resolved = True
+        parent_path = entry.path
+        # Index masks from here on: what one arm prunes is one
+        # ``&`` away, and only the survivors are ever iterated.
+        held, settled = block.all_mask, False
+        if reader is not None:
+            bits = reader.held_block(
+                parent_path, block.slot_mask(block.all_mask)
+            )
+            if bits is not None:
+                held = block.index_mask(bits)
+                settled = reader.held_is_final
+        # ``keys`` and ``ties`` list the held children only, in index
+        # order: child ``indices[j]`` is at ``j``.
+        indices = None if held == block.all_mask else mask_indices(held)
+        keys, dominated, ties = strategy.evaluate(block, indices)
+        survivors = alive = held & ~dominated
+        if reader is not None and alive and not settled:
+            wanted = block.slot_mask(alive)
+            passed = reader.check_block(parent_path, wanted)
+            if passed is None:
+                # The reader cannot resolve this node: ask entry by
+                # entry, which answers (and counts) conservatively —
+                # and the children it lets through are tested again
+                # at their pop, as every entry used to be.
+                resolved = False
+                passed = 0
+                for i in mask_indices(alive):
+                    if reader.check_entry(parent_path, block.slots[i] + 1):
+                        passed |= 1 << block.slots[i]
+            if passed != wanted:
+                survivors = alive & block.index_mask(passed)
+        filtered = (block.all_mask ^ held) | (alive ^ survivors)
+        stats.dominance_pruned += dominated.bit_count()
+        stats.boolean_pruned += filtered.bit_count()
+        # The pushed children's mark: the buffer only grows at pops,
+        # so it is what the strategy tested them against.
+        vetted = strategy.evaluated() if survivors and resolved else None
+        expansion = (parent_path, block, vetted, strategy, first_seq)
+        if dominated:
+            d_list.append((expansion, dominated))
+        if filtered:
+            b_list.append((expansion, filtered))
+        if survivors:
+            if indices is None:
+                at = picked = mask_indices(survivors)
+            elif survivors == held:
+                at, picked = range(len(indices)), indices
             else:
-                rtree.disk.read(node.page_id, block_category, stats.counters)
-            stats.nodes_expanded += 1
-
-            # One block evaluation per expanded node.  The bits the
-            # reader holds already go first: a child whose bit is 0 is
-            # boolean-pruned, dominated or not, and the strategy keys
-            # and tests for dominance only the others.  The reader is
-            # then asked, with loads, about the preference arm's
-            # survivors at once — unless its held bits were its final
-            # answer — and only children that pass both are pushed.
-            # Every live child still consumes one ``seq``, in slot
-            # order, whatever happens to it.
-            block = node.block()
-            first_seq = state.seq + 1
-            state.seq += len(block)
-            resolved = True
-            parent_path = entry.path
-            # Index masks from here on: what one arm prunes is one
-            # ``&`` away, and only the survivors are ever iterated.
-            held, settled = block.all_mask, False
-            if reader is not None:
-                bits = reader.held_block(
-                    parent_path, block.slot_mask(block.all_mask)
-                )
-                if bits is not None:
-                    held = block.index_mask(bits)
-                    settled = reader.held_is_final
-            # ``keys`` and ``ties`` list the held children only, in index
-            # order: child ``indices[j]`` is at ``j``.
-            indices = None if held == block.all_mask else mask_indices(held)
-            keys, dominated, ties = strategy.evaluate(block, indices)
-            survivors = alive = held & ~dominated
-            if reader is not None and alive and not settled:
-                wanted = block.slot_mask(alive)
-                passed = reader.check_block(parent_path, wanted)
-                if passed is None:
-                    # The reader cannot resolve this node: ask entry by
-                    # entry, which answers (and counts) conservatively —
-                    # and the children it lets through are tested again
-                    # at their pop, as every entry used to be.
-                    resolved = False
-                    passed = 0
-                    for i in mask_indices(alive):
-                        if reader.check_entry(parent_path, block.slots[i] + 1):
-                            passed |= 1 << block.slots[i]
-                if passed != wanted:
-                    survivors = alive & block.index_mask(passed)
-            filtered = (block.all_mask ^ held) | (alive ^ survivors)
-            stats.dominance_pruned += dominated.bit_count()
-            stats.boolean_pruned += filtered.bit_count()
-            # The pushed children's mark: the buffer only grows at pops,
-            # so it is what the strategy tested them against.
-            vetted = strategy.evaluated() if survivors and resolved else None
-            expansion = (parent_path, block, vetted, strategy, first_seq)
-            if keep_lists:
-                if dominated:
-                    state.d_list.add_run(expansion, dominated)
-                if filtered:
-                    state.b_list.add_run(expansion, filtered)
-            if survivors:
-                if indices is None:
-                    at = picked = mask_indices(survivors)
-                elif survivors == held:
-                    at, picked = range(len(indices)), indices
-                else:
-                    at = [j for j, i in enumerate(indices) if survivors >> i & 1]
-                    picked = [indices[j] for j in at]
-                tie_rows = repeat(()) if ties is None else row_tuples(ties, at)
-                for i, j, tie in zip(picked, at, tie_rows):
-                    heapq.heappush(heap, (keys[j], tie, first_seq + i, expansion, i))
-            stats.note_heap(len(heap))
-    finally:
-        # Whatever ended the loop — a finished top-k, a raising ticker, a
-        # storage fault — ``state.heap`` reads as the pending entries, as
-        # a heap.
-        state._items = heap
+                at = [j for j, i in enumerate(indices) if survivors >> i & 1]
+                picked = [indices[j] for j in at]
+            tie_rows = repeat(()) if ties is None else row_tuples(ties, at)
+            for i, j, tie in zip(picked, at, tie_rows):
+                heapq.heappush(heap, (keys[j], tie, first_seq + i, expansion, i))
+        stats.note_heap(len(heap))
     return state

@@ -25,7 +25,10 @@ drill-down / roll-up (Section V-C):
   entries may now qualify.
 
 Top-k searches terminate early and may leave pending heap entries; those
-are carried over too (they were neither pruned nor reported).
+are carried over too (they were neither pruned nor reported).  A search
+records the lists and the pending heap lazily, and reading them turns them
+into entries (:class:`~repro.query.algorithm1.SearchState`); the resume
+reads them and hands the new search plain lists.
 
 A session owns no mutable state of its own — it binds a (relation, R-tree,
 P-Cube) triple, a buffer-pool policy and optional serving hooks, and every
@@ -68,7 +71,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.query.algorithm1 import (
-    PrunedList,
     SearchState,
     SkylineStrategy,
     TopKStrategy,
@@ -318,8 +320,7 @@ class QuerySession:
         def search(algorithm1, reader, stats):
             def extreme(weights):
                 found = algorithm1(
-                    TopKStrategy(LinearFunction(weights), k=1),
-                    keep_lists=False,
+                    TopKStrategy(LinearFunction(weights), k=1)
                 ).results
                 if not found:
                     return None
@@ -424,23 +425,23 @@ class QuerySession:
         signature, as the paper suggests, to keep the rebuilt heap small
         (failures go straight to the new ``b_list``); a roll-up's entries
         that the old results settle join ``d_list`` as dominance-pruned.
+        The state is built from plain lists of entries.
         """
         mode, carried, kept_list, dominated = resume
-        state = SearchState()
-        if mode == "drill":
-            state.b_list = PrunedList(kept_list)  # still fail the stronger BP
-        else:
-            # still dominated, as is what the old results settle
-            state.d_list = PrunedList([*kept_list, *dominated])
-            stats.dominance_pruned += len(dominated)
-        state.seq = max((entry.seq for entry in carried), default=0)
+        heap, failed = [], []
         for entry in carried:
             if reader is None or reader.check_path(entry.path):
-                state.heap.append(entry)
-                continue
-            state.b_list.append(entry)
-            stats.boolean_pruned += 1
-        return state
+                heap.append(entry)
+            else:
+                failed.append(entry)
+        stats.boolean_pruned += len(failed)
+        seq = max((entry.seq for entry in carried), default=0)
+        if mode == "drill":
+            # ``kept_list`` still fails the stronger BP
+            return SearchState(heap, kept_list + failed, seq=seq)
+        # still dominated, as is what the old results settle
+        stats.dominance_pruned += len(dominated)
+        return SearchState(heap, failed, [*kept_list, *dominated], seq=seq)
 
     # ------------------------------------------------------------------ #
     # the runner
@@ -478,7 +479,7 @@ class QuerySession:
         """Set up one signature-method query, run ``search``, stamp it.
 
         ``search(algorithm1, reader, stats)`` is the kind-specific part:
-        ``algorithm1(strategy, state=None, keep_lists=True)`` runs (or
+        ``algorithm1(strategy, state=None)`` runs (or
         resumes) Algorithm 1 on this query's reader, pool, stats and
         ticker, as many times as the kind needs.  Returns ``search``'s
         value and the stamped stats, which the readers bumped as they
@@ -494,7 +495,7 @@ class QuerySession:
             started = time.perf_counter()
             reader = self._reader(predicate, pool, stats)
 
-            def algorithm1(strategy, state=None, keep_lists=True):
+            def algorithm1(strategy, state=None):
                 return run_algorithm1(
                     self.rtree,
                     strategy,
@@ -503,7 +504,6 @@ class QuerySession:
                     pool=pool,
                     block_category=SBLOCK,
                     state=state,
-                    keep_lists=keep_lists,
                     ticker=self.ticker,
                 )
 

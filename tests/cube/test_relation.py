@@ -112,6 +112,23 @@ def test_overwrite_pref(relation):
         relation.overwrite_pref(3, (1.0,))
 
 
+def test_overwrite_pref_refuses_a_tid_outside_the_rows(schema):
+    """A negative tid names no row: ``overwrite_pref`` refuses it, as
+    ``tombstone`` does, and no row — the last one included — changes.
+    After an append the matrix holds more rows than the relation, so
+    writing at index −1 would land past the last row."""
+    relation = Relation(schema, [(0, 0)] * 3, [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)])
+    relation.append((1, 1), (0.7, 0.8))
+    before = list(relation.pref_points())
+    for tid in (-1, -len(relation), len(relation)):
+        with pytest.raises(IndexError):
+            relation.overwrite_pref(tid, (9.0, 9.0))
+        with pytest.raises(IndexError):
+            relation.tombstone(tid)
+        assert not relation.is_live(tid)
+    assert list(relation.pref_points()) == before
+
+
 def test_pref_points_enumerates_all(relation):
     points = list(relation.pref_points())
     assert len(points) == 20

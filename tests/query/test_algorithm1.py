@@ -148,14 +148,6 @@ def test_lists_cover_everything_for_skyline(tree):
     assert covered == {tid for tid, _ in points}
 
 
-def test_keep_lists_false_skips_bookkeeping(tree):
-    rtree, _ = tree
-    state = run_algorithm1(
-        rtree, SkylineStrategy(2), QueryStats(), keep_lists=False
-    )
-    assert state.d_list == [] and state.b_list == []
-
-
 def test_verifier_filters_results(tree):
     rtree, points = tree
     allowed = {tid for tid, _ in points if tid % 2 == 0}

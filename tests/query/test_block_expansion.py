@@ -33,8 +33,6 @@ from repro.data.workload import sample_predicate
 from repro.kernels import dominate
 from repro.query.algorithm1 import (
     HeapEntry,
-    PrunedList,
-    PrunedRun,
     SearchState,
     SkylineStrategy,
     TopKStrategy,
@@ -138,13 +136,12 @@ def reference_algorithm1(
     pool=None,
     block_category=SBLOCK,
     state=None,
-    keep_lists=True,
     ticker=None,
 ):
     """Algorithm 1 with every child handled on its own."""
     if state is None:
         state = make_root_state(rtree, strategy)
-    heap = state.heap
+    heap, b_list, d_list = state.heap, state.b_list, state.d_list
     heapq.heapify(heap)
     stats.note_heap(len(heap))
     while heap:
@@ -156,13 +153,11 @@ def reference_algorithm1(
             break
         if strategy.prune(entry):
             stats.dominance_pruned += 1
-            if keep_lists:
-                state.d_list.append(entry)
+            d_list.append(entry)
             continue
         if reader is not None and not reader.check_path(entry.path):
             stats.boolean_pruned += 1
-            if keep_lists:
-                state.b_list.append(entry)
+            b_list.append(entry)
             continue
         if entry.is_tuple:
             if verifier is not None:
@@ -212,20 +207,17 @@ def reference_algorithm1(
                 )
             if held is not None and not held >> slot & 1:
                 stats.boolean_pruned += 1
-                if keep_lists:
-                    state.b_list.append(child_entry)
+                b_list.append(child_entry)
                 continue
             if strategy.prune(child_entry):
                 stats.dominance_pruned += 1
-                if keep_lists:
-                    state.d_list.append(child_entry)
+                d_list.append(child_entry)
                 continue
             if reader is not None and not reader.check_entry(
                 entry.path, slot + 1
             ):
                 stats.boolean_pruned += 1
-                if keep_lists:
-                    state.b_list.append(child_entry)
+                b_list.append(child_entry)
                 continue
             heapq.heappush(heap, child_entry)
         stats.note_heap(len(heap))
@@ -700,67 +692,106 @@ def test_check_block_agrees_with_check_path(system):
 
 
 @pytest.fixture(scope="module")
-def leaf_block():
+def leaf_node():
+    """A frozen leaf of seven children in eight slots (slot 3 is empty)."""
     rng = random.Random(8)
     tree = RTree(dims=2, max_entries=8)
     for tid in range(8):
         tree.insert(tid, (rng.random(), rng.random()))
-    assert tree.root.is_leaf
-    return freeze(tree).root.block()
+    tree.delete(3)
+    root = freeze(tree).root
+    assert root.is_leaf and root.block().slots == [0, 1, 2, 4, 5, 6, 7]
+    return root
 
 
-@settings(max_examples=60, deadline=None)
+RECORDED = ("heap", "b_list", "d_list")
+
+
+@settings(max_examples=80, deadline=None)
 @given(
+    st.sampled_from(["skyline", "topk"]),
     st.lists(
-        st.one_of(
-            st.none(),  # one entry pruned at a pop
-            st.lists(
-                st.integers(min_value=0, max_value=7),
-                min_size=1,
-                max_size=8,
-                unique=True,
-            ).map(sorted),  # one expansion's pruned children
+        st.tuples(
+            st.sampled_from(RECORDED),
+            st.one_of(
+                st.none(),  # an entry: the root, a carried or a pop-time one
+                st.integers(min_value=0, max_value=6),  # a heap item
+                st.sets(  # a run: the children one arm pruned
+                    st.integers(min_value=0, max_value=6), min_size=1
+                ),
+            ),
+            st.one_of(st.none(), st.sampled_from(RECORDED)),  # a read after
         ),
-        max_size=12,
+        max_size=16,
     ),
-    st.integers(min_value=0, max_value=12),
+    st.permutations(RECORDED),
 )
-def test_runs_materialise_in_append_order(leaf_block, appends, read_after):
-    """Whatever the interleaving of pop-time entries and expansion runs —
-    and wherever a read falls between them — the list reads in the order
-    things were pruned, and an entry once read keeps its identity."""
-    strategy = SkylineStrategy(2)
-    pruned = PrunedList()
-    expected = []  # (seq, path) in append order
-    seen = []
+def test_recorded_items_read_as_the_eager_oracles_entries(
+    leaf_node, shape, steps, last_reads
+):
+    """Whatever the interleaving of entries, heap items and runs in the
+    three lists — and wherever reads fall between them — each list reads
+    as the entries the per-child oracle would have appended, in append
+    order, and an entry once read keeps its identity."""
+    strategy = (
+        SkylineStrategy(2)
+        if shape == "skyline"
+        else TopKStrategy(LinearFunction([0.3, 0.7]), 3)
+    )
+    block, children = leaf_node.block(), list(leaf_node.live_entries())
+    state = SearchState()
+    expected = {name: [] for name in RECORDED}
+    seen = {name: [] for name in RECORDED}
     seq = 0
-    for step, item in enumerate(appends):
-        if step == read_after:
-            seen = list(pruned)
+
+    def oracle(parent, first_seq, i, vetted=None):
+        slot, child = children[i]
+        point = child.mbr.lows
+        entry = HeapEntry(
+            key=point_key(strategy, point),
+            seq=first_seq + i,
+            path=parent + (slot + 1,),
+            tid=child.tid,
+            point=point,
+            tie=point_tie(strategy, point),
+        )
+        entry.vetted = vetted
+        return entry
+
+    for step, (name, item, read) in enumerate(steps):
+        recorded = getattr(state, "_" + name)
         if item is None:
             seq += 1
-            pruned.append(HeapEntry(0.5, seq, (9, seq), tid=100 + seq))
-            expected.append((seq, (9, seq)))
+            entry = HeapEntry(0.5, seq, (9, seq), tid=100 + seq)
+            recorded.append(entry)
+            expected[name].append(entry)
         else:
-            parent = (step + 1,)
-            mask = sum(1 << i for i in item)
-            pruned.add_run((parent, leaf_block, None, strategy, seq + 1), mask)
-            expected.extend(
-                (seq + 1 + i, parent + (leaf_block.slots[i] + 1,))
-                for i in item
-            )
-            seq += len(leaf_block)
-    assert len(pruned) == len(expected)
-    assert bool(pruned) == bool(expected)
-    assert [(e.seq, e.path) for e in pruned] == expected
-    assert all(a is b for a, b in zip(seen, pruned))
-    assert [id(e) for e in pruned] == [id(e) for e in pruned]
-    if expected:
-        assert pruned[0].seq == expected[0][0]
-        assert pruned[-1].path == expected[-1][1]
-    head = [HeapEntry(0.0, 0, ())]
-    assert (head + pruned)[1:] == list(pruned)
-    assert pruned == list(pruned)
+            parent, vetted = (step + 1,), step % 3 or None
+            expansion = (parent, block, vetted, strategy, seq + 1)
+            if isinstance(item, int):
+                want = oracle(parent, seq + 1, item, vetted)
+                recorded.append((want.key, want.tie, want.seq, expansion, item))
+                expected[name].append(want)
+            else:
+                recorded.append((expansion, sum(1 << i for i in item)))
+                expected[name].extend(
+                    oracle(parent, seq + 1, i) for i in sorted(item)
+                )
+            seq += len(block)
+        if read is not None:
+            seen[read] = list(getattr(state, read))
+    for name in last_reads:
+        got = getattr(state, name)
+        assert got is getattr(state, name) is getattr(state, "_" + name)
+        assert all(type(entry) is HeapEntry for entry in got)
+        assert flat(got) == flat(expected[name])
+        assert [e.vetted for e in got] == [e.vetted for e in expected[name]]
+        assert all(a is b for a, b in zip(seen[name], got))
+        assert all(
+            a is b
+            for a, b in zip(expected[name], got)
+            if a.tid is not None and a.tid >= 100
+        )
 
 
 def test_frozen_node_blocks_are_built_once_and_kept():
@@ -778,7 +809,7 @@ def test_resumed_state_accepts_runs_on_top_of_carried_entries(system):
     first = run_algorithm1(system.engine.rtree, SkylineStrategy(3), QueryStats())
     carried = list(first.d_list)[:5]
     resume = SearchState()
-    resume.d_list = PrunedList(carried)
+    resume.d_list = list(carried)
     resume.heap = list(first.results)
     resume.seq = first.seq
     second = run_algorithm1(
@@ -1244,7 +1275,7 @@ def counting_expansions():
             node_module, "sum_block", counted("key_sums", node_module.sum_block)
         ),
         mock.patch.object(
-            PrunedRun, "entries", counted("runs_read", PrunedRun.entries)
+            algorithm1, "_run_entries", counted("runs_read", algorithm1._run_entries)
         ),
         mock.patch.object(
             HeapEntry, "__init__", counted("entries_built", HeapEntry.__init__)
@@ -1295,9 +1326,8 @@ def test_an_expansion_is_one_domination_call_and_one_pass(
     assert counts["pushes"] > stats.results
     assert counts["entries_built"] == counts["pushes"] + 1
     assert counts["runs_read"] == 0
-    # ... and the lists know their length without reading a run.
+    # ... and a run's children are the arm's pruned count once read.
     assert len(result.state.d_list) == stats.dominance_pruned > 0
-    assert counts["runs_read"] == 0
 
 
 def test_pruned_runs_become_the_oracles_entries_on_the_first_read(system_2k):
@@ -1393,7 +1423,8 @@ def test_a_served_topk_makes_entries_only_for_what_it_pops(system_2k):
     assert 0 < counts["entries_built"] <= counts["pops"] < counts["pushes"]
     with per_child_expansion():
         reference = system_2k.engine.topk(fn, 10, BooleanPredicate())
-    heap = result.state._entries
+    heap = result.state._heap  # the recorded items, unread
+    assert all(type(item) is tuple for item in heap)
     with counting_expansions() as read:
         assert flat(result.state.heap) == flat(reference.state.heap)
     assert result.state.heap is heap
@@ -1494,7 +1525,9 @@ def test_follow_ups_of_an_unread_result_match_the_eager_oracle(system_2k, name):
         coarse = run_query(system_2k, name, weaker)
         fine = run_query(system_2k, name, stronger)
     assert counts["runs_read"] == 0 and counts["entries_built"] <= counts["pops"]
-    assert coarse.state._items is not None and fine.state._items is not None
+    for state in (coarse.state, fine.state):  # recorded, and still unread
+        assert all(type(item) is tuple for item in state._heap)
+        assert any(type(item) is tuple for item in state._b_list + state._d_list)
     got = (
         result_facts(engine.drill_down(coarse, dim, value)),
         result_facts(engine.roll_up(fine, dim)),
