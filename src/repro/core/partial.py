@@ -29,8 +29,8 @@ A partial is an immutable value, and its page checksum is one CRC over a
 binary framing of its content (:func:`fingerprint`), computed once per
 object: the seal, the read-back of the next rewrite and every pool miss
 reuse it.  A change to a cell is a new partial on a new page, never an edit.
-The build hands the packer blobs compressed straight from node masks
-(:func:`compress_masks`); maintenance edits the blobs of the nodes on the
+The build hands the packer blobs compressed once per distinct node value
+(:func:`compress_values`); maintenance edits the blobs of the nodes on the
 moved paths (:func:`edit_blobs`).
 """
 
@@ -132,6 +132,15 @@ def compress_masks(
     """The blob of every non-empty node among ``masks`` (SID -> mask of
     width ``fanout``): one memoised :func:`compress` per node."""
     return {sid: compress(fanout, mask, codec) for sid, mask in masks.items() if mask}
+
+
+def compress_values(
+    masks: Sequence[int], fanout: int, codec: str = "adaptive"
+) -> list[bytes]:
+    """The blob of each of ``masks`` (non-zero, of width ``fanout``), in
+    order: one memoised :func:`compress` each.  The build hands it each
+    distinct node value of a cuboid once."""
+    return [compress(fanout, mask, codec) for mask in masks]
 
 
 def edit_blobs(

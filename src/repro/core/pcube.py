@@ -8,10 +8,11 @@ incremental updates driven by R-tree path changes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.partial import compress_values
 from repro.core.signature import Signature
 from repro.core.readers import (
     AnyOfReader,
@@ -33,77 +34,180 @@ if TYPE_CHECKING:
 
 
 class PathColumns:
-    """Every indexed tuple's R-tree path as arrays — what a build derives
-    cell signatures from (:meth:`masks`).
+    """Every indexed tuple's R-tree path as arrays, sorted by path once —
+    what a build derives cell signatures from (:meth:`blobs`,
+    :meth:`masks`).
 
     Row ``r`` of the ``(n, depth)`` matrix ``paths`` is the path of tuple
-    ``tids[r]`` (:meth:`~repro.rtree.rtree.RTree.path_columns`).
-    ``levels[l]`` is ``(nodes, slots, sids)`` for depth ``l`` (the root's
-    is 0): ``nodes[r]`` is the node the tuple's path passes there, as a
-    dense code in SID order, ``slots[r]`` the 1-based slot it takes in it,
-    and ``sids[code]`` that node's SID.  Codes stay below the tuple count
-    however deep the tree, so no array ever holds a SID.
+    ``tids[r]`` (:meth:`~repro.rtree.rtree.RTree.path_columns`), in any
+    order; the rows are kept in path order (``tids`` with them).  Every
+    node on a path has a dense code: codes run level after level and,
+    within a level, in SID order (a SID's digits are its path), so
+    ascending codes are ascending SIDs, and ``sids[code]`` is the node's
+    SID (a Python ``int``: an object array, as a deep tree's SIDs pass 64
+    bits).  Row ``r``'s tuple sits in leaf ``leaves[r]`` at bit ``bits[r]``
+    (its slot less one); node ``code`` sits in node ``parents[code]`` at
+    bit ``node_bits[code]`` (the root's entries are ``-1`` and ``0``).
     """
 
     def __init__(self, tids: np.ndarray, paths: np.ndarray, fanout: int) -> None:
         self.fanout = fanout
+        #: 64-bit words one node's bit array spans.
+        self.words = -(-fanout // 64)
         n, depth = paths.shape
         if len(tids) != n:
             raise ValueError(f"{len(tids)} tids for {n} paths")
-        self.tids = tids
-        if n and depth and not ((paths >= 1) & (paths <= fanout)).all():
+        if n and not ((paths >= 1) & (paths <= fanout)).all():
             raise ValueError(f"path component outside [1, {fanout}]")
+        if n and not depth:
+            raise ValueError("a path of no components")
+        # Path order: one stable small-int sort per level, deepest first.
+        order = np.arange(n)
+        for slots in paths.T[::-1]:
+            slots = slots[order].astype(np.min_scalar_type(fanout))
+            order = order[np.argsort(slots, kind="stable")]
+        self.tids = tids[order]
+        paths = paths[order]
         base = fanout + 1
+        sids = [0][:n]
+        roots = len(sids)
+        parents = [np.full(roots, -1, dtype=np.int64)]
+        node_bits = [np.zeros(roots, dtype=np.int64)]
         nodes = np.zeros(n, dtype=np.int64)
-        sids = [0]
-        self.levels: list[tuple[np.ndarray, np.ndarray, list[int]]] = []
-        for level in range(depth):
-            slots = paths[:, level]
-            self.levels.append((nodes, slots, sids))
-            if level + 1 < depth:
-                children, nodes = np.unique(nodes * base + slots, return_inverse=True)
-                nodes = nodes.reshape(-1)
-                sids = [sids[c // base] * base + c % base for c in children.tolist()]
+        new_node = np.zeros(n, dtype=bool)
+        new_node[:1] = True
+        for slots in paths.T[:-1]:
+            # A node starts where the path prefix through this level changes.
+            new_node[1:] |= slots[1:] != slots[:-1]
+            starts = np.flatnonzero(new_node)
+            parents.append(nodes[starts])
+            node_bits.append(slots[starts] - 1)
+            first = len(sids)
+            sids += [
+                sids[parent] * base + slot
+                for parent, slot in zip(parents[-1].tolist(), slots[starts].tolist())
+            ]
+            nodes = np.cumsum(new_node) + (first - 1)
+        self.sids = np.array(sids, dtype=object)
+        self.leaves = nodes
+        self.bits = paths[:, -1:].reshape(-1) - 1
+        self.parents = np.concatenate(parents)
+        self.node_bits = np.concatenate(node_bits)
+        self.depth = depth
 
-    def masks(self, labels: np.ndarray, n_cells: int) -> list[dict[int, int]]:
-        """The signatures of ``n_cells`` cells at once, as node masks (SID
-        -> mask of width ``fanout``, non-zero): tuple ``tid`` sets the bits
-        along its path in cell ``labels[tid]`` (``-1``: in none).
+    def _runs(
+        self, labels: np.ndarray, n_cells: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (cell, node) run of ``n_cells`` cells' member paths — the
+        paper's recursive sort (Fig. 2b) done as arrays: ``(bounds, codes,
+        values)``, cell ``c``'s runs at ``bounds[c]:bounds[c + 1]`` in
+        ascending SID order, ``codes`` their nodes and ``values`` their bit
+        arrays (one ``uint64`` each, or a row of :attr:`words` words).
 
-        The paper's recursive sort (Fig. 2b) done as arrays: per tree
-        level, one ``lexsort`` of the member tuples by (cell, node) and one
-        OR of ``1 << slot - 1`` per run — the run's bit array.  A run
-        covers one 64-bit word of its node, so any fanout fits a
-        ``uint64``; a wider node ORs its words together.
+        One stable sort of the member rows by cell label (a small int,
+        which numpy radix-sorts) keeps each cell's rows in path order.
+        Per level, from the leaves up, a run starts where the cell or the
+        node changes and one ``bitwise_or.reduceat`` of ``1 << bit`` gives
+        every run's bit array; the level above reads this level's runs as
+        its rows (each run a node, at its bit in its parent).  A node wider
+        than 64 bits ORs per word and folds its words into one row.
 
         Raises:
             KeyError: if a member tuple has no path.
         """
-        masks: list[dict[int, int]] = [{} for _ in range(n_cells)]
         in_tree = labels[self.tids]
         rows = np.flatnonzero(in_tree >= 0)
         if len(rows) != np.count_nonzero(labels >= 0):
             raise KeyError("a member tuple has no path in the tree")
-        cell = in_tree[rows]
-        for nodes, slots, sids in self.levels:
-            node, bit = nodes[rows], slots[rows] - 1
-            word = bit >> 6
-            order = np.lexsort((word, node, cell))
-            c, n, w = cell[order], node[order], word[order]
-            new_run = np.ones(len(c), dtype=bool)
-            new_run[1:] = (c[1:] != c[:-1]) | (n[1:] != n[:-1]) | (w[1:] != w[:-1])
+        if not len(rows):
+            return np.zeros(n_cells + 1, dtype=np.int64), rows, np.zeros(0, np.uint64)
+        owner = in_tree[rows].astype(np.min_scalar_type(n_cells - 1))
+        by_cell = np.argsort(owner, kind="stable")
+        rows, owner = rows[by_cell], owner[by_cell]
+        codes, bits = self.leaves[rows], self.bits[rows]
+        new_cell = np.ones(len(rows), dtype=bool)
+        new_cell[1:] = owner[1:] != owner[:-1]
+        owners, nodes, values = [], [], []
+        for level in range(self.depth):
+            if level:
+                codes, bits = self.parents[codes], self.node_bits[codes]
+            new_run = new_cell.copy()
+            new_run[1:] |= codes[1:] != codes[:-1]
             starts = np.flatnonzero(new_run)
-            ones = np.left_shift(np.uint64(1), (bit[order] & 63).astype(np.uint64))
-            runs = zip(
-                c[starts].tolist(),
-                map(sids.__getitem__, n[starts].tolist()),
-                (w[starts] * 64).tolist(),
-                np.bitwise_or.reduceat(ones, starts).tolist(),
-            )
-            for owner, sid, shift, value in runs:
-                table = masks[owner]
-                table[sid] = table.get(sid, 0) | value << shift
-        return masks
+            ones = np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64))
+            if self.words == 1:
+                value = np.bitwise_or.reduceat(ones, starts)
+            else:
+                word = bits >> 6
+                new_run[1:] |= word[1:] != word[:-1]
+                pieces = np.flatnonzero(new_run)
+                value = np.zeros((len(starts), self.words), dtype=np.uint64)
+                run_of = np.searchsorted(starts, pieces, side="right") - 1
+                value[run_of, word[pieces]] = np.bitwise_or.reduceat(ones, pieces)
+            owner, codes, new_cell = owner[starts], codes[starts], new_cell[starts]
+            owners.append(owner)
+            nodes.append(codes)
+            values.append(value)
+        # Root level first: ascending codes within each cell.
+        owner = np.concatenate(owners[::-1])
+        by_owner = np.argsort(owner, kind="stable")
+        bounds = np.zeros(n_cells + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=n_cells), out=bounds[1:])
+        codes = np.concatenate(nodes[::-1])[by_owner]
+        return bounds, codes, np.concatenate(values[::-1])[by_owner]
+
+    def _derive(
+        self, labels: np.ndarray, n_cells: int, encode: Callable[[list[int]], list]
+    ) -> list[dict[int, Any]]:
+        """Each cell's ``{SID: encode(mask)}``: :meth:`_runs`, then
+        ``encode`` once over the distinct run values (as ``int`` masks) and
+        one dict per cell, built in C over its slice of the runs."""
+        bounds, codes, values = self._runs(labels, n_cells)
+        if values.ndim == 1:
+            distinct, inverse = np.unique(values, return_inverse=True)
+            masks = distinct.tolist()
+        else:
+            distinct, inverse = np.unique(values, axis=0, return_inverse=True)
+            masks = [
+                int.from_bytes(words.tobytes(), "little")
+                for words in distinct.astype("<u8")
+            ]
+        encoded = encode(masks)
+        sids = self.sids[codes].tolist()
+        node_values = np.array(encoded, dtype=object)[inverse.reshape(-1)].tolist()
+        edges = bounds.tolist()
+        return [
+            dict(zip(sids[start:end], node_values[start:end]))
+            for start, end in zip(edges, edges[1:])
+        ]
+
+    def blobs(
+        self, labels: np.ndarray, n_cells: int, codec: str = "adaptive"
+    ) -> list[dict[int, bytes]]:
+        """The signatures of ``n_cells`` cells at once, as compressed nodes
+        (SID -> blob, in SID order): tuple ``tid`` sets the bits along its
+        path in cell ``labels[tid]`` (``-1``: in none).  One memoised
+        ``compress`` per distinct node value
+        (:func:`~repro.core.partial.compress_values`) — the build's
+        derivation.
+
+        Raises:
+            KeyError: if a member tuple has no path.
+        """
+        return self._derive(
+            labels,
+            n_cells,
+            lambda masks: compress_values(masks, self.fanout, codec),
+        )
+
+    def masks(self, labels: np.ndarray, n_cells: int) -> list[dict[int, int]]:
+        """:meth:`blobs`' runs as node masks (SID -> mask of width
+        ``fanout``, non-zero), for the callers that return signatures.
+
+        Raises:
+            KeyError: if a member tuple has no path.
+        """
+        return self._derive(labels, n_cells, lambda masks: masks)
 
 
 class ReaderFactory:
@@ -354,22 +458,24 @@ class PCube:
         member from the relation and the tree's paths: the build, and crash
         recovery's rebuild after the tree's (``PCubeSystem.recover``).
 
-        Each cuboid is grouped once (:meth:`Cuboid.label`) and its cells
-        are derived in one pass (:meth:`PathColumns.masks`) and stored in
-        first-appearance order, so the pages are a function of the relation
-        and the tree alone.  The masks go straight to the store's blobs; no
-        node becomes an object.  A cell whose members are all tombstoned is
-        left absent, as the incremental delete of its last member leaves
-        it.  The paper's recursive sort (Fig. 2b, kept in the tests'
-        reference module) is the oracle tier-1 holds every stored cell
-        against, not a second pass here.
+        The tree's paths are sorted once (:class:`PathColumns`); each
+        cuboid is grouped once (:meth:`Cuboid.label`), its cells are
+        derived from one sort by cell and compressed once per distinct node
+        value (:meth:`PathColumns.blobs`), and stored in first-appearance
+        order, so the pages are a function of the relation and the tree
+        alone.  No node becomes an object and no mask dict is made.  A cell
+        whose members are all tombstoned is left absent, as the incremental
+        delete of its last member leaves it.  The paper's recursive sort
+        (Fig. 2b, kept in the tests' reference module) is the oracle tier-1
+        holds every stored cell against, not a second pass here.
         """
         self.store.clear()
         paths = PathColumns(*self.rtree.path_columns(), self.fanout)
         for cuboid in self.cuboids:
             cells, labels = cuboid.label(self.relation)
-            for cell, masks in zip(cells, paths.masks(labels, len(cells))):
-                self.store.put_masks(cell, masks)
+            derived = paths.blobs(labels, len(cells), self.store.codec)
+            for cell, blobs in zip(cells, derived):
+                self.store.put_blobs(cell, blobs)
 
     def _store(self, cell: Cell, masks: Mapping[int, int]) -> None:
         """Store a derived cell's node masks; fresh pages lift any
@@ -479,9 +585,10 @@ class PCube:
         store them in the given order.
 
         The paper's fallback for arbitrary reorganisations: traverse the
-        tree, collect the cells' tuple paths, regenerate — one path matrix
-        for all of them and one :meth:`PathColumns.masks` pass per cuboid.
-        O(T) per call, correct under any mutation.
+        tree, collect the cells' tuple paths, regenerate — one path sort
+        for all of them and one :meth:`PathColumns.masks` pass (the build's
+        runs, as ints) per cuboid.  O(T) per call, correct under any
+        mutation.
         """
         columns = self.relation.columnar()
         paths = PathColumns(*self.rtree.path_columns(), self.fanout)

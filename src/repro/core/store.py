@@ -244,10 +244,14 @@ class SignatureStore(_DirectoryReads):
 
     def put_masks(self, cell: Cell, masks: Mapping[int, int]) -> int:
         """Pack and store a cell given as its nodes' masks (SID -> mask);
-        returns #partials.  The build's entry: every node is compressed
-        straight from its mask
+        returns #partials.  Every node is compressed from its mask
         (:func:`~repro.core.partial.compress_masks`)."""
-        blobs = compress_masks(masks, self.fanout, self.codec)
+        return self.put_blobs(cell, compress_masks(masks, self.fanout, self.codec))
+
+    def put_blobs(self, cell: Cell, blobs: Mapping[int, bytes]) -> int:
+        """Pack and store a cell given as its compressed nodes (SID ->
+        blob); returns #partials.  The build's entry
+        (:meth:`~repro.core.pcube.PathColumns.blobs`)."""
         partials = pack(blobs, self.disk.page_size, self.fanout)
         self.replace_partials(cell, partials)
         return len(partials)

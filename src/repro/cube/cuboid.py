@@ -79,10 +79,14 @@ class Cuboid:
         if len(rows) == 0:
             return [], labels
         key = np.zeros(len(rows), dtype=np.int64)
-        for dim in self.dims:
+        for position, dim in enumerate(self.dims):
             column = columns.codes[rows, relation.schema.boolean_position(dim)]
             values, codes = np.unique(column, return_inverse=True)
-            _, key = np.unique(key * len(values) + codes, return_inverse=True)
+            key = key * len(values) + codes.reshape(-1)
+            if position:
+                _, key = np.unique(key, return_inverse=True)
+        # Dense keys in the smallest int type: numpy radix-sorts small ones.
+        key = key.reshape(-1).astype(np.min_scalar_type(key.max()))
         _, first, key = np.unique(key, return_index=True, return_inverse=True)
         by_appearance = np.argsort(first)
         rank = np.empty_like(by_appearance)

@@ -119,6 +119,9 @@ class SimulatedDisk:
             self._pools.add(pool)
 
     def _notify_invalidated(self, page_id: int) -> None:
+        if not self._pools:
+            # No pool registered (a build's writes): nothing to tell.
+            return
         with self._pools_lock:
             pools = list(self._pools)
         for pool in pools:

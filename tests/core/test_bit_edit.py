@@ -1,4 +1,4 @@
-"""The signature is its own count: the build's mask derivation and
+"""The signature is its own count: the build's derivation and
 maintenance's bit edit, both held against per-path generation
 (``Signature.from_paths``) and the tests' reference walks."""
 
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.integrity import iter_cell_checks
+from repro.core.partial import compress_masks
 from repro.core.pcube import PathColumns
 from repro.core.signature import Signature, move_paths, path_sids
 from repro.data.synthetic import SyntheticConfig, generate_relation
@@ -195,17 +196,47 @@ def assert_cells_equal_per_path_generation(fanout, rows):
 @settings(max_examples=60, deadline=None)
 @given(labelled_paths(range(2, 10)))
 def test_signatures_equal_per_path_generation(data):
-    """The array derivation (one lexsort and one OR per run per level)
-    gives every cell the bits adding its members' paths one by one gives.
-    Label -1 joins no cell; cell 4 has no member."""
+    """The array derivation (one sort by path, one by cell, and one OR per
+    run per level) gives every cell the bits adding its members' paths one
+    by one gives.  Label -1 joins no cell; cell 4 has no member."""
     assert_cells_equal_per_path_generation(*data)
 
 
 @settings(max_examples=30, deadline=None)
 @given(labelled_paths([64, 65, 130]))
 def test_signatures_of_nodes_wider_than_a_word(data):
-    """Runs are one 64-bit word of a node; a wider node ORs its words."""
+    """A run ORs one 64-bit word at a time; a wider node folds its words."""
     assert_cells_equal_per_path_generation(*data)
+
+
+#: Fanouts from 2 to 130: one word, a node of exactly one word (64), and
+#: nodes spanning two (65, 128) and three (129, 130) words.
+FANOUTS = [2, 3, 5, 8, 13, 31, 63, 64, 65, 100, 127, 128, 129, 130]
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_paths(FANOUTS), st.randoms(use_true_random=False))
+def test_blobs_are_the_masks_compressed_in_sid_order(data, rng):
+    """The build's view of the runs (``PathColumns.blobs``, one compress
+    per distinct node value) holds, per cell, what compressing per-path
+    generation's masks node by node gives, in ascending SID order, and the
+    signature view (``PathColumns.masks``) those masks.  Label -1 joins no
+    cell and cell 4 has no member; the rows come in an order that is not
+    path order, and a shuffle of them derives the same."""
+    fanout, rows = data
+    labels = np.array([label for label, _ in rows], dtype=np.int64)
+    paths = path_columns({tid: path for tid, (_, path) in enumerate(rows)}, fanout)
+    blobs, masks = paths.blobs(labels, 5), paths.masks(labels, 5)
+    for cell in range(5):
+        members = [path for label, path in rows if label == cell]
+        expected = Signature.from_paths(members, fanout).masks()
+        assert masks[cell] == expected
+        assert list(blobs[cell]) == sorted(blobs[cell])
+        assert blobs[cell] == compress_masks(expected, fanout)
+    shuffled = list(enumerate(rows))
+    rng.shuffle(shuffled)
+    again = path_columns({tid: path for tid, (_, path) in shuffled}, fanout)
+    assert again.blobs(labels, 5) == blobs
 
 
 def test_signatures_refuse_a_member_without_a_path():

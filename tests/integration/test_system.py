@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.boolean_first import build_boolean_indexes
 from repro.bitmap import compression
 from repro.core import partial as partial_module
+from repro.core.pcube import PathColumns
 from repro.core.signature import Signature
 from repro.cube.cuboid import Cuboid
 from repro.data.synthetic import SyntheticConfig, generate_relation
@@ -50,12 +51,15 @@ def spy(monkeypatch, owner, name, log, what):
 
 
 def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
-    """Counted, not timed: one grouping per cuboid, one encoder run per
-    distinct node mask and no signature object, no MBR re-derived from
-    a built node, paths equal to the per-tuple climb, one page write per
-    node of the baselines' B+-tree batch — and a first freeze whose only
-    union of boxes is the root's, when the search first asks for it."""
+    """Counted, not timed: one grouping per cuboid, one derivation per
+    cuboid asking the encoder once per distinct node value of its cells
+    (the memo serves a value another cuboid asked first) and no signature
+    object, no MBR re-derived from a built node, paths equal to the
+    per-tuple climb, one page write per node of the baselines' B+-tree
+    batch — and a first freeze whose only union of boxes is the root's,
+    when the search first asks for it."""
     groupings, asked, boxed, unions, signatures = [], [], [], [], []
+    derivations = []
     spy(monkeypatch, Cuboid, "label", groupings, lambda self, *_, **__: self.dims)
     spy(monkeypatch, Cuboid, "group", groupings, lambda *_, **__: "group")
     spy(
@@ -65,6 +69,7 @@ def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
         asked,
         lambda nbits, mask, codec: (nbits, mask, codec),
     )
+    spy(monkeypatch, PathColumns, "blobs", derivations, lambda *_: len(asked))
     spy(monkeypatch, Signature, "__init__", signatures, lambda *_: "init")
     spy(monkeypatch, RTreeNode, "mbr", boxed, lambda self: self.node_id)
     compression.compress.cache_clear()
@@ -83,6 +88,16 @@ def test_a_build_does_each_piece_of_work_once(relation, monkeypatch):
     assert sorted(groupings) == sorted(c.dims for c in system.pcube.cuboids)
     info = compression.compress.cache_info()
     assert info.misses == len(set(asked)) < len(asked) == info.hits + info.misses
+    # Each derivation's calls: its cuboid's distinct node values, once each.
+    assert len(derivations) == len(system.pcube.cuboids) and derivations[0] == 0
+    ends = [*derivations[1:], len(asked)]
+    for cuboid, start, end in zip(system.pcube.cuboids, derivations, ends):
+        values = {
+            (8, mask, "adaptive")
+            for cell in cuboid.group(relation)
+            for mask in system.pcube.signature_of(cell).masks().values()
+        }
+        assert sorted(asked[start:end]) == sorted(values)
     # Each level's boxes come from its children's rows, never from a node.
     assert boxed == []
     nodes = list(system.rtree.nodes())
