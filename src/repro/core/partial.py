@@ -41,9 +41,10 @@ import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain, repeat
+from operator import add
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.bitmap.compression import compress, decompress
 from repro.core.signature import Signature, move_paths, path_sids
@@ -95,11 +96,12 @@ class PartialSignature:
                 + sum(map(len, blobs.values())),
             )
 
-    def decode(self) -> dict[int, int]:
-        """Decompress every node in this partial (SID -> mask).  No product
-        path calls it (``load_full_signature`` decodes each blob itself, to
-        check its width); the frozen e2e recorder names it."""
-        return {sid: decompress(blob)[1] for sid, blob in self.blobs.items()}
+    def decode(self, fanout: int) -> dict[int, int]:
+        """Decompress every node in this partial (SID -> mask of width
+        ``fanout``).  No product path calls it (``load_full_signature``
+        decodes each blob into the signature it builds); the frozen e2e
+        recorder names it."""
+        return {sid: decompress(fanout, blob) for sid, blob in self.blobs.items()}
 
     @cached_property
     def page_checksum(self) -> int:
@@ -155,23 +157,13 @@ def edit_blobs(
     :func:`~repro.core.signature.move_paths` them, and compress only those
     again — a node whose array emptied leaves."""
     sids = {sid for path in chain(removed, added) for sid in path_sids(path, fanout)}
-    masks = {sid: decompress(blobs[sid])[1] if sid in blobs else 0 for sid in sids}
+    masks = {sid: decompress(fanout, blobs[sid]) if sid in blobs else 0 for sid in sids}
     move_paths(masks, removed, added, fanout)
     for sid, mask in masks.items():
         if mask:
             blobs[sid] = compress(fanout, mask, codec)
         else:
             blobs.pop(sid, None)
-
-
-def _subtree_sids(order: Sequence[int], seed: int, fanout: int) -> Iterator[int]:
-    """Breadth-first SIDs of the subtree at ``seed`` among the ascending
-    SIDs ``order``: one contiguous slice per depth."""
-    base = fanout + 1
-    low = high = seed
-    while low <= order[-1]:
-        yield from order[bisect_left(order, low) : bisect_right(order, high)]
-        low, high = low * base + 1, high * base + fanout
 
 
 def decompose(
@@ -196,43 +188,67 @@ def pack(
     page is that page in one pass, with no walk per seed or per node.
     """
     order = sorted(compressed)
+    if not order:
+        return []
     total = (
         _PART_HEADER_BYTES
         + _NODE_OVERHEAD_BYTES * len(order)
         + sum(map(len, compressed.values()))
     )
-    if total <= page_size and order[:1] == [0]:
+    if total <= page_size and order[0] == 0:
         # The root's subtree is every node and the page holds them all: the
         # walk below would make exactly this one partial, in SID order.
         return [PartialSignature(ref_sid=0, blobs=compressed, size_bytes=total)]
-    coded: set[int] = set()
+    blobs_in_order = list(map(compressed.__getitem__, order))
+    # ``ends[i]`` is what the nodes before position ``i`` of ``order`` cost
+    # on a page, so a run of nodes costs one subtraction.
+    costs = map(add, map(len, blobs_in_order), repeat(_NODE_OVERHEAD_BYTES))
+    ends = list(accumulate(costs, initial=0))
+    # ``coded[i]`` is 1 once position ``i`` is in a partial: a walk finds
+    # the next uncoded node and the end of its run with one C-level scan
+    # each, so no coded node is stepped over in Python.
+    coded = bytearray(len(order))
+    base = fanout + 1
+    last = order[-1]
+    uncoded = len(order)
     partials: list[PartialSignature] = []
-
-    def pack_from(seed: int) -> None:
-        blobs: dict[int, bytes] = {}
-        size = _PART_HEADER_BYTES
-        for sid in _subtree_sids(order, seed, fanout):
-            if sid in coded:
-                continue
-            cost = _NODE_OVERHEAD_BYTES + len(compressed[sid])
-            if blobs and size + cost > page_size:
-                break
-            blobs[sid] = compressed[sid]
-            coded.add(sid)
-            size += cost
-        if blobs:
-            partials.append(PartialSignature(ref_sid=seed, blobs=blobs, size_bytes=size))
-
     # Seeds in breadth-first order over the whole tree guarantee that every
     # node ends up in a partial referenced by one of its ancestors (or by
     # itself, in the degenerate case): when the seed reaches the node
-    # itself, the first step packs it unconditionally.
+    # itself, the first step packs it unconditionally.  A seed walks its
+    # subtree breadth-first, one contiguous slice of ``order`` per depth,
+    # until a node does not fit the page: each run of uncoded nodes in a
+    # slice is packed as far as the page allows, in one step.
     for seed in order:
-        pack_from(seed)
-        if len(coded) == len(compressed):
-            # Every node is in a partial; a later seed could only re-walk
-            # its fully coded subtree and pack nothing.
-            break
+        blobs: dict[int, bytes] = {}
+        size = _PART_HEADER_BYTES
+        full = False
+        low = high = seed
+        while low <= last and not full:
+            i = bisect_left(order, low)
+            end = bisect_right(order, high)
+            while (i := coded.find(0, i, end)) >= 0:
+                run_end = coded.find(1, i, end)
+                if run_end < 0:
+                    run_end = end
+                # The first node of a walk goes in whatever it costs.
+                fits = bisect_right(ends, page_size - size + ends[i], i, run_end + 1) - 1
+                j = max(fits, i + (not blobs))
+                blobs.update(zip(order[i:j], blobs_in_order[i:j]))
+                size += ends[j] - ends[i]
+                coded[i:j] = b"\x01" * (j - i)
+                if j < run_end:
+                    full = True
+                    break
+                i = run_end
+            low, high = low * base + 1, high * base + fanout
+        if blobs:
+            partials.append(PartialSignature(ref_sid=seed, blobs=blobs, size_bytes=size))
+            uncoded -= len(blobs)
+            if not uncoded:
+                # Every node is in a partial; a later seed could only walk
+                # its fully coded subtree and pack nothing.
+                break
     return partials
 
 

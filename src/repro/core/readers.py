@@ -261,7 +261,7 @@ class CellSignatureReader:
             blob = self._blobs.get(sid)
             if blob is None:
                 return None
-            mask = self._nodes[sid] = decompress(blob)[1]
+            mask = self._nodes[sid] = decompress(self.fanout, blob)
         return mask
 
     # ------------------------------------------------------------------ #

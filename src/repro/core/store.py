@@ -127,8 +127,9 @@ class _DirectoryReads:
         pool: BufferPool | None = None,
         stats: QueryStats | None = None,
     ) -> Signature:
-        """Load and reassemble every partial of a cell (counted).  A node
-        decoded at a width other than the fanout raises ``ValueError``."""
+        """Load and reassemble every partial of a cell (counted).  Every
+        node decodes at the store's fanout; a blob that does not raises
+        :class:`~repro.bitmap.compression.CodecError`."""
         signature = Signature(self.fanout)
         refs = self._directory.get(cell.cell_id, {})
         for ref_sid in sorted(refs):
@@ -136,13 +137,7 @@ class _DirectoryReads:
             if partial is None:
                 raise MissingPartialError(cell.cell_id, ref_sid)
             for sid, blob in partial.blobs.items():
-                nbits, mask = decompress(blob)
-                if nbits != self.fanout:
-                    raise ValueError(
-                        f"cell {cell.cell_id!r} node {sid} is {nbits} bits wide, "
-                        f"fanout is {self.fanout}"
-                    )
-                signature.set_node(sid, mask)
+                signature.set_node(sid, decompress(self.fanout, blob))
         return signature
 
     def reader(

@@ -23,15 +23,15 @@ def test_quick_mixed_rw_writes_walk_no_subtree_and_build_no_rect(monkeypatch):
     choosing: list[bool] = []
     chosen: list[int] = []
     rects: list[Rect] = []
-    real_walk = partial_module._subtree_sids
+    real_walk = partial_module.bisect_left
     real_pack = store_module.pack
     real_choose = RTree._choose_node
     real_init = Rect.__init__
     real_trusted = Rect.trusted
 
-    def walk(order, seed, fanout):
-        walks.append(seed)
-        return real_walk(order, seed, fanout)
+    def walk(order, low):
+        walks.append(low)
+        return real_walk(order, low)
 
     def pack(compressed, page_size, fanout):
         before = len(walks)
@@ -60,7 +60,7 @@ def test_quick_mixed_rw_writes_walk_no_subtree_and_build_no_rect(monkeypatch):
             rects.append(rect)
         return rect
 
-    monkeypatch.setattr(partial_module, "_subtree_sids", walk)
+    monkeypatch.setattr(partial_module, "bisect_left", walk)
     monkeypatch.setattr(store_module, "pack", pack)
     monkeypatch.setattr(RTree, "_choose_node", choose)
     monkeypatch.setattr(Rect, "__init__", init)

@@ -1,7 +1,8 @@
 """Codec roundtrips, framing, adaptive choice and malformed input.
 
 A node is its mask: ``compress(nbits, mask, codec)`` encodes it and
-``decompress(blob)`` gives back ``(nbits, mask)``."""
+``decompress(nbits, blob)`` gives the mask back; the width is the caller's,
+never the blob's."""
 
 import sys
 import threading
@@ -20,12 +21,27 @@ from repro.bitmap.compression import (
     read_varint,
     write_varint,
 )
+from repro.core.pcube import PathColumns
 from tests.reference import codec_name
+
+#: The codecs that encode every mask; ``single`` encodes one set bit at a
+#: position below 64 and nothing else.
+ANY_MASK = ("raw", "sparse", "rle")
 
 
 def bits_at(nbits, positions):
     """The node ``(nbits, mask)`` with exactly ``positions`` set."""
     return nbits, sum(1 << pos for pos in set(positions))
+
+
+def covers(codec, mask):
+    """Whether ``codec`` can encode ``mask`` at all."""
+    return codec != "single" or (mask.bit_count() == 1 and mask < 1 << 64)
+
+
+def roundtrip(bits, codec):
+    nbits, mask = bits
+    return decompress(nbits, compress(nbits, mask, codec))
 
 
 # --------------------------------------------------------------------------- #
@@ -72,21 +88,21 @@ SAMPLES = [
 ]
 
 
-@pytest.mark.parametrize("codec", sorted(CODECS))
+@pytest.mark.parametrize("codec", ANY_MASK)
 @pytest.mark.parametrize(
     "bits", SAMPLES, ids=lambda b: f"{b[0]}b{b[1].bit_count()}s"
 )
 def test_roundtrip_every_codec(codec, bits):
     blob = compress(*bits, codec)
-    assert decompress(blob) == bits
+    assert decompress(bits[0], blob) == bits[1]
     assert codec_name(blob) == codec
 
 
-@pytest.mark.parametrize("codec", sorted(CODECS) + ["adaptive"])
+@pytest.mark.parametrize("codec", ANY_MASK + ("adaptive",))
 @pytest.mark.parametrize("nbits", [1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 204, 256])
 def test_roundtrip_of_zero_and_all_ones_at_every_width(codec, nbits):
     for mask in (0, (1 << nbits) - 1, 1, 1 << nbits - 1):
-        assert decompress(compress(nbits, mask, codec)) == (nbits, mask)
+        assert decompress(nbits, compress(nbits, mask, codec)) == mask
 
 
 @pytest.mark.parametrize("codec", sorted(CODECS) + ["adaptive"])
@@ -101,7 +117,7 @@ def test_adaptive_picks_smallest():
     blob = compress(*sparse_bits, "adaptive")
     for codec in CODECS:
         assert len(blob) <= len(compress(*sparse_bits, codec))
-    assert decompress(blob) == sparse_bits
+    assert decompress(2048, blob) == sparse_bits[1]
 
 
 def test_adaptive_sparse_wins_on_sparse_input():
@@ -121,69 +137,82 @@ def test_unknown_codec_rejected():
         compress(4, 0, "gzip")
 
 
-def test_empty_blob_rejected():
-    with pytest.raises(CodecError):
-        decompress(b"")
+def test_a_single_codec_refuses_what_it_cannot_encode():
+    for nbits, mask in [(64, 0), (64, 0b11), (100, 1 << 64), (8, 0b1010)]:
+        with pytest.raises(CodecError, match="one set bit"):
+            compress(nbits, mask, "single")
 
 
-def test_unknown_codec_id_rejected():
-    with pytest.raises(CodecError):
-        decompress(bytes([200, 4]))
-
-
-def test_raw_wrong_length_rejected():
-    blob = bytearray(compress(16, 0, "raw"))
-    with pytest.raises(CodecError):
-        decompress(bytes(blob[:-1]))
-
-
-def test_rle_zero_run_rejected():
-    # frame: codec=2, nbits=4, first value 0, then a zero-length run
-    with pytest.raises(CodecError):
-        decompress(bytes([2, 4, 0, 0]))
-
-
-def test_sparse_position_overflow_rejected():
-    # frame: codec=1, nbits=2, count=1, gap=5 -> position 4 > width
-    with pytest.raises(CodecError):
-        decompress(bytes([1, 2, 1, 5]))
-
-
-def test_raw_stray_bits_raise_a_codec_error():
-    # frame: codec=0, nbits=4, one body byte with bits 4..7 set
-    with pytest.raises(CodecError, match="beyond declared width"):
-        decompress(b"\x00\x04\xff")
+def header(codec, field):
+    """The header byte of ``codec`` with its six-bit ``field``."""
+    return CODECS[codec][0] << 6 | field
 
 
 @pytest.mark.parametrize(
-    "body",
+    "nbits, blob, message",
     [
-        (0x80000000 | (1 << 30) - 1).to_bytes(4, "little"),
-        (0b1).to_bytes(4, "little") * 2,
-        (0x80000001).to_bytes(4, "little"),
-    ],
-    ids=["fill", "literals", "short"],
-)
-def test_the_retired_wah_tag_is_an_unknown_codec(body):
-    """Tag 3 was the word-aligned hybrid codec, which the adaptive choice
-    never picked; a blob that carries it is refused like any unknown id."""
-    with pytest.raises(CodecError, match="unknown codec id 3"):
-        decompress(bytes([3, 4]) + body)
-
-
-@pytest.mark.parametrize(
-    "blob, message",
-    [
-        (bytes([1, 8, 2, 3, 0]), "gap of zero"),  # second gap is 0
-        (bytes([1, 8, 1, 9]), "beyond declared width"),  # position 8 of 8
-        (bytes([1, 8, 2, 3]), "truncated varint"),  # count 2, one gap
-        (bytes([1, 8, 1, 0x83]), "truncated varint"),  # gap's last byte gone
-        (bytes([1, 8, 1, 3, 7]), "trailing bytes"),
+        (8, b"", "empty blob"),  # a truncated header
+        (16, bytes([header("raw", 0), 0]), "expected 2"),  # a truncated body
+        (8, bytes([header("raw", 0), 0, 0]), "expected 1"),  # a trailing byte
+        (8, bytes([header("raw", 1), 0]), "field is 1"),
+        (4, bytes([header("raw", 0), 0xFF]), "beyond the width"),  # bits 4..7
+        (8, bytes([header("sparse", 2), 3]), "truncated varint"),  # one gap of 2
+        (8, bytes([header("sparse", 1), 0x83]), "truncated varint"),
+        (8, bytes([header("sparse", 1), 3, 7]), "trailing bytes"),
+        (8, bytes([header("sparse", 2), 3, 0]), "gap of zero"),
+        (8, bytes([header("sparse", 1), 9]), "beyond the width"),  # position 8
+        (2, bytes([header("sparse", 1), 5]), "beyond the width"),
+        (200, bytes([header("sparse", 63)]), "truncated varint"),  # escape
+        (4, bytes([header("rle", 0), 0]), "length zero"),
+        (4, bytes([header("rle", 0), 3]), "cover 3 of 4"),  # short of it
+        (4, bytes([header("rle", 1), 3, 2]), "exceed the width"),
+        (4, bytes([header("rle", 2), 4]), "must be 0 or 1"),
+        (4, bytes([header("rle", 0), 0x84]), "truncated varint"),
+        (8, bytes([header("single", 8)]), "beyond the width"),  # position 8
+        (64, bytes([header("single", 63), 0]), "trailing bytes"),
     ],
 )
-def test_sparse_malformed_bodies_rejected(blob, message):
+def test_malformed_blobs_raise_a_codec_error(nbits, blob, message):
     with pytest.raises(CodecError, match=message):
-        decompress(blob)
+        decompress(nbits, blob)
+
+
+@pytest.mark.parametrize("nbits", [0, 1, 5, 8, 63, 64, 65])
+def test_every_header_byte_names_a_codec(nbits):
+    """Two bits of codec id name four codecs: no header byte is unknown.
+    Alone, each decodes to a mask of the width or raises ``CodecError``
+    (a name that is no codec is refused at :func:`compress`, above)."""
+    for byte in range(256):
+        try:
+            mask = decompress(nbits, bytes([byte]))
+        except CodecError:
+            continue
+        assert 0 <= mask < 1 << nbits
+
+
+@pytest.mark.parametrize("nbits", range(1, 65))
+def test_a_one_bit_node_of_width_64_or_less_is_one_byte(nbits):
+    for position in range(nbits):
+        blob = compress(nbits, 1 << position)
+        assert blob == bytes([header("single", position)])
+        assert decompress(nbits, blob) == 1 << position
+
+
+def test_a_one_bit_node_past_position_63_takes_the_sparse_form():
+    assert compress(65, 1 << 64) == bytes([header("sparse", 1), 65])
+    assert compress(130, 1 << 63) == bytes([header("single", 63)])
+
+
+@pytest.mark.parametrize("count", [62, 63, 64, 200])
+def test_a_sparse_count_past_the_field_escapes_to_a_varint(count):
+    nbits = 2 * count
+    mask = sum(1 << 2 * i for i in range(count))
+    blob = compress(nbits, mask, "sparse")
+    if count < 63:
+        assert blob[0] == header("sparse", count) and len(blob) == 1 + count
+    else:
+        assert blob[0] == header("sparse", 63) and blob[1] == count - 63
+    assert decompress(nbits, blob) == mask
 
 
 @pytest.mark.parametrize("nbits", [1, 127, 128, 204])
@@ -198,7 +227,7 @@ def test_sparse_roundtrip_around_the_one_byte_gap_width(nbits):
         bits_at(nbits, range(0, nbits, 3)),
     ]
     for bits in samples:
-        assert decompress(compress(*bits, "sparse")) == bits
+        assert roundtrip(bits, "sparse") == bits[1]
 
 
 bit_arrays = st.integers(min_value=1, max_value=256).flatmap(
@@ -210,15 +239,56 @@ bit_arrays = st.integers(min_value=1, max_value=256).flatmap(
 )
 
 
-@given(bit_arrays, st.sampled_from(sorted(CODECS) + ["adaptive"]))
+@given(bit_arrays, st.sampled_from(ANY_MASK + ("adaptive",)))
 def test_roundtrip_property(bits, codec):
-    assert decompress(compress(*bits, codec)) == bits
+    assert roundtrip(bits, codec) == bits[1]
 
 
 @given(bit_arrays)
 def test_adaptive_is_minimal_property(bits):
     adaptive_len = len(compress(*bits, "adaptive"))
-    assert adaptive_len == min(len(compress(*bits, c)) for c in CODECS)
+    assert adaptive_len == min(
+        len(compress(*bits, c)) for c in CODECS if covers(c, bits[1])
+    )
+
+
+#: Widths 1–130 with masks shaped to hit each codec: few bits, one bit,
+#: long runs, dense.
+masks_to_130 = st.integers(min_value=1, max_value=130).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.one_of(
+            st.sets(st.integers(min_value=0, max_value=n - 1), max_size=6),
+            st.integers(min_value=0, max_value=n - 1).map(lambda p: {p}),
+            st.tuples(
+                st.integers(min_value=0, max_value=n - 1),
+                st.integers(min_value=0, max_value=n - 1),
+            ).map(lambda ab: set(range(min(ab), max(ab) + 1))),
+            st.sets(st.integers(min_value=0, max_value=n - 1)),
+        ),
+    )
+)
+
+
+@given(masks_to_130)
+def test_every_codec_and_adaptive_round_trip_at_widths_to_130(data):
+    """Each codec that covers the mask decodes it back at the width; the
+    adaptive blob is the smallest of them, the first in ``CODECS`` order
+    on a tie, and at a one-bit mask below position 64 it is one byte."""
+    nbits, mask = bits_at(*data)
+    blobs = {
+        codec: compress(nbits, mask, codec)
+        for codec in CODECS
+        if covers(codec, mask)
+    }
+    for blob in blobs.values():
+        assert decompress(nbits, blob) == mask
+    smallest = min(map(len, blobs.values()))
+    first = next(blob for blob in blobs.values() if len(blob) == smallest)
+    assert compress(nbits, mask, "adaptive") == first
+    assert roundtrip((nbits, mask), "adaptive") == mask
+    if mask.bit_count() == 1 and mask < 1 << 64:
+        assert len(first) == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -227,10 +297,13 @@ def test_adaptive_is_minimal_property(bits):
 
 
 def encode_all_and_keep_smallest(bits):
-    """The adaptive codec as first written: every codec encodes, the first
-    strictly smallest blob in ``CODECS`` order wins."""
+    """The adaptive codec as first written: every codec that covers the
+    mask encodes, the first strictly smallest blob in ``CODECS`` order
+    wins."""
     best = None
     for name in CODECS:
+        if not covers(name, bits[1]):
+            continue
         candidate = compress(*bits, name)
         if best is None or len(candidate) < len(best):
             best = candidate
@@ -275,8 +348,32 @@ def test_adaptive_byte_identity_on_every_node_of_a_built_cube(small_system):
     nodes = 0
     for page in store.disk.pages("pcube:sig"):
         for blob in page.payload.blobs.values():
-            assert blob == encode_all_and_keep_smallest(decompress(blob))
+            bits = (store.fanout, decompress(store.fanout, blob))
+            assert blob == encode_all_and_keep_smallest(bits)
             nodes += 1
+    assert nodes > 1000
+
+
+def test_every_stored_node_decodes_at_the_fanout_to_the_derived_mask(
+    small_system,
+):
+    """No blob carries its width: read at the store's fanout, every stored
+    node of a build is the mask ``PathColumns.masks`` derives for its cell."""
+    pcube = small_system.pcube
+    store = pcube.store
+    directory = store.directory_snapshot()
+    paths = PathColumns(*pcube.rtree.path_columns(), pcube.fanout)
+    nodes = 0
+    for cuboid in pcube.cuboids:
+        cells, labels = cuboid.label(pcube.relation)
+        for cell, masks in zip(cells, paths.masks(labels, len(cells))):
+            stored = {
+                sid: decompress(store.fanout, blob)
+                for page_id in directory.get(cell.cell_id, {}).values()
+                for sid, blob in store.disk.peek(page_id).payload.blobs.items()
+            }
+            assert stored == masks
+            nodes += len(stored)
     assert nodes > 1000
 
 
@@ -315,7 +412,7 @@ def tiny_memo(monkeypatch, entries):
 
 
 def test_the_memo_is_bounded_and_eviction_changes_no_blob(monkeypatch):
-    assert compress.cache_info().maxsize == 1 << 15
+    assert compress.cache_info().maxsize == 1 << 16
     memo, encoder = tiny_memo(monkeypatch, 4)
     values = [(70, (1 << slot) | 1) for slot in range(1, 30)]
     for _ in range(3):
@@ -360,54 +457,59 @@ def test_the_memo_returns_equal_bytes_under_two_threads(monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
-# the decode memo: decompress is a pure function of the blob
+# the decode memo: decompress is a pure function of the width and the blob
 # --------------------------------------------------------------------------- #
 
 
 def test_decompress_decodes_a_blob_once():
     decompress.cache_clear()
     blob = compress(8, 0b1010)
-    first = decompress(blob)
-    again = decompress(blob)
-    assert again == first == (8, 0b1010)
+    first = decompress(8, blob)
+    again = decompress(8, blob)
+    assert again == first == 0b1010
     info = decompress.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+    # The width is part of the key: one blob read at two widths.
+    single = compress(8, 0b100)
+    assert decompress(8, single) == decompress(64, single) == 0b100
+    assert decompress.cache_info().misses == 3
 
 
 def test_the_decode_memo_has_the_encode_memo_bound():
     assert (
         decompress.cache_info().maxsize
         == compress.cache_info().maxsize
-        == 1 << 15
+        == 1 << 16
     )
 
 
 @pytest.mark.parametrize(
-    "blob", [b"", bytes([200, 4]), b"\x00\x04\xff", bytes([2, 4, 0, 0])]
+    "blob", [b"", bytes([header("sparse", 1), 9]), b"\x00\xff", bytes([2 << 6, 0])]
 )
 def test_a_malformed_blob_raises_on_every_call(blob):
     decompress.cache_clear()
     for _ in range(2):
         with pytest.raises(CodecError):
-            decompress(blob)
+            decompress(4, blob)
     info = decompress.cache_info()
     assert (info.misses, info.currsize) == (2, 0)
 
 
-@given(bit_arrays, st.sampled_from(sorted(CODECS) + ["adaptive"]))
+@given(bit_arrays, st.sampled_from(ANY_MASK + ("adaptive",)))
 def test_memoised_and_unmemoised_decode_agree(bits, codec):
-    blob = compress(*bits, codec)
-    unmemoised = decompress.__wrapped__(blob)
-    assert unmemoised == bits
-    assert decompress(blob) == unmemoised
+    nbits, mask = bits
+    blob = compress(nbits, mask, codec)
+    unmemoised = decompress.__wrapped__(nbits, blob)
+    assert unmemoised == mask
+    assert decompress(nbits, blob) == unmemoised
 
 
 def test_a_blob_is_keyed_by_its_bytes():
-    """The memo's key is the blob: a read-only ``memoryview`` hashes and
+    """The memo's key holds the blob: a read-only ``memoryview`` hashes and
     compares as its bytes, a mutable or non-bytes key is refused."""
-    bits = bits_at(64, [0, 31, 63])
-    blob = compress(*bits)
-    assert decompress(memoryview(blob)) == decompress(blob) == bits
+    nbits, mask = bits_at(64, [0, 31, 63])
+    blob = compress(nbits, mask)
+    assert decompress(64, memoryview(blob)) == decompress(64, blob) == mask
     for key in (bytearray(blob), 5):
         with pytest.raises(TypeError):
-            decompress(key)
+            decompress(64, key)

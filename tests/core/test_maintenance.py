@@ -576,7 +576,7 @@ def test_a_write_touches_only_the_nodes_on_its_path(monkeypatch):
     monkeypatch.setattr(
         partial_module,
         "decompress",
-        lambda blob: decoded.append(blob) or real_decompress(blob),
+        lambda nbits, blob: decoded.append(blob) or real_decompress(nbits, blob),
     )
     derived = []
     real_masks = PathColumns.masks

@@ -18,6 +18,7 @@ from repro.core.partial import (
     compress_masks,
     decompose,
     edit_blobs,
+    pack,
     retrieval_refs,
 )
 from repro.core.sid import child_sid, sid_of_path
@@ -27,7 +28,7 @@ from repro.data.fixtures import build_sweep_system
 from repro.storage.counters import SSIG
 from repro.storage.disk import SimulatedDisk
 from tests.core.test_store import CELL, count_compressions, stored_bytes
-from tests.reference import ancestor_sids, reassemble
+from tests.reference import ancestor_sids, pack_by_walk, reassemble
 
 FANOUT = 4
 
@@ -65,7 +66,7 @@ def test_partial_size_accounting():
 def test_partials_respect_page_budget():
     paths = [(a, b, c) for a in (1, 2, 3) for b in (1, 2, 3) for c in (1, 2)]
     signature = Signature.from_paths(paths, FANOUT)
-    page = 64
+    page = 32
     partials = decompose(signature, page_size=page)
     assert len(partials) > 1
     for partial in partials:
@@ -141,7 +142,7 @@ def test_retrieval_protocol_always_finds_the_node():
 def test_decode_roundtrips_bits():
     signature = Signature.from_paths([(1, 2), (2, 1)], FANOUT)
     (partial,) = decompose(signature, page_size=4096)
-    assert partial.decode() == signature.masks()
+    assert partial.decode(FANOUT) == signature.masks()
 
 
 def test_fingerprint_covers_ref_size_sids_and_every_blob_byte():
@@ -327,19 +328,19 @@ def test_decompose_of_a_full_tree_matches_the_tree_walk(fanout, page_size, codec
 
 
 def test_a_page_budget_that_breaks_mid_level_resumes_at_the_first_child():
-    """Raw fan-out-4 blobs cost 4 bytes a node: a 32-byte page holds the
+    """Raw fan-out-4 blobs cost 3 bytes a node: a 28-byte page holds the
     root and three of its four children; the fourth waits for its own seed,
     after the first child's subtree."""
     signature = Signature.from_paths(
         [(a, b) for a in (1, 2, 3, 4) for b in (1, 2)], FANOUT
     )
-    partials = decompose(signature, page_size=32, codec="raw")
+    partials = decompose(signature, page_size=28, codec="raw")
     assert [(p.ref_sid, list(p.blobs)) for p in partials] == [
         (0, [0, 1, 2, 3]),
         (4, [4]),
     ]
     assert as_bytes(partials) == as_bytes(
-        reference_decompose(signature, page_size=32, codec="raw")
+        reference_decompose(signature, page_size=28, codec="raw")
     )
 
 
@@ -350,24 +351,55 @@ def test_a_seed_whose_subtree_is_already_coded_references_no_partial():
         [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 1, 1)], FANOUT
     )
     one, two, three = (sid_of_path((a,), FANOUT) for a in (1, 2, 3))
-    partials = decompose(signature, page_size=16 + 5 * 4, codec="raw")
+    partials = decompose(signature, page_size=16 + 5 * 3, codec="raw")
     assert [p.ref_sid for p in partials] == [0, two, three]
     assert list(partials[0].blobs) == [0, one, two, three, sid_of_path((1, 1), FANOUT)]
     assert as_bytes(partials) == as_bytes(
-        reference_decompose(signature, page_size=16 + 5 * 4, codec="raw")
+        reference_decompose(signature, page_size=16 + 5 * 3, codec="raw")
     )
 
 
+
+@st.composite
+def sid_blobs(draw):
+    """(fanout, SID -> blob): the SIDs of random paths and their prefixes,
+    each with a blob of a random length (1-40 bytes)."""
+    fanout = draw(st.sampled_from([2, 4, 8, 64]))
+    paths = draw(
+        st.sets(
+            st.lists(
+                st.integers(min_value=1, max_value=fanout), min_size=1, max_size=4
+            ).map(tuple),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    sids = {sid_of_path(path[:depth], fanout) for path in paths for depth in range(len(path) + 1)}
+    lengths = st.integers(min_value=1, max_value=40)
+    return fanout, {sid: bytes(draw(lengths)) for sid in sorted(sids)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(sid_blobs(), st.sampled_from([20, 32, 48, 64, 128, 256, 4096]))
+def test_pack_is_byte_identical_to_the_node_by_node_walk(data, page_size):
+    """``pack`` steps over coded nodes a run at a time; the walk it
+    replaced visits every node of every seed's subtree.  Same partials."""
+    fanout, blobs = data
+    assert as_bytes(pack(blobs, page_size, fanout)) == as_bytes(
+        pack_by_walk(blobs, page_size, fanout)
+    )
+
 def count_walks(monkeypatch):
-    """Record the seed of every subtree walk ``pack`` starts."""
+    """Record the first SID of every depth slice ``pack``'s walk looks up
+    (a walk's first slice starts at its seed)."""
     walks = []
-    real = partial_module._subtree_sids
+    real = partial_module.bisect_left
 
-    def counting(order, seed, fanout):
-        walks.append(seed)
-        return real(order, seed, fanout)
+    def counting(order, low):
+        walks.append(low)
+        return real(order, low)
 
-    monkeypatch.setattr(partial_module, "_subtree_sids", counting)
+    monkeypatch.setattr(partial_module, "bisect_left", counting)
     return walks
 
 
@@ -546,7 +578,7 @@ def test_edit_blobs_decodes_and_compresses_only_the_moved_paths_nodes(
     monkeypatch.setattr(
         partial_module,
         "decompress",
-        lambda blob: decoded.append(blob) or real_decompress(blob),
+        lambda nbits, blob: decoded.append(blob) or real_decompress(nbits, blob),
     )
     compressed = count_compressions(monkeypatch)
     edit_blobs(blobs, removed, added, FANOUT)

@@ -34,7 +34,7 @@ OTHER = Cell(("A",), ("a2",))
 @pytest.fixture
 def disk():
     # Tiny pages force multi-partial decomposition.
-    return SimulatedDisk(page_size=48)
+    return SimulatedDisk(page_size=36)
 
 
 @pytest.fixture
@@ -58,14 +58,24 @@ def test_put_and_full_reload(store):
     assert store.load_full_signature(CELL) == signature
 
 
-@pytest.mark.parametrize("nbits, mask", [(FANOUT + 1, 1 << FANOUT), (FANOUT - 1, 0b101)])
-def test_a_node_decoded_at_another_width_is_refused(store, nbits, mask):
-    """A stored blob whose width is not the fanout is refused on reload,
-    whether its mask fits the fanout or not."""
+@pytest.mark.parametrize(
+    "nbits, mask, codec",
+    [
+        (FANOUT + 1, 1 << FANOUT, "adaptive"),  # one bit past the fanout
+        (4 * FANOUT, 1, "raw"),  # a body four times too long
+        (2 * FANOUT, 0b11, "rle"),  # runs that cover twice the fanout
+        (2 * FANOUT, 1 << FANOUT + 1, "sparse"),  # a gap past the fanout
+    ],
+)
+def test_a_node_that_does_not_decode_at_the_fanout_is_refused(
+    store, nbits, mask, codec
+):
+    """A blob carries no width: every node of a cell is read at the store's
+    fanout, and one that does not decode at it is refused on reload."""
     store.replace_partials(
-        CELL, [PartialSignature(ref_sid=0, blobs={0: compress(nbits, mask)})]
+        CELL, [PartialSignature(ref_sid=0, blobs={0: compress(nbits, mask, codec)})]
     )
-    with pytest.raises(ValueError, match="bits wide, fanout is"):
+    with pytest.raises(CodecError):
         store.load_full_signature(CELL)
 
 
@@ -139,9 +149,9 @@ def count_decompressions(monkeypatch):
     decoded = []
     real = readers_module.decompress
 
-    def counting(blob):
+    def counting(nbits, blob):
         decoded.append(blob)
-        return real(blob)
+        return real(nbits, blob)
 
     monkeypatch.setattr(readers_module, "decompress", counting)
     return decoded
@@ -312,7 +322,7 @@ def test_quarantine_is_listed_counted_once_and_lifted(store):
 
 
 def test_load_partial_retries_transient_faults():
-    disk = FaultyDisk(SimulatedDisk(page_size=48))
+    disk = FaultyDisk(SimulatedDisk(page_size=36))
     store = SignatureStore(disk, fanout=FANOUT, codec="raw")
     signature = wide_signature()
     store.put_signature(CELL, signature)
@@ -324,7 +334,7 @@ def test_load_partial_retries_transient_faults():
 
 
 def test_torn_rewrite_leaves_old_partials_readable():
-    disk = FaultyDisk(SimulatedDisk(page_size=48))
+    disk = FaultyDisk(SimulatedDisk(page_size=36))
     store = SignatureStore(disk, fanout=FANOUT, codec="raw")
     old = wide_signature()
     store.put_signature(CELL, old)
@@ -345,7 +355,7 @@ def test_torn_rewrite_leaves_old_partials_readable():
 
 
 def test_reader_degrades_on_corrupt_partial():
-    disk = FaultyDisk(SimulatedDisk(page_size=48))
+    disk = FaultyDisk(SimulatedDisk(page_size=36))
     store = SignatureStore(disk, fanout=FANOUT, codec="raw")
     store.put_signature(CELL, Signature.from_paths([(1, 2)], FANOUT))
     disk.plan = FaultPlan([FaultRule(kind="corrupt", tag="pcube:sig", count=1)])
@@ -362,7 +372,7 @@ def test_reader_degrades_on_corrupt_partial():
 
 
 def test_reader_degraded_mode_uses_exact_fallback():
-    disk = FaultyDisk(SimulatedDisk(page_size=48))
+    disk = FaultyDisk(SimulatedDisk(page_size=36))
     store = SignatureStore(disk, fanout=FANOUT, codec="raw")
     store.put_signature(CELL, Signature.from_paths([(1, 2)], FANOUT))
     disk.plan = FaultPlan([FaultRule(kind="corrupt", tag="pcube:sig", count=1)])
@@ -481,7 +491,7 @@ def test_rewrite_of_a_new_cell_edits_an_empty_signature(store, monkeypatch):
 def test_rewrite_refuses_to_edit_an_unreadable_cell(kind):
     """An old partial's read fails: the edit has nothing to start from, so
     it writes nothing and says which partial; the caller re-derives."""
-    disk = FaultyDisk(SimulatedDisk(page_size=48))
+    disk = FaultyDisk(SimulatedDisk(page_size=36))
     store = SignatureStore(disk, fanout=FANOUT, codec="raw")
     store.put_signature(CELL, wide_signature())
     refs = store.directory_snapshot()[CELL.cell_id]
@@ -497,7 +507,7 @@ def test_rewrite_refuses_to_edit_an_unreadable_cell(kind):
 
 
 def test_crash_on_the_old_partial_read_leaves_the_old_generation():
-    disk = FaultyDisk(SimulatedDisk(page_size=48))
+    disk = FaultyDisk(SimulatedDisk(page_size=36))
     store = SignatureStore(disk, fanout=FANOUT, codec="raw")
     old = wide_signature()
     store.put_signature(CELL, old)

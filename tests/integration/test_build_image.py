@@ -23,8 +23,15 @@ CRC over a binary framing of its content (reference, size, SID and
 blob-length arrays, blobs) in place of a CRC over its text rendering: only
 the partials' checksums moved — every page's id, tag and size, the paths,
 store, R-tree and counts stayed, and the ``blobs`` digest, added then,
-reads the same on the code before that change.  A change that means to
-move the image re-records them and says why.
+reads the same on the code before that change.  Both images were
+re-recorded when a node blob lost its width and a one-bit node became one
+byte: every blob, and so every partial's checksum, changed.  At fanout 64
+each cell was one partial and still is — the page ids, tags and sizes, the
+paths, store, R-tree and counts stayed.  On 128-byte pages the denser
+blobs need 40 partial pages where 106 were allocated: the store's
+directory and the ALLOC count moved with them (126, from 192), the
+R-tree's pages, the paths and the WRITE and FREE counts stayed.  A change
+that means to move the image re-records them and says why.
 """
 
 from __future__ import annotations
@@ -42,23 +49,23 @@ BUILDS = {
     "2000-tuples-fanout-64": (
         2000, 100, 64, None,
         {
-            "pages": (363, "c82c2c16648f0258"),
+            "pages": (363, "f6022510020bfea8"),
             "paths": "43231253bea1f97e",
             "store": "1f8bf048ecb85775",
             "rtree": "208547d139aa6b1d",
-            "blobs": "5f6e2067ce951460",
+            "blobs": "4a4131b38b013e7b",
             "writes": {"ALLOC": 338, "WRITE": 75, "FREE": 1},
         },
     ),
     "300-tuples-fanout-6": (
         300, 10, 6, 128,
         {
-            "pages": (341, "84b72054aacbb303"),
+            "pages": (275, "0893fc6596051838"),
             "paths": "1e90c5b2fe0883e3",
-            "store": "6a24dc471532be01",
+            "store": "3e691dcd7acf99af",
             "rtree": "d0b0f8ad5297bb3c",
-            "blobs": "dfaf30ac7c71c89f",
-            "writes": {"ALLOC": 192, "WRITE": 171, "FREE": 1},
+            "blobs": "4a1fc9c985f875a7",
+            "writes": {"ALLOC": 126, "WRITE": 171, "FREE": 1},
         },
     ),
 }

@@ -7,12 +7,17 @@ scalar oracle of the batch kernels.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Sequence
 
 from repro.baselines.skyline_algs import Points, sfs_skyline
 from repro.bitmap.bitarray import mask_positions
 from repro.bitmap.compression import CODECS, CodecError
-from repro.core.partial import PartialSignature
+from repro.core.partial import (
+    _NODE_OVERHEAD_BYTES as NODE_OVERHEAD_BYTES,
+    _PART_HEADER_BYTES as PART_HEADER_BYTES,
+    PartialSignature,
+)
 from repro.core.pcube import PCube, PCubeView
 from repro.core.sid import child_sid, sid_of_path
 from repro.core.signature import Signature
@@ -379,14 +384,57 @@ def reassemble(
     """Rebuild the full signature from all of its partials."""
     signature = Signature(fanout)
     for partial in partials:
-        for sid, bits in partial.decode().items():
+        for sid, bits in partial.decode(fanout).items():
             signature.set_node(sid, bits)
     return signature
 
 
 def codec_name(blob: bytes) -> str:
-    """Which codec produced this blob."""
+    """Which codec produced this blob: its header's top two bits."""
     names = {codec_id: name for name, (codec_id, _, _) in CODECS.items()}
-    if not blob or blob[0] not in names:
+    if not blob:
         raise CodecError("not a compressed bitmap blob")
-    return names[blob[0]]
+    return names[blob[0] >> 6]
+
+
+# --------------------------------------------------------------------------- #
+# the packer as first written: a seed walks every node of its subtree
+# --------------------------------------------------------------------------- #
+
+
+def _subtree_sids(order: Sequence[int], seed: int, fanout: int) -> Iterator[int]:
+    """Breadth-first SIDs of the subtree at ``seed`` among the ascending
+    SIDs ``order``: one contiguous slice per depth."""
+    base = fanout + 1
+    low = high = seed
+    while low <= order[-1]:
+        yield from order[bisect_left(order, low) : bisect_right(order, high)]
+        low, high = low * base + 1, high * base + fanout
+
+
+def pack_by_walk(
+    compressed: dict[int, bytes], page_size: int, fanout: int
+) -> list[PartialSignature]:
+    """``core.partial.pack``'s oracle: every seed in SID order walks its
+    whole subtree node by node, skipping the coded ones, and packs until a
+    node does not fit the page."""
+    order = sorted(compressed)
+    coded: set[int] = set()
+    partials: list[PartialSignature] = []
+    for seed in order:
+        blobs: dict[int, bytes] = {}
+        size = PART_HEADER_BYTES
+        for sid in _subtree_sids(order, seed, fanout):
+            if sid in coded:
+                continue
+            cost = NODE_OVERHEAD_BYTES + len(compressed[sid])
+            if blobs and size + cost > page_size:
+                break
+            blobs[sid] = compressed[sid]
+            coded.add(sid)
+            size += cost
+        if blobs:
+            partials.append(
+                PartialSignature(ref_sid=seed, blobs=blobs, size_bytes=size)
+            )
+    return partials
